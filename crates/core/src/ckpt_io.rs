@@ -583,22 +583,31 @@ pub fn decode_record(bytes: &[u8]) -> Result<(SessionState, Vec<u8>)> {
     Ok((state, output))
 }
 
+/// A stage's seam output: the part of a checkpoint record the rest of the
+/// pipeline consumes. The seam protocol (`wrangler::pass`) persists and
+/// replays any stage's output through this one interface.
+pub trait SeamRecord: Sized {
+    /// Serialize.
+    fn encode(&self) -> Vec<u8>;
+
+    /// Decode.
+    fn decode(bytes: &[u8]) -> Result<Self>;
+}
+
 /// Select-seam output: the chosen sources.
 pub struct SelectOut {
     /// Selected source ids, in selection order.
     pub selected: Vec<SourceId>,
 }
 
-impl SelectOut {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+impl SeamRecord for SelectOut {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.into_bytes()
     }
 
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<SelectOut> {
+    fn decode(bytes: &[u8]) -> Result<SelectOut> {
         let mut d = Dec::new(bytes);
         Ok(SelectOut {
             selected: dec_ids(&mut d)?,
@@ -615,9 +624,8 @@ pub struct AcquireOut {
     pub degraded_tables: Vec<(usize, Table)>,
 }
 
-impl AcquireOut {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+impl SeamRecord for AcquireOut {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.usize(self.degraded_tables.len());
@@ -628,8 +636,7 @@ impl AcquireOut {
         e.into_bytes()
     }
 
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<AcquireOut> {
+    fn decode(bytes: &[u8]) -> Result<AcquireOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;
@@ -654,9 +661,8 @@ pub struct MapGenOut {
     pub mappings: Vec<(usize, Mapping)>,
 }
 
-impl MapGenOut {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+impl SeamRecord for MapGenOut {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.usize(self.mappings.len());
@@ -667,8 +673,7 @@ impl MapGenOut {
         e.into_bytes()
     }
 
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<MapGenOut> {
+    fn decode(bytes: &[u8]) -> Result<MapGenOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;
@@ -689,9 +694,8 @@ pub struct MapApplyOut {
     pub mapped: Vec<(usize, Table, Option<String>)>,
 }
 
-impl MapApplyOut {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+impl SeamRecord for MapApplyOut {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.usize(self.mapped.len());
@@ -710,8 +714,7 @@ impl MapApplyOut {
         e.into_bytes()
     }
 
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<MapApplyOut> {
+    fn decode(bytes: &[u8]) -> Result<MapApplyOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;
@@ -740,9 +743,8 @@ pub struct UnionOut {
     pub union_filtered: u64,
 }
 
-impl UnionOut {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+impl SeamRecord for UnionOut {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.u64(self.union_filtered);
@@ -756,8 +758,7 @@ impl UnionOut {
         e.into_bytes()
     }
 
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<UnionOut> {
+    fn decode(bytes: &[u8]) -> Result<UnionOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let union_filtered = d.u64()?;
@@ -781,6 +782,7 @@ impl UnionOut {
 }
 
 /// ER-seam output: the clustering.
+#[derive(Debug, Clone, Default)]
 pub struct ErOut {
     /// Entity clusters (row indices into the union).
     pub clusters: Vec<Vec<usize>>,
@@ -788,9 +790,8 @@ pub struct ErOut {
     pub row_entity: Vec<usize>,
 }
 
-impl ErOut {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+impl SeamRecord for ErOut {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.usize(self.clusters.len());
         for c in &self.clusters {
@@ -806,8 +807,7 @@ impl ErOut {
         e.into_bytes()
     }
 
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<ErOut> {
+    fn decode(bytes: &[u8]) -> Result<ErOut> {
         let mut d = Dec::new(bytes);
         let n = d.usize()?;
         let mut clusters = Vec::with_capacity(n.min(1 << 22));
@@ -835,6 +835,7 @@ impl ErOut {
 /// Claims are *not* serialized — a hit rebuilds the claim set from the
 /// (already restored) union, row→entity map and the removed-source list,
 /// which is cheap and keeps the heavy `ClaimSet` out of the wire format.
+#[derive(Debug, Clone)]
 pub struct FuseOut {
     /// Survivors after fuse-stage quarantines.
     pub selected: Vec<SourceId>,
@@ -849,9 +850,8 @@ pub struct FuseOut {
     pub fused: Vec<(usize, usize, FusedValue)>,
 }
 
-impl FuseOut {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
+impl SeamRecord for FuseOut {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.usize(self.fuse_removed.len());
@@ -874,8 +874,7 @@ impl FuseOut {
         e.into_bytes()
     }
 
-    /// Decode.
-    pub fn decode(bytes: &[u8]) -> Result<FuseOut> {
+    fn decode(bytes: &[u8]) -> Result<FuseOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;

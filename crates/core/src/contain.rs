@@ -422,6 +422,16 @@ pub enum Guarded<T> {
 // isolation; re-exported here for the containment layer's callers.
 pub use wrangler_table::par::{catch_quiet, panic_message};
 
+/// Run `f` under panic isolation when containment is `on` (a panic comes
+/// back as its message); run it bare otherwise.
+pub(crate) fn isolate<T>(on: bool, f: impl FnOnce() -> T) -> Result<T, String> {
+    if on {
+        catch_quiet(f)
+    } else {
+        Ok(f())
+    }
+}
+
 /// Scan one row for payloads the pipeline must not ingest. Returns the
 /// reason when poisoned. Newlines/tabs/CRs are legitimate in text cells;
 /// other control bytes are not.

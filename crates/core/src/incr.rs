@@ -30,8 +30,9 @@
 
 use std::collections::BTreeMap;
 
-use wrangler_fusion::strategies::FusedValue;
 use wrangler_table::Value;
+
+use crate::ckpt_io::{ErOut, FuseOut};
 
 /// One source's memoized union contribution.
 #[derive(Debug, Clone)]
@@ -66,10 +67,9 @@ pub struct ErMemo {
     /// touching any clean row, and the layout's per-block content keys
     /// already pin row content exactly.
     pub prog_fp: u64,
-    /// The clustering.
-    pub clusters: Vec<Vec<usize>>,
-    /// Row → entity index over the memoized union.
-    pub row_entity: Vec<usize>,
+    /// The clustering and row → entity index over the memoized union: the
+    /// stage's seam record, replayed as is on a key hit.
+    pub out: ErOut,
     /// Union block layout at compute time: `(source, block key, rows)` per
     /// contiguous block, in union order. Remapping matches blocks by
     /// `(source, block key)` and shifts row indices by block offset.
@@ -89,17 +89,15 @@ impl ErMemo {
     }
 }
 
-/// The memoized fuse stage (trust vector, ages, fused slots).
+/// The memoized fuse stage.
 #[derive(Debug, Clone)]
 pub struct FuseMemo {
     /// Content key over everything that can ripple into a fused value.
     pub key: u64,
-    /// Blended per-source trust at compute time.
-    pub trust: Vec<f64>,
-    /// Per-source ages at compute time.
-    pub age: Vec<u64>,
-    /// Fused slot values, sorted by (entity, attr).
-    pub fused: Vec<(usize, usize, FusedValue)>,
+    /// The stage's seam record at compute time (blended trust, ages, fused
+    /// slots sorted by (entity, attr)); only passes with no fuse-stage
+    /// quarantine are memoized.
+    pub out: FuseOut,
 }
 
 /// Pack a candidate pair's row indices into one ordered u64 key. Callers
@@ -241,8 +239,7 @@ mod tests {
             key: 0,
             pass_fp: 0,
             prog_fp: 0,
-            clusters: Vec::new(),
-            row_entity: Vec::new(),
+            out: ErOut::default(),
             layout: Vec::new(),
             scores: vec![(pack_pair(0, 1), 0.5), (pack_pair(0, 2), 0.75)],
         };
@@ -287,16 +284,19 @@ mod tests {
             key: 9,
             pass_fp: 0,
             prog_fp: 0,
-            clusters: Vec::new(),
-            row_entity: Vec::new(),
+            out: ErOut::default(),
             layout: Vec::new(),
             scores: Vec::new(),
         });
         e.fuse = Some(FuseMemo {
             key: 9,
-            trust: Vec::new(),
-            age: Vec::new(),
-            fused: Vec::new(),
+            out: FuseOut {
+                selected: Vec::new(),
+                fuse_removed: Vec::new(),
+                trust: Vec::new(),
+                age: Vec::new(),
+                fused: Vec::new(),
+            },
         });
         e.forget_source(2);
         assert!(e.blocks.is_empty());

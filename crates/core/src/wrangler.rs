@@ -1,6 +1,6 @@
 //! The end-to-end wrangling session.
 
-use std::collections::{BTreeMap, HashMap}; // hash-ok: HashMap here is lookup-only (slot/feedback state); nothing iterates it into output
+use std::collections::HashMap; // hash-ok: HashMap here is lookup-only (slot/feedback state); nothing iterates it into output
 
 use wrangler_context::{Criterion, DataContext, QualityVector, UserContext};
 use wrangler_feedback::router::ValueProvenance;
@@ -8,11 +8,10 @@ use wrangler_feedback::{
     route, FeedbackItem, FeedbackStore, FeedbackTarget, RoutedSignal, RoutingMode,
 };
 use wrangler_fusion::strategies::{fuse_attribute, FusedValue, SourceContext};
-use wrangler_fusion::truthfinder::{truthfinder, TruthFinderConfig};
-use wrangler_fusion::{ClaimSet, FuseKernel, MIN_SLOTS_PER_WORKER};
+use wrangler_fusion::ClaimSet;
 use wrangler_lint::{GateMode, Report as LintReport};
-use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
-use wrangler_match::{profile_table, MatchConfig};
+use wrangler_mapping::Mapping;
+use wrangler_match::MatchConfig;
 use wrangler_obs::{MetricsReport, ObsMode, Telemetry};
 use wrangler_quality::profile::{quality_vector, ExternalSignals, TableProfile};
 use wrangler_resolve::learn::{refine_rule, LabeledPair};
@@ -20,28 +19,24 @@ use wrangler_resolve::{
     candidates_blocked, cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind,
 };
 use wrangler_sources::faults::{Degradation, FaultConfig, FaultProfile};
-use wrangler_sources::{
-    select_greedy_utility, select_marginal_gain, Source, SourceEstimate, SourceId, SourceMeta,
-    SourceRegistry,
-};
-use wrangler_plan::{FilterPlacement, OptMode, PlanProgram};
-use wrangler_table::par;
-use wrangler_table::{ops, DataType, Expr, Schema, Table, TableError, Value};
+use wrangler_sources::{Source, SourceEstimate, SourceId, SourceMeta, SourceRegistry};
+use wrangler_plan::{OptMode, PlanProgram};
+use wrangler_table::{DataType, Expr, Schema, Table, TableError, Value};
 use wrangler_uncertainty::{Belief, Evidence, EvidenceKind};
 
-use wrangler_ckpt::{CheckpointStore, ContentKey, CrashPolicy, CrashSite};
+use wrangler_ckpt::{CheckpointStore, CrashPolicy};
 use wrangler_table::wire;
 
 use crate::acquire::{Acquisition, AcquisitionSummary};
-use crate::ckpt_io::{self, SessionState};
-use crate::incr::{self, BlockMemo, ErMemo, FuseMemo, IncrEngine};
-use crate::contain::{
-    catch_quiet, poison_reason, ContainMode, ContainPolicy, ContainmentReport, Guarded, Stage,
-    StageGuard,
-};
-use crate::lower::{self, LowerInput};
-use crate::planner::{Plan, SelectionStrategy};
-use crate::working::{Artifact, PairScoreCache, WorkingData};
+use crate::contain::{ContainPolicy, ContainmentReport, Stage};
+use crate::incr::IncrEngine;
+use crate::planner::Plan;
+use crate::working::{Artifact, WorkingData};
+
+mod pass;
+mod stages;
+
+use pass::Pass;
 
 /// Per-source wrangling state in the Working Data.
 #[derive(Debug, Clone)]
@@ -80,32 +75,6 @@ struct WrangleCache {
     fused: HashMap<(usize, usize), FusedValue>, // hash-ok: keyed by slot, read via get()
     /// Selected sources.
     selected: Vec<SourceId>,
-}
-
-/// Output of the ER section of a wrangle (see [`Wrangler::er_stage`]).
-struct ErStageOutcome {
-    clusters: Vec<Vec<usize>>,
-    row_entity: Vec<usize>,
-}
-
-/// Incremental-engine context threaded into [`Wrangler::er_stage`]: the
-/// union's block layout and row→source map (pair-cache eviction grain),
-/// the stage content key, and whether memo store / index remap are licensed
-/// for this pass.
-struct ErIncrCtx<'a> {
-    /// `(source, block key, rows)` per union block; empty disables remap
-    /// and layout-carrying memo storage.
-    layout: &'a [(usize, u64, usize)],
-    /// Source of every union row (tags fresh pair-cache inserts).
-    union_srcs: &'a [usize],
-    /// Full-stage content key to store the new memo under.
-    er_key: u64,
-    pass_fp: u64,
-    prog_fp: u64,
-    /// Store a fresh memo after computing (engine on, chaos off).
-    store: bool,
-    /// Consult the previous memo's packed scores via index remap.
-    remap: bool,
 }
 
 /// The result of a wrangle.
@@ -645,33 +614,44 @@ impl Wrangler {
     /// mid-pipeline is quarantined and the pass completes on survivors
     /// (mirroring acquisition degradation); the decisions land in
     /// [`WrangleOutcome::containment`] and the `contain.<stage>.*` counters.
+    /// A failed pass still records its spans (the failing stage's and the
+    /// root's close on every exit) and its containment report.
     pub fn wrangle(&mut self) -> wrangler_table::Result<WrangleOutcome> {
-        let mut creport = ContainmentReport::default();
-        let mut out = self.wrangle_contained(&mut creport);
-        creport.emit(&mut self.obs);
+        // A pass that died by panic leaves spans open; start clean.
+        self.obs.start_pass();
+        self.obs.begin("wrangle");
+        self.obs.inc("pass.wrangle");
+        let mut pass = self.begin_pass();
+        let mut out = self.run_pass(&mut pass);
+        self.obs.end();
+        pass.creport.emit(&mut self.obs);
         if let Ok(o) = &mut out {
-            o.containment = creport.clone();
-            // Re-snapshot: the emit above added the contain.* counters.
+            o.containment = pass.creport.clone();
             o.metrics = self.obs.report();
         }
-        self.last_containment = creport;
+        self.last_containment = pass.creport;
         out
     }
 
-    /// Mark source `i` quarantined mid-pipeline: discount its trust (same
-    /// soft evidence as an acquisition skip), trip its breaker so the next
-    /// acquisition pass sees it unavailable until the cooldown probes it,
-    /// and invalidate its cached artifacts so a later (possibly clean)
-    /// delivery is remapped from scratch.
-    fn discount_quarantined(&mut self, i: usize) {
-        if let Some(state) = self.states.get_mut(i) {
-            state
-                .trust
-                .update(&Evidence::vote(EvidenceKind::Component, false, 0.8).discounted(0.9));
-        }
-        self.acquisition.record_pipeline_failure(i);
-        self.working.invalidate(Artifact::Mapping(i));
-        self.working.invalidate(Artifact::MappedTable(i));
+    /// The pass itself: a fixed sequence of stages over one [`Pass`]. With
+    /// a checkpoint store attached, every seam stage is content-keyed: a hit
+    /// restores the seam's session snapshot and installs its output (side
+    /// effects replay from the snapshot, never re-derive); a miss computes
+    /// live and persists. Keys chain, so a valid record implies the whole
+    /// upstream prefix matched (see [`pass`]).
+    fn run_pass(&mut self, pass: &mut Pass) -> wrangler_table::Result<WrangleOutcome> {
+        self.select(pass)?;
+        self.acquire(pass)?;
+        self.map_generate(pass)?;
+        self.compile_plan(pass)?;
+        self.preflight(pass)?;
+        self.map_apply(pass)?;
+        self.union(pass)?;
+        self.er(pass)?;
+        self.fuse(pass)?;
+        self.span("assemble", |w| {
+            w.contained(pass, Stage::Assemble, |w, pass| w.assemble(&pass.plan))
+        })
     }
 
     // --- Crash-resilient checkpointing -----------------------------------
@@ -724,1814 +704,6 @@ impl Wrangler {
         self.wrangle()
     }
 
-    fn crash_fire(&self, site: CrashSite) {
-        if let Some(p) = &self.crash {
-            p.fire(site);
-        }
-    }
-
-    /// Snapshot everything this pass has mutated so far (see
-    /// [`SessionState`]); stored inside every seam record.
-    fn snapshot_state(&self, creport: &ContainmentReport) -> SessionState {
-        SessionState {
-            now: self.now,
-            access_spent: self.access_spent,
-            trust: self.states.iter().map(|s| s.trust.clone()).collect(),
-            relevance: self.states.iter().map(|s| s.relevance).collect(),
-            acq_clock: self.acquisition.clock(),
-            acq_total_attempts: self.acquisition.total_attempts,
-            acq_total_backoff: self.acquisition.total_backoff_ticks,
-            breakers: self.acquisition.breakers().to_vec(),
-            pair_entries: self
-                .working
-                .pair_scores
-                .entries()
-                .map(|(k, v, a, b)| (k.to_string(), v, a, b))
-                .collect(),
-            pair_hits: self.working.pair_scores.hits(),
-            pair_misses: self.working.pair_scores.misses(),
-            work: self.working.work,
-            creport: creport.clone(),
-            last_acquisition: self.last_acquisition.clone(),
-        }
-    }
-
-    /// Apply a seam snapshot: the session (and the in-progress containment
-    /// report) now look exactly as they did when the record was written, so
-    /// side effects (trust discounts, breaker trips, quarantines) are never
-    /// re-applied on replay.
-    fn restore_state(&mut self, st: SessionState, creport: &mut ContainmentReport) {
-        self.now = st.now;
-        self.access_spent = st.access_spent;
-        for (i, b) in st.trust.into_iter().enumerate() {
-            if let Some(s) = self.states.get_mut(i) {
-                s.trust = b;
-            }
-        }
-        for (i, r) in st.relevance.into_iter().enumerate() {
-            if let Some(s) = self.states.get_mut(i) {
-                s.relevance = r;
-            }
-        }
-        self.acquisition.total_attempts = st.acq_total_attempts;
-        self.acquisition.total_backoff_ticks = st.acq_total_backoff;
-        self.acquisition.restore_state(st.acq_clock, st.breakers);
-        self.working.pair_scores =
-            PairScoreCache::restore(st.pair_entries, st.pair_hits, st.pair_misses);
-        self.working.work = st.work;
-        *creport = st.creport;
-        self.last_acquisition = st.last_acquisition;
-    }
-
-    /// Fingerprint of everything that shapes this pass besides the source
-    /// payloads and runtime state: target schema + sample, user context,
-    /// derived plan, ER/match/containment/acquisition configuration, filter
-    /// and projection, and the value-feedback constraints (in sorted key
-    /// order — their maps are lookup-only). Worker-count knobs are
-    /// excluded: outputs are byte-identical for any pool width. The data
-    /// context is excluded (see [`Self::with_checkpoint_store`]).
-    fn pass_fingerprint(&self, plan: &Plan) -> u64 {
-        let mut h = wire::Hasher64::new();
-        let mut e = wire::Enc::new();
-        wire::encode_schema(&mut e, &self.target);
-        h.write(&e.into_bytes());
-        h.write_u64(wire::table_hash(&self.target_sample));
-        h.write_str(&format!("{:?}", self.user));
-        h.write_str(&format!("{plan:?}"));
-        h.write_str(&format!("{:?}", self.er_cfg));
-        h.write_str(&format!("{:?}", self.match_cfg));
-        h.write_str(&format!("{:?}", self.contain));
-        h.write_str(&format!("{:?}", self.row_filter));
-        h.write_str(&format!("{:?}", self.output_columns));
-        h.write_str(&format!("{:?}", self.opt_mode));
-        h.write_str(&format!("{:?}", self.lint_gate));
-        h.write_str(&format!("{:?}", self.routing));
-        h.write_str(&format!("{:?}", self.acquisition.mode));
-        h.write_str(&format!("{:?}", self.acquisition.policy));
-        h.write_str(&format!("{:?}", self.acquisition.breaker_cfg));
-        for i in 0..self.registry.len() {
-            h.write_str(&format!(
-                "{:?}",
-                self.registry.fault_profile(SourceId(i as u32))
-            ));
-        }
-        let mut vetoes: Vec<_> = self.vetoes.iter().collect();
-        vetoes.sort_by_key(|(k, _)| **k);
-        for ((ent, attr), vals) in vetoes {
-            h.write_u64(*ent as u64)
-                .write_u64(*attr as u64)
-                .write_str(&format!("{vals:?}"));
-        }
-        let mut confirms: Vec<_> = self.confirmations.iter().collect();
-        confirms.sort_by_key(|(k, _)| **k);
-        for ((ent, attr), v) in confirms {
-            h.write_u64(*ent as u64)
-                .write_u64(*attr as u64)
-                .write_str(&format!("{v:?}"));
-        }
-        h.finish()
-    }
-
-    /// The first seam's key: the pass fingerprint plus everything the
-    /// select stage reads — the session tick, every source's payload hash
-    /// and pre-pass trust, and the acquisition engine's full state (clock,
-    /// counters, breaker fleet). Two passes with any divergent history key
-    /// differently, so a checkpoint can never replay across histories.
-    fn seam_key_select(&self, pass_fp: u64) -> u64 {
-        let mut k = ContentKey::stage("select", pass_fp).labelled("now", self.now);
-        for i in 0..self.registry.len() {
-            let id = SourceId(i as u32);
-            k = k
-                .input(self.registry.payload_hash(id).unwrap_or(0))
-                .input(self.states[i].trust.to_parts().0.to_bits());
-        }
-        let acq = wire::hash64(format!("{:?}", self.acquisition).as_bytes());
-        k.labelled("acq", acq).finish()
-    }
-
-    /// A downstream seam's key: chained through the previous seam's key, so
-    /// a valid record implies every upstream seam matched — replaying the
-    /// deepest valid prefix falls out of re-running the same sequence.
-    fn seam_key(stage: &str, pass_fp: u64, chain: u64, extra: u64) -> u64 {
-        ContentKey::stage(stage, pass_fp)
-            .labelled("chain", chain)
-            .input(extra)
-            .finish()
-    }
-
-    /// Try to replay a seam. On a valid record the session state is
-    /// restored and the stage's output payload returned; a miss, a torn
-    /// record (checksum/framing failure — counted, unlinked, never loaded)
-    /// or an undecodable payload returns `None` and the stage computes
-    /// live.
-    fn ckpt_load(
-        &mut self,
-        stage: &str,
-        key: u64,
-        creport: &mut ContainmentReport,
-    ) -> Option<Vec<u8>> {
-        let (raw, torn) = {
-            let store = self.ckpt.as_ref()?;
-            let before = store.stats().torn_detected;
-            let raw = store.get(key);
-            (raw, store.stats().torn_detected - before)
-        };
-        if torn > 0 {
-            self.obs.count(&format!("ckpt.{stage}.torn_detected"), torn);
-        }
-        let Some(raw) = raw else {
-            self.obs.inc(&format!("ckpt.{stage}.misses"));
-            return None;
-        };
-        match ckpt_io::decode_record(&raw) {
-            Ok((state, out)) if state.trust.len() == self.states.len() => {
-                self.restore_state(state, creport);
-                self.obs.inc(&format!("ckpt.{stage}.hits"));
-                Some(out)
-            }
-            // Checksummed but undecodable, or from a different fleet shape:
-            // never trust it, recompute.
-            _ => {
-                self.obs.inc(&format!("ckpt.{stage}.misses"));
-                None
-            }
-        }
-    }
-
-    /// Persist a seam record (session snapshot + stage output). Atomic
-    /// temp-file + rename inside the store; a failed write degrades to "no
-    /// checkpoint at this seam", never to a torn record.
-    fn ckpt_save(&mut self, stage: &str, key: u64, creport: &ContainmentReport, output: &[u8]) {
-        let Some(store) = self.ckpt.as_ref() else {
-            return;
-        };
-        let rec = ckpt_io::encode_record(&self.snapshot_state(creport), output);
-        let wrote = store.put(key, &rec).is_ok();
-        if wrote {
-            self.obs
-                .count(&format!("ckpt.{stage}.bytes_written"), rec.len() as u64);
-        } else {
-            self.obs.inc(&format!("ckpt.{stage}.write_failed"));
-        }
-    }
-
-    /// The live map-generate stage: alignment budgets, chaos rolls, the
-    /// blocked schema-matching fan-out, and per-source quarantine of
-    /// panicking inputs. Factored out of `wrangle_contained` so the
-    /// checkpoint seam around it stays readable.
-    fn map_generate_stage(
-        &mut self,
-        policy: &ContainPolicy,
-        creport: &mut ContainmentReport,
-        selected: &mut Vec<SourceId>,
-        degraded_tables: &BTreeMap<usize, Table>,
-    ) -> wrangler_table::Result<()> {
-        let need_mapping: Vec<usize> = selected
-            .iter()
-            .map(|id| id.0 as usize)
-            .filter(|&i| {
-                self.states[i].mapping.is_none() || self.working.is_dirty(Artifact::Mapping(i))
-            })
-            .collect();
-        let mut gen_removed: Vec<usize> = Vec::new();
-        if !need_mapping.is_empty() {
-            let target = &self.target;
-            let sample = &self.target_sample;
-            let ontology = &self.data_ctx.ontology;
-            let match_cfg = &self.match_cfg;
-            let registry = &self.registry;
-            // Resolve every input table before fanning out: workers then hold
-            // plain references, and a stale id surfaces as a structured error
-            // here instead of a panic inside a worker thread.
-            let resolved: Vec<(usize, &Table)> = need_mapping
-                .iter()
-                .map(|&i| {
-                    let table = match degraded_tables.get(&i) {
-                        Some(t) => t,
-                        None => {
-                            &registry
-                                .get(SourceId(i as u32))
-                                .ok_or_else(|| {
-                                    TableError::Unavailable(format!("src{i}: not registered"))
-                                })?
-                                .table
-                        }
-                    };
-                    Ok((i, table))
-                })
-                .collect::<wrangler_table::Result<_>>()?;
-            // Alignment budget: schema matching is quadratic-ish in cells,
-            // so a pathologically oversized payload is ejected *before* it
-            // can monopolize the pool — the logical-clock deadline for the
-            // most expensive stage. Chaos rolls happen here too, on the
-            // main thread, so worker count never changes which sources are
-            // hit.
-            let mut guard = StageGuard::new(Stage::MapGenerate, policy, creport);
-            let mut inputs: Vec<(usize, &Table, bool)> = Vec::with_capacity(resolved.len());
-            for (i, table) in resolved {
-                let id = SourceId(i as u32);
-                let cells = table.num_rows().saturating_mul(table.num_columns());
-                if policy.scans_enabled() && cells > policy.max_align_cells {
-                    if let Some(err) = guard.deadline_excess(id, "alignment budget", 0) {
-                        return Err(err);
-                    }
-                    guard.flag(
-                        id,
-                        &format!(
-                            "alignment budget exceeded ({cells} cells > {})",
-                            policy.max_align_cells
-                        ),
-                    );
-                    gen_removed.push(i);
-                    continue;
-                }
-                let chaos_hit = !policy.is_off()
-                    && policy
-                        .chaos
-                        .as_ref()
-                        .is_some_and(|c| c.should_panic(Stage::MapGenerate, id));
-                inputs.push((i, table, chaos_hit));
-            }
-            // Cross-source CSE: the target-sample column profiles are the
-            // same for every source, so the optimized mode computes them
-            // once here and shares them across workers (the
-            // `share-target-profile` rewrite — recorded with its justifying
-            // fact in the compiled program's ledger below). Naive mode
-            // re-profiles the target per source: the E16 wall-clock
-            // baseline. Profiling is deterministic, so the generated
-            // mappings are identical either way.
-            let shared_profiles = (self.opt_mode == OptMode::Optimized && inputs.len() >= 2)
-                .then(|| profile_table(sample));
-            let shared_profiles = shared_profiles.as_deref();
-            type GenItem = (usize, Result<Mapping, String>);
-            // Blocked fan-out (wrangler_table::par): contiguous chunks keep
-            // each worker on adjacent sources and reassembly in chunk order
-            // keeps the per-worker metrics and output deterministic. One
-            // mapping generation is milliseconds of work, so the threshold
-            // is 1 item per worker.
-            let workers = par::effective_workers(par::available_parallelism(), inputs.len(), 1);
-            let (chunks, worker_stats) = par::run_blocked(&inputs, workers, |_, chunk| {
-                // Each item runs under its own catch: one poisonous source
-                // quarantines itself, not its whole worker's chunk.
-                chunk
-                    .iter()
-                    .map(|&(i, table, chaos_hit)| {
-                        let res = catch_quiet(|| {
-                            if chaos_hit {
-                                panic!("chaos: injected map_generate panic"); // lint-allow: deterministic chaos injection, caught one line up
-                            }
-                            match shared_profiles {
-                                Some(profiles) => generate_mapping_with_profiles(
-                                    table,
-                                    target,
-                                    sample,
-                                    profiles,
-                                    Some(ontology),
-                                    match_cfg,
-                                ),
-                                None => {
-                                    generate_mapping(table, target, sample, Some(ontology), match_cfg)
-                                }
-                            }
-                        });
-                        (i, res)
-                    })
-                    .collect::<Vec<GenItem>>()
-            })
-            // Backstop: the per-item catch above means a worker thread can no
-            // longer die mid-chunk, but if it somehow does, fail structured.
-            .map_err(|msg| {
-                TableError::Unavailable(format!("schema-matching worker panicked: {msg}"))
-            })?;
-            let generated: Vec<GenItem> = chunks.into_iter().flatten().collect();
-            for (w, s) in worker_stats.iter().enumerate() {
-                self.obs.count(&format!("map.worker{w}.items"), s.items);
-                self.obs.record_nanos(&format!("worker{w}"), s.busy_nanos, 1);
-            }
-            let mut generated_ok = 0u64;
-            for (i, res) in generated {
-                match res {
-                    Ok(mapping) => {
-                        generated_ok += 1;
-                        self.states[i].mapping = Some(mapping);
-                        self.states[i].mapped = None;
-                        self.working.work.mappings_generated += 1;
-                        self.working.mark_clean(Artifact::Mapping(i));
-                    }
-                    Err(msg) => {
-                        // The panicking source is *identified* and
-                        // quarantined; survivors proceed (satellite fix for
-                        // the old opaque all-or-nothing worker error).
-                        creport.caught_panic(Stage::MapGenerate);
-                        match policy.mode {
-                            ContainMode::Contain => {
-                                creport.record_quarantine(
-                                    SourceId(i as u32),
-                                    Stage::MapGenerate,
-                                    format!("panicked: {msg}"),
-                                );
-                                gen_removed.push(i);
-                            }
-                            ContainMode::Abort | ContainMode::Off => {
-                                return Err(TableError::Unavailable(format!(
-                                    "src{i}: schema-matching worker panicked at map_generate: {msg}"
-                                )));
-                            }
-                        }
-                    }
-                }
-            }
-            self.obs.count("map.generated", generated_ok);
-        }
-        if !gen_removed.is_empty() {
-            selected.retain(|id| !gen_removed.contains(&(id.0 as usize)));
-            for i in gen_removed {
-                self.discount_quarantined(i);
-            }
-            if selected.is_empty() {
-                self.obs.end();
-                return Err(TableError::Unavailable(
-                    "all sources quarantined at map_generate; no survivors".into(),
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    fn wrangle_contained(
-        &mut self,
-        creport: &mut ContainmentReport,
-    ) -> wrangler_table::Result<WrangleOutcome> {
-        let plan = self.plan();
-        let policy = self.contain.clone();
-        // A pass that aborted with `?` leaves spans open; start clean. An
-        // early error return below simply leaves this pass's spans
-        // unrecorded — counters recorded up to the failure point persist.
-        self.obs.start_pass();
-        self.obs.begin("wrangle");
-        self.obs.inc("pass.wrangle");
-
-        // 1. Source selection under the user context. With a checkpoint
-        // store attached, every stage seam below is content-keyed: a hit
-        // restores the seam's session snapshot and installs its output
-        // (side effects replay from the snapshot, never re-derive); a miss
-        // computes live and persists. Keys chain, so a valid record implies
-        // the whole upstream prefix matched.
-        self.obs.begin("select");
-        let ckpt_on = self.ckpt.is_some();
-        // The incremental engine shares the checkpoint machinery's content
-        // keys. It stands down for chaos passes wholesale: fault rolls are
-        // stateful (each guarded region advances the chaos RNG), so skipping
-        // a memoized region would change which sources later rolls hit.
-        let incr_on = self.incr.enabled() && policy.chaos.is_none();
-        let pass_fp = if ckpt_on || incr_on {
-            self.pass_fingerprint(&plan)
-        } else {
-            0
-        };
-        let k_select = if ckpt_on { self.seam_key_select(pass_fp) } else { 0 };
-        let selected: Vec<SourceId> = match self.ckpt_load("select", k_select, creport) {
-            Some(out) => ckpt_io::SelectOut::decode(&out)?.selected,
-            None => {
-                let estimates = self.estimates();
-                let selected: Vec<SourceId> = match plan.selection {
-                    SelectionStrategy::MarginalGain => {
-                        select_marginal_gain(&estimates, &self.user).0
-                    }
-                    SelectionStrategy::AllRelevant => {
-                        let mut all = UserContext::balanced("all");
-                        all.budget = self.user.budget;
-                        all.max_sources = self.user.max_sources;
-                        all.freshness_horizon = self.user.freshness_horizon;
-                        select_greedy_utility(&estimates, &all)
-                    }
-                };
-                self.obs.count("select.candidates", estimates.len() as u64);
-                self.obs.count("select.selected", selected.len() as u64);
-                let out = ckpt_io::SelectOut {
-                    selected: selected.clone(),
-                }
-                .encode();
-                self.ckpt_save("select", k_select, creport, &out);
-                selected
-            }
-        };
-        self.obs.end();
-        self.crash_fire(CrashSite::AfterSelect);
-        let mut chain = k_select;
-        // 2. Acquisition: fallibly fetch every selected source through the
-        // registry's (optional) fault layer under the session's resilience
-        // policy. The pipeline then continues on the surviving subset:
-        // skipped sources are recorded in the outcome and their trust
-        // discounted, degraded payloads are integrated as delivered.
-        self.obs.begin("acquire");
-        let k_acquire = if ckpt_on {
-            Self::seam_key("acquire", pass_fp, chain, 0)
-        } else {
-            0
-        };
-        let (mut selected, degraded_tables): (Vec<SourceId>, BTreeMap<usize, Table>) =
-            match self.ckpt_load("acquire", k_acquire, creport) {
-                Some(out) => {
-                    let rec = ckpt_io::AcquireOut::decode(&out)?;
-                    self.obs.end();
-                    (rec.selected, rec.degraded_tables.into_iter().collect())
-                }
-                None => {
-                    let mut report = self
-                        .acquisition
-                        .acquire_selected(&self.registry, &selected, self.now);
-                    let skipped = report.skipped();
-                    let degraded = report.degraded();
-                    let survivors = report.survivors();
-                    let degraded_payloads = std::mem::take(&mut report.degraded_tables);
-                    self.obs.absorb("acquire", &report.events);
-                    self.obs.count("acquire.attempts", report.attempts);
-                    self.obs.count("acquire.virtual_ticks", report.ticks);
-                    self.obs.count("acquire.skipped", skipped.len() as u64);
-                    self.obs.count("acquire.degraded", degraded.len() as u64);
-                    self.last_acquisition = AcquisitionSummary {
-                        outcomes: report.outcomes,
-                        skipped: skipped.clone(),
-                        degraded: degraded.clone(),
-                        attempts: report.attempts,
-                        ticks: report.ticks,
-                    };
-                    self.obs.end();
-                    if let Some(err) = report.aborted {
-                        return Err(TableError::Unavailable(format!(
-                            "acquisition aborted after {} attempts: {err}",
-                            report.attempts
-                        )));
-                    }
-                    for (id, _) in &skipped {
-                        // An operational failure is (soft) evidence against
-                        // the source; the discount keeps selection from
-                        // re-picking serial offenders even after their
-                        // breaker half-opens.
-                        self.states[id.0 as usize].trust.update(
-                            &Evidence::vote(EvidenceKind::Component, false, 0.8).discounted(0.9),
-                        );
-                    }
-                    if survivors.is_empty() {
-                        // `why` already names the source (AcquireError's
-                        // Display does).
-                        let reasons: Vec<String> =
-                            skipped.iter().map(|(_, why)| why.clone()).collect();
-                        return Err(TableError::Unavailable(format!(
-                            "no sources could be acquired ({} selected, all failed: {})",
-                            selected.len(),
-                            reasons.join("; ")
-                        )));
-                    }
-                    let selected = survivors;
-                    let degraded_tables: BTreeMap<usize, Table> = degraded_payloads
-                        .into_iter()
-                        .map(|(id, t)| (id.0 as usize, t))
-                        .collect();
-                    self.access_spent = {
-                        let mut total = 0.0;
-                        for id in &selected {
-                            total += self.source(*id)?.meta.access_cost;
-                        }
-                        total
-                    };
-                    let out = ckpt_io::AcquireOut {
-                        selected: selected.clone(),
-                        degraded_tables: degraded_tables
-                            .iter()
-                            .map(|(&i, t)| (i, t.clone()))
-                            .collect(),
-                    }
-                    .encode();
-                    self.ckpt_save("acquire", k_acquire, creport, &out);
-                    (selected, degraded_tables)
-                }
-            };
-        // Degraded payloads are transient: remap them from this delivery and
-        // invalidate the cached artifacts so a later (possibly clean)
-        // acquisition remaps again instead of reusing stale noise.
-        for &i in degraded_tables.keys() {
-            self.working.invalidate(Artifact::Mapping(i));
-            self.working.invalidate(Artifact::MappedTable(i));
-        }
-        self.crash_fire(CrashSite::AfterAcquire);
-        chain = k_acquire;
-
-        // 3. Mapping generation + execution per acquired source. Generation
-        // (schema matching) is the CPU-heavy step; fan it out across threads.
-        self.obs.begin("map_generate");
-        let k_mapgen = if ckpt_on {
-            Self::seam_key("map_generate", pass_fp, chain, 0)
-        } else {
-            0
-        };
-        match self.ckpt_load("map_generate", k_mapgen, creport) {
-            Some(out) => {
-                let rec = ckpt_io::MapGenOut::decode(&out)?;
-                selected = rec.selected;
-                for (i, mapping) in rec.mappings {
-                    if let Some(state) = self.states.get_mut(i) {
-                        state.mapping = Some(mapping);
-                        self.working.mark_clean(Artifact::Mapping(i));
-                    }
-                }
-            }
-            None => {
-                self.map_generate_stage(&policy, creport, &mut selected, &degraded_tables)?;
-                let out = ckpt_io::MapGenOut {
-                    selected: selected.clone(),
-                    mappings: selected
-                        .iter()
-                        .filter_map(|id| {
-                            let i = id.0 as usize;
-                            self.states[i].mapping.clone().map(|m| (i, m))
-                        })
-                        .collect(),
-                }
-                .encode();
-                self.ckpt_save("map_generate", k_mapgen, creport, &out);
-            }
-        }
-        self.obs.end();
-        self.crash_fire(CrashSite::AfterMapGenerate);
-        chain = k_mapgen;
-        // 3b. Lower the pass into the typed plan IR and compile it: the
-        // analyzer establishes the fact base, emits whole-plan findings
-        // (L301+), and the optimizer's rewrite ledger is re-verified against
-        // the facts. A forged or insufficient justification is rejected
-        // *here*, with a typed L304 diagnostic, before anything executes.
-        self.obs.begin("plan");
-        self.last_lint.clear();
-        let compiled = {
-            let mut inputs: Vec<LowerInput<'_>> = Vec::with_capacity(selected.len());
-            for id in &selected {
-                let i = id.0 as usize;
-                let table = match degraded_tables.get(&i) {
-                    Some(t) => t,
-                    None => {
-                        &self
-                            .registry
-                            .get(*id)
-                            .ok_or_else(|| TableError::Unavailable(format!("{id}: not registered")))?
-                            .table
-                    }
-                };
-                let mapping = self.states[i]
-                    .mapping
-                    .as_ref()
-                    .ok_or_else(|| TableError::Invalid(format!("{id}: no mapping available")))?;
-                inputs.push(LowerInput {
-                    source: i,
-                    name: format!("src{i}"),
-                    table,
-                    mapping,
-                });
-            }
-            let ir = lower::lower(
-                &inputs,
-                &self.target,
-                &plan,
-                &policy,
-                self.row_filter.as_ref(),
-                self.output_columns.as_deref(),
-                &self.er_cfg,
-            );
-            PlanProgram::compile(ir, self.opt_mode)
-        };
-        let program = match compiled {
-            Ok(p) => p,
-            Err(report) => {
-                self.obs.inc("plan.rejected");
-                let first = report
-                    .errors()
-                    .next()
-                    .map(|d| d.to_string())
-                    .unwrap_or_default();
-                let summary = report.summary();
-                self.last_lint.push(("plan-ir".to_string(), report));
-                return Err(TableError::Invalid(format!(
-                    "plan compilation rejected the wrangle ({summary}): {first}"
-                )));
-            }
-        };
-        self.obs.count("plan.nodes", program.ir.nodes.len() as u64);
-        self.obs.count("plan.facts", program.facts.len() as u64);
-        self.obs
-            .count("plan.findings", program.report.diagnostics().len() as u64);
-        self.obs.count("opt.rewrites", program.rewrites.len() as u64);
-        for rw in &program.rewrites {
-            self.obs.inc(&format!("opt.rewrite.{}", rw.kind.name()));
-        }
-        if self.lint_gate != GateMode::Off && !program.report.is_empty() {
-            self.last_lint.push(("plan-ir".to_string(), program.report.clone()));
-        }
-        self.last_program = Some(program);
-        self.obs.end();
-
-        // 3c. Pre-flight static analysis: lint every (mapping, source schema)
-        // pair plus the plan's determinism description *before* any mapping
-        // executes. Under `Deny`, error-grade findings abort here with a
-        // structured error instead of surfacing mid-run (or never). The
-        // whole-plan findings from 3b participate in the same gate decision.
-        self.obs.begin("preflight");
-        if self.lint_gate != GateMode::Off {
-            let audit = wrangler_lint::audit_steps(&plan.describe());
-            if !audit.is_empty() {
-                self.last_lint.push(("plan".to_string(), audit));
-            }
-            let mut pf_removed: Vec<usize> = Vec::new();
-            for id in &selected {
-                let i = id.0 as usize;
-                let table = match degraded_tables.get(&i) {
-                    Some(t) => t,
-                    None => {
-                        &self
-                            .registry
-                            .get(*id)
-                            .ok_or_else(|| TableError::Unavailable(format!("{id}: not registered")))?
-                            .table
-                    }
-                };
-                let mapping = self.states[i]
-                    .mapping
-                    .as_ref()
-                    .ok_or_else(|| TableError::Invalid(format!("{id}: no mapping available")))?;
-                let report = wrangler_lint::check_mapping(mapping, table.schema());
-                if !report.is_empty() {
-                    // Opt-in containment at the gate: quarantine the one
-                    // source whose artifact would be denied instead of
-                    // refusing the whole wrangle. Findings stay recorded.
-                    if policy.quarantine_preflight
-                        && policy.mode == ContainMode::Contain
-                        && report.blocks(self.lint_gate)
-                    {
-                        creport.record_quarantine(
-                            *id,
-                            Stage::Preflight,
-                            "pre-flight lint blocked this source's mapping",
-                        );
-                        pf_removed.push(i);
-                    }
-                    self.last_lint.push((format!("src{i}"), report));
-                }
-            }
-            // The gate decision covers the plan plus *surviving* sources;
-            // quarantined sources keep their findings in `lint_findings`
-            // but no longer block the pass.
-            let mut merged = LintReport::new();
-            for (origin, r) in &self.last_lint {
-                let quarantined = origin
-                    .strip_prefix("src")
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .is_some_and(|i| pf_removed.contains(&i));
-                if !quarantined {
-                    merged.merge(r.clone());
-                }
-            }
-            merged.canonicalize();
-            self.obs
-                .count("lint.findings", merged.diagnostics().len() as u64);
-            if merged.blocks(self.lint_gate) {
-                self.obs.inc("lint.gate_denials");
-                let first = merged
-                    .errors()
-                    .next()
-                    .map(|d| d.to_string())
-                    .unwrap_or_default();
-                return Err(TableError::Invalid(format!(
-                    "pre-flight lint rejected the wrangle ({}): {first}",
-                    merged.summary()
-                )));
-            }
-            if !pf_removed.is_empty() {
-                selected.retain(|id| !pf_removed.contains(&(id.0 as usize)));
-                for i in pf_removed {
-                    self.discount_quarantined(i);
-                }
-                if selected.is_empty() {
-                    self.obs.end();
-                    return Err(TableError::Unavailable(
-                        "all sources quarantined at preflight; no survivors".into(),
-                    ));
-                }
-            }
-        }
-        self.obs.end();
-        self.obs.begin("map_apply");
-        let prog_fp = if ckpt_on || incr_on {
-            self.last_program.as_ref().map(|p| p.fingerprint()).unwrap_or(0)
-        } else {
-            0
-        };
-        let k_apply = if ckpt_on {
-            Self::seam_key("map_apply", pass_fp, chain, prog_fp)
-        } else {
-            0
-        };
-        let track_scans = self.obs.is_on();
-        let mut scan_filter_cells = 0u64;
-        let mut scan_bytes = 0u64;
-        match self.ckpt_load("map_apply", k_apply, creport) {
-            Some(out) => {
-                let rec = ckpt_io::MapApplyOut::decode(&out)?;
-                selected = rec.selected;
-                for (i, table, tag) in rec.mapped {
-                    if let Some(state) = self.states.get_mut(i) {
-                        state.mapped = Some(table);
-                        state.filter_tag = tag;
-                        self.working.mark_clean(Artifact::MappedTable(i));
-                    }
-                }
-            }
-            None => {
-        let mut apply_removed: Vec<usize> = Vec::new();
-        let mut scan_map_cells = 0u64;
-        {
-            let program = self.last_program.as_ref();
-            let target = &self.target;
-            let registry = &self.registry;
-            let states = &mut self.states;
-            let working = &mut self.working;
-            let mut guard = StageGuard::new(Stage::MapApply, &policy, creport);
-            for id in &selected {
-                let i = id.0 as usize;
-                let placement = program
-                    .map(|p| p.placement_for(i))
-                    .unwrap_or(FilterPlacement::Union);
-                let predicate = program.and_then(|p| p.predicate());
-                let desired_tag = match (placement, predicate) {
-                    (FilterPlacement::Union, _) | (_, None) => None,
-                    (p, Some(e)) => Some(format!("{}|{e:?}", p.name())),
-                };
-                if states[i].mapped.is_none()
-                    || working.is_dirty(Artifact::MappedTable(i))
-                    || states[i].filter_tag != desired_tag
-                {
-                    let table = match degraded_tables.get(&i) {
-                        Some(t) => t,
-                        None => {
-                            &registry
-                                .get(*id)
-                                .ok_or_else(|| {
-                                    TableError::Unavailable(format!("{id}: not registered"))
-                                })?
-                                .table
-                        }
-                    };
-                    let mapping = states[i]
-                        .mapping
-                        .as_ref()
-                        .ok_or_else(|| TableError::Invalid(format!("{id}: no mapping available")))?;
-                    // Pushdown to acquisition: the verified ledger proved the
-                    // predicate pure and every referenced binding cell-exact
-                    // for this source, so filtering the *raw* payload (under
-                    // the bound raw column names) keeps the union
-                    // byte-identical while only surviving rows get mapped.
-                    let filtered_raw: Option<Table> = match (placement, predicate) {
-                        (FilterPlacement::Acquire, Some(pred)) => {
-                            let pushed =
-                                lower::pushdown_predicate(pred, table.schema(), target, mapping);
-                            if track_scans {
-                                let cols = wrangler_plan::predicate_columns(&pushed);
-                                scan_filter_cells +=
-                                    (table.num_rows() as u64) * cols.len() as u64;
-                                scan_bytes += lower::columns_scan_bytes(table, &cols);
-                            }
-                            Some(ops::filter(table, &pushed)?)
-                        }
-                        _ => None,
-                    };
-                    let input = filtered_raw.as_ref().unwrap_or(table);
-                    if track_scans {
-                        scan_map_cells += (input.num_rows() as u64) * target.len() as u64;
-                        scan_bytes += lower::table_scan_bytes(input);
-                    }
-                    // A mapping that errors against its own payload (e.g. an
-                    // out-of-range binding, or a schema that drifted after
-                    // the mapping was generated) condemns this source only.
-                    let mut mapped = match guard.run(*id, || mapping.apply(input)) {
-                        Guarded::Ok(m) => m,
-                        Guarded::Quarantined => {
-                            apply_removed.push(i);
-                            continue;
-                        }
-                        Guarded::Fatal(e) => return Err(e),
-                    };
-                    // Post-map placement: the barrier is down but this
-                    // source's bindings are not cell-exact, so filter the
-                    // *mapped* rows before they reach the union.
-                    if let (FilterPlacement::PostMap, Some(pred)) = (placement, predicate) {
-                        if track_scans {
-                            let cols = wrangler_plan::predicate_columns(pred);
-                            scan_filter_cells += (mapped.num_rows() as u64) * cols.len() as u64;
-                            scan_bytes += lower::columns_scan_bytes(&mapped, &cols);
-                        }
-                        mapped = ops::filter(&mapped, pred)?;
-                    }
-                    // Row budget: the logical deadline for an unbounded
-                    // feed. Deterministic prefix keep. (Early filter
-                    // placements require the barrier down, i.e. scans off,
-                    // so the budget and the filter never both apply.)
-                    if policy.scans_enabled() && mapped.num_rows() > policy.max_rows_per_source {
-                        let excess = (mapped.num_rows() - policy.max_rows_per_source) as u64;
-                        if let Some(err) = guard.deadline_excess(*id, "row budget", excess) {
-                            return Err(err);
-                        }
-                        let keep = policy.max_rows_per_source;
-                        mapped = mapped.retain_rows(|r| r < keep);
-                    }
-                    states[i].mapped = Some(mapped);
-                    states[i].filter_tag = desired_tag;
-                    working.work.tables_mapped += 1;
-                    working.mark_clean(Artifact::MappedTable(i));
-                }
-            }
-        }
-        if !apply_removed.is_empty() {
-            selected.retain(|id| !apply_removed.contains(&(id.0 as usize)));
-            for i in apply_removed {
-                self.discount_quarantined(i);
-            }
-            if selected.is_empty() {
-                self.obs.end();
-                return Err(TableError::Unavailable(
-                    "all sources quarantined at map_apply; no survivors".into(),
-                ));
-            }
-        }
-        self.obs.count("map.applied", selected.len() as u64);
-        self.obs.count("scan.map.cells", scan_map_cells);
-        let out = ckpt_io::MapApplyOut {
-            selected: selected.clone(),
-            mapped: selected
-                .iter()
-                .filter_map(|id| {
-                    let i = id.0 as usize;
-                    self.states[i]
-                        .mapped
-                        .clone()
-                        .map(|t| (i, t, self.states[i].filter_tag.clone()))
-                })
-                .collect(),
-        }
-        .encode();
-        self.ckpt_save("map_apply", k_apply, creport, &out);
-            }
-        }
-        self.obs.end();
-        self.crash_fire(CrashSite::AfterMapApply);
-        chain = k_apply;
-
-        // 4. Union with provenance — and the poison firewall: every row is
-        // scanned here, the last point where damage is still attributable
-        // to one source, before rows from different sources interleave in
-        // ER and fusion. Sources whose filter placement stayed `Union` have
-        // the predicate fused into this loop, *after* the poison scan (the
-        // `fuse-filter-into-union` rewrite) — a poison row is poison whether
-        // or not it matches the filter, so containment decisions are
-        // placement-independent.
-        self.obs.begin("union");
-        let k_union = if ckpt_on {
-            Self::seam_key("union", pass_fp, chain, prog_fp)
-        } else {
-            0
-        };
-        // Union block layout of this pass: `(source, block key, rows)` per
-        // contiguous block, in union order — the ER remap fast path's
-        // coordinate system. Left empty when the engine is off or the union
-        // replayed from a checkpoint (no keys to attest the blocks).
-        let mut union_layout: Vec<(usize, u64, usize)> = Vec::new();
-        let union: Vec<(usize, Vec<Value>)> = match self.ckpt_load("union", k_union, creport) {
-            Some(out) => {
-                let rec = ckpt_io::UnionOut::decode(&out)?;
-                selected = rec.selected;
-                self.obs.count("union.rows", rec.union.len() as u64);
-                self.obs.count("union.filtered", rec.union_filtered);
-                rec.union
-            }
-            None => {
-        let inline_filter = match (&self.last_program, self.opt_mode) {
-            (Some(p), OptMode::Optimized) => match p.predicate() {
-                Some(e) => Some(e.bind(&self.target)?),
-                None => None,
-            },
-            _ => None,
-        };
-        // Per-source block content keys: the pass/program fingerprints plus
-        // everything this source's union block derives from — its effective
-        // payload (the degraded delivery when there was one, the registry
-        // content otherwise), its mapping, and the filter placement its
-        // mapped table was computed under. Equal key ⇒ the live loop below
-        // would reproduce the block byte-for-byte.
-        let block_keys: BTreeMap<usize, u64> = if incr_on {
-            selected
-                .iter()
-                .map(|id| {
-                    let i = id.0 as usize;
-                    let payload = match degraded_tables.get(&i) {
-                        Some(t) => wire::table_hash(t),
-                        None => self.registry.payload_hash(*id).unwrap_or(0),
-                    };
-                    let mapping =
-                        wire::hash64(format!("{:?}", self.states[i].mapping).as_bytes());
-                    let tag =
-                        wire::hash64(format!("{:?}", self.states[i].filter_tag).as_bytes());
-                    // Deliberately NOT the whole-program fingerprint: a dirty
-                    // source's regenerated mapping changes its own Map node
-                    // and with it the global IR hash, which would miss every
-                    // clean block. The union loop reads only this source's
-                    // slice of the program — its filter placement (the
-                    // predicate text is pass_fp-covered) — so the key pins
-                    // exactly that.
-                    let place = self
-                        .last_program
-                        .as_ref()
-                        .map(|p| format!("{:?}", p.placement_for(i)))
-                        .unwrap_or_default();
-                    let key = ContentKey::stage("union-block", pass_fp)
-                        .labelled("place", wire::hash64(place.as_bytes()))
-                        .labelled("src", i as u64)
-                        .input(payload)
-                        .input(mapping)
-                        .input(tag)
-                        .finish();
-                    (i, key)
-                })
-                .collect()
-        } else {
-            BTreeMap::new()
-        };
-        let mut scan_union_cells = 0u64;
-        let mut union_filtered = 0u64;
-        let mut union: Vec<(usize, Vec<Value>)> = Vec::new();
-        let mut union_removed: Vec<usize> = Vec::new();
-        let mut blocks_reused = 0u64;
-        let mut blocks_recomputed = 0u64;
-        let mut rows_reused = 0u64;
-        let mut cells_skipped = 0u64;
-        let mut bytes_skipped = 0u64;
-        {
-            let program = self.last_program.as_ref();
-            let states = &self.states;
-            let incr_engine = &mut self.incr;
-            let mut guard = StageGuard::new(Stage::Union, &policy, creport);
-            for id in &selected {
-                let i = id.0 as usize;
-                let mapped = states[i]
-                    .mapped
-                    .as_ref()
-                    .ok_or_else(|| TableError::Invalid(format!("{id}: not mapped")))?;
-                // Early-placed sources arrive pre-filtered; only
-                // `Union`-placed ones filter here.
-                let filter_here = inline_filter.as_ref().filter(|_| {
-                    program
-                        .map(|p| p.placement_for(i) == FilterPlacement::Union)
-                        .unwrap_or(true)
-                });
-                // Proof-carrying reuse: replay this source's memoized block
-                // only under a matching content key AND the analyzer's
-                // verified fact that the block is isolated to this source.
-                let block_key = block_keys.get(&i).copied();
-                let partition_isolated = program
-                    .map(|p| p.holds(&wrangler_plan::Fact::PartitionIsolated { source: i }))
-                    .unwrap_or(false);
-                if let (Some(key), true) = (block_key, partition_isolated) {
-                    if let Some(memo) = incr_engine.blocks.get(&i) {
-                        if memo.key == key {
-                            union_filtered += memo.filtered;
-                            blocks_reused += 1;
-                            rows_reused += memo.rows.len() as u64;
-                            cells_skipped += memo.scan_cells;
-                            bytes_skipped += memo.scan_bytes;
-                            union_layout.push((i, key, memo.rows.len()));
-                            union.extend(memo.rows.iter().map(|row| (i, row.clone())));
-                            continue;
-                        }
-                    }
-                }
-                let mut this_cells = 0u64;
-                let mut this_bytes = 0u64;
-                if track_scans {
-                    this_cells = (mapped.num_rows() as u64) * mapped.num_columns() as u64;
-                    this_bytes = lower::table_scan_bytes(mapped);
-                    scan_union_cells += this_cells;
-                    scan_bytes += this_bytes;
-                }
-                let mut poison = 0u64;
-                let mut filtered_out = 0u64;
-                let abort_scan = policy.mode != ContainMode::Contain;
-                let rows = guard.run(*id, || {
-                    let mut out: Vec<(usize, Vec<Value>)> = Vec::with_capacity(mapped.num_rows());
-                    for row in mapped.iter_rows() {
-                        if policy.scans_enabled() {
-                            if let Some(reason) = poison_reason(&row, &policy) {
-                                if abort_scan {
-                                    return Err(TableError::Unavailable(format!(
-                                        "src{i}: {reason}"
-                                    )));
-                                }
-                                poison += 1;
-                                continue;
-                            }
-                        }
-                        if let Some(bound) = filter_here {
-                            if !bound.eval_predicate(&row)? {
-                                filtered_out += 1;
-                                continue;
-                            }
-                        }
-                        out.push((i, row));
-                    }
-                    Ok(out)
-                });
-                if track_scans && filter_here.is_some() {
-                    let cols = program
-                        .and_then(|p| p.predicate())
-                        .map(|e| wrangler_plan::predicate_columns(e).len() as u64)
-                        .unwrap_or(0);
-                    scan_filter_cells += (mapped.num_rows() as u64) * cols;
-                }
-                union_filtered += filtered_out;
-                match rows {
-                    Guarded::Ok(rows) => {
-                        if poison > 0 {
-                            guard.report_mut().drop_rows(Stage::Union, poison);
-                            if poison as usize >= policy.poison_row_threshold {
-                                // Repeated poison is a condemned feed, not
-                                // line noise: eject the source entirely.
-                                guard.flag(
-                                    *id,
-                                    &format!(
-                                        "{poison} poison rows (threshold {})",
-                                        policy.poison_row_threshold
-                                    ),
-                                );
-                                union_removed.push(i);
-                                continue;
-                            }
-                        }
-                        blocks_recomputed += 1;
-                        if let Some(key) = block_key {
-                            union_layout.push((i, key, rows.len()));
-                            // Memoize only clean blocks: a poisoned one must
-                            // recompute live so its row-drop side effects land
-                            // in every pass's containment report. Store only
-                            // under the isolation fact — an unprovable block
-                            // would never be eligible for replay anyway.
-                            if partition_isolated && poison == 0 {
-                                incr_engine.blocks.insert(
-                                    i,
-                                    BlockMemo {
-                                        key,
-                                        rows: rows.iter().map(|(_, r)| r.clone()).collect(),
-                                        filtered: filtered_out,
-                                        scan_cells: this_cells,
-                                        scan_bytes: this_bytes,
-                                    },
-                                );
-                            }
-                        }
-                        union.extend(rows);
-                    }
-                    Guarded::Quarantined => {
-                        union_removed.push(i);
-                    }
-                    Guarded::Fatal(e) => return Err(e),
-                }
-            }
-        }
-        if !union_removed.is_empty() {
-            selected.retain(|id| !union_removed.contains(&(id.0 as usize)));
-            for i in union_removed {
-                self.discount_quarantined(i);
-            }
-            if selected.is_empty() {
-                self.obs.end();
-                return Err(TableError::Unavailable(
-                    "all sources quarantined at union; no survivors".into(),
-                ));
-            }
-        }
-        // Naive execution runs the filter as its own pass over the
-        // materialized union — the extra full scan the optimizer's
-        // placements avoid. Both modes feed ER the identical filtered union:
-        // poison/budget decisions happened before either filter site.
-        if self.opt_mode == OptMode::Naive {
-            if let Some(pred) = &self.row_filter {
-                let bound = pred.bind(&self.target)?;
-                if track_scans {
-                    let cols: Vec<usize> = wrangler_plan::predicate_columns(pred)
-                        .iter()
-                        .map(|n| self.target.index_of(n))
-                        .collect::<wrangler_table::Result<_>>()?;
-                    scan_filter_cells += (union.len() as u64) * cols.len() as u64;
-                    for (_, row) in &union {
-                        for &c in &cols {
-                            scan_bytes += lower::value_bytes(&row[c]);
-                        }
-                    }
-                }
-                let mut kept = Vec::with_capacity(union.len());
-                for (src, row) in union {
-                    if bound.eval_predicate(&row)? {
-                        kept.push((src, row));
-                    } else {
-                        union_filtered += 1;
-                    }
-                }
-                union = kept;
-                // The post-union filter just shifted row indices out from
-                // under the block layout; ER falls back to the content-keyed
-                // pair cache (always sound) instead of index remapping.
-                union_layout.clear();
-            }
-        }
-        self.obs.count("union.rows", union.len() as u64);
-        self.obs.count("union.filtered", union_filtered);
-        self.obs.count("scan.union.cells", scan_union_cells);
-        self.obs.count("scan.filter.cells", scan_filter_cells);
-        self.obs.count("scan.bytes", scan_bytes);
-        if incr_on {
-            self.obs.count("incr.union.reused", blocks_reused);
-            self.obs.count("incr.union.recomputed", blocks_recomputed);
-            self.obs.count("incr.union.rows_reused", rows_reused);
-            self.obs.count("incr.union.cells_skipped", cells_skipped);
-            self.obs.count("incr.union.bytes_skipped", bytes_skipped);
-        }
-        let out = ckpt_io::UnionOut {
-            selected: selected.clone(),
-            union: union.clone(),
-            union_filtered,
-        }
-        .encode();
-        self.ckpt_save("union", k_union, creport, &out);
-        union
-            }
-        };
-        self.crash_fire(CrashSite::AfterUnion);
-        chain = k_union;
-
-        // 5. Entity resolution over the union.
-        let union_table = {
-            let mut t = Table::empty(self.target.clone());
-            for (_, row) in &union {
-                t.push_row(row.clone())?;
-            }
-            t
-        };
-        self.obs.end();
-        let union_srcs: Vec<usize> = union.iter().map(|(s, _)| *s).collect();
-        let union_hash = if incr_on {
-            wire::table_hash(&union_table)
-        } else {
-            0
-        };
-        let er_key = if incr_on {
-            ContentKey::stage("incr-er", pass_fp)
-                .labelled("prog", prog_fp)
-                .input(union_hash)
-                .finish()
-        } else {
-            0
-        };
-        // An explicitly dirtied clustering (ER rule refined, plan shape
-        // changed, a test forcing recompute) must run live — both the
-        // whole-stage replay and the index-remap fast path stand down.
-        let er_reusable = incr_on && !self.working.is_dirty(Artifact::Clusters);
-        let er_hit = er_reusable && self.incr.er.as_ref().is_some_and(|m| m.key == er_key);
-        let k_er = if ckpt_on {
-            Self::seam_key("er", pass_fp, chain, prog_fp)
-        } else {
-            0
-        };
-        let er = if er_hit {
-            // Whole-stage replay: the union content is unchanged, so the
-            // memoized clustering is byte-identical to a recompute. No "er"
-            // span is opened — a zero-duration span would deflate the
-            // stage's share in `stage_shares` — the reuse surfaces as an
-            // explicit counter, and the replay's own (tiny) cost gets its
-            // own honestly-named span.
-            self.obs.begin("er_replay");
-            let memo = self.incr.er.as_ref().expect("er_hit checked above"); // lint-allow: guarded by er_hit
-            let er = ErStageOutcome {
-                clusters: memo.clusters.clone(),
-                row_entity: memo.row_entity.clone(),
-            };
-            self.working.mark_clean(Artifact::Clusters);
-            self.obs.inc("incr.er.reused");
-            if ckpt_on {
-                let out = ckpt_io::ErOut {
-                    clusters: er.clusters.clone(),
-                    row_entity: er.row_entity.clone(),
-                }
-                .encode();
-                self.ckpt_save("er", k_er, creport, &out);
-            }
-            self.obs.end();
-            er
-        } else {
-            self.obs.begin("er");
-            // ER has no per-source partition (rows from every source
-            // interleave in the candidate pairs), so a panic here cannot be
-            // pinned on one source and quarantined — but it can still be
-            // *caught* and turned into a structured error instead of
-            // unwinding through the session.
-            let er = match self.ckpt_load("er", k_er, creport) {
-                Some(out) => {
-                    let rec = ckpt_io::ErOut::decode(&out)?;
-                    self.working.mark_clean(Artifact::Clusters);
-                    self.obs.count("er.entities", rec.clusters.len() as u64);
-                    ErStageOutcome {
-                        clusters: rec.clusters,
-                        row_entity: rec.row_entity,
-                    }
-                }
-                None => {
-                    let er_ctx = ErIncrCtx {
-                        layout: &union_layout,
-                        union_srcs: &union_srcs,
-                        er_key,
-                        pass_fp,
-                        prog_fp,
-                        store: incr_on,
-                        remap: er_reusable,
-                    };
-                    let er = if policy.is_off() {
-                        self.er_stage(&union_table, &er_ctx)?
-                    } else {
-                        match catch_quiet(|| self.er_stage(&union_table, &er_ctx)) {
-                            Ok(r) => r?,
-                            Err(msg) => {
-                                creport.caught_panic(Stage::Er);
-                                self.obs.end();
-                                return Err(TableError::Unavailable(format!(
-                                    "er stage panicked: {msg}"
-                                )));
-                            }
-                        }
-                    };
-                    let out = ckpt_io::ErOut {
-                        clusters: er.clusters.clone(),
-                        row_entity: er.row_entity.clone(),
-                    }
-                    .encode();
-                    self.ckpt_save("er", k_er, creport, &out);
-                    er
-                }
-            };
-            self.obs.end();
-            er
-        };
-        let ErStageOutcome {
-            clusters,
-            row_entity,
-        } = er;
-        self.crash_fire(CrashSite::AfterEr);
-        chain = k_er;
-
-        // 6. Claims + trust. Fuse-stage chaos rolls first: a source whose
-        // partition "panics" here is quarantined before its claims enter
-        // the claim set, so its values cannot influence fusion.
-        //
-        // The fuse content key covers every input that can ripple into a
-        // fused value beyond the pass/program fingerprints: the union and
-        // clustering content, every source's belief trust (feedback moves
-        // it), every source's age (fusion decays stale claims), and the
-        // master catalog (anchors steer truthfinder). A 1-source data
-        // update legitimately misses here — its claims shift everyone's
-        // estimated trust — so fusion recomputes; pure replays hit.
-        let fuse_key = if incr_on {
-            let mut h = wire::Hasher64::new();
-            h.write_u64(pass_fp).write_u64(prog_fp).write_u64(union_hash);
-            for &e in &row_entity {
-                h.write_u64(e as u64);
-            }
-            for s in &self.states {
-                h.write_u64(s.trust.probability().to_bits());
-            }
-            for s in self.registry.iter() {
-                h.write_u64(self.now.saturating_sub(s.meta.last_updated));
-            }
-            match self.data_ctx.master("product") {
-                Some(m) => {
-                    h.write_u64(wire::table_hash(&m.table));
-                    h.write_str(&m.key_column);
-                }
-                None => {
-                    h.write_u64(0);
-                }
-            }
-            h.write_u64(self.registry.len() as u64);
-            h.finish()
-        } else {
-            0
-        };
-        let fuse_hit = incr_on && self.incr.fuse.as_ref().is_some_and(|m| m.key == fuse_key);
-        let k_fuse = if ckpt_on {
-            Self::seam_key("fuse", pass_fp, chain, prog_fp)
-        } else {
-            0
-        };
-        #[allow(clippy::type_complexity)]
-        let (claims, source_ctx, fused): (
-            ClaimSet,
-            SourceContext,
-            HashMap<(usize, usize), FusedValue>, // hash-ok: keyed by slot, read via get()
-        ) = if fuse_hit {
-            // Whole-stage replay. No "fuse" span is opened — a near-zero
-            // span would deflate the stage's share in `stage_shares` — but
-            // the replay's own cost (rebuilding claims from the union) is
-            // honestly attributed to its own span. The memo only ever
-            // stores passes where no source was quarantined at fuse, so no
-            // exclusions apply.
-            self.obs.begin("fuse_replay");
-            let memo = self.incr.fuse.as_ref().expect("fuse_hit checked above"); // lint-allow: guarded by fuse_hit
-            let source_ctx = SourceContext {
-                trust: memo.trust.clone(),
-                age: memo.age.clone(),
-            };
-            let fused: HashMap<(usize, usize), FusedValue> = memo // hash-ok: keyed by slot, read via get()
-                .fused
-                .iter()
-                .map(|(e, a, f)| ((*e, *a), f.clone()))
-                .collect();
-            let memo_fused = memo.fused.clone();
-            let mut claims = ClaimSet::new(self.registry.len());
-            claims.rel_tol = plan.fusion_tolerance;
-            for (r, (src, row)) in union.iter().enumerate() {
-                for (a, v) in row.iter().enumerate() {
-                    claims.add(row_entity[r], a, v.clone(), *src);
-                }
-            }
-            for (e, a) in claims.slots() {
-                self.working.mark_clean(Artifact::FusedSlot(e, a));
-            }
-            self.obs.inc("incr.fuse.reused");
-            if ckpt_on {
-                let out = ckpt_io::FuseOut {
-                    selected: selected.clone(),
-                    fuse_removed: Vec::new(),
-                    trust: source_ctx.trust.clone(),
-                    age: source_ctx.age.clone(),
-                    fused: memo_fused,
-                }
-                .encode();
-                self.ckpt_save("fuse", k_fuse, creport, &out);
-            }
-            self.obs.end();
-            (claims, source_ctx, fused)
-        } else {
-            self.obs.begin("fuse");
-            let result = match self.ckpt_load("fuse", k_fuse, creport) {
-            Some(out) => {
-                let rec = ckpt_io::FuseOut::decode(&out)?;
-                selected = rec.selected;
-                // Claims are rebuilt live from the (already restored) union
-                // and clustering — cheap, and it keeps the heavy claim set
-                // out of the wire format. Quarantined-at-fuse sources are
-                // excluded exactly as the cold run excluded them; their
-                // trust/breaker discounts replayed from the snapshot.
-                let mut claims = ClaimSet::new(self.registry.len());
-                claims.rel_tol = plan.fusion_tolerance;
-                for (r, (src, row)) in union.iter().enumerate() {
-                    if rec.fuse_removed.contains(src) {
-                        continue;
-                    }
-                    for (a, v) in row.iter().enumerate() {
-                        claims.add(row_entity[r], a, v.clone(), *src);
-                    }
-                }
-                for (e, a) in claims.slots() {
-                    self.working.mark_clean(Artifact::FusedSlot(e, a));
-                }
-                let source_ctx = SourceContext {
-                    trust: rec.trust,
-                    age: rec.age,
-                };
-                let fused: HashMap<(usize, usize), FusedValue> = // hash-ok: keyed by slot, read via get()
-                    rec.fused.into_iter().map(|(e, a, f)| ((e, a), f)).collect();
-                (claims, source_ctx, fused)
-            }
-            None => {
-        let mut fuse_removed: Vec<usize> = Vec::new();
-        {
-            let mut guard = StageGuard::new(Stage::Fuse, &policy, creport);
-            for id in &selected {
-                match guard.run(*id, || Ok(())) {
-                    Guarded::Ok(()) => {}
-                    Guarded::Quarantined => fuse_removed.push(id.0 as usize),
-                    Guarded::Fatal(e) => return Err(e),
-                }
-            }
-        }
-        if !fuse_removed.is_empty() {
-            selected.retain(|id| !fuse_removed.contains(&(id.0 as usize)));
-            if selected.is_empty() {
-                for i in fuse_removed {
-                    self.discount_quarantined(i);
-                }
-                self.obs.end();
-                return Err(TableError::Unavailable(
-                    "all sources quarantined at fuse; no survivors".into(),
-                ));
-            }
-        }
-        let mut claims = ClaimSet::new(self.registry.len());
-        claims.rel_tol = plan.fusion_tolerance;
-        for (r, (src, row)) in union.iter().enumerate() {
-            if fuse_removed.contains(src) {
-                continue;
-            }
-            for (a, v) in row.iter().enumerate() {
-                claims.add(row_entity[r], a, v.clone(), *src);
-            }
-        }
-        for &i in &fuse_removed {
-            self.discount_quarantined(i);
-        }
-        // Master-data anchors for the attributes the catalog knows.
-        let anchors = self.master_anchors(&claims, &clusters, &union);
-        let tf = truthfinder(&claims, &TruthFinderConfig::default(), &anchors);
-        // Blend data-driven trust with feedback-driven belief trust.
-        let trust: Vec<f64> = (0..self.registry.len())
-            .map(|i| 0.5 * tf.trust[i] + 0.5 * self.states[i].trust.probability())
-            .collect();
-        let age: Vec<u64> = self
-            .registry
-            .iter()
-            .map(|s| self.now.saturating_sub(s.meta.last_updated))
-            .collect();
-        let source_ctx = SourceContext { trust, age };
-        self.obs.count("fuse.claims", claims.claims.len() as u64);
-        self.obs.count("fuse.anchors", anchors.len() as u64);
-
-        // 7. Fuse every slot (honouring value-level feedback constraints).
-        // Columns the projection never reads are dead at fuse: the
-        // `skip-dead-fusion` rewrites (each citing its `DeadAtFuse` fact)
-        // license skipping their fusion work entirely. Their claims stayed
-        // in the claim set above, so trust estimation — and therefore every
-        // *live* fused value — is unchanged.
-        let live_mask: Option<Vec<bool>> = self
-            .last_program
-            .as_ref()
-            .and_then(|p| p.live_mask().map(|m| m.to_vec()));
-        // hash-ok: populated per sorted slot, consumed via get()
-        let mut fused: HashMap<(usize, usize), FusedValue> = HashMap::new();
-        let mut slots_fused = 0u64;
-        let mut slots_skipped = 0u64;
-        // Partition the slots: dead columns are skipped outright (the
-        // `skip-dead-fusion` rewrite), slots pinned by a confirmation or
-        // constrained by vetoes take the feedback-aware serial path, and
-        // the plain majority go through the precompiled FuseKernel over the
-        // blocked worker pool.
-        let mut special_slots: Vec<(usize, usize)> = Vec::new();
-        let mut plain_slots: Vec<(usize, usize)> = Vec::new();
-        for (e, a) in claims.slots() {
-            if live_mask.as_ref().is_some_and(|m| !m[a]) {
-                slots_skipped += 1;
-                self.working.mark_clean(Artifact::FusedSlot(e, a));
-            } else if self.confirmations.contains_key(&(e, a)) || self.vetoes.contains_key(&(e, a))
-            {
-                special_slots.push((e, a));
-            } else {
-                plain_slots.push((e, a));
-            }
-        }
-        for &(e, a) in &special_slots {
-            // Per-slot isolation: a fusion strategy that panics on one
-            // pathological slot costs that slot (delivered as Null), not
-            // the pass.
-            let slot_value = if policy.is_off() {
-                self.fuse_slot(&claims, e, a, plan.fusion, &source_ctx)
-            } else {
-                match catch_quiet(|| self.fuse_slot(&claims, e, a, plan.fusion, &source_ctx)) {
-                    Ok(v) => v,
-                    Err(msg) => {
-                        creport.caught_panic(Stage::Fuse);
-                        if policy.mode != ContainMode::Contain {
-                            self.obs.end();
-                            return Err(TableError::Unavailable(format!(
-                                "fuse slot ({e},{a}) panicked: {msg}"
-                            )));
-                        }
-                        None
-                    }
-                }
-            };
-            if let Some(f) = slot_value {
-                fused.insert((e, a), f);
-            }
-            slots_fused += 1;
-            self.working.work.slots_fused += 1;
-            self.working.mark_clean(Artifact::FusedSlot(e, a));
-        }
-        // Plain slots: per-source weights/decays are compiled once per pass,
-        // then slots fuse in contiguous blocked chunks — bit-identical to
-        // the serial fuse_attribute path for any worker count. Worker panics
-        // surface per slot (catch inside the chunk) so one pathological slot
-        // cannot take down its chunk; a panic escaping the pool itself is
-        // the structured-error backstop, as in the ER kernel.
-        let fuse_kernel = FuseKernel::compile(&claims, plan.fusion, &source_ctx);
-        let requested = self.fuse_workers.unwrap_or_else(par::available_parallelism);
-        let workers = par::effective_workers(requested, plain_slots.len(), MIN_SLOTS_PER_WORKER);
-        let contained = !policy.is_off();
-        let (chunks, fuse_worker_stats) = par::run_blocked(&plain_slots, workers, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&(e, a)| {
-                    if contained {
-                        catch_quiet(|| fuse_kernel.fuse_slot(e, a))
-                    } else {
-                        Ok(fuse_kernel.fuse_slot(e, a))
-                    }
-                })
-                .collect::<Vec<Result<Option<FusedValue>, String>>>()
-        })
-        .map_err(|msg| TableError::Unavailable(format!("fuse worker panicked: {msg}")))?;
-        for (&(e, a), res) in plain_slots.iter().zip(chunks.into_iter().flatten()) {
-            match res {
-                Ok(Some(f)) => {
-                    fused.insert((e, a), f);
-                }
-                Ok(None) => {}
-                Err(msg) => {
-                    creport.caught_panic(Stage::Fuse);
-                    if policy.mode != ContainMode::Contain {
-                        self.obs.end();
-                        return Err(TableError::Unavailable(format!(
-                            "fuse slot ({e},{a}) panicked: {msg}"
-                        )));
-                    }
-                }
-            }
-            slots_fused += 1;
-            self.working.work.slots_fused += 1;
-            self.working.mark_clean(Artifact::FusedSlot(e, a));
-        }
-        for (w, st) in fuse_worker_stats.iter().enumerate() {
-            self.obs.count(&format!("fuse.worker{w}.items"), st.items);
-            self.obs.record_nanos(&format!("worker{w}"), st.busy_nanos, 1);
-        }
-        self.obs.count("fuse.slots", slots_fused);
-        self.obs.count("fuse.slots_skipped", slots_skipped);
-        let mut sorted: Vec<(usize, usize, FusedValue)> = fused
-            .iter()
-            .map(|(&(e, a), f)| (e, a, f.clone()))
-            .collect();
-        sorted.sort_unstable_by_key(|&(e, a, _)| (e, a));
-        // Memoize the stage for the next pass — only a pass with no
-        // fuse-stage quarantine (chaos is off whenever `incr_on` holds, and
-        // chaos rolls are the only quarantine source here, but be explicit).
-        if incr_on && fuse_removed.is_empty() {
-            self.incr.fuse = Some(FuseMemo {
-                key: fuse_key,
-                trust: source_ctx.trust.clone(),
-                age: source_ctx.age.clone(),
-                fused: sorted.clone(),
-            });
-        }
-        let out = ckpt_io::FuseOut {
-            selected: selected.clone(),
-            fuse_removed: fuse_removed.clone(),
-            trust: source_ctx.trust.clone(),
-            age: source_ctx.age.clone(),
-            fused: sorted,
-        }
-        .encode();
-        self.ckpt_save("fuse", k_fuse, creport, &out);
-        (claims, source_ctx, fused)
-            }
-            };
-            self.obs.end();
-            result
-        };
-        self.crash_fire(CrashSite::AfterFuse);
-
-        self.cache = Some(WrangleCache {
-            union,
-            row_entity,
-            entities: clusters.len(),
-            claims,
-            source_ctx,
-            fused,
-            selected: selected.clone(),
-        });
-        self.working.mark_clean(Artifact::Result);
-        let mut outcome = if policy.is_off() {
-            self.assemble(&plan)?
-        } else {
-            // Assembly panics (like ER panics) have no per-source partition
-            // to quarantine; they become structured errors.
-            match catch_quiet(|| self.assemble(&plan)) {
-                Ok(r) => r?,
-                Err(msg) => {
-                    creport.caught_panic(Stage::Assemble);
-                    return Err(TableError::Unavailable(format!(
-                        "assemble stage panicked: {msg}"
-                    )));
-                }
-            }
-        };
-        self.obs.end(); // close the "wrangle" root span
-        outcome.metrics = self.obs.report();
-        Ok(outcome)
-    }
-
-    /// The ER section of a wrangle: candidate generation (blocked on name +
-    /// key), kernel scoring through the content-keyed pair cache, match
-    /// filtering and clustering. Factored out so `wrangle_contained` can run
-    /// it under panic isolation.
-    fn er_stage(
-        &mut self,
-        union_table: &Table,
-        ctx: &ErIncrCtx<'_>,
-    ) -> wrangler_table::Result<ErStageOutcome> {
-        // Block on the name-ish column AND the key column: rows whose name is
-        // null or typo-prefixed still meet their duplicates through the key.
-        let block_col = blocking_column(&self.target);
-        let key_col = self.target.fields()[0].name.clone();
-        let mut candidates = candidates_blocked(union_table, &block_col)?;
-        if key_col != block_col {
-            candidates.extend(wrangler_resolve::candidates_blocked_exact(
-                union_table,
-                &key_col,
-            )?);
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
-        self.working.work.er_pairs += candidates.len();
-        // Mid-stage crash site: after candidate generation, before scoring —
-        // the worst place to die (ER dominates wall-clock), which is exactly
-        // why the harness injects here. No seam has persisted for this
-        // stage yet, so resume replays up to the union and re-runs ER.
-        self.crash_fire(CrashSite::MidEr);
-        // Score through the precompiled kernel: the ER config is compiled
-        // once against the union schema (an unknown column errors before any
-        // scoring), per-row renderings/token sets are cached, and only pairs
-        // whose row content the session has not scored before reach the
-        // worker pool — the rest come from the content-keyed pair-score
-        // cache. Clusters and scores are byte-identical to the serial path
-        // for any worker count.
-        let kernel = ErKernel::compile(union_table, &self.er_cfg)?;
-        let keys = kernel.content_keys();
-        let mut scores = vec![0.0f64; candidates.len()];
-        let mut miss_pairs: Vec<(usize, usize)> = Vec::new();
-        let mut miss_slots: Vec<(usize, String)> = Vec::new();
-        // The index-remap fast path: when the previous pass's memo was built
-        // under the same fingerprints and both layouts cover their unions,
-        // rows of unchanged blocks map old→new by offset, and a clean-clean
-        // candidate pair replays its score through an integer binary search —
-        // no string content key is rendered, and the pair cache's hit/miss
-        // statistics stay untouched. Pairs touching changed rows fall
-        // through to the content-keyed cache path, which is always sound.
-        let layout_rows: usize = ctx.layout.iter().map(|&(_, _, n)| n).sum();
-        let rowmap: Option<Vec<Option<usize>>> = if ctx.remap
-            && layout_rows == union_table.num_rows()
-        {
-            self.incr.er.as_ref().and_then(|m| {
-                let old_rows: usize = m.layout.iter().map(|&(_, _, n)| n).sum();
-                // pass_fp pins the scoring config; the per-block keys in the
-                // layout pin row content. The whole-program fingerprint is
-                // deliberately not required — a dirty source's regenerated
-                // mapping shifts it without touching any clean row.
-                (m.pass_fp == ctx.pass_fp && old_rows == m.row_entity.len())
-                    .then(|| incr::remap_rows(&m.layout, ctx.layout))
-            })
-        } else {
-            None
-        };
-        let mut remapped = 0u64;
-        for (k, &(i, j)) in candidates.iter().enumerate() {
-            if let Some(map) = &rowmap {
-                if let Some((oi, oj)) = wrangler_resolve::blocking::remap_candidate((i, j), map) {
-                    if let Some(s) = self
-                        .incr
-                        .er
-                        .as_ref()
-                        .and_then(|m| m.score_of(incr::pack_pair(oi, oj)))
-                    {
-                        scores[k] = s;
-                        remapped += 1;
-                        continue;
-                    }
-                }
-            }
-            let ck = PairScoreCache::pair_key(&keys[i], &keys[j]);
-            match self.working.pair_scores.lookup(&ck) {
-                Some(s) => scores[k] = s,
-                None => {
-                    miss_pairs.push((i, j));
-                    miss_slots.push((k, ck));
-                }
-            }
-        }
-        // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER)
-        // applies on top of the requested width.
-        let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
-        let (miss_scores, worker_stats) = kernel.score_pairs_parallel(&miss_pairs, workers)?;
-        for (((k, ck), &(i, j)), &s) in miss_slots
-            .into_iter()
-            .zip(miss_pairs.iter())
-            .zip(&miss_scores)
-        {
-            scores[k] = s;
-            let tag = (
-                ctx.union_srcs.get(i).copied().unwrap_or(0),
-                ctx.union_srcs.get(j).copied().unwrap_or(0),
-            );
-            self.working.pair_scores.insert(ck, s, tag);
-        }
-        let pairs = kernel.filter_matches(&candidates, &scores);
-        let clusters = cluster_pairs(union_table.num_rows(), pairs.iter().map(|p| (p.i, p.j)));
-        let mut row_entity = vec![0usize; union_table.num_rows()];
-        for (e, cluster) in clusters.iter().enumerate() {
-            for &r in cluster {
-                row_entity[r] = e;
-            }
-        }
-        self.working.mark_clean(Artifact::Clusters);
-        if ctx.store {
-            let mut packed: Vec<(u64, f64)> = candidates
-                .iter()
-                .zip(&scores)
-                .map(|(&(i, j), &s)| (incr::pack_pair(i, j), s))
-                .collect();
-            packed.sort_unstable_by_key(|&(key, _)| key);
-            let layout = if layout_rows == union_table.num_rows() {
-                ctx.layout.to_vec()
-            } else {
-                Vec::new()
-            };
-            self.incr.er = Some(ErMemo {
-                key: ctx.er_key,
-                pass_fp: ctx.pass_fp,
-                prog_fp: ctx.prog_fp,
-                clusters: clusters.clone(),
-                row_entity: row_entity.clone(),
-                layout,
-                scores: packed,
-            });
-        }
-        for (w, st) in worker_stats.iter().enumerate() {
-            self.obs.count(&format!("er.worker{w}.items"), st.items);
-            self.obs.record_nanos(&format!("worker{w}"), st.busy_nanos, 1);
-        }
-        self.obs.count(
-            "er.cache.hits",
-            (candidates.len() - miss_pairs.len()) as u64 - remapped,
-        );
-        self.obs.count("er.cache.misses", miss_pairs.len() as u64);
-        self.obs.count("incr.er.pairs_remapped", remapped);
-        self.obs.count("er.candidates", candidates.len() as u64);
-        self.obs.count("er.match_pairs", pairs.len() as u64);
-        self.obs.count("er.entities", clusters.len() as u64);
-        Ok(ErStageOutcome {
-            clusters,
-            row_entity,
-        })
-    }
-
     /// Incrementally re-wrangle after feedback: re-fuse only dirty slots with
     /// the updated trust. Falls back to a full wrangle when structural
     /// artifacts (mappings, clusters) are dirty or no cache exists.
@@ -2579,8 +751,9 @@ impl Wrangler {
         self.obs.end();
         self.cache = Some(cache);
         self.working.mark_clean(Artifact::Result);
-        let mut outcome = self.assemble(&plan)?;
+        let outcome = self.span("assemble", |w| w.assemble(&plan));
         self.obs.end(); // close the "rewrangle" root span
+        let mut outcome = outcome?;
         outcome.metrics = self.obs.report();
         // An incremental pass re-fuses cached artifacts; the containment
         // picture is still the one from the last full wrangle.
@@ -2667,9 +840,9 @@ impl Wrangler {
         anchors
     }
 
-    /// Assemble the wrangled table and its quality report from the cache.
+    /// Assemble the wrangled table and its quality report from the cache
+    /// (callers wrap it in the `assemble` span).
     fn assemble(&mut self, plan: &Plan) -> wrangler_table::Result<WrangleOutcome> {
-        self.obs.begin("assemble");
         let cache = self.cache.as_ref().expect("assemble requires a cache"); // lint-allow: wrangle() populates the cache before assemble()
         // The delivered attributes are the plan's output projection (all
         // target columns when none was requested). Both execution modes
@@ -2794,7 +967,6 @@ impl Wrangler {
         self.obs.gauge("out.accuracy", accuracy);
         self.obs.gauge("out.consistency", consistency);
         self.obs.gauge("out.utility", utility);
-        self.obs.end();
         Ok(WrangleOutcome {
             table,
             quality,
@@ -3506,6 +1678,23 @@ mod tests {
         assert!(out.acquisition_attempts > out.selected_sources.len() as u64);
     }
 
+    /// Uniform error exits: after a pass that failed in `stage`, that
+    /// stage's span and the root span were each recorded once per pass run
+    /// (`passes`), no later stage ran, and no span was left open.
+    fn assert_failed_pass_closed_its_spans(w: &mut Wrangler, stage: &str, next: &str, passes: u64) {
+        let m = w.metrics();
+        assert_eq!(m.timings[&format!("wrangle/{stage}")].calls, passes);
+        assert_eq!(m.timings["wrangle"].calls, passes);
+        let after = m.timings.get(&format!("wrangle/{next}"));
+        assert_eq!(after.map_or(0, |t| t.calls), passes - 1, "{next} ran");
+        w.obs.begin("probe");
+        w.obs.end();
+        assert!(
+            w.metrics().timings.contains_key("probe"),
+            "a span was left open: the probe nested under it"
+        );
+    }
+
     #[test]
     fn all_sources_down_is_a_clean_structured_error() {
         use wrangler_sources::FaultProfile;
@@ -3520,6 +1709,7 @@ mod tests {
             }
             other => panic!("expected Unavailable, got {other:?}"),
         }
+        assert_failed_pass_closed_its_spans(&mut w, "acquire", "map_generate", 1);
     }
 
     #[test]
@@ -3652,6 +1842,7 @@ mod tests {
             .lint_findings()
             .iter()
             .any(|(origin, _)| origin == &format!("src{}", victim.0)));
+        assert_failed_pass_closed_its_spans(&mut w, "preflight", "map_apply", 2);
     }
 
     #[test]

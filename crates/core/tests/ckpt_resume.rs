@@ -10,10 +10,10 @@ use std::path::Path;
 
 use wrangler_context::{DataContext, Ontology, UserContext};
 use wrangler_core::{
-    scratch_dir, CheckpointStore, CrashPolicy, CrashSite, WrangleOutcome, Wrangler,
+    ckpt_io, scratch_dir, CheckpointStore, CrashPolicy, CrashSite, Stage, WrangleOutcome, Wrangler,
 };
 use wrangler_sources::faults::FaultConfig;
-use wrangler_sources::{FleetConfig, SyntheticFleet};
+use wrangler_sources::{FleetConfig, SourceId, SyntheticFleet};
 use wrangler_table::{wire, DataType, Schema, Table, Value};
 
 fn make_fleet(seed: u64) -> SyntheticFleet {
@@ -81,7 +81,7 @@ fn fingerprint(w: &Wrangler, out: &WrangleOutcome) -> (u64, String) {
         out.entities,
         out.utility.to_bits(),
         (0..w.num_sources())
-            .map(|i| w.source_trust(wrangler_sources::SourceId(i as u32)).to_bits())
+            .map(|i| w.source_trust(SourceId(i as u32)).to_bits())
             .collect::<Vec<_>>(),
         (0..w.num_sources())
             .map(|i| w.acquisition.breaker_state(i))
@@ -219,6 +219,54 @@ fn torn_and_bitflipped_checkpoints_are_never_loaded() {
         assert_eq!(stats.hits, 0, "{label}: a corrupt snapshot was loaded");
         cleanup(&dir);
     }
+}
+
+#[test]
+fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
+    let fleet = make_fleet(5);
+    let mut cold = build(&fleet, None);
+    let cold_out = cold.wrangle().unwrap();
+    let cold_fp = fingerprint(&cold, &cold_out);
+
+    let dir = scratch_dir("resume-garbage-payload");
+    cleanup(&dir);
+    let store = CheckpointStore::open(&dir).unwrap();
+    build(&fleet, None)
+        .with_checkpoint_store(store.clone())
+        .wrangle()
+        .unwrap();
+    // Re-put every record with a valid frame, checksum and session state but
+    // half a stage payload — and forge the state, so a restore that ran
+    // before the payload was rejected would show in the fingerprint.
+    let mut rewritten = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let key = u64::from_str_radix(path.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+        let (mut state, out) = ckpt_io::decode_record(&store.get(key).unwrap()).unwrap();
+        state.access_spent = 1e9;
+        state
+            .creport
+            .record_quarantine(SourceId(0), Stage::Union, "forged");
+        let garbled = ckpt_io::encode_record(&state, &out[..out.len() / 2]);
+        store.put(key, &garbled).unwrap();
+        rewritten += 1;
+    }
+    assert_eq!(rewritten, 7, "one record per seam");
+
+    let mut resumed = build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
+    let out = resumed
+        .resume()
+        .expect("an undecodable stage payload must fall back to live compute");
+    assert_eq!(fingerprint(&resumed, &out), cold_fp);
+    for stage in ["select", "acquire", "map_generate", "map_apply", "union", "er", "fuse"] {
+        assert_eq!(
+            out.metrics.counts.get(&format!("ckpt.{stage}.misses")),
+            Some(&1),
+            "{stage}: rejected record must count as a miss"
+        );
+        assert_eq!(out.metrics.counts.get(&format!("ckpt.{stage}.hits")), None);
+    }
+    cleanup(&dir);
 }
 
 #[test]

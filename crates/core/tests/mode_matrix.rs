@@ -184,7 +184,10 @@ fn run_cell(fleet: &SyntheticFleet, cell: &Cell) -> CellPrint {
     let victim = *first
         .selected_sources
         .iter()
-        .find(|&&id| w.mapping_of(id).is_some_and(|m| m.bindings[category].is_some()))
+        .find(|&&id| {
+            w.mapping_of(id)
+                .is_some_and(|m| m.bindings[category].is_some())
+        })
         .expect("some selected source maps the filtered column");
     let payload = nudged(&fleet.registry.get(victim).unwrap().table);
     assert!(w.update_source(victim, payload).unwrap());

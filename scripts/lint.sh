@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Four rules, all enforced in CI via scripts/verify.sh:
+# analysis). Seven rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -36,6 +36,15 @@
 #      All persistence goes through `wrangler_ckpt::write_atomic` (temp +
 #      rename) or the checkpoint store built on it. Justify a true
 #      exception with a `lint-allow: <reason>` comment.
+#
+#   7. The seam protocol's primitives — `ckpt_load(`, `ckpt_save(`,
+#      `crash_fire(CrashSite::After` and `seam_key(` — appear in library
+#      `src/` only in `crates/core/src/wrangler/pass.rs`, the module that
+#      defines `Wrangler::seam`. A stage that loads, saves, keys or fires a
+#      seam by hand is a second spelling of the protocol that the next
+#      change to it will miss. (`crash_fire(CrashSite::MidEr)` inside the ER
+#      stage is not a seam and is allowed.) Justify a true exception with a
+#      `lint-allow: <reason>` comment.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -83,6 +92,8 @@ DETERMINISM_CRITICAL=(
   crates/fusion/src/truthfinder.rs
   crates/table/src/ops.rs
   crates/core/src/wrangler.rs
+  crates/core/src/wrangler/pass.rs
+  crates/core/src/wrangler/stages.rs
 )
 
 scan_hash() {
@@ -210,6 +221,33 @@ done)
 if [ -n "$raw_write_hits" ]; then
   echo "lint: direct fs::write/File::create in library code (use wrangler_ckpt::write_atomic, or add \`// lint-allow: <reason>\`):"
   echo "$raw_write_hits"
+  fail=1
+fi
+
+# --- Rule 7: seam-protocol primitives outside the seam module -----------------
+# What happens at a stage boundary is decided in one function; its building
+# blocks must not be callable-by-copy from anywhere else.
+SEAM_MODULE=crates/core/src/wrangler/pass.rs
+scan_seam_primitives() {
+  local f="$1"
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc-example lines
+    /ckpt_load\(|ckpt_save\(|crash_fire\(CrashSite::After|seam_key\(/ {
+      if ($0 !~ /lint-allow:/) {
+        printf "%s:%d: %s\n", file, FNR, $0
+      }
+    }
+  ' "$f"
+}
+
+seam_hits=$(for f in $(lib_sources); do
+  [ "$f" = "$SEAM_MODULE" ] && continue
+  scan_seam_primitives "$f"
+done)
+if [ -n "$seam_hits" ]; then
+  echo "lint: seam-protocol primitive outside $SEAM_MODULE (go through Wrangler::seam, or add \`// lint-allow: <reason>\`):"
+  echo "$seam_hits"
   fail=1
 fi
 

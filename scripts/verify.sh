@@ -73,6 +73,14 @@ diff "$tmp_a" "$tmp_b"
 echo "==> e18 incremental gate (1-source update <= 0.25x cold; identity everywhere)"
 python3 scripts/check_e18_incremental.py BENCH_e18.json
 
+echo "==> perf_suite builds and passes its own tests (bench/ is its own workspace)"
+( cd bench && cargo test --release --offline )
+
+echo "==> perf_suite --counts determinism (two runs must be byte-identical)"
+bench/run.sh --counts --workload sparse400 > "$tmp_a"
+bench/run.sh --counts --workload sparse400 > "$tmp_b"
+diff "$tmp_a" "$tmp_b"
+
 echo "==> lint baseline ratchet (new findings vs lint-baseline.json fail)"
 ./target/release/lint_gate
 
