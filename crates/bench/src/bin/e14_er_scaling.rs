@@ -23,8 +23,6 @@
 //!    of oversubscribing — the flat-to-negative half of the old curve is
 //!    structurally gone. The JSON records `cores` so the CI gate
 //!    (`scripts/check_e14_scaling.py`) knows which regime it is reading.
-//! 4. The content-keyed pair-score cache answers 100% of lookups when a
-//!    re-wrangle sees unchanged rows.
 //!
 //! Protocol: per fleet size, wrangle once to materialise the mapped union
 //! and the claim set, rebuild the pipeline's candidate set (name blocking +
@@ -33,12 +31,10 @@
 //! `fuse_attribute` over all slots and (d) fuse kernel compile+fuse at each
 //! worker count, taking the best of the runs (minimum suppresses scheduler
 //! noise on a shared box). Every kernel output is compared bit-for-bit
-//! against its serial reference. The cache section forces a structural
-//! re-wrangle with unchanged rows and reads the hit/miss counters. Timings
-//! are wall-clock; the count half of the metrics report is
-//! seeded-deterministic — `--counts` prints only that half and CI
-//! double-runs it to assert byte-identical output. A full run writes
-//! `BENCH_e14.json`.
+//! against its serial reference. Timings are wall-clock; the count half
+//! of the metrics report is seeded-deterministic — `--counts` prints only
+//! that half and CI double-runs it to assert byte-identical output. A full
+//! run writes `BENCH_e14.json`.
 //!
 //! `lint-allow:` exemptions here follow the experiment-binary convention:
 //! drivers may panic on their own fixtures.
@@ -47,7 +43,6 @@ use std::time::Instant;
 
 use wrangler_bench::{default_fleet_config, fleet, header, row, session};
 use wrangler_context::UserContext;
-use wrangler_core::working::Artifact;
 use wrangler_core::Wrangler;
 use wrangler_fusion::strategies::fuse_attribute;
 use wrangler_fusion::{FuseKernel, FusedValue};
@@ -238,24 +233,6 @@ fn measure_fleet(num_sources: usize) -> FleetResult {
     }
 }
 
-/// Cache replay: wrangle, force the structural path with unchanged rows,
-/// and report (hits, misses, candidates) of the second pass.
-fn cache_replay(num_sources: usize) -> (u64, u64, u64) {
-    let mut w = build(num_sources).with_er_workers(4);
-    w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
-    let first = w.metrics();
-    w.working.invalidate(Artifact::Clusters);
-    w.rewrangle().expect("structural rewrangle"); // lint-allow: experiment fixture
-    let second = w.metrics();
-    let get = |m: &wrangler_core::MetricsReport, k: &str| m.counts.get(k).copied().unwrap_or(0);
-    let per_pass = get(&first, "er.candidates");
-    (
-        get(&second, "er.cache.hits") - get(&first, "er.cache.hits"),
-        get(&second, "er.cache.misses") - get(&first, "er.cache.misses"),
-        per_pass,
-    )
-}
-
 fn ms_at(kernel_ms: &[(usize, f64)], w: usize) -> f64 {
     kernel_ms
         .iter()
@@ -345,22 +322,8 @@ fn main() {
         println!("{}", row(&cells, &fwidths));
     }
 
-    // --- Cache replay on the largest workload -------------------------------
-    let big = *FLEET_SIZES.last().expect("const non-empty"); // lint-allow: const fixture
-    let (hits, misses, per_pass) = cache_replay(big);
-    let hit_rate = if per_pass == 0 {
-        0.0
-    } else {
-        hits as f64 / per_pass as f64
-    };
-    println!(
-        "\npair-score cache replay at {big} sources (structural rewrangle, rows unchanged):\n  \
-         candidates/pass = {per_pass}, second-pass hits = {hits}, misses = {misses}, \
-         hit rate = {:.1}%",
-        100.0 * hit_rate
-    );
-
     // --- Verdicts ------------------------------------------------------------
+    let big = *FLEET_SIZES.last().expect("const non-empty"); // lint-allow: const fixture
     let last = results.last().expect("const non-empty fleet list"); // lint-allow: const fixture
     let speedup4 = last.serial_ms / ms_at(&last.kernel_ms, 4);
     let scaling4 = ms_at(&last.kernel_ms, 1) / ms_at(&last.kernel_ms, 4);
@@ -373,11 +336,10 @@ fn main() {
     let verdict_identical = results.iter().all(|r| r.identical);
     let verdict_fuse_identical = results.iter().all(|r| r.fuse_identical);
     let verdict_workers = results.iter().all(|r| r.no_idle_worker);
-    let verdict_cache = misses == 0 && hits == per_pass && per_pass > 0;
     println!(
-        "verdict: kernel@4 {} the 2x floor at {big} sources ({speedup4:.2}x); \
+        "\nverdict: kernel@4 {} the 2x floor at {big} sources ({speedup4:.2}x); \
          k@1/k@4 = {scaling4:.2}x ({}); ER outputs {}; fuse outputs {}; \
-         worker items {} candidates; cache replay {}",
+         worker items {} candidates",
         if verdict_speed { "clears" } else { "MISSES" },
         if verdict_scaling {
             "positive scaling"
@@ -395,7 +357,6 @@ fn main() {
             "DIVERGE"
         },
         if verdict_workers { "cover" } else { "DROP" },
-        if verdict_cache { "100% hits" } else { "INCOMPLETE" },
     );
 
     // --- Machine-readable results -------------------------------------------
@@ -432,7 +393,6 @@ fn main() {
     let json = format!(
         "{{\"experiment\":\"e14_er_scaling\",\"seed\":{SEED},\"cores\":{cores},\
          \"speedup_at_4_workers\":{speedup4:.4},\
-         \"cache\":{{\"hits\":{hits},\"misses\":{misses},\"candidates_per_pass\":{per_pass}}},\
          \"fleets\":[{}]}}\n",
         fleets_json.join(",")
     );
@@ -441,6 +401,5 @@ fn main() {
     println!("\nShape expected: the kernels win big even at 1 worker (precompilation —");
     println!("per-row renderings and per-source weights cached once instead of per item);");
     println!("extra workers help exactly when cores exist — the sizing policy refuses");
-    println!("oversubscription — and never change a bit of output. The cache turns an");
-    println!("unchanged-rows re-wrangle into pure lookup.");
+    println!("oversubscription — and never change a bit of output.");
 }

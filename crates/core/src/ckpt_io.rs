@@ -6,11 +6,12 @@
 //!
 //! * a [`SessionState`] — the complete snapshot of everything the pass has
 //!   mutated up to that seam: per-source trust beliefs and relevances, the
-//!   acquisition engine (virtual clock, breaker fleet, retry totals), the
-//!   ER pair-score cache, work counters, the containment report, and the
-//!   acquisition summary. Restoring it puts a *fresh process* into exactly
-//!   the state the crashed process had at the seam — quarantine discounts
-//!   and breaker trips included, applied once, never re-derived;
+//!   acquisition engine (virtual clock, breaker fleet, retry totals), work
+//!   counters, the containment report, and the acquisition summary — its
+//!   size follows the number of sources, never rows or pairs. Restoring it
+//!   puts a *fresh process* into exactly the state the crashed process had
+//!   at the seam — quarantine discounts and breaker trips included, applied
+//!   once, never re-derived;
 //! * a stage output — the data the rest of the pipeline consumes (selected
 //!   ids, degraded payloads, mappings, mapped tables, union rows, clusters,
 //!   fused slots).
@@ -51,6 +52,15 @@ fn bad(what: &str) -> TableError {
 // Primitive helpers
 // ---------------------------------------------------------------------------
 
+// Smallest encodings, in bytes: what `Dec::cap` divides the unread input by
+// before a decoder reserves room for a claimed element count. Decoding is
+// correct for any value; a bound below the true minimum reserves more than
+// the input can fill, one above it leaves the `Vec` to grow as it fills.
+/// A belief with an empty ledger: two `f64`s and a length.
+const BELIEF_MIN: usize = 24;
+/// A table with no fields: a field count and a row count.
+const TABLE_MIN: usize = 16;
+
 fn enc_belief(e: &mut Enc, b: &Belief) {
     let (lo, prior, ledger) = b.to_parts();
     e.f64(lo).f64(prior).usize(ledger.len());
@@ -63,7 +73,7 @@ fn dec_belief(d: &mut Dec) -> Result<Belief> {
     let lo = d.f64()?;
     let prior = d.f64()?;
     let n = d.usize()?;
-    let mut ledger = Vec::with_capacity(n.min(1024));
+    let mut ledger = Vec::with_capacity(d.cap(n, 5));
     for _ in 0..n {
         let kind = EvidenceKind::from_tag(d.u8()?).ok_or_else(|| bad("unknown evidence kind"))?;
         ledger.push((kind, d.u32()?));
@@ -250,7 +260,7 @@ fn enc_summary(e: &mut Enc, s: &AcquisitionSummary) {
 
 fn dec_summary(d: &mut Dec) -> Result<AcquisitionSummary> {
     let n = d.usize()?;
-    let mut outcomes = Vec::with_capacity(n.min(4096));
+    let mut outcomes = Vec::with_capacity(d.cap(n, 17));
     for _ in 0..n {
         let id = SourceId(d.u32()?);
         let attempts = d.u32()?;
@@ -270,12 +280,12 @@ fn dec_summary(d: &mut Dec) -> Result<AcquisitionSummary> {
         });
     }
     let n = d.usize()?;
-    let mut skipped = Vec::with_capacity(n.min(4096));
+    let mut skipped = Vec::with_capacity(d.cap(n, 12));
     for _ in 0..n {
         skipped.push((SourceId(d.u32()?), d.str()?));
     }
     let n = d.usize()?;
-    let mut degraded = Vec::with_capacity(n.min(4096));
+    let mut degraded = Vec::with_capacity(d.cap(n, 13));
     for _ in 0..n {
         degraded.push((SourceId(d.u32()?), dec_degradation(d)?));
     }
@@ -350,7 +360,7 @@ fn enc_mapping(e: &mut Enc, m: &Mapping) {
 fn dec_mapping(d: &mut Dec) -> Result<Mapping> {
     let target = wire::decode_schema(d)?;
     let n = d.usize()?;
-    let mut bindings = Vec::with_capacity(n.min(4096));
+    let mut bindings = Vec::with_capacity(d.cap(n, 1));
     for _ in 0..n {
         bindings.push(match d.u8()? {
             0 => None,
@@ -359,7 +369,7 @@ fn dec_mapping(d: &mut Dec) -> Result<Mapping> {
         });
     }
     let n = d.usize()?;
-    let mut binding_beliefs = Vec::with_capacity(n.min(4096));
+    let mut binding_beliefs = Vec::with_capacity(d.cap(n, BELIEF_MIN));
     for _ in 0..n {
         binding_beliefs.push(dec_belief(d)?);
     }
@@ -386,7 +396,7 @@ fn dec_fused(d: &mut Dec) -> Result<FusedValue> {
     let weight = d.f64()?;
     let total_weight = d.f64()?;
     let n = d.usize()?;
-    let mut supporters = Vec::with_capacity(n.min(4096));
+    let mut supporters = Vec::with_capacity(d.cap(n, 8));
     for _ in 0..n {
         supporters.push(d.usize()?);
     }
@@ -408,7 +418,7 @@ fn enc_ids(e: &mut Enc, ids: &[SourceId]) {
 
 fn dec_ids(d: &mut Dec) -> Result<Vec<SourceId>> {
     let n = d.usize()?;
-    let mut out = Vec::with_capacity(n.min(65536));
+    let mut out = Vec::with_capacity(d.cap(n, 4));
     for _ in 0..n {
         out.push(SourceId(d.u32()?));
     }
@@ -441,14 +451,6 @@ pub struct SessionState {
     pub acq_total_backoff: u64,
     /// Acquisition engine: the per-source breaker fleet.
     pub breakers: Vec<CircuitBreaker>,
-    /// ER pair-score cache entries, in key order: key, score, and the
-    /// source pair that produced the score (the partition-scoped eviction
-    /// grain — see `PairScoreCache::evict_sources`).
-    pub pair_entries: Vec<(String, f64, u32, u32)>,
-    /// Pair-cache hit counter.
-    pub pair_hits: u64,
-    /// Pair-cache miss counter.
-    pub pair_misses: u64,
     /// Work counters.
     pub work: WorkCounters,
     /// The containment report of the pass so far.
@@ -477,11 +479,6 @@ impl SessionState {
         for b in &self.breakers {
             enc_breaker(&mut e, b);
         }
-        e.usize(self.pair_entries.len());
-        for (k, v, a, b) in &self.pair_entries {
-            e.str(k).f64(*v).u64(*a as u64).u64(*b as u64);
-        }
-        e.u64(self.pair_hits).u64(self.pair_misses);
         e.usize(self.work.extractions)
             .usize(self.work.mappings_generated)
             .usize(self.work.tables_mapped)
@@ -498,12 +495,12 @@ impl SessionState {
         let now = d.u64()?;
         let access_spent = d.f64()?;
         let n = d.usize()?;
-        let mut trust = Vec::with_capacity(n.min(65536));
+        let mut trust = Vec::with_capacity(d.cap(n, BELIEF_MIN));
         for _ in 0..n {
             trust.push(dec_belief(&mut d)?);
         }
         let n = d.usize()?;
-        let mut relevance = Vec::with_capacity(n.min(65536));
+        let mut relevance = Vec::with_capacity(d.cap(n, 8));
         for _ in 0..n {
             relevance.push(d.f64()?);
         }
@@ -511,21 +508,10 @@ impl SessionState {
         let acq_total_attempts = d.u64()?;
         let acq_total_backoff = d.u64()?;
         let n = d.usize()?;
-        let mut breakers = Vec::with_capacity(n.min(65536));
+        let mut breakers = Vec::with_capacity(d.cap(n, 25));
         for _ in 0..n {
             breakers.push(dec_breaker(&mut d)?);
         }
-        let n = d.usize()?;
-        let mut pair_entries = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let k = d.str()?;
-            let score = d.f64()?;
-            let a = d.u64()? as u32;
-            let b = d.u64()? as u32;
-            pair_entries.push((k, score, a, b));
-        }
-        let pair_hits = d.u64()?;
-        let pair_misses = d.u64()?;
         let work = WorkCounters {
             extractions: d.usize()?,
             mappings_generated: d.usize()?,
@@ -544,21 +530,10 @@ impl SessionState {
             acq_total_attempts,
             acq_total_backoff,
             breakers,
-            pair_entries,
-            pair_hits,
-            pair_misses,
             work,
             creport,
             last_acquisition,
         })
-    }
-
-    /// Stable hash of the decision-relevant state, mixed into downstream
-    /// content keys: any divergence in trust, clock or breaker state forces
-    /// a recompute instead of replaying a checkpoint from a different
-    /// history.
-    pub fn content_hash(&self) -> u64 {
-        wire::hash64(&self.encode())
     }
 }
 
@@ -640,7 +615,7 @@ impl SeamRecord for AcquireOut {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;
-        let mut degraded_tables = Vec::with_capacity(n.min(65536));
+        let mut degraded_tables = Vec::with_capacity(d.cap(n, 8 + TABLE_MIN));
         for _ in 0..n {
             let i = d.usize()?;
             degraded_tables.push((i, wire::decode_table(&mut d)?));
@@ -677,7 +652,7 @@ impl SeamRecord for MapGenOut {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;
-        let mut mappings = Vec::with_capacity(n.min(65536));
+        let mut mappings = Vec::with_capacity(d.cap(n, 8 + BELIEF_MIN));
         for _ in 0..n {
             let i = d.usize()?;
             mappings.push((i, dec_mapping(&mut d)?));
@@ -718,7 +693,7 @@ impl SeamRecord for MapApplyOut {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;
-        let mut mapped = Vec::with_capacity(n.min(65536));
+        let mut mapped = Vec::with_capacity(d.cap(n, 8 + TABLE_MIN + 1));
         for _ in 0..n {
             let i = d.usize()?;
             let t = wire::decode_table(&mut d)?;
@@ -763,11 +738,11 @@ impl SeamRecord for UnionOut {
         let selected = dec_ids(&mut d)?;
         let union_filtered = d.u64()?;
         let n = d.usize()?;
-        let mut union = Vec::with_capacity(n.min(1 << 22));
+        let mut union = Vec::with_capacity(d.cap(n, 16));
         for _ in 0..n {
             let i = d.usize()?;
             let cols = d.usize()?;
-            let mut row = Vec::with_capacity(cols.min(4096));
+            let mut row = Vec::with_capacity(d.cap(cols, 1));
             for _ in 0..cols {
                 row.push(wire::decode_value(&mut d)?);
             }
@@ -810,17 +785,17 @@ impl SeamRecord for ErOut {
     fn decode(bytes: &[u8]) -> Result<ErOut> {
         let mut d = Dec::new(bytes);
         let n = d.usize()?;
-        let mut clusters = Vec::with_capacity(n.min(1 << 22));
+        let mut clusters = Vec::with_capacity(d.cap(n, 8));
         for _ in 0..n {
             let m = d.usize()?;
-            let mut c = Vec::with_capacity(m.min(1 << 22));
+            let mut c = Vec::with_capacity(d.cap(m, 8));
             for _ in 0..m {
                 c.push(d.usize()?);
             }
             clusters.push(c);
         }
         let n = d.usize()?;
-        let mut row_entity = Vec::with_capacity(n.min(1 << 22));
+        let mut row_entity = Vec::with_capacity(d.cap(n, 8));
         for _ in 0..n {
             row_entity.push(d.usize()?);
         }
@@ -878,22 +853,22 @@ impl SeamRecord for FuseOut {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let n = d.usize()?;
-        let mut fuse_removed = Vec::with_capacity(n.min(65536));
+        let mut fuse_removed = Vec::with_capacity(d.cap(n, 8));
         for _ in 0..n {
             fuse_removed.push(d.usize()?);
         }
         let n = d.usize()?;
-        let mut trust = Vec::with_capacity(n.min(65536));
+        let mut trust = Vec::with_capacity(d.cap(n, 8));
         for _ in 0..n {
             trust.push(d.f64()?);
         }
         let n = d.usize()?;
-        let mut age = Vec::with_capacity(n.min(65536));
+        let mut age = Vec::with_capacity(d.cap(n, 8));
         for _ in 0..n {
             age.push(d.u64()?);
         }
         let n = d.usize()?;
-        let mut fused = Vec::with_capacity(n.min(1 << 22));
+        let mut fused = Vec::with_capacity(d.cap(n, 49));
         for _ in 0..n {
             let ent = d.usize()?;
             let attr = d.usize()?;
@@ -940,12 +915,6 @@ mod tests {
                 ),
                 CircuitBreaker::from_parts(BreakerConfig::default(), BreakerState::HalfOpen, 0, 1),
             ],
-            pair_entries: vec![
-                ("5#a|b".into(), 0.875, 0, 2),
-                ("9#x|y|z".into(), -0.0, 1, 1),
-            ],
-            pair_hits: 4,
-            pair_misses: 9,
             work: WorkCounters {
                 extractions: 1,
                 mappings_generated: 2,
@@ -1025,59 +994,74 @@ mod tests {
         assert_eq!(sel.selected, vec![SourceId(0), SourceId(2)]);
     }
 
-    #[test]
-    fn truncated_state_errors_cleanly() {
-        let bytes = sample_state().encode();
-        for cut in [0, 1, 7, bytes.len() / 2, bytes.len() - 1] {
-            assert!(
-                SessionState::decode(&bytes[..cut]).is_err(),
-                "cut at {cut} must error"
-            );
+    type Decode = fn(&[u8]) -> Result<()>;
+
+    /// One valid payload per decoder this module exports: the session
+    /// snapshot, a framed record, and the seven stage records.
+    fn payloads() -> Vec<(&'static str, Vec<u8>, Decode)> {
+        fn rec<R: SeamRecord>(bytes: &[u8]) -> Result<()> {
+            R::decode(bytes).map(drop)
+        }
+        let select = SelectOut {
+            selected: vec![SourceId(0), SourceId(2)],
+        };
+        let map_apply = MapApplyOut {
+            selected: vec![SourceId(1)],
+            mapped: vec![(1, sample_table(), Some("price > 0".into()))],
+        };
+        vec![
+            ("SessionState", sample_state().encode(), |b| {
+                SessionState::decode(b).map(drop)
+            }),
+            (
+                "record",
+                encode_record(&sample_state(), &select.encode()),
+                |b| decode_record(b).map(drop),
+            ),
+            ("SelectOut", select.encode(), rec::<SelectOut>),
+            ("AcquireOut", sample_acquire().encode(), rec::<AcquireOut>),
+            ("MapGenOut", sample_map_gen().encode(), rec::<MapGenOut>),
+            ("MapApplyOut", map_apply.encode(), rec::<MapApplyOut>),
+            ("UnionOut", sample_union().encode(), rec::<UnionOut>),
+            ("ErOut", sample_er().encode(), rec::<ErOut>),
+            ("FuseOut", sample_fuse().encode(), rec::<FuseOut>),
+        ]
+    }
+
+    fn sample_table() -> Table {
+        let mut t = Table::empty(Schema::of_strs(&["name", "price"]));
+        t.push_row(vec![Value::Str("a".into()), Value::Float(-0.0)])
+            .unwrap();
+        t
+    }
+
+    fn sample_acquire() -> AcquireOut {
+        AcquireOut {
+            selected: vec![SourceId(1)],
+            degraded_tables: vec![(1, sample_table())],
         }
     }
 
-    #[test]
-    fn stage_outputs_roundtrip() {
-        let schema = Schema::of_strs(&["name", "price"]);
-        let mut t = Table::empty(schema.clone());
-        t.push_row(vec![Value::Str("a".into()), Value::Float(-0.0)])
-            .unwrap();
-        let acq = AcquireOut {
-            selected: vec![SourceId(1)],
-            degraded_tables: vec![(1, t.clone())],
-        };
-        let back = AcquireOut::decode(&acq.encode()).unwrap();
-        assert_eq!(back.selected, acq.selected);
-        assert_eq!(
-            wire::table_hash(&back.degraded_tables[0].1),
-            wire::table_hash(&t)
-        );
-
-        let union = UnionOut {
+    fn sample_union() -> UnionOut {
+        UnionOut {
             selected: vec![SourceId(0)],
             union: vec![
                 (0, vec![Value::Str("x".into()), Value::Float(f64::NAN)]),
                 (1, vec![Value::Null, Value::Int(-3)]),
             ],
             union_filtered: 2,
-        };
-        let back = UnionOut::decode(&union.encode()).unwrap();
-        assert_eq!(back.union_filtered, 2);
-        assert_eq!(back.union.len(), 2);
-        match (&back.union[0].1[1], &union.union[0].1[1]) {
-            (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-            other => panic!("expected floats, got {other:?}"),
         }
+    }
 
-        let er = ErOut {
+    fn sample_er() -> ErOut {
+        ErOut {
             clusters: vec![vec![0, 2], vec![1]],
             row_entity: vec![0, 1, 0],
-        };
-        let back = ErOut::decode(&er.encode()).unwrap();
-        assert_eq!(back.clusters, er.clusters);
-        assert_eq!(back.row_entity, er.row_entity);
+        }
+    }
 
-        let fuse = FuseOut {
+    fn sample_fuse() -> FuseOut {
+        FuseOut {
             selected: vec![SourceId(0), SourceId(1)],
             fuse_removed: vec![2],
             trust: vec![0.75, 0.5],
@@ -1093,7 +1077,63 @@ mod tests {
                     freshness: 0.8,
                 },
             )],
-        };
+        }
+    }
+
+    fn sample_map_gen() -> MapGenOut {
+        MapGenOut {
+            selected: vec![SourceId(0)],
+            mappings: vec![(
+                0,
+                Mapping {
+                    target: Schema::of_strs(&["name", "price"]),
+                    bindings: vec![Some(1), None],
+                    binding_beliefs: vec![Belief::from_prior(0.8), Belief::uninformed()],
+                    belief: Belief::from_prior(0.7),
+                },
+            )],
+        }
+    }
+
+    #[test]
+    fn every_truncation_errors_cleanly() {
+        for (name, bytes, decode) in payloads() {
+            decode(&bytes).unwrap_or_else(|e| panic!("{name}: fixture must decode: {e}"));
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode(&bytes[..cut]).is_err(),
+                    "{name}: cut at {cut} of {} must error",
+                    bytes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn stage_outputs_roundtrip() {
+        let acq = sample_acquire();
+        let back = AcquireOut::decode(&acq.encode()).unwrap();
+        assert_eq!(back.selected, acq.selected);
+        assert_eq!(
+            wire::table_hash(&back.degraded_tables[0].1),
+            wire::table_hash(&sample_table())
+        );
+
+        let union = sample_union();
+        let back = UnionOut::decode(&union.encode()).unwrap();
+        assert_eq!(back.union_filtered, 2);
+        assert_eq!(back.union.len(), 2);
+        match (&back.union[0].1[1], &union.union[0].1[1]) {
+            (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
+            other => panic!("expected floats, got {other:?}"),
+        }
+
+        let er = sample_er();
+        let back = ErOut::decode(&er.encode()).unwrap();
+        assert_eq!(back.clusters, er.clusters);
+        assert_eq!(back.row_entity, er.row_entity);
+
+        let fuse = sample_fuse();
         let back = FuseOut::decode(&fuse.encode()).unwrap();
         assert_eq!(back.fuse_removed, fuse.fuse_removed);
         assert_eq!(back.fused.len(), 1);
@@ -1102,17 +1142,8 @@ mod tests {
 
     #[test]
     fn mapping_roundtrips() {
-        let target = Schema::of_strs(&["name", "price"]);
-        let m = Mapping {
-            target,
-            bindings: vec![Some(1), None],
-            binding_beliefs: vec![Belief::from_prior(0.8), Belief::uninformed()],
-            belief: Belief::from_prior(0.7),
-        };
-        let gen = MapGenOut {
-            selected: vec![SourceId(0)],
-            mappings: vec![(0, m.clone())],
-        };
+        let gen = sample_map_gen();
+        let m = &gen.mappings[0].1;
         let back = MapGenOut::decode(&gen.encode()).unwrap();
         assert_eq!(back.mappings[0].1.bindings, m.bindings);
         assert_eq!(
@@ -1122,16 +1153,30 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_tags_error_not_panic() {
-        let s = sample_state();
-        let mut bytes = s.encode();
-        // Flip every byte position one at a time; decode must never panic
-        // (errors are fine, and a lucky flip may even decode to different
-        // valid data — the store's checksum is what rejects those).
-        for i in 0..bytes.len() {
-            bytes[i] ^= 0xff;
-            let _ = SessionState::decode(&bytes);
-            bytes[i] ^= 0xff;
+    fn every_single_byte_flip_errors_or_decodes_never_panics() {
+        // Errors are fine, and a lucky flip may even decode to different
+        // valid data — the store's checksum is what rejects those.
+        for (_, mut bytes, decode) in payloads() {
+            for i in 0..bytes.len() {
+                bytes[i] ^= 0xff;
+                let _ = decode(&bytes);
+                bytes[i] ^= 0xff;
+            }
+        }
+    }
+
+    #[test]
+    fn a_forged_element_count_reserves_no_more_than_the_input_holds() {
+        // 16 bytes whose every length field claims 2^40 elements.
+        let mut forged = Enc::new();
+        forged.u64(1 << 40).u64(1 << 40);
+        let forged = forged.into_bytes();
+        let mut d = Dec::new(&forged);
+        let claimed = d.usize().unwrap();
+        assert!(d.cap(claimed, 1) <= 16);
+        assert_eq!(d.cap(claimed, 8), 1);
+        for (name, _, decode) in payloads() {
+            assert!(decode(&forged).is_err(), "{name}: forged count must error");
         }
     }
 }

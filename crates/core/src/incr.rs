@@ -14,8 +14,8 @@
 //!   content. When the union changed (some block is dirty), the memo still
 //!   pays: its per-pair scores are kept under *packed row indices*, and the
 //!   block layout lets rows of unchanged blocks remap old→new by offset, so
-//!   clean-clean candidate pairs replay through an integer binary search
-//!   instead of re-rendering string content keys.
+//!   clean-clean candidate pairs replay through an integer binary search;
+//!   pairs touching a changed row are scored live.
 //! - **Fuse** ([`FuseMemo`]): trust estimation + slot fusion is keyed on
 //!   the union/clustering content plus every input that can ripple into a
 //!   fused value (belief trust, source ages, master data).
@@ -111,8 +111,7 @@ pub fn pack_pair(i: usize, j: usize) -> u64 {
 /// Row-level mapping from the current pass's union to a memoized one.
 /// Blocks match by `(source, block key)` (first occurrence wins, as blocks
 /// are unique per source); matched blocks map row-for-row by offset.
-/// `None` marks rows of new/changed blocks — those pairs fall back to the
-/// content-keyed pair cache, which is always sound.
+/// `None` marks rows of new/changed blocks — those pairs are scored live.
 pub fn remap_rows(
     old_layout: &[(usize, u64, usize)],
     new_layout: &[(usize, u64, usize)],

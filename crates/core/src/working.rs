@@ -66,131 +66,36 @@ impl std::ops::Sub for WorkCounters {
     }
 }
 
-/// Cross-pass cache of entity-resolution pair scores, keyed on row
-/// *content* (the [`ErKernel`]'s canonical content keys), not row position.
-/// A full re-wrangle whose union rows are unchanged — e.g. an incremental
-/// `rewrangle` forced down the structural path by a dirty [`Artifact::
-/// Clusters`] — finds every pair here and skips re-scoring. Data changes
-/// invalidate themselves (changed rows render different keys); only an ER
-/// *rule* change (refined weights/comparators) must [`Self::clear`] the
-/// cache, which the session does alongside invalidating
-/// [`Artifact::Clusters`] at those sites.
-///
-/// Every entry carries the *source pair* whose rows produced it, so a
-/// single-source data update evicts only the scores touching that source
-/// ([`Self::evict_sources`]) instead of wiping the cache: on an n-source
-/// fleet roughly (n−2)/n of the entries survive a 1-source update and
-/// replay bit-identically on the next pass.
-///
-/// [`ErKernel`]: wrangler_resolve::ErKernel
+/// A content-keyed map of ER pair scores. No code in this workspace calls
+/// it: the session used to answer pair scores from one, and `bench/` still
+/// times a replay of that work (`core.pair_cache_ms`). It goes away with the
+/// benchmark change that drops that ledger row.
 #[derive(Debug, Clone, Default)]
 pub struct PairScoreCache {
-    /// key → (score, source of the left row, source of the right row).
-    scores: BTreeMap<String, (f64, u32, u32)>,
-    hits: u64,
-    misses: u64,
+    scores: BTreeMap<String, f64>,
 }
 
 impl PairScoreCache {
-    /// Entry bound: the cache wipes itself rather than grow past this (a
-    /// deterministic safety valve for very long sessions).
-    const CAP: usize = 1 << 20;
-
     /// Unambiguous key of a scored pair: the left row key is
     /// length-prefixed, so concatenation cannot collide.
     pub fn pair_key(a: &str, b: &str) -> String {
         format!("{}#{a}{b}", a.len())
     }
 
-    /// Cached score for a pair key, counting the hit or miss.
+    /// Stored score for a pair key.
     pub fn lookup(&mut self, key: &str) -> Option<f64> {
-        match self.scores.get(key) {
-            Some(&(s, _, _)) => {
-                self.hits += 1;
-                Some(s)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        self.scores.get(key).copied()
     }
 
-    /// Record a freshly computed score, tagged with the sources of the two
-    /// rows it compared (the eviction grain of [`Self::evict_sources`]).
-    pub fn insert(&mut self, key: String, score: f64, sources: (usize, usize)) {
-        if self.scores.len() >= Self::CAP {
-            self.scores.clear();
-        }
-        self.scores
-            .insert(key, (score, sources.0 as u32, sources.1 as u32));
+    /// Record a score. `_sources` is what the benchmark's call passes.
+    pub fn insert(&mut self, key: String, score: f64, _sources: (usize, usize)) {
+        self.scores.insert(key, score);
     }
 
-    /// Partition-scoped invalidation: drop every entry whose *either* row
-    /// came from one of `dirty` sources, keep the rest. An updated source
-    /// renders different content keys for its own rows anyway — eviction
-    /// keeps the map from accumulating unreachable entries and bounds the
-    /// cache to live content. Returns `(evicted, retained)`.
-    pub fn evict_sources(&mut self, dirty: &[usize]) -> (usize, usize) {
-        let before = self.scores.len();
-        self.scores.retain(|_, &mut (_, a, b)| {
-            !dirty.contains(&(a as usize)) && !dirty.contains(&(b as usize))
-        });
-        let retained = self.scores.len();
-        (before - retained, retained)
-    }
-
-    /// Drop every entry (the ER rule changed: all cached scores are stale).
-    /// Hit/miss statistics survive — they describe the session, not the
-    /// current rule.
-    pub fn clear(&mut self) {
-        self.scores.clear();
-    }
-
-    /// Number of cached pair scores.
+    /// Number of stored pair scores.
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.scores.len()
-    }
-
-    /// True when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.scores.is_empty()
-    }
-
-    /// Lookups answered from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Lookups that had to be scored so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Iterate all cached `(key, score, src_a, src_b)` entries in key order,
-    /// for durable serialization through the checkpoint store.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, f64, u32, u32)> {
-        self.scores
-            .iter()
-            .map(|(k, &(s, a, b))| (k.as_str(), s, a, b))
-    }
-
-    /// Rebuild a cache from serialized entries and counters — the restart
-    /// path: a resumed session re-seeds ER scoring with every pair score the
-    /// crashed process had computed, so cache replay survives process death.
-    pub fn restore(
-        entries: Vec<(String, f64, u32, u32)>,
-        hits: u64,
-        misses: u64,
-    ) -> PairScoreCache {
-        PairScoreCache {
-            scores: entries
-                .into_iter()
-                .map(|(k, s, a, b)| (k, (s, a, b)))
-                .collect(),
-            hits,
-            misses,
-        }
     }
 }
 
@@ -200,8 +105,6 @@ pub struct WorkingData {
     dirty: HashSet<Artifact>,
     /// Cumulative work counters.
     pub work: WorkCounters,
-    /// Content-keyed ER pair-score cache (see [`PairScoreCache`]).
-    pub pair_scores: PairScoreCache,
 }
 
 impl WorkingData {
@@ -292,50 +195,6 @@ mod tests {
         wd.invalidate(Artifact::Result);
         assert_eq!(wd.dirty_slots(), vec![(0, 3), (2, 1)]);
         assert_eq!(wd.dirty_count(), 3);
-    }
-
-    #[test]
-    fn pair_score_cache_hits_and_misses() {
-        let mut c = PairScoreCache::default();
-        let k = PairScoreCache::pair_key("row-a", "row-b");
-        assert_eq!(c.lookup(&k), None);
-        c.insert(k.clone(), 0.75, (0, 1));
-        assert_eq!(c.lookup(&k), Some(0.75));
-        assert_eq!((c.hits(), c.misses()), (1, 1));
-        assert_eq!(c.len(), 1);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.lookup(&k), None);
-    }
-
-    #[test]
-    fn eviction_is_partition_scoped() {
-        let mut c = PairScoreCache::default();
-        // Pairs over sources {0,1,2}: only entries touching source 1 go.
-        c.insert("a".into(), 0.1, (0, 1));
-        c.insert("b".into(), 0.2, (0, 2));
-        c.insert("c".into(), 0.3, (1, 2));
-        c.insert("d".into(), 0.4, (2, 2));
-        let (evicted, retained) = c.evict_sources(&[1]);
-        assert_eq!((evicted, retained), (2, 2));
-        assert_eq!(c.lookup("b"), Some(0.2));
-        assert_eq!(c.lookup("d"), Some(0.4));
-        assert_eq!(c.lookup("a"), None);
-        assert_eq!(c.lookup("c"), None);
-    }
-
-    #[test]
-    fn restore_round_trips_source_tags() {
-        let mut c = PairScoreCache::default();
-        c.insert("x".into(), 0.5, (3, 7));
-        let entries: Vec<(String, f64, u32, u32)> = c
-            .entries()
-            .map(|(k, s, a, b)| (k.to_string(), s, a, b))
-            .collect();
-        let mut r = PairScoreCache::restore(entries, c.hits(), c.misses());
-        assert_eq!(r.lookup("x"), Some(0.5));
-        let (evicted, _) = r.evict_sources(&[7]);
-        assert_eq!(evicted, 1);
     }
 
     #[test]

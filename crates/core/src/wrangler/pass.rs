@@ -37,7 +37,7 @@ use super::Wrangler;
 use crate::ckpt_io::{self, ErOut, SeamRecord, SessionState};
 use crate::contain::{isolate, ContainPolicy, ContainmentReport, Stage};
 use crate::planner::Plan;
-use crate::working::{Artifact, PairScoreCache};
+use crate::working::Artifact;
 
 type Result<T> = wrangler_table::Result<T>;
 
@@ -219,14 +219,6 @@ impl Wrangler {
             acq_total_attempts: self.acquisition.total_attempts,
             acq_total_backoff: self.acquisition.total_backoff_ticks,
             breakers: self.acquisition.breakers().to_vec(),
-            pair_entries: self
-                .working
-                .pair_scores
-                .entries()
-                .map(|(k, v, a, b)| (k.to_string(), v, a, b))
-                .collect(),
-            pair_hits: self.working.pair_scores.hits(),
-            pair_misses: self.working.pair_scores.misses(),
             work: self.working.work,
             creport: creport.clone(),
             last_acquisition: self.last_acquisition.clone(),
@@ -253,8 +245,6 @@ impl Wrangler {
         self.acquisition.total_attempts = st.acq_total_attempts;
         self.acquisition.total_backoff_ticks = st.acq_total_backoff;
         self.acquisition.restore_state(st.acq_clock, st.breakers);
-        self.working.pair_scores =
-            PairScoreCache::restore(st.pair_entries, st.pair_hits, st.pair_misses);
         self.working.work = st.work;
         *creport = st.creport;
         self.last_acquisition = st.last_acquisition;

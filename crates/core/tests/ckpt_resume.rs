@@ -221,6 +221,26 @@ fn torn_and_bitflipped_checkpoints_are_never_loaded() {
     }
 }
 
+/// Every seam's record was rejected: one counted miss each, no hit.
+fn assert_every_seam_missed(out: &WrangleOutcome) {
+    for stage in [
+        "select",
+        "acquire",
+        "map_generate",
+        "map_apply",
+        "union",
+        "er",
+        "fuse",
+    ] {
+        assert_eq!(
+            out.metrics.counts.get(&format!("ckpt.{stage}.misses")),
+            Some(&1),
+            "{stage}: rejected record must count as a miss"
+        );
+        assert_eq!(out.metrics.counts.get(&format!("ckpt.{stage}.hits")), None);
+    }
+}
+
 #[test]
 fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
     let fleet = make_fleet(5);
@@ -258,46 +278,99 @@ fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
         .resume()
         .expect("an undecodable stage payload must fall back to live compute");
     assert_eq!(fingerprint(&resumed, &out), cold_fp);
-    for stage in ["select", "acquire", "map_generate", "map_apply", "union", "er", "fuse"] {
-        assert_eq!(
-            out.metrics.counts.get(&format!("ckpt.{stage}.misses")),
-            Some(&1),
-            "{stage}: rejected record must count as a miss"
-        );
-        assert_eq!(out.metrics.counts.get(&format!("ckpt.{stage}.hits")), None);
-    }
+    assert_every_seam_missed(&out);
     cleanup(&dir);
 }
 
 #[test]
-fn full_replay_restores_pair_cache_and_counters() {
+fn full_replay_restores_counters_without_rescoring() {
     let fleet = make_fleet(23);
     let mut first = {
-        let dir = scratch_dir("replay-pair-cache");
+        let dir = scratch_dir("replay-counters");
         cleanup(&dir);
         let store = CheckpointStore::open(&dir).unwrap();
         build(&fleet, None).with_checkpoint_store(store)
     };
     let out1 = first.wrangle().unwrap();
-    let cache_len = first.working.pair_scores.len();
     let work = first.working.work;
-    assert!(cache_len > 0, "ER should have populated the pair cache");
 
-    // Fresh process, same store: every seam hits; the ER pair-score cache
-    // and the work counters come back from the checkpoint, not from
-    // recomputation.
+    // Fresh process, same store: every seam hits; the work counters come
+    // back from the checkpoint, not from recomputation, and ER scores
+    // nothing.
     let dir = first.checkpoint_store().unwrap().dir().to_path_buf();
     let store = CheckpointStore::open(&dir).unwrap();
     let mut second = build(&fleet, None).with_checkpoint_store(store);
     let out2 = second.resume().unwrap();
-    assert_eq!(
-        wire::table_hash(&out1.table),
-        wire::table_hash(&out2.table)
-    );
-    assert_eq!(second.working.pair_scores.len(), cache_len);
+    assert_eq!(wire::table_hash(&out1.table), wire::table_hash(&out2.table));
     assert_eq!(second.working.work, work);
     assert_eq!(out2.metrics.counts.get("ckpt.fuse.hits"), Some(&1));
     assert_eq!(out2.metrics.counts.get("er.cache.misses"), None);
+    cleanup(&dir);
+}
+
+#[test]
+fn records_of_another_format_version_are_misses_never_misdecoded() {
+    let fleet = make_fleet(23);
+    let mut cold = build(&fleet, None);
+    let cold_out = cold.wrangle().unwrap();
+    let cold_fp = fingerprint(&cold, &cold_out);
+
+    let dir = scratch_dir("resume-old-version");
+    cleanup(&dir);
+    build(&fleet, None)
+        .with_checkpoint_store(CheckpointStore::open(&dir).unwrap())
+        .wrangle()
+        .unwrap();
+    // A store left by a build with a different record layout: same magic,
+    // same checksummed payloads, another version in header bytes 4..6.
+    let mut rewritten = 0;
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let mut raw = std::fs::read(&path).unwrap();
+        let version = u16::from_le_bytes([raw[4], raw[5]]);
+        raw[4..6].copy_from_slice(&(version - 1).to_le_bytes());
+        std::fs::write(&path, raw).unwrap();
+        rewritten += 1;
+    }
+    assert_eq!(rewritten, 7, "one record per seam");
+
+    let mut resumed =
+        build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
+    let out = resumed
+        .resume()
+        .expect("a record of another version must fall back to live compute");
+    assert_eq!(fingerprint(&resumed, &out), cold_fp);
+    assert_every_seam_missed(&out);
+    assert_eq!(resumed.checkpoint_store().unwrap().stats().torn_detected, 7);
+    cleanup(&dir);
+}
+
+#[test]
+fn a_checkpointed_pass_writes_a_small_multiple_of_its_source_bytes() {
+    let fleet = make_fleet(23);
+    let dir = scratch_dir("write-amp");
+    cleanup(&dir);
+    let out = build(&fleet, None)
+        .with_checkpoint_store(CheckpointStore::open(&dir).unwrap())
+        .wrangle()
+        .unwrap();
+    let source_bytes: usize = out
+        .selected_sources
+        .iter()
+        .map(|&id| wire::table_bytes(&fleet.registry.get(id).unwrap().table).len())
+        .sum();
+    let store_bytes: u64 = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().metadata().unwrap().len())
+        .sum();
+    // The mapped tables and the union each carry the selected rows once, and
+    // every record repeats the session snapshot: 4.0x on this fixture. A
+    // record that grows with the candidate-pair count lands far above (37x
+    // when both post-ER records embedded every pair score).
+    assert!(
+        store_bytes <= 8 * source_bytes as u64,
+        "store {store_bytes} B vs sources {source_bytes} B"
+    );
     cleanup(&dir);
 }
 

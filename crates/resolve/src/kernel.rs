@@ -333,9 +333,10 @@ impl ErKernel {
 
     /// A canonical content key per row over exactly the cells scoring reads.
     /// Two rows share a key iff every compiled field sees identical inputs,
-    /// so `(key(i), key(j))` identifies a pair's score across runs — the
-    /// basis of the Working Data pair-score cache. Every variable-length
-    /// segment is length-prefixed, so keys are unambiguous.
+    /// so `(key(i), key(j))` identifies a pair's score across runs. Every
+    /// variable-length segment is length-prefixed, so keys are unambiguous.
+    /// No code in this workspace calls it: `bench/` does, for the
+    /// `core.pair_cache_ms` replay, and it goes away with that ledger row.
     pub fn content_keys(&self) -> Vec<String> {
         use std::fmt::Write as _;
         (0..self.rows)

@@ -187,6 +187,14 @@ impl<'a> Dec<'a> {
         self.remaining() == 0
     }
 
+    /// A claimed element count cut down to what the unread input could
+    /// hold, given that one element encodes to at least `min_encoded_size`
+    /// bytes. Decoders size their `Vec::with_capacity` with this, so a
+    /// forged length field reserves no more than the input is long.
+    pub fn cap(&self, claimed: usize, min_encoded_size: usize) -> usize {
+        claimed.min(self.remaining() / min_encoded_size.max(1))
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(TableError::Invalid(format!(
@@ -341,7 +349,7 @@ pub fn encode_schema(enc: &mut Enc, schema: &Schema) {
 /// Decode a schema.
 pub fn decode_schema(dec: &mut Dec<'_>) -> Result<Schema> {
     let n = dec.usize()?;
-    let mut fields = Vec::with_capacity(n.min(1 << 16));
+    let mut fields = Vec::with_capacity(dec.cap(n, 10));
     for _ in 0..n {
         let name = dec.str()?;
         let dtype = dtype_from_tag(dec.u8()?)?;
@@ -373,7 +381,7 @@ pub fn decode_table(dec: &mut Dec<'_>) -> Result<Table> {
     let rows = dec.usize()?;
     let mut columns: Vec<Vec<Value>> = Vec::with_capacity(schema.len());
     for _ in 0..schema.len() {
-        let mut col = Vec::with_capacity(rows.min(1 << 20));
+        let mut col = Vec::with_capacity(dec.cap(rows, 1));
         for _ in 0..rows {
             col.push(decode_value(dec)?);
         }
