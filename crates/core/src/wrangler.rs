@@ -16,7 +16,7 @@ use wrangler_obs::{MetricsReport, ObsMode, Telemetry};
 use wrangler_quality::profile::{quality_vector, ExternalSignals, TableProfile};
 use wrangler_resolve::learn::{refine_rule, LabeledPair};
 use wrangler_resolve::{
-    candidates_blocked, cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind,
+    candidates_union, cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind,
 };
 use wrangler_sources::faults::{Degradation, FaultConfig, FaultProfile};
 use wrangler_sources::{Source, SourceEstimate, SourceId, SourceMeta, SourceRegistry};
@@ -1216,13 +1216,7 @@ impl Wrangler {
         // a factor of the current one.
         let block_col = blocking_column(&self.target);
         let key_col = self.target.fields()[0].name.clone();
-        let mut candidates = candidates_blocked(&union_table, &block_col).ok()?;
-        if key_col != block_col {
-            candidates
-                .extend(wrangler_resolve::candidates_blocked_exact(&union_table, &key_col).ok()?);
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
+        let candidates = candidates_union(&union_table, &block_col, &key_col).ok()?;
         let pairs = ErKernel::compile(&union_table, &cfg)
             .ok()?
             .match_pairs(&candidates)

@@ -17,7 +17,7 @@ use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
 use wrangler_match::profile_table;
 use wrangler_plan::{FilterPlacement, OptMode, PlanProgram};
-use wrangler_resolve::{candidates_blocked, cluster_pairs, ErKernel};
+use wrangler_resolve::{candidates_union, cluster_pairs, ErKernel};
 use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
 use wrangler_table::{ops, par, wire, Table, TableError, Value};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
@@ -930,15 +930,7 @@ impl Wrangler {
         // null or typo-prefixed still meet their duplicates through the key.
         let block_col = blocking_column(&self.target);
         let key_col = self.target.fields()[0].name.clone();
-        let mut candidates = candidates_blocked(union_table, &block_col)?;
-        if key_col != block_col {
-            candidates.extend(wrangler_resolve::candidates_blocked_exact(
-                union_table,
-                &key_col,
-            )?);
-            candidates.sort_unstable();
-            candidates.dedup();
-        }
+        let candidates = candidates_union(union_table, &block_col, &key_col)?;
         self.working.work.er_pairs += candidates.len();
         // Mid-stage crash site: after candidate generation, before scoring —
         // the worst place to die (ER dominates wall-clock), which is exactly
@@ -947,16 +939,19 @@ impl Wrangler {
         self.crash_fire(CrashSite::MidEr);
         // Score through the precompiled kernel: the ER config is compiled
         // once against the union schema (an unknown column errors before any
-        // scoring) and per-row renderings/token sets are cached. A pair score
-        // has two possible origins: the previous pass's memo, remapped by row
+        // scoring) into a dictionary per text/key column. A pair score has
+        // two possible origins: the previous pass's memo, remapped by row
         // index, or the kernel. Clusters and scores are byte-identical to
         // the serial path for any worker count.
         let kernel = ErKernel::compile(union_table, &self.er_cfg)?;
-        let mut scores = vec![0.0f64; candidates.len()];
+        for (column, values) in kernel.dict_sizes() {
+            self.obs
+                .count(&format!("er.dict.{column}.values"), values as u64);
+        }
         // The index-remap fast path: when the previous pass's memo was built
         // under the same fingerprints and both layouts cover their unions,
         // rows of unchanged blocks map old→new by offset, and a clean-clean
-        // candidate pair replays its score through an integer binary search.
+        // candidate pair replays its score through an integer-keyed lookup.
         // Pairs touching changed rows are scored live.
         let layout_rows: usize = pass.union_layout.iter().map(|&(_, _, n)| n).sum();
         let memo = self
@@ -964,37 +959,48 @@ impl Wrangler {
             .er
             .as_ref()
             .filter(|_| remap && layout_rows == union_table.num_rows());
-        let rowmap: Option<Vec<Option<usize>>> = memo.and_then(|m| {
+        let remapped = memo.and_then(|m| {
             let old_rows: usize = m.layout.iter().map(|&(_, _, n)| n).sum();
             // pass_fp pins the scoring config; the per-block keys in the
             // layout pin row content. The whole-program fingerprint is
             // deliberately not required — a dirty source's regenerated
             // mapping shifts it without touching any clean row.
             (m.pass_fp == pass.pass_fp && old_rows == m.out.row_entity.len())
-                .then(|| incr::remap_rows(&m.layout, &pass.union_layout))
+                .then(|| (m, incr::remap_rows(&m.layout, &pass.union_layout)))
         });
-        let mut live_slots: Vec<usize> = Vec::new();
-        let mut live_pairs: Vec<(usize, usize)> = Vec::new();
-        for (k, &(i, j)) in candidates.iter().enumerate() {
-            let replayed = rowmap.as_ref().and_then(|map| {
-                let (oi, oj) = wrangler_resolve::blocking::remap_candidate((i, j), map)?;
-                memo?.score_of(incr::pack_pair(oi, oj))
-            });
-            match replayed {
-                Some(s) => scores[k] = s,
-                None => {
-                    live_slots.push(k);
-                    live_pairs.push((i, j));
-                }
-            }
-        }
         // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER)
         // applies on top of the requested width.
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
-        let (live_scores, worker_stats) = kernel.score_pairs_parallel(&live_pairs, workers)?;
-        for (&k, &s) in live_slots.iter().zip(&live_scores) {
-            scores[k] = s;
-        }
+        let (scores, worker_stats, live) = match remapped {
+            // Nothing to replay (a cold pass, a filtered union, a refined
+            // rule): the candidates are scored where they stand.
+            None => {
+                let (scores, stats) = kernel.score_pairs_parallel(&candidates, workers)?;
+                (scores, stats, candidates.len())
+            }
+            Some((memo, rowmap)) => {
+                let mut scores = vec![0.0f64; candidates.len()];
+                let mut live_slots: Vec<usize> = Vec::new();
+                let mut live_pairs: Vec<(usize, usize)> = Vec::new();
+                let mut memoized = memo.cursor();
+                for (k, &(i, j)) in candidates.iter().enumerate() {
+                    let replayed = wrangler_resolve::blocking::remap_candidate((i, j), &rowmap)
+                        .and_then(|(oi, oj)| memoized.score_of(incr::pack_pair(oi, oj)));
+                    match replayed {
+                        Some(s) => scores[k] = s,
+                        None => {
+                            live_slots.push(k);
+                            live_pairs.push((i, j));
+                        }
+                    }
+                }
+                let (live_scores, stats) = kernel.score_pairs_parallel(&live_pairs, workers)?;
+                for (&k, &s) in live_slots.iter().zip(&live_scores) {
+                    scores[k] = s;
+                }
+                (scores, stats, live_pairs.len())
+            }
+        };
         let pairs = kernel.filter_matches(&candidates, &scores);
         let clusters = cluster_pairs(union_table.num_rows(), pairs.iter().map(|p| (p.i, p.j)));
         let mut row_entity = vec![0usize; union_table.num_rows()];
@@ -1035,11 +1041,9 @@ impl Wrangler {
         }
         // Candidates the ER memo did not answer, scored live. The benchmark
         // reads the counter under this name.
-        self.obs.count("er.cache.misses", live_pairs.len() as u64);
-        self.obs.count(
-            "incr.er.pairs_remapped",
-            (candidates.len() - live_pairs.len()) as u64,
-        );
+        self.obs.count("er.cache.misses", live as u64);
+        self.obs
+            .count("incr.er.pairs_remapped", (candidates.len() - live) as u64);
         self.obs.count("er.candidates", candidates.len() as u64);
         self.obs.count("er.match_pairs", pairs.len() as u64);
         self.obs.count("er.entities", out.clusters.len() as u64);

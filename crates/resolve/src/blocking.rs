@@ -31,20 +31,30 @@ pub fn block_key(v: &Value) -> Option<String> {
     Some(tok.chars().take(4).collect())
 }
 
-/// Key-based blocking on a column: pairs within the same block only.
-pub fn candidates_blocked(
-    table: &Table,
-    column: &str,
-) -> wrangler_table::Result<Vec<(usize, usize)>> {
-    let col = table.column_named(column)?;
-    // BTreeMap iterates in key order, so the emitted pair order is
-    // deterministic without an explicit sort.
+/// Rows grouped by blocking key (`None` = the row joins no block). Each
+/// block lists its rows ascending; the map iterates in key order, so anything
+/// emitted block by block is deterministic without an explicit sort.
+fn blocks_by(
+    column: &[Value],
+    key: impl Fn(&Value) -> Option<String>,
+) -> BTreeMap<String, Vec<usize>> {
     let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, v) in col.iter().enumerate() {
-        if let Some(k) = block_key(v) {
+    for (i, v) in column.iter().enumerate() {
+        if let Some(k) = key(v) {
             blocks.entry(k).or_default().push(i);
         }
     }
+    blocks
+}
+
+/// [`candidates_blocked_exact`]'s key: the full (trimmed, lowercased)
+/// rendering; nulls join no block.
+fn exact_key(v: &Value) -> Option<String> {
+    (!v.is_null()).then(|| v.render().trim().to_lowercase())
+}
+
+/// All within-block pairs, block by block in key order.
+fn block_pairs(blocks: &BTreeMap<String, Vec<usize>>) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for rows in blocks.values() {
         for a in 0..rows.len() {
@@ -53,7 +63,18 @@ pub fn candidates_blocked(
             }
         }
     }
-    Ok(out)
+    out
+}
+
+/// Key-based blocking on a column: pairs within the same block only.
+pub fn candidates_blocked(
+    table: &Table,
+    column: &str,
+) -> wrangler_table::Result<Vec<(usize, usize)>> {
+    Ok(block_pairs(&blocks_by(
+        table.column_named(column)?,
+        block_key,
+    )))
 }
 
 /// Exact-value blocking: pairs sharing the column's full (lowercased,
@@ -63,23 +84,59 @@ pub fn candidates_blocked_exact(
     table: &Table,
     column: &str,
 ) -> wrangler_table::Result<Vec<(usize, usize)>> {
-    let col = table.column_named(column)?;
-    let mut blocks: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    for (i, v) in col.iter().enumerate() {
-        if !v.is_null() {
-            blocks
-                .entry(v.render().trim().to_lowercase())
-                .or_default()
-                .push(i);
+    Ok(block_pairs(&blocks_by(
+        table.column_named(column)?,
+        exact_key,
+    )))
+}
+
+/// Per row, the later rows of its block — ascending, empty for a row in no
+/// block. Row `i`'s candidates under one blocking are exactly `(i, j)` for
+/// `j` in `mates[i]`.
+fn later_mates(blocks: &BTreeMap<String, Vec<usize>>, rows: usize) -> Vec<&[usize]> {
+    let mut mates: Vec<&[usize]> = vec![&[]; rows];
+    for block in blocks.values() {
+        for (pos, &row) in block.iter().enumerate() {
+            mates[row] = &block[pos + 1..];
         }
     }
-    let mut out = Vec::new();
-    for rows in blocks.values() {
-        for a in 0..rows.len() {
-            for b in (a + 1)..rows.len() {
-                out.push((rows[a], rows[b]));
-            }
+    mates
+}
+
+/// The wrangle stage's candidates: prefix blocks of `block_col` ∪ exact
+/// blocks of `key_col` — rows whose name is null or typo-prefixed still meet
+/// their duplicates through the key — sorted by `(i, j)` and deduplicated.
+/// Equal to [`candidates_blocked`] ∪ [`candidates_blocked_exact`] sorted and
+/// deduped, without materialising either list or sorting: rows are walked
+/// in order and each row's two ascending partner lists are merged. When the
+/// two columns coincide only the prefix blocks apply.
+pub fn candidates_union(
+    table: &Table,
+    block_col: &str,
+    key_col: &str,
+) -> wrangler_table::Result<Vec<(usize, usize)>> {
+    let rows = table.num_rows();
+    let name_blocks = blocks_by(table.column_named(block_col)?, block_key);
+    let key_blocks = if key_col == block_col {
+        BTreeMap::new()
+    } else {
+        blocks_by(table.column_named(key_col)?, exact_key)
+    };
+    let by_name = later_mates(&name_blocks, rows);
+    let by_key = later_mates(&key_blocks, rows);
+    // An upper bound (a pair in both blockings is counted twice), so the
+    // list never reallocates; key blocks are small, so it is a tight one.
+    let bound: usize = by_name.iter().chain(&by_key).map(|m| m.len()).sum();
+    let mut out = Vec::with_capacity(bound);
+    for (i, (a, b)) in by_name.iter().zip(&by_key).enumerate() {
+        let (mut x, mut y) = (0, 0);
+        while x < a.len() && y < b.len() {
+            let j = a[x].min(b[y]);
+            x += usize::from(a[x] == j);
+            y += usize::from(b[y] == j);
+            out.push((i, j));
         }
+        out.extend(a[x..].iter().chain(&b[y..]).map(|&j| (i, j)));
     }
     Ok(out)
 }
@@ -90,10 +147,7 @@ pub fn candidates_blocked_exact(
 /// a pair whose rows both remap can replay its memoized score instead of
 /// rescoring. Out-of-range indices translate to `None` rather than
 /// panicking, so a stale or truncated map can never fabricate a reuse.
-pub fn remap_candidate(
-    pair: (usize, usize),
-    rowmap: &[Option<usize>],
-) -> Option<(usize, usize)> {
+pub fn remap_candidate(pair: (usize, usize), rowmap: &[Option<usize>]) -> Option<(usize, usize)> {
     let old_i = rowmap.get(pair.0).copied().flatten()?;
     let old_j = rowmap.get(pair.1).copied().flatten()?;
     Some((old_i, old_j))

@@ -1,64 +1,74 @@
-//! The precompiled, parallel entity-resolution kernel.
+//! The precompiled, dictionary-encoded, parallel entity-resolution kernel.
 //!
 //! E13's stage attribution put ~90% of a wrangle's wall-clock inside the ER
 //! stage, and almost all of it in pair scoring: [`record_similarity`] looks
 //! every column name up in the schema *per pair per field*, renders and
 //! lowercases both values *per pair*, and rebuilds token sets *per pair* —
-//! work that is a pure function of one row, recomputed O(candidates) times.
+//! work that is a pure function of one *value*, recomputed O(candidates)
+//! times. And a million blocked candidates hold only tens of thousands of
+//! distinct value pairs: the rows of one block are copies of a few names.
 //!
-//! [`ErKernel`] hoists all of it to compile time. [`ErKernel::compile`]
-//! resolves the [`ErConfig`]'s column names to indices once (an unknown
-//! column errors *before* any scoring), then materialises per-row cells:
-//! lowercased renderings, their `char` vectors, sorted-deduped token sets
-//! (text fields), ASCII-folded renderings (exact fields) and classified
-//! numeric values (numeric fields). Scoring a pair then touches only these
-//! cells — no schema lookups, no allocation for renderings or token sets.
+//! [`ErKernel::compile`] resolves the [`ErConfig`]'s column names to indices
+//! once (an unknown column errors *before* any scoring), then encodes every
+//! text and exact field as a dictionary: one `u32` id per row (ids in
+//! first-appearance order, `u32::MAX` for a null) and one cell per
+//! *distinct* folded value — the lowercased rendering with its sorted token
+//! set (text), the ASCII-folded rendering (exact). Numeric fields keep one
+//! classified cell per row. Scoring a pair then compares ids: equal ids are
+//! `1.0`, an exact field is id equality, and a text field's similarity is
+//! computed at most once per *ordered* `(id_a, id_b)` per worker and answered
+//! from an integer-keyed memo (`PairMemo`) afterwards.
 //!
-//! The arithmetic mirrors the serial path operation for operation, so kernel
-//! scores are **bit-identical** to [`record_similarity`] — the
-//! `parallel_kernel_equals_serial_match_pairs` proptest holds for any worker
-//! count. Parallel scoring splits the candidate list into *contiguous
-//! blocked chunks* (worker `w` scores `candidates[start_w..end_w]`, chunks
-//! balanced to within one pair) and reassembles them in chunk order, so the
-//! output does not depend on scheduling. Blocked pickup is deliberate: the
-//! strided fan-out it replaced (worker `w` takes candidates
-//! `w, w+workers, …`) interleaved every worker through the whole candidate
-//! range and destroyed the per-row cell locality the kernel was compiled
-//! for — BENCH_e14 measured it as *negative* scaling. The pool is also
-//! sized by [`wrangler_table::par::effective_workers`]: never wider than
-//! the machine's cores, and never so wide that a worker gets fewer than
-//! [`MIN_PAIRS_PER_WORKER`] pairs — tiny candidate sets (e.g. the handful
-//! of cache misses of an incremental pass) run serially instead of paying
-//! thread-spawn latency.
+//! The arithmetic mirrors the serial path operation for operation, and the
+//! memo only replays a value computed by that arithmetic on the same two
+//! strings in the same order (the key is ordered: Jaro's greedy matching is
+//! not symmetric), so kernel scores are **bit-identical** to
+//! [`record_similarity`] — the `parallel_kernel_equals_serial_match_pairs`
+//! proptest holds for any worker count. Parallel scoring splits the
+//! candidate list into *contiguous blocked chunks* (worker `w` scores
+//! `candidates[start_w..end_w]`, chunks balanced to within one pair) and
+//! reassembles them in chunk order, so the output does not depend on
+//! scheduling; each worker owns its memos, so nothing is shared or locked.
+//! The pool is sized by [`wrangler_table::par::effective_workers`]: never
+//! wider than the machine's cores, and never so wide that a worker gets
+//! fewer than [`MIN_PAIRS_PER_WORKER`] pairs — tiny candidate sets (e.g. the
+//! handful of live pairs of an incremental pass) run serially instead of
+//! paying thread-spawn latency.
 //!
 //! [`record_similarity`]: crate::sim::record_similarity
 
-use std::time::Instant;
+use std::borrow::Cow;
+use std::collections::btree_map::{BTreeMap, Entry};
 
-use wrangler_table::par::{self, effective_workers};
 pub use wrangler_table::par::WorkerStat;
+use wrangler_table::par::{self, effective_workers};
 use wrangler_table::{Table, TableError, Value};
 
 use crate::sim::{ErConfig, SimKind};
 use crate::ScoredPair;
 
 /// Minimum candidate pairs per worker before the pool widens by one thread.
-/// A pair costs on the order of a microsecond; a thread spawn costs tens of
-/// them — below this floor the spawn never pays for itself.
+/// A first-seen value pair costs on the order of a microsecond (a repeat,
+/// tens of nanoseconds); a thread spawn costs tens of microseconds — below
+/// this floor the spawn never pays for itself.
 pub const MIN_PAIRS_PER_WORKER: usize = 512;
 
-/// Per-row precomputation for one text field.
+/// Dictionary id of a null value: the field is skipped for any pair
+/// involving the row.
+const NULL_ID: u32 = u32::MAX;
+
+/// Precomputation for one distinct text value.
 #[derive(Debug, Clone)]
 struct TextCell {
     /// Lowercased rendering (the serial path's `render().to_lowercase()`).
+    /// When pure ASCII its bytes *are* its chars: `char` equality over ASCII
+    /// strings is byte equality at the same indices, so the char-level
+    /// kernels run on the `u8` slice — same comparisons, same arithmetic,
+    /// same bits, a quarter of the memory traffic.
     lower: String,
-    /// `lower` as a char vector (what `jaro`/`levenshtein` collect per call).
-    chars: Vec<char>,
-    /// `lower`'s bytes when pure ASCII: `char` equality over ASCII strings
-    /// is byte equality at the same indices, so the char-level kernels can
-    /// run on `u8` slices — same comparisons, same arithmetic, same bits,
-    /// a quarter of the memory traffic.
-    ascii: Option<Vec<u8>>,
+    /// `lower` as a char vector (what `jaro`/`levenshtein` collect per
+    /// call), kept for non-ASCII values only.
+    chars: Option<Vec<char>>,
     /// Sorted, deduplicated tokens of `lower` (what `token_jaccard` builds
     /// per call).
     tokens: Vec<String>,
@@ -79,21 +89,24 @@ enum NumCell {
     NonNumeric,
 }
 
-/// Per-row cells of one compiled field.
+/// The cells of one compiled field. `ids[row]` indexes the per-distinct-value
+/// vector beside it, or is [`NULL_ID`].
 #[derive(Debug, Clone)]
 enum FieldCells {
-    /// Text comparator cells (`None` = null row).
-    Text(Vec<Option<TextCell>>),
-    /// Exact comparator cells: ASCII-folded renderings (`None` = null row).
-    /// `a.eq_ignore_ascii_case(b)` ≡ `fold(a) == fold(b)`.
-    Exact(Vec<Option<String>>),
-    /// Numeric comparator cells with the comparator's scale.
+    /// Text comparator: two rows fold to one id iff their lowercased
+    /// renderings are equal.
+    Text { ids: Vec<u32>, cells: Vec<TextCell> },
+    /// Exact comparator: ASCII-folded renderings, compared by id.
+    /// `a.eq_ignore_ascii_case(b)` ≡ `fold(a) == fold(b)` ≡ `id(a) == id(b)`.
+    Exact { ids: Vec<u32>, values: Vec<String> },
+    /// Numeric comparator cells, one per row, with the comparator's scale.
     Numeric { cells: Vec<NumCell>, scale: f64 },
 }
 
 /// One field of the compiled configuration.
 #[derive(Debug, Clone)]
 struct CompiledField {
+    column: String,
     weight: f64,
     cells: FieldCells,
 }
@@ -102,7 +115,7 @@ struct CompiledField {
 /// fresh default is indistinguishable from a reused one — every routine
 /// clears and re-initialises what it reads — so scratch reuse cannot change
 /// a single bit of output; it only removes the 4–5 heap allocations the
-/// uncompiled path pays per pair.
+/// uncompiled path pays per evaluation.
 #[derive(Debug, Default)]
 struct SimScratch {
     /// `jaro`: which `b` chars are already matched.
@@ -120,9 +133,106 @@ struct SimScratch {
     peq: Vec<u64>,
 }
 
+/// One worker's memo of one text field: ordered `(id_a, id_b)` → the
+/// similarity [`text_similarity`] computed for those two cells. Linear
+/// probing over a power-of-two slot array, grown at load 3/4 up to one slot
+/// per pair the worker scores — a table as large as the candidate chunk it
+/// serves means the chunk barely repeats a value pair, so past that bound
+/// new pairs are computed without being stored. The only walk over the
+/// slots is the rehash, so slot order never reaches an output.
+#[derive(Debug)]
+struct PairMemo {
+    slots: Vec<(u64, f64)>,
+    len: usize,
+    max_slots: usize,
+}
+
+impl PairMemo {
+    /// Key of a free slot: `(NULL_ID, NULL_ID)`, which is never looked up
+    /// because a null id skips the field.
+    const FREE: u64 = u64::MAX;
+    /// Slots of the first allocation (16 KiB).
+    const FIRST_SLOTS: usize = 1 << 10;
+
+    /// An empty memo (nothing allocated) for a worker about to score `pairs`
+    /// pairs.
+    fn for_pairs(pairs: usize) -> PairMemo {
+        PairMemo {
+            slots: Vec::new(),
+            len: 0,
+            max_slots: 1 << pairs.max(Self::FIRST_SLOTS).ilog2(),
+        }
+    }
+
+    fn key(a: u32, b: u32) -> u64 {
+        u64::from(a) << 32 | u64::from(b)
+    }
+
+    /// Home slot of `key` in a table of `slots` (a power of two) entries:
+    /// the top bits of a Fibonacci multiply, which depend on every key bit.
+    fn home(key: u64, slots: usize) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
+    }
+
+    fn get(&self, key: u64) -> Option<f64> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = Self::home(key, self.slots.len());
+        loop {
+            let (k, v) = self.slots[at];
+            if k == key {
+                return Some(v);
+            }
+            if k == Self::FREE {
+                return None;
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Store `key → value` unless the table is at its bound; `key` must be
+    /// absent (callers insert only after a failed [`Self::get`]).
+    fn insert(&mut self, key: u64, value: f64) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let grown = (self.slots.len() * 2).max(Self::FIRST_SLOTS);
+            if grown > self.max_slots {
+                return;
+            }
+            let old = std::mem::replace(&mut self.slots, vec![(Self::FREE, 0.0); grown]);
+            for (k, v) in old {
+                if k != Self::FREE {
+                    self.place(k, v);
+                }
+            }
+        }
+        self.place(key, value);
+        self.len += 1;
+    }
+
+    fn place(&mut self, key: u64, value: f64) {
+        let mask = self.slots.len() - 1;
+        let mut at = Self::home(key, self.slots.len());
+        while self.slots[at].0 != Self::FREE {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = (key, value);
+    }
+}
+
+/// Everything one scoring worker owns: the similarity scratch buffers and
+/// one [`PairMemo`] per compiled field (never allocated for a non-text
+/// field).
+#[derive(Debug)]
+struct Worker {
+    sim: SimScratch,
+    memos: Vec<PairMemo>,
+}
+
 /// An [`ErConfig`] precompiled against one table: column names resolved,
-/// comparators monomorphized, per-row renderings cached. Build once per
-/// (table, config), score many pairs.
+/// comparators monomorphized, text and exact columns dictionary-encoded.
+/// Build once per (table, config), score many pairs.
 #[derive(Debug, Clone)]
 pub struct ErKernel {
     threshold: f64,
@@ -141,23 +251,33 @@ impl ErKernel {
             .map(|f| table.schema().index_of(&f.column))
             .collect::<wrangler_table::Result<_>>()?;
         let rows = table.num_rows();
+        if rows >= NULL_ID as usize {
+            return Err(TableError::Invalid(format!(
+                "{rows} rows exceed the ER kernel's 32-bit dictionary ids"
+            )));
+        }
         let mut fields = Vec::with_capacity(cfg.fields.len());
         for (f, &col) in cfg.fields.iter().zip(&cols) {
             let column = table.column(col)?;
             let cells = match f.kind {
-                SimKind::Text => FieldCells::Text(column.iter().map(text_cell).collect()),
-                SimKind::Exact => FieldCells::Exact(
-                    column
-                        .iter()
-                        .map(|v| (!v.is_null()).then(|| v.render().to_ascii_lowercase()))
-                        .collect(),
-                ),
+                SimKind::Text => {
+                    let (ids, lowers) = intern(column, |s| s.to_lowercase());
+                    FieldCells::Text {
+                        ids,
+                        cells: lowers.into_iter().map(text_cell).collect(),
+                    }
+                }
+                SimKind::Exact => {
+                    let (ids, values) = intern(column, |s| s.to_ascii_lowercase());
+                    FieldCells::Exact { ids, values }
+                }
                 SimKind::Numeric { scale } => FieldCells::Numeric {
                     cells: column.iter().map(num_cell).collect(),
                     scale,
                 },
             };
             fields.push(CompiledField {
+                column: f.column.clone(),
                 weight: f.weight,
                 cells,
             });
@@ -179,21 +299,43 @@ impl ErKernel {
         self.threshold
     }
 
+    /// Distinct non-null values of every dictionary-encoded field, as
+    /// `(column, count)` in config order. Numeric fields have no dictionary
+    /// and are left out. A pure function of the table and config — it does
+    /// not depend on what was scored or on how many workers scored it.
+    pub fn dict_sizes(&self) -> Vec<(&str, usize)> {
+        self.fields
+            .iter()
+            .filter_map(|f| match &f.cells {
+                FieldCells::Text { cells, .. } => Some((f.column.as_str(), cells.len())),
+                FieldCells::Exact { values, .. } => Some((f.column.as_str(), values.len())),
+                FieldCells::Numeric { .. } => None,
+            })
+            .collect()
+    }
+
+    /// Fresh state for a worker about to score `pairs` pairs.
+    fn worker(&self, pairs: usize) -> Worker {
+        Worker {
+            sim: SimScratch::default(),
+            memos: self
+                .fields
+                .iter()
+                .map(|_| PairMemo::for_pairs(pairs))
+                .collect(),
+        }
+    }
+
     /// Record similarity of rows `i` and `j` — bit-identical to the serial
     /// [`record_similarity`](crate::sim::record_similarity) on the compiled
     /// table and config.
     pub fn score(&self, i: usize, j: usize) -> wrangler_table::Result<f64> {
-        self.score_scratch(i, j, &mut SimScratch::default())
+        self.score_with(i, j, &mut self.worker(1))
     }
 
-    /// [`Self::score`] with caller-owned scratch buffers (one set per
-    /// worker, reused across its pairs).
-    fn score_scratch(
-        &self,
-        i: usize,
-        j: usize,
-        scratch: &mut SimScratch,
-    ) -> wrangler_table::Result<f64> {
+    /// [`Self::score`] with caller-owned worker state (one per worker,
+    /// reused across its pairs).
+    fn score_with(&self, i: usize, j: usize, worker: &mut Worker) -> wrangler_table::Result<f64> {
         if i >= self.rows || j >= self.rows {
             return Err(TableError::Invalid(format!(
                 "candidate pair ({i}, {j}) out of bounds for {} rows",
@@ -202,8 +344,8 @@ impl ErKernel {
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for f in &self.fields {
-            if let Some(s) = field_similarity(&f.cells, i, j, scratch) {
+        for (f, memo) in self.fields.iter().zip(&mut worker.memos) {
+            if let Some(s) = field_similarity(&f.cells, i, j, memo, &mut worker.sim) {
                 num += f.weight * s;
                 den += f.weight;
             }
@@ -213,11 +355,22 @@ impl ErKernel {
 
     /// Score `pairs` serially, in order. Returns one score per pair.
     pub fn score_pairs(&self, pairs: &[(usize, usize)]) -> wrangler_table::Result<Vec<f64>> {
-        let mut scratch = SimScratch::default();
-        pairs
-            .iter()
-            .map(|&(i, j)| self.score_scratch(i, j, &mut scratch))
-            .collect()
+        let mut scores = vec![0.0; pairs.len()];
+        self.score_pairs_into(pairs, &mut scores)?;
+        Ok(scores)
+    }
+
+    /// One worker's share: score `pairs` in order into the aligned `scores`.
+    fn score_pairs_into(
+        &self,
+        pairs: &[(usize, usize)],
+        scores: &mut [f64],
+    ) -> wrangler_table::Result<()> {
+        let mut worker = self.worker(pairs.len());
+        for (&(i, j), score) in pairs.iter().zip(scores) {
+            *score = self.score_with(i, j, &mut worker)?;
+        }
+        Ok(())
     }
 
     /// Score `pairs` across a blocked worker pool sized by
@@ -247,35 +400,17 @@ impl ErKernel {
         pairs: &[(usize, usize)],
         workers: usize,
     ) -> wrangler_table::Result<(Vec<f64>, Vec<WorkerStat>)> {
-        if pairs.is_empty() {
-            return Ok((Vec::new(), Vec::new()));
-        }
-        if workers.max(1).min(pairs.len()) == 1 {
-            let started = Instant::now();
-            let scores = self.score_pairs(pairs)?;
-            let stat = WorkerStat {
-                items: scores.len() as u64,
-                busy_nanos: started.elapsed().as_nanos(),
-            };
-            return Ok((scores, vec![stat]));
-        }
-        // Contiguous blocked chunks, one per worker, reassembled in chunk
-        // order: concatenating the chunks *is* pair order, and each worker
-        // walks adjacent pairs so the compiled per-row cells stay hot.
-        let (chunks, stats) = par::run_blocked(pairs, workers, |_, chunk| {
-            let mut scratch = SimScratch::default();
-            chunk
-                .iter()
-                .map(|&(i, j)| self.score_scratch(i, j, &mut scratch))
-                .collect::<wrangler_table::Result<Vec<f64>>>()
-        })
-        .map_err(|msg| {
-            TableError::Unavailable(format!("ER scoring worker panicked: {msg}"))
-        })?;
-        let mut scores = Vec::with_capacity(pairs.len());
-        for chunk in chunks {
-            scores.extend(chunk?);
-        }
+        // Contiguous blocked chunks, one per worker, each scored straight
+        // into its slice of the output: the slices in order *are* pair
+        // order, and each worker walks adjacent pairs so its id columns and
+        // memo stay hot.
+        let mut scores = vec![0.0; pairs.len()];
+        let (chunks, stats) =
+            par::run_blocked_into(pairs, &mut scores, workers, |_, chunk, out| {
+                self.score_pairs_into(chunk, out)
+            })
+            .map_err(|msg| TableError::Unavailable(format!("ER scoring worker panicked: {msg}")))?;
+        chunks.into_iter().collect::<wrangler_table::Result<()>>()?;
         Ok((scores, stats))
     }
 
@@ -314,11 +449,7 @@ impl ErKernel {
 
     /// Apply the threshold to aligned `(candidates, scores)`, preserving
     /// candidate order — the exact filter of the serial `match_pairs`.
-    pub fn filter_matches(
-        &self,
-        candidates: &[(usize, usize)],
-        scores: &[f64],
-    ) -> Vec<ScoredPair> {
+    pub fn filter_matches(&self, candidates: &[(usize, usize)], scores: &[f64]) -> Vec<ScoredPair> {
         candidates
             .iter()
             .zip(scores)
@@ -344,13 +475,14 @@ impl ErKernel {
                 let mut key = String::new();
                 for f in &self.fields {
                     match &f.cells {
-                        FieldCells::Text(cells) => match &cells[r] {
+                        // `NULL_ID` indexes past every dictionary: `get` is `None`.
+                        FieldCells::Text { ids, cells } => match cells.get(ids[r] as usize) {
                             Some(c) => {
                                 let _ = write!(key, "t{}:{};", c.lower.len(), c.lower);
                             }
                             None => key.push_str("t-;"),
                         },
-                        FieldCells::Exact(cells) => match &cells[r] {
+                        FieldCells::Exact { ids, values } => match values.get(ids[r] as usize) {
                             Some(s) => {
                                 let _ = write!(key, "e{}:{};", s.len(), s);
                             }
@@ -372,21 +504,43 @@ impl ErKernel {
     }
 }
 
-/// Build the text cell of one value (`None` for null).
-fn text_cell(v: &Value) -> Option<TextCell> {
-    if v.is_null() {
-        return None;
-    }
-    let lower = v.render().to_lowercase();
-    let chars: Vec<char> = lower.chars().collect();
-    let ascii = lower.is_ascii().then(|| lower.as_bytes().to_vec());
+/// Dictionary-encode one column under `fold`: an id per row — assigned in
+/// first-appearance order, so the encoding is a function of the column alone
+/// — and the distinct folded renderings the ids index. Nulls get
+/// [`NULL_ID`] and no entry.
+fn intern(column: &[Value], fold: impl Fn(String) -> String) -> (Vec<u32>, Vec<String>) {
+    let mut index: BTreeMap<String, u32> = BTreeMap::new();
+    let mut values: Vec<String> = Vec::new();
+    let ids = column
+        .iter()
+        .map(|v| {
+            if v.is_null() {
+                return NULL_ID;
+            }
+            match index.entry(fold(v.render())) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    // At most one value per row, and `compile` bounds rows
+                    // below `NULL_ID`.
+                    let id = values.len() as u32;
+                    values.push(e.key().clone());
+                    *e.insert(id)
+                }
+            }
+        })
+        .collect();
+    (ids, values)
+}
+
+/// Build the text cell of one distinct lowercased rendering.
+fn text_cell(lower: String) -> TextCell {
+    let chars = (!lower.is_ascii()).then(|| lower.chars().collect());
     let tokens = tokens_of(&lower);
-    Some(TextCell {
+    TextCell {
         lower,
         chars,
-        ascii,
         tokens,
-    })
+    }
 }
 
 /// Classify one value under the numeric comparator.
@@ -401,9 +555,10 @@ fn num_cell(v: &Value) -> NumCell {
     }
 }
 
-/// `wrangler_match::strsim::token_jaccard`'s token set, built once per row.
-/// The serial path hands `token_jaccard` the lowercased rendering, which it
-/// lowercases again — mirrored here so the sets are identical.
+/// `wrangler_match::strsim::token_jaccard`'s token set, built once per
+/// distinct value. The serial path hands `token_jaccard` the lowercased
+/// rendering, which it lowercases again — mirrored here so the sets are
+/// identical.
 fn tokens_of(s: &str) -> Vec<String> {
     let mut out: Vec<String> = s
         .to_lowercase()
@@ -417,16 +572,32 @@ fn tokens_of(s: &str) -> Vec<String> {
 }
 
 /// One field's contribution to a pair — the compiled mirror of the serial
-/// `value_similarity`.
-fn field_similarity(cells: &FieldCells, i: usize, j: usize, scratch: &mut SimScratch) -> Option<f64> {
+/// `value_similarity`. `memo` is the calling worker's memo of this field.
+fn field_similarity(
+    cells: &FieldCells,
+    i: usize,
+    j: usize,
+    memo: &mut PairMemo,
+    scratch: &mut SimScratch,
+) -> Option<f64> {
     match cells {
-        FieldCells::Exact(cells) => match (&cells[i], &cells[j]) {
-            (Some(a), Some(b)) => Some(if a == b { 1.0 } else { 0.0 }),
-            _ => None,
+        FieldCells::Exact { ids, .. } => match (ids[i], ids[j]) {
+            (NULL_ID, _) | (_, NULL_ID) => None,
+            (a, b) => Some(if a == b { 1.0 } else { 0.0 }),
         },
-        FieldCells::Text(cells) => match (&cells[i], &cells[j]) {
-            (Some(a), Some(b)) => Some(text_similarity(a, b, scratch)),
-            _ => None,
+        FieldCells::Text { ids, cells } => match (ids[i], ids[j]) {
+            (NULL_ID, _) | (_, NULL_ID) => None,
+            // One id ⇔ equal lowercased renderings: the serial path's
+            // `sa == sb` short-circuit.
+            (a, b) if a == b => Some(1.0),
+            (a, b) => {
+                let key = PairMemo::key(a, b);
+                Some(memo.get(key).unwrap_or_else(|| {
+                    let s = text_similarity(&cells[a as usize], &cells[b as usize], scratch);
+                    memo.insert(key, s);
+                    s
+                }))
+            }
         },
         FieldCells::Numeric { cells, scale } => match (cells[i], cells[j]) {
             (NumCell::Null, _) | (_, NumCell::Null) => None,
@@ -440,33 +611,60 @@ fn field_similarity(cells: &FieldCells, i: usize, j: usize, scratch: &mut SimScr
     }
 }
 
-/// Max of Jaro–Winkler, token Jaccard and Levenshtein similarity over the
-/// precomputed cells — the compiled `SimKind::Text`, arithmetic identical to
-/// the `wrangler_match::strsim` originals. Levenshtein is skipped when it
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`text_similarity`] on this thread — the work guard's meter.
+    static TEXT_EVALS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Max of Jaro–Winkler, token Jaccard and Levenshtein similarity of two
+/// *distinct* cells — the compiled `SimKind::Text`, arithmetic identical to
+/// the `wrangler_match::strsim` originals. Two ASCII cells run the same
+/// comparisons over their bytes; a pair with a non-ASCII side runs over
+/// chars, widening an ASCII side on the spot (once per distinct pair).
+fn text_similarity(a: &TextCell, b: &TextCell, scratch: &mut SimScratch) -> f64 {
+    #[cfg(test)]
+    TEXT_EVALS.with(|n| n.set(n.get() + 1));
+    if a.chars.is_none() && b.chars.is_none() {
+        let (ba, bb) = (a.lower.as_bytes(), b.lower.as_bytes());
+        return max_similarity(ba, bb, &a.tokens, &b.tokens, levenshtein_sim_bytes, scratch);
+    }
+    fn widen(c: &TextCell) -> Cow<'_, [char]> {
+        match &c.chars {
+            Some(chars) => Cow::Borrowed(chars),
+            None => Cow::Owned(c.lower.chars().collect()),
+        }
+    }
+    let (ca, cb) = (widen(a), widen(b));
+    max_similarity(
+        &ca,
+        &cb,
+        &a.tokens,
+        &b.tokens,
+        levenshtein_sim_chars,
+        scratch,
+    )
+}
+
+/// [`text_similarity`] over one symbol type. Levenshtein is skipped when it
 /// provably cannot raise the running max: its distance is at least the
 /// length difference, so its similarity is at most
 /// `1 − |len(a)−len(b)| / max_len`; both divisions round the same way, so
 /// the bound holds in f64 too, and skipping leaves the max bit-unchanged.
-fn text_similarity(a: &TextCell, b: &TextCell, scratch: &mut SimScratch) -> f64 {
-    if a.lower == b.lower {
-        return 1.0;
-    }
-    // ASCII pairs run the same comparisons over bytes (see `TextCell::
-    // ascii`); any non-ASCII side falls back to the char slices.
-    let jw = match (&a.ascii, &b.ascii) {
-        (Some(ba), Some(bb)) => jaro_winkler_chars(ba, bb, scratch),
-        _ => jaro_winkler_chars(&a.chars, &b.chars, scratch),
-    };
-    let best = jw.max(token_jaccard_sorted(&a.tokens, &b.tokens));
-    // The lowers differ, so at least one side is non-empty: max_len ≥ 1.
-    let max_len = a.chars.len().max(b.chars.len());
-    let lev_upper = 1.0 - a.chars.len().abs_diff(b.chars.len()) as f64 / max_len as f64;
+fn max_similarity<T: PartialEq + Copy>(
+    a: &[T],
+    b: &[T],
+    tokens_a: &[String],
+    tokens_b: &[String],
+    levenshtein_sim: fn(&[T], &[T], &mut SimScratch) -> f64,
+    scratch: &mut SimScratch,
+) -> f64 {
+    let best = jaro_winkler_chars(a, b, scratch).max(token_jaccard_sorted(tokens_a, tokens_b));
+    // The renderings differ, so at least one side is non-empty: max_len ≥ 1.
+    let max_len = a.len().max(b.len());
+    let lev_upper = 1.0 - a.len().abs_diff(b.len()) as f64 / max_len as f64;
     if lev_upper > best {
-        let lev = match (&a.ascii, &b.ascii) {
-            (Some(ba), Some(bb)) => levenshtein_sim_bytes(ba, bb, scratch),
-            _ => levenshtein_sim_chars(&a.chars, &b.chars, scratch),
-        };
-        best.max(lev)
+        best.max(levenshtein_sim(a, b, scratch))
     } else {
         best
     }
@@ -722,7 +920,10 @@ mod tests {
         for workers in [1, 4, 64] {
             let (parallel, stats) = kernel.match_pairs_parallel(&cand, workers).unwrap();
             assert_eq!(parallel, serial, "workers = {workers}");
-            assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), cand.len() as u64);
+            assert_eq!(
+                stats.iter().map(|s| s.items).sum::<u64>(),
+                cand.len() as u64
+            );
         }
     }
 
@@ -788,6 +989,113 @@ mod tests {
     }
 
     #[test]
+    fn dictionary_folds_case_variants_and_skips_nulls() {
+        // name: "Acme Turbo Widget" ×2 and "Acme Turbo Widgey" (row 4 null);
+        // sku: "a1"/"A1" fold to one value, "b7" is the other (row 3 null).
+        let kernel = ErKernel::compile(&t(), &cfg()).unwrap();
+        assert_eq!(kernel.dict_sizes(), vec![("name", 3), ("sku", 2)]);
+    }
+
+    #[test]
+    fn pair_memo_survives_growth_and_rehash() {
+        let mut memo = PairMemo::for_pairs(1 << 20);
+        assert_eq!(memo.get(PairMemo::key(0, 1)), None);
+        // Enough keys to cross the first allocation's 3/4 load twice; ids up
+        // to u32::MAX − 1 exercise both key halves.
+        let n = PairMemo::FIRST_SLOTS as u32 * 2;
+        let key = |k: u32| PairMemo::key(k.wrapping_mul(0x9E37_79B1), u32::MAX - 1 - k);
+        let value = |k: u32| f64::from(k) / f64::from(n);
+        for k in 0..n {
+            assert_eq!(memo.get(key(k)), None, "key {k} before insert");
+            memo.insert(key(k), value(k));
+            // Everything inserted so far is still answered after any rehash.
+            if (memo.len * 4).is_multiple_of(memo.slots.len()) || k + 1 == n {
+                for seen in 0..=k {
+                    assert_eq!(memo.get(key(seen)), Some(value(seen)), "key {seen} of {k}");
+                }
+            }
+        }
+        assert_eq!(memo.len, n as usize);
+        assert!(memo.slots.len() > PairMemo::FIRST_SLOTS * 2, "never grew");
+        assert!(memo.len * 4 <= memo.slots.len() * 3, "over the load bound");
+        assert_eq!(memo.get(PairMemo::key(7, 7)), None);
+    }
+
+    #[test]
+    fn pair_memo_stops_storing_at_one_slot_per_pair() {
+        // 1,500 pairs bound the table at 1,024 slots, i.e. 768 entries:
+        // later keys are declined (the caller recomputes them every time)
+        // and the stored ones stay intact.
+        let mut memo = PairMemo::for_pairs(1500);
+        for k in 0..1000u32 {
+            memo.insert(PairMemo::key(k, k + 1), f64::from(k));
+        }
+        assert_eq!(memo.slots.len(), 1024);
+        assert_eq!(memo.len, 768);
+        for k in 0..1000u32 {
+            let want = (k < 768).then(|| f64::from(k));
+            assert_eq!(memo.get(PairMemo::key(k, k + 1)), want, "key {k}");
+        }
+    }
+
+    /// `n` rows over `distinct` different names, row `r` carrying name
+    /// `r % distinct`.
+    fn repeated_names(n: usize, distinct: usize) -> Table {
+        Table::literal(
+            &["name"],
+            (0..n)
+                .map(|r| {
+                    vec![Value::from(format!(
+                        "product {} mk{}",
+                        (r % distinct) * 37,
+                        r % distinct
+                    ))]
+                })
+                .collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn text_similarity_runs_once_per_distinct_ordered_value_pair() {
+        // The work guard: 400 rows, 20 distinct names, all 79,800 pairs. A
+        // kernel that scores per row pair evaluates 75,800 similarities; the
+        // dictionary kernel may evaluate each ordered pair of distinct names
+        // at most once.
+        let t = repeated_names(400, 20);
+        let cfg = ErConfig::text_over(&["name"], 0.9);
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        assert_eq!(kernel.dict_sizes(), vec![("name", 20)]);
+        let pairs = candidates_naive(400);
+        TEXT_EVALS.with(|n| n.set(0));
+        let scores = kernel.score_pairs(&pairs).unwrap();
+        let evals = TEXT_EVALS.with(std::cell::Cell::get);
+        assert!(evals <= 20 * 19, "{evals} text similarity evaluations");
+        assert!(evals > 0);
+        for (&(i, j), s) in pairs.iter().zip(&scores).step_by(97) {
+            let serial = record_similarity(&t, i, j, &cfg).unwrap();
+            assert_eq!(serial.to_bits(), s.to_bits(), "pair ({i}, {j})");
+        }
+    }
+
+    #[test]
+    fn scores_stay_bit_identical_across_a_memo_rehash() {
+        // 60 distinct names → up to 3,540 ordered pairs, several times the
+        // first allocation's capacity: lookups before, during and after each
+        // rehash must all equal the serial oracle, in both orders.
+        let t = repeated_names(120, 60);
+        let cfg = ErConfig::text_over(&["name"], 0.9);
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        let mut pairs = candidates_naive(120);
+        pairs.extend(candidates_naive(120).into_iter().map(|(i, j)| (j, i)));
+        let scores = kernel.score_pairs(&pairs).unwrap();
+        for (&(i, j), s) in pairs.iter().zip(&scores) {
+            let serial = record_similarity(&t, i, j, &cfg).unwrap();
+            assert_eq!(serial.to_bits(), s.to_bits(), "pair ({i}, {j})");
+        }
+    }
+
+    #[test]
     fn myers_distance_equals_row_dp() {
         // Randomized cross-check over a small alphabet (collisions and
         // repeats are the hard cases), plus length edges 1 and 64.
@@ -805,13 +1113,13 @@ mod tests {
             let a: Vec<u8> = (0..la).map(|_| b'a' + (next() % 4) as u8).collect();
             let b: Vec<u8> = (0..lb).map(|_| b'a' + (next() % 4) as u8).collect();
             let dp = levenshtein_chars(&a, &b, &mut scratch);
-            let (p, t) = if a.len() <= b.len() { (&a, &b) } else { (&b, &a) };
+            let (p, t) = if a.len() <= b.len() {
+                (&a, &b)
+            } else {
+                (&b, &a)
+            };
             if !p.is_empty() {
-                assert_eq!(
-                    myers_distance(p, t, &mut scratch),
-                    dp,
-                    "a={a:?} b={b:?}"
-                );
+                assert_eq!(myers_distance(p, t, &mut scratch), dp, "a={a:?} b={b:?}");
             }
         }
         let long = vec![b'x'; 64];

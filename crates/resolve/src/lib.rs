@@ -9,12 +9,14 @@
 //!
 //! * [`sim`] — weighted record similarity over typed field comparators;
 //! * [`kernel`] — the [`ErKernel`]: a config precompiled against one table
-//!   (columns resolved, per-row renderings/token sets cached), scoring
-//!   candidate pairs serially or across a deterministic strided worker pool
-//!   with output bit-identical to the serial path;
+//!   (columns resolved, text and key columns dictionary-encoded so each
+//!   distinct value pair is compared once), scoring candidate pairs serially
+//!   or across a deterministic blocked worker pool with output bit-identical
+//!   to the serial path;
 //! * [`blocking`] — key-based blocking and sorted-neighbourhood candidate
 //!   generation, versus the naive O(n²) baseline (the §4.3 scalability
-//!   experiment E7 measures the crossover);
+//!   experiment E7 measures the crossover), and [`candidates_union`], the
+//!   sort-free name ∪ key candidate list the wrangle stage scores;
 //! * [`cluster`] — union-find clustering of matched pairs into entities and
 //!   representative selection;
 //! * [`learn`] — threshold/weight learning from labeled pairs, the
@@ -28,6 +30,7 @@ pub mod sim;
 
 pub use blocking::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
+    candidates_union,
 };
 pub use cluster::{cluster_pairs, UnionFind};
 pub use kernel::{ErKernel, WorkerStat};

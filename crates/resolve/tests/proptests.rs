@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 use wrangler_resolve::{
-    candidates_blocked, candidates_naive, candidates_sorted_neighborhood, cluster_pairs,
-    match_pairs, record_similarity, ErConfig, ErKernel, FieldSim, SimKind, UnionFind,
+    candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
+    candidates_union, cluster_pairs, match_pairs, record_similarity, ErConfig, ErKernel, FieldSim,
+    SimKind, UnionFind,
 };
 use wrangler_table::{Table, Value};
 
@@ -56,6 +57,80 @@ fn messy_cfg() -> ErConfig {
                 column: "name".into(),
                 weight: 2.0,
                 kind: SimKind::Text,
+            },
+            FieldSim {
+                column: "x".into(),
+                weight: 1.0,
+                kind: SimKind::Numeric { scale: 0.5 },
+            },
+        ],
+        threshold: 0.7,
+    }
+}
+
+/// A small pool of names drawn with replacement, so tables repeat values
+/// heavily: case variants that fold to one dictionary id, near-duplicates,
+/// non-ASCII renderings (alone and against ASCII), whitespace-only, and
+/// names past 64 bytes (beyond the bit-parallel Levenshtein word).
+fn arb_pooled_name() -> impl Strategy<Value = String> {
+    const POOL: [&str; 14] = [
+        "ACME Turbo Widget",
+        "acme turbo widget",
+        "Acme Turbo Widgey",
+        "Acme Turbo",
+        "Bolt Mini Gadget",
+        "bolt-mini_gadget",
+        "Café Crème Deluxe",
+        "CAFÉ crème deluxe",
+        "Cafe Creme Deluxe",
+        "naïve façade",
+        "Ünïcode Ωmega",
+        " ",
+        "stark industrial grade heavy duty mega flange with reinforced titanium collar mk2",
+        "stark industrial grade heavy duty mega flange with reinforced titanium collar mk3",
+    ];
+    (0usize..POOL.len()).prop_map(|k| POOL[k].to_string())
+}
+
+/// Tables over the pooled names: a nullable text column, a nullable key
+/// column with case variants, and a messy numeric column.
+fn arb_duplicated_table(rows: usize) -> impl Strategy<Value = Table> {
+    let key = (0usize..6).prop_map(|k| ["SKU-1", "sku-1", "SKU-2", "Sku-3", "sku-3 ", "ß4"][k]);
+    prop::collection::vec(
+        (
+            prop::option::of(arb_pooled_name()),
+            prop::option::of(key),
+            arb_messy_value(),
+        ),
+        1..=rows,
+    )
+    .prop_map(|rs| {
+        let rows = rs
+            .into_iter()
+            .map(|(n, k, v)| {
+                vec![
+                    n.map(Value::from).unwrap_or(Value::Null),
+                    k.map(Value::from).unwrap_or(Value::Null),
+                    v,
+                ]
+            })
+            .collect();
+        Table::literal(&["name", "sku", "x"], rows).expect("aligned")
+    })
+}
+
+fn duplicated_cfg() -> ErConfig {
+    ErConfig {
+        fields: vec![
+            FieldSim {
+                column: "name".into(),
+                weight: 3.0,
+                kind: SimKind::Text,
+            },
+            FieldSim {
+                column: "sku".into(),
+                weight: 1.5,
+                kind: SimKind::Exact,
             },
             FieldSim {
                 column: "x".into(),
@@ -179,6 +254,46 @@ proptest! {
         // identically.
         let (policy, _) = kernel.match_pairs_parallel(&candidates, workers).unwrap();
         prop_assert_eq!(&policy, &par);
+    }
+
+    #[test]
+    fn interned_kernel_equals_record_similarity_on_duplicated_tables(t in arb_duplicated_table(24)) {
+        // Every ordered pair, swaps and self-pairs included: the memo key is
+        // ordered (Jaro's greedy matching is not symmetric), so `(i, j)` and
+        // `(j, i)` must each equal the serial oracle on their own.
+        let cfg = duplicated_cfg();
+        let n = t.num_rows();
+        let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
+        let oracle: Vec<u64> = pairs
+            .iter()
+            .map(|&(i, j)| record_similarity(&t, i, j, &cfg).unwrap().to_bits())
+            .collect();
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        for workers in 1usize..=4 {
+            let (scores, stats) = kernel.score_pairs_parallel_exact(&pairs, workers).unwrap();
+            let bits: Vec<u64> = scores.iter().map(|s| s.to_bits()).collect();
+            prop_assert_eq!(&bits, &oracle, "workers = {}", workers);
+            prop_assert_eq!(stats.len(), workers.min(pairs.len()));
+        }
+        // One-off scoring starts from an empty memo every time.
+        for (&(i, j), &want) in pairs.iter().zip(&oracle) {
+            prop_assert_eq!(kernel.score(i, j).unwrap().to_bits(), want);
+        }
+    }
+
+    #[test]
+    fn candidates_union_equals_sorted_deduped_blockings(
+        t in arb_duplicated_table(30),
+        same_column in any::<bool>(),
+    ) {
+        let key_col = if same_column { "name" } else { "sku" };
+        let mut want = candidates_blocked(&t, "name").unwrap();
+        if !same_column {
+            want.extend(candidates_blocked_exact(&t, key_col).unwrap());
+        }
+        want.sort_unstable();
+        want.dedup();
+        prop_assert_eq!(candidates_union(&t, "name", key_col).unwrap(), want);
     }
 
     #[test]

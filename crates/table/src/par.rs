@@ -105,31 +105,59 @@ where
     T: Sync,
     C: Send,
 {
+    // A slice of `()` occupies no memory: this is `run_blocked_into` with
+    // nothing to write into.
+    let mut unit = vec![(); items.len()];
+    run_blocked_into(items, &mut unit, workers, |start, chunk, _| {
+        chunk_fn(start, chunk)
+    })
+}
+
+/// [`run_blocked`] for kernels that produce one output per item: `out` (one
+/// slot per item) is split along the same chunk boundaries and each worker
+/// writes its results in place, so a million-item pass allocates its output
+/// once instead of once per chunk plus once to concatenate.
+/// `chunk_fn(start, chunk, out_chunk)` sees `out[start..start + chunk.len()]`.
+pub fn run_blocked_into<T, U, C>(
+    items: &[T],
+    out: &mut [U],
+    workers: usize,
+    chunk_fn: impl Fn(usize, &[T], &mut [U]) -> C + Sync,
+) -> Result<(Vec<C>, Vec<WorkerStat>), String>
+where
+    T: Sync,
+    U: Send,
+    C: Send,
+{
+    assert_eq!(items.len(), out.len(), "one output slot per item");
     let ranges = blocked_ranges(items.len(), workers);
     if ranges.len() <= 1 {
         // Serial fast path: no spawn, same arithmetic, same output.
         let started = Instant::now();
-        let out = ranges
+        let results = ranges
             .into_iter()
-            .map(|r| chunk_fn(r.start, &items[r]))
+            .map(|r| chunk_fn(r.start, &items[r], &mut *out))
             .collect::<Vec<C>>();
         let stats = vec![WorkerStat {
             items: items.len() as u64,
             busy_nanos: started.elapsed().as_nanos(),
         }];
-        return Ok((out, if items.is_empty() { Vec::new() } else { stats }));
+        return Ok((results, if items.is_empty() { Vec::new() } else { stats }));
     }
     let chunk_fn = &chunk_fn;
     // Join EVERY handle before reporting the first failure: leaving a second
     // panicked handle unjoined would make the scope itself panic on exit.
     let joined: Vec<Result<(C, u64, u128), String>> = std::thread::scope(|scope| {
+        let mut rest = out;
         let handles: Vec<_> = ranges
             .into_iter()
             .map(|r| {
+                let (out_chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+                rest = tail;
                 scope.spawn(move || {
                     let started = Instant::now();
-                    let out = chunk_fn(r.start, &items[r.clone()]);
-                    (out, r.len() as u64, started.elapsed().as_nanos())
+                    let result = chunk_fn(r.start, &items[r.clone()], out_chunk);
+                    (result, r.len() as u64, started.elapsed().as_nanos())
                 })
             })
             .collect();
@@ -138,14 +166,14 @@ where
             .map(|h| h.join().map_err(|payload| panic_message(&*payload)))
             .collect()
     });
-    let mut out = Vec::with_capacity(joined.len());
+    let mut results = Vec::with_capacity(joined.len());
     let mut stats = Vec::with_capacity(joined.len());
     for j in joined {
-        let (chunk, items, busy_nanos) = j?;
-        out.push(chunk);
+        let (result, items, busy_nanos) = j?;
+        results.push(result);
         stats.push(WorkerStat { items, busy_nanos });
     }
-    Ok((out, stats))
+    Ok((results, stats))
 }
 
 thread_local! {
@@ -267,6 +295,26 @@ mod tests {
                 items.len() as u64
             );
             assert!(stats.iter().all(|s| s.items > 0), "idle worker");
+        }
+    }
+
+    #[test]
+    fn run_blocked_into_writes_each_chunk_in_place() {
+        let items: Vec<usize> = (0..37).collect();
+        for workers in 1..9 {
+            let mut out = vec![0usize; items.len()];
+            let (lens, stats) = run_blocked_into(&items, &mut out, workers, |start, chunk, out| {
+                assert_eq!(chunk.len(), out.len(), "slices split on the same bounds");
+                for (k, (&x, slot)) in chunk.iter().zip(out.iter_mut()).enumerate() {
+                    assert_eq!(x, start + k);
+                    *slot = x * 3;
+                }
+                chunk.len()
+            })
+            .unwrap();
+            assert_eq!(out, items.iter().map(|&x| x * 3).collect::<Vec<_>>());
+            assert_eq!(lens.iter().sum::<usize>(), items.len(), "workers={workers}");
+            assert_eq!(stats.len(), workers.min(items.len()));
         }
     }
 

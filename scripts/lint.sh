@@ -86,6 +86,7 @@ DETERMINISM_CRITICAL=(
   crates/quality/src/repair.rs
   crates/resolve/src/blocking.rs
   crates/resolve/src/cluster.rs
+  crates/resolve/src/kernel.rs
   crates/extract/src/induce.rs
   crates/extract/src/repair.rs
   crates/fusion/src/claims.rs
