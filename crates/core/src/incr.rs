@@ -14,8 +14,8 @@
 //!   content. When the union changed (some block is dirty), the memo still
 //!   pays: its per-pair scores are kept under *packed row indices*, and the
 //!   block layout lets rows of unchanged blocks remap old→new by offset, so
-//!   clean-clean candidate pairs replay through an integer-keyed lookup
-//!   ([`ScoreCursor`]); pairs touching a changed row are scored live.
+//!   clean-clean candidate pairs replay through an integer binary search;
+//!   pairs touching a changed row are scored live.
 //! - **Fuse** ([`FuseMemo`]): trust estimation + slot fusion is keyed on
 //!   the union/clustering content plus every input that can ripple into a
 //!   fused value (belief trust, source ages, master data).
@@ -75,52 +75,17 @@ pub struct ErMemo {
     /// `(source, block key)` and shifts row indices by block offset.
     pub layout: Vec<(usize, u64, usize)>,
     /// Every candidate pair's score, keyed by [`pack_pair`] of its (old)
-    /// row indices, sorted by key (looked up through [`Self::cursor`]).
+    /// row indices, sorted for binary search.
     pub scores: Vec<(u64, f64)>,
 }
 
 impl ErMemo {
-    /// A lookup cursor over the memoized pair scores.
-    pub fn cursor(&self) -> ScoreCursor<'_> {
-        ScoreCursor {
-            scores: &self.scores,
-            at: 0,
-        }
-    }
-}
-
-/// Looks pair scores up in an [`ErMemo`]. The live stage asks in candidate
-/// order and unchanged blocks keep their relative order, so successive keys
-/// almost always ascend by a few entries: each lookup gallops forward from
-/// where the previous one ended — a couple of adjacent, cache-resident probes
-/// instead of a 20-step binary search over a million entries — and only a
-/// key that steps backwards searches the prefix. Any key order is answered
-/// correctly; order only decides the cost.
-#[derive(Debug)]
-pub struct ScoreCursor<'a> {
-    scores: &'a [(u64, f64)],
-    /// Where the previous lookup ended.
-    at: usize,
-}
-
-impl ScoreCursor<'_> {
     /// Score of a (packed) pair if it was a candidate in the memoized pass.
-    pub fn score_of(&mut self, packed: u64) -> Option<f64> {
-        let s = self.scores;
-        let window = if s.get(self.at).is_some_and(|&(k, _)| k <= packed) {
-            // Double the stride until the probe passes `packed` or the end.
-            let (mut lo, mut step) = (self.at, 1);
-            while s.get(lo + step).is_some_and(|&(k, _)| k <= packed) {
-                lo += step;
-                step *= 2;
-            }
-            lo..(lo + step).min(s.len())
-        } else {
-            0..self.at.min(s.len())
-        };
-        let found = s[window.clone()].binary_search_by_key(&packed, |&(k, _)| k);
-        self.at = window.start + found.unwrap_or_else(|insert_at| insert_at.saturating_sub(1));
-        found.ok().map(|_| s[self.at].1)
+    pub fn score_of(&self, packed: u64) -> Option<f64> {
+        self.scores
+            .binary_search_by_key(&packed, |&(k, _)| k)
+            .ok()
+            .map(|idx| self.scores[idx].1)
     }
 }
 
@@ -268,44 +233,17 @@ mod tests {
     }
 
     #[test]
-    fn score_cursor_answers_any_key_order() {
-        let scores: Vec<(u64, f64)> = (0..40u64)
-            .flat_map(|i| (i + 1..40).step_by(3).map(move |j| (i, j)))
-            .map(|(i, j)| (pack_pair(i as usize, j as usize), (i * 100 + j) as f64))
-            .collect();
+    fn er_memo_score_binary_search() {
         let memo = ErMemo {
             key: 0,
             pass_fp: 0,
             prog_fp: 0,
             out: ErOut::default(),
             layout: Vec::new(),
-            scores,
+            scores: vec![(pack_pair(0, 1), 0.5), (pack_pair(0, 2), 0.75)],
         };
-        let oracle = |key: u64| {
-            let at = memo.scores.binary_search_by_key(&key, |&(k, _)| k).ok()?;
-            Some(memo.scores[at].1)
-        };
-        // Every pair, present or not: ascending (the live stage's order),
-        // descending, and a stride that jumps back and forth across the
-        // whole table — one cursor each, so positions carry over.
-        let all: Vec<u64> = (0..41)
-            .flat_map(|i| (0..41).map(move |j| pack_pair(i, j)))
-            .collect();
-        let mut strided = all.clone();
-        strided.sort_by_key(|&k| (k.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40, k));
-        for keys in [all.clone(), all.iter().rev().copied().collect(), strided] {
-            let mut cursor = memo.cursor();
-            for key in keys {
-                assert_eq!(cursor.score_of(key), oracle(key), "key {key:#x}");
-            }
-        }
-        // Argument order does not matter to the packed key.
-        assert_eq!(memo.cursor().score_of(pack_pair(4, 0)), Some(4.0));
-        let empty = ErMemo {
-            scores: Vec::new(),
-            ..memo.clone()
-        };
-        assert_eq!(empty.cursor().score_of(pack_pair(0, 1)), None);
+        assert_eq!(memo.score_of(pack_pair(2, 0)), Some(0.75));
+        assert_eq!(memo.score_of(pack_pair(1, 2)), None);
     }
 
     #[test]

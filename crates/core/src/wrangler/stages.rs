@@ -951,7 +951,7 @@ impl Wrangler {
         // The index-remap fast path: when the previous pass's memo was built
         // under the same fingerprints and both layouts cover their unions,
         // rows of unchanged blocks map old→new by offset, and a clean-clean
-        // candidate pair replays its score through an integer-keyed lookup.
+        // candidate pair replays its score through an integer binary search.
         // Pairs touching changed rows are scored live.
         let layout_rows: usize = pass.union_layout.iter().map(|&(_, _, n)| n).sum();
         let memo = self
@@ -982,10 +982,9 @@ impl Wrangler {
                 let mut scores = vec![0.0f64; candidates.len()];
                 let mut live_slots: Vec<usize> = Vec::new();
                 let mut live_pairs: Vec<(usize, usize)> = Vec::new();
-                let mut memoized = memo.cursor();
                 for (k, &(i, j)) in candidates.iter().enumerate() {
                     let replayed = wrangler_resolve::blocking::remap_candidate((i, j), &rowmap)
-                        .and_then(|(oi, oj)| memoized.score_of(incr::pack_pair(oi, oj)));
+                        .and_then(|(oi, oj)| memo.score_of(incr::pack_pair(oi, oj)));
                     match replayed {
                         Some(s) => scores[k] = s,
                         None => {

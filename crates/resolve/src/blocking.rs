@@ -109,7 +109,9 @@ fn later_mates(blocks: &BTreeMap<String, Vec<usize>>, rows: usize) -> Vec<&[usiz
 /// Equal to [`candidates_blocked`] ∪ [`candidates_blocked_exact`] sorted and
 /// deduped, without materialising either list or sorting: rows are walked
 /// in order and each row's two ascending partner lists are merged. When the
-/// two columns coincide only the prefix blocks apply.
+/// two columns coincide only the prefix blocks apply — the same pairs as
+/// [`candidates_blocked`], but in `(i, j)` order like every other output of
+/// this function, not in that function's block-key order.
 pub fn candidates_union(
     table: &Table,
     block_col: &str,

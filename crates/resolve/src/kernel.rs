@@ -16,8 +16,9 @@
 //! set (text), the ASCII-folded rendering (exact). Numeric fields keep one
 //! classified cell per row. Scoring a pair then compares ids: equal ids are
 //! `1.0`, an exact field is id equality, and a text field's similarity is
-//! computed at most once per *ordered* `(id_a, id_b)` per worker and answered
-//! from an integer-keyed memo (`PairMemo`) afterwards.
+//! computed once per *ordered* `(id_a, id_b)` per scoring pass and answered
+//! from an integer-keyed memo (`PairMemo`) afterwards — one memo per field,
+//! shared by every worker of the pass.
 //!
 //! The arithmetic mirrors the serial path operation for operation, and the
 //! memo only replays a value computed by that arithmetic on the same two
@@ -28,17 +29,22 @@
 //! candidate list into *contiguous blocked chunks* (worker `w` scores
 //! `candidates[start_w..end_w]`, chunks balanced to within one pair) and
 //! reassembles them in chunk order, so the output does not depend on
-//! scheduling; each worker owns its memos, so nothing is shared or locked.
-//! The pool is sized by [`wrangler_table::par::effective_workers`]: never
-//! wider than the machine's cores, and never so wide that a worker gets
-//! fewer than [`MIN_PAIRS_PER_WORKER`] pairs — tiny candidate sets (e.g. the
-//! handful of live pairs of an incremental pass) run serially instead of
-//! paying thread-spawn latency.
+//! scheduling. The memos are the only shared state: which worker computes a
+//! value pair first is a race, but every worker would compute the same bits
+//! for it, so the race never reaches an output — and the total work does not
+//! grow with the pool. The pool is sized by
+//! [`wrangler_table::par::effective_workers`]: never wider than the machine's
+//! cores, and never so wide that a worker gets fewer than
+//! [`MIN_PAIRS_PER_WORKER`] pairs — tiny candidate sets (e.g. the handful of
+//! live pairs of an incremental pass) run serially instead of paying
+//! thread-spawn latency.
 //!
 //! [`record_similarity`]: crate::sim::record_similarity
 
 use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{PoisonError, RwLock, TryLockError};
 
 pub use wrangler_table::par::WorkerStat;
 use wrangler_table::par::{self, effective_workers};
@@ -133,17 +139,31 @@ struct SimScratch {
     peq: Vec<u64>,
 }
 
-/// One worker's memo of one text field: ordered `(id_a, id_b)` → the
-/// similarity [`text_similarity`] computed for those two cells. Linear
-/// probing over a power-of-two slot array, grown at load 3/4 up to one slot
-/// per pair the worker scores — a table as large as the candidate chunk it
-/// serves means the chunk barely repeats a value pair, so past that bound
-/// new pairs are computed without being stored. The only walk over the
-/// slots is the rehash, so slot order never reaches an output.
+/// Pairs a worker scores between two looks at whether a memo wants room
+/// ([`PassMemos`]): the read lock is taken once per batch, and a pair
+/// declined by a crowded memo is recomputed for about this many pairs
+/// before the table grows.
+const MEMO_BATCH: usize = 512;
+
+/// One scoring pass's memo of one text field, shared by its workers: ordered
+/// `(id_a, id_b)` → the similarity [`text_similarity`] computed for those two
+/// cells. Linear probing over a power-of-two array of atomic `(key, value)`
+/// slots. Workers look up and insert through `&self`; a slot is claimed by a
+/// compare-exchange on its key and its value stored after, and a reader that
+/// meets a claimed slot whose value is not there yet computes the value
+/// itself — the same bits, since the similarity is a function of the key.
+/// Inserts are declined at load 3/4; the table doubles only under exclusive
+/// access ([`Self::grow`], between batches — see [`PassMemos`]), up to one
+/// slot per pair of the pass — a table as large as the candidate list it
+/// serves means the list barely repeats a value pair, so past that bound new
+/// pairs are computed without being stored. The only walk over the slots is
+/// the rehash, so slot order never reaches an output.
 #[derive(Debug)]
 struct PairMemo {
-    slots: Vec<(u64, f64)>,
-    len: usize,
+    slots: Vec<(AtomicU64, AtomicU64)>,
+    /// Slots claimed or being claimed: never above 3/4 of `slots`, so a
+    /// probe always ends at a free slot.
+    len: AtomicUsize,
     max_slots: usize,
 }
 
@@ -151,16 +171,38 @@ impl PairMemo {
     /// Key of a free slot: `(NULL_ID, NULL_ID)`, which is never looked up
     /// because a null id skips the field.
     const FREE: u64 = u64::MAX;
-    /// Slots of the first allocation (16 KiB).
-    const FIRST_SLOTS: usize = 1 << 10;
+    /// Value of a claimed slot before its similarity is stored: a NaN
+    /// pattern, and a similarity is never NaN.
+    const PENDING: u64 = u64::MAX;
+    /// Bounds on the slots of the first allocation (16 KiB and 1 MiB).
+    const FIRST_SLOTS_MIN: usize = 1 << 10;
+    const FIRST_SLOTS_MAX: usize = 1 << 16;
 
-    /// An empty memo (nothing allocated) for a worker about to score `pairs`
-    /// pairs.
-    fn for_pairs(pairs: usize) -> PairMemo {
+    /// A memo for a pass over `pairs` pairs of a field with `values`
+    /// distinct values. The field has `values · (values − 1)` ordered pairs
+    /// of different values at most, so a small dictionary gets `2 · values²`
+    /// slots — a table that stays under half full and never has to grow; a
+    /// large one starts at [`Self::FIRST_SLOTS_MAX`]. Either way the table
+    /// stays within one slot per pair of the pass, and `for_pairs(0, _)`
+    /// stores nothing and allocates nothing.
+    fn for_pairs(pairs: usize, values: usize) -> PairMemo {
+        let max_slots = match pairs {
+            0 => 0,
+            n => 1 << n.max(Self::FIRST_SLOTS_MIN).ilog2(),
+        };
+        let first = (values.saturating_mul(values).saturating_mul(2))
+            .clamp(Self::FIRST_SLOTS_MIN, Self::FIRST_SLOTS_MAX)
+            .next_power_of_two();
+        Self::with_slots(first.min(max_slots), max_slots)
+    }
+
+    fn with_slots(slots: usize, max_slots: usize) -> PairMemo {
         PairMemo {
-            slots: Vec::new(),
-            len: 0,
-            max_slots: 1 << pairs.max(Self::FIRST_SLOTS).ilog2(),
+            slots: (0..slots)
+                .map(|_| (AtomicU64::new(Self::FREE), AtomicU64::new(Self::PENDING)))
+                .collect(),
+            len: AtomicUsize::new(0),
+            max_slots,
         }
     }
 
@@ -181,9 +223,11 @@ impl PairMemo {
         let mask = self.slots.len() - 1;
         let mut at = Self::home(key, self.slots.len());
         loop {
-            let (k, v) = self.slots[at];
+            let (k, v) = &self.slots[at];
+            let k = k.load(Ordering::Acquire);
             if k == key {
-                return Some(v);
+                let v = v.load(Ordering::Acquire);
+                return (v != Self::PENDING).then(|| f64::from_bits(v));
             }
             if k == Self::FREE {
                 return None;
@@ -192,42 +236,97 @@ impl PairMemo {
         }
     }
 
-    /// Store `key → value` unless the table is at its bound; `key` must be
-    /// absent (callers insert only after a failed [`Self::get`]).
-    fn insert(&mut self, key: u64, value: f64) {
-        if (self.len + 1) * 4 > self.slots.len() * 3 {
-            let grown = (self.slots.len() * 2).max(Self::FIRST_SLOTS);
-            if grown > self.max_slots {
-                return;
-            }
-            let old = std::mem::replace(&mut self.slots, vec![(Self::FREE, 0.0); grown]);
-            for (k, v) in old {
-                if k != Self::FREE {
-                    self.place(k, v);
-                }
-            }
+    /// Store `key → value` unless the table is at its load bound or another
+    /// worker is storing the same key.
+    fn insert(&self, key: u64, value: f64) {
+        // Reserve before claiming, so concurrent inserts cannot fill the
+        // table past the bound between them.
+        let reserved = self.len.fetch_add(1, Ordering::Relaxed);
+        if (reserved + 1) * 4 > self.slots.len() * 3 {
+            self.len.fetch_sub(1, Ordering::Relaxed);
+            return;
         }
-        self.place(key, value);
-        self.len += 1;
-    }
-
-    fn place(&mut self, key: u64, value: f64) {
         let mask = self.slots.len() - 1;
         let mut at = Self::home(key, self.slots.len());
-        while self.slots[at].0 != Self::FREE {
-            at = (at + 1) & mask;
+        loop {
+            let (k, v) = &self.slots[at];
+            match k.compare_exchange(Self::FREE, key, Ordering::AcqRel, Ordering::Acquire) {
+                Ok(_) => return v.store(value.to_bits(), Ordering::Release),
+                Err(taken) if taken == key => {
+                    self.len.fetch_sub(1, Ordering::Relaxed);
+                    return;
+                }
+                Err(_) => at = (at + 1) & mask,
+            }
         }
-        self.slots[at] = (key, value);
+    }
+
+    /// At the load bound with room left to double.
+    fn wants_room(&self) -> bool {
+        let len = self.len.load(Ordering::Relaxed);
+        self.slots.len() < self.max_slots && (len + 1) * 4 > self.slots.len() * 3
+    }
+
+    /// Double a table that [`Self::wants_room`]. The doubled table is built
+    /// beside the old one and swapped in whole.
+    fn grow(&mut self) {
+        if !self.wants_room() {
+            return;
+        }
+        let grown = Self::with_slots(self.slots.len() * 2, self.max_slots);
+        for (k, v) in &mut self.slots {
+            let (k, v) = (*k.get_mut(), *v.get_mut());
+            if k != Self::FREE && v != Self::PENDING {
+                grown.insert(k, f64::from_bits(v));
+            }
+        }
+        *self = grown;
     }
 }
 
-/// Everything one scoring worker owns: the similarity scratch buffers and
-/// one [`PairMemo`] per compiled field (never allocated for a non-text
-/// field).
+/// The memos of one scoring pass, one per compiled field, and how its
+/// workers make room in them. Workers score under the read lock, a batch at
+/// a time; a worker that ends a batch with a memo at its load bound raises
+/// `crowded`, and every worker that sees the flag before its next batch
+/// stops reading and *tries* the write lock instead, yielding when it is
+/// taken. Within one batch no reader is left, one worker's try succeeds, and
+/// it doubles the crowded tables and lowers the flag. Nobody sleeps on the
+/// lock: a sleeping writer is overtaken for as long as another worker keeps
+/// re-reading, which on a two-worker pool measured ~50 ms per doubling.
 #[derive(Debug)]
-struct Worker {
-    sim: SimScratch,
-    memos: Vec<PairMemo>,
+struct PassMemos {
+    tables: RwLock<Vec<PairMemo>>,
+    crowded: AtomicBool,
+}
+
+impl PassMemos {
+    /// Run `batch` against the tables, after making room if it was asked for.
+    fn with_tables<R>(&self, batch: impl FnOnce(&[PairMemo]) -> R) -> R {
+        let tables = loop {
+            if !self.crowded.load(Ordering::Acquire) {
+                // A poisoned lock still guards whole tables: `grow` swaps in
+                // a finished table or nothing.
+                break self.tables.read().unwrap_or_else(PoisonError::into_inner);
+            }
+            let exclusive = match self.tables.try_write() {
+                Ok(tables) => Some(tables),
+                Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            match exclusive {
+                Some(mut tables) => {
+                    tables.iter_mut().for_each(PairMemo::grow);
+                    self.crowded.store(false, Ordering::Release);
+                }
+                None => std::thread::yield_now(),
+            }
+        };
+        let result = batch(&tables);
+        if tables.iter().any(PairMemo::wants_room) {
+            self.crowded.store(true, Ordering::Release);
+        }
+        result
+    }
 }
 
 /// An [`ErConfig`] precompiled against one table: column names resolved,
@@ -314,28 +413,41 @@ impl ErKernel {
             .collect()
     }
 
-    /// Fresh state for a worker about to score `pairs` pairs.
-    fn worker(&self, pairs: usize) -> Worker {
-        Worker {
-            sim: SimScratch::default(),
-            memos: self
-                .fields
-                .iter()
-                .map(|_| PairMemo::for_pairs(pairs))
-                .collect(),
+    /// The memos of a scoring pass over `pairs` pairs (a non-text field's
+    /// stores and allocates nothing).
+    fn memos(&self, pairs: usize) -> PassMemos {
+        let tables = self
+            .fields
+            .iter()
+            .map(|f| match &f.cells {
+                FieldCells::Text { cells, .. } => PairMemo::for_pairs(pairs, cells.len()),
+                _ => PairMemo::for_pairs(0, 0),
+            })
+            .collect();
+        PassMemos {
+            tables: RwLock::new(tables),
+            crowded: AtomicBool::new(false),
         }
     }
 
     /// Record similarity of rows `i` and `j` — bit-identical to the serial
     /// [`record_similarity`](crate::sim::record_similarity) on the compiled
-    /// table and config.
+    /// table and config. A one-off score has nothing to repeat, so it keeps
+    /// no memo.
     pub fn score(&self, i: usize, j: usize) -> wrangler_table::Result<f64> {
-        self.score_with(i, j, &mut self.worker(1))
+        self.memos(0)
+            .with_tables(|memos| self.score_with(i, j, memos, &mut SimScratch::default()))
     }
 
-    /// [`Self::score`] with caller-owned worker state (one per worker,
-    /// reused across its pairs).
-    fn score_with(&self, i: usize, j: usize, worker: &mut Worker) -> wrangler_table::Result<f64> {
+    /// [`Self::score`] against a pass's memos, with the calling worker's
+    /// scratch buffers (reused across its pairs).
+    fn score_with(
+        &self,
+        i: usize,
+        j: usize,
+        memos: &[PairMemo],
+        scratch: &mut SimScratch,
+    ) -> wrangler_table::Result<f64> {
         if i >= self.rows || j >= self.rows {
             return Err(TableError::Invalid(format!(
                 "candidate pair ({i}, {j}) out of bounds for {} rows",
@@ -344,8 +456,8 @@ impl ErKernel {
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for (f, memo) in self.fields.iter().zip(&mut worker.memos) {
-            if let Some(s) = field_similarity(&f.cells, i, j, memo, &mut worker.sim) {
+        for (f, memo) in self.fields.iter().zip(memos) {
+            if let Some(s) = field_similarity(&f.cells, i, j, memo, scratch) {
                 num += f.weight * s;
                 den += f.weight;
             }
@@ -355,20 +467,25 @@ impl ErKernel {
 
     /// Score `pairs` serially, in order. Returns one score per pair.
     pub fn score_pairs(&self, pairs: &[(usize, usize)]) -> wrangler_table::Result<Vec<f64>> {
-        let mut scores = vec![0.0; pairs.len()];
-        self.score_pairs_into(pairs, &mut scores)?;
-        Ok(scores)
+        Ok(self.score_pairs_parallel_exact(pairs, 1)?.0)
     }
 
-    /// One worker's share: score `pairs` in order into the aligned `scores`.
+    /// One worker's share: score `pairs` in order into the aligned `scores`,
+    /// a batch at a time against the pass's memos.
     fn score_pairs_into(
         &self,
         pairs: &[(usize, usize)],
         scores: &mut [f64],
+        memos: &PassMemos,
     ) -> wrangler_table::Result<()> {
-        let mut worker = self.worker(pairs.len());
-        for (&(i, j), score) in pairs.iter().zip(scores) {
-            *score = self.score_with(i, j, &mut worker)?;
+        let mut scratch = SimScratch::default();
+        for (pairs, scores) in pairs.chunks(MEMO_BATCH).zip(scores.chunks_mut(MEMO_BATCH)) {
+            memos.with_tables(|memos| {
+                for (&(i, j), score) in pairs.iter().zip(scores) {
+                    *score = self.score_with(i, j, memos, &mut scratch)?;
+                }
+                Ok(())
+            })?;
         }
         Ok(())
     }
@@ -402,12 +519,13 @@ impl ErKernel {
     ) -> wrangler_table::Result<(Vec<f64>, Vec<WorkerStat>)> {
         // Contiguous blocked chunks, one per worker, each scored straight
         // into its slice of the output: the slices in order *are* pair
-        // order, and each worker walks adjacent pairs so its id columns and
-        // memo stay hot.
+        // order, and each worker walks adjacent pairs so its id columns
+        // stay hot.
         let mut scores = vec![0.0; pairs.len()];
+        let memos = self.memos(pairs.len());
         let (chunks, stats) =
             par::run_blocked_into(pairs, &mut scores, workers, |_, chunk, out| {
-                self.score_pairs_into(chunk, out)
+                self.score_pairs_into(chunk, out, &memos)
             })
             .map_err(|msg| TableError::Unavailable(format!("ER scoring worker panicked: {msg}")))?;
         chunks.into_iter().collect::<wrangler_table::Result<()>>()?;
@@ -572,12 +690,12 @@ fn tokens_of(s: &str) -> Vec<String> {
 }
 
 /// One field's contribution to a pair — the compiled mirror of the serial
-/// `value_similarity`. `memo` is the calling worker's memo of this field.
+/// `value_similarity`. `memo` is the scoring pass's memo of this field.
 fn field_similarity(
     cells: &FieldCells,
     i: usize,
     j: usize,
-    memo: &mut PairMemo,
+    memo: &PairMemo,
     scratch: &mut SimScratch,
 ) -> Option<f64> {
     match cells {
@@ -998,44 +1116,102 @@ mod tests {
 
     #[test]
     fn pair_memo_survives_growth_and_rehash() {
-        let mut memo = PairMemo::for_pairs(1 << 20);
+        // A large dictionary starts at the cap and doubles from there.
+        let mut memo = PairMemo::for_pairs(1 << 20, 5000);
+        let first = PairMemo::FIRST_SLOTS_MAX;
+        assert_eq!(memo.slots.len(), first);
         assert_eq!(memo.get(PairMemo::key(0, 1)), None);
-        // Enough keys to cross the first allocation's 3/4 load twice; ids up
-        // to u32::MAX − 1 exercise both key halves.
-        let n = PairMemo::FIRST_SLOTS as u32 * 2;
+        // Enough keys to double the first allocation twice; ids up to
+        // u32::MAX − 1 exercise both key halves.
+        let n = first as u32 * 3 / 2;
         let key = |k: u32| PairMemo::key(k.wrapping_mul(0x9E37_79B1), u32::MAX - 1 - k);
         let value = |k: u32| f64::from(k) / f64::from(n);
         for k in 0..n {
             assert_eq!(memo.get(key(k)), None, "key {k} before insert");
             memo.insert(key(k), value(k));
-            // Everything inserted so far is still answered after any rehash.
-            if (memo.len * 4).is_multiple_of(memo.slots.len()) || k + 1 == n {
+            assert_eq!(memo.get(key(k)), Some(value(k)), "key {k} declined");
+            if memo.wants_room() {
+                memo.grow();
+                // Everything inserted so far is still answered after a rehash.
                 for seen in 0..=k {
                     assert_eq!(memo.get(key(seen)), Some(value(seen)), "key {seen} of {k}");
                 }
             }
         }
-        assert_eq!(memo.len, n as usize);
-        assert!(memo.slots.len() > PairMemo::FIRST_SLOTS * 2, "never grew");
-        assert!(memo.len * 4 <= memo.slots.len() * 3, "over the load bound");
+        let len = *memo.len.get_mut();
+        assert_eq!(len, n as usize);
+        assert_eq!(memo.slots.len(), first * 4);
         assert_eq!(memo.get(PairMemo::key(7, 7)), None);
+        // A second insert of a stored key changes nothing.
+        memo.insert(key(3), 9.0);
+        assert_eq!(memo.get(key(3)), Some(value(3)));
+        assert_eq!(*memo.len.get_mut(), n as usize);
     }
 
     #[test]
-    fn pair_memo_stops_storing_at_one_slot_per_pair() {
+    fn pair_memo_is_sized_by_dictionary_and_bounded_by_pairs() {
+        // 20 values have 380 ordered pairs: 2·20² slots hold them all under
+        // half full, whatever the pass size, and the table never wants room.
+        let memo = PairMemo::for_pairs(1 << 20, 20);
+        assert_eq!(memo.slots.len(), 1024);
+        for a in 0..20u32 {
+            for b in (0..20).filter(|&b| b != a) {
+                memo.insert(PairMemo::key(a, b), f64::from(a * 20 + b));
+            }
+        }
+        assert!(!memo.wants_room());
+        assert_eq!(memo.get(PairMemo::key(19, 18)), Some(398.0));
+        assert_eq!(PairMemo::for_pairs(1 << 20, 150).slots.len(), 1 << 16);
         // 1,500 pairs bound the table at 1,024 slots, i.e. 768 entries:
         // later keys are declined (the caller recomputes them every time)
         // and the stored ones stay intact.
-        let mut memo = PairMemo::for_pairs(1500);
+        let mut memo = PairMemo::for_pairs(1500, 5000);
         for k in 0..1000u32 {
             memo.insert(PairMemo::key(k, k + 1), f64::from(k));
+            memo.grow();
         }
         assert_eq!(memo.slots.len(), 1024);
-        assert_eq!(memo.len, 768);
+        assert_eq!(*memo.len.get_mut(), 768);
         for k in 0..1000u32 {
             let want = (k < 768).then(|| f64::from(k));
             assert_eq!(memo.get(PairMemo::key(k, k + 1)), want, "key {k}");
         }
+        // The memo of a non-text field or a one-off score: nothing stored,
+        // nothing allocated.
+        let mut none = PairMemo::for_pairs(0, 5000);
+        none.insert(PairMemo::key(1, 2), 0.5);
+        none.grow();
+        assert_eq!(none.get(PairMemo::key(1, 2)), None);
+        assert_eq!(none.slots.capacity(), 0);
+    }
+
+    #[test]
+    fn workers_share_one_memo() {
+        // 8 workers over 400 rows × 20 names, ~10,000 pairs each: a memo per
+        // worker would evaluate 8 × 380 similarities. A shared one evaluates
+        // each ordered pair once, plus the pairs two workers miss at the
+        // same moment (the bound leaves that race a whole second pass). The
+        // meter is per thread, so it is summed from the workers.
+        let t = repeated_names(400, 20);
+        let cfg = ErConfig::text_over(&["name"], 0.9);
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        let pairs = candidates_naive(400);
+        let serial = kernel.score_pairs(&pairs).unwrap();
+        let mut scores = vec![0.0; pairs.len()];
+        let memos = kernel.memos(pairs.len());
+        let (evals, _) = par::run_blocked_into(&pairs, &mut scores, 8, |_, chunk, out| {
+            TEXT_EVALS.with(|n| n.set(0));
+            kernel.score_pairs_into(chunk, out, &memos).unwrap();
+            TEXT_EVALS.with(std::cell::Cell::get)
+        })
+        .unwrap();
+        assert_eq!(evals.len(), 8);
+        let total: u64 = evals.iter().sum();
+        assert!((380..2 * 380).contains(&total), "{total} evaluations");
+        assert_eq!(
+            scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+            serial.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
+        );
     }
 
     /// `n` rows over `distinct` different names, row `r` carrying name
@@ -1080,16 +1256,29 @@ mod tests {
 
     #[test]
     fn scores_stay_bit_identical_across_a_memo_rehash() {
-        // 60 distinct names → up to 3,540 ordered pairs, several times the
-        // first allocation's capacity: lookups before, during and after each
+        // 250 distinct names → 62,250 ordered pairs, more than the capped
+        // first allocation stores: lookups before, during and after the
         // rehash must all equal the serial oracle, in both orders.
-        let t = repeated_names(120, 60);
+        let t = repeated_names(400, 250);
         let cfg = ErConfig::text_over(&["name"], 0.9);
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
-        let mut pairs = candidates_naive(120);
-        pairs.extend(candidates_naive(120).into_iter().map(|(i, j)| (j, i)));
-        let scores = kernel.score_pairs(&pairs).unwrap();
-        for (&(i, j), s) in pairs.iter().zip(&scores) {
+        let mut pairs = candidates_naive(400);
+        pairs.extend(candidates_naive(400).into_iter().map(|(i, j)| (j, i)));
+        let mut scores = vec![0.0; pairs.len()];
+        let memos = kernel.memos(pairs.len());
+        kernel
+            .score_pairs_into(&pairs, &mut scores, &memos)
+            .unwrap();
+        let memos = memos.tables.into_inner().unwrap();
+        assert!(
+            memos[0].slots.len() > PairMemo::FIRST_SLOTS_MAX,
+            "never grew"
+        );
+        // A pair first met while the table was full is stored at its next
+        // occurrence, if it has one.
+        let stored = memos[0].len.load(Ordering::Relaxed);
+        assert!(stored > PairMemo::FIRST_SLOTS_MAX * 3 / 4 && stored <= 250 * 249);
+        for (&(i, j), s) in pairs.iter().zip(&scores).step_by(7) {
             let serial = record_similarity(&t, i, j, &cfg).unwrap();
             assert_eq!(serial.to_bits(), s.to_bits(), "pair ({i}, {j})");
         }

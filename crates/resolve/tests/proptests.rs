@@ -286,6 +286,10 @@ proptest! {
         t in arb_duplicated_table(30),
         same_column in any::<bool>(),
     ) {
+        // With one column for both roles only the prefix blocks apply, and
+        // the expectation is `candidates_blocked` as a *set*: that function
+        // lists pairs block by block in key order, `candidates_union` always
+        // in `(i, j)` order, so the sort below is what makes them comparable.
         let key_col = if same_column { "name" } else { "sku" };
         let mut want = candidates_blocked(&t, "name").unwrap();
         if !same_column {
