@@ -12,10 +12,16 @@
 //!   an n-source fleet recomputes one block; the other n−1 replay.
 //! - **ER** ([`ErMemo`]): the whole clustering is keyed on the union
 //!   content. When the union changed (some block is dirty), the memo still
-//!   pays: its per-pair scores are kept under *packed row indices*, and the
-//!   block layout lets rows of unchanged blocks remap old→new by offset, so
-//!   clean-clean candidate pairs replay through an integer binary search;
-//!   pairs touching a changed row are scored live.
+//!   pays: it remembers the pass's *matched pairs* by row index, and the
+//!   block layout maps rows of unchanged blocks old↔new by offset. A
+//!   candidate whose two rows both sit in unchanged blocks, in the same
+//!   relative order, is *carried* — it matches now iff it matched then — so
+//!   only pairs touching a changed row are scored ([`ErMemo::carry`]). This
+//!   rests on one invariant, pinned by `wrangler-resolve`'s proptest
+//!   `candidates_restricted_to_surviving_rows`: whether `(i, j)` is a
+//!   candidate depends on rows `i` and `j` alone (as do the score, in
+//!   argument order, and the threshold), so replacing or deleting rows
+//!   leaves the candidates among the survivors as they were, re-indexed.
 //! - **Fuse** ([`FuseMemo`]): trust estimation + slot fusion is keyed on
 //!   the union/clustering content plus every input that can ripple into a
 //!   fused value (belief trust, source ages, master data).
@@ -53,39 +59,80 @@ pub struct BlockMemo {
     pub scan_bytes: u64,
 }
 
-/// The memoized ER stage: full-stage replay plus the remap fast path.
+/// One contiguous block of the union: `(source, block key, rows)`.
+pub type Block = (usize, u64, usize);
+
+/// The memoized ER stage: full-stage replay plus the carry across an update.
 #[derive(Debug, Clone)]
 pub struct ErMemo {
     /// Full-stage key: pass/program fingerprints + union content hash.
     pub key: u64,
-    /// Pass fingerprint the memo was computed under; the remap fast path
-    /// requires an exact match (it replays raw scores across passes).
+    /// Pass fingerprint the memo was computed under (it pins the scoring
+    /// config and threshold); the carry requires an exact match. Not so the
+    /// whole-program fingerprint: a dirty source's regenerated mapping
+    /// shifts it, and the layout's block keys already pin every clean row.
     pub pass_fp: u64,
-    /// Program fingerprint the memo was computed under. Recorded for
-    /// provenance, but *not* a remap precondition: a dirty source's
-    /// regenerated mapping shifts the whole-program fingerprint without
-    /// touching any clean row, and the layout's per-block content keys
-    /// already pin row content exactly.
-    pub prog_fp: u64,
     /// The clustering and row → entity index over the memoized union: the
     /// stage's seam record, replayed as is on a key hit.
     pub out: ErOut,
-    /// Union block layout at compute time: `(source, block key, rows)` per
-    /// contiguous block, in union order. Remapping matches blocks by
-    /// `(source, block key)` and shifts row indices by block offset.
-    pub layout: Vec<(usize, u64, usize)>,
-    /// Every candidate pair's score, keyed by [`pack_pair`] of its (old)
-    /// row indices, sorted for binary search.
-    pub scores: Vec<(u64, f64)>,
+    /// Union block layout at compute time, in union order.
+    pub layout: Vec<Block>,
+    /// The pairs that matched (score ≥ threshold) as `(i, j)` row indices
+    /// of the memoized union, `i < j`, sorted — not one entry per candidate.
+    pub matches: Vec<(usize, usize)>,
+}
+
+/// What an update carries over from the memoized ER pass.
+#[derive(Debug, PartialEq)]
+pub struct Carry {
+    /// Per current union row, its row in the memoized union (`None` = the
+    /// row's block is new or changed).
+    old_of: Vec<Option<usize>>,
+    /// The memoized matches [`Carry::covers`], as current row indices, in
+    /// memo order — sorted unless blocks were reordered.
+    pub matches: Vec<(usize, usize)>,
+}
+
+impl Carry {
+    /// Is this candidate (`i < j`, current indices) decided by the memo —
+    /// both rows in unchanged blocks, in their old relative order? Then it
+    /// matches iff it is in [`Carry::matches`]. A flipped pair is not: the
+    /// kernel would be handed its arguments the other way round.
+    pub fn covers(&self, pair: (usize, usize)) -> bool {
+        map_pair(&self.old_of, pair).is_some()
+    }
+}
+
+/// Map both rows of `(a, b)`, `a < b`, keeping the pair only when both map
+/// and stay in order. Out-of-range rows map to `None`, so a short or stale
+/// map can never fabricate a carried pair.
+fn map_pair(map: &[Option<usize>], (a, b): (usize, usize)) -> Option<(usize, usize)> {
+    let x = map.get(a).copied().flatten()?;
+    let y = map.get(b).copied().flatten()?;
+    (x < y).then_some((x, y))
 }
 
 impl ErMemo {
-    /// Score of a (packed) pair if it was a candidate in the memoized pass.
-    pub fn score_of(&self, packed: u64) -> Option<f64> {
-        self.scores
-            .binary_search_by_key(&packed, |&(k, _)| k)
-            .ok()
-            .map(|idx| self.scores[idx].1)
+    /// Carry this memo across an update to a union of `rows` rows laid out
+    /// as `layout`. `None` when nothing may be carried: another pass
+    /// fingerprint, or a layout (then or now) that does not cover its union.
+    pub fn carry(&self, pass_fp: u64, layout: &[Block], rows: usize) -> Option<Carry> {
+        let covered = |l: &[Block]| l.iter().map(|&(_, _, n)| n).sum::<usize>();
+        if self.pass_fp != pass_fp
+            || covered(layout) != rows
+            || covered(&self.layout) != self.out.row_entity.len()
+        {
+            return None;
+        }
+        let new_of = remap_rows(layout, &self.layout);
+        Some(Carry {
+            old_of: remap_rows(&self.layout, layout),
+            matches: self
+                .matches
+                .iter()
+                .filter_map(|&pair| map_pair(&new_of, pair))
+                .collect(),
+        })
     }
 }
 
@@ -100,22 +147,21 @@ pub struct FuseMemo {
     pub out: FuseOut,
 }
 
-/// Pack a candidate pair's row indices into one ordered u64 key. Callers
-/// pass them in any order; the smaller index always takes the high half,
-/// matching the `i < j` candidate convention.
+/// Pack a pair's row indices into one u64, smaller index in the high half.
+/// No code in this workspace calls it: `bench/` does, for the
+/// `core.er_memo_ms` replay of a capture the session no longer does, and it
+/// goes away with that ledger row.
 pub fn pack_pair(i: usize, j: usize) -> u64 {
     let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
     ((lo as u64) << 32) | (hi as u64 & 0xFFFF_FFFF)
 }
 
-/// Row-level mapping from the current pass's union to a memoized one.
+/// Per row of `new_layout`'s union, the same row in `old_layout`'s union.
 /// Blocks match by `(source, block key)` (first occurrence wins, as blocks
 /// are unique per source); matched blocks map row-for-row by offset.
-/// `None` marks rows of new/changed blocks — those pairs are scored live.
-pub fn remap_rows(
-    old_layout: &[(usize, u64, usize)],
-    new_layout: &[(usize, u64, usize)],
-) -> Vec<Option<usize>> {
+/// `None` marks rows of blocks the other layout lacks. The arguments swap
+/// to map the other way.
+pub fn remap_rows(old_layout: &[Block], new_layout: &[Block]) -> Vec<Option<usize>> {
     let mut old_starts: BTreeMap<(usize, u64), usize> = BTreeMap::new();
     let mut off = 0usize;
     for &(src, key, len) in old_layout {
@@ -187,8 +233,8 @@ impl IncrEngine {
 
     /// A source's data changed: its block memo is stale, and fusion (whose
     /// trust estimation reads every claim) must recompute. The ER memo
-    /// survives — its key will miss, but its layout + packed scores still
-    /// feed the remap fast path for the n−1 clean blocks.
+    /// survives — its key will miss, but its layout + matched pairs still
+    /// carry the n−1 clean blocks.
     pub fn forget_source(&mut self, source: usize) {
         self.blocks.remove(&source);
         self.fuse = None;
@@ -230,20 +276,75 @@ mod tests {
         let new = [(1usize, 20u64, 2usize), (0, 10, 1)];
         let map = remap_rows(&old, &new);
         assert_eq!(map, vec![Some(1), Some(2), Some(0)]);
+        // Swapped arguments give the forward (old → new) map.
+        assert_eq!(remap_rows(&new, &old), vec![Some(2), Some(0), Some(1)]);
+    }
+
+    /// A memo over `layout` whose matched pairs are `matches`.
+    fn memo(layout: &[Block], matches: &[(usize, usize)]) -> ErMemo {
+        let rows = layout.iter().map(|&(_, _, n)| n).sum();
+        ErMemo {
+            key: 0,
+            pass_fp: 7,
+            out: ErOut {
+                clusters: Vec::new(),
+                row_entity: vec![0; rows],
+            },
+            layout: layout.to_vec(),
+            matches: matches.to_vec(),
+        }
     }
 
     #[test]
-    fn er_memo_score_binary_search() {
-        let memo = ErMemo {
-            key: 0,
-            pass_fp: 0,
-            prog_fp: 0,
-            out: ErOut::default(),
-            layout: Vec::new(),
-            scores: vec![(pack_pair(0, 1), 0.5), (pack_pair(0, 2), 0.75)],
-        };
-        assert_eq!(memo.score_of(pack_pair(2, 0)), Some(0.75));
-        assert_eq!(memo.score_of(pack_pair(1, 2)), None);
+    fn carry_drops_matches_of_a_dropped_or_resized_block() {
+        // Old union: src0 rows 0–1, src1 rows 2–4, src2 rows 5–6.
+        let old = [(0usize, 10u64, 2usize), (1, 20, 3), (2, 30, 2)];
+        let m = memo(&old, &[(0, 1), (0, 2), (1, 5), (2, 4), (5, 6)]);
+        // src1 dropped: src2 shifts down to rows 2–3.
+        let c = m.carry(7, &[(0, 10, 2), (2, 30, 2)], 4).unwrap();
+        assert_eq!(c.matches, vec![(0, 1), (1, 2), (2, 3)]);
+        assert!(c.covers((0, 3)), "clean-clean pair is the memo's to decide");
+        // src1 resized (new key, 1 row): its old matches are gone and every
+        // pair touching its new row is live.
+        let c = m
+            .carry(7, &[(0, 10, 2), (1, 21, 1), (2, 30, 2)], 5)
+            .unwrap();
+        assert_eq!(c.matches, vec![(0, 1), (1, 3), (3, 4)]);
+        assert!(!c.covers((0, 2)) && !c.covers((2, 4)));
+        assert!(c.covers((1, 4)));
+    }
+
+    #[test]
+    fn carry_keeps_row_order_and_scores_flipped_pairs_live() {
+        // The reordered layout of `remap_matches_blocks_across_reordering`:
+        // old rows [a | b0 b1] become [b0 b1 | a].
+        let old = [(0usize, 10u64, 1usize), (1, 20, 2)];
+        let new = [(1usize, 20u64, 2usize), (0, 10, 1)];
+        let c = memo(&old, &[(0, 1), (1, 2)]).carry(7, &new, 3).unwrap();
+        // (b0, b1) kept its order; (a, b0) would now be scored as (b0, a).
+        assert_eq!(c.matches, vec![(0, 1)]);
+        assert!(c.covers((0, 1)));
+        assert!(!c.covers((0, 2)) && !c.covers((1, 2)));
+    }
+
+    #[test]
+    fn stale_or_short_layouts_carry_nothing() {
+        let old = [(0usize, 10u64, 2usize), (1, 20, 2)];
+        let m = memo(&old, &[(0, 2), (1, 3)]);
+        // Another pass fingerprint; a current layout that does not cover the
+        // union (a post-union filter cleared it); a memo layout shorter than
+        // the union it was computed over.
+        assert_eq!(m.carry(8, &old, 4), None);
+        assert_eq!(m.carry(7, &[], 4), None);
+        assert_eq!(m.carry(7, &old, 5), None);
+        let mut short = m.clone();
+        short.layout.pop();
+        assert_eq!(short.carry(7, &old, 4), None);
+        // Rows past a map's end have no counterpart: never a panic, never a
+        // carried pair.
+        let c = m.carry(7, &old, 4).unwrap();
+        assert!(!c.covers((0, 9)) && !c.covers((9, 10)));
+        assert_eq!(map_pair(&[], (0, 1)), None);
     }
 
     #[test]
@@ -279,14 +380,7 @@ mod tests {
                 scan_bytes: 0,
             },
         );
-        e.er = Some(ErMemo {
-            key: 9,
-            pass_fp: 0,
-            prog_fp: 0,
-            out: ErOut::default(),
-            layout: Vec::new(),
-            scores: Vec::new(),
-        });
+        e.er = Some(memo(&[], &[]));
         e.fuse = Some(FuseMemo {
             key: 9,
             out: FuseOut {

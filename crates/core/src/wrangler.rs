@@ -2392,13 +2392,13 @@ mod tests {
             n_selected - 1,
             "clean partitions must replay: {m:?}"
         );
-        // The union changed, so ER ran — but through the index-remap fast
-        // path for clean-clean pairs, not a cold rescore: a 1-source update
-        // must replay most of the pass's pair scores.
+        // The union changed, so ER ran — but clean-clean pairs are carried
+        // from the memo's matched pairs, not rescored: a 1-source update
+        // must carry most of the pass's candidates.
         let candidates = m.counts["er.candidates"] - first.metrics.counts["er.candidates"];
         assert!(
             2 * m.counts["incr.er.pairs_remapped"] >= candidates,
-            "clean-clean pairs must remap: {m:?}"
+            "clean-clean pairs must carry: {m:?}"
         );
     }
 
@@ -2470,6 +2470,96 @@ mod tests {
             0,
             "nothing clean to reuse"
         );
+    }
+
+    /// What the pass that produced `out` added to a cumulative counter,
+    /// given the outcome of the pass before it.
+    fn counter_delta(out: &WrangleOutcome, before: &WrangleOutcome, key: &str) -> u64 {
+        let of = |o: &WrangleOutcome| o.metrics.counts.get(key).copied().unwrap_or(0);
+        of(out) - of(before)
+    }
+
+    /// Candidates of the last pass's union that the ER carry cannot decide,
+    /// counted from the cached union's source tags alone — not from the
+    /// block layout the engine itself uses: a pair with a row of `dirty`,
+    /// or one whose two (clean) sources swapped places since `before`.
+    fn pairs_to_score(w: &Wrangler, dirty: SourceId, before: &[SourceId]) -> u64 {
+        let union = &w.cache.as_ref().unwrap().union;
+        let rank = |row: usize| before.iter().position(|s| s.0 as usize == union[row].0);
+        let key_col = &w.target.fields()[0].name;
+        let touches = |row: usize| union[row].0 == dirty.0 as usize;
+        let table = w.union_table().unwrap();
+        candidates_union(&table, &blocking_column(&w.target), key_col)
+            .unwrap()
+            .iter()
+            .filter(|&&(i, j)| touches(i) || touches(j) || rank(i) > rank(j))
+            .count() as u64
+    }
+
+    #[test]
+    fn update_scores_only_pairs_touching_the_dirty_block_and_remembers_only_matches() {
+        // The fleet of `tests/ckpt_resume.rs` at seed 23.
+        let fleet = wrangler_sources::synthetic::generate_fleet(
+            &FleetConfig {
+                num_products: 60,
+                num_sources: 8,
+                now: 20,
+                coverage: (0.3, 0.8),
+                error_rate: (0.02, 0.25),
+                null_rate: (0.0, 0.1),
+                staleness: (0, 10),
+                ..FleetConfig::default()
+            },
+            23,
+        );
+        let mut w = session(&fleet, UserContext::completeness_first());
+        let first = w.wrangle().unwrap();
+        let victim = first.selected_sources[0];
+        let t = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(w.update_source(victim, t).unwrap());
+        let out = assert_incremental_matches_cold(&mut w);
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert_eq!(delta("incr.union.recomputed"), 1, "one dirty block");
+        // Work guard: no clean–clean pair is scored.
+        let live = pairs_to_score(&w, victim, &out.selected_sources);
+        assert_eq!(delta("er.cache.misses"), live);
+        let candidates = delta("er.candidates");
+        assert_eq!(delta("incr.er.pairs_remapped"), candidates - live);
+        assert!(live > 0 && 2 * live < candidates);
+        // Size guard: the memo holds the pass's matched pairs and nothing
+        // that grows with the candidate count.
+        let memo = w.incr.er.as_ref().unwrap();
+        assert_eq!(memo.matches.len() as u64, delta("er.match_pairs"));
+        assert!(memo.matches.windows(2).all(|p| p[0] < p[1]), "sorted");
+    }
+
+    #[test]
+    fn clean_sources_that_swap_places_across_an_update_are_rescored_in_the_new_order() {
+        // A pair is scored as (earlier row, later row), and the kernel makes
+        // no promise that a score survives swapping its arguments. With a
+        // freshness horizon, letting the clock run past it reorders the
+        // stale sources by coverage alone: their union blocks replay, but
+        // pairs across two blocks that swapped places must be scored live.
+        let fleet = small_fleet();
+        let user = UserContext::completeness_first().with_freshness_horizon(6);
+        let mut w = session(&fleet, user);
+        let first = w.wrangle().unwrap();
+        let victim = first.selected_sources[0];
+        w.set_now(fleet.truth.now + 8);
+        let t = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(w.update_source(victim, t).unwrap());
+        let out = assert_incremental_matches_cold(&mut w);
+        let clean = |sel: &[SourceId]| -> Vec<SourceId> {
+            sel.iter().copied().filter(|s| *s != victim).collect()
+        };
+        let (before, after) = (clean(&first.selected_sources), clean(&out.selected_sources));
+        assert_ne!(before, after, "fixture: clean sources must swap places");
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert_eq!(delta("incr.union.reused"), before.len() as u64);
+        let live = pairs_to_score(&w, victim, &first.selected_sources);
+        assert!(live > pairs_to_score(&w, victim, &out.selected_sources));
+        assert_eq!(delta("er.cache.misses"), live, "swapped pairs are live");
+        assert!(delta("incr.er.pairs_remapped") > 0, "the rest still carry");
     }
 
     #[test]

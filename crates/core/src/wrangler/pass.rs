@@ -71,11 +71,10 @@ pub(super) struct Pass {
     pub(super) union_table: Table,
     /// Content hash of `union_table` (0 when the engine is off).
     pub(super) union_hash: u64,
-    /// Union block layout of this pass: `(source, block key, rows)` per
-    /// contiguous block, in union order — the ER remap fast path's
+    /// Union block layout of this pass, in union order — the ER carry's
     /// coordinate system. Empty when the engine is off or the union
     /// replayed from a checkpoint (no keys to attest the blocks).
-    pub(super) union_layout: Vec<(usize, u64, usize)>,
+    pub(super) union_layout: Vec<crate::incr::Block>,
     pub(super) er: ErOut,
     /// The claim set, when the live fuse stage already built it (a replayed
     /// fuse rebuilds it at install).

@@ -6,6 +6,7 @@
 //! stage's record and an install function that moves a record — computed,
 //! replayed or memoized — into the session.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use wrangler_ckpt::{ContentKey, CrashSite};
@@ -29,7 +30,7 @@ use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectO
 use crate::contain::{
     catch_quiet, isolate, poison_reason, ContainMode, Guarded, Stage, StageGuard,
 };
-use crate::incr::{self, BlockMemo, ErMemo, FuseMemo};
+use crate::incr::{BlockMemo, ErMemo, FuseMemo};
 use crate::lower::{self, LowerInput};
 use crate::planner::SelectionStrategy;
 use crate::working::Artifact;
@@ -872,8 +873,7 @@ impl Wrangler {
             }
         }
         // The post-union filter just shifted row indices out from under the
-        // block layout; ER scores every candidate live instead of index
-        // remapping.
+        // block layout; ER scores every candidate live, carrying nothing.
         pass.union_layout.clear();
         Ok(kept)
     }
@@ -893,7 +893,7 @@ impl Wrangler {
         }
         // An explicitly dirtied clustering (ER rule refined, plan shape
         // changed, a test forcing recompute) must run live — both the
-        // whole-stage replay and the index-remap fast path stand down.
+        // whole-stage replay and the carry stand down.
         let reusable = pass.incr_on && !self.working.is_dirty(Artifact::Clusters);
         let memo = self
             .incr
@@ -921,11 +921,12 @@ impl Wrangler {
     }
 
     /// The live ER stage: candidate generation (blocked on name + key),
-    /// pair scores (remapped from the ER memo, else the kernel), match
-    /// filtering and clustering. `er_key` is the whole-stage key a fresh
-    /// memo is stored under; `remap` licenses the index-remap fast path.
-    fn er_live(&mut self, pass: &Pass, er_key: u64, remap: bool) -> Result<ErOut> {
+    /// matching (carried from the ER memo, else scored by the kernel) and
+    /// clustering. `er_key` is the whole-stage key a fresh memo is stored
+    /// under; `reusable` licenses the carry.
+    fn er_live(&mut self, pass: &Pass, er_key: u64, reusable: bool) -> Result<ErOut> {
         let union_table = &pass.union_table;
+        let rows = union_table.num_rows();
         // Block on the name-ish column AND the key column: rows whose name is
         // null or typo-prefixed still meet their duplicates through the key.
         let block_col = blocking_column(&self.target);
@@ -939,70 +940,39 @@ impl Wrangler {
         self.crash_fire(CrashSite::MidEr);
         // Score through the precompiled kernel: the ER config is compiled
         // once against the union schema (an unknown column errors before any
-        // scoring) into a dictionary per text/key column. A pair score has
-        // two possible origins: the previous pass's memo, remapped by row
-        // index, or the kernel. Clusters and scores are byte-identical to
-        // the serial path for any worker count.
+        // scoring) into a dictionary per text/key column. Clusters are
+        // byte-identical to the serial path for any worker count.
         let kernel = ErKernel::compile(union_table, &self.er_cfg)?;
         for (column, values) in kernel.dict_sizes() {
             self.obs
                 .count(&format!("er.dict.{column}.values"), values as u64);
         }
-        // The index-remap fast path: when the previous pass's memo was built
-        // under the same fingerprints and both layouts cover their unions,
-        // rows of unchanged blocks map old→new by offset, and a clean-clean
-        // candidate pair replays its score through an integer binary search.
-        // Pairs touching changed rows are scored live.
-        let layout_rows: usize = pass.union_layout.iter().map(|&(_, _, n)| n).sum();
-        let memo = self
-            .incr
-            .er
-            .as_ref()
-            .filter(|_| remap && layout_rows == union_table.num_rows());
-        let remapped = memo.and_then(|m| {
-            let old_rows: usize = m.layout.iter().map(|&(_, _, n)| n).sum();
-            // pass_fp pins the scoring config; the per-block keys in the
-            // layout pin row content. The whole-program fingerprint is
-            // deliberately not required — a dirty source's regenerated
-            // mapping shifts it without touching any clean row.
-            (m.pass_fp == pass.pass_fp && old_rows == m.out.row_entity.len())
-                .then(|| (m, incr::remap_rows(&m.layout, &pass.union_layout)))
-        });
+        // The carry: candidacy, score and threshold read only a pair's two
+        // rows, so a candidate with both rows in unchanged union blocks, in
+        // the same order, matches iff it did in the memoized pass. The rest
+        // are scored: all of them on a cold pass or after a refined rule.
+        let memo = self.incr.er.as_ref().filter(|_| reusable);
+        let carry = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
+        let live: Cow<[(usize, usize)]> = match &carry {
+            None => Cow::Borrowed(&candidates),
+            Some(c) => candidates
+                .iter()
+                .copied()
+                .filter(|&p| !c.covers(p))
+                .collect(),
+        };
         // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER)
         // applies on top of the requested width.
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
-        let (scores, worker_stats, live) = match remapped {
-            // Nothing to replay (a cold pass, a filtered union, a refined
-            // rule): the candidates are scored where they stand.
-            None => {
-                let (scores, stats) = kernel.score_pairs_parallel(&candidates, workers)?;
-                (scores, stats, candidates.len())
-            }
-            Some((memo, rowmap)) => {
-                let mut scores = vec![0.0f64; candidates.len()];
-                let mut live_slots: Vec<usize> = Vec::new();
-                let mut live_pairs: Vec<(usize, usize)> = Vec::new();
-                for (k, &(i, j)) in candidates.iter().enumerate() {
-                    let replayed = wrangler_resolve::blocking::remap_candidate((i, j), &rowmap)
-                        .and_then(|(oi, oj)| memo.score_of(incr::pack_pair(oi, oj)));
-                    match replayed {
-                        Some(s) => scores[k] = s,
-                        None => {
-                            live_slots.push(k);
-                            live_pairs.push((i, j));
-                        }
-                    }
-                }
-                let (live_scores, stats) = kernel.score_pairs_parallel(&live_pairs, workers)?;
-                for (&k, &s) in live_slots.iter().zip(&live_scores) {
-                    scores[k] = s;
-                }
-                (scores, stats, live_pairs.len())
-            }
-        };
-        let pairs = kernel.filter_matches(&candidates, &scores);
-        let clusters = cluster_pairs(union_table.num_rows(), pairs.iter().map(|p| (p.i, p.j)));
-        let mut row_entity = vec![0usize; union_table.num_rows()];
+        let (live_matches, worker_stats) = kernel.match_pairs_parallel(&live, workers)?;
+        // Two disjoint lists in (i, j) order (the carried one unless blocks
+        // were reordered); the stable sort merges presorted runs in linear
+        // time. The result is `filter_matches` over every candidate.
+        let mut matches = carry.map(|c| c.matches).unwrap_or_default();
+        matches.extend(live_matches.iter().map(|p| (p.i, p.j)));
+        matches.sort();
+        let clusters = cluster_pairs(rows, matches.iter().copied());
+        let mut row_entity = vec![0usize; rows];
         for (e, cluster) in clusters.iter().enumerate() {
             for &r in cluster {
                 row_entity[r] = e;
@@ -1012,40 +982,28 @@ impl Wrangler {
             clusters,
             row_entity,
         };
-        if pass.incr_on {
-            let mut packed: Vec<(u64, f64)> = candidates
-                .iter()
-                .zip(&scores)
-                .map(|(&(i, j), &s)| (incr::pack_pair(i, j), s))
-                .collect();
-            packed.sort_unstable_by_key(|&(key, _)| key);
-            let layout = if layout_rows == union_table.num_rows() {
-                pass.union_layout.clone()
-            } else {
-                Vec::new()
-            };
-            self.incr.er = Some(ErMemo {
-                key: er_key,
-                pass_fp: pass.pass_fp,
-                prog_fp: pass.prog_fp,
-                out: out.clone(),
-                layout,
-                scores: packed,
-            });
-        }
         for (w, st) in worker_stats.iter().enumerate() {
             self.obs.count(&format!("er.worker{w}.items"), st.items);
             self.obs
                 .record_nanos(&format!("worker{w}"), st.busy_nanos, 1);
         }
-        // Candidates the ER memo did not answer, scored live. The benchmark
+        // Candidates the ER memo did not decide, scored live. The benchmark
         // reads the counter under this name.
-        self.obs.count("er.cache.misses", live as u64);
-        self.obs
-            .count("incr.er.pairs_remapped", (candidates.len() - live) as u64);
-        self.obs.count("er.candidates", candidates.len() as u64);
-        self.obs.count("er.match_pairs", pairs.len() as u64);
+        let (scored, total) = (live.len() as u64, candidates.len() as u64);
+        self.obs.count("er.cache.misses", scored);
+        self.obs.count("incr.er.pairs_remapped", total - scored);
+        self.obs.count("er.candidates", total);
+        self.obs.count("er.match_pairs", matches.len() as u64);
         self.obs.count("er.entities", out.clusters.len() as u64);
+        if pass.incr_on {
+            self.incr.er = Some(ErMemo {
+                key: er_key,
+                pass_fp: pass.pass_fp,
+                out: out.clone(),
+                layout: pass.union_layout.clone(),
+                matches,
+            });
+        }
         Ok(out)
     }
 

@@ -112,6 +112,12 @@ fn later_mates(blocks: &BTreeMap<String, Vec<usize>>, rows: usize) -> Vec<&[usiz
 /// two columns coincide only the prefix blocks apply — the same pairs as
 /// [`candidates_blocked`], but in `(i, j)` order like every other output of
 /// this function, not in that function's block-key order.
+///
+/// **Invariant** (the incremental engine's ER carry rests on it; pinned by
+/// `candidates_restricted_to_surviving_rows` in `tests/proptests.rs`):
+/// whether `(i, j)` is a candidate depends on rows `i` and `j` alone, so
+/// replacing or deleting rows leaves the candidates among the survivors as
+/// they were, re-indexed. A block-size cap or a window here would break it.
 pub fn candidates_union(
     table: &Table,
     block_col: &str,
@@ -141,18 +147,6 @@ pub fn candidates_union(
         out.extend(a[x..].iter().chain(&b[y..]).map(|&j| (i, j)));
     }
     Ok(out)
-}
-
-/// Translate a candidate pair of the current pass into the row indices of a
-/// previous pass, given a row-level remap (`None` = the row has no prior
-/// counterpart). This is the ER half of the incremental engine's fast path:
-/// a pair whose rows both remap can replay its memoized score instead of
-/// rescoring. Out-of-range indices translate to `None` rather than
-/// panicking, so a stale or truncated map can never fabricate a reuse.
-pub fn remap_candidate(pair: (usize, usize), rowmap: &[Option<usize>]) -> Option<(usize, usize)> {
-    let old_i = rowmap.get(pair.0).copied().flatten()?;
-    let old_j = rowmap.get(pair.1).copied().flatten()?;
-    Some((old_i, old_j))
 }
 
 /// Sorted neighbourhood: sort rows by the column's rendering, compare each
@@ -292,16 +286,6 @@ mod tests {
                 "{err:?}"
             );
         }
-    }
-
-    #[test]
-    fn remap_candidate_requires_both_rows_mapped_and_in_range() {
-        let map = [Some(5), None, Some(7)];
-        assert_eq!(remap_candidate((0, 2), &map), Some((5, 7)));
-        assert_eq!(remap_candidate((0, 1), &map), None);
-        // Indices past the map's end are "no counterpart", not a panic.
-        assert_eq!(remap_candidate((0, 9), &map), None);
-        assert_eq!(remap_candidate((9, 9), &[]), None);
     }
 
     #[test]

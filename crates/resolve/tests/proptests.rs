@@ -301,6 +301,46 @@ proptest! {
     }
 
     #[test]
+    fn candidates_restricted_to_surviving_rows(
+        old in arb_duplicated_table(24),
+        fresh in arb_duplicated_table(24),
+        fates in prop::collection::vec(0u8..3, 24),
+    ) {
+        // The invariant the incremental engine's ER carry rests on: whether
+        // (i, j) is a candidate depends on rows i and j alone. Each row of
+        // `old` survives (fate 0), is replaced by a row of `fresh` (1) or is
+        // deleted (2); among the survivors the candidates must be the old
+        // ones, re-indexed. A block-size cap or a windowed strategy in
+        // `candidates_union` would fail here, not as a byte-identity
+        // mismatch after a source update.
+        let mut rows = Vec::new();
+        let mut new_of = vec![None; old.num_rows()];
+        for (r, fate) in fates.iter().take(old.num_rows()).enumerate() {
+            match fate {
+                0 => {
+                    new_of[r] = Some(rows.len());
+                    rows.push(old.row(r));
+                }
+                1 => rows.push(fresh.row(r % fresh.num_rows())),
+                _ => {}
+            }
+        }
+        let survivors: Vec<usize> = new_of.iter().flatten().copied().collect();
+        let new = Table::from_rows(old.schema().clone(), rows).unwrap();
+        let want: Vec<(usize, usize)> = candidates_union(&old, "name", "sku")
+            .unwrap()
+            .into_iter()
+            .filter_map(|(i, j)| Some((new_of[i]?, new_of[j]?)))
+            .collect();
+        let got: Vec<(usize, usize)> = candidates_union(&new, "name", "sku")
+            .unwrap()
+            .into_iter()
+            .filter(|(a, b)| survivors.contains(a) && survivors.contains(b))
+            .collect();
+        prop_assert_eq!(got, want);
+    }
+
+    #[test]
     fn parallel_kernel_handles_more_workers_than_pairs(t in arb_messy_table(4), extra in 1usize..9) {
         // Worker counts exceeding the pair count must cap, not idle or panic.
         let cfg = messy_cfg();

@@ -3,42 +3,73 @@
 
 The regressions this guards:
 
-* **Reuse economics** — a 1-source update on the 40-source fleet must cost
-  at most RATIO_LIMIT of a cold recompute (cold = same session state with
-  every stage memo dropped). If partition memoization
-  stops firing — a fingerprint accidentally covering volatile state, the
-  PartitionIsolated fact no longer established, the ER remap fast path dead
-  — the ratio climbs back toward 1.0 and this fails loudly. The ratio is a
-  same-machine, same-run comparison, so it is robust to absolute CI speed.
 * **Stale reuse** — every row of the sweep (k = 0 dirty sources through all
   40) must report `identical: true`: the incremental pass is byte-identical
   (`f64::to_bits`, canonical table hash) to the cold comparator. A single
   false here means a memo replayed bytes the cold path would not produce.
-* **Remap share** — on a 1-source update the ER memo must answer at least
-  REMAP_FLOOR of the pass's candidate pairs by index remap
-  (`pairs_remapped / candidates`); the rest are scored live.
+* **Block reuse** — a 1-source update must replay exactly
+  `num_sources - 1` union blocks. Fewer means a fingerprint covers volatile
+  state or the PartitionIsolated fact is no longer established; more means
+  the dirty block was served stale.
+* **Carried share** — on a 1-source update the ER memo must decide at least
+  REMAP_FLOOR of the pass's candidate pairs (`pairs_remapped / candidates`)
+  without scoring them; the rest are scored live.
+* **Reuse economics** — a pass after no change (k=0: union blocks, ER and
+  fuse all replay) must cost at most REPLAY_LIMIT of a cold recompute, and
+  a 1-source update at most RATIO_LIMIT (cold = same session state with
+  every stage memo dropped). If the ER carry dies, k=1 climbs back to
+  0.92-1.18 and this fails. The ratio is a same-machine, same-run
+  comparison, so it is robust to absolute CI speed — but not to how many
+  real cores the VM has at that moment (EXPERIMENTS E14): the cold pass
+  scores in parallel, the update barely scores at all, so with two real
+  cores cold gets cheaper and every ratio reads ~1.2x higher.
 
-Where RATIO_LIMIT comes from. The limit was 0.25 while a cold pass also
-rendered, looked up and inserted a content key per candidate pair. Removing
-that cache took the tax out of the denominator (cold) and left the numerator
-(incr) almost alone, so the same protection is the old limit scaled by how
-much cheaper cold became. Six alternating runs of `e18_incremental` on the
-2-core VM, parent commit then this one, k=1 row:
+Where the limits come from. The rule for RATIO_LIMIT: median k=1 ratio of
+at least six fresh `e18_incremental` runs, alternating with the parent
+commit, x 1.15, rounded up to the next 0.05 — taken in the machine state
+that reads highest, because the gate has to be green in both. (It was 0.25
+while a cold pass also rendered and inserted a content key per candidate
+pair, 0.50 after PR 13 removed that cache, and unreachable after PR 14's
+kernel made the cold pass ~5x cheaper: fusion and the non-ER stages alone
+are 0.43 of one.) Two sets of eight alternating runs on the 2-core VM,
+PR 14 (parent) then PR 15 (change: the ER memo remembers matched pairs,
+not scores), k=1 row.
 
-    parent cold_secs  0.2493 0.2603 0.2526 0.2449 0.2522 0.2459  median 0.2508
-    change cold_secs  0.1203 0.1323 0.1384 0.1211 0.1331 0.1288  median 0.1306
-    parent incr_secs  0.0589 0.0562 0.0560 0.0539 0.0564 0.0545
-    change incr_secs  0.0451 0.0455 0.0460 0.0461 0.0466 0.0450
-    change ratio      0.375  0.344  0.332  0.381  0.350  0.349
+Two real cores (E14 read @4/@1 = 0.595 minutes before):
 
-    0.25 x (0.2508 / 0.1306) = 0.480, rounded up to the next 0.05 = 0.50
+    parent cold_secs  0.0244 0.0244 0.0243 0.0242 0.0243 0.0245 0.0243 0.0245
+    change cold_secs  0.0240 0.0241 0.0238 0.0241 0.0238 0.0241 0.0240 0.0238
+    parent incr_secs  0.0275 0.0278 0.0283 0.0284 0.0283 0.0284 0.0279 0.0280
+    change incr_secs  0.0176 0.0176 0.0177 0.0174 0.0174 0.0175 0.0180 0.0174
+    parent ratio      1.129  1.137  1.164  1.176  1.165  1.158  1.145  1.144
+    change ratio      0.733  0.730  0.745  0.719  0.732  0.727  0.751  0.732
+
+    median 0.7321 x 1.15 = 0.842, rounded up to the next 0.05 = 0.85
+
+One core's worth of throughput across both vCPUs:
+
+    parent cold_secs  0.0314 0.0320 0.0319 0.0325 0.0324 0.0331 0.0320 0.0326
+    change cold_secs  0.0318 0.0327 0.0318 0.0328 0.0333 0.0330 0.0326 0.0326
+    parent incr_secs  0.0294 0.0295 0.0295 0.0302 0.0308 0.0305 0.0303 0.0311
+    change incr_secs  0.0199 0.0204 0.0201 0.0206 0.0203 0.0205 0.0203 0.0205
+    parent ratio      0.937  0.921  0.926  0.931  0.952  0.920  0.948  0.953
+    change ratio      0.626  0.625  0.632  0.628  0.609  0.623  0.622  0.629
+
+    median 0.6256 x 1.15 = 0.719, rounded up to the next 0.05 = 0.75
+
+The larger limit, 0.85, is in force. The parent — a carry that costs what
+scoring does — reads 0.92 at its best, so the gate still tells the two
+apart in either state. REPLAY_LIMIT is not derived from a margin: k=0 read
+0.137-0.144 in the one-core set and 0.183-0.188 in the two-core one, and
+0.50 says "a pass that changes nothing costs under half a pass".
 """
 
 import json
 import sys
 
-RATIO_LIMIT = 0.50  # incr/cold ceiling for a 1-source update
-REMAP_FLOOR = 0.90  # share of k=1 candidate pairs the ER memo must remap
+RATIO_LIMIT = 0.85  # incr/cold ceiling for a 1-source update
+REPLAY_LIMIT = 0.50  # incr/cold ceiling for a pass after no change
+REMAP_FLOOR = 0.90  # share of k=1 candidate pairs the ER memo must decide
 
 
 def main() -> int:
@@ -58,21 +89,29 @@ def main() -> int:
         if not row["identical"]:
             failures.append(f"identity@k={row['k']}")
 
-    one = next((r for r in rows if r["k"] == 1), None)
-    if one is None:
-        print("e18 ratio: no k=1 row in the sweep")
-        failures.append("missing-k1")
-    else:
-        ratio = one["ratio"]
-        verdict = "ok" if ratio <= RATIO_LIMIT else "FAIL"
+    by_k = {r["k"]: r for r in rows}
+    for k, limit in ((0, REPLAY_LIMIT), (1, RATIO_LIMIT)):
+        r = by_k.get(k)
+        if r is None:
+            print(f"e18 ratio: no k={k} row in the sweep")
+            failures.append(f"missing-k{k}")
+            continue
+        verdict = "ok" if r["ratio"] <= limit else "FAIL"
         print(
-            f"e18 ratio [k=1, {data['num_sources']} sources]: "
-            f"cold = {1e3 * one['cold_secs']:.1f} ms, "
-            f"incr = {1e3 * one['incr_secs']:.1f} ms, "
-            f"ratio = {ratio:.3f} (limit {RATIO_LIMIT}) -> {verdict}"
+            f"e18 ratio [k={k}, {data['num_sources']} sources]: "
+            f"cold = {1e3 * r['cold_secs']:.1f} ms, "
+            f"incr = {1e3 * r['incr_secs']:.1f} ms, "
+            f"ratio = {r['ratio']:.3f} (limit {limit}) -> {verdict}"
         )
-        if ratio > RATIO_LIMIT:
-            failures.append("ratio@k=1")
+        if r["ratio"] > limit:
+            failures.append(f"ratio@k={k}")
+
+    if 1 in by_k:
+        reused, want = by_k[1]["blocks_reused"], data["num_sources"] - 1
+        verdict = "ok" if reused == want else "FAIL"
+        print(f"e18 block reuse [k=1]: {reused} union blocks replayed (want exactly {want}) -> {verdict}")
+        if reused != want:
+            failures.append("blocks@k=1")
 
     share = data.get("remap_share", 0.0)
     verdict = "ok" if share >= REMAP_FLOOR else "FAIL"

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Seven rules, all enforced in CI via scripts/verify.sh:
+# analysis). Eight rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -45,6 +45,14 @@
 #      change to it will miss. (`crash_fire(CrashSite::MidEr)` inside the ER
 #      stage is not a seam and is allowed.) Justify a true exception with a
 #      `lint-allow: <reason>` comment.
+#
+#   8. `pack_pair`, `PairScoreCache` and `content_keys` have no caller under
+#      `crates/`, `src/` or `examples/` — tests, benches and experiment
+#      binaries included. They are stubs the session stopped using, kept
+#      only because `bench/` (frozen outside `[benchmark]` PRs) still builds
+#      against them; the `[benchmark]` follow-up deletes them, and until
+#      then none may quietly regain a production use. Only the defining
+#      file may name one: at its definition and in its own unit tests.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -249,6 +257,33 @@ done)
 if [ -n "$seam_hits" ]; then
   echo "lint: seam-protocol primitive outside $SEAM_MODULE (go through Wrangler::seam, or add \`// lint-allow: <reason>\`):"
   echo "$seam_hits"
+  fail=1
+fi
+
+# --- Rule 8: bench-only stubs stay bench-only ----------------------------------
+# Every Rust file under crates/, src/ and examples/ is scanned whole, except
+# that a stub's defining file may name it on its definition line and in its
+# own test module.
+stub_hits=$(find crates src examples -name '*.rs' | sort | xargs awk '
+  BEGIN {
+    home["pack_pair"] = "crates/core/src/incr.rs"
+    home["PairScoreCache"] = "crates/core/src/working.rs"
+    home["content_keys"] = "crates/resolve/src/kernel.rs"
+  }
+  FNR == 1 { in_tests = 0 }
+  /#\[cfg\(test\)\]/ { in_tests = 1 }
+  /^[[:space:]]*\/\// { next }  # comment / doc lines
+  {
+    for (sym in home) {
+      if ($0 !~ "(^|[^_[:alnum:]])" sym "([^_[:alnum:]]|$)") continue
+      if (FILENAME == home[sym] && (in_tests || $0 ~ "(fn|struct|impl) " sym "[^_[:alnum:]]")) continue
+      printf "%s:%d: %s\n", FILENAME, FNR, $0
+    }
+  }
+')
+if [ -n "$stub_hits" ]; then
+  echo "lint: bench-only stub used in the workspace (pack_pair, PairScoreCache and content_keys exist for bench/ alone until the [benchmark] PR deletes them):"
+  echo "$stub_hits"
   fail=1
 fi
 
