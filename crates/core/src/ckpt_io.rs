@@ -13,8 +13,8 @@
 //!   at the seam — quarantine discounts and breaker trips included, applied
 //!   once, never re-derived;
 //! * a stage output — the data the rest of the pipeline consumes (selected
-//!   ids, degraded payloads, mappings, mapped tables, union rows, clusters,
-//!   fused slots).
+//!   ids, degraded payloads, mappings, mapped tables, the union table and
+//!   its source runs, clusters, fused slots).
 //!
 //! All encodings ride on the canonical wire codec
 //! ([`wrangler_table::wire`]): fixed-width little-endian integers,
@@ -33,13 +33,14 @@ use wrangler_mapping::Mapping;
 use wrangler_sources::faults::{AcquireError, Degradation};
 use wrangler_sources::SourceId;
 use wrangler_table::wire::{self, Dec, Enc};
-use wrangler_table::{Table, TableError, Value};
+use wrangler_table::{Schema, Table, TableError};
 use wrangler_uncertainty::{Belief, EvidenceKind};
 
 use crate::acquire::{
     AcquireOutcome, AcquisitionSummary, BreakerConfig, BreakerState, CircuitBreaker, Disposition,
 };
 use crate::contain::{ContainmentReport, Stage, StageTallies};
+use crate::union::Union;
 use crate::working::WorkCounters;
 
 type Result<T> = std::result::Result<T, TableError>;
@@ -61,6 +62,23 @@ const BELIEF_MIN: usize = 24;
 /// A table with no fields: a field count and a row count.
 const TABLE_MIN: usize = 16;
 
+/// Decode a length-prefixed list, one `item` at a time. The one place a
+/// claimed element count turns into a reservation: [`Dec::cap`] bounds it by
+/// the unread input (`min` is an element's smallest encoding), so a forged
+/// count cannot allocate more than the payload could hold.
+fn dec_list<'a, T>(
+    d: &mut Dec<'a>,
+    min: usize,
+    mut item: impl FnMut(&mut Dec<'a>) -> Result<T>,
+) -> Result<Vec<T>> {
+    let n = d.usize()?;
+    let mut out = Vec::with_capacity(d.cap(n, min));
+    for _ in 0..n {
+        out.push(item(d)?);
+    }
+    Ok(out)
+}
+
 fn enc_belief(e: &mut Enc, b: &Belief) {
     let (lo, prior, ledger) = b.to_parts();
     e.f64(lo).f64(prior).usize(ledger.len());
@@ -72,12 +90,10 @@ fn enc_belief(e: &mut Enc, b: &Belief) {
 fn dec_belief(d: &mut Dec) -> Result<Belief> {
     let lo = d.f64()?;
     let prior = d.f64()?;
-    let n = d.usize()?;
-    let mut ledger = Vec::with_capacity(d.cap(n, 5));
-    for _ in 0..n {
+    let ledger = dec_list(d, 5, |d| {
         let kind = EvidenceKind::from_tag(d.u8()?).ok_or_else(|| bad("unknown evidence kind"))?;
-        ledger.push((kind, d.u32()?));
-    }
+        Ok((kind, d.u32()?))
+    })?;
     Ok(Belief::from_parts(lo, prior, ledger))
 }
 
@@ -259,9 +275,7 @@ fn enc_summary(e: &mut Enc, s: &AcquisitionSummary) {
 }
 
 fn dec_summary(d: &mut Dec) -> Result<AcquisitionSummary> {
-    let n = d.usize()?;
-    let mut outcomes = Vec::with_capacity(d.cap(n, 17));
-    for _ in 0..n {
+    let outcomes = dec_list(d, 17, |d| {
         let id = SourceId(d.u32()?);
         let attempts = d.u32()?;
         let ticks = d.u64()?;
@@ -272,23 +286,15 @@ fn dec_summary(d: &mut Dec) -> Result<AcquisitionSummary> {
             3 => Disposition::Quarantined,
             _ => return Err(bad("unknown disposition tag")),
         };
-        outcomes.push(AcquireOutcome {
+        Ok(AcquireOutcome {
             id,
             attempts,
             ticks,
             disposition,
-        });
-    }
-    let n = d.usize()?;
-    let mut skipped = Vec::with_capacity(d.cap(n, 12));
-    for _ in 0..n {
-        skipped.push((SourceId(d.u32()?), d.str()?));
-    }
-    let n = d.usize()?;
-    let mut degraded = Vec::with_capacity(d.cap(n, 13));
-    for _ in 0..n {
-        degraded.push((SourceId(d.u32()?), dec_degradation(d)?));
-    }
+        })
+    })?;
+    let skipped = dec_list(d, 12, |d| Ok((SourceId(d.u32()?), d.str()?)))?;
+    let degraded = dec_list(d, 13, |d| Ok((SourceId(d.u32()?), dec_degradation(d)?)))?;
     Ok(AcquisitionSummary {
         outcomes,
         skipped,
@@ -359,20 +365,12 @@ fn enc_mapping(e: &mut Enc, m: &Mapping) {
 
 fn dec_mapping(d: &mut Dec) -> Result<Mapping> {
     let target = wire::decode_schema(d)?;
-    let n = d.usize()?;
-    let mut bindings = Vec::with_capacity(d.cap(n, 1));
-    for _ in 0..n {
-        bindings.push(match d.u8()? {
-            0 => None,
-            1 => Some(d.usize()?),
-            _ => return Err(bad("unknown binding tag")),
-        });
-    }
-    let n = d.usize()?;
-    let mut binding_beliefs = Vec::with_capacity(d.cap(n, BELIEF_MIN));
-    for _ in 0..n {
-        binding_beliefs.push(dec_belief(d)?);
-    }
+    let bindings = dec_list(d, 1, |d| match d.u8()? {
+        0 => Ok(None),
+        1 => Ok(Some(d.usize()?)),
+        _ => Err(bad("unknown binding tag")),
+    })?;
+    let binding_beliefs = dec_list(d, BELIEF_MIN, dec_belief)?;
     let belief = dec_belief(d)?;
     Ok(Mapping {
         target,
@@ -395,11 +393,7 @@ fn dec_fused(d: &mut Dec) -> Result<FusedValue> {
     let value = wire::decode_value(d)?;
     let weight = d.f64()?;
     let total_weight = d.f64()?;
-    let n = d.usize()?;
-    let mut supporters = Vec::with_capacity(d.cap(n, 8));
-    for _ in 0..n {
-        supporters.push(d.usize()?);
-    }
+    let supporters = dec_list(d, 8, Dec::usize)?;
     Ok(FusedValue {
         value,
         weight,
@@ -417,12 +411,7 @@ fn enc_ids(e: &mut Enc, ids: &[SourceId]) {
 }
 
 fn dec_ids(d: &mut Dec) -> Result<Vec<SourceId>> {
-    let n = d.usize()?;
-    let mut out = Vec::with_capacity(d.cap(n, 4));
-    for _ in 0..n {
-        out.push(SourceId(d.u32()?));
-    }
-    Ok(out)
+    dec_list(d, 4, |d| Ok(SourceId(d.u32()?)))
 }
 
 // ---------------------------------------------------------------------------
@@ -494,24 +483,12 @@ impl SessionState {
         let mut d = Dec::new(bytes);
         let now = d.u64()?;
         let access_spent = d.f64()?;
-        let n = d.usize()?;
-        let mut trust = Vec::with_capacity(d.cap(n, BELIEF_MIN));
-        for _ in 0..n {
-            trust.push(dec_belief(&mut d)?);
-        }
-        let n = d.usize()?;
-        let mut relevance = Vec::with_capacity(d.cap(n, 8));
-        for _ in 0..n {
-            relevance.push(d.f64()?);
-        }
+        let trust = dec_list(&mut d, BELIEF_MIN, dec_belief)?;
+        let relevance = dec_list(&mut d, 8, Dec::f64)?;
         let acq_clock = d.u64()?;
         let acq_total_attempts = d.u64()?;
         let acq_total_backoff = d.u64()?;
-        let n = d.usize()?;
-        let mut breakers = Vec::with_capacity(d.cap(n, 25));
-        for _ in 0..n {
-            breakers.push(dec_breaker(&mut d)?);
-        }
+        let breakers = dec_list(&mut d, 25, dec_breaker)?;
         let work = WorkCounters {
             extractions: d.usize()?,
             mappings_generated: d.usize()?,
@@ -567,6 +544,13 @@ pub trait SeamRecord: Sized {
 
     /// Decode.
     fn decode(bytes: &[u8]) -> Result<Self>;
+
+    /// Does the record fit the session it is about to enter — the part of
+    /// validity the bytes alone cannot show? Asked before anything is
+    /// restored; a record that does not fit is a miss.
+    fn fits(&self, _target: &Schema) -> bool {
+        true
+    }
 }
 
 /// Select-seam output: the chosen sources.
@@ -614,12 +598,9 @@ impl SeamRecord for AcquireOut {
     fn decode(bytes: &[u8]) -> Result<AcquireOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
-        let n = d.usize()?;
-        let mut degraded_tables = Vec::with_capacity(d.cap(n, 8 + TABLE_MIN));
-        for _ in 0..n {
-            let i = d.usize()?;
-            degraded_tables.push((i, wire::decode_table(&mut d)?));
-        }
+        let degraded_tables = dec_list(&mut d, 8 + TABLE_MIN, |d| {
+            Ok((d.usize()?, wire::decode_table(d)?))
+        })?;
         Ok(AcquireOut {
             selected,
             degraded_tables,
@@ -651,12 +632,7 @@ impl SeamRecord for MapGenOut {
     fn decode(bytes: &[u8]) -> Result<MapGenOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
-        let n = d.usize()?;
-        let mut mappings = Vec::with_capacity(d.cap(n, 8 + BELIEF_MIN));
-        for _ in 0..n {
-            let i = d.usize()?;
-            mappings.push((i, dec_mapping(&mut d)?));
-        }
+        let mappings = dec_list(&mut d, 8 + BELIEF_MIN, |d| Ok((d.usize()?, dec_mapping(d)?)))?;
         Ok(MapGenOut { selected, mappings })
     }
 }
@@ -692,28 +668,26 @@ impl SeamRecord for MapApplyOut {
     fn decode(bytes: &[u8]) -> Result<MapApplyOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
-        let n = d.usize()?;
-        let mut mapped = Vec::with_capacity(d.cap(n, 8 + TABLE_MIN + 1));
-        for _ in 0..n {
+        let mapped = dec_list(&mut d, 8 + TABLE_MIN + 1, |d| {
             let i = d.usize()?;
-            let t = wire::decode_table(&mut d)?;
+            let t = wire::decode_table(d)?;
             let tag = match d.u8()? {
                 0 => None,
                 1 => Some(d.str()?),
                 _ => return Err(bad("unknown filter-tag marker")),
             };
-            mapped.push((i, t, tag));
-        }
+            Ok((i, t, tag))
+        })?;
         Ok(MapApplyOut { selected, mapped })
     }
 }
 
-/// Union-seam output: the provenance-tagged union rows.
+/// Union-seam output: the union as the pass holds it.
 pub struct UnionOut {
     /// Survivors after union quarantines.
     pub selected: Vec<SourceId>,
-    /// `(source index, row values)` in union order.
-    pub union: Vec<(usize, Vec<Value>)>,
+    /// The union table and its source runs.
+    pub union: Union,
     /// Rows removed by the row filter (an obs counter the outcome reports).
     pub union_filtered: u64,
 }
@@ -723,36 +697,31 @@ impl SeamRecord for UnionOut {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.u64(self.union_filtered);
-        e.usize(self.union.len());
-        for (i, row) in &self.union {
-            e.usize(*i).usize(row.len());
-            for v in row {
-                wire::encode_value(&mut e, v);
-            }
+        wire::encode_table(&mut e, self.union.table());
+        e.usize(self.union.runs().len());
+        for &(source, rows) in self.union.runs() {
+            e.usize(source).usize(rows);
         }
         e.into_bytes()
     }
 
+    /// Rejects what the bytes alone show: ragged columns, and runs that do
+    /// not cover the table.
     fn decode(bytes: &[u8]) -> Result<UnionOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
         let union_filtered = d.u64()?;
-        let n = d.usize()?;
-        let mut union = Vec::with_capacity(d.cap(n, 16));
-        for _ in 0..n {
-            let i = d.usize()?;
-            let cols = d.usize()?;
-            let mut row = Vec::with_capacity(d.cap(cols, 1));
-            for _ in 0..cols {
-                row.push(wire::decode_value(&mut d)?);
-            }
-            union.push((i, row));
-        }
+        let table = wire::decode_table(&mut d)?;
+        let runs = dec_list(&mut d, 16, |d| Ok((d.usize()?, d.usize()?)))?;
         Ok(UnionOut {
             selected,
-            union,
+            union: Union::from_parts(table, runs)?,
             union_filtered,
         })
+    }
+
+    fn fits(&self, target: &Schema) -> bool {
+        self.union.table().schema() == target
     }
 }
 
@@ -784,21 +753,8 @@ impl SeamRecord for ErOut {
 
     fn decode(bytes: &[u8]) -> Result<ErOut> {
         let mut d = Dec::new(bytes);
-        let n = d.usize()?;
-        let mut clusters = Vec::with_capacity(d.cap(n, 8));
-        for _ in 0..n {
-            let m = d.usize()?;
-            let mut c = Vec::with_capacity(d.cap(m, 8));
-            for _ in 0..m {
-                c.push(d.usize()?);
-            }
-            clusters.push(c);
-        }
-        let n = d.usize()?;
-        let mut row_entity = Vec::with_capacity(d.cap(n, 8));
-        for _ in 0..n {
-            row_entity.push(d.usize()?);
-        }
+        let clusters = dec_list(&mut d, 8, |d| dec_list(d, 8, Dec::usize))?;
+        let row_entity = dec_list(&mut d, 8, Dec::usize)?;
         Ok(ErOut {
             clusters,
             row_entity,
@@ -852,28 +808,10 @@ impl SeamRecord for FuseOut {
     fn decode(bytes: &[u8]) -> Result<FuseOut> {
         let mut d = Dec::new(bytes);
         let selected = dec_ids(&mut d)?;
-        let n = d.usize()?;
-        let mut fuse_removed = Vec::with_capacity(d.cap(n, 8));
-        for _ in 0..n {
-            fuse_removed.push(d.usize()?);
-        }
-        let n = d.usize()?;
-        let mut trust = Vec::with_capacity(d.cap(n, 8));
-        for _ in 0..n {
-            trust.push(d.f64()?);
-        }
-        let n = d.usize()?;
-        let mut age = Vec::with_capacity(d.cap(n, 8));
-        for _ in 0..n {
-            age.push(d.u64()?);
-        }
-        let n = d.usize()?;
-        let mut fused = Vec::with_capacity(d.cap(n, 49));
-        for _ in 0..n {
-            let ent = d.usize()?;
-            let attr = d.usize()?;
-            fused.push((ent, attr, dec_fused(&mut d)?));
-        }
+        let fuse_removed = dec_list(&mut d, 8, Dec::usize)?;
+        let trust = dec_list(&mut d, 8, Dec::f64)?;
+        let age = dec_list(&mut d, 8, Dec::u64)?;
+        let fused = dec_list(&mut d, 49, |d| Ok((d.usize()?, d.usize()?, dec_fused(d)?)))?;
         Ok(FuseOut {
             selected,
             fuse_removed,
@@ -887,7 +825,7 @@ impl SeamRecord for FuseOut {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wrangler_table::{Schema, Value};
+    use wrangler_table::Value;
     use wrangler_uncertainty::Evidence;
 
     fn sample_state() -> SessionState {
@@ -1043,12 +981,17 @@ mod tests {
     }
 
     fn sample_union() -> UnionOut {
+        let rows = vec![
+            vec![Value::Str("x".into()), Value::Float(f64::NAN)],
+            vec![Value::Null, Value::Int(-3)],
+        ];
+        let mapped = Table::from_rows(Schema::of_strs(&["name", "price"]), rows).unwrap();
+        let mut union = Union::empty(mapped.schema().clone());
+        union.append(0, &mapped, &[0]).unwrap();
+        union.append(1, &mapped, &[1]).unwrap();
         UnionOut {
             selected: vec![SourceId(0)],
-            union: vec![
-                (0, vec![Value::Str("x".into()), Value::Float(f64::NAN)]),
-                (1, vec![Value::Null, Value::Int(-3)]),
-            ],
+            union,
             union_filtered: 2,
         }
     }
@@ -1122,11 +1065,14 @@ mod tests {
         let union = sample_union();
         let back = UnionOut::decode(&union.encode()).unwrap();
         assert_eq!(back.union_filtered, 2);
-        assert_eq!(back.union.len(), 2);
-        match (&back.union[0].1[1], &union.union[0].1[1]) {
-            (Value::Float(a), Value::Float(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-            other => panic!("expected floats, got {other:?}"),
-        }
+        assert_eq!(back.union.runs(), &[(0, 1), (1, 1)]);
+        // Bit-exact cells (the NaN included), by the canonical encoding.
+        assert_eq!(
+            wire::table_bytes(back.union.table()),
+            wire::table_bytes(union.union.table())
+        );
+        assert!(back.fits(union.union.table().schema()));
+        assert!(!back.fits(&Schema::of_strs(&["name"])));
 
         let er = sample_er();
         let back = ErOut::decode(&er.encode()).unwrap();
@@ -1138,6 +1084,17 @@ mod tests {
         assert_eq!(back.fuse_removed, fuse.fuse_removed);
         assert_eq!(back.fused.len(), 1);
         assert_eq!(back.fused[0].2.supporters, vec![0, 1]);
+    }
+
+    #[test]
+    fn union_runs_that_do_not_cover_the_table_do_not_decode() {
+        // The payload's last 8 bytes are the last run's row count (1).
+        let mut bytes = sample_union().encode();
+        let at = bytes.len() - 8;
+        for forged in [0u64, 2, u64::MAX >> 1] {
+            bytes[at..].copy_from_slice(&forged.to_le_bytes());
+            assert!(UnionOut::decode(&bytes).is_err(), "last run of {forged}");
+        }
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! - **Union blocks** ([`BlockMemo`]): each source's contribution to the
 //!   union (its contiguous row block, post poison scan and post inline
 //!   filter) is keyed on the pass/program fingerprints plus that source's
-//!   effective payload, mapping and filter placement. A 1-source update on
-//!   an n-source fleet recomputes one block; the other n−1 replay.
+//!   effective payload, mapping and filter placement. The memo holds no
+//!   cells: the source's mapped table is a function of everything the key
+//!   covers and the session already holds it, so a block is remembered as
+//!   *which rows of the mapped table it keeps*. A 1-source update on an
+//!   n-source fleet rescans one block; the other n−1 replay.
 //! - **ER** ([`ErMemo`]): the whole clustering is keyed on the union
 //!   content. When the union changed (some block is dirty), the memo still
 //!   pays: it remembers the pass's *matched pairs* by row index, and the
@@ -36,19 +39,17 @@
 
 use std::collections::BTreeMap;
 
-use wrangler_table::Value;
-
 use crate::ckpt_io::{ErOut, FuseOut};
 
 /// One source's memoized union contribution.
 #[derive(Debug, Clone)]
 pub struct BlockMemo {
     /// Content key (see [`module docs`](self)): equal keys mean the live
-    /// union loop would reproduce exactly these rows.
+    /// union loop would keep exactly these rows of the same mapped table.
     pub key: u64,
-    /// The rows the source contributed, in delivery order (source tag
-    /// stripped — it is the map key).
-    pub rows: Vec<Vec<Value>>,
+    /// Row indices of the source's mapped table that the block keeps (past
+    /// the poison scan and the inline filter), ascending.
+    pub kept: Vec<usize>,
     /// Rows the inline (Union-placed) filter dropped when the block was
     /// computed; replayed into the `union.filtered` counter.
     pub filtered: u64,
@@ -355,7 +356,7 @@ mod tests {
             0,
             BlockMemo {
                 key: 1,
-                rows: Vec::new(),
+                kept: Vec::new(),
                 filtered: 0,
                 scan_cells: 0,
                 scan_bytes: 0,
@@ -374,7 +375,7 @@ mod tests {
             2,
             BlockMemo {
                 key: 1,
-                rows: Vec::new(),
+                kept: Vec::new(),
                 filtered: 0,
                 scan_cells: 0,
                 scan_bytes: 0,

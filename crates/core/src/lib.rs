@@ -20,6 +20,9 @@
 //!   snapshot plus per-stage output records that `wrangler-ckpt` persists at
 //!   every stage seam, making a wrangle crash-resilient (kill the process at
 //!   any boundary; `resume` replays the deepest valid prefix byte-identically);
+//! * [`union`] — how the union is held: one columnar table plus its
+//!   per-source runs, the single value the pass, the union seam record and
+//!   the session cache carry;
 //! * [`lower`] — lowers each wrangle pass into the `wrangler-plan` typed IR;
 //!   the compiled [`wrangler_plan::PlanProgram`] then drives filter
 //!   placement, fuse liveness, profile sharing and the output projection;
@@ -39,6 +42,7 @@ pub mod lower;
 pub mod planner;
 pub mod provenance;
 pub mod uncertain;
+pub mod union;
 pub mod working;
 pub mod wrangler;
 

@@ -247,7 +247,7 @@ pub fn pushdown_predicate(
 
 /// Byte estimate of one value, the unit of the `scan.bytes` counter: fixed
 /// widths for scalars, payload length for strings.
-pub fn value_bytes(v: &Value) -> u64 {
+fn value_bytes(v: &Value) -> u64 {
     match v {
         Value::Null | Value::Bool(_) => 1,
         Value::Int(_) | Value::Float(_) => 8,

@@ -31,6 +31,7 @@ use crate::acquire::{Acquisition, AcquisitionSummary};
 use crate::contain::{ContainPolicy, ContainmentReport, Stage};
 use crate::incr::IncrEngine;
 use crate::planner::Plan;
+use crate::union::Union;
 use crate::working::{Artifact, WorkingData};
 
 mod pass;
@@ -61,8 +62,8 @@ struct SourceState {
 /// recomputation.
 #[derive(Debug, Clone)]
 struct WrangleCache {
-    /// Union rows: (source index, values aligned to the target schema).
-    union: Vec<(usize, Vec<Value>)>,
+    /// The union the pass resolved and fused.
+    union: Union,
     /// Entity id per union row.
     row_entity: Vec<usize>,
     /// Number of entities.
@@ -792,23 +793,18 @@ impl Wrangler {
 
     /// Master-data anchors: for entities whose key is in the catalog, the
     /// catalog's values of shared attributes are known-true.
-    fn master_anchors(
-        &self,
-        _claims: &ClaimSet,
-        clusters: &[Vec<usize>],
-        union: &[(usize, Vec<Value>)],
-    ) -> Vec<(usize, usize, Value)> {
+    fn master_anchors(&self, clusters: &[Vec<usize>], union: &Table) -> Vec<(usize, usize, Value)> {
         let Some(master) = self.data_ctx.master("product") else {
             return Vec::new();
         };
-        let Ok(key_idx) = self.target.index_of(&master.key_column) else {
+        let Ok(keys) = union.column_named(&master.key_column) else {
             return Vec::new();
         };
         let mut anchors = Vec::new();
         for (e, cluster) in clusters.iter().enumerate() {
             // The entity's key: first non-null key claim found in the master.
             let key = cluster.iter().find_map(|&r| {
-                let v = &union[r].1[key_idx];
+                let v = &keys[r];
                 if !v.is_null() && master.contains_key(v) {
                     Some(v.clone())
                 } else {
@@ -1170,7 +1166,9 @@ impl Wrangler {
     /// Number of union rows in the last wrangle (duplicate-pair feedback is
     /// expressed in union-row indices).
     pub fn union_len(&self) -> usize {
-        self.cache.as_ref().map_or(0, |c| c.union.len())
+        self.cache
+            .as_ref()
+            .map_or(0, |c| c.union.table().num_rows())
     }
 
     /// Entity id a union row was clustered into, if a wrangle has run.
@@ -1198,14 +1196,11 @@ impl Wrangler {
         if labels.is_empty() {
             return None;
         }
-        let mut union_table = Table::empty(self.target.clone());
-        for (_, row) in &cache.union {
-            union_table.push_row(row.clone()).ok()?;
-        }
-        let old_f1 = wrangler_resolve::learn::evaluate(&union_table, &labels, &self.er_cfg)
+        let union_table = cache.union.table();
+        let old_f1 = wrangler_resolve::learn::evaluate(union_table, &labels, &self.er_cfg)
             .ok()?
             .f1;
-        let (cfg, f1) = refine_rule(&union_table, &labels, &self.er_cfg, 3).ok()?;
+        let (cfg, f1) = refine_rule(union_table, &labels, &self.er_cfg, 3).ok()?;
         // Adopt only a strict improvement on the labels...
         if f1.f1 <= old_f1 + 1e-9 {
             return Some(old_f1);
@@ -1214,10 +1209,8 @@ impl Wrangler {
         // labels must not collapse or shatter the entity space. Re-cluster
         // with the candidate rule and require the entity count to stay within
         // a factor of the current one.
-        let block_col = blocking_column(&self.target);
-        let key_col = self.target.fields()[0].name.clone();
-        let candidates = candidates_union(&union_table, &block_col, &key_col).ok()?;
-        let pairs = ErKernel::compile(&union_table, &cfg)
+        let candidates = self.union_candidates(union_table).ok()?;
+        let pairs = ErKernel::compile(union_table, &cfg)
             .ok()?
             .match_pairs(&candidates)
             .ok()?;
@@ -1230,21 +1223,32 @@ impl Wrangler {
         }
         self.er_cfg = cfg;
         self.working.invalidate(Artifact::Clusters);
-        // The rule changed, so every memoized pair score is stale.
+        // The rule changed: the ER memo's matched pairs were decided under
+        // the old one, and every memo keyed downstream of it goes with them.
         self.incr.clear();
         Some(f1.f1)
     }
 
-    /// The union table of the last wrangle (the ER kernel's input), rebuilt
+    /// The union table of the last wrangle (the ER kernel's input), cloned
     /// from the cache. `None` before the first wrangle. Experiment harnesses
     /// use this to benchmark the measured hot path on the real workload.
     pub fn union_table(&self) -> Option<Table> {
-        let cache = self.cache.as_ref()?;
-        let mut t = Table::empty(self.target.clone());
-        for (_, row) in &cache.union {
-            t.push_row(row.clone()).ok()?;
-        }
-        Some(t)
+        Some(self.cache.as_ref()?.union.table().clone())
+    }
+
+    /// The candidate pairs of a union table. Blocked on the name-ish column
+    /// (a name or title, else the key) AND the key column: rows whose name
+    /// is null or typo-prefixed still meet their duplicates through the key.
+    fn union_candidates(&self, union: &Table) -> wrangler_table::Result<Vec<(usize, usize)>> {
+        let mut names = self.target.fields().iter().map(|f| &f.name);
+        let key_col = &self.target.fields()[0].name;
+        let name_col = names
+            .find(|n| {
+                let l = n.to_lowercase();
+                l.contains("name") || l.contains("title")
+            })
+            .unwrap_or(key_col);
+        candidates_union(union, name_col, key_col)
     }
 }
 
@@ -1314,17 +1318,6 @@ fn build_er_config(target: &Schema, threshold: f64) -> ErConfig {
         // Numeric columns intentionally excluded.
     }
     ErConfig { fields, threshold }
-}
-
-/// The column ER blocks on: a name-ish string column, else the first column.
-fn blocking_column(target: &Schema) -> String {
-    for f in target.fields() {
-        let l = f.name.to_lowercase();
-        if l.contains("name") || l.contains("title") {
-            return f.name.clone();
-        }
-    }
-    target.fields()[0].name.clone()
 }
 
 #[cfg(test)]
@@ -2485,21 +2478,19 @@ mod tests {
     /// or one whose two (clean) sources swapped places since `before`.
     fn pairs_to_score(w: &Wrangler, dirty: SourceId, before: &[SourceId]) -> u64 {
         let union = &w.cache.as_ref().unwrap().union;
-        let rank = |row: usize| before.iter().position(|s| s.0 as usize == union[row].0);
-        let key_col = &w.target.fields()[0].name;
-        let touches = |row: usize| union[row].0 == dirty.0 as usize;
-        let table = w.union_table().unwrap();
-        candidates_union(&table, &blocking_column(&w.target), key_col)
+        let source_of: Vec<usize> = union.sources().collect();
+        let rank = |row: usize| before.iter().position(|s| s.0 as usize == source_of[row]);
+        let touches = |row: usize| source_of[row] == dirty.0 as usize;
+        w.union_candidates(union.table())
             .unwrap()
             .iter()
             .filter(|&&(i, j)| touches(i) || touches(j) || rank(i) > rank(j))
             .count() as u64
     }
 
-    #[test]
-    fn update_scores_only_pairs_touching_the_dirty_block_and_remembers_only_matches() {
-        // The fleet of `tests/ckpt_resume.rs` at seed 23.
-        let fleet = wrangler_sources::synthetic::generate_fleet(
+    /// The fleet of `tests/ckpt_resume.rs` at seed 23.
+    fn seed23_fleet() -> SyntheticFleet {
+        wrangler_sources::synthetic::generate_fleet(
             &FleetConfig {
                 num_products: 60,
                 num_sources: 8,
@@ -2511,7 +2502,44 @@ mod tests {
                 ..FleetConfig::default()
             },
             23,
-        );
+        )
+    }
+
+    #[test]
+    fn block_memos_hold_kept_row_indices_that_cover_the_union_and_no_cells() {
+        use crate::incr::BlockMemo;
+        let fleet = seed23_fleet();
+        let mut w = session(&fleet, UserContext::completeness_first());
+        let first = w.wrangle().unwrap();
+        assert_eq!(w.incr.blocks.len(), first.selected_sources.len());
+        let mut kept_rows = 0;
+        for (i, memo) in &w.incr.blocks {
+            // Exhaustive on purpose: a new field has to be named here, and
+            // none of these types can hold a `Value`.
+            let BlockMemo {
+                key,
+                kept,
+                filtered,
+                scan_cells,
+                scan_bytes,
+            } = memo;
+            let _: (&u64, &Vec<usize>, &u64, &u64, &u64) =
+                (key, kept, filtered, scan_cells, scan_bytes);
+            let mapped = w.states[*i].mapped.as_ref().unwrap();
+            assert!(kept.windows(2).all(|p| p[0] < p[1]), "ascending");
+            assert!(kept.last().is_none_or(|&r| r < mapped.num_rows()));
+            kept_rows += kept.len();
+        }
+        assert!(kept_rows > 0);
+        assert_eq!(kept_rows, w.union_len());
+        let union = &w.cache.as_ref().unwrap().union;
+        assert_eq!(union.runs().len(), first.selected_sources.len());
+        assert_eq!(w.union_table().as_ref(), Some(union.table()));
+    }
+
+    #[test]
+    fn update_scores_only_pairs_touching_the_dirty_block_and_remembers_only_matches() {
+        let fleet = seed23_fleet();
         let mut w = session(&fleet, UserContext::completeness_first());
         let first = w.wrangle().unwrap();
         let victim = first.selected_sources[0];

@@ -12,7 +12,8 @@
 //!    `seam_key(name, pass_fp, chain, extra)`; 0 without a store;
 //! 3. obtain the record: the whole-stage memo the caller found, else a
 //!    stored record (decode the stage payload *first*, restore the session
-//!    snapshot only if it decodes), else the stage's live function;
+//!    snapshot only if it decodes and fits this session's fleet shape and
+//!    target schema), else the stage's live function;
 //! 4. persist it (snapshot + encoded record) unless it came from the store
 //!    — only when a store is attached, so a store-less pass encodes nothing;
 //! 5. `install` it — the one place a stage's output enters the session,
@@ -37,6 +38,7 @@ use super::Wrangler;
 use crate::ckpt_io::{self, ErOut, SeamRecord, SessionState};
 use crate::contain::{isolate, ContainPolicy, ContainmentReport, Stage};
 use crate::planner::Plan;
+use crate::union::Union;
 use crate::working::Artifact;
 
 type Result<T> = wrangler_table::Result<T>;
@@ -65,11 +67,10 @@ pub(super) struct Pass {
     /// Scan tallies accumulated by map_apply and union (telemetry on only).
     pub(super) scan_filter_cells: u64,
     pub(super) scan_bytes: u64,
-    /// Union rows: (source index, values aligned to the target schema).
-    pub(super) union: Vec<(usize, Vec<Value>)>,
-    /// The union as a table (the ER kernel's input).
-    pub(super) union_table: Table,
-    /// Content hash of `union_table` (0 when the engine is off).
+    /// The union: the table ER reads plus its source runs. Installed by the
+    /// union seam, moved into the session cache by the fuse seam.
+    pub(super) union: Union,
+    /// Content hash of the union table (0 when the engine is off).
     pub(super) union_hash: u64,
     /// Union block layout of this pass, in union order — the ER carry's
     /// coordinate system. Empty when the engine is off or the union
@@ -130,8 +131,7 @@ impl Wrangler {
             degraded_tables: BTreeMap::new(),
             scan_filter_cells: 0,
             scan_bytes: 0,
-            union: Vec::new(),
-            union_table: Table::empty(self.target.clone()),
+            union: Union::empty(self.target.clone()),
             union_hash: 0,
             union_layout: Vec::new(),
             er: ErOut::default(),
@@ -328,7 +328,8 @@ impl Wrangler {
     /// Try to replay a seam. The stage payload is decoded *before* anything
     /// is restored: only a record that is valid end to end touches the
     /// session. A miss, a torn record (checksum/framing failure — counted,
-    /// unlinked, never loaded), a record from a different fleet shape or an
+    /// unlinked, never loaded), a record from a different fleet shape, one
+    /// that does not fit the target schema ([`SeamRecord::fits`]) or an
     /// undecodable payload returns `None` and the stage computes live.
     fn ckpt_load<R: SeamRecord>(
         &mut self,
@@ -348,7 +349,8 @@ impl Wrangler {
         let decoded = raw.and_then(|raw| {
             let (state, out) = ckpt_io::decode_record(&raw).ok()?;
             let record = R::decode(&out).ok()?;
-            (state.trust.len() == self.states.len()).then_some((state, record))
+            (state.trust.len() == self.states.len() && record.fits(&self.target))
+                .then_some((state, record))
         });
         match decoded {
             Some((state, record)) => {
@@ -448,12 +450,13 @@ impl Wrangler {
     pub(super) fn claim_set(&mut self, pass: &Pass, excluded: &[usize]) -> ClaimSet {
         let mut claims = ClaimSet::new(self.registry.len());
         claims.rel_tol = pass.plan.fusion_tolerance;
-        for (r, (src, row)) in pass.union.iter().enumerate() {
-            if excluded.contains(src) {
+        let columns: Vec<&[Value]> = pass.union.table().columns().collect();
+        for (r, src) in pass.union.sources().enumerate() {
+            if excluded.contains(&src) {
                 continue;
             }
-            for (a, v) in row.iter().enumerate() {
-                claims.add(pass.er.row_entity[r], a, v.clone(), *src);
+            for (a, column) in columns.iter().enumerate() {
+                claims.add(pass.er.row_entity[r], a, column[r].clone(), src);
             }
         }
         for (e, a) in claims.slots() {

@@ -18,13 +18,13 @@ use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
 use wrangler_match::profile_table;
 use wrangler_plan::{FilterPlacement, OptMode, PlanProgram};
-use wrangler_resolve::{candidates_union, cluster_pairs, ErKernel};
+use wrangler_resolve::{cluster_pairs, ErKernel};
 use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
-use wrangler_table::{ops, par, wire, Table, TableError, Value};
+use wrangler_table::{ops, par, wire, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
 use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_APPLY, MAP_GENERATE, SELECT, UNION};
-use super::{blocking_column, WrangleCache, Wrangler};
+use super::{WrangleCache, Wrangler};
 use crate::acquire::AcquisitionSummary;
 use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectOut, UnionOut};
 use crate::contain::{
@@ -33,6 +33,7 @@ use crate::contain::{
 use crate::incr::{BlockMemo, ErMemo, FuseMemo};
 use crate::lower::{self, LowerInput};
 use crate::planner::SelectionStrategy;
+use crate::union::Union;
 use crate::working::Artifact;
 
 type Result<T> = wrangler_table::Result<T>;
@@ -625,11 +626,8 @@ impl Wrangler {
             Self::union_live,
             |w, pass, rec: UnionOut, _| {
                 pass.selected = rec.selected;
-                w.obs.count("union.rows", rec.union.len() as u64);
+                w.obs.count("union.rows", rec.union.table().num_rows() as u64);
                 w.obs.count("union.filtered", rec.union_filtered);
-                for (_, row) in &rec.union {
-                    pass.union_table.push_row(row.clone())?;
-                }
                 pass.union = rec.union;
                 Ok(())
             },
@@ -641,8 +639,13 @@ impl Wrangler {
     /// mapping, and the filter placement its mapped table was computed
     /// under. Equal key ⇒ the live loop would reproduce the block
     /// byte-for-byte.
-    fn union_block_key(&self, pass: &Pass, i: usize) -> Result<u64> {
-        let payload = wire::table_hash(self.payload(&pass.degraded_tables, i)?);
+    fn union_block_key(
+        &self,
+        degraded: &BTreeMap<usize, Table>,
+        pass_fp: u64,
+        i: usize,
+    ) -> Result<u64> {
+        let payload = wire::table_hash(self.payload(degraded, i)?);
         let mapping = wire::hash64(format!("{:?}", self.states[i].mapping).as_bytes());
         let tag = wire::hash64(format!("{:?}", self.states[i].filter_tag).as_bytes());
         // Deliberately NOT the whole-program fingerprint: a dirty source's
@@ -656,7 +659,7 @@ impl Wrangler {
             .as_ref()
             .map(|p| format!("{:?}", p.placement_for(i)))
             .unwrap_or_default();
-        Ok(ContentKey::stage("union-block", pass.pass_fp)
+        Ok(ContentKey::stage("union-block", pass_fp)
             .labelled("place", wire::hash64(place.as_bytes()))
             .labelled("src", i as u64)
             .input(payload)
@@ -673,21 +676,10 @@ impl Wrangler {
             },
             _ => None,
         };
-        let block_keys: BTreeMap<usize, u64> = if pass.incr_on {
-            pass.selected
-                .iter()
-                .map(|id| {
-                    let i = id.0 as usize;
-                    Ok((i, self.union_block_key(pass, i)?))
-                })
-                .collect::<Result<_>>()?
-        } else {
-            BTreeMap::new()
-        };
         let track_scans = self.obs.is_on();
         let mut scan_union_cells = 0u64;
         let mut union_filtered = 0u64;
-        let mut union: Vec<(usize, Vec<Value>)> = Vec::new();
+        let mut union = Union::empty(self.target.clone());
         let mut union_removed: Vec<usize> = Vec::new();
         let mut blocks_reused = 0u64;
         let mut blocks_recomputed = 0u64;
@@ -713,23 +705,24 @@ impl Wrangler {
             // Proof-carrying reuse: replay this source's memoized block
             // only under a matching content key AND the analyzer's verified
             // fact that the block is isolated to this source.
-            let block_key = block_keys.get(&i).copied();
+            let block_key = if pass.incr_on {
+                Some(self.union_block_key(&pass.degraded_tables, pass.pass_fp, i)?)
+            } else {
+                None
+            };
             let partition_isolated = program
                 .map(|p| p.holds(&wrangler_plan::Fact::PartitionIsolated { source: i }))
                 .unwrap_or(false);
-            if let (Some(key), true) = (block_key, partition_isolated) {
-                if let Some(memo) = self.incr.blocks.get(&i) {
-                    if memo.key == key {
-                        union_filtered += memo.filtered;
-                        blocks_reused += 1;
-                        rows_reused += memo.rows.len() as u64;
-                        cells_skipped += memo.scan_cells;
-                        bytes_skipped += memo.scan_bytes;
-                        pass.union_layout.push((i, key, memo.rows.len()));
-                        union.extend(memo.rows.iter().map(|row| (i, row.clone())));
-                        continue;
-                    }
-                }
+            let memo = self.incr.blocks.get(&i);
+            if let Some(memo) = memo.filter(|m| partition_isolated && Some(m.key) == block_key) {
+                union_filtered += memo.filtered;
+                blocks_reused += 1;
+                rows_reused += memo.kept.len() as u64;
+                cells_skipped += memo.scan_cells;
+                bytes_skipped += memo.scan_bytes;
+                pass.union_layout.push((i, memo.key, memo.kept.len()));
+                union.append(i, mapped, &memo.kept)?;
+                continue;
             }
             let mut this_cells = 0u64;
             let mut this_bytes = 0u64;
@@ -742,9 +735,11 @@ impl Wrangler {
             let mut poison = 0u64;
             let mut filtered_out = 0u64;
             let abort_scan = policy.mode != ContainMode::Contain;
-            let rows = guard.run(*id, || {
-                let mut out: Vec<(usize, Vec<Value>)> = Vec::with_capacity(mapped.num_rows());
-                for row in mapped.iter_rows() {
+            // The scan decides which rows of `mapped` the block keeps; cells
+            // are copied once, below, after the source is known to survive.
+            let kept = guard.run(*id, || {
+                let mut kept: Vec<usize> = Vec::with_capacity(mapped.num_rows());
+                for (r, row) in mapped.iter_rows().enumerate() {
                     if policy.scans_enabled() {
                         if let Some(reason) = poison_reason(&row, policy) {
                             if abort_scan {
@@ -760,9 +755,9 @@ impl Wrangler {
                             continue;
                         }
                     }
-                    out.push((i, row));
+                    kept.push(r);
                 }
-                Ok(out)
+                Ok(kept)
             });
             if track_scans && filter_here.is_some() {
                 let cols = program
@@ -772,8 +767,8 @@ impl Wrangler {
                 pass.scan_filter_cells += (mapped.num_rows() as u64) * cols;
             }
             union_filtered += filtered_out;
-            match rows {
-                Guarded::Ok(rows) => {
+            match kept {
+                Guarded::Ok(kept) => {
                     if poison > 0 {
                         guard.report_mut().drop_rows(Stage::Union, poison);
                         if poison as usize >= policy.poison_row_threshold {
@@ -791,8 +786,9 @@ impl Wrangler {
                         }
                     }
                     blocks_recomputed += 1;
+                    union.append(i, mapped, &kept)?;
                     if let Some(key) = block_key {
-                        pass.union_layout.push((i, key, rows.len()));
+                        pass.union_layout.push((i, key, kept.len()));
                         // Memoize only clean blocks: a poisoned one must
                         // recompute live so its row-drop side effects land
                         // in every pass's containment report. Store only
@@ -803,7 +799,7 @@ impl Wrangler {
                                 i,
                                 BlockMemo {
                                     key,
-                                    rows: rows.iter().map(|(_, r)| r.clone()).collect(),
+                                    kept,
                                     filtered: filtered_out,
                                     scan_cells: this_cells,
                                     scan_bytes: this_bytes,
@@ -811,7 +807,6 @@ impl Wrangler {
                             );
                         }
                     }
-                    union.extend(rows);
                 }
                 Guarded::Quarantined => union_removed.push(i),
                 Guarded::Fatal(e) => return Err(e),
@@ -845,35 +840,35 @@ impl Wrangler {
     fn naive_union_filter(
         &self,
         pass: &mut Pass,
-        union: Vec<(usize, Vec<Value>)>,
+        union: Union,
         union_filtered: &mut u64,
-    ) -> Result<Vec<(usize, Vec<Value>)>> {
+    ) -> Result<Union> {
         let Some(pred) = &self.row_filter else {
             return Ok(union);
         };
         let bound = pred.bind(&self.target)?;
+        let table = union.table();
         if self.obs.is_on() {
-            let cols: Vec<usize> = wrangler_plan::predicate_columns(pred)
-                .iter()
-                .map(|n| self.target.index_of(n))
-                .collect::<Result<_>>()?;
-            pass.scan_filter_cells += (union.len() as u64) * cols.len() as u64;
-            for (_, row) in &union {
-                for &c in &cols {
-                    pass.scan_bytes += lower::value_bytes(&row[c]);
+            let cols = wrangler_plan::predicate_columns(pred);
+            pass.scan_filter_cells += (table.num_rows() as u64) * cols.len() as u64;
+            pass.scan_bytes += lower::columns_scan_bytes(table, &cols);
+        }
+        let mut kept = Union::empty(self.target.clone());
+        let mut start = 0;
+        for &(source, n) in union.runs() {
+            let mut rows = Vec::with_capacity(n);
+            for r in start..start + n {
+                if bound.eval_predicate(&table.row(r))? {
+                    rows.push(r);
+                } else {
+                    *union_filtered += 1;
                 }
             }
+            kept.append(source, table, &rows)?;
+            start += n;
         }
-        let mut kept = Vec::with_capacity(union.len());
-        for (src, row) in union {
-            if bound.eval_predicate(&row)? {
-                kept.push((src, row));
-            } else {
-                *union_filtered += 1;
-            }
-        }
-        // The post-union filter just shifted row indices out from under the
-        // block layout; ER scores every candidate live, carrying nothing.
+        // The post-union filter shifts row indices out from under the block
+        // layout; ER scores every candidate live, carrying nothing.
         pass.union_layout.clear();
         Ok(kept)
     }
@@ -885,7 +880,7 @@ impl Wrangler {
     pub(super) fn er(&mut self, pass: &mut Pass) -> Result<()> {
         let mut er_key = 0;
         if pass.incr_on {
-            pass.union_hash = wire::table_hash(&pass.union_table);
+            pass.union_hash = wire::table_hash(pass.union.table());
             er_key = ContentKey::stage("incr-er", pass.pass_fp)
                 .labelled("prog", pass.prog_fp)
                 .input(pass.union_hash)
@@ -925,13 +920,9 @@ impl Wrangler {
     /// clustering. `er_key` is the whole-stage key a fresh memo is stored
     /// under; `reusable` licenses the carry.
     fn er_live(&mut self, pass: &Pass, er_key: u64, reusable: bool) -> Result<ErOut> {
-        let union_table = &pass.union_table;
+        let union_table = pass.union.table();
         let rows = union_table.num_rows();
-        // Block on the name-ish column AND the key column: rows whose name is
-        // null or typo-prefixed still meet their duplicates through the key.
-        let block_col = blocking_column(&self.target);
-        let key_col = self.target.fields()[0].name.clone();
-        let candidates = candidates_union(union_table, &block_col, &key_col)?;
+        let candidates = self.union_candidates(union_table)?;
         self.working.work.er_pairs += candidates.len();
         // Mid-stage crash site: after candidate generation, before scoring —
         // the worst place to die (ER dominates wall-clock), which is exactly
@@ -1043,7 +1034,7 @@ impl Wrangler {
                 };
                 let er = std::mem::take(&mut pass.er);
                 w.cache = Some(WrangleCache {
-                    union: std::mem::take(&mut pass.union),
+                    union: std::mem::replace(&mut pass.union, Union::empty(w.target.clone())),
                     row_entity: er.row_entity,
                     entities: er.clusters.len(),
                     claims,
@@ -1112,7 +1103,7 @@ impl Wrangler {
         self.eject(pass, Stage::Fuse, &fuse_removed)?;
         let claims = self.claim_set(pass, &fuse_removed);
         // Master-data anchors for the attributes the catalog knows.
-        let anchors = self.master_anchors(&claims, &pass.er.clusters, &pass.union);
+        let anchors = self.master_anchors(&pass.er.clusters, pass.union.table());
         let tf = truthfinder(&claims, &TruthFinderConfig::default(), &anchors);
         // Blend data-driven trust with feedback-driven belief trust.
         let trust: Vec<f64> = (0..self.registry.len())

@@ -9,6 +9,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use wrangler_context::{DataContext, Ontology, UserContext};
+use wrangler_core::ckpt_io::{SeamRecord, UnionOut};
+use wrangler_core::union::Union;
 use wrangler_core::{
     ckpt_io, scratch_dir, CheckpointStore, CrashPolicy, CrashSite, Stage, WrangleOutcome, Wrangler,
 };
@@ -93,6 +95,17 @@ fn fingerprint(w: &Wrangler, out: &WrangleOutcome) -> (u64, String) {
 
 fn cleanup(dir: &Path) {
     let _ = std::fs::remove_dir_all(dir); // lint-allow: test scratch cleanup
+}
+
+/// The record keys in a store directory.
+fn record_keys(dir: &Path) -> std::collections::BTreeSet<u64> {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            u64::from_str_radix(path.file_stem().unwrap().to_str().unwrap(), 16).unwrap()
+        })
+        .collect()
 }
 
 /// Run the crash half: a fresh session with the store attached and a panic
@@ -259,9 +272,7 @@ fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
     // half a stage payload — and forge the state, so a restore that ran
     // before the payload was rejected would show in the fingerprint.
     let mut rewritten = 0;
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let path = entry.unwrap().path();
-        let key = u64::from_str_radix(path.file_stem().unwrap().to_str().unwrap(), 16).unwrap();
+    for key in record_keys(&dir) {
         let (mut state, out) = ckpt_io::decode_record(&store.get(key).unwrap()).unwrap();
         state.access_spent = 1e9;
         state
@@ -280,6 +291,113 @@ fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
     assert_eq!(fingerprint(&resumed, &out), cold_fp);
     assert_every_seam_missed(&out);
     cleanup(&dir);
+}
+
+#[test]
+fn a_union_record_of_another_arity_is_a_miss_and_leaves_the_session_untouched() {
+    let fleet = make_fleet(5);
+    let mut cold = build(&fleet, None);
+    let cold_out = cold.wrangle().unwrap();
+    let cold_fp = fingerprint(&cold, &cold_out);
+
+    // Two interrupted runs over one store: the record the second one adds
+    // is the union's, under its live key.
+    let dir = scratch_dir("resume-union-arity");
+    cleanup(&dir);
+    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterMapApply));
+    let upstream = record_keys(&dir);
+    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterUnion));
+    let added: Vec<u64> = record_keys(&dir).difference(&upstream).copied().collect();
+    let &[union_key] = added.as_slice() else {
+        panic!("expected exactly the union record, got {added:?}");
+    };
+
+    // Re-put it with a union that decodes and is self-consistent (runs cover
+    // the table) but has one column, and forge the state, so a restore that
+    // ran before the record was rejected would show in the fingerprint.
+    let store = CheckpointStore::open(&dir).unwrap();
+    let (mut state, out) = ckpt_io::decode_record(&store.get(union_key).unwrap()).unwrap();
+    let live = UnionOut::decode(&out).unwrap();
+    assert!(!live.union.table().is_empty() && live.union.table().num_columns() > 1);
+    let narrow = Table::from_rows(
+        Schema::of_strs(&["only"]),
+        vec![vec![Value::Int(1)], vec![Value::Int(2)]],
+    )
+    .unwrap();
+    let mut union = Union::empty(narrow.schema().clone());
+    union.append(0, &narrow, &[0, 1]).unwrap();
+    let forged = UnionOut {
+        selected: live.selected,
+        union,
+        union_filtered: live.union_filtered,
+    };
+    UnionOut::decode(&forged.encode()).expect("the forged record decodes");
+    state.access_spent = 1e9;
+    state
+        .creport
+        .record_quarantine(SourceId(0), Stage::Union, "forged");
+    store
+        .put(union_key, &ckpt_io::encode_record(&state, &forged.encode()))
+        .unwrap();
+
+    let mut resumed = build(&fleet, None).with_checkpoint_store(store);
+    let out = resumed
+        .resume()
+        .expect("a union record that does not fit the target must fall back to live compute");
+    assert_eq!(fingerprint(&resumed, &out), cold_fp);
+    let count = |key: &str| out.metrics.counts.get(key).copied().unwrap_or(0);
+    assert_eq!(count("ckpt.map_apply.hits"), 1, "the prefix still replays");
+    assert_eq!((count("ckpt.union.misses"), count("ckpt.union.hits")), (1, 0));
+    cleanup(&dir);
+}
+
+/// Bump the first float cell: the content hash moves, the schema stays.
+fn perturbed(table: &Table) -> Table {
+    let mut t = table.clone();
+    for c in 0..t.num_columns() {
+        for r in 0..t.num_rows() {
+            if let Value::Float(f) = *t.get(r, c).unwrap() {
+                t.set(r, c, Value::Float(f + 1.0)).unwrap();
+                return t;
+            }
+        }
+    }
+    panic!("no float cell to perturb");
+}
+
+#[test]
+fn an_update_after_a_resumed_pass_carries_nothing_and_matches_cold() {
+    let fleet = make_fleet(23);
+    // A union replayed from the store has no live-computed block keys, so
+    // nothing may be carried across the next update — whether the resumed
+    // pass replayed ER too (no memo) or ran it live (a memo with no layout).
+    for site in [CrashSite::MidEr, CrashSite::AfterEr] {
+        let dir = scratch_dir(&format!("resume-then-update-{}", site.name()));
+        cleanup(&dir);
+        assert!(crash_at(&fleet, None, &dir, site));
+        let mut resumed =
+            build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
+        let first = resumed.resume().unwrap();
+        assert_eq!(first.metrics.counts.get("ckpt.union.hits"), Some(&1));
+        let victim = first.selected_sources[0];
+        let payload = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(resumed.update_source(victim, payload.clone()).unwrap());
+        let out = resumed.wrangle().unwrap();
+
+        // The cold comparator: no store, no engine, same history.
+        let mut cold = build(&fleet, None);
+        cold.set_incr_enabled(false);
+        cold.wrangle().unwrap();
+        assert!(cold.update_source(victim, payload).unwrap());
+        let cold_out = cold.wrangle().unwrap();
+        assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out), "{site:?}");
+
+        let count = |key: &str| out.metrics.counts.get(key).copied().unwrap_or(0);
+        assert_eq!(count("incr.er.pairs_remapped"), 0, "{site:?}");
+        assert_eq!(count("incr.union.reused"), 0, "{site:?}: no block was memoized");
+        assert!(count("er.candidates") > 0, "{site:?}: ER ran live after the update");
+        cleanup(&dir);
+    }
 }
 
 #[test]

@@ -101,6 +101,29 @@ impl Table {
         Ok(())
     }
 
+    /// Append rows `rows` of `from` (indices into it, any order), column by
+    /// column. `from` must have this table's arity; on an error nothing is
+    /// appended.
+    pub fn append_rows(&mut self, from: &Table, rows: &[usize]) -> Result<()> {
+        if from.columns.len() != self.columns.len() {
+            return Err(TableError::ArityMismatch {
+                expected: self.columns.len(),
+                actual: from.columns.len(),
+            });
+        }
+        if let Some(&r) = rows.iter().find(|&&r| r >= from.rows) {
+            return Err(TableError::Invalid(format!(
+                "row {r} out of bounds ({})",
+                from.rows
+            )));
+        }
+        for (col, src) in self.columns.iter_mut().zip(&from.columns) {
+            col.extend(rows.iter().map(|&r| src[r].clone()));
+        }
+        self.rows += rows.len();
+        Ok(())
+    }
+
     /// Cell at (`row`, `col`).
     pub fn get(&self, row: usize, col: usize) -> Result<&Value> {
         self.columns
@@ -345,6 +368,19 @@ mod tests {
         assert_eq!(taken.num_rows(), 3);
         assert_eq!(taken.get_named(2, "name").unwrap().as_str(), Some("widget"));
         assert!(t.take(&[5]).is_err());
+    }
+
+    #[test]
+    fn append_rows_keeps_columns_aligned_and_is_all_or_nothing() {
+        let from = sample();
+        let mut t = Table::empty(from.schema().clone());
+        t.append_rows(&from, &[2, 0]).unwrap();
+        t.append_rows(&from, &[]).unwrap();
+        assert_eq!(t, from.take(&[2, 0]).unwrap());
+        assert!(t.append_rows(&from, &[0, 3]).is_err());
+        let narrow = Table::empty(Schema::of_strs(&["name"]));
+        assert!(t.append_rows(&narrow, &[]).is_err());
+        assert_eq!(t, from.take(&[2, 0]).unwrap(), "failed appends add nothing");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Eight rules, all enforced in CI via scripts/verify.sh:
+# analysis). Nine rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -53,6 +53,12 @@
 #      against them; the `[benchmark]` follow-up deletes them, and until
 #      then none may quietly regain a production use. Only the defining
 #      file may name one: at its definition and in its own unit tests.
+#
+#   9. The row-major union — `(usize, Vec<Value>)` inside a `Vec<…>` or a
+#      slice — does not appear in `wrangler-core` outside test code. The
+#      union is held once, as `crate::union::Union` (a columnar table plus
+#      per-source runs); a second, row-major holder is a copy of every cell
+#      that each stage then has to keep in step with the first.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -284,6 +290,27 @@ stub_hits=$(find crates src examples -name '*.rs' | sort | xargs awk '
 if [ -n "$stub_hits" ]; then
   echo "lint: bench-only stub used in the workspace (pack_pair, PairScoreCache and content_keys exist for bench/ alone until the [benchmark] PR deletes them):"
   echo "$stub_hits"
+  fail=1
+fi
+
+# --- Rule 9: no row-major twin of the union -----------------------------------
+scan_row_major_union() {
+  local f="$1"
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc lines
+    /(Vec<|\[)[[:space:]]*\(usize, Vec<Value>\)/ {
+      printf "%s:%d: %s\n", file, FNR, $0
+    }
+  ' "$f"
+}
+
+row_major_hits=$(for f in $(find crates/core/src -name '*.rs' | sort); do
+  scan_row_major_union "$f"
+done)
+if [ -n "$row_major_hits" ]; then
+  echo "lint: row-major union type in wrangler-core (hold the union as crate::union::Union):"
+  echo "$row_major_hits"
   fail=1
 fi
 

@@ -19,6 +19,9 @@ cargo clippy --all-targets -- -D warnings
 echo "==> scripts/lint.sh (source-level gate)"
 scripts/lint.sh
 
+echo "==> scripts/loc.sh (informational: non-test lines of wrangler-core and wrangler-resolve)"
+scripts/loc.sh
+
 echo "==> e11 determinism (two runs must be byte-identical)"
 tmp_a=$(mktemp) && tmp_b=$(mktemp)
 trap 'rm -f "$tmp_a" "$tmp_b"' EXIT
