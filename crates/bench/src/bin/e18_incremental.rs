@@ -262,9 +262,9 @@ fn main() {
     );
     wrangler_bench::write_artifact("BENCH_e18.json", &json);
 
-    println!("\nShape expected: ~0.14-0.19 at k=0 (pure replay: ER and fuse reuse wholesale),");
+    println!("\nShape expected: ~0.15-0.22 at k=0 (pure replay: ER and fuse reuse wholesale),");
     println!("~0.6-0.75 at k=1, not 1/40: candidate generation, the kernel's dictionaries,");
-    println!("fusion and assembly run over the whole union whatever changed (~0.43 of a");
+    println!("fusion and assembly run over the whole union whatever changed (~0.3 of a");
     println!("cold pass by themselves); only pair scoring shrinks with the dirty share. The");
     println!("ratio then climbs with k and passes 1.0 between k=8 and k=20: at k=40, where");
     println!("nothing is clean, the pass pays block keys, the union hash and memo capture");

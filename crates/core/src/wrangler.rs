@@ -7,8 +7,8 @@ use wrangler_feedback::router::ValueProvenance;
 use wrangler_feedback::{
     route, FeedbackItem, FeedbackStore, FeedbackTarget, RoutedSignal, RoutingMode,
 };
-use wrangler_fusion::strategies::{fuse_attribute, FusedValue, SourceContext};
-use wrangler_fusion::ClaimSet;
+use wrangler_fusion::strategies::{FusedValue, SourceContext};
+use wrangler_fusion::{ClaimSet, FuseKernel};
 use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::Mapping;
 use wrangler_match::MatchConfig;
@@ -723,9 +723,10 @@ impl Wrangler {
             cache.source_ctx.trust[i] = blended;
         }
         self.obs.begin("refuse");
+        let kernel = FuseKernel::compile(&cache.claims, plan.fusion, &cache.source_ctx);
         let mut refused = 0u64;
         for (e, a) in self.working.dirty_slots() {
-            match self.fuse_slot(&cache.claims, e, a, plan.fusion, &cache.source_ctx) {
+            match self.fuse_slot(&kernel, e, a) {
                 Some(f) => {
                     cache.fused.insert((e, a), f);
                 }
@@ -755,14 +756,7 @@ impl Wrangler {
     /// Fuse one slot, honouring confirmed and vetoed values from direct
     /// feedback: a confirmed value is pinned at full confidence; a vetoed
     /// value can never win again (its supporting claims are excluded).
-    fn fuse_slot(
-        &self,
-        claims: &ClaimSet,
-        e: usize,
-        a: usize,
-        strategy: wrangler_fusion::Strategy,
-        ctx: &SourceContext,
-    ) -> Option<FusedValue> {
+    fn fuse_slot(&self, kernel: &FuseKernel, e: usize, a: usize) -> Option<FusedValue> {
         if let Some(v) = self.confirmations.get(&(e, a)) {
             return Some(FusedValue {
                 value: v.clone(),
@@ -773,21 +767,8 @@ impl Wrangler {
             });
         }
         match self.vetoes.get(&(e, a)) {
-            None => fuse_attribute(claims, e, a, strategy, ctx),
-            Some(vetoed) => {
-                // Rebuild the slot without claims agreeing with any veto.
-                let mut filtered = ClaimSet::new(claims.num_sources);
-                filtered.rel_tol = claims.rel_tol;
-                for c in claims.slot(e, a) {
-                    let banned = vetoed
-                        .iter()
-                        .any(|v| wrangler_fusion::values_agree(v, &c.value, claims.rel_tol));
-                    if !banned {
-                        filtered.add(c.entity, c.attr, c.value.clone(), c.source);
-                    }
-                }
-                fuse_attribute(&filtered, e, a, strategy, ctx)
-            }
+            None => kernel.fuse_slot(e, a),
+            Some(vetoed) => kernel.fuse_slot_without(e, a, vetoed),
         }
     }
 
@@ -995,7 +976,7 @@ impl Wrangler {
             (FeedbackTarget::Tuple { entity }, Some(cache)) => {
                 let mut supporters: Vec<usize> = cache
                     .claims
-                    .claims
+                    .claims()
                     .iter()
                     .filter(|c| c.entity == *entity)
                     .map(|c| c.source)
@@ -1065,7 +1046,7 @@ impl Wrangler {
                     if let Some(cache) = &self.cache {
                         let slots: Vec<(usize, usize)> = cache
                             .claims
-                            .claims
+                            .claims()
                             .iter()
                             .filter(|c| c.source == source)
                             .map(|c| (c.entity, c.attr))
@@ -2139,8 +2120,8 @@ mod tests {
 
     /// PR 5 semantics survive the parallel fuse kernel: a fuse-stage chaos
     /// panic quarantines the rolled source *by name* before its claims enter
-    /// the claim set, and the pass completes on survivors — with the slot
-    /// pool running multi-worker.
+    /// the claim set, and the pass completes on survivors — with a
+    /// multi-worker slot pool requested.
     #[test]
     fn fuse_chaos_panic_is_contained_and_names_the_source_with_parallel_kernel() {
         use crate::contain::ChaosPolicy;

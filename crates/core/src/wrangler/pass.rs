@@ -449,7 +449,7 @@ impl Wrangler {
     /// in `excluded` (quarantined at fuse), with every slot marked clean.
     pub(super) fn claim_set(&mut self, pass: &Pass, excluded: &[usize]) -> ClaimSet {
         let mut claims = ClaimSet::new(self.registry.len());
-        claims.rel_tol = pass.plan.fusion_tolerance;
+        claims.set_rel_tol(pass.plan.fusion_tolerance);
         let columns: Vec<&[Value]> = pass.union.table().columns().collect();
         for (r, src) in pass.union.sources().enumerate() {
             if excluded.contains(&src) {
@@ -459,7 +459,7 @@ impl Wrangler {
                 claims.add(pass.er.row_entity[r], a, column[r].clone(), src);
             }
         }
-        for (e, a) in claims.slots() {
+        for &(e, a) in claims.index().slots() {
             self.working.mark_clean(Artifact::FusedSlot(e, a));
         }
         claims

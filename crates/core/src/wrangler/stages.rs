@@ -1101,10 +1101,20 @@ impl Wrangler {
             }
         }
         self.eject(pass, Stage::Fuse, &fuse_removed)?;
+        self.obs.begin("claims");
         let claims = self.claim_set(pass, &fuse_removed);
+        self.obs.end();
         // Master-data anchors for the attributes the catalog knows.
+        self.obs.begin("anchors");
         let anchors = self.master_anchors(&pass.er.clusters, pass.union.table());
+        self.obs.end();
+        self.obs.begin("truthfinder");
         let tf = truthfinder(&claims, &TruthFinderConfig::default(), &anchors);
+        self.obs.end();
+        self.obs
+            .count("fuse.truthfinder.iterations", tf.iterations as u64);
+        self.obs
+            .count("fuse.classes", claims.index().num_classes() as u64);
         // Blend data-driven trust with feedback-driven belief trust.
         let trust: Vec<f64> = (0..self.registry.len())
             .map(|i| 0.5 * tf.trust[i] + 0.5 * self.states[i].trust.probability())
@@ -1115,7 +1125,7 @@ impl Wrangler {
             .map(|s| self.now.saturating_sub(s.meta.last_updated))
             .collect();
         let source_ctx = SourceContext { trust, age };
-        self.obs.count("fuse.claims", claims.claims.len() as u64);
+        self.obs.count("fuse.claims", claims.claims().len() as u64);
         self.obs.count("fuse.anchors", anchors.len() as u64);
 
         // Fuse every slot (honouring value-level feedback constraints).
@@ -1136,7 +1146,7 @@ impl Wrangler {
         // precompiled FuseKernel over the blocked worker pool.
         let mut special_slots: Vec<(usize, usize)> = Vec::new();
         let mut plain_slots: Vec<(usize, usize)> = Vec::new();
-        for (e, a) in claims.slots() {
+        for &(e, a) in claims.index().slots() {
             if live_mask.as_ref().is_some_and(|m| !m[a]) {
                 slots_skipped += 1;
             } else if self.confirmations.contains_key(&(e, a)) || self.vetoes.contains_key(&(e, a))
@@ -1150,49 +1160,53 @@ impl Wrangler {
         // pathological slot costs that slot (delivered as Null), not the
         // pass — unless the policy says a caught panic is fatal.
         let contained = !pass.policy.is_off();
-        let mut slot_done = |pass: &mut Pass,
-                             (e, a): (usize, usize),
-                             res: std::result::Result<Option<FusedValue>, String>|
-         -> Result<()> {
-            match res {
-                Ok(Some(f)) => fused.push((e, a, f)),
-                Ok(None) => {}
-                Err(msg) => {
-                    pass.creport.caught_panic(Stage::Fuse);
-                    if pass.policy.mode != ContainMode::Contain {
-                        return Err(TableError::Unavailable(format!(
-                            "fuse slot ({e},{a}) panicked: {msg}"
-                        )));
+        let worker_stats = self.span("kernel", |w| {
+            let mut slot_done = |pass: &mut Pass,
+                                 (e, a): (usize, usize),
+                                 res: std::result::Result<Option<FusedValue>, String>|
+             -> Result<()> {
+                match res {
+                    Ok(Some(f)) => fused.push((e, a, f)),
+                    Ok(None) => {}
+                    Err(msg) => {
+                        pass.creport.caught_panic(Stage::Fuse);
+                        if pass.policy.mode != ContainMode::Contain {
+                            return Err(TableError::Unavailable(format!(
+                                "fuse slot ({e},{a}) panicked: {msg}"
+                            )));
+                        }
                     }
                 }
+                Ok(())
+            };
+            // Per-source weights/decays are compiled once per pass and serve
+            // both kinds of slot.
+            let fuse_kernel = FuseKernel::compile(&claims, pass.plan.fusion, &source_ctx);
+            for &(e, a) in &special_slots {
+                let res = isolate(contained, || w.fuse_slot(&fuse_kernel, e, a));
+                slot_done(pass, (e, a), res)?;
             }
-            Ok(())
-        };
-        for &(e, a) in &special_slots {
-            let res = isolate(contained, || {
-                self.fuse_slot(&claims, e, a, pass.plan.fusion, &source_ctx)
-            });
-            slot_done(pass, (e, a), res)?;
-        }
-        // Plain slots: per-source weights/decays are compiled once per pass,
-        // then slots fuse in contiguous blocked chunks — bit-identical to
-        // the serial fuse_attribute path for any worker count. Worker panics
-        // surface per slot (catch inside the chunk) so one pathological slot
-        // cannot take down its chunk; a panic escaping the pool itself is
-        // the structured-error backstop, as in the ER kernel.
-        let fuse_kernel = FuseKernel::compile(&claims, pass.plan.fusion, &source_ctx);
-        let requested = self.fuse_workers.unwrap_or_else(par::available_parallelism);
-        let workers = par::effective_workers(requested, plain_slots.len(), MIN_SLOTS_PER_WORKER);
-        let (chunks, worker_stats) = par::run_blocked(&plain_slots, workers, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&(e, a)| isolate(contained, || fuse_kernel.fuse_slot(e, a)))
-                .collect::<Vec<_>>()
-        })
-        .map_err(|msg| TableError::Unavailable(format!("fuse worker panicked: {msg}")))?;
-        for (&slot, res) in plain_slots.iter().zip(chunks.into_iter().flatten()) {
-            slot_done(pass, slot, res)?;
-        }
+            // Plain slots fuse in contiguous blocked chunks — bit-identical
+            // to the serial fuse_attribute path for any worker count. Worker
+            // panics surface per slot (catch inside the chunk) so one
+            // pathological slot cannot take down its chunk; a panic escaping
+            // the pool itself is the structured-error backstop, as in the ER
+            // kernel.
+            let requested = w.fuse_workers.unwrap_or_else(par::available_parallelism);
+            let workers =
+                par::effective_workers(requested, plain_slots.len(), MIN_SLOTS_PER_WORKER);
+            let (chunks, worker_stats) = par::run_blocked(&plain_slots, workers, |_, chunk| {
+                chunk
+                    .iter()
+                    .map(|&(e, a)| isolate(contained, || fuse_kernel.fuse_slot(e, a)))
+                    .collect::<Vec<_>>()
+            })
+            .map_err(|msg| TableError::Unavailable(format!("fuse worker panicked: {msg}")))?;
+            for (&slot, res) in plain_slots.iter().zip(chunks.into_iter().flatten()) {
+                slot_done(pass, slot, res)?;
+            }
+            Ok(worker_stats)
+        })?;
         let slots_fused = special_slots.len() + plain_slots.len();
         self.working.work.slots_fused += slots_fused;
         for (w, st) in worker_stats.iter().enumerate() {

@@ -13,9 +13,13 @@
 //! `(strategy, SourceContext)` out of the slot loop: one weight and one
 //! freshness-decay value per source, computed once per pass with exactly the
 //! same floating-point expressions `fuse_attribute` uses, in the same order.
-//! Per-slot fusion then reads the arrays. Because the arithmetic is
-//! identical operation-for-operation, kernel output is **bit-identical** to
-//! `fuse_attribute` (property-tested via `f64::to_bits`).
+//! Per-slot fusion then reads the arrays — and the claim set's
+//! [`ClaimIndex`], where each slot's agreement classes were grouped once for
+//! the whole pass (truth discovery reads the same grouping), so fusing a
+//! slot sums weights over flat ranges and clones only the winning value.
+//! Because the arithmetic is identical operation-for-operation, kernel
+//! output is **bit-identical** to `fuse_attribute` (property-tested via
+//! `f64::to_bits`).
 //!
 //! Parallelism uses the shared blocked worker pool
 //! ([`wrangler_table::par`]): contiguous slot chunks, reassembled in chunk
@@ -26,17 +30,23 @@
 //! policy for tests and benchmarks that need a specific width.
 
 use wrangler_table::par::{self, effective_workers};
-use wrangler_table::TableError;
+use wrangler_table::{TableError, Value};
 
 pub use wrangler_table::par::WorkerStat;
 
-use crate::claims::ClaimSet;
+use crate::claims::{values_agree, ClaimIndex, ClaimSet};
 use crate::strategies::{FusedValue, SourceContext, Strategy};
 
-/// Below this many slots per worker, fan-out costs more than it saves:
-/// fusing one slot is a few agreement-class comparisons, microseconds of
-/// work against ~100µs of thread spawn/join.
-pub const MIN_SLOTS_PER_WORKER: usize = 64;
+/// Below this many slots per worker, fan-out costs more than it saves.
+///
+/// Measured on the benchmark's three fleets (2-core VM, release build): one
+/// slot through the claim index costs 150–200 ns whether it holds 2 claims or
+/// 13, and a two-worker fan-out pays ~75 µs of spawn, join and stitching —
+/// some 470 slots of work — before the first slot is saved. Two workers then
+/// take 0.9–1.2× the serial time at 512 slots each, 0.83× at 1024 each and
+/// 0.68× at 2048 each. 1024 is the smallest power of two at which fanning
+/// out is a measured win rather than a coin toss.
+pub const MIN_SLOTS_PER_WORKER: usize = 1024;
 
 /// A fusion pass compiled against one `(strategy, SourceContext)` pair.
 ///
@@ -46,6 +56,8 @@ pub const MIN_SLOTS_PER_WORKER: usize = 64;
 #[derive(Debug)]
 pub struct FuseKernel<'a> {
     claims: &'a ClaimSet,
+    /// `claims`' own grouping, shared with truth discovery.
+    index: &'a ClaimIndex,
     strategy: Strategy,
     /// Per-source vote weight under `strategy` (unit for `MajorityVote`
     /// and `Latest`), precomputed with `fuse_attribute`'s expressions.
@@ -60,7 +72,7 @@ pub struct FuseKernel<'a> {
 impl<'a> FuseKernel<'a> {
     /// Precompile per-source weights and decays for one fusion pass.
     pub fn compile(claims: &'a ClaimSet, strategy: Strategy, ctx: &SourceContext) -> FuseKernel<'a> {
-        let n = claims.num_sources;
+        let n = claims.num_sources();
         let mut weight = Vec::with_capacity(n);
         let mut decay = Vec::with_capacity(n);
         let mut age = Vec::with_capacity(n);
@@ -84,6 +96,7 @@ impl<'a> FuseKernel<'a> {
         }
         FuseKernel {
             claims,
+            index: claims.index(),
             strategy,
             weight,
             decay,
@@ -101,12 +114,53 @@ impl<'a> FuseKernel<'a> {
     /// compiled strategy and context. Returns `None` when the slot has no
     /// claims.
     pub fn fuse_slot(&self, entity: usize, attr: usize) -> Option<FusedValue> {
-        let slot = self.claims.slot(entity, attr);
-        if slot.is_empty() {
+        let slot = self.index.slot_no(entity, attr)?;
+        self.fuse_indexed(self.index, slot)
+    }
+
+    /// [`Self::fuse_slot`] as if the claims agreeing with any of `vetoed`
+    /// had never been made: bit-identical to `fuse_attribute` over the claim
+    /// set without them. The surviving claims are classed afresh — dropping
+    /// whole classes instead would differ whenever a vetoed claim was the
+    /// representative that held a tolerance class together.
+    pub fn fuse_slot_without(
+        &self,
+        entity: usize,
+        attr: usize,
+        vetoed: &[Value],
+    ) -> Option<FusedValue> {
+        let slot = self.index.slot_no(entity, attr)?;
+        let claims = self.claims.claims();
+        let kept: Vec<u32> = self
+            .index
+            .claim_ids(slot)
+            .iter()
+            .copied()
+            .filter(|&id| {
+                !vetoed
+                    .iter()
+                    .any(|v| values_agree(v, &claims[id as usize].value, self.claims.rel_tol()))
+            })
+            .collect();
+        if kept.is_empty() {
             return None;
         }
+        let survivors = ClaimIndex::group(claims, kept, self.claims.rel_tol());
+        self.fuse_indexed(&survivors, 0)
+    }
+
+    /// Fuse slot number `slot` of `index` (an index over this kernel's claim
+    /// set). Same expressions, same order as `fuse_attribute`: a class's
+    /// weight is the sum over its supporters in insertion order, the total
+    /// accumulates class by class, and a strict `>` keeps the earlier class.
+    fn fuse_indexed(&self, index: &ClaimIndex, slot: usize) -> Option<FusedValue> {
+        let claims = self.claims.claims();
         if let Strategy::Latest = self.strategy {
-            let freshest = slot.iter().min_by_key(|c| (self.age[c.source], c.source))?;
+            let freshest = index
+                .claim_ids(slot)
+                .iter()
+                .map(|&id| &claims[id as usize])
+                .min_by_key(|c| (self.age[c.source], c.source))?;
             return Some(FusedValue {
                 value: freshest.value.clone(),
                 weight: 1.0,
@@ -115,19 +169,26 @@ impl<'a> FuseKernel<'a> {
                 freshness: 1.0,
             });
         }
-        let classes = self.claims.agreement_classes(&slot);
         let mut total = 0.0;
-        let mut best: Option<(f64, wrangler_table::Value, Vec<usize>)> = None;
-        for (value, members) in classes {
-            let w: f64 = members.iter().map(|c| self.weight[c.source]).sum();
+        let mut best: Option<(f64, usize)> = None;
+        for class in index.classes(slot) {
+            let w: f64 = index
+                .supporters(class)
+                .iter()
+                .map(|&s| self.weight[s as usize])
+                .sum();
             total += w;
-            let supporters: Vec<usize> = members.iter().map(|c| c.source).collect();
             // Deterministic tie-break: keep the earlier class (source order).
-            if best.as_ref().is_none_or(|(bw, _, _)| w > *bw) {
-                best = Some((w, value, supporters));
+            if best.is_none_or(|(bw, _)| w > bw) {
+                best = Some((w, class));
             }
         }
-        let (weight, value, supporters) = best?;
+        let (weight, class) = best?;
+        let supporters: Vec<usize> = index
+            .supporters(class)
+            .iter()
+            .map(|&s| s as usize)
+            .collect();
         let freshness = match self.strategy {
             Strategy::TrustAndFreshness { .. } => supporters
                 .iter()
@@ -136,7 +197,7 @@ impl<'a> FuseKernel<'a> {
             _ => 1.0,
         };
         Some(FusedValue {
-            value,
+            value: claims[index.class_rep(class)].value.clone(),
             weight,
             total_weight: total,
             supporters,
@@ -192,11 +253,10 @@ impl<'a> FuseKernel<'a> {
 mod tests {
     use super::*;
     use crate::strategies::fuse_attribute;
-    use wrangler_table::Value;
 
     fn scenario() -> (ClaimSet, SourceContext) {
         let mut cs = ClaimSet::new(4);
-        cs.rel_tol = 1e-6;
+        cs.set_rel_tol(1e-6);
         for s in 0..3 {
             cs.add(0, 0, Value::Float(10.0), s);
         }
@@ -264,13 +324,22 @@ mod tests {
 
     #[test]
     fn pool_sizing_keeps_tiny_batches_serial() {
-        let (cs, ctx) = scenario();
-        let kernel = FuseKernel::compile(&cs, Strategy::MajorityVote, &ctx);
+        // One slot short of two workers' worth stays serial however many
+        // workers are asked for; the full two workers' worth fans out
+        // wherever there is a second core.
+        let mut cs = ClaimSet::new(2);
+        for e in 0..2 * MIN_SLOTS_PER_WORKER {
+            cs.add(e, 0, Value::Int(e as i64), e % 2);
+        }
+        let kernel = FuseKernel::compile(&cs, Strategy::MajorityVote, &SourceContext::default());
         let slots = cs.slots();
-        assert!(slots.len() < MIN_SLOTS_PER_WORKER);
-        let (fused, stats) = kernel.fuse_slots_parallel(&slots, 8).unwrap();
-        assert_eq!(fused, kernel.fuse_slots(&slots));
-        assert_eq!(stats.len(), 1, "tiny batch must stay serial");
+        let (short, full) = (&slots[..slots.len() - 1], &slots[..]);
+        let (fused, stats) = kernel.fuse_slots_parallel(short, 8).unwrap();
+        assert_eq!(fused, kernel.fuse_slots(short));
+        assert_eq!(stats.len(), 1, "a batch this small must stay serial");
+        let (fused, stats) = kernel.fuse_slots_parallel(full, 8).unwrap();
+        assert_eq!(fused, kernel.fuse_slots(full));
+        assert_eq!(stats.len(), par::available_parallelism().min(2));
     }
 
     #[test]

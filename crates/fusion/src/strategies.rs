@@ -146,7 +146,7 @@ mod tests {
     /// 3 stale sources agree on the old price 10; 1 fresh trusted source says 12.
     fn transient_scenario() -> (ClaimSet, SourceContext) {
         let mut cs = ClaimSet::new(4);
-        cs.rel_tol = 1e-6;
+        cs.set_rel_tol(1e-6);
         for s in 0..3 {
             cs.add(0, 0, Value::Float(10.0), s);
         }

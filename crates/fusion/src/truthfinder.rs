@@ -63,104 +63,109 @@ impl TruthFinderResult {
 /// Known-true facts used to anchor trust (master data): (entity, attr, value).
 pub type Anchors = Vec<(usize, usize, Value)>;
 
-/// Per-slot agreement classes: each distinct value with its supporter sources.
-type ClassesBySlot = BTreeMap<(usize, usize), Vec<(Value, Vec<usize>)>>;
+/// What the master data says about an agreement class.
+#[derive(Clone, Copy)]
+enum Anchor {
+    /// The class's slot has no anchor: confidence comes from trust.
+    None,
+    /// The anchor agrees with the class's value: full confidence.
+    Agrees,
+    /// The slot is anchored to another value: floored confidence.
+    Contradicts,
+}
 
 /// Run truth discovery over a claim set.
+///
+/// Everything that does not depend on trust — the agreement classes and each
+/// class's anchor verdict — is resolved before the loop, so an iteration
+/// is arithmetic over [`ClaimIndex`](crate::claims::ClaimIndex)'s flat
+/// arrays. Every f64 is produced by the expressions, in the order, of the
+/// uncompiled loop this replaced (kept as the oracle in `tests/`): the miss
+/// product runs in supporter order, a slot's confidences are summed and then
+/// each divided by the sum, and sources are credited slot by slot, class by
+/// class, supporter by supporter.
 pub fn truthfinder(
     claims: &ClaimSet,
     cfg: &TruthFinderConfig,
     anchors: &Anchors,
 ) -> TruthFinderResult {
-    let n = claims.num_sources;
+    let index = claims.index();
+    let n = claims.num_sources();
     let mut trust = vec![cfg.initial_trust.clamp(0.05, 0.95); n];
-    let slots = claims.slots();
-    // Index claims by slot once: the fixed-point loop must not rescan the
-    // whole claim set per slot per iteration.
-    let mut by_slot: BTreeMap<(usize, usize), Vec<&crate::claims::Claim>> = BTreeMap::new();
-    for c in &claims.claims {
-        by_slot.entry((c.entity, c.attr)).or_default().push(c);
-    }
-    // Agreement classes depend only on claim values and the tolerance —
-    // never on trust — so compute them once per slot instead of once per
-    // slot *per iteration*. Same for the anchor lookup (first anchor wins,
-    // as the linear scan always did).
-    let classes_by_slot: ClassesBySlot = slots
-        .iter()
-        .map(|&(e, a)| {
-            let classes = claims
-                .agreement_classes(&by_slot[&(e, a)])
-                .into_iter()
-                .map(|(v, members)| (v, members.iter().map(|c| c.source).collect()))
-                .collect();
-            ((e, a), classes)
-        })
-        .collect();
-    let mut anchor_by_slot: BTreeMap<(usize, usize), &Value> = BTreeMap::new();
-    for (e, a, truth) in anchors {
-        anchor_by_slot.entry((*e, *a)).or_insert(truth);
-    }
-    let mut decisions: BTreeMap<(usize, usize), (Value, f64)> = BTreeMap::new();
-    let mut iterations = 0;
 
+    // The first anchor naming a slot decides it; anchors naming a slot
+    // nobody claims decide nothing.
+    let mut anchor = vec![Anchor::None; index.num_classes()];
+    let mut anchored = vec![false; index.slots().len()];
+    for (e, a, truth) in anchors {
+        let Some(slot) = index.slot_no(*e, *a) else {
+            continue;
+        };
+        if std::mem::replace(&mut anchored[slot], true) {
+            continue;
+        }
+        for class in index.classes(slot) {
+            let value = &claims.claims()[index.class_rep(class)].value;
+            anchor[class] = if values_agree(value, truth, claims.rel_tol()) {
+                Anchor::Agrees
+            } else {
+                Anchor::Contradicts
+            };
+        }
+    }
+    // How many claims each source makes: the divisor of its mean confidence.
+    let mut claimed = vec![0usize; n];
+    for c in claims.claims() {
+        claimed[c.source] += 1;
+    }
+
+    // Confidence per class, normalized per slot; after the loop it holds the
+    // last iteration's.
+    let mut conf = vec![0.0f64; index.num_classes()];
+    let mut credit = vec![0.0f64; n];
+    let mut iterations = 0;
     for _ in 0..cfg.max_iterations {
         iterations += 1;
         // 1. Value confidence per agreement class from current trust:
         //    conf = 1 − Π(1 − γ·t_s) over supporters, normalized per slot.
-        decisions.clear();
-        let mut per_source_conf: Vec<(f64, usize)> = vec![(0.0, 0); n]; // (sum conf, count)
-        for &(e, a) in &slots {
-            let classes = &classes_by_slot[&(e, a)];
-            let mut scored: Vec<(&Value, f64, &Vec<usize>)> = classes
-                .iter()
-                .map(|(v, supporters)| {
-                    let mut miss = 1.0;
-                    for &s in supporters {
-                        miss *= 1.0 - cfg.dampening * trust[s];
+        //    Master data overrides it: a known-true value gets full
+        //    confidence, a contradicted one is floored.
+        credit.fill(0.0);
+        for slot in 0..index.slots().len() {
+            let classes = index.classes(slot);
+            for class in classes.clone() {
+                conf[class] = match anchor[class] {
+                    Anchor::None => {
+                        let mut miss = 1.0;
+                        for &s in index.supporters(class) {
+                            miss *= 1.0 - cfg.dampening * trust[s as usize];
+                        }
+                        1.0 - miss
                     }
-                    let mut conf = 1.0 - miss;
-                    // Master-data anchor: a known-true value gets full
-                    // confidence; a contradicted one is floored.
-                    if let Some(truth) = anchor_by_slot.get(&(e, a)) {
-                        conf = if values_agree(v, truth, claims.rel_tol) {
-                            1.0
-                        } else {
-                            0.01
-                        };
-                    }
-                    (v, conf, supporters)
-                })
-                .collect();
-            let total: f64 = scored.iter().map(|(_, c, _)| *c).sum();
+                    Anchor::Agrees => 1.0,
+                    Anchor::Contradicts => 0.01,
+                };
+            }
+            let total: f64 = conf[classes.clone()].iter().copied().sum();
             if total > 0.0 {
-                for (_, c, _) in &mut scored {
+                for c in &mut conf[classes.clone()] {
                     *c /= total;
                 }
             }
-            // Record per-source credit and the slot decision.
-            let mut best: Option<(Value, f64)> = None;
-            for (v, c, supporters) in &scored {
-                for &s in supporters.iter() {
-                    per_source_conf[s].0 += c;
-                    per_source_conf[s].1 += 1;
+            for class in classes {
+                for &s in index.supporters(class) {
+                    credit[s as usize] += conf[class];
                 }
-                if best.as_ref().is_none_or(|(_, bc)| c > bc) {
-                    best = Some(((*v).clone(), *c));
-                }
-            }
-            if let Some(b) = best {
-                decisions.insert((e, a), b);
             }
         }
         // 2. Trust update: mean confidence of the source's claims, dampened
         //    towards the previous value for stability.
         let mut max_delta = 0.0f64;
         for s in 0..n {
-            let (sum, count) = per_source_conf[s];
-            if count == 0 {
+            if claimed[s] == 0 {
                 continue;
             }
-            let target = (sum / count as f64).clamp(0.02, 0.98);
+            let target = (credit[s] / claimed[s] as f64).clamp(0.02, 0.98);
             let next = 0.5 * trust[s] + 0.5 * target;
             max_delta = max_delta.max((next - trust[s]).abs());
             trust[s] = next;
@@ -169,6 +174,30 @@ pub fn truthfinder(
             break;
         }
     }
+
+    // The slot decisions of the last iteration: the most confident class,
+    // the earlier one on a tie.
+    let decisions = if iterations == 0 {
+        BTreeMap::new()
+    } else {
+        let decide = |(slot, &key): (usize, &(usize, usize))| {
+            let mut best: Option<(usize, f64)> = None;
+            for class in index.classes(slot) {
+                if best.is_none_or(|(_, bc)| conf[class] > bc) {
+                    best = Some((class, conf[class]));
+                }
+            }
+            let (class, c) = best?;
+            let value = claims.claims()[index.class_rep(class)].value.clone();
+            Some((key, (value, c)))
+        };
+        index
+            .slots()
+            .iter()
+            .enumerate()
+            .filter_map(decide)
+            .collect()
+    };
     TruthFinderResult {
         trust,
         decisions,
@@ -246,7 +275,7 @@ mod tests {
     #[test]
     fn numeric_tolerance_groups_close_claims() {
         let mut cs = ClaimSet::new(3);
-        cs.rel_tol = 0.01;
+        cs.set_rel_tol(0.01);
         cs.add(0, 0, Value::Float(100.0), 0);
         cs.add(0, 0, Value::Float(100.3), 1);
         cs.add(0, 0, Value::Float(57.0), 2);

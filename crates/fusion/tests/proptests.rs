@@ -27,7 +27,7 @@ fn arb_strategy() -> impl Strategy<Value = FusionStrategy> {
 
 fn claim_set(values: &[Value]) -> ClaimSet {
     let mut cs = ClaimSet::new(values.len().max(1));
-    cs.rel_tol = 1e-9;
+    cs.set_rel_tol(1e-9);
     for (s, v) in values.iter().enumerate() {
         cs.add(0, 0, v.clone(), s);
     }
@@ -49,7 +49,7 @@ proptest! {
             age: (0..values.len() as u64).collect(),
         };
         let f = fuse_attribute(&cs, 0, 0, strat, &ctx).expect("nonempty");
-        prop_assert!(values.iter().any(|v| values_agree(v, &f.value, cs.rel_tol)));
+        prop_assert!(values.iter().any(|v| values_agree(v, &f.value, cs.rel_tol())));
         let conf = f.confidence();
         prop_assert!((0.0..=1.0 + 1e-12).contains(&conf), "conf={conf}");
         prop_assert!(!f.supporters.is_empty());
@@ -61,7 +61,7 @@ proptest! {
         let cs = claim_set(&values);
         let ctx = SourceContext::default();
         let f = fuse_attribute(&cs, 0, 0, strat, &ctx).expect("nonempty");
-        prop_assert!(values_agree(&f.value, &v, cs.rel_tol));
+        prop_assert!(values_agree(&f.value, &v, cs.rel_tol()));
         // Majority/trust confidence is 1 for unanimity (freshness may temper
         // the time-aware strategy, but never below zero).
         if matches!(strat, FusionStrategy::MajorityVote | FusionStrategy::TrustWeighted) {
@@ -174,7 +174,7 @@ proptest! {
         }
         for (e, vs) in values.iter().enumerate() {
             if let Some(v) = r.value(e, 0) {
-                prop_assert!(vs.iter().any(|u| values_agree(u, v, cs.rel_tol)));
+                prop_assert!(vs.iter().any(|u| values_agree(u, v, cs.rel_tol())));
             }
             if let Some(c) = r.confidence(e, 0) {
                 prop_assert!((0.0..=1.0 + 1e-9).contains(&c));

@@ -62,6 +62,12 @@ scoring does — reads 0.92 at its best, so the gate still tells the two
 apart in either state. REPLAY_LIMIT is not derived from a margin: k=0 read
 0.137-0.144 in the one-core set and 0.183-0.188 in the two-core one, and
 0.50 says "a pass that changes nothing costs under half a pass".
+
+PR 17 compiled the fuse stage (7.9 -> ~2.2 ms on this fleet). Fusion is paid
+in full by the cold pass and by a k=1 update and not at all by k=0, so cold
+and k=1 fell by the same ~6 ms and k=0 stayed where it was: two real cores
+now read cold = 17.7-18.8 ms, k=1 = 11.7 ms (0.660), k=0 = 4.0 ms (0.211).
+Both limits hold with more room for k=1 and less for k=0, and are unchanged.
 """
 
 import json

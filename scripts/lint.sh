@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Nine rules, all enforced in CI via scripts/verify.sh:
+# analysis). Ten rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -59,6 +59,14 @@
 #      union is held once, as `crate::union::Union` (a columnar table plus
 #      per-source runs); a second, row-major holder is a copy of every cell
 #      that each stage then has to keep in step with the first.
+#
+#  10. No caller of `fuse_attribute(` under `crates/*/src` or `src/` outside
+#      `crates/fusion/src` (where it is defined) and `crates/bench` (E14
+#      times it as the serial baseline). Production fuses through
+#      `FuseKernel`, which reads the pass's one claim index; the uncompiled
+#      function is the reference the tests compare the kernel against, and a
+#      second production spelling of "fuse one slot" is one the next change
+#      to fusion will miss.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -311,6 +319,28 @@ done)
 if [ -n "$row_major_hits" ]; then
   echo "lint: row-major union type in wrangler-core (hold the union as crate::union::Union):"
   echo "$row_major_hits"
+  fail=1
+fi
+
+# --- Rule 10: one fuse in production --------------------------------------------
+scan_fuse_attribute() {
+  local f="$1"
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc lines
+    /(^|[^_[:alnum:]])fuse_attribute\(/ {
+      printf "%s:%d: %s\n", file, FNR, $0
+    }
+  ' "$f"
+}
+
+fuse_attribute_hits=$(for f in $(find crates/*/src src -name '*.rs' | sort); do
+  case "$f" in crates/fusion/src/* | crates/bench/*) continue ;; esac
+  scan_fuse_attribute "$f"
+done)
+if [ -n "$fuse_attribute_hits" ]; then
+  echo "lint: fuse_attribute( called outside crates/fusion/src and crates/bench (fuse through FuseKernel; fuse_attribute is the test reference):"
+  echo "$fuse_attribute_hits"
   fail=1
 fi
 
