@@ -23,16 +23,25 @@
 //!    of oversubscribing — the flat-to-negative half of the old curve is
 //!    structurally gone. The JSON records `cores` so the CI gate
 //!    (`scripts/check_e14_scaling.py`) knows which regime it is reading.
+//!    The fuse kernel's work is slots, which the source sweep never moves
+//!    past ~1,050 — one serial plan at every width — so its half of the
+//!    gate reads a fleet sized in products instead (`FUSE_FLEET_PRODUCTS`,
+//!    the largest ~17,000 slots). The rows either side of the fan-out
+//!    floor carry a two-workers-regardless column, and the pipeline's own
+//!    fuse loop is timed on the first fleet over the floor: the two
+//!    measurements `MIN_SLOTS_PER_WORKER`'s derivation compares.
 //!
 //! Protocol: per fleet size, wrangle once to materialise the mapped union
 //! and the claim set, rebuild the pipeline's candidate set (name blocking +
-//! exact-sku blocking), then time `REPS` runs (`FUSE_REPS` for the
-//! sub-millisecond fuse sweeps) of (a) serial `match_pairs`,
+//! exact-sku blocking), then time `REPS` runs of (a) serial `match_pairs`,
 //! (b) ER kernel compile+score at each worker count, (c) serial
 //! `fuse_attribute` over all slots and (d) fuse kernel compile+fuse at each
 //! worker count, taking the best of the runs (minimum suppresses scheduler
-//! noise on a shared box). Every kernel output is compared bit-for-bit
-//! against its serial reference. Timings are wall-clock; the count half
+//! noise on a shared box; a sub-millisecond fuse sweep still reads 5–10%
+//! apart from itself, which is why nothing is gated on one). The fuse-only
+//! fleets run (c) and (d) alone; the pipeline's loop is read off whole
+//! passes' `wrangle/fuse/kernel` span. Every kernel output is compared
+//! bit-for-bit against its serial reference. Timings are wall-clock; the count half
 //! of the metrics report is seeded-deterministic — `--counts` prints only
 //! that half and CI double-runs it to assert byte-identical output. A full
 //! run writes `BENCH_e14.json`.
@@ -46,12 +55,12 @@ use wrangler_bench::{default_fleet_config, fleet, header, row, session};
 use wrangler_context::UserContext;
 use wrangler_core::Wrangler;
 use wrangler_fusion::strategies::fuse_attribute;
-use wrangler_fusion::{FuseKernel, FusedValue};
+use wrangler_fusion::{FuseKernel, FusedValue, MIN_SLOTS_PER_WORKER};
 use wrangler_resolve::{
     candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, ErConfig, ErKernel,
     ScoredPair,
 };
-use wrangler_sources::FleetConfig;
+use wrangler_sources::{FleetConfig, SyntheticFleet};
 use wrangler_table::{par, Table};
 
 const SEED: u64 = 1401;
@@ -60,19 +69,32 @@ const SEED: u64 = 1401;
 const FLEET_SIZES: [usize; 4] = [10, 20, 40, 400];
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 5;
-/// A fuse sweep over these fleets is a quarter of a millisecond: five runs
-/// do not find its floor (two timings of one serial plan read 5–10% apart,
-/// and 5% is the scaling gate's whole tolerance); two hundred interleaved
-/// ones do, and cost 50 ms a width.
-const FUSE_REPS: usize = 200;
+/// Products in every fleet of the source sweep.
+const PRODUCTS: usize = 200;
+/// Fuse-only fleets, by product count (`FUSE_FLEET_SOURCES` sources each).
+/// The fuse kernel's work is slots — entities × attributes — and the source
+/// sweep above never leaves ~1,050 of them, far under the fan-out floor of
+/// 2 × `MIN_SLOTS_PER_WORKER` = 8192 where every width is one serial plan.
+/// These straddle the floor: ~5,600 slots still fuse serially, ~10,700 are
+/// the first the policy fans out (two workers) and ~17,000 — the fleet the
+/// scaling gate reads — the first it gives four.
+const FUSE_FLEET_PRODUCTS: [usize; 3] = [1000, 2000, 3200];
+const FUSE_FLEET_SOURCES: usize = 10;
+/// The first of them over the floor: where the pipeline's own fuse loop is
+/// timed at one worker and at four requested.
+const FUSE_PASS_PRODUCTS: usize = FUSE_FLEET_PRODUCTS[1];
 
-fn build(num_sources: usize) -> Wrangler {
+fn fleet_of(num_sources: usize, num_products: usize) -> SyntheticFleet {
     let cfg = FleetConfig {
         num_sources,
+        num_products,
         ..default_fleet_config()
     };
-    let f = fleet(&cfg, SEED);
-    session(&f, UserContext::balanced("e14"))
+    fleet(&cfg, SEED)
+}
+
+fn build(num_sources: usize, num_products: usize) -> Wrangler {
+    session(&fleet_of(num_sources, num_products), UserContext::balanced("e14"))
 }
 
 /// The pipeline's ER candidate set over a union table: name blocking plus
@@ -88,11 +110,11 @@ fn pipeline_candidates(union: &Table) -> Vec<(usize, usize)> {
     candidates
 }
 
-/// Best (minimum) wall-clock seconds of `reps` runs of `f` — the standard
+/// Best (minimum) wall-clock seconds of `REPS` runs of `f` — the standard
 /// noise-resistant estimator on a shared/oversubscribed machine, where the
 /// median still absorbs scheduler stalls.
-fn best_secs(reps: usize, mut f: impl FnMut()) -> f64 {
-    (0..reps)
+fn best_secs(mut f: impl FnMut()) -> f64 {
+    (0..REPS)
         .map(|_| {
             let t = Instant::now();
             f();
@@ -133,14 +155,40 @@ struct FleetResult {
     kernel_ms: Vec<(usize, f64)>,
     identical: bool,
     no_idle_worker: bool,
-    fuse_slots: usize,
-    fuse_serial_ms: f64,
-    fuse_kernel_ms: Vec<(usize, f64)>,
-    fuse_identical: bool,
 }
 
-fn measure_fleet(num_sources: usize) -> FleetResult {
-    let mut w = build(num_sources);
+struct FuseResult {
+    sources: usize,
+    products: usize,
+    slots: usize,
+    serial_ms: f64,
+    /// Requested width → best ms, width resolved by the sizing policy.
+    kernel_ms: Vec<(usize, f64)>,
+    /// The pool width the policy resolved four requested workers to.
+    width_at_4: usize,
+    /// Two workers spawned whatever the policy says: against `kernel_ms@1`
+    /// on fleets either side of the floor, the measurement the floor rests on.
+    exact2_ms: f64,
+    identical: bool,
+}
+
+/// The fuse stage's own `wrangle/fuse/kernel` span (ms) in a whole pass over
+/// `fleet` with `workers` fuse workers requested, best of `REPS` passes:
+/// what the pipeline pays — per-slot panic isolation, stitching the chunks
+/// back, and a fan-out that happens once per pass, onto cores the rest of
+/// the pass left idle — where the sweeps above re-run a warm kernel.
+fn pass_kernel_ms(fleet: &SyntheticFleet, workers: usize) -> f64 {
+    (0..REPS)
+        .map(|_| {
+            let mut w = session(fleet, UserContext::balanced("e14")).with_fuse_workers(workers);
+            let out = w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
+            out.metrics.timings["wrangle/fuse/kernel"].nanos as f64 / 1e6
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
+    let mut w = build(num_sources, PRODUCTS);
     w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
     let union = w.union_table().expect("wrangle caches the union"); // lint-allow: experiment fixture
     let cfg: ErConfig = w.er_config().clone();
@@ -154,7 +202,7 @@ fn measure_fleet(num_sources: usize) -> FleetResult {
     let serial_clusters =
         cluster_pairs(union.num_rows(), serial.iter().map(|p| (p.i, p.j)));
     let serial_ms = 1e3
-        * best_secs(REPS, || {
+        * best_secs(|| {
             std::hint::black_box(
                 match_pairs(&union, &candidates, &cfg).expect("serial scoring succeeds"), // lint-allow: experiment fixture
             );
@@ -168,7 +216,7 @@ fn measure_fleet(num_sources: usize) -> FleetResult {
         // of the kernel's cost, not free setup. The requested width goes
         // through the pool-sizing policy, exactly as the pipeline's does.
         let ms = 1e3
-            * best_secs(REPS, || {
+            * best_secs(|| {
                 let k = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
                 std::hint::black_box(
                     k.match_pairs_parallel(&candidates, workers)
@@ -189,15 +237,28 @@ fn measure_fleet(num_sources: usize) -> FleetResult {
             && stats.iter().all(|s| s.items > 0);
     }
 
-    // --- Fuse: serial fuse_attribute vs FuseKernel at each worker count -----
+    let er = FleetResult {
+        sources: num_sources,
+        candidates: candidates.len(),
+        serial_ms,
+        kernel_ms,
+        identical,
+        no_idle_worker,
+    };
+    (er, measure_fuse(&w, num_sources, PRODUCTS))
+}
+
+/// Fuse: serial `fuse_attribute` vs `FuseKernel` at each worker count, over
+/// the claim set a finished wrangle left behind.
+fn measure_fuse(w: &Wrangler, sources: usize, products: usize) -> FuseResult {
     let (claims, ctx, strategy) = w.fusion_inputs().expect("wrangle caches the claim set"); // lint-allow: experiment fixture
     let slots = claims.slots();
     let fuse_serial: Vec<Option<FusedValue>> = slots
         .iter()
         .map(|&(e, a)| fuse_attribute(claims, e, a, strategy, ctx))
         .collect();
-    let fuse_serial_ms = 1e3
-        * best_secs(FUSE_REPS, || {
+    let serial_ms = 1e3
+        * best_secs(|| {
             std::hint::black_box(
                 slots
                     .iter()
@@ -205,47 +266,46 @@ fn measure_fleet(num_sources: usize) -> FleetResult {
                     .collect::<Vec<Option<FusedValue>>>(),
             );
         });
-    // The widths take turns inside each repetition, so drift over the sweep
-    // (allocator state, the VM's mood) lands on all of them alike: two
-    // widths the sizing policy resolves to one plan must time alike.
-    let mut fuse_best = [f64::INFINITY; WORKERS.len()];
-    for _ in 0..FUSE_REPS {
-        for (best, &workers) in fuse_best.iter_mut().zip(&WORKERS) {
-            *best = best.min(best_secs(1, || {
+    let mut kernel_ms = Vec::new();
+    let mut identical = true;
+    let mut width_at_4 = 0;
+    for &workers in &WORKERS {
+        let ms = 1e3
+            * best_secs(|| {
                 let k = FuseKernel::compile(claims, strategy, ctx);
                 std::hint::black_box(
                     k.fuse_slots_parallel(&slots, workers)
                         .expect("parallel fusion succeeds"), // lint-allow: experiment fixture
                 );
-            }));
-        }
-    }
-    let fuse_kernel_ms: Vec<(usize, f64)> = WORKERS
-        .iter()
-        .zip(fuse_best)
-        .map(|(&workers, secs)| (workers, 1e3 * secs))
-        .collect();
-    let mut fuse_ident = true;
-    for &workers in &WORKERS {
+            });
+        kernel_ms.push((workers, ms));
         let k = FuseKernel::compile(claims, strategy, ctx);
         let (fused, stats) = k
             .fuse_slots_parallel(&slots, workers)
             .expect("parallel fusion succeeds"); // lint-allow: experiment fixture
-        fuse_ident &= fused_identical(&fuse_serial, &fused)
+        identical &= fused_identical(&fuse_serial, &fused)
             && stats.iter().map(|s| s.items).sum::<u64>() == slots.len() as u64;
+        if workers == 4 {
+            width_at_4 = stats.len();
+        }
     }
-
-    FleetResult {
-        sources: num_sources,
-        candidates: candidates.len(),
+    let exact2_ms = 1e3
+        * best_secs(|| {
+            let k = FuseKernel::compile(claims, strategy, ctx);
+            std::hint::black_box(
+                k.fuse_slots_parallel_exact(&slots, 2)
+                    .expect("parallel fusion succeeds"), // lint-allow: experiment fixture
+            );
+        });
+    FuseResult {
+        sources,
+        products,
+        slots: slots.len(),
         serial_ms,
         kernel_ms,
+        width_at_4,
+        exact2_ms,
         identical,
-        no_idle_worker,
-        fuse_slots: slots.len(),
-        fuse_serial_ms,
-        fuse_kernel_ms,
-        fuse_identical: fuse_ident,
     }
 }
 
@@ -264,7 +324,7 @@ fn main() {
         // counts matter: per-worker counters depend on the requested pool
         // size (the sizing policy then resolves it identically every run on
         // a given machine).
-        let mut w = build(*FLEET_SIZES.last().expect("const non-empty")) // lint-allow: const fixture
+        let mut w = build(*FLEET_SIZES.last().expect("const non-empty"), PRODUCTS) // lint-allow: const fixture
             .with_er_workers(4)
             .with_fuse_workers(4);
         w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
@@ -273,11 +333,10 @@ fn main() {
     }
 
     let cores = par::available_parallelism();
-    println!("E14: precompiled kernels (ER + fuse) vs serial references (200 products)");
+    println!("E14: precompiled kernels (ER + fuse) vs serial references ({PRODUCTS} products)");
     println!("(serial = uncompiled match_pairs re-rendering rows per pair; kernel@w =");
     println!(" compile + blocked-pool scoring with w requested workers, width resolved");
-    println!(" by the sizing policy — this machine has {cores} core(s); best of {REPS} runs");
-    println!(" (of {FUSE_REPS} for the sub-millisecond fuse sweeps);");
+    println!(" by the sizing policy — this machine has {cores} core(s); best of {REPS} runs;");
     println!(" identical = pairs, score bits and clusters equal serial at every w)\n");
 
     let widths = [7, 10, 9, 9, 9, 9, 9, 9, 10];
@@ -293,8 +352,10 @@ fn main() {
     );
 
     let mut results = Vec::new();
+    let mut fuse_results = Vec::new();
     for &n in &FLEET_SIZES {
-        let r = measure_fleet(n);
+        let (r, fuse) = measure_fleet(n);
+        fuse_results.push(fuse);
         let speedup4 = r.serial_ms / ms_at(&r.kernel_ms, 4);
         let cells = vec![
             r.sources.to_string(),
@@ -311,33 +372,51 @@ fn main() {
         results.push(r);
     }
 
-    println!("\nfuse kernel (same fleets; serial = per-slot fuse_attribute):");
-    let fwidths = [7, 8, 9, 9, 9, 9, 9, 9, 10];
+    println!("\nfuse kernel (serial = per-slot fuse_attribute; the source sweep's fleets, then");
+    println!(" {FUSE_FLEET_SOURCES}-source fleets sized in products so the slots straddle the fan-out floor of");
+    println!(" 2 x {MIN_SLOTS_PER_WORKER}; width4 = the pool width four requested workers resolve to;");
+    println!(" x2 = two workers spawned whatever the policy says):");
+    let fwidths = [7, 8, 7, 8, 8, 8, 8, 8, 6, 8, 9];
     println!(
         "{}",
         header(
             &[
-                "sources", "slots", "serial", "f@1", "f@2", "f@4", "f@8", "speedup4",
-                "identical"
+                "sources", "products", "slots", "serial", "f@1", "f@2", "f@4", "f@8", "width4",
+                "x2", "identical"
             ],
             &fwidths
         )
     );
-    for r in &results {
-        let speedup4 = r.fuse_serial_ms / ms_at(&r.fuse_kernel_ms, 4);
+    for &products in &FUSE_FLEET_PRODUCTS {
+        let mut w = build(FUSE_FLEET_SOURCES, products);
+        w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
+        fuse_results.push(measure_fuse(&w, FUSE_FLEET_SOURCES, products));
+    }
+    for r in &fuse_results {
         let cells = vec![
             r.sources.to_string(),
-            r.fuse_slots.to_string(),
-            format!("{:.2}", r.fuse_serial_ms),
-            format!("{:.2}", ms_at(&r.fuse_kernel_ms, 1)),
-            format!("{:.2}", ms_at(&r.fuse_kernel_ms, 2)),
-            format!("{:.2}", ms_at(&r.fuse_kernel_ms, 4)),
-            format!("{:.2}", ms_at(&r.fuse_kernel_ms, 8)),
-            format!("{:.2}x", speedup4),
-            if r.fuse_identical { "yes" } else { "NO" }.to_string(),
+            r.products.to_string(),
+            r.slots.to_string(),
+            format!("{:.2}", r.serial_ms),
+            format!("{:.2}", ms_at(&r.kernel_ms, 1)),
+            format!("{:.2}", ms_at(&r.kernel_ms, 2)),
+            format!("{:.2}", ms_at(&r.kernel_ms, 4)),
+            format!("{:.2}", ms_at(&r.kernel_ms, 8)),
+            r.width_at_4.to_string(),
+            format!("{:.2}", r.exact2_ms),
+            if r.identical { "yes" } else { "NO" }.to_string(),
         ];
         println!("{}", row(&cells, &fwidths));
     }
+
+    let pass_fleet = fleet_of(FUSE_FLEET_SOURCES, FUSE_PASS_PRODUCTS);
+    let (pass1, pass4) = (pass_kernel_ms(&pass_fleet, 1), pass_kernel_ms(&pass_fleet, 4));
+    println!("\nthe pipeline's own fuse loop on the first fleet over the floor ({FUSE_PASS_PRODUCTS} products;");
+    println!(" the `wrangle/fuse/kernel` span of a whole pass, best of {REPS} passes):");
+    println!(
+        " 1 worker {pass1:.2} ms, 4 requested {pass4:.2} ms ({:.2}x)",
+        pass4 / pass1
+    );
 
     // --- Verdicts ------------------------------------------------------------
     let big = *FLEET_SIZES.last().expect("const non-empty"); // lint-allow: const fixture
@@ -351,7 +430,7 @@ fn main() {
     // configuration (the gate script applies a noise tolerance there).
     let verdict_scaling = ms_at(&last.kernel_ms, 4) < ms_at(&last.kernel_ms, 1);
     let verdict_identical = results.iter().all(|r| r.identical);
-    let verdict_fuse_identical = results.iter().all(|r| r.fuse_identical);
+    let verdict_fuse_identical = fuse_results.iter().all(|r| r.identical);
     let verdict_workers = results.iter().all(|r| r.no_idle_worker);
     println!(
         "\nverdict: kernel@4 {} the 2x floor at {big} sources ({speedup4:.2}x); \
@@ -377,41 +456,53 @@ fn main() {
     );
 
     // --- Machine-readable results -------------------------------------------
+    let ms_json = |kernel_ms: &[(usize, f64)]| {
+        kernel_ms
+            .iter()
+            .map(|(w, ms)| format!("\"{w}\":{:.4}", ms))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
     let fleets_json: Vec<String> = results
         .iter()
         .map(|r| {
-            let kernels = r
-                .kernel_ms
-                .iter()
-                .map(|(w, ms)| format!("\"{w}\":{:.4}", ms))
-                .collect::<Vec<_>>()
-                .join(",");
-            let fuse_kernels = r
-                .fuse_kernel_ms
-                .iter()
-                .map(|(w, ms)| format!("\"{w}\":{:.4}", ms))
-                .collect::<Vec<_>>()
-                .join(",");
             format!(
                 "{{\"sources\":{},\"candidates\":{},\"serial_ms\":{:.4},\
-                 \"kernel_ms\":{{{kernels}}},\"identical\":{},\
-                 \"fuse_slots\":{},\"fuse_serial_ms\":{:.4},\
-                 \"fuse_kernel_ms\":{{{fuse_kernels}}},\"fuse_identical\":{}}}",
+                 \"kernel_ms\":{{{}}},\"identical\":{}}}",
                 r.sources,
                 r.candidates,
                 r.serial_ms,
+                ms_json(&r.kernel_ms),
                 r.identical,
-                r.fuse_slots,
-                r.fuse_serial_ms,
-                r.fuse_identical
+            )
+        })
+        .collect();
+    let fuse_fleets_json: Vec<String> = fuse_results
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"sources\":{},\"products\":{},\"fuse_slots\":{},\
+                 \"fuse_serial_ms\":{:.4},\"fuse_kernel_ms\":{{{}}},\
+                 \"fuse_width_at_4\":{},\"fuse_exact2_ms\":{:.4},\"fuse_identical\":{}}}",
+                r.sources,
+                r.products,
+                r.slots,
+                r.serial_ms,
+                ms_json(&r.kernel_ms),
+                r.width_at_4,
+                r.exact2_ms,
+                r.identical,
             )
         })
         .collect();
     let json = format!(
         "{{\"experiment\":\"e14_er_scaling\",\"seed\":{SEED},\"cores\":{cores},\
          \"speedup_at_4_workers\":{speedup4:.4},\
-         \"fleets\":[{}]}}\n",
-        fleets_json.join(",")
+         \"fleets\":[{}],\"fuse_fleets\":[{}],\
+         \"fuse_pass\":{{\"products\":{FUSE_PASS_PRODUCTS},\
+         \"kernel_span_ms\":{{\"1\":{pass1:.4},\"4\":{pass4:.4}}}}}}}\n",
+        fleets_json.join(","),
+        fuse_fleets_json.join(",")
     );
     wrangler_bench::write_artifact("BENCH_e14.json", &json);
 

@@ -1309,9 +1309,22 @@ mod tests {
     use wrangler_sources::{FleetConfig, SyntheticFleet};
 
     fn small_fleet() -> SyntheticFleet {
+        fleet_of(40)
+    }
+
+    /// Enough entities that the live slots (one per entity and target
+    /// attribute) clear the fuse pool's fan-out floor of
+    /// 2 × `MIN_SLOTS_PER_WORKER`, even with a third of the sources
+    /// quarantined: on two cores or more, a multi-worker request really
+    /// fans out.
+    fn wide_fleet() -> SyntheticFleet {
+        fleet_of(1800)
+    }
+
+    fn fleet_of(num_products: usize) -> SyntheticFleet {
         wrangler_sources::synthetic::generate_fleet(
             &FleetConfig {
-                num_products: 40,
+                num_products,
                 num_sources: 6,
                 now: 10,
                 coverage: (0.5, 0.9),
@@ -2090,71 +2103,101 @@ mod tests {
         );
     }
 
+    /// The `fuse.workerN.items` counters of one pass, in worker order.
+    fn fuse_worker_items(m: &MetricsReport) -> Vec<u64> {
+        m.counts
+            .iter()
+            .filter(|(k, _)| k.starts_with("fuse.worker") && k.ends_with(".items"))
+            .map(|(_, v)| *v)
+            .collect()
+    }
+
+    /// Whether a pass asked for several fuse workers really ran them: it
+    /// must have, wherever there is a second core, exactly when its slots
+    /// clear the fan-out floor.
+    fn fuse_fanned_out(m: &MetricsReport) -> bool {
+        let fanned_out = m.counts.contains_key("fuse.worker1.items");
+        let over_floor =
+            m.counts["fuse.slots"] >= 2 * wrangler_fusion::MIN_SLOTS_PER_WORKER as u64;
+        assert_eq!(
+            fanned_out,
+            over_floor && wrangler_table::par::available_parallelism() >= 2,
+            "{} slots",
+            m.counts["fuse.slots"]
+        );
+        over_floor
+    }
+
     #[test]
     fn fuse_output_is_identical_for_any_worker_count() {
-        let fleet = small_fleet();
-        let mut one = session(&fleet, UserContext::balanced("t")).with_fuse_workers(1);
-        let mut five = session(&fleet, UserContext::balanced("t")).with_fuse_workers(5);
-        let a = one.wrangle().unwrap();
-        let b = five.wrangle().unwrap();
-        assert_eq!(a.entities, b.entities);
-        assert_eq!(a.table, b.table);
-        assert_eq!(a.metrics.counts["fuse.slots"], b.metrics.counts["fuse.slots"]);
-        // Per-worker fuse counters sum to the slots the kernel fused (no
-        // confirmations/vetoes here, so every live slot is a kernel slot).
-        for m in [&a.metrics, &b.metrics] {
-            let worker_items: Vec<u64> = m
-                .counts
-                .iter()
-                .filter(|(k, _)| k.starts_with("fuse.worker") && k.ends_with(".items"))
-                .map(|(_, v)| *v)
-                .collect();
-            assert!(!worker_items.is_empty());
-            assert_eq!(worker_items.iter().sum::<u64>(), m.counts["fuse.slots"]);
-            assert!(
-                worker_items.iter().all(|&n| n > 0),
-                "no worker may be idle: {worker_items:?}"
-            );
+        // The small fleet stays under the slot pool's fan-out floor: the
+        // serial case, whatever is asked for. The wide one clears it, so the
+        // comparison is serial against a real fan-out wherever there is a
+        // second core.
+        for (fleet, fans_out) in [(small_fleet(), false), (wide_fleet(), true)] {
+            let mut one = session(&fleet, UserContext::balanced("t")).with_fuse_workers(1);
+            let mut five = session(&fleet, UserContext::balanced("t")).with_fuse_workers(5);
+            let a = one.wrangle().unwrap();
+            let b = five.wrangle().unwrap();
+            assert_eq!(a.entities, b.entities);
+            assert_eq!(a.table, b.table);
+            assert_eq!(a.metrics.counts["fuse.slots"], b.metrics.counts["fuse.slots"]);
+            // Per-worker fuse counters sum to the slots the kernel fused (no
+            // confirmations/vetoes here, so every live slot is a kernel slot).
+            for m in [&a.metrics, &b.metrics] {
+                let worker_items = fuse_worker_items(m);
+                assert!(!worker_items.is_empty());
+                assert_eq!(worker_items.iter().sum::<u64>(), m.counts["fuse.slots"]);
+                assert!(
+                    worker_items.iter().all(|&n| n > 0),
+                    "no worker may be idle: {worker_items:?}"
+                );
+            }
+            assert_eq!(fuse_worker_items(&a.metrics).len(), 1);
+            assert_eq!(fuse_fanned_out(&b.metrics), fans_out);
         }
     }
 
     /// PR 5 semantics survive the parallel fuse kernel: a fuse-stage chaos
     /// panic quarantines the rolled source *by name* before its claims enter
-    /// the claim set, and the pass completes on survivors — with a
-    /// multi-worker slot pool requested.
+    /// the claim set, and the pass completes on survivors — serially on the
+    /// small fleet, with the slot pool really running multi-worker on the
+    /// wide one.
     #[test]
     fn fuse_chaos_panic_is_contained_and_names_the_source_with_parallel_kernel() {
         use crate::contain::ChaosPolicy;
-        let fleet = small_fleet();
-        let chaos = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
-        let mut w = session(&fleet, UserContext::balanced("t"))
-            .with_fuse_workers(5)
-            .with_contain_policy(ContainPolicy::contain().with_chaos(chaos));
-        let out = w.wrangle().unwrap();
-        let quarantined = out.containment.quarantined_sources();
-        assert!(!quarantined.is_empty(), "chaos must hit at this seed/rate");
-        for e in &out.containment.quarantines {
-            assert_eq!(e.stage, Stage::Fuse);
-            assert!(e.reason.contains("panicked"), "{}", e.reason);
+        for (fleet, fans_out) in [(small_fleet(), false), (wide_fleet(), true)] {
+            let chaos = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
+            let mut w = session(&fleet, UserContext::balanced("t"))
+                .with_fuse_workers(5)
+                .with_contain_policy(ContainPolicy::contain().with_chaos(chaos));
+            let out = w.wrangle().unwrap();
+            let quarantined = out.containment.quarantined_sources();
+            assert!(!quarantined.is_empty(), "chaos must hit at this seed/rate");
+            for e in &out.containment.quarantines {
+                assert_eq!(e.stage, Stage::Fuse);
+                assert!(e.reason.contains("panicked"), "{}", e.reason);
+            }
+            assert!(out.containment.tallies(Stage::Fuse).panics_caught > 0);
+            // Survivors complete the pass; the quarantined sources are named
+            // and excluded.
+            assert!(!out.selected_sources.is_empty());
+            for id in &quarantined {
+                assert!(!out.selected_sources.contains(id), "{id:?} still selected");
+            }
+            assert!(out.entities > 0);
+            assert_eq!(fuse_fanned_out(&out.metrics), fans_out);
+            // A clean run with the same worker count delivers identical
+            // output minus the quarantined sources' claims — and a chaos-free
+            // session is byte-deterministic.
+            let chaos2 = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
+            let mut w2 = session(&fleet, UserContext::balanced("t"))
+                .with_fuse_workers(5)
+                .with_contain_policy(ContainPolicy::contain().with_chaos(chaos2));
+            let out2 = w2.wrangle().unwrap();
+            assert_eq!(out.containment.render(), out2.containment.render());
+            assert_eq!(out.table, out2.table);
         }
-        assert!(out.containment.tallies(Stage::Fuse).panics_caught > 0);
-        // Survivors complete the pass; the quarantined sources are named
-        // and excluded.
-        assert!(!out.selected_sources.is_empty());
-        for id in &quarantined {
-            assert!(!out.selected_sources.contains(id), "{id:?} still selected");
-        }
-        assert!(out.entities > 0);
-        // A clean run with the same worker count delivers identical output
-        // minus the quarantined sources' claims — and a chaos-free session
-        // is byte-deterministic.
-        let chaos2 = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
-        let mut w2 = session(&fleet, UserContext::balanced("t"))
-            .with_fuse_workers(5)
-            .with_contain_policy(ContainPolicy::contain().with_chaos(chaos2));
-        let out2 = w2.wrangle().unwrap();
-        assert_eq!(out.containment.render(), out2.containment.render());
-        assert_eq!(out.table, out2.table);
     }
 
     #[test]

@@ -1143,17 +1143,20 @@ impl Wrangler {
         // Partition the slots: dead columns are skipped outright, slots
         // pinned by a confirmation or constrained by vetoes take the
         // feedback-aware serial path, and the plain majority go through the
-        // precompiled FuseKernel over the blocked worker pool.
+        // precompiled FuseKernel over the blocked worker pool — by slot
+        // number, which this walk knows and the kernel would otherwise
+        // search for again, key by key.
+        let slots = claims.index().slots();
         let mut special_slots: Vec<(usize, usize)> = Vec::new();
-        let mut plain_slots: Vec<(usize, usize)> = Vec::new();
-        for &(e, a) in claims.index().slots() {
+        let mut plain_slots: Vec<usize> = Vec::new();
+        for (no, &(e, a)) in slots.iter().enumerate() {
             if live_mask.as_ref().is_some_and(|m| !m[a]) {
                 slots_skipped += 1;
             } else if self.confirmations.contains_key(&(e, a)) || self.vetoes.contains_key(&(e, a))
             {
                 special_slots.push((e, a));
             } else {
-                plain_slots.push((e, a));
+                plain_slots.push(no);
             }
         }
         // Per-slot isolation: a fusion strategy that panics on one
@@ -1198,12 +1201,12 @@ impl Wrangler {
             let (chunks, worker_stats) = par::run_blocked(&plain_slots, workers, |_, chunk| {
                 chunk
                     .iter()
-                    .map(|&(e, a)| isolate(contained, || fuse_kernel.fuse_slot(e, a)))
+                    .map(|&no| isolate(contained, || fuse_kernel.fuse_slot_no(no)))
                     .collect::<Vec<_>>()
             })
             .map_err(|msg| TableError::Unavailable(format!("fuse worker panicked: {msg}")))?;
-            for (&slot, res) in plain_slots.iter().zip(chunks.into_iter().flatten()) {
-                slot_done(pass, slot, res)?;
+            for (&no, res) in plain_slots.iter().zip(chunks.into_iter().flatten()) {
+                slot_done(pass, slots[no], res)?;
             }
             Ok(worker_stats)
         })?;

@@ -16,11 +16,15 @@ use wrangler_core::{
 };
 use wrangler_sources::faults::FaultConfig;
 use wrangler_sources::{FleetConfig, SourceId, SyntheticFleet};
-use wrangler_table::{wire, DataType, Schema, Table, Value};
+use wrangler_table::{par, wire, DataType, Schema, Table, Value};
 
 fn make_fleet(seed: u64) -> SyntheticFleet {
+    fleet_of(60, seed)
+}
+
+fn fleet_of(num_products: usize, seed: u64) -> SyntheticFleet {
     let cfg = FleetConfig {
-        num_products: 60,
+        num_products,
         num_sources: 8,
         now: 20,
         coverage: (0.3, 0.8),
@@ -126,16 +130,38 @@ fn crash_at(fleet: &SyntheticFleet, faults: Option<&FaultConfig>, dir: &Path, si
 
 #[test]
 fn resume_is_byte_identical_at_every_crash_site() {
-    let fleet = make_fleet(42);
+    resume_matches_cold("resume", &make_fleet(42), &CrashSite::all());
+}
+
+/// The resume the fuse stage pays for in full — ER replayed, fusion live —
+/// on a fleet whose slots clear the fuse pool's fan-out floor
+/// (2 × `MIN_SLOTS_PER_WORKER`): wherever there is a second core, the cold
+/// pass and the resumed one fuse on two workers.
+#[test]
+fn resume_after_er_is_byte_identical_with_a_fanned_out_fuse() {
+    let fleet = fleet_of(1800, 42);
+    let cold_out = resume_matches_cold("resume-wide", &fleet, &[CrashSite::AfterEr]);
+    assert_eq!(
+        cold_out.metrics.counts.contains_key("fuse.worker1.items"),
+        par::available_parallelism() >= 2,
+        "{} slots",
+        cold_out.metrics.counts["fuse.slots"]
+    );
+}
+
+/// Crash at each of `sites`, resume, and demand the cold pass's fingerprint;
+/// returns the cold outcome. `label` names the scratch stores, which
+/// concurrent tests must not share.
+fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite]) -> WrangleOutcome {
     // Cold reference: no store, no crash.
-    let mut cold = build(&fleet, None);
+    let mut cold = build(fleet, None);
     let cold_out = cold.wrangle().unwrap();
     let cold_fp = fingerprint(&cold, &cold_out);
 
-    for site in CrashSite::all() {
-        let dir = scratch_dir(&format!("resume-{}", site.name()));
+    for &site in sites {
+        let dir = scratch_dir(&format!("{label}-{}", site.name()));
         cleanup(&dir);
-        let interrupted = crash_at(&fleet, None, &dir, site);
+        let interrupted = crash_at(fleet, None, &dir, site);
         assert!(interrupted, "{site:?}: crash policy did not fire");
         let store = CheckpointStore::open(&dir).unwrap();
         assert!(
@@ -143,7 +169,7 @@ fn resume_is_byte_identical_at_every_crash_site() {
             "{site:?}: no checkpoints persisted before the crash"
         );
         // Restart: a fresh session (new process) pointed at the same store.
-        let mut resumed = build(&fleet, None).with_checkpoint_store(store);
+        let mut resumed = build(fleet, None).with_checkpoint_store(store);
         let out = resumed.resume().unwrap();
         assert_eq!(
             fingerprint(&resumed, &out),
@@ -164,6 +190,7 @@ fn resume_is_byte_identical_at_every_crash_site() {
         assert!(hits > 0, "{site:?}: resume replayed nothing");
         cleanup(&dir);
     }
+    cold_out
 }
 
 #[test]

@@ -39,14 +39,25 @@ use crate::strategies::{FusedValue, SourceContext, Strategy};
 
 /// Below this many slots per worker, fan-out costs more than it saves.
 ///
-/// Measured on the benchmark's three fleets (2-core VM, release build): one
-/// slot through the claim index costs 150–200 ns whether it holds 2 claims or
-/// 13, and a two-worker fan-out pays ~75 µs of spawn, join and stitching —
-/// some 470 slots of work — before the first slot is saved. Two workers then
-/// take 0.9–1.2× the serial time at 512 slots each, 0.83× at 1024 each and
-/// 0.68× at 2048 each. 1024 is the smallest power of two at which fanning
+/// Measured where the policy earns or loses its keep: the pipeline's own
+/// fuse loop (the `wrangle/fuse/kernel` span of whole passes at one fuse
+/// worker and at two; 2-core VM, release build, 10-source fleets of 500 to
+/// 3,200 products; minimum and median of 9 passes, the sweep run twice, with
+/// this floor still at 1024, where every one of those fleets fans out). A
+/// plain slot costs 120–150 ns there, and a fan-out some 250 µs before the
+/// first slot is saved: two spawns onto cores the rest of the pass left
+/// idle, two joins, every result crossing threads.
+/// Two workers over one read 1.22–1.32 at 1,343 slots each, 1.06–1.20 at
+/// 2,004, 0.91–1.05 at 2,784, 0.86–0.95 at 4,192, 0.81–0.85 at 5,368 and
+/// 0.74–0.83 at 8,550. 4096 is the smallest power of two at which fanning
 /// out is a measured win rather than a coin toss.
-pub const MIN_SLOTS_PER_WORKER: usize = 1024;
+///
+/// The kernel alone, re-run warm in a loop, flatters fan-out — its threads
+/// land on cores that were busy a moment ago — and breaks even at about a
+/// third of that: `e14_er_scaling` prints both, a two-workers-regardless
+/// column either side of the floor and the pipeline's span on the first
+/// fleet over it.
+pub const MIN_SLOTS_PER_WORKER: usize = 4096;
 
 /// A fusion pass compiled against one `(strategy, SourceContext)` pair.
 ///
@@ -114,7 +125,14 @@ impl<'a> FuseKernel<'a> {
     /// compiled strategy and context. Returns `None` when the slot has no
     /// claims.
     pub fn fuse_slot(&self, entity: usize, attr: usize) -> Option<FusedValue> {
-        let slot = self.index.slot_no(entity, attr)?;
+        self.fuse_slot_no(self.index.slot_no(entity, attr)?)
+    }
+
+    /// [`Self::fuse_slot`] for the `slot`-th entry of the claim index's
+    /// [`slots`](ClaimIndex::slots): what a caller walking the index already
+    /// has, and `fuse_slot` spends a third of a plain slot's cost searching
+    /// for. Panics when there is no such slot.
+    pub fn fuse_slot_no(&self, slot: usize) -> Option<FusedValue> {
         self.fuse_indexed(self.index, slot)
     }
 

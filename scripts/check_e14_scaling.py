@@ -4,7 +4,10 @@
 The regression this guards: the original strided per-pair fan-out made the
 ER kernel *slower* with more workers (8 workers 42% slower than 1 at 40
 sources). After the blocked-chunk rework, adding workers must never cost
-wall clock on the large fleet:
+wall clock on the large fleet — for the ER kernel the one with the most
+sources ("fleets"), for the fuse kernel the one with the most slots
+("fuse_fleets": several times the slot pool's fan-out floor, so four
+requested workers resolve to as many as the machine has, up to four):
 
 * On a machine with >= 4 cores the pool genuinely widens, so the gate is
   strict: kernel_ms@4 must beat kernel_ms@1.
@@ -29,11 +32,14 @@ def main() -> int:
         data = json.load(f)
 
     cores = data.get("cores", 1)
-    fleets = data["fleets"]
-    large = max(fleets, key=lambda fl: fl["sources"])
+    large = max(data["fleets"], key=lambda fl: fl["sources"])
+    large_fuse = max(data["fuse_fleets"], key=lambda fl: fl["fuse_slots"])
     failures = []
 
-    for label, kernel in [("ER", large["kernel_ms"]), ("fuse", large["fuse_kernel_ms"])]:
+    for label, at, kernel in [
+        ("ER", f"{large['sources']} sources", large["kernel_ms"]),
+        ("fuse", f"{large_fuse['fuse_slots']} slots", large_fuse["fuse_kernel_ms"]),
+    ]:
         k1, k4 = kernel["1"], kernel["4"]
         ratio = k4 / k1 if k1 > 0 else float("inf")
         strict = cores >= 4
@@ -41,17 +47,21 @@ def main() -> int:
         regime = "strict (>=4 cores)" if strict else f"core-clamped ({cores} core(s), {TOLERANCE:.0%} tolerance)"
         verdict = "ok" if ratio < limit else "FAIL"
         print(
-            f"e14 scaling [{label}] at {large['sources']} sources: "
-            f"@1 = {k1:.1f} ms, @4 = {k4:.1f} ms, @4/@1 = {ratio:.3f} "
+            f"e14 scaling [{label}] at {at}: "
+            f"@1 = {k1:.2f} ms, @4 = {k4:.2f} ms, @4/@1 = {ratio:.3f} "
             f"[{regime}] -> {verdict}"
         )
         if ratio >= limit:
             failures.append(label)
 
-    for fl in fleets:
-        for key, label in [("identical", "ER"), ("fuse_identical", "fuse")]:
+    for label, key, fleets in [
+        ("ER", "identical", data["fleets"]),
+        ("fuse", "fuse_identical", data["fuse_fleets"]),
+    ]:
+        for fl in fleets:
             if not fl.get(key, False):
-                print(f"e14 identity [{label}] at {fl['sources']} sources: outputs DIVERGE")
+                at = f"{fl['sources']} sources" + (f" x {fl['products']} products" if "products" in fl else "")
+                print(f"e14 identity [{label}] at {at}: outputs DIVERGE")
                 failures.append(f"{label}-identity")
 
     if failures:
