@@ -26,8 +26,8 @@
 //! (DESIGN.md §16). `--counts` prints the deterministic half (k=1 pass
 //! counters + outcome fingerprint) for CI double-run diffing. A full run
 //! writes `BENCH_e18.json`; `scripts/check_e18_incremental.py` gates the
-//! k=0 and k=1 ratios, the k=1 block reuse, the identity column and the
-//! share of k=1 candidate pairs the ER memo carried.
+//! k=0, k=1 and k=40 ratios, the k=1 block reuse, the identity column and
+//! the share of k=1 candidate pairs the ER memo carried.
 //!
 //! `lint-allow:` exemptions follow the experiment-binary convention:
 //! drivers may panic on their own fixtures.
@@ -262,13 +262,13 @@ fn main() {
     );
     wrangler_bench::write_artifact("BENCH_e18.json", &json);
 
-    println!("\nShape expected: ~0.15-0.22 at k=0 (pure replay: ER and fuse reuse wholesale),");
-    println!("~0.6-0.75 at k=1, not 1/40: candidate generation, the kernel's dictionaries,");
+    println!("\nShape expected: ~0.10-0.15 at k=0 (pure replay: ER and fuse reuse wholesale),");
+    println!("~0.5-0.7 at k=1, not 1/40: candidate generation, the kernel's dictionaries,");
     println!("fusion and assembly run over the whole union whatever changed (~0.3 of a");
     println!("cold pass by themselves); only pair scoring shrinks with the dirty share. The");
-    println!("ratio then climbs with k and passes 1.0 between k=8 and k=20: at k=40, where");
-    println!("nothing is clean, the pass pays block keys, the union hash and memo capture");
-    println!("on top of a cold pass. The identity column never reads NO: reuse is");
-    println!("proof-carrying (PartitionIsolated) and content-keyed, so a memo can only");
-    println!("replay bytes the cold path would recompute.");
+    println!("ratio then climbs with k and reaches 1.0 around k=20: at k=40, where nothing");
+    println!("is clean, the pass pays one content hash per re-mapped table and the memo");
+    println!("capture on top of a cold pass (~1.05). The identity column never reads NO:");
+    println!("reuse is proof-carrying (PartitionIsolated) and content-keyed, so a memo can");
+    println!("only replay bytes the cold path would recompute.");
 }

@@ -40,6 +40,7 @@ use crate::acquire::{
     AcquireOutcome, AcquisitionSummary, BreakerConfig, BreakerState, CircuitBreaker, Disposition,
 };
 use crate::contain::{ContainmentReport, Stage, StageTallies};
+use crate::incr::Mapped;
 use crate::union::Union;
 use crate::working::WorkCounters;
 
@@ -641,8 +642,8 @@ impl SeamRecord for MapGenOut {
 pub struct MapApplyOut {
     /// Survivors after apply quarantines.
     pub selected: Vec<SourceId>,
-    /// `(source index, mapped table, filter tag)` for every survivor.
-    pub mapped: Vec<(usize, Table, Option<String>)>,
+    /// `(source index, mapped table with its filter tag)` for every survivor.
+    pub mapped: Vec<(usize, Mapped)>,
 }
 
 impl SeamRecord for MapApplyOut {
@@ -650,10 +651,10 @@ impl SeamRecord for MapApplyOut {
         let mut e = Enc::new();
         enc_ids(&mut e, &self.selected);
         e.usize(self.mapped.len());
-        for (i, t, tag) in &self.mapped {
+        for (i, m) in &self.mapped {
             e.usize(*i);
-            wire::encode_table(&mut e, t);
-            match tag {
+            wire::encode_table(&mut e, m.table());
+            match m.tag() {
                 None => {
                     e.u8(0);
                 }
@@ -676,7 +677,7 @@ impl SeamRecord for MapApplyOut {
                 1 => Some(d.str()?),
                 _ => return Err(bad("unknown filter-tag marker")),
             };
-            Ok((i, t, tag))
+            Ok((i, Mapped::new(t, tag)))
         })?;
         Ok(MapApplyOut { selected, mapped })
     }
@@ -945,7 +946,7 @@ mod tests {
         };
         let map_apply = MapApplyOut {
             selected: vec![SourceId(1)],
-            mapped: vec![(1, sample_table(), Some("price > 0".into()))],
+            mapped: vec![(1, Mapped::new(sample_table(), Some("price > 0".into())))],
         };
         vec![
             ("SessionState", sample_state().encode(), |b| {

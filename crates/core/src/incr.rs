@@ -7,14 +7,15 @@
 //!
 //! - **Union blocks** ([`BlockMemo`]): each source's contribution to the
 //!   union (its contiguous row block, post poison scan and post inline
-//!   filter) is keyed on the pass/program fingerprints plus that source's
-//!   effective payload, mapping and filter placement. The memo holds no
-//!   cells: the source's mapped table is a function of everything the key
-//!   covers and the session already holds it, so a block is remembered as
-//!   *which rows of the mapped table it keeps*. A 1-source update on an
-//!   n-source fleet rescans one block; the other n−1 replay.
-//! - **ER** ([`ErMemo`]): the whole clustering is keyed on the union
-//!   content. When the union changed (some block is dirty), the memo still
+//!   filter) is keyed on the pass fingerprint, the source, its filter
+//!   placement and the content hash of its mapped table — the block's one
+//!   data input, hashed once per table ([`Mapped`]), not once per pass. The
+//!   memo holds no cells: the session already holds the mapped table, so a
+//!   block is remembered as *which rows of it the block keeps*. A 1-source
+//!   update on an n-source fleet rescans one block; the other n−1 replay.
+//! - **ER** ([`ErMemo`]): the union's identity is its block list, so the
+//!   whole clustering replays iff the pass fingerprint and the layout are
+//!   the memo's, compared exactly. When some block changed, the memo still
 //!   pays: it remembers the pass's *matched pairs* by row index, and the
 //!   block layout maps rows of unchanged blocks old↔new by offset. A
 //!   candidate whose two rows both sit in unchanged blocks, in the same
@@ -26,26 +27,77 @@
 //!   argument order, and the threshold), so replacing or deleting rows
 //!   leaves the candidates among the survivors as they were, re-indexed.
 //! - **Fuse** ([`FuseMemo`]): trust estimation + slot fusion is keyed on
-//!   the union/clustering content plus every input that can ripple into a
+//!   the block list and clustering plus every input that can ripple into a
 //!   fused value (belief trust, source ages, master data).
+//!   Without a block list (a union replayed from a checkpoint store, or
+//!   filtered again by `OptMode::Naive`) neither memo replays or is captured.
 //!
 //! Reuse is proof-carrying at the union grain: a block replays only when
 //! the plan analyzer established `PartitionIsolated` for its source — i.e.
-//! the block is a pure function of (payload, mapping, compiled program,
-//! containment policy) with no cross-source filter rewiring. Chaos-mode
+//! the block is a pure function of (mapped table, filter placement, pass
+//! fingerprint) with no cross-source filter rewiring. Chaos-mode
 //! passes disable the engine wholesale: fault rolls are stateful, so
 //! nothing may be skipped. A hit never fakes the skipped work's telemetry;
 //! it surfaces as explicit `incr.*` counters instead.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
+use wrangler_table::{wire, Table};
 
 use crate::ckpt_io::{ErOut, FuseOut};
+
+/// One source's mapped (target-schema) table with what identifies it. The
+/// fields are private so that the three cannot drift apart: a new table is
+/// a new `Mapped`, without a hash.
+#[derive(Debug, Clone)]
+pub struct Mapped {
+    table: Table,
+    /// Which filter placement (and predicate) the table was computed under:
+    /// `None` for a plain mapping run, `Some("acquire|…")` or
+    /// `Some("post-map|…")` when an early-placed filter already ran. A held
+    /// table is reusable only while the tag is the current program's.
+    tag: Option<String>,
+    /// [`wire::table_hash`] of `table`; moves and clones keep it.
+    hash: OnceLock<u64>,
+}
+
+impl Mapped {
+    /// A freshly derived (or decoded) table: not hashed yet.
+    pub fn new(table: Table, tag: Option<String>) -> Mapped {
+        Mapped {
+            table,
+            tag,
+            hash: OnceLock::new(),
+        }
+    }
+
+    /// The mapped table.
+    pub fn table(&self) -> &Table {
+        &self.table
+    }
+
+    /// The filter tag the table was computed under.
+    pub fn tag(&self) -> Option<&str> {
+        self.tag.as_deref()
+    }
+
+    /// Content hash of the table; computed at most once.
+    pub fn hash(&self) -> u64 {
+        *self.hash.get_or_init(|| wire::table_hash(&self.table))
+    }
+
+    /// Has the hash been taken yet? What a test of "at most once" observes.
+    pub fn is_hashed(&self) -> bool {
+        self.hash.get().is_some()
+    }
+}
 
 /// One source's memoized union contribution.
 #[derive(Debug, Clone)]
 pub struct BlockMemo {
     /// Content key (see [`module docs`](self)): equal keys mean the live
-    /// union loop would keep exactly these rows of the same mapped table.
+    /// union loop would keep exactly these rows of an equal mapped table.
     pub key: u64,
     /// Row indices of the source's mapped table that the block keeps (past
     /// the poison scan and the inline filter), ascending.
@@ -66,17 +118,13 @@ pub type Block = (usize, u64, usize);
 /// The memoized ER stage: full-stage replay plus the carry across an update.
 #[derive(Debug, Clone)]
 pub struct ErMemo {
-    /// Full-stage key: pass/program fingerprints + union content hash.
-    pub key: u64,
     /// Pass fingerprint the memo was computed under (it pins the scoring
-    /// config and threshold); the carry requires an exact match. Not so the
-    /// whole-program fingerprint: a dirty source's regenerated mapping
-    /// shifts it, and the layout's block keys already pin every clean row.
+    /// config and threshold); replay and carry both require an exact match.
     pub pass_fp: u64,
     /// The clustering and row → entity index over the memoized union: the
-    /// stage's seam record, replayed as is on a key hit.
+    /// stage's seam record, replayed as is when `layout` is the pass's too.
     pub out: ErOut,
-    /// Union block layout at compute time, in union order.
+    /// Union block layout at compute time: the memoized union's identity.
     pub layout: Vec<Block>,
     /// The pairs that matched (score ≥ threshold) as `(i, j)` row indices
     /// of the memoized union, `i < j`, sorted — not one entry per candidate.
@@ -115,8 +163,8 @@ fn map_pair(map: &[Option<usize>], (a, b): (usize, usize)) -> Option<(usize, usi
 
 impl ErMemo {
     /// Carry this memo across an update to a union of `rows` rows laid out
-    /// as `layout`. `None` when nothing may be carried: another pass
-    /// fingerprint, or a layout (then or now) that does not cover its union.
+    /// as `layout`. `None` when nothing may be carried: no block in common,
+    /// another pass fingerprint, or a layout that does not cover its union.
     pub fn carry(&self, pass_fp: u64, layout: &[Block], rows: usize) -> Option<Carry> {
         let covered = |l: &[Block]| l.iter().map(|&(_, _, n)| n).sum::<usize>();
         if self.pass_fp != pass_fp
@@ -125,9 +173,13 @@ impl ErMemo {
         {
             return None;
         }
+        let old_of = remap_rows(&self.layout, layout);
+        if old_of.iter().all(Option::is_none) {
+            return None;
+        }
         let new_of = remap_rows(layout, &self.layout);
         Some(Carry {
-            old_of: remap_rows(&self.layout, layout),
+            old_of,
             matches: self
                 .matches
                 .iter()
@@ -232,15 +284,6 @@ impl IncrEngine {
         self.fuse = None;
     }
 
-    /// A source's data changed: its block memo is stale, and fusion (whose
-    /// trust estimation reads every claim) must recompute. The ER memo
-    /// survives — its key will miss, but its layout + matched pairs still
-    /// carry the n−1 clean blocks.
-    pub fn forget_source(&mut self, source: usize) {
-        self.blocks.remove(&source);
-        self.fuse = None;
-    }
-
     /// Number of live memos, for tests and stats.
     pub fn memo_count(&self) -> usize {
         self.blocks.len() + usize::from(self.er.is_some()) + usize::from(self.fuse.is_some())
@@ -256,6 +299,30 @@ mod tests {
         assert_eq!(pack_pair(3, 7), pack_pair(7, 3));
         assert_ne!(pack_pair(3, 7), pack_pair(3, 8));
         assert_eq!(pack_pair(1, 2), (1u64 << 32) | 2);
+    }
+
+    #[test]
+    fn mapped_is_hashed_on_first_demand_and_a_decoded_one_starts_without() {
+        use crate::ckpt_io::{MapApplyOut, SeamRecord};
+        use wrangler_table::{Schema, Value};
+        let mut table = Table::empty(Schema::of_strs(&["name", "price"]));
+        table
+            .push_row(vec![Value::Str("a".into()), Value::Float(1.5)])
+            .unwrap();
+        let m = Mapped::new(table.clone(), Some("post-map|p".into()));
+        assert!(!m.is_hashed());
+        assert_eq!(m.hash(), wire::table_hash(&table));
+        assert!(m.is_hashed() && m.clone().is_hashed());
+        // The wire format carries the table and the tag, never the hash.
+        let record = MapApplyOut {
+            selected: Vec::new(),
+            mapped: vec![(3, m)],
+        };
+        let back = MapApplyOut::decode(&record.encode()).unwrap();
+        let (i, decoded) = &back.mapped[0];
+        assert_eq!((*i, decoded.tag()), (3, Some("post-map|p")));
+        assert!(!decoded.is_hashed());
+        assert_eq!(decoded.hash(), wire::table_hash(&table));
     }
 
     #[test]
@@ -285,7 +352,6 @@ mod tests {
     fn memo(layout: &[Block], matches: &[(usize, usize)]) -> ErMemo {
         let rows = layout.iter().map(|&(_, _, n)| n).sum();
         ErMemo {
-            key: 0,
             pass_fp: 7,
             out: ErOut {
                 clusters: Vec::new(),
@@ -313,6 +379,13 @@ mod tests {
         assert_eq!(c.matches, vec![(0, 1), (1, 3), (3, 4)]);
         assert!(!c.covers((0, 2)) && !c.covers((2, 4)));
         assert!(c.covers((1, 4)));
+        // One shared block is enough to carry: src0 and src1 re-keyed, src2's
+        // rows 5–6 stay put with their match.
+        let c = m
+            .carry(7, &[(0, 11, 2), (1, 21, 3), (2, 30, 2)], 7)
+            .unwrap();
+        assert_eq!(c.matches, vec![(5, 6)]);
+        assert!(c.covers((5, 6)) && !c.covers((0, 1)) && !c.covers((4, 5)));
     }
 
     #[test]
@@ -338,6 +411,10 @@ mod tests {
         assert_eq!(m.carry(8, &old, 4), None);
         assert_eq!(m.carry(7, &[], 4), None);
         assert_eq!(m.carry(7, &old, 5), None);
+        // Disjoint layouts — every block re-keyed, or other sources: nothing
+        // to carry, so no `Carry` at all (not one that covers nothing).
+        assert_eq!(m.carry(7, &[(0, 11, 2), (1, 21, 2)], 4), None);
+        assert_eq!(m.carry(7, &[(2, 10, 2), (3, 20, 2)], 4), None);
         let mut short = m.clone();
         short.layout.pop();
         assert_eq!(short.carry(7, &old, 4), None);
@@ -366,35 +443,5 @@ mod tests {
         e.set_enabled(false);
         assert_eq!(e.memo_count(), 0);
         assert!(!e.enabled());
-    }
-
-    #[test]
-    fn forget_source_keeps_er_for_remap() {
-        let mut e = IncrEngine::new();
-        e.blocks.insert(
-            2,
-            BlockMemo {
-                key: 1,
-                kept: Vec::new(),
-                filtered: 0,
-                scan_cells: 0,
-                scan_bytes: 0,
-            },
-        );
-        e.er = Some(memo(&[], &[]));
-        e.fuse = Some(FuseMemo {
-            key: 9,
-            out: FuseOut {
-                selected: Vec::new(),
-                fuse_removed: Vec::new(),
-                trust: Vec::new(),
-                age: Vec::new(),
-                fused: Vec::new(),
-            },
-        });
-        e.forget_source(2);
-        assert!(e.blocks.is_empty());
-        assert!(e.er.is_some());
-        assert!(e.fuse.is_none());
     }
 }

@@ -13,8 +13,6 @@ use std::collections::{BTreeMap, HashSet};
 /// A derived artifact in the Working Data, at per-source or global grain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Artifact {
-    /// Extraction/ingestion output of one source.
-    Extraction(usize),
     /// Mapping (schema alignment) of one source.
     Mapping(usize),
     /// Mapped (target-schema) table of one source.
@@ -23,6 +21,8 @@ pub enum Artifact {
     Clusters,
     /// One fused slot (entity, attribute).
     FusedSlot(usize, usize),
+    /// Every fused slot one source claims (its trust moved), as one mark.
+    SourceSlots(usize),
     /// The assembled wrangled table.
     Result,
 }
@@ -120,7 +120,6 @@ impl WorkingData {
 
     /// Mark a source's whole derivation chain stale (its data changed).
     pub fn invalidate_source(&mut self, source: usize) {
-        self.invalidate(Artifact::Extraction(source));
         self.invalidate(Artifact::Mapping(source));
         self.invalidate(Artifact::MappedTable(source));
         self.invalidate(Artifact::Clusters);
@@ -137,18 +136,32 @@ impl WorkingData {
         self.dirty.remove(&a);
     }
 
-    /// Dirty fused slots, sorted.
-    pub fn dirty_slots(&self) -> Vec<(usize, usize)> {
-        let mut out: Vec<(usize, usize)> = self
-            .dirty
+    /// Dirty fused slots, sorted and deduplicated: the explicitly dirtied
+    /// ones plus every slot of `claims` (one pass) whose source is marked.
+    pub fn dirty_slots(&self, claims: &[wrangler_fusion::Claim]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut marked = Vec::new();
+        for a in &self.dirty {
+            match *a {
+                Artifact::FusedSlot(e, t) => out.push((e, t)),
+                Artifact::SourceSlots(s) => marked.push(s),
+                _ => {}
+            }
+        }
+        marked.sort_unstable();
+        let of_marked = claims
             .iter()
-            .filter_map(|a| match a {
-                Artifact::FusedSlot(e, t) => Some((*e, *t)),
-                _ => None,
-            })
-            .collect();
+            .filter(|c| marked.binary_search(&c.source).is_ok());
+        out.extend(of_marked.map(|c| (c.entity, c.attr)));
         out.sort_unstable();
+        out.dedup();
         out
+    }
+
+    /// Every slot was just (re-)fused: no slot or source mark is stale.
+    pub fn clean_slots(&mut self) {
+        self.dirty
+            .retain(|a| !matches!(a, Artifact::FusedSlot(..) | Artifact::SourceSlots(_)));
     }
 
     /// Number of dirty artifacts.
@@ -176,7 +189,6 @@ mod tests {
         let mut wd = WorkingData::new();
         wd.invalidate_source(3);
         for a in [
-            Artifact::Extraction(3),
             Artifact::Mapping(3),
             Artifact::MappedTable(3),
             Artifact::Clusters,
@@ -184,7 +196,7 @@ mod tests {
         ] {
             assert!(wd.is_dirty(a));
         }
-        assert!(!wd.is_dirty(Artifact::Extraction(4)));
+        assert!(!wd.is_dirty(Artifact::Mapping(4)));
     }
 
     #[test]
@@ -193,8 +205,38 @@ mod tests {
         wd.invalidate(Artifact::FusedSlot(2, 1));
         wd.invalidate(Artifact::FusedSlot(0, 3));
         wd.invalidate(Artifact::Result);
-        assert_eq!(wd.dirty_slots(), vec![(0, 3), (2, 1)]);
+        assert_eq!(wd.dirty_slots(&[]), vec![(0, 3), (2, 1)]);
         assert_eq!(wd.dirty_count(), 3);
+    }
+
+    #[test]
+    fn source_marks_expand_against_the_claims_and_clean_in_one_sweep() {
+        let mut wd = WorkingData::new();
+        wd.invalidate(Artifact::FusedSlot(2, 1));
+        wd.invalidate(Artifact::SourceSlots(1));
+        wd.invalidate(Artifact::SourceSlots(4));
+        wd.invalidate(Artifact::Mapping(1));
+        // Source 1 also claims the explicit slot, sources 0 and 3 are
+        // unmarked, source 4 shares a slot with source 1.
+        let claim = |source, entity, attr| wrangler_fusion::Claim {
+            entity,
+            attr,
+            value: wrangler_table::Value::Int(1),
+            source,
+        };
+        let claims = [
+            claim(0, 9, 9),
+            claim(1, 2, 1),
+            claim(1, 0, 0),
+            claim(3, 5, 5),
+            claim(4, 0, 0),
+            claim(4, 1, 2),
+        ];
+        assert_eq!(wd.dirty_slots(&claims), vec![(0, 0), (1, 2), (2, 1)]);
+        wd.clean_slots();
+        assert!(wd.dirty_slots(&claims).is_empty());
+        assert!(wd.is_dirty(Artifact::Mapping(1)), "only slot marks go");
+        assert_eq!(wd.dirty_count(), 1);
     }
 
     #[test]

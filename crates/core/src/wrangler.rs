@@ -29,7 +29,7 @@ use wrangler_table::wire;
 
 use crate::acquire::{Acquisition, AcquisitionSummary};
 use crate::contain::{ContainPolicy, ContainmentReport, Stage};
-use crate::incr::IncrEngine;
+use crate::incr::{IncrEngine, Mapped};
 use crate::planner::Plan;
 use crate::union::Union;
 use crate::working::{Artifact, WorkingData};
@@ -47,13 +47,7 @@ struct SourceState {
     /// The current mapping, if generated.
     mapping: Option<Mapping>,
     /// The mapped (target-schema) table, if computed.
-    mapped: Option<Table>,
-    /// Which filter placement (and predicate) `mapped` was computed under:
-    /// `None` for a plain mapping run, `Some("acquire|…")` /
-    /// `Some("post-map|…")` when an early-placed filter already ran. A cached
-    /// table is reusable only when the tag matches the current program's
-    /// decision.
-    filter_tag: Option<String>,
+    mapped: Option<Mapped>,
     /// Relevance to the data context in \[0, 1\].
     relevance: f64,
 }
@@ -147,6 +141,8 @@ pub struct Wrangler {
     pub obs: Telemetry,
     target: Schema,
     target_sample: Table,
+    /// Content hash of `target_sample`, which is never reassigned.
+    target_sample_hash: u64,
     registry: SourceRegistry,
     states: Vec<SourceState>,
     er_cfg: ErConfig,
@@ -219,6 +215,7 @@ impl Wrangler {
             contain: ContainPolicy::default(),
             obs: Telemetry::default(),
             target,
+            target_sample_hash: wire::table_hash(&target_sample),
             target_sample,
             registry: SourceRegistry::new(),
             states: Vec::new(),
@@ -317,10 +314,10 @@ impl Wrangler {
     /// Deliver a fresh extraction of one source's payload — the
     /// pay-as-you-go update path. Diffs the content hash first: an
     /// identical payload is a no-op (nothing dirtied, every memo intact).
-    /// A real change bumps the source's `last_updated` to the current tick,
-    /// dirties exactly that source's derivation chain and forgets its union
-    /// block memo — the next wrangle recomputes that partition and reuses
-    /// the rest.
+    /// A real change bumps the source's `last_updated` to the current tick
+    /// and dirties exactly that source's derivation chain — the next wrangle
+    /// re-derives its mapped table, whose new content hash misses that one
+    /// union block, and reuses the rest.
     /// Returns true if the payload actually changed; errors on an unknown
     /// id or a schema that no longer matches the registered payload's.
     pub fn update_source(&mut self, id: SourceId, table: Table) -> wrangler_table::Result<bool> {
@@ -345,15 +342,13 @@ impl Wrangler {
             src.meta.last_updated = self.now;
         }
         // Dirty exactly this source's chain. Clusters/fusion recompute is
-        // driven by the content keys (the union changes ⇒ the ER key
-        // misses), not by a blanket invalidation — that is what lets the
+        // driven by the content keys (the block list changes ⇒ ER and fuse
+        // miss), not by a blanket invalidation — that is what lets the
         // other n−1 partitions replay.
-        self.working.invalidate(Artifact::Extraction(i));
         self.working.invalidate(Artifact::Mapping(i));
         self.working.invalidate(Artifact::MappedTable(i));
         self.working.invalidate(Artifact::Result);
         self.working.work.extractions += 1;
-        self.incr.forget_source(i);
         self.cache = None;
         Ok(true)
     }
@@ -522,7 +517,6 @@ impl Wrangler {
             trust: Belief::from_prior(0.6),
             mapping: None,
             mapped: None,
-            filter_tag: None,
             relevance: 1.0,
         });
         self.working.invalidate_source(id.0 as usize);
@@ -724,8 +718,9 @@ impl Wrangler {
         }
         self.obs.begin("refuse");
         let kernel = FuseKernel::compile(&cache.claims, plan.fusion, &cache.source_ctx);
-        let mut refused = 0u64;
-        for (e, a) in self.working.dirty_slots() {
+        // Where per-source dirtiness becomes slots: one pass over the claims.
+        let dirty = self.working.dirty_slots(cache.claims.claims());
+        for &(e, a) in &dirty {
             match self.fuse_slot(&kernel, e, a) {
                 Some(f) => {
                     cache.fused.insert((e, a), f);
@@ -735,11 +730,10 @@ impl Wrangler {
                     cache.fused.remove(&(e, a));
                 }
             }
-            refused += 1;
-            self.working.work.slots_fused += 1;
-            self.working.mark_clean(Artifact::FusedSlot(e, a));
         }
-        self.obs.count("refuse.slots", refused);
+        self.working.work.slots_fused += dirty.len();
+        self.working.clean_slots();
+        self.obs.count("refuse.slots", dirty.len() as u64);
         self.obs.end();
         self.cache = Some(cache);
         self.working.mark_clean(Artifact::Result);
@@ -1043,18 +1037,7 @@ impl Wrangler {
                         .trust
                         .update(&Evidence::vote(kind, positive, 0.85).discounted(reliability));
                     // Trust moved: slots this source claims need re-fusion.
-                    if let Some(cache) = &self.cache {
-                        let slots: Vec<(usize, usize)> = cache
-                            .claims
-                            .claims()
-                            .iter()
-                            .filter(|c| c.source == source)
-                            .map(|c| (c.entity, c.attr))
-                            .collect();
-                        for (e, a) in slots {
-                            self.working.invalidate(Artifact::FusedSlot(e, a));
-                        }
-                    }
+                    self.working.invalidate(Artifact::SourceSlots(source));
                     self.working.invalidate(Artifact::Result);
                 }
             }
@@ -1306,6 +1289,7 @@ mod tests {
     use super::*;
     use wrangler_context::Ontology;
     use wrangler_feedback::Verdict;
+    use wrangler_plan::FilterPlacement;
     use wrangler_sources::{FleetConfig, SyntheticFleet};
 
     fn small_fleet() -> SyntheticFleet {
@@ -2549,7 +2533,7 @@ mod tests {
             } = memo;
             let _: (&u64, &Vec<usize>, &u64, &u64, &u64) =
                 (key, kept, filtered, scan_cells, scan_bytes);
-            let mapped = w.states[*i].mapped.as_ref().unwrap();
+            let mapped = w.states[*i].mapped.as_ref().unwrap().table();
             assert!(kept.windows(2).all(|p| p[0] < p[1]), "ascending");
             assert!(kept.last().is_none_or(|&r| r < mapped.num_rows()));
             kept_rows += kept.len();
@@ -2727,6 +2711,18 @@ mod tests {
                 w.working.invalidate(Artifact::Result);
                 w.cache = None;
             }),
+            ("mapping override unbinds a column", |w, _, first| {
+                let id = first.selected_sources[0];
+                let mut m = w.mapping_of(id).unwrap().clone();
+                m.bindings[w.target().index_of("price").unwrap()] = None;
+                assert!(w.override_mapping(id, m));
+            }),
+            ("row budget shrinks", |w, _, _| {
+                w.contain.max_rows_per_source = 7;
+                for i in 0..w.num_sources() {
+                    w.working.invalidate(Artifact::MappedTable(i));
+                }
+            }),
         ];
         for (name, mutate) in mutations {
             let mut w = session(&fleet, UserContext::balanced("t"));
@@ -2743,6 +2739,17 @@ mod tests {
                 "stale reuse after: {name}"
             );
         }
+        // Filter placement: with the scan barrier taken down the filter moves
+        // out of the union loop into an early placement, so every held
+        // mapped table (tagged for the old placement) is re-derived.
+        let mut w = session(&fleet, UserContext::balanced("t")).with_row_filter(category_filter());
+        let first = w.wrangle().unwrap();
+        let src = first.selected_sources[0].0 as usize;
+        let placed = |w: &Wrangler| w.plan_program().unwrap().placement_for(src);
+        assert_eq!(placed(&w), FilterPlacement::Union);
+        w.contain = ContainPolicy::off();
+        assert_incremental_matches_cold(&mut w);
+        assert_ne!(placed(&w), FilterPlacement::Union, "fixture: it flips");
         // Plan-shape knobs clear the memos outright — the builder setters
         // call invalidate_plan_shape.
         let mut w = session(&fleet, UserContext::balanced("t"));
@@ -2769,6 +2776,162 @@ mod tests {
         w.working.invalidate(Artifact::Result);
         w.cache = None;
         assert_incremental_matches_cold(&mut w);
+    }
+
+    /// The converse of the audit above: a block's key covers its one data
+    /// input, the mapped table, and nothing that merely describes how the
+    /// table was derived. Re-deriving an equal table keeps the block.
+    #[test]
+    fn rederiving_an_identical_mapped_table_keeps_its_block() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::completeness_first());
+        let first = w.wrangle().unwrap();
+        let victim = first.selected_sources[0];
+        // Same bindings, another belief: a different mapping as `Debug`
+        // prints it, the same mapped cells.
+        let mut m = w.mapping_of(victim).unwrap().clone();
+        m.belief
+            .update(&Evidence::vote(EvidenceKind::UserFeedback, true, 0.85));
+        assert!(w.override_mapping(victim, m));
+        let mapped_before = w.working.work.tables_mapped;
+        let out = assert_incremental_matches_cold(&mut w);
+        assert_eq!(w.working.work.tables_mapped, mapped_before + 1);
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert_eq!(
+            delta("incr.union.reused"),
+            first.selected_sources.len() as u64
+        );
+        assert_eq!(delta("incr.union.recomputed"), 0);
+    }
+
+    #[test]
+    fn same_blocks_in_another_order_carry_but_do_not_replay_er() {
+        // As in the swap test above, minus the update: every block replays,
+        // but the block list — the union's identity — is another one.
+        let fleet = small_fleet();
+        let user = UserContext::completeness_first().with_freshness_horizon(6);
+        let mut w = session(&fleet, user);
+        let first = w.wrangle().unwrap();
+        w.set_now(fleet.truth.now + 8);
+        w.working.invalidate(Artifact::Result);
+        w.cache = None;
+        let out = assert_incremental_matches_cold(&mut w);
+        assert_ne!(first.selected_sources, out.selected_sources, "fixture");
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        let blocks = out.selected_sources.len() as u64;
+        assert_eq!(delta("incr.union.reused"), blocks);
+        assert_eq!(delta("incr.er.reused"), 0, "another block list: no replay");
+        assert!(delta("incr.er.pairs_remapped") > 0, "ordered pairs carry");
+        assert!(delta("er.cache.misses") > 0, "swapped pairs are live");
+    }
+
+    #[test]
+    fn a_union_filtered_after_its_blocks_were_laid_keeps_no_er_or_fuse_memo() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t"))
+            .with_row_filter(category_filter())
+            .with_opt_mode(OptMode::Naive);
+        let first = w.wrangle().unwrap();
+        assert!(w.incr.er.is_none() && w.incr.fuse.is_none(), "not captured");
+        // Nothing changed, and still nothing to replay: the post-union
+        // filter left a union no block list attests.
+        w.working.invalidate(Artifact::Result);
+        w.cache = None;
+        let out = assert_incremental_matches_cold(&mut w);
+        assert_eq!(outcome_fingerprint(&out), outcome_fingerprint(&first));
+        assert!(!out.metrics.counts.contains_key("incr.er.reused"));
+        assert!(!out.metrics.counts.contains_key("incr.fuse.reused"));
+        assert!(w.incr.er.is_none() && w.incr.fuse.is_none());
+        // The optimized twin filters inside the blocks and replays both.
+        let user = UserContext::balanced("t");
+        let mut opt = session(&fleet, user).with_row_filter(category_filter());
+        let opt_first = opt.wrangle().unwrap();
+        assert_eq!(outcome_fingerprint(&opt_first), outcome_fingerprint(&first));
+        opt.working.invalidate(Artifact::Result);
+        opt.cache = None;
+        let m = opt.wrangle().unwrap().metrics;
+        assert_eq!(m.counts["incr.er.reused"], 1);
+        assert_eq!(m.counts["incr.fuse.reused"], 1);
+    }
+
+    #[test]
+    fn a_mapped_table_is_hashed_once_and_keeps_its_hash_through_seam_and_clone() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::completeness_first());
+        let first = w.wrangle().unwrap();
+        let held = |w: &Wrangler, id: &SourceId| w.states[id.0 as usize].mapped.clone().unwrap();
+        for id in &first.selected_sources {
+            let m = held(&w, id);
+            assert!(m.is_hashed(), "the block key demanded it");
+            assert_eq!(m.hash(), wire::table_hash(m.table()));
+        }
+        // A pass with the engine off demands no hash: whatever is hashed
+        // after it was carried — through `Wrangler::clone`, and through the
+        // map-apply seam's move-out/move-in.
+        let mut off = w.clone();
+        off.set_incr_enabled(false);
+        let victim = first.selected_sources[0];
+        let t = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(off.update_source(victim, t).unwrap());
+        off.wrangle().unwrap();
+        for id in &first.selected_sources {
+            assert_eq!(held(&off, id).is_hashed(), *id != victim, "{id}");
+        }
+    }
+
+    /// Sixteen refuted prices under `Shared` routing move the trust of most
+    /// selected sources; the slots to re-fuse are recorded as one mark per
+    /// source and expanded by `rewrangle`. Golden: what the eager per-claim
+    /// expansion this replaced dirtied, and delivered, on this fixture.
+    #[test]
+    fn source_marks_refuse_exactly_the_slots_the_eager_expansion_dirtied() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t"));
+        let first = w.wrangle().unwrap();
+        let price = w.target().index_of("price").unwrap();
+        let prices = first.table.column_named("price").unwrap();
+        let delivered: Vec<usize> = (0..prices.len())
+            .filter(|&e| !prices[e].is_null())
+            .collect();
+        let refute = |w: &mut Wrangler| {
+            for i in 0..16 {
+                let entity = delivered[(2 * i + 1) * delivered.len() / 32];
+                w.give_feedback(FeedbackItem::expert(
+                    FeedbackTarget::Value {
+                        entity,
+                        attr: price,
+                        value: None,
+                    },
+                    Verdict::Negative,
+                    1.0,
+                ));
+            }
+        };
+        refute(&mut w);
+        assert!(w.working.dirty_count() < 40, "marks, not a slot per claim");
+        let mut golden = w.cache.as_ref().unwrap().claims.slots();
+        assert_eq!(golden.len(), 200);
+        golden.retain(|&slot| slot != (36, 1));
+        let claims = w.cache.as_ref().unwrap().claims.claims();
+        assert_eq!(w.working.dirty_slots(claims), golden);
+        let mut twin = w.clone();
+        let before = w.working.work;
+        let out = w.rewrangle().unwrap();
+        assert_eq!((w.working.work - before).slots_fused, 199);
+        assert_eq!(
+            wire::hash64(outcome_fingerprint(&out).as_bytes()),
+            272181886091841057
+        );
+        assert!(w.working.dirty_slots(&[]).is_empty());
+        // A full pass fuses every slot: it clears the marks, and a later
+        // judgement re-fuses only what it dirties itself.
+        twin.wrangle().unwrap();
+        assert_eq!(twin.working.dirty_count(), 0);
+        twin.routing = RoutingMode::Siloed;
+        refute(&mut twin);
+        let before = twin.working.work;
+        twin.rewrangle().unwrap();
+        assert_eq!((twin.working.work - before).slots_fused, 16);
     }
 
     #[test]

@@ -53,11 +53,11 @@ pub(super) struct Pass {
     /// The incremental engine takes part in this pass. It stands down for
     /// chaos passes wholesale: fault rolls are stateful (each guarded region
     /// advances the chaos RNG), so skipping a memoized region would change
-    /// which sources later rolls hit.
+    /// which sources later rolls hit. Cleared by a union without a layout.
     pub(super) incr_on: bool,
     /// Pass fingerprint (0 when neither a store nor the engine needs it).
     pub(super) pass_fp: u64,
-    /// Compiled-program fingerprint, set by the plan stage (same gating).
+    /// Compiled-program fingerprint for the seam keys (0 without a store).
     pub(super) prog_fp: u64,
     /// Key of the last seam passed; `None` before the first.
     chain: Option<u64>,
@@ -70,11 +70,10 @@ pub(super) struct Pass {
     /// The union: the table ER reads plus its source runs. Installed by the
     /// union seam, moved into the session cache by the fuse seam.
     pub(super) union: Union,
-    /// Content hash of the union table (0 when the engine is off).
-    pub(super) union_hash: u64,
-    /// Union block layout of this pass, in union order — the ER carry's
-    /// coordinate system. Empty when the engine is off or the union
-    /// replayed from a checkpoint (no keys to attest the blocks).
+    /// Union block layout of this pass, in union order: the union's
+    /// identity for the ER and fuse memos, and the ER carry's coordinate
+    /// system. Empty when nothing attests the blocks: the engine is off, the
+    /// union replayed from a checkpoint, or `OptMode::Naive` re-filtered it.
     pub(super) union_layout: Vec<crate::incr::Block>,
     pub(super) er: ErOut,
     /// The claim set, when the live fuse stage already built it (a replayed
@@ -132,7 +131,6 @@ impl Wrangler {
             scan_filter_cells: 0,
             scan_bytes: 0,
             union: Union::empty(self.target.clone()),
-            union_hash: 0,
             union_layout: Vec::new(),
             er: ErOut::default(),
             claims: None,
@@ -261,7 +259,7 @@ impl Wrangler {
         let mut e = wire::Enc::new();
         wire::encode_schema(&mut e, &self.target);
         h.write(&e.into_bytes());
-        h.write_u64(wire::table_hash(&self.target_sample));
+        h.write_u64(self.target_sample_hash);
         h.write_str(&format!("{:?}", self.user));
         h.write_str(&format!("{plan:?}"));
         h.write_str(&format!("{:?}", self.er_cfg));
@@ -446,7 +444,7 @@ impl Wrangler {
     }
 
     /// The claim set of this pass's union and clustering, minus the sources
-    /// in `excluded` (quarantined at fuse), with every slot marked clean.
+    /// in `excluded` (quarantined at fuse), with all slot dirtiness cleared.
     pub(super) fn claim_set(&mut self, pass: &Pass, excluded: &[usize]) -> ClaimSet {
         let mut claims = ClaimSet::new(self.registry.len());
         claims.set_rel_tol(pass.plan.fusion_tolerance);
@@ -459,9 +457,7 @@ impl Wrangler {
                 claims.add(pass.er.row_entity[r], a, column[r].clone(), src);
             }
         }
-        for &(e, a) in claims.index().slots() {
-            self.working.mark_clean(Artifact::FusedSlot(e, a));
-        }
+        self.working.clean_slots();
         claims
     }
 

@@ -6,7 +6,6 @@
 //! stage's record and an install function that moves a record — computed,
 //! replayed or memoized — into the session.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use wrangler_ckpt::{ContentKey, CrashSite};
@@ -30,7 +29,7 @@ use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectO
 use crate::contain::{
     catch_quiet, isolate, poison_reason, ContainMode, Guarded, Stage, StageGuard,
 };
-use crate::incr::{BlockMemo, ErMemo, FuseMemo};
+use crate::incr::{BlockMemo, ErMemo, FuseMemo, Mapped};
 use crate::lower::{self, LowerInput};
 use crate::planner::SelectionStrategy;
 use crate::union::Union;
@@ -406,7 +405,7 @@ impl Wrangler {
                 w.last_lint
                     .push(("plan-ir".to_string(), program.report.clone()));
             }
-            if w.ckpt.is_some() || pass.incr_on {
+            if w.ckpt.is_some() {
                 pass.prog_fp = program.fingerprint();
             }
             w.last_program = Some(program);
@@ -492,10 +491,9 @@ impl Wrangler {
             Self::map_apply_live,
             |w, pass, rec: MapApplyOut, _| {
                 pass.selected = rec.selected;
-                for (i, table, tag) in rec.mapped {
+                for (i, mapped) in rec.mapped {
                     if let Some(state) = w.states.get_mut(i) {
-                        state.mapped = Some(table);
-                        state.filter_tag = tag;
+                        state.mapped = Some(mapped);
                         w.working.mark_clean(Artifact::MappedTable(i));
                     }
                 }
@@ -513,17 +511,15 @@ impl Wrangler {
         let mut guard = StageGuard::new(Stage::MapApply, policy, &mut pass.creport);
         for id in &pass.selected {
             let i = id.0 as usize;
-            let placement = program
-                .map(|p| p.placement_for(i))
-                .unwrap_or(FilterPlacement::Union);
+            let placement = program.map_or(FilterPlacement::Union, |p| p.placement_for(i));
             let predicate = program.and_then(|p| p.predicate());
             let desired_tag = match (placement, predicate) {
                 (FilterPlacement::Union, _) | (_, None) => None,
                 (p, Some(e)) => Some(format!("{}|{e:?}", p.name())),
             };
-            if self.states[i].mapped.is_some()
+            let held = self.states[i].mapped.as_ref();
+            if held.is_some_and(|m| m.tag() == desired_tag.as_deref())
                 && !self.working.is_dirty(Artifact::MappedTable(i))
-                && self.states[i].filter_tag == desired_tag
             {
                 continue;
             }
@@ -586,22 +582,20 @@ impl Wrangler {
                 let keep = policy.max_rows_per_source;
                 mapped = mapped.retain_rows(|r| r < keep);
             }
-            self.states[i].mapped = Some(mapped);
-            self.states[i].filter_tag = desired_tag;
+            self.states[i].mapped = Some(Mapped::new(mapped, desired_tag));
             self.working.work.tables_mapped += 1;
         }
         self.eject(pass, Stage::MapApply, &apply_removed)?;
         self.obs.count("map.applied", pass.selected.len() as u64);
         self.obs.count("scan.map.cells", scan_map_cells);
         // As in map_generate: the survivors' mapped tables move into the
-        // record, and install moves them back.
+        // record — hash and all — and install moves them back.
         let mapped = pass
             .selected
             .iter()
             .filter_map(|id| {
                 let i = id.0 as usize;
-                let state = &mut self.states[i];
-                state.mapped.take().map(|t| (i, t, state.filter_tag.take()))
+                self.states[i].mapped.take().map(|m| (i, m))
             })
             .collect();
         Ok(MapApplyOut {
@@ -629,43 +623,24 @@ impl Wrangler {
                 w.obs.count("union.rows", rec.union.table().num_rows() as u64);
                 w.obs.count("union.filtered", rec.union_filtered);
                 pass.union = rec.union;
+                // No block list, no identity to key the ER and fuse memos by.
+                pass.incr_on &= !pass.union_layout.is_empty();
                 Ok(())
             },
         )
     }
 
-    /// Content key of source `i`'s union block: the pass fingerprint plus
-    /// everything the block derives from — its effective payload, its
-    /// mapping, and the filter placement its mapped table was computed
-    /// under. Equal key ⇒ the live loop would reproduce the block
-    /// byte-for-byte.
-    fn union_block_key(
-        &self,
-        degraded: &BTreeMap<usize, Table>,
-        pass_fp: u64,
-        i: usize,
-    ) -> Result<u64> {
-        let payload = wire::table_hash(self.payload(degraded, i)?);
-        let mapping = wire::hash64(format!("{:?}", self.states[i].mapping).as_bytes());
-        let tag = wire::hash64(format!("{:?}", self.states[i].filter_tag).as_bytes());
-        // Deliberately NOT the whole-program fingerprint: a dirty source's
-        // regenerated mapping changes its own Map node and with it the
-        // global IR hash, which would miss every clean block. The union
-        // loop reads only this source's slice of the program — its filter
-        // placement (the predicate text is pass_fp-covered) — so the key
-        // pins exactly that.
-        let place = self
-            .last_program
-            .as_ref()
-            .map(|p| format!("{:?}", p.placement_for(i)))
-            .unwrap_or_default();
-        Ok(ContentKey::stage("union-block", pass_fp)
-            .labelled("place", wire::hash64(place.as_bytes()))
+    /// Content key of source `i`'s union block: the pass fingerprint (it
+    /// covers the predicate and the containment policy), the source, where
+    /// its filter runs, and its mapped table by content hash — payload,
+    /// mapping and filter tag reach the block only through that table.
+    /// Equal key ⇒ the live loop would reproduce the block byte-for-byte.
+    fn union_block_key(pass_fp: u64, i: usize, place: FilterPlacement, mapped: &Mapped) -> u64 {
+        ContentKey::stage("union-block", pass_fp)
+            .labelled("place", place as u64)
             .labelled("src", i as u64)
-            .input(payload)
-            .input(mapping)
-            .input(tag)
-            .finish())
+            .input(mapped.hash())
+            .finish()
     }
 
     fn union_live(&mut self, pass: &mut Pass) -> Result<UnionOut> {
@@ -691,25 +666,23 @@ impl Wrangler {
         let mut guard = StageGuard::new(Stage::Union, policy, &mut pass.creport);
         for id in &pass.selected {
             let i = id.0 as usize;
-            let mapped = self.states[i]
+            let held = self.states[i]
                 .mapped
                 .as_ref()
                 .ok_or_else(|| TableError::Invalid(format!("{id}: not mapped")))?;
+            let mapped = held.table();
             // Early-placed sources arrive pre-filtered; only `Union`-placed
             // ones filter here.
-            let filter_here = inline_filter.as_ref().filter(|_| {
-                program
-                    .map(|p| p.placement_for(i) == FilterPlacement::Union)
-                    .unwrap_or(true)
-            });
+            let place = program.map_or(FilterPlacement::Union, |p| p.placement_for(i));
+            let filter_here = inline_filter
+                .as_ref()
+                .filter(|_| place == FilterPlacement::Union);
             // Proof-carrying reuse: replay this source's memoized block
             // only under a matching content key AND the analyzer's verified
             // fact that the block is isolated to this source.
-            let block_key = if pass.incr_on {
-                Some(self.union_block_key(&pass.degraded_tables, pass.pass_fp, i)?)
-            } else {
-                None
-            };
+            let block_key = pass
+                .incr_on
+                .then(|| Self::union_block_key(pass.pass_fp, i, place, held));
             let partition_isolated = program
                 .map(|p| p.holds(&wrangler_plan::Fact::PartitionIsolated { source: i }))
                 .unwrap_or(false);
@@ -868,24 +841,16 @@ impl Wrangler {
             start += n;
         }
         // The post-union filter shifts row indices out from under the block
-        // layout; ER scores every candidate live, carrying nothing.
+        // layout: this union has no attested identity any more.
         pass.union_layout.clear();
         Ok(kept)
     }
 
     /// Stage 5 — entity resolution over the union. Three arms, one install: a
-    /// whole-stage memo hit (the union content is unchanged, so the memoized
-    /// clustering is byte-identical to a recompute), a stored record, or the
-    /// live stage.
+    /// whole-stage memo hit (same pass fingerprint, same block list — an
+    /// exact compare — so the memoized clustering is byte-identical to a
+    /// recompute), a stored record, or the live stage.
     pub(super) fn er(&mut self, pass: &mut Pass) -> Result<()> {
-        let mut er_key = 0;
-        if pass.incr_on {
-            pass.union_hash = wire::table_hash(pass.union.table());
-            er_key = ContentKey::stage("incr-er", pass.pass_fp)
-                .labelled("prog", pass.prog_fp)
-                .input(pass.union_hash)
-                .finish();
-        }
         // An explicitly dirtied clustering (ER rule refined, plan shape
         // changed, a test forcing recompute) must run live — both the
         // whole-stage replay and the carry stand down.
@@ -894,7 +859,7 @@ impl Wrangler {
             .incr
             .er
             .as_ref()
-            .filter(|m| reusable && m.key == er_key)
+            .filter(|m| reusable && m.pass_fp == pass.pass_fp && m.layout == pass.union_layout)
             .map(|m| m.out.clone());
         if memo.is_some() {
             self.obs.inc("incr.er.reused");
@@ -903,7 +868,7 @@ impl Wrangler {
             pass,
             &ER,
             memo,
-            |w, pass| w.contained(pass, Stage::Er, |w, pass| w.er_live(pass, er_key, reusable)),
+            |w, pass| w.contained(pass, Stage::Er, |w, pass| w.er_live(pass, reusable)),
             |w, pass, rec: ErOut, replayed| {
                 w.working.mark_clean(Artifact::Clusters);
                 if replayed {
@@ -917,12 +882,12 @@ impl Wrangler {
 
     /// The live ER stage: candidate generation (blocked on name + key),
     /// matching (carried from the ER memo, else scored by the kernel) and
-    /// clustering. `er_key` is the whole-stage key a fresh memo is stored
-    /// under; `reusable` licenses the carry.
-    fn er_live(&mut self, pass: &Pass, er_key: u64, reusable: bool) -> Result<ErOut> {
+    /// clustering. `reusable` licenses the carry.
+    fn er_live(&mut self, pass: &Pass, reusable: bool) -> Result<ErOut> {
         let union_table = pass.union.table();
         let rows = union_table.num_rows();
-        let candidates = self.union_candidates(union_table)?;
+        let mut candidates = self.union_candidates(union_table)?;
+        let total = candidates.len() as u64;
         self.working.work.er_pairs += candidates.len();
         // Mid-stage crash site: after candidate generation, before scoring —
         // the worst place to die (ER dominates wall-clock), which is exactly
@@ -941,21 +906,17 @@ impl Wrangler {
         // The carry: candidacy, score and threshold read only a pair's two
         // rows, so a candidate with both rows in unchanged union blocks, in
         // the same order, matches iff it did in the memoized pass. The rest
-        // are scored: all of them on a cold pass or after a refined rule.
+        // are scored (on a cold pass or after a refined rule, all of them):
+        // from here on `candidates` is that rest.
         let memo = self.incr.er.as_ref().filter(|_| reusable);
         let carry = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
-        let live: Cow<[(usize, usize)]> = match &carry {
-            None => Cow::Borrowed(&candidates),
-            Some(c) => candidates
-                .iter()
-                .copied()
-                .filter(|&p| !c.covers(p))
-                .collect(),
-        };
+        if let Some(c) = &carry {
+            candidates.retain(|&p| !c.covers(p));
+        }
         // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER)
         // applies on top of the requested width.
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
-        let (live_matches, worker_stats) = kernel.match_pairs_parallel(&live, workers)?;
+        let (live_matches, worker_stats) = kernel.match_pairs_parallel(&candidates, workers)?;
         // Two disjoint lists in (i, j) order (the carried one unless blocks
         // were reordered); the stable sort merges presorted runs in linear
         // time. The result is `filter_matches` over every candidate.
@@ -980,7 +941,7 @@ impl Wrangler {
         }
         // Candidates the ER memo did not decide, scored live. The benchmark
         // reads the counter under this name.
-        let (scored, total) = (live.len() as u64, candidates.len() as u64);
+        let scored = candidates.len() as u64;
         self.obs.count("er.cache.misses", scored);
         self.obs.count("incr.er.pairs_remapped", total - scored);
         self.obs.count("er.candidates", total);
@@ -988,7 +949,6 @@ impl Wrangler {
         self.obs.count("er.entities", out.clusters.len() as u64);
         if pass.incr_on {
             self.incr.er = Some(ErMemo {
-                key: er_key,
                 pass_fp: pass.pass_fp,
                 out: out.clone(),
                 layout: pass.union_layout.clone(),
@@ -1052,17 +1012,20 @@ impl Wrangler {
     }
 
     /// The fuse content key covers every input that can ripple into a fused
-    /// value beyond the pass/program fingerprints: the union and clustering
-    /// content, every source's belief trust (feedback moves it), every
-    /// source's age (fusion decays stale claims), and the master catalog
-    /// (anchors steer truthfinder). A 1-source data update legitimately
-    /// misses here — its claims shift everyone's estimated trust — so fusion
-    /// recomputes; pure replays hit.
+    /// value beyond the pass fingerprint (which fixes what fusion reads of
+    /// the program, the live-column mask): the union by its block list, the
+    /// clustering, every source's belief trust (feedback moves it) and age
+    /// (fusion decays stale claims), and the master catalog (anchors steer
+    /// truthfinder). A 1-source data update legitimately misses here — its
+    /// claims shift everyone's estimated trust; pure replays hit.
     fn fuse_key(&self, pass: &Pass) -> u64 {
         let mut h = wire::Hasher64::new();
         h.write_u64(pass.pass_fp)
-            .write_u64(pass.prog_fp)
-            .write_u64(pass.union_hash);
+            .write_u64(pass.union_layout.len() as u64);
+        // A block's key covers its source and fixes its rows.
+        for &(_, key, _) in &pass.union_layout {
+            h.write_u64(key);
+        }
         for &e in &pass.er.row_entity {
             h.write_u64(e as u64);
         }
@@ -1103,6 +1066,7 @@ impl Wrangler {
         self.eject(pass, Stage::Fuse, &fuse_removed)?;
         self.obs.begin("claims");
         let claims = self.claim_set(pass, &fuse_removed);
+        claims.index(); // grouped here, so that this span keeps covering it
         self.obs.end();
         // Master-data anchors for the attributes the catalog knows.
         self.obs.begin("anchors");

@@ -188,8 +188,18 @@ fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite])
             })
             .sum();
         assert!(hits > 0, "{site:?}: resume replayed nothing");
+        // A union replayed from the store carries runs but no block keys:
+        // nothing attests its identity, so that pass captures neither the ER
+        // nor the fuse memo (and laid no block). A union computed live
+        // leaves every memo the uninterrupted run left.
+        let memos = match out.metrics.counts.get("ckpt.union.hits") {
+            Some(_) => 0,
+            None => cold.incr_memo_count(),
+        };
+        assert_eq!(resumed.incr_memo_count(), memos, "{site:?}");
         cleanup(&dir);
     }
+    assert!(cold.incr_memo_count() > 2, "blocks, ER and fuse memoized");
     cold_out
 }
 

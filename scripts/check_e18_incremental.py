@@ -23,6 +23,11 @@ The regressions this guards:
   real cores the VM has at that moment (EXPERIMENTS E14): the cold pass
   scores in parallel, the update barely scores at all, so with two real
   cores cold gets cheaper and every ratio reads ~1.2x higher.
+* **Capture economics** — a pass that reuses nothing (k = all sources: every
+  block recomputed, nothing carried) must cost at most ALL_LIMIT of its
+  incr-off twin: what it pays on top is the capture for the *next* pass's
+  reuse. k=20, where an update starts to cost what recomputing cold does,
+  is printed and not gated.
 
 Where the limits come from. The rule for RATIO_LIMIT: median k=1 ratio of
 at least six fresh `e18_incremental` runs, alternating with the parent
@@ -68,6 +73,26 @@ in full by the cold pass and by a k=1 update and not at all by k=0, so cold
 and k=1 fell by the same ~6 ms and k=0 stayed where it was: two real cores
 now read cold = 17.7-18.8 ms, k=1 = 11.7 ms (0.660), k=0 = 4.0 ms (0.211).
 Both limits hold with more room for k=1 and less for k=0, and are unchanged.
+
+ALL_LIMIT, by the same rule. PR 19 (a mapped table is hashed once, the block
+list is the union's key, no whole-union hash, no program fingerprint without
+a store) against its parent (PR 17), sixteen alternating runs, k=40 row. The
+VM changed state within the runs (one CPU-bound process beside a second read
+1.0x to 1.9x its time alone between them), so they are one set; at k=40 both
+sides score every pair, so the state moves this ratio less than its noise:
+
+    parent ratio  1.127 1.248 1.340 1.232 1.377 1.318 1.229 1.135
+                  1.207 1.188 1.275 1.151 1.175 1.267 1.250 1.339   median 1.240
+    change ratio  1.132 0.901 1.015 0.915 1.199 0.945 1.083 1.139
+                  0.978 1.066 1.054 1.052 1.090 0.908 1.104 1.185   median 1.060
+
+    median 1.060 x 1.15 = 1.219, rounded up to the next 0.05 = 1.25
+
+The parent's median sits just under that and 6 of its 16 runs over it: the
+ceiling catches a capture cost that grows back past the parent's, not every
+run of the parent. The same runs read k=20 at 1.131 (parent) and 0.970
+(change), k=1 at 0.607 and 0.551, k=0 at 0.186 and 0.114 (the no-change pass
+no longer hashes the union to find out nothing changed).
 """
 
 import json
@@ -75,6 +100,7 @@ import sys
 
 RATIO_LIMIT = 0.85  # incr/cold ceiling for a 1-source update
 REPLAY_LIMIT = 0.50  # incr/cold ceiling for a pass after no change
+ALL_LIMIT = 1.25  # incr/cold ceiling for a pass that reuses nothing (k = all sources)
 REMAP_FLOOR = 0.90  # share of k=1 candidate pairs the ER memo must decide
 
 
@@ -96,20 +122,24 @@ def main() -> int:
             failures.append(f"identity@k={row['k']}")
 
     by_k = {r["k"]: r for r in rows}
-    for k, limit in ((0, REPLAY_LIMIT), (1, RATIO_LIMIT)):
+    # (k, ceiling). None: reported, not gated — k=20 is where an update
+    # starts to cost what recomputing cold does.
+    limits = ((0, REPLAY_LIMIT), (1, RATIO_LIMIT), (20, None), (data["num_sources"], ALL_LIMIT))
+    for k, limit in limits:
         r = by_k.get(k)
         if r is None:
             print(f"e18 ratio: no k={k} row in the sweep")
             failures.append(f"missing-k{k}")
             continue
-        verdict = "ok" if r["ratio"] <= limit else "FAIL"
+        over = limit is not None and r["ratio"] > limit
+        verdict = "(reported, not gated)" if limit is None else f"(limit {limit}) -> {'FAIL' if over else 'ok'}"
         print(
             f"e18 ratio [k={k}, {data['num_sources']} sources]: "
             f"cold = {1e3 * r['cold_secs']:.1f} ms, "
             f"incr = {1e3 * r['incr_secs']:.1f} ms, "
-            f"ratio = {r['ratio']:.3f} (limit {limit}) -> {verdict}"
+            f"ratio = {r['ratio']:.3f} {verdict}"
         )
-        if r["ratio"] > limit:
+        if over:
             failures.append(f"ratio@k={k}")
 
     if 1 in by_k:

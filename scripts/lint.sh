@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Ten rules, all enforced in CI via scripts/verify.sh:
+# analysis). Eleven rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -67,6 +67,14 @@
 #      function is the reference the tests compare the kernel against, and a
 #      second production spelling of "fuse one slot" is one the next change
 #      to fusion will miss.
+#
+#  11. `hash64(format!(` and `write_str(&format!(` do not appear in
+#      `crates/core/src/wrangler/stages.rs`. A stage loop that renders a
+#      value with `Debug` to key it pays for the rendering per source and
+#      per pass, and rests a reuse decision on text that is no stability
+#      contract. A stage keys by typed fields and by hashes taken where the
+#      data was derived (`incr::Mapped`). The pass-level `Debug` keys in
+#      `wrangler/pass.rs` (once per pass) wait for the typed-keys item.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -341,6 +349,20 @@ done)
 if [ -n "$fuse_attribute_hits" ]; then
   echo "lint: fuse_attribute( called outside crates/fusion/src and crates/bench (fuse through FuseKernel; fuse_attribute is the test reference):"
   echo "$fuse_attribute_hits"
+  fail=1
+fi
+
+# --- Rule 11: no Debug-printed keys in the stage loops ---------------------------
+debug_key_hits=$(awk '
+  /#\[cfg\(test\)\]/ { exit }
+  /^[[:space:]]*\/\// { next }  # comment / doc lines
+  /hash64\(format!\(|write_str\(&format!\(/ {
+    printf "%s:%d: %s\n", FILENAME, FNR, $0
+  }
+' crates/core/src/wrangler/stages.rs)
+if [ -n "$debug_key_hits" ]; then
+  echo "lint: Debug-printed key in crates/core/src/wrangler/stages.rs (key by typed fields and by hashes taken where the data was derived):"
+  echo "$debug_key_hits"
   fail=1
 fi
 
