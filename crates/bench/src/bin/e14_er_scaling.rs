@@ -4,14 +4,18 @@
 //! next in line. Claims under test here:
 //!
 //! 1. The [`ErKernel`] — ER config compiled once against the union schema,
-//!    per-row renderings/token sets cached, pairs scored across the
-//!    deterministic *blocked* worker pool — beats the uncompiled serial
-//!    reference (`match_pairs`, which re-renders both rows for every pair)
-//!    by ≥2× on the 40-source workload while producing **byte-identical**
-//!    scores and clusters for any worker count. The blocked pool replaced
-//!    the original strided pickup (worker *w* took pairs *w, w+workers, …*),
-//!    whose cache-hostile interleaving this experiment exposed as *negative*
-//!    scaling (8 workers 42% slower than 1 at 40 sources).
+//!    text and key columns dictionary-encoded, the candidate blocks walked
+//!    and every pair decided on the spot across row strips
+//!    (`decide_union`, the entry point the wrangle stage runs) — beats the
+//!    uncompiled serial reference (`match_pairs` over the written-down
+//!    candidate list, re-rendering both rows for every pair) by ≥2× on the
+//!    40-source workload while producing the **same** matched pairs and
+//!    clusters for any worker count; the kernel's exact scores
+//!    (`match_pairs_parallel`) are checked bit for bit against the same
+//!    reference, untimed. Contiguous strips replaced the original strided
+//!    pickup (worker *w* took pairs *w, w+workers, …*), whose cache-hostile
+//!    interleaving this experiment exposed as *negative* scaling (8 workers
+//!    42% slower than 1 at 40 sources).
 //! 2. The [`FuseKernel`] — per-source weights/decays compiled once per pass,
 //!    slots fused over the same blocked pool — is bit-identical to the
 //!    uncompiled per-slot `fuse_attribute` reference at every worker count.
@@ -29,12 +33,17 @@
 //!    the largest ~17,000 slots). The rows either side of the fan-out
 //!    floor carry a two-workers-regardless column, and the pipeline's own
 //!    fuse loop is timed on the first fleet over the floor: the two
-//!    measurements `MIN_SLOTS_PER_WORKER`'s derivation compares.
+//!    measurements `MIN_SLOTS_PER_WORKER`'s derivation compares. The ER
+//!    pool's floor (`MIN_PAIRS_PER_WORKER` pairs *walked* per thread) is
+//!    read the same way off `ER_FLOOR_PRODUCTS`: the decision at one
+//!    worker against two spawned regardless, and the pipeline's own
+//!    `wrangle/er/decide` span on the fleets over it.
 //!
 //! Protocol: per fleet size, wrangle once to materialise the mapped union
 //! and the claim set, rebuild the pipeline's candidate set (name blocking +
-//! exact-sku blocking), then time `REPS` runs of (a) serial `match_pairs`,
-//! (b) ER kernel compile+score at each worker count, (c) serial
+//! exact-sku blocking), then time `REPS` runs of (a) serial `match_pairs`
+//! over that list, (b) blocking + ER kernel compile + walk-and-decide at
+//! each worker count, (c) serial
 //! `fuse_attribute` over all slots and (d) fuse kernel compile+fuse at each
 //! worker count, taking the best of the runs (minimum suppresses scheduler
 //! noise on a shared box; a sub-millisecond fuse sweep still reads 5–10%
@@ -56,9 +65,10 @@ use wrangler_context::UserContext;
 use wrangler_core::Wrangler;
 use wrangler_fusion::strategies::fuse_attribute;
 use wrangler_fusion::{FuseKernel, FusedValue, MIN_SLOTS_PER_WORKER};
+use wrangler_resolve::kernel::MIN_PAIRS_PER_WORKER;
 use wrangler_resolve::{
     candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, ErConfig, ErKernel,
-    ScoredPair,
+    ScoredPair, UnionBlocks,
 };
 use wrangler_sources::{FleetConfig, SyntheticFleet};
 use wrangler_table::{par, Table};
@@ -83,6 +93,16 @@ const FUSE_FLEET_SOURCES: usize = 10;
 /// The first of them over the floor: where the pipeline's own fuse loop is
 /// timed at one worker and at four requested.
 const FUSE_PASS_PRODUCTS: usize = FUSE_FLEET_PRODUCTS[1];
+/// ER-floor fleets, by product count (`ER_FLOOR_SOURCES` sources each): the
+/// pairs their walks cover straddle the decision pool's fan-out floor of
+/// 2 × `MIN_PAIRS_PER_WORKER` = 32,768: ~7,700 and ~22,000 pairs decide
+/// serially, ~40,600 are the first the policy fans out, ~120,000 the last
+/// row. The two over the floor are where the pipeline's own
+/// `wrangle/er/decide` span is read at one worker and at two requested.
+const ER_FLOOR_PRODUCTS: [usize; 4] = [160, 300, 320, 640];
+const ER_FLOOR_SOURCES: usize = 4;
+/// Runs per timing of the sub-millisecond ER-floor rows.
+const FLOOR_REPS: usize = 40;
 
 fn fleet_of(num_sources: usize, num_products: usize) -> SyntheticFleet {
     let cfg = FleetConfig {
@@ -113,8 +133,12 @@ fn pipeline_candidates(union: &Table) -> Vec<(usize, usize)> {
 /// Best (minimum) wall-clock seconds of `REPS` runs of `f` — the standard
 /// noise-resistant estimator on a shared/oversubscribed machine, where the
 /// median still absorbs scheduler stalls.
-fn best_secs(mut f: impl FnMut()) -> f64 {
-    (0..REPS)
+fn best_secs(f: impl FnMut()) -> f64 {
+    best_secs_of(REPS, f)
+}
+
+fn best_secs_of(reps: usize, mut f: impl FnMut()) -> f64 {
+    (0..reps)
         .map(|_| {
             let t = Instant::now();
             f();
@@ -172,17 +196,22 @@ struct FuseResult {
     identical: bool,
 }
 
-/// The fuse stage's own `wrangle/fuse/kernel` span (ms) in a whole pass over
-/// `fleet` with `workers` fuse workers requested, best of `REPS` passes:
-/// what the pipeline pays — per-slot panic isolation, stitching the chunks
-/// back, and a fan-out that happens once per pass, onto cores the rest of
-/// the pass left idle — where the sweeps above re-run a warm kernel.
-fn pass_kernel_ms(fleet: &SyntheticFleet, workers: usize) -> f64 {
+/// A stage's own span (ms) in a whole pass over `fleet`, best of `REPS`
+/// passes, the session prepared by `with_workers`: what the pipeline pays —
+/// per-item panic isolation, stitching the pieces back, and a fan-out that
+/// happens once per pass, onto cores the rest of the pass left idle — where
+/// the sweeps above re-run a warm kernel. Read for `wrangle/fuse/kernel`
+/// and `wrangle/er/decide`.
+fn pass_span_ms(
+    fleet: &SyntheticFleet,
+    span: &str,
+    with_workers: impl Fn(Wrangler) -> Wrangler,
+) -> f64 {
     (0..REPS)
         .map(|_| {
-            let mut w = session(fleet, UserContext::balanced("e14")).with_fuse_workers(workers);
+            let mut w = with_workers(session(fleet, UserContext::balanced("e14")));
             let out = w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
-            out.metrics.timings["wrangle/fuse/kernel"].nanos as f64 / 1e6
+            out.metrics.timings[span].nanos as f64 / 1e6
         })
         .fold(f64::INFINITY, f64::min)
 }
@@ -208,33 +237,43 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
             );
         });
 
+    // The kernel's exact scores against the reference, bit for bit: the
+    // oracle the decision is tested against, checked once, untimed.
+    let compiled = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
+    let (scored, _) = compiled
+        .match_pairs_parallel(&candidates, par::available_parallelism())
+        .expect("parallel scoring succeeds"); // lint-allow: experiment fixture
+    let mut identical = pairs_identical(&serial, &scored);
+    let serial_matches: Vec<(usize, usize)> = serial.iter().map(|p| (p.i, p.j)).collect();
+
     let mut kernel_ms = Vec::new();
-    let mut identical = true;
     let mut no_idle_worker = true;
     for &workers in &WORKERS {
-        // Timed end-to-end: compile + parallel score. Precompilation is part
-        // of the kernel's cost, not free setup. The requested width goes
-        // through the pool-sizing policy, exactly as the pipeline's does.
+        // Timed end-to-end, as the wrangle stage runs it: block, compile,
+        // walk and decide. Blocking and precompilation are part of the
+        // kernel's cost, not free setup (the serial column is handed its
+        // candidate list). The requested width goes through the
+        // pool-sizing policy, exactly as the pipeline's does.
+        let decide = || {
+            let blocks = UnionBlocks::build(&union, "name", "sku").expect("union has both columns"); // lint-allow: experiment fixture
+            let k = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
+            k.decide_union(&blocks, workers, |_, _| false)
+                .expect("deciding succeeds") // lint-allow: experiment fixture
+        };
         let ms = 1e3
             * best_secs(|| {
-                let k = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
-                std::hint::black_box(
-                    k.match_pairs_parallel(&candidates, workers)
-                        .expect("parallel scoring succeeds"), // lint-allow: experiment fixture
-                );
+                std::hint::black_box(decide());
             });
         kernel_ms.push((workers, ms));
-        let k = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
-        let (pairs, stats) = k
-            .match_pairs_parallel(&candidates, workers)
-            .expect("parallel scoring succeeds"); // lint-allow: experiment fixture
-        let clusters = cluster_pairs(union.num_rows(), pairs.iter().map(|p| (p.i, p.j)));
-        identical &= pairs_identical(&serial, &pairs) && clusters == serial_clusters;
+        let decided = decide();
+        let clusters = cluster_pairs(union.num_rows(), decided.matches.iter().copied());
+        identical &= decided.matches == serial_matches && clusters == serial_clusters;
         // The sizing policy decides the spawned width; whatever it picks,
         // the items must cover every candidate with no idle worker.
-        no_idle_worker &= stats.iter().map(|s| s.items).sum::<u64>() == candidates.len() as u64
-            && !stats.is_empty()
-            && stats.iter().all(|s| s.items > 0);
+        no_idle_worker &= decided.workers.iter().map(|s| s.items).sum::<u64>()
+            == candidates.len() as u64
+            && !decided.workers.is_empty()
+            && decided.workers.iter().all(|s| s.items > 0);
     }
 
     let er = FleetResult {
@@ -246,6 +285,52 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
         no_idle_worker,
     };
     (er, measure_fuse(&w, num_sources, PRODUCTS))
+}
+
+struct ErFloorResult {
+    products: usize,
+    /// Pairs the walk covers — what the pool is sized by.
+    pairs: usize,
+    /// The pool width two requested workers resolve to.
+    width_at_2: usize,
+    /// The decision alone (blocks built, kernel compiled) at one worker.
+    decide1_ms: f64,
+    /// Two workers spawned whatever the policy says.
+    exact2_ms: f64,
+    identical: bool,
+}
+
+/// The ER decision either side of its fan-out floor: one worker against two
+/// spawned regardless, over a warm kernel — the measurement
+/// `MIN_PAIRS_PER_WORKER` rests on.
+fn measure_er_floor(products: usize) -> ErFloorResult {
+    let mut w = build(ER_FLOOR_SOURCES, products);
+    w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
+    let union = w.union_table().expect("wrangle caches the union"); // lint-allow: experiment fixture
+    let blocks = UnionBlocks::build(&union, "name", "sku").expect("union has both columns"); // lint-allow: experiment fixture
+    let kernel = ErKernel::compile(&union, w.er_config()).expect("schema compiles"); // lint-allow: experiment fixture
+    let at = |workers: usize| {
+        kernel
+            .decide_union_exact(&blocks, workers, |_, _| false)
+            .expect("deciding succeeds") // lint-allow: experiment fixture
+    };
+    let time = |workers: usize| {
+        1e3 * best_secs_of(FLOOR_REPS, || {
+            std::hint::black_box(at(workers));
+        })
+    };
+    let policy = kernel
+        .decide_union(&blocks, 2, |_, _| false)
+        .expect("deciding succeeds"); // lint-allow: experiment fixture
+    let serial = at(1);
+    ErFloorResult {
+        products,
+        pairs: policy.candidates as usize,
+        width_at_2: policy.workers.len(),
+        decide1_ms: time(1),
+        exact2_ms: time(2),
+        identical: serial.matches == at(2).matches && serial.matches == policy.matches,
+    }
 }
 
 /// Fuse: serial `fuse_attribute` vs `FuseKernel` at each worker count, over
@@ -334,10 +419,13 @@ fn main() {
 
     let cores = par::available_parallelism();
     println!("E14: precompiled kernels (ER + fuse) vs serial references ({PRODUCTS} products)");
-    println!("(serial = uncompiled match_pairs re-rendering rows per pair; kernel@w =");
-    println!(" compile + blocked-pool scoring with w requested workers, width resolved");
-    println!(" by the sizing policy — this machine has {cores} core(s); best of {REPS} runs;");
-    println!(" identical = pairs, score bits and clusters equal serial at every w)\n");
+    println!("(serial = uncompiled match_pairs over the listed candidates, re-rendering rows per");
+    println!(" pair; k@w = block + compile + walk-and-decide with w requested workers, width");
+    println!(
+        " resolved by the sizing policy — this machine has {cores} core(s); best of {REPS} runs;"
+    );
+    println!(" identical = matched pairs and clusters equal serial at every w, and the kernel's");
+    println!(" exact scores equal serial's bit for bit)\n");
 
     let widths = [7, 10, 9, 9, 9, 9, 9, 9, 10];
     println!(
@@ -370,6 +458,60 @@ fn main() {
         ];
         println!("{}", row(&cells, &widths));
         results.push(r);
+    }
+
+    println!("\nER decision either side of its fan-out floor ({ER_FLOOR_SOURCES}-source fleets sized in products;");
+    println!(" pairs = what the walk covers, the pool is sized by it: 2 x {MIN_PAIRS_PER_WORKER} pairs fan out;");
+    println!(" width2 = the pool width two requested workers resolve to; d@1 = the decision alone");
+    println!(
+        " at one worker, x2 = two workers spawned whatever the policy says; best of {FLOOR_REPS}):"
+    );
+    let ewidths = [8, 8, 6, 8, 8, 7, 9];
+    println!(
+        "{}",
+        header(
+            &[
+                "products",
+                "pairs",
+                "width2",
+                "d@1",
+                "x2",
+                "x2/d@1",
+                "identical"
+            ],
+            &ewidths
+        )
+    );
+    let er_floor: Vec<ErFloorResult> = ER_FLOOR_PRODUCTS
+        .iter()
+        .map(|&p| measure_er_floor(p))
+        .collect();
+    for r in &er_floor {
+        let cells = vec![
+            r.products.to_string(),
+            r.pairs.to_string(),
+            r.width_at_2.to_string(),
+            format!("{:.3}", r.decide1_ms),
+            format!("{:.3}", r.exact2_ms),
+            format!("{:.2}", r.exact2_ms / r.decide1_ms),
+            if r.identical { "yes" } else { "NO" }.to_string(),
+        ];
+        println!("{}", row(&cells, &ewidths));
+    }
+    let er_pass: Vec<(usize, f64, f64)> = ER_FLOOR_PRODUCTS[2..]
+        .iter()
+        .map(|&products| {
+            let f = fleet_of(ER_FLOOR_SOURCES, products);
+            let decide = |n| pass_span_ms(&f, "wrangle/er/decide", |w| w.with_er_workers(n));
+            (products, decide(1), decide(2))
+        })
+        .collect();
+    println!("\nthe pipeline's own `wrangle/er/decide` span on the fleets over the floor (best of {REPS} passes):");
+    for &(products, d1, d2) in &er_pass {
+        println!(
+            " {products} products: 1 worker {d1:.3} ms, 2 requested {d2:.3} ms ({:.2}x)",
+            d2 / d1
+        );
     }
 
     println!("\nfuse kernel (serial = per-slot fuse_attribute; the source sweep's fleets, then");
@@ -410,7 +552,8 @@ fn main() {
     }
 
     let pass_fleet = fleet_of(FUSE_FLEET_SOURCES, FUSE_PASS_PRODUCTS);
-    let (pass1, pass4) = (pass_kernel_ms(&pass_fleet, 1), pass_kernel_ms(&pass_fleet, 4));
+    let fuse_pass = |n| pass_span_ms(&pass_fleet, "wrangle/fuse/kernel", |w| w.with_fuse_workers(n));
+    let (pass1, pass4) = (fuse_pass(1), fuse_pass(4));
     println!("\nthe pipeline's own fuse loop on the first fleet over the floor ({FUSE_PASS_PRODUCTS} products;");
     println!(" the `wrangle/fuse/kernel` span of a whole pass, best of {REPS} passes):");
     println!(
@@ -429,7 +572,8 @@ fn main() {
     // together and the comparison is two measurements of the same
     // configuration (the gate script applies a noise tolerance there).
     let verdict_scaling = ms_at(&last.kernel_ms, 4) < ms_at(&last.kernel_ms, 1);
-    let verdict_identical = results.iter().all(|r| r.identical);
+    let verdict_identical =
+        results.iter().all(|r| r.identical) && er_floor.iter().all(|r| r.identical);
     let verdict_fuse_identical = fuse_results.iter().all(|r| r.identical);
     let verdict_workers = results.iter().all(|r| r.no_idle_worker);
     println!(
@@ -495,19 +639,41 @@ fn main() {
             )
         })
         .collect();
+    let er_floor_json: Vec<String> = er_floor
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"sources\":{ER_FLOOR_SOURCES},\"products\":{},\"pairs\":{},\
+                 \"width_at_2\":{},\"decide_ms\":{:.4},\"decide_exact2_ms\":{:.4},\
+                 \"identical\":{}}}",
+                r.products, r.pairs, r.width_at_2, r.decide1_ms, r.exact2_ms, r.identical,
+            )
+        })
+        .collect();
+    let er_pass_json: Vec<String> = er_pass
+        .iter()
+        .map(|(products, d1, d2)| {
+            format!(
+                "{{\"products\":{products},\"decide_span_ms\":{{\"1\":{d1:.4},\"2\":{d2:.4}}}}}"
+            )
+        })
+        .collect();
     let json = format!(
         "{{\"experiment\":\"e14_er_scaling\",\"seed\":{SEED},\"cores\":{cores},\
          \"speedup_at_4_workers\":{speedup4:.4},\
-         \"fleets\":[{}],\"fuse_fleets\":[{}],\
+         \"fleets\":[{}],\"er_floor_fleets\":[{}],\"er_pass\":[{}],\"fuse_fleets\":[{}],\
          \"fuse_pass\":{{\"products\":{FUSE_PASS_PRODUCTS},\
          \"kernel_span_ms\":{{\"1\":{pass1:.4},\"4\":{pass4:.4}}}}}}}\n",
         fleets_json.join(","),
+        er_floor_json.join(","),
+        er_pass_json.join(","),
         fuse_fleets_json.join(",")
     );
     wrangler_bench::write_artifact("BENCH_e14.json", &json);
 
-    println!("\nShape expected: the kernels win big even at 1 worker (precompilation —");
-    println!("per-row renderings and per-source weights cached once instead of per item);");
-    println!("extra workers help exactly when cores exist — the sizing policy refuses");
-    println!("oversubscription — and never change a bit of output.");
+    println!("\nShape expected: the kernels win big even at 1 worker — precompilation (a");
+    println!("dictionary per column, per-source weights cached once instead of per item) and,");
+    println!("for ER, deciding ~99% of the candidates from ids without opening a string;");
+    println!("extra workers help exactly when cores exist and the work clears the floor — the");
+    println!("sizing policy refuses oversubscription — and never change a bit of output.");
 }

@@ -45,7 +45,7 @@ const TIMING_REPS: usize = 3;
 const UPDATE_COUNTS: [usize; 7] = [0, 1, 2, 4, 8, 20, 40];
 /// incr/cold ceiling at k=1; `scripts/check_e18_incremental.py` is the gate
 /// and records where the number comes from.
-const RATIO_LIMIT: f64 = 0.85;
+const RATIO_LIMIT: f64 = 0.80;
 
 fn e18_fleet() -> SyntheticFleet {
     let mut cfg = default_fleet_config();
@@ -262,13 +262,14 @@ fn main() {
     );
     wrangler_bench::write_artifact("BENCH_e18.json", &json);
 
-    println!("\nShape expected: ~0.10-0.15 at k=0 (pure replay: ER and fuse reuse wholesale),");
-    println!("~0.5-0.7 at k=1, not 1/40: candidate generation, the kernel's dictionaries,");
-    println!("fusion and assembly run over the whole union whatever changed (~0.3 of a");
-    println!("cold pass by themselves); only pair scoring shrinks with the dirty share. The");
-    println!("ratio then climbs with k and reaches 1.0 around k=20: at k=40, where nothing");
-    println!("is clean, the pass pays one content hash per re-mapped table and the memo");
-    println!("capture on top of a cold pass (~1.05). The identity column never reads NO:");
-    println!("reuse is proof-carrying (PartitionIsolated) and content-keyed, so a memo can");
+    println!("\nShape expected: ~0.15-0.2 at k=0 (pure replay: ER and fuse reuse wholesale, ~3 ms");
+    println!("whatever a cold pass costs), ~0.6-0.7 at k=1, not 1/40: blocking, the kernel's");
+    println!("dictionaries, the walk over every candidate (a carried pair is still visited),");
+    println!("fusion and assembly run over the whole union whatever changed; only the deciding");
+    println!("shrinks with the dirty share, and deciding is the cheap part now. The ratio climbs");
+    println!("with k and reaches 1.0 around k=8: at k=40, where nothing is clean, the pass pays");
+    println!("one content hash per re-mapped table and the memo capture on top of a cold pass");
+    println!("(~1.02-1.05). The identity column never reads NO: reuse is proof-carrying");
+    println!("(PartitionIsolated) and content-keyed, so a memo can");
     println!("only replay bytes the cold path would recompute.");
 }

@@ -20,7 +20,7 @@
 //!   block layout maps rows of unchanged blocks old↔new by offset. A
 //!   candidate whose two rows both sit in unchanged blocks, in the same
 //!   relative order, is *carried* — it matches now iff it matched then — so
-//!   only pairs touching a changed row are scored ([`ErMemo::carry`]). This
+//!   only pairs touching a changed row are decided ([`ErMemo::carry`]). This
 //!   rests on one invariant, pinned by `wrangler-resolve`'s proptest
 //!   `candidates_restricted_to_surviving_rows`: whether `(i, j)` is a
 //!   candidate depends on rows `i` and `j` alone (as do the score, in

@@ -15,9 +15,7 @@ use wrangler_match::MatchConfig;
 use wrangler_obs::{MetricsReport, ObsMode, Telemetry};
 use wrangler_quality::profile::{quality_vector, ExternalSignals, TableProfile};
 use wrangler_resolve::learn::{refine_rule, LabeledPair};
-use wrangler_resolve::{
-    candidates_union, cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind,
-};
+use wrangler_resolve::{cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind, UnionBlocks};
 use wrangler_sources::faults::{Degradation, FaultConfig, FaultProfile};
 use wrangler_sources::{Source, SourceEstimate, SourceId, SourceMeta, SourceRegistry};
 use wrangler_plan::{OptMode, PlanProgram};
@@ -146,7 +144,7 @@ pub struct Wrangler {
     registry: SourceRegistry,
     states: Vec<SourceState>,
     er_cfg: ErConfig,
-    /// Worker-count override for the ER scoring pool (`None` = hardware
+    /// Worker-count override for the ER decision pool (`None` = hardware
     /// parallelism). Output is identical for any value; experiments pin it.
     er_workers: Option<usize>,
     /// Worker-count override for the fuse-slot pool (`None` = hardware
@@ -381,8 +379,8 @@ impl Wrangler {
         self
     }
 
-    /// Pin the ER scoring pool to `workers` threads (default: hardware
-    /// parallelism). Clusters and scores are byte-identical for any worker
+    /// Pin the ER decision pool to `workers` threads (default: hardware
+    /// parallelism). Matches and clusters are byte-identical for any worker
     /// count — this knob trades wall-clock only (E14's sweep axis).
     pub fn with_er_workers(mut self, workers: usize) -> Wrangler {
         self.er_workers = Some(workers.max(1));
@@ -1173,13 +1171,14 @@ impl Wrangler {
         // labels must not collapse or shatter the entity space. Re-cluster
         // with the candidate rule and require the entity count to stay within
         // a factor of the current one.
-        let candidates = self.union_candidates(union_table).ok()?;
-        let pairs = ErKernel::compile(union_table, &cfg)
+        let (name_col, key_col) = self.blocking_columns();
+        let blocks = UnionBlocks::build(union_table, name_col, key_col).ok()?;
+        let matches = ErKernel::compile(union_table, &cfg)
             .ok()?
-            .match_pairs(&candidates)
-            .ok()?;
-        let new_entities =
-            cluster_pairs(union_table.num_rows(), pairs.iter().map(|p| (p.i, p.j))).len();
+            .decide_union(&blocks, 1, |_, _| false)
+            .ok()?
+            .matches;
+        let new_entities = cluster_pairs(union_table.num_rows(), matches).len();
         let old_entities = cache.entities.max(1);
         let ratio = new_entities as f64 / old_entities as f64;
         if !(0.6..=1.67).contains(&ratio) {
@@ -1200,10 +1199,10 @@ impl Wrangler {
         Some(self.cache.as_ref()?.union.table().clone())
     }
 
-    /// The candidate pairs of a union table. Blocked on the name-ish column
-    /// (a name or title, else the key) AND the key column: rows whose name
-    /// is null or typo-prefixed still meet their duplicates through the key.
-    fn union_candidates(&self, union: &Table) -> wrangler_table::Result<Vec<(usize, usize)>> {
+    /// The columns ER blocks a union on: the name-ish column (a name or
+    /// title, else the key) AND the key column — rows whose name is null or
+    /// typo-prefixed still meet their duplicates through the key.
+    fn blocking_columns(&self) -> (&str, &str) {
         let mut names = self.target.fields().iter().map(|f| &f.name);
         let key_col = &self.target.fields()[0].name;
         let name_col = names
@@ -1212,7 +1211,7 @@ impl Wrangler {
                 l.contains("name") || l.contains("title")
             })
             .unwrap_or(key_col);
-        candidates_union(union, name_col, key_col)
+        (name_col, key_col)
     }
 }
 
@@ -2087,6 +2086,61 @@ mod tests {
         );
     }
 
+    /// The last pass's ER record against the reference spelling of the
+    /// stage: write the candidates down, score each with the uncompiled
+    /// `match_pairs`, filter, cluster. Returns the candidate list.
+    fn assert_er_equals_listed_scored_and_clustered(w: &Wrangler) -> Vec<(usize, usize)> {
+        let cache = w.cache.as_ref().unwrap();
+        let union = cache.union.table();
+        let (name_col, key_col) = w.blocking_columns();
+        let listed = wrangler_resolve::candidates_union(union, name_col, key_col).unwrap();
+        let scored = wrangler_resolve::match_pairs(union, &listed, w.er_config()).unwrap();
+        let want: Vec<(usize, usize)> = scored.iter().map(|p| (p.i, p.j)).collect();
+        let memo = w.incr.er.as_ref().unwrap();
+        assert_eq!(memo.matches, want);
+        let clusters = cluster_pairs(union.num_rows(), want);
+        for (e, cluster) in clusters.iter().enumerate() {
+            assert!(cluster.iter().all(|&r| memo.out.row_entity[r] == e));
+        }
+        assert_eq!(memo.out.clusters, clusters);
+        assert_eq!(cache.row_entity, memo.out.row_entity);
+        listed
+    }
+
+    #[test]
+    fn live_er_equals_listing_scoring_filtering_and_clustering() {
+        let null_heavy = wrangler_sources::synthetic::generate_fleet(
+            &FleetConfig {
+                num_products: 60,
+                num_sources: 8,
+                now: 10,
+                null_rate: (0.3, 0.6),
+                ..FleetConfig::default()
+            },
+            7,
+        );
+        // A wide fleet: few sources, many products, few copies of each.
+        for (fleet, label) in [
+            (small_fleet(), "small"),
+            (fleet_of(500), "wide"),
+            (null_heavy, "null-heavy"),
+        ] {
+            let mut w = session(&fleet, UserContext::completeness_first()).with_er_workers(3);
+            let out = w.wrangle().unwrap();
+            let listed = assert_er_equals_listed_scored_and_clustered(&w);
+            let m = &out.metrics.counts;
+            assert!(m["er.match_pairs"] > 0, "{label}");
+            assert_eq!(m["er.candidates"], listed.len() as u64, "{label}");
+            assert_eq!(m["er.cache.misses"], listed.len() as u64, "{label}");
+            assert!(m["er.decide.from_ids"] <= m["er.candidates"], "{label}");
+            // Nothing is opened for a pair the ids settle, something for
+            // every other one.
+            let opened_pairs = m["er.candidates"] - m["er.decide.from_ids"];
+            let opened = m.get("er.decide.text_fields").copied().unwrap_or(0);
+            assert!(opened >= opened_pairs, "{label}");
+        }
+    }
+
     /// The `fuse.workerN.items` counters of one pass, in worker order.
     fn fuse_worker_items(m: &MetricsReport) -> Vec<u64> {
         m.counts
@@ -2489,7 +2543,8 @@ mod tests {
         let source_of: Vec<usize> = union.sources().collect();
         let rank = |row: usize| before.iter().position(|s| s.0 as usize == source_of[row]);
         let touches = |row: usize| source_of[row] == dirty.0 as usize;
-        w.union_candidates(union.table())
+        let (name_col, key_col) = w.blocking_columns();
+        wrangler_resolve::candidates_union(union.table(), name_col, key_col)
             .unwrap()
             .iter()
             .filter(|&&(i, j)| touches(i) || touches(j) || rank(i) > rank(j))
@@ -2567,6 +2622,37 @@ mod tests {
         let memo = w.incr.er.as_ref().unwrap();
         assert_eq!(memo.matches.len() as u64, delta("er.match_pairs"));
         assert!(memo.matches.windows(2).all(|p| p[0] < p[1]), "sorted");
+    }
+
+    #[test]
+    fn a_carried_update_decides_exactly_the_pairs_the_carry_does_not_cover() {
+        let fleet = seed23_fleet();
+        let mut w = session(&fleet, UserContext::completeness_first());
+        let first = w.wrangle().unwrap();
+        let before = w.incr.er.clone().unwrap();
+        let victim = first.selected_sources[0];
+        let t = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(w.update_source(victim, t).unwrap());
+        let out = w.wrangle().unwrap();
+        // Carried and decided pairs together are the whole reference list's
+        // matches...
+        let listed = assert_er_equals_listed_scored_and_clustered(&w);
+        // ...and the decided ones are those the old memo's carry, rebuilt
+        // here over the new layout, does not cover.
+        let after = w.incr.er.as_ref().unwrap();
+        let carry = before
+            .carry(after.pass_fp, &after.layout, w.union_len())
+            .expect("unchanged blocks carry");
+        let live = listed.iter().filter(|&&p| !carry.covers(p)).count() as u64;
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert!(live > 0 && live < listed.len() as u64);
+        assert_eq!(delta("er.candidates"), listed.len() as u64);
+        assert_eq!(delta("er.cache.misses"), live);
+        assert_eq!(delta("incr.er.pairs_remapped"), listed.len() as u64 - live);
+        assert!(delta("er.decide.from_ids") <= live);
+        // The session's work counter is fed from the same walk.
+        let work = w.working.work;
+        assert_eq!(work.er_pairs as u64, out.metrics.counts["er.candidates"]);
     }
 
     #[test]

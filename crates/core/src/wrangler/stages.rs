@@ -17,7 +17,7 @@ use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
 use wrangler_match::profile_table;
 use wrangler_plan::{FilterPlacement, OptMode, PlanProgram};
-use wrangler_resolve::{cluster_pairs, ErKernel};
+use wrangler_resolve::{cluster_pairs, ErKernel, UnionBlocks};
 use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
 use wrangler_table::{ops, par, wire, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
@@ -38,6 +38,15 @@ use crate::working::Artifact;
 type Result<T> = wrangler_table::Result<T>;
 
 impl Wrangler {
+    /// A pool's per-worker stats, under the open span: items in the count
+    /// half (`{stage}.worker{n}.items`), busy wall-clock in the timing half.
+    fn record_workers(&mut self, stage: &str, stats: &[par::WorkerStat]) {
+        for (n, st) in stats.iter().enumerate() {
+            self.obs.count(&format!("{stage}.worker{n}.items"), st.items);
+            self.obs.record_nanos(&format!("worker{n}"), st.busy_nanos, 1);
+        }
+    }
+
     /// Stage 1 — source selection under the user context.
     pub(super) fn select(&mut self, pass: &mut Pass) -> Result<()> {
         self.seam(
@@ -306,11 +315,7 @@ impl Wrangler {
                 TableError::Unavailable(format!("schema-matching worker panicked: {msg}"))
             })?;
             let generated: Vec<GenItem> = chunks.into_iter().flatten().collect();
-            for (w, s) in worker_stats.iter().enumerate() {
-                self.obs.count(&format!("map.worker{w}.items"), s.items);
-                self.obs
-                    .record_nanos(&format!("worker{w}"), s.busy_nanos, 1);
-            }
+            self.record_workers("map", &worker_stats);
             let mut generated_ok = 0u64;
             for (i, res) in generated {
                 match res {
@@ -880,25 +885,25 @@ impl Wrangler {
         )
     }
 
-    /// The live ER stage: candidate generation (blocked on name + key),
-    /// matching (carried from the ER memo, else scored by the kernel) and
-    /// clustering. `reusable` licenses the carry.
+    /// The live ER stage, in five spans: block the union on name + key
+    /// (`blocks`), compile the rule against it (`compile`), map the ER memo
+    /// onto the new layout (`carry`), walk the blocks deciding every pair the
+    /// carry does not cover (`decide`), and cluster (`cluster`). No candidate
+    /// is written down and no score kept. `reusable` licenses the carry.
     fn er_live(&mut self, pass: &Pass, reusable: bool) -> Result<ErOut> {
         let union_table = pass.union.table();
         let rows = union_table.num_rows();
-        let mut candidates = self.union_candidates(union_table)?;
-        let total = candidates.len() as u64;
-        self.working.work.er_pairs += candidates.len();
-        // Mid-stage crash site: after candidate generation, before scoring —
-        // the worst place to die (ER dominates wall-clock), which is exactly
-        // why the harness injects here. No seam has persisted for this
-        // stage yet, so resume replays up to the union and re-runs ER.
+        let blocks = self.span("blocks", |w| {
+            let (name_col, key_col) = w.blocking_columns();
+            UnionBlocks::build(union_table, name_col, key_col)
+        })?;
+        // Mid-stage crash site: after blocking, before any pair is decided.
+        // No seam has persisted for this stage yet, so resume replays up to
+        // the union and re-runs ER.
         self.crash_fire(CrashSite::MidEr);
-        // Score through the precompiled kernel: the ER config is compiled
-        // once against the union schema (an unknown column errors before any
-        // scoring) into a dictionary per text/key column. Clusters are
-        // byte-identical to the serial path for any worker count.
-        let kernel = ErKernel::compile(union_table, &self.er_cfg)?;
+        // Compiled once against the union schema (an unknown column errors
+        // before any pair is decided) into a dictionary per text/key column.
+        let kernel = self.span("compile", |w| ErKernel::compile(union_table, &w.er_cfg))?;
         for (column, values) in kernel.dict_sizes() {
             self.obs
                 .count(&format!("er.dict.{column}.values"), values as u64);
@@ -906,22 +911,27 @@ impl Wrangler {
         // The carry: candidacy, score and threshold read only a pair's two
         // rows, so a candidate with both rows in unchanged union blocks, in
         // the same order, matches iff it did in the memoized pass. The rest
-        // are scored (on a cold pass or after a refined rule, all of them):
-        // from here on `candidates` is that rest.
+        // are decided (on a cold pass or after a refined rule, all of them).
+        self.obs.begin("carry");
         let memo = self.incr.er.as_ref().filter(|_| reusable);
         let carry = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
-        if let Some(c) = &carry {
-            candidates.retain(|&p| !c.covers(p));
-        }
-        // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER)
-        // applies on top of the requested width.
+        self.obs.end();
+        // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER
+        // pairs walked per thread) applies on top of the requested width.
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
-        let (live_matches, worker_stats) = kernel.match_pairs_parallel(&candidates, workers)?;
+        let decided = self.span("decide", |w| {
+            let covered = |i, j| carry.as_ref().is_some_and(|c| c.covers((i, j)));
+            let decided = kernel.decide_union(&blocks, workers, covered)?;
+            w.record_workers("er", &decided.workers);
+            Ok(decided)
+        })?;
+        self.working.work.er_pairs += decided.candidates as usize;
+        self.obs.begin("cluster");
         // Two disjoint lists in (i, j) order (the carried one unless blocks
         // were reordered); the stable sort merges presorted runs in linear
-        // time. The result is `filter_matches` over every candidate.
+        // time. The result is every candidate at or above the threshold.
         let mut matches = carry.map(|c| c.matches).unwrap_or_default();
-        matches.extend(live_matches.iter().map(|p| (p.i, p.j)));
+        matches.extend(decided.matches);
         matches.sort();
         let clusters = cluster_pairs(rows, matches.iter().copied());
         let mut row_entity = vec![0usize; rows];
@@ -934,17 +944,15 @@ impl Wrangler {
             clusters,
             row_entity,
         };
-        for (w, st) in worker_stats.iter().enumerate() {
-            self.obs.count(&format!("er.worker{w}.items"), st.items);
-            self.obs
-                .record_nanos(&format!("worker{w}"), st.busy_nanos, 1);
-        }
-        // Candidates the ER memo did not decide, scored live. The benchmark
+        self.obs.end();
+        // Candidates the ER memo did not decide, decided live. The benchmark
         // reads the counter under this name.
-        let scored = candidates.len() as u64;
-        self.obs.count("er.cache.misses", scored);
-        self.obs.count("incr.er.pairs_remapped", total - scored);
-        self.obs.count("er.candidates", total);
+        let live = decided.candidates - decided.covered;
+        self.obs.count("er.cache.misses", live);
+        self.obs.count("incr.er.pairs_remapped", decided.covered);
+        self.obs.count("er.candidates", decided.candidates);
+        self.obs.count("er.decide.from_ids", decided.from_ids);
+        self.obs.count("er.decide.text_fields", decided.text_fields);
         self.obs.count("er.match_pairs", matches.len() as u64);
         self.obs.count("er.entities", out.clusters.len() as u64);
         if pass.incr_on {
@@ -1176,11 +1184,7 @@ impl Wrangler {
         })?;
         let slots_fused = special_slots.len() + plain_slots.len();
         self.working.work.slots_fused += slots_fused;
-        for (w, st) in worker_stats.iter().enumerate() {
-            self.obs.count(&format!("fuse.worker{w}.items"), st.items);
-            self.obs
-                .record_nanos(&format!("worker{w}"), st.busy_nanos, 1);
-        }
+        self.record_workers("fuse", &worker_stats);
         self.obs.count("fuse.slots", slots_fused as u64);
         self.obs.count("fuse.slots_skipped", slots_skipped);
         fused.sort_unstable_by_key(|&(e, a, _)| (e, a));

@@ -6,6 +6,7 @@
 //! experiment E7's subject.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use wrangler_table::{Table, Value};
 
@@ -90,62 +91,184 @@ pub fn candidates_blocked_exact(
     )))
 }
 
-/// Per row, the later rows of its block — ascending, empty for a row in no
-/// block. Row `i`'s candidates under one blocking are exactly `(i, j)` for
-/// `j` in `mates[i]`.
-fn later_mates(blocks: &BTreeMap<String, Vec<usize>>, rows: usize) -> Vec<&[usize]> {
-    let mut mates: Vec<&[usize]> = vec![&[]; rows];
-    for block in blocks.values() {
-        for (pos, &row) in block.iter().enumerate() {
-            mates[row] = &block[pos + 1..];
-        }
-    }
-    mates
-}
-
-/// The wrangle stage's candidates: prefix blocks of `block_col` ∪ exact
-/// blocks of `key_col` — rows whose name is null or typo-prefixed still meet
-/// their duplicates through the key — sorted by `(i, j)` and deduplicated.
-/// Equal to [`candidates_blocked`] ∪ [`candidates_blocked_exact`] sorted and
-/// deduped, without materialising either list or sorting: rows are walked
-/// in order and each row's two ascending partner lists are merged. When the
-/// two columns coincide only the prefix blocks apply — the same pairs as
-/// [`candidates_blocked`], but in `(i, j)` order like every other output of
-/// this function, not in that function's block-key order.
+/// The wrangle stage's candidates, held without writing one down: prefix
+/// blocks of `block_col` ∪ exact blocks of `key_col` — rows whose name is
+/// null or typo-prefixed still meet their duplicates through the key. Each
+/// blocking is flattened once (`members`: its blocks end to end, rows
+/// ascending within a block) with, per row, the span of its *later*
+/// block-mates; row `i`'s candidates are `(i, j)` for `j` in the merge of
+/// its two spans ([`Self::partners`]). Rows in order and partners ascending
+/// make every walk `(i, j)`-sorted and duplicate-free with no sort. When the
+/// two columns coincide only the prefix blocks apply.
 ///
 /// **Invariant** (the incremental engine's ER carry rests on it; pinned by
 /// `candidates_restricted_to_surviving_rows` in `tests/proptests.rs`):
 /// whether `(i, j)` is a candidate depends on rows `i` and `j` alone, so
 /// replacing or deleting rows leaves the candidates among the survivors as
 /// they were, re-indexed. A block-size cap or a window here would break it.
+#[derive(Debug, Clone)]
+pub struct UnionBlocks {
+    by_name: Blocking,
+    by_key: Blocking,
+}
+
+/// One blocking of the rows, flattened.
+#[derive(Debug, Clone)]
+struct Blocking {
+    /// Every block's rows, block after block in key order.
+    members: Vec<usize>,
+    /// Per row, where in `members` its later block-mates sit (`(0, 0)` for
+    /// a row in no block).
+    later: Vec<(usize, usize)>,
+}
+
+impl Blocking {
+    fn flatten(blocks: &BTreeMap<String, Vec<usize>>, rows: usize) -> Blocking {
+        let mut members = Vec::with_capacity(blocks.values().map(Vec::len).sum());
+        let mut later = vec![(0, 0); rows];
+        for block in blocks.values() {
+            let end = members.len() + block.len();
+            for (pos, &row) in block.iter().enumerate() {
+                later[row] = (members.len() + pos + 1, end);
+            }
+            members.extend_from_slice(block);
+        }
+        Blocking { members, later }
+    }
+
+    fn later_mates(&self, row: usize) -> &[usize] {
+        let (start, end) = self.later[row];
+        &self.members[start..end]
+    }
+}
+
+/// Row `i`'s partners: two ascending lists merged, a row in both kept once.
+#[derive(Debug, Clone)]
+pub struct Partners<'a> {
+    a: &'a [usize],
+    b: &'a [usize],
+}
+
+impl Iterator for Partners<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let j = match (self.a.first(), self.b.first()) {
+            (Some(&x), Some(&y)) => x.min(y),
+            (Some(&x), None) => x,
+            (None, Some(&y)) => y,
+            (None, None) => return None,
+        };
+        if self.a.first() == Some(&j) {
+            self.a = &self.a[1..];
+        }
+        if self.b.first() == Some(&j) {
+            self.b = &self.b[1..];
+        }
+        Some(j)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let (a, b) = (self.a.len(), self.b.len());
+        (a.max(b), Some(a + b))
+    }
+}
+
+impl UnionBlocks {
+    /// Block `table` on `block_col`'s name prefix and `key_col`'s value.
+    pub fn build(
+        table: &Table,
+        block_col: &str,
+        key_col: &str,
+    ) -> wrangler_table::Result<UnionBlocks> {
+        let rows = table.num_rows();
+        let name_blocks = blocks_by(table.column_named(block_col)?, block_key);
+        let key_blocks = if key_col == block_col {
+            BTreeMap::new()
+        } else {
+            blocks_by(table.column_named(key_col)?, exact_key)
+        };
+        Ok(UnionBlocks {
+            by_name: Blocking::flatten(&name_blocks, rows),
+            by_key: Blocking::flatten(&key_blocks, rows),
+        })
+    }
+
+    /// Rows of the blocked table.
+    pub fn num_rows(&self) -> usize {
+        self.by_name.later.len()
+    }
+
+    /// The later rows `i` is a candidate with, ascending.
+    pub fn partners(&self, i: usize) -> Partners<'_> {
+        Partners {
+            a: self.by_name.later_mates(i),
+            b: self.by_key.later_mates(i),
+        }
+    }
+
+    /// Every candidate, in `(i, j)` order.
+    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.num_rows()).flat_map(|i| self.partners(i).map(move |j| (i, j)))
+    }
+
+    /// Row `i`'s partner count with a partner in both blockings counted
+    /// twice: what walking the row costs to within the overlap, known
+    /// without merging.
+    fn weight(&self, i: usize) -> usize {
+        let size = |b: &Blocking| b.later[i].1 - b.later[i].0;
+        size(&self.by_name) + size(&self.by_key)
+    }
+
+    /// An upper bound on the number of candidates, and a tight one: a pair in
+    /// both blockings is counted twice, and key blocks are small.
+    pub fn pair_bound(&self) -> usize {
+        (0..self.num_rows()).map(|i| self.weight(i)).sum()
+    }
+
+    /// Split the rows into at most `workers` contiguous strips of about
+    /// equal partner count (counted as [`Self::pair_bound`] counts) — not
+    /// equal row counts: the early rows of a block have the most later
+    /// mates. The strips cover every row once, in order, and each holds a
+    /// pair (a table without candidates is one strip; no rows, none).
+    pub fn strips(&self, workers: usize) -> Vec<Range<usize>> {
+        let rows = self.num_rows();
+        let total = self.pair_bound();
+        let workers = workers.clamp(1, total.max(1));
+        let mut strips = Vec::with_capacity(workers);
+        let (mut start, mut walked, mut cut_at) = (0, 0, 0);
+        for i in 0..rows {
+            walked += self.weight(i);
+            // Cut after the row that brings the walk to the next worker's
+            // share.
+            let share = (strips.len() + 1) * total / workers;
+            let strip_and_rest_hold_pairs = cut_at < walked && walked < total;
+            if strips.len() + 1 < workers && walked >= share && strip_and_rest_hold_pairs {
+                strips.push(start..i + 1);
+                (start, cut_at) = (i + 1, walked);
+            }
+        }
+        if start < rows {
+            strips.push(start..rows);
+        }
+        strips
+    }
+}
+
+/// [`UnionBlocks`] written down: the candidates sorted by `(i, j)` and
+/// deduplicated — [`candidates_blocked`] ∪ [`candidates_blocked_exact`], but
+/// always in `(i, j)` order, not in those functions' block-key order. The
+/// reference list tests and experiments score; the wrangle stage walks the
+/// blocks instead.
 pub fn candidates_union(
     table: &Table,
     block_col: &str,
     key_col: &str,
 ) -> wrangler_table::Result<Vec<(usize, usize)>> {
-    let rows = table.num_rows();
-    let name_blocks = blocks_by(table.column_named(block_col)?, block_key);
-    let key_blocks = if key_col == block_col {
-        BTreeMap::new()
-    } else {
-        blocks_by(table.column_named(key_col)?, exact_key)
-    };
-    let by_name = later_mates(&name_blocks, rows);
-    let by_key = later_mates(&key_blocks, rows);
-    // An upper bound (a pair in both blockings is counted twice), so the
-    // list never reallocates; key blocks are small, so it is a tight one.
-    let bound: usize = by_name.iter().chain(&by_key).map(|m| m.len()).sum();
-    let mut out = Vec::with_capacity(bound);
-    for (i, (a, b)) in by_name.iter().zip(&by_key).enumerate() {
-        let (mut x, mut y) = (0, 0);
-        while x < a.len() && y < b.len() {
-            let j = a[x].min(b[y]);
-            x += usize::from(a[x] == j);
-            y += usize::from(b[y] == j);
-            out.push((i, j));
-        }
-        out.extend(a[x..].iter().chain(&b[y..]).map(|&j| (i, j)));
-    }
+    let blocks = UnionBlocks::build(table, block_col, key_col)?;
+    // The bound is tight, so the list never reallocates.
+    let mut out = Vec::with_capacity(blocks.pair_bound());
+    out.extend(blocks.pairs());
     Ok(out)
 }
 
@@ -234,6 +357,116 @@ mod tests {
         for p in candidates_blocked(&t, "name").unwrap() {
             assert!(naive.contains(&p));
         }
+    }
+
+    /// `name` and `sku` columns from `(name, sku)` rows; `""` is a null.
+    fn named_and_keyed(rows: &[(&str, &str)]) -> Table {
+        let cell = |s: &str| {
+            if s.is_empty() {
+                Value::Null
+            } else {
+                Value::from(s)
+            }
+        };
+        Table::literal(
+            &["name", "sku"],
+            rows.iter().map(|(n, k)| vec![cell(n), cell(k)]).collect(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn walk_merges_both_blockings_per_row_and_is_what_the_list_collects() {
+        // Rows 0, 1, 3 share the name prefix; 1, 2, 3 the key; row 4 is in
+        // no block at all; row 5 only meets row 0 through a case-folded key.
+        let t = named_and_keyed(&[
+            ("Acme Widget", "k9"),
+            ("acme gadget", "K1"),
+            ("", "k1"),
+            ("ACME thing", "k1 "),
+            ("", ""),
+            ("Bolt", "K9"),
+        ]);
+        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
+        assert_eq!(blocks.num_rows(), 6);
+        let partners = |i| blocks.partners(i).collect::<Vec<_>>();
+        assert_eq!(partners(0), vec![1, 3, 5]);
+        assert_eq!(
+            partners(1),
+            vec![2, 3],
+            "(1, 3) is in both blockings, walked once"
+        );
+        assert_eq!(partners(2), vec![3]);
+        assert!(partners(3).is_empty() && partners(4).is_empty() && partners(5).is_empty());
+        let listed = candidates_union(&t, "name", "sku").unwrap();
+        assert_eq!(listed, vec![(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3)]);
+        assert_eq!(blocks.pairs().collect::<Vec<_>>(), listed);
+        assert_eq!(blocks.pair_bound(), listed.len() + 1);
+        // One column in both roles: the prefix blocks alone, in (i, j) order.
+        let mut prefix_only = candidates_blocked(&t, "name").unwrap();
+        prefix_only.sort_unstable();
+        assert_eq!(candidates_union(&t, "name", "name").unwrap(), prefix_only);
+        let by_key = UnionBlocks::build(&t, "sku", "sku").unwrap();
+        assert_eq!(
+            by_key.pairs().collect::<Vec<_>>(),
+            vec![(0, 5), (1, 2), (1, 3), (2, 3)]
+        );
+        assert!(UnionBlocks::build(&t, "name", "ghost").is_err());
+    }
+
+    #[test]
+    fn all_null_columns_and_empty_tables_walk_nothing() {
+        let nulls = named_and_keyed(&[("", ""), ("", ""), ("", "")]);
+        let blocks = UnionBlocks::build(&nulls, "name", "sku").unwrap();
+        assert_eq!(blocks.pairs().count(), 0);
+        assert_eq!(blocks.pair_bound(), 0);
+        // Still every row, once: one strip however many workers ask.
+        assert_eq!(blocks.strips(4), vec![0..3]);
+        let keyed = named_and_keyed(&[("", "a"), ("", "A"), ("", "")]);
+        assert_eq!(
+            candidates_union(&keyed, "name", "sku").unwrap(),
+            vec![(0, 1)]
+        );
+        let empty = named_and_keyed(&[]);
+        let blocks = UnionBlocks::build(&empty, "name", "sku").unwrap();
+        assert!(blocks.strips(3).is_empty() && blocks.pairs().next().is_none());
+    }
+
+    #[test]
+    fn strips_balance_pairs_not_rows() {
+        // One block of 40 rows: row r has 39 − r later mates, 780 pairs in
+        // all. Equal row counts would hand the first of two workers 590.
+        let t = names(&["acme"; 40]);
+        let blocks = UnionBlocks::build(&t, "name", "name").unwrap();
+        assert_eq!(blocks.pair_bound(), 780);
+        let walked = |rows: Range<usize>| rows.map(|i| blocks.partners(i).count()).sum::<usize>();
+        for workers in 1..=9 {
+            let strips = blocks.strips(workers);
+            assert_eq!(strips.len(), workers);
+            assert_eq!(strips[0].start, 0);
+            assert_eq!(strips[workers - 1].end, 40);
+            assert!(strips.windows(2).all(|s| s[0].end == s[1].start));
+            // A strip ends with the row that reaches its share, so it
+            // overshoots by less than that row's partners.
+            for s in &strips {
+                let n = walked(s.clone());
+                assert!(
+                    n > 0 && n < 780 / workers + 40,
+                    "{workers} workers: {strips:?}"
+                );
+            }
+        }
+        assert_eq!(
+            blocks.strips(2)[0],
+            0..12,
+            "390 of 780 pairs sit in the first 12 rows"
+        );
+        // More workers than pairs: one strip per pair at most.
+        let two = names(&["acme", "acme"]);
+        assert_eq!(
+            UnionBlocks::build(&two, "name", "name").unwrap().strips(8),
+            vec![0..2]
+        );
     }
 
     #[test]

@@ -1,48 +1,70 @@
 //! The precompiled, dictionary-encoded, parallel entity-resolution kernel.
 //!
-//! E13's stage attribution put ~90% of a wrangle's wall-clock inside the ER
-//! stage, and almost all of it in pair scoring: [`record_similarity`] looks
-//! every column name up in the schema *per pair per field*, renders and
-//! lowercases both values *per pair*, and rebuilds token sets *per pair* —
-//! work that is a pure function of one *value*, recomputed O(candidates)
-//! times. And a million blocked candidates hold only tens of thousands of
-//! distinct value pairs: the rows of one block are copies of a few names.
+//! The uncompiled [`record_similarity`] looks every column name up in the
+//! schema *per pair per field*, renders and lowercases both values *per
+//! pair*, and rebuilds token sets *per pair* — work that is a pure function
+//! of one *value*, recomputed O(candidates) times. And a million blocked
+//! candidates hold only tens of thousands of distinct value pairs: the rows
+//! of one block are copies of a few names.
 //!
 //! [`ErKernel::compile`] resolves the [`ErConfig`]'s column names to indices
-//! once (an unknown column errors *before* any scoring), then encodes every
-//! text and exact field as a dictionary: one `u32` id per row (ids in
-//! first-appearance order, `u32::MAX` for a null) and one cell per
+//! once (an unknown column errors *before* any pair is looked at), then
+//! encodes every text and exact field as a dictionary: one `u32` id per row
+//! (ids in first-appearance order, `u32::MAX` for a null) and one cell per
 //! *distinct* folded value — the lowercased rendering with its sorted token
 //! set (text), the ASCII-folded rendering (exact). Numeric fields keep one
-//! classified cell per row. Scoring a pair then compares ids: equal ids are
-//! `1.0`, an exact field is id equality, and a text field's similarity is
-//! computed once per *ordered* `(id_a, id_b)` per scoring pass and answered
-//! from an integer-keyed memo (`PairMemo`) afterwards — one memo per field,
-//! shared by every worker of the pass.
+//! classified cell per row. A pair is then a comparison of ids: equal ids
+//! are `1.0`, an exact field is id equality, and only a text field over two
+//! *different* values needs its strings — a similarity computed once per
+//! *ordered* `(id_a, id_b)` per pass and answered from an integer-keyed memo
+//! (`PairMemo`) afterwards, one memo per field, shared by every worker.
 //!
-//! The arithmetic mirrors the serial path operation for operation, and the
-//! memo only replays a value computed by that arithmetic on the same two
-//! strings in the same order (the key is ordered: Jaro's greedy matching is
-//! not symmetric), so kernel scores are **bit-identical** to
+//! Two things are asked of a compiled kernel.
+//!
+//! **Which candidates match** — [`ErKernel::decide_union`], what the wrangle
+//! stage runs. Nothing downstream of ER reads a score, only `score ≥
+//! threshold`, so the kernel walks the blocks ([`UnionBlocks`]: no candidate
+//! list) and decides each pair where it meets it (no score vector). The
+//! decision brackets the score from the ids: a text field over two different
+//! values contributes something in [0, 1], every other field is known, and
+//! the score loop run with 0.0 and with 1.0 for the unknowns gives `lo ≤
+//! score ≤ hi` — in f64, bit for bit, on three premises: every field
+//! similarity lies in [0, 1] (pinned by a proptest), every weight is finite
+//! and ≥ 0 with a finite sum (checked by `compile`; a config that fails it
+//! is decided through the exact score, every field opened), and IEEE `*`,
+//! `+`, `/` round monotonically. `hi < threshold` rejects, `lo ≥ threshold`
+//! accepts, and otherwise the heaviest unknown field is opened and the
+//! bracket recomputed; with none left both ends *are* the score. Most pairs
+//! of a blocked union have two present, different keys, which alone puts
+//! `hi` under any threshold above `1 − w_key / W`: they are settled without
+//! touching a string. Workers take contiguous strips of *rows*, balanced by
+//! partner count, and their matches concatenate in `(i, j)` order.
+//!
+//! **What a pair scores** — [`ErKernel::score_pairs`] and the `match_pairs*`
+//! family over a written-down list: the reference the decision is tested
+//! against, and what experiments and the benchmark's replays time. The
+//! arithmetic mirrors the serial path operation for operation, and the memo
+//! only replays a value computed by that arithmetic on the same two strings
+//! in the same order (the key is ordered: Jaro's greedy matching is not
+//! symmetric), so kernel scores are **bit-identical** to
 //! [`record_similarity`] — the `parallel_kernel_equals_serial_match_pairs`
-//! proptest holds for any worker count. Parallel scoring splits the
-//! candidate list into *contiguous blocked chunks* (worker `w` scores
-//! `candidates[start_w..end_w]`, chunks balanced to within one pair) and
-//! reassembles them in chunk order, so the output does not depend on
-//! scheduling. The memos are the only shared state: which worker computes a
+//! proptest holds for any worker count. Parallel scoring splits the list
+//! into *contiguous blocked chunks* and reassembles them in chunk order.
+//!
+//! Either way the memos are the only shared state: which worker computes a
 //! value pair first is a race, but every worker would compute the same bits
 //! for it, so the race never reaches an output — and the total work does not
 //! grow with the pool. The pool is sized by
 //! [`wrangler_table::par::effective_workers`]: never wider than the machine's
 //! cores, and never so wide that a worker gets fewer than
-//! [`MIN_PAIRS_PER_WORKER`] pairs — tiny candidate sets (e.g. the handful of
-//! live pairs of an incremental pass) run serially instead of paying
-//! thread-spawn latency.
+//! [`MIN_PAIRS_PER_WORKER`] pairs — a small union runs serially instead of
+//! paying thread-spawn latency.
 //!
 //! [`record_similarity`]: crate::sim::record_similarity
 
 use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{PoisonError, RwLock, TryLockError};
 
@@ -50,14 +72,32 @@ pub use wrangler_table::par::WorkerStat;
 use wrangler_table::par::{self, effective_workers};
 use wrangler_table::{Table, TableError, Value};
 
+use crate::blocking::UnionBlocks;
 use crate::sim::{ErConfig, SimKind};
 use crate::ScoredPair;
 
-/// Minimum candidate pairs per worker before the pool widens by one thread.
-/// A first-seen value pair costs on the order of a microsecond (a repeat,
-/// tens of nanoseconds); a thread spawn costs tens of microseconds — below
-/// this floor the spawn never pays for itself.
-pub const MIN_PAIRS_PER_WORKER: usize = 512;
+/// Minimum candidate pairs *walked* per worker before the pool widens by
+/// one thread.
+///
+/// Measured where the policy earns or loses its keep: the pipeline's own
+/// `wrangle/er/decide` span of whole passes at one ER worker and at two
+/// (2-core VM delivering two cores, checked before and after each sweep;
+/// release build; 4- to 8-source fleets of 60 to 640 products; minimum and
+/// median of 9 passes, each sweep run twice, with this floor still at 512,
+/// where every fleet from 1,024 pairs up fans out). A walked-and-decided
+/// pair costs 35–45 ns there — almost all are settled from ids — and a
+/// fan-out 150–200 µs before the first pair is saved. Two workers over one
+/// read 1.62–1.91 at 2,168 pairs, 1.33–1.66 at 4,754, 1.09–1.61 at
+/// 7,428–8,881, 1.11–1.34 at 11,568, 0.91–1.06 at 15,465, 0.83–1.06 at
+/// 21,458–26,133, 0.73–0.96 at 34,542–44,961 and 0.64–0.74 at 120,487.
+/// 16384 — a fan-out from 32,768 pairs — is the smallest power of two at
+/// which fanning out is a measured win rather than a coin toss. (It was 512
+/// while the stage scored every pair: a first-seen value pair costs a
+/// microsecond.) `e14_er_scaling` prints the decision at one worker against
+/// two spawned regardless either side of the floor, and the pipeline's span
+/// on the fleets over it. The exact-scoring entry points, the reference the
+/// decision is tested against, size their pools by the same constant.
+pub const MIN_PAIRS_PER_WORKER: usize = 16384;
 
 /// Dictionary id of a null value: the field is skipped for any pair
 /// involving the row.
@@ -329,6 +369,47 @@ impl PassMemos {
     }
 }
 
+/// What one field contributes to a pair, as far as the ids tell.
+#[derive(Debug, Clone, Copy)]
+enum FromIds {
+    /// A null or incomparable side: the field is skipped.
+    Skipped,
+    /// Settled: an exact or numeric field, or a text field over one value.
+    Known(f64),
+    /// A text field over two different values: somewhere in [0, 1] until
+    /// it is opened.
+    Unknown,
+}
+
+/// What one worker brings back from its strip of rows.
+#[derive(Debug, Default)]
+struct Strip {
+    /// Matched pairs in walk order, which is `(i, j)` order.
+    matches: Vec<(usize, usize)>,
+    walked: u64,
+    covered: u64,
+    from_ids: u64,
+    text_fields: u64,
+}
+
+/// [`ErKernel::decide_union`]'s answer and what the walk counted.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UnionMatches {
+    /// The decided pairs that match (`score ≥ threshold`), sorted by `(i, j)`.
+    pub matches: Vec<(usize, usize)>,
+    /// Candidates walked: the length of `candidates_union`'s list.
+    pub candidates: u64,
+    /// Of those, pairs the caller's `covered` took: walked, not decided.
+    pub covered: u64,
+    /// Decided pairs settled with no text field opened.
+    pub from_ids: u64,
+    /// Text fields opened over all decided pairs — a function of each pair
+    /// and the config, not of the memos or the schedule.
+    pub text_fields: u64,
+    /// Per worker, the pairs it walked and its busy wall-clock.
+    pub workers: Vec<WorkerStat>,
+}
+
 /// An [`ErConfig`] precompiled against one table: column names resolved,
 /// comparators monomorphized, text and exact columns dictionary-encoded.
 /// Build once per (table, config), score many pairs.
@@ -337,6 +418,9 @@ pub struct ErKernel {
     threshold: f64,
     rows: usize,
     fields: Vec<CompiledField>,
+    /// Do the weights license deciding from bounds ([`Self::decide_union`])?
+    /// Every weight is finite and ≥ 0 and so is their sum.
+    bounded: bool,
 }
 
 impl ErKernel {
@@ -381,10 +465,13 @@ impl ErKernel {
                 cells,
             });
         }
+        let weights = cfg.fields.iter().map(|f| f.weight);
+        let bounded = weights.clone().all(|w| w >= 0.0) && weights.sum::<f64>().is_finite();
         Ok(ErKernel {
             threshold: cfg.threshold,
             rows,
             fields,
+            bounded,
         })
     }
 
@@ -578,6 +665,173 @@ impl ErKernel {
                 score: s,
             })
             .collect()
+    }
+
+    /// Which candidates of `blocks` match: walk every row's partners and
+    /// decide each pair on the spot, across row strips sized by
+    /// [`effective_workers`] over the pairs to walk. `covered(i, j)` is the
+    /// caller's "already decided elsewhere" (the incremental carry): such a
+    /// pair is walked and counted, not decided. The matches are
+    /// `filter_matches(candidates_union, score_pairs)` without the pairs
+    /// `covered`, as `(i, j)` in that order, for any `workers` — no candidate
+    /// list, no score vector.
+    pub fn decide_union(
+        &self,
+        blocks: &UnionBlocks,
+        workers: usize,
+        covered: impl Fn(usize, usize) -> bool + Sync,
+    ) -> wrangler_table::Result<UnionMatches> {
+        let workers = effective_workers(workers, blocks.pair_bound(), MIN_PAIRS_PER_WORKER);
+        self.decide_union_exact(blocks, workers, covered)
+    }
+
+    /// [`Self::decide_union`] with an exact pool width: one thread per strip
+    /// of [`UnionBlocks::strips`], bypassing the sizing policy.
+    pub fn decide_union_exact(
+        &self,
+        blocks: &UnionBlocks,
+        workers: usize,
+        covered: impl Fn(usize, usize) -> bool + Sync,
+    ) -> wrangler_table::Result<UnionMatches> {
+        // Every partner is a row of the blocked table: one check bounds
+        // every pair of the walk.
+        if blocks.num_rows() != self.rows {
+            return Err(TableError::Invalid(format!(
+                "blocks over {} rows walked against a kernel over {}",
+                blocks.num_rows(),
+                self.rows
+            )));
+        }
+        let strips = blocks.strips(workers);
+        let memos = self.memos(blocks.pair_bound());
+        // One strip per worker; strips in order are `(i, j)` order.
+        let (chunks, stats) = par::run_blocked(&strips, strips.len(), |_, chunk| {
+            chunk
+                .iter()
+                .map(|rows| self.decide_strip(blocks, rows.clone(), &covered, &memos))
+                .collect::<Vec<_>>()
+        })
+        .map_err(|msg| TableError::Unavailable(format!("ER decision worker panicked: {msg}")))?;
+        let mut out = UnionMatches::default();
+        for (strip, stat) in chunks.into_iter().flatten().zip(stats) {
+            out.matches.extend(strip.matches);
+            out.covered += strip.covered;
+            out.from_ids += strip.from_ids;
+            out.text_fields += strip.text_fields;
+            out.candidates += strip.walked;
+            out.workers.push(WorkerStat {
+                items: strip.walked,
+                busy_nanos: stat.busy_nanos,
+            });
+        }
+        Ok(out)
+    }
+
+    /// One worker's share: walk the partners of `rows` and decide the pairs
+    /// not `covered`, a batch at a time against the pass's memos.
+    fn decide_strip(
+        &self,
+        blocks: &UnionBlocks,
+        rows: Range<usize>,
+        covered: &(impl Fn(usize, usize) -> bool + Sync),
+        memos: &PassMemos,
+    ) -> Strip {
+        let mut strip = Strip::default();
+        let mut scratch = SimScratch::default();
+        let mut state = vec![FromIds::Skipped; self.fields.len()];
+        let mut row = rows.start;
+        while row < rows.end {
+            memos.with_tables(|memos| {
+                let batch_end = strip.walked + MEMO_BATCH as u64;
+                while row < rows.end && strip.walked < batch_end {
+                    for j in blocks.partners(row) {
+                        strip.walked += 1;
+                        if covered(row, j) {
+                            strip.covered += 1;
+                            continue;
+                        }
+                        let mut opened = 0;
+                        if self.decide_with(row, j, memos, &mut state, &mut scratch, &mut opened) {
+                            strip.matches.push((row, j));
+                        }
+                        strip.from_ids += u64::from(opened == 0);
+                        strip.text_fields += opened;
+                    }
+                    row += 1;
+                }
+            });
+        }
+        strip
+    }
+
+    /// Is `score(i, j) ≥ threshold`? Decided from bounds on the score. The
+    /// ids settle every field but a text field over two different values,
+    /// whose similarity lies in [0, 1]: `score_with`'s loop run with 0.0 and
+    /// with 1.0 in its place brackets the score — every weight is ≥ 0 and
+    /// IEEE `*`, `+` and `/` round monotonically, so the bracket holds in
+    /// f64, bit for bit — and a threshold outside the bracket is decided
+    /// there. One inside it opens the heaviest such field and brackets
+    /// again; with none left both ends are `score_with`'s `num / den`.
+    /// Weights that break the premise (`!self.bounded`) open every field
+    /// first. `state` is the worker's per-field buffer; `opened` counts the
+    /// text fields opened.
+    fn decide_with(
+        &self,
+        i: usize,
+        j: usize,
+        memos: &[PairMemo],
+        state: &mut [FromIds],
+        scratch: &mut SimScratch,
+        opened: &mut u64,
+    ) -> bool {
+        for ((f, memo), st) in self.fields.iter().zip(memos).zip(state.iter_mut()) {
+            *st = match &f.cells {
+                FieldCells::Text { ids, .. }
+                    if ids[i] != ids[j] && ids[i] != NULL_ID && ids[j] != NULL_ID =>
+                {
+                    FromIds::Unknown
+                }
+                cells => field_similarity(cells, i, j, memo, scratch)
+                    .map_or(FromIds::Skipped, FromIds::Known),
+            };
+        }
+        loop {
+            let (mut lo, mut hi, mut den) = (0.0, 0.0, 0.0);
+            let mut heaviest: Option<usize> = None;
+            for (k, (f, st)) in self.fields.iter().zip(state.iter()).enumerate() {
+                let (s_lo, s_hi) = match *st {
+                    FromIds::Skipped => continue,
+                    FromIds::Known(s) => (s, s),
+                    FromIds::Unknown => {
+                        if heaviest.is_none_or(|h| self.fields[h].weight < f.weight) {
+                            heaviest = Some(k);
+                        }
+                        (0.0, 1.0)
+                    }
+                };
+                lo += f.weight * s_lo;
+                hi += f.weight * s_hi;
+                den += f.weight;
+            }
+            let Some(k) = heaviest else {
+                // Every field known: `lo` and `den` are `score_with`'s.
+                return (if den == 0.0 { 0.0 } else { lo / den }) >= self.threshold;
+            };
+            if self.bounded {
+                if den == 0.0 {
+                    return 0.0 >= self.threshold;
+                }
+                if hi / den < self.threshold {
+                    return false;
+                }
+                if lo / den >= self.threshold {
+                    return true;
+                }
+            }
+            state[k] = field_similarity(&self.fields[k].cells, i, j, &memos[k], scratch)
+                .map_or(FromIds::Skipped, FromIds::Known);
+            *opened += 1;
+        }
     }
 
     /// A canonical content key per row over exactly the cells scoring reads.
@@ -1055,6 +1309,77 @@ mod tests {
         let (_, stats) = kernel.score_pairs_parallel(&cand, 8).unwrap();
         assert_eq!(stats.len(), 1);
         assert_eq!(stats[0].items, cand.len() as u64);
+    }
+
+    #[test]
+    fn decide_union_returns_the_scored_list_filtered_and_counts_what_it_opened() {
+        // Blocks on name ∪ sku: {0, 1, 3} by prefix, {0, 1, 4} by key.
+        let (t, cfg) = (t(), cfg());
+        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
+        let listed: Vec<_> = blocks.pairs().collect();
+        assert_eq!(listed, vec![(0, 1), (0, 3), (0, 4), (1, 3), (1, 4)]);
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        assert!(kernel.bounded);
+        let serial = match_pairs(&t, &listed, &cfg).unwrap();
+        let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
+        assert_eq!(want, listed, "fixture: every candidate matches at 0.85");
+        let got = kernel.decide_union(&blocks, 4, |_, _| false).unwrap();
+        assert_eq!(got.matches, want);
+        // (0, 3) has one name, (0, 4) and (1, 4) a null one: ids settle them.
+        // (0, 1) and (1, 3) bracket 0.85 until the name is opened.
+        assert_eq!((got.candidates, got.covered), (5, 0));
+        assert_eq!((got.from_ids, got.text_fields), (3, 2));
+        assert_eq!(got.workers.len(), 1, "five pairs never pay a thread");
+        assert_eq!(got.workers[0].items, 5);
+        // Out of reach of every score: rejected without opening anything.
+        let strict = ErConfig {
+            threshold: 1.5,
+            ..cfg.clone()
+        };
+        let got = ErKernel::compile(&t, &strict)
+            .unwrap()
+            .decide_union_exact(&blocks, 3, |i, _| i == 1)
+            .unwrap();
+        assert!(got.matches.is_empty());
+        assert_eq!((got.candidates, got.covered), (5, 2));
+        assert_eq!((got.from_ids, got.text_fields), (3, 0));
+        assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), 5);
+        // Blocks of another table are refused whole.
+        let other = UnionBlocks::build(&repeated_names(7, 2), "name", "name").unwrap();
+        assert!(kernel.decide_union(&other, 1, |_, _| false).is_err());
+    }
+
+    #[test]
+    fn weights_outside_the_premise_open_every_field_and_equal_the_serial_path() {
+        let t = t();
+        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
+        let listed: Vec<_> = blocks.pairs().collect();
+        for (price_weight, threshold) in [
+            (-1.0, 0.85),
+            (-1.0, 1.5),
+            (f64::NAN, 0.85),
+            (f64::INFINITY, 0.0),
+            (f64::MAX, 0.85),
+        ] {
+            let mut cfg = cfg();
+            cfg.threshold = threshold;
+            cfg.fields[1].weight = price_weight;
+            // `MAX + MAX` overflows: finite weights, no finite sum.
+            cfg.fields[2].weight = if price_weight == f64::MAX {
+                f64::MAX
+            } else {
+                1.0
+            };
+            let kernel = ErKernel::compile(&t, &cfg).unwrap();
+            assert!(!kernel.bounded, "weight {price_weight}");
+            let serial = match_pairs(&t, &listed, &cfg).unwrap();
+            let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
+            let got = kernel.decide_union_exact(&blocks, 2, |_, _| false).unwrap();
+            assert_eq!(got.matches, want, "weight {price_weight} at {threshold}");
+            // No bracket is trusted: both pairs with two names open them,
+            // even at a threshold no score reaches.
+            assert_eq!((got.from_ids, got.text_fields), (3, 2));
+        }
     }
 
     #[test]

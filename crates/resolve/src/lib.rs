@@ -10,13 +10,17 @@
 //! * [`sim`] — weighted record similarity over typed field comparators;
 //! * [`kernel`] — the [`ErKernel`]: a config precompiled against one table
 //!   (columns resolved, text and key columns dictionary-encoded so each
-//!   distinct value pair is compared once), scoring candidate pairs serially
-//!   or across a deterministic blocked worker pool with output bit-identical
-//!   to the serial path;
+//!   distinct value pair is compared once). It answers *which candidates
+//!   match* by walking the blocks and deciding each pair from bounds on its
+//!   score ([`ErKernel::decide_union`], what the wrangle stage runs), and
+//!   *what a pair scores* over a written-down list, serially or across a
+//!   deterministic blocked worker pool, bit-identical to the serial path —
+//!   the reference the decision is tested against;
 //! * [`blocking`] — key-based blocking and sorted-neighbourhood candidate
 //!   generation, versus the naive O(n²) baseline (the §4.3 scalability
-//!   experiment E7 measures the crossover), and [`candidates_union`], the
-//!   sort-free name ∪ key candidate list the wrangle stage scores;
+//!   experiment E7 measures the crossover), and [`UnionBlocks`], the
+//!   list-free name ∪ key blocks the wrangle stage walks
+//!   ([`candidates_union`] writes them down);
 //! * [`cluster`] — union-find clustering of matched pairs into entities and
 //!   representative selection;
 //! * [`learn`] — threshold/weight learning from labeled pairs, the
@@ -30,10 +34,10 @@ pub mod sim;
 
 pub use blocking::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
-    candidates_union,
+    candidates_union, UnionBlocks,
 };
 pub use cluster::{cluster_pairs, UnionFind};
-pub use kernel::{ErKernel, WorkerStat};
+pub use kernel::{ErKernel, UnionMatches, WorkerStat};
 pub use sim::{record_similarity, ErConfig, FieldSim, SimKind};
 
 use wrangler_table::Table;

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use wrangler_resolve::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
     candidates_union, cluster_pairs, match_pairs, record_similarity, ErConfig, ErKernel, FieldSim,
-    SimKind, UnionFind,
+    SimKind, UnionBlocks, UnionFind,
 };
 use wrangler_table::{Table, Value};
 
@@ -140,6 +140,112 @@ fn duplicated_cfg() -> ErConfig {
         ],
         threshold: 0.7,
     }
+}
+
+/// Six columns for the decision property: two pooled text columns and a
+/// short one, a key, two messy numerics — nulls everywhere.
+fn arb_wide_table(rows: usize) -> impl Strategy<Value = Table> {
+    let brand = (0usize..4).prop_map(|k| ["Acme", "ACME", "Bölt", "bolt"][k]);
+    let text = (
+        prop::option::of(arb_pooled_name()),
+        prop::option::of(brand),
+        prop::option::of(arb_pooled_name()),
+    );
+    let key = (0usize..4).prop_map(|k| ["SKU-1", "sku-1", "SKU-2", "ß4"][k]);
+    let rest = (prop::option::of(key), arb_messy_value(), arb_messy_value());
+    prop::collection::vec((text, rest), 1..=rows).prop_map(|rs| {
+        let text = |v: Option<&str>| v.map(Value::from).unwrap_or(Value::Null);
+        let rows = rs
+            .into_iter()
+            .map(|((name, brand, note), (sku, x, y))| {
+                vec![
+                    text(name.as_deref()),
+                    text(sku),
+                    x,
+                    text(brand),
+                    text(note.as_deref()),
+                    y,
+                ]
+            })
+            .collect();
+        Table::literal(&["name", "sku", "x", "brand", "note", "y"], rows).expect("aligned")
+    })
+}
+
+/// The six comparators of [`arb_wide_table`], in column order.
+const WIDE_KINDS: [(&str, SimKind); 6] = [
+    ("name", SimKind::Text),
+    ("sku", SimKind::Exact),
+    ("x", SimKind::Numeric { scale: 0.5 }),
+    ("brand", SimKind::Text),
+    ("note", SimKind::Text),
+    ("y", SimKind::Numeric { scale: 2.0 }),
+];
+
+/// One to six of [`WIDE_KINDS`] (bit `k` of `mask` keeps field `k`), with
+/// weight `weights[k]` each.
+fn wide_cfg(mask: u8, weights: &[f64], threshold: f64) -> ErConfig {
+    let mask = if mask.is_multiple_of(64) { 1 } else { mask };
+    ErConfig {
+        fields: WIDE_KINDS
+            .iter()
+            .zip(weights)
+            .enumerate()
+            .filter(|(k, _)| mask >> k & 1 == 1)
+            .map(|(_, (&(column, kind), &weight))| FieldSim {
+                column: column.into(),
+                weight,
+                kind,
+            })
+            .collect(),
+        threshold,
+    }
+}
+
+/// Weights the bound argument covers: zero, tiny, ordinary, huge.
+fn arb_weight() -> impl Strategy<Value = f64> {
+    (0usize..7).prop_map(|k| [0.0, 0.0, 1e-3, 0.5, 1.0, 3.0, 1e300][k])
+}
+
+/// A threshold a bound could get wrong: the bits of a reachable score and
+/// its two neighbours, the line `1 − w_key/W` below which a key mismatch
+/// stops rejecting, the ends of [0, 1], beyond it, and NaN.
+fn adversarial_threshold(
+    kernel: &ErKernel,
+    cfg: &ErConfig,
+    pairs: &[(usize, usize)],
+    mode: u8,
+    pick: usize,
+) -> f64 {
+    let reachable = || match pairs.len() {
+        0 => 0.5,
+        n => {
+            let (i, j) = pairs[pick % n];
+            kernel.score(i, j).unwrap()
+        }
+    };
+    match mode % 8 {
+        0 => reachable(),
+        1 => reachable().next_up(),
+        2 => reachable().next_down(),
+        3 => {
+            let total: f64 = cfg.fields.iter().map(|f| f.weight).sum();
+            let key = cfg.fields.iter().find(|f| f.kind == SimKind::Exact);
+            1.0 - key.map_or(cfg.fields[0].weight, |f| f.weight) / total
+        }
+        4 => 0.0,
+        5 => 1.0,
+        6 => 1.5,
+        _ => f64::NAN,
+    }
+}
+
+/// `filter_matches(candidates_union, score_pairs)` as `(i, j)`: what
+/// `decide_union` must return, computed the long way.
+fn listed_and_scored(kernel: &ErKernel, pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {
+    let scores = kernel.score_pairs(pairs).unwrap();
+    let matched = kernel.filter_matches(pairs, &scores);
+    matched.iter().map(|p| (p.i, p.j)).collect()
 }
 
 /// Canonical form of a clustering: rows sorted within clusters, clusters
@@ -298,6 +404,126 @@ proptest! {
         want.sort_unstable();
         want.dedup();
         prop_assert_eq!(candidates_union(&t, "name", key_col).unwrap(), want);
+    }
+
+    #[test]
+    fn deciding_in_the_walk_equals_listing_scoring_and_filtering(
+        t in arb_wide_table(28),
+        mask in any::<u8>(),
+        weights in prop::collection::vec(arb_weight(), 6),
+        mode in any::<u8>(),
+        pick in any::<usize>(),
+    ) {
+        let pairs = candidates_union(&t, "name", "sku").unwrap();
+        let mut cfg = wide_cfg(mask, &weights, 0.0);
+        let probe = ErKernel::compile(&t, &cfg).unwrap();
+        cfg.threshold = adversarial_threshold(&probe, &cfg, &pairs, mode, pick);
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        let want = listed_and_scored(&kernel, &pairs);
+        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
+        let serial = kernel.decide_union_exact(&blocks, 1, |_, _| false).unwrap();
+        prop_assert_eq!(&serial.matches, &want, "threshold {:?}", cfg.threshold);
+        prop_assert_eq!(serial.candidates, pairs.len() as u64);
+        prop_assert_eq!(serial.covered, 0);
+        prop_assert!(serial.from_ids <= serial.candidates);
+        // A pair not settled from ids opened a text field.
+        prop_assert!(serial.text_fields >= serial.candidates - serial.from_ids);
+        for workers in [2usize, 3, 7] {
+            let wide = kernel.decide_union_exact(&blocks, workers, |_, _| false).unwrap();
+            prop_assert_eq!(&wide.matches, &want, "workers = {}", workers);
+            // What was opened is a function of the pairs, not of the schedule.
+            prop_assert_eq!(
+                (wide.candidates, wide.from_ids, wide.text_fields),
+                (serial.candidates, serial.from_ids, serial.text_fields)
+            );
+            prop_assert_eq!(wide.workers.iter().map(|s| s.items).sum::<u64>(), wide.candidates);
+            prop_assert!(wide.workers.len() <= workers);
+            prop_assert!(pairs.is_empty() || wide.workers.iter().all(|s| s.items > 0));
+        }
+        let policy = kernel.decide_union(&blocks, 4, |_, _| false).unwrap();
+        prop_assert_eq!(&policy.matches, &want);
+        // A covered pair is walked and counted, never decided.
+        let covered = |i: usize, j: usize| (i + j).is_multiple_of(3);
+        let rest: Vec<(usize, usize)> =
+            pairs.iter().copied().filter(|&(i, j)| !covered(i, j)).collect();
+        let part = kernel.decide_union_exact(&blocks, 2, covered).unwrap();
+        prop_assert_eq!(&part.matches, &listed_and_scored(&kernel, &rest));
+        prop_assert_eq!(part.candidates, pairs.len() as u64);
+        prop_assert_eq!(part.covered, (pairs.len() - rest.len()) as u64);
+    }
+
+    #[test]
+    fn every_field_similarity_lies_in_the_unit_interval(t in arb_wide_table(16)) {
+        // The premise of the bound: a one-field config's score *is* that
+        // field's similarity (weight 1: `1.0 * s / 1.0`), or 0.0 when the
+        // field is skipped. Never NaN, never outside [0, 1] — for NaN, ±∞
+        // and text payloads under a numeric comparator too.
+        for (k, _) in WIDE_KINDS.iter().enumerate() {
+            let cfg = wide_cfg(1 << k, &[1.0; 6], 0.5);
+            let kernel = ErKernel::compile(&t, &cfg).unwrap();
+            let n = t.num_rows();
+            for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                let s = kernel.score(i, j).unwrap();
+                prop_assert!((0.0..=1.0).contains(&s), "field {k} pair ({i}, {j}): {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn weights_outside_the_premise_decide_through_the_exact_score(
+        t in arb_wide_table(24),
+        bad in 0usize..4,
+        at in 0usize..6,
+        mode in any::<u8>(),
+        pick in any::<usize>(),
+    ) {
+        // A negative, NaN or infinite weight — or finite ones whose sum is
+        // not: no bracket holds, so every field is opened and the decision
+        // is `score ≥ threshold` on the exact score.
+        let mut weights = [1.0, 2.0, 0.5, 3.0, 1.0, 0.25];
+        weights[at] = [-1.0, f64::NAN, f64::INFINITY, f64::MAX][bad];
+        if bad == 3 {
+            weights[(at + 1) % 6] = f64::MAX;
+        }
+        let pairs = candidates_union(&t, "name", "sku").unwrap();
+        let mut cfg = wide_cfg(63, &weights, 0.0);
+        let probe = ErKernel::compile(&t, &cfg).unwrap();
+        cfg.threshold = adversarial_threshold(&probe, &cfg, &pairs, mode, pick);
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        // The uncompiled serial path is the oracle here.
+        let serial = match_pairs(&t, &pairs, &cfg).unwrap();
+        let want: Vec<(usize, usize)> = serial.iter().map(|p| (p.i, p.j)).collect();
+        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
+        for workers in [1usize, 3] {
+            let got = kernel.decide_union_exact(&blocks, workers, |_, _| false).unwrap();
+            prop_assert_eq!(&got.matches, &want, "weights {:?}", weights);
+        }
+    }
+
+    #[test]
+    fn the_walk_yields_the_candidate_list_and_strips_partition_the_rows(
+        t in arb_duplicated_table(30),
+        same_column in any::<bool>(),
+        workers in 1usize..9,
+    ) {
+        let key_col = if same_column { "name" } else { "sku" };
+        let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
+        let listed = candidates_union(&t, "name", key_col).unwrap();
+        prop_assert_eq!(blocks.pairs().collect::<Vec<_>>(), listed.clone());
+        prop_assert!(listed.windows(2).all(|p| p[0] < p[1]), "sorted, no duplicate");
+        prop_assert!(blocks.pair_bound() >= listed.len());
+        let strips = blocks.strips(workers);
+        prop_assert!(strips.len() <= workers);
+        let mut next = 0;
+        for strip in &strips {
+            prop_assert_eq!(strip.start, next);
+            prop_assert!(!strip.is_empty());
+            // Not empty of work either: with a pair anywhere, each strip has one.
+            let walked = strip.clone().map(|i| blocks.partners(i).count()).sum::<usize>();
+            prop_assert!(listed.is_empty() || walked > 0, "strip {:?} walks nothing", strip);
+            next = strip.end;
+        }
+        prop_assert_eq!(next, t.num_rows());
     }
 
     #[test]

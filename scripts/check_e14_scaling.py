@@ -17,6 +17,12 @@ requested workers resolve to as many as the machine has, up to four):
   exceed @1 by more than TOLERANCE). A strided-class regression (tens of
   percent) still fails loudly.
 
+The ER rows time the entry point a wrangle pass runs — blocking, kernel
+compile and `ErKernel::decide_union`'s walk-and-decide — not the exact
+scoring kernel, which stays in the experiment as an untimed bit-identity
+check against the serial reference. `er_floor_fleets` (the decision either
+side of its fan-out floor) is read for identity only.
+
 The experiment records the machine's core count in the JSON ("cores"), so
 the gate knows which regime produced the file it is reading.
 """
@@ -56,6 +62,7 @@ def main() -> int:
 
     for label, key, fleets in [
         ("ER", "identical", data["fleets"]),
+        ("ER-floor", "identical", data.get("er_floor_fleets", [])),
         ("fuse", "fuse_identical", data["fuse_fleets"]),
     ]:
         for fl in fleets:

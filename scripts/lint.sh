@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Eleven rules, all enforced in CI via scripts/verify.sh:
+# analysis). Twelve rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -75,6 +75,14 @@
 #      contract. A stage keys by typed fields and by hashes taken where the
 #      data was derived (`incr::Mapped`). The pass-level `Debug` keys in
 #      `wrangler/pass.rs` (once per pass) wait for the typed-keys item.
+#
+#  12. No call of `score_pairs*(`, `match_pairs*(`, `filter_matches(` or
+#      `candidates_union(` in `crates/core/src` outside test code. The ER
+#      stage asks the kernel *which candidates match*
+#      (`ErKernel::decide_union` over `UnionBlocks`): no candidate list, no
+#      score vector. Listing, scoring and filtering is the reference
+#      spelling — tests, `crates/bench` and `bench/` may call it; a
+#      production caller brings the O(candidates) allocations back.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -363,6 +371,22 @@ debug_key_hits=$(awk '
 if [ -n "$debug_key_hits" ]; then
   echo "lint: Debug-printed key in crates/core/src/wrangler/stages.rs (key by typed fields and by hashes taken where the data was derived):"
   echo "$debug_key_hits"
+  fail=1
+fi
+
+# --- Rule 12: production ER decides, it does not list and score ------------------
+list_and_score_hits=$(for f in $(find crates/core/src -name '*.rs' | sort); do
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc lines
+    /(^|[^_[:alnum:]])((score_pairs|match_pairs)[_[:alnum:]]*|filter_matches|candidates_union)\(/ {
+      printf "%s:%d: %s\n", file, FNR, $0
+    }
+  ' "$f"
+done)
+if [ -n "$list_and_score_hits" ]; then
+  echo "lint: list-and-score ER spelling in crates/core/src (ask ErKernel::decide_union which candidates match; score_pairs/match_pairs/filter_matches/candidates_union are the test reference):"
+  echo "$list_and_score_hits"
   fail=1
 fi
 

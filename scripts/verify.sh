@@ -73,7 +73,7 @@ echo "==> e18 incremental rewrangle (full run + count-field determinism)"
 ./target/release/e18_incremental --counts > "$tmp_b"
 diff "$tmp_a" "$tmp_b"
 
-echo "==> e18 incremental gate (1-source update <= 0.85x cold, no-change pass <= 0.50x, all-sources update <= 1.25x; exactly 39 of 40 blocks replayed; >= 90% of pairs carried; identity everywhere)"
+echo "==> e18 incremental gate (1-source update <= 0.80x cold, no-change pass <= 0.50x, all-sources update <= 1.25x; exactly 39 of 40 blocks replayed; >= 90% of pairs carried; identity everywhere)"
 python3 scripts/check_e18_incremental.py BENCH_e18.json
 
 echo "==> perf_suite builds and passes its own tests (bench/ is its own workspace)"
