@@ -11,7 +11,7 @@
 //!    candidate list, re-rendering both rows for every pair) by ≥2× on the
 //!    40-source workload while producing the **same** matched pairs and
 //!    clusters for any worker count; the kernel's exact scores
-//!    (`match_pairs_parallel`) are checked bit for bit against the same
+//!    (`score_pairs_parallel`) are checked bit for bit against the same
 //!    reference, untimed. Contiguous strips replaced the original strided
 //!    pickup (worker *w* took pairs *w, w+workers, …*), whose cache-hostile
 //!    interleaving this experiment exposed as *negative* scaling (8 workers
@@ -240,9 +240,10 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
     // The kernel's exact scores against the reference, bit for bit: the
     // oracle the decision is tested against, checked once, untimed.
     let compiled = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
-    let (scored, _) = compiled
-        .match_pairs_parallel(&candidates, par::available_parallelism())
+    let (scores, _) = compiled
+        .score_pairs_parallel(&candidates, par::available_parallelism())
         .expect("parallel scoring succeeds"); // lint-allow: experiment fixture
+    let scored = compiled.filter_matches(&candidates, &scores);
     let mut identical = pairs_identical(&serial, &scored);
     let serial_matches: Vec<(usize, usize)> = serial.iter().map(|p| (p.i, p.j)).collect();
 

@@ -23,8 +23,6 @@ pub enum Artifact {
     FusedSlot(usize, usize),
     /// Every fused slot one source claims (its trust moved), as one mark.
     SourceSlots(usize),
-    /// The assembled wrangled table.
-    Result,
 }
 
 /// Counters of actual work performed (the currency of E7b).
@@ -123,7 +121,6 @@ impl WorkingData {
         self.invalidate(Artifact::Mapping(source));
         self.invalidate(Artifact::MappedTable(source));
         self.invalidate(Artifact::Clusters);
-        self.invalidate(Artifact::Result);
     }
 
     /// Is the artifact stale?
@@ -177,23 +174,18 @@ mod tests {
     #[test]
     fn invalidation_and_cleaning() {
         let mut wd = WorkingData::new();
-        assert!(!wd.is_dirty(Artifact::Result));
-        wd.invalidate(Artifact::Result);
-        assert!(wd.is_dirty(Artifact::Result));
-        wd.mark_clean(Artifact::Result);
-        assert!(!wd.is_dirty(Artifact::Result));
+        assert!(!wd.is_dirty(Artifact::Clusters));
+        wd.invalidate(Artifact::Clusters);
+        assert!(wd.is_dirty(Artifact::Clusters));
+        wd.mark_clean(Artifact::Clusters);
+        assert!(!wd.is_dirty(Artifact::Clusters));
     }
 
     #[test]
     fn source_invalidation_cascades() {
         let mut wd = WorkingData::new();
         wd.invalidate_source(3);
-        for a in [
-            Artifact::Mapping(3),
-            Artifact::MappedTable(3),
-            Artifact::Clusters,
-            Artifact::Result,
-        ] {
+        for a in [Artifact::Mapping(3), Artifact::MappedTable(3), Artifact::Clusters] {
             assert!(wd.is_dirty(a));
         }
         assert!(!wd.is_dirty(Artifact::Mapping(4)));
@@ -204,7 +196,7 @@ mod tests {
         let mut wd = WorkingData::new();
         wd.invalidate(Artifact::FusedSlot(2, 1));
         wd.invalidate(Artifact::FusedSlot(0, 3));
-        wd.invalidate(Artifact::Result);
+        wd.invalidate(Artifact::Clusters);
         assert_eq!(wd.dirty_slots(&[]), vec![(0, 3), (2, 1)]);
         assert_eq!(wd.dirty_count(), 3);
     }

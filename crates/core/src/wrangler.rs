@@ -284,7 +284,6 @@ impl Wrangler {
             self.working.invalidate(Artifact::MappedTable(i));
         }
         self.working.invalidate(Artifact::Clusters);
-        self.working.invalidate(Artifact::Result);
         self.cache = None;
         // Shape-keyed memos would miss anyway (the pass fingerprint covers
         // every shape knob); dropping them bounds memory to live content.
@@ -345,7 +344,6 @@ impl Wrangler {
         // other n−1 partitions replay.
         self.working.invalidate(Artifact::Mapping(i));
         self.working.invalidate(Artifact::MappedTable(i));
-        self.working.invalidate(Artifact::Result);
         self.working.work.extractions += 1;
         self.cache = None;
         Ok(true)
@@ -473,7 +471,6 @@ impl Wrangler {
         self.working.mark_clean(Artifact::Mapping(i));
         self.working.invalidate(Artifact::MappedTable(i));
         self.working.invalidate(Artifact::Clusters);
-        self.working.invalidate(Artifact::Result);
         true
     }
 
@@ -490,7 +487,6 @@ impl Wrangler {
             self.er_cfg = build_er_config(&self.target, new_plan.er_threshold);
             self.working.invalidate(Artifact::Clusters);
         }
-        self.working.invalidate(Artifact::Result);
     }
 
     /// The derived plan for the current user context (with any ablation
@@ -646,9 +642,9 @@ impl Wrangler {
     /// A fresh process pointed at the same store replays the deepest valid
     /// prefix byte-identically instead of recomputing it — including
     /// quarantine, trust and breaker state, which travel inside each seam
-    /// record. One caveat: the keys do not cover the data context (its
-    /// debug rendering iterates an unordered map), so sessions that mutate
-    /// the data context between runs must use a fresh store directory.
+    /// record. One caveat: of the data context the keys cover the master
+    /// catalog only, so sessions that change the ontology or a reference
+    /// list between runs must use a fresh store directory.
     pub fn with_checkpoint_store(mut self, store: CheckpointStore) -> Wrangler {
         self.ckpt = Some(store);
         self
@@ -734,7 +730,6 @@ impl Wrangler {
         self.obs.count("refuse.slots", dirty.len() as u64);
         self.obs.end();
         self.cache = Some(cache);
-        self.working.mark_clean(Artifact::Result);
         let outcome = self.span("assemble", |w| w.assemble(&plan));
         self.obs.end(); // close the "rewrangle" root span
         let mut outcome = outcome?;
@@ -1036,7 +1031,6 @@ impl Wrangler {
                         .update(&Evidence::vote(kind, positive, 0.85).discounted(reliability));
                     // Trust moved: slots this source claims need re-fusion.
                     self.working.invalidate(Artifact::SourceSlots(source));
-                    self.working.invalidate(Artifact::Result);
                 }
             }
             RoutedSignal::MappingBelief {
@@ -1056,7 +1050,6 @@ impl Wrangler {
             }
             RoutedSignal::RefuseSlot { entity, attr } => {
                 self.working.invalidate(Artifact::FusedSlot(entity, attr));
-                self.working.invalidate(Artifact::Result);
             }
             RoutedSignal::ErLabel { .. } => {
                 // Labels accumulate in the feedback store (added by caller);
@@ -1671,7 +1664,6 @@ mod tests {
         let victim = healthy.selected_sources[0];
         w.set_fault_profile(victim, FaultProfile::Truncated { keep_fraction: 0.5 });
         // Force re-selection + re-acquisition.
-        w.working.invalidate(Artifact::Result);
         w.cache = None;
         let out = w.wrangle().unwrap();
         if out.selected_sources.contains(&victim) {
@@ -1721,7 +1713,6 @@ mod tests {
             // next wrangle doesn't waste attempts on it.
             let est = w.estimates();
             assert_eq!(est[0].availability, 0.0);
-            w.working.invalidate(Artifact::Result);
             w.cache = None;
             let second = w.wrangle().unwrap();
             assert!(!second.selected_sources.contains(&SourceId(0)));
@@ -1949,7 +1940,6 @@ mod tests {
         // A fresh pass completes; if selection re-admits the healed source
         // (its trust was discounted by the quarantine, so it may not make
         // the marginal-gain cut), it comes back clean.
-        w.working.invalidate(Artifact::Result);
         w.cache = None;
         let second = w.wrangle().unwrap();
         assert!(second.entities > 0);
@@ -2487,7 +2477,6 @@ mod tests {
         let fuse_passes = first.metrics.timings["wrangle/fuse"].calls;
         // Nothing changed: the second pass replays union blocks, ER and
         // fuse wholesale, byte-identically.
-        w.working.invalidate(Artifact::Result);
         w.cache = None;
         let out = assert_incremental_matches_cold(&mut w);
         let m = out.metrics;
@@ -2779,13 +2768,11 @@ mod tests {
             }),
             ("source ages via clock advance", |w, fleet, _| {
                 w.set_now(fleet.truth.now + 3);
-                w.working.invalidate(Artifact::Result);
                 w.cache = None;
             }),
             ("master data update", |w, fleet, _| {
                 let catalog = perturbed(&fleet.truth.master_catalog());
                 w.data_ctx.add_master("product", catalog, "sku").unwrap();
-                w.working.invalidate(Artifact::Result);
                 w.cache = None;
             }),
             ("fault profile degrades a payload", |w, _, _| {
@@ -2794,7 +2781,6 @@ mod tests {
                     SourceId(1),
                     FaultProfile::Truncated { keep_fraction: 0.5 },
                 );
-                w.working.invalidate(Artifact::Result);
                 w.cache = None;
             }),
             ("mapping override unbinds a column", |w, _, first| {
@@ -2859,7 +2845,6 @@ mod tests {
             0.5,
         ));
         let _ = w.refine_er();
-        w.working.invalidate(Artifact::Result);
         w.cache = None;
         assert_incremental_matches_cold(&mut w);
     }
@@ -2899,7 +2884,6 @@ mod tests {
         let mut w = session(&fleet, user);
         let first = w.wrangle().unwrap();
         w.set_now(fleet.truth.now + 8);
-        w.working.invalidate(Artifact::Result);
         w.cache = None;
         let out = assert_incremental_matches_cold(&mut w);
         assert_ne!(first.selected_sources, out.selected_sources, "fixture");
@@ -2921,7 +2905,6 @@ mod tests {
         assert!(w.incr.er.is_none() && w.incr.fuse.is_none(), "not captured");
         // Nothing changed, and still nothing to replay: the post-union
         // filter left a union no block list attests.
-        w.working.invalidate(Artifact::Result);
         w.cache = None;
         let out = assert_incremental_matches_cold(&mut w);
         assert_eq!(outcome_fingerprint(&out), outcome_fingerprint(&first));
@@ -2933,7 +2916,6 @@ mod tests {
         let mut opt = session(&fleet, user).with_row_filter(category_filter());
         let opt_first = opt.wrangle().unwrap();
         assert_eq!(outcome_fingerprint(&opt_first), outcome_fingerprint(&first));
-        opt.working.invalidate(Artifact::Result);
         opt.cache = None;
         let m = opt.wrangle().unwrap().metrics;
         assert_eq!(m.counts["incr.er.reused"], 1);

@@ -57,6 +57,9 @@ pub(super) struct Pass {
     pub(super) incr_on: bool,
     /// Pass fingerprint (0 when neither a store nor the engine needs it).
     pub(super) pass_fp: u64,
+    /// The master catalog's content hash and key column, hashed once for
+    /// the first seam's key and the fuse key (0 likewise, or with no catalog).
+    pub(super) master_fp: u64,
     /// Compiled-program fingerprint for the seam keys (0 without a store).
     pub(super) prog_fp: u64,
     /// Key of the last seam passed; `None` before the first.
@@ -113,10 +116,14 @@ impl Wrangler {
     pub(super) fn begin_pass(&self) -> Pass {
         let plan = self.plan();
         let incr_on = self.incr.enabled() && self.contain.chaos.is_none();
-        let pass_fp = if self.ckpt.is_some() || incr_on {
-            self.pass_fingerprint(&plan)
-        } else {
-            0
+        let keyed = self.ckpt.is_some() || incr_on;
+        let pass_fp = if keyed { self.pass_fingerprint(&plan) } else { 0 };
+        let master_fp = match self.data_ctx.master("product") {
+            Some(m) if keyed => wire::Hasher64::new()
+                .write_u64(wire::table_hash(&m.table))
+                .write_str(&m.key_column)
+                .finish(),
+            _ => 0,
         };
         Pass {
             plan,
@@ -124,6 +131,7 @@ impl Wrangler {
             creport: ContainmentReport::default(),
             incr_on,
             pass_fp,
+            master_fp,
             prog_fp: 0,
             chain: None,
             selected: Vec::new(),
@@ -163,7 +171,7 @@ impl Wrangler {
     ) -> Result<()> {
         let key = match (&self.ckpt, pass.chain) {
             (None, _) => 0,
-            (Some(_), None) => self.seam_key_select(pass.pass_fp),
+            (Some(_), None) => self.seam_key_select(pass.pass_fp, pass.master_fp),
             (Some(_), Some(chain)) => {
                 let extra = if seam.keyed_by_program {
                     pass.prog_fp
@@ -252,8 +260,9 @@ impl Wrangler {
     /// derived plan, ER/match/containment/acquisition configuration, filter
     /// and projection, and the value-feedback constraints (in sorted key
     /// order — their maps are lookup-only). Worker-count knobs are
-    /// excluded: outputs are byte-identical for any pool width. The data
-    /// context is excluded (see [`Self::with_checkpoint_store`]).
+    /// excluded: outputs are byte-identical for any pool width. Of the data
+    /// context only the master catalog is keyed, and beside this fingerprint
+    /// ([`Pass::master_fp`]; see [`Self::with_checkpoint_store`]).
     fn pass_fingerprint(&self, plan: &Plan) -> u64 {
         let mut h = wire::Hasher64::new();
         let mut e = wire::Enc::new();
@@ -299,10 +308,14 @@ impl Wrangler {
     /// The first seam's key: the pass fingerprint plus everything the
     /// select stage reads — the session tick, every source's payload hash
     /// and pre-pass trust, and the acquisition engine's full state (clock,
-    /// counters, breaker fleet). Two passes with any divergent history key
-    /// differently, so a checkpoint can never replay across histories.
-    fn seam_key_select(&self, pass_fp: u64) -> u64 {
-        let mut k = ContentKey::stage(SELECT.name, pass_fp).labelled("now", self.now);
+    /// counters, breaker fleet) — and the master catalog, which the chain
+    /// carries to the fuse seam that reads it. Two passes with any divergent
+    /// history key differently, so a checkpoint can never replay across
+    /// histories.
+    fn seam_key_select(&self, pass_fp: u64, master_fp: u64) -> u64 {
+        let mut k = ContentKey::stage(SELECT.name, pass_fp)
+            .labelled("now", self.now)
+            .labelled("master", master_fp);
         for i in 0..self.registry.len() {
             let id = SourceId(i as u32);
             k = k

@@ -1013,7 +1013,6 @@ impl Wrangler {
                     fused: rec.fused.into_iter().map(|(e, a, f)| ((e, a), f)).collect(),
                     selected: pass.selected.clone(),
                 });
-                w.working.mark_clean(Artifact::Result);
                 Ok(())
             },
         )
@@ -1043,15 +1042,7 @@ impl Wrangler {
         for s in self.registry.iter() {
             h.write_u64(self.now.saturating_sub(s.meta.last_updated));
         }
-        match self.data_ctx.master("product") {
-            Some(m) => {
-                h.write_u64(wire::table_hash(&m.table));
-                h.write_str(&m.key_column);
-            }
-            None => {
-                h.write_u64(0);
-            }
-        }
+        h.write_u64(pass.master_fp);
         h.write_u64(self.registry.len() as u64);
         h.finish()
     }

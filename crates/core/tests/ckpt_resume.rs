@@ -52,9 +52,14 @@ fn target_sample(fleet: &SyntheticFleet) -> Table {
 /// discipline resume depends on: same fleet seed, same config, same
 /// (optional) fault injection.
 fn build(fleet: &SyntheticFleet, faults: Option<&FaultConfig>) -> Wrangler {
+    build_over(fleet, fleet.truth.master_catalog(), faults)
+}
+
+/// [`build`] over a master catalog of the caller's; the target sample stays
+/// the fleet's.
+fn build_over(fleet: &SyntheticFleet, catalog: Table, faults: Option<&FaultConfig>) -> Wrangler {
     let mut ctx = DataContext::with_ontology(Ontology::ecommerce());
-    ctx.add_master("product", fleet.truth.master_catalog(), "sku")
-        .unwrap();
+    ctx.add_master("product", catalog, "sku").unwrap();
     let mut w = Wrangler::new(
         UserContext::balanced("resume-test"),
         ctx,
@@ -400,6 +405,43 @@ fn perturbed(table: &Table) -> Table {
         }
     }
     panic!("no float cell to perturb");
+}
+
+/// The master catalog is an input of the pass (its values anchor fusion),
+/// so a record written under one catalog is no record of a pass over
+/// another: a session rebuilt over a revised catalog and pointed at the
+/// crashed run's store delivers what a store-less session over the revised
+/// catalog does, not the old run's fused values.
+#[test]
+fn a_store_written_under_another_master_catalog_replays_nothing_stale() {
+    let fleet = make_fleet(42);
+    let old = fleet.truth.master_catalog();
+    let brand = old.schema().index_of("brand").unwrap();
+    let mut revised = old.clone();
+    for r in 0..revised.num_rows() {
+        let v = Value::from(format!("{} Holdings", old.get(r, brand).unwrap().render()));
+        revised.set(r, brand, v).unwrap();
+    }
+    let dir = scratch_dir("resume-revised-master");
+    cleanup(&dir);
+    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterFuse));
+
+    let mut cold = build_over(&fleet, revised.clone(), None);
+    let cold_out = cold.wrangle().unwrap();
+    let mut stale = build(&fleet, None);
+    let stale_out = stale.wrangle().unwrap();
+    assert_ne!(
+        wire::table_hash(&cold_out.table),
+        wire::table_hash(&stale_out.table),
+        "fixture: the revision reaches the delivered table"
+    );
+
+    let store = CheckpointStore::open(&dir).unwrap();
+    let mut resumed = build_over(&fleet, revised, None).with_checkpoint_store(store);
+    let out = resumed.resume().unwrap();
+    assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out));
+    assert_every_seam_missed(&out);
+    cleanup(&dir);
 }
 
 #[test]

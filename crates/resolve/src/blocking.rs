@@ -223,7 +223,12 @@ impl UnionBlocks {
     /// An upper bound on the number of candidates, and a tight one: a pair in
     /// both blockings is counted twice, and key blocks are small.
     pub fn pair_bound(&self) -> usize {
-        (0..self.num_rows()).map(|i| self.weight(i)).sum()
+        self.pair_bound_of(0..self.num_rows())
+    }
+
+    /// [`Self::pair_bound`] of the candidates whose first row is in `rows`.
+    pub(crate) fn pair_bound_of(&self, rows: Range<usize>) -> usize {
+        rows.map(|i| self.weight(i)).sum()
     }
 
     /// Split the rows into at most `workers` contiguous strips of about

@@ -15,9 +15,10 @@
 //! set (text), the ASCII-folded rendering (exact). Numeric fields keep one
 //! classified cell per row. A pair is then a comparison of ids: equal ids
 //! are `1.0`, an exact field is id equality, and only a text field over two
-//! *different* values needs its strings — a similarity computed once per
-//! *ordered* `(id_a, id_b)` per pass and answered from an integer-keyed memo
-//! (`PairMemo`) afterwards, one memo per field, shared by every worker.
+//! *different* values needs its strings — a similarity a worker computes
+//! once per *ordered* `(id_a, id_b)` of its share and answers from an
+//! integer-keyed memo (`PairMemo`) afterwards, one memo per field, private
+//! to the worker.
 //!
 //! Two things are asked of a compiled kernel.
 //!
@@ -40,21 +41,23 @@
 //! touching a string. Workers take contiguous strips of *rows*, balanced by
 //! partner count, and their matches concatenate in `(i, j)` order.
 //!
-//! **What a pair scores** — [`ErKernel::score_pairs`] and the `match_pairs*`
-//! family over a written-down list: the reference the decision is tested
-//! against, and what experiments and the benchmark's replays time. The
-//! arithmetic mirrors the serial path operation for operation, and the memo
-//! only replays a value computed by that arithmetic on the same two strings
-//! in the same order (the key is ordered: Jaro's greedy matching is not
-//! symmetric), so kernel scores are **bit-identical** to
+//! **What a pair scores** — the `score_pairs*` family and
+//! [`ErKernel::filter_matches`] over a written-down list: the reference the
+//! decision is tested against, and what experiments and the benchmark's
+//! replays time. The arithmetic mirrors the serial path operation for
+//! operation, and a memo only replays a value computed by that arithmetic on
+//! the same two strings in the same order (the key is ordered: Jaro's greedy
+//! matching is not symmetric), so kernel scores are **bit-identical** to
 //! [`record_similarity`] — the `parallel_kernel_equals_serial_match_pairs`
 //! proptest holds for any worker count. Parallel scoring splits the list
 //! into *contiguous blocked chunks* and reassembles them in chunk order.
 //!
-//! Either way the memos are the only shared state: which worker computes a
-//! value pair first is a race, but every worker would compute the same bits
-//! for it, so the race never reaches an output — and the total work does not
-//! grow with the pool. The pool is sized by
+//! Either way workers share nothing but the compiled kernel and the blocks,
+//! both immutable: a worker's output is a function of its share alone, so
+//! the concatenation is the same for any pool width by construction. What
+//! that costs is one evaluation per worker, not per pass, of a value pair
+//! two shares both hold — and the stage opens a text field for about one
+//! candidate in a hundred. The pool is sized by
 //! [`wrangler_table::par::effective_workers`]: never wider than the machine's
 //! cores, and never so wide that a worker gets fewer than
 //! [`MIN_PAIRS_PER_WORKER`] pairs — a small union runs serially instead of
@@ -65,8 +68,6 @@
 use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{PoisonError, RwLock, TryLockError};
 
 pub use wrangler_table::par::WorkerStat;
 use wrangler_table::par::{self, effective_workers};
@@ -157,13 +158,19 @@ struct CompiledField {
     cells: FieldCells,
 }
 
-/// Reusable per-worker buffers for the char-level similarity kernels. A
-/// fresh default is indistinguishable from a reused one — every routine
-/// clears and re-initialises what it reads — so scratch reuse cannot change
+/// What one worker owns while it works through its share: the buffers of
+/// the char-level similarity kernels and the text-similarity memos. A fresh
+/// default is indistinguishable from a reused one — every routine clears and
+/// re-initialises the buffers it reads, and a memo only replays what the
+/// same arithmetic computed for the same two cells — so reuse cannot change
 /// a single bit of output; it only removes the 4–5 heap allocations the
-/// uncompiled path pays per evaluation.
+/// uncompiled path pays per evaluation, and the evaluation itself for a
+/// value pair the worker has met.
 #[derive(Debug, Default)]
 struct SimScratch {
+    /// One memo per compiled field ([`ErKernel::scratch`]); none for the
+    /// routines below `text_similarity`, which read only the buffers.
+    memos: Vec<PairMemo>,
     /// `jaro`: which `b` chars are already matched.
     b_used: Vec<bool>,
     /// `jaro`: matched `b` positions in `a` order.
@@ -179,31 +186,21 @@ struct SimScratch {
     peq: Vec<u64>,
 }
 
-/// Pairs a worker scores between two looks at whether a memo wants room
-/// ([`PassMemos`]): the read lock is taken once per batch, and a pair
-/// declined by a crowded memo is recomputed for about this many pairs
-/// before the table grows.
-const MEMO_BATCH: usize = 512;
-
-/// One scoring pass's memo of one text field, shared by its workers: ordered
-/// `(id_a, id_b)` → the similarity [`text_similarity`] computed for those two
-/// cells. Linear probing over a power-of-two array of atomic `(key, value)`
-/// slots. Workers look up and insert through `&self`; a slot is claimed by a
-/// compare-exchange on its key and its value stored after, and a reader that
-/// meets a claimed slot whose value is not there yet computes the value
-/// itself — the same bits, since the similarity is a function of the key.
-/// Inserts are declined at load 3/4; the table doubles only under exclusive
-/// access ([`Self::grow`], between batches — see [`PassMemos`]), up to one
-/// slot per pair of the pass — a table as large as the candidate list it
-/// serves means the list barely repeats a value pair, so past that bound new
-/// pairs are computed without being stored. The only walk over the slots is
-/// the rehash, so slot order never reaches an output.
+/// One worker's memo of one text field: ordered `(id_a, id_b)` → the
+/// similarity [`text_similarity`] computed for those two cells, as `(key,
+/// value bits)` slots under linear probing. The first stored pair allocates
+/// [`Self::FIRST_SLOTS`] slots; at load 3/4 the table is rehashed into one
+/// twice the size, up to one slot per pair the worker was handed — a table
+/// as large as the share it serves means the share barely repeats a value
+/// pair, so past that bound new pairs are computed without being stored. The
+/// only walk over the slots is the rehash, so slot order never reaches an
+/// output.
 #[derive(Debug)]
 struct PairMemo {
-    slots: Vec<(AtomicU64, AtomicU64)>,
-    /// Slots claimed or being claimed: never above 3/4 of `slots`, so a
-    /// probe always ends at a free slot.
-    len: AtomicUsize,
+    /// Empty or a power of two long, never above 3/4 full: a probe always
+    /// ends at a free slot.
+    slots: Vec<(u64, u64)>,
+    len: usize,
     max_slots: usize,
 }
 
@@ -211,38 +208,19 @@ impl PairMemo {
     /// Key of a free slot: `(NULL_ID, NULL_ID)`, which is never looked up
     /// because a null id skips the field.
     const FREE: u64 = u64::MAX;
-    /// Value of a claimed slot before its similarity is stored: a NaN
-    /// pattern, and a similarity is never NaN.
-    const PENDING: u64 = u64::MAX;
-    /// Bounds on the slots of the first allocation (16 KiB and 1 MiB).
-    const FIRST_SLOTS_MIN: usize = 1 << 10;
-    const FIRST_SLOTS_MAX: usize = 1 << 16;
+    /// Slots of the first allocation (16 KiB).
+    const FIRST_SLOTS: usize = 1 << 10;
 
-    /// A memo for a pass over `pairs` pairs of a field with `values`
-    /// distinct values. The field has `values · (values − 1)` ordered pairs
-    /// of different values at most, so a small dictionary gets `2 · values²`
-    /// slots — a table that stays under half full and never has to grow; a
-    /// large one starts at [`Self::FIRST_SLOTS_MAX`]. Either way the table
-    /// stays within one slot per pair of the pass, and `for_pairs(0, _)`
-    /// stores nothing and allocates nothing.
-    fn for_pairs(pairs: usize, values: usize) -> PairMemo {
-        let max_slots = match pairs {
-            0 => 0,
-            n => 1 << n.max(Self::FIRST_SLOTS_MIN).ilog2(),
-        };
-        let first = (values.saturating_mul(values).saturating_mul(2))
-            .clamp(Self::FIRST_SLOTS_MIN, Self::FIRST_SLOTS_MAX)
-            .next_power_of_two();
-        Self::with_slots(first.min(max_slots), max_slots)
-    }
-
-    fn with_slots(slots: usize, max_slots: usize) -> PairMemo {
+    /// A memo for a worker handed `pairs` pairs; a one-off score's
+    /// (`for_pairs(0)`) stores nothing.
+    fn for_pairs(pairs: usize) -> PairMemo {
         PairMemo {
-            slots: (0..slots)
-                .map(|_| (AtomicU64::new(Self::FREE), AtomicU64::new(Self::PENDING)))
-                .collect(),
-            len: AtomicUsize::new(0),
-            max_slots,
+            slots: Vec::new(),
+            len: 0,
+            max_slots: match pairs {
+                0 => 0,
+                n => n.max(Self::FIRST_SLOTS),
+            },
         }
     }
 
@@ -250,122 +228,45 @@ impl PairMemo {
         u64::from(a) << 32 | u64::from(b)
     }
 
-    /// Home slot of `key` in a table of `slots` (a power of two) entries:
-    /// the top bits of a Fibonacci multiply, which depend on every key bit.
-    fn home(key: u64, slots: usize) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - slots.trailing_zeros())) as usize
+    /// Where `key` sits in a non-empty table, or the free slot its probe ends
+    /// at. The home slot is the top bits of a Fibonacci multiply, which
+    /// depend on every key bit.
+    fn probe(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (63 - mask.ilog2())) as usize;
+        while self.slots[at].0 != key && self.slots[at].0 != Self::FREE {
+            at = (at + 1) & mask;
+        }
+        at
     }
 
     fn get(&self, key: u64) -> Option<f64> {
         if self.slots.is_empty() {
             return None;
         }
-        let mask = self.slots.len() - 1;
-        let mut at = Self::home(key, self.slots.len());
-        loop {
-            let (k, v) = &self.slots[at];
-            let k = k.load(Ordering::Acquire);
-            if k == key {
-                let v = v.load(Ordering::Acquire);
-                return (v != Self::PENDING).then(|| f64::from_bits(v));
-            }
-            if k == Self::FREE {
-                return None;
-            }
-            at = (at + 1) & mask;
-        }
+        let (k, v) = self.slots[self.probe(key)];
+        (k == key).then(|| f64::from_bits(v))
     }
 
-    /// Store `key → value` unless the table is at its load bound or another
-    /// worker is storing the same key.
-    fn insert(&self, key: u64, value: f64) {
-        // Reserve before claiming, so concurrent inserts cannot fill the
-        // table past the bound between them.
-        let reserved = self.len.fetch_add(1, Ordering::Relaxed);
-        if (reserved + 1) * 4 > self.slots.len() * 3 {
-            self.len.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-        let mask = self.slots.len() - 1;
-        let mut at = Self::home(key, self.slots.len());
-        loop {
-            let (k, v) = &self.slots[at];
-            match k.compare_exchange(Self::FREE, key, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return v.store(value.to_bits(), Ordering::Release),
-                Err(taken) if taken == key => {
-                    self.len.fetch_sub(1, Ordering::Relaxed);
-                    return;
-                }
-                Err(_) => at = (at + 1) & mask,
+    /// Store `key → value`, doubling a table at its load bound first; a
+    /// table at its size bound declines the insert.
+    fn insert(&mut self, key: u64, value: f64) {
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            let doubled = (self.slots.len() * 2).max(Self::FIRST_SLOTS);
+            if doubled > self.max_slots {
+                return;
+            }
+            let old = std::mem::replace(&mut self.slots, vec![(Self::FREE, 0); doubled]);
+            for (k, v) in old.into_iter().filter(|&(k, _)| k != Self::FREE) {
+                let at = self.probe(k);
+                self.slots[at] = (k, v);
             }
         }
-    }
-
-    /// At the load bound with room left to double.
-    fn wants_room(&self) -> bool {
-        let len = self.len.load(Ordering::Relaxed);
-        self.slots.len() < self.max_slots && (len + 1) * 4 > self.slots.len() * 3
-    }
-
-    /// Double a table that [`Self::wants_room`]. The doubled table is built
-    /// beside the old one and swapped in whole.
-    fn grow(&mut self) {
-        if !self.wants_room() {
-            return;
+        let at = self.probe(key);
+        if self.slots[at].0 == Self::FREE {
+            self.slots[at] = (key, value.to_bits());
+            self.len += 1;
         }
-        let grown = Self::with_slots(self.slots.len() * 2, self.max_slots);
-        for (k, v) in &mut self.slots {
-            let (k, v) = (*k.get_mut(), *v.get_mut());
-            if k != Self::FREE && v != Self::PENDING {
-                grown.insert(k, f64::from_bits(v));
-            }
-        }
-        *self = grown;
-    }
-}
-
-/// The memos of one scoring pass, one per compiled field, and how its
-/// workers make room in them. Workers score under the read lock, a batch at
-/// a time; a worker that ends a batch with a memo at its load bound raises
-/// `crowded`, and every worker that sees the flag before its next batch
-/// stops reading and *tries* the write lock instead, yielding when it is
-/// taken. Within one batch no reader is left, one worker's try succeeds, and
-/// it doubles the crowded tables and lowers the flag. Nobody sleeps on the
-/// lock: a sleeping writer is overtaken for as long as another worker keeps
-/// re-reading, which on a two-worker pool measured ~50 ms per doubling.
-#[derive(Debug)]
-struct PassMemos {
-    tables: RwLock<Vec<PairMemo>>,
-    crowded: AtomicBool,
-}
-
-impl PassMemos {
-    /// Run `batch` against the tables, after making room if it was asked for.
-    fn with_tables<R>(&self, batch: impl FnOnce(&[PairMemo]) -> R) -> R {
-        let tables = loop {
-            if !self.crowded.load(Ordering::Acquire) {
-                // A poisoned lock still guards whole tables: `grow` swaps in
-                // a finished table or nothing.
-                break self.tables.read().unwrap_or_else(PoisonError::into_inner);
-            }
-            let exclusive = match self.tables.try_write() {
-                Ok(tables) => Some(tables),
-                Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-                Err(TryLockError::WouldBlock) => None,
-            };
-            match exclusive {
-                Some(mut tables) => {
-                    tables.iter_mut().for_each(PairMemo::grow);
-                    self.crowded.store(false, Ordering::Release);
-                }
-                None => std::thread::yield_now(),
-            }
-        };
-        let result = batch(&tables);
-        if tables.iter().any(PairMemo::wants_room) {
-            self.crowded.store(true, Ordering::Release);
-        }
-        result
     }
 }
 
@@ -500,20 +401,13 @@ impl ErKernel {
             .collect()
     }
 
-    /// The memos of a scoring pass over `pairs` pairs (a non-text field's
-    /// stores and allocates nothing).
-    fn memos(&self, pairs: usize) -> PassMemos {
-        let tables = self
-            .fields
-            .iter()
-            .map(|f| match &f.cells {
-                FieldCells::Text { cells, .. } => PairMemo::for_pairs(pairs, cells.len()),
-                _ => PairMemo::for_pairs(0, 0),
-            })
-            .collect();
-        PassMemos {
-            tables: RwLock::new(tables),
-            crowded: AtomicBool::new(false),
+    /// The scratch of a worker handed `pairs` pairs: a memo per field (only
+    /// a text field ever stores into its own).
+    fn scratch(&self, pairs: usize) -> SimScratch {
+        let memos = self.fields.iter().map(|_| PairMemo::for_pairs(pairs));
+        SimScratch {
+            memos: memos.collect(),
+            ..SimScratch::default()
         }
     }
 
@@ -522,17 +416,15 @@ impl ErKernel {
     /// table and config. A one-off score has nothing to repeat, so it keeps
     /// no memo.
     pub fn score(&self, i: usize, j: usize) -> wrangler_table::Result<f64> {
-        self.memos(0)
-            .with_tables(|memos| self.score_with(i, j, memos, &mut SimScratch::default()))
+        self.score_with(i, j, &mut self.scratch(0))
     }
 
-    /// [`Self::score`] against a pass's memos, with the calling worker's
-    /// scratch buffers (reused across its pairs).
+    /// [`Self::score`] with the calling worker's scratch (reused across its
+    /// pairs).
     fn score_with(
         &self,
         i: usize,
         j: usize,
-        memos: &[PairMemo],
         scratch: &mut SimScratch,
     ) -> wrangler_table::Result<f64> {
         if i >= self.rows || j >= self.rows {
@@ -543,8 +435,8 @@ impl ErKernel {
         }
         let mut num = 0.0;
         let mut den = 0.0;
-        for (f, memo) in self.fields.iter().zip(memos) {
-            if let Some(s) = field_similarity(&f.cells, i, j, memo, scratch) {
+        for (k, f) in self.fields.iter().enumerate() {
+            if let Some(s) = field_similarity(&f.cells, k, i, j, scratch) {
                 num += f.weight * s;
                 den += f.weight;
             }
@@ -557,22 +449,15 @@ impl ErKernel {
         Ok(self.score_pairs_parallel_exact(pairs, 1)?.0)
     }
 
-    /// One worker's share: score `pairs` in order into the aligned `scores`,
-    /// a batch at a time against the pass's memos.
+    /// One worker's share: score `pairs` in order into the aligned `scores`.
     fn score_pairs_into(
         &self,
         pairs: &[(usize, usize)],
         scores: &mut [f64],
-        memos: &PassMemos,
     ) -> wrangler_table::Result<()> {
-        let mut scratch = SimScratch::default();
-        for (pairs, scores) in pairs.chunks(MEMO_BATCH).zip(scores.chunks_mut(MEMO_BATCH)) {
-            memos.with_tables(|memos| {
-                for (&(i, j), score) in pairs.iter().zip(scores) {
-                    *score = self.score_with(i, j, memos, &mut scratch)?;
-                }
-                Ok(())
-            })?;
+        let mut scratch = self.scratch(pairs.len());
+        for (&(i, j), score) in pairs.iter().zip(scores) {
+            *score = self.score_with(i, j, &mut scratch)?;
         }
         Ok(())
     }
@@ -609,47 +494,13 @@ impl ErKernel {
         // order, and each worker walks adjacent pairs so its id columns
         // stay hot.
         let mut scores = vec![0.0; pairs.len()];
-        let memos = self.memos(pairs.len());
         let (chunks, stats) =
             par::run_blocked_into(pairs, &mut scores, workers, |_, chunk, out| {
-                self.score_pairs_into(chunk, out, &memos)
+                self.score_pairs_into(chunk, out)
             })
             .map_err(|msg| TableError::Unavailable(format!("ER scoring worker panicked: {msg}")))?;
         chunks.into_iter().collect::<wrangler_table::Result<()>>()?;
         Ok((scores, stats))
-    }
-
-    /// Serial equivalent of [`match_pairs`](crate::match_pairs) on the
-    /// compiled table: score candidates, keep those at or above the
-    /// threshold.
-    pub fn match_pairs(
-        &self,
-        candidates: &[(usize, usize)],
-    ) -> wrangler_table::Result<Vec<ScoredPair>> {
-        let scores = self.score_pairs(candidates)?;
-        Ok(self.filter_matches(candidates, &scores))
-    }
-
-    /// Parallel [`Self::match_pairs`]: identical output for any worker count,
-    /// plus per-worker stats. Pool width goes through the sizing policy.
-    pub fn match_pairs_parallel(
-        &self,
-        candidates: &[(usize, usize)],
-        workers: usize,
-    ) -> wrangler_table::Result<(Vec<ScoredPair>, Vec<WorkerStat>)> {
-        let (scores, stats) = self.score_pairs_parallel(candidates, workers)?;
-        Ok((self.filter_matches(candidates, &scores), stats))
-    }
-
-    /// [`Self::match_pairs_parallel`] with an exact pool width (see
-    /// [`Self::score_pairs_parallel_exact`]).
-    pub fn match_pairs_parallel_exact(
-        &self,
-        candidates: &[(usize, usize)],
-        workers: usize,
-    ) -> wrangler_table::Result<(Vec<ScoredPair>, Vec<WorkerStat>)> {
-        let (scores, stats) = self.score_pairs_parallel_exact(candidates, workers)?;
-        Ok((self.filter_matches(candidates, &scores), stats))
     }
 
     /// Apply the threshold to aligned `(candidates, scores)`, preserving
@@ -703,12 +554,11 @@ impl ErKernel {
             )));
         }
         let strips = blocks.strips(workers);
-        let memos = self.memos(blocks.pair_bound());
         // One strip per worker; strips in order are `(i, j)` order.
         let (chunks, stats) = par::run_blocked(&strips, strips.len(), |_, chunk| {
             chunk
                 .iter()
-                .map(|rows| self.decide_strip(blocks, rows.clone(), &covered, &memos))
+                .map(|rows| self.decide_strip(blocks, rows.clone(), &covered))
                 .collect::<Vec<_>>()
         })
         .map_err(|msg| TableError::Unavailable(format!("ER decision worker panicked: {msg}")))?;
@@ -728,38 +578,30 @@ impl ErKernel {
     }
 
     /// One worker's share: walk the partners of `rows` and decide the pairs
-    /// not `covered`, a batch at a time against the pass's memos.
+    /// not `covered`.
     fn decide_strip(
         &self,
         blocks: &UnionBlocks,
         rows: Range<usize>,
         covered: &(impl Fn(usize, usize) -> bool + Sync),
-        memos: &PassMemos,
     ) -> Strip {
         let mut strip = Strip::default();
-        let mut scratch = SimScratch::default();
+        let mut scratch = self.scratch(blocks.pair_bound_of(rows.clone()));
         let mut state = vec![FromIds::Skipped; self.fields.len()];
-        let mut row = rows.start;
-        while row < rows.end {
-            memos.with_tables(|memos| {
-                let batch_end = strip.walked + MEMO_BATCH as u64;
-                while row < rows.end && strip.walked < batch_end {
-                    for j in blocks.partners(row) {
-                        strip.walked += 1;
-                        if covered(row, j) {
-                            strip.covered += 1;
-                            continue;
-                        }
-                        let mut opened = 0;
-                        if self.decide_with(row, j, memos, &mut state, &mut scratch, &mut opened) {
-                            strip.matches.push((row, j));
-                        }
-                        strip.from_ids += u64::from(opened == 0);
-                        strip.text_fields += opened;
-                    }
-                    row += 1;
+        for row in rows {
+            for j in blocks.partners(row) {
+                strip.walked += 1;
+                if covered(row, j) {
+                    strip.covered += 1;
+                    continue;
                 }
-            });
+                let mut opened = 0;
+                if self.decide_with(row, j, &mut state, &mut scratch, &mut opened) {
+                    strip.matches.push((row, j));
+                }
+                strip.from_ids += u64::from(opened == 0);
+                strip.text_fields += opened;
+            }
         }
         strip
     }
@@ -779,19 +621,18 @@ impl ErKernel {
         &self,
         i: usize,
         j: usize,
-        memos: &[PairMemo],
         state: &mut [FromIds],
         scratch: &mut SimScratch,
         opened: &mut u64,
     ) -> bool {
-        for ((f, memo), st) in self.fields.iter().zip(memos).zip(state.iter_mut()) {
+        for (k, (f, st)) in self.fields.iter().zip(state.iter_mut()).enumerate() {
             *st = match &f.cells {
                 FieldCells::Text { ids, .. }
                     if ids[i] != ids[j] && ids[i] != NULL_ID && ids[j] != NULL_ID =>
                 {
                     FromIds::Unknown
                 }
-                cells => field_similarity(cells, i, j, memo, scratch)
+                cells => field_similarity(cells, k, i, j, scratch)
                     .map_or(FromIds::Skipped, FromIds::Known),
             };
         }
@@ -828,7 +669,7 @@ impl ErKernel {
                     return true;
                 }
             }
-            state[k] = field_similarity(&self.fields[k].cells, i, j, &memos[k], scratch)
+            state[k] = field_similarity(&self.fields[k].cells, k, i, j, scratch)
                 .map_or(FromIds::Skipped, FromIds::Known);
             *opened += 1;
         }
@@ -943,13 +784,14 @@ fn tokens_of(s: &str) -> Vec<String> {
     out
 }
 
-/// One field's contribution to a pair — the compiled mirror of the serial
-/// `value_similarity`. `memo` is the scoring pass's memo of this field.
+/// What field `field` (these `cells`) contributes to a pair — the compiled
+/// mirror of the serial `value_similarity`, answered from the worker's memo
+/// of the field where it can be.
 fn field_similarity(
     cells: &FieldCells,
+    field: usize,
     i: usize,
     j: usize,
-    memo: &PairMemo,
     scratch: &mut SimScratch,
 ) -> Option<f64> {
     match cells {
@@ -964,11 +806,12 @@ fn field_similarity(
             (a, b) if a == b => Some(1.0),
             (a, b) => {
                 let key = PairMemo::key(a, b);
-                Some(memo.get(key).unwrap_or_else(|| {
-                    let s = text_similarity(&cells[a as usize], &cells[b as usize], scratch);
-                    memo.insert(key, s);
-                    s
-                }))
+                if let Some(s) = scratch.memos[field].get(key) {
+                    return Some(s);
+                }
+                let s = text_similarity(&cells[a as usize], &cells[b as usize], scratch);
+                scratch.memos[field].insert(key, s);
+                Some(s)
             }
         },
         FieldCells::Numeric { cells, scale } => match (cells[i], cells[j]) {
@@ -1221,6 +1064,7 @@ mod tests {
     use super::*;
     use crate::sim::{record_similarity, FieldSim};
     use crate::{candidates_naive, match_pairs};
+    use std::collections::BTreeSet;
 
     fn t() -> Table {
         Table::literal(
@@ -1281,7 +1125,8 @@ mod tests {
         // Exact widths (including widths beyond the pair count) drive real
         // multi-thread blocked reassembly regardless of the machine's cores.
         for workers in 1..=cand.len() + 2 {
-            let (parallel, stats) = kernel.match_pairs_parallel_exact(&cand, workers).unwrap();
+            let (scores, stats) = kernel.score_pairs_parallel_exact(&cand, workers).unwrap();
+            let parallel = kernel.filter_matches(&cand, &scores);
             assert_eq!(parallel, serial, "workers = {workers}");
             let items: u64 = stats.iter().map(|s| s.items).sum();
             assert_eq!(items, cand.len() as u64);
@@ -1290,7 +1135,8 @@ mod tests {
         }
         // The policy entry point produces the same output after sizing.
         for workers in [1, 4, 64] {
-            let (parallel, stats) = kernel.match_pairs_parallel(&cand, workers).unwrap();
+            let (scores, stats) = kernel.score_pairs_parallel(&cand, workers).unwrap();
+            let parallel = kernel.filter_matches(&cand, &scores);
             assert_eq!(parallel, serial, "workers = {workers}");
             assert_eq!(
                 stats.iter().map(|s| s.items).sum::<u64>(),
@@ -1441,102 +1287,108 @@ mod tests {
 
     #[test]
     fn pair_memo_survives_growth_and_rehash() {
-        // A large dictionary starts at the cap and doubles from there.
-        let mut memo = PairMemo::for_pairs(1 << 20, 5000);
-        let first = PairMemo::FIRST_SLOTS_MAX;
-        assert_eq!(memo.slots.len(), first);
-        assert_eq!(memo.get(PairMemo::key(0, 1)), None);
-        // Enough keys to double the first allocation twice; ids up to
+        // 8,192 pairs bound the table at 8,192 slots: three doublings from
+        // the first allocation, then 6,144 entries and no more. Ids up to
         // u32::MAX − 1 exercise both key halves.
-        let n = first as u32 * 3 / 2;
+        let mut memo = PairMemo::for_pairs(8192);
         let key = |k: u32| PairMemo::key(k.wrapping_mul(0x9E37_79B1), u32::MAX - 1 - k);
-        let value = |k: u32| f64::from(k) / f64::from(n);
-        for k in 0..n {
+        let value = |k: u32| f64::from(k) / 7000.0;
+        let mut sizes = vec![];
+        for k in 0..7000 {
             assert_eq!(memo.get(key(k)), None, "key {k} before insert");
             memo.insert(key(k), value(k));
-            assert_eq!(memo.get(key(k)), Some(value(k)), "key {k} declined");
-            if memo.wants_room() {
-                memo.grow();
-                // Everything inserted so far is still answered after a rehash.
-                for seen in 0..=k {
+            let want = (k < 6144).then(|| value(k));
+            assert_eq!(memo.get(key(k)), want, "key {k} after insert");
+            if sizes.last() != Some(&memo.slots.len()) {
+                sizes.push(memo.slots.len());
+                // Everything stored so far is still answered after a rehash.
+                for seen in 0..k {
                     assert_eq!(memo.get(key(seen)), Some(value(seen)), "key {seen} of {k}");
                 }
             }
         }
-        let len = *memo.len.get_mut();
-        assert_eq!(len, n as usize);
-        assert_eq!(memo.slots.len(), first * 4);
+        assert_eq!(sizes, [1024, 2048, 4096, 8192]);
+        assert_eq!(memo.len, 6144);
+        // Past the bound the stored keys stay intact and the rest are
+        // declined (the caller recomputes them every time).
+        for k in 0..7000 {
+            let want = (k < 6144).then(|| value(k));
+            assert_eq!(memo.get(key(k)), want, "key {k}");
+        }
         assert_eq!(memo.get(PairMemo::key(7, 7)), None);
         // A second insert of a stored key changes nothing.
         memo.insert(key(3), 9.0);
         assert_eq!(memo.get(key(3)), Some(value(3)));
-        assert_eq!(*memo.len.get_mut(), n as usize);
+        assert_eq!(memo.len, 6144);
     }
 
     #[test]
-    fn pair_memo_is_sized_by_dictionary_and_bounded_by_pairs() {
-        // 20 values have 380 ordered pairs: 2·20² slots hold them all under
-        // half full, whatever the pass size, and the table never wants room.
-        let memo = PairMemo::for_pairs(1 << 20, 20);
+    fn pair_memo_starts_small_and_is_bounded_by_the_workers_pairs() {
+        // Nothing is allocated for a worker that never opens a text field;
+        // the first stored pair allocates 1,024 slots whatever the share.
+        let mut memo = PairMemo::for_pairs(1 << 20);
+        assert_eq!(memo.slots.capacity(), 0);
+        assert_eq!(memo.get(PairMemo::key(0, 1)), None);
+        memo.insert(PairMemo::key(0, 1), 0.25);
         assert_eq!(memo.slots.len(), 1024);
-        for a in 0..20u32 {
-            for b in (0..20).filter(|&b| b != a) {
-                memo.insert(PairMemo::key(a, b), f64::from(a * 20 + b));
+        assert_eq!(memo.get(PairMemo::key(0, 1)), Some(0.25));
+        assert_eq!(memo.get(PairMemo::key(1, 0)), None, "the key is ordered");
+        // A share of 1,500 pairs bounds the table at 1,024 slots, i.e. 768
+        // entries, and a share under 1,024 pairs still gets the first table.
+        for pairs in [1500, 3] {
+            let mut memo = PairMemo::for_pairs(pairs);
+            for k in 0..1000u32 {
+                memo.insert(PairMemo::key(k, k + 1), f64::from(k));
             }
+            assert_eq!((memo.slots.len(), memo.len), (1024, 768));
         }
-        assert!(!memo.wants_room());
-        assert_eq!(memo.get(PairMemo::key(19, 18)), Some(398.0));
-        assert_eq!(PairMemo::for_pairs(1 << 20, 150).slots.len(), 1 << 16);
-        // 1,500 pairs bound the table at 1,024 slots, i.e. 768 entries:
-        // later keys are declined (the caller recomputes them every time)
-        // and the stored ones stay intact.
-        let mut memo = PairMemo::for_pairs(1500, 5000);
-        for k in 0..1000u32 {
-            memo.insert(PairMemo::key(k, k + 1), f64::from(k));
-            memo.grow();
-        }
-        assert_eq!(memo.slots.len(), 1024);
-        assert_eq!(*memo.len.get_mut(), 768);
-        for k in 0..1000u32 {
-            let want = (k < 768).then(|| f64::from(k));
-            assert_eq!(memo.get(PairMemo::key(k, k + 1)), want, "key {k}");
-        }
-        // The memo of a non-text field or a one-off score: nothing stored,
-        // nothing allocated.
-        let mut none = PairMemo::for_pairs(0, 5000);
+        // The memo of a one-off score: nothing stored, nothing allocated.
+        let mut none = PairMemo::for_pairs(0);
         none.insert(PairMemo::key(1, 2), 0.5);
-        none.grow();
         assert_eq!(none.get(PairMemo::key(1, 2)), None);
         assert_eq!(none.slots.capacity(), 0);
+        // Nor is anything allocated for a field that is not text.
+        let (kernel, pairs) = (ErKernel::compile(&t(), &cfg()).unwrap(), candidates_naive(5));
+        let mut scratch = kernel.scratch(pairs.len());
+        for &(i, j) in &pairs {
+            kernel.score_with(i, j, &mut scratch).unwrap();
+        }
+        let slots: Vec<usize> = scratch.memos.iter().map(|m| m.slots.capacity()).collect();
+        assert_eq!(slots, [1024, 0, 0], "name is the one text field");
     }
 
     #[test]
-    fn workers_share_one_memo() {
-        // 8 workers over 400 rows × 20 names, ~10,000 pairs each: a memo per
-        // worker would evaluate 8 × 380 similarities. A shared one evaluates
-        // each ordered pair once, plus the pairs two workers miss at the
-        // same moment (the bound leaves that race a whole second pass). The
-        // meter is per thread, so it is summed from the workers.
+    fn a_worker_evaluates_each_value_pair_of_its_own_share_once() {
+        // The per-worker work guard. 400 rows × 20 names, all 79,800 pairs,
+        // at exact widths 1, 2 and 8: a worker shares nothing, so it owes
+        // one evaluation per distinct ordered pair of different names in
+        // *its* chunk — not one per row pair, and nothing for what another
+        // worker met. The meter is per thread, read inside each worker.
         let t = repeated_names(400, 20);
         let cfg = ErConfig::text_over(&["name"], 0.9);
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         let pairs = candidates_naive(400);
         let serial = kernel.score_pairs(&pairs).unwrap();
-        let mut scores = vec![0.0; pairs.len()];
-        let memos = kernel.memos(pairs.len());
-        let (evals, _) = par::run_blocked_into(&pairs, &mut scores, 8, |_, chunk, out| {
-            TEXT_EVALS.with(|n| n.set(0));
-            kernel.score_pairs_into(chunk, out, &memos).unwrap();
-            TEXT_EVALS.with(std::cell::Cell::get)
-        })
-        .unwrap();
-        assert_eq!(evals.len(), 8);
-        let total: u64 = evals.iter().sum();
-        assert!((380..2 * 380).contains(&total), "{total} evaluations");
-        assert_eq!(
-            scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
-            serial.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
-        );
+        for workers in [1, 2, 8] {
+            let mut scores = vec![0.0; pairs.len()];
+            let (evals, _) = par::run_blocked_into(&pairs, &mut scores, workers, |_, chunk, out| {
+                TEXT_EVALS.with(|n| n.set(0));
+                kernel.score_pairs_into(chunk, out).unwrap();
+                let names = chunk.iter().map(|&(i, j)| (i % 20, j % 20));
+                let distinct: BTreeSet<_> = names.filter(|(a, b)| a != b).collect();
+                (TEXT_EVALS.with(std::cell::Cell::get), distinct.len() as u64)
+            })
+            .unwrap();
+            assert_eq!(evals.len(), workers);
+            for (w, (evaluated, distinct)) in evals.into_iter().enumerate() {
+                assert_eq!(evaluated, distinct, "worker {w} of {workers}");
+                assert!(distinct <= 380);
+            }
+            assert_eq!(
+                scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
+                serial.iter().map(|s| s.to_bits()).collect::<Vec<_>>()
+            );
+        }
     }
 
     /// `n` rows over `distinct` different names, row `r` carrying name
@@ -1581,32 +1433,34 @@ mod tests {
 
     #[test]
     fn scores_stay_bit_identical_across_a_memo_rehash() {
-        // 250 distinct names → 62,250 ordered pairs, more than the capped
-        // first allocation stores: lookups before, during and after the
-        // rehash must all equal the serial oracle, in both orders.
+        // 250 distinct names → 62,250 ordered pairs, met by a worker whose
+        // share bounds its table at 16,384 slots: four doublings, then
+        // 12,288 stored pairs and every later one recomputed. Lookups
+        // before, across and after the rehashes and past the bound must all
+        // equal the serial oracle, in both orders.
         let t = repeated_names(400, 250);
         let cfg = ErConfig::text_over(&["name"], 0.9);
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         let mut pairs = candidates_naive(400);
         pairs.extend(candidates_naive(400).into_iter().map(|(i, j)| (j, i)));
-        let mut scores = vec![0.0; pairs.len()];
-        let memos = kernel.memos(pairs.len());
-        kernel
-            .score_pairs_into(&pairs, &mut scores, &memos)
-            .unwrap();
-        let memos = memos.tables.into_inner().unwrap();
-        assert!(
-            memos[0].slots.len() > PairMemo::FIRST_SLOTS_MAX,
-            "never grew"
-        );
-        // A pair first met while the table was full is stored at its next
-        // occurrence, if it has one.
-        let stored = memos[0].len.load(Ordering::Relaxed);
-        assert!(stored > PairMemo::FIRST_SLOTS_MAX * 3 / 4 && stored <= 250 * 249);
+        let mut scratch = kernel.scratch(20_000);
+        let scores: Vec<f64> = pairs
+            .iter()
+            .map(|&(i, j)| kernel.score_with(i, j, &mut scratch).unwrap())
+            .collect();
+        let memo = &scratch.memos[0];
+        assert_eq!((memo.slots.len(), memo.len), (16_384, 12_288));
         for (&(i, j), s) in pairs.iter().zip(&scores).step_by(7) {
             let serial = record_similarity(&t, i, j, &cfg).unwrap();
             assert_eq!(serial.to_bits(), s.to_bits(), "pair ({i}, {j})");
         }
+        // A worker handed the whole list grows past that and stores them all.
+        let mut scratch = kernel.scratch(pairs.len());
+        for (&(i, j), s) in pairs.iter().zip(&scores) {
+            let again = kernel.score_with(i, j, &mut scratch).unwrap();
+            assert_eq!(again.to_bits(), s.to_bits(), "pair ({i}, {j})");
+        }
+        assert_eq!(scratch.memos[0].len, 250 * 249);
     }
 
     #[test]

@@ -88,7 +88,8 @@ pub fn resolve(
     cfg: &ErConfig,
 ) -> wrangler_table::Result<Vec<Vec<usize>>> {
     let candidates = candidates_blocked(table, blocking_column)?;
-    let pairs = ErKernel::compile(table, cfg)?.match_pairs(&candidates)?;
+    let kernel = ErKernel::compile(table, cfg)?;
+    let pairs = kernel.filter_matches(&candidates, &kernel.score_pairs(&candidates)?);
     Ok(cluster_pairs(
         table.num_rows(),
         pairs.iter().map(|p| (p.i, p.j)),

@@ -2,6 +2,7 @@
 //! soundness, similarity bounds.
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use wrangler_resolve::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
     candidates_union, cluster_pairs, match_pairs, record_similarity, ErConfig, ErKernel, FieldSim,
@@ -344,7 +345,8 @@ proptest! {
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         // `_exact` bypasses the pool-sizing policy so the property exercises
         // real multi-thread blocked reassembly even on a small machine.
-        let (par, stats) = kernel.match_pairs_parallel_exact(&candidates, workers).unwrap();
+        let (scores, stats) = kernel.score_pairs_parallel_exact(&candidates, workers).unwrap();
+        let par = kernel.filter_matches(&candidates, &scores);
         prop_assert_eq!(serial.len(), par.len());
         for (a, b) in serial.iter().zip(&par) {
             prop_assert_eq!((a.i, a.j), (b.i, b.j));
@@ -358,8 +360,8 @@ proptest! {
         );
         // The policy entry point sizes the pool differently but must score
         // identically.
-        let (policy, _) = kernel.match_pairs_parallel(&candidates, workers).unwrap();
-        prop_assert_eq!(&policy, &par);
+        let (policy, _) = kernel.score_pairs_parallel(&candidates, workers).unwrap();
+        prop_assert_eq!(&kernel.filter_matches(&candidates, &policy), &par);
     }
 
     #[test]
@@ -574,7 +576,8 @@ proptest! {
         let workers = candidates.len() + extra;
         let serial = match_pairs(&t, &candidates, &cfg).unwrap();
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
-        let (par, stats) = kernel.match_pairs_parallel_exact(&candidates, workers).unwrap();
+        let (scores, stats) = kernel.score_pairs_parallel_exact(&candidates, workers).unwrap();
+        let par = kernel.filter_matches(&candidates, &scores);
         prop_assert_eq!(serial.len(), par.len());
         for (a, b) in serial.iter().zip(&par) {
             prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
@@ -615,8 +618,8 @@ proptest! {
         let cfg = messy_cfg();
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         let candidates = candidates_naive(t.num_rows());
-        let pairs = kernel.match_pairs(&candidates).unwrap();
-        let base = normalize(cluster_pairs(t.num_rows(), pairs.iter().map(|p| (p.i, p.j))));
+        let pairs = listed_and_scored(&kernel, &candidates);
+        let base = normalize(cluster_pairs(t.num_rows(), pairs));
         // Deterministic Fisher–Yates driven by a splitmix64 stream.
         let mut shuffled = candidates;
         let mut s = seed;
@@ -631,8 +634,8 @@ proptest! {
             let r = (next() % (k as u64 + 1)) as usize;
             shuffled.swap(k, r);
         }
-        let pairs2 = kernel.match_pairs(&shuffled).unwrap();
-        let alt = normalize(cluster_pairs(t.num_rows(), pairs2.iter().map(|p| (p.i, p.j))));
+        let pairs2 = listed_and_scored(&kernel, &shuffled);
+        let alt = normalize(cluster_pairs(t.num_rows(), pairs2));
         prop_assert_eq!(base, alt);
     }
 
@@ -644,5 +647,51 @@ proptest! {
         let cfg = ErConfig::text_over(&["name"], 0.95);
         let clusters = wrangler_resolve::resolve(&t, "name", &cfg).unwrap();
         prop_assert_eq!(clusters.len(), 1);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    #[test]
+    fn strips_that_grow_their_memos_at_different_pairs_decide_what_one_worker_decides(
+        names in prop::collection::vec(0usize..90, 140),
+        workers in 2usize..5,
+    ) {
+        // One name block of 140 rows over at most 90 names, every pair of
+        // different names opened (a text-only config brackets [0, 1]). Each
+        // strip owns its memo: it meets its own 769th distinct value pair —
+        // the first rehash — at a pair no other strip does, and replays
+        // from a table no other strip filled.
+        let rows = names
+            .iter()
+            .map(|k| vec![Value::from(format!("widget {} mk{k}", k * 37 % 101))]);
+        let t = Table::literal(&["name"], rows.collect()).unwrap();
+        let blocks = UnionBlocks::build(&t, "name", "name").unwrap();
+        let kernel = ErKernel::compile(&t, &ErConfig::text_over(&["name"], 0.9)).unwrap();
+        // The fixture's premise, per strip: enough pairs for the memo's bound
+        // to allow a rehash, enough distinct value pairs to force one.
+        let strips = blocks.strips(workers);
+        prop_assert_eq!(strips.len(), workers);
+        for rows in strips {
+            let pairs = rows.flat_map(|i| blocks.partners(i).map(move |j| (i, j)));
+            let values: Vec<_> = pairs.map(|(i, j)| (names[i], names[j])).collect();
+            let distinct: BTreeSet<_> = values.iter().filter(|(a, b)| a != b).collect();
+            prop_assert!(
+                values.len() >= 2048 && distinct.len() > 768,
+                "{} pairs, {} distinct",
+                values.len(),
+                distinct.len()
+            );
+        }
+        let serial = kernel.decide_union_exact(&blocks, 1, |_, _| false).unwrap();
+        let wide = kernel.decide_union_exact(&blocks, workers, |_, _| false).unwrap();
+        let matched = serial.matches.len() as u64;
+        prop_assert!(0 < matched && matched < serial.candidates, "{matched} matches");
+        prop_assert_eq!(&wide.matches, &serial.matches);
+        prop_assert_eq!(
+            (wide.candidates, wide.from_ids, wide.text_fields),
+            (serial.candidates, serial.from_ids, serial.text_fields)
+        );
     }
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Twelve rules, all enforced in CI via scripts/verify.sh:
+# analysis). Thirteen rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -83,6 +83,16 @@
 #      score vector. Listing, scoring and filtering is the reference
 #      spelling — tests, `crates/bench` and `bench/` may call it; a
 #      production caller brings the O(candidates) allocations back.
+#
+#  13. `std::sync::atomic`, `RwLock` and `Mutex` do not appear in
+#      `crates/resolve/src` outside test code. ER workers share immutable
+#      data only — the compiled kernel and the blocks — and own everything
+#      they write (scratch buffers, memos, their strip of matches), which is
+#      why the output is the same for any pool width with no argument about
+#      who wins a race. A new shared table needs a `lint-allow: <reason>`
+#      and a measurement that the sharing pays (the one this crate had was
+#      built for a text evaluation per candidate; the stage now opens a text
+#      field for about one candidate in a hundred).
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -387,6 +397,24 @@ done)
 if [ -n "$list_and_score_hits" ]; then
   echo "lint: list-and-score ER spelling in crates/core/src (ask ErKernel::decide_union which candidates match; score_pairs/match_pairs/filter_matches/candidates_union are the test reference):"
   echo "$list_and_score_hits"
+  fail=1
+fi
+
+# --- Rule 13: ER workers share nothing mutable -----------------------------------
+shared_state_hits=$(for f in $(find crates/resolve/src -name '*.rs' | sort); do
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc lines
+    /std::sync::atomic|(^|[^_[:alnum:]])(RwLock|Mutex)([^_[:alnum:]]|$)/ {
+      if ($0 !~ /lint-allow:/) {
+        printf "%s:%d: %s\n", file, FNR, $0
+      }
+    }
+  ' "$f"
+done)
+if [ -n "$shared_state_hits" ]; then
+  echo "lint: shared mutable state in crates/resolve/src (ER workers share immutable data only; measure first, then add \`// lint-allow: <reason>\`):"
+  echo "$shared_state_hits"
   fail=1
 fi
 
