@@ -67,8 +67,8 @@ use wrangler_fusion::strategies::fuse_attribute;
 use wrangler_fusion::{FuseKernel, FusedValue, MIN_SLOTS_PER_WORKER};
 use wrangler_resolve::kernel::MIN_PAIRS_PER_WORKER;
 use wrangler_resolve::{
-    candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, ErConfig, ErKernel,
-    ScoredPair, UnionBlocks,
+    candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, DirtyRows, ErConfig,
+    ErKernel, ScoredPair, UnionBlocks,
 };
 use wrangler_sources::{FleetConfig, SyntheticFleet};
 use wrangler_table::{par, Table};
@@ -258,7 +258,7 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
         let decide = || {
             let blocks = UnionBlocks::build(&union, "name", "sku").expect("union has both columns"); // lint-allow: experiment fixture
             let k = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
-            k.decide_union(&blocks, workers, |_, _| false)
+            k.decide_union(&blocks, workers, &DirtyRows::all(union.num_rows()))
                 .expect("deciding succeeds") // lint-allow: experiment fixture
         };
         let ms = 1e3
@@ -310,9 +310,10 @@ fn measure_er_floor(products: usize) -> ErFloorResult {
     let union = w.union_table().expect("wrangle caches the union"); // lint-allow: experiment fixture
     let blocks = UnionBlocks::build(&union, "name", "sku").expect("union has both columns"); // lint-allow: experiment fixture
     let kernel = ErKernel::compile(&union, w.er_config()).expect("schema compiles"); // lint-allow: experiment fixture
+    let cold = DirtyRows::all(union.num_rows());
     let at = |workers: usize| {
         kernel
-            .decide_union_exact(&blocks, workers, |_, _| false)
+            .decide_union_exact(&blocks, workers, &cold)
             .expect("deciding succeeds") // lint-allow: experiment fixture
     };
     let time = |workers: usize| {
@@ -321,7 +322,7 @@ fn measure_er_floor(products: usize) -> ErFloorResult {
         })
     };
     let policy = kernel
-        .decide_union(&blocks, 2, |_, _| false)
+        .decide_union(&blocks, 2, &cold)
         .expect("deciding succeeds"); // lint-allow: experiment fixture
     let serial = at(1);
     ErFloorResult {

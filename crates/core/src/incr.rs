@@ -16,19 +16,27 @@
 //! - **ER** ([`ErMemo`]): the union's identity is its block list, so the
 //!   whole clustering replays iff the pass fingerprint and the layout are
 //!   the memo's, compared exactly. When some block changed, the memo still
-//!   pays: it remembers the pass's *matched pairs* by row index, and the
-//!   block layout maps rows of unchanged blocks old↔new by offset. A
-//!   candidate whose two rows both sit in unchanged blocks, in the same
-//!   relative order, is *carried* — it matches now iff it matched then — so
-//!   only pairs touching a changed row are decided ([`ErMemo::carry`]). This
-//!   rests on one invariant, pinned by `wrangler-resolve`'s proptest
+//!   pays, and the update's ER costs its dirty rows. The memo remembers
+//!   the pass's *matched pairs* by row index, its candidate count, and what
+//!   it derived per union row — the blocks (blocking keys) and the kernel
+//!   (dictionary ids and cells). The block layout maps rows of unchanged
+//!   blocks old↔new by offset ([`ErMemo::carry`]); a block out of order
+//!   relative to the carried blocks before it counts as changed, so the
+//!   clean rows keep their relative order. The new blocks and kernel are
+//!   *carried*, not rebuilt: a clean row takes its keys and ids from the
+//!   memo's, only a dirty row is rendered and interned. A candidate of two
+//!   clean rows is carried — it matches now iff it matched then — and is
+//!   not even walked: the walk decides the pairs with a dirty row and
+//!   counts the clean ones in the memo's blocks. This rests on one
+//!   invariant, pinned by `wrangler-resolve`'s proptest
 //!   `candidates_restricted_to_surviving_rows`: whether `(i, j)` is a
 //!   candidate depends on rows `i` and `j` alone (as do the score, in
 //!   argument order, and the threshold), so replacing or deleting rows
 //!   leaves the candidates among the survivors as they were, re-indexed.
 //! - **Fuse** ([`FuseMemo`]): trust estimation + slot fusion is keyed on
 //!   the block list and clustering plus every input that can ripple into a
-//!   fused value (belief trust, source ages, master data).
+//!   fused value (value-level feedback, belief trust, source ages, master
+//!   data).
 //!   Without a block list (a union replayed from a checkpoint store, or
 //!   filtered again by `OptMode::Naive`) neither memo replays or is captured.
 //!
@@ -43,6 +51,7 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use wrangler_resolve::{ErKernel, UnionBlocks};
 use wrangler_table::{wire, Table};
 
 use crate::ckpt_io::{ErOut, FuseOut};
@@ -129,63 +138,74 @@ pub struct ErMemo {
     /// The pairs that matched (score ≥ threshold) as `(i, j)` row indices
     /// of the memoized union, `i < j`, sorted — not one entry per candidate.
     pub matches: Vec<(usize, usize)>,
+    /// The candidate count of the memoized union (`er.candidates`).
+    pub candidates: u64,
+    /// The memoized union's blocks: each row's two blocking keys. A carried
+    /// row takes its keys from here, and the clean pairs are counted here.
+    pub blocks: UnionBlocks,
+    /// The memoized union's kernel: each row's dictionary ids and cells. A
+    /// carried row takes its ids from here.
+    pub kernel: ErKernel,
 }
 
 /// What an update carries over from the memoized ER pass.
 #[derive(Debug, PartialEq)]
 pub struct Carry {
-    /// Per current union row, its row in the memoized union (`None` = the
-    /// row's block is new or changed).
-    old_of: Vec<Option<usize>>,
-    /// The memoized matches [`Carry::covers`], as current row indices, in
-    /// memo order — sorted unless blocks were reordered.
+    /// Per current union row, its row in the memoized union; `None` marks a
+    /// dirty row — its block is new, changed, or out of order.
+    pub old_of: Vec<Option<usize>>,
+    /// The memoized matches between clean rows, as current row indices,
+    /// sorted: the clean rows keep their old relative order.
     pub matches: Vec<(usize, usize)>,
-}
-
-impl Carry {
-    /// Is this candidate (`i < j`, current indices) decided by the memo —
-    /// both rows in unchanged blocks, in their old relative order? Then it
-    /// matches iff it is in [`Carry::matches`]. A flipped pair is not: the
-    /// kernel would be handed its arguments the other way round.
-    pub fn covers(&self, pair: (usize, usize)) -> bool {
-        map_pair(&self.old_of, pair).is_some()
-    }
-}
-
-/// Map both rows of `(a, b)`, `a < b`, keeping the pair only when both map
-/// and stay in order. Out-of-range rows map to `None`, so a short or stale
-/// map can never fabricate a carried pair.
-fn map_pair(map: &[Option<usize>], (a, b): (usize, usize)) -> Option<(usize, usize)> {
-    let x = map.get(a).copied().flatten()?;
-    let y = map.get(b).copied().flatten()?;
-    (x < y).then_some((x, y))
 }
 
 impl ErMemo {
     /// Carry this memo across an update to a union of `rows` rows laid out
-    /// as `layout`. `None` when nothing may be carried: no block in common,
-    /// another pass fingerprint, or a layout that does not cover its union.
+    /// as `layout`. A block of the memoized layout (same source, same key,
+    /// same length) is carried row for row, unless its old position is not
+    /// past that of every carried block before it: then it is dirty too, so
+    /// that every clean pair keeps the argument order it was decided in —
+    /// the kernel makes no promise that a score survives swapping them.
+    /// `None` when nothing may be carried: no block in common, another pass
+    /// fingerprint, or a layout that does not cover its union.
     pub fn carry(&self, pass_fp: u64, layout: &[Block], rows: usize) -> Option<Carry> {
         let covered = |l: &[Block]| l.iter().map(|&(_, _, n)| n).sum::<usize>();
-        if self.pass_fp != pass_fp
-            || covered(layout) != rows
-            || covered(&self.layout) != self.out.row_entity.len()
-        {
+        let old_rows = self.out.row_entity.len();
+        if self.pass_fp != pass_fp || covered(layout) != rows || covered(&self.layout) != old_rows {
             return None;
         }
-        let old_of = remap_rows(&self.layout, layout);
+        let mut old_blocks: BTreeMap<(usize, u64), (usize, usize)> = BTreeMap::new();
+        let mut off = 0usize;
+        for &(src, key, len) in &self.layout {
+            old_blocks.entry((src, key)).or_insert((off, len));
+            off += len;
+        }
+        let mut old_of = Vec::with_capacity(rows);
+        let mut last = None;
+        for &(src, key, len) in layout {
+            match old_blocks.get(&(src, key)) {
+                Some(&(start, old_len)) if old_len == len && last < Some(start) => {
+                    last = Some(start);
+                    old_of.extend((start..start + len).map(Some));
+                }
+                _ => old_of.extend(std::iter::repeat_n(None, len)),
+            }
+        }
         if old_of.iter().all(Option::is_none) {
             return None;
         }
-        let new_of = remap_rows(layout, &self.layout);
-        Some(Carry {
-            old_of,
-            matches: self
-                .matches
-                .iter()
-                .filter_map(|&pair| map_pair(&new_of, pair))
-                .collect(),
-        })
+        let mut new_of = vec![None; old_rows];
+        for (r, o) in old_of.iter().enumerate() {
+            if let Some(o) = *o {
+                new_of[o] = Some(r);
+            }
+        }
+        let matches = self
+            .matches
+            .iter()
+            .filter_map(|&(a, b)| Some((new_of[a]?, new_of[b]?)))
+            .collect();
+        Some(Carry { old_of, matches })
     }
 }
 
@@ -207,29 +227,6 @@ pub struct FuseMemo {
 pub fn pack_pair(i: usize, j: usize) -> u64 {
     let (lo, hi) = if i <= j { (i, j) } else { (j, i) };
     ((lo as u64) << 32) | (hi as u64 & 0xFFFF_FFFF)
-}
-
-/// Per row of `new_layout`'s union, the same row in `old_layout`'s union.
-/// Blocks match by `(source, block key)` (first occurrence wins, as blocks
-/// are unique per source); matched blocks map row-for-row by offset.
-/// `None` marks rows of blocks the other layout lacks. The arguments swap
-/// to map the other way.
-pub fn remap_rows(old_layout: &[Block], new_layout: &[Block]) -> Vec<Option<usize>> {
-    let mut old_starts: BTreeMap<(usize, u64), usize> = BTreeMap::new();
-    let mut off = 0usize;
-    for &(src, key, len) in old_layout {
-        old_starts.entry((src, key)).or_insert(off);
-        off += len;
-    }
-    let total: usize = new_layout.iter().map(|&(_, _, len)| len).sum();
-    let mut map = Vec::with_capacity(total);
-    for &(src, key, len) in new_layout {
-        match old_starts.get(&(src, key)) {
-            Some(&start) => map.extend((0..len).map(|r| Some(start + r))),
-            None => map.extend(std::iter::repeat_n(None, len)),
-        }
-    }
-    map
 }
 
 /// The session's incremental-reuse state. On by default; chaos-mode passes
@@ -325,32 +322,13 @@ mod tests {
         assert_eq!(decoded.hash(), wire::table_hash(&table));
     }
 
-    #[test]
-    fn remap_shifts_clean_blocks_by_offset() {
-        // Old union: src0 (key 10, 2 rows), src1 (key 20, 3 rows).
-        // New union: src0 changed (key 11, 4 rows), src1 unchanged.
-        let old = [(0usize, 10u64, 2usize), (1, 20, 3)];
-        let new = [(0usize, 11u64, 4usize), (1, 20, 3)];
-        let map = remap_rows(&old, &new);
-        assert_eq!(map.len(), 7);
-        assert!(map[..4].iter().all(Option::is_none));
-        // src1's block started at old offset 2, now at 4.
-        assert_eq!(&map[4..], &[Some(2), Some(3), Some(4)]);
-    }
-
-    #[test]
-    fn remap_matches_blocks_across_reordering() {
-        let old = [(0usize, 10u64, 1usize), (1, 20, 2)];
-        let new = [(1usize, 20u64, 2usize), (0, 10, 1)];
-        let map = remap_rows(&old, &new);
-        assert_eq!(map, vec![Some(1), Some(2), Some(0)]);
-        // Swapped arguments give the forward (old → new) map.
-        assert_eq!(remap_rows(&new, &old), vec![Some(2), Some(0), Some(1)]);
-    }
-
-    /// A memo over `layout` whose matched pairs are `matches`.
+    /// A memo over `layout` whose matched pairs are `matches` (its blocks
+    /// and kernel cover that many rows of nothing).
     fn memo(layout: &[Block], matches: &[(usize, usize)]) -> ErMemo {
+        use wrangler_resolve::ErConfig;
+        use wrangler_table::Value;
         let rows = layout.iter().map(|&(_, _, n)| n).sum();
+        let table = Table::literal(&["name"], vec![vec![Value::Null]; rows]).unwrap();
         ErMemo {
             pass_fp: 7,
             out: ErOut {
@@ -359,7 +337,24 @@ mod tests {
             },
             layout: layout.to_vec(),
             matches: matches.to_vec(),
+            candidates: 0,
+            blocks: UnionBlocks::build(&table, "name", "name").unwrap(),
+            kernel: ErKernel::compile(&table, &ErConfig::text_over(&["name"], 0.5)).unwrap(),
         }
+    }
+
+    #[test]
+    fn carry_maps_clean_blocks_by_offset() {
+        // Old union: src0 (key 10, 2 rows), src1 (key 20, 3 rows).
+        // New union: src0 changed (key 11, 4 rows), src1 unchanged.
+        let old = [(0usize, 10u64, 2usize), (1, 20, 3)];
+        let c = memo(&old, &[(0, 1), (2, 4)])
+            .carry(7, &[(0, 11, 4), (1, 20, 3)], 7)
+            .unwrap();
+        assert!(c.old_of[..4].iter().all(Option::is_none));
+        // src1's block started at old offset 2, now at 4.
+        assert_eq!(&c.old_of[4..], &[Some(2), Some(3), Some(4)]);
+        assert_eq!(c.matches, vec![(4, 6)]);
     }
 
     #[test]
@@ -370,35 +365,40 @@ mod tests {
         // src1 dropped: src2 shifts down to rows 2–3.
         let c = m.carry(7, &[(0, 10, 2), (2, 30, 2)], 4).unwrap();
         assert_eq!(c.matches, vec![(0, 1), (1, 2), (2, 3)]);
-        assert!(c.covers((0, 3)), "clean-clean pair is the memo's to decide");
+        assert!(c.old_of.iter().all(Option::is_some), "every row is the memo's");
         // src1 resized (new key, 1 row): its old matches are gone and every
         // pair touching its new row is live.
         let c = m
             .carry(7, &[(0, 10, 2), (1, 21, 1), (2, 30, 2)], 5)
             .unwrap();
         assert_eq!(c.matches, vec![(0, 1), (1, 3), (3, 4)]);
-        assert!(!c.covers((0, 2)) && !c.covers((2, 4)));
-        assert!(c.covers((1, 4)));
+        assert_eq!(c.old_of, vec![Some(0), Some(1), None, Some(5), Some(6)]);
         // One shared block is enough to carry: src0 and src1 re-keyed, src2's
         // rows 5–6 stay put with their match.
         let c = m
             .carry(7, &[(0, 11, 2), (1, 21, 3), (2, 30, 2)], 7)
             .unwrap();
         assert_eq!(c.matches, vec![(5, 6)]);
-        assert!(c.covers((5, 6)) && !c.covers((0, 1)) && !c.covers((4, 5)));
+        assert_eq!(&c.old_of[5..], &[Some(5), Some(6)]);
+        assert!(c.old_of[..5].iter().all(Option::is_none));
     }
 
     #[test]
-    fn carry_keeps_row_order_and_scores_flipped_pairs_live() {
-        // The reordered layout of `remap_matches_blocks_across_reordering`:
-        // old rows [a | b0 b1] become [b0 b1 | a].
+    fn a_block_out_of_order_is_dirty_so_every_clean_pair_keeps_its_order() {
+        // Old rows [a | b0 b1] become [b0 b1 | a]: b comes first and stays
+        // clean; a now sits after a block it used to precede, so it is
+        // dirty — (a, b0) would otherwise be decided as (b0, a).
         let old = [(0usize, 10u64, 1usize), (1, 20, 2)];
         let new = [(1usize, 20u64, 2usize), (0, 10, 1)];
         let c = memo(&old, &[(0, 1), (1, 2)]).carry(7, &new, 3).unwrap();
-        // (b0, b1) kept its order; (a, b0) would now be scored as (b0, a).
+        assert_eq!(c.old_of, vec![Some(1), Some(2), None]);
         assert_eq!(c.matches, vec![(0, 1)]);
-        assert!(c.covers((0, 1)));
-        assert!(!c.covers((0, 2)) && !c.covers((1, 2)));
+        // Three blocks rotated: the first two carried blocks stay in order.
+        let old = [(0usize, 10u64, 1usize), (1, 20, 1), (2, 30, 1)];
+        let new = [(1usize, 20u64, 1usize), (2, 30, 1), (0, 10, 1)];
+        let c = memo(&old, &[(1, 2)]).carry(7, &new, 3).unwrap();
+        assert_eq!(c.old_of, vec![Some(1), Some(2), None]);
+        assert_eq!(c.matches, vec![(0, 1)]);
     }
 
     #[test]
@@ -415,14 +415,15 @@ mod tests {
         // to carry, so no `Carry` at all (not one that covers nothing).
         assert_eq!(m.carry(7, &[(0, 11, 2), (1, 21, 2)], 4), None);
         assert_eq!(m.carry(7, &[(2, 10, 2), (3, 20, 2)], 4), None);
+        // A block of the same key that claims another length is not that
+        // block.
+        assert_eq!(m.carry(7, &[(0, 10, 3), (1, 20, 1)], 4), None);
         let mut short = m.clone();
         short.layout.pop();
         assert_eq!(short.carry(7, &old, 4), None);
-        // Rows past a map's end have no counterpart: never a panic, never a
-        // carried pair.
+        // The same layout carries every row, and only the union's rows.
         let c = m.carry(7, &old, 4).unwrap();
-        assert!(!c.covers((0, 9)) && !c.covers((9, 10)));
-        assert_eq!(map_pair(&[], (0, 1)), None);
+        assert_eq!(c.old_of, vec![Some(0), Some(1), Some(2), Some(3)]);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use wrangler_match::MatchConfig;
 use wrangler_obs::{MetricsReport, ObsMode, Telemetry};
 use wrangler_quality::profile::{quality_vector, ExternalSignals, TableProfile};
 use wrangler_resolve::learn::{refine_rule, LabeledPair};
-use wrangler_resolve::{cluster_pairs, ErConfig, ErKernel, FieldSim, SimKind, UnionBlocks};
+use wrangler_resolve::{
+    cluster_pairs, DirtyRows, ErConfig, ErKernel, FieldSim, SimKind, UnionBlocks,
+};
 use wrangler_sources::faults::{Degradation, FaultConfig, FaultProfile};
 use wrangler_sources::{Source, SourceEstimate, SourceId, SourceMeta, SourceRegistry};
 use wrangler_plan::{OptMode, PlanProgram};
@@ -1164,11 +1166,11 @@ impl Wrangler {
         // labels must not collapse or shatter the entity space. Re-cluster
         // with the candidate rule and require the entity count to stay within
         // a factor of the current one.
-        let (name_col, key_col) = self.blocking_columns();
+        let (name_col, key_col) = blocking_columns(&self.target);
         let blocks = UnionBlocks::build(union_table, name_col, key_col).ok()?;
         let matches = ErKernel::compile(union_table, &cfg)
             .ok()?
-            .decide_union(&blocks, 1, |_, _| false)
+            .decide_union(&blocks, 1, &DirtyRows::all(union_table.num_rows()))
             .ok()?
             .matches;
         let new_entities = cluster_pairs(union_table.num_rows(), matches).len();
@@ -1191,21 +1193,21 @@ impl Wrangler {
     pub fn union_table(&self) -> Option<Table> {
         Some(self.cache.as_ref()?.union.table().clone())
     }
+}
 
-    /// The columns ER blocks a union on: the name-ish column (a name or
-    /// title, else the key) AND the key column — rows whose name is null or
-    /// typo-prefixed still meet their duplicates through the key.
-    fn blocking_columns(&self) -> (&str, &str) {
-        let mut names = self.target.fields().iter().map(|f| &f.name);
-        let key_col = &self.target.fields()[0].name;
-        let name_col = names
-            .find(|n| {
-                let l = n.to_lowercase();
-                l.contains("name") || l.contains("title")
-            })
-            .unwrap_or(key_col);
-        (name_col, key_col)
-    }
+/// The columns ER blocks a union over `target` on: the name-ish column (a
+/// name or title, else the key) AND the key column — rows whose name is null
+/// or typo-prefixed still meet their duplicates through the key.
+fn blocking_columns(target: &Schema) -> (&str, &str) {
+    let mut names = target.fields().iter().map(|f| &f.name);
+    let key_col = &target.fields()[0].name;
+    let name_col = names
+        .find(|n| {
+            let l = n.to_lowercase();
+            l.contains("name") || l.contains("title")
+        })
+        .unwrap_or(key_col);
+    (name_col, key_col)
 }
 
 /// One source's stance on an explained slot.
@@ -2082,7 +2084,7 @@ mod tests {
     fn assert_er_equals_listed_scored_and_clustered(w: &Wrangler) -> Vec<(usize, usize)> {
         let cache = w.cache.as_ref().unwrap();
         let union = cache.union.table();
-        let (name_col, key_col) = w.blocking_columns();
+        let (name_col, key_col) = blocking_columns(w.target());
         let listed = wrangler_resolve::candidates_union(union, name_col, key_col).unwrap();
         let scored = wrangler_resolve::match_pairs(union, &listed, w.er_config()).unwrap();
         let want: Vec<(usize, usize)> = scored.iter().map(|p| (p.i, p.j)).collect();
@@ -2524,19 +2526,30 @@ mod tests {
     }
 
     /// Candidates of the last pass's union that the ER carry cannot decide,
-    /// counted from the cached union's source tags alone — not from the
-    /// block layout the engine itself uses: a pair with a row of `dirty`,
-    /// or one whose two (clean) sources swapped places since `before`.
+    /// counted from the cached union's source runs alone — not from the
+    /// block layout the engine itself uses: a pair with a row of `dirty`, or
+    /// of a clean source that now comes after a clean source it followed in
+    /// `before` (the carry keeps every clean pair in its old argument order,
+    /// so such a source is decided afresh).
     fn pairs_to_score(w: &Wrangler, dirty: SourceId, before: &[SourceId]) -> u64 {
         let union = &w.cache.as_ref().unwrap().union;
         let source_of: Vec<usize> = union.sources().collect();
-        let rank = |row: usize| before.iter().position(|s| s.0 as usize == source_of[row]);
-        let touches = |row: usize| source_of[row] == dirty.0 as usize;
-        let (name_col, key_col) = w.blocking_columns();
+        let rank = |src: usize| before.iter().position(|s| s.0 as usize == src);
+        let mut clean = std::collections::BTreeSet::new();
+        let mut last = None;
+        for &(src, _) in union.runs() {
+            let r = rank(src);
+            if src != dirty.0 as usize && r.is_some() && last < r {
+                last = r;
+                clean.insert(src);
+            }
+        }
+        let live = |row: usize| !clean.contains(&source_of[row]);
+        let (name_col, key_col) = blocking_columns(w.target());
         wrangler_resolve::candidates_union(union.table(), name_col, key_col)
             .unwrap()
             .iter()
-            .filter(|&&(i, j)| touches(i) || touches(j) || rank(i) > rank(j))
+            .filter(|&&(i, j)| live(i) || live(j))
             .count() as u64
     }
 
@@ -2632,7 +2645,8 @@ mod tests {
         let carry = before
             .carry(after.pass_fp, &after.layout, w.union_len())
             .expect("unchanged blocks carry");
-        let live = listed.iter().filter(|&&p| !carry.covers(p)).count() as u64;
+        let clean = |r: usize| carry.old_of[r].is_some();
+        let live = listed.iter().filter(|&&(i, j)| !(clean(i) && clean(j))).count() as u64;
         let delta = |key: &str| counter_delta(&out, &first, key);
         assert!(live > 0 && live < listed.len() as u64);
         assert_eq!(delta("er.candidates"), listed.len() as u64);
@@ -3047,5 +3061,53 @@ mod tests {
             .map(|(_, v)| *v)
             .sum();
         assert_eq!(attributed, program.rewrites.len() as u64);
+    }
+
+    /// An expert veto of the delivered price of the first entity that has one.
+    fn price_veto(w: &Wrangler, out: &WrangleOutcome) -> FeedbackItem {
+        let entity = (0..out.table.num_rows())
+            .find(|&r| !out.table.get_named(r, "price").unwrap().is_null())
+            .unwrap();
+        FeedbackItem::expert(
+            FeedbackTarget::Value {
+                entity,
+                attr: w.target().index_of("price").unwrap(),
+                value: None,
+            },
+            Verdict::Negative,
+            1.0,
+        )
+    }
+
+    #[test]
+    fn a_value_veto_keys_fuse_alone_and_leaves_every_upstream_memo_valid() {
+        // Only fuse reads vetoes and confirmations. A veto, then a 1-source
+        // update: the other n−1 union blocks replay and the ER carry holds,
+        // and the outcome is still the incr-off twin's, bit for bit. Siloed
+        // routing sends a veto to its slot alone (no trust moves), so the
+        // veto is all that changes.
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::completeness_first());
+        w.routing = RoutingMode::Siloed;
+        let first = w.wrangle().unwrap();
+        let n = first.selected_sources.len() as u64;
+        w.give_feedback(price_veto(&w, &first));
+        let victim = first.selected_sources[0];
+        let t = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(w.update_source(victim, t).unwrap());
+        let out = assert_incremental_matches_cold(&mut w);
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert_eq!(delta("incr.union.reused"), n - 1, "{:?}", out.metrics);
+        assert!(delta("incr.er.pairs_remapped") > 0, "{:?}", out.metrics);
+        // A second veto and nothing else: union and ER replay whole while
+        // fuse runs live — a fuse memo keyed without the veto would deliver
+        // the vetoed value again.
+        w.give_feedback(price_veto(&w, &out));
+        w.cache = None;
+        let again = assert_incremental_matches_cold(&mut w);
+        let delta = |key: &str| counter_delta(&again, &out, key);
+        assert_eq!(delta("incr.union.reused"), n);
+        assert_eq!(delta("incr.er.reused"), 1);
+        assert_eq!(delta("incr.fuse.reused"), 0);
     }
 }

@@ -62,6 +62,10 @@ pub(super) struct Pass {
     pub(super) master_fp: u64,
     /// Compiled-program fingerprint for the seam keys (0 without a store).
     pub(super) prog_fp: u64,
+    /// The value-level feedback in force (vetoes, confirmations), hashed
+    /// for the fuse key and the fuse seam's — fuse is the one stage that
+    /// reads it (0 likewise).
+    pub(super) feedback_fp: u64,
     /// Key of the last seam passed; `None` before the first.
     chain: Option<u64>,
     pub(super) selected: Vec<SourceId>,
@@ -91,6 +95,8 @@ pub(super) struct Seam {
     site: CrashSite,
     /// The key also covers the compiled program's fingerprint.
     keyed_by_program: bool,
+    /// The key also covers the value-level feedback ([`Pass::feedback_fp`]).
+    keyed_by_feedback: bool,
 }
 
 impl Seam {
@@ -99,6 +105,14 @@ impl Seam {
             name,
             site,
             keyed_by_program,
+            keyed_by_feedback: false,
+        }
+    }
+
+    const fn keyed_by_feedback(self) -> Seam {
+        Seam {
+            keyed_by_feedback: true,
+            ..self
         }
     }
 }
@@ -109,7 +123,7 @@ pub(super) const MAP_GENERATE: Seam = Seam::new("map_generate", CrashSite::After
 pub(super) const MAP_APPLY: Seam = Seam::new("map_apply", CrashSite::AfterMapApply, true);
 pub(super) const UNION: Seam = Seam::new("union", CrashSite::AfterUnion, true);
 pub(super) const ER: Seam = Seam::new("er", CrashSite::AfterEr, true);
-pub(super) const FUSE: Seam = Seam::new("fuse", CrashSite::AfterFuse, true);
+pub(super) const FUSE: Seam = Seam::new("fuse", CrashSite::AfterFuse, true).keyed_by_feedback();
 
 impl Wrangler {
     /// The state a pass starts from.
@@ -125,6 +139,11 @@ impl Wrangler {
                 .finish(),
             _ => 0,
         };
+        let feedback_fp = if keyed {
+            self.feedback_fingerprint()
+        } else {
+            0
+        };
         Pass {
             plan,
             policy: self.contain.clone(),
@@ -133,6 +152,7 @@ impl Wrangler {
             pass_fp,
             master_fp,
             prog_fp: 0,
+            feedback_fp,
             chain: None,
             selected: Vec::new(),
             degraded_tables: BTreeMap::new(),
@@ -173,12 +193,13 @@ impl Wrangler {
             (None, _) => 0,
             (Some(_), None) => self.seam_key_select(pass.pass_fp, pass.master_fp),
             (Some(_), Some(chain)) => {
-                let extra = if seam.keyed_by_program {
+                let program = if seam.keyed_by_program {
                     pass.prog_fp
                 } else {
                     0
                 };
-                Self::seam_key(seam.name, pass.pass_fp, chain, extra)
+                let feedback = seam.keyed_by_feedback.then_some(pass.feedback_fp);
+                Self::seam_key(seam.name, pass.pass_fp, chain, program, feedback)
             }
         };
         // A memo hit opens no `<name>` span — a near-zero one would deflate
@@ -258,10 +279,11 @@ impl Wrangler {
     /// Fingerprint of everything that shapes this pass besides the source
     /// payloads and runtime state: target schema + sample, user context,
     /// derived plan, ER/match/containment/acquisition configuration, filter
-    /// and projection, and the value-feedback constraints (in sorted key
-    /// order — their maps are lookup-only). Worker-count knobs are
-    /// excluded: outputs are byte-identical for any pool width. Of the data
-    /// context only the master catalog is keyed, and beside this fingerprint
+    /// and projection. Worker-count knobs are excluded: outputs are
+    /// byte-identical for any pool width. So is value-level feedback: only
+    /// fuse reads it, so it keys fuse alone ([`Pass::feedback_fp`]) and a
+    /// veto leaves every upstream memo and seam valid. Of the data context
+    /// only the master catalog is keyed, and beside this fingerprint
     /// ([`Pass::master_fp`]; see [`Self::with_checkpoint_store`]).
     fn pass_fingerprint(&self, plan: &Plan) -> u64 {
         let mut h = wire::Hasher64::new();
@@ -288,21 +310,31 @@ impl Wrangler {
                 self.registry.fault_profile(SourceId(i as u32))
             ));
         }
+        h.finish()
+    }
+
+    /// The value-level feedback in force: every vetoed and confirmed value,
+    /// slot by slot in sorted order (the maps are lookup-only), in the wire
+    /// value encoding.
+    fn feedback_fingerprint(&self) -> u64 {
+        let mut e = wire::Enc::new();
         let mut vetoes: Vec<_> = self.vetoes.iter().collect();
         vetoes.sort_by_key(|(k, _)| **k);
+        e.usize(vetoes.len());
         for ((ent, attr), vals) in vetoes {
-            h.write_u64(*ent as u64)
-                .write_u64(*attr as u64)
-                .write_str(&format!("{vals:?}"));
+            e.usize(*ent).usize(*attr).usize(vals.len());
+            for v in vals {
+                wire::encode_value(&mut e, v);
+            }
         }
         let mut confirms: Vec<_> = self.confirmations.iter().collect();
         confirms.sort_by_key(|(k, _)| **k);
+        e.usize(confirms.len());
         for ((ent, attr), v) in confirms {
-            h.write_u64(*ent as u64)
-                .write_u64(*attr as u64)
-                .write_str(&format!("{v:?}"));
+            e.usize(*ent).usize(*attr);
+            wire::encode_value(&mut e, v);
         }
-        h.finish()
+        wire::hash64(&e.into_bytes())
     }
 
     /// The first seam's key: the pass fingerprint plus everything the
@@ -329,11 +361,14 @@ impl Wrangler {
     /// A downstream seam's key: chained through the previous seam's key, so
     /// a valid record implies every upstream seam matched — replaying the
     /// deepest valid prefix falls out of re-running the same sequence.
-    fn seam_key(stage: &str, pass_fp: u64, chain: u64, extra: u64) -> u64 {
-        ContentKey::stage(stage, pass_fp)
+    fn seam_key(stage: &str, pass_fp: u64, chain: u64, program: u64, feedback: Option<u64>) -> u64 {
+        let key = ContentKey::stage(stage, pass_fp)
             .labelled("chain", chain)
-            .input(extra)
-            .finish()
+            .input(program);
+        match feedback {
+            Some(fp) => key.labelled("feedback", fp).finish(),
+            None => key.finish(),
+        }
     }
 
     /// Try to replay a seam. The stage payload is decoded *before* anything

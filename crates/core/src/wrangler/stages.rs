@@ -17,13 +17,13 @@ use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
 use wrangler_match::profile_table;
 use wrangler_plan::{FilterPlacement, OptMode, PlanProgram};
-use wrangler_resolve::{cluster_pairs, ErKernel, UnionBlocks};
+use wrangler_resolve::{cluster_pairs, DirtyRows, ErKernel, UnionBlocks};
 use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
 use wrangler_table::{ops, par, wire, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
 use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_APPLY, MAP_GENERATE, SELECT, UNION};
-use super::{WrangleCache, Wrangler};
+use super::{blocking_columns, WrangleCache, Wrangler};
 use crate::acquire::AcquisitionSummary;
 use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectOut, UnionOut};
 use crate::contain::{
@@ -885,29 +885,18 @@ impl Wrangler {
         )
     }
 
-    /// The live ER stage, in five spans: block the union on name + key
-    /// (`blocks`), compile the rule against it (`compile`), map the ER memo
-    /// onto the new layout (`carry`), walk the blocks deciding every pair the
-    /// carry does not cover (`decide`), and cluster (`cluster`). No candidate
-    /// is written down and no score kept. `reusable` licenses the carry.
+    /// The live ER stage, in five spans: map the ER memo onto the new
+    /// layout (`carry`), block the union on name + key (`blocks`), compile
+    /// the rule against it (`compile`), walk the pairs with a dirty row and
+    /// decide each (`decide`), and cluster (`cluster`). Blocks and kernel
+    /// are built from the memo's: a clean row takes its keys and dictionary
+    /// ids from there, and only dirty rows render, fold and intern. No
+    /// candidate is written down and no score kept. `reusable` licenses the
+    /// carry. The memo is only read here, and replaced once the stage
+    /// completes: a pass that fails or panics in between leaves it usable.
     fn er_live(&mut self, pass: &Pass, reusable: bool) -> Result<ErOut> {
         let union_table = pass.union.table();
         let rows = union_table.num_rows();
-        let blocks = self.span("blocks", |w| {
-            let (name_col, key_col) = w.blocking_columns();
-            UnionBlocks::build(union_table, name_col, key_col)
-        })?;
-        // Mid-stage crash site: after blocking, before any pair is decided.
-        // No seam has persisted for this stage yet, so resume replays up to
-        // the union and re-runs ER.
-        self.crash_fire(CrashSite::MidEr);
-        // Compiled once against the union schema (an unknown column errors
-        // before any pair is decided) into a dictionary per text/key column.
-        let kernel = self.span("compile", |w| ErKernel::compile(union_table, &w.er_cfg))?;
-        for (column, values) in kernel.dict_sizes() {
-            self.obs
-                .count(&format!("er.dict.{column}.values"), values as u64);
-        }
         // The carry: candidacy, score and threshold read only a pair's two
         // rows, so a candidate with both rows in unchanged union blocks, in
         // the same order, matches iff it did in the memoized pass. The rest
@@ -915,21 +904,46 @@ impl Wrangler {
         self.obs.begin("carry");
         let memo = self.incr.er.as_ref().filter(|_| reusable);
         let carry = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
+        let prior = memo.zip(carry.as_ref());
         self.obs.end();
+        let (name_col, key_col) = blocking_columns(&self.target);
+        let blocks = self.obs.time("blocks", || {
+            let prior = prior.map(|(m, c)| (&m.blocks, &c.old_of[..]));
+            UnionBlocks::carry(union_table, name_col, key_col, prior)
+        })?;
+        // Mid-stage crash site: after blocking, before any pair is decided.
+        // No seam has persisted for this stage yet, so resume replays up to
+        // the union and re-runs ER.
+        self.crash_fire(CrashSite::MidEr);
+        // Compiled against the union schema (an unknown column errors before
+        // any pair is decided) into a dictionary per text/key column.
+        let kernel = self.obs.time("compile", || {
+            let prior = prior.map(|(m, c)| (&m.kernel, &c.old_of[..]));
+            ErKernel::carry(union_table, &self.er_cfg, prior)
+        })?;
+        for (column, values) in kernel.dict_sizes() {
+            self.obs
+                .count(&format!("er.dict.{column}.values"), values as u64);
+        }
         // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER
         // pairs walked per thread) applies on top of the requested width.
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
-        let decided = self.span("decide", |w| {
-            let covered = |i, j| carry.as_ref().is_some_and(|c| c.covers((i, j)));
-            let decided = kernel.decide_union(&blocks, workers, covered)?;
-            w.record_workers("er", &decided.workers);
-            Ok(decided)
-        })?;
+        self.obs.begin("decide");
+        let decided = match prior {
+            Some((m, c)) => DirtyRows::carried(&m.blocks, m.candidates, &c.old_of),
+            None => Ok(DirtyRows::all(rows)),
+        }
+        .and_then(|dirty| kernel.decide_union(&blocks, workers, &dirty));
+        if let Ok(decided) = &decided {
+            self.record_workers("er", &decided.workers);
+        }
+        self.obs.end();
+        let decided = decided?;
         self.working.work.er_pairs += decided.candidates as usize;
         self.obs.begin("cluster");
-        // Two disjoint lists in (i, j) order (the carried one unless blocks
-        // were reordered); the stable sort merges presorted runs in linear
-        // time. The result is every candidate at or above the threshold.
+        // Two disjoint lists in (i, j) order; the stable sort merges the
+        // presorted runs in linear time. The result is every candidate at
+        // or above the threshold.
         let mut matches = carry.map(|c| c.matches).unwrap_or_default();
         matches.extend(decided.matches);
         matches.sort();
@@ -951,6 +965,7 @@ impl Wrangler {
         self.obs.count("er.cache.misses", live);
         self.obs.count("incr.er.pairs_remapped", decided.covered);
         self.obs.count("er.candidates", decided.candidates);
+        self.obs.count("er.walk.visited", decided.visited);
         self.obs.count("er.decide.from_ids", decided.from_ids);
         self.obs.count("er.decide.text_fields", decided.text_fields);
         self.obs.count("er.match_pairs", matches.len() as u64);
@@ -961,6 +976,9 @@ impl Wrangler {
                 out: out.clone(),
                 layout: pass.union_layout.clone(),
                 matches,
+                candidates: decided.candidates,
+                blocks,
+                kernel,
             });
         }
         Ok(out)
@@ -1020,7 +1038,8 @@ impl Wrangler {
 
     /// The fuse content key covers every input that can ripple into a fused
     /// value beyond the pass fingerprint (which fixes what fusion reads of
-    /// the program, the live-column mask): the union by its block list, the
+    /// the program, the live-column mask): the value-level feedback in force
+    /// (vetoed and confirmed slots), the union by its block list, the
     /// clustering, every source's belief trust (feedback moves it) and age
     /// (fusion decays stale claims), and the master catalog (anchors steer
     /// truthfinder). A 1-source data update legitimately misses here — its
@@ -1028,6 +1047,7 @@ impl Wrangler {
     fn fuse_key(&self, pass: &Pass) -> u64 {
         let mut h = wire::Hasher64::new();
         h.write_u64(pass.pass_fp)
+            .write_u64(pass.feedback_fp)
             .write_u64(pass.union_layout.len() as u64);
         // A block's key covers its source and fixes its rows.
         for &(_, key, _) in &pass.union_layout {

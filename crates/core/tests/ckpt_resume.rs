@@ -14,6 +14,7 @@ use wrangler_core::union::Union;
 use wrangler_core::{
     ckpt_io, scratch_dir, CheckpointStore, CrashPolicy, CrashSite, Stage, WrangleOutcome, Wrangler,
 };
+use wrangler_feedback::{FeedbackItem, FeedbackTarget, Verdict};
 use wrangler_sources::faults::FaultConfig;
 use wrangler_sources::{FleetConfig, SourceId, SyntheticFleet};
 use wrangler_table::{par, wire, DataType, Schema, Table, Value};
@@ -441,6 +442,62 @@ fn a_store_written_under_another_master_catalog_replays_nothing_stale() {
     let out = resumed.resume().unwrap();
     assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out));
     assert_every_seam_missed(&out);
+    cleanup(&dir);
+}
+
+/// Value-level feedback is an input of fuse alone: a veto given to the
+/// session that resumes a crashed run replays every seam up to ER and fuses
+/// live — the fused record written without the veto is never replayed.
+#[test]
+fn a_veto_given_before_resume_replays_up_to_er_and_refuses_live() {
+    let fleet = make_fleet(42);
+    let dir = scratch_dir("resume-after-veto");
+    cleanup(&dir);
+    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterFuse));
+    let mut plain = build(&fleet, None);
+    let plain_out = plain.wrangle().unwrap();
+    let (entity, vetoed) = (0..plain_out.table.num_rows())
+        .find_map(|r| {
+            let v = plain_out.table.get_named(r, "price").unwrap();
+            (!v.is_null()).then(|| (r, v.clone()))
+        })
+        .unwrap();
+    let veto = FeedbackItem::expert(
+        FeedbackTarget::Value {
+            entity,
+            attr: plain.target().index_of("price").unwrap(),
+            value: Some(vetoed),
+        },
+        Verdict::Negative,
+        1.0,
+    );
+    let mut cold = build(&fleet, None);
+    cold.give_feedback(veto.clone());
+    let cold_out = cold.wrangle().unwrap();
+    assert_ne!(
+        wire::table_hash(&cold_out.table),
+        wire::table_hash(&plain_out.table),
+        "fixture: the veto reaches the delivered table"
+    );
+
+    let store = CheckpointStore::open(&dir).unwrap();
+    let mut resumed = build(&fleet, None).with_checkpoint_store(store);
+    resumed.give_feedback(veto);
+    let out = resumed.resume().unwrap();
+    assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out));
+    let count = |key: String| out.metrics.counts.get(&key).copied().unwrap_or(0);
+    for seam in [
+        "select",
+        "acquire",
+        "map_generate",
+        "map_apply",
+        "union",
+        "er",
+    ] {
+        assert_eq!(count(format!("ckpt.{seam}.hits")), 1, "{seam}");
+    }
+    assert_eq!(count("ckpt.fuse.hits".into()), 0);
+    assert_eq!(count("ckpt.fuse.misses".into()), 1);
     cleanup(&dir);
 }
 

@@ -232,6 +232,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 use wrangler_core::OptMode;
+use wrangler_feedback::{FeedbackItem, FeedbackTarget, Verdict};
 use wrangler_table::Expr;
 
 /// Bit-exact fingerprint: floats via `to_bits` (NaN-safe, -0.0 ≠ 0.0 safe),
@@ -350,7 +351,9 @@ proptest! {
         fault_rate in 0.0f64..=0.4,
         fault_seed in any::<u64>(),
         policy_pick in 0u8..3,
-        dirty_mask in 0u8..64, // bit i set => source i gets a payload update
+        // Three rounds: bit i of the mask set => source i gets a payload
+        // update; a `Some` gives an expert veto of that entity's price.
+        rounds in prop::collection::vec((0u8..64, prop::option::of(any::<u16>())), 3),
     ) {
         let fleet = wrangler_sources::synthetic::generate_fleet(
             &FleetConfig { num_products: 20, num_sources: 6, now: 10, ..FleetConfig::default() },
@@ -370,16 +373,9 @@ proptest! {
         // First pass populates the memos (it may legitimately fail under
         // abort-mode faults; the property still holds over the shared state).
         let _ = warm.wrangle();
-        for i in 0..fleet.registry.len() {
-            if dirty_mask & (1 << i) != 0 {
-                let t = nudged(&fleet.registry.get(SourceId(i as u32)).unwrap().table);
-                let _ = warm.update_source(SourceId(i as u32), t);
-            }
-        }
-        // The cold comparator is the *same* session state with the engine
-        // (and everything it memoized) dropped.
-        let mut cold = warm.clone();
-        cold.set_incr_enabled(false);
+        let mut payloads: Vec<Table> = (0..fleet.registry.len())
+            .map(|i| fleet.registry.get(SourceId(i as u32)).unwrap().table.clone())
+            .collect();
         let render = |r: wrangler_table::Result<wrangler_core::WrangleOutcome>| match r {
             Ok(o) => format!(
                 "ok:{}:{:?}:{:?}:{}",
@@ -390,8 +386,28 @@ proptest! {
             ),
             Err(e) => format!("err:{e}"),
         };
-        let a = render(warm.wrangle());
-        let b = render(cold.wrangle());
-        prop_assert_eq!(a, b, "incremental reuse diverged from cold recompute");
+        for (round, (dirty_mask, veto)) in rounds.into_iter().enumerate() {
+            for (i, payload) in payloads.iter_mut().enumerate() {
+                if dirty_mask & (1 << i) != 0 {
+                    *payload = nudged(payload);
+                    let _ = warm.update_source(SourceId(i as u32), payload.clone());
+                }
+            }
+            if let Some(pick) = veto {
+                let target = FeedbackTarget::Value {
+                    entity: usize::from(pick) % 20,
+                    attr: warm.target().index_of("price").unwrap(),
+                    value: None,
+                };
+                warm.give_feedback(FeedbackItem::expert(target, Verdict::Negative, 1.0));
+            }
+            // The cold comparator is the *same* session state with the
+            // engine (and everything it memoized) dropped.
+            let mut cold = warm.clone();
+            cold.set_incr_enabled(false);
+            let a = render(warm.wrangle());
+            let b = render(cold.wrangle());
+            prop_assert_eq!(a, b, "incremental reuse diverged from cold recompute, round {}", round);
+        }
     }
 }

@@ -8,7 +8,9 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-use wrangler_table::{Table, Value};
+use wrangler_table::{Table, TableError, Value};
+
+use crate::dict::{check_old_of, Dict, NULL_ID};
 
 /// All pairs (i, j), i < j. The quadratic baseline.
 pub fn candidates_naive(n: usize) -> Vec<(usize, usize)> {
@@ -94,59 +96,95 @@ pub fn candidates_blocked_exact(
 /// The wrangle stage's candidates, held without writing one down: prefix
 /// blocks of `block_col` ∪ exact blocks of `key_col` — rows whose name is
 /// null or typo-prefixed still meet their duplicates through the key. Each
-/// blocking is flattened once (`members`: its blocks end to end, rows
-/// ascending within a block) with, per row, the span of its *later*
-/// block-mates; row `i`'s candidates are `(i, j)` for `j` in the merge of
-/// its two spans ([`Self::partners`]). Rows in order and partners ascending
-/// make every walk `(i, j)`-sorted and duplicate-free with no sort. When the
-/// two columns coincide only the prefix blocks apply.
+/// blocking keeps every row's key as a dictionary id and is flattened once
+/// (`members`: its blocks end to end in key order, rows ascending within a
+/// block) with, per row, the span of its block; row `i`'s candidates are
+/// `(i, j)` for `j` in the merge of its two spans' later halves
+/// ([`Self::partners`]). Rows in order and partners ascending make every
+/// walk `(i, j)`-sorted and duplicate-free with no sort. When the two
+/// columns coincide only the prefix blocks apply.
 ///
 /// **Invariant** (the incremental engine's ER carry rests on it; pinned by
 /// `candidates_restricted_to_surviving_rows` in `tests/proptests.rs`):
 /// whether `(i, j)` is a candidate depends on rows `i` and `j` alone, so
 /// replacing or deleting rows leaves the candidates among the survivors as
-/// they were, re-indexed. A block-size cap or a window here would break it.
-#[derive(Debug, Clone)]
+/// they were, re-indexed. Two things stand on it: a carried build
+/// ([`Self::carry`]) takes a clean row's keys from the previous blocks, and
+/// a walk over a dirty set ([`DirtyRows`]) counts the clean rows' pairs in
+/// the previous blocks instead of walking them. A block-size cap or a
+/// window here would break both.
+#[derive(Debug, Clone, PartialEq)]
 pub struct UnionBlocks {
+    /// The columns blocked on: `(name, key)`.
+    columns: (String, String),
     by_name: Blocking,
     by_key: Blocking,
 }
 
 /// One blocking of the rows, flattened.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Blocking {
+    /// Per row, its blocking key (no id: the row joins no block).
+    keys: Dict<String>,
     /// Every block's rows, block after block in key order.
-    members: Vec<usize>,
-    /// Per row, where in `members` its later block-mates sit (`(0, 0)` for
-    /// a row in no block).
-    later: Vec<(usize, usize)>,
+    members: Vec<u32>,
+    /// Per row `(first, later, end)`: its block is `members[first..end]`,
+    /// and the row itself sits at `later - 1`. `(0, 0, 0)` for a row in no
+    /// block. Rows and positions fit `u32` ([`UnionBlocks::carry`] checks):
+    /// the blocks live on in the ER memo, and half the width is half the
+    /// memory.
+    spans: Vec<(u32, u32, u32)>,
 }
 
 impl Blocking {
-    fn flatten(blocks: &BTreeMap<String, Vec<usize>>, rows: usize) -> Blocking {
-        let mut members = Vec::with_capacity(blocks.values().map(Vec::len).sum());
-        let mut later = vec![(0, 0); rows];
-        for block in blocks.values() {
-            let end = members.len() + block.len();
-            for (pos, &row) in block.iter().enumerate() {
-                later[row] = (members.len() + pos + 1, end);
-            }
-            members.extend_from_slice(block);
+    /// Lay the blocks of `keys` out: a counting sort of the rows by key id,
+    /// blocks in key order.
+    fn of(keys: Dict<String>) -> Blocking {
+        let mut size = vec![0u32; keys.values.len()];
+        for &id in keys.ids.iter().filter(|&&id| id != NULL_ID) {
+            size[id as usize] += 1;
         }
-        Blocking { members, later }
+        let mut first = vec![0u32; keys.values.len()];
+        let mut total = 0;
+        for &id in &keys.sorted {
+            first[id as usize] = total;
+            total += size[id as usize];
+        }
+        let mut members = vec![0; total as usize];
+        let mut filled = first.clone();
+        let mut spans = vec![(0, 0, 0); keys.ids.len()];
+        for (row, &id) in keys.ids.iter().enumerate() {
+            if id == NULL_ID {
+                continue;
+            }
+            let k = id as usize;
+            members[filled[k] as usize] = row as u32;
+            filled[k] += 1;
+            spans[row] = (first[k], filled[k], first[k] + size[k]);
+        }
+        Blocking {
+            keys,
+            members,
+            spans,
+        }
     }
 
-    fn later_mates(&self, row: usize) -> &[usize] {
-        let (start, end) = self.later[row];
-        &self.members[start..end]
+    fn later_mates(&self, row: usize) -> &[u32] {
+        let (_, later, end) = self.spans[row];
+        &self.members[later as usize..end as usize]
+    }
+
+    fn earlier_mates(&self, row: usize) -> &[u32] {
+        let (first, later, _) = self.spans[row];
+        &self.members[first as usize..later.saturating_sub(1) as usize]
     }
 }
 
 /// Row `i`'s partners: two ascending lists merged, a row in both kept once.
 #[derive(Debug, Clone)]
 pub struct Partners<'a> {
-    a: &'a [usize],
-    b: &'a [usize],
+    a: &'a [u32],
+    b: &'a [u32],
 }
 
 impl Iterator for Partners<'_> {
@@ -165,7 +203,7 @@ impl Iterator for Partners<'_> {
         if self.b.first() == Some(&j) {
             self.b = &self.b[1..];
         }
-        Some(j)
+        Some(j as usize)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -175,28 +213,72 @@ impl Iterator for Partners<'_> {
 }
 
 impl UnionBlocks {
-    /// Block `table` on `block_col`'s name prefix and `key_col`'s value.
+    /// Block `table` on `block_col`'s name prefix and `key_col`'s value: the
+    /// carried build with nothing carried.
     pub fn build(
         table: &Table,
         block_col: &str,
         key_col: &str,
     ) -> wrangler_table::Result<UnionBlocks> {
+        UnionBlocks::carry(table, block_col, key_col, None)
+    }
+
+    /// Block `table` as [`Self::build`] does, taking what `prior` already
+    /// derived: with `prior = (blocks, old_of)`, row `r` with `old_of[r] =
+    /// Some(o)` holds the cells row `o` of the table `blocks` were built
+    /// over held, so it takes that row's two keys by id; only the other
+    /// rows render and fold a key. The result equals `build(table, …)`
+    /// field for field.
+    pub fn carry(
+        table: &Table,
+        block_col: &str,
+        key_col: &str,
+        prior: Option<(&UnionBlocks, &[Option<usize>])>,
+    ) -> wrangler_table::Result<UnionBlocks> {
+        let names = table.column_named(block_col)?;
+        let keys = (key_col != block_col)
+            .then(|| table.column_named(key_col))
+            .transpose()?;
         let rows = table.num_rows();
-        let name_blocks = blocks_by(table.column_named(block_col)?, block_key);
-        let key_blocks = if key_col == block_col {
-            BTreeMap::new()
-        } else {
-            blocks_by(table.column_named(key_col)?, exact_key)
+        if rows >= NULL_ID as usize {
+            return Err(TableError::Invalid(format!(
+                "{rows} rows exceed the blocks' 32-bit row indices"
+            )));
+        }
+        if let Some((blocks, old_of)) = prior {
+            if blocks.columns.0 != block_col || blocks.columns.1 != key_col {
+                return Err(TableError::Invalid(format!(
+                    "blocks on ({block_col}, {key_col}) carried from blocks on {:?}",
+                    blocks.columns
+                )));
+            }
+            check_old_of(old_of, rows, blocks.num_rows())?;
+        }
+        let by_name = Dict::encode(
+            names,
+            block_key,
+            |k| k,
+            prior.map(|(b, old_of)| (&b.by_name.keys, old_of)),
+        );
+        let by_key = match keys {
+            Some(column) => Dict::encode(
+                column,
+                exact_key,
+                |k| k,
+                prior.map(|(b, old_of)| (&b.by_key.keys, old_of)),
+            ),
+            None => Dict::empty(rows),
         };
         Ok(UnionBlocks {
-            by_name: Blocking::flatten(&name_blocks, rows),
-            by_key: Blocking::flatten(&key_blocks, rows),
+            columns: (block_col.to_string(), key_col.to_string()),
+            by_name: Blocking::of(by_name),
+            by_key: Blocking::of(by_key),
         })
     }
 
     /// Rows of the blocked table.
     pub fn num_rows(&self) -> usize {
-        self.by_name.later.len()
+        self.by_name.spans.len()
     }
 
     /// The later rows `i` is a candidate with, ascending.
@@ -207,28 +289,50 @@ impl UnionBlocks {
         }
     }
 
+    /// The earlier rows `i` is a candidate with, ascending.
+    pub(crate) fn earlier_partners(&self, i: usize) -> Partners<'_> {
+        Partners {
+            a: self.by_name.earlier_mates(i),
+            b: self.by_key.earlier_mates(i),
+        }
+    }
+
     /// Every candidate, in `(i, j)` order.
     pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.num_rows()).flat_map(|i| self.partners(i).map(move |j| (i, j)))
     }
 
-    /// Row `i`'s partner count with a partner in both blockings counted
-    /// twice: what walking the row costs to within the overlap, known
-    /// without merging.
-    fn weight(&self, i: usize) -> usize {
-        let size = |b: &Blocking| b.later[i].1 - b.later[i].0;
+    /// What walking row `i` over `dirty` costs, to within the overlap of
+    /// the two blockings (a partner in both counts twice) and without
+    /// merging: nothing for a clean row; a dirty row's later mates, and its
+    /// earlier ones when some row is clean (a walk with no clean row meets
+    /// every pair as a later mate).
+    fn weight(&self, i: usize, dirty: &DirtyRows) -> usize {
+        if !dirty.is_dirty(i) {
+            return 0;
+        }
+        let size = |b: &Blocking| {
+            let (first, later, end) = b.spans[i];
+            let earlier = if dirty.any_clean {
+                later.saturating_sub(first + 1)
+            } else {
+                0
+            };
+            (end - later + earlier) as usize
+        };
         size(&self.by_name) + size(&self.by_key)
     }
 
     /// An upper bound on the number of candidates, and a tight one: a pair in
     /// both blockings is counted twice, and key blocks are small.
     pub fn pair_bound(&self) -> usize {
-        self.pair_bound_of(0..self.num_rows())
+        self.walk_bound(&DirtyRows::all(self.num_rows()), 0..self.num_rows())
     }
 
-    /// [`Self::pair_bound`] of the candidates whose first row is in `rows`.
-    pub(crate) fn pair_bound_of(&self, rows: Range<usize>) -> usize {
-        rows.map(|i| self.weight(i)).sum()
+    /// A bound on the pairs a walk over `dirty` visits at the rows `rows`,
+    /// counted as [`Self::pair_bound`] counts.
+    pub(crate) fn walk_bound(&self, dirty: &DirtyRows, rows: Range<usize>) -> usize {
+        rows.map(|i| self.weight(i, dirty)).sum()
     }
 
     /// Split the rows into at most `workers` contiguous strips of about
@@ -237,13 +341,19 @@ impl UnionBlocks {
     /// mates. The strips cover every row once, in order, and each holds a
     /// pair (a table without candidates is one strip; no rows, none).
     pub fn strips(&self, workers: usize) -> Vec<Range<usize>> {
+        self.walk_strips(workers, &DirtyRows::all(self.num_rows()))
+    }
+
+    /// [`Self::strips`] of a walk over `dirty`, balanced by what each row
+    /// costs it.
+    pub(crate) fn walk_strips(&self, workers: usize, dirty: &DirtyRows) -> Vec<Range<usize>> {
         let rows = self.num_rows();
-        let total = self.pair_bound();
+        let total = self.walk_bound(dirty, 0..rows);
         let workers = workers.clamp(1, total.max(1));
         let mut strips = Vec::with_capacity(workers);
         let (mut start, mut walked, mut cut_at) = (0, 0, 0);
         for i in 0..rows {
-            walked += self.weight(i);
+            walked += self.weight(i, dirty);
             // Cut after the row that brings the walk to the next worker's
             // share.
             let share = (strips.len() + 1) * total / workers;
@@ -257,6 +367,136 @@ impl UnionBlocks {
             strips.push(start..rows);
         }
         strips
+    }
+
+    /// The candidates with a row in `dirty`, counted, not decided: every
+    /// dirty row's later partners and its clean earlier ones.
+    fn count_touching(&self, dirty: &DirtyRows) -> u64 {
+        let clean_earlier = |d| {
+            self.earlier_partners(d)
+                .filter(|&i| !dirty.is_dirty(i))
+                .count()
+        };
+        (0..self.num_rows())
+            .filter(|&d| dirty.is_dirty(d))
+            .map(|d| (self.partners(d).count() + clean_earlier(d)) as u64)
+            .sum()
+    }
+
+    /// What [`Self::count_clean`] steps over, counted as [`Self::pair_bound`]
+    /// counts: the clean rows' later mates.
+    fn clean_bound(&self, dirty: &DirtyRows) -> usize {
+        let later = |b: &Blocking, i: usize| (b.spans[i].2 - b.spans[i].1) as usize;
+        (0..self.num_rows())
+            .filter(|&c| !dirty.is_dirty(c))
+            .map(|c| later(&self.by_name, c) + later(&self.by_key, c))
+            .sum()
+    }
+
+    /// The candidates between two rows not in `dirty`, counted: every clean
+    /// row's clean later partners.
+    fn count_clean(&self, dirty: &DirtyRows) -> u64 {
+        (0..self.num_rows())
+            .filter(|&c| !dirty.is_dirty(c))
+            .map(|c| self.partners(c).filter(|&j| !dirty.is_dirty(j)).count() as u64)
+            .sum()
+    }
+}
+
+/// The rows of a union a walk must decide ([`crate::ErKernel::decide_union`])
+/// and what is known of the rest. A pair with a dirty row is walked and
+/// decided; a pair of two clean rows is not walked at all — its decision is
+/// the caller's to carry, and its count comes from the previous pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DirtyRows {
+    /// Per row: must its pairs be decided?
+    dirty: Vec<bool>,
+    /// Is any row clean? Without one, a walk meets every pair as a later
+    /// partner and never looks back.
+    pub(crate) any_clean: bool,
+    /// Candidates between two clean rows.
+    pub(crate) clean_pairs: u64,
+    /// Pairs counted in the previous blocks to learn `clean_pairs`: those
+    /// touching a dirty row, or the clean pairs themselves.
+    pub(crate) counted: u64,
+}
+
+impl DirtyRows {
+    /// Every one of `rows` rows dirty: a cold walk.
+    pub fn all(rows: usize) -> DirtyRows {
+        DirtyRows {
+            dirty: vec![true; rows],
+            any_clean: false,
+            clean_pairs: 0,
+            counted: 0,
+        }
+    }
+
+    /// The rows of an updated union, given the union `prior` blocked and
+    /// walked before (`candidates`: its candidate count) and, per current
+    /// row, the prior row with the same cells (`None`: dirty). The clean
+    /// rows must keep their order — `old_of`'s `Some` entries strictly
+    /// increase — so that every clean pair is the prior pair with the same
+    /// arguments in the same order. Their pairs are counted, not walked:
+    /// by the [`UnionBlocks`] invariant they are the prior candidates
+    /// between rows that stay clean. The count takes whichever side of the
+    /// prior blocks is smaller to step over: the prior pairs touching a row
+    /// that does not stay clean, taken from the prior total (few dirty
+    /// rows), or the clean rows' pairs themselves (many). Either way the
+    /// pairs counted plus the pairs the walk decides stay near one cold
+    /// walk's for any share of dirty rows.
+    pub fn carried(
+        prior: &UnionBlocks,
+        candidates: u64,
+        old_of: &[Option<usize>],
+    ) -> wrangler_table::Result<DirtyRows> {
+        check_old_of(old_of, old_of.len(), prior.num_rows())?;
+        let mut old_dirty = vec![true; prior.num_rows()];
+        let mut last = None;
+        for &o in old_of.iter().flatten() {
+            if last >= Some(o) {
+                return Err(TableError::Invalid(format!(
+                    "a carry maps clean rows out of order (row {o} after {last:?})"
+                )));
+            }
+            old_dirty[o] = false;
+            last = Some(o);
+        }
+        let old = DirtyRows {
+            any_clean: old_dirty.contains(&false),
+            dirty: old_dirty,
+            clean_pairs: 0,
+            counted: 0,
+        };
+        let rows = 0..prior.num_rows();
+        let (clean_pairs, counted) = if prior.walk_bound(&old, rows) < prior.clean_bound(&old) {
+            let touching = prior.count_touching(&old);
+            (candidates.checked_sub(touching), touching)
+        } else {
+            let clean = prior.count_clean(&old);
+            ((clean <= candidates).then_some(clean), clean)
+        };
+        let clean_pairs = clean_pairs.ok_or_else(|| {
+            TableError::Invalid(format!(
+                "{counted} prior pairs counted, of {candidates} prior candidates"
+            ))
+        })?;
+        Ok(DirtyRows {
+            dirty: old_of.iter().map(Option::is_none).collect(),
+            any_clean: old.any_clean,
+            clean_pairs,
+            counted,
+        })
+    }
+
+    /// Rows of the union.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.dirty.len()
+    }
+
+    /// Must row `i`'s pairs be decided?
+    pub(crate) fn is_dirty(&self, i: usize) -> bool {
+        self.dirty[i]
     }
 }
 

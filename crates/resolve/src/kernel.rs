@@ -13,7 +13,12 @@
 //! (ids in first-appearance order, `u32::MAX` for a null) and one cell per
 //! *distinct* folded value — the lowercased rendering with its sorted token
 //! set (text), the ASCII-folded rendering (exact). Numeric fields keep one
-//! classified cell per row. A pair is then a comparison of ids: equal ids
+//! classified cell per row. A compilation is the carried one
+//! ([`ErKernel::carry`]) with nothing carried: given the kernel of the
+//! table an update replaced and which old row each new row repeats, a
+//! repeated row takes its ids and cells from there and only the other rows
+//! are rendered and interned — into the kernel a cold compilation of the
+//! new table yields. A pair is then a comparison of ids: equal ids
 //! are `1.0`, an exact field is id equality, and only a text field over two
 //! *different* values needs its strings — a similarity a worker computes
 //! once per *ordered* `(id_a, id_b)` of its share and answers from an
@@ -25,7 +30,10 @@
 //! **Which candidates match** — [`ErKernel::decide_union`], what the wrangle
 //! stage runs. Nothing downstream of ER reads a score, only `score ≥
 //! threshold`, so the kernel walks the blocks ([`UnionBlocks`]: no candidate
-//! list) and decides each pair where it meets it (no score vector). The
+//! list) and decides each pair where it meets it (no score vector) — each
+//! pair with a row in the walk's [`DirtyRows`], that is: every pair on a
+//! cold pass, the pairs touching an updated row after an update, whose
+//! clean pairs are counted rather than walked. The
 //! decision brackets the score from the ids: a text field over two different
 //! values contributes something in [0, 1], every other field is known, and
 //! the score loop run with 0.0 and with 1.0 for the unknowns gives `lo ≤
@@ -39,7 +47,8 @@
 //! of a blocked union have two present, different keys, which alone puts
 //! `hi` under any threshold above `1 − w_key / W`: they are settled without
 //! touching a string. Workers take contiguous strips of *rows*, balanced by
-//! partner count, and their matches concatenate in `(i, j)` order.
+//! the pairs each row walks, and their matches are returned in `(i, j)`
+//! order.
 //!
 //! **What a pair scores** — the `score_pairs*` family and
 //! [`ErKernel::filter_matches`] over a written-down list: the reference the
@@ -66,14 +75,15 @@
 //! [`record_similarity`]: crate::sim::record_similarity
 
 use std::borrow::Cow;
-use std::collections::btree_map::{BTreeMap, Entry};
 use std::ops::Range;
+use std::sync::Arc;
 
 pub use wrangler_table::par::WorkerStat;
 use wrangler_table::par::{self, effective_workers};
 use wrangler_table::{Table, TableError, Value};
 
-use crate::blocking::UnionBlocks;
+use crate::blocking::{DirtyRows, UnionBlocks};
+use crate::dict::{check_old_of, Dict, Folded, NULL_ID};
 use crate::sim::{ErConfig, SimKind};
 use crate::ScoredPair;
 
@@ -100,12 +110,8 @@ use crate::ScoredPair;
 /// decision is tested against, size their pools by the same constant.
 pub const MIN_PAIRS_PER_WORKER: usize = 16384;
 
-/// Dictionary id of a null value: the field is skipped for any pair
-/// involving the row.
-const NULL_ID: u32 = u32::MAX;
-
 /// Precomputation for one distinct text value.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct TextCell {
     /// Lowercased rendering (the serial path's `render().to_lowercase()`).
     /// When pure ASCII its bytes *are* its chars: `char` equality over ASCII
@@ -121,10 +127,16 @@ struct TextCell {
     tokens: Vec<String>,
 }
 
+impl Folded for Arc<TextCell> {
+    fn folded(&self) -> &str {
+        &self.lower
+    }
+}
+
 /// A classified numeric value. The classification mirrors the serial
 /// comparator: nulls are skipped, non-finite values are incomparable (the
 /// NaN-poisoning fix), non-numeric payloads compare as "different".
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum NumCell {
     /// Null value: the field is skipped for any pair involving this row.
     Null,
@@ -136,22 +148,23 @@ enum NumCell {
     NonNumeric,
 }
 
-/// The cells of one compiled field. `ids[row]` indexes the per-distinct-value
-/// vector beside it, or is [`NULL_ID`].
-#[derive(Debug, Clone)]
+/// The cells of one compiled field. A dictionary's `ids[row]` indexes its
+/// per-distinct-value vector, or is [`NULL_ID`].
+#[derive(Debug, Clone, PartialEq)]
 enum FieldCells {
     /// Text comparator: two rows fold to one id iff their lowercased
-    /// renderings are equal.
-    Text { ids: Vec<u32>, cells: Vec<TextCell> },
+    /// renderings are equal. A cell is shared, never written, by the kernels
+    /// carried from this one (and by the session clones holding it).
+    Text(Dict<Arc<TextCell>>),
     /// Exact comparator: ASCII-folded renderings, compared by id.
     /// `a.eq_ignore_ascii_case(b)` ≡ `fold(a) == fold(b)` ≡ `id(a) == id(b)`.
-    Exact { ids: Vec<u32>, values: Vec<String> },
+    Exact(Dict<String>),
     /// Numeric comparator cells, one per row, with the comparator's scale.
     Numeric { cells: Vec<NumCell>, scale: f64 },
 }
 
 /// One field of the compiled configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct CompiledField {
     column: String,
     weight: f64,
@@ -285,10 +298,9 @@ enum FromIds {
 /// What one worker brings back from its strip of rows.
 #[derive(Debug, Default)]
 struct Strip {
-    /// Matched pairs in walk order, which is `(i, j)` order.
+    /// Matched pairs in walk order: `(i, j)` order on a cold walk.
     matches: Vec<(usize, usize)>,
     walked: u64,
-    covered: u64,
     from_ids: u64,
     text_fields: u64,
 }
@@ -298,23 +310,29 @@ struct Strip {
 pub struct UnionMatches {
     /// The decided pairs that match (`score ≥ threshold`), sorted by `(i, j)`.
     pub matches: Vec<(usize, usize)>,
-    /// Candidates walked: the length of `candidates_union`'s list.
+    /// Candidates of the union: the length of `candidates_union`'s list —
+    /// the pairs decided plus the pairs between two clean rows.
     pub candidates: u64,
-    /// Of those, pairs the caller's `covered` took: walked, not decided.
+    /// Of those, the pairs between two clean rows: counted, not decided.
     pub covered: u64,
     /// Decided pairs settled with no text field opened.
     pub from_ids: u64,
     /// Text fields opened over all decided pairs — a function of each pair
     /// and the config, not of the memos or the schedule.
     pub text_fields: u64,
+    /// Pairs stepped over: those decided, plus those counted in the prior
+    /// blocks to learn `covered` ([`DirtyRows::carried`]). A cold walk
+    /// visits every candidate once.
+    pub visited: u64,
     /// Per worker, the pairs it walked and its busy wall-clock.
     pub workers: Vec<WorkerStat>,
 }
 
 /// An [`ErConfig`] precompiled against one table: column names resolved,
 /// comparators monomorphized, text and exact columns dictionary-encoded.
-/// Build once per (table, config), score many pairs.
-#[derive(Debug, Clone)]
+/// Build once per (table, config) — or carry from the kernel of the table
+/// an update replaced ([`Self::carry`]) — and decide many pairs.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErKernel {
     threshold: f64,
     rows: usize,
@@ -325,9 +343,25 @@ pub struct ErKernel {
 }
 
 impl ErKernel {
-    /// Compile `cfg` against `table`'s schema and rows. An unknown column in
-    /// the config surfaces here, before any pair is scored.
+    /// Compile `cfg` against `table`'s schema and rows: the carried
+    /// compilation with nothing carried. An unknown column in the config
+    /// surfaces here, before any pair is scored.
     pub fn compile(table: &Table, cfg: &ErConfig) -> wrangler_table::Result<ErKernel> {
+        ErKernel::carry(table, cfg, None)
+    }
+
+    /// Compile `cfg` against `table` as [`Self::compile`] does, taking what
+    /// `prior` already derived: with `prior = (kernel, old_of)`, `kernel`
+    /// was compiled from the same config and row `r` with `old_of[r] =
+    /// Some(o)` holds the cells row `o` of its table held, so the row takes
+    /// that row's dictionary ids and numeric cells; only the other rows
+    /// render, fold and intern. Ids stay in first-appearance order: the
+    /// result equals `compile(table, cfg)` field for field.
+    pub fn carry(
+        table: &Table,
+        cfg: &ErConfig,
+        prior: Option<(&ErKernel, &[Option<usize>])>,
+    ) -> wrangler_table::Result<ErKernel> {
         // Resolve every column first: the error must precede all cell work.
         let cols: Vec<usize> = cfg
             .fields
@@ -340,25 +374,55 @@ impl ErKernel {
                 "{rows} rows exceed the ER kernel's 32-bit dictionary ids"
             )));
         }
+        // Field k carries from the prior's field k: the same column, and
+        // cells of the same comparator (a field whose comparator changed is
+        // encoded afresh below).
+        if let Some((kernel, old_of)) = prior {
+            let same_columns = cfg.fields.len() == kernel.fields.len()
+                && (cfg.fields.iter().zip(&kernel.fields)).all(|(f, k)| f.column == k.column);
+            if !same_columns {
+                return Err(TableError::Invalid(
+                    "an ER kernel carried from a kernel over other columns".into(),
+                ));
+            }
+            check_old_of(old_of, rows, kernel.rows)?;
+        }
         let mut fields = Vec::with_capacity(cfg.fields.len());
-        for (f, &col) in cfg.fields.iter().zip(&cols) {
+        for (k, (f, &col)) in cfg.fields.iter().zip(&cols).enumerate() {
             let column = table.column(col)?;
+            let prior_cells = prior.map(|(kernel, old_of)| (&kernel.fields[k].cells, old_of));
             let cells = match f.kind {
                 SimKind::Text => {
-                    let (ids, lowers) = intern(column, |s| s.to_lowercase());
-                    FieldCells::Text {
-                        ids,
-                        cells: lowers.into_iter().map(text_cell).collect(),
-                    }
+                    let prior = prior_cells.and_then(|(cells, old_of)| match cells {
+                        FieldCells::Text(dict) => Some((dict, old_of)),
+                        _ => None,
+                    });
+                    let fold = |v: &Value| (!v.is_null()).then(|| v.render().to_lowercase());
+                    let make = |lower| Arc::new(text_cell(lower));
+                    FieldCells::Text(Dict::encode(column, fold, make, prior))
                 }
                 SimKind::Exact => {
-                    let (ids, values) = intern(column, |s| s.to_ascii_lowercase());
-                    FieldCells::Exact { ids, values }
+                    let prior = prior_cells.and_then(|(cells, old_of)| match cells {
+                        FieldCells::Exact(dict) => Some((dict, old_of)),
+                        _ => None,
+                    });
+                    let fold = |v: &Value| (!v.is_null()).then(|| v.render().to_ascii_lowercase());
+                    FieldCells::Exact(Dict::encode(column, fold, |s| s, prior))
                 }
-                SimKind::Numeric { scale } => FieldCells::Numeric {
-                    cells: column.iter().map(num_cell).collect(),
-                    scale,
-                },
+                SimKind::Numeric { scale } => {
+                    let carried = |r: usize| match prior_cells {
+                        Some((FieldCells::Numeric { cells, .. }, old_of)) => {
+                            old_of[r].map(|o| cells[o])
+                        }
+                        _ => None,
+                    };
+                    FieldCells::Numeric {
+                        cells: (column.iter().enumerate())
+                            .map(|(r, v)| carried(r).unwrap_or_else(|| num_cell(v)))
+                            .collect(),
+                        scale,
+                    }
+                }
             };
             fields.push(CompiledField {
                 column: f.column.clone(),
@@ -394,8 +458,8 @@ impl ErKernel {
         self.fields
             .iter()
             .filter_map(|f| match &f.cells {
-                FieldCells::Text { cells, .. } => Some((f.column.as_str(), cells.len())),
-                FieldCells::Exact { values, .. } => Some((f.column.as_str(), values.len())),
+                FieldCells::Text(dict) => Some((f.column.as_str(), dict.values.len())),
+                FieldCells::Exact(dict) => Some((f.column.as_str(), dict.values.len())),
                 FieldCells::Numeric { .. } => None,
             })
             .collect()
@@ -518,89 +582,107 @@ impl ErKernel {
             .collect()
     }
 
-    /// Which candidates of `blocks` match: walk every row's partners and
-    /// decide each pair on the spot, across row strips sized by
-    /// [`effective_workers`] over the pairs to walk. `covered(i, j)` is the
-    /// caller's "already decided elsewhere" (the incremental carry): such a
-    /// pair is walked and counted, not decided. The matches are
-    /// `filter_matches(candidates_union, score_pairs)` without the pairs
-    /// `covered`, as `(i, j)` in that order, for any `workers` — no candidate
-    /// list, no score vector.
+    /// Which candidates of `blocks` with a row in `dirty` match: walk every
+    /// dirty row's later partners and its clean earlier ones, and decide
+    /// each pair on the spot, as `(i, j)` with `i < j`, across row strips
+    /// sized by [`effective_workers`] over the pairs to walk. A pair of two
+    /// clean rows is neither walked nor decided: its decision is the
+    /// caller's to carry, and it is counted from `dirty`. The matches are
+    /// `filter_matches(candidates_union, score_pairs)` restricted to pairs
+    /// with a dirty row, sorted by `(i, j)`, for any `workers` — no
+    /// candidate list, no score vector. A cold walk
+    /// ([`DirtyRows::all`]) decides every candidate.
     pub fn decide_union(
         &self,
         blocks: &UnionBlocks,
         workers: usize,
-        covered: impl Fn(usize, usize) -> bool + Sync,
+        dirty: &DirtyRows,
     ) -> wrangler_table::Result<UnionMatches> {
-        let workers = effective_workers(workers, blocks.pair_bound(), MIN_PAIRS_PER_WORKER);
-        self.decide_union_exact(blocks, workers, covered)
+        self.check_walk(blocks, dirty)?;
+        let bound = blocks.walk_bound(dirty, 0..self.rows);
+        let workers = effective_workers(workers, bound, MIN_PAIRS_PER_WORKER);
+        self.decide_union_exact(blocks, workers, dirty)
+    }
+
+    /// Every partner is a row of the blocked table: one check bounds every
+    /// pair of a walk.
+    fn check_walk(&self, blocks: &UnionBlocks, dirty: &DirtyRows) -> wrangler_table::Result<()> {
+        if blocks.num_rows() != self.rows || dirty.num_rows() != self.rows {
+            return Err(TableError::Invalid(format!(
+                "blocks over {} rows and a dirty set over {} walked against a kernel over {}",
+                blocks.num_rows(),
+                dirty.num_rows(),
+                self.rows
+            )));
+        }
+        Ok(())
     }
 
     /// [`Self::decide_union`] with an exact pool width: one thread per strip
-    /// of [`UnionBlocks::strips`], bypassing the sizing policy.
+    /// of the walk, bypassing the sizing policy.
     pub fn decide_union_exact(
         &self,
         blocks: &UnionBlocks,
         workers: usize,
-        covered: impl Fn(usize, usize) -> bool + Sync,
+        dirty: &DirtyRows,
     ) -> wrangler_table::Result<UnionMatches> {
-        // Every partner is a row of the blocked table: one check bounds
-        // every pair of the walk.
-        if blocks.num_rows() != self.rows {
-            return Err(TableError::Invalid(format!(
-                "blocks over {} rows walked against a kernel over {}",
-                blocks.num_rows(),
-                self.rows
-            )));
-        }
-        let strips = blocks.strips(workers);
-        // One strip per worker; strips in order are `(i, j)` order.
+        self.check_walk(blocks, dirty)?;
+        let strips = blocks.walk_strips(workers, dirty);
         let (chunks, stats) = par::run_blocked(&strips, strips.len(), |_, chunk| {
             chunk
                 .iter()
-                .map(|rows| self.decide_strip(blocks, rows.clone(), &covered))
+                .map(|rows| self.decide_strip(blocks, dirty, rows.clone()))
                 .collect::<Vec<_>>()
         })
         .map_err(|msg| TableError::Unavailable(format!("ER decision worker panicked: {msg}")))?;
-        let mut out = UnionMatches::default();
+        let mut out = UnionMatches {
+            candidates: dirty.clean_pairs,
+            covered: dirty.clean_pairs,
+            visited: dirty.counted,
+            ..UnionMatches::default()
+        };
         for (strip, stat) in chunks.into_iter().flatten().zip(stats) {
             out.matches.extend(strip.matches);
-            out.covered += strip.covered;
             out.from_ids += strip.from_ids;
             out.text_fields += strip.text_fields;
             out.candidates += strip.walked;
+            out.visited += strip.walked;
             out.workers.push(WorkerStat {
                 items: strip.walked,
                 busy_nanos: stat.busy_nanos,
             });
         }
+        // A cold walk's strips in order are `(i, j)` order already; one that
+        // looked back from a dirty row is not.
+        if dirty.any_clean {
+            out.matches.sort_unstable();
+        }
         Ok(out)
     }
 
-    /// One worker's share: walk the partners of `rows` and decide the pairs
-    /// not `covered`.
-    fn decide_strip(
-        &self,
-        blocks: &UnionBlocks,
-        rows: Range<usize>,
-        covered: &(impl Fn(usize, usize) -> bool + Sync),
-    ) -> Strip {
+    /// One worker's share: walk the pairs of the dirty rows in `rows` and
+    /// decide them.
+    fn decide_strip(&self, blocks: &UnionBlocks, dirty: &DirtyRows, rows: Range<usize>) -> Strip {
         let mut strip = Strip::default();
-        let mut scratch = self.scratch(blocks.pair_bound_of(rows.clone()));
+        let mut scratch = self.scratch(blocks.walk_bound(dirty, rows.clone()));
         let mut state = vec![FromIds::Skipped; self.fields.len()];
-        for row in rows {
+        let mut decide = |i: usize, j: usize, strip: &mut Strip| {
+            strip.walked += 1;
+            let mut opened = 0;
+            if self.decide_with(i, j, &mut state, &mut scratch, &mut opened) {
+                strip.matches.push((i, j));
+            }
+            strip.from_ids += u64::from(opened == 0);
+            strip.text_fields += opened;
+        };
+        for row in rows.filter(|&r| dirty.is_dirty(r)) {
+            if dirty.any_clean {
+                for i in blocks.earlier_partners(row).filter(|&i| !dirty.is_dirty(i)) {
+                    decide(i, row, &mut strip);
+                }
+            }
             for j in blocks.partners(row) {
-                strip.walked += 1;
-                if covered(row, j) {
-                    strip.covered += 1;
-                    continue;
-                }
-                let mut opened = 0;
-                if self.decide_with(row, j, &mut state, &mut scratch, &mut opened) {
-                    strip.matches.push((row, j));
-                }
-                strip.from_ids += u64::from(opened == 0);
-                strip.text_fields += opened;
+                decide(row, j, &mut strip);
             }
         }
         strip
@@ -627,7 +709,7 @@ impl ErKernel {
     ) -> bool {
         for (k, (f, st)) in self.fields.iter().zip(state.iter_mut()).enumerate() {
             *st = match &f.cells {
-                FieldCells::Text { ids, .. }
+                FieldCells::Text(Dict { ids, .. })
                     if ids[i] != ids[j] && ids[i] != NULL_ID && ids[j] != NULL_ID =>
                 {
                     FromIds::Unknown
@@ -689,13 +771,13 @@ impl ErKernel {
                 for f in &self.fields {
                     match &f.cells {
                         // `NULL_ID` indexes past every dictionary: `get` is `None`.
-                        FieldCells::Text { ids, cells } => match cells.get(ids[r] as usize) {
+                        FieldCells::Text(d) => match d.values.get(d.ids[r] as usize) {
                             Some(c) => {
                                 let _ = write!(key, "t{}:{};", c.lower.len(), c.lower);
                             }
                             None => key.push_str("t-;"),
                         },
-                        FieldCells::Exact { ids, values } => match values.get(ids[r] as usize) {
+                        FieldCells::Exact(d) => match d.values.get(d.ids[r] as usize) {
                             Some(s) => {
                                 let _ = write!(key, "e{}:{};", s.len(), s);
                             }
@@ -715,34 +797,6 @@ impl ErKernel {
             })
             .collect()
     }
-}
-
-/// Dictionary-encode one column under `fold`: an id per row — assigned in
-/// first-appearance order, so the encoding is a function of the column alone
-/// — and the distinct folded renderings the ids index. Nulls get
-/// [`NULL_ID`] and no entry.
-fn intern(column: &[Value], fold: impl Fn(String) -> String) -> (Vec<u32>, Vec<String>) {
-    let mut index: BTreeMap<String, u32> = BTreeMap::new();
-    let mut values: Vec<String> = Vec::new();
-    let ids = column
-        .iter()
-        .map(|v| {
-            if v.is_null() {
-                return NULL_ID;
-            }
-            match index.entry(fold(v.render())) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    // At most one value per row, and `compile` bounds rows
-                    // below `NULL_ID`.
-                    let id = values.len() as u32;
-                    values.push(e.key().clone());
-                    *e.insert(id)
-                }
-            }
-        })
-        .collect();
-    (ids, values)
 }
 
 /// Build the text cell of one distinct lowercased rendering.
@@ -795,11 +849,13 @@ fn field_similarity(
     scratch: &mut SimScratch,
 ) -> Option<f64> {
     match cells {
-        FieldCells::Exact { ids, .. } => match (ids[i], ids[j]) {
+        FieldCells::Exact(Dict { ids, .. }) => match (ids[i], ids[j]) {
             (NULL_ID, _) | (_, NULL_ID) => None,
             (a, b) => Some(if a == b { 1.0 } else { 0.0 }),
         },
-        FieldCells::Text { ids, cells } => match (ids[i], ids[j]) {
+        FieldCells::Text(Dict {
+            ids, values: cells, ..
+        }) => match (ids[i], ids[j]) {
             (NULL_ID, _) | (_, NULL_ID) => None,
             // One id ⇔ equal lowercased renderings: the serial path's
             // `sa == sb` short-circuit.
@@ -1169,30 +1225,52 @@ mod tests {
         let serial = match_pairs(&t, &listed, &cfg).unwrap();
         let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
         assert_eq!(want, listed, "fixture: every candidate matches at 0.85");
-        let got = kernel.decide_union(&blocks, 4, |_, _| false).unwrap();
+        let cold = DirtyRows::all(5);
+        let got = kernel.decide_union(&blocks, 4, &cold).unwrap();
         assert_eq!(got.matches, want);
         // (0, 3) has one name, (0, 4) and (1, 4) a null one: ids settle them.
         // (0, 1) and (1, 3) bracket 0.85 until the name is opened.
-        assert_eq!((got.candidates, got.covered), (5, 0));
+        assert_eq!((got.candidates, got.covered, got.visited), (5, 0, 5));
         assert_eq!((got.from_ids, got.text_fields), (3, 2));
         assert_eq!(got.workers.len(), 1, "five pairs never pay a thread");
         assert_eq!(got.workers[0].items, 5);
         // Out of reach of every score: rejected without opening anything.
+        // Rows 1, 3 and 4 carried from the same table: their two pairs are
+        // counted, not walked — in the prior blocks, directly, since rows 0
+        // and 2 have more pairs to step over.
         let strict = ErConfig {
             threshold: 1.5,
             ..cfg.clone()
         };
+        let old_of = [None, Some(1), None, Some(3), Some(4)];
+        let dirty = DirtyRows::carried(&blocks, 5, &old_of).unwrap();
         let got = ErKernel::compile(&t, &strict)
             .unwrap()
-            .decide_union_exact(&blocks, 3, |i, _| i == 1)
+            .decide_union_exact(&blocks, 3, &dirty)
             .unwrap();
         assert!(got.matches.is_empty());
-        assert_eq!((got.candidates, got.covered), (5, 2));
+        assert_eq!((got.candidates, got.covered, got.visited), (5, 2, 5));
         assert_eq!((got.from_ids, got.text_fields), (3, 0));
-        assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), 5);
-        // Blocks of another table are refused whole.
+        assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), 3);
+        // Only row 2, in no block, dirty: the touching side is the smaller,
+        // and it holds no pair, so nothing is walked or stepped over.
+        let lone = [Some(0), Some(1), None, Some(3), Some(4)];
+        let dirty = DirtyRows::carried(&blocks, 5, &lone).unwrap();
+        let got = kernel.decide_union(&blocks, 2, &dirty).unwrap();
+        assert_eq!((got.candidates, got.covered, got.visited), (5, 5, 0));
+        assert!(got.matches.is_empty());
+        // Blocks of another table are refused whole, and so is a dirty set
+        // of another size.
         let other = UnionBlocks::build(&repeated_names(7, 2), "name", "name").unwrap();
-        assert!(kernel.decide_union(&other, 1, |_, _| false).is_err());
+        assert!(kernel.decide_union(&other, 1, &DirtyRows::all(7)).is_err());
+        assert!(kernel.decide_union(&blocks, 1, &DirtyRows::all(4)).is_err());
+        // A carry that reorders clean rows, maps past the prior table or
+        // claims fewer prior candidates than it counts is refused.
+        assert!(DirtyRows::carried(&blocks, 5, &[Some(3), Some(1)]).is_err());
+        assert!(DirtyRows::carried(&blocks, 5, &[Some(5)]).is_err());
+        assert!(DirtyRows::carried(&blocks, 1, &old_of).is_err());
+        let touching = [Some(0), Some(1), Some(2), None, Some(4)];
+        assert!(DirtyRows::carried(&blocks, 1, &touching).is_err());
     }
 
     #[test]
@@ -1220,7 +1298,9 @@ mod tests {
             assert!(!kernel.bounded, "weight {price_weight}");
             let serial = match_pairs(&t, &listed, &cfg).unwrap();
             let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
-            let got = kernel.decide_union_exact(&blocks, 2, |_, _| false).unwrap();
+            let got = kernel
+                .decide_union_exact(&blocks, 2, &DirtyRows::all(5))
+                .unwrap();
             assert_eq!(got.matches, want, "weight {price_weight} at {threshold}");
             // No bracket is trusted: both pairs with two names open them,
             // even at a threshold no score reaches.

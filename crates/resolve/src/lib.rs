@@ -28,13 +28,14 @@
 
 pub mod blocking;
 pub mod cluster;
+mod dict;
 pub mod kernel;
 pub mod learn;
 pub mod sim;
 
 pub use blocking::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
-    candidates_union, UnionBlocks,
+    candidates_union, DirtyRows, UnionBlocks,
 };
 pub use cluster::{cluster_pairs, UnionFind};
 pub use kernel::{ErKernel, UnionMatches, WorkerStat};

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use wrangler_resolve::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
-    candidates_union, cluster_pairs, match_pairs, record_similarity, ErConfig, ErKernel, FieldSim,
-    SimKind, UnionBlocks, UnionFind,
+    candidates_union, cluster_pairs, match_pairs, record_similarity, DirtyRows, ErConfig, ErKernel,
+    FieldSim, SimKind, UnionBlocks, UnionFind,
 };
 use wrangler_table::{Table, Value};
 
@@ -249,6 +249,77 @@ fn listed_and_scored(kernel: &ErKernel, pairs: &[(usize, usize)]) -> Vec<(usize,
     matched.iter().map(|p| (p.i, p.j)).collect()
 }
 
+/// An update of a table laid out in blocks, as a union is by source.
+struct Update {
+    new: Table,
+    /// Per row of `new`, the row of the old table it copies (`None`: the
+    /// row is new or its block changed).
+    old_of: Vec<Option<usize>>,
+    /// The same map under the walk's order rule: a copied block whose old
+    /// position is not past every clean block before it counts as dirty.
+    clean_of: Vec<Option<usize>>,
+}
+
+/// Cut `old` into blocks (a block starts at row `r > 0` where `cuts[r]`),
+/// give each a fate — kept (0), replaced by as many rows of `fresh` (1),
+/// deleted (2), resized to another count of `fresh` rows (3) — and, with
+/// `rotate`, move the first block to the end.
+fn update(old: &Table, fresh: &Table, cuts: &[bool], fates: &[u8], rotate: bool) -> Update {
+    let mut blocks: Vec<std::ops::Range<usize>> = Vec::new();
+    for r in 0..old.num_rows() {
+        match blocks.last_mut() {
+            Some(b) if !cuts[r % cuts.len()] => b.end = r + 1,
+            _ => blocks.push(r..r + 1),
+        }
+    }
+    if rotate && !blocks.is_empty() {
+        blocks.rotate_left(1);
+    }
+    let (mut rows, mut old_of, mut clean_of) = (Vec::new(), Vec::new(), Vec::new());
+    let mut next_fresh = 0;
+    let mut last_clean = None;
+    for (k, block) in blocks.into_iter().enumerate() {
+        let replaced = match fates[k % fates.len()] {
+            0 => {
+                let clean = last_clean < Some(block.start);
+                if clean {
+                    last_clean = Some(block.start);
+                }
+                for r in block {
+                    rows.push(old.row(r));
+                    old_of.push(Some(r));
+                    clean_of.push(clean.then_some(r));
+                }
+                continue;
+            }
+            1 => block.len(),
+            2 => 0,
+            _ if block.len() > 1 => block.len() - 1,
+            _ => 2,
+        };
+        for _ in 0..replaced {
+            rows.push(fresh.row(next_fresh % fresh.num_rows()));
+            next_fresh += 1;
+            old_of.push(None);
+            clean_of.push(None);
+        }
+    }
+    Update {
+        new: Table::from_rows(old.schema().clone(), rows).unwrap(),
+        old_of,
+        clean_of,
+    }
+}
+
+/// Block-fate vectors for [`update`]: random, all kept, all replaced.
+fn fates_for(mode: u8, fates: Vec<u8>) -> Vec<u8> {
+    match mode % 3 {
+        0 => fates,
+        1 => vec![0],
+        _ => vec![1],
+    }
+}
+
 /// Canonical form of a clustering: rows sorted within clusters, clusters
 /// sorted by content.
 fn normalize(mut clusters: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
@@ -423,7 +494,8 @@ proptest! {
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         let want = listed_and_scored(&kernel, &pairs);
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
-        let serial = kernel.decide_union_exact(&blocks, 1, |_, _| false).unwrap();
+        let cold = DirtyRows::all(t.num_rows());
+        let serial = kernel.decide_union_exact(&blocks, 1, &cold).unwrap();
         prop_assert_eq!(&serial.matches, &want, "threshold {:?}", cfg.threshold);
         prop_assert_eq!(serial.candidates, pairs.len() as u64);
         prop_assert_eq!(serial.covered, 0);
@@ -431,7 +503,7 @@ proptest! {
         // A pair not settled from ids opened a text field.
         prop_assert!(serial.text_fields >= serial.candidates - serial.from_ids);
         for workers in [2usize, 3, 7] {
-            let wide = kernel.decide_union_exact(&blocks, workers, |_, _| false).unwrap();
+            let wide = kernel.decide_union_exact(&blocks, workers, &cold).unwrap();
             prop_assert_eq!(&wide.matches, &want, "workers = {}", workers);
             // What was opened is a function of the pairs, not of the schedule.
             prop_assert_eq!(
@@ -442,13 +514,17 @@ proptest! {
             prop_assert!(wide.workers.len() <= workers);
             prop_assert!(pairs.is_empty() || wide.workers.iter().all(|s| s.items > 0));
         }
-        let policy = kernel.decide_union(&blocks, 4, |_, _| false).unwrap();
+        let policy = kernel.decide_union(&blocks, 4, &cold).unwrap();
         prop_assert_eq!(&policy.matches, &want);
-        // A covered pair is walked and counted, never decided.
-        let covered = |i: usize, j: usize| (i + j).is_multiple_of(3);
+        // A covered pair — two rows carried clean, here every third row of
+        // the table itself — is counted, never decided.
+        let old_of: Vec<Option<usize>> =
+            (0..t.num_rows()).map(|r| r.is_multiple_of(3).then_some(r)).collect();
+        let covered = |i: usize, j: usize| old_of[i].is_some() && old_of[j].is_some();
         let rest: Vec<(usize, usize)> =
             pairs.iter().copied().filter(|&(i, j)| !covered(i, j)).collect();
-        let part = kernel.decide_union_exact(&blocks, 2, covered).unwrap();
+        let dirty = DirtyRows::carried(&blocks, pairs.len() as u64, &old_of).unwrap();
+        let part = kernel.decide_union_exact(&blocks, 2, &dirty).unwrap();
         prop_assert_eq!(&part.matches, &listed_and_scored(&kernel, &rest));
         prop_assert_eq!(part.candidates, pairs.len() as u64);
         prop_assert_eq!(part.covered, (pairs.len() - rest.len()) as u64);
@@ -497,7 +573,8 @@ proptest! {
         let want: Vec<(usize, usize)> = serial.iter().map(|p| (p.i, p.j)).collect();
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
         for workers in [1usize, 3] {
-            let got = kernel.decide_union_exact(&blocks, workers, |_, _| false).unwrap();
+            let cold = DirtyRows::all(t.num_rows());
+            let got = kernel.decide_union_exact(&blocks, workers, &cold).unwrap();
             prop_assert_eq!(&got.matches, &want, "weights {:?}", weights);
         }
     }
@@ -566,6 +643,104 @@ proptest! {
             .filter(|(a, b)| survivors.contains(a) && survivors.contains(b))
             .collect();
         prop_assert_eq!(got, want);
+    }
+
+    #[test]
+    fn carried_blocks_and_kernel_equal_a_cold_build_of_the_new_union(
+        old in arb_duplicated_table(24),
+        fresh in arb_duplicated_table(12),
+        cuts in prop::collection::vec(any::<bool>(), 24),
+        fates in prop::collection::vec(0u8..4, 24),
+        fates2 in prop::collection::vec(0u8..4, 24),
+        modes in (0u8..3, 0u8..3),
+        rotate in (any::<bool>(), any::<bool>()),
+        same_column in any::<bool>(),
+    ) {
+        // Structurally, not just in what they answer: the same key and
+        // dictionary ids in the same first-appearance order, the same block
+        // members. Then once more from the carried build: a carry of a carry.
+        let key_col = if same_column { "name" } else { "sku" };
+        let cfg = duplicated_cfg();
+        let mut blocks = UnionBlocks::build(&old, "name", key_col).unwrap();
+        let mut kernel = ErKernel::compile(&old, &cfg).unwrap();
+        let mid = update(&old, &fresh, &cuts, &fates_for(modes.0, fates), rotate.0);
+        let new = update(&mid.new, &fresh, &cuts[3..], &fates_for(modes.1, fates2), rotate.1);
+        for step in [mid, new] {
+            let (t, old_of) = (&step.new, &step.old_of[..]);
+            let carried_blocks = UnionBlocks::carry(t, "name", key_col, Some((&blocks, old_of)));
+            let carried_blocks = carried_blocks.unwrap();
+            prop_assert_eq!(&carried_blocks, &UnionBlocks::build(t, "name", key_col).unwrap());
+            let carried_kernel = ErKernel::carry(t, &cfg, Some((&kernel, old_of))).unwrap();
+            prop_assert_eq!(&carried_kernel, &ErKernel::compile(t, &cfg).unwrap());
+            (blocks, kernel) = (carried_blocks, carried_kernel);
+        }
+    }
+
+    #[test]
+    fn walking_a_dirty_set_equals_the_full_walk_without_the_clean_pairs(
+        old in arb_duplicated_table(24),
+        fresh in arb_duplicated_table(12),
+        cuts in prop::collection::vec(any::<bool>(), 24),
+        fates in prop::collection::vec(0u8..4, 24),
+        mode in 0u8..3,
+        rotate in any::<bool>(),
+    ) {
+        // What the walk over a dirty set must equal: the full walk, with a
+        // pair of two clean rows counted as covered instead of decided. The
+        // clean pairs' count comes from the old blocks; what was opened comes
+        // from the pairs the walk decides — the full walk's less those of the
+        // clean rows alone, which are the old table's rows.
+        let cfg = duplicated_cfg();
+        let old_blocks = UnionBlocks::build(&old, "name", "sku").unwrap();
+        let old_candidates = candidates_union(&old, "name", "sku").unwrap().len() as u64;
+        let up = update(&old, &fresh, &cuts, &fates_for(mode, fates), rotate);
+        let n = up.new.num_rows();
+        let dirty = DirtyRows::carried(&old_blocks, old_candidates, &up.clean_of).unwrap();
+        let clean = |r: usize| up.clean_of[r].is_some();
+        let pairs = candidates_union(&up.new, "name", "sku").unwrap();
+        let rest: Vec<(usize, usize)> =
+            pairs.iter().copied().filter(|&(i, j)| !(clean(i) && clean(j))).collect();
+        let covered = (pairs.len() - rest.len()) as u64;
+        let kernel = ErKernel::compile(&up.new, &cfg).unwrap();
+        let blocks = UnionBlocks::build(&up.new, "name", "sku").unwrap();
+        let full = kernel.decide_union_exact(&blocks, 1, &DirtyRows::all(n)).unwrap();
+        let clean_rows: Vec<_> = (0..n).filter(|&r| clean(r)).map(|r| up.new.row(r)).collect();
+        let clean_table = Table::from_rows(up.new.schema().clone(), clean_rows).unwrap();
+        let clean_walk = ErKernel::compile(&clean_table, &cfg)
+            .unwrap()
+            .decide_union_exact(
+                &UnionBlocks::build(&clean_table, "name", "sku").unwrap(),
+                1,
+                &DirtyRows::all(clean_table.num_rows()),
+            )
+            .unwrap();
+        prop_assert_eq!(clean_walk.candidates, covered, "the clean pairs are the old ones");
+        for workers in 1usize..=4 {
+            let got = kernel.decide_union_exact(&blocks, workers, &dirty).unwrap();
+            let want = listed_and_scored(&kernel, &rest);
+            prop_assert_eq!(&got.matches, &want, "workers = {}", workers);
+            prop_assert_eq!((got.candidates, got.covered), (pairs.len() as u64, covered));
+            prop_assert_eq!(
+                (got.from_ids, got.text_fields),
+                (full.from_ids - clean_walk.from_ids, full.text_fields - clean_walk.text_fields)
+            );
+            prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), rest.len() as u64);
+            // The clean pairs were counted from one side or the other: the
+            // old pairs touching a dirty row, or the clean pairs themselves.
+            let counted = got.visited - rest.len() as u64;
+            prop_assert!(
+                counted == old_candidates - covered || counted == covered,
+                "counted {} of {} old candidates, {} clean", counted, old_candidates, covered
+            );
+        }
+        // With nothing clean the walk is the cold one, strip for strip.
+        if up.clean_of.iter().all(Option::is_none) {
+            let items = |dirty: &DirtyRows| {
+                let got = kernel.decide_union_exact(&blocks, 2, dirty).unwrap();
+                (got.matches, got.workers.iter().map(|s| s.items).collect::<Vec<_>>())
+            };
+            prop_assert_eq!(items(&dirty), items(&DirtyRows::all(n)));
+        }
     }
 
     #[test]
@@ -684,8 +859,9 @@ proptest! {
                 distinct.len()
             );
         }
-        let serial = kernel.decide_union_exact(&blocks, 1, |_, _| false).unwrap();
-        let wide = kernel.decide_union_exact(&blocks, workers, |_, _| false).unwrap();
+        let cold = DirtyRows::all(t.num_rows());
+        let serial = kernel.decide_union_exact(&blocks, 1, &cold).unwrap();
+        let wide = kernel.decide_union_exact(&blocks, workers, &cold).unwrap();
         let matched = serial.matches.len() as u64;
         prop_assert!(0 < matched && matched < serial.candidates, "{matched} matches");
         prop_assert_eq!(&wide.matches, &serial.matches);

@@ -14,6 +14,12 @@ The regressions this guards:
 * **Carried share** — on a 1-source update the ER memo must decide at least
   REMAP_FLOOR of the pass's candidate pairs (`pairs_remapped / candidates`)
   without scoring them; the rest are scored live.
+* **Visited share** — on a 1-source update the ER walk may step over at
+  most VISIT_LIMIT of the pass's candidate pairs (`visited / candidates`,
+  from `er.walk.visited`: the pairs it decided plus those it counted in the
+  memo's blocks to learn how many clean pairs there are). A walk that
+  visits every candidate to ask the carry about it reads 1.0 and fails:
+  this gates the mechanism, not only the time.
 * **Reuse economics** — a pass after no change (k=0: union blocks, ER and
   fuse all replay) must cost at most REPLAY_LIMIT of a cold recompute, and
   a 1-source update at most RATIO_LIMIT (cold = same session state with
@@ -124,15 +130,75 @@ pair and reads what k=40 does, ~1.0, so 0.80 still tells the two apart.
 REPLAY_LIMIT stays what it says ("under half a pass"): k=0 now reads
 0.15-0.21, the same ~2.8 ms over a smaller denominator. An update now costs
 what recomputing cold does from about k=8, not k=20.
+
+The change that made an update pay for its dirty rows (blocks and kernel
+carried per union block, only pairs with a dirty row walked, the clean
+pairs counted in the memo's blocks) against its parent, eight alternating
+runs per state, a two-thread spin check before each pair (two real cores
+throughout), k=1 row:
+
+    two real cores
+    parent ratio  0.508 0.599 0.720 0.701 0.728 0.721 0.532 0.594   median 0.650
+    change ratio  0.524 0.374 0.470 0.410 0.526 0.389 0.494 0.370   median 0.440
+    one core (`taskset -c 0`)
+    parent ratio  0.475 0.517 0.509 0.484 0.780 0.494 0.757 0.467   median 0.502
+    change ratio  0.358 0.355 0.359 0.316 0.552 0.361 0.346 0.331   median 0.356
+
+    by the rule  median 0.440 x 1.15 = 0.506, rounded up to the next 0.05 = 0.55
+
+An earlier set of eight per state, on the change before its blocks were
+narrowed to 32-bit indices and its text cells shared (both for memory),
+read 0.466 and 0.370 (parent 0.683 and 0.509). The rule gives 0.55, but 2
+of those 32 change runs read over it, both pinned: 0.552 above and 0.551 in
+the earlier set — a gate that fails one run in sixteen of the code it was
+derived from is flaky. RATIO_LIMIT is therefore 0.60, the rule's value
+raised to cover every recorded change run in both states; it tightens from
+0.80, and the parent's median (0.650 with two cores) still reads over it.
+
+The k=1 walk visits 16.4% of the candidates (the dirty pairs twice:
+decided in the new blocks, counted in the memo's), hence VISIT_LIMIT 0.25;
+the parent visits all of them. Which side of the memo's blocks the clean
+pairs are counted from is chosen by what each costs to step over: the pairs
+touching a dirty row (as at k=1) or, once those are the more, the clean
+rows' own pairs. The visited share reads 16.4% at k=1, 31.9% at k=2, 58.6%
+at k=4 and 100% from k=8 up — where the clean rows' pairs are counted,
+decided and counted pairs are the candidates exactly. Before that choice it
+read 171% at k=20: every touching pair stepped over twice. Six alternating
+runs per state with it, ratios by k (medians of incr ms in brackets):
+
+    two real cores
+    parent k=1   0.534 0.746 0.642 0.737 0.691 0.698   median 0.694
+    change k=1   0.374 0.350 0.483 0.477 0.493 0.400   median 0.439
+    parent k=8   0.765 0.860 0.995 0.954 1.287 1.052   median 0.975 (11.5)
+    change k=8   0.732 0.978 0.770 0.827 0.812 0.788   median 0.800 (10.0)
+    parent k=20  0.958 1.233 1.251 1.020 1.017 1.009   median 1.018 (14.7)
+    change k=20  1.035 1.077 1.163 0.774 1.103 1.029   median 1.056 (13.5)
+    parent k=40  0.981 0.751 1.030 1.082 1.023 1.277   median 1.027
+    change k=40  0.979 1.054 0.981 1.022 1.027 1.045   median 1.025
+    one core (`taskset -c 0`)
+    parent k=1   0.509 0.505 0.505 0.501 0.497 0.490   median 0.503
+    change k=1   0.343 0.358 0.365 0.348 0.384 0.355   median 0.356
+    parent k=8   0.761 0.763 0.569 0.780 0.778 0.783   median 0.770 (11.3)
+    change k=8   0.732 0.713 0.745 0.748 0.718 0.699   median 0.725 (10.5)
+    parent k=20  0.936 0.939 1.060 0.958 0.908 0.978   median 0.948 (15.4)
+    change k=20  0.971 1.013 1.007 0.977 0.981 1.024   median 0.994 (15.6)
+    parent k=40  0.998 1.314 0.995 0.991 0.977 1.011   median 0.996
+    change k=40  1.034 1.041 1.042 1.102 1.048 1.034   median 1.041
+
+At k=20 the update costs what the parent's does (13.5 against 14.7 ms with
+two cores, 15.6 against 15.4 pinned) while the cold pass it is divided by
+got cheaper, so the ratio reads ~0.04 higher. k=8 and k=20 stay printed,
+not gated.
 """
 
 import json
 import sys
 
-RATIO_LIMIT = 0.80  # incr/cold ceiling for a 1-source update
+RATIO_LIMIT = 0.60  # incr/cold ceiling for a 1-source update
 REPLAY_LIMIT = 0.50  # incr/cold ceiling for a pass after no change
 ALL_LIMIT = 1.25  # incr/cold ceiling for a pass that reuses nothing (k = all sources)
 REMAP_FLOOR = 0.90  # share of k=1 candidate pairs the ER memo must decide
+VISIT_LIMIT = 0.25  # share of k=1 candidate pairs the ER walk may step over
 
 
 def main() -> int:
@@ -188,6 +254,20 @@ def main() -> int:
     )
     if share < REMAP_FLOOR:
         failures.append("remap-share")
+
+    if 1 in by_k:
+        row = by_k[1]
+        candidates = row.get("candidates", data.get("candidates", 0))
+        # A sweep that does not report the walk walked every candidate.
+        visited = row.get("visited", candidates)
+        share = visited / max(candidates, 1)
+        verdict = "ok" if share <= VISIT_LIMIT else "FAIL"
+        print(
+            f"e18 visited share [k=1]: the walk stepped over {share:.1%} of "
+            f"{candidates} candidate pairs (limit {VISIT_LIMIT:.0%}) -> {verdict}"
+        )
+        if share > VISIT_LIMIT:
+            failures.append("visited-share")
 
     if failures:
         print(f"e18 incremental gate: FAILED ({', '.join(failures)})")
