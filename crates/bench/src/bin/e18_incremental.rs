@@ -28,9 +28,10 @@
 //! counters + outcome fingerprint) for CI double-run diffing. A full run
 //! writes `BENCH_e18.json`; `scripts/check_e18_incremental.py` gates the
 //! k=0, k=1 and k=40 ratios, the k=1 block reuse, the identity column, the
-//! share of k=1 candidate pairs the ER memo carried, and the share of them
-//! the k=1 walk visited (`er.walk.visited`: pairs decided plus pairs
-//! counted in the memo's blocks — a cold walk visits every candidate).
+//! share of k=1 candidate pairs the ER memo carried, the share of them the
+//! k=1 walk visited (`er.walk.visited`: pairs decided plus pairs counted in
+//! the memo's blocks — a cold walk visits every candidate), and that the
+//! k=0 walk visits none while the carry covers every candidate.
 //!
 //! `lint-allow:` exemptions follow the experiment-binary convention:
 //! drivers may panic on their own fixtures.
@@ -271,8 +272,8 @@ fn main() {
     );
     wrangler_bench::write_artifact("BENCH_e18.json", &json);
 
-    println!("\nShape expected: ~0.15-0.2 at k=0 (pure replay: ER and fuse reuse wholesale, ~3 ms");
-    println!("whatever a cold pass costs), ~0.35-0.5 at k=1, not 1/40: a clean row takes its");
+    println!("\nShape expected: ~0.25-0.4 at k=0 (the ER carry maps every row and walks no pair,");
+    println!("visited% 0, while fusion runs live), ~0.35-0.5 at k=1, not 1/40: a clean row takes its");
     println!("blocking keys and dictionary ids from the ER memo and a pair of two clean rows is");
     println!("neither walked nor decided (visited% counts what was decided plus what was counted");
     println!("in the memo's blocks: ~2x the dirty pairs while few rows are dirty, 100% once the");

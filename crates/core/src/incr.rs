@@ -3,7 +3,7 @@
 //!
 //! PR 8's checkpoint chaining proved whole-stage replay across process
 //! restarts; this module generalizes the same content-keyed idea *within*
-//! the session and below stage grain. Three memo levels:
+//! the session and below stage grain. Two memo levels:
 //!
 //! - **Union blocks** ([`BlockMemo`]): each source's contribution to the
 //!   union (its contiguous row block, post poison scan and post inline
@@ -13,32 +13,31 @@
 //!   memo holds no cells: the session already holds the mapped table, so a
 //!   block is remembered as *which rows of it the block keeps*. A 1-source
 //!   update on an n-source fleet rescans one block; the other n−1 replay.
-//! - **ER** ([`ErMemo`]): the union's identity is its block list, so the
-//!   whole clustering replays iff the pass fingerprint and the layout are
-//!   the memo's, compared exactly. When some block changed, the memo still
-//!   pays, and the update's ER costs its dirty rows. The memo remembers
-//!   the pass's *matched pairs* by row index, its candidate count, and what
-//!   it derived per union row — the blocks (blocking keys) and the kernel
-//!   (dictionary ids and cells). The block layout maps rows of unchanged
-//!   blocks old↔new by offset ([`ErMemo::carry`]); a block out of order
-//!   relative to the carried blocks before it counts as changed, so the
-//!   clean rows keep their relative order. The new blocks and kernel are
-//!   *carried*, not rebuilt: a clean row takes its keys and ids from the
-//!   memo's, only a dirty row is rendered and interned. A candidate of two
-//!   clean rows is carried — it matches now iff it matched then — and is
-//!   not even walked: the walk decides the pairs with a dirty row and
-//!   counts the clean ones in the memo's blocks. This rests on one
-//!   invariant, pinned by `wrangler-resolve`'s proptest
+//! - **ER** ([`ErMemo`]): the union's identity is its block list, and the
+//!   update's ER costs its dirty rows. The memo remembers the pass's
+//!   *matched pairs* by row index, its candidate count, and what it derived
+//!   per union row — the blocks (blocking keys) and the kernel (dictionary
+//!   ids and cells). The block layout maps rows of unchanged blocks old↔new
+//!   by offset ([`ErMemo::carry`]); a block out of order relative to the
+//!   carried blocks before it counts as changed, so the clean rows keep
+//!   their relative order. The new blocks and kernel are *carried*, not
+//!   rebuilt: a clean row takes its keys and ids from the memo's, only a
+//!   dirty row is rendered and interned. A candidate of two clean rows is
+//!   carried — it matches now iff it matched then — and is not even walked:
+//!   the walk decides the pairs with a dirty row and counts the clean ones
+//!   in the memo's blocks. A pass after no change is the case with no dirty
+//!   row: every row maps, no pair is walked, and the memo's own matches
+//!   cluster into the clustering it recorded. This rests on one invariant,
+//!   pinned by `wrangler-resolve`'s proptest
 //!   `candidates_restricted_to_surviving_rows`: whether `(i, j)` is a
 //!   candidate depends on rows `i` and `j` alone (as do the score, in
 //!   argument order, and the threshold), so replacing or deleting rows
 //!   leaves the candidates among the survivors as they were, re-indexed.
-//! - **Fuse** ([`FuseMemo`]): trust estimation + slot fusion is keyed on
-//!   the block list and clustering plus every input that can ripple into a
-//!   fused value (value-level feedback, belief trust, source ages, master
-//!   data).
 //!   Without a block list (a union replayed from a checkpoint store, or
-//!   filtered again by `OptMode::Naive`) neither memo replays or is captured.
+//!   filtered again by `OptMode::Naive`) the memo is neither carried nor
+//!   captured.
+//!
+//! Fusion keeps no memo: it runs live, or replays from a checkpoint store.
 //!
 //! Reuse is proof-carrying at the union grain: a block replays only when
 //! the plan analyzer established `PartitionIsolated` for its source — i.e.
@@ -53,8 +52,6 @@ use std::sync::OnceLock;
 
 use wrangler_resolve::{ErKernel, UnionBlocks};
 use wrangler_table::{wire, Table};
-
-use crate::ckpt_io::{ErOut, FuseOut};
 
 /// One source's mapped (target-schema) table with what identifies it. The
 /// fields are private so that the three cannot drift apart: a new table is
@@ -124,15 +121,12 @@ pub struct BlockMemo {
 /// One contiguous block of the union: `(source, block key, rows)`.
 pub type Block = (usize, u64, usize);
 
-/// The memoized ER stage: full-stage replay plus the carry across an update.
+/// The memoized ER stage: what the carry across the next pass reads.
 #[derive(Debug, Clone)]
 pub struct ErMemo {
     /// Pass fingerprint the memo was computed under (it pins the scoring
-    /// config and threshold); replay and carry both require an exact match.
+    /// config and threshold); the carry requires an exact match.
     pub pass_fp: u64,
-    /// The clustering and row → entity index over the memoized union: the
-    /// stage's seam record, replayed as is when `layout` is the pass's too.
-    pub out: ErOut,
     /// Union block layout at compute time: the memoized union's identity.
     pub layout: Vec<Block>,
     /// The pairs that matched (score ≥ threshold) as `(i, j)` row indices
@@ -141,7 +135,8 @@ pub struct ErMemo {
     /// The candidate count of the memoized union (`er.candidates`).
     pub candidates: u64,
     /// The memoized union's blocks: each row's two blocking keys. A carried
-    /// row takes its keys from here, and the clean pairs are counted here.
+    /// row takes its keys from here, and the clean pairs are counted here;
+    /// their row count is the memoized union's.
     pub blocks: UnionBlocks,
     /// The memoized union's kernel: each row's dictionary ids and cells. A
     /// carried row takes its ids from here.
@@ -170,7 +165,7 @@ impl ErMemo {
     /// fingerprint, or a layout that does not cover its union.
     pub fn carry(&self, pass_fp: u64, layout: &[Block], rows: usize) -> Option<Carry> {
         let covered = |l: &[Block]| l.iter().map(|&(_, _, n)| n).sum::<usize>();
-        let old_rows = self.out.row_entity.len();
+        let old_rows = self.blocks.num_rows();
         if self.pass_fp != pass_fp || covered(layout) != rows || covered(&self.layout) != old_rows {
             return None;
         }
@@ -209,17 +204,6 @@ impl ErMemo {
     }
 }
 
-/// The memoized fuse stage.
-#[derive(Debug, Clone)]
-pub struct FuseMemo {
-    /// Content key over everything that can ripple into a fused value.
-    pub key: u64,
-    /// The stage's seam record at compute time (blended trust, ages, fused
-    /// slots sorted by (entity, attr)); only passes with no fuse-stage
-    /// quarantine are memoized.
-    pub out: FuseOut,
-}
-
 /// Pack a pair's row indices into one u64, smaller index in the high half.
 /// No code in this workspace calls it: `bench/` does, for the
 /// `core.er_memo_ms` replay of a capture the session no longer does, and it
@@ -238,8 +222,6 @@ pub struct IncrEngine {
     pub blocks: BTreeMap<usize, BlockMemo>,
     /// The ER memo (one per session — ER has no per-source partition).
     pub er: Option<ErMemo>,
-    /// The fuse memo.
-    pub fuse: Option<FuseMemo>,
 }
 
 impl Default for IncrEngine {
@@ -255,7 +237,6 @@ impl IncrEngine {
             enabled: true,
             blocks: BTreeMap::new(),
             er: None,
-            fuse: None,
         }
     }
 
@@ -278,12 +259,11 @@ impl IncrEngine {
     pub fn clear(&mut self) {
         self.blocks.clear();
         self.er = None;
-        self.fuse = None;
     }
 
     /// Number of live memos, for tests and stats.
     pub fn memo_count(&self) -> usize {
-        self.blocks.len() + usize::from(self.er.is_some()) + usize::from(self.fuse.is_some())
+        self.blocks.len() + usize::from(self.er.is_some())
     }
 }
 
@@ -331,10 +311,6 @@ mod tests {
         let table = Table::literal(&["name"], vec![vec![Value::Null]; rows]).unwrap();
         ErMemo {
             pass_fp: 7,
-            out: ErOut {
-                clusters: Vec::new(),
-                row_entity: vec![0; rows],
-            },
             layout: layout.to_vec(),
             matches: matches.to_vec(),
             candidates: 0,

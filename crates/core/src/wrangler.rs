@@ -193,8 +193,8 @@ pub struct Wrangler {
     /// panic or process exit at one stage seam.
     crash: Option<CrashPolicy>,
     /// The incremental dataflow engine: per-source union block memos plus
-    /// whole-stage ER/fuse memos, all content-keyed off the pass
-    /// fingerprint (see [`crate::incr`]). On by default.
+    /// the ER memo an update carries, both keyed off the pass fingerprint
+    /// (see [`crate::incr`]). On by default.
     incr: IncrEngine,
 }
 
@@ -2088,14 +2088,12 @@ mod tests {
         let listed = wrangler_resolve::candidates_union(union, name_col, key_col).unwrap();
         let scored = wrangler_resolve::match_pairs(union, &listed, w.er_config()).unwrap();
         let want: Vec<(usize, usize)> = scored.iter().map(|p| (p.i, p.j)).collect();
-        let memo = w.incr.er.as_ref().unwrap();
-        assert_eq!(memo.matches, want);
+        assert_eq!(w.incr.er.as_ref().unwrap().matches, want);
         let clusters = cluster_pairs(union.num_rows(), want);
         for (e, cluster) in clusters.iter().enumerate() {
-            assert!(cluster.iter().all(|&r| memo.out.row_entity[r] == e));
+            assert!(cluster.iter().all(|&r| cache.row_entity[r] == e));
         }
-        assert_eq!(memo.out.clusters, clusters);
-        assert_eq!(cache.row_entity, memo.out.row_entity);
+        assert_eq!(cache.entities, clusters.len());
         listed
     }
 
@@ -2470,35 +2468,37 @@ mod tests {
         assert!(w.update_source(victim, dropped).is_err());
     }
 
+    /// What a pass after no change shows against the pass `before` it: no
+    /// union block recomputes, and the ER carry maps every row, so the walk
+    /// steps over no pair, decides none live and carries every candidate.
+    fn assert_no_change_pass_decides_nothing(out: &WrangleOutcome, before: &WrangleOutcome) {
+        let delta = |key: &str| counter_delta(out, before, key);
+        let m = &out.metrics;
+        assert_eq!(delta("incr.union.recomputed"), 0, "{m:?}");
+        assert_eq!(delta("er.walk.visited"), 0, "{m:?}");
+        assert_eq!(delta("er.cache.misses"), 0, "{m:?}");
+        assert!(delta("er.candidates") > 0, "{m:?}");
+        assert_eq!(delta("incr.er.pairs_remapped"), delta("er.candidates"));
+    }
+
     #[test]
-    fn pure_replay_reuses_er_and_fuse_without_fake_spans() {
+    fn a_no_change_pass_carries_every_er_pair_and_decides_none() {
         let fleet = small_fleet();
         let mut w = session(&fleet, UserContext::balanced("t"));
         let first = w.wrangle().unwrap();
-        let er_passes = first.metrics.timings["wrangle/er"].calls;
-        let fuse_passes = first.metrics.timings["wrangle/fuse"].calls;
-        // Nothing changed: the second pass replays union blocks, ER and
-        // fuse wholesale, byte-identically.
+        // Nothing changed: union blocks replay and the ER carry covers the
+        // whole union, byte-identically; fuse runs live.
         w.cache = None;
         let out = assert_incremental_matches_cold(&mut w);
-        let m = out.metrics;
-        // Counters are cumulative across passes: compare against the first
-        // (cold) pass's snapshot to isolate what the replay pass did.
-        let delta = |key: &str| {
-            m.counts.get(key).copied().unwrap_or(0)
-                - first.metrics.counts.get(key).copied().unwrap_or(0)
-        };
-        assert_eq!(delta("incr.er.reused"), 1, "{m:?}");
-        assert_eq!(delta("incr.fuse.reused"), 1, "{m:?}");
-        assert_eq!(delta("incr.union.recomputed"), 0, "{m:?}");
-        assert!(delta("incr.union.reused") > 0);
-        // Metrics attribution: a reused stage records NO span at all (a
-        // zero-duration span would skew stage_shares); the replay cost is
-        // attributed to its own explicitly-named span instead.
-        assert_eq!(m.timings["wrangle/er"].calls, er_passes);
-        assert_eq!(m.timings["wrangle/fuse"].calls, fuse_passes);
-        assert!(m.timings.contains_key("wrangle/er_replay"));
-        assert!(m.timings.contains_key("wrangle/fuse_replay"));
+        assert_no_change_pass_decides_nothing(&out, &first);
+        assert!(counter_delta(&out, &first, "incr.union.reused") > 0);
+        // Every stage opens its own span on every pass: there is no second
+        // path with a span of its own.
+        let m = &out.metrics;
+        for stage in ["wrangle/er", "wrangle/fuse"] {
+            assert_eq!(m.timings[stage].calls, 2 * first.metrics.timings[stage].calls);
+        }
+        assert!(!m.timings.keys().any(|k| k.ends_with("_replay")), "{m:?}");
     }
 
     #[test]
@@ -2904,36 +2904,35 @@ mod tests {
         let delta = |key: &str| counter_delta(&out, &first, key);
         let blocks = out.selected_sources.len() as u64;
         assert_eq!(delta("incr.union.reused"), blocks);
-        assert_eq!(delta("incr.er.reused"), 0, "another block list: no replay");
         assert!(delta("incr.er.pairs_remapped") > 0, "ordered pairs carry");
         assert!(delta("er.cache.misses") > 0, "swapped pairs are live");
     }
 
     #[test]
-    fn a_union_filtered_after_its_blocks_were_laid_keeps_no_er_or_fuse_memo() {
+    fn a_union_filtered_after_its_blocks_were_laid_keeps_no_er_memo() {
         let fleet = small_fleet();
         let mut w = session(&fleet, UserContext::balanced("t"))
             .with_row_filter(category_filter())
             .with_opt_mode(OptMode::Naive);
         let first = w.wrangle().unwrap();
-        assert!(w.incr.er.is_none() && w.incr.fuse.is_none(), "not captured");
-        // Nothing changed, and still nothing to replay: the post-union
-        // filter left a union no block list attests.
+        assert!(w.incr.er.is_none(), "not captured");
+        // Nothing changed, and still nothing to carry: the post-union
+        // filter left a union no block list attests, so ER walks every pair.
         w.cache = None;
         let out = assert_incremental_matches_cold(&mut w);
         assert_eq!(outcome_fingerprint(&out), outcome_fingerprint(&first));
-        assert!(!out.metrics.counts.contains_key("incr.er.reused"));
-        assert!(!out.metrics.counts.contains_key("incr.fuse.reused"));
-        assert!(w.incr.er.is_none() && w.incr.fuse.is_none());
-        // The optimized twin filters inside the blocks and replays both.
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert_eq!(delta("er.walk.visited"), delta("er.candidates"));
+        assert_eq!(delta("incr.er.pairs_remapped"), 0);
+        assert!(w.incr.er.is_none());
+        // The optimized twin filters inside the blocks and carries every pair.
         let user = UserContext::balanced("t");
         let mut opt = session(&fleet, user).with_row_filter(category_filter());
         let opt_first = opt.wrangle().unwrap();
         assert_eq!(outcome_fingerprint(&opt_first), outcome_fingerprint(&first));
         opt.cache = None;
-        let m = opt.wrangle().unwrap().metrics;
-        assert_eq!(m.counts["incr.er.reused"], 1);
-        assert_eq!(m.counts["incr.fuse.reused"], 1);
+        let again = assert_incremental_matches_cold(&mut opt);
+        assert_no_change_pass_decides_nothing(&again, &opt_first);
     }
 
     #[test]
@@ -3099,15 +3098,14 @@ mod tests {
         let delta = |key: &str| counter_delta(&out, &first, key);
         assert_eq!(delta("incr.union.reused"), n - 1, "{:?}", out.metrics);
         assert!(delta("incr.er.pairs_remapped") > 0, "{:?}", out.metrics);
-        // A second veto and nothing else: union and ER replay whole while
-        // fuse runs live — a fuse memo keyed without the veto would deliver
-        // the vetoed value again.
+        // A second veto and nothing else: every union block replays and the
+        // ER carry decides no pair, while fuse runs live and drops the
+        // vetoed value.
         w.give_feedback(price_veto(&w, &out));
         w.cache = None;
         let again = assert_incremental_matches_cold(&mut w);
-        let delta = |key: &str| counter_delta(&again, &out, key);
-        assert_eq!(delta("incr.union.reused"), n);
-        assert_eq!(delta("incr.er.reused"), 1);
-        assert_eq!(delta("incr.fuse.reused"), 0);
+        assert_no_change_pass_decides_nothing(&again, &out);
+        assert_eq!(counter_delta(&again, &out, "incr.union.reused"), n);
+        assert_ne!(outcome_fingerprint(&again), outcome_fingerprint(&out));
     }
 }

@@ -7,17 +7,17 @@
 //! resume. [`Wrangler::seam`] is the only place that knows what a seam does,
 //! in order:
 //!
-//! 1. open the stage span (`<name>`, or `<name>_replay` for a memo hit);
+//! 1. open the stage span `<name>`;
 //! 2. derive the key — the select key for the first seam, afterwards
 //!    `seam_key(name, pass_fp, chain, extra)`; 0 without a store;
-//! 3. obtain the record: the whole-stage memo the caller found, else a
-//!    stored record (decode the stage payload *first*, restore the session
-//!    snapshot only if it decodes and fits this session's fleet shape and
-//!    target schema), else the stage's live function;
+//! 3. obtain the record: a stored record (decode the stage payload *first*,
+//!    restore the session snapshot only if it decodes and fits this
+//!    session's fleet shape and target schema), else the stage's live
+//!    function;
 //! 4. persist it (snapshot + encoded record) unless it came from the store
 //!    — only when a store is attached, so a store-less pass encodes nothing;
 //! 5. `install` it — the one place a stage's output enters the session,
-//!    whichever of the three arms produced it;
+//!    whichever of the two arms produced it;
 //! 6. close the span on every exit (`Ok`, `Err`, `?`);
 //! 7. fire the seam's crash site and advance the key chain.
 //!
@@ -58,13 +58,13 @@ pub(super) struct Pass {
     /// Pass fingerprint (0 when neither a store nor the engine needs it).
     pub(super) pass_fp: u64,
     /// The master catalog's content hash and key column, hashed once for
-    /// the first seam's key and the fuse key (0 likewise, or with no catalog).
+    /// the first seam's key (0 without a store, or with no catalog).
     pub(super) master_fp: u64,
     /// Compiled-program fingerprint for the seam keys (0 without a store).
     pub(super) prog_fp: u64,
     /// The value-level feedback in force (vetoes, confirmations), hashed
-    /// for the fuse key and the fuse seam's — fuse is the one stage that
-    /// reads it (0 likewise).
+    /// for the fuse seam's key — fuse is the one stage that reads it (0
+    /// without a store).
     pub(super) feedback_fp: u64,
     /// Key of the last seam passed; `None` before the first.
     chain: Option<u64>,
@@ -78,9 +78,9 @@ pub(super) struct Pass {
     /// union seam, moved into the session cache by the fuse seam.
     pub(super) union: Union,
     /// Union block layout of this pass, in union order: the union's
-    /// identity for the ER and fuse memos, and the ER carry's coordinate
-    /// system. Empty when nothing attests the blocks: the engine is off, the
-    /// union replayed from a checkpoint, or `OptMode::Naive` re-filtered it.
+    /// identity, and the ER carry's coordinate system. Empty when nothing
+    /// attests the blocks: the engine is off, the union replayed from a
+    /// checkpoint, or `OptMode::Naive` re-filtered it.
     pub(super) union_layout: Vec<crate::incr::Block>,
     pub(super) er: ErOut,
     /// The claim set, when the live fuse stage already built it (a replayed
@@ -130,20 +130,20 @@ impl Wrangler {
     pub(super) fn begin_pass(&self) -> Pass {
         let plan = self.plan();
         let incr_on = self.incr.enabled() && self.contain.chaos.is_none();
-        let keyed = self.ckpt.is_some() || incr_on;
-        let pass_fp = if keyed { self.pass_fingerprint(&plan) } else { 0 };
+        let stored = self.ckpt.is_some();
+        let pass_fp = if stored || incr_on {
+            self.pass_fingerprint(&plan)
+        } else {
+            0
+        };
         let master_fp = match self.data_ctx.master("product") {
-            Some(m) if keyed => wire::Hasher64::new()
+            Some(m) if stored => wire::Hasher64::new()
                 .write_u64(wire::table_hash(&m.table))
                 .write_str(&m.key_column)
                 .finish(),
             _ => 0,
         };
-        let feedback_fp = if keyed {
-            self.feedback_fingerprint()
-        } else {
-            0
-        };
+        let feedback_fp = if stored { self.feedback_fingerprint() } else { 0 };
         Pass {
             plan,
             policy: self.contain.clone(),
@@ -177,17 +177,15 @@ impl Wrangler {
         out
     }
 
-    /// Cross one seam (see the module docs for the protocol). `memo` is a
-    /// whole-stage memo hit the caller already validated; `live` computes
-    /// the record; `install` moves it into the session and the pass, and is
-    /// told whether the record was replayed from the store.
+    /// Cross one seam (see the module docs for the protocol). `live`
+    /// computes the record when the store has none; `install` moves it into
+    /// the session and the pass, whichever arm produced it.
     pub(super) fn seam<R: SeamRecord>(
         &mut self,
         pass: &mut Pass,
         seam: &Seam,
-        memo: Option<R>,
         live: impl FnOnce(&mut Self, &mut Pass) -> Result<R>,
-        install: impl FnOnce(&mut Self, &mut Pass, R, bool) -> Result<()>,
+        install: impl FnOnce(&mut Self, &mut Pass, R) -> Result<()>,
     ) -> Result<()> {
         let key = match (&self.ckpt, pass.chain) {
             (None, _) => 0,
@@ -202,25 +200,16 @@ impl Wrangler {
                 Self::seam_key(seam.name, pass.pass_fp, chain, program, feedback)
             }
         };
-        // A memo hit opens no `<name>` span — a near-zero one would deflate
-        // the stage's share in `stage_shares` — the replay's own cost gets
-        // its own honestly-named span.
-        let span = match memo {
-            Some(_) => format!("{}_replay", seam.name),
-            None => seam.name.to_string(),
-        };
-        self.span(&span, |w| {
-            let (record, replayed) = match memo {
-                Some(record) => (record, false),
-                None => match w.ckpt_load(seam.name, key, &mut pass.creport) {
-                    Some(record) => (record, true),
-                    None => (live(w, pass)?, false),
-                },
+        self.span(seam.name, |w| {
+            let record = match w.ckpt_load(seam.name, key, &mut pass.creport) {
+                Some(record) => record,
+                None => {
+                    let record = live(w, pass)?;
+                    w.ckpt_save(seam.name, key, &pass.creport, &record);
+                    record
+                }
             };
-            if !replayed {
-                w.ckpt_save(seam.name, key, &pass.creport, &record);
-            }
-            install(w, pass, record, replayed)
+            install(w, pass, record)
         })?;
         self.crash_fire(seam.site);
         pass.chain = Some(key);

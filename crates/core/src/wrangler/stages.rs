@@ -3,8 +3,8 @@
 //! (assembly lives with the driver in the parent module). Each is a plain
 //! method over the session and the [`Pass`]; the seven that end in a
 //! checkpoint seam hand [`Wrangler::seam`] a live function that computes the
-//! stage's record and an install function that moves a record — computed,
-//! replayed or memoized — into the session.
+//! stage's record and an install function that moves a record — computed
+//! or replayed from the store — into the session.
 
 use std::collections::BTreeMap;
 
@@ -19,7 +19,7 @@ use wrangler_match::profile_table;
 use wrangler_plan::{FilterPlacement, OptMode, PlanProgram};
 use wrangler_resolve::{cluster_pairs, DirtyRows, ErKernel, UnionBlocks};
 use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
-use wrangler_table::{ops, par, wire, Table, TableError};
+use wrangler_table::{ops, par, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
 use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_APPLY, MAP_GENERATE, SELECT, UNION};
@@ -29,7 +29,7 @@ use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectO
 use crate::contain::{
     catch_quiet, isolate, poison_reason, ContainMode, Guarded, Stage, StageGuard,
 };
-use crate::incr::{BlockMemo, ErMemo, FuseMemo, Mapped};
+use crate::incr::{BlockMemo, ErMemo, Mapped};
 use crate::lower::{self, LowerInput};
 use crate::planner::SelectionStrategy;
 use crate::union::Union;
@@ -52,7 +52,6 @@ impl Wrangler {
         self.seam(
             pass,
             &SELECT,
-            None,
             |w, pass| {
                 let estimates = w.estimates();
                 let selected = match pass.plan.selection {
@@ -69,7 +68,7 @@ impl Wrangler {
                 w.obs.count("select.selected", selected.len() as u64);
                 Ok(SelectOut { selected })
             },
-            |_, pass, rec: SelectOut, _| {
+            |_, pass, rec: SelectOut| {
                 pass.selected = rec.selected;
                 Ok(())
             },
@@ -85,9 +84,8 @@ impl Wrangler {
         self.seam(
             pass,
             &ACQUIRE,
-            None,
             Self::acquire_live,
-            |w, pass, rec: AcquireOut, _| {
+            |w, pass, rec: AcquireOut| {
                 pass.selected = rec.selected;
                 pass.degraded_tables = rec.degraded_tables.into_iter().collect();
                 // Degraded payloads are transient: remap them from this
@@ -168,7 +166,6 @@ impl Wrangler {
         self.seam(
             pass,
             &MAP_GENERATE,
-            None,
             |w, pass| {
                 w.map_generate_live(pass)?;
                 // The record owns the stage's output: every survivor's
@@ -188,7 +185,7 @@ impl Wrangler {
                     mappings,
                 })
             },
-            |w, pass, rec: MapGenOut, _| {
+            |w, pass, rec: MapGenOut| {
                 pass.selected = rec.selected;
                 for (i, mapping) in rec.mappings {
                     if let Some(state) = w.states.get_mut(i) {
@@ -492,9 +489,8 @@ impl Wrangler {
         self.seam(
             pass,
             &MAP_APPLY,
-            None,
             Self::map_apply_live,
-            |w, pass, rec: MapApplyOut, _| {
+            |w, pass, rec: MapApplyOut| {
                 pass.selected = rec.selected;
                 for (i, mapped) in rec.mapped {
                     if let Some(state) = w.states.get_mut(i) {
@@ -621,14 +617,13 @@ impl Wrangler {
         self.seam(
             pass,
             &UNION,
-            None,
             Self::union_live,
-            |w, pass, rec: UnionOut, _| {
+            |w, pass, rec: UnionOut| {
                 pass.selected = rec.selected;
                 w.obs.count("union.rows", rec.union.table().num_rows() as u64);
                 w.obs.count("union.filtered", rec.union_filtered);
                 pass.union = rec.union;
-                // No block list, no identity to key the ER and fuse memos by.
+                // No block list, no identity to carry the ER memo across.
                 pass.incr_on &= !pass.union_layout.is_empty();
                 Ok(())
             },
@@ -851,34 +846,22 @@ impl Wrangler {
         Ok(kept)
     }
 
-    /// Stage 5 — entity resolution over the union. Three arms, one install: a
-    /// whole-stage memo hit (same pass fingerprint, same block list — an
-    /// exact compare — so the memoized clustering is byte-identical to a
-    /// recompute), a stored record, or the live stage.
+    /// Stage 5 — entity resolution over the union: a stored record, or the
+    /// live stage, which carries the ER memo across whatever changed. After
+    /// no change that is every row: no pair is walked, and the memo's own
+    /// matches cluster into the clustering it recorded.
     pub(super) fn er(&mut self, pass: &mut Pass) -> Result<()> {
         // An explicitly dirtied clustering (ER rule refined, plan shape
-        // changed, a test forcing recompute) must run live — both the
-        // whole-stage replay and the carry stand down.
+        // changed, a test forcing recompute) must run live from scratch:
+        // the carry stands down.
         let reusable = pass.incr_on && !self.working.is_dirty(Artifact::Clusters);
-        let memo = self
-            .incr
-            .er
-            .as_ref()
-            .filter(|m| reusable && m.pass_fp == pass.pass_fp && m.layout == pass.union_layout)
-            .map(|m| m.out.clone());
-        if memo.is_some() {
-            self.obs.inc("incr.er.reused");
-        }
         self.seam(
             pass,
             &ER,
-            memo,
             |w, pass| w.contained(pass, Stage::Er, |w, pass| w.er_live(pass, reusable)),
-            |w, pass, rec: ErOut, replayed| {
+            |w, pass, rec: ErOut| {
                 w.working.mark_clean(Artifact::Clusters);
-                if replayed {
-                    w.obs.count("er.entities", rec.clusters.len() as u64);
-                }
+                w.obs.count("er.entities", rec.clusters.len() as u64);
                 pass.er = rec;
                 Ok(())
             },
@@ -969,11 +952,9 @@ impl Wrangler {
         self.obs.count("er.decide.from_ids", decided.from_ids);
         self.obs.count("er.decide.text_fields", decided.text_fields);
         self.obs.count("er.match_pairs", matches.len() as u64);
-        self.obs.count("er.entities", out.clusters.len() as u64);
         if pass.incr_on {
             self.incr.er = Some(ErMemo {
                 pass_fp: pass.pass_fp,
-                out: out.clone(),
                 layout: pass.union_layout.clone(),
                 matches,
                 candidates: decided.candidates,
@@ -984,29 +965,14 @@ impl Wrangler {
         Ok(out)
     }
 
-    /// Stages 6–7 — claims, trust and fusion. Three arms, one install, as in ER.
+    /// Stages 6–7 — claims, trust and fusion: a stored record, or the live
+    /// stage.
     pub(super) fn fuse(&mut self, pass: &mut Pass) -> Result<()> {
-        let fuse_key = if pass.incr_on { self.fuse_key(pass) } else { 0 };
-        // The memo only ever stores passes where no source was quarantined
-        // at fuse, so no exclusions apply; the selection is this pass's.
-        let memo = self
-            .incr
-            .fuse
-            .as_ref()
-            .filter(|m| pass.incr_on && m.key == fuse_key)
-            .map(|m| FuseOut {
-                selected: pass.selected.clone(),
-                ..m.out.clone()
-            });
-        if memo.is_some() {
-            self.obs.inc("incr.fuse.reused");
-        }
         self.seam(
             pass,
             &FUSE,
-            memo,
-            |w, pass| w.fuse_live(pass, fuse_key),
-            |w, pass, rec: FuseOut, _| {
+            Self::fuse_live,
+            |w, pass, rec: FuseOut| {
                 pass.selected = rec.selected;
                 // A replayed stage rebuilds the claims from the (already
                 // restored) union and clustering — cheap, and it keeps the
@@ -1036,38 +1002,7 @@ impl Wrangler {
         )
     }
 
-    /// The fuse content key covers every input that can ripple into a fused
-    /// value beyond the pass fingerprint (which fixes what fusion reads of
-    /// the program, the live-column mask): the value-level feedback in force
-    /// (vetoed and confirmed slots), the union by its block list, the
-    /// clustering, every source's belief trust (feedback moves it) and age
-    /// (fusion decays stale claims), and the master catalog (anchors steer
-    /// truthfinder). A 1-source data update legitimately misses here — its
-    /// claims shift everyone's estimated trust; pure replays hit.
-    fn fuse_key(&self, pass: &Pass) -> u64 {
-        let mut h = wire::Hasher64::new();
-        h.write_u64(pass.pass_fp)
-            .write_u64(pass.feedback_fp)
-            .write_u64(pass.union_layout.len() as u64);
-        // A block's key covers its source and fixes its rows.
-        for &(_, key, _) in &pass.union_layout {
-            h.write_u64(key);
-        }
-        for &e in &pass.er.row_entity {
-            h.write_u64(e as u64);
-        }
-        for s in &self.states {
-            h.write_u64(s.trust.probability().to_bits());
-        }
-        for s in self.registry.iter() {
-            h.write_u64(self.now.saturating_sub(s.meta.last_updated));
-        }
-        h.write_u64(pass.master_fp);
-        h.write_u64(self.registry.len() as u64);
-        h.finish()
-    }
-
-    fn fuse_live(&mut self, pass: &mut Pass, fuse_key: u64) -> Result<FuseOut> {
+    fn fuse_live(&mut self, pass: &mut Pass) -> Result<FuseOut> {
         // Fuse-stage chaos rolls first: a source whose partition "panics"
         // here is quarantined before its claims enter the claim set, so its
         // values cannot influence fusion.
@@ -1199,23 +1134,13 @@ impl Wrangler {
         self.obs.count("fuse.slots", slots_fused as u64);
         self.obs.count("fuse.slots_skipped", slots_skipped);
         fused.sort_unstable_by_key(|&(e, a, _)| (e, a));
-        let out = FuseOut {
+        pass.claims = Some(claims);
+        Ok(FuseOut {
             selected: std::mem::take(&mut pass.selected),
             fuse_removed,
             trust: source_ctx.trust,
             age: source_ctx.age,
             fused,
-        };
-        // Memoize the stage for the next pass — only a pass with no
-        // fuse-stage quarantine (chaos is off whenever `incr_on` holds, and
-        // chaos rolls are the only quarantine source here, but be explicit).
-        if pass.incr_on && out.fuse_removed.is_empty() {
-            self.incr.fuse = Some(FuseMemo {
-                key: fuse_key,
-                out: out.clone(),
-            });
-        }
-        pass.claims = Some(claims);
-        Ok(out)
+        })
     }
 }

@@ -195,9 +195,9 @@ fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite])
             .sum();
         assert!(hits > 0, "{site:?}: resume replayed nothing");
         // A union replayed from the store carries runs but no block keys:
-        // nothing attests its identity, so that pass captures neither the ER
-        // nor the fuse memo (and laid no block). A union computed live
-        // leaves every memo the uninterrupted run left.
+        // nothing attests its identity, so that pass captures no ER memo
+        // (and laid no block). A union computed live leaves every memo the
+        // uninterrupted run left.
         let memos = match out.metrics.counts.get("ckpt.union.hits") {
             Some(_) => 0,
             None => cold.incr_memo_count(),
@@ -205,7 +205,12 @@ fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite])
         assert_eq!(resumed.incr_memo_count(), memos, "{site:?}");
         cleanup(&dir);
     }
-    assert!(cold.incr_memo_count() > 2, "blocks, ER and fuse memoized");
+    // One block memo per selected source, plus the ER memo.
+    assert_eq!(
+        cold.incr_memo_count(),
+        cold_out.selected_sources.len() + 1,
+        "union blocks and ER memoized"
+    );
     cold_out
 }
 

@@ -353,8 +353,11 @@ proptest! {
         policy_pick in 0u8..3,
         // Three rounds: bit i of the mask set => source i gets a payload
         // update; a `Some` gives an expert veto of that entity's price.
-        rounds in prop::collection::vec((0u8..64, prop::option::of(any::<u16>())), 3),
+        mut rounds in prop::collection::vec((0u8..64, prop::option::of(any::<u16>())), 3),
     ) {
+        // And a fourth that changes nothing, so that every case checks the
+        // pass whose ER carry covers the whole union.
+        rounds.push((0, None));
         let fleet = wrangler_sources::synthetic::generate_fleet(
             &FleetConfig { num_products: 20, num_sources: 6, now: 10, ..FleetConfig::default() },
             fleet_seed,

@@ -20,8 +20,14 @@ The regressions this guards:
   memo's blocks to learn how many clean pairs there are). A walk that
   visits every candidate to ask the carry about it reads 1.0 and fails:
   this gates the mechanism, not only the time.
-* **Reuse economics** — a pass after no change (k=0: union blocks, ER and
-  fuse all replay) must cost at most REPLAY_LIMIT of a cold recompute, and
+* **No-change pass** — at k=0 the ER walk must visit no pair
+  (`visited == 0`) and the carry must cover every candidate
+  (`pairs_remapped == candidates`): a pass after no change decides nothing.
+  The carry is the only way ER reuses anything within a session, so a
+  no-change pass that walks is a carry that stopped covering clean rows.
+* **Reuse economics** — a pass after no change (k=0: union blocks replay,
+  the ER carry maps every row and walks no pair, and fusion and assembly
+  run live) must cost at most REPLAY_LIMIT of a cold recompute, and
   a 1-source update at most RATIO_LIMIT (cold = same session state with
   every stage memo dropped). If the ER carry dies, k=1 climbs back to
   0.92-1.18 and this fails. The ratio is a same-machine, same-run
@@ -189,6 +195,28 @@ At k=20 the update costs what the parent's does (13.5 against 14.7 ms with
 two cores, 15.6 against 15.4 pinned) while the cold pass it is divided by
 got cheaper, so the ratio reads ~0.04 higher. k=8 and k=20 stay printed,
 not gated.
+
+The change that removed the whole-stage ER replay and the fuse memo sends
+the k=0 pass through the same carry as every update: the carry maps all
+rows, no pair is walked, the memo's matches cluster again, and fusion runs
+live. k=0 therefore pays fusion, the carried blocks and kernel, and
+clustering, where the replay paid two clones. Eight alternating unpinned
+runs (the two-thread spin check halved its time after the fifth pair: the
+machine's state flipped within the set), then five pinned with
+`taskset -c 0`, k=0 row:
+
+    unpinned
+    parent ratio  0.175 0.144 0.146 0.133 0.177 0.202 0.162 0.271   median 0.169
+    change ratio  0.334 0.278 0.269 0.324 0.302 0.325 0.423 0.356   median 0.324
+    one core (`taskset -c 0`)
+    parent ratio  0.121 0.126 0.138 0.133 0.126                     median 0.126
+    change ratio  0.267 0.242 0.282 0.248 0.242                     median 0.248
+
+REPLAY_LIMIT stays 0.50 ("under half a pass"): the highest change run reads
+0.423. Every row read identical in all 26 runs, and every other limit is
+unchanged. The new k=0 check holds trivially for the parent (the replay
+arm decided nothing and counted no candidate) and reads visited 0 and
+257,266 of 257,266 candidates carried for the change.
 """
 
 import json
@@ -268,6 +296,20 @@ def main() -> int:
         )
         if share > VISIT_LIMIT:
             failures.append("visited-share")
+
+    if 0 in by_k:
+        row = by_k[0]
+        candidates = row.get("candidates", 0)
+        visited = row.get("visited", candidates)
+        carried = row.get("pairs_remapped", 0)
+        decided_nothing = visited == 0 and carried == candidates
+        verdict = "ok" if decided_nothing else "FAIL"
+        print(
+            f"e18 no-change pass [k=0]: the walk stepped over {visited} pairs and the "
+            f"carry covered {carried} of {candidates} (want 0 and all) -> {verdict}"
+        )
+        if not decided_nothing:
+            failures.append("no-change@k=0")
 
     if failures:
         print(f"e18 incremental gate: FAILED ({', '.join(failures)})")
