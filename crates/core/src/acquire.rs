@@ -219,20 +219,7 @@ impl CircuitBreaker {
         }
     }
 
-    /// Decompose into durable parts — `(cfg, state, consecutive_failures,
-    /// probe_successes)` — for checkpoint serialization.
-    pub fn to_parts(&self) -> (BreakerConfig, BreakerState, u32, u32) {
-        (
-            self.cfg,
-            self.state,
-            self.consecutive_failures,
-            self.probe_successes,
-        )
-    }
-
-    /// Exact inverse of [`to_parts`](Self::to_parts): rebuild a breaker
-    /// mid-flight, counters and all, so a resumed pass distrusts exactly
-    /// what the crashed pass distrusted.
+    /// Rebuild a breaker mid-flight, counters and all.
     pub fn from_parts(
         cfg: BreakerConfig,
         state: BreakerState,
@@ -264,6 +251,15 @@ impl CircuitBreaker {
         }
     }
 }
+
+// The checkpoint stores a breaker whole, counters and all, so a resumed pass
+// distrusts exactly what the crashed pass distrusted.
+wrangler_table::wire_struct!(CircuitBreaker {
+    cfg: BreakerConfig,
+    state: BreakerState,
+    consecutive_failures: u32,
+    probe_successes: u32,
+});
 
 /// What happened to one selected source during acquisition.
 #[derive(Debug, Clone, PartialEq)]
@@ -364,13 +360,30 @@ pub struct Acquisition {
     pub policy: RetryPolicy,
     /// Breaker tuning (applies to breakers created after a change).
     pub breaker_cfg: BreakerConfig,
-    breakers: Vec<CircuitBreaker>,
-    clock: u64,
+    state: EngineState,
+}
+
+/// What an [`Acquisition`] engine has accumulated across wrangles, as a
+/// checkpoint stores it and the select seam's key hashes it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EngineState {
+    /// Virtual clock: ticks spent acquiring so far.
+    pub clock: u64,
     /// Lifetime attempt count (all wrangles).
     pub total_attempts: u64,
     /// Lifetime backoff ticks (all wrangles).
     pub total_backoff_ticks: u64,
+    /// The per-source breakers, in source order (empty in naive modes or
+    /// before the first acquisition touches a source).
+    pub breakers: Vec<CircuitBreaker>,
 }
+
+wrangler_table::wire_struct!(EngineState {
+    clock: u64,
+    total_attempts: u64,
+    total_backoff_ticks: u64,
+    breakers: Vec<CircuitBreaker>,
+});
 
 impl Default for Acquisition {
     fn default() -> Self {
@@ -378,10 +391,7 @@ impl Default for Acquisition {
             mode: AcquisitionMode::Resilient,
             policy: RetryPolicy::default(),
             breaker_cfg: BreakerConfig::default(),
-            breakers: Vec::new(),
-            clock: 0,
-            total_attempts: 0,
-            total_backoff_ticks: 0,
+            state: EngineState::default(),
         }
     }
 }
@@ -397,21 +407,17 @@ impl Acquisition {
 
     /// The engine's virtual clock (ticks spent acquiring so far).
     pub fn clock(&self) -> u64 {
-        self.clock
+        self.state.clock
     }
 
-    /// The per-source breakers, in source order (empty in naive modes or
-    /// before the first acquisition touches a source).
-    pub fn breakers(&self) -> &[CircuitBreaker] {
-        &self.breakers
+    /// The accumulated state: clock, lifetime totals, breaker fleet.
+    pub fn state(&self) -> &EngineState {
+        &self.state
     }
 
-    /// Restore the private engine state — virtual clock and breaker fleet —
-    /// from a checkpoint. The public counters (`total_attempts`,
-    /// `total_backoff_ticks`) are plain fields the caller restores directly.
-    pub fn restore_state(&mut self, clock: u64, breakers: Vec<CircuitBreaker>) {
-        self.clock = clock;
-        self.breakers = breakers;
+    /// Put back a state taken by [`state`](Self::state) (a checkpoint's).
+    pub fn restore(&mut self, state: EngineState) {
+        self.state = state;
     }
 
     /// Availability of source `i` as the breakers currently see it.
@@ -420,26 +426,28 @@ impl Acquisition {
             // Naive modes have no breakers and no notion of availability.
             AcquisitionMode::AbortOnFailure | AcquisitionMode::BlindRetry { .. } => 1.0,
             AcquisitionMode::Resilient => self
+                .state
                 .breakers
                 .get(i)
-                .map(|b| b.availability(now.max(self.clock)))
+                .map(|b| b.availability(now.max(self.state.clock)))
                 .unwrap_or(1.0),
         }
     }
 
     /// Sources currently quarantined (breaker open, cooldown not elapsed).
     pub fn quarantined(&self, now: u64) -> Vec<SourceId> {
-        self.breakers
+        self.state
+            .breakers
             .iter()
             .enumerate()
-            .filter(|(_, b)| b.availability(now.max(self.clock)) == 0.0)
+            .filter(|(_, b)| b.availability(now.max(self.state.clock)) == 0.0)
             .map(|(i, _)| SourceId(i as u32))
             .collect()
     }
 
     /// Breaker state of source `i`, if one exists yet.
     pub fn breaker_state(&self, i: usize) -> Option<BreakerState> {
-        self.breakers.get(i).map(|b| b.state())
+        self.state.breakers.get(i).map(|b| b.state())
     }
 
     /// Report a *post-acquisition* failure for source `i`: its payload
@@ -454,7 +462,7 @@ impl Acquisition {
         if !matches!(self.mode, AcquisitionMode::Resilient) {
             return;
         }
-        let now = self.clock;
+        let now = self.state.clock;
         let threshold = self.breaker_cfg.failure_threshold;
         let b = self.breaker(i);
         for _ in 0..threshold.max(1) {
@@ -463,11 +471,12 @@ impl Acquisition {
     }
 
     fn breaker(&mut self, i: usize) -> &mut CircuitBreaker {
-        if i >= self.breakers.len() {
-            self.breakers
+        if i >= self.state.breakers.len() {
+            self.state
+                .breakers
                 .resize(i + 1, CircuitBreaker::new(self.breaker_cfg));
         }
-        &mut self.breakers[i]
+        &mut self.state.breakers[i]
     }
 
     /// Acquire every selected source. The engine clock starts at
@@ -480,9 +489,9 @@ impl Acquisition {
         selected: &[SourceId],
         start: u64,
     ) -> AcquisitionReport {
-        self.clock = self.clock.max(start);
-        let began = self.clock;
-        let attempts_before = self.total_attempts;
+        self.state.clock = self.state.clock.max(start);
+        let began = self.state.clock;
+        let attempts_before = self.state.total_attempts;
         let mut report = AcquisitionReport::default();
         for &id in selected {
             let outcome = match self.mode {
@@ -497,8 +506,8 @@ impl Acquisition {
                 break;
             }
         }
-        report.attempts = self.total_attempts - attempts_before;
-        report.ticks = self.clock - began;
+        report.attempts = self.state.total_attempts - attempts_before;
+        report.ticks = self.state.clock - began;
         report
     }
 
@@ -511,17 +520,17 @@ impl Acquisition {
         max_attempts: u32,
         report: &mut AcquisitionReport,
     ) -> AcquireOutcome {
-        let began = self.clock;
+        let began = self.state.clock;
         let mut attempts = 0;
         loop {
             attempts += 1;
-            self.total_attempts += 1;
+            self.state.total_attempts += 1;
             if attempts > 1 {
                 report.events.inc("retries");
             }
-            match registry.acquire(id, self.clock, self.policy.attempt_deadline) {
+            match registry.acquire(id, self.state.clock, self.policy.attempt_deadline) {
                 Ok(snap) => {
-                    self.clock += snap.latency;
+                    self.state.clock += snap.latency;
                     let disposition = match snap.degraded {
                         None => Disposition::Fresh,
                         Some((d, table)) => {
@@ -533,19 +542,19 @@ impl Acquisition {
                     return AcquireOutcome {
                         id,
                         attempts,
-                        ticks: self.clock - began,
+                        ticks: self.state.clock - began,
                         disposition,
                     };
                 }
                 Err(e) => {
                     // A failed attempt still costs a tick of wall-time.
-                    self.clock += 1;
+                    self.state.clock += 1;
                     if attempts >= max_attempts || !e.is_retriable() {
                         report.aborted = Some(e.clone());
                         return AcquireOutcome {
                             id,
                             attempts,
-                            ticks: self.clock - began,
+                            ticks: self.state.clock - began,
                             disposition: Disposition::Skipped(e),
                         };
                     }
@@ -563,14 +572,14 @@ impl Acquisition {
         id: SourceId,
         report: &mut AcquisitionReport,
     ) -> AcquireOutcome {
-        let began = self.clock;
+        let began = self.state.clock;
         let i = id.0 as usize;
         let policy = self.policy;
         let schedule = policy.backoff_schedule(id, policy.max_attempts.saturating_sub(1));
         let mut attempts = 0;
         let mut last_err: Option<AcquireError> = None;
         while attempts < policy.max_attempts.max(1) {
-            let now = self.clock;
+            let now = self.state.clock;
             if !self.breaker(i).allow_request(now) {
                 // Tripped before any attempt → quarantined; tripped mid-retry
                 // → the attempts were real, report the failure itself.
@@ -584,18 +593,18 @@ impl Acquisition {
                 return AcquireOutcome {
                     id,
                     attempts,
-                    ticks: self.clock - began,
+                    ticks: self.state.clock - began,
                     disposition,
                 };
             }
             attempts += 1;
-            self.total_attempts += 1;
+            self.state.total_attempts += 1;
             if attempts > 1 {
                 report.events.inc("retries");
             }
-            match registry.acquire(id, self.clock, policy.attempt_deadline) {
+            match registry.acquire(id, self.state.clock, policy.attempt_deadline) {
                 Ok(snap) => {
-                    self.clock += snap.latency;
+                    self.state.clock += snap.latency;
                     self.breaker(i).record_success();
                     let disposition = match snap.degraded {
                         None => Disposition::Fresh,
@@ -608,13 +617,13 @@ impl Acquisition {
                     return AcquireOutcome {
                         id,
                         attempts,
-                        ticks: self.clock - began,
+                        ticks: self.state.clock - began,
                         disposition,
                     };
                 }
                 Err(e) => {
-                    self.clock += 1;
-                    let now = self.clock;
+                    self.state.clock += 1;
+                    let now = self.state.clock;
                     let was_open = matches!(self.breaker(i).state(), BreakerState::Open { .. });
                     self.breaker(i).record_failure(now);
                     // A tripped breaker or a terminal error ends the retries
@@ -627,7 +636,7 @@ impl Acquisition {
                         return AcquireOutcome {
                             id,
                             attempts,
-                            ticks: self.clock - began,
+                            ticks: self.state.clock - began,
                             disposition: Disposition::Skipped(e),
                         };
                     }
@@ -642,8 +651,8 @@ impl Acquisition {
                             }
                             wait = wait.max(*retry_after);
                         }
-                        self.clock += wait;
-                        self.total_backoff_ticks += wait;
+                        self.state.clock += wait;
+                        self.state.total_backoff_ticks += wait;
                         report.events.add("backoff_ticks", wait);
                     }
                     last_err = Some(e);
@@ -654,7 +663,7 @@ impl Acquisition {
         AcquireOutcome {
             id,
             attempts,
-            ticks: self.clock - began,
+            ticks: self.state.clock - began,
             disposition: Disposition::Skipped(err),
         }
     }

@@ -12,18 +12,33 @@
 //!   puts a *fresh process* into exactly the state the crashed process had
 //!   at the seam — quarantine discounts and breaker trips included, applied
 //!   once, never re-derived;
-//! * a stage output — the data the rest of the pipeline consumes (selected
-//!   ids, degraded payloads, mappings, mapped tables, the union table and
-//!   its source runs, clusters, fused slots).
+//! * a stage output — a [`SeamRecord`]: the data the rest of the pipeline
+//!   consumes (selected ids, degraded payloads, mappings, mapped tables, the
+//!   union table and its source runs, clusters, fused slots).
 //!
-//! All encodings ride on the canonical wire codec
-//! ([`wrangler_table::wire`]): fixed-width little-endian integers,
-//! length-prefixed UTF-8, and `f64::to_bits` for floats, so a round-trip is
-//! bit-exact (including -0.0, subnormals and NaN payloads) and a resumed
-//! pass can reproduce an uninterrupted run byte-for-byte. Decoders are
-//! bounds-checked and return structured errors — a truncated or bit-flipped
-//! payload that somehow passed the store's checksum still cannot panic the
-//! session (the store treats a decode failure as a miss).
+//! There is one codec: every stored type is a [`Wire`] impl composed from
+//! the pieces in [`wrangler_table::wire`] — fixed-width little-endian
+//! integers, length-prefixed UTF-8, `f64::to_bits` floats, and the generic
+//! `Vec`/`Option`/tuple layouts — so a round-trip is bit-exact (including
+//! -0.0, subnormals and NaN payloads) and a resumed pass reproduces an
+//! uninterrupted run byte-for-byte. A struct's layout is its fields in the
+//! order one [`wire_struct!`] lists them; an enum's is the tag byte one
+//! [`wire_enum!`] gives its variant, then the variant's fields.
+//! `CircuitBreaker`, `EngineState`, `Mapped` and `Union` keep their impls
+//! beside their private fields, `SourceId`, `Degradation`, `AcquireError`
+//! and `FusedValue` in their own crates. `Belief` and
+//! `Mapping` come from crates below `wrangler-table`'s reach, so their impls
+//! sit on a wrapper here.
+//!
+//! Decoding is strict. Every read is bounds-checked, every tag and marker
+//! byte is checked, a claimed element count reserves no more than the
+//! unread input could hold (the generic `Vec` decoder is the one place a
+//! count meets an allocation), and a session snapshot or stage record must
+//! consume its payload exactly. A truncated, bit-flipped or padded payload
+//! that somehow passed the store's checksum is an error, never a panic and
+//! never a second spelling of a valid record; the seam treats it as a miss.
+//! The select seam's key hashes the acquisition engine's [`EngineState`] in
+//! the encoding the snapshot stores it in.
 //!
 //! Enum tags in this module are part of the durable format: append variants,
 //! never renumber.
@@ -32,388 +47,167 @@ use wrangler_fusion::strategies::FusedValue;
 use wrangler_mapping::Mapping;
 use wrangler_sources::faults::{AcquireError, Degradation};
 use wrangler_sources::SourceId;
-use wrangler_table::wire::{self, Dec, Enc};
-use wrangler_table::{Schema, Table, TableError};
+use wrangler_table::wire::{self, bad_tag, Dec, Enc, Wire};
+use wrangler_table::{wire_enum, wire_struct, Schema, Table, TableError};
 use wrangler_uncertainty::{Belief, EvidenceKind};
 
 use crate::acquire::{
-    AcquireOutcome, AcquisitionSummary, BreakerConfig, BreakerState, CircuitBreaker, Disposition,
+    AcquireOutcome, AcquisitionSummary, BreakerConfig, BreakerState, Disposition, EngineState,
 };
-use crate::contain::{ContainmentReport, Stage, StageTallies};
+use crate::contain::{ContainmentReport, QuarantineEvent, Stage, StageTallies};
 use crate::incr::Mapped;
 use crate::union::Union;
 use crate::working::WorkCounters;
 
 type Result<T> = std::result::Result<T, TableError>;
 
-fn bad(what: &str) -> TableError {
-    TableError::Invalid(format!("checkpoint payload: {what}"))
-}
-
 // ---------------------------------------------------------------------------
-// Primitive helpers
+// Stored types
 // ---------------------------------------------------------------------------
 
-// Smallest encodings, in bytes: what `Dec::cap` divides the unread input by
-// before a decoder reserves room for a claimed element count. Decoding is
-// correct for any value; a bound below the true minimum reserves more than
-// the input can fill, one above it leaves the `Vec` to grow as it fills.
-/// A belief with an empty ledger: two `f64`s and a length.
-const BELIEF_MIN: usize = 24;
-/// A table with no fields: a field count and a row count.
-const TABLE_MIN: usize = 16;
+/// The [`Wire`] form of a type whose crate does not depend on
+/// `wrangler-table` (`Belief`, `Mapping`): the orphan rule keeps a foreign
+/// trait off a foreign type. Decoders read lists of them as
+/// `Vec<Stored<T>>`; encoders write a borrowed one with its `enc_*`.
+struct Stored<T>(T);
 
-/// Decode a length-prefixed list, one `item` at a time. The one place a
-/// claimed element count turns into a reservation: [`Dec::cap`] bounds it by
-/// the unread input (`min` is an element's smallest encoding), so a forged
-/// count cannot allocate more than the payload could hold.
-fn dec_list<'a, T>(
-    d: &mut Dec<'a>,
-    min: usize,
-    mut item: impl FnMut(&mut Dec<'a>) -> Result<T>,
-) -> Result<Vec<T>> {
-    let n = d.usize()?;
-    let mut out = Vec::with_capacity(d.cap(n, min));
-    for _ in 0..n {
-        out.push(item(d)?);
-    }
-    Ok(out)
+fn unstored<T>(v: Vec<Stored<T>>) -> Vec<T> {
+    v.into_iter().map(|s| s.0).collect()
 }
 
-fn enc_belief(e: &mut Enc, b: &Belief) {
+fn enc_belief(b: &Belief, e: &mut Enc) {
     let (lo, prior, ledger) = b.to_parts();
-    e.f64(lo).f64(prior).usize(ledger.len());
-    for (kind, n) in ledger {
-        e.u8(kind.tag()).u32(*n);
+    e.f64(lo)
+        .f64(prior)
+        .seq(ledger, |&(kind, n), e| (kind.tag(), n).enc(e));
+}
+
+/// Log-odds, prior log-odds, then the ledger as `(evidence tag, count)`.
+impl Wire for Stored<Belief> {
+    const MIN: usize = 24;
+    fn enc(&self, e: &mut Enc) {
+        enc_belief(&self.0, e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self> {
+        let (lo, prior, ledger) = <(f64, f64, Vec<(u8, u32)>)>::dec(d)?;
+        let ledger = ledger
+            .into_iter()
+            .map(|(tag, n)| match EvidenceKind::from_tag(tag) {
+                Some(kind) => Ok((kind, n)),
+                None => Err(bad_tag("evidence kind", tag)),
+            })
+            .collect::<Result<_>>()?;
+        Ok(Stored(Belief::from_parts(lo, prior, ledger)))
     }
 }
 
-fn dec_belief(d: &mut Dec) -> Result<Belief> {
-    let lo = d.f64()?;
-    let prior = d.f64()?;
-    let ledger = dec_list(d, 5, |d| {
-        let kind = EvidenceKind::from_tag(d.u8()?).ok_or_else(|| bad("unknown evidence kind"))?;
-        Ok((kind, d.u32()?))
-    })?;
-    Ok(Belief::from_parts(lo, prior, ledger))
+fn enc_mapping(m: &Mapping, e: &mut Enc) {
+    m.target.enc(e);
+    m.bindings.enc(e);
+    e.seq(&m.binding_beliefs, enc_belief);
+    enc_belief(&m.belief, e);
 }
 
-fn stage_tag(s: Stage) -> u8 {
-    match s {
-        Stage::MapGenerate => 0,
-        Stage::Preflight => 1,
-        Stage::MapApply => 2,
-        Stage::Union => 3,
-        Stage::Er => 4,
-        Stage::Fuse => 5,
-        Stage::Assemble => 6,
+/// Target schema, bindings, per-binding beliefs, then the mapping's belief.
+impl Wire for Stored<Mapping> {
+    const MIN: usize = Schema::MIN + 8 + 8 + Stored::<Belief>::MIN;
+    fn enc(&self, e: &mut Enc) {
+        enc_mapping(&self.0, e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(Stored(Mapping {
+            target: Schema::dec(d)?,
+            bindings: Vec::dec(d)?,
+            binding_beliefs: unstored(Vec::dec(d)?),
+            belief: Stored::<Belief>::dec(d)?.0,
+        }))
     }
 }
 
-fn stage_from_tag(tag: u8) -> Result<Stage> {
-    Ok(match tag {
-        0 => Stage::MapGenerate,
-        1 => Stage::Preflight,
-        2 => Stage::MapApply,
-        3 => Stage::Union,
-        4 => Stage::Er,
-        5 => Stage::Fuse,
-        6 => Stage::Assemble,
-        _ => return Err(bad("unknown stage tag")),
-    })
-}
+wire_enum!(Stage: "stage" {
+    0 => MapGenerate,
+    1 => Preflight,
+    2 => MapApply,
+    3 => Union,
+    4 => Er,
+    5 => Fuse,
+    6 => Assemble,
+});
 
-fn enc_breaker(e: &mut Enc, b: &CircuitBreaker) {
-    let (cfg, state, fails, probes) = b.to_parts();
-    e.u32(cfg.failure_threshold)
-        .u64(cfg.cooldown)
-        .u32(cfg.half_open_successes);
-    match state {
-        BreakerState::Closed => {
-            e.u8(0);
-        }
-        BreakerState::Open { until } => {
-            e.u8(1).u64(until);
-        }
-        BreakerState::HalfOpen => {
-            e.u8(2);
+wire_enum!(BreakerState: "breaker state" {
+    0 => Closed,
+    1 => Open { until: u64 },
+    2 => HalfOpen,
+});
+
+wire_enum!(Disposition: "disposition" {
+    0 => Fresh,
+    1 => Degraded(how: Degradation),
+    2 => Skipped(why: AcquireError),
+    3 => Quarantined,
+});
+
+wire_struct!(BreakerConfig {
+    failure_threshold: u32,
+    cooldown: u64,
+    half_open_successes: u32,
+});
+
+wire_struct!(AcquireOutcome {
+    id: SourceId,
+    attempts: u32,
+    ticks: u64,
+    disposition: Disposition,
+});
+
+wire_struct!(AcquisitionSummary {
+    outcomes: Vec<AcquireOutcome>,
+    skipped: Vec<(SourceId, String)>,
+    degraded: Vec<(SourceId, Degradation)>,
+    attempts: u64,
+    ticks: u64,
+});
+
+wire_struct!(QuarantineEvent {
+    source: SourceId,
+    stage: Stage,
+    reason: String,
+});
+
+wire_struct!(StageTallies {
+    quarantined: u64,
+    dropped_rows: u64,
+    deadline_hits: u64,
+    panics_caught: u64,
+});
+
+/// The quarantine events, then every stage's tallies in [`Stage::all`]
+/// order (zeroes included).
+impl Wire for ContainmentReport {
+    const MIN: usize = 8 + 7 * StageTallies::MIN;
+    fn enc(&self, e: &mut Enc) {
+        self.quarantines.enc(e);
+        for stage in Stage::all() {
+            self.tallies(stage).enc(e);
         }
     }
-    e.u32(fails).u32(probes);
-}
-
-fn dec_breaker(d: &mut Dec) -> Result<CircuitBreaker> {
-    let cfg = BreakerConfig {
-        failure_threshold: d.u32()?,
-        cooldown: d.u64()?,
-        half_open_successes: d.u32()?,
-    };
-    let state = match d.u8()? {
-        0 => BreakerState::Closed,
-        1 => BreakerState::Open { until: d.u64()? },
-        2 => BreakerState::HalfOpen,
-        _ => return Err(bad("unknown breaker state")),
-    };
-    Ok(CircuitBreaker::from_parts(cfg, state, d.u32()?, d.u32()?))
-}
-
-fn enc_degradation(e: &mut Enc, deg: &Degradation) {
-    match *deg {
-        Degradation::Truncated { kept, total } => {
-            e.u8(0).usize(kept).usize(total);
+    fn dec(d: &mut Dec<'_>) -> Result<ContainmentReport> {
+        let mut r = ContainmentReport::default();
+        r.quarantines = Vec::dec(d)?;
+        for stage in Stage::all() {
+            r.set_tallies(stage, StageTallies::dec(d)?);
         }
-        Degradation::CorruptCells { cells } => {
-            e.u8(1).usize(cells);
-        }
-        Degradation::SchemaDrifted { dropped } => {
-            e.u8(2).usize(dropped);
-        }
-        Degradation::TypePoisoned { cells } => {
-            e.u8(3).usize(cells);
-        }
-        Degradation::Pathological { cells } => {
-            e.u8(4).usize(cells);
-        }
-        Degradation::NonFinite { cells } => {
-            e.u8(5).usize(cells);
-        }
-        Degradation::Oversized { rows } => {
-            e.u8(6).usize(rows);
-        }
-    }
-}
-
-fn dec_degradation(d: &mut Dec) -> Result<Degradation> {
-    Ok(match d.u8()? {
-        0 => Degradation::Truncated {
-            kept: d.usize()?,
-            total: d.usize()?,
-        },
-        1 => Degradation::CorruptCells { cells: d.usize()? },
-        2 => Degradation::SchemaDrifted { dropped: d.usize()? },
-        3 => Degradation::TypePoisoned { cells: d.usize()? },
-        4 => Degradation::Pathological { cells: d.usize()? },
-        5 => Degradation::NonFinite { cells: d.usize()? },
-        6 => Degradation::Oversized { rows: d.usize()? },
-        _ => return Err(bad("unknown degradation tag")),
-    })
-}
-
-fn enc_acquire_error(e: &mut Enc, err: &AcquireError) {
-    match *err {
-        AcquireError::UnknownSource(id) => {
-            e.u8(0).u32(id.0);
-        }
-        AcquireError::Unavailable { source } => {
-            e.u8(1).u32(source.0);
-        }
-        AcquireError::DeadlineExceeded {
-            source,
-            latency,
-            deadline,
-        } => {
-            e.u8(2).u32(source.0).u64(latency).u64(deadline);
-        }
-        AcquireError::RateLimited {
-            source,
-            retry_after,
-        } => {
-            e.u8(3).u32(source.0).u64(retry_after);
-        }
+        Ok(r)
     }
 }
 
-fn dec_acquire_error(d: &mut Dec) -> Result<AcquireError> {
-    Ok(match d.u8()? {
-        0 => AcquireError::UnknownSource(SourceId(d.u32()?)),
-        1 => AcquireError::Unavailable {
-            source: SourceId(d.u32()?),
-        },
-        2 => AcquireError::DeadlineExceeded {
-            source: SourceId(d.u32()?),
-            latency: d.u64()?,
-            deadline: d.u64()?,
-        },
-        3 => AcquireError::RateLimited {
-            source: SourceId(d.u32()?),
-            retry_after: d.u64()?,
-        },
-        _ => return Err(bad("unknown acquire-error tag")),
-    })
-}
-
-fn enc_summary(e: &mut Enc, s: &AcquisitionSummary) {
-    e.usize(s.outcomes.len());
-    for o in &s.outcomes {
-        e.u32(o.id.0).u32(o.attempts).u64(o.ticks);
-        match &o.disposition {
-            Disposition::Fresh => {
-                e.u8(0);
-            }
-            Disposition::Degraded(deg) => {
-                e.u8(1);
-                enc_degradation(e, deg);
-            }
-            Disposition::Skipped(err) => {
-                e.u8(2);
-                enc_acquire_error(e, err);
-            }
-            Disposition::Quarantined => {
-                e.u8(3);
-            }
-        }
-    }
-    e.usize(s.skipped.len());
-    for (id, why) in &s.skipped {
-        e.u32(id.0).str(why);
-    }
-    e.usize(s.degraded.len());
-    for (id, deg) in &s.degraded {
-        e.u32(id.0);
-        enc_degradation(e, deg);
-    }
-    e.u64(s.attempts).u64(s.ticks);
-}
-
-fn dec_summary(d: &mut Dec) -> Result<AcquisitionSummary> {
-    let outcomes = dec_list(d, 17, |d| {
-        let id = SourceId(d.u32()?);
-        let attempts = d.u32()?;
-        let ticks = d.u64()?;
-        let disposition = match d.u8()? {
-            0 => Disposition::Fresh,
-            1 => Disposition::Degraded(dec_degradation(d)?),
-            2 => Disposition::Skipped(dec_acquire_error(d)?),
-            3 => Disposition::Quarantined,
-            _ => return Err(bad("unknown disposition tag")),
-        };
-        Ok(AcquireOutcome {
-            id,
-            attempts,
-            ticks,
-            disposition,
-        })
-    })?;
-    let skipped = dec_list(d, 12, |d| Ok((SourceId(d.u32()?), d.str()?)))?;
-    let degraded = dec_list(d, 13, |d| Ok((SourceId(d.u32()?), dec_degradation(d)?)))?;
-    Ok(AcquisitionSummary {
-        outcomes,
-        skipped,
-        degraded,
-        attempts: d.u64()?,
-        ticks: d.u64()?,
-    })
-}
-
-fn enc_creport(e: &mut Enc, r: &ContainmentReport) {
-    e.usize(r.quarantines.len());
-    for q in &r.quarantines {
-        e.u32(q.source.0).u8(stage_tag(q.stage)).str(&q.reason);
-    }
-    for stage in Stage::all() {
-        let t = r.tallies(stage);
-        e.u64(t.quarantined)
-            .u64(t.dropped_rows)
-            .u64(t.deadline_hits)
-            .u64(t.panics_caught);
-    }
-}
-
-fn dec_creport(d: &mut Dec) -> Result<ContainmentReport> {
-    let mut r = ContainmentReport::default();
-    let n = d.usize()?;
-    for _ in 0..n {
-        let source = SourceId(d.u32()?);
-        let stage = stage_from_tag(d.u8()?)?;
-        let reason = d.str()?;
-        r.quarantines.push(crate::contain::QuarantineEvent {
-            source,
-            stage,
-            reason,
-        });
-    }
-    for stage in Stage::all() {
-        let t = StageTallies {
-            quarantined: d.u64()?,
-            dropped_rows: d.u64()?,
-            deadline_hits: d.u64()?,
-            panics_caught: d.u64()?,
-        };
-        r.set_tallies(stage, t);
-    }
-    Ok(r)
-}
-
-fn enc_mapping(e: &mut Enc, m: &Mapping) {
-    wire::encode_schema(e, &m.target);
-    e.usize(m.bindings.len());
-    for b in &m.bindings {
-        match b {
-            None => {
-                e.u8(0);
-            }
-            Some(i) => {
-                e.u8(1).usize(*i);
-            }
-        }
-    }
-    e.usize(m.binding_beliefs.len());
-    for b in &m.binding_beliefs {
-        enc_belief(e, b);
-    }
-    enc_belief(e, &m.belief);
-}
-
-fn dec_mapping(d: &mut Dec) -> Result<Mapping> {
-    let target = wire::decode_schema(d)?;
-    let bindings = dec_list(d, 1, |d| match d.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.usize()?)),
-        _ => Err(bad("unknown binding tag")),
-    })?;
-    let binding_beliefs = dec_list(d, BELIEF_MIN, dec_belief)?;
-    let belief = dec_belief(d)?;
-    Ok(Mapping {
-        target,
-        bindings,
-        binding_beliefs,
-        belief,
-    })
-}
-
-fn enc_fused(e: &mut Enc, f: &FusedValue) {
-    wire::encode_value(e, &f.value);
-    e.f64(f.weight).f64(f.total_weight).usize(f.supporters.len());
-    for &s in &f.supporters {
-        e.usize(s);
-    }
-    e.f64(f.freshness);
-}
-
-fn dec_fused(d: &mut Dec) -> Result<FusedValue> {
-    let value = wire::decode_value(d)?;
-    let weight = d.f64()?;
-    let total_weight = d.f64()?;
-    let supporters = dec_list(d, 8, Dec::usize)?;
-    Ok(FusedValue {
-        value,
-        weight,
-        total_weight,
-        supporters,
-        freshness: d.f64()?,
-    })
-}
-
-fn enc_ids(e: &mut Enc, ids: &[SourceId]) {
-    e.usize(ids.len());
-    for id in ids {
-        e.u32(id.0);
-    }
-}
-
-fn dec_ids(d: &mut Dec) -> Result<Vec<SourceId>> {
-    dec_list(d, 4, |d| Ok(SourceId(d.u32()?)))
-}
+wire_struct!(WorkCounters {
+    extractions: usize,
+    mappings_generated: usize,
+    tables_mapped: usize,
+    er_pairs: usize,
+    slots_fused: usize,
+});
 
 // ---------------------------------------------------------------------------
 // Session state snapshot
@@ -433,14 +227,8 @@ pub struct SessionState {
     pub trust: Vec<Belief>,
     /// Per-source data-context relevance, in registry order.
     pub relevance: Vec<f64>,
-    /// Acquisition engine: virtual clock.
-    pub acq_clock: u64,
-    /// Acquisition engine: total attempts across the session.
-    pub acq_total_attempts: u64,
-    /// Acquisition engine: total backoff ticks across the session.
-    pub acq_total_backoff: u64,
-    /// Acquisition engine: the per-source breaker fleet.
-    pub breakers: Vec<CircuitBreaker>,
+    /// The acquisition engine's clock, lifetime totals and breaker fleet.
+    pub acquisition: EngineState,
     /// Work counters.
     pub work: WorkCounters,
     /// The containment report of the pass so far.
@@ -449,69 +237,48 @@ pub struct SessionState {
     pub last_acquisition: AcquisitionSummary,
 }
 
-impl SessionState {
-    /// Serialize to the canonical checkpoint payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u64(self.now).f64(self.access_spent);
-        e.usize(self.trust.len());
-        for b in &self.trust {
-            enc_belief(&mut e, b);
-        }
-        e.usize(self.relevance.len());
-        for &r in &self.relevance {
-            e.f64(r);
-        }
-        e.u64(self.acq_clock)
-            .u64(self.acq_total_attempts)
-            .u64(self.acq_total_backoff);
-        e.usize(self.breakers.len());
-        for b in &self.breakers {
-            enc_breaker(&mut e, b);
-        }
-        e.usize(self.work.extractions)
-            .usize(self.work.mappings_generated)
-            .usize(self.work.tables_mapped)
-            .usize(self.work.er_pairs)
-            .usize(self.work.slots_fused);
-        enc_creport(&mut e, &self.creport);
-        enc_summary(&mut e, &self.last_acquisition);
-        e.into_bytes()
+impl Wire for SessionState {
+    const MIN: usize = 32
+        + EngineState::MIN
+        + WorkCounters::MIN
+        + ContainmentReport::MIN
+        + AcquisitionSummary::MIN;
+    fn enc(&self, e: &mut Enc) {
+        (self.now, self.access_spent).enc(e);
+        e.seq(&self.trust, enc_belief);
+        self.relevance.enc(e);
+        self.acquisition.enc(e);
+        self.work.enc(e);
+        self.creport.enc(e);
+        self.last_acquisition.enc(e);
     }
-
-    /// Decode a payload produced by [`encode`](Self::encode).
-    pub fn decode(bytes: &[u8]) -> Result<SessionState> {
-        let mut d = Dec::new(bytes);
-        let now = d.u64()?;
-        let access_spent = d.f64()?;
-        let trust = dec_list(&mut d, BELIEF_MIN, dec_belief)?;
-        let relevance = dec_list(&mut d, 8, Dec::f64)?;
-        let acq_clock = d.u64()?;
-        let acq_total_attempts = d.u64()?;
-        let acq_total_backoff = d.u64()?;
-        let breakers = dec_list(&mut d, 25, dec_breaker)?;
-        let work = WorkCounters {
-            extractions: d.usize()?,
-            mappings_generated: d.usize()?,
-            tables_mapped: d.usize()?,
-            er_pairs: d.usize()?,
-            slots_fused: d.usize()?,
-        };
-        let creport = dec_creport(&mut d)?;
-        let last_acquisition = dec_summary(&mut d)?;
+    fn dec(d: &mut Dec<'_>) -> Result<SessionState> {
+        let (now, access_spent) = Wire::dec(d)?;
+        let trust = unstored(Vec::dec(d)?);
+        let relevance = Vec::dec(d)?;
         Ok(SessionState {
             now,
             access_spent,
             trust,
             relevance,
-            acq_clock,
-            acq_total_attempts,
-            acq_total_backoff,
-            breakers,
-            work,
-            creport,
-            last_acquisition,
+            acquisition: EngineState::dec(d)?,
+            work: WorkCounters::dec(d)?,
+            creport: ContainmentReport::dec(d)?,
+            last_acquisition: AcquisitionSummary::dec(d)?,
         })
+    }
+}
+
+impl SessionState {
+    /// Serialize to the canonical checkpoint payload.
+    pub fn encode(&self) -> Vec<u8> {
+        wire::to_bytes(self)
+    }
+
+    /// Decode a payload produced by [`encode`](Self::encode); bytes left
+    /// over are an error.
+    pub fn decode(bytes: &[u8]) -> Result<SessionState> {
+        wire::from_bytes(bytes)
     }
 }
 
@@ -527,24 +294,34 @@ pub fn encode_record(state: &SessionState, output: &[u8]) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Split a seam record back into `(state, output bytes)`.
+/// Split a seam record back into `(state, output bytes)`; bytes after the
+/// output are an error.
 pub fn decode_record(bytes: &[u8]) -> Result<(SessionState, Vec<u8>)> {
     let mut d = Dec::new(bytes);
-    let state_bytes = d.bytes()?;
-    let state = SessionState::decode(state_bytes)?;
+    let state = SessionState::decode(d.bytes()?)?;
     let output = d.bytes()?.to_vec();
+    if !d.is_done() {
+        return Err(TableError::Invalid(
+            "checkpoint record: bytes after the stage output".into(),
+        ));
+    }
     Ok((state, output))
 }
 
 /// A stage's seam output: the part of a checkpoint record the rest of the
 /// pipeline consumes. The seam protocol (`wrangler::pass`) persists and
-/// replays any stage's output through this one interface.
-pub trait SeamRecord: Sized {
+/// replays any stage's output through this one interface; its bytes are
+/// the record's [`Wire`] encoding.
+pub trait SeamRecord: Wire {
     /// Serialize.
-    fn encode(&self) -> Vec<u8>;
+    fn encode(&self) -> Vec<u8> {
+        wire::to_bytes(self)
+    }
 
-    /// Decode.
-    fn decode(bytes: &[u8]) -> Result<Self>;
+    /// Decode a payload that holds exactly one record.
+    fn decode(bytes: &[u8]) -> Result<Self> {
+        wire::from_bytes(bytes)
+    }
 
     /// Does the record fit the session it is about to enter — the part of
     /// validity the bytes alone cannot show? Asked before anything is
@@ -560,20 +337,11 @@ pub struct SelectOut {
     pub selected: Vec<SourceId>,
 }
 
-impl SeamRecord for SelectOut {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_ids(&mut e, &self.selected);
-        e.into_bytes()
-    }
+wire_struct!(SelectOut {
+    selected: Vec<SourceId>,
+});
 
-    fn decode(bytes: &[u8]) -> Result<SelectOut> {
-        let mut d = Dec::new(bytes);
-        Ok(SelectOut {
-            selected: dec_ids(&mut d)?,
-        })
-    }
-}
+impl SeamRecord for SelectOut {}
 
 /// Acquire-seam output: the surviving sources and any degraded payloads
 /// (delivered tables that differ from the registry's).
@@ -584,30 +352,12 @@ pub struct AcquireOut {
     pub degraded_tables: Vec<(usize, Table)>,
 }
 
-impl SeamRecord for AcquireOut {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_ids(&mut e, &self.selected);
-        e.usize(self.degraded_tables.len());
-        for (i, t) in &self.degraded_tables {
-            e.usize(*i);
-            wire::encode_table(&mut e, t);
-        }
-        e.into_bytes()
-    }
+wire_struct!(AcquireOut {
+    selected: Vec<SourceId>,
+    degraded_tables: Vec<(usize, Table)>,
+});
 
-    fn decode(bytes: &[u8]) -> Result<AcquireOut> {
-        let mut d = Dec::new(bytes);
-        let selected = dec_ids(&mut d)?;
-        let degraded_tables = dec_list(&mut d, 8 + TABLE_MIN, |d| {
-            Ok((d.usize()?, wire::decode_table(d)?))
-        })?;
-        Ok(AcquireOut {
-            selected,
-            degraded_tables,
-        })
-    }
-}
+impl SeamRecord for AcquireOut {}
 
 /// Map-generate-seam output: every survivor's mapping (regenerated or
 /// carried over) plus the surviving selection.
@@ -618,25 +368,26 @@ pub struct MapGenOut {
     pub mappings: Vec<(usize, Mapping)>,
 }
 
-impl SeamRecord for MapGenOut {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_ids(&mut e, &self.selected);
-        e.usize(self.mappings.len());
-        for (i, m) in &self.mappings {
-            e.usize(*i);
-            enc_mapping(&mut e, m);
-        }
-        e.into_bytes()
+impl Wire for MapGenOut {
+    const MIN: usize = 16;
+    fn enc(&self, e: &mut Enc) {
+        self.selected.enc(e);
+        e.seq(&self.mappings, |(i, m), e| {
+            i.enc(e);
+            enc_mapping(m, e);
+        });
     }
-
-    fn decode(bytes: &[u8]) -> Result<MapGenOut> {
-        let mut d = Dec::new(bytes);
-        let selected = dec_ids(&mut d)?;
-        let mappings = dec_list(&mut d, 8 + BELIEF_MIN, |d| Ok((d.usize()?, dec_mapping(d)?)))?;
-        Ok(MapGenOut { selected, mappings })
+    fn dec(d: &mut Dec<'_>) -> Result<MapGenOut> {
+        let selected = Vec::dec(d)?;
+        let mappings: Vec<(usize, Stored<Mapping>)> = Vec::dec(d)?;
+        Ok(MapGenOut {
+            selected,
+            mappings: mappings.into_iter().map(|(i, m)| (i, m.0)).collect(),
+        })
     }
 }
+
+impl SeamRecord for MapGenOut {}
 
 /// Map-apply-seam output: every survivor's mapped table and filter tag.
 pub struct MapApplyOut {
@@ -646,42 +397,12 @@ pub struct MapApplyOut {
     pub mapped: Vec<(usize, Mapped)>,
 }
 
-impl SeamRecord for MapApplyOut {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_ids(&mut e, &self.selected);
-        e.usize(self.mapped.len());
-        for (i, m) in &self.mapped {
-            e.usize(*i);
-            wire::encode_table(&mut e, m.table());
-            match m.tag() {
-                None => {
-                    e.u8(0);
-                }
-                Some(s) => {
-                    e.u8(1).str(s);
-                }
-            }
-        }
-        e.into_bytes()
-    }
+wire_struct!(MapApplyOut {
+    selected: Vec<SourceId>,
+    mapped: Vec<(usize, Mapped)>,
+});
 
-    fn decode(bytes: &[u8]) -> Result<MapApplyOut> {
-        let mut d = Dec::new(bytes);
-        let selected = dec_ids(&mut d)?;
-        let mapped = dec_list(&mut d, 8 + TABLE_MIN + 1, |d| {
-            let i = d.usize()?;
-            let t = wire::decode_table(d)?;
-            let tag = match d.u8()? {
-                0 => None,
-                1 => Some(d.str()?),
-                _ => return Err(bad("unknown filter-tag marker")),
-            };
-            Ok((i, Mapped::new(t, tag)))
-        })?;
-        Ok(MapApplyOut { selected, mapped })
-    }
-}
+impl SeamRecord for MapApplyOut {}
 
 /// Union-seam output: the union as the pass holds it.
 pub struct UnionOut {
@@ -693,34 +414,14 @@ pub struct UnionOut {
     pub union_filtered: u64,
 }
 
+// The union decodes only when its runs cover its table (`Union`'s impl).
+wire_struct!(UnionOut {
+    selected: Vec<SourceId>,
+    union_filtered: u64,
+    union: Union,
+});
+
 impl SeamRecord for UnionOut {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_ids(&mut e, &self.selected);
-        e.u64(self.union_filtered);
-        wire::encode_table(&mut e, self.union.table());
-        e.usize(self.union.runs().len());
-        for &(source, rows) in self.union.runs() {
-            e.usize(source).usize(rows);
-        }
-        e.into_bytes()
-    }
-
-    /// Rejects what the bytes alone show: ragged columns, and runs that do
-    /// not cover the table.
-    fn decode(bytes: &[u8]) -> Result<UnionOut> {
-        let mut d = Dec::new(bytes);
-        let selected = dec_ids(&mut d)?;
-        let union_filtered = d.u64()?;
-        let table = wire::decode_table(&mut d)?;
-        let runs = dec_list(&mut d, 16, |d| Ok((d.usize()?, d.usize()?)))?;
-        Ok(UnionOut {
-            selected,
-            union: Union::from_parts(table, runs)?,
-            union_filtered,
-        })
-    }
-
     fn fits(&self, target: &Schema) -> bool {
         self.union.table().schema() == target
     }
@@ -735,33 +436,12 @@ pub struct ErOut {
     pub row_entity: Vec<usize>,
 }
 
-impl SeamRecord for ErOut {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.usize(self.clusters.len());
-        for c in &self.clusters {
-            e.usize(c.len());
-            for &r in c {
-                e.usize(r);
-            }
-        }
-        e.usize(self.row_entity.len());
-        for &r in &self.row_entity {
-            e.usize(r);
-        }
-        e.into_bytes()
-    }
+wire_struct!(ErOut {
+    clusters: Vec<Vec<usize>>,
+    row_entity: Vec<usize>,
+});
 
-    fn decode(bytes: &[u8]) -> Result<ErOut> {
-        let mut d = Dec::new(bytes);
-        let clusters = dec_list(&mut d, 8, |d| dec_list(d, 8, Dec::usize))?;
-        let row_entity = dec_list(&mut d, 8, Dec::usize)?;
-        Ok(ErOut {
-            clusters,
-            row_entity,
-        })
-    }
-}
+impl SeamRecord for ErOut {}
 
 /// Fuse-seam output: the fused slots and the fusion-time source context.
 /// Claims are *not* serialized — a hit rebuilds the claim set from the
@@ -782,50 +462,20 @@ pub struct FuseOut {
     pub fused: Vec<(usize, usize, FusedValue)>,
 }
 
-impl SeamRecord for FuseOut {
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        enc_ids(&mut e, &self.selected);
-        e.usize(self.fuse_removed.len());
-        for &i in &self.fuse_removed {
-            e.usize(i);
-        }
-        e.usize(self.trust.len());
-        for &t in &self.trust {
-            e.f64(t);
-        }
-        e.usize(self.age.len());
-        for &a in &self.age {
-            e.u64(a);
-        }
-        e.usize(self.fused.len());
-        for (ent, attr, f) in &self.fused {
-            e.usize(*ent).usize(*attr);
-            enc_fused(&mut e, f);
-        }
-        e.into_bytes()
-    }
+wire_struct!(FuseOut {
+    selected: Vec<SourceId>,
+    fuse_removed: Vec<usize>,
+    trust: Vec<f64>,
+    age: Vec<u64>,
+    fused: Vec<(usize, usize, FusedValue)>,
+});
 
-    fn decode(bytes: &[u8]) -> Result<FuseOut> {
-        let mut d = Dec::new(bytes);
-        let selected = dec_ids(&mut d)?;
-        let fuse_removed = dec_list(&mut d, 8, Dec::usize)?;
-        let trust = dec_list(&mut d, 8, Dec::f64)?;
-        let age = dec_list(&mut d, 8, Dec::u64)?;
-        let fused = dec_list(&mut d, 49, |d| Ok((d.usize()?, d.usize()?, dec_fused(d)?)))?;
-        Ok(FuseOut {
-            selected,
-            fuse_removed,
-            trust,
-            age,
-            fused,
-        })
-    }
-}
+impl SeamRecord for FuseOut {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::acquire::CircuitBreaker;
     use wrangler_table::Value;
     use wrangler_uncertainty::Evidence;
 
@@ -841,19 +491,26 @@ mod tests {
             access_spent: 7.25,
             trust: vec![Belief::from_prior(0.6), trust],
             relevance: vec![1.0, 0.5],
-            acq_clock: 99,
-            acq_total_attempts: 17,
-            acq_total_backoff: 31,
-            breakers: vec![
-                CircuitBreaker::new(BreakerConfig::default()),
-                CircuitBreaker::from_parts(
-                    BreakerConfig::default(),
-                    BreakerState::Open { until: 123 },
-                    3,
-                    0,
-                ),
-                CircuitBreaker::from_parts(BreakerConfig::default(), BreakerState::HalfOpen, 0, 1),
-            ],
+            acquisition: EngineState {
+                clock: 99,
+                total_attempts: 17,
+                total_backoff_ticks: 31,
+                breakers: vec![
+                    CircuitBreaker::new(BreakerConfig::default()),
+                    CircuitBreaker::from_parts(
+                        BreakerConfig::default(),
+                        BreakerState::Open { until: 123 },
+                        3,
+                        0,
+                    ),
+                    CircuitBreaker::from_parts(
+                        BreakerConfig::default(),
+                        BreakerState::HalfOpen,
+                        0,
+                        1,
+                    ),
+                ],
+            },
             work: WorkCounters {
                 extractions: 1,
                 mappings_generated: 2,
@@ -1050,6 +707,17 @@ mod tests {
                     bytes.len()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn a_byte_past_the_end_of_a_valid_record_does_not_decode() {
+        for (name, mut bytes, decode) in payloads() {
+            bytes.push(0);
+            assert!(
+                decode(&bytes).is_err(),
+                "{name}: a trailing byte must error"
+            );
         }
     }
 

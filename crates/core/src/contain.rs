@@ -182,9 +182,6 @@ pub struct ContainPolicy {
     /// A source dropping at least this many poison rows in one pass is
     /// ejected entirely rather than filtered row-by-row.
     pub poison_row_threshold: usize,
-    /// When true (non-default), a per-source blocking lint report
-    /// quarantines that source instead of failing the gate outright.
-    pub quarantine_preflight: bool,
     /// Optional deterministic panic injection.
     pub chaos: Option<ChaosPolicy>,
 }
@@ -197,7 +194,6 @@ impl Default for ContainPolicy {
             max_cell_bytes: 4096,
             max_align_cells: 2_000_000,
             poison_row_threshold: 8,
-            quarantine_preflight: false,
             chaos: None,
         }
     }

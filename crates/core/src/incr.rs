@@ -51,7 +51,8 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use wrangler_resolve::{ErKernel, UnionBlocks};
-use wrangler_table::{wire, Table};
+use wrangler_table::wire::{self, Dec, Enc, Wire};
+use wrangler_table::{Table, TableError};
 
 /// One source's mapped (target-schema) table with what identifies it. The
 /// fields are private so that the three cannot drift apart: a new table is
@@ -96,6 +97,18 @@ impl Mapped {
     /// Has the hash been taken yet? What a test of "at most once" observes.
     pub fn is_hashed(&self) -> bool {
         self.hash.get().is_some()
+    }
+}
+
+/// The table, then the filter tag; the hash is not stored.
+impl Wire for Mapped {
+    const MIN: usize = Table::MIN + 1;
+    fn enc(&self, e: &mut Enc) {
+        self.table.enc(e);
+        self.tag.enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Mapped, TableError> {
+        Ok(Mapped::new(Table::dec(d)?, Option::dec(d)?))
     }
 }
 

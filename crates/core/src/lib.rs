@@ -48,7 +48,7 @@ pub mod wrangler;
 
 pub use acquire::{
     Acquisition, AcquisitionMode, AcquisitionSummary, BreakerConfig, BreakerState, CircuitBreaker,
-    RetryPolicy,
+    EngineState, RetryPolicy,
 };
 pub use active::suggest_feedback_targets;
 pub use contain::{

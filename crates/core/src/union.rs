@@ -5,6 +5,7 @@
 //! ER kernel reads and one `(source, rows)` run per block. The pass, the
 //! union seam record and the session cache all carry this one value.
 
+use wrangler_table::wire::{Dec, Enc, Wire};
 use wrangler_table::{Result, Schema, Table, TableError};
 
 /// The union of a pass: rows aligned to the target schema, in block order.
@@ -55,6 +56,18 @@ impl Union {
         self.runs
             .iter()
             .flat_map(|&(source, n)| std::iter::repeat_n(source, n))
+    }
+}
+
+/// The table, then the runs; decodes only when the runs cover the table.
+impl Wire for Union {
+    const MIN: usize = Table::MIN + 8;
+    fn enc(&self, e: &mut Enc) {
+        self.table.enc(e);
+        self.runs.enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Union> {
+        Union::from_parts(Table::dec(d)?, Vec::dec(d)?)
     }
 }
 

@@ -300,11 +300,6 @@ impl Wrangler {
         self.incr.set_enabled(on);
     }
 
-    /// Is the incremental dataflow engine on?
-    pub fn incr_enabled(&self) -> bool {
-        self.incr.enabled()
-    }
-
     /// Number of live incremental memos (union blocks + ER + fuse).
     pub fn incr_memo_count(&self) -> usize {
         self.incr.memo_count()
@@ -659,11 +654,6 @@ impl Wrangler {
     pub fn with_crash_policy(mut self, policy: CrashPolicy) -> Wrangler {
         self.crash = Some(policy);
         self
-    }
-
-    /// Disarm crash injection (the resume half of an in-process test).
-    pub fn clear_crash_policy(&mut self) {
-        self.crash = None;
     }
 
     /// The attached checkpoint store, if any.

@@ -230,10 +230,7 @@ impl Wrangler {
             access_spent: self.access_spent,
             trust: self.states.iter().map(|s| s.trust.clone()).collect(),
             relevance: self.states.iter().map(|s| s.relevance).collect(),
-            acq_clock: self.acquisition.clock(),
-            acq_total_attempts: self.acquisition.total_attempts,
-            acq_total_backoff: self.acquisition.total_backoff_ticks,
-            breakers: self.acquisition.breakers().to_vec(),
+            acquisition: self.acquisition.state().clone(),
             work: self.working.work,
             creport: creport.clone(),
             last_acquisition: self.last_acquisition.clone(),
@@ -257,9 +254,7 @@ impl Wrangler {
                 s.relevance = r;
             }
         }
-        self.acquisition.total_attempts = st.acq_total_attempts;
-        self.acquisition.total_backoff_ticks = st.acq_total_backoff;
-        self.acquisition.restore_state(st.acq_clock, st.breakers);
+        self.acquisition.restore(st.acquisition);
         self.working.work = st.work;
         *creport = st.creport;
         self.last_acquisition = st.last_acquisition;
@@ -276,9 +271,7 @@ impl Wrangler {
     /// ([`Pass::master_fp`]; see [`Self::with_checkpoint_store`]).
     fn pass_fingerprint(&self, plan: &Plan) -> u64 {
         let mut h = wire::Hasher64::new();
-        let mut e = wire::Enc::new();
-        wire::encode_schema(&mut e, &self.target);
-        h.write(&e.into_bytes());
+        h.write(&wire::to_bytes(&self.target));
         h.write_u64(self.target_sample_hash);
         h.write_str(&format!("{:?}", self.user));
         h.write_str(&format!("{plan:?}"));
@@ -302,37 +295,30 @@ impl Wrangler {
         h.finish()
     }
 
-    /// The value-level feedback in force: every vetoed and confirmed value,
-    /// slot by slot in sorted order (the maps are lookup-only), in the wire
-    /// value encoding.
+    /// The value-level feedback in force: the vetoed and the confirmed
+    /// values, each slot by slot in sorted order (the maps are lookup-only),
+    /// in their wire encoding.
     fn feedback_fingerprint(&self) -> u64 {
-        let mut e = wire::Enc::new();
-        let mut vetoes: Vec<_> = self.vetoes.iter().collect();
-        vetoes.sort_by_key(|(k, _)| **k);
-        e.usize(vetoes.len());
-        for ((ent, attr), vals) in vetoes {
-            e.usize(*ent).usize(*attr).usize(vals.len());
-            for v in vals {
-                wire::encode_value(&mut e, v);
-            }
-        }
-        let mut confirms: Vec<_> = self.confirmations.iter().collect();
-        confirms.sort_by_key(|(k, _)| **k);
-        e.usize(confirms.len());
-        for ((ent, attr), v) in confirms {
-            e.usize(*ent).usize(*attr);
-            wire::encode_value(&mut e, v);
-        }
-        wire::hash64(&e.into_bytes())
+        let mut vetoes: Vec<((usize, usize), Vec<Value>)> =
+            self.vetoes.iter().map(|(k, v)| (*k, v.clone())).collect();
+        vetoes.sort_by_key(|(k, _)| *k);
+        let mut confirms: Vec<((usize, usize), Value)> = self
+            .confirmations
+            .iter()
+            .map(|(k, v)| (*k, v.clone()))
+            .collect();
+        confirms.sort_by_key(|(k, _)| *k);
+        wire::hash64(&wire::to_bytes(&(vetoes, confirms)))
     }
 
     /// The first seam's key: the pass fingerprint plus everything the
     /// select stage reads — the session tick, every source's payload hash
-    /// and pre-pass trust, and the acquisition engine's full state (clock,
-    /// counters, breaker fleet) — and the master catalog, which the chain
-    /// carries to the fuse seam that reads it. Two passes with any divergent
-    /// history key differently, so a checkpoint can never replay across
-    /// histories.
+    /// and pre-pass trust, and the acquisition engine's state (clock,
+    /// lifetime totals, breaker fleet, in the encoding the session snapshot
+    /// stores; mode, retry policy and breaker config are in the pass
+    /// fingerprint) — and the master catalog, which the chain carries to the
+    /// fuse seam that reads it. Two passes with any divergent history key
+    /// differently, so a checkpoint can never replay across histories.
     fn seam_key_select(&self, pass_fp: u64, master_fp: u64) -> u64 {
         let mut k = ContentKey::stage(SELECT.name, pass_fp)
             .labelled("now", self.now)
@@ -343,8 +329,8 @@ impl Wrangler {
                 .input(self.registry.payload_hash(id).unwrap_or(0))
                 .input(self.states[i].trust.to_parts().0.to_bits());
         }
-        let acq = wire::hash64(format!("{:?}", self.acquisition).as_bytes());
-        k.labelled("acq", acq).finish()
+        let engine = wire::to_bytes(self.acquisition.state());
+        k.labelled("acq", wire::hash64(&engine)).finish()
     }
 
     /// A downstream seam's key: chained through the previous seam's key, so

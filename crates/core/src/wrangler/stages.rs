@@ -429,41 +429,18 @@ impl Wrangler {
             if !audit.is_empty() {
                 w.last_lint.push(("plan".to_string(), audit));
             }
-            let mut pf_removed: Vec<usize> = Vec::new();
             for id in &pass.selected {
                 let i = id.0 as usize;
                 let table = w.payload(&pass.degraded_tables, i)?;
                 let report = wrangler_lint::check_mapping(w.mapping_for(*id)?, table.schema());
                 if !report.is_empty() {
-                    // Opt-in containment at the gate: quarantine the one
-                    // source whose artifact would be denied instead of
-                    // refusing the whole wrangle. Findings stay recorded.
-                    if pass.policy.quarantine_preflight
-                        && pass.policy.mode == ContainMode::Contain
-                        && report.blocks(w.lint_gate)
-                    {
-                        pass.creport.record_quarantine(
-                            *id,
-                            Stage::Preflight,
-                            "pre-flight lint blocked this source's mapping",
-                        );
-                        pf_removed.push(i);
-                    }
                     w.last_lint.push((format!("src{i}"), report));
                 }
             }
-            // The gate decision covers the plan plus *surviving* sources;
-            // quarantined sources keep their findings in `lint_findings`
-            // but no longer block the pass.
+            // The gate decision covers the plan plus every selected source.
             let mut merged = LintReport::new();
-            for (origin, r) in &w.last_lint {
-                let quarantined = origin
-                    .strip_prefix("src")
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .is_some_and(|i| pf_removed.contains(&i));
-                if !quarantined {
-                    merged.merge(r.clone());
-                }
+            for (_, r) in &w.last_lint {
+                merged.merge(r.clone());
             }
             merged.canonicalize();
             w.obs
@@ -480,7 +457,7 @@ impl Wrangler {
                     merged.summary()
                 )));
             }
-            w.eject(pass, Stage::Preflight, &pf_removed)
+            Ok(())
         })
     }
 

@@ -1,0 +1,205 @@
+//! The checkpoint format, pinned from outside the codec.
+//!
+//! * **Golden v3 bytes.** One session snapshot and one record of each seam
+//!   type, written by the format-3 codec (the checkpoint store's `VERSION`
+//!   3) and committed as hex. Each decodes and re-encodes to the same bytes:
+//!   a codec change that moves one byte fails here before it strands a
+//!   store written by the previous build.
+//! * **Canonical decoding.** Seeded mutations of those records — cut,
+//!   bit-flipped, spliced — either fail to decode or decode to a value that
+//!   re-encodes to exactly the mutated bytes. A decoder that accepted two
+//!   spellings of one value, or ignored bytes it did not read, would let two
+//!   different payloads stand for one record.
+//!
+//! The samples carry a NaN, a negative zero, every breaker state, a
+//! quarantine, a filter tag and an unbound mapping field.
+
+use wrangler_core::ckpt_io::{
+    AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SeamRecord, SelectOut, UnionOut,
+};
+use wrangler_core::SessionState;
+use wrangler_table::TableError;
+
+type Reencode = fn(&[u8]) -> Result<Vec<u8>, TableError>;
+
+fn reencode<R: SeamRecord>(bytes: &[u8]) -> Result<Vec<u8>, TableError> {
+    R::decode(bytes).map(|r| r.encode())
+}
+
+/// The decode-then-encode of each golden record, by name.
+fn codec(name: &str) -> Reencode {
+    match name {
+        "SessionState" => |b| SessionState::decode(b).map(|s| s.encode()),
+        "SelectOut" => reencode::<SelectOut>,
+        "AcquireOut" => reencode::<AcquireOut>,
+        "MapGenOut" => reencode::<MapGenOut>,
+        "MapApplyOut" => reencode::<MapApplyOut>,
+        "UnionOut" => reencode::<UnionOut>,
+        "ErOut" => reencode::<ErOut>,
+        "FuseOut" => reencode::<FuseOut>,
+        _ => panic!("no codec for {name}"),
+    }
+}
+
+const GOLDEN: &[(&str, &str)] = &[
+    (
+        "SessionState",
+        concat!(
+            "2a000000000000000000000000001d4002000000000000004998bfec23f3d93f4998bfec23f3d93f",
+            "0000000000000000fef5ba4ceab0e9bf4998bfec23f3d93f01000000000000000801000000020000",
+            "0000000000000000000000f03f000000000000e03f630000000000000011000000000000001f0000",
+            "00000000000300000000000000030000001800000000000000020000000000000000000000000300",
+            "0000180000000000000002000000017b000000000000000300000000000000030000001800000000",
+            "00000002000000020000000001000000010000000000000002000000000000000300000000000000",
+            "04000000000000000500000000000000010000000000000003000000030600000000000000706f69",
+            "736f6e00000000000000000000000000000000000000000000000001000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000001000000000000000c000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000004000000000000000000000001",
+            "000000020000000000000000010000000300000009000000000000000203010000001e0000000000",
+            "00000200000001000000010000000000000001050400000000000000030000000000000000000000",
+            "00000000030100000000000000010000000c0000000000000072617465206c696d69746564010000",
+            "0000000000020000000005000000000000000a0000000000000005000000000000000c0000000000",
+            "0000",
+        ),
+    ),
+    ("SelectOut", "0300000000000000000000000200000007000000"),
+    (
+        "AcquireOut",
+        concat!(
+            "02000000000000000100000004000000010000000000000004000000000000000200000000000000",
+            "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
+            "0000000000007800010103000000000000f87f02fdffffffffffffff030000000000000080",
+        ),
+    ),
+    (
+        "MapGenOut",
+        concat!(
+            "01000000000000000000000001000000000000000000000000000000030000000000000004000000",
+            "000000006e616d65040105000000000000007072696365040105000000000000006272616e640401",
+            "0300000000000000010100000000000000000100000000000000000300000000000000f039fafe42",
+            "2ef63ff039fafe422ef63f0000000000000000000000000000000000000000000000000000000000",
+            "00000099ae0a67101debbf99ae0a67101debbf000000000000000098ae0a67101deb3f98ae0a6710",
+            "1deb3f0000000000000000",
+        ),
+    ),
+    (
+        "MapApplyOut",
+        concat!(
+            "02000000000000000100000004000000020000000000000001000000000000000200000000000000",
+            "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
+            "0000000000007800010103000000000000f87f02fdffffffffffffff030000000000000080011200",
+            "000000000000706f73742d6d61707c7072696365203e203004000000000000000200000000000000",
+            "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
+            "0000000000007800010103000000000000f87f02fdffffffffffffff03000000000000008000",
+        ),
+    ),
+    (
+        "UnionOut",
+        concat!(
+            "02000000000000000000000004000000020000000000000002000000000000000400000000000000",
+            "6e616d65040105000000000000007072696365040103000000000000000401000000000000007801",
+            "010003000000000000f87f03000000000000008002fdffffffffffffff0200000000000000000000",
+            "0000000000020000000000000004000000000000000100000000000000",
+        ),
+    ),
+    (
+        "ErOut",
+        concat!(
+            "02000000000000000200000000000000000000000000000002000000000000000100000000000000",
+            "01000000000000000300000000000000000000000000000001000000000000000000000000000000",
+        ),
+    ),
+    (
+        "FuseOut",
+        concat!(
+            "02000000000000000000000004000000010000000000000002000000000000000200000000000000",
+            "000000000000e83f000000000000e03f020000000000000000000000000000000900000000000000",
+            "02000000000000000000000000000000010000000000000003000000000000f83fcdccccccccccec",
+            "3f333333333333f33f0200000000000000000000000000000004000000000000009a9999999999e9",
+            "3f0100000000000000000000000000000004010000000000000078000000000000f03f0000000000",
+            "00f03f01000000000000000000000000000000000000000000f03f",
+        ),
+    ),
+];
+
+fn golden() -> impl Iterator<Item = (&'static str, Vec<u8>, Reencode)> {
+    GOLDEN.iter().map(|&(name, hex)| {
+        let bytes = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        (name, bytes, codec(name))
+    })
+}
+
+#[test]
+fn golden_v3_records_decode_and_reencode_to_the_same_bytes() {
+    for (name, bytes, reencode) in golden() {
+        let back = reencode(&bytes).unwrap_or_else(|e| panic!("{name}: golden must decode: {e}"));
+        assert!(back == bytes, "{name}: re-encoding the golden bytes moved them");
+    }
+}
+
+/// splitmix64: a seeded stream with no dependency.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n.max(1) as u64) as usize
+    }
+}
+
+/// One mutation of `bytes`: a cut, a bit flip, or a splice (a run of bytes
+/// deleted, duplicated in place, or replaced by random ones).
+fn mutate(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = rng.below(bytes.len() + 1);
+    let end = (at + 1 + rng.below(16)).min(bytes.len());
+    match rng.below(5) {
+        0 => out.truncate(at),
+        1 => out[rng.below(bytes.len())] ^= 1 << rng.below(8),
+        2 => {
+            out.drain(at..end);
+        }
+        3 => {
+            out.splice(at..at, bytes[at..end].to_vec());
+        }
+        _ => {
+            let noise: Vec<u8> = (at..=end).map(|_| rng.next() as u8).collect();
+            out.splice(at..at, noise);
+        }
+    }
+    out
+}
+
+#[test]
+fn a_mutated_record_fails_to_decode_or_is_its_own_canonical_encoding() {
+    let mut rng = Rng(0x00c0_ffee);
+    for (name, bytes, reencode) in golden() {
+        let mut decoded = 0;
+        for round in 0..2_000 {
+            let mutated = mutate(&mut rng, &bytes);
+            if let Ok(back) = reencode(&mutated) {
+                assert!(
+                    back == mutated,
+                    "{name}: mutation {round} decoded but re-encodes to other bytes"
+                );
+                decoded += 1;
+            }
+        }
+        // Flips inside float payloads decode: both sides of the property
+        // must have been exercised.
+        assert!(decoded > 0, "{name}: no mutation decoded");
+    }
+}

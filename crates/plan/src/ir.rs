@@ -303,11 +303,6 @@ impl PlanIr {
             .iter()
             .filter(|n| matches!(n.kind, OpKind::Map { .. }))
     }
-
-    /// The acquire node for `source`.
-    pub fn acquire_node(&self, source: usize) -> Option<&OpNode> {
-        self.find(|k| matches!(k, OpKind::Acquire { source: s, .. } if *s == source))
-    }
 }
 
 /// Fingerprint of one map operator's input: the source schema and the

@@ -21,7 +21,7 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wrangler_table::{Field, Schema, Table, Value};
+use wrangler_table::{wire_enum, Field, Schema, Table, Value};
 
 use crate::registry::SourceId;
 use crate::synthetic::corrupt;
@@ -235,6 +235,23 @@ impl fmt::Display for Degradation {
         }
     }
 }
+
+wire_enum!(AcquireError: "acquire-error" {
+    0 => UnknownSource(id: SourceId),
+    1 => Unavailable { source: SourceId },
+    2 => DeadlineExceeded { source: SourceId, latency: u64, deadline: u64 },
+    3 => RateLimited { source: SourceId, retry_after: u64 },
+});
+
+wire_enum!(Degradation: "degradation" {
+    0 => Truncated { kept: usize, total: usize },
+    1 => CorruptCells { cells: usize },
+    2 => SchemaDrifted { dropped: usize },
+    3 => TypePoisoned { cells: usize },
+    4 => Pathological { cells: usize },
+    5 => NonFinite { cells: usize },
+    6 => Oversized { rows: usize },
+});
 
 /// A successful acquisition: what arrived and what it cost.
 #[derive(Debug, Clone)]

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use wrangler_table::wire::{Dec, Enc, Wire};
 use wrangler_table::Table;
 
 use crate::faults::{AcquireError, FaultConfig, FaultLayer, FaultProfile, SourceSnapshot};
@@ -9,6 +10,17 @@ use crate::faults::{AcquireError, FaultConfig, FaultLayer, FaultProfile, SourceS
 /// Stable identifier of a data source within a wrangling session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SourceId(pub u32);
+
+/// The id as a `u32`.
+impl Wire for SourceId {
+    const MIN: usize = 4;
+    fn enc(&self, e: &mut Enc) {
+        e.u32(self.0);
+    }
+    fn dec(d: &mut Dec<'_>) -> wrangler_table::Result<SourceId> {
+        Ok(SourceId(d.u32()?))
+    }
+}
 
 impl fmt::Display for SourceId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -147,11 +159,6 @@ impl SourceRegistry {
             .as_ref()
             .map(|l| l.profile(id))
             .unwrap_or(FaultProfile::Healthy)
-    }
-
-    /// True if a fault layer is attached.
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Stable content hash of a source's registered payload (the table as

@@ -18,6 +18,17 @@
 //! length-prefixed UTF-8, one tag byte per value. No varints, no framing —
 //! framing, checksums and atomicity belong to the checkpoint store, not the
 //! payload encoding.
+//!
+//! [`Wire`] is the one codec a stored type implements: its layout written
+//! down once, as a composition of the primitives, `String`, [`Value`],
+//! [`Schema`], [`Table`] and the generic `Vec<T>`, `Option<T>` and tuple
+//! impls here — for a struct by [`wire_struct!`](crate::wire_struct), for
+//! an enum by [`wire_enum!`](crate::wire_enum), which lists each variant
+//! with its tag once for both directions. `Vec<T>` is the only place a
+//! decoded element count reaches an allocation (through [`Dec::cap`]);
+//! [`from_bytes`] decodes a payload that must be consumed exactly. Content
+//! keys hash the same encoding, so a key and the record it guards cannot
+//! describe the state two ways.
 
 use crate::{DataType, Field, Result, Schema, Table, TableError, Value};
 
@@ -100,16 +111,6 @@ impl Enc {
         self.buf
     }
 
-    /// Bytes encoded so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been encoded.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Append one byte.
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
@@ -159,6 +160,17 @@ impl Enc {
     /// Append a length-prefixed UTF-8 string.
     pub fn str(&mut self, v: &str) -> &mut Self {
         self.bytes(v.as_bytes())
+    }
+
+    /// Append `items` in the layout of `Vec<T>` — the count, then each item
+    /// through `item` — for a run held in a slice, or of a type whose
+    /// [`Wire`] impl sits on a wrapper.
+    pub fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&T, &mut Enc)) -> &mut Self {
+        self.usize(items.len());
+        for x in items {
+            item(x, self);
+        }
+        self
     }
 }
 
@@ -275,93 +287,24 @@ impl<'a> Dec<'a> {
     }
 }
 
-// Value tags — part of the persisted format; append-only.
-const TAG_NULL: u8 = 0;
-const TAG_BOOL: u8 = 1;
-const TAG_INT: u8 = 2;
-const TAG_FLOAT: u8 = 3;
-const TAG_STR: u8 = 4;
-
 /// Encode one value (tag byte + payload).
 pub fn encode_value(enc: &mut Enc, v: &Value) {
-    match v {
-        Value::Null => {
-            enc.u8(TAG_NULL);
-        }
-        Value::Bool(b) => {
-            enc.u8(TAG_BOOL).bool(*b);
-        }
-        Value::Int(i) => {
-            enc.u8(TAG_INT).i64(*i);
-        }
-        Value::Float(f) => {
-            enc.u8(TAG_FLOAT).f64(*f);
-        }
-        Value::Str(s) => {
-            enc.u8(TAG_STR).str(s);
-        }
-    }
+    v.enc(enc);
 }
 
 /// Decode one value.
 pub fn decode_value(dec: &mut Dec<'_>) -> Result<Value> {
-    match dec.u8()? {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL => Ok(Value::Bool(dec.bool()?)),
-        TAG_INT => Ok(Value::Int(dec.i64()?)),
-        TAG_FLOAT => Ok(Value::Float(dec.f64()?)),
-        TAG_STR => Ok(Value::Str(dec.str()?)),
-        t => Err(TableError::Invalid(format!("wire: unknown value tag {t}"))),
-    }
-}
-
-fn dtype_tag(d: DataType) -> u8 {
-    match d {
-        DataType::Null => 0,
-        DataType::Bool => 1,
-        DataType::Int => 2,
-        DataType::Float => 3,
-        DataType::Str => 4,
-    }
-}
-
-fn dtype_from_tag(t: u8) -> Result<DataType> {
-    match t {
-        0 => Ok(DataType::Null),
-        1 => Ok(DataType::Bool),
-        2 => Ok(DataType::Int),
-        3 => Ok(DataType::Float),
-        4 => Ok(DataType::Str),
-        _ => Err(TableError::Invalid(format!("wire: unknown dtype tag {t}"))),
-    }
+    Value::dec(dec)
 }
 
 /// Encode a schema (field count, then name/dtype/nullable per field).
 pub fn encode_schema(enc: &mut Enc, schema: &Schema) {
-    enc.usize(schema.len());
-    for f in schema.fields() {
-        enc.str(&f.name);
-        enc.u8(dtype_tag(f.dtype));
-        enc.bool(f.nullable);
-    }
+    enc.seq(schema.fields(), Field::enc);
 }
 
 /// Decode a schema.
 pub fn decode_schema(dec: &mut Dec<'_>) -> Result<Schema> {
-    let n = dec.usize()?;
-    let mut fields = Vec::with_capacity(dec.cap(n, 10));
-    for _ in 0..n {
-        let name = dec.str()?;
-        let dtype = dtype_from_tag(dec.u8()?)?;
-        let nullable = dec.bool()?;
-        let f = if nullable {
-            Field::new(name, dtype)
-        } else {
-            Field::required(name, dtype)
-        };
-        fields.push(f);
-    }
-    Schema::new(fields)
+    Schema::new(Vec::dec(dec)?)
 }
 
 /// Encode a table columnar: schema, row count, then each column's values.
@@ -379,6 +322,12 @@ pub fn encode_table(enc: &mut Enc, t: &Table) {
 pub fn decode_table(dec: &mut Dec<'_>) -> Result<Table> {
     let schema = decode_schema(dec)?;
     let rows = dec.usize()?;
+    if schema.is_empty() && rows != 0 {
+        // No column holds the rows: they would decode as none.
+        return Err(TableError::Invalid(format!(
+            "wire: {rows} rows in a table without columns"
+        )));
+    }
     let mut columns: Vec<Vec<Value>> = Vec::with_capacity(schema.len());
     for _ in 0..schema.len() {
         let mut col = Vec::with_capacity(dec.cap(rows, 1));
@@ -402,6 +351,240 @@ pub fn table_bytes(t: &Table) -> Vec<u8> {
 pub fn table_hash(t: &Table) -> u64 {
     hash64(&table_bytes(t))
 }
+
+/// A type with one canonical encoding: written by [`enc`](Wire::enc), read
+/// back by [`dec`](Wire::dec) to a value that encodes to the same bytes.
+pub trait Wire: Sized {
+    /// Smallest encoding, in bytes: what [`Dec::cap`] divides the unread
+    /// input by before a `Vec<Self>` reserves room for a claimed count.
+    /// Decoding is correct for any value; one below the true minimum
+    /// reserves more than the input can fill.
+    const MIN: usize;
+
+    /// Append the encoding.
+    fn enc(&self, e: &mut Enc);
+
+    /// Read one value; malformed input is a structured error.
+    fn dec(d: &mut Dec<'_>) -> Result<Self>;
+}
+
+/// The error for a tag byte no variant of `what` carries.
+pub fn bad_tag(what: &str, tag: u8) -> TableError {
+    TableError::Invalid(format!("wire: unknown {what} tag {tag}"))
+}
+
+/// [`Wire`] for a struct whose layout is its fields in the order listed,
+/// nothing between them: `wire_struct!(Point { x: f64, y: f64 })`. The
+/// order is written once and drives both directions; the listed types must
+/// be the fields' types (the compiler checks it) and give the struct's
+/// [`Wire::MIN`].
+#[macro_export]
+macro_rules! wire_struct {
+    ($ty:ty { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN: usize = 0 $(+ <$fty as $crate::wire::Wire>::MIN)*;
+            fn enc(&self, e: &mut $crate::wire::Enc) {
+                $($crate::wire::Wire::enc(&self.$field, e);)*
+            }
+            fn dec(d: &mut $crate::wire::Dec<'_>) -> $crate::Result<Self> {
+                Ok(Self { $($field: <$fty as $crate::wire::Wire>::dec(d)?),* })
+            }
+        }
+    };
+}
+
+/// [`Wire`] for an enum: a tag byte, then the variant's fields in the order
+/// listed. Each variant is written once with its tag, as a unit, a tuple
+/// with named bindings, or a struct:
+/// `wire_enum!(Shape: "shape" { 0 => Empty, 1 => Dot(at: u64), 2 => Line { a: u64, b: u64 } })`.
+/// Tags are part of the format: append variants, never renumber. An unknown
+/// tag decodes to an error naming the enum as the quoted string does.
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident: $what:literal {
+        $($tag:literal => $var:ident
+            $(($($b:ident: $bty:ty),*))?
+            $({ $($f:ident: $fty:ty),* })?),* $(,)?
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            const MIN: usize = 1;
+            fn enc(&self, e: &mut $crate::wire::Enc) {
+                match self {
+                    $($ty::$var $(($($b),*))? $({ $($f),* })? => {
+                        e.u8($tag);
+                        $($($crate::wire::Wire::enc($b, e);)*)?
+                        $($($crate::wire::Wire::enc($f, e);)*)?
+                    })*
+                }
+            }
+            fn dec(d: &mut $crate::wire::Dec<'_>) -> $crate::Result<Self> {
+                Ok(match d.u8()? {
+                    $($tag => $ty::$var
+                        $(($(<$bty as $crate::wire::Wire>::dec(d)?),*))?
+                        $({ $($f: <$fty as $crate::wire::Wire>::dec(d)?),* })?,)*
+                    t => return Err($crate::wire::bad_tag($what, t)),
+                })
+            }
+        }
+    };
+}
+
+/// The canonical bytes of `v`.
+pub fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
+    let mut e = Enc::new();
+    v.enc(&mut e);
+    e.into_bytes()
+}
+
+/// Decode a `T` that fills `bytes` exactly: bytes left over are an error,
+/// so one value has one payload.
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T> {
+    let mut d = Dec::new(bytes);
+    let v = T::dec(&mut d)?;
+    if !d.is_done() {
+        return Err(TableError::Invalid(format!(
+            "wire: {} bytes left over after the value",
+            d.remaining()
+        )));
+    }
+    Ok(v)
+}
+
+macro_rules! wire_primitive {
+    ($($t:ident: $min:expr),*) => {$(
+        impl Wire for $t {
+            const MIN: usize = $min;
+            fn enc(&self, e: &mut Enc) {
+                e.$t(*self);
+            }
+            fn dec(d: &mut Dec<'_>) -> Result<$t> {
+                d.$t()
+            }
+        }
+    )*};
+}
+
+wire_primitive!(u8: 1, bool: 1, u32: 4, u64: 8, usize: 8, i64: 8, f64: 8);
+
+impl Wire for String {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<String> {
+        d.str()
+    }
+}
+
+wire_enum!(Value: "value" {
+    0 => Null,
+    1 => Bool(b: bool),
+    2 => Int(i: i64),
+    3 => Float(f: f64),
+    4 => Str(s: String),
+});
+
+wire_enum!(DataType: "dtype" {
+    0 => Null,
+    1 => Bool,
+    2 => Int,
+    3 => Float,
+    4 => Str,
+});
+
+/// Name, dtype, then whether the field is nullable.
+impl Wire for Field {
+    const MIN: usize = 10;
+    fn enc(&self, e: &mut Enc) {
+        e.str(&self.name);
+        (self.dtype, self.nullable).enc(e);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Field> {
+        let (name, dtype) = <(String, DataType)>::dec(d)?;
+        Ok(if d.bool()? {
+            Field::new(name, dtype)
+        } else {
+            Field::required(name, dtype)
+        })
+    }
+}
+
+impl Wire for Schema {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        encode_schema(e, self);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Schema> {
+        decode_schema(d)
+    }
+}
+
+impl Wire for Table {
+    const MIN: usize = 16;
+    fn enc(&self, e: &mut Enc) {
+        encode_table(e, self);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Table> {
+        decode_table(d)
+    }
+}
+
+/// The count, then each element.
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        e.seq(self, T::enc);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Vec<T>> {
+        let n = d.usize()?;
+        let mut out = Vec::with_capacity(d.cap(n, T::MIN));
+        for _ in 0..n {
+            out.push(T::dec(d)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A marker byte, 0 for `None` and 1 before a `Some`'s value.
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = 1;
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            None => {
+                e.u8(0);
+            }
+            Some(v) => {
+                e.u8(1);
+                v.enc(e);
+            }
+        }
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Option<T>> {
+        match d.u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::dec(d)?)),
+            t => Err(bad_tag("option", t)),
+        }
+    }
+}
+
+macro_rules! wire_tuple {
+    ($($t:ident . $i:tt),*) => {
+        /// The fields in order, nothing between them.
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            const MIN: usize = 0 $(+ $t::MIN)*;
+            fn enc(&self, e: &mut Enc) {
+                $(self.$i.enc(e);)*
+            }
+            fn dec(d: &mut Dec<'_>) -> Result<Self> {
+                Ok(($($t::dec(d)?,)*))
+            }
+        }
+    };
+}
+
+wire_tuple!(A.0, B.1);
+wire_tuple!(A.0, B.1, C.2);
 
 #[cfg(test)]
 mod tests {

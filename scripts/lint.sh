@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Thirteen rules, all enforced in CI via scripts/verify.sh:
+# analysis). Fourteen rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -68,13 +68,16 @@
 #      second production spelling of "fuse one slot" is one the next change
 #      to fusion will miss.
 #
-#  11. `hash64(format!(` and `write_str(&format!(` do not appear in
-#      `crates/core/src/wrangler/stages.rs`. A stage loop that renders a
-#      value with `Debug` to key it pays for the rendering per source and
-#      per pass, and rests a reuse decision on text that is no stability
-#      contract. A stage keys by typed fields and by hashes taken where the
-#      data was derived (`incr::Mapped`). The pass-level `Debug` keys in
-#      `wrangler/pass.rs` (once per pass) wait for the typed-keys item.
+#  11. `hash64(format!(` appears nowhere in `crates/core/src`, and
+#      `write_str(&format!(` does not appear in
+#      `crates/core/src/wrangler/stages.rs`. A key that renders a value with
+#      `Debug` pays for the rendering on every pass and rests a reuse
+#      decision on text that is no stability contract. Keys hash typed
+#      fields, the `wire::Wire` encoding of the state they guard (the select
+#      seam's engine state, the fuse seam's feedback), or hashes taken where
+#      the data was derived (`incr::Mapped`). `pass_fingerprint`'s
+#      `write_str(&format!(` sites in `wrangler/pass.rs` (once per pass) wait
+#      for the typed-keys item.
 #
 #  12. No call of `score_pairs*(`, `match_pairs*(`, `filter_matches(` or
 #      `candidates_union(` in `crates/core/src` outside test code. The ER
@@ -93,6 +96,14 @@
 #      and a measurement that the sharing pays (the one this crate had was
 #      built for a text evaluation per candidate; the stage now opens a text
 #      field for about one candidate in a hundred).
+#
+#  14. `.cap(` appears in library `src/` only in `crates/table/src/wire.rs`.
+#      A decoded element count reaches an allocation through the one
+#      generic list decoder (`impl Wire for Vec<T>`), which bounds the
+#      reservation by what the unread input could hold; a second spelling of
+#      "read a count, reserve, loop" is one the next forged-count fix misses.
+#      Decode a list as `Vec<T>` (a foreign element type through a local
+#      wrapper, as `ckpt_io::Stored` does).
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -370,16 +381,18 @@ if [ -n "$fuse_attribute_hits" ]; then
   fail=1
 fi
 
-# --- Rule 11: no Debug-printed keys in the stage loops ---------------------------
-debug_key_hits=$(awk '
-  /#\[cfg\(test\)\]/ { exit }
-  /^[[:space:]]*\/\// { next }  # comment / doc lines
-  /hash64\(format!\(|write_str\(&format!\(/ {
-    printf "%s:%d: %s\n", FILENAME, FNR, $0
-  }
-' crates/core/src/wrangler/stages.rs)
+# --- Rule 11: no Debug-printed keys ------------------------------------------------
+debug_key_hits=$(for f in $(find crates/core/src -name '*.rs' | sort); do
+  awk -v file="$f" -v stages="crates/core/src/wrangler/stages.rs" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc lines
+    /hash64\(format!\(/ || (file == stages && /write_str\(&format!\(/) {
+      printf "%s:%d: %s\n", file, FNR, $0
+    }
+  ' "$f"
+done)
 if [ -n "$debug_key_hits" ]; then
-  echo "lint: Debug-printed key in crates/core/src/wrangler/stages.rs (key by typed fields and by hashes taken where the data was derived):"
+  echo "lint: Debug-printed key (hash64(format!( in crates/core/src, or write_str(&format!( in the stage loops; key by typed fields or the wire encoding of the state guarded):"
   echo "$debug_key_hits"
   fail=1
 fi
@@ -415,6 +428,23 @@ done)
 if [ -n "$shared_state_hits" ]; then
   echo "lint: shared mutable state in crates/resolve/src (ER workers share immutable data only; measure first, then add \`// lint-allow: <reason>\`):"
   echo "$shared_state_hits"
+  fail=1
+fi
+
+# --- Rule 14: one place a decoded count meets an allocation ----------------------
+cap_hits=$(for f in $(lib_sources); do
+  [ "$f" = "crates/table/src/wire.rs" ] && continue
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc lines
+    /\.cap\(/ {
+      printf "%s:%d: %s\n", file, FNR, $0
+    }
+  ' "$f"
+done)
+if [ -n "$cap_hits" ]; then
+  echo "lint: Dec::cap outside crates/table/src/wire.rs (decode lists as Vec<T>: its Wire impl is the one place a count reaches an allocation):"
+  echo "$cap_hits"
   fail=1
 fi
 
