@@ -39,8 +39,9 @@ use wrangler_table::wire::{hash64, Hasher64};
 
 /// File magic for checkpoint records ("WCKP").
 const MAGIC: [u8; 4] = *b"WCKP";
-/// Format version; bump on any layout change.
-const VERSION: u16 = 3;
+/// Format version; bump on any layout change. 4: a mapped table records
+/// the typed shape it was cut to where format 3 stored a filter tag.
+const VERSION: u16 = 4;
 /// Fixed header size: magic(4) + version(2) + pad(2) + len(8) + checksum(8).
 const HEADER: usize = 24;
 

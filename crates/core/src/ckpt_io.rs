@@ -389,11 +389,11 @@ impl Wire for MapGenOut {
 
 impl SeamRecord for MapGenOut {}
 
-/// Map-apply-seam output: every survivor's mapped table and filter tag.
+/// Map-apply-seam output: every survivor's mapped table and its shape.
 pub struct MapApplyOut {
     /// Survivors after apply quarantines.
     pub selected: Vec<SourceId>,
-    /// `(source index, mapped table with its filter tag)` for every survivor.
+    /// `(source index, mapped table with its shape)` for every survivor.
     pub mapped: Vec<(usize, Mapped)>,
 }
 
@@ -601,9 +601,13 @@ mod tests {
         let select = SelectOut {
             selected: vec![SourceId(0), SourceId(2)],
         };
+        let post_map = crate::incr::Shape {
+            filter: wrangler_plan::FilterPlacement::PostMap,
+            budget: Some(9),
+        };
         let map_apply = MapApplyOut {
             selected: vec![SourceId(1)],
-            mapped: vec![(1, Mapped::new(sample_table(), Some("price > 0".into())))],
+            mapped: vec![(1, Mapped::new(sample_table(), post_map))],
         };
         vec![
             ("SessionState", sample_state().encode(), |b| {

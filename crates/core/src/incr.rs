@@ -50,9 +50,31 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use wrangler_plan::FilterPlacement;
 use wrangler_resolve::{ErKernel, UnionBlocks};
 use wrangler_table::wire::{self, Dec, Enc, Wire};
-use wrangler_table::{Table, TableError};
+use wrangler_table::{wire_struct, Table, TableError};
+
+/// What a mapped table was cut to besides its payload and mapping: where
+/// the row filter already ran on it, and the row budget it was held to.
+/// `map_apply` reuses a held table only under the current pass's shape; the
+/// predicate itself changes only through `Wrangler::with_row_filter`, which
+/// drops every held table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// The filter placement of the table's source: `Union` when no filter
+    /// ran on it (the union loop filters it, or there is no filter);
+    /// `PostMap` or `Acquire` when an early-placed filter already did.
+    pub filter: FilterPlacement,
+    /// `max_rows_per_source` while scans are on; `None` with scans off,
+    /// when no budget applies.
+    pub budget: Option<usize>,
+}
+
+wire_struct!(Shape {
+    filter: FilterPlacement,
+    budget: Option<usize>,
+});
 
 /// One source's mapped (target-schema) table with what identifies it. The
 /// fields are private so that the three cannot drift apart: a new table is
@@ -60,21 +82,18 @@ use wrangler_table::{Table, TableError};
 #[derive(Debug, Clone)]
 pub struct Mapped {
     table: Table,
-    /// Which filter placement (and predicate) the table was computed under:
-    /// `None` for a plain mapping run, `Some("acquire|…")` or
-    /// `Some("post-map|…")` when an early-placed filter already ran. A held
-    /// table is reusable only while the tag is the current program's.
-    tag: Option<String>,
+    /// The shape the table was cut to.
+    shape: Shape,
     /// [`wire::table_hash`] of `table`; moves and clones keep it.
     hash: OnceLock<u64>,
 }
 
 impl Mapped {
     /// A freshly derived (or decoded) table: not hashed yet.
-    pub fn new(table: Table, tag: Option<String>) -> Mapped {
+    pub fn new(table: Table, shape: Shape) -> Mapped {
         Mapped {
             table,
-            tag,
+            shape,
             hash: OnceLock::new(),
         }
     }
@@ -84,9 +103,9 @@ impl Mapped {
         &self.table
     }
 
-    /// The filter tag the table was computed under.
-    pub fn tag(&self) -> Option<&str> {
-        self.tag.as_deref()
+    /// The shape the table was cut to.
+    pub fn shape(&self) -> Shape {
+        self.shape
     }
 
     /// Content hash of the table; computed at most once.
@@ -100,15 +119,15 @@ impl Mapped {
     }
 }
 
-/// The table, then the filter tag; the hash is not stored.
+/// The table, then its shape; the hash is not stored.
 impl Wire for Mapped {
-    const MIN: usize = Table::MIN + 1;
+    const MIN: usize = Table::MIN + Shape::MIN;
     fn enc(&self, e: &mut Enc) {
         self.table.enc(e);
-        self.tag.enc(e);
+        self.shape.enc(e);
     }
     fn dec(d: &mut Dec<'_>) -> Result<Mapped, TableError> {
-        Ok(Mapped::new(Table::dec(d)?, Option::dec(d)?))
+        Ok(Mapped::new(Table::dec(d)?, Shape::dec(d)?))
     }
 }
 
@@ -299,18 +318,22 @@ mod tests {
         table
             .push_row(vec![Value::Str("a".into()), Value::Float(1.5)])
             .unwrap();
-        let m = Mapped::new(table.clone(), Some("post-map|p".into()));
+        let shape = Shape {
+            filter: FilterPlacement::PostMap,
+            budget: Some(7),
+        };
+        let m = Mapped::new(table.clone(), shape);
         assert!(!m.is_hashed());
         assert_eq!(m.hash(), wire::table_hash(&table));
         assert!(m.is_hashed() && m.clone().is_hashed());
-        // The wire format carries the table and the tag, never the hash.
+        // The wire format carries the table and the shape, never the hash.
         let record = MapApplyOut {
             selected: Vec::new(),
             mapped: vec![(3, m)],
         };
         let back = MapApplyOut::decode(&record.encode()).unwrap();
         let (i, decoded) = &back.mapped[0];
-        assert_eq!((*i, decoded.tag()), (3, Some("post-map|p")));
+        assert_eq!((*i, decoded.shape()), (3, shape));
         assert!(!decoded.is_hashed());
         assert_eq!(decoded.hash(), wire::table_hash(&table));
     }

@@ -8,8 +8,8 @@
 //! context decides selection strategy, fusion strategy, ER thresholds and
 //! confidence gating ("autonomic" composition, §4.2).
 //!
-//! * [`working`] — artifact/dependency bookkeeping and work counters, the
-//!   basis of incremental (pay-as-you-go) recomputation;
+//! * [`working`] — the refuse set (which fused slots feedback marked) and
+//!   the work counters of incremental (pay-as-you-go) recomputation;
 //! * [`planner`] — derives the concrete plan from the user context;
 //! * [`wrangler`] — the [`wrangler::Wrangler`] session: add sources,
 //!   `wrangle()`, give feedback, re-wrangle incrementally;

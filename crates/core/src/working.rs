@@ -1,29 +1,21 @@
-//! Working Data bookkeeping: artifact versions, dirtiness, and work
-//! counters.
+//! Working Data bookkeeping: the refuse set and the work counters.
 //!
 //! Example 5's closing requirement: "it is of paramount importance that
 //! these feedback-induced 'reactions' do not trigger a re-processing of all
 //! datasets involved in the computation but rather limit the processing to
-//! the strictly necessary data." The store tracks which derived artifacts
-//! are stale and counts the actual work performed, so experiments can show
-//! incremental ≪ full recomputation (E7b).
+//! the strictly necessary data." Feedback that moves a source's trust or
+//! refutes one value marks what `rewrangle` must fuse again — one slot, or
+//! every slot of one source — and the store counts the actual work
+//! performed, so experiments can show incremental ≪ full recomputation
+//! (E7b).
+//!
+//! Whether a derived artifact is current is not decided here. A stale
+//! mapping or mapped table is dropped where it goes stale (the session holds
+//! it as an `Option`), a held mapped table carries the shape it was cut to
+//! ([`crate::incr::Shape`]), and the union blocks and the ER carry are keyed
+//! by content ([`crate::incr`]).
 
-use std::collections::{BTreeMap, HashSet};
-
-/// A derived artifact in the Working Data, at per-source or global grain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Artifact {
-    /// Mapping (schema alignment) of one source.
-    Mapping(usize),
-    /// Mapped (target-schema) table of one source.
-    MappedTable(usize),
-    /// The union + entity clustering.
-    Clusters,
-    /// One fused slot (entity, attribute).
-    FusedSlot(usize, usize),
-    /// Every fused slot one source claims (its trust moved), as one mark.
-    SourceSlots(usize),
-}
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Counters of actual work performed (the currency of E7b).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -97,73 +89,53 @@ impl PairScoreCache {
     }
 }
 
-/// Dirtiness tracking for derived artifacts.
+/// The refuse set plus the work counters.
 #[derive(Debug, Clone, Default)]
 pub struct WorkingData {
-    dirty: HashSet<Artifact>,
+    /// Slots marked for re-fusion one by one, `(entity, attribute)`.
+    slots: BTreeSet<(usize, usize)>,
+    /// Sources whose trust moved: every slot they claim is marked.
+    sources: BTreeSet<usize>,
     /// Cumulative work counters.
     pub work: WorkCounters,
 }
 
 impl WorkingData {
-    /// Fresh store with everything implicitly dirty (nothing computed yet).
+    /// Fresh store: nothing marked, no work counted.
     pub fn new() -> Self {
         WorkingData::default()
     }
 
-    /// Mark an artifact stale.
-    pub fn invalidate(&mut self, a: Artifact) {
-        self.dirty.insert(a);
+    /// Mark one fused slot for re-fusion.
+    pub fn mark_slot(&mut self, entity: usize, attr: usize) {
+        self.slots.insert((entity, attr));
     }
 
-    /// Mark a source's whole derivation chain stale (its data changed).
-    pub fn invalidate_source(&mut self, source: usize) {
-        self.invalidate(Artifact::Mapping(source));
-        self.invalidate(Artifact::MappedTable(source));
-        self.invalidate(Artifact::Clusters);
+    /// Mark every fused slot `source` claims, as one mark.
+    pub fn mark_source(&mut self, source: usize) {
+        self.sources.insert(source);
     }
 
-    /// Is the artifact stale?
-    pub fn is_dirty(&self, a: Artifact) -> bool {
-        self.dirty.contains(&a)
-    }
-
-    /// Clear an artifact's dirtiness after recomputation.
-    pub fn mark_clean(&mut self, a: Artifact) {
-        self.dirty.remove(&a);
-    }
-
-    /// Dirty fused slots, sorted and deduplicated: the explicitly dirtied
-    /// ones plus every slot of `claims` (one pass) whose source is marked.
+    /// Marked slots, sorted and deduplicated: the ones marked one by one
+    /// plus every slot of `claims` (one pass) whose source is marked.
     pub fn dirty_slots(&self, claims: &[wrangler_fusion::Claim]) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut marked = Vec::new();
-        for a in &self.dirty {
-            match *a {
-                Artifact::FusedSlot(e, t) => out.push((e, t)),
-                Artifact::SourceSlots(s) => marked.push(s),
-                _ => {}
-            }
-        }
-        marked.sort_unstable();
-        let of_marked = claims
-            .iter()
-            .filter(|c| marked.binary_search(&c.source).is_ok());
+        let mut out: Vec<(usize, usize)> = self.slots.iter().copied().collect();
+        let of_marked = claims.iter().filter(|c| self.sources.contains(&c.source));
         out.extend(of_marked.map(|c| (c.entity, c.attr)));
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    /// Every slot was just (re-)fused: no slot or source mark is stale.
+    /// Every slot was just (re-)fused: no mark is left.
     pub fn clean_slots(&mut self) {
-        self.dirty
-            .retain(|a| !matches!(a, Artifact::FusedSlot(..) | Artifact::SourceSlots(_)));
+        self.slots.clear();
+        self.sources.clear();
     }
 
-    /// Number of dirty artifacts.
+    /// Number of marks (slot marks plus source marks).
     pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
+        self.slots.len() + self.sources.len()
     }
 }
 
@@ -172,42 +144,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn invalidation_and_cleaning() {
-        let mut wd = WorkingData::new();
-        assert!(!wd.is_dirty(Artifact::Clusters));
-        wd.invalidate(Artifact::Clusters);
-        assert!(wd.is_dirty(Artifact::Clusters));
-        wd.mark_clean(Artifact::Clusters);
-        assert!(!wd.is_dirty(Artifact::Clusters));
-    }
-
-    #[test]
-    fn source_invalidation_cascades() {
-        let mut wd = WorkingData::new();
-        wd.invalidate_source(3);
-        for a in [Artifact::Mapping(3), Artifact::MappedTable(3), Artifact::Clusters] {
-            assert!(wd.is_dirty(a));
-        }
-        assert!(!wd.is_dirty(Artifact::Mapping(4)));
-    }
-
-    #[test]
     fn dirty_slots_listed_sorted() {
         let mut wd = WorkingData::new();
-        wd.invalidate(Artifact::FusedSlot(2, 1));
-        wd.invalidate(Artifact::FusedSlot(0, 3));
-        wd.invalidate(Artifact::Clusters);
+        wd.mark_slot(2, 1);
+        wd.mark_slot(0, 3);
+        wd.mark_slot(2, 1);
         assert_eq!(wd.dirty_slots(&[]), vec![(0, 3), (2, 1)]);
-        assert_eq!(wd.dirty_count(), 3);
+        assert_eq!(wd.dirty_count(), 2);
     }
 
     #[test]
     fn source_marks_expand_against_the_claims_and_clean_in_one_sweep() {
         let mut wd = WorkingData::new();
-        wd.invalidate(Artifact::FusedSlot(2, 1));
-        wd.invalidate(Artifact::SourceSlots(1));
-        wd.invalidate(Artifact::SourceSlots(4));
-        wd.invalidate(Artifact::Mapping(1));
+        wd.mark_slot(2, 1);
+        wd.mark_source(1);
+        wd.mark_source(4);
         // Source 1 also claims the explicit slot, sources 0 and 3 are
         // unmarked, source 4 shares a slot with source 1.
         let claim = |source, entity, attr| wrangler_fusion::Claim {
@@ -225,10 +176,10 @@ mod tests {
             claim(4, 1, 2),
         ];
         assert_eq!(wd.dirty_slots(&claims), vec![(0, 0), (1, 2), (2, 1)]);
+        assert_eq!(wd.dirty_count(), 3);
         wd.clean_slots();
         assert!(wd.dirty_slots(&claims).is_empty());
-        assert!(wd.is_dirty(Artifact::Mapping(1)), "only slot marks go");
-        assert_eq!(wd.dirty_count(), 1);
+        assert_eq!(wd.dirty_count(), 0);
     }
 
     #[test]

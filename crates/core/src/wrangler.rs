@@ -32,7 +32,7 @@ use crate::contain::{ContainPolicy, ContainmentReport, Stage};
 use crate::incr::{IncrEngine, Mapped};
 use crate::planner::Plan;
 use crate::union::Union;
-use crate::working::{Artifact, WorkingData};
+use crate::working::WorkingData;
 
 mod pass;
 mod stages;
@@ -70,6 +70,10 @@ struct WrangleCache {
     fused: HashMap<(usize, usize), FusedValue>, // hash-ok: keyed by slot, read via get()
     /// Selected sources.
     selected: Vec<SourceId>,
+    /// The ER rule the clustering was decided under.
+    er_cfg: ErConfig,
+    /// Registered sources when the pass ran.
+    sources: usize,
 }
 
 /// The result of a wrangle.
@@ -121,7 +125,7 @@ pub struct Wrangler {
     pub data_ctx: DataContext,
     /// The feedback ledger.
     pub feedback: FeedbackStore,
-    /// Working-data bookkeeping (dirtiness + work counters).
+    /// Working-data bookkeeping (the refuse set + work counters).
     pub working: WorkingData,
     /// How feedback is propagated (Shared is the paper's proposal; Siloed is
     /// the E4 baseline).
@@ -132,7 +136,10 @@ pub struct Wrangler {
     /// Stage-level fault containment: per-stage budgets, poison scanning,
     /// panic isolation, and the quarantine-vs-abort mode. Default
     /// [`ContainMode::Contain`] — a source that goes bad *mid-pipeline*
-    /// degrades the pass instead of killing it.
+    /// degrades the pass instead of killing it. An assignment between passes
+    /// reaches the next one: a held mapped table records the row budget and
+    /// filter placement it was cut to and is re-derived under another, and
+    /// the pass fingerprint keys everything downstream.
     pub contain: ContainPolicy,
     /// The session's telemetry collector: hierarchical stage spans over the
     /// monotonic clock plus deterministic counters/gauges (see
@@ -278,14 +285,13 @@ impl Wrangler {
         self.last_program.as_ref()
     }
 
-    /// A plan-shape knob changed (filter, projection, opt mode): cached
-    /// mapped tables may embed a stale early-placed filter, and cached
-    /// clusters/results were computed under the old shape.
+    /// A plan-shape knob changed (filter, projection, opt mode): held
+    /// mapped tables may embed a stale early-placed filter, and the cached
+    /// result was computed under the old shape. Both are dropped.
     fn invalidate_plan_shape(&mut self) {
-        for i in 0..self.states.len() {
-            self.working.invalidate(Artifact::MappedTable(i));
+        for state in &mut self.states {
+            state.mapped = None;
         }
-        self.working.invalidate(Artifact::Clusters);
         self.cache = None;
         // Shape-keyed memos would miss anyway (the pass fingerprint covers
         // every shape knob); dropping them bounds memory to live content.
@@ -307,11 +313,11 @@ impl Wrangler {
 
     /// Deliver a fresh extraction of one source's payload — the
     /// pay-as-you-go update path. Diffs the content hash first: an
-    /// identical payload is a no-op (nothing dirtied, every memo intact).
+    /// identical payload is a no-op (nothing dropped, every memo intact).
     /// A real change bumps the source's `last_updated` to the current tick
-    /// and dirties exactly that source's derivation chain — the next wrangle
-    /// re-derives its mapped table, whose new content hash misses that one
-    /// union block, and reuses the rest.
+    /// and drops exactly that source's mapping and mapped table — the next
+    /// wrangle re-derives them, the new content hash misses that one union
+    /// block, and the rest is reused.
     /// Returns true if the payload actually changed; errors on an unknown
     /// id or a schema that no longer matches the registered payload's.
     pub fn update_source(&mut self, id: SourceId, table: Table) -> wrangler_table::Result<bool> {
@@ -335,12 +341,10 @@ impl Wrangler {
         if let Some(src) = self.registry.get_mut(id) {
             src.meta.last_updated = self.now;
         }
-        // Dirty exactly this source's chain. Clusters/fusion recompute is
-        // driven by the content keys (the block list changes ⇒ ER and fuse
-        // miss), not by a blanket invalidation — that is what lets the
-        // other n−1 partitions replay.
-        self.working.invalidate(Artifact::Mapping(i));
-        self.working.invalidate(Artifact::MappedTable(i));
+        // Drop exactly this source's derivations. What ER and fusion redo is
+        // decided by the content keys (one union block changes), which is
+        // what lets the other n−1 partitions replay.
+        self.drop_derived(i);
         self.working.work.extractions += 1;
         self.cache = None;
         Ok(true)
@@ -454,35 +458,40 @@ impl Wrangler {
     }
 
     /// Install a hand-authored (or corrected) mapping for a source,
-    /// overriding the generated one. The mapping is treated as clean — the
-    /// next wrangle will not regenerate it — but the mapped table is
-    /// invalidated so execution (and the pre-flight gate) see the new
-    /// artifact. Returns false if the source is unknown.
+    /// overriding the generated one. The next wrangle keeps the mapping —
+    /// it does not regenerate it — and drops the mapped table, so execution
+    /// (and the pre-flight gate) see the new artifact. Returns false if the
+    /// source is unknown.
     pub fn override_mapping(&mut self, id: SourceId, mapping: Mapping) -> bool {
-        let i = id.0 as usize;
-        let Some(state) = self.states.get_mut(i) else {
+        let Some(state) = self.states.get_mut(id.0 as usize) else {
             return false;
         };
         state.mapping = Some(mapping);
         state.mapped = None;
-        self.working.mark_clean(Artifact::Mapping(i));
-        self.working.invalidate(Artifact::MappedTable(i));
-        self.working.invalidate(Artifact::Clusters);
         true
+    }
+
+    /// Source `i`'s mapping and mapped table no longer describe what it
+    /// delivers: drop both, so the next pass derives them afresh.
+    fn drop_derived(&mut self, i: usize) {
+        if let Some(state) = self.states.get_mut(i) {
+            state.mapping = None;
+            state.mapped = None;
+        }
     }
 
     /// Switch the user context mid-session (§2.1: "a single application may
     /// have different user contexts"). The plan is re-derived on the next
     /// wrangle; cached claims and clusters survive, so switching contexts is
     /// a re-selection + re-fusion, not a from-scratch run — unless the new
-    /// plan needs a different ER threshold, which invalidates clustering.
+    /// plan needs a different ER threshold: a new rule, which the cached
+    /// clustering and the ER memo were not decided under.
     pub fn set_user_context(&mut self, user: UserContext) {
         let old_plan = self.plan();
         self.user = user;
         let new_plan = self.plan();
         if (new_plan.er_threshold - old_plan.er_threshold).abs() > 1e-12 {
             self.er_cfg = build_er_config(&self.target, new_plan.er_threshold);
-            self.working.invalidate(Artifact::Clusters);
         }
     }
 
@@ -510,7 +519,6 @@ impl Wrangler {
             mapped: None,
             relevance: 1.0,
         });
-        self.working.invalidate_source(id.0 as usize);
         self.working.work.extractions += 1;
         id
     }
@@ -675,19 +683,20 @@ impl Wrangler {
         self.wrangle()
     }
 
-    /// Incrementally re-wrangle after feedback: re-fuse only dirty slots with
-    /// the updated trust. Falls back to a full wrangle when structural
-    /// artifacts (mappings, clusters) are dirty or no cache exists.
+    /// Incrementally re-wrangle after feedback: re-fuse only marked slots
+    /// with the updated trust. Falls back to a full wrangle when there is no
+    /// cache, when the cache was built under another ER rule or source
+    /// count, or when a selected source's mapping or mapped table was
+    /// dropped.
     pub fn rewrangle(&mut self) -> wrangler_table::Result<WrangleOutcome> {
-        let structural_dirty = self.cache.is_none()
-            || self.working.is_dirty(Artifact::Clusters)
-            || self.cache.as_ref().is_some_and(|c| {
-                c.selected.iter().any(|id| {
-                    let i = id.0 as usize;
-                    self.working.is_dirty(Artifact::Mapping(i))
-                        || self.working.is_dirty(Artifact::MappedTable(i))
+        let structural_dirty = self.cache.as_ref().is_none_or(|c| {
+            c.er_cfg != self.er_cfg
+                || c.sources != self.registry.len()
+                || c.selected.iter().any(|id| {
+                    let s = &self.states[id.0 as usize];
+                    s.mapping.is_none() || s.mapped.is_none()
                 })
-            });
+        });
         if structural_dirty {
             return self.wrangle();
         }
@@ -1022,7 +1031,7 @@ impl Wrangler {
                         .trust
                         .update(&Evidence::vote(kind, positive, 0.85).discounted(reliability));
                     // Trust moved: slots this source claims need re-fusion.
-                    self.working.invalidate(Artifact::SourceSlots(source));
+                    self.working.mark_source(source);
                 }
             }
             RoutedSignal::MappingBelief {
@@ -1030,28 +1039,27 @@ impl Wrangler {
                 positive,
                 reliability,
             } => {
-                if let Some(state) = self.states.get_mut(source) {
-                    if let Some(m) = &mut state.mapping {
+                let collapsed = self
+                    .states
+                    .get_mut(source)
+                    .and_then(|state| state.mapping.as_mut())
+                    .is_some_and(|m| {
                         wrangler_mapping::refine::record_feedback(m, positive, reliability);
-                        // A collapsed mapping must be regenerated next time.
-                        if m.belief.probability() < 0.15 {
-                            self.working.invalidate(Artifact::Mapping(source));
-                        }
-                    }
+                        m.belief.probability() < 0.15
+                    });
+                // A collapsed mapping is dropped: the next pass regenerates it.
+                if collapsed {
+                    self.drop_derived(source);
                 }
             }
             RoutedSignal::RefuseSlot { entity, attr } => {
-                self.working.invalidate(Artifact::FusedSlot(entity, attr));
+                self.working.mark_slot(entity, attr);
             }
             RoutedSignal::ErLabel { .. } => {
                 // Labels accumulate in the feedback store (added by caller);
                 // `refine_er` consumes them on demand.
             }
-            RoutedSignal::RecheckWrapper { source } => {
-                self.working.invalidate(Artifact::Mapping(source));
-                self.working.invalidate(Artifact::MappedTable(source));
-                self.working.invalidate(Artifact::Clusters);
-            }
+            RoutedSignal::RecheckWrapper { source } => self.drop_derived(source),
             RoutedSignal::TupleRelevance { .. } => {
                 // Relevance feedback currently informs source trust via
                 // routing; a per-entity relevance model is future work.
@@ -1170,7 +1178,6 @@ impl Wrangler {
             return Some(old_f1);
         }
         self.er_cfg = cfg;
-        self.working.invalidate(Artifact::Clusters);
         // The rule changed: the ER memo's matched pairs were decided under
         // the old one, and every memo keyed downstream of it goes with them.
         self.incr.clear();
@@ -1468,7 +1475,7 @@ mod tests {
             Verdict::Negative,
             1.0,
         ));
-        assert!(w.working.is_dirty(Artifact::Mapping(sid.0 as usize)));
+        assert!(w.mapping_of(sid).is_none(), "the judged mapping is dropped");
         // Rewrangle falls back to the full path. Structural rework shows up
         // either as a regenerated mapping for the judged source, or — when
         // the trust hit is severe enough — as that source being dropped from
@@ -2038,12 +2045,12 @@ mod tests {
             "no worker may be idle: {worker_items:?}"
         );
         assert_eq!(m.counts["er.cache.misses"], m.counts["er.candidates"]);
-        // Force the structural path with unchanged rows: a dirtied
-        // clustering stands the ER memo down, so every candidate is scored
-        // again, and the output must be identical to the first pass.
-        // Counters are cumulative across passes.
-        w.working.invalidate(Artifact::Clusters);
-        let out2 = w.rewrangle().unwrap();
+        // Force a cold ER with unchanged rows: with the engine off there is
+        // no ER memo to carry, so every candidate is scored again, and the
+        // output must be identical to the first pass. Counters are
+        // cumulative across passes.
+        w.set_incr_enabled(false);
+        let out2 = w.wrangle().unwrap();
         let m2 = &out2.metrics;
         let per_pass = m.counts["er.candidates"];
         assert_eq!(m2.counts["er.candidates"], 2 * per_pass);
@@ -2795,9 +2802,7 @@ mod tests {
             }),
             ("row budget shrinks", |w, _, _| {
                 w.contain.max_rows_per_source = 7;
-                for i in 0..w.num_sources() {
-                    w.working.invalidate(Artifact::MappedTable(i));
-                }
+                w.cache = None;
             }),
         ];
         for (name, mutate) in mutations {
@@ -2851,6 +2856,75 @@ mod tests {
         let _ = w.refine_er();
         w.cache = None;
         assert_incremental_matches_cold(&mut w);
+    }
+
+    /// A policy field assigned between passes — no mutator sees it — reaches
+    /// the next wrangle exactly as it reaches a fresh session built with it:
+    /// each held mapped table was cut to another shape, so none is reused.
+    /// (The audit above compares against a clone with the engine off, which
+    /// holds the same mapped tables.)
+    #[test]
+    fn a_policy_assigned_between_passes_delivers_what_a_fresh_session_does() {
+        let fleet = small_fleet();
+        let same = |warm: &mut Wrangler, fresh: &mut Wrangler, what: &str| {
+            let (a, b) = (warm.wrangle().unwrap(), fresh.wrangle().unwrap());
+            assert_eq!(
+                table_fingerprint(&a.table),
+                table_fingerprint(&b.table),
+                "{what}"
+            );
+            assert_eq!(a.entities, b.entities, "{what}");
+            assert_eq!(a.containment, b.containment, "{what}");
+            a
+        };
+        // The row budget shrinks under scans: 7 rows per source.
+        let mut tight = ContainPolicy::contain();
+        tight.max_rows_per_source = 7;
+        let mut warm = session(&fleet, UserContext::balanced("t"));
+        let first = warm.wrangle().unwrap();
+        warm.contain.max_rows_per_source = 7;
+        let mut fresh = session(&fleet, UserContext::balanced("t")).with_contain_policy(tight);
+        let out = same(&mut warm, &mut fresh, "row budget");
+        let hits = out.containment.tallies(Stage::MapApply).deadline_hits;
+        assert_eq!(
+            hits,
+            out.selected_sources.len() as u64,
+            "fixture: every source is cut"
+        );
+        assert!(out.entities < first.entities, "fixture: the cut shows");
+        // Scans off under a row filter: the filter leaves the union loop for
+        // an early placement.
+        let mut warm =
+            session(&fleet, UserContext::balanced("t")).with_row_filter(category_filter());
+        warm.wrangle().unwrap();
+        warm.contain = ContainPolicy::off();
+        let mut fresh = session(&fleet, UserContext::balanced("t"))
+            .with_row_filter(category_filter())
+            .with_contain_policy(ContainPolicy::off());
+        let out = same(&mut warm, &mut fresh, "placement flip");
+        let placed = warm
+            .plan_program()
+            .unwrap()
+            .placement_for(out.selected_sources[0].0 as usize);
+        assert_ne!(placed, FilterPlacement::Union, "fixture: it flips");
+    }
+
+    /// An overridden mapping re-derives one mapped table; the ER carry keeps
+    /// every pair of the other sources' blocks.
+    #[test]
+    fn a_mapping_override_carries_the_other_sources_pairs() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t"));
+        let first = w.wrangle().unwrap();
+        let victim = first.selected_sources[0];
+        let mut m = w.mapping_of(victim).unwrap().clone();
+        m.bindings[w.target().index_of("price").unwrap()] = None;
+        assert!(w.override_mapping(victim, m));
+        let out = assert_incremental_matches_cold(&mut w);
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert_eq!(delta("incr.union.recomputed"), 1, "{:?}", out.metrics);
+        assert!(delta("incr.er.pairs_remapped") > 0, "{:?}", out.metrics);
+        assert!(delta("er.walk.visited") < delta("er.candidates"));
     }
 
     /// The converse of the audit above: a block's key covers its one data

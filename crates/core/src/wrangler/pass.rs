@@ -39,7 +39,6 @@ use crate::ckpt_io::{self, ErOut, SeamRecord, SessionState};
 use crate::contain::{isolate, ContainPolicy, ContainmentReport, Stage};
 use crate::planner::Plan;
 use crate::union::Union;
-use crate::working::Artifact;
 
 type Result<T> = wrangler_table::Result<T>;
 
@@ -453,7 +452,7 @@ impl Wrangler {
     /// Mark source `i` quarantined mid-pipeline: discount its trust (same
     /// soft evidence as an acquisition skip), trip its breaker so the next
     /// acquisition pass sees it unavailable until the cooldown probes it,
-    /// and invalidate its cached artifacts so a later (possibly clean)
+    /// and drop its mapping and mapped table so a later (possibly clean)
     /// delivery is remapped from scratch.
     fn discount_quarantined(&mut self, i: usize) {
         if let Some(state) = self.states.get_mut(i) {
@@ -462,8 +461,7 @@ impl Wrangler {
                 .update(&Evidence::vote(EvidenceKind::Component, false, 0.8).discounted(0.9));
         }
         self.acquisition.record_pipeline_failure(i);
-        self.working.invalidate(Artifact::Mapping(i));
-        self.working.invalidate(Artifact::MappedTable(i));
+        self.drop_derived(i);
     }
 
     /// The claim set of this pass's union and clustering, minus the sources

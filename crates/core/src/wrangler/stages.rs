@@ -29,11 +29,10 @@ use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectO
 use crate::contain::{
     catch_quiet, isolate, poison_reason, ContainMode, Guarded, Stage, StageGuard,
 };
-use crate::incr::{BlockMemo, ErMemo, Mapped};
+use crate::incr::{BlockMemo, ErMemo, Mapped, Shape};
 use crate::lower::{self, LowerInput};
 use crate::planner::SelectionStrategy;
 use crate::union::Union;
-use crate::working::Artifact;
 
 type Result<T> = wrangler_table::Result<T>;
 
@@ -88,13 +87,10 @@ impl Wrangler {
             |w, pass, rec: AcquireOut| {
                 pass.selected = rec.selected;
                 pass.degraded_tables = rec.degraded_tables.into_iter().collect();
-                // Degraded payloads are transient: remap them from this
-                // delivery and invalidate the cached artifacts so a later
-                // (possibly clean) acquisition remaps again instead of
-                // reusing stale noise.
+                // Degraded payloads are transient: drop the held mapping and
+                // mapped table so this delivery is mapped afresh.
                 for &i in pass.degraded_tables.keys() {
-                    w.working.invalidate(Artifact::Mapping(i));
-                    w.working.invalidate(Artifact::MappedTable(i));
+                    w.drop_derived(i);
                 }
                 Ok(())
             },
@@ -190,7 +186,6 @@ impl Wrangler {
                 for (i, mapping) in rec.mappings {
                     if let Some(state) = w.states.get_mut(i) {
                         state.mapping = Some(mapping);
-                        w.working.mark_clean(Artifact::Mapping(i));
                     }
                 }
                 Ok(())
@@ -206,9 +201,7 @@ impl Wrangler {
             .selected
             .iter()
             .map(|id| id.0 as usize)
-            .filter(|&i| {
-                self.states[i].mapping.is_none() || self.working.is_dirty(Artifact::Mapping(i))
-            })
+            .filter(|&i| self.states[i].mapping.is_none())
             .collect();
         let mut gen_removed: Vec<usize> = Vec::new();
         if !need_mapping.is_empty() {
@@ -472,7 +465,6 @@ impl Wrangler {
                 for (i, mapped) in rec.mapped {
                     if let Some(state) = w.states.get_mut(i) {
                         state.mapped = Some(mapped);
-                        w.working.mark_clean(Artifact::MappedTable(i));
                     }
                 }
                 Ok(())
@@ -491,13 +483,14 @@ impl Wrangler {
             let i = id.0 as usize;
             let placement = program.map_or(FilterPlacement::Union, |p| p.placement_for(i));
             let predicate = program.and_then(|p| p.predicate());
-            let desired_tag = match (placement, predicate) {
-                (FilterPlacement::Union, _) | (_, None) => None,
-                (p, Some(e)) => Some(format!("{}|{e:?}", p.name())),
+            let shape = Shape {
+                filter: placement,
+                budget: policy.scans_enabled().then_some(policy.max_rows_per_source),
             };
-            let held = self.states[i].mapped.as_ref();
-            if held.is_some_and(|m| m.tag() == desired_tag.as_deref())
-                && !self.working.is_dirty(Artifact::MappedTable(i))
+            if self.states[i]
+                .mapped
+                .as_ref()
+                .is_some_and(|m| m.shape() == shape)
             {
                 continue;
             }
@@ -560,7 +553,7 @@ impl Wrangler {
                 let keep = policy.max_rows_per_source;
                 mapped = mapped.retain_rows(|r| r < keep);
             }
-            self.states[i].mapped = Some(Mapped::new(mapped, desired_tag));
+            self.states[i].mapped = Some(Mapped::new(mapped, shape));
             self.working.work.tables_mapped += 1;
         }
         self.eject(pass, Stage::MapApply, &apply_removed)?;
@@ -610,7 +603,7 @@ impl Wrangler {
     /// Content key of source `i`'s union block: the pass fingerprint (it
     /// covers the predicate and the containment policy), the source, where
     /// its filter runs, and its mapped table by content hash — payload,
-    /// mapping and filter tag reach the block only through that table.
+    /// mapping and shape reach the block only through that table.
     /// Equal key ⇒ the live loop would reproduce the block byte-for-byte.
     fn union_block_key(pass_fp: u64, i: usize, place: FilterPlacement, mapped: &Mapped) -> u64 {
         ContentKey::stage("union-block", pass_fp)
@@ -828,16 +821,11 @@ impl Wrangler {
     /// no change that is every row: no pair is walked, and the memo's own
     /// matches cluster into the clustering it recorded.
     pub(super) fn er(&mut self, pass: &mut Pass) -> Result<()> {
-        // An explicitly dirtied clustering (ER rule refined, plan shape
-        // changed, a test forcing recompute) must run live from scratch:
-        // the carry stands down.
-        let reusable = pass.incr_on && !self.working.is_dirty(Artifact::Clusters);
         self.seam(
             pass,
             &ER,
-            |w, pass| w.contained(pass, Stage::Er, |w, pass| w.er_live(pass, reusable)),
+            |w, pass| w.contained(pass, Stage::Er, |w, pass| w.er_live(pass)),
             |w, pass, rec: ErOut| {
-                w.working.mark_clean(Artifact::Clusters);
                 w.obs.count("er.entities", rec.clusters.len() as u64);
                 pass.er = rec;
                 Ok(())
@@ -851,10 +839,12 @@ impl Wrangler {
     /// decide each (`decide`), and cluster (`cluster`). Blocks and kernel
     /// are built from the memo's: a clean row takes its keys and dictionary
     /// ids from there, and only dirty rows render, fold and intern. No
-    /// candidate is written down and no score kept. `reusable` licenses the
-    /// carry. The memo is only read here, and replaced once the stage
-    /// completes: a pass that fails or panics in between leaves it usable.
-    fn er_live(&mut self, pass: &Pass, reusable: bool) -> Result<ErOut> {
+    /// candidate is written down and no score kept. The carry runs whenever
+    /// the engine takes part in the pass: the memo's pass fingerprint and
+    /// block keys decide what it covers. The memo is only read here, and
+    /// replaced once the stage completes: a pass that fails or panics in
+    /// between leaves it usable.
+    fn er_live(&mut self, pass: &Pass) -> Result<ErOut> {
         let union_table = pass.union.table();
         let rows = union_table.num_rows();
         // The carry: candidacy, score and threshold read only a pair's two
@@ -862,7 +852,7 @@ impl Wrangler {
         // the same order, matches iff it did in the memoized pass. The rest
         // are decided (on a cold pass or after a refined rule, all of them).
         self.obs.begin("carry");
-        let memo = self.incr.er.as_ref().filter(|_| reusable);
+        let memo = self.incr.er.as_ref().filter(|_| pass.incr_on);
         let carry = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
         let prior = memo.zip(carry.as_ref());
         self.obs.end();
@@ -973,6 +963,8 @@ impl Wrangler {
                     },
                     fused: rec.fused.into_iter().map(|(e, a, f)| ((e, a), f)).collect(),
                     selected: pass.selected.clone(),
+                    er_cfg: w.er_cfg.clone(),
+                    sources: w.registry.len(),
                 });
                 Ok(())
             },

@@ -1,10 +1,14 @@
 //! The checkpoint format, pinned from outside the codec.
 //!
-//! * **Golden v3 bytes.** One session snapshot and one record of each seam
-//!   type, written by the format-3 codec (the checkpoint store's `VERSION`
-//!   3) and committed as hex. Each decodes and re-encodes to the same bytes:
+//! * **Golden bytes.** One session snapshot and one record of each seam
+//!   type, committed as hex. All but one were written by the format-3 codec
+//!   and are unchanged in format 4 (the checkpoint store's `VERSION` 4);
+//!   the map-apply record was re-pinned when a mapped table's filter tag
+//!   became its typed shape. Each decodes and re-encodes to the same bytes:
 //!   a codec change that moves one byte fails here before it strands a
 //!   store written by the previous build.
+//! * **Format 3 is not served.** A record framed by a format-3 build is a
+//!   miss, however intact its checksum.
 //! * **Canonical decoding.** Seeded mutations of those records — cut,
 //!   bit-flipped, spliced — either fail to decode or decode to a value that
 //!   re-encodes to exactly the mutated bytes. A decoder that accepted two
@@ -12,12 +16,16 @@
 //!   different payloads stand for one record.
 //!
 //! The samples carry a NaN, a negative zero, every breaker state, a
-//! quarantine, a filter tag and an unbound mapping field.
+//! quarantine, both kinds of mapped-table shape and an unbound mapping
+//! field.
 
 use wrangler_core::ckpt_io::{
     AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SeamRecord, SelectOut, UnionOut,
 };
-use wrangler_core::SessionState;
+use wrangler_core::incr::Shape;
+use wrangler_core::{scratch_dir, CheckpointStore, SessionState};
+use wrangler_plan::FilterPlacement;
+use wrangler_table::wire::hash64;
 use wrangler_table::TableError;
 
 type Reencode = fn(&[u8]) -> Result<Vec<u8>, TableError>;
@@ -90,10 +98,10 @@ const GOLDEN: &[(&str, &str)] = &[
         concat!(
             "02000000000000000100000004000000020000000000000001000000000000000200000000000000",
             "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
-            "0000000000007800010103000000000000f87f02fdffffffffffffff030000000000000080011200",
-            "000000000000706f73742d6d61707c7072696365203e203004000000000000000200000000000000",
-            "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
-            "0000000000007800010103000000000000f87f02fdffffffffffffff03000000000000008000",
+            "0000000000007800010103000000000000f87f02fdffffffffffffff030000000000000080010004",
+            "00000000000000020000000000000004000000000000006e616d6504010500000000000000707269",
+            "6365040103000000000000000401000000000000007800010103000000000000f87f02fdffffffff",
+            "ffffff0300000000000000800001e803000000000000",
         ),
     ),
     (
@@ -125,18 +133,32 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
 ];
 
+/// The map-apply golden as the format-3 codec wrote it: the first mapped
+/// table tagged `"post-map|price > 0"`, the second untagged.
+const MAP_APPLY_V3: &str = concat!(
+    "02000000000000000100000004000000020000000000000001000000000000000200000000000000",
+    "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
+    "0000000000007800010103000000000000f87f02fdffffffffffffff030000000000000080011200",
+    "000000000000706f73742d6d61707c7072696365203e203004000000000000000200000000000000",
+    "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
+    "0000000000007800010103000000000000f87f02fdffffffffffffff03000000000000008000",
+);
+
+fn unhex(hex: &str) -> Vec<u8> {
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
 fn golden() -> impl Iterator<Item = (&'static str, Vec<u8>, Reencode)> {
-    GOLDEN.iter().map(|&(name, hex)| {
-        let bytes = (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
-            .collect();
-        (name, bytes, codec(name))
-    })
+    GOLDEN
+        .iter()
+        .map(|&(name, hex)| (name, unhex(hex), codec(name)))
 }
 
 #[test]
-fn golden_v3_records_decode_and_reencode_to_the_same_bytes() {
+fn golden_records_decode_and_reencode_to_the_same_bytes() {
     for (name, bytes, reencode) in golden() {
         let back = reencode(&bytes).unwrap_or_else(|e| panic!("{name}: golden must decode: {e}"));
         assert!(back == bytes, "{name}: re-encoding the golden bytes moved them");
@@ -202,4 +224,75 @@ fn a_mutated_record_fails_to_decode_or_is_its_own_canonical_encoding() {
         // must have been exercised.
         assert!(decoded > 0, "{name}: no mutation decoded");
     }
+}
+
+/// The map-apply golden holds an early-placed filter with no budget (scans
+/// off) and a budget with the filter left to the union. The second shape is
+/// the record's last ten bytes: a placement tag, then `Some(1000)`.
+#[test]
+fn a_mapped_table_shape_decodes_typed_and_only_from_known_tags() {
+    let bytes = unhex(GOLDEN.iter().find(|(n, _)| *n == "MapApplyOut").unwrap().1);
+    let shapes = |b: &[u8]| -> Result<Vec<Shape>, TableError> {
+        Ok(MapApplyOut::decode(b)?
+            .mapped
+            .iter()
+            .map(|(_, m)| m.shape())
+            .collect())
+    };
+    let post_map = Shape {
+        filter: FilterPlacement::PostMap,
+        budget: None,
+    };
+    let budget = Shape {
+        filter: FilterPlacement::Union,
+        budget: Some(1000),
+    };
+    assert_eq!(shapes(&bytes).unwrap(), vec![post_map, budget]);
+    let at = bytes.len() - 10;
+    let with = |i: usize, v: u8| {
+        let mut b = bytes.clone();
+        b[i] = v;
+        b
+    };
+    let acquire = Shape {
+        filter: FilterPlacement::Acquire,
+        ..budget
+    };
+    assert_eq!(shapes(&with(at, 2)).unwrap(), vec![post_map, acquire]);
+    assert!(shapes(&with(at, 3)).is_err(), "no fourth placement");
+    assert!(
+        shapes(&with(at + 1, 2)).is_err(),
+        "an option marker is 0 or 1"
+    );
+}
+
+/// A store written by a format-3 build is a miss for this one, checksum
+/// intact or not: its map-apply records spell a shape as a filter tag. The
+/// same payload framed by this build is served.
+#[test]
+fn a_record_written_under_format_3_is_never_served() {
+    let payload = unhex(MAP_APPLY_V3);
+    assert!(
+        MapApplyOut::decode(&payload).is_err(),
+        "format 3 is not format 4"
+    );
+    let store = CheckpointStore::open(scratch_dir("ckpt-format-v3")).unwrap();
+    let mut v3 = b"WCKP".to_vec();
+    v3.extend(3u16.to_le_bytes());
+    v3.extend([0, 0]);
+    v3.extend((payload.len() as u64).to_le_bytes());
+    v3.extend(hash64(&payload).to_le_bytes());
+    v3.extend(&payload);
+    std::fs::write(store.path_for(3), &v3).unwrap();
+    assert_eq!(store.get(3), None);
+    assert_eq!(store.stats().torn_detected, 1);
+    store.put(4, &payload).unwrap();
+    let v4 = std::fs::read(store.path_for(4)).unwrap();
+    assert_eq!(
+        (&v4[..4], &v4[6..]),
+        (&v3[..4], &v3[6..]),
+        "only the version differs"
+    );
+    assert_eq!(store.get(4), Some(payload));
+    let _ = std::fs::remove_dir_all(store.dir());
 }

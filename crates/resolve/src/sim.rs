@@ -19,7 +19,7 @@ pub enum SimKind {
 }
 
 /// One field's contribution to record similarity.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FieldSim {
     /// Column name.
     pub column: String,
@@ -31,7 +31,7 @@ pub struct FieldSim {
 
 /// Entity-resolution configuration: weighted field comparators + decision
 /// threshold.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ErConfig {
     /// Field comparators.
     pub fields: Vec<FieldSim>,

@@ -68,14 +68,16 @@
 #      second production spelling of "fuse one slot" is one the next change
 #      to fusion will miss.
 #
-#  11. `hash64(format!(` appears nowhere in `crates/core/src`, and
-#      `write_str(&format!(` does not appear in
-#      `crates/core/src/wrangler/stages.rs`. A key that renders a value with
-#      `Debug` pays for the rendering on every pass and rests a reuse
-#      decision on text that is no stability contract. Keys hash typed
-#      fields, the `wire::Wire` encoding of the state they guard (the select
-#      seam's engine state, the fuse seam's feedback), or hashes taken where
-#      the data was derived (`incr::Mapped`). `pass_fingerprint`'s
+#  11. `hash64(format!(` appears nowhere in `crates/core/src`, and no
+#      `Debug` formatting (`:?}`) appears in
+#      `crates/core/src/wrangler/stages.rs` outside test code. A key — or a
+#      reuse test — that renders a value with `Debug` pays for the rendering
+#      on every pass and rests a reuse decision on text that is no stability
+#      contract. Keys hash typed fields, the `wire::Wire` encoding of the
+#      state they guard (the select seam's engine state, the fuse seam's
+#      feedback), or hashes taken where the data was derived
+#      (`incr::Mapped`); a held mapped table is reused by comparing its typed
+#      `incr::Shape`, not a rendered filter tag. `pass_fingerprint`'s
 #      `write_str(&format!(` sites in `wrangler/pass.rs` (once per pass) wait
 #      for the typed-keys item.
 #
@@ -386,13 +388,13 @@ debug_key_hits=$(for f in $(find crates/core/src -name '*.rs' | sort); do
   awk -v file="$f" -v stages="crates/core/src/wrangler/stages.rs" '
     /#\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }  # comment / doc lines
-    /hash64\(format!\(/ || (file == stages && /write_str\(&format!\(/) {
+    /hash64\(format!\(/ || (file == stages && /:\?\}/) {
       printf "%s:%d: %s\n", file, FNR, $0
     }
   ' "$f"
 done)
 if [ -n "$debug_key_hits" ]; then
-  echo "lint: Debug-printed key (hash64(format!( in crates/core/src, or write_str(&format!( in the stage loops; key by typed fields or the wire encoding of the state guarded):"
+  echo "lint: Debug-printed key (hash64(format!( in crates/core/src, or any {:?} formatting in the stage loops; key and compare by typed fields or the wire encoding of the state guarded):"
   echo "$debug_key_hits"
   fail=1
 fi
