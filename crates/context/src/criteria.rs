@@ -111,40 +111,6 @@ impl QualityVector {
             .sum::<f64>()
             / total
     }
-
-    /// Pointwise minimum with another vector (pessimistic merge).
-    pub fn min(&self, other: &QualityVector) -> QualityVector {
-        let mut scores = [0.0; 6];
-        for (i, s) in scores.iter_mut().enumerate() {
-            *s = self.scores[i].min(other.scores[i]);
-        }
-        QualityVector { scores }
-    }
-
-    /// Weighted average of two vectors (`w` towards `other`).
-    pub fn blend(&self, other: &QualityVector, w: f64) -> QualityVector {
-        let w = w.clamp(0.0, 1.0);
-        let mut scores = [0.0; 6];
-        for (i, s) in scores.iter_mut().enumerate() {
-            *s = self.scores[i] * (1.0 - w) + other.scores[i] * w;
-        }
-        QualityVector { scores }
-    }
-
-    /// True if `self` dominates `other` (≥ on every criterion, > on one):
-    /// the Pareto relation used when enumerating trade-offs.
-    pub fn dominates(&self, other: &QualityVector) -> bool {
-        let mut strictly = false;
-        for i in 0..6 {
-            if self.scores[i] < other.scores[i] {
-                return false;
-            }
-            if self.scores[i] > other.scores[i] {
-                strictly = true;
-            }
-        }
-        strictly
-    }
 }
 
 impl Default for QualityVector {
@@ -163,18 +129,6 @@ impl fmt::Display for QualityVector {
         }
         Ok(())
     }
-}
-
-/// Keep only the Pareto-optimal vectors (indices into `items`).
-pub fn pareto_front(items: &[QualityVector]) -> Vec<usize> {
-    (0..items.len())
-        .filter(|&i| {
-            !items
-                .iter()
-                .enumerate()
-                .any(|(j, q)| j != i && q.dominates(&items[i]))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -196,34 +150,6 @@ mod tests {
         w[Criterion::Cost.index()] = 2.0;
         assert!((q.utility(&w) - 0.5).abs() < 1e-12);
         assert_eq!(q.utility(&[0.0; 6]), 0.0);
-    }
-
-    #[test]
-    fn dominance_is_strict_and_irreflexive() {
-        let a = QualityVector::uniform(0.8);
-        let b = QualityVector::uniform(0.8).with(Criterion::Timeliness, 0.5);
-        assert!(a.dominates(&b));
-        assert!(!b.dominates(&a));
-        assert!(!a.dominates(&a));
-    }
-
-    #[test]
-    fn pareto_front_filters_dominated() {
-        let items = vec![
-            QualityVector::uniform(0.9),                            // dominates 2
-            QualityVector::uniform(0.2).with(Criterion::Cost, 1.0), // trade-off, kept
-            QualityVector::uniform(0.5).with(Criterion::Cost, 0.5), // dominated by 0
-        ];
-        let front = pareto_front(&items);
-        assert_eq!(front, vec![0, 1]);
-    }
-
-    #[test]
-    fn blend_and_min() {
-        let a = QualityVector::uniform(1.0);
-        let b = QualityVector::uniform(0.0);
-        assert_eq!(a.blend(&b, 0.25).get(Criterion::Accuracy), 0.75);
-        assert_eq!(a.min(&b), b);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! * The **data context** "consists of the sources that may provide data for
 //!   wrangling, and other information that may inform the wrangling process":
 //!   a domain [`ontology::Ontology`] (concept hierarchy with synonyms, the
-//!   stand-in for schema.org / the Product Types Ontology) and
-//!   [`reference::DataContext`] master/reference data that matching, source
+//!   stand-in for schema.org / the Product Types Ontology) and the
+//!   [`reference::DataContext`]'s master data that matching, source
 //!   selection and fusion consume as additional evidence.
 
 pub mod ahp;

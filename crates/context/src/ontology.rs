@@ -99,18 +99,6 @@ impl Ontology {
         })
     }
 
-    /// True if `a` is `b` or a descendant of `b`.
-    pub fn subsumed_by(&self, a: ConceptId, b: ConceptId) -> bool {
-        let mut cur = Some(a);
-        while let Some(c) = cur {
-            if c == b {
-                return true;
-            }
-            cur = self.concepts[c].parent;
-        }
-        false
-    }
-
     /// Depth of a concept (roots have depth 0).
     pub fn depth(&self, id: ConceptId) -> usize {
         let mut d = 0;
@@ -123,7 +111,7 @@ impl Ontology {
     }
 
     /// Lowest common subsumer of two concepts, if they share a root.
-    pub fn lcs(&self, a: ConceptId, b: ConceptId) -> Option<ConceptId> {
+    fn lcs(&self, a: ConceptId, b: ConceptId) -> Option<ConceptId> {
         let mut ancestors = Vec::new();
         let mut cur = Some(a);
         while let Some(c) = cur {
@@ -156,14 +144,6 @@ impl Ontology {
                 let db = self.depth(b) as f64 + 1.0;
                 (2.0 * dl / (da + db)).clamp(0.0, 1.0)
             }
-        }
-    }
-
-    /// Semantic similarity of two surface terms: 0 if either is unknown.
-    pub fn term_similarity(&self, a: &str, b: &str) -> f64 {
-        match (self.resolve(a), self.resolve(b)) {
-            (Some(x), Some(y)) => self.similarity(x, y),
-            _ => 0.0,
         }
     }
 
@@ -337,14 +317,11 @@ mod tests {
     }
 
     #[test]
-    fn subsumption_and_depth() {
+    fn depth_counts_ancestors() {
         let mut o = Ontology::new();
         let root = o.add_concept("thing", None, None, &[]);
         let mid = o.add_concept("product", Some(root), None, &[]);
         let leaf = o.add_concept("book", Some(mid), None, &[]);
-        assert!(o.subsumed_by(leaf, root));
-        assert!(o.subsumed_by(leaf, leaf));
-        assert!(!o.subsumed_by(root, leaf));
         assert_eq!(o.depth(root), 0);
         assert_eq!(o.depth(leaf), 2);
     }
@@ -368,15 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn term_similarity_uses_synonyms() {
-        let o = Ontology::ecommerce();
-        assert_eq!(o.term_similarity("cost", "price"), 1.0);
-        assert!(o.term_similarity("price", "stock") > 0.0); // both offer props
-        assert!(o.term_similarity("price", "stock") < 1.0);
-        assert_eq!(o.term_similarity("price", "zorp"), 0.0);
-    }
-
-    #[test]
     fn expected_dtype_exposed() {
         let o = Ontology::ecommerce();
         assert_eq!(o.expected_dtype("cost"), Some(DataType::Float));
@@ -389,6 +357,7 @@ mod tests {
         let o = Ontology::locations();
         assert!(o.resolve("zip").is_some());
         assert_eq!(o.resolve("lat"), o.resolve("latitude"));
-        assert!(o.term_similarity("lat", "lng") >= 0.5); // sibling properties
+        let (lat, lng) = (o.resolve("lat").unwrap(), o.resolve("lng").unwrap());
+        assert!(o.similarity(lat, lng) >= 0.5); // sibling properties
     }
 }

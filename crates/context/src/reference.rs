@@ -1,4 +1,4 @@
-//! The data context: ontology + master data + reference data.
+//! The data context: ontology + master data.
 //!
 //! Example 4: "the e-Commerce company has a product catalog that can be
 //! considered as master data by the wrangling process; the company is
@@ -17,8 +17,6 @@ pub struct DataContext {
     pub ontology: Ontology,
     /// Master data tables, keyed by entity kind (e.g. "product").
     master: HashMap<String, MasterData>,
-    /// Reference value lists, keyed by domain name (e.g. "currency").
-    reference_lists: HashMap<String, HashSet<Value>>,
 }
 
 /// A master-data table with a designated key column.
@@ -109,33 +107,6 @@ impl DataContext {
         self.master.get(kind)
     }
 
-    /// Register a reference value list (e.g. ISO currency codes).
-    pub fn add_reference_list(&mut self, domain: &str, values: impl IntoIterator<Item = Value>) {
-        self.reference_lists
-            .entry(domain.to_string())
-            .or_default()
-            .extend(values);
-    }
-
-    /// True if `v` is a member of the named reference list.
-    pub fn in_reference_list(&self, domain: &str, v: &Value) -> bool {
-        self.reference_lists
-            .get(domain)
-            .is_some_and(|s| s.contains(v))
-    }
-
-    /// Fraction of the (non-null) values that appear in the reference list;
-    /// `None` if the list is unknown. Used as an accuracy proxy by profiling.
-    pub fn reference_coverage(&self, domain: &str, values: &[Value]) -> Option<f64> {
-        let list = self.reference_lists.get(domain)?;
-        let non_null: Vec<&Value> = values.iter().filter(|v| !v.is_null()).collect();
-        if non_null.is_empty() {
-            return Some(1.0);
-        }
-        let hits = non_null.iter().filter(|v| list.contains(**v)).count();
-        Some(hits as f64 / non_null.len() as f64)
-    }
-
     /// Fraction of (non-null) candidate keys known to the master data of
     /// `kind`; `None` if no master data for that kind. This is Example 4's
     /// relevance signal: sources overlapping our catalog matter.
@@ -199,18 +170,6 @@ mod tests {
         assert!((cov - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(ctx.master_coverage("nothing", &keys), None);
         assert_eq!(ctx.master_coverage("product", &[Value::Null]), Some(0.0));
-    }
-
-    #[test]
-    fn reference_lists() {
-        let mut ctx = DataContext::new();
-        ctx.add_reference_list("currency", ["USD", "EUR", "GBP"].map(Value::from));
-        assert!(ctx.in_reference_list("currency", &"EUR".into()));
-        assert!(!ctx.in_reference_list("currency", &"XX".into()));
-        let vals: Vec<Value> = vec!["USD".into(), "XX".into(), Value::Null];
-        assert!((ctx.reference_coverage("currency", &vals).unwrap() - 0.5).abs() < 1e-12);
-        assert_eq!(ctx.reference_coverage("isbn", &vals), None);
-        assert_eq!(ctx.reference_coverage("currency", &[]), Some(1.0));
     }
 
     #[test]

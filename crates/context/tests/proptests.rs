@@ -1,8 +1,7 @@
-//! Property tests for the context crate: AHP laws, utility bounds, Pareto
-//! front correctness.
+//! Property tests for the context crate: AHP laws, utility bounds, ranking.
 
 use proptest::prelude::*;
-use wrangler_context::criteria::{pareto_front, ALL_CRITERIA};
+use wrangler_context::criteria::ALL_CRITERIA;
 use wrangler_context::{AhpMatrix, QualityVector, UserContext};
 
 fn arb_quality() -> impl Strategy<Value = QualityVector> {
@@ -70,25 +69,6 @@ proptest! {
             for c in ALL_CRITERIA {
                 let better = q.with(c, (q.get(c) + 0.2).min(1.0));
                 prop_assert!(ctx.utility(&better) + 1e-12 >= u);
-            }
-        }
-    }
-
-    #[test]
-    fn pareto_front_members_are_mutually_nondominated(items in prop::collection::vec(arb_quality(), 1..20)) {
-        let front = pareto_front(&items);
-        prop_assert!(!front.is_empty());
-        for &i in &front {
-            for (j, q) in items.iter().enumerate() {
-                if j != i {
-                    prop_assert!(!q.dominates(&items[i]), "front member {i} dominated by {j}");
-                }
-            }
-        }
-        // Everything off the front is dominated by something.
-        for (i, q) in items.iter().enumerate() {
-            if !front.contains(&i) {
-                prop_assert!(items.iter().any(|p| p.dominates(q)));
             }
         }
     }

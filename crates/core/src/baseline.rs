@@ -85,11 +85,6 @@ impl ManualEtl {
         self.specs.insert(source, spec);
     }
 
-    /// How many sources have specs.
-    pub fn specified(&self) -> usize {
-        self.specs.len()
-    }
-
     /// Run the hard-wired workflow: apply each spec literally, union, dedup
     /// by key (first column), keep the first value seen per product (no
     /// trust, no freshness reasoning — classic "first source wins" ETL).

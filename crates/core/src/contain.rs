@@ -298,7 +298,7 @@ impl ContainmentReport {
     }
 
     /// Count a budget/deadline violation at `stage`.
-    pub fn hit_deadline(&mut self, stage: Stage) {
+    fn hit_deadline(&mut self, stage: Stage) {
         self.stages.entry(stage.name()).or_default().deadline_hits += 1;
     }
 

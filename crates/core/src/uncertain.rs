@@ -55,11 +55,6 @@ impl UncertainView {
         self.table.num_rows() == 0
     }
 
-    /// Marginal existence probability of row `i`.
-    pub fn row_probability(&self, i: usize) -> f64 {
-        self.facts.prob(i)
-    }
-
     /// Estimate `COUNT(*) WHERE predicate` over possible worlds.
     pub fn estimate_count(
         &self,
@@ -70,29 +65,6 @@ impl UncertainView {
         let matching = self.matching_rows(predicate)?;
         self.sampled(seed, samples, move |world| {
             matching.iter().filter(|&&r| world[r]).count() as f64
-        })
-    }
-
-    /// Estimate `SUM(column) WHERE predicate`.
-    pub fn estimate_sum(
-        &self,
-        column: &str,
-        predicate: &Expr,
-        seed: u64,
-        samples: usize,
-    ) -> wrangler_table::Result<Estimate> {
-        let matching = self.matching_rows(predicate)?;
-        let col = self.table.column_named(column)?;
-        let contributions: Vec<(usize, f64)> = matching
-            .into_iter()
-            .filter_map(|r| col[r].as_f64().map(|x| (r, x)))
-            .collect();
-        self.sampled(seed, samples, move |world| {
-            contributions
-                .iter()
-                .filter(|(r, _)| world[*r])
-                .map(|(_, x)| x)
-                .sum()
         })
     }
 
@@ -182,16 +154,6 @@ mod tests {
             .unwrap();
         assert!((e.mean - 1.0).abs() < 1e-9);
         assert_eq!(e.std_dev, 0.0);
-    }
-
-    #[test]
-    fn sum_estimates_match_expectation() {
-        let v = view();
-        // E[sum] = 10·1 + 20·0.5 + 30·0 + 40·0.8 = 52.
-        let e = v
-            .estimate_sum("price", &Expr::lit(true), 11, 20_000)
-            .unwrap();
-        assert!((e.mean - 52.0).abs() < 1.0, "mean {}", e.mean);
     }
 
     #[test]

@@ -48,6 +48,9 @@ struct SourceState {
     mapping: Option<Mapping>,
     /// The mapped (target-schema) table, if computed.
     mapped: Option<Mapped>,
+    /// The last delivery was degraded, so `mapping` and `mapped` were
+    /// derived from a payload the next healthy delivery replaces.
+    from_degraded: bool,
     /// Relevance to the data context in \[0, 1\].
     relevance: f64,
 }
@@ -121,7 +124,7 @@ pub struct WrangleOutcome {
 pub struct Wrangler {
     /// The declarative user context steering every decision.
     pub user: UserContext,
-    /// The data context (ontology, master data, reference lists).
+    /// The data context (ontology and master data).
     pub data_ctx: DataContext,
     /// The feedback ledger.
     pub feedback: FeedbackStore,
@@ -468,6 +471,7 @@ impl Wrangler {
         };
         state.mapping = Some(mapping);
         state.mapped = None;
+        state.from_degraded = false;
         true
     }
 
@@ -477,6 +481,7 @@ impl Wrangler {
         if let Some(state) = self.states.get_mut(i) {
             state.mapping = None;
             state.mapped = None;
+            state.from_degraded = false;
         }
     }
 
@@ -517,6 +522,7 @@ impl Wrangler {
             trust: Belief::from_prior(0.6),
             mapping: None,
             mapped: None,
+            from_degraded: false,
             relevance: 1.0,
         });
         self.working.work.extractions += 1;
@@ -648,8 +654,8 @@ impl Wrangler {
     /// prefix byte-identically instead of recomputing it — including
     /// quarantine, trust and breaker state, which travel inside each seam
     /// record. One caveat: of the data context the keys cover the master
-    /// catalog only, so sessions that change the ontology or a reference
-    /// list between runs must use a fresh store directory.
+    /// catalog only, so sessions that change the ontology between runs
+    /// must use a fresh store directory.
     pub fn with_checkpoint_store(mut self, store: CheckpointStore) -> Wrangler {
         self.ckpt = Some(store);
         self
@@ -2858,6 +2864,20 @@ mod tests {
         assert_incremental_matches_cold(&mut w);
     }
 
+    /// The delivered table, entity count and containment report of two
+    /// sessions' next passes agree; returns the first session's outcome.
+    fn same_as_fresh(warm: &mut Wrangler, fresh: &mut Wrangler, what: &str) -> WrangleOutcome {
+        let (a, b) = (warm.wrangle().unwrap(), fresh.wrangle().unwrap());
+        assert_eq!(
+            table_fingerprint(&a.table),
+            table_fingerprint(&b.table),
+            "{what}"
+        );
+        assert_eq!(a.entities, b.entities, "{what}");
+        assert_eq!(a.containment, b.containment, "{what}");
+        a
+    }
+
     /// A policy field assigned between passes — no mutator sees it — reaches
     /// the next wrangle exactly as it reaches a fresh session built with it:
     /// each held mapped table was cut to another shape, so none is reused.
@@ -2866,17 +2886,6 @@ mod tests {
     #[test]
     fn a_policy_assigned_between_passes_delivers_what_a_fresh_session_does() {
         let fleet = small_fleet();
-        let same = |warm: &mut Wrangler, fresh: &mut Wrangler, what: &str| {
-            let (a, b) = (warm.wrangle().unwrap(), fresh.wrangle().unwrap());
-            assert_eq!(
-                table_fingerprint(&a.table),
-                table_fingerprint(&b.table),
-                "{what}"
-            );
-            assert_eq!(a.entities, b.entities, "{what}");
-            assert_eq!(a.containment, b.containment, "{what}");
-            a
-        };
         // The row budget shrinks under scans: 7 rows per source.
         let mut tight = ContainPolicy::contain();
         tight.max_rows_per_source = 7;
@@ -2884,7 +2893,7 @@ mod tests {
         let first = warm.wrangle().unwrap();
         warm.contain.max_rows_per_source = 7;
         let mut fresh = session(&fleet, UserContext::balanced("t")).with_contain_policy(tight);
-        let out = same(&mut warm, &mut fresh, "row budget");
+        let out = same_as_fresh(&mut warm, &mut fresh, "row budget");
         let hits = out.containment.tallies(Stage::MapApply).deadline_hits;
         assert_eq!(
             hits,
@@ -2901,12 +2910,102 @@ mod tests {
         let mut fresh = session(&fleet, UserContext::balanced("t"))
             .with_row_filter(category_filter())
             .with_contain_policy(ContainPolicy::off());
-        let out = same(&mut warm, &mut fresh, "placement flip");
+        let out = same_as_fresh(&mut warm, &mut fresh, "placement flip");
         let placed = warm
             .plan_program()
             .unwrap()
             .placement_for(out.selected_sources[0].0 as usize);
         assert_ne!(placed, FilterPlacement::Union, "fixture: it flips");
+    }
+
+    /// A session under a row budget from the start, after a one-source
+    /// update, delivers what a fresh session over the updated fleet does: a
+    /// held table the budget cut is mapped again, so the pass records the
+    /// deadline hit and the rows it drops.
+    #[test]
+    fn a_budget_cut_table_after_an_update_delivers_what_a_fresh_session_does() {
+        let fleet = small_fleet();
+        let mut tight = ContainPolicy::contain();
+        tight.max_rows_per_source = 7;
+        let build =
+            || session(&fleet, UserContext::balanced("t")).with_contain_policy(tight.clone());
+        let mut warm = build();
+        let first = warm.wrangle().unwrap();
+        let victim = first.selected_sources[0];
+        let payload = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(warm.update_source(victim, payload.clone()).unwrap());
+        let mut fresh = build();
+        assert!(fresh.update_source(victim, payload).unwrap());
+        let out = same_as_fresh(&mut warm, &mut fresh, "budget after update");
+        let tally = out.containment.tallies(Stage::MapApply);
+        assert!(
+            tally.deadline_hits > 1,
+            "fixture: more than the victim is cut"
+        );
+    }
+
+    /// A source that healed after one degraded delivery delivers what a
+    /// fresh session does, in the same process and after `resume()` from a
+    /// store the degraded pass wrote: what was derived from the degraded
+    /// payload is dropped on the first healthy delivery.
+    #[test]
+    fn a_healed_source_delivers_what_a_fresh_session_does() {
+        use wrangler_sources::FaultProfile;
+        let fleet = small_fleet();
+        let build = || session(&fleet, UserContext::balanced("t"));
+        let victim = build().wrangle().unwrap().selected_sources[0];
+        let truncated = FaultProfile::Truncated { keep_fraction: 0.3 };
+        let mut warm = build();
+        warm.set_fault_profile(victim, truncated);
+        let degraded = warm.wrangle().unwrap();
+        let degraded_ids: Vec<SourceId> = degraded.degraded_sources.iter().map(|d| d.0).collect();
+        assert_eq!(degraded_ids, vec![victim], "fixture");
+        let degraded_rows = warm.union_len();
+        warm.set_fault_profile(victim, FaultProfile::Healthy);
+        same_as_fresh(&mut warm, &mut build(), "healed");
+        assert!(
+            warm.union_len() > degraded_rows,
+            "fixture: the truncation shows"
+        );
+        // The degraded pass replayed from a store, then healed.
+        let dir = crate::scratch_dir("healed-after-resume");
+        let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
+        let store = || CheckpointStore::open(&dir).unwrap();
+        let mut writer = build().with_checkpoint_store(store());
+        writer.set_fault_profile(victim, truncated);
+        writer.wrangle().unwrap();
+        let mut resumed = build().with_checkpoint_store(store());
+        resumed.set_fault_profile(victim, truncated);
+        resumed.resume().unwrap();
+        resumed.set_fault_profile(victim, FaultProfile::Healthy);
+        same_as_fresh(&mut resumed, &mut build(), "healed after resume");
+        let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
+    }
+
+    /// A mapping overridden after a degraded delivery is what the healed
+    /// pass keeps: the override replaced what the degraded payload derived,
+    /// so the first healthy delivery has nothing of it to drop.
+    #[test]
+    fn an_override_after_a_degraded_pass_survives_the_heal() {
+        use wrangler_sources::FaultProfile;
+        let fleet = small_fleet();
+        let build = || session(&fleet, UserContext::balanced("t"));
+        let mut healthy = build();
+        let victim = healthy.wrangle().unwrap().selected_sources[0];
+        let mut m = healthy.mapping_of(victim).unwrap().clone();
+        m.bindings[healthy.target().index_of("price").unwrap()] = None;
+        let mut warm = build();
+        warm.set_fault_profile(victim, FaultProfile::Truncated { keep_fraction: 0.3 });
+        assert_eq!(warm.wrangle().unwrap().degraded_sources.len(), 1, "fixture");
+        assert!(warm.override_mapping(victim, m.clone()));
+        warm.set_fault_profile(victim, FaultProfile::Healthy);
+        let mut fresh = build();
+        assert!(fresh.override_mapping(victim, m.clone()));
+        same_as_fresh(&mut warm, &mut fresh, "override after degraded pass");
+        assert_eq!(
+            format!("{:?}", warm.mapping_of(victim).unwrap()),
+            format!("{m:?}")
+        );
     }
 
     /// An overridden mapping re-derives one mapped table; the ER carry keeps

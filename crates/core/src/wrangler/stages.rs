@@ -87,10 +87,15 @@ impl Wrangler {
             |w, pass, rec: AcquireOut| {
                 pass.selected = rec.selected;
                 pass.degraded_tables = rec.degraded_tables.into_iter().collect();
-                // Degraded payloads are transient: drop the held mapping and
-                // mapped table so this delivery is mapped afresh.
-                for &i in pass.degraded_tables.keys() {
-                    w.drop_derived(i);
+                // Degraded payloads are transient: a degraded delivery, and
+                // the first delivery after one, drop the held mapping and
+                // mapped table so that they are mapped afresh.
+                for i in 0..w.states.len() {
+                    let degraded = pass.degraded_tables.contains_key(&i);
+                    if degraded || w.states[i].from_degraded {
+                        w.drop_derived(i);
+                    }
+                    w.states[i].from_degraded = degraded;
                 }
                 Ok(())
             },
@@ -487,10 +492,13 @@ impl Wrangler {
                 filter: placement,
                 budget: policy.scans_enabled().then_some(policy.max_rows_per_source),
             };
+            // A held table at exactly the budget may have been cut to it,
+            // and a reuse would record neither the deadline hit nor the
+            // dropped rows: map it again.
             if self.states[i]
                 .mapped
                 .as_ref()
-                .is_some_and(|m| m.shape() == shape)
+                .is_some_and(|m| m.shape() == shape && shape.budget != Some(m.table().num_rows()))
             {
                 continue;
             }

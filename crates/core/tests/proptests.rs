@@ -210,7 +210,7 @@ proptest! {
         prop_assert!(b.allow_request(t0 + cooldown));
         prop_assert_eq!(b.state(), BreakerState::HalfOpen);
         // One failure mid-probe re-opens immediately.
-        let mut relapse = b.clone();
+        let mut relapse = b;
         relapse.record_failure(t0 + cooldown);
         prop_assert!(matches!(relapse.state(), BreakerState::Open { .. }));
         // Enough probe successes close the breaker for good.

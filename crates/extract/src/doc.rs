@@ -95,7 +95,7 @@ impl Doc {
     }
 
     /// Set a node's text.
-    pub fn set_text(&mut self, id: NodeId, text: &str) {
+    fn set_text(&mut self, id: NodeId, text: &str) {
         self.nodes[id].text = Some(text.to_string());
     }
 
@@ -141,28 +141,6 @@ impl Doc {
             cur = self.nodes[n].parent;
         }
         false
-    }
-
-    /// Chain of ancestors from `id` up to the root (inclusive of `id`).
-    pub fn ancestors(&self, id: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = Some(id);
-        while let Some(n) = cur {
-            out.push(n);
-            cur = self.nodes[n].parent;
-        }
-        out
-    }
-
-    /// Lowest common ancestor of a non-empty set of nodes.
-    pub fn lca(&self, ids: &[NodeId]) -> NodeId {
-        assert!(!ids.is_empty());
-        let mut common = self.ancestors(ids[0]);
-        for &id in &ids[1..] {
-            let anc = self.ancestors(id);
-            common.retain(|n| anc.contains(n));
-        }
-        *common.first().expect("root is always common") // lint-allow: the root is an ancestor of every node
     }
 
     /// Concatenated text of a node's subtree (own text first).
@@ -254,14 +232,6 @@ mod tests {
         assert!(d.is_ancestor(d.root(), price));
         assert!(d.is_ancestor(item, item));
         assert!(!d.is_ancestor(name, item));
-    }
-
-    #[test]
-    fn lca_computation() {
-        let (d, item, name, price) = sample();
-        assert_eq!(d.lca(&[name, price]), item);
-        assert_eq!(d.lca(&[name]), name);
-        assert_eq!(d.lca(&[name, d.root()]), d.root());
     }
 
     #[test]

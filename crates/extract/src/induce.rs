@@ -231,7 +231,7 @@ mod tests {
         Annotation::of(&[
             ("name", &format!("Product {i}")),
             ("price", &format!("{}", 10.0 + i as f64)),
-            ("brand", if i % 2 == 0 { "Acme" } else { "Bolt" }),
+            ("brand", if i.is_multiple_of(2) { "Acme" } else { "Bolt" }),
         ])
     }
 

@@ -116,27 +116,6 @@ impl Template {
         }
     }
 
-    /// Render `table` as a sequence of pages of at most `page_size` records
-    /// each — real listings paginate, and a wrapper must work unchanged on
-    /// every page of the same template.
-    pub fn render_paginated(&self, table: &Table, page_size: usize) -> Vec<Doc> {
-        assert!(page_size > 0, "page size must be positive");
-        let n = table.num_rows();
-        let mut pages = Vec::with_capacity(n.div_ceil(page_size.max(1)));
-        let mut start = 0usize;
-        while start < n || (n == 0 && pages.is_empty()) {
-            let end = (start + page_size).min(n);
-            let idx: Vec<usize> = (start..end).collect();
-            let chunk = table.take(&idx).expect("indices in range"); // lint-allow: idx drawn from 0..num_rows
-            pages.push(self.render(&chunk));
-            if end == n {
-                break;
-            }
-            start = end;
-        }
-        pages
-    }
-
     /// Produce a drifted variant: class renames, label changes, layout
     /// nesting changes — the template equivalent of a site redesign. The data
     /// semantics are unchanged; only presentation drifts.
@@ -226,30 +205,6 @@ mod tests {
         assert_eq!(t.drift(3), t.drift(3));
         // Different seeds eventually produce different templates.
         assert!((4..12).any(|s| t.drift(s) != t.drift(3)));
-    }
-
-    #[test]
-    fn pagination_roundtrips_through_extract_all() {
-        let t = Template::listing(&["name", "price"]);
-        let data = products();
-        let pages = t.render_paginated(&data, 2);
-        assert_eq!(pages.len(), 2); // 3 records, page size 2
-        let ex = t.oracle_wrapper().extract_all(&pages).unwrap();
-        assert_eq!(ex.records_found, 3);
-        assert_eq!(
-            ex.table.get_named(2, "name").unwrap().as_str(),
-            Some("Flange")
-        );
-        // Single page and whole-table render agree.
-        let single = t.oracle_wrapper().extract(&t.render(&data)).unwrap();
-        assert_eq!(ex.table, single.table);
-        // Fill rate aggregates across pages (one null price → 5/6).
-        assert!((ex.fill_rate - single.fill_rate).abs() < 1e-12);
-        // Empty table → one empty page, zero records.
-        let empty_pages = t.render_paginated(&Table::empty(data.schema().clone()), 2);
-        assert_eq!(empty_pages.len(), 1);
-        let ex0 = t.oracle_wrapper().extract_all(&empty_pages).unwrap();
-        assert_eq!(ex0.records_found, 0);
     }
 
     #[test]

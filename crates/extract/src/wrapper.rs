@@ -56,7 +56,7 @@ impl Selector {
     }
 
     /// First matching descendant of `scope` in document order.
-    pub fn select_within(&self, doc: &Doc, scope: NodeId) -> Option<NodeId> {
+    fn select_within(&self, doc: &Doc, scope: NodeId) -> Option<NodeId> {
         doc.descendants(scope)
             .into_iter()
             .find(|&id| self.matches(doc, id))
@@ -141,48 +141,6 @@ impl Wrapper {
             },
             table,
         })
-    }
-}
-
-impl Wrapper {
-    /// Apply the wrapper to every page of a paginated site and union the
-    /// results. Record counts and fill rates aggregate across pages.
-    pub fn extract_all(&self, pages: &[Doc]) -> wrangler_table::Result<Extraction> {
-        let mut combined: Option<Extraction> = None;
-        for doc in pages {
-            let ex = self.extract(doc)?;
-            combined = Some(match combined {
-                None => ex,
-                Some(mut acc) => {
-                    let total_cells = (acc.records_found + ex.records_found) * self.fields.len();
-                    let filled = (acc.fill_rate * (acc.records_found * self.fields.len()) as f64)
-                        + (ex.fill_rate * (ex.records_found * self.fields.len()) as f64);
-                    for row in ex.table.iter_rows() {
-                        acc.table.push_row(row)?;
-                    }
-                    acc.records_found += ex.records_found;
-                    acc.fill_rate = if total_cells == 0 {
-                        0.0
-                    } else {
-                        filled / total_cells as f64
-                    };
-                    acc
-                }
-            });
-        }
-        let mut out = combined.unwrap_or(Extraction {
-            table: Table::empty(Schema::of_strs(
-                &self
-                    .fields
-                    .iter()
-                    .map(|f| f.name.as_str())
-                    .collect::<Vec<_>>(),
-            )),
-            records_found: 0,
-            fill_rate: 0.0,
-        });
-        out.table.reinfer_types();
-        Ok(out)
     }
 }
 

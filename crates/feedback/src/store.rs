@@ -41,36 +41,6 @@ impl FeedbackStore {
         self.items.iter().map(|i| i.cost).sum()
     }
 
-    /// Items about a given source (mapping/source/extraction targets).
-    pub fn about_source(&self, source: usize) -> Vec<&FeedbackItem> {
-        self.items
-            .iter()
-            .filter(|i| {
-                matches!(
-                    i.target,
-                    FeedbackTarget::Mapping { source: s }
-                    | FeedbackTarget::Source { source: s }
-                    | FeedbackTarget::Extraction { source: s }
-                    if s == source
-                )
-            })
-            .collect()
-    }
-
-    /// Items about a given entity (value/tuple targets).
-    pub fn about_entity(&self, entity: usize) -> Vec<&FeedbackItem> {
-        self.items
-            .iter()
-            .filter(|i| {
-                matches!(
-                    i.target,
-                    FeedbackTarget::Value { entity: e, .. } | FeedbackTarget::Tuple { entity: e }
-                    if e == entity
-                )
-            })
-            .collect()
-    }
-
     /// All duplicate-pair labels, as (row_a, row_b, is_match, reliability) —
     /// the training set for ER rule refinement.
     pub fn duplicate_labels(&self) -> Vec<(usize, usize, bool, f64)> {
@@ -116,9 +86,6 @@ mod tests {
         ));
         assert_eq!(s.len(), 3);
         assert!((s.total_cost() - 2.1).abs() < 1e-12);
-        assert_eq!(s.about_entity(1).len(), 1);
-        assert_eq!(s.about_entity(7).len(), 0);
-        assert_eq!(s.about_source(2).len(), 1);
         assert_eq!(s.duplicate_labels(), vec![(0, 9, true, 0.8)]);
     }
 }

@@ -212,12 +212,6 @@ pub fn corrupt_predicate(pred: &Expr, schema: &Schema, seed: u64) -> Option<Expr
     }
 }
 
-/// True if the flip chosen for `src → target` would at least degrade the
-/// cast, used by tests to assert injection strength.
-pub fn degrades(src: DataType, before: DataType, after: DataType) -> bool {
-    src.cast_safety(after) > src.cast_safety(before)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,11 +297,5 @@ mod tests {
                 "seed {seed}: {r:?}"
             );
         }
-    }
-
-    #[test]
-    fn degrades_helper() {
-        assert!(degrades(DataType::Float, DataType::Float, DataType::Bool));
-        assert!(!degrades(DataType::Float, DataType::Int, DataType::Int));
     }
 }

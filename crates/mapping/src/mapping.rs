@@ -1,6 +1,5 @@
 //! The mapping artifact and its executor.
 
-use wrangler_context::{Criterion, QualityVector};
 use wrangler_table::{Field, Schema, Table, Value};
 use wrangler_uncertainty::Belief;
 
@@ -32,23 +31,6 @@ impl Mapping {
         self.bindings.iter().filter(|b| b.is_some()).count() as f64 / self.bindings.len() as f64
     }
 
-    /// Mean probability of the bound correspondences (1.0 if none bound —
-    /// an empty mapping is vacuously precise, just useless).
-    pub fn mean_binding_probability(&self) -> f64 {
-        let bound: Vec<f64> = self
-            .bindings
-            .iter()
-            .zip(&self.binding_beliefs)
-            .filter(|(b, _)| b.is_some())
-            .map(|(_, bel)| bel.probability())
-            .collect();
-        if bound.is_empty() {
-            1.0
-        } else {
-            bound.iter().sum::<f64>() / bound.len() as f64
-        }
-    }
-
     /// Execute the mapping: reshape `source` into the target schema. Unbound
     /// fields become all-null columns; bound values are normalized to the
     /// target field dtype (see [`crate::normalize`]).
@@ -68,17 +50,6 @@ impl Mapping {
         let mut t = Table::from_columns(self.target.clone(), columns)?;
         t.reinfer_types();
         Ok(t)
-    }
-
-    /// Static quality estimate of this mapping (before execution):
-    /// completeness from binding coverage, accuracy/consistency from binding
-    /// beliefs. Timeliness/relevance/cost are source properties the caller
-    /// blends in afterwards.
-    pub fn quality_estimate(&self) -> QualityVector {
-        QualityVector::neutral()
-            .with(Criterion::Completeness, self.coverage())
-            .with(Criterion::Accuracy, self.mean_binding_probability())
-            .with(Criterion::Consistency, self.belief.probability())
     }
 }
 
@@ -138,12 +109,9 @@ mod tests {
     }
 
     #[test]
-    fn coverage_and_precision_estimates() {
+    fn coverage_counts_bound_fields() {
         let m = mapping();
         assert!((m.coverage() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((m.mean_binding_probability() - 0.85).abs() < 1e-9);
-        let q = m.quality_estimate();
-        assert!((q.get(Criterion::Completeness) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,12 +1,9 @@
 //! Pay-as-you-go mapping refinement (\[5\]).
 //!
 //! Feedback on wrangled tuples ("this row is right/wrong") propagates to the
-//! mapping that produced the row; mappings whose belief decays below the user
-//! context's confidence bar are deactivated, and the result recomposed — the
-//! incremental improvement loop of the dataspaces vision, with feedback as a
-//! first-class evidence kind.
+//! mapping that produced the row — the incremental improvement loop of the
+//! dataspaces vision, with feedback as a first-class evidence kind.
 
-use wrangler_context::UserContext;
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
 use crate::mapping::Mapping;
@@ -23,42 +20,6 @@ pub fn record_feedback(mapping: &mut Mapping, positive: bool, reliability: f64) 
     mapping
         .belief
         .update(&Evidence::vote(kind, positive, 0.9).discounted(reliability));
-}
-
-/// Feedback about a specific target field's values ("the prices are wrong")
-/// reaches the responsible binding as well as the mapping.
-pub fn record_field_feedback(
-    mapping: &mut Mapping,
-    target_field: &str,
-    positive: bool,
-    reliability: f64,
-) -> bool {
-    let Ok(idx) = mapping.target.index_of(target_field) else {
-        return false;
-    };
-    mapping.binding_beliefs[idx]
-        .update(&Evidence::vote(EvidenceKind::UserFeedback, positive, 0.9).discounted(reliability));
-    record_feedback(mapping, positive, reliability);
-    // Unbind a field whose binding belief collapses: better a null column
-    // than confidently wrong data under an accuracy-first context.
-    if mapping.binding_beliefs[idx].probability() < 0.15 {
-        mapping.bindings[idx] = None;
-        return true;
-    }
-    false
-}
-
-/// Which mappings stay active under the user context: belief must clear the
-/// context's minimum confidence.
-pub fn active_mappings<'a>(
-    mappings: &'a [Mapping],
-    user: &UserContext,
-) -> Vec<(usize, &'a Mapping)> {
-    mappings
-        .iter()
-        .enumerate()
-        .filter(|(_, m)| m.belief.probability() >= user.min_confidence && m.coverage() > 0.0)
-        .collect()
 }
 
 #[cfg(test)]
@@ -97,40 +58,5 @@ mod tests {
         assert!(crowd.belief.probability() > direct.belief.probability());
         assert!(crowd.belief.evidence_count(EvidenceKind::CrowdFeedback) == 1);
         assert!(direct.belief.evidence_count(EvidenceKind::UserFeedback) == 1);
-    }
-
-    #[test]
-    fn repeated_negative_field_feedback_unbinds() {
-        let mut m = mapping();
-        let mut unbound = false;
-        for _ in 0..10 {
-            unbound = record_field_feedback(&mut m, "price", false, 1.0);
-            if unbound {
-                break;
-            }
-        }
-        assert!(unbound);
-        assert_eq!(m.bindings[1], None);
-        assert_eq!(m.bindings[0], Some(0), "other bindings untouched");
-        assert!(!record_field_feedback(&mut m, "ghost", false, 1.0));
-    }
-
-    #[test]
-    fn active_set_respects_context_confidence() {
-        let mut strict = UserContext::balanced("strict");
-        strict.min_confidence = 0.8;
-        let mut lax = UserContext::balanced("lax");
-        lax.min_confidence = 0.3;
-        let mut weak = mapping();
-        record_feedback(&mut weak, false, 0.5); // one crowd downvote → p ≈ 0.5
-        let strong = mapping();
-        let mappings = vec![strong, weak];
-        let strict_active = active_mappings(&mappings, &strict);
-        let lax_active = active_mappings(&mappings, &lax);
-        assert_eq!(strict_active.len(), 0); // even the strong one is only 0.7
-        assert_eq!(lax_active.len(), 2);
-        let mut mid = UserContext::balanced("mid");
-        mid.min_confidence = 0.6;
-        assert_eq!(active_mappings(&mappings, &mid).len(), 1);
     }
 }

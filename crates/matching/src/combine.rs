@@ -76,7 +76,7 @@ impl Correspondence {
 }
 
 /// Belief for one column pair given the available evidence.
-pub fn pair_belief(
+fn pair_belief(
     left_name: &str,
     right_name: &str,
     left_prof: &InstanceProfile,

@@ -6,7 +6,7 @@ use crate::strsim::name_similarity;
 /// `field_2`, `f-name`-style template classes are *not* cryptic). Cryptic
 /// names should contribute *no* name evidence rather than negative evidence —
 /// absence of a name is not evidence of a non-match.
-pub fn is_cryptic(name: &str) -> bool {
+fn is_cryptic(name: &str) -> bool {
     let n = name.trim().to_lowercase();
     for prefix in ["col", "column", "field", "f", "c", "attr", "var"] {
         if let Some(rest) = n.strip_prefix(prefix) {

@@ -1,26 +1,12 @@
 //! Ontology-based (semantic) match evidence from the data context.
 
 use wrangler_context::Ontology;
-use wrangler_table::DataType;
 
 /// Semantic similarity of two column names under the ontology, if both terms
 /// resolve (`None` = the ontology is silent; silence is not evidence).
 pub fn semantic_evidence(ontology: &Ontology, a: &str, b: &str) -> Option<f64> {
     let (ca, cb) = (ontology.resolve(a)?, ontology.resolve(b)?);
     Some(ontology.similarity(ca, cb))
-}
-
-/// Does the observed column dtype agree with what the ontology expects for
-/// the concept the name resolves to? `None` when the ontology is silent.
-/// Used to *annotate* extraction and matching with type-level support.
-pub fn dtype_agreement(ontology: &Ontology, name: &str, observed: DataType) -> Option<bool> {
-    let expected = ontology.expected_dtype(name)?;
-    Some(match (expected, observed) {
-        (e, o) if e == o => true,
-        (DataType::Float, DataType::Int) => true, // ints are acceptable floats
-        (_, DataType::Null) => true,              // empty column cannot disagree
-        _ => false,
-    })
 }
 
 #[cfg(test)]
@@ -45,16 +31,5 @@ mod tests {
         let o = Ontology::ecommerce();
         let s = semantic_evidence(&o, "price", "rating").unwrap();
         assert!(s > 0.0 && s < 1.0);
-    }
-
-    #[test]
-    fn dtype_agreement_checks() {
-        let o = Ontology::ecommerce();
-        assert_eq!(dtype_agreement(&o, "price", DataType::Float), Some(true));
-        assert_eq!(dtype_agreement(&o, "price", DataType::Int), Some(true));
-        assert_eq!(dtype_agreement(&o, "price", DataType::Str), Some(false));
-        assert_eq!(dtype_agreement(&o, "title", DataType::Str), Some(true));
-        assert_eq!(dtype_agreement(&o, "unknown_thing", DataType::Str), None);
-        assert_eq!(dtype_agreement(&o, "price", DataType::Null), Some(true));
     }
 }

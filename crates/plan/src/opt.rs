@@ -79,7 +79,7 @@ pub struct AppliedRewrite {
 
 impl AppliedRewrite {
     /// Render the justification for provenance, `;`-joined.
-    pub fn justification_rendered(&self) -> String {
+    fn justification_rendered(&self) -> String {
         let parts: Vec<String> = self.justification.iter().map(Fact::render).collect();
         parts.join("; ")
     }

@@ -3,24 +3,10 @@
 //! Figure 1's Working Data contains "the results of all Quality analyses that
 //! have been carried out, which may apply to individual data sources, the
 //! results of different extractions and components of relevance to
-//! integration". This crate provides those analyses:
-//!
-//! * [`profile`] — per-column and per-table profiling (completeness,
-//!   distinctness, type consistency) and synthesis into the
-//!   context-comparable [`wrangler_context::QualityVector`];
-//! * [`fd`] — functional dependencies and conditional functional
-//!   dependencies: representation, violation detection, and approximate
-//!   mining (the consistency evidence; quality analyses like these are the
-//!   intractable-in-general cleaning machinery §4.3 points at via \[7\]);
-//! * [`repair`] — the cost-based heuristic repair of FD violations by value
-//!   modification, after Bohannon et al. \[7\];
-//! * [`outlier`] — robust (MAD-based) numeric outlier and rare-category
-//!   detection, an accuracy proxy when no ground truth is available.
+//! integration". The analysis the pass runs is [`profile`]: per-column and
+//! per-table profiling (completeness, distinctness, type consistency) and its
+//! synthesis into the context-comparable [`wrangler_context::QualityVector`].
 
-pub mod fd;
-pub mod outlier;
 pub mod profile;
-pub mod repair;
 
-pub use fd::{Cfd, Fd, Violation};
 pub use profile::{ColumnProfile, TableProfile};

@@ -102,15 +102,6 @@ impl TableProfile {
         }
         self.columns.iter().map(|c| c.type_consistency).sum::<f64>() / self.columns.len() as f64
     }
-
-    /// Names of columns that look like key candidates.
-    pub fn key_candidates(&self) -> Vec<&str> {
-        self.columns
-            .iter()
-            .filter(|c| c.stats.is_key_candidate())
-            .map(|c| c.name.as_str())
-            .collect()
-    }
 }
 
 /// Inputs for scoring a table against a user context that the profile alone
@@ -119,8 +110,8 @@ impl TableProfile {
 pub struct ExternalSignals {
     /// Age of the data in ticks (for timeliness).
     pub age: u64,
-    /// Fraction of consistency-rule violations among checked cells (from
-    /// [`crate::fd`]); 0 if no rules were checked.
+    /// Fraction of consistency-rule violations among checked cells; 0 if no
+    /// rules were checked.
     pub violation_rate: f64,
     /// Accuracy estimate in \[0, 1\] if one exists (ground truth, master data or
     /// fused trust); `None` falls back to type consistency as a weak proxy.
@@ -196,7 +187,6 @@ mod tests {
         assert_eq!(p.columns[1].majority_dtype, DataType::Float);
         assert!((p.columns[1].type_consistency - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(p.columns[0].type_consistency, 1.0);
-        assert_eq!(p.key_candidates(), vec!["sku"]);
     }
 
     #[test]

@@ -1578,7 +1578,7 @@ mod tests {
             myers_distance(&long, &edited, &mut scratch),
             levenshtein_chars(&long, &edited, &mut scratch)
         );
-        assert_eq!(myers_distance(&[b'q'], b"abc", &mut scratch), 3);
+        assert_eq!(myers_distance(b"q", b"abc", &mut scratch), 3);
     }
 
     #[test]

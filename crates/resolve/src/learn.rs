@@ -72,7 +72,7 @@ pub fn evaluate(
 
 /// Fit the F1-optimal threshold for fixed weights: scores of all labeled
 /// pairs are candidate cuts.
-pub fn fit_threshold(
+fn fit_threshold(
     table: &Table,
     labels: &[LabeledPair],
     cfg: &ErConfig,

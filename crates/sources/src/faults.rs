@@ -295,7 +295,7 @@ impl FaultConfig {
 
     /// Deterministically assign profiles to `n` sources. Faulty sources draw
     /// uniformly from the six fault families with seeded parameters.
-    pub fn assign(&self, n: usize) -> Vec<FaultProfile> {
+    fn assign(&self, n: usize) -> Vec<FaultProfile> {
         let mut rng = StdRng::seed_from_u64(mix(self.seed, 0x0fa1_7000, 0));
         (0..n)
             .map(|_| {

@@ -199,17 +199,15 @@ impl LocationWorld {
         )
         .expect("consistent arity") // lint-allow: literal rows, fixed arity
     }
-
-    /// Find the true business for a (possibly misspelled) check-in name by
-    /// URL; `None` for fantasy check-ins.
-    pub fn business_for_url(&self, url: &str) -> Option<&BusinessTruth> {
-        self.businesses.iter().find(|b| b.url == url)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn business<'a>(w: &'a LocationWorld, url: &str) -> Option<&'a BusinessTruth> {
+        w.businesses.iter().find(|b| b.url == url)
+    }
 
     #[test]
     fn deterministic_generation() {
@@ -244,7 +242,7 @@ mod tests {
                 assert!(url.is_null());
             } else {
                 assert!(!url.is_null());
-                assert!(w.business_for_url(url.as_str().unwrap()).is_some());
+                assert!(business(&w, url.as_str().unwrap()).is_some());
             }
         }
     }
@@ -263,7 +261,7 @@ mod tests {
                 .as_str()
                 .unwrap()
                 .to_string();
-            let b = w.business_for_url(&url).unwrap();
+            let b = business(&w, &url).unwrap();
             let lat = w.checkins.get_named(i, "lat").unwrap().as_f64().unwrap();
             assert!((lat - b.lat).abs() < 0.01);
         }

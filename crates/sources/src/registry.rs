@@ -148,11 +148,6 @@ impl SourceRegistry {
         layer.set_profile(id, profile);
     }
 
-    /// Remove the fault layer: every acquisition succeeds again.
-    pub fn clear_faults(&mut self) {
-        self.faults = None;
-    }
-
     /// The fault profile of a source (`Healthy` when no layer is attached).
     pub fn fault_profile(&self, id: SourceId) -> FaultProfile {
         self.faults
@@ -298,7 +293,7 @@ mod tests {
         reg.set_fault_profile(a, crate::faults::FaultProfile::HardDown);
         assert!(reg.acquire(a, 0, 8).is_err());
         assert!(reg.acquire(b, 0, 8).is_ok());
-        reg.clear_faults();
+        reg.set_fault_profile(a, crate::faults::FaultProfile::Healthy);
         assert!(reg.acquire(a, 0, 8).is_ok());
     }
 }

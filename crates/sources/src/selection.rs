@@ -48,7 +48,7 @@ impl SourceEstimate {
 }
 
 /// Quality vector of a *single* source estimate under the user context.
-pub fn estimate_quality(est: &SourceEstimate, user: &UserContext) -> QualityVector {
+fn estimate_quality(est: &SourceEstimate, user: &UserContext) -> QualityVector {
     QualityVector::neutral()
         .with(Criterion::Completeness, est.effective_coverage())
         .with(Criterion::Accuracy, est.accuracy)

@@ -49,7 +49,7 @@ impl GroundTruth {
     }
 
     /// The live true price of the product with the given sku.
-    pub fn live_price(&self, sku: &str) -> Option<f64> {
+    fn live_price(&self, sku: &str) -> Option<f64> {
         let idx = self.products.iter().position(|p| p.sku == sku)?;
         Some(self.price_at(idx, self.now))
     }

@@ -6,62 +6,25 @@
 //! through the codec preserves its values (property-tested below).
 
 use crate::infer::{infer_column, parse_column};
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::{Field, Schema};
 use crate::table::Table;
 use crate::value::Value;
 use crate::{Result, TableError};
 
-/// Options for the CSV reader.
-#[derive(Debug, Clone, Copy)]
-pub struct CsvOptions {
-    /// Field delimiter (default `,`).
-    pub delimiter: char,
-    /// Whether the first record is a header (default true). Without a header,
-    /// columns are named `c0`, `c1`, ...
-    pub has_header: bool,
-    /// Whether to run type inference (default true); otherwise all columns
-    /// are `Str` and cells are kept verbatim (null markers still map to Null).
-    pub infer_types: bool,
-}
+/// The field delimiter, for reading and writing alike.
+const DELIM: char = ',';
 
-impl Default for CsvOptions {
-    fn default() -> Self {
-        CsvOptions {
-            delimiter: ',',
-            has_header: true,
-            infer_types: true,
-        }
-    }
-}
-
-/// Parse CSV text into a table with default options.
+/// Parse CSV text into a table: the first non-blank record is the header,
+/// and every column's type is inferred from its cells.
 pub fn read_csv(text: &str) -> Result<Table> {
-    read_csv_opts(text, CsvOptions::default())
-}
-
-/// Parse CSV text into a table.
-pub fn read_csv_opts(text: &str, opts: CsvOptions) -> Result<Table> {
-    let records = parse_records(text, opts.delimiter)?;
-    let mut iter = records.into_iter();
-    let (names, width) = if opts.has_header {
-        // Skip leading blank lines before the header.
-        match iter.by_ref().find(|r| !is_blank(r)) {
-            Some(h) => {
-                let w = h.len();
-                (h, w)
-            }
-            None => return Ok(Table::empty(Schema::empty())),
-        }
-    } else {
-        // Peek width from the first non-blank record.
-        let all: Vec<Vec<String>> = iter.collect();
-        let w = all.iter().find(|r| !is_blank(r)).map_or(0, |r| r.len());
-        // A blank line is a record separator except in width-1 tables, where
-        // it is a legitimate null row.
-        let rows: Vec<Vec<String>> = all.into_iter().filter(|r| w == 1 || !is_blank(r)).collect();
-        let names: Vec<String> = (0..w).map(|i| format!("c{i}")).collect();
-        return build_table(names, rows, opts);
+    let mut iter = parse_records(text)?.into_iter();
+    // Skip leading blank lines before the header.
+    let Some(names) = iter.by_ref().find(|r| !is_blank(r)) else {
+        return Ok(Table::empty(Schema::empty()));
     };
+    let width = names.len();
+    // A blank line is a record separator except in width-1 tables, where it
+    // is a legitimate null row.
     let rows: Vec<Vec<String>> = iter.filter(|r| width == 1 || !is_blank(r)).collect();
     for (i, r) in rows.iter().enumerate() {
         if r.len() != width {
@@ -71,7 +34,7 @@ pub fn read_csv_opts(text: &str, opts: CsvOptions) -> Result<Table> {
             });
         }
     }
-    build_table(names, rows, opts)
+    build_table(names, rows)
 }
 
 /// A record that came from a blank line: one empty, unquoted field.
@@ -79,16 +42,10 @@ fn is_blank(r: &[String]) -> bool {
     r.len() == 1 && r[0].is_empty()
 }
 
-fn build_table(names: Vec<String>, rows: Vec<Vec<String>>, opts: CsvOptions) -> Result<Table> {
+fn build_table(names: Vec<String>, rows: Vec<Vec<String>>) -> Result<Table> {
     let width = names.len();
     let mut raw_cols: Vec<Vec<String>> = vec![Vec::with_capacity(rows.len()); width];
     for r in rows {
-        if r.len() != width {
-            return Err(TableError::Csv {
-                line: 0,
-                message: format!("ragged record: expected {width}, found {}", r.len()),
-            });
-        }
         for (c, cell) in r.into_iter().enumerate() {
             raw_cols[c].push(cell);
         }
@@ -96,24 +53,8 @@ fn build_table(names: Vec<String>, rows: Vec<Vec<String>>, opts: CsvOptions) -> 
     let mut fields = Vec::with_capacity(width);
     let mut columns = Vec::with_capacity(width);
     for (name, raw) in names.into_iter().zip(raw_cols) {
-        let dtype = if opts.infer_types {
-            infer_column(&raw)
-        } else {
-            DataType::Str
-        };
-        let values = if opts.infer_types {
-            parse_column(&raw, dtype)
-        } else {
-            raw.into_iter()
-                .map(|s| {
-                    if s.is_empty() {
-                        Value::Null
-                    } else {
-                        Value::Str(s)
-                    }
-                })
-                .collect()
-        };
+        let dtype = infer_column(&raw);
+        let values = parse_column(&raw, dtype);
         let nullable = values.iter().any(Value::is_null);
         fields.push(Field {
             name,
@@ -126,7 +67,7 @@ fn build_table(names: Vec<String>, rows: Vec<Vec<String>>, opts: CsvOptions) -> 
 }
 
 /// Split CSV text into records of unquoted field strings.
-fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>> {
+fn parse_records(text: &str) -> Result<Vec<Vec<String>>> {
     let mut records = Vec::new();
     let mut record: Vec<String> = Vec::new();
     let mut field = String::new();
@@ -172,7 +113,7 @@ fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>> {
                 records.push(std::mem::take(&mut record));
                 line += 1;
             }
-            c if c == delim => {
+            DELIM => {
                 record.push(std::mem::take(&mut field));
                 after_quoted = false;
             }
@@ -195,28 +136,23 @@ fn parse_records(text: &str, delim: char) -> Result<Vec<Vec<String>>> {
 /// Serialize a table to CSV (always with a header row). `Null` renders as the
 /// empty field; fields containing the delimiter, quotes or newlines are quoted.
 pub fn write_csv(table: &Table) -> String {
-    write_csv_delim(table, ',')
-}
-
-/// Serialize with an explicit delimiter.
-pub fn write_csv_delim(table: &Table, delim: char) -> String {
     let mut out = String::new();
     let names = table.schema().names();
     for (i, n) in names.iter().enumerate() {
         if i > 0 {
-            out.push(delim);
+            out.push(DELIM);
         }
-        out.push_str(&escape(n, delim));
+        out.push_str(&escape(n));
     }
     out.push('\n');
     for r in 0..table.num_rows() {
         for c in 0..table.num_columns() {
             if c > 0 {
-                out.push(delim);
+                out.push(DELIM);
             }
             let v = table.get(r, c).expect("in bounds"); // lint-allow: r, c iterate this table's own dimensions
             if !v.is_null() {
-                out.push_str(&escape(&v.render(), delim));
+                out.push_str(&escape(&v.render()));
             }
         }
         out.push('\n');
@@ -224,8 +160,8 @@ pub fn write_csv_delim(table: &Table, delim: char) -> String {
     out
 }
 
-fn escape(s: &str, delim: char) -> String {
-    if s.contains(delim) || s.contains('"') || s.contains('\n') || s.contains('\r') {
+fn escape(s: &str) -> String {
+    if s.contains(DELIM) || s.contains('"') || s.contains('\n') || s.contains('\r') {
         format!("\"{}\"", s.replace('"', "\"\""))
     } else {
         s.to_string()
@@ -235,6 +171,7 @@ fn escape(s: &str, delim: char) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schema::DataType;
 
     #[test]
     fn basic_parse_with_inference() {
@@ -288,33 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn headerless_mode_names_columns() {
-        let t = read_csv_opts(
-            "1,2\n3,4\n",
-            CsvOptions {
-                has_header: false,
-                ..CsvOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(t.schema().names(), vec!["c0", "c1"]);
-        assert_eq!(t.num_rows(), 2);
-    }
-
-    #[test]
-    fn no_inference_keeps_strings() {
-        let t = read_csv_opts(
-            "a\n42\n",
-            CsvOptions {
-                infer_types: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(t.get(0, 0).unwrap(), &Value::Str("42".into()));
-    }
-
-    #[test]
     fn empty_input() {
         let t = read_csv("").unwrap();
         assert_eq!(t.num_rows(), 0);
@@ -339,20 +249,5 @@ mod tests {
         assert!(back.get(1, 0).unwrap().is_null());
         assert_eq!(back.get(1, 1).unwrap().as_str(), Some("he said \"hi\""));
         assert_eq!(back.get(2, 1).unwrap().as_str(), Some("line\nbreak"));
-    }
-
-    #[test]
-    fn semicolon_delimiter() {
-        let t = read_csv_opts(
-            "a;b\n1;x\n",
-            CsvOptions {
-                delimiter: ';',
-                ..CsvOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(t.get(0, 1).unwrap().as_str(), Some("x"));
-        let text = write_csv_delim(&t, ';');
-        assert!(text.starts_with("a;b\n"));
     }
 }

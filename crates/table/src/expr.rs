@@ -7,7 +7,6 @@
 //! expressions, and quality rules use them as predicates.
 
 use crate::schema::{DataType, Schema};
-use crate::table::Table;
 use crate::value::Value;
 use crate::{Result, TableError};
 
@@ -177,21 +176,6 @@ impl Expr {
                 BoundExpr::Concat(xs.iter().map(|x| x.bind(schema)).collect::<Result<_>>()?)
             }
         })
-    }
-
-    /// Bind and evaluate against every row of `table`, returning one value per row.
-    pub fn eval_table(&self, table: &Table) -> Result<Vec<Value>> {
-        let bound = self.bind(table.schema())?;
-        let mut out = Vec::with_capacity(table.num_rows());
-        let mut row = Vec::new();
-        for i in 0..table.num_rows() {
-            row.clear();
-            row.extend(
-                (0..table.num_columns()).map(|c| table.get(i, c).expect("in bounds").clone()), // lint-allow: i, c iterate this table's own dimensions
-            );
-            out.push(bound.eval(&row)?);
-        }
-        Ok(out)
     }
 }
 
@@ -499,19 +483,5 @@ mod tests {
     #[test]
     fn bind_rejects_unknown_column() {
         assert!(Expr::col("zzz").bind(&schema()).is_err());
-    }
-
-    #[test]
-    fn eval_table_maps_all_rows() {
-        let t = Table::literal(
-            &["a", "b", "s"],
-            vec![
-                vec![1.into(), 2.into(), "x".into()],
-                vec![5.into(), 3.into(), "y".into()],
-            ],
-        )
-        .unwrap();
-        let vs = Expr::col("a").gt(Expr::col("b")).eval_table(&t).unwrap();
-        assert_eq!(vs, vec![Value::Bool(false), Value::Bool(true)]);
     }
 }

@@ -11,7 +11,7 @@ use crate::expr::{BoundExpr, Expr};
 use crate::schema::{DataType, Field, Schema};
 use crate::table::Table;
 use crate::value::Value;
-use crate::{Result, TableError};
+use crate::Result;
 
 /// Aggregate functions for [`group_by`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -332,44 +332,6 @@ impl AggState {
     }
 }
 
-/// Left-outer variant of [`join`]: unmatched left rows are padded with nulls.
-pub fn left_join(left: &Table, right: &Table, on_left: &str, on_right: &str) -> Result<Table> {
-    let inner = join(left, right, on_left, on_right)?;
-    let li = left.schema().index_of(on_left)?;
-    let ri = right.schema().index_of(on_right)?;
-    // hash-ok: membership test; output follows row order
-    let mut matched: std::collections::HashSet<&Value> = std::collections::HashSet::new();
-    for v in right.column(ri)? {
-        if !v.is_null() {
-            matched.insert(v);
-        }
-    }
-    let mut out = inner.clone();
-    let lcol = left.column(li)?;
-    for (i, key) in lcol.iter().enumerate() {
-        if key.is_null() || !matched.contains(key) {
-            let mut row = left.row(i);
-            row.extend(std::iter::repeat_n(Value::Null, right.num_columns()));
-            out.push_row(row)?;
-        }
-    }
-    Ok(out)
-}
-
-/// Append a constant column to the table.
-pub fn with_column(table: &Table, name: &str, value: Value) -> Result<Table> {
-    if table.schema().contains(name) {
-        return Err(TableError::DuplicateColumn(name.to_string()));
-    }
-    let mut fields = table.schema().fields().to_vec();
-    fields.push(Field::new(name, value.dtype()));
-    let mut columns: Vec<Vec<Value>> = (0..table.num_columns())
-        .map(|i| table.column(i).map(<[Value]>::to_vec))
-        .collect::<Result<_>>()?;
-    columns.push(vec![value; table.num_rows()]);
-    Table::from_columns(Schema::new(fields)?, columns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -490,18 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn left_join_pads_nulls() {
-        let catalog =
-            Table::literal(&["sku", "name"], vec![vec!["a1".into(), "Widget".into()]]).unwrap();
-        let j = left_join(&products(), &catalog, "sku", "sku").unwrap();
-        assert_eq!(j.num_rows(), 4);
-        let unmatched: Vec<_> = (0..4)
-            .filter(|&i| j.get_named(i, "name").unwrap().is_null())
-            .collect();
-        assert_eq!(unmatched.len(), 3);
-    }
-
-    #[test]
     fn group_by_aggregates() {
         let g = group_by(
             &products(),
@@ -533,12 +483,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g.num_rows(), 0);
-    }
-
-    #[test]
-    fn with_column_appends_constant() {
-        let t = with_column(&products(), "src", "s1".into()).unwrap();
-        assert_eq!(t.get_named(3, "src").unwrap().as_str(), Some("s1"));
-        assert!(with_column(&t, "src", "x".into()).is_err());
     }
 }

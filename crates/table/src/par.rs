@@ -54,7 +54,7 @@ pub fn available_parallelism() -> usize {
 /// ranges balanced to within one item: the first `len % workers` ranges are
 /// one longer. `len == 0` yields no ranges; `workers` above `len` is capped,
 /// so a spawned worker always has work.
-pub fn blocked_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
+fn blocked_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
     if len == 0 {
         return Vec::new();
     }

@@ -7,9 +7,7 @@
 
 use std::collections::HashSet;
 
-use crate::table::Table;
 use crate::value::Value;
-use crate::Result;
 
 /// Summary statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,12 +50,6 @@ impl ColumnStats {
         } else {
             self.distinct as f64 / non_null as f64
         }
-    }
-
-    /// True if every non-null value is unique — a key candidate.
-    pub fn is_key_candidate(&self) -> bool {
-        let non_null = self.count - self.null_count;
-        non_null > 0 && self.distinct == non_null && self.null_count == 0
     }
 }
 
@@ -123,13 +115,6 @@ pub fn column_stats(values: &[Value]) -> ColumnStats {
     }
 }
 
-/// Statistics for every column of a table, in schema order.
-pub fn table_stats(table: &Table) -> Result<Vec<ColumnStats>> {
-    (0..table.num_columns())
-        .map(|i| Ok(column_stats(table.column(i)?)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,33 +152,10 @@ mod tests {
     }
 
     #[test]
-    fn key_candidate_detection() {
-        let s = column_stats(&[Value::Int(1), Value::Int(2), Value::Int(3)]);
-        assert!(s.is_key_candidate());
-        let s = column_stats(&[Value::Int(1), Value::Int(1)]);
-        assert!(!s.is_key_candidate());
-        let s = column_stats(&[Value::Int(1), Value::Null]);
-        assert!(!s.is_key_candidate());
-    }
-
-    #[test]
     fn std_dev_computation() {
         let s = column_stats(&[Value::Float(2.0), Value::Float(4.0)]);
         assert!((s.std_dev.unwrap() - 1.0).abs() < 1e-12);
         let s = column_stats(&[Value::Float(5.0)]);
         assert!((s.std_dev.unwrap() - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table_stats_per_column() {
-        let t = Table::literal(
-            &["a", "b"],
-            vec![vec![1.into(), "x".into()], vec![2.into(), Value::Null]],
-        )
-        .unwrap();
-        let st = table_stats(&t).unwrap();
-        assert_eq!(st.len(), 2);
-        assert_eq!(st[0].null_count, 0);
-        assert_eq!(st[1].null_count, 1);
     }
 }

@@ -73,14 +73,6 @@ impl Value {
         }
     }
 
-    /// Boolean view, if it is `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Render the value as a plain string (`Null` renders empty). This is the
     /// representation used by the CSV writer and by string-based matchers.
     pub fn render(&self) -> String {
@@ -298,7 +290,7 @@ mod tests {
 
     #[test]
     fn total_order_ranks_types() {
-        let mut vals = vec![
+        let mut vals = [
             Value::Str("a".into()),
             Value::Int(1),
             Value::Null,

@@ -287,40 +287,20 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Encode one value (tag byte + payload).
-pub fn encode_value(enc: &mut Enc, v: &Value) {
-    v.enc(enc);
-}
-
-/// Decode one value.
-pub fn decode_value(dec: &mut Dec<'_>) -> Result<Value> {
-    Value::dec(dec)
-}
-
-/// Encode a schema (field count, then name/dtype/nullable per field).
-pub fn encode_schema(enc: &mut Enc, schema: &Schema) {
-    enc.seq(schema.fields(), Field::enc);
-}
-
-/// Decode a schema.
-pub fn decode_schema(dec: &mut Dec<'_>) -> Result<Schema> {
-    Schema::new(Vec::dec(dec)?)
-}
-
 /// Encode a table columnar: schema, row count, then each column's values.
-pub fn encode_table(enc: &mut Enc, t: &Table) {
-    encode_schema(enc, t.schema());
+fn encode_table(enc: &mut Enc, t: &Table) {
+    t.schema().enc(enc);
     enc.usize(t.num_rows());
     for col in t.columns() {
         for v in col {
-            encode_value(enc, v);
+            v.enc(enc);
         }
     }
 }
 
 /// Decode a table written by [`encode_table`].
 pub fn decode_table(dec: &mut Dec<'_>) -> Result<Table> {
-    let schema = decode_schema(dec)?;
+    let schema = Schema::dec(dec)?;
     let rows = dec.usize()?;
     if schema.is_empty() && rows != 0 {
         // No column holds the rows: they would decode as none.
@@ -332,7 +312,7 @@ pub fn decode_table(dec: &mut Dec<'_>) -> Result<Table> {
     for _ in 0..schema.len() {
         let mut col = Vec::with_capacity(dec.cap(rows, 1));
         for _ in 0..rows {
-            col.push(decode_value(dec)?);
+            col.push(Value::dec(dec)?);
         }
         columns.push(col);
     }
@@ -511,11 +491,12 @@ impl Wire for Field {
 
 impl Wire for Schema {
     const MIN: usize = 8;
+    /// Field count, then name/dtype/nullable per field.
     fn enc(&self, e: &mut Enc) {
-        encode_schema(e, self);
+        e.seq(self.fields(), Field::enc);
     }
     fn dec(d: &mut Dec<'_>) -> Result<Schema> {
-        decode_schema(d)
+        Schema::new(Vec::dec(d)?)
     }
 }
 
@@ -646,12 +627,12 @@ mod tests {
     #[test]
     fn negative_zero_and_nan_round_trip_by_bits() {
         let mut enc = Enc::new();
-        encode_value(&mut enc, &Value::Float(-0.0));
-        encode_value(&mut enc, &Value::Float(f64::from_bits(0x7ff8_dead_beef_0001)));
+        Value::Float(-0.0).enc(&mut enc);
+        Value::Float(f64::from_bits(0x7ff8_dead_beef_0001)).enc(&mut enc);
         let bytes = enc.into_bytes();
         let mut dec = Dec::new(&bytes);
-        let a = decode_value(&mut dec).unwrap();
-        let b = decode_value(&mut dec).unwrap();
+        let a = Value::dec(&mut dec).unwrap();
+        let b = Value::dec(&mut dec).unwrap();
         assert!(matches!(a, Value::Float(f) if f.to_bits() == (-0.0f64).to_bits()));
         assert!(matches!(b, Value::Float(f) if f.to_bits() == 0x7ff8_dead_beef_0001));
     }

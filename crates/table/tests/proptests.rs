@@ -34,7 +34,7 @@ proptest! {
     #[test]
     fn value_ordering_is_total_and_consistent(a in arb_value(), b in arb_value(), c in arb_value()) {
         // Antisymmetry + transitivity spot checks via sort stability.
-        let mut v = vec![a.clone(), b.clone(), c.clone()];
+        let mut v = [a.clone(), b.clone(), c.clone()];
         v.sort();
         prop_assert!(v[0] <= v[1] && v[1] <= v[2]);
         // Eq consistent with Ord.

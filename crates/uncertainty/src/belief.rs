@@ -89,11 +89,6 @@ impl Belief {
         self.ledger.clear();
     }
 
-    /// A hard decision at the given probability threshold.
-    pub fn accept_at(&self, threshold: f64) -> bool {
-        self.probability() >= threshold
-    }
-
     /// Decompose into `(log_odds, prior_log_odds, ledger)` for durable
     /// serialization (the checkpoint store persists beliefs bit-exactly via
     /// `f64::to_bits` of the two log-odds).
@@ -186,13 +181,6 @@ mod tests {
         b.reset();
         assert!((b.probability() - 0.2).abs() < 1e-9);
         assert_eq!(b.total_evidence(), 0);
-    }
-
-    #[test]
-    fn accept_threshold() {
-        let b = Belief::from_prior(0.7);
-        assert!(b.accept_at(0.7));
-        assert!(!b.accept_at(0.71));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! §4.3 notes that "even in the classical settings data uncertainty often
 //! leads to intractability of the most basic data processing tasks" (\[1\],
 //! \[23\]). Exact query evaluation over possible worlds is #P-hard in general;
-//! the tractable tool this module provides is *Monte-Carlo estimation*: sample
-//! worlds, evaluate a boolean (or counting) query per world, aggregate.
+//! the tractable tool is *Monte-Carlo estimation*: this module samples
+//! worlds, and `wrangler-core`'s `UncertainView` evaluates a query per world
+//! and aggregates.
 //!
 //! The sampler is a self-contained deterministic xorshift generator so the
 //! crate stays dependency-free and experiments stay reproducible.
@@ -49,31 +50,6 @@ impl UncertainFacts {
     pub fn sample(&self, rng: &mut XorShift64) -> World {
         self.probs.iter().map(|&p| rng.next_f64() < p).collect()
     }
-
-    /// Monte-Carlo estimate of `P(query)` over `n` sampled worlds.
-    pub fn estimate<F: FnMut(&World) -> bool>(&self, seed: u64, n: usize, mut query: F) -> f64 {
-        assert!(n > 0, "need at least one sample");
-        let mut rng = XorShift64::new(seed);
-        let mut hits = 0usize;
-        for _ in 0..n {
-            let w = self.sample(&mut rng);
-            if query(&w) {
-                hits += 1;
-            }
-        }
-        hits as f64 / n as f64
-    }
-
-    /// Monte-Carlo estimate of `E[f(world)]` for a numeric query.
-    pub fn expectation<F: FnMut(&World) -> f64>(&self, seed: u64, n: usize, mut f: F) -> f64 {
-        assert!(n > 0, "need at least one sample");
-        let mut rng = XorShift64::new(seed);
-        let mut sum = 0.0;
-        for _ in 0..n {
-            sum += f(&self.sample(&mut rng));
-        }
-        sum / n as f64
-    }
 }
 
 /// Minimal deterministic xorshift64* generator (not cryptographic; used only
@@ -92,7 +68,7 @@ impl XorShift64 {
     }
 
     /// Next raw 64-bit output.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
         x ^= x >> 7;
@@ -117,20 +93,32 @@ impl XorShift64 {
 mod tests {
     use super::*;
 
+    /// Share of `n` worlds sampled from `seed` in which `query` holds.
+    fn frequency(
+        facts: &UncertainFacts,
+        seed: u64,
+        n: usize,
+        query: impl Fn(&World) -> bool,
+    ) -> f64 {
+        let mut rng = XorShift64::new(seed);
+        let hits = (0..n).filter(|_| query(&facts.sample(&mut rng))).count();
+        hits as f64 / n as f64
+    }
+
     #[test]
-    fn marginal_estimates_converge() {
+    fn marginal_frequencies_converge() {
         let mut facts = UncertainFacts::new();
         let i = facts.add(0.3);
-        let est = facts.estimate(42, 20_000, |w| w[i]);
+        let est = frequency(&facts, 42, 20_000, |w| w[i]);
         assert!((est - 0.3).abs() < 0.02, "est={est}");
     }
 
     #[test]
-    fn conjunction_of_independent_facts() {
+    fn sampled_facts_are_independent() {
         let mut facts = UncertainFacts::new();
         let a = facts.add(0.5);
         let b = facts.add(0.5);
-        let est = facts.estimate(7, 20_000, |w| w[a] && w[b]);
+        let est = frequency(&facts, 7, 20_000, |w| w[a] && w[b]);
         assert!((est - 0.25).abs() < 0.02, "est={est}");
     }
 
@@ -139,26 +127,16 @@ mod tests {
         let mut facts = UncertainFacts::new();
         let t = facts.add(1.0);
         let f = facts.add(0.0);
-        assert_eq!(facts.estimate(1, 100, |w| w[t]), 1.0);
-        assert_eq!(facts.estimate(1, 100, |w| w[f]), 0.0);
+        assert_eq!(frequency(&facts, 1, 100, |w| w[t]), 1.0);
+        assert_eq!(frequency(&facts, 1, 100, |w| w[f]), 0.0);
     }
 
     #[test]
-    fn expectation_of_count() {
-        let mut facts = UncertainFacts::new();
-        for _ in 0..10 {
-            facts.add(0.2);
-        }
-        let mean = facts.expectation(99, 20_000, |w| w.iter().filter(|&&b| b).count() as f64);
-        assert!((mean - 2.0).abs() < 0.1, "mean={mean}");
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
+    fn sampling_is_deterministic_given_seed() {
         let mut facts = UncertainFacts::new();
         facts.add(0.5);
-        let a = facts.estimate(123, 1000, |w| w[0]);
-        let b = facts.estimate(123, 1000, |w| w[0]);
+        let a = frequency(&facts, 123, 1000, |w| w[0]);
+        let b = frequency(&facts, 123, 1000, |w| w[0]);
         assert_eq!(a, b);
     }
 

@@ -4,7 +4,8 @@
 # `#[cfg(test)]` — the rule scripts/lint.sh scans by (test modules sit at the
 # end of each file). `loc: total` counts core + resolve only, so that it stays
 # comparable across changes; `loc: total (five crates)` adds fusion, table
-# and sources.
+# and sources; `loc: workspace` sums every production crate (crates/*/src,
+# crates/bench excluded).
 # Usage: scripts/loc.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,3 +33,9 @@ for dir in crates/fusion/src crates/table/src crates/sources/src; do
   all=$((all + n))
 done
 echo "loc: total (five crates) $all"
+workspace=0
+for dir in crates/*/src; do
+  [ "$dir" = crates/bench/src ] && continue
+  workspace=$((workspace + $(count "$dir")))
+done
+echo "loc: workspace $workspace"

@@ -13,8 +13,8 @@ cargo test -q
 echo "==> cargo test --workspace -q (full suite)"
 cargo test --workspace -q
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> scripts/lint.sh (source-level gate)"
 scripts/lint.sh
