@@ -17,6 +17,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use wrangler_fusion::ClaimIndex;
+
 /// Counters of actual work performed (the currency of E7b).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkCounters {
@@ -116,15 +118,28 @@ impl WorkingData {
         self.sources.insert(source);
     }
 
-    /// Marked slots, sorted and deduplicated: the ones marked one by one
-    /// plus every slot of `claims` (one pass) whose source is marked.
-    pub fn dirty_slots(&self, claims: &[wrangler_fusion::Claim]) -> Vec<(usize, usize)> {
-        let mut out: Vec<(usize, usize)> = self.slots.iter().copied().collect();
-        let of_marked = claims.iter().filter(|c| self.sources.contains(&c.source));
-        out.extend(of_marked.map(|c| (c.entity, c.attr)));
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// The marked slots as ascending slot numbers of `index` — the slots
+    /// marked one by one plus every slot a marked source claims, in one pass
+    /// over the index's claim ranges — and the number of slots marked one by
+    /// one that have no claim.
+    pub fn dirty_slot_nos(&self, index: &ClaimIndex) -> (Vec<usize>, usize) {
+        let mut marks = self.slots.iter().peekable();
+        let mut nos = Vec::new();
+        let mut unclaimed = 0;
+        let mut marked = vec![false; self.sources.last().map_or(0, |&s| s + 1)];
+        for &s in &self.sources {
+            marked[s] = true;
+        }
+        let is_marked = |&s: &u32| marked.get(s as usize).copied().unwrap_or(false);
+        for (no, slot) in index.slots().iter().enumerate() {
+            while marks.next_if(|&m| m < slot).is_some() {
+                unclaimed += 1;
+            }
+            if marks.next_if(|&m| m == slot).is_some() || index.sources(no).iter().any(is_marked) {
+                nos.push(no);
+            }
+        }
+        (nos, unclaimed + marks.count())
     }
 
     /// Every slot was just (re-)fused: no mark is left.
@@ -142,43 +157,49 @@ impl WorkingData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wrangler_fusion::ClaimSet;
 
     #[test]
-    fn dirty_slots_listed_sorted() {
+    fn slot_marks_become_slot_numbers_and_unclaimed_marks_are_counted() {
+        let mut claims = ClaimSet::new(2);
+        claims.add(0, 3, 1.into(), 0);
+        claims.add(2, 1, 1.into(), 1);
         let mut wd = WorkingData::new();
         wd.mark_slot(2, 1);
         wd.mark_slot(0, 3);
         wd.mark_slot(2, 1);
-        assert_eq!(wd.dirty_slots(&[]), vec![(0, 3), (2, 1)]);
-        assert_eq!(wd.dirty_count(), 2);
+        wd.mark_slot(1, 1);
+        assert_eq!(wd.dirty_slot_nos(claims.index()), (vec![0, 1], 1));
+        assert_eq!(wd.dirty_count(), 3);
     }
 
     #[test]
     fn source_marks_expand_against_the_claims_and_clean_in_one_sweep() {
         let mut wd = WorkingData::new();
         wd.mark_slot(2, 1);
+        wd.mark_slot(3, 0);
+        wd.mark_slot(9, 9);
         wd.mark_source(1);
         wd.mark_source(4);
         // Source 1 also claims the explicit slot, sources 0 and 3 are
-        // unmarked, source 4 shares a slot with source 1.
-        let claim = |source, entity, attr| wrangler_fusion::Claim {
-            entity,
-            attr,
-            value: wrangler_table::Value::Int(1),
-            source,
-        };
-        let claims = [
-            claim(0, 9, 9),
-            claim(1, 2, 1),
-            claim(1, 0, 0),
-            claim(3, 5, 5),
-            claim(4, 0, 0),
-            claim(4, 1, 2),
-        ];
-        assert_eq!(wd.dirty_slots(&claims), vec![(0, 0), (1, 2), (2, 1)]);
-        assert_eq!(wd.dirty_count(), 3);
+        // unmarked, source 4 shares a slot with source 1; (3, 0) and (9, 9)
+        // have no claim.
+        let mut claims = ClaimSet::new(5);
+        for (source, entity, attr) in [
+            (0, 9, 8),
+            (1, 2, 1),
+            (1, 0, 0),
+            (3, 5, 5),
+            (4, 0, 0),
+            (4, 1, 2),
+        ] {
+            claims.add(entity, attr, 1.into(), source);
+        }
+        // Slots: (0,0) (1,2) (2,1) (5,5) (9,8).
+        assert_eq!(wd.dirty_slot_nos(claims.index()), (vec![0, 1, 2], 2));
+        assert_eq!(wd.dirty_count(), 5);
         wd.clean_slots();
-        assert!(wd.dirty_slots(&claims).is_empty());
+        assert_eq!(wd.dirty_slot_nos(claims.index()), (vec![], 0));
         assert_eq!(wd.dirty_count(), 0);
     }
 

@@ -1,6 +1,6 @@
 //! The end-to-end wrangling session.
 
-use std::collections::HashMap; // hash-ok: HashMap here is lookup-only (slot/feedback state); nothing iterates it into output
+use std::collections::HashMap; // hash-ok: HashMap here is lookup-only (feedback state); nothing iterates it into output
 
 use wrangler_context::{Criterion, DataContext, QualityVector, UserContext};
 use wrangler_feedback::router::ValueProvenance;
@@ -13,7 +13,7 @@ use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::Mapping;
 use wrangler_match::MatchConfig;
 use wrangler_obs::{MetricsReport, ObsMode, Telemetry};
-use wrangler_quality::profile::{quality_vector, ExternalSignals, TableProfile};
+use wrangler_quality::profile::{completeness, quality_vector, ExternalSignals};
 use wrangler_resolve::learn::{refine_rule, LabeledPair};
 use wrangler_resolve::{
     cluster_pairs, DirtyRows, ErConfig, ErKernel, FieldSim, SimKind, UnionBlocks,
@@ -69,14 +69,22 @@ struct WrangleCache {
     claims: ClaimSet,
     /// Source trust/age context used at fusion time.
     source_ctx: SourceContext,
-    /// Fused slots.
-    fused: HashMap<(usize, usize), FusedValue>, // hash-ok: keyed by slot, read via get()
+    /// Fused values indexed like the claim index's `slots()`; `None` where
+    /// a slot has no deliverable value or was never fused (a dead column).
+    fused: Vec<Option<FusedValue>>,
     /// Selected sources.
     selected: Vec<SourceId>,
     /// The ER rule the clustering was decided under.
     er_cfg: ErConfig,
     /// Registered sources when the pass ran.
     sources: usize,
+}
+
+impl WrangleCache {
+    /// The fused value of slot `(entity, attr)`, if it has one.
+    fn fused_at(&self, entity: usize, attr: usize) -> Option<&FusedValue> {
+        self.fused[self.claims.index().slot_no(entity, attr)?].as_ref()
+    }
 }
 
 /// The result of a wrangle.
@@ -719,31 +727,33 @@ impl Wrangler {
         }
         self.obs.begin("refuse");
         let kernel = FuseKernel::compile(&cache.claims, plan.fusion, &cache.source_ctx);
-        // Where per-source dirtiness becomes slots: one pass over the claims.
-        let dirty = self.working.dirty_slots(cache.claims.claims());
-        for &(e, a) in &dirty {
-            match self.fuse_slot(&kernel, e, a) {
-                Some(f) => {
-                    cache.fused.insert((e, a), f);
+        // Where per-source dirtiness becomes slots: one pass over the index.
+        self.obs.begin("dirty");
+        let (dirty, unclaimed) = self.working.dirty_slot_nos(cache.claims.index());
+        self.obs.end();
+        // A slot the loop catches panicking joins the last full wrangle's
+        // containment picture, which an incremental pass reports.
+        let mut creport = self.last_containment.clone();
+        let refused = self
+            .fuse_slot_loop(&kernel, &dirty, &mut creport, "refuse")
+            .map(|done| {
+                // Slot marks without a claim count as refused, as they
+                // always have: there was nothing to fuse.
+                let slots = done.len() + unclaimed;
+                for (no, f) in done {
+                    cache.fused[no] = f;
                 }
-                // All claims vetoed: the slot has no deliverable value left.
-                None => {
-                    cache.fused.remove(&(e, a));
-                }
-            }
-        }
-        self.working.work.slots_fused += dirty.len();
-        self.working.clean_slots();
-        self.obs.count("refuse.slots", dirty.len() as u64);
+                self.working.clean_slots();
+                self.working.work.slots_fused += slots;
+                self.obs.count("refuse.slots", slots as u64);
+            });
         self.obs.end();
         self.cache = Some(cache);
-        let outcome = self.span("assemble", |w| w.assemble(&plan));
+        let outcome = refused.and_then(|()| self.span("assemble", |w| w.assemble(&plan)));
         self.obs.end(); // close the "rewrangle" root span
         let mut outcome = outcome?;
         outcome.metrics = self.obs.report();
-        // An incremental pass re-fuses cached artifacts; the containment
-        // picture is still the one from the last full wrangle.
-        outcome.containment = self.last_containment.clone();
+        outcome.containment = creport;
         Ok(outcome)
     }
 
@@ -827,49 +837,63 @@ impl Wrangler {
             .collect();
         fields.push(wrangler_table::Field::new("_confidence", DataType::Float));
         let out_schema = Schema::new(fields)?;
-        let mut table = Table::empty(out_schema);
+        self.obs.begin("rows");
+        // Column by column, walking each entity's run of the claim index's
+        // slots; nulls are counted on the way for the completeness score.
+        let slots = cache.claims.index().slots();
+        let mut columns: Vec<Vec<Value>> = (0..=output_attrs.len())
+            .map(|_| Vec::with_capacity(cache.entities))
+            .collect();
+        let mut nulls = vec![0usize; columns.len()];
+        let mut next = 0;
         let mut conflict_free = 0usize;
         let mut slot_count = 0usize;
         let mut conf_sum = 0.0;
         let mut delivered = 0u64;
-        let mut withheld = 0u64;
+        let mut row_conf = Vec::new();
         for e in 0..cache.entities {
-            let mut row = Vec::with_capacity(output_attrs.len() + 1);
-            let mut row_conf = Vec::new();
-            for &a in &output_attrs {
-                match cache.fused.get(&(e, a)) {
+            let run = next;
+            while slots.get(next).is_some_and(|s| s.0 == e) {
+                next += 1;
+            }
+            row_conf.clear();
+            for (col, &a) in output_attrs.iter().enumerate() {
+                let no = (run..next).find(|&no| slots[no].1 == a);
+                let value = match no.and_then(|no| cache.fused[no].as_ref()) {
                     Some(f) => {
                         let conf = f.confidence();
                         slot_count += 1;
                         conf_sum += conf;
-                        if (conf - 1.0).abs() < 1e-12 {
-                            conflict_free += 1;
-                        }
+                        conflict_free += usize::from((conf - 1.0).abs() < 1e-12);
                         // Confidence gating (Example 2's trade-off).
                         if conf >= plan.min_value_confidence {
-                            row.push(f.value.clone());
                             row_conf.push(conf);
-                            delivered += 1;
+                            f.value.clone()
                         } else {
-                            row.push(Value::Null);
-                            withheld += 1;
+                            Value::Null
                         }
                     }
-                    None => row.push(Value::Null),
-                }
+                    None => Value::Null,
+                };
+                nulls[col] += usize::from(value.is_null());
+                columns[col].push(value);
             }
+            delivered += row_conf.len() as u64;
             let mean_conf = if row_conf.is_empty() {
                 0.0
             } else {
                 row_conf.iter().sum::<f64>() / row_conf.len() as f64
             };
-            row.push(Value::Float(mean_conf));
-            table.push_row(row)?;
+            columns[output_attrs.len()].push(Value::Float(mean_conf));
         }
-        table.reinfer_types();
+        let table = Table::from_columns(out_schema, columns).map(|mut table| {
+            table.reinfer_types();
+            table
+        });
+        self.obs.end();
+        let table = table?;
 
         // Quality report.
-        let profile = TableProfile::of(&table)?;
         let accuracy = if slot_count == 0 {
             0.0
         } else {
@@ -894,6 +918,7 @@ impl Wrangler {
                 total / sel.len() as u64
             }
         };
+        self.obs.begin("quality");
         let relevance =
             wrangler_quality::profile::master_relevance(&table, &self.data_ctx, "product");
         let cost_spent = self.access_spent + self.feedback.total_cost();
@@ -902,13 +927,14 @@ impl Wrangler {
         } else {
             (cost_spent / self.user.budget).min(1.0)
         };
+        let names = table.schema().names();
         let mut quality = quality_vector(
-            &profile,
+            completeness(&names, &nulls, cache.entities, &self.user.required_columns),
             &self.user,
             &ExternalSignals {
                 age: mean_age,
                 violation_rate: 1.0 - consistency,
-                accuracy: Some(accuracy),
+                accuracy,
                 relevance,
                 cost_fraction,
             },
@@ -921,10 +947,12 @@ impl Wrangler {
             quality = quality.with(Criterion::Completeness, 0.5 * entity_cov + 0.5 * field_com);
         }
         let utility = self.user.utility(&quality);
+        self.obs.end();
         self.obs.count("out.rows", table.num_rows() as u64);
         self.obs.count("out.entities", cache.entities as u64);
         self.obs.count("out.values_delivered", delivered);
-        self.obs.count("out.values_withheld", withheld);
+        self.obs
+            .count("out.values_withheld", slot_count as u64 - delivered);
         self.obs.gauge("out.accuracy", accuracy);
         self.obs.gauge("out.consistency", consistency);
         self.obs.gauge("out.utility", utility);
@@ -951,7 +979,7 @@ impl Wrangler {
         // Provenance for value/tuple feedback from the cache.
         let provenance = match (&item.target, &self.cache) {
             (FeedbackTarget::Value { entity, attr, .. }, Some(cache)) => {
-                match cache.fused.get(&(*entity, *attr)) {
+                match cache.fused_at(*entity, *attr) {
                     Some(f) => {
                         let slot = cache.claims.slot(*entity, *attr);
                         let dissenters: Vec<usize> = slot
@@ -996,7 +1024,7 @@ impl Wrangler {
                 let judged = value.clone().or_else(|| {
                     self.cache
                         .as_ref()
-                        .and_then(|c| c.fused.get(&(*entity, *attr)))
+                        .and_then(|c| c.fused_at(*entity, *attr))
                         .map(|f| f.value.clone())
                 });
                 if let Some(v) = judged {
@@ -1084,7 +1112,7 @@ impl Wrangler {
     /// claim-less slots.
     pub fn explain(&self, entity: usize, attr: usize) -> Option<SlotExplanation> {
         let cache = self.cache.as_ref()?;
-        let fused = cache.fused.get(&(entity, attr))?;
+        let fused = cache.fused_at(entity, attr)?;
         let slot = cache.claims.slot(entity, attr);
         let describe = |s: usize| SourceClaim {
             source: SourceId(s as u32),
@@ -1990,6 +2018,10 @@ mod tests {
             let path = format!("wrangle/{stage}");
             assert!(m.timings.contains_key(&path), "missing span {path}");
         }
+        for span in ["fuse/kernel", "assemble/rows", "assemble/quality"] {
+            let path = format!("wrangle/{span}");
+            assert!(m.timings.contains_key(&path), "missing span {path}");
+        }
         // Per-worker item counts from the strided fan-out sum to the total,
         // and with >= 2 inputs no recorded worker sat idle.
         let worker_items: Vec<u64> = m
@@ -2026,8 +2058,25 @@ mod tests {
         assert_eq!(m2.counts["pass.rewrangle"], 1);
         assert_eq!(m2.counts["feedback.items"], 1);
         assert!(m2.counts["refuse.slots"] > 0);
-        assert!(m2.timings.contains_key("rewrangle/refuse"));
-        assert!(m2.timings.contains_key("rewrangle/assemble"));
+        for span in [
+            "refuse",
+            "refuse/dirty",
+            "refuse/kernel",
+            "assemble",
+            "assemble/rows",
+            "assemble/quality",
+        ] {
+            let path = format!("rewrangle/{span}");
+            assert!(m2.timings.contains_key(&path), "missing span {path}");
+        }
+        // The re-fuse's pool reports its workers like the fuse stage's.
+        let refuse_items: u64 = m2
+            .counts
+            .iter()
+            .filter(|(k, _)| k.starts_with("refuse.worker") && k.ends_with(".items"))
+            .map(|(_, v)| *v)
+            .sum();
+        assert!(refuse_items > 0 && refuse_items <= m2.counts["refuse.slots"]);
     }
 
     #[test]
@@ -2341,6 +2390,84 @@ mod tests {
         );
         // brand/category are dead at fuse and their slots were skipped.
         assert!(out.metrics.counts["fuse.slots_skipped"] > 0);
+    }
+
+    #[test]
+    fn refuse_skips_the_columns_the_live_pass_skipped_as_dead() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t")).with_output_columns(projection());
+        let first = w.wrangle().unwrap();
+        let brand = w.target().index_of("brand").unwrap();
+        let price = w.target().index_of("price").unwrap();
+        let explained = |w: &Wrangler| {
+            (0..first.entities)
+                .filter(|&e| w.explain(e, brand).is_some())
+                .count()
+        };
+        assert_eq!(explained(&w), 0);
+        let prices = first.table.column_named("price").unwrap();
+        let entity = (0..prices.len()).find(|&e| !prices[e].is_null()).unwrap();
+        w.give_feedback(FeedbackItem::expert(
+            FeedbackTarget::Value {
+                entity,
+                attr: price,
+                value: None,
+            },
+            Verdict::Negative,
+            1.0,
+        ));
+        let out = w.rewrangle().unwrap();
+        assert_eq!(explained(&w), 0, "the re-fuse fused a dead column");
+        assert!(out.metrics.counts["refuse.slots_skipped"] > 0);
+        // What was re-fused is live: as many slots as the marks dirty in
+        // the delivered columns.
+        let index = w.cache.as_ref().unwrap().claims.index();
+        let live = index
+            .slots()
+            .iter()
+            .filter(|&&(_, a)| a != brand && a != w.target().index_of("category").unwrap())
+            .count() as u64;
+        assert!(out.metrics.counts["refuse.slots"] <= live);
+    }
+
+    #[test]
+    fn a_fuse_record_that_does_not_fit_the_claim_index_is_a_structured_error() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t"));
+        w.wrangle().unwrap();
+        let cache = w.cache.as_ref().unwrap();
+        let slots = cache.claims.index().slots().to_vec();
+        let genuine: Vec<(usize, usize, FusedValue)> = slots
+            .iter()
+            .zip(&cache.fused)
+            .filter_map(|(&(e, a), f)| f.clone().map(|f| (e, a, f)))
+            .collect();
+        let v = genuine[0].2.clone();
+        let install = |w: &mut Wrangler, fused| {
+            let mut pass = w.begin_pass();
+            pass.claims = Some(w.cache.as_ref().unwrap().claims.clone());
+            let rec = crate::ckpt_io::FuseOut {
+                selected: Vec::new(),
+                fuse_removed: Vec::new(),
+                trust: Vec::new(),
+                age: Vec::new(),
+                fused,
+            };
+            w.fuse_install(&mut pass, rec)
+        };
+        let ((e0, a0), (e1, a1)) = (slots[0], slots[1]);
+        for forged in [
+            vec![(usize::MAX, 0, v.clone())],
+            vec![(e1, a1, v.clone()), (e0, a0, v.clone())],
+            vec![(e0, a0, v.clone()), (e0, a0, v.clone())],
+        ] {
+            let err = install(&mut w, forged).unwrap_err();
+            assert!(err.to_string().contains("fuse seam"), "{err}");
+        }
+        install(&mut w, genuine).unwrap();
+        let cache = w.cache.as_ref().unwrap();
+        assert_eq!(cache.fused.len(), slots.len());
+        assert!(cache.fused_at(e0, a0).is_some());
     }
 
     // -----------------------------------------------------------------
@@ -3153,11 +3280,10 @@ mod tests {
         };
         refute(&mut w);
         assert!(w.working.dirty_count() < 40, "marks, not a slot per claim");
-        let mut golden = w.cache.as_ref().unwrap().claims.slots();
-        assert_eq!(golden.len(), 200);
-        golden.retain(|&slot| slot != (36, 1));
-        let claims = w.cache.as_ref().unwrap().claims.claims();
-        assert_eq!(w.working.dirty_slots(claims), golden);
+        let index = w.cache.as_ref().unwrap().claims.index();
+        assert_eq!(index.slots().len(), 200);
+        let golden: Vec<usize> = (0..200).filter(|&no| index.slots()[no] != (36, 1)).collect();
+        assert_eq!(w.working.dirty_slot_nos(index), (golden, 0));
         let mut twin = w.clone();
         let before = w.working.work;
         let out = w.rewrangle().unwrap();
@@ -3166,7 +3292,7 @@ mod tests {
             wire::hash64(outcome_fingerprint(&out).as_bytes()),
             272181886091841057
         );
-        assert!(w.working.dirty_slots(&[]).is_empty());
+        assert_eq!(w.working.dirty_count(), 0);
         // A full pass fuses every slot: it clears the marks, and a later
         // judgement re-fuses only what it dirties itself.
         twin.wrangle().unwrap();

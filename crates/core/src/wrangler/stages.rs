@@ -27,7 +27,7 @@ use super::{blocking_columns, WrangleCache, Wrangler};
 use crate::acquire::AcquisitionSummary;
 use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectOut, UnionOut};
 use crate::contain::{
-    catch_quiet, isolate, poison_reason, ContainMode, Guarded, Stage, StageGuard,
+    catch_quiet, isolate, poison_reason, ContainMode, ContainmentReport, Guarded, Stage, StageGuard,
 };
 use crate::incr::{BlockMemo, ErMemo, Mapped, Shape};
 use crate::lower::{self, LowerInput};
@@ -943,40 +943,55 @@ impl Wrangler {
     /// Stages 6–7 — claims, trust and fusion: a stored record, or the live
     /// stage.
     pub(super) fn fuse(&mut self, pass: &mut Pass) -> Result<()> {
-        self.seam(
-            pass,
-            &FUSE,
-            Self::fuse_live,
-            |w, pass, rec: FuseOut| {
-                pass.selected = rec.selected;
-                // A replayed stage rebuilds the claims from the (already
-                // restored) union and clustering — cheap, and it keeps the
-                // heavy claim set out of the wire format. Sources
-                // quarantined at fuse are excluded exactly as the live run
-                // excluded them; their trust/breaker discounts replayed
-                // from the snapshot.
-                let claims = match pass.claims.take() {
-                    Some(claims) => claims,
-                    None => w.claim_set(pass, &rec.fuse_removed),
-                };
-                let er = std::mem::take(&mut pass.er);
-                w.cache = Some(WrangleCache {
-                    union: std::mem::replace(&mut pass.union, Union::empty(w.target.clone())),
-                    row_entity: er.row_entity,
-                    entities: er.clusters.len(),
-                    claims,
-                    source_ctx: SourceContext {
-                        trust: rec.trust,
-                        age: rec.age,
-                    },
-                    fused: rec.fused.into_iter().map(|(e, a, f)| ((e, a), f)).collect(),
-                    selected: pass.selected.clone(),
-                    er_cfg: w.er_cfg.clone(),
-                    sources: w.registry.len(),
-                });
-                Ok(())
+        self.seam(pass, &FUSE, Self::fuse_live, Self::fuse_install)
+    }
+
+    /// The fuse seam's install: the pass's union, clustering and claims
+    /// become the session cache, and the record's fused slots its
+    /// slot-ordered vector.
+    pub(super) fn fuse_install(&mut self, pass: &mut Pass, rec: FuseOut) -> Result<()> {
+        pass.selected = rec.selected;
+        // A replayed stage rebuilds the claims from the (already restored)
+        // union and clustering — cheap, and it keeps the heavy claim set
+        // out of the wire format. Sources quarantined at fuse are excluded
+        // exactly as the live run excluded them; their trust/breaker
+        // discounts replayed from the snapshot.
+        let claims = match pass.claims.take() {
+            Some(claims) => claims,
+            None => self.claim_set(pass, &rec.fuse_removed),
+        };
+        // One merge walk: the record lists its slots in the index's order.
+        let slots = claims.index().slots();
+        let mut fused: Vec<Option<FusedValue>> = vec![None; slots.len()];
+        let mut no = 0;
+        for (e, a, f) in rec.fused {
+            while slots.get(no).is_some_and(|&slot| slot < (e, a)) {
+                no += 1;
+            }
+            if slots.get(no) != Some(&(e, a)) {
+                return Err(TableError::Invalid(format!(
+                    "fuse seam: the record's slot ({e},{a}) is not in the claim index's order"
+                )));
+            }
+            fused[no] = Some(f);
+            no += 1;
+        }
+        let er = std::mem::take(&mut pass.er);
+        self.cache = Some(WrangleCache {
+            union: std::mem::replace(&mut pass.union, Union::empty(self.target.clone())),
+            row_entity: er.row_entity,
+            entities: er.clusters.len(),
+            claims,
+            source_ctx: SourceContext {
+                trust: rec.trust,
+                age: rec.age,
             },
-        )
+            fused,
+            selected: pass.selected.clone(),
+            er_cfg: self.er_cfg.clone(),
+            sources: self.registry.len(),
+        });
+        Ok(())
     }
 
     fn fuse_live(&mut self, pass: &mut Pass) -> Result<FuseOut> {
@@ -1023,66 +1038,94 @@ impl Wrangler {
         self.obs.count("fuse.claims", claims.claims().len() as u64);
         self.obs.count("fuse.anchors", anchors.len() as u64);
 
-        // Fuse every slot (honouring value-level feedback constraints).
-        // Columns the projection never reads are dead at fuse: the
-        // `skip-dead-fusion` rewrites (each citing its `DeadAtFuse` fact)
-        // license skipping their fusion work entirely. Their claims stayed
-        // in the claim set above, so trust estimation — and therefore every
-        // *live* fused value — is unchanged.
-        let live_mask: Option<Vec<bool>> = self
-            .last_program
-            .as_ref()
-            .and_then(|p| p.live_mask().map(|m| m.to_vec()));
-        let mut fused: Vec<(usize, usize, FusedValue)> = Vec::new();
-        let mut slots_skipped = 0u64;
-        // Partition the slots: dead columns are skipped outright, slots
-        // pinned by a confirmation or constrained by vetoes take the
-        // feedback-aware serial path, and the plain majority go through the
-        // precompiled FuseKernel over the blocked worker pool — by slot
-        // number, which this walk knows and the kernel would otherwise
-        // search for again, key by key.
+        // Fuse every slot. Per-source weights/decays are compiled once per
+        // pass and serve every kind of slot.
+        let fuse_kernel = FuseKernel::compile(&claims, pass.plan.fusion, &source_ctx);
+        let all: Vec<usize> = (0..claims.index().slots().len()).collect();
+        let mut done = self.fuse_slot_loop(&fuse_kernel, &all, &mut pass.creport, "fuse")?;
+        self.working.work.slots_fused += done.len();
+        self.obs.count("fuse.slots", done.len() as u64);
+        done.sort_unstable_by_key(|&(no, _)| no);
         let slots = claims.index().slots();
-        let mut special_slots: Vec<(usize, usize)> = Vec::new();
-        let mut plain_slots: Vec<usize> = Vec::new();
-        for (no, &(e, a)) in slots.iter().enumerate() {
-            if live_mask.as_ref().is_some_and(|m| !m[a]) {
-                slots_skipped += 1;
-            } else if self.confirmations.contains_key(&(e, a)) || self.vetoes.contains_key(&(e, a))
-            {
-                special_slots.push((e, a));
+        let fused = done
+            .into_iter()
+            .filter_map(|(no, f)| f.map(|f| (slots[no].0, slots[no].1, f)))
+            .collect();
+        pass.claims = Some(claims);
+        Ok(FuseOut {
+            selected: std::mem::take(&mut pass.selected),
+            fuse_removed,
+            trust: source_ctx.trust,
+            age: source_ctx.age,
+            fused,
+        })
+    }
+
+    /// The slot loop of a pass's fuse stage and of `rewrangle`'s re-fuse:
+    /// fuse the slots numbered `nos` (ascending, of `kernel`'s claim index)
+    /// and return each one's number and value, slots judged by feedback
+    /// first. Columns the projection never reads are dead at fuse (the
+    /// `skip-dead-fusion` rewrites, each citing its `DeadAtFuse` fact) and
+    /// skipped; their claims stay in the claim set, so trust — and every
+    /// live fused value — is unchanged. A confirmed or vetoed slot takes the
+    /// feedback-aware serial path, the plain majority the blocked pool.
+    pub(super) fn fuse_slot_loop(
+        &mut self,
+        kernel: &FuseKernel,
+        nos: &[usize],
+        creport: &mut ContainmentReport,
+        stage: &str,
+    ) -> Result<Vec<(usize, Option<FusedValue>)>> {
+        let live_mask = self.last_program.as_ref().and_then(|p| p.live_mask());
+        let slots = kernel.claims().index().slots();
+        // The slots feedback judged, ascending, to merge with `nos`.
+        let mut judged: Vec<_> = self.confirmations.keys().collect();
+        judged.extend(self.vetoes.keys());
+        judged.sort_unstable();
+        let mut judged = judged.into_iter().peekable();
+        let mut special_slots: Vec<usize> = Vec::new();
+        let mut plain_slots: Vec<usize> = Vec::with_capacity(nos.len());
+        for &no in nos {
+            let slot = slots[no];
+            while judged.next_if(|&&j| j < slot).is_some() {}
+            if live_mask.is_some_and(|m| !m[slot.1]) {
+                continue;
+            } else if judged.peek() == Some(&&slot) {
+                special_slots.push(no);
             } else {
                 plain_slots.push(no);
             }
         }
+        let skipped = nos.len() - special_slots.len() - plain_slots.len();
+        self.obs
+            .count(&format!("{stage}.slots_skipped"), skipped as u64);
         // Per-slot isolation: a fusion strategy that panics on one
         // pathological slot costs that slot (delivered as Null), not the
         // pass — unless the policy says a caught panic is fatal.
-        let contained = !pass.policy.is_off();
-        let worker_stats = self.span("kernel", |w| {
-            let mut slot_done = |pass: &mut Pass,
-                                 (e, a): (usize, usize),
-                                 res: std::result::Result<Option<FusedValue>, String>|
-             -> Result<()> {
+        let contained = !self.contain.is_off();
+        let fatal = self.contain.mode != ContainMode::Contain;
+        let mut fused = Vec::with_capacity(special_slots.len() + plain_slots.len());
+        let mut slot_done =
+            |no: usize, res: std::result::Result<Option<FusedValue>, String>| -> Result<()> {
                 match res {
-                    Ok(Some(f)) => fused.push((e, a, f)),
-                    Ok(None) => {}
+                    Ok(f) => fused.push((no, f)),
                     Err(msg) => {
-                        pass.creport.caught_panic(Stage::Fuse);
-                        if pass.policy.mode != ContainMode::Contain {
+                        creport.caught_panic(Stage::Fuse);
+                        if fatal {
+                            let (e, a) = slots[no];
                             return Err(TableError::Unavailable(format!(
                                 "fuse slot ({e},{a}) panicked: {msg}"
                             )));
                         }
+                        fused.push((no, None));
                     }
                 }
                 Ok(())
             };
-            // Per-source weights/decays are compiled once per pass and serve
-            // both kinds of slot.
-            let fuse_kernel = FuseKernel::compile(&claims, pass.plan.fusion, &source_ctx);
-            for &(e, a) in &special_slots {
-                let res = isolate(contained, || w.fuse_slot(&fuse_kernel, e, a));
-                slot_done(pass, (e, a), res)?;
+        let worker_stats = self.span("kernel", |w| {
+            for &no in &special_slots {
+                let (e, a) = slots[no];
+                slot_done(no, isolate(contained, || w.fuse_slot(kernel, e, a)))?;
             }
             // Plain slots fuse in contiguous blocked chunks — bit-identical
             // to the serial fuse_attribute path for any worker count. Worker
@@ -1096,28 +1139,16 @@ impl Wrangler {
             let (chunks, worker_stats) = par::run_blocked(&plain_slots, workers, |_, chunk| {
                 chunk
                     .iter()
-                    .map(|&no| isolate(contained, || fuse_kernel.fuse_slot_no(no)))
+                    .map(|&no| isolate(contained, || kernel.fuse_slot_no(no)))
                     .collect::<Vec<_>>()
             })
             .map_err(|msg| TableError::Unavailable(format!("fuse worker panicked: {msg}")))?;
             for (&no, res) in plain_slots.iter().zip(chunks.into_iter().flatten()) {
-                slot_done(pass, slots[no], res)?;
+                slot_done(no, res)?;
             }
             Ok(worker_stats)
         })?;
-        let slots_fused = special_slots.len() + plain_slots.len();
-        self.working.work.slots_fused += slots_fused;
-        self.record_workers("fuse", &worker_stats);
-        self.obs.count("fuse.slots", slots_fused as u64);
-        self.obs.count("fuse.slots_skipped", slots_skipped);
-        fused.sort_unstable_by_key(|&(e, a, _)| (e, a));
-        pass.claims = Some(claims);
-        Ok(FuseOut {
-            selected: std::mem::take(&mut pass.selected),
-            fuse_removed,
-            trust: source_ctx.trust,
-            age: source_ctx.age,
-            fused,
-        })
+        self.record_workers(stage, &worker_stats);
+        Ok(fused)
     }
 }

@@ -6,7 +6,8 @@
 //! `CrashSite`} × {`ObsMode::On`, `Off`} × {`ContainPolicy::contain()`,
 //! `off()`} = 320 cells, each running `wrangle → update_source(one source,
 //! nudged payload) → wrangle` on one small fleet with a row filter and an
-//! output projection set. Both outcomes of every cell must fingerprint
+//! output projection set, then an expert's veto of one delivered price and
+//! `rewrangle`. All three outcomes of every cell must fingerprint
 //! (`f64::to_bits`-exact) like the reference cell's; the containment render
 //! is compared among cells of the same policy.
 
@@ -17,6 +18,7 @@ use wrangler_core::{
     scratch_dir, CheckpointStore, ContainPolicy, CrashPolicy, CrashSite, ObsMode, OptMode,
     WrangleOutcome, Wrangler,
 };
+use wrangler_feedback::{FeedbackItem, FeedbackTarget, Verdict};
 use wrangler_sources::{FleetConfig, SourceId, SyntheticFleet};
 use wrangler_table::{wire, DataType, Expr, Field, Schema, Table, Value};
 
@@ -141,9 +143,10 @@ fn fingerprint(w: &Wrangler, out: &WrangleOutcome) -> (String, String) {
     (state, out.containment.render())
 }
 
-type CellPrint = [(String, String); 2];
+type CellPrint = [(String, String); 3];
 
-/// `wrangle → update_source → wrangle` under one cell's modes.
+/// `wrangle → update_source → wrangle → veto a price → rewrangle` under one
+/// cell's modes.
 fn run_cell(fleet: &SyntheticFleet, cell: &Cell) -> CellPrint {
     let dir = scratch_dir(&format!("matrix-{}", cell.label()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -193,8 +196,25 @@ fn run_cell(fleet: &SyntheticFleet, cell: &Cell) -> CellPrint {
     assert!(w.update_source(victim, payload).unwrap());
     let second = w.wrangle().unwrap();
     let fp2 = fingerprint(&w, &second);
+    // The veto moves its supporters' trust, so the re-fuse covers every
+    // slot they claim: with three workers, the shared slot loop's pool.
+    let prices = second.table.column_named("price").unwrap();
+    let entity = (0..prices.len())
+        .find(|&e| !prices[e].is_null())
+        .expect("some price delivered");
+    w.give_feedback(FeedbackItem::expert(
+        FeedbackTarget::Value {
+            entity,
+            attr: w.target().index_of("price").unwrap(),
+            value: None,
+        },
+        Verdict::Negative,
+        1.0,
+    ));
+    let third = w.rewrangle().unwrap();
+    let fp3 = fingerprint(&w, &third);
     let _ = std::fs::remove_dir_all(&dir);
-    [fp1, fp2]
+    [fp1, fp2, fp3]
 }
 
 #[test]
@@ -206,7 +226,7 @@ fn every_mode_combination_delivers_the_reference_bytes() {
     let mut cells = 0usize;
     for policy in [ContainPolicy::contain(), ContainPolicy::off()] {
         // Containment renders are compared within one policy only.
-        let mut policy_reference: Option<[String; 2]> = None;
+        let mut policy_reference: Option<[String; 3]> = None;
         for workers in [1, 3] {
             for opt in [OptMode::Optimized, OptMode::Naive] {
                 for incr in [true, false] {
@@ -222,9 +242,10 @@ fn every_mode_combination_delivers_the_reference_bytes() {
                             };
                             let got = run_cell(&fleet, &cell);
                             let want = reference.get_or_insert_with(|| got.clone());
-                            let want_render = policy_reference
-                                .get_or_insert_with(|| [got[0].1.clone(), got[1].1.clone()]);
-                            for pass in 0..2 {
+                            let want_render = policy_reference.get_or_insert_with(|| {
+                                [got[0].1.clone(), got[1].1.clone(), got[2].1.clone()]
+                            });
+                            for pass in 0..3 {
                                 assert_eq!(
                                     got[pass].0,
                                     want[pass].0,
@@ -246,6 +267,7 @@ fn every_mode_combination_delivers_the_reference_bytes() {
         }
     }
     assert_eq!(cells, 320);
-    let [first, second] = reference.unwrap();
+    let [first, second, third] = reference.unwrap();
     assert_ne!(first.0, second.0, "the update must change the outcome");
+    assert_ne!(second.0, third.0, "the veto must change the outcome");
 }

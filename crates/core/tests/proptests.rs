@@ -414,3 +414,62 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// The refuse set: `rewrangle` turns its marks straight into slot numbers of
+// the claim index. That must be the eager expansion it replaced — every
+// claim of a marked source listed as its `(entity, attribute)`, sorted and
+// deduplicated with the slots marked one by one — mapped through `slot_no`,
+// and the count it reports must be that list's length.
+// ---------------------------------------------------------------------------
+
+use std::collections::BTreeSet;
+
+use wrangler_core::working::WorkingData;
+use wrangler_fusion::{Claim, ClaimSet};
+
+/// The eager expansion, as `WorkingData::dirty_slots` computed it.
+fn eager_dirty_slots(
+    slots: &BTreeSet<(usize, usize)>,
+    sources: &BTreeSet<usize>,
+    claims: &[Claim],
+) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = slots.iter().copied().collect();
+    let of_marked = claims.iter().filter(|c| sources.contains(&c.source));
+    out.extend(of_marked.map(|c| (c.entity, c.attr)));
+    out.sort_unstable();
+    out.dedup();
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn slot_number_expansion_equals_the_eager_one(
+        claims in prop::collection::vec((0usize..12, 0usize..4, 0i64..3, 0usize..6), 0..60),
+        slot_marks in prop::collection::vec((0usize..14, 0usize..5), 0..8),
+        source_marks in prop::collection::vec(0usize..8, 0..4),
+    ) {
+        let mut set = ClaimSet::new(6);
+        for &(entity, attr, value, source) in &claims {
+            set.add(entity, attr, Value::Int(value), source);
+        }
+        let mut wd = WorkingData::new();
+        for &(e, a) in &slot_marks {
+            wd.mark_slot(e, a);
+        }
+        // Sources 6 and 7 claim nothing.
+        for &s in &source_marks {
+            wd.mark_source(s);
+        }
+        let slots: BTreeSet<(usize, usize)> = slot_marks.iter().copied().collect();
+        let sources: BTreeSet<usize> = source_marks.iter().copied().collect();
+        let eager = eager_dirty_slots(&slots, &sources, set.claims());
+        let index = set.index();
+        let want: Vec<usize> = eager.iter().filter_map(|&(e, a)| index.slot_no(e, a)).collect();
+        let (nos, unclaimed) = wd.dirty_slot_nos(index);
+        prop_assert_eq!(&nos, &want);
+        prop_assert_eq!(nos.len() + unclaimed, eager.len());
+    }
+}

@@ -247,6 +247,11 @@ impl ClaimIndex {
         &self.claim_ids[self.slot_start[slot] as usize..self.slot_start[slot + 1] as usize]
     }
 
+    /// Sources of a slot's claims, one per claim, class by class.
+    pub fn sources(&self, slot: usize) -> &[u32] {
+        &self.supporters[self.slot_start[slot] as usize..self.slot_start[slot + 1] as usize]
+    }
+
     /// A slot's agreement classes, in order of first appearance.
     pub fn classes(&self, slot: usize) -> std::ops::Range<usize> {
         self.class_start[slot] as usize..self.class_start[slot + 1] as usize
@@ -309,6 +314,10 @@ mod tests {
         assert_eq!(cs.slots(), vec![(0, 0), (1, 2)]);
         assert_eq!(cs.slot(0, 0).len(), 2);
         assert_eq!(cs.slot(9, 9).len(), 0);
+        // Slot 0's sources, class by class: 1 and 2 disagree.
+        cs.add(0, 0, 1.into(), 2);
+        assert_eq!(cs.index().sources(0), &[0, 2, 1]);
+        assert_eq!(cs.index().sources(1), &[2]);
     }
 
     #[test]

@@ -1,107 +1,32 @@
-//! Table and column profiling, and synthesis into quality vectors.
+//! The quality report of a delivered table: completeness, and its synthesis
+//! with signals from outside the table into a quality vector.
 
 use wrangler_context::{Criterion, DataContext, QualityVector, UserContext};
-use wrangler_table::stats::{column_stats, ColumnStats};
-use wrangler_table::{DataType, Table};
+use wrangler_table::Table;
 
-/// Profile of one column.
-#[derive(Debug, Clone)]
-pub struct ColumnProfile {
-    /// Column name.
-    pub name: String,
-    /// Raw statistics.
-    pub stats: ColumnStats,
-    /// Majority non-null dtype of the cells.
-    pub majority_dtype: DataType,
-    /// Fraction of non-null cells whose dtype equals the majority dtype —
-    /// a syntactic-consistency signal (mixed columns smell of extraction or
-    /// integration errors).
-    pub type_consistency: f64,
-}
-
-/// Profile of a whole table.
-#[derive(Debug, Clone)]
-pub struct TableProfile {
-    /// Per-column profiles in schema order.
-    pub columns: Vec<ColumnProfile>,
-    /// Row count.
-    pub rows: usize,
-}
-
-impl TableProfile {
-    /// Profile every column of `table`.
-    pub fn of(table: &Table) -> wrangler_table::Result<TableProfile> {
-        let mut columns = Vec::with_capacity(table.num_columns());
-        for i in 0..table.num_columns() {
-            let name = table.schema().field(i)?.name.clone();
-            let col = table.column(i)?;
-            let stats = column_stats(col);
-            // Count cell dtypes among non-nulls.
-            let mut counts: Vec<(DataType, usize)> = Vec::new();
-            for v in col.iter().filter(|v| !v.is_null()) {
-                let dt = v.dtype();
-                match counts.iter_mut().find(|(d, _)| *d == dt) {
-                    Some((_, n)) => *n += 1,
-                    None => counts.push((dt, 1)),
-                }
-            }
-            let non_null = stats.count - stats.null_count;
-            let (majority_dtype, majority_n) = counts
-                .iter()
-                .max_by_key(|(_, n)| *n)
-                .map(|(d, n)| (*d, *n))
-                .unwrap_or((DataType::Null, 0));
-            let type_consistency = if non_null == 0 {
-                1.0
-            } else {
-                majority_n as f64 / non_null as f64
-            };
-            columns.push(ColumnProfile {
-                name,
-                stats,
-                majority_dtype,
-                type_consistency,
-            });
-        }
-        Ok(TableProfile {
-            columns,
-            rows: table.num_rows(),
-        })
+/// Mean completeness over a table's columns, given by `names` and `nulls`
+/// (null cells out of `rows`): all columns, or the named subset if any of
+/// the names exist. A column's completeness is its share of non-null cells
+/// (1.0 for no rows).
+pub fn completeness(names: &[&str], nulls: &[usize], rows: usize, required: &[String]) -> f64 {
+    let found: Vec<usize> = (names.iter().zip(nulls))
+        .filter(|(name, _)| required.is_empty() || required.iter().any(|r| r == *name))
+        .map(|(_, &n)| n)
+        .collect();
+    if found.is_empty() {
+        // No column at all, or none of the required ones exists.
+        return if required.is_empty() { 1.0 } else { 0.0 };
     }
-
-    /// Mean completeness over all columns (or the named subset, if any of the
-    /// names exist).
-    pub fn completeness(&self, required: &[String]) -> f64 {
-        let selected: Vec<&ColumnProfile> = if required.is_empty() {
-            self.columns.iter().collect()
+    let of = |&nulls: &usize| {
+        if rows == 0 {
+            1.0
         } else {
-            let found: Vec<&ColumnProfile> = self
-                .columns
-                .iter()
-                .filter(|c| required.contains(&c.name))
-                .collect();
-            if found.is_empty() {
-                // None of the required columns even exist: completeness 0.
-                return 0.0;
-            }
-            // Missing required columns count as zero-completeness columns.
-            let missing = required.len() - found.len();
-            let sum: f64 = found.iter().map(|c| c.stats.completeness()).sum();
-            return sum / (found.len() + missing) as f64;
-        };
-        if selected.is_empty() {
-            return 1.0;
+            (rows - nulls) as f64 / rows as f64
         }
-        selected.iter().map(|c| c.stats.completeness()).sum::<f64>() / selected.len() as f64
-    }
-
-    /// Mean type consistency over all columns.
-    pub fn type_consistency(&self) -> f64 {
-        if self.columns.is_empty() {
-            return 1.0;
-        }
-        self.columns.iter().map(|c| c.type_consistency).sum::<f64>() / self.columns.len() as f64
-    }
+    };
+    // Missing required columns count as zero-completeness columns.
+    let missing = required.len().saturating_sub(found.len());
+    found.iter().map(of).sum::<f64>() / (found.len() + missing) as f64
 }
 
 /// Inputs for scoring a table against a user context that the profile alone
@@ -113,34 +38,29 @@ pub struct ExternalSignals {
     /// Fraction of consistency-rule violations among checked cells; 0 if no
     /// rules were checked.
     pub violation_rate: f64,
-    /// Accuracy estimate in \[0, 1\] if one exists (ground truth, master data or
-    /// fused trust); `None` falls back to type consistency as a weak proxy.
-    pub accuracy: Option<f64>,
+    /// Accuracy estimate in \[0, 1\] (ground truth, master data or fused
+    /// trust).
+    pub accuracy: f64,
     /// Relevance in \[0, 1\] (e.g. master-data coverage); `None` = 1.0.
     pub relevance: Option<f64>,
     /// Spent cost fraction of budget in \[0, 1\]; 0 = free.
     pub cost_fraction: f64,
 }
 
-/// Synthesize the context-comparable quality vector of a table.
+/// Synthesize the context-comparable quality vector of a table from its
+/// `completeness` and the signals from outside it.
 ///
 /// This is the bridge between profiling and multi-criteria decision making:
 /// every candidate artifact is reduced to the same six numbers the user
 /// context weighs (§2.1).
 pub fn quality_vector(
-    profile: &TableProfile,
+    completeness: f64,
     user: &UserContext,
     signals: &ExternalSignals,
 ) -> QualityVector {
-    let accuracy = signals
-        .accuracy
-        .unwrap_or_else(|| profile.type_consistency());
     QualityVector::neutral()
-        .with(
-            Criterion::Completeness,
-            profile.completeness(&user.required_columns),
-        )
-        .with(Criterion::Accuracy, accuracy)
+        .with(Criterion::Completeness, completeness)
+        .with(Criterion::Accuracy, signals.accuracy)
         .with(Criterion::Timeliness, user.timeliness_of_age(signals.age))
         .with(Criterion::Consistency, 1.0 - signals.violation_rate)
         .with(Criterion::Relevance, signals.relevance.unwrap_or(1.0))
@@ -178,57 +98,62 @@ mod tests {
         .unwrap()
     }
 
+    /// `messy()`'s null counts per column, as the pass counts them.
+    fn nulls(table: &Table) -> Vec<usize> {
+        let is_null = |col: &[Value]| col.iter().filter(|v| v.is_null()).count();
+        table.columns().map(is_null).collect()
+    }
+
     #[test]
-    fn profile_measures_completeness_and_type_consistency() {
-        let p = TableProfile::of(&messy()).unwrap();
-        assert_eq!(p.rows, 4);
-        assert!((p.columns[1].stats.completeness() - 0.75).abs() < 1e-12);
-        // price: 2 floats + 1 str among 3 non-null.
-        assert_eq!(p.columns[1].majority_dtype, DataType::Float);
-        assert!((p.columns[1].type_consistency - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(p.columns[0].type_consistency, 1.0);
+    fn completeness_equals_the_column_statistics_mean_bit_for_bit() {
+        let t = messy();
+        let stats: Vec<f64> = t
+            .columns()
+            .map(|col| wrangler_table::stats::column_stats(col).completeness())
+            .collect();
+        let want = stats.iter().sum::<f64>() / stats.len() as f64;
+        let names = t.schema().names();
+        let got = completeness(&names, &nulls(&t), t.num_rows(), &[]);
+        assert_eq!(got.to_bits(), want.to_bits());
+        assert_eq!(completeness(&[], &[], 0, &[]), 1.0);
+        assert_eq!(completeness(&["a"], &[0], 0, &[]), 1.0);
     }
 
     #[test]
     fn completeness_respects_required_columns() {
-        let p = TableProfile::of(&messy()).unwrap();
-        let all = p.completeness(&[]);
-        assert!((all - (1.0 + 0.75) / 2.0).abs() < 1e-12);
-        assert!((p.completeness(&["price".to_string()]) - 0.75).abs() < 1e-12);
+        let t = messy();
+        let (names, nulls) = (t.schema().names(), nulls(&t));
+        let of = |required: &[&str]| {
+            let required: Vec<String> = required.iter().map(|r| r.to_string()).collect();
+            completeness(&names, &nulls, 4, &required)
+        };
+        assert!((of(&[]) - (1.0 + 0.75) / 2.0).abs() < 1e-12);
+        assert!((of(&["price"]) - 0.75).abs() < 1e-12);
         // Required column that does not exist counts as 0.
-        let half = p.completeness(&["sku".to_string(), "ghost".to_string()]);
-        assert!((half - 0.5).abs() < 1e-12);
-        assert_eq!(p.completeness(&["ghost".to_string()]), 0.0);
+        assert!((of(&["sku", "ghost"]) - 0.5).abs() < 1e-12);
+        assert_eq!(of(&["ghost"]), 0.0);
     }
 
     #[test]
     fn quality_vector_synthesis() {
-        let p = TableProfile::of(&messy()).unwrap();
         let user = UserContext::balanced("t").with_freshness_horizon(10);
         let q = quality_vector(
-            &p,
+            0.875,
             &user,
             &ExternalSignals {
                 age: 5,
                 violation_rate: 0.2,
-                accuracy: Some(0.9),
+                accuracy: 0.9,
                 relevance: Some(0.6),
                 cost_fraction: 0.25,
             },
         );
+        assert_eq!(q.get(Criterion::Completeness), 0.875);
         assert!((q.get(Criterion::Timeliness) - 0.5).abs() < 1e-12);
         assert!((q.get(Criterion::Consistency) - 0.8).abs() < 1e-12);
         assert!((q.get(Criterion::Accuracy) - 0.9).abs() < 1e-12);
         assert!((q.get(Criterion::Relevance) - 0.6).abs() < 1e-12);
         assert!((q.get(Criterion::Cost) - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accuracy_falls_back_to_type_consistency() {
-        let p = TableProfile::of(&messy()).unwrap();
-        let user = UserContext::balanced("t");
-        let q = quality_vector(&p, &user, &ExternalSignals::default());
-        assert!((q.get(Criterion::Accuracy) - p.type_consistency()).abs() < 1e-12);
     }
 
     #[test]

@@ -80,9 +80,11 @@ echo "==> perf_suite builds and passes its own tests (bench/ is its own workspac
 ( cd bench && cargo test --release --offline )
 
 echo "==> perf_suite --counts determinism (two runs must be byte-identical)"
-bench/run.sh --counts --workload sparse400 > "$tmp_a"
-bench/run.sh --counts --workload sparse400 > "$tmp_b"
-diff "$tmp_a" "$tmp_b"
+for w in dense40 wide6 sparse400; do
+  bench/run.sh --counts --workload "$w" > "$tmp_a"
+  bench/run.sh --counts --workload "$w" > "$tmp_b"
+  diff "$tmp_a" "$tmp_b"
+done
 
 echo "==> lint baseline ratchet (new findings vs lint-baseline.json fail)"
 ./target/release/lint_gate
