@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 use wrangler_fusion::strategies::{fuse_attribute, SourceContext, Strategy};
-use wrangler_fusion::truthfinder::{truthfinder, Anchors, TruthFinderConfig};
+use wrangler_fusion::truthfinder::{truthfinder, TruthFinderConfig};
 use wrangler_fusion::{ClaimSet, FuseKernel};
 use wrangler_table::Value;
 
@@ -29,7 +29,7 @@ fn claims(entities: usize, sources: usize) -> ClaimSet {
 /// each covering ~41% of the entities, so ~7k slots of two or three claims;
 /// the master catalog anchors three of the five attributes (~60% of slots).
 /// A tenth of the claims dissent; strings also vary in case and padding.
-fn wide_claims() -> (ClaimSet, Anchors) {
+fn wide_claims() -> (ClaimSet, Vec<(usize, usize, Value)>) {
     const ENTITIES: usize = 1_500;
     const SOURCES: usize = 6;
     const ATTRS: usize = 5;
@@ -37,7 +37,7 @@ fn wide_claims() -> (ClaimSet, Anchors) {
     let mix = |e: usize, a: usize, s: usize| (e * 31 + a * 17 + s * 101 + e * s * 7) % 100;
     let mut cs = ClaimSet::new(SOURCES);
     cs.set_rel_tol(0.002);
-    let mut anchors = Anchors::new();
+    let mut anchors = Vec::new();
     for e in 0..ENTITIES {
         for s in 0..SOURCES {
             if mix(e, 9, s) >= 41 {
@@ -98,9 +98,11 @@ fn bench_fusion(c: &mut Criterion) {
             black_box(n)
         })
     });
+    // Trust plus every slot's decision.
     c.bench_function("fusion/truthfinder_10k_claims", |b| {
         b.iter(|| {
-            black_box(truthfinder(&cs, &TruthFinderConfig::default(), &Vec::new()).iterations)
+            let r = truthfinder(&cs, &TruthFinderConfig::default(), &[]);
+            black_box(r.decisions(&cs).len())
         })
     });
 
@@ -111,6 +113,8 @@ fn bench_fusion(c: &mut Criterion) {
         trust: (0..6).map(|i| 0.5 + 0.06 * i as f64).collect(),
         age: (0..6).map(|i| i as u64).collect(),
     };
+    // What the fuse stage reads: trust and the iteration count.
+    let anchors: Vec<(usize, usize, &Value)> = anchors.iter().map(|(e, a, v)| (*e, *a, v)).collect();
     c.bench_function("fusion/truthfinder_wide_anchored_7k_slots", |b| {
         b.iter_batched(
             || wide_claims().0,

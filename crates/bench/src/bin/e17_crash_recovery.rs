@@ -20,7 +20,10 @@
 //! section measures resume-after-post-ER-crash against cold wall-clock
 //! (everything up to and including ER replays from the store — about two
 //! thirds of a pass — so the resume should cost well under half of one). The corruption section corrupts every record in a completed
-//! store — truncation and bit flips — and demands zero loads. `--counts`
+//! store — truncation and bit flips — and demands zero loads. A full run
+//! exits 1 unless every (site, seed) resumes byte-identically and every
+//! corrupted record is detected and none is loaded; the timing ratio is
+//! printed, not gated. `--counts`
 //! prints only the deterministic half (resumed-run counters + table hash)
 //! and CI double-runs it to assert byte-identical output. A full run
 //! writes `BENCH_e17.json`.
@@ -277,9 +280,10 @@ fn main() {
     }
 
     // --- Verdicts ------------------------------------------------------------
-    let total: u64 = site_rows.iter().map(|r| r.1).sum();
+    // Every (site, seed) must crash and resume byte-identically.
+    let total = SEEDS * CrashSite::all().len() as u64;
     let total_identical: u64 = site_rows.iter().map(|r| r.3).sum();
-    let verdict_identity = total > 0 && total_identical == total;
+    let verdict_identity = total_identical == total;
     let verdict_speed = ratio <= 0.5;
     let verdict_torn = torn_rows.iter().all(|&(_, c, d, h, s)| c as u64 == d && h == 0 && s);
     println!(
@@ -325,6 +329,14 @@ fn main() {
     println!("including mid-ER, leaves only whole checksummed records behind, and the");
     println!("chained content keys make the resumed prefix provably the same computation.");
     println!("Post-ER resume skips ER and everything before it; what it still pays — reading");
-    println!("the store, fuse, assembly — is ~6 ms whatever a cold pass costs, about 0.3 of");
-    println!("one now that ER decides instead of scoring: under 0.5, with less room than before.");
+    println!("the store, a live fuse (claims, truth discovery over trust alone, the kernel,");
+    println!("writing the fuse record), assembly — is ~6 ms on these 100-product fleets, where");
+    println!("fuse is small: 0.25-0.35 of a cold pass, under 0.5.");
+
+    // The deterministic verdicts gate the run; the timing one is printed
+    // only (it reads the machine as much as the code).
+    if !verdict_identity || !verdict_torn {
+        eprintln!("E17 FAILED: resume identity or corruption detection does not hold");
+        std::process::exit(1);
+    }
 }

@@ -4,7 +4,7 @@
 //! considered as master data by the wrangling process; the company is
 //! interested in price comparison only for the products it sells."
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use wrangler_table::{Table, Value};
 
@@ -26,11 +26,8 @@ pub struct MasterData {
     pub table: Table,
     /// Name of the key column.
     pub key_column: String,
-    /// Key values, pre-indexed for O(1) membership tests.
-    keys: HashSet<Value>,
-    /// Key → row of its *first* occurrence in the key column, matching the
-    /// linear-scan semantics `lookup` always had (duplicate keys resolve to
-    /// the earliest row).
+    /// Each non-null key → the row of its *first* occurrence in the key
+    /// column (duplicate keys resolve to the earliest row).
     row_of_key: HashMap<Value, usize>, // hash-ok: lookup-only, never iterated
 }
 
@@ -38,41 +35,37 @@ impl MasterData {
     /// Index a master table by its key column.
     pub fn new(table: Table, key_column: &str) -> wrangler_table::Result<Self> {
         let kcol = table.column_named(key_column)?;
-        let keys: HashSet<Value> = kcol.iter().filter(|v| !v.is_null()).cloned().collect();
-        let mut row_of_key: HashMap<Value, usize> = HashMap::with_capacity(keys.len()); // hash-ok: lookup-only
+        let mut row_of_key: HashMap<Value, usize> = HashMap::with_capacity(kcol.len()); // hash-ok: lookup-only
         for (idx, v) in kcol.iter().enumerate() {
-            row_of_key.entry(v.clone()).or_insert(idx);
+            if !v.is_null() {
+                row_of_key.entry(v.clone()).or_insert(idx);
+            }
         }
         Ok(MasterData {
             table,
             key_column: key_column.to_string(),
-            keys,
             row_of_key,
         })
     }
 
     /// True if the key value occurs in the master data.
     pub fn contains_key(&self, v: &Value) -> bool {
-        self.keys.contains(v)
+        self.row_of(v).is_some()
     }
 
-    /// Number of master entities.
+    /// The row of the first occurrence of a (non-null) key, if it occurs.
+    pub fn row_of(&self, key: &Value) -> Option<usize> {
+        self.row_of_key.get(key).copied()
+    }
+
+    /// Number of master entities (distinct non-null keys).
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.row_of_key.len()
     }
 
     /// True if the master table has no keys.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Look up the master value of `column` for the entity with the given
-    /// key. O(1) through the first-occurrence index (it used to rescan the
-    /// key column on every call, which dominated anchor building on large
-    /// catalogs).
-    pub fn lookup(&self, key: &Value, column: &str) -> Option<Value> {
-        let idx = *self.row_of_key.get(key)?;
-        self.table.get_named(idx, column).ok().cloned()
+        self.row_of_key.is_empty()
     }
 }
 
@@ -138,27 +131,31 @@ mod tests {
     }
 
     #[test]
-    fn master_membership_and_lookup() {
+    fn master_membership_and_rows() {
         let m = MasterData::new(catalog(), "sku").unwrap();
         assert_eq!(m.len(), 3);
         assert!(m.contains_key(&"a1".into()));
         assert!(!m.contains_key(&"zz".into()));
-        assert_eq!(m.lookup(&"a2".into(), "name"), Some("Gadget".into()));
-        assert_eq!(m.lookup(&"zz".into(), "name"), None);
+        assert_eq!(m.row_of(&"a2".into()), Some(1));
+        assert_eq!(m.row_of(&"zz".into()), None);
     }
 
     #[test]
-    fn lookup_resolves_duplicate_keys_to_first_row() {
+    fn duplicate_keys_resolve_to_the_first_row_and_null_keys_to_none() {
         let t = Table::literal(
             &["sku", "name"],
             vec![
+                vec![Value::Null, "Nameless".into()],
                 vec!["a1".into(), "First".into()],
                 vec!["a1".into(), "Second".into()],
             ],
         )
         .unwrap();
         let m = MasterData::new(t, "sku").unwrap();
-        assert_eq!(m.lookup(&"a1".into(), "name"), Some("First".into()));
+        assert_eq!(m.row_of(&"a1".into()), Some(1));
+        assert_eq!(m.row_of(&Value::Null), None);
+        assert!(!m.contains_key(&Value::Null));
+        assert_eq!(m.len(), 1);
     }
 
     #[test]

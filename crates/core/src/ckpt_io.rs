@@ -458,8 +458,8 @@ pub struct FuseOut {
     pub trust: Vec<f64>,
     /// Fusion-time per-source age.
     pub age: Vec<u64>,
-    /// Fused slots: `(entity, attr, value)`.
-    pub fused: Vec<(usize, usize, FusedValue)>,
+    /// The fused slots.
+    pub fused: FusedSlots,
 }
 
 wire_struct!(FuseOut {
@@ -467,10 +467,49 @@ wire_struct!(FuseOut {
     fuse_removed: Vec<usize>,
     trust: Vec<f64>,
     age: Vec<u64>,
-    fused: Vec<(usize, usize, FusedValue)>,
+    fused: FusedSlots,
 });
 
 impl SeamRecord for FuseOut {}
+
+/// Fused values by slot: `values[i]` is slot `slots[i]`'s, `None` where
+/// nothing was fused. The live stage lists every slot of its claim index,
+/// so installing it moves the values over as they are. On the wire it is
+/// the `(entity, attr, value)` list of the slots that have a value, so a
+/// decoded record lists only those.
+#[derive(Debug, Clone, Default)]
+pub struct FusedSlots {
+    /// Slots, ascending.
+    pub slots: Vec<(usize, usize)>,
+    /// One per slot.
+    pub values: Vec<Option<FusedValue>>,
+}
+
+impl From<Vec<(usize, usize, FusedValue)>> for FusedSlots {
+    fn from(listed: Vec<(usize, usize, FusedValue)>) -> FusedSlots {
+        let (slots, values) = listed
+            .into_iter()
+            .map(|(e, a, f)| ((e, a), Some(f)))
+            .unzip();
+        FusedSlots { slots, values }
+    }
+}
+
+impl Wire for FusedSlots {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        e.usize(self.values.iter().flatten().count());
+        for (&(entity, attr), value) in self.slots.iter().zip(&self.values) {
+            if let Some(f) = value {
+                (entity, attr).enc(e);
+                f.enc(e);
+            }
+        }
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<FusedSlots> {
+        Ok(Vec::<(usize, usize, FusedValue)>::dec(d)?.into())
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -681,7 +720,8 @@ mod tests {
                     supporters: vec![0, 1],
                     freshness: 0.8,
                 },
-            )],
+            )]
+            .into(),
         }
     }
 
@@ -755,8 +795,22 @@ mod tests {
         let fuse = sample_fuse();
         let back = FuseOut::decode(&fuse.encode()).unwrap();
         assert_eq!(back.fuse_removed, fuse.fuse_removed);
-        assert_eq!(back.fused.len(), 1);
-        assert_eq!(back.fused[0].2.supporters, vec![0, 1]);
+        assert_eq!(back.fused.slots, [(0, 1)]);
+        assert_eq!(back.fused.values[0].as_ref().unwrap().supporters, vec![0, 1]);
+    }
+
+    #[test]
+    fn fused_slots_encode_as_the_list_of_fused_values() {
+        let f = sample_fuse().fused.values[0].clone().unwrap();
+        let all = FusedSlots {
+            slots: vec![(0, 0), (0, 1), (2, 3)],
+            values: vec![None, Some(f.clone()), None],
+        };
+        let listed = vec![(0usize, 1usize, f)];
+        assert_eq!(wire::to_bytes(&all), wire::to_bytes(&listed));
+        let back: FusedSlots = wire::from_bytes(&wire::to_bytes(&all)).unwrap();
+        assert_eq!(back.slots, [(0, 1)]);
+        assert_eq!(back.values, [Some(listed[0].2.clone())]);
     }
 
     #[test]

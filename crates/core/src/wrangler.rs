@@ -2,12 +2,14 @@
 
 use std::collections::HashMap; // hash-ok: HashMap here is lookup-only (feedback state); nothing iterates it into output
 
+use wrangler_context::reference::MasterData;
 use wrangler_context::{Criterion, DataContext, QualityVector, UserContext};
 use wrangler_feedback::router::ValueProvenance;
 use wrangler_feedback::{
     route, FeedbackItem, FeedbackStore, FeedbackTarget, RoutedSignal, RoutingMode,
 };
 use wrangler_fusion::strategies::{FusedValue, SourceContext};
+use wrangler_fusion::truthfinder::Anchors;
 use wrangler_fusion::{ClaimSet, FuseKernel};
 use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::Mapping;
@@ -214,6 +216,42 @@ pub struct Wrangler {
     /// the ER memo an update carries, both keyed off the pass fingerprint
     /// (see [`crate::incr`]). On by default.
     incr: IncrEngine,
+}
+
+/// Master-data anchors: for entities whose key is in the catalog, the
+/// catalog's values of shared attributes are known-true. An entity's key is
+/// the first non-null key claim found in the catalog, and its catalog row
+/// the key's first occurrence; null catalog cells anchor nothing. Each
+/// target attribute's catalog column is resolved once, and the values are
+/// borrowed from the catalog.
+fn master_anchors<'m>(
+    master: &'m MasterData,
+    target: &Schema,
+    clusters: &[Vec<usize>],
+    union: &Table,
+) -> Anchors<'m> {
+    let Ok(keys) = union.column_named(&master.key_column) else {
+        return Vec::new();
+    };
+    let columns: Vec<(usize, &[Value])> = target
+        .fields()
+        .iter()
+        .enumerate()
+        .filter(|(_, field)| field.name != master.key_column)
+        .filter_map(|(a, field)| Some((a, master.table.column_named(&field.name).ok()?)))
+        .collect();
+    let mut anchors = Vec::new();
+    for (e, cluster) in clusters.iter().enumerate() {
+        let Some(row) = cluster.iter().find_map(|&r| master.row_of(&keys[r])) else {
+            continue;
+        };
+        for &(a, column) in &columns {
+            if !column[row].is_null() {
+                anchors.push((e, a, &column[row]));
+            }
+        }
+    }
+    anchors
 }
 
 impl Wrangler {
@@ -735,14 +773,11 @@ impl Wrangler {
         // containment picture, which an incremental pass reports.
         let mut creport = self.last_containment.clone();
         let refused = self
-            .fuse_slot_loop(&kernel, &dirty, &mut creport, "refuse")
+            .fuse_slot_loop(&kernel, &dirty, &mut cache.fused, &mut creport, "refuse")
             .map(|done| {
                 // Slot marks without a claim count as refused, as they
                 // always have: there was nothing to fuse.
-                let slots = done.len() + unclaimed;
-                for (no, f) in done {
-                    cache.fused[no] = f;
-                }
+                let slots = done + unclaimed;
                 self.working.clean_slots();
                 self.working.work.slots_fused += slots;
                 self.obs.count("refuse.slots", slots as u64);
@@ -774,41 +809,6 @@ impl Wrangler {
             None => kernel.fuse_slot(e, a),
             Some(vetoed) => kernel.fuse_slot_without(e, a, vetoed),
         }
-    }
-
-    /// Master-data anchors: for entities whose key is in the catalog, the
-    /// catalog's values of shared attributes are known-true.
-    fn master_anchors(&self, clusters: &[Vec<usize>], union: &Table) -> Vec<(usize, usize, Value)> {
-        let Some(master) = self.data_ctx.master("product") else {
-            return Vec::new();
-        };
-        let Ok(keys) = union.column_named(&master.key_column) else {
-            return Vec::new();
-        };
-        let mut anchors = Vec::new();
-        for (e, cluster) in clusters.iter().enumerate() {
-            // The entity's key: first non-null key claim found in the master.
-            let key = cluster.iter().find_map(|&r| {
-                let v = &keys[r];
-                if !v.is_null() && master.contains_key(v) {
-                    Some(v.clone())
-                } else {
-                    None
-                }
-            });
-            let Some(key) = key else { continue };
-            for (a, field) in self.target.fields().iter().enumerate() {
-                if field.name == master.key_column {
-                    continue;
-                }
-                if let Some(truth) = master.lookup(&key, &field.name) {
-                    if !truth.is_null() {
-                        anchors.push((e, a, truth));
-                    }
-                }
-            }
-        }
-        anchors
     }
 
     /// Assemble the wrangled table and its quality report from the cache
@@ -1997,6 +1997,71 @@ mod tests {
         assert!(w.lint_findings().is_empty());
     }
 
+    /// The anchors equal the per-entity path they replaced: a membership
+    /// test per key claim, then a first-occurrence lookup per attribute, on
+    /// a catalog with a null key, a duplicate key and null cells.
+    #[test]
+    fn master_anchors_equal_the_per_entity_lookup() {
+        let f = |v: f64| Value::Float(v);
+        let catalog = Table::literal(
+            &["sku", "name", "price"],
+            vec![
+                vec![Value::Null, "Nameless".into(), f(1.0)],
+                vec!["a1".into(), "First".into(), f(2.0)],
+                vec!["a1".into(), "Second".into(), f(3.0)],
+                vec!["a2".into(), Value::Null, f(4.0)],
+                vec!["a3".into(), "Third".into(), Value::Null],
+            ],
+        )
+        .unwrap();
+        let master = MasterData::new(catalog, "sku").unwrap();
+        let target = Schema::new(vec![
+            wrangler_table::Field::new("name", DataType::Str),
+            wrangler_table::Field::new("sku", DataType::Str),
+            wrangler_table::Field::new("colour", DataType::Str),
+            wrangler_table::Field::new("price", DataType::Float),
+        ])
+        .unwrap();
+        let keys: Vec<Value> = vec![Value::Null, "zz".into(), "a1".into(), "a2".into(), Value::Null, "a3".into(), "a1".into()];
+        let union = Table::literal(&["sku"], keys.iter().map(|k| vec![k.clone()]).collect()).unwrap();
+        let clusters = vec![vec![0, 1, 2], vec![3], vec![4], vec![5, 6], vec![1]];
+
+        let mut old: Vec<(usize, usize, Value)> = Vec::new();
+        let key_column = master.table.column_named("sku").unwrap();
+        for (e, cluster) in clusters.iter().enumerate() {
+            let key = cluster
+                .iter()
+                .map(|&r| &keys[r])
+                .find(|v| !v.is_null() && master.contains_key(v));
+            let Some(key) = key else { continue };
+            let row = key_column.iter().position(|k| k == key).unwrap();
+            for (a, field) in target.fields().iter().enumerate() {
+                if field.name == "sku" {
+                    continue;
+                }
+                if let Ok(truth) = master.table.get_named(row, &field.name) {
+                    if !truth.is_null() {
+                        old.push((e, a, truth.clone()));
+                    }
+                }
+            }
+        }
+        let new: Vec<(usize, usize, Value)> = master_anchors(&master, &target, &clusters, &union)
+            .into_iter()
+            .map(|(e, a, v)| (e, a, v.clone()))
+            .collect();
+        assert_eq!(new, old);
+        assert_eq!(
+            new,
+            vec![
+                (0, 0, "First".into()),
+                (0, 3, f(2.0)),
+                (1, 3, f(4.0)),
+                (3, 0, "Third".into()),
+            ]
+        );
+    }
+
     #[test]
     fn metrics_cover_every_stage_and_every_worker() {
         let fleet = small_fleet();
@@ -2077,6 +2142,31 @@ mod tests {
             .map(|(_, v)| *v)
             .sum();
         assert!(refuse_items > 0 && refuse_items <= m2.counts["refuse.slots"]);
+        // With a store attached, each seam's record I/O has its own spans:
+        // a cold pass saves at every seam, a second pass loads every one.
+        let dir = crate::scratch_dir("metrics-seam-io");
+        let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
+        let seams = [
+            "select",
+            "acquire",
+            "map_generate",
+            "map_apply",
+            "union",
+            "er",
+            "fuse",
+        ];
+        for warm in [false, true] {
+            let store = CheckpointStore::open(&dir).unwrap();
+            let mut w = session(&fleet, UserContext::balanced("t")).with_checkpoint_store(store);
+            let m = w.wrangle().unwrap().metrics;
+            for seam in seams {
+                let load = format!("wrangle/{seam}/ckpt_load");
+                let save = format!("wrangle/{seam}/ckpt_save");
+                assert!(m.timings.contains_key(&load), "missing span {load}");
+                assert_eq!(m.timings.contains_key(&save), !warm, "span {save}");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
     }
 
     #[test]
@@ -2451,7 +2541,7 @@ mod tests {
                 fuse_removed: Vec::new(),
                 trust: Vec::new(),
                 age: Vec::new(),
-                fused,
+                fused: crate::ckpt_io::FusedSlots::from(fused),
             };
             w.fuse_install(&mut pass, rec)
         };

@@ -357,12 +357,11 @@ impl Wrangler {
         key: u64,
         creport: &mut ContainmentReport,
     ) -> Option<R> {
-        let (raw, torn) = {
-            let store = self.ckpt.as_ref()?;
-            let before = store.stats().torn_detected;
-            let raw = store.get(key);
-            (raw, store.stats().torn_detected - before)
-        };
+        let store = self.ckpt.as_ref()?;
+        self.obs.begin("ckpt_load");
+        let before = store.stats().torn_detected;
+        let raw = store.get(key);
+        let torn = store.stats().torn_detected - before;
         if torn > 0 {
             self.obs.count(&format!("ckpt.{stage}.torn_detected"), torn);
         }
@@ -372,7 +371,7 @@ impl Wrangler {
             (state.trust.len() == self.states.len() && record.fits(&self.target))
                 .then_some((state, record))
         });
-        match decoded {
+        let record = match decoded {
             Some((state, record)) => {
                 self.restore_state(state, creport);
                 self.obs.inc(&format!("ckpt.{stage}.hits"));
@@ -382,7 +381,9 @@ impl Wrangler {
                 self.obs.inc(&format!("ckpt.{stage}.misses"));
                 None
             }
-        }
+        };
+        self.obs.end();
+        record
     }
 
     /// Persist a seam record (session snapshot + stage output), when a
@@ -399,6 +400,7 @@ impl Wrangler {
         let Some(store) = self.ckpt.as_ref() else {
             return;
         };
+        self.obs.begin("ckpt_save");
         let rec = ckpt_io::encode_record(&self.snapshot_state(creport), &record.encode());
         if store.put(key, &rec).is_ok() {
             self.obs
@@ -406,6 +408,7 @@ impl Wrangler {
         } else {
             self.obs.inc(&format!("ckpt.{stage}.write_failed"));
         }
+        self.obs.end();
     }
 
     // --- Helpers every stage shares ----------------------------------------
@@ -470,8 +473,12 @@ impl Wrangler {
         let mut claims = ClaimSet::new(self.registry.len());
         claims.set_rel_tol(pass.plan.fusion_tolerance);
         let columns: Vec<&[Value]> = pass.union.table().columns().collect();
+        let mut is_excluded = vec![false; self.registry.len()];
+        for &src in excluded {
+            is_excluded[src] = true;
+        }
         for (r, src) in pass.union.sources().enumerate() {
-            if excluded.contains(&src) {
+            if is_excluded[src] {
                 continue;
             }
             for (a, column) in columns.iter().enumerate() {

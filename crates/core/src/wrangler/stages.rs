@@ -23,9 +23,11 @@ use wrangler_table::{ops, par, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
 use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_APPLY, MAP_GENERATE, SELECT, UNION};
-use super::{blocking_columns, WrangleCache, Wrangler};
+use super::{blocking_columns, master_anchors, WrangleCache, Wrangler};
 use crate::acquire::AcquisitionSummary;
-use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SelectOut, UnionOut};
+use crate::ckpt_io::{
+    AcquireOut, ErOut, FuseOut, FusedSlots, MapApplyOut, MapGenOut, SelectOut, UnionOut,
+};
 use crate::contain::{
     catch_quiet, isolate, poison_reason, ContainMode, ContainmentReport, Guarded, Stage, StageGuard,
 };
@@ -960,22 +962,32 @@ impl Wrangler {
             Some(claims) => claims,
             None => self.claim_set(pass, &rec.fuse_removed),
         };
-        // One merge walk: the record lists its slots in the index's order.
         let slots = claims.index().slots();
-        let mut fused: Vec<Option<FusedValue>> = vec![None; slots.len()];
-        let mut no = 0;
-        for (e, a, f) in rec.fused {
-            while slots.get(no).is_some_and(|&slot| slot < (e, a)) {
+        let FusedSlots {
+            slots: listed,
+            values,
+        } = rec.fused;
+        // A live record lists every slot of the index as it is; a replayed
+        // one the fused slots, in the index's order: one merge walk.
+        let fused = if listed == slots {
+            values
+        } else {
+            let mut fused: Vec<Option<FusedValue>> = vec![None; slots.len()];
+            let mut no = 0;
+            for ((e, a), f) in listed.into_iter().zip(values) {
+                while slots.get(no).is_some_and(|&slot| slot < (e, a)) {
+                    no += 1;
+                }
+                if slots.get(no) != Some(&(e, a)) {
+                    return Err(TableError::Invalid(format!(
+                        "fuse seam: the record's slot ({e},{a}) is not in the claim index's order"
+                    )));
+                }
+                fused[no] = f;
                 no += 1;
             }
-            if slots.get(no) != Some(&(e, a)) {
-                return Err(TableError::Invalid(format!(
-                    "fuse seam: the record's slot ({e},{a}) is not in the claim index's order"
-                )));
-            }
-            fused[no] = Some(f);
-            no += 1;
-        }
+            fused
+        };
         let er = std::mem::take(&mut pass.er);
         self.cache = Some(WrangleCache {
             union: std::mem::replace(&mut pass.union, Union::empty(self.target.clone())),
@@ -1016,7 +1028,12 @@ impl Wrangler {
         self.obs.end();
         // Master-data anchors for the attributes the catalog knows.
         self.obs.begin("anchors");
-        let anchors = self.master_anchors(&pass.er.clusters, pass.union.table());
+        let anchors = match self.data_ctx.master("product") {
+            Some(master) => {
+                master_anchors(master, &self.target, &pass.er.clusters, pass.union.table())
+            }
+            None => Vec::new(),
+        };
         self.obs.end();
         self.obs.begin("truthfinder");
         let tf = truthfinder(&claims, &TruthFinderConfig::default(), &anchors);
@@ -1041,16 +1058,17 @@ impl Wrangler {
         // Fuse every slot. Per-source weights/decays are compiled once per
         // pass and serve every kind of slot.
         let fuse_kernel = FuseKernel::compile(&claims, pass.plan.fusion, &source_ctx);
-        let all: Vec<usize> = (0..claims.index().slots().len()).collect();
-        let mut done = self.fuse_slot_loop(&fuse_kernel, &all, &mut pass.creport, "fuse")?;
-        self.working.work.slots_fused += done.len();
-        self.obs.count("fuse.slots", done.len() as u64);
-        done.sort_unstable_by_key(|&(no, _)| no);
         let slots = claims.index().slots();
-        let fused = done
-            .into_iter()
-            .filter_map(|(no, f)| f.map(|f| (slots[no].0, slots[no].1, f)))
-            .collect();
+        let all: Vec<usize> = (0..slots.len()).collect();
+        let mut values = vec![None; slots.len()];
+        let done =
+            self.fuse_slot_loop(&fuse_kernel, &all, &mut values, &mut pass.creport, "fuse")?;
+        self.working.work.slots_fused += done;
+        self.obs.count("fuse.slots", done as u64);
+        let fused = FusedSlots {
+            slots: slots.to_vec(),
+            values,
+        };
         pass.claims = Some(claims);
         Ok(FuseOut {
             selected: std::mem::take(&mut pass.selected),
@@ -1062,20 +1080,24 @@ impl Wrangler {
     }
 
     /// The slot loop of a pass's fuse stage and of `rewrangle`'s re-fuse:
-    /// fuse the slots numbered `nos` (ascending, of `kernel`'s claim index)
-    /// and return each one's number and value, slots judged by feedback
-    /// first. Columns the projection never reads are dead at fuse (the
+    /// fuse the slots numbered `nos` (ascending, of `kernel`'s claim index),
+    /// write each one's value to `fused[no]` and return how many were
+    /// fused. Columns the projection never reads are dead at fuse (the
     /// `skip-dead-fusion` rewrites, each citing its `DeadAtFuse` fact) and
-    /// skipped; their claims stay in the claim set, so trust — and every
-    /// live fused value — is unchanged. A confirmed or vetoed slot takes the
-    /// feedback-aware serial path, the plain majority the blocked pool.
+    /// skipped, their entries left as they are; their claims stay in the
+    /// claim set, so trust — and every live fused value — is unchanged. A
+    /// confirmed or vetoed slot takes the feedback-aware serial path, the
+    /// plain majority the blocked pool. A slot that panics under a policy
+    /// that makes that fatal ends the loop with the values before it
+    /// written.
     pub(super) fn fuse_slot_loop(
         &mut self,
         kernel: &FuseKernel,
         nos: &[usize],
+        fused: &mut [Option<FusedValue>],
         creport: &mut ContainmentReport,
         stage: &str,
-    ) -> Result<Vec<(usize, Option<FusedValue>)>> {
+    ) -> Result<usize> {
         let live_mask = self.last_program.as_ref().and_then(|p| p.live_mask());
         let slots = kernel.claims().index().slots();
         // The slots feedback judged, ascending, to merge with `nos`.
@@ -1104,11 +1126,10 @@ impl Wrangler {
         // pass — unless the policy says a caught panic is fatal.
         let contained = !self.contain.is_off();
         let fatal = self.contain.mode != ContainMode::Contain;
-        let mut fused = Vec::with_capacity(special_slots.len() + plain_slots.len());
         let mut slot_done =
             |no: usize, res: std::result::Result<Option<FusedValue>, String>| -> Result<()> {
-                match res {
-                    Ok(f) => fused.push((no, f)),
+                fused[no] = match res {
+                    Ok(f) => f,
                     Err(msg) => {
                         creport.caught_panic(Stage::Fuse);
                         if fatal {
@@ -1117,9 +1138,9 @@ impl Wrangler {
                                 "fuse slot ({e},{a}) panicked: {msg}"
                             )));
                         }
-                        fused.push((no, None));
+                        None
                     }
-                }
+                };
                 Ok(())
             };
         let worker_stats = self.span("kernel", |w| {
@@ -1149,6 +1170,6 @@ impl Wrangler {
             Ok(worker_stats)
         })?;
         self.record_workers(stage, &worker_stats);
-        Ok(fused)
+        Ok(special_slots.len() + plain_slots.len())
     }
 }

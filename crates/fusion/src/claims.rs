@@ -102,10 +102,27 @@ impl ClaimSet {
 
     /// The claims grouped by slot and agreement class.
     pub fn index(&self) -> &ClaimIndex {
-        self.index.get_or_init(|| {
-            // One integer per claim — entity, attribute, id from the top
-            // bits down — sorts in under half the time the tuple takes. The
-            // id breaks ties, so a slot keeps its claims in insertion order.
+        self.index
+            .get_or_init(|| ClaimIndex::group(&self.claims, self.slot_order(), self.rel_tol))
+    }
+
+    /// Claim ids ordered by slot, insertion order within a slot. A stable
+    /// counting sort on the dense key `entity × attributes + attribute`
+    /// when that key space is at most a few times the number of claims (it
+    /// is on every fleet: entities are cluster numbers); otherwise one sort
+    /// of an integer per claim — entity, attribute, id from the top bits
+    /// down, the id breaking ties.
+    fn slot_order(&self) -> Vec<u32> {
+        let (entities, attrs) = self
+            .claims
+            .iter()
+            .fold((0, 0), |(e, a), c| (e.max(c.entity), a.max(c.attr)));
+        let attrs = attrs + 1;
+        let keys = entities
+            .checked_add(1)
+            .and_then(|e| e.checked_mul(attrs))
+            .filter(|&keys| keys <= 4 * self.claims.len() + 64);
+        let Some(keys) = keys else {
             let mut keyed: Vec<u128> = self
                 .claims
                 .iter()
@@ -113,9 +130,24 @@ impl ClaimSet {
                 .map(|(c, id)| (c.entity as u128) << 64 | (c.attr as u128) << 32 | id as u128)
                 .collect();
             keyed.sort_unstable();
-            let ids = keyed.into_iter().map(|key| key as u32).collect();
-            ClaimIndex::group(&self.claims, ids, self.rel_tol)
-        })
+            return keyed.into_iter().map(|key| key as u32).collect();
+        };
+        let key = |c: &Claim| c.entity * attrs + c.attr;
+        // `next[k]` is where key `k`'s next claim goes.
+        let mut next = vec![0u32; keys + 1];
+        for c in &self.claims {
+            next[key(c) + 1] += 1;
+        }
+        for k in 0..keys {
+            next[k + 1] += next[k];
+        }
+        let mut ids = vec![0u32; self.claims.len()];
+        for (c, id) in self.claims.iter().zip(0u32..) {
+            let at = &mut next[key(c)];
+            ids[*at as usize] = id;
+            *at += 1;
+        }
+        ids
     }
 
     /// Claims about one (entity, attribute) slot, in insertion order.

@@ -1,14 +1,15 @@
 //! The compiled fusion paths against their uncompiled references, bit for
-//! bit: the claim index against a map-based grouping, `truthfinder` over the
-//! index against the map-per-iteration loop it replaced, and the kernel's
-//! veto-filtered fuse against `fuse_attribute` over a claim set rebuilt
-//! without the vetoed claims.
+//! bit: the claim index against a map-based grouping and against the
+//! comparison sort it replaced, `truthfinder` over the index against the
+//! map-per-iteration loop it replaced, and the kernel's veto-filtered fuse
+//! against `fuse_attribute` over a claim set rebuilt without the vetoed
+//! claims.
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use wrangler_fusion::strategies::{fuse_attribute, FusedValue, SourceContext};
-use wrangler_fusion::truthfinder::{truthfinder, Anchors, TruthFinderConfig, TruthFinderResult};
+use wrangler_fusion::truthfinder::{truthfinder, TruthFinderConfig};
 use wrangler_fusion::Strategy as FusionStrategy;
 use wrangler_fusion::{values_agree, Claim, ClaimSet, FuseKernel};
 use wrangler_table::Value;
@@ -16,13 +17,24 @@ use wrangler_table::Value;
 /// Per-slot agreement classes: each distinct value with its supporter sources.
 type ClassesBySlot = BTreeMap<(usize, usize), Vec<(Value, Vec<usize>)>>;
 
+/// Known-true facts, owned: (entity, attr, value).
+type OwnedAnchors = Vec<(usize, usize, Value)>;
+
+/// What the reference loop returns: trust, the slot decisions and the
+/// iteration count.
+struct Reference {
+    trust: Vec<f64>,
+    decisions: BTreeMap<(usize, usize), (Value, f64)>,
+    iterations: usize,
+}
+
 /// `truthfinder` as it was before it was compiled against the claim index,
 /// moved here verbatim (field reads became accessor calls): the oracle.
 fn truthfinder_reference(
     claims: &ClaimSet,
     cfg: &TruthFinderConfig,
-    anchors: &Anchors,
-) -> TruthFinderResult {
+    anchors: &OwnedAnchors,
+) -> Reference {
     let n = claims.num_sources();
     let mut trust = vec![cfg.initial_trust.clamp(0.05, 0.95); n];
     let slots = claims.slots();
@@ -120,7 +132,7 @@ fn truthfinder_reference(
             break;
         }
     }
-    TruthFinderResult {
+    Reference {
         trust,
         decisions,
         iterations,
@@ -166,6 +178,39 @@ fn claim_set(claims: &[(usize, usize, Value, usize)], rel_tol: f64) -> ClaimSet 
 
 fn arb_rel_tol() -> impl Strategy<Value = f64> {
     prop_oneof![Just(1e-9), Just(0.01)]
+}
+
+/// No iteration, one, or the default cap; the default dampening, none (a
+/// class's confidence is then 0, and a lone class's `x / x` is not 1), and
+/// a strong one.
+fn arb_config() -> impl Strategy<Value = TruthFinderConfig> {
+    (
+        prop_oneof![Just(0usize), Just(1), Just(20)],
+        prop_oneof![Just(0.3f64), Just(0.0), Just(0.9)],
+    )
+        .prop_map(|(max_iterations, dampening)| TruthFinderConfig {
+            max_iterations,
+            dampening,
+            ..TruthFinderConfig::default()
+        })
+}
+
+/// Anchors as the pass hands them over: borrowed.
+fn borrowed(anchors: &OwnedAnchors) -> Vec<(usize, usize, &Value)> {
+    anchors.iter().map(|(e, a, v)| (*e, *a, v)).collect()
+}
+
+/// Claim ids ordered by slot, insertion order within a slot, the way the
+/// index used to order them: one sort of a packed `u128` per claim.
+fn u128_sorted_ids(cs: &ClaimSet) -> Vec<u32> {
+    let mut keyed: Vec<u128> = cs
+        .claims()
+        .iter()
+        .zip(0u32..)
+        .map(|(c, id)| (c.entity as u128) << 64 | (c.attr as u128) << 32 | id as u128)
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|key| key as u32).collect()
 }
 
 fn arb_strategy() -> impl Strategy<Value = FusionStrategy> {
@@ -228,23 +273,85 @@ proptest! {
         // and both agree with and contradict what is claimed.
         anchors in prop::collection::vec((0usize..8, 0usize..3, arb_value()), 0..10),
         rel_tol in arb_rel_tol(),
-        max_iterations in prop_oneof![Just(0usize), Just(1), Just(20)],
-        dampening in prop_oneof![Just(0.3f64), Just(0.0), Just(0.9)],
+        cfg in arb_config(),
     ) {
         let cs = claim_set(&claims, rel_tol);
-        let cfg = TruthFinderConfig { max_iterations, dampening, ..TruthFinderConfig::default() };
         let want = truthfinder_reference(&cs, &cfg, &anchors);
-        let got = truthfinder(&cs, &cfg, &anchors);
+        let got = truthfinder(&cs, &cfg, &borrowed(&anchors));
         prop_assert_eq!(got.iterations, want.iterations);
-        let trust_bits = |r: &TruthFinderResult| r.trust.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
-        prop_assert_eq!(trust_bits(&got), trust_bits(&want));
-        let decided = |r: &TruthFinderResult| {
-            r.decisions
+        let trust_bits = |trust: &[f64]| trust.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(trust_bits(&got.trust), trust_bits(&want.trust));
+        let decided = |decisions: &BTreeMap<(usize, usize), (Value, f64)>| {
+            decisions
                 .iter()
                 .map(|(slot, (v, c))| (*slot, v.clone(), c.to_bits()))
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(decided(&got), decided(&want));
+        prop_assert_eq!(decided(&got.decisions(&cs)), decided(&want.decisions));
+    }
+
+    #[test]
+    fn pass_truth_discovery_equals_the_reference(
+        // Twenty entities over two attributes: most slots hold one class,
+        // the ones an iteration settles as `x / x`.
+        claims in prop::collection::vec((0usize..20, 0usize..2, arb_value(), 0..SOURCES), 0..40),
+        anchors in prop::collection::vec((0usize..20, 0usize..2, arb_value()), 0..6),
+        rel_tol in arb_rel_tol(),
+        cfg in arb_config(),
+    ) {
+        // What the fuse stage reads: trust and the iteration count.
+        let cs = claim_set(&claims, rel_tol);
+        let want = truthfinder_reference(&cs, &cfg, &anchors);
+        let got = truthfinder(&cs, &cfg, &borrowed(&anchors));
+        prop_assert_eq!(got.iterations, want.iterations);
+        let trust_bits = |trust: &[f64]| trust.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(trust_bits(&got.trust), trust_bits(&want.trust));
+    }
+
+    #[test]
+    fn counting_sorted_index_equals_the_u128_sort(
+        claims in arb_claims(),
+        // Entity ids spaced 1 apart take the dense counting sort; spaced
+        // 2^40 or a sixteenth of the id space apart, the fallback.
+        spacing in prop_oneof![Just(1usize), Just(3), Just(1 << 40), Just(usize::MAX / 16)],
+        rel_tol in arb_rel_tol(),
+    ) {
+        let spread: Vec<_> = claims
+            .iter()
+            .map(|(e, a, v, s)| (e * spacing, *a, v.clone(), *s))
+            .collect();
+        let cs = claim_set(&spread, rel_tol);
+        let ids = u128_sorted_ids(&cs);
+        let index = cs.index();
+        let claim = |id: u32| &cs.claims()[id as usize];
+        // Slots, and each slot's claim ids, in the reference order.
+        let mut slots: Vec<(usize, usize)> = ids.iter().map(|&id| (claim(id).entity, claim(id).attr)).collect();
+        slots.dedup();
+        prop_assert_eq!(index.slots(), &slots[..]);
+        let mut at = 0;
+        for (no, &(e, a)) in slots.iter().enumerate() {
+            let len = ids[at..].iter().take_while(|&&id| (claim(id).entity, claim(id).attr) == (e, a)).count();
+            let members = &ids[at..at + len];
+            at += len;
+            prop_assert_eq!(index.claim_ids(no), members);
+            // Classes: representative id and supporters, first
+            // representative wins.
+            let mut want: Vec<(u32, Vec<u32>)> = Vec::new();
+            for &id in members {
+                let value = &claim(id).value;
+                let source = claim(id).source as u32;
+                match want.iter_mut().find(|(rep, _)| values_agree(&claim(*rep).value, value, rel_tol)) {
+                    Some((_, supporters)) => supporters.push(source),
+                    None => want.push((id, vec![source])),
+                }
+            }
+            let got: Vec<(u32, Vec<u32>)> = index
+                .classes(no)
+                .map(|class| (index.class_rep(class) as u32, index.supporters(class).to_vec()))
+                .collect();
+            prop_assert_eq!(got, want);
+        }
+        prop_assert_eq!(at, ids.len());
     }
 
     #[test]

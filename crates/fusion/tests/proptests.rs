@@ -168,16 +168,15 @@ proptest! {
                 cs.add(e, 0, v.clone(), s);
             }
         }
-        let r = truthfinder(&cs, &TruthFinderConfig::default(), &Vec::new());
+        let r = truthfinder(&cs, &TruthFinderConfig::default(), &[]);
         for &t in &r.trust {
             prop_assert!((0.0..=1.0).contains(&t));
         }
+        let decisions = r.decisions(&cs);
         for (e, vs) in values.iter().enumerate() {
-            if let Some(v) = r.value(e, 0) {
+            if let Some((v, c)) = decisions.get(&(e, 0)) {
                 prop_assert!(vs.iter().any(|u| values_agree(u, v, cs.rel_tol())));
-            }
-            if let Some(c) = r.confidence(e, 0) {
-                prop_assert!((0.0..=1.0 + 1e-9).contains(&c));
+                prop_assert!((0.0..=1.0 + 1e-9).contains(c));
             }
         }
     }
