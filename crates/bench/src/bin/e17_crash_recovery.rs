@@ -23,7 +23,8 @@
 //! store — truncation and bit flips — and demands zero loads. A full run
 //! exits 1 unless every (site, seed) resumes byte-identically and every
 //! corrupted record is detected and none is loaded; the timing ratio is
-//! printed, not gated. `--counts`
+//! printed, not gated. The store section prints where a checkpointed cold
+//! pass's record bytes go, seam by seam (no gate). `--counts`
 //! prints only the deterministic half (resumed-run counters + table hash)
 //! and CI double-runs it to assert byte-identical output. A full run
 //! writes `BENCH_e17.json`.
@@ -47,6 +48,8 @@ const SEED: u64 = 1706;
 const SEEDS: u64 = 8;
 const CRASH_EXIT: i32 = 86;
 const TIMING_REPS: usize = 3;
+/// The checkpoint seams, in pass order.
+const SEAMS: [&str; 7] = ["select", "acquire", "map_generate", "map_apply", "union", "er", "fuse"];
 
 fn e17_fleet(trial: u64) -> SyntheticFleet {
     let mut cfg = default_fleet_config();
@@ -254,6 +257,36 @@ fn main() {
         1e3 * resume_secs
     );
 
+    // --- Where the store's bytes go ------------------------------------------
+    // One checkpointed cold pass: each seam's record bytes (snapshot and
+    // stage output) as written, `ckpt.{seam}.bytes_written`.
+    let store_bytes: Vec<(&str, u64)> = {
+        let dir = fresh_dir("e17-store-bytes");
+        let store = CheckpointStore::open(&dir).expect("open store"); // lint-allow: harness fixture
+        let mut w = build(&fleets[0]).with_checkpoint_store(store);
+        let out = w.wrangle().expect("checkpointed cold wrangle"); // lint-allow: experiment fixture
+        let _ = std::fs::remove_dir_all(&dir); // lint-allow: scratch cleanup
+        SEAMS
+            .iter()
+            .map(|&seam| {
+                let key = format!("ckpt.{seam}.bytes_written");
+                (seam, out.metrics.counts.get(&key).copied().unwrap_or(0))
+            })
+            .collect()
+    };
+    let store_total: u64 = store_bytes.iter().map(|&(_, b)| b).sum();
+    let widths = [14, 10, 7];
+    println!("
+store written by a checkpointed cold pass (seed {SEED}):");
+    println!("{}", header(&["seam", "bytes", "share"], &widths));
+    for &(seam, bytes) in &store_bytes {
+        let share = 100.0 * bytes as f64 / store_total.max(1) as f64;
+        let cells = [seam.to_string(), bytes.to_string(), format!("{share:.1}%")];
+        println!("{}", row(&cells, &widths));
+    }
+    let cells = ["total".to_string(), store_total.to_string(), "100%".to_string()];
+    println!("{}", row(&cells, &widths));
+
     // --- Corrupt every record: detected, never loaded -----------------------
     let mut torn_rows = Vec::new();
     for (label, truncate) in [("torn", Some(0.5)), ("bitflip", None)] {
@@ -315,12 +348,17 @@ fn main() {
             )
         })
         .collect();
+    let bytes_json: Vec<String> = store_bytes
+        .iter()
+        .map(|(seam, bytes)| format!("\"{seam}\":{bytes}"))
+        .collect();
     let json = format!(
         "{{\"experiment\":\"e17_crash_recovery\",\"seed\":{SEED},\
          \"timing\":{{\"cold_secs\":{cold_secs:.4},\"resume_secs\":{resume_secs:.4},\
          \"ratio\":{ratio:.4}}},\
-         \"sites\":[{}],\"corruption\":[{}]}}\n",
+         \"sites\":[{}],\"store_bytes\":{{{}}},\"corruption\":[{}]}}\n",
         sites_json.join(","),
+        bytes_json.join(","),
         torn_json.join(",")
     );
     wrangler_bench::write_artifact("BENCH_e17.json", &json);

@@ -39,9 +39,9 @@ use wrangler_table::wire::{hash64, Hasher64};
 
 /// File magic for checkpoint records ("WCKP").
 const MAGIC: [u8; 4] = *b"WCKP";
-/// Format version; bump on any layout change. 4: a mapped table records
-/// the typed shape it was cut to where format 3 stored a filter tag.
-const VERSION: u16 = 4;
+/// Format version; bump on any layout change. 4: a mapped table's typed
+/// shape, not a filter tag; 5: union records kept rows, ER records clusters.
+const VERSION: u16 = 5;
 /// Fixed header size: magic(4) + version(2) + pad(2) + len(8) + checksum(8).
 const HEADER: usize = 24;
 
@@ -186,11 +186,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Whether a *valid* record exists under `key` (counts like `get`).
-    pub fn contains(&self, key: u64) -> bool {
-        self.get(key).is_some()
-    }
-
     /// Verify framing + checksum; `Some(payload)` only when everything
     /// checks out.
     fn verify(raw: &[u8]) -> Option<&[u8]> {
@@ -291,15 +286,6 @@ impl ContentKey {
     /// Absorb a labelled hash (label disambiguates ingredient kinds).
     pub fn labelled(mut self, label: &str, hash: u64) -> ContentKey {
         self.h.write_str(label).write_u64(hash);
-        self
-    }
-
-    /// Absorb an ordered list of `(index, hash)` pairs (e.g. per-source
-    /// payload hashes of the stage's survivors).
-    pub fn inputs<I: IntoIterator<Item = (usize, u64)>>(mut self, it: I) -> ContentKey {
-        for (i, hash) in it {
-            self.h.write_u64(i as u64).write_u64(hash);
-        }
         self
     }
 
@@ -523,29 +509,16 @@ mod tests {
 
     #[test]
     fn content_keys_are_input_sensitive() {
-        let base = ContentKey::stage("union", 42).inputs([(0, 10), (1, 20)]).finish();
-        let same = ContentKey::stage("union", 42).inputs([(0, 10), (1, 20)]).finish();
-        assert_eq!(base, same);
-        assert_ne!(
-            base,
-            ContentKey::stage("union", 42).inputs([(0, 10), (1, 21)]).finish(),
-            "payload change must change the key"
-        );
-        assert_ne!(
-            base,
-            ContentKey::stage("union", 43).inputs([(0, 10), (1, 20)]).finish(),
-            "plan change must change the key"
-        );
-        assert_ne!(
-            base,
-            ContentKey::stage("er", 42).inputs([(0, 10), (1, 20)]).finish(),
-            "stage id must change the key"
-        );
-        assert_ne!(
-            base,
-            ContentKey::stage("union", 42).inputs([(1, 10), (0, 20)]).finish(),
-            "input order/index must change the key"
-        );
+        let key = |stage, plan, inputs: [u64; 2]| {
+            let k = ContentKey::stage(stage, plan);
+            k.input(inputs[0]).input(inputs[1]).finish()
+        };
+        let base = key("union", 42, [10, 20]);
+        assert_eq!(base, key("union", 42, [10, 20]));
+        assert_ne!(base, key("union", 42, [10, 21]), "payload change must change the key");
+        assert_ne!(base, key("union", 43, [10, 20]), "plan change must change the key");
+        assert_ne!(base, key("er", 42, [10, 20]), "stage id must change the key");
+        assert_ne!(base, key("union", 42, [20, 10]), "input order must change the key");
     }
 
     #[test]

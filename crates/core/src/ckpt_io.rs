@@ -13,8 +13,9 @@
 //!   at the seam — quarantine discounts and breaker trips included, applied
 //!   once, never re-derived;
 //! * a stage output — a [`SeamRecord`]: the data the rest of the pipeline
-//!   consumes (selected ids, degraded payloads, mappings, mapped tables, the
-//!   union table and its source runs, clusters, fused slots).
+//!   consumes, each cell stored once (selected ids, degraded payloads,
+//!   mappings, mapped tables, each union block's kept rows, clusters, fused
+//!   slots), checked against the session by [`SeamRecord::fits`].
 //!
 //! There is one codec: every stored type is a [`Wire`] impl composed from
 //! the pieces in [`wrangler_table::wire`] — fixed-width little-endian
@@ -24,8 +25,8 @@
 //! uninterrupted run byte-for-byte. A struct's layout is its fields in the
 //! order one [`wire_struct!`] lists them; an enum's is the tag byte one
 //! [`wire_enum!`] gives its variant, then the variant's fields.
-//! `CircuitBreaker`, `EngineState`, `Mapped` and `Union` keep their impls
-//! beside their private fields, `SourceId`, `Degradation`, `AcquireError`
+//! `CircuitBreaker`, `EngineState` and `Mapped` keep their impls beside
+//! their private fields, `SourceId`, `Degradation`, `AcquireError`
 //! and `FusedValue` in their own crates. `Belief` and
 //! `Mapping` come from crates below `wrangler-table`'s reach, so their impls
 //! sit on a wrapper here.
@@ -56,7 +57,6 @@ use crate::acquire::{
 };
 use crate::contain::{ContainmentReport, QuarantineEvent, Stage, StageTallies};
 use crate::incr::Mapped;
-use crate::union::Union;
 use crate::working::WorkCounters;
 
 type Result<T> = std::result::Result<T, TableError>;
@@ -269,19 +269,6 @@ impl Wire for SessionState {
     }
 }
 
-impl SessionState {
-    /// Serialize to the canonical checkpoint payload.
-    pub fn encode(&self) -> Vec<u8> {
-        wire::to_bytes(self)
-    }
-
-    /// Decode a payload produced by [`encode`](Self::encode); bytes left
-    /// over are an error.
-    pub fn decode(bytes: &[u8]) -> Result<SessionState> {
-        wire::from_bytes(bytes)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Stage output records
 // ---------------------------------------------------------------------------
@@ -290,7 +277,7 @@ impl SessionState {
 /// each length-prefixed.
 pub fn encode_record(state: &SessionState, output: &[u8]) -> Vec<u8> {
     let mut e = Enc::new();
-    e.bytes(&state.encode()).bytes(output);
+    e.bytes(&wire::to_bytes(state)).bytes(output);
     e.into_bytes()
 }
 
@@ -298,7 +285,7 @@ pub fn encode_record(state: &SessionState, output: &[u8]) -> Vec<u8> {
 /// output are an error.
 pub fn decode_record(bytes: &[u8]) -> Result<(SessionState, Vec<u8>)> {
     let mut d = Dec::new(bytes);
-    let state = SessionState::decode(d.bytes()?)?;
+    let state = wire::from_bytes(d.bytes()?)?;
     let output = d.bytes()?.to_vec();
     if !d.is_done() {
         return Err(TableError::Invalid(
@@ -326,9 +313,20 @@ pub trait SeamRecord: Wire {
     /// Does the record fit the session it is about to enter — the part of
     /// validity the bytes alone cannot show? Asked before anything is
     /// restored; a record that does not fit is a miss.
-    fn fits(&self, _target: &Schema) -> bool {
+    fn fits(&self, _fit: &Fit<'_>) -> bool {
         true
     }
+}
+
+/// What a replayed record must fit: the parts of the session it is about to
+/// enter that its bytes alone cannot show.
+pub struct Fit<'a> {
+    /// The target schema.
+    pub target: &'a Schema,
+    /// Each source's held mapped table, by source index.
+    pub mapped: Vec<Option<&'a Table>>,
+    /// Rows of the pass's union (0 before the union seam).
+    pub union_rows: usize,
 }
 
 /// Select-seam output: the chosen sources.
@@ -402,46 +400,85 @@ wire_struct!(MapApplyOut {
     mapped: Vec<(usize, Mapped)>,
 });
 
-impl SeamRecord for MapApplyOut {}
+/// Every mapped table has the target's columns (its types are inferred from
+/// its cells): the union appends their rows.
+impl SeamRecord for MapApplyOut {
+    fn fits(&self, fit: &Fit<'_>) -> bool {
+        let target = fit.target.names();
+        self.mapped.iter().all(|(_, m)| m.table().schema().names() == target)
+    }
+}
 
-/// Union-seam output: the union as the pass holds it.
+/// Union-seam output: the union's blocks, no cell; the install appends their
+/// rows of the mapped tables the map-apply seam left in the session.
 pub struct UnionOut {
-    /// Survivors after union quarantines.
-    pub selected: Vec<SourceId>,
-    /// The union table and its source runs.
-    pub union: Union,
+    /// `(source index, kept rows)` per block, in union order (the survivors
+    /// after union quarantines): the ascending rows of the source's mapped
+    /// table its block keeps, as `(first, count)` runs of consecutive rows.
+    pub blocks: Vec<(usize, Vec<(usize, usize)>)>,
     /// Rows removed by the row filter (an obs counter the outcome reports).
     pub union_filtered: u64,
 }
 
-// The union decodes only when its runs cover its table (`Union`'s impl).
 wire_struct!(UnionOut {
-    selected: Vec<SourceId>,
     union_filtered: u64,
-    union: Union,
+    blocks: Vec<(usize, Vec<(usize, usize)>)>,
 });
 
-impl SeamRecord for UnionOut {
-    fn fits(&self, target: &Schema) -> bool {
-        self.union.table().schema() == target
+impl UnionOut {
+    /// The runs of consecutive rows in ascending `rows`.
+    pub fn row_runs(rows: &[usize]) -> Vec<(usize, usize)> {
+        rows.chunk_by(|a, b| a + 1 == *b).map(|run| (run[0], run.len())).collect()
     }
 }
 
-/// ER-seam output: the clustering.
+/// Every block names a source whose mapped table is held, and its runs
+/// ascend within that table.
+impl SeamRecord for UnionOut {
+    fn fits(&self, fit: &Fit<'_>) -> bool {
+        self.blocks.iter().all(|(i, runs)| {
+            fit.mapped.get(*i).copied().flatten().is_some_and(|table| {
+                let within = |from: usize, &(first, n): &(usize, usize)| {
+                    first.checked_add(n).filter(|&end| from <= first && end <= table.num_rows())
+                };
+                runs.iter().try_fold(0, within).is_some()
+            })
+        })
+    }
+}
+
+/// ER-seam output: the clustering; each row's entity is derived from it.
 #[derive(Debug, Clone, Default)]
 pub struct ErOut {
     /// Entity clusters (row indices into the union).
     pub clusters: Vec<Vec<usize>>,
-    /// Entity id per union row.
-    pub row_entity: Vec<usize>,
 }
 
 wire_struct!(ErOut {
     clusters: Vec<Vec<usize>>,
-    row_entity: Vec<usize>,
 });
 
-impl SeamRecord for ErOut {}
+impl ErOut {
+    /// The entity of each of the union's `rows`, which the clusters partition.
+    pub fn row_entity(&self, rows: usize) -> Vec<usize> {
+        let mut row_entity = vec![0; rows];
+        for (e, cluster) in self.clusters.iter().enumerate() {
+            cluster.iter().for_each(|&r| row_entity[r] = e);
+        }
+        row_entity
+    }
+}
+
+/// The clusters partition the union's rows: none is empty, and every row
+/// is in exactly one.
+impl SeamRecord for ErOut {
+    fn fits(&self, fit: &Fit<'_>) -> bool {
+        let mut seen = vec![false; fit.union_rows];
+        let mut once = |&r: &usize| seen.get_mut(r).is_some_and(|s| !std::mem::replace(s, true));
+        self.clusters.iter().all(|c| !c.is_empty() && c.iter().all(&mut once))
+            && self.clusters.iter().map(Vec::len).sum::<usize>() == fit.union_rows
+    }
+}
 
 /// Fuse-seam output: the fused slots and the fusion-time source context.
 /// Claims are *not* serialized — a hit rebuilds the claim set from the
@@ -603,15 +640,15 @@ mod tests {
     #[test]
     fn session_state_roundtrips_bit_exact() {
         let s = sample_state();
-        let bytes = s.encode();
-        let back = SessionState::decode(&bytes).unwrap();
+        let bytes = wire::to_bytes(&s);
+        let back: SessionState = wire::from_bytes(&bytes).unwrap();
         assert_eq!(back, s);
         // Bit-exactness of the floats, not just PartialEq.
         assert_eq!(
             back.access_spent.to_bits(),
             s.access_spent.to_bits()
         );
-        assert_eq!(back.encode(), bytes, "canonical: re-encode is identical");
+        assert_eq!(wire::to_bytes(&back), bytes, "canonical: re-encode is identical");
     }
 
     #[test]
@@ -649,8 +686,8 @@ mod tests {
             mapped: vec![(1, Mapped::new(sample_table(), post_map))],
         };
         vec![
-            ("SessionState", sample_state().encode(), |b| {
-                SessionState::decode(b).map(drop)
+            ("SessionState", wire::to_bytes(&sample_state()), |b| {
+                wire::from_bytes::<SessionState>(b).map(drop)
             }),
             (
                 "record",
@@ -682,17 +719,8 @@ mod tests {
     }
 
     fn sample_union() -> UnionOut {
-        let rows = vec![
-            vec![Value::Str("x".into()), Value::Float(f64::NAN)],
-            vec![Value::Null, Value::Int(-3)],
-        ];
-        let mapped = Table::from_rows(Schema::of_strs(&["name", "price"]), rows).unwrap();
-        let mut union = Union::empty(mapped.schema().clone());
-        union.append(0, &mapped, &[0]).unwrap();
-        union.append(1, &mapped, &[1]).unwrap();
         UnionOut {
-            selected: vec![SourceId(0)],
-            union,
+            blocks: vec![(0, vec![(0, 2), (3, 1)]), (1, vec![])],
             union_filtered: 2,
         }
     }
@@ -700,7 +728,6 @@ mod tests {
     fn sample_er() -> ErOut {
         ErOut {
             clusters: vec![vec![0, 2], vec![1]],
-            row_entity: vec![0, 1, 0],
         }
     }
 
@@ -778,19 +805,12 @@ mod tests {
         let union = sample_union();
         let back = UnionOut::decode(&union.encode()).unwrap();
         assert_eq!(back.union_filtered, 2);
-        assert_eq!(back.union.runs(), &[(0, 1), (1, 1)]);
-        // Bit-exact cells (the NaN included), by the canonical encoding.
-        assert_eq!(
-            wire::table_bytes(back.union.table()),
-            wire::table_bytes(union.union.table())
-        );
-        assert!(back.fits(union.union.table().schema()));
-        assert!(!back.fits(&Schema::of_strs(&["name"])));
+        assert_eq!(back.blocks, union.blocks);
 
         let er = sample_er();
         let back = ErOut::decode(&er.encode()).unwrap();
         assert_eq!(back.clusters, er.clusters);
-        assert_eq!(back.row_entity, er.row_entity);
+        assert_eq!(back.row_entity(3), vec![0, 1, 0]);
 
         let fuse = sample_fuse();
         let back = FuseOut::decode(&fuse.encode()).unwrap();
@@ -814,14 +834,57 @@ mod tests {
     }
 
     #[test]
-    fn union_runs_that_do_not_cover_the_table_do_not_decode() {
-        // The payload's last 8 bytes are the last run's row count (1).
-        let mut bytes = sample_union().encode();
-        let at = bytes.len() - 8;
-        for forged in [0u64, 2, u64::MAX >> 1] {
-            bytes[at..].copy_from_slice(&forged.to_le_bytes());
-            assert!(UnionOut::decode(&bytes).is_err(), "last run of {forged}");
-        }
+    fn records_fit_only_the_session_they_name() {
+        let target = sample_table().schema().clone();
+        let three = Table::from_rows(
+            target.clone(),
+            (0..3).map(|_| vec![Value::Null, Value::Null]).collect(),
+        )
+        .unwrap();
+        let fit = |union_rows| Fit {
+            target: &target,
+            mapped: vec![Some(&three), Some(&three), None],
+            union_rows,
+        };
+        let post_map = crate::incr::Shape {
+            filter: wrangler_plan::FilterPlacement::PostMap,
+            budget: None,
+        };
+        let narrow = Table::empty(Schema::of_strs(&["name"]));
+        let map_apply = |t: Table| MapApplyOut {
+            selected: vec![SourceId(0)],
+            mapped: vec![(0, Mapped::new(t, post_map))],
+        };
+        assert!(map_apply(sample_table()).fits(&fit(0)));
+        let typed = Schema::new(vec![
+            wrangler_table::Field::new("name", wrangler_table::DataType::Str),
+            wrangler_table::Field::new("price", wrangler_table::DataType::Float),
+        ])
+        .unwrap();
+        assert!(map_apply(Table::empty(typed)).fits(&fit(0)), "types are inferred");
+        assert!(!map_apply(narrow).fits(&fit(0)), "other columns");
+
+        assert_eq!(UnionOut::row_runs(&[0, 1, 2, 5, 7, 8]), [(0, 3), (5, 1), (7, 2)]);
+        assert_eq!(UnionOut::row_runs(&[]), []);
+        let union = |blocks: Vec<(usize, Vec<(usize, usize)>)>| UnionOut {
+            blocks,
+            ..sample_union()
+        };
+        assert!(union(vec![(1, vec![(0, 1), (2, 1)]), (0, vec![])]).fits(&fit(0)));
+        assert!(union(vec![(1, vec![(0, 1), (1, 2)])]).fits(&fit(0)));
+        assert!(!union(vec![(0, vec![(1, 3)])]).fits(&fit(0)), "a row past the table");
+        assert!(!union(vec![(0, vec![(1, usize::MAX)])]).fits(&fit(0)), "no end");
+        assert!(!union(vec![(2, vec![])]).fits(&fit(0)), "no held table");
+        assert!(!union(vec![(9, vec![])]).fits(&fit(0)), "no such source");
+        assert!(!union(vec![(0, vec![(2, 1), (0, 1)])]).fits(&fit(0)), "out of order");
+        assert!(!union(vec![(0, vec![(0, 2), (1, 1)])]).fits(&fit(0)), "a row kept twice");
+
+        let er = |clusters: Vec<Vec<usize>>| ErOut { clusters };
+        assert!(sample_er().fits(&fit(3)));
+        assert!(!sample_er().fits(&fit(4)), "a row in no cluster");
+        assert!(!sample_er().fits(&fit(2)), "a row past the union");
+        assert!(!er(vec![vec![0, 1], vec![1, 2]]).fits(&fit(3)), "a row twice");
+        assert!(!er(vec![vec![0, 1, 2], vec![]]).fits(&fit(3)), "an empty cluster");
     }
 
     #[test]

@@ -33,9 +33,9 @@
 //!   candidate depends on rows `i` and `j` alone (as do the score, in
 //!   argument order, and the threshold), so replacing or deleting rows
 //!   leaves the candidates among the survivors as they were, re-indexed.
-//!   Without a block list (a union replayed from a checkpoint store, or
-//!   filtered again by `OptMode::Naive`) the memo is neither carried nor
-//!   captured.
+//!   Without a block list (a union replayed from a checkpoint store, whose
+//!   record keeps each block's rows as a [`BlockMemo`] does but no key, or
+//!   filtered again by `OptMode::Naive`) the memo is neither carried nor captured.
 //!
 //! Fusion keeps no memo: it runs live, or replays from a checkpoint store.
 //!

@@ -263,12 +263,12 @@ pub fn table_scan_bytes(table: &Table) -> u64 {
         .sum()
 }
 
-/// Byte estimate of scanning the named columns of `table` (columns missing
-/// from the schema contribute nothing).
-pub fn columns_scan_bytes(table: &Table, names: &[String]) -> u64 {
-    names
-        .iter()
-        .filter_map(|n| table.column_named(n).ok())
-        .map(|col| col.iter().map(value_bytes).sum::<u64>())
-        .sum()
+/// Byte estimate of scanning the named columns of `table` on `rows`, or on
+/// all rows (columns missing from the schema contribute nothing).
+pub fn columns_scan_bytes(table: &Table, names: &[String], rows: Option<&[usize]>) -> u64 {
+    let cols = names.iter().filter_map(|n| table.column_named(n).ok());
+    match rows {
+        Some(rows) => cols.flat_map(|c| rows.iter().map(|&r| value_bytes(&c[r]))).sum(),
+        None => cols.flat_map(|c| c.iter().map(value_bytes)).sum(),
+    }
 }

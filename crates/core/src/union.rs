@@ -2,11 +2,10 @@
 //!
 //! Every surviving source contributes one contiguous block of rows, so a
 //! row's provenance is not stored per row: [`Union`] keeps the [`Table`] the
-//! ER kernel reads and one `(source, rows)` run per block. The pass, the
-//! union seam record and the session cache all carry this one value.
+//! ER kernel reads and one `(source, rows)` run per block. The pass and the
+//! session cache carry it; the union seam stores only the kept rows.
 
-use wrangler_table::wire::{Dec, Enc, Wire};
-use wrangler_table::{Result, Schema, Table, TableError};
+use wrangler_table::{Result, Schema, Table};
 
 /// The union of a pass: rows aligned to the target schema, in block order.
 #[derive(Debug, Clone)]
@@ -23,15 +22,6 @@ impl Union {
             table: Table::empty(schema),
             runs: Vec::new(),
         }
-    }
-
-    /// Reassemble a decoded union; the runs must cover the table exactly.
-    pub fn from_parts(table: Table, runs: Vec<(usize, usize)>) -> Result<Union> {
-        let covered = runs.iter().try_fold(0usize, |sum, r| sum.checked_add(r.1));
-        if covered != Some(table.num_rows()) {
-            return Err(TableError::Invalid("union runs do not cover its rows".into()));
-        }
-        Ok(Union { table, runs })
     }
 
     /// Append `source`'s block: rows `kept` of the table `from`.
@@ -56,18 +46,6 @@ impl Union {
         self.runs
             .iter()
             .flat_map(|&(source, n)| std::iter::repeat_n(source, n))
-    }
-}
-
-/// The table, then the runs; decodes only when the runs cover the table.
-impl Wire for Union {
-    const MIN: usize = Table::MIN + 8;
-    fn enc(&self, e: &mut Enc) {
-        self.table.enc(e);
-        self.runs.enc(e);
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<Union> {
-        Union::from_parts(Table::dec(d)?, Vec::dec(d)?)
     }
 }
 
@@ -109,8 +87,6 @@ mod tests {
             }
         }
         assert_eq!(folded, vec![(4, 2), (7, 2)]);
-        let back = Union::from_parts(u.table().clone(), u.runs().to_vec()).unwrap();
-        assert_eq!(back.table(), u.table());
     }
 
     #[test]
@@ -136,14 +112,5 @@ mod tests {
         let narrow = Table::empty(Schema::of_strs(&["name"]));
         assert!(u.append(9, &narrow, &[]).is_err());
         assert_eq!((u.table().num_rows(), u.runs().len()), (4, 3));
-    }
-
-    #[test]
-    fn runs_that_do_not_cover_the_table_are_rejected() {
-        let t = three_blocks().table().clone();
-        assert!(Union::from_parts(t.clone(), vec![(0, 3)]).is_err());
-        assert!(Union::from_parts(t.clone(), vec![(0, 5)]).is_err());
-        assert!(Union::from_parts(t.clone(), vec![(0, usize::MAX), (1, 5)]).is_err());
-        assert!(Union::from_parts(t, vec![(0, 1), (1, 3)]).is_ok());
     }
 }

@@ -11,8 +11,8 @@
 //! 2. derive the key — the select key for the first seam, afterwards
 //!    `seam_key(name, pass_fp, chain, extra)`; 0 without a store;
 //! 3. obtain the record: a stored record (decode the stage payload *first*,
-//!    restore the session snapshot only if it decodes and fits this
-//!    session's fleet shape and target schema), else the stage's live
+//!    restore the session snapshot only if it decodes, fits this session's
+//!    fleet shape and passes [`SeamRecord::fits`]), else the stage's live
 //!    function;
 //! 4. persist it (snapshot + encoded record) unless it came from the store
 //!    — only when a store is attached, so a store-less pass encodes nothing;
@@ -35,7 +35,7 @@ use wrangler_table::{wire, Table, TableError, Value};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
 use super::Wrangler;
-use crate::ckpt_io::{self, ErOut, SeamRecord, SessionState};
+use crate::ckpt_io::{self, ErOut, Fit, SeamRecord, SessionState};
 use crate::contain::{isolate, ContainPolicy, ContainmentReport, Stage};
 use crate::planner::Plan;
 use crate::union::Union;
@@ -79,9 +79,11 @@ pub(super) struct Pass {
     /// Union block layout of this pass, in union order: the union's
     /// identity, and the ER carry's coordinate system. Empty when nothing
     /// attests the blocks: the engine is off, the union replayed from a
-    /// checkpoint, or `OptMode::Naive` re-filtered it.
+    /// checkpoint (kept rows, no block keys), or `OptMode::Naive` re-filtered it.
     pub(super) union_layout: Vec<crate::incr::Block>,
     pub(super) er: ErOut,
+    /// The entity of each union row, derived from `er` at its install.
+    pub(super) row_entity: Vec<usize>,
     /// The claim set, when the live fuse stage already built it (a replayed
     /// fuse rebuilds it at install).
     pub(super) claims: Option<ClaimSet>,
@@ -160,6 +162,7 @@ impl Wrangler {
             union: Union::empty(self.target.clone()),
             union_layout: Vec::new(),
             er: ErOut::default(),
+            row_entity: Vec::new(),
             claims: None,
         }
     }
@@ -200,7 +203,7 @@ impl Wrangler {
             }
         };
         self.span(seam.name, |w| {
-            let record = match w.ckpt_load(seam.name, key, &mut pass.creport) {
+            let record = match w.ckpt_load(seam.name, key, pass) {
                 Some(record) => record,
                 None => {
                     let record = live(w, pass)?;
@@ -349,14 +352,9 @@ impl Wrangler {
     /// is restored: only a record that is valid end to end touches the
     /// session. A miss, a torn record (checksum/framing failure — counted,
     /// unlinked, never loaded), a record from a different fleet shape, one
-    /// that does not fit the target schema ([`SeamRecord::fits`]) or an
+    /// that does not fit the session ([`SeamRecord::fits`]) or an
     /// undecodable payload returns `None` and the stage computes live.
-    fn ckpt_load<R: SeamRecord>(
-        &mut self,
-        stage: &str,
-        key: u64,
-        creport: &mut ContainmentReport,
-    ) -> Option<R> {
+    fn ckpt_load<R: SeamRecord>(&mut self, stage: &str, key: u64, pass: &mut Pass) -> Option<R> {
         let store = self.ckpt.as_ref()?;
         self.obs.begin("ckpt_load");
         let before = store.stats().torn_detected;
@@ -368,12 +366,15 @@ impl Wrangler {
         let decoded = raw.and_then(|raw| {
             let (state, out) = ckpt_io::decode_record(&raw).ok()?;
             let record = R::decode(&out).ok()?;
-            (state.trust.len() == self.states.len() && record.fits(&self.target))
+            let mapped = self.states.iter().map(|s| s.mapped.as_ref().map(|m| m.table()));
+            let union_rows = pass.union.table().num_rows();
+            let fit = Fit { target: &self.target, mapped: mapped.collect(), union_rows };
+            (state.trust.len() == self.states.len() && record.fits(&fit))
                 .then_some((state, record))
         });
         let record = match decoded {
             Some((state, record)) => {
-                self.restore_state(state, creport);
+                self.restore_state(state, &mut pass.creport);
                 self.obs.inc(&format!("ckpt.{stage}.hits"));
                 Some(record)
             }
@@ -482,7 +483,7 @@ impl Wrangler {
                 continue;
             }
             for (a, column) in columns.iter().enumerate() {
-                claims.add(pass.er.row_entity[r], a, column[r].clone(), src);
+                claims.add(pass.row_entity[r], a, column[r].clone(), src);
             }
         }
         self.working.clean_slots();

@@ -518,7 +518,7 @@ impl Wrangler {
                     if track_scans {
                         let cols = wrangler_plan::predicate_columns(&pushed);
                         pass.scan_filter_cells += (table.num_rows() as u64) * cols.len() as u64;
-                        pass.scan_bytes += lower::columns_scan_bytes(table, &cols);
+                        pass.scan_bytes += lower::columns_scan_bytes(table, &cols, None);
                     }
                     Some(ops::filter(table, &pushed)?)
                 }
@@ -547,7 +547,7 @@ impl Wrangler {
                 if track_scans {
                     let cols = wrangler_plan::predicate_columns(pred);
                     pass.scan_filter_cells += (mapped.num_rows() as u64) * cols.len() as u64;
-                    pass.scan_bytes += lower::columns_scan_bytes(&mapped, &cols);
+                    pass.scan_bytes += lower::columns_scan_bytes(&mapped, &cols, None);
                 }
                 mapped = ops::filter(&mapped, pred)?;
             }
@@ -599,10 +599,17 @@ impl Wrangler {
             &UNION,
             Self::union_live,
             |w, pass, rec: UnionOut| {
-                pass.selected = rec.selected;
-                w.obs.count("union.rows", rec.union.table().num_rows() as u64);
+                // Each block is rows of its source's held mapped table, on
+                // either arm: the cells are copied here, once.
+                let mut union = Union::empty(w.target.clone());
+                for (i, runs) in &rec.blocks {
+                    let kept: Vec<usize> = runs.iter().flat_map(|&(r, n)| r..r + n).collect();
+                    union.append(*i, w.held(*i)?.table(), &kept)?;
+                }
+                pass.selected = rec.blocks.iter().map(|&(i, _)| SourceId(i as u32)).collect();
+                w.obs.count("union.rows", union.table().num_rows() as u64);
                 w.obs.count("union.filtered", rec.union_filtered);
-                pass.union = rec.union;
+                pass.union = union;
                 // No block list, no identity to carry the ER memo across.
                 pass.incr_on &= !pass.union_layout.is_empty();
                 Ok(())
@@ -623,6 +630,12 @@ impl Wrangler {
             .finish()
     }
 
+    /// Source `i`'s held mapped table; a structured error if none is held.
+    fn held(&self, i: usize) -> Result<&Mapped> {
+        let held = self.states.get(i).and_then(|s| s.mapped.as_ref());
+        held.ok_or_else(|| TableError::Invalid(format!("src{i}: not mapped")))
+    }
+
     fn union_live(&mut self, pass: &mut Pass) -> Result<UnionOut> {
         let inline_filter = match (&self.last_program, self.opt_mode) {
             (Some(p), OptMode::Optimized) => match p.predicate() {
@@ -634,7 +647,7 @@ impl Wrangler {
         let track_scans = self.obs.is_on();
         let mut scan_union_cells = 0u64;
         let mut union_filtered = 0u64;
-        let mut union = Union::empty(self.target.clone());
+        let mut blocks: Vec<(usize, Vec<usize>)> = Vec::new();
         let mut union_removed: Vec<usize> = Vec::new();
         let mut blocks_reused = 0u64;
         let mut blocks_recomputed = 0u64;
@@ -646,10 +659,7 @@ impl Wrangler {
         let mut guard = StageGuard::new(Stage::Union, policy, &mut pass.creport);
         for id in &pass.selected {
             let i = id.0 as usize;
-            let held = self.states[i]
-                .mapped
-                .as_ref()
-                .ok_or_else(|| TableError::Invalid(format!("{id}: not mapped")))?;
+            let held = self.held(i)?;
             let mapped = held.table();
             // Early-placed sources arrive pre-filtered; only `Union`-placed
             // ones filter here.
@@ -674,7 +684,7 @@ impl Wrangler {
                 cells_skipped += memo.scan_cells;
                 bytes_skipped += memo.scan_bytes;
                 pass.union_layout.push((i, memo.key, memo.kept.len()));
-                union.append(i, mapped, &memo.kept)?;
+                blocks.push((i, memo.kept.clone()));
                 continue;
             }
             let mut this_cells = 0u64;
@@ -688,8 +698,8 @@ impl Wrangler {
             let mut poison = 0u64;
             let mut filtered_out = 0u64;
             let abort_scan = policy.mode != ContainMode::Contain;
-            // The scan decides which rows of `mapped` the block keeps; cells
-            // are copied once, below, after the source is known to survive.
+            // The scan decides which rows of `mapped` the block keeps; the
+            // seam's install copies their cells.
             let kept = guard.run(*id, || {
                 let mut kept: Vec<usize> = Vec::with_capacity(mapped.num_rows());
                 for (r, row) in mapped.iter_rows().enumerate() {
@@ -739,7 +749,7 @@ impl Wrangler {
                         }
                     }
                     blocks_recomputed += 1;
-                    union.append(i, mapped, &kept)?;
+                    blocks.push((i, kept.clone()));
                     if let Some(key) = block_key {
                         pass.union_layout.push((i, key, kept.len()));
                         // Memoize only clean blocks: a poisoned one must
@@ -767,7 +777,7 @@ impl Wrangler {
         }
         self.eject(pass, Stage::Union, &union_removed)?;
         if self.opt_mode == OptMode::Naive {
-            union = self.naive_union_filter(pass, union, &mut union_filtered)?;
+            self.naive_union_filter(pass, &mut blocks, &mut union_filtered)?;
         }
         self.obs.count("scan.union.cells", scan_union_cells);
         self.obs.count("scan.filter.cells", pass.scan_filter_cells);
@@ -780,50 +790,46 @@ impl Wrangler {
             self.obs.count("incr.union.bytes_skipped", bytes_skipped);
         }
         Ok(UnionOut {
-            selected: std::mem::take(&mut pass.selected),
-            union,
+            blocks: blocks.iter().map(|(i, kept)| (*i, UnionOut::row_runs(kept))).collect(),
             union_filtered,
         })
     }
 
-    /// Naive execution runs the filter as its own pass over the
-    /// materialized union — the extra full scan the optimizer's placements
-    /// avoid. Both modes feed ER the identical filtered union: poison/budget
+    /// Naive execution runs the filter as its own pass over the union's
+    /// kept rows — the extra full scan the optimizer's placements avoid.
+    /// Both modes feed ER the identical filtered union: poison/budget
     /// decisions happened before either filter site.
     fn naive_union_filter(
         &self,
         pass: &mut Pass,
-        union: Union,
+        blocks: &mut [(usize, Vec<usize>)],
         union_filtered: &mut u64,
-    ) -> Result<Union> {
+    ) -> Result<()> {
         let Some(pred) = &self.row_filter else {
-            return Ok(union);
+            return Ok(());
         };
         let bound = pred.bind(&self.target)?;
-        let table = union.table();
-        if self.obs.is_on() {
-            let cols = wrangler_plan::predicate_columns(pred);
-            pass.scan_filter_cells += (table.num_rows() as u64) * cols.len() as u64;
-            pass.scan_bytes += lower::columns_scan_bytes(table, &cols);
-        }
-        let mut kept = Union::empty(self.target.clone());
-        let mut start = 0;
-        for &(source, n) in union.runs() {
-            let mut rows = Vec::with_capacity(n);
-            for r in start..start + n {
+        let cols = wrangler_plan::predicate_columns(pred);
+        for (i, kept) in blocks.iter_mut() {
+            let table = self.held(*i)?.table();
+            if self.obs.is_on() {
+                pass.scan_filter_cells += (kept.len() as u64) * cols.len() as u64;
+                pass.scan_bytes += lower::columns_scan_bytes(table, &cols, Some(kept));
+            }
+            let mut rows = Vec::with_capacity(kept.len());
+            for &r in kept.iter() {
                 if bound.eval_predicate(&table.row(r))? {
                     rows.push(r);
                 } else {
                     *union_filtered += 1;
                 }
             }
-            kept.append(source, table, &rows)?;
-            start += n;
+            *kept = rows;
         }
         // The post-union filter shifts row indices out from under the block
         // layout: this union has no attested identity any more.
         pass.union_layout.clear();
-        Ok(kept)
+        Ok(())
     }
 
     /// Stage 5 — entity resolution over the union: a stored record, or the
@@ -837,6 +843,7 @@ impl Wrangler {
             |w, pass| w.contained(pass, Stage::Er, |w, pass| w.er_live(pass)),
             |w, pass, rec: ErOut| {
                 w.obs.count("er.entities", rec.clusters.len() as u64);
+                pass.row_entity = rec.row_entity(pass.union.table().num_rows());
                 pass.er = rec;
                 Ok(())
             },
@@ -907,16 +914,8 @@ impl Wrangler {
         let mut matches = carry.map(|c| c.matches).unwrap_or_default();
         matches.extend(decided.matches);
         matches.sort();
-        let clusters = cluster_pairs(rows, matches.iter().copied());
-        let mut row_entity = vec![0usize; rows];
-        for (e, cluster) in clusters.iter().enumerate() {
-            for &r in cluster {
-                row_entity[r] = e;
-            }
-        }
         let out = ErOut {
-            clusters,
-            row_entity,
+            clusters: cluster_pairs(rows, matches.iter().copied()),
         };
         self.obs.end();
         // Candidates the ER memo did not decide, decided live. The benchmark
@@ -988,11 +987,10 @@ impl Wrangler {
             }
             fused
         };
-        let er = std::mem::take(&mut pass.er);
         self.cache = Some(WrangleCache {
             union: std::mem::replace(&mut pass.union, Union::empty(self.target.clone())),
-            row_entity: er.row_entity,
-            entities: er.clusters.len(),
+            row_entity: std::mem::take(&mut pass.row_entity),
+            entities: pass.er.clusters.len(),
             claims,
             source_ctx: SourceContext {
                 trust: rec.trust,

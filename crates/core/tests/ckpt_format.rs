@@ -1,14 +1,16 @@
 //! The checkpoint format, pinned from outside the codec.
 //!
 //! * **Golden bytes.** One session snapshot and one record of each seam
-//!   type, committed as hex. All but one were written by the format-3 codec
-//!   and are unchanged in format 4 (the checkpoint store's `VERSION` 4);
-//!   the map-apply record was re-pinned when a mapped table's filter tag
-//!   became its typed shape. Each decodes and re-encodes to the same bytes:
-//!   a codec change that moves one byte fails here before it strands a
-//!   store written by the previous build.
-//! * **Format 3 is not served.** A record framed by a format-3 build is a
-//!   miss, however intact its checksum.
+//!   type, committed as hex. All but three were written by the format-3
+//!   codec and are unchanged in format 5 (the checkpoint store's `VERSION`
+//!   5): the map-apply record was re-pinned in format 4, when a mapped
+//!   table's filter tag became its typed shape, and the union and ER
+//!   records in format 5, when the union record became each block's kept
+//!   rows and the ER record its clusters alone. Each decodes and re-encodes
+//!   to the same bytes: a codec change that moves one byte fails here
+//!   before it strands a store written by the previous build.
+//! * **Older formats are not served.** A record framed by a format-3 or a
+//!   format-4 build is a miss, however intact its checksum.
 //! * **Canonical decoding.** Seeded mutations of those records — cut,
 //!   bit-flipped, spliced — either fail to decode or decode to a value that
 //!   re-encodes to exactly the mutated bytes. A decoder that accepted two
@@ -25,7 +27,7 @@ use wrangler_core::ckpt_io::{
 use wrangler_core::incr::Shape;
 use wrangler_core::{scratch_dir, CheckpointStore, SessionState};
 use wrangler_plan::FilterPlacement;
-use wrangler_table::wire::hash64;
+use wrangler_table::wire::{self, hash64};
 use wrangler_table::TableError;
 
 type Reencode = fn(&[u8]) -> Result<Vec<u8>, TableError>;
@@ -37,7 +39,7 @@ fn reencode<R: SeamRecord>(bytes: &[u8]) -> Result<Vec<u8>, TableError> {
 /// The decode-then-encode of each golden record, by name.
 fn codec(name: &str) -> Reencode {
     match name {
-        "SessionState" => |b| SessionState::decode(b).map(|s| s.encode()),
+        "SessionState" => |b| wire::from_bytes::<SessionState>(b).map(|s| wire::to_bytes(&s)),
         "SelectOut" => reencode::<SelectOut>,
         "AcquireOut" => reencode::<AcquireOut>,
         "MapGenOut" => reencode::<MapGenOut>,
@@ -107,17 +109,15 @@ const GOLDEN: &[(&str, &str)] = &[
     (
         "UnionOut",
         concat!(
-            "02000000000000000000000004000000020000000000000002000000000000000400000000000000",
-            "6e616d65040105000000000000007072696365040103000000000000000401000000000000007801",
-            "010003000000000000f87f03000000000000008002fdffffffffffffff0200000000000000000000",
-            "0000000000020000000000000004000000000000000100000000000000",
+            "02000000000000000200000000000000040000000000000002000000000000000000000000000000",
+            "02000000000000000300000000000000010000000000000000000000000000000000000000000000",
         ),
     ),
     (
         "ErOut",
         concat!(
             "02000000000000000200000000000000000000000000000002000000000000000100000000000000",
-            "01000000000000000300000000000000000000000000000001000000000000000000000000000000",
+            "0100000000000000",
         ),
     ),
     (
@@ -142,6 +142,15 @@ const MAP_APPLY_V3: &str = concat!(
     "000000000000706f73742d6d61707c7072696365203e203004000000000000000200000000000000",
     "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
     "0000000000007800010103000000000000f87f02fdffffffffffffff03000000000000008000",
+);
+
+/// The union golden as the format-4 codec wrote it: the union's table and
+/// its source runs.
+const UNION_V4: &str = concat!(
+    "02000000000000000000000004000000020000000000000002000000000000000400000000000000",
+    "6e616d65040105000000000000007072696365040103000000000000000401000000000000007801",
+    "010003000000000000f87f03000000000000008002fdffffffffffffff0200000000000000000000",
+    "0000000000020000000000000004000000000000000100000000000000",
 );
 
 fn unhex(hex: &str) -> Vec<u8> {
@@ -266,33 +275,40 @@ fn a_mapped_table_shape_decodes_typed_and_only_from_known_tags() {
     );
 }
 
-/// A store written by a format-3 build is a miss for this one, checksum
-/// intact or not: its map-apply records spell a shape as a filter tag. The
+/// A store written by a format-3 or a format-4 build is a miss for this
+/// one, checksum intact or not: format 3's map-apply records spell a shape
+/// as a filter tag, format 4's union records hold the union's cells. The
 /// same payload framed by this build is served.
 #[test]
-fn a_record_written_under_format_3_is_never_served() {
-    let payload = unhex(MAP_APPLY_V3);
-    assert!(
-        MapApplyOut::decode(&payload).is_err(),
-        "format 3 is not format 4"
-    );
-    let store = CheckpointStore::open(scratch_dir("ckpt-format-v3")).unwrap();
-    let mut v3 = b"WCKP".to_vec();
-    v3.extend(3u16.to_le_bytes());
-    v3.extend([0, 0]);
-    v3.extend((payload.len() as u64).to_le_bytes());
-    v3.extend(hash64(&payload).to_le_bytes());
-    v3.extend(&payload);
-    std::fs::write(store.path_for(3), &v3).unwrap();
-    assert_eq!(store.get(3), None);
-    assert_eq!(store.stats().torn_detected, 1);
-    store.put(4, &payload).unwrap();
-    let v4 = std::fs::read(store.path_for(4)).unwrap();
-    assert_eq!(
-        (&v4[..4], &v4[6..]),
-        (&v3[..4], &v3[6..]),
-        "only the version differs"
-    );
-    assert_eq!(store.get(4), Some(payload));
-    let _ = std::fs::remove_dir_all(store.dir());
+fn a_record_written_under_an_older_format_is_never_served() {
+    let older: [(u16, &str, Reencode); 2] = [
+        (3, MAP_APPLY_V3, reencode::<MapApplyOut>),
+        (4, UNION_V4, reencode::<UnionOut>),
+    ];
+    for (version, hex, reencode) in older {
+        let payload = unhex(hex);
+        assert!(
+            reencode(&payload).is_err(),
+            "format {version} does not decode as format 5"
+        );
+        let store = CheckpointStore::open(scratch_dir(&format!("ckpt-format-v{version}"))).unwrap();
+        let mut old = b"WCKP".to_vec();
+        old.extend(version.to_le_bytes());
+        old.extend([0, 0]);
+        old.extend((payload.len() as u64).to_le_bytes());
+        old.extend(hash64(&payload).to_le_bytes());
+        old.extend(&payload);
+        std::fs::write(store.path_for(3), &old).unwrap();
+        assert_eq!(store.get(3), None, "format {version}");
+        assert_eq!(store.stats().torn_detected, 1);
+        store.put(4, &payload).unwrap();
+        let current = std::fs::read(store.path_for(4)).unwrap();
+        assert_eq!(
+            (&current[..4], &current[6..]),
+            (&old[..4], &old[6..]),
+            "only the version differs"
+        );
+        assert_eq!(store.get(4), Some(payload));
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
 }

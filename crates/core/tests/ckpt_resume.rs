@@ -9,8 +9,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use wrangler_context::{DataContext, Ontology, UserContext};
-use wrangler_core::ckpt_io::{SeamRecord, UnionOut};
-use wrangler_core::union::Union;
+use wrangler_core::ckpt_io::{ErOut, MapApplyOut, SeamRecord, UnionOut};
+use wrangler_core::incr::Mapped;
 use wrangler_core::{
     ckpt_io, scratch_dir, CheckpointStore, CrashPolicy, CrashSite, Stage, WrangleOutcome, Wrangler,
 };
@@ -341,62 +341,133 @@ fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
     cleanup(&dir);
 }
 
-#[test]
-fn a_union_record_of_another_arity_is_a_miss_and_leaves_the_session_untouched() {
+/// Resume over a store whose record for `stage` is forged: two interrupted
+/// runs over one store, at `upstream` and then at `site`, leave exactly
+/// `stage`'s record beside the prefix, under its live key. It is re-put with
+/// its stage output `forge`d (the forgery must still decode) and its session
+/// state forged, so a restore that ran before the record was rejected would
+/// show in the fingerprint. The record must be a miss, the prefix up to
+/// `prefix` must still replay, and the outcome must equal cold.
+fn resume_misses_a_forged<R: SeamRecord>(
+    label: &str,
+    (upstream, site): (CrashSite, CrashSite),
+    (prefix, stage): (&str, &str),
+    forge: impl FnOnce(R) -> R,
+) {
     let fleet = make_fleet(5);
     let mut cold = build(&fleet, None);
     let cold_out = cold.wrangle().unwrap();
     let cold_fp = fingerprint(&cold, &cold_out);
 
-    // Two interrupted runs over one store: the record the second one adds
-    // is the union's, under its live key.
-    let dir = scratch_dir("resume-union-arity");
+    let dir = scratch_dir(&format!("resume-forged-{label}"));
     cleanup(&dir);
-    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterMapApply));
-    let upstream = record_keys(&dir);
-    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterUnion));
-    let added: Vec<u64> = record_keys(&dir).difference(&upstream).copied().collect();
-    let &[union_key] = added.as_slice() else {
-        panic!("expected exactly the union record, got {added:?}");
+    assert!(crash_at(&fleet, None, &dir, upstream));
+    let before = record_keys(&dir);
+    assert!(crash_at(&fleet, None, &dir, site));
+    let added: Vec<u64> = record_keys(&dir).difference(&before).copied().collect();
+    let &[key] = added.as_slice() else {
+        panic!("{label}: expected exactly the {stage} record, got {added:?}");
     };
-
-    // Re-put it with a union that decodes and is self-consistent (runs cover
-    // the table) but has one column, and forge the state, so a restore that
-    // ran before the record was rejected would show in the fingerprint.
     let store = CheckpointStore::open(&dir).unwrap();
-    let (mut state, out) = ckpt_io::decode_record(&store.get(union_key).unwrap()).unwrap();
-    let live = UnionOut::decode(&out).unwrap();
-    assert!(!live.union.table().is_empty() && live.union.table().num_columns() > 1);
-    let narrow = Table::from_rows(
-        Schema::of_strs(&["only"]),
-        vec![vec![Value::Int(1)], vec![Value::Int(2)]],
-    )
-    .unwrap();
-    let mut union = Union::empty(narrow.schema().clone());
-    union.append(0, &narrow, &[0, 1]).unwrap();
-    let forged = UnionOut {
-        selected: live.selected,
-        union,
-        union_filtered: live.union_filtered,
-    };
-    UnionOut::decode(&forged.encode()).expect("the forged record decodes");
+    let (mut state, out) = ckpt_io::decode_record(&store.get(key).unwrap()).unwrap();
+    let forged = forge(R::decode(&out).unwrap()).encode();
+    R::decode(&forged).unwrap_or_else(|e| panic!("{label}: the forged record decodes: {e}"));
     state.access_spent = 1e9;
     state
         .creport
         .record_quarantine(SourceId(0), Stage::Union, "forged");
     store
-        .put(union_key, &ckpt_io::encode_record(&state, &forged.encode()))
+        .put(key, &ckpt_io::encode_record(&state, &forged))
         .unwrap();
 
     let mut resumed = build(&fleet, None).with_checkpoint_store(store);
     let out = resumed
         .resume()
-        .expect("a union record that does not fit the target must fall back to live compute");
-    assert_eq!(fingerprint(&resumed, &out), cold_fp);
-    let count = |key: &str| out.metrics.counts.get(key).copied().unwrap_or(0);
-    assert_eq!(count("ckpt.map_apply.hits"), 1, "the prefix still replays");
-    assert_eq!((count("ckpt.union.misses"), count("ckpt.union.hits")), (1, 0));
+        .unwrap_or_else(|e| panic!("{label}: a record that does not fit must be a miss: {e}"));
+    assert_eq!(fingerprint(&resumed, &out), cold_fp, "{label}");
+    let count = |key: String| out.metrics.counts.get(&key).copied().unwrap_or(0);
+    assert_eq!(count(format!("ckpt.{prefix}.hits")), 1, "{label}: the prefix still replays");
+    assert_eq!(
+        (count(format!("ckpt.{stage}.misses")), count(format!("ckpt.{stage}.hits"))),
+        (1, 0),
+        "{label}"
+    );
     cleanup(&dir);
+}
+
+const UNION: (CrashSite, CrashSite) = (CrashSite::AfterMapApply, CrashSite::AfterUnion);
+
+#[test]
+fn forged_union_records_are_misses_and_leave_the_session_untouched() {
+    // Far past the end of any mapped table of a 60-product fleet.
+    resume_misses_a_forged(
+        "union-past-end",
+        UNION,
+        ("map_apply", "union"),
+        |mut rec: UnionOut| {
+            rec.blocks[0].1.push((1 << 40, 1));
+            rec
+        },
+    );
+    // One past the registry: no source, so no held mapped table.
+    resume_misses_a_forged(
+        "union-no-table",
+        UNION,
+        ("map_apply", "union"),
+        |mut rec: UnionOut| {
+            rec.blocks.push((8, vec![(0, 1)]));
+            rec
+        },
+    );
+    // A block's first row moved behind the rest of its run.
+    resume_misses_a_forged(
+        "union-unordered",
+        UNION,
+        ("map_apply", "union"),
+        |mut rec: UnionOut| {
+            let long = |(_, r): &&mut (usize, Vec<(usize, usize)>)| r.first().is_some_and(|run| run.1 > 1);
+            let runs = &mut rec.blocks.iter_mut().find(long).unwrap().1;
+            let (first, n) = runs[0];
+            runs.splice(0..1, [(first + 1, n - 1), (first, 1)]);
+            rec
+        },
+    );
+    // The union appends the held tables' rows: a table of another schema
+    // is a miss at the seam that holds it.
+    resume_misses_a_forged(
+        "map-apply-schema",
+        (CrashSite::AfterMapGenerate, CrashSite::AfterMapApply),
+        ("map_generate", "map_apply"),
+        |mut rec: MapApplyOut| {
+            let narrow = Table::from_rows(Schema::of_strs(&["only"]), vec![vec![Value::Int(1)]]);
+            let shape = rec.mapped[0].1.shape();
+            rec.mapped[0].1 = Mapped::new(narrow.unwrap(), shape);
+            rec
+        },
+    );
+}
+
+/// An ER record whose clusters do not partition the union's rows is a miss:
+/// a row past the union used to panic the fuse stage's catalog anchors.
+#[test]
+fn an_er_record_that_does_not_partition_the_union_is_a_miss_and_leaves_the_session_untouched() {
+    let er = (CrashSite::AfterUnion, CrashSite::AfterEr);
+    let rows = |rec: &ErOut| rec.clusters.iter().map(Vec::len).sum::<usize>();
+    resume_misses_a_forged("er-row-first", er, ("union", "er"), |mut rec: ErOut| {
+        let past = rows(&rec) + 1000;
+        rec.clusters[0].insert(0, past);
+        rec
+    });
+    resume_misses_a_forged("er-row-last", er, ("union", "er"), |mut rec: ErOut| {
+        let past = rows(&rec) + 1000;
+        rec.clusters[0].push(past);
+        rec
+    });
+    resume_misses_a_forged("er-row-twice", er, ("union", "er"), |mut rec: ErOut| {
+        let again = rec.clusters[1][0];
+        rec.clusters[0].push(again);
+        rec
+    });
 }
 
 /// Bump the first float cell: the content hash moves, the schema stays.
@@ -622,10 +693,11 @@ fn a_checkpointed_pass_writes_a_small_multiple_of_its_source_bytes() {
         .unwrap()
         .map(|entry| entry.unwrap().metadata().unwrap().len())
         .sum();
-    // The mapped tables and the union each carry the selected rows once, and
-    // every record repeats the session snapshot: 4.0x on this fixture. A
-    // record that grows with the candidate-pair count lands far above (37x
-    // when both post-ER records embedded every pair score).
+    // The mapped tables carry the selected rows once (the union record only
+    // names the rows each block keeps), and every record repeats the
+    // session snapshot: 2.9x on this fixture. A record that grows with the
+    // candidate-pair count lands far above (37x when both post-ER records
+    // embedded every pair score).
     assert!(
         store_bytes <= 8 * source_bytes as u64,
         "store {store_bytes} B vs sources {source_bytes} B"
