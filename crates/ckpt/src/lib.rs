@@ -40,8 +40,9 @@ use wrangler_table::wire::{hash64, Hasher64};
 /// File magic for checkpoint records ("WCKP").
 const MAGIC: [u8; 4] = *b"WCKP";
 /// Format version; bump on any layout change. 4: a mapped table's typed
-/// shape, not a filter tag; 5: union records kept rows, ER records clusters.
-const VERSION: u16 = 5;
+/// shape, not a filter tag; 5: union records kept rows, ER records clusters;
+/// 6: the session snapshot holds no per-source relevance.
+const VERSION: u16 = 6;
 /// Fixed header size: magic(4) + version(2) + pad(2) + len(8) + checksum(8).
 const HEADER: usize = 24;
 

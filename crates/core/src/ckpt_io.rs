@@ -5,10 +5,11 @@
 //! record has two parts:
 //!
 //! * a [`SessionState`] — the complete snapshot of everything the pass has
-//!   mutated up to that seam: per-source trust beliefs and relevances, the
-//!   acquisition engine (virtual clock, breaker fleet, retry totals), work
-//!   counters, the containment report, and the acquisition summary — its
-//!   size follows the number of sources, never rows or pairs. Restoring it
+//!   mutated up to that seam that a later stage reads: the session tick,
+//!   the budget spent, per-source trust beliefs, the acquisition engine
+//!   (virtual clock, breaker fleet, retry totals), work counters, the
+//!   containment report, and the acquisition summary — its size follows
+//!   the number of sources, never rows or pairs. Restoring it
 //!   puts a *fresh process* into exactly the state the crashed process had
 //!   at the seam — quarantine discounts and breaker trips included, applied
 //!   once, never re-derived;
@@ -24,12 +25,14 @@
 //! -0.0, subnormals and NaN payloads) and a resumed pass reproduces an
 //! uninterrupted run byte-for-byte. A struct's layout is its fields in the
 //! order one [`wire_struct!`] lists them; an enum's is the tag byte one
-//! [`wire_enum!`] gives its variant, then the variant's fields.
-//! `CircuitBreaker`, `EngineState` and `Mapped` keep their impls beside
-//! their private fields, `SourceId`, `Degradation`, `AcquireError`
-//! and `FusedValue` in their own crates. `Belief` and
-//! `Mapping` come from crates below `wrangler-table`'s reach, so their impls
-//! sit on a wrapper here.
+//! [`wire_enum!`] gives its variant, then the variant's fields. Each type
+//! carries its own impl: `CircuitBreaker`, `EngineState` and `Mapped`
+//! beside their private fields, `SourceId`, `Degradation`, `AcquireError`,
+//! `FusedValue`, `Belief` (with `EvidenceKind`) and `Mapping` in their own
+//! crates, every one of which depends on `wrangler-table`. This module
+//! lists the layouts of the session snapshot, the seam records and the
+//! core types inside them; the seam writes a record with
+//! [`wire::to_bytes`] and reads it with [`wire::from_bytes`].
 //!
 //! Decoding is strict. Every read is bounds-checked, every tag and marker
 //! byte is checked, a claimed element count reserves no more than the
@@ -48,9 +51,9 @@ use wrangler_fusion::strategies::FusedValue;
 use wrangler_mapping::Mapping;
 use wrangler_sources::faults::{AcquireError, Degradation};
 use wrangler_sources::SourceId;
-use wrangler_table::wire::{self, bad_tag, Dec, Enc, Wire};
+use wrangler_table::wire::{self, Dec, Enc, Wire};
 use wrangler_table::{wire_enum, wire_struct, Schema, Table, TableError};
-use wrangler_uncertainty::{Belief, EvidenceKind};
+use wrangler_uncertainty::Belief;
 
 use crate::acquire::{
     AcquireOutcome, AcquisitionSummary, BreakerConfig, BreakerState, Disposition, EngineState,
@@ -64,65 +67,6 @@ type Result<T> = std::result::Result<T, TableError>;
 // ---------------------------------------------------------------------------
 // Stored types
 // ---------------------------------------------------------------------------
-
-/// The [`Wire`] form of a type whose crate does not depend on
-/// `wrangler-table` (`Belief`, `Mapping`): the orphan rule keeps a foreign
-/// trait off a foreign type. Decoders read lists of them as
-/// `Vec<Stored<T>>`; encoders write a borrowed one with its `enc_*`.
-struct Stored<T>(T);
-
-fn unstored<T>(v: Vec<Stored<T>>) -> Vec<T> {
-    v.into_iter().map(|s| s.0).collect()
-}
-
-fn enc_belief(b: &Belief, e: &mut Enc) {
-    let (lo, prior, ledger) = b.to_parts();
-    e.f64(lo)
-        .f64(prior)
-        .seq(ledger, |&(kind, n), e| (kind.tag(), n).enc(e));
-}
-
-/// Log-odds, prior log-odds, then the ledger as `(evidence tag, count)`.
-impl Wire for Stored<Belief> {
-    const MIN: usize = 24;
-    fn enc(&self, e: &mut Enc) {
-        enc_belief(&self.0, e);
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<Self> {
-        let (lo, prior, ledger) = <(f64, f64, Vec<(u8, u32)>)>::dec(d)?;
-        let ledger = ledger
-            .into_iter()
-            .map(|(tag, n)| match EvidenceKind::from_tag(tag) {
-                Some(kind) => Ok((kind, n)),
-                None => Err(bad_tag("evidence kind", tag)),
-            })
-            .collect::<Result<_>>()?;
-        Ok(Stored(Belief::from_parts(lo, prior, ledger)))
-    }
-}
-
-fn enc_mapping(m: &Mapping, e: &mut Enc) {
-    m.target.enc(e);
-    m.bindings.enc(e);
-    e.seq(&m.binding_beliefs, enc_belief);
-    enc_belief(&m.belief, e);
-}
-
-/// Target schema, bindings, per-binding beliefs, then the mapping's belief.
-impl Wire for Stored<Mapping> {
-    const MIN: usize = Schema::MIN + 8 + 8 + Stored::<Belief>::MIN;
-    fn enc(&self, e: &mut Enc) {
-        enc_mapping(&self.0, e);
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<Self> {
-        Ok(Stored(Mapping {
-            target: Schema::dec(d)?,
-            bindings: Vec::dec(d)?,
-            binding_beliefs: unstored(Vec::dec(d)?),
-            belief: Stored::<Belief>::dec(d)?.0,
-        }))
-    }
-}
 
 wire_enum!(Stage: "stage" {
     0 => MapGenerate,
@@ -225,8 +169,6 @@ pub struct SessionState {
     pub access_spent: f64,
     /// Per-source trust beliefs, in registry order.
     pub trust: Vec<Belief>,
-    /// Per-source data-context relevance, in registry order.
-    pub relevance: Vec<f64>,
     /// The acquisition engine's clock, lifetime totals and breaker fleet.
     pub acquisition: EngineState,
     /// Work counters.
@@ -237,37 +179,15 @@ pub struct SessionState {
     pub last_acquisition: AcquisitionSummary,
 }
 
-impl Wire for SessionState {
-    const MIN: usize = 32
-        + EngineState::MIN
-        + WorkCounters::MIN
-        + ContainmentReport::MIN
-        + AcquisitionSummary::MIN;
-    fn enc(&self, e: &mut Enc) {
-        (self.now, self.access_spent).enc(e);
-        e.seq(&self.trust, enc_belief);
-        self.relevance.enc(e);
-        self.acquisition.enc(e);
-        self.work.enc(e);
-        self.creport.enc(e);
-        self.last_acquisition.enc(e);
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<SessionState> {
-        let (now, access_spent) = Wire::dec(d)?;
-        let trust = unstored(Vec::dec(d)?);
-        let relevance = Vec::dec(d)?;
-        Ok(SessionState {
-            now,
-            access_spent,
-            trust,
-            relevance,
-            acquisition: EngineState::dec(d)?,
-            work: WorkCounters::dec(d)?,
-            creport: ContainmentReport::dec(d)?,
-            last_acquisition: AcquisitionSummary::dec(d)?,
-        })
-    }
-}
+wire_struct!(SessionState {
+    now: u64,
+    access_spent: f64,
+    trust: Vec<Belief>,
+    acquisition: EngineState,
+    work: WorkCounters,
+    creport: ContainmentReport,
+    last_acquisition: AcquisitionSummary,
+});
 
 // ---------------------------------------------------------------------------
 // Stage output records
@@ -298,18 +218,8 @@ pub fn decode_record(bytes: &[u8]) -> Result<(SessionState, Vec<u8>)> {
 /// A stage's seam output: the part of a checkpoint record the rest of the
 /// pipeline consumes. The seam protocol (`wrangler::pass`) persists and
 /// replays any stage's output through this one interface; its bytes are
-/// the record's [`Wire`] encoding.
+/// the record's [`Wire`] encoding ([`wire::to_bytes`] / [`wire::from_bytes`]).
 pub trait SeamRecord: Wire {
-    /// Serialize.
-    fn encode(&self) -> Vec<u8> {
-        wire::to_bytes(self)
-    }
-
-    /// Decode a payload that holds exactly one record.
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        wire::from_bytes(bytes)
-    }
-
     /// Does the record fit the session it is about to enter — the part of
     /// validity the bytes alone cannot show? Asked before anything is
     /// restored; a record that does not fit is a miss.
@@ -366,24 +276,10 @@ pub struct MapGenOut {
     pub mappings: Vec<(usize, Mapping)>,
 }
 
-impl Wire for MapGenOut {
-    const MIN: usize = 16;
-    fn enc(&self, e: &mut Enc) {
-        self.selected.enc(e);
-        e.seq(&self.mappings, |(i, m), e| {
-            i.enc(e);
-            enc_mapping(m, e);
-        });
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<MapGenOut> {
-        let selected = Vec::dec(d)?;
-        let mappings: Vec<(usize, Stored<Mapping>)> = Vec::dec(d)?;
-        Ok(MapGenOut {
-            selected,
-            mappings: mappings.into_iter().map(|(i, m)| (i, m.0)).collect(),
-        })
-    }
-}
+wire_struct!(MapGenOut {
+    selected: Vec<SourceId>,
+    mappings: Vec<(usize, Mapping)>,
+});
 
 impl SeamRecord for MapGenOut {}
 
@@ -553,7 +449,7 @@ mod tests {
     use super::*;
     use crate::acquire::CircuitBreaker;
     use wrangler_table::Value;
-    use wrangler_uncertainty::Evidence;
+    use wrangler_uncertainty::{Evidence, EvidenceKind};
 
     fn sample_state() -> SessionState {
         let mut trust = Belief::from_prior(0.6);
@@ -566,7 +462,6 @@ mod tests {
             now: 42,
             access_spent: 7.25,
             trust: vec![Belief::from_prior(0.6), trust],
-            relevance: vec![1.0, 0.5],
             acquisition: EngineState {
                 clock: 99,
                 total_attempts: 17,
@@ -654,15 +549,14 @@ mod tests {
     #[test]
     fn record_framing_roundtrips() {
         let s = sample_state();
-        let out = SelectOut {
+        let out = wire::to_bytes(&SelectOut {
             selected: vec![SourceId(0), SourceId(2)],
-        }
-        .encode();
+        });
         let rec = encode_record(&s, &out);
         let (s2, out2) = decode_record(&rec).unwrap();
         assert_eq!(s2, s);
         assert_eq!(out2, out);
-        let sel = SelectOut::decode(&out2).unwrap();
+        let sel = wire::from_bytes::<SelectOut>(&out2).unwrap();
         assert_eq!(sel.selected, vec![SourceId(0), SourceId(2)]);
     }
 
@@ -672,7 +566,7 @@ mod tests {
     /// snapshot, a framed record, and the seven stage records.
     fn payloads() -> Vec<(&'static str, Vec<u8>, Decode)> {
         fn rec<R: SeamRecord>(bytes: &[u8]) -> Result<()> {
-            R::decode(bytes).map(drop)
+            wire::from_bytes::<R>(bytes).map(drop)
         }
         let select = SelectOut {
             selected: vec![SourceId(0), SourceId(2)],
@@ -691,16 +585,28 @@ mod tests {
             }),
             (
                 "record",
-                encode_record(&sample_state(), &select.encode()),
+                encode_record(&sample_state(), &wire::to_bytes(&select)),
                 |b| decode_record(b).map(drop),
             ),
-            ("SelectOut", select.encode(), rec::<SelectOut>),
-            ("AcquireOut", sample_acquire().encode(), rec::<AcquireOut>),
-            ("MapGenOut", sample_map_gen().encode(), rec::<MapGenOut>),
-            ("MapApplyOut", map_apply.encode(), rec::<MapApplyOut>),
-            ("UnionOut", sample_union().encode(), rec::<UnionOut>),
-            ("ErOut", sample_er().encode(), rec::<ErOut>),
-            ("FuseOut", sample_fuse().encode(), rec::<FuseOut>),
+            ("SelectOut", wire::to_bytes(&select), rec::<SelectOut>),
+            (
+                "AcquireOut",
+                wire::to_bytes(&sample_acquire()),
+                rec::<AcquireOut>,
+            ),
+            (
+                "MapGenOut",
+                wire::to_bytes(&sample_map_gen()),
+                rec::<MapGenOut>,
+            ),
+            (
+                "MapApplyOut",
+                wire::to_bytes(&map_apply),
+                rec::<MapApplyOut>,
+            ),
+            ("UnionOut", wire::to_bytes(&sample_union()), rec::<UnionOut>),
+            ("ErOut", wire::to_bytes(&sample_er()), rec::<ErOut>),
+            ("FuseOut", wire::to_bytes(&sample_fuse()), rec::<FuseOut>),
         ]
     }
 
@@ -795,7 +701,7 @@ mod tests {
     #[test]
     fn stage_outputs_roundtrip() {
         let acq = sample_acquire();
-        let back = AcquireOut::decode(&acq.encode()).unwrap();
+        let back = wire::from_bytes::<AcquireOut>(&wire::to_bytes(&acq)).unwrap();
         assert_eq!(back.selected, acq.selected);
         assert_eq!(
             wire::table_hash(&back.degraded_tables[0].1),
@@ -803,17 +709,17 @@ mod tests {
         );
 
         let union = sample_union();
-        let back = UnionOut::decode(&union.encode()).unwrap();
+        let back = wire::from_bytes::<UnionOut>(&wire::to_bytes(&union)).unwrap();
         assert_eq!(back.union_filtered, 2);
         assert_eq!(back.blocks, union.blocks);
 
         let er = sample_er();
-        let back = ErOut::decode(&er.encode()).unwrap();
+        let back = wire::from_bytes::<ErOut>(&wire::to_bytes(&er)).unwrap();
         assert_eq!(back.clusters, er.clusters);
         assert_eq!(back.row_entity(3), vec![0, 1, 0]);
 
         let fuse = sample_fuse();
-        let back = FuseOut::decode(&fuse.encode()).unwrap();
+        let back = wire::from_bytes::<FuseOut>(&wire::to_bytes(&fuse)).unwrap();
         assert_eq!(back.fuse_removed, fuse.fuse_removed);
         assert_eq!(back.fused.slots, [(0, 1)]);
         assert_eq!(back.fused.values[0].as_ref().unwrap().supporters, vec![0, 1]);
@@ -891,7 +797,7 @@ mod tests {
     fn mapping_roundtrips() {
         let gen = sample_map_gen();
         let m = &gen.mappings[0].1;
-        let back = MapGenOut::decode(&gen.encode()).unwrap();
+        let back = wire::from_bytes::<MapGenOut>(&wire::to_bytes(&gen)).unwrap();
         assert_eq!(back.mappings[0].1.bindings, m.bindings);
         assert_eq!(
             back.mappings[0].1.belief.log_odds().to_bits(),

@@ -6,8 +6,8 @@
 //! the session and below stage grain. Two memo levels:
 //!
 //! - **Union blocks** ([`BlockMemo`]): each source's contribution to the
-//!   union (its contiguous row block, post poison scan and post inline
-//!   filter) is keyed on the pass fingerprint, the source, its filter
+//!   union (its contiguous row block, post poison scan and post filter,
+//!   fused or separate) is keyed on the pass fingerprint, the source, its filter
 //!   placement and the content hash of its mapped table — the block's one
 //!   data input, hashed once per table ([`Mapped`]), not once per pass. The
 //!   memo holds no cells: the session already holds the mapped table, so a
@@ -34,8 +34,9 @@
 //!   argument order, and the threshold), so replacing or deleting rows
 //!   leaves the candidates among the survivors as they were, re-indexed.
 //!   Without a block list (a union replayed from a checkpoint store, whose
-//!   record keeps each block's rows as a [`BlockMemo`] does but no key, or
-//!   filtered again by `OptMode::Naive`) the memo is neither carried nor captured.
+//!   record keeps each block's rows as a [`BlockMemo`] does but no key) the
+//!   memo is neither carried nor captured. A live union always lays one:
+//!   whichever way the program runs the filter, it runs inside the blocks.
 //!
 //! Fusion keeps no memo: it runs live, or replays from a checkpoint store.
 //!
@@ -138,15 +139,16 @@ pub struct BlockMemo {
     /// union loop would keep exactly these rows of an equal mapped table.
     pub key: u64,
     /// Row indices of the source's mapped table that the block keeps (past
-    /// the poison scan and the inline filter), ascending.
+    /// the poison scan and the union's filter), ascending.
     pub kept: Vec<usize>,
-    /// Rows the inline (Union-placed) filter dropped when the block was
-    /// computed; replayed into the `union.filtered` counter.
+    /// Rows the union's filter (fused or separate) dropped when the block
+    /// was computed; replayed into the `union.filtered` counter.
     pub filtered: u64,
     /// Cells the poison scan walked at compute time — the work a hit
     /// skips. Zero when telemetry was off at compute time.
     pub scan_cells: u64,
-    /// Bytes the poison scan walked at compute time (same caveat).
+    /// Bytes the poison scan and a separate filter scan walked at compute
+    /// time (same caveat).
     pub scan_bytes: u64,
 }
 
@@ -312,7 +314,7 @@ mod tests {
 
     #[test]
     fn mapped_is_hashed_on_first_demand_and_a_decoded_one_starts_without() {
-        use crate::ckpt_io::{MapApplyOut, SeamRecord};
+        use crate::ckpt_io::MapApplyOut;
         use wrangler_table::{Schema, Value};
         let mut table = Table::empty(Schema::of_strs(&["name", "price"]));
         table
@@ -331,7 +333,7 @@ mod tests {
             selected: Vec::new(),
             mapped: vec![(3, m)],
         };
-        let back = MapApplyOut::decode(&record.encode()).unwrap();
+        let back: MapApplyOut = wire::from_bytes(&wire::to_bytes(&record)).unwrap();
         let (i, decoded) = &back.mapped[0];
         assert_eq!((*i, decoded.shape()), (3, shape));
         assert!(!decoded.is_hashed());
@@ -418,8 +420,8 @@ mod tests {
         let old = [(0usize, 10u64, 2usize), (1, 20, 2)];
         let m = memo(&old, &[(0, 2), (1, 3)]);
         // Another pass fingerprint; a current layout that does not cover the
-        // union (a post-union filter cleared it); a memo layout shorter than
-        // the union it was computed over.
+        // union (a replayed union has none); a memo layout shorter than the
+        // union it was computed over.
         assert_eq!(m.carry(8, &old, 4), None);
         assert_eq!(m.carry(7, &[], 4), None);
         assert_eq!(m.carry(7, &old, 5), None);

@@ -1,6 +1,6 @@
 //! The end-to-end wrangling session.
 
-use std::collections::HashMap; // hash-ok: HashMap here is lookup-only (feedback state); nothing iterates it into output
+use std::collections::BTreeMap;
 
 use wrangler_context::reference::MasterData;
 use wrangler_context::{Criterion, DataContext, QualityVector, UserContext};
@@ -53,8 +53,16 @@ struct SourceState {
     /// The last delivery was degraded, so `mapping` and `mapped` were
     /// derived from a payload the next healthy delivery replaces.
     from_degraded: bool,
-    /// Relevance to the data context in \[0, 1\].
-    relevance: f64,
+}
+
+/// Direct value feedback on one slot. A confirmation wins; a veto withdraws
+/// it and is kept; a later confirmation keeps the earlier vetoes.
+#[derive(Debug, Clone, Default)]
+struct Judgement {
+    /// The value the user confirmed: pinned at full confidence.
+    confirmed: Option<Value>,
+    /// The values the user refuted: never delivered again.
+    vetoed: Vec<Value>,
 }
 
 /// Caches from the last full wrangle, the substrate of incremental
@@ -178,16 +186,14 @@ pub struct Wrangler {
     last_acquisition: AcquisitionSummary,
     access_spent: f64,
     fusion_override: Option<wrangler_fusion::Strategy>,
-    /// Slot-level constraints from direct value feedback: values the user
-    /// refuted (never deliver again) and values the user confirmed (pin).
-    vetoes: HashMap<(usize, usize), Vec<Value>>, // hash-ok: point lookups only
-    confirmations: HashMap<(usize, usize), Value>, // hash-ok: point lookups only
+    /// Slot-level constraints from direct value feedback, by slot.
+    judgements: BTreeMap<(usize, usize), Judgement>,
     /// Pre-flight gate mode: `Deny` (default) refuses to execute artifacts
     /// with error-grade findings, `Warn` records and proceeds, `Off` skips
     /// analysis entirely.
     lint_gate: GateMode,
-    /// Findings of the last pre-flight pass, labelled by origin (`"plan"`,
-    /// `"plan-ir"` or `"src{i}"`), kept for provenance export.
+    /// Findings of the last pre-flight pass, labelled by origin (`"plan-ir"`
+    /// or `"src{i}"`), kept for provenance export.
     last_lint: Vec<(String, LintReport)>,
     /// Containment report of the last full wrangle.
     last_containment: ContainmentReport,
@@ -216,6 +222,15 @@ pub struct Wrangler {
     /// the ER memo an update carries, both keyed off the pass fingerprint
     /// (see [`crate::incr`]). On by default.
     incr: IncrEngine,
+}
+
+/// The compiled program of the current pass. Every stage decision the
+/// program makes is read from it; a stage that runs without one is a
+/// structured error, never a default.
+fn compiled(program: &Option<PlanProgram>) -> wrangler_table::Result<&PlanProgram> {
+    program
+        .as_ref()
+        .ok_or_else(|| TableError::Invalid("no compiled plan program for this pass".into()))
 }
 
 /// Master-data anchors: for entities whose key is in the catalog, the
@@ -284,8 +299,7 @@ impl Wrangler {
             last_acquisition: AcquisitionSummary::default(),
             access_spent: 0.0,
             fusion_override: None,
-            vetoes: HashMap::new(), // hash-ok: see field declaration
-            confirmations: HashMap::new(), // hash-ok: see field declaration
+            judgements: BTreeMap::new(),
             lint_gate: GateMode::default(),
             last_lint: Vec::new(),
             last_containment: ContainmentReport::default(),
@@ -479,8 +493,8 @@ impl Wrangler {
         Some((&cache.claims, &cache.source_ctx, self.plan().fusion))
     }
 
-    /// Findings of the last pre-flight pass, labelled by origin (`"plan"` or
-    /// `"src{i}"`).
+    /// Findings of the last pre-flight pass, labelled by origin (`"plan-ir"`
+    /// or `"src{i}"`).
     pub fn lint_findings(&self) -> &[(String, LintReport)] {
         &self.last_lint
     }
@@ -569,7 +583,6 @@ impl Wrangler {
             mapping: None,
             mapped: None,
             from_degraded: false,
-            relevance: 1.0,
         });
         self.working.work.extractions += 1;
         id
@@ -628,7 +641,6 @@ impl Wrangler {
                 wrangler_quality::profile::master_relevance(&src.table, &self.data_ctx, "product")
                     .unwrap_or(1.0)
             };
-            self.states[i].relevance = relevance;
             let coverage =
                 ((src.table.num_rows() as f64 / master_rows as f64) * relevance).min(1.0);
             out.push(SourceEstimate {
@@ -796,18 +808,18 @@ impl Wrangler {
     /// feedback: a confirmed value is pinned at full confidence; a vetoed
     /// value can never win again (its supporting claims are excluded).
     fn fuse_slot(&self, kernel: &FuseKernel, e: usize, a: usize) -> Option<FusedValue> {
-        if let Some(v) = self.confirmations.get(&(e, a)) {
-            return Some(FusedValue {
+        let Some(judgement) = self.judgements.get(&(e, a)) else {
+            return kernel.fuse_slot(e, a);
+        };
+        match &judgement.confirmed {
+            Some(v) => Some(FusedValue {
                 value: v.clone(),
                 weight: 1.0,
                 total_weight: 1.0,
                 supporters: Vec::new(),
                 freshness: 1.0,
-            });
-        }
-        match self.vetoes.get(&(e, a)) {
-            None => kernel.fuse_slot(e, a),
-            Some(vetoed) => kernel.fuse_slot_without(e, a, vetoed),
+            }),
+            None => kernel.fuse_slot_without(e, a, &judgement.vetoed),
         }
     }
 
@@ -819,12 +831,7 @@ impl Wrangler {
         // target columns when none was requested). Both execution modes
         // iterate the same projected set, so `_confidence` — the mean over
         // delivered projected values — is byte-identical across modes.
-        let output_attrs: Vec<usize> = match self
-            .last_program
-            .as_ref()
-            .and_then(|p| p.output_columns())
-            .or_else(|| self.output_columns.clone())
-        {
+        let output_attrs: Vec<usize> = match compiled(&self.last_program)?.output_columns() {
             Some(names) => names
                 .iter()
                 .map(|n| self.target.index_of(n))
@@ -1028,11 +1035,12 @@ impl Wrangler {
                         .map(|f| f.value.clone())
                 });
                 if let Some(v) = judged {
+                    let judgement = self.judgements.entry((*entity, *attr)).or_default();
                     if item.verdict.is_positive() {
-                        self.confirmations.insert((*entity, *attr), v);
+                        judgement.confirmed = Some(v);
                     } else {
-                        self.confirmations.remove(&(*entity, *attr));
-                        self.vetoes.entry((*entity, *attr)).or_default().push(v);
+                        judgement.confirmed = None;
+                        judgement.vetoed.push(v);
                     }
                 }
             }
@@ -1137,18 +1145,15 @@ impl Wrangler {
             .into_iter()
             .map(describe)
             .collect();
+        let judgement = self.judgements.get(&(entity, attr));
         Some(SlotExplanation {
             value: fused.value.clone(),
             confidence: fused.confidence(),
             freshness: fused.freshness,
             supporters,
             dissenters,
-            confirmed: self.confirmations.contains_key(&(entity, attr)),
-            vetoed_values: self
-                .vetoes
-                .get(&(entity, attr))
-                .cloned()
-                .unwrap_or_default(),
+            confirmed: judgement.is_some_and(|j| j.confirmed.is_some()),
+            vetoed_values: judgement.map(|j| j.vetoed.clone()).unwrap_or_default(),
         })
     }
 
@@ -1591,6 +1596,32 @@ mod tests {
             let exp = w.explain(entity, price_attr).unwrap();
             assert!(exp.confirmed);
             assert_eq!(exp.confidence, 1.0);
+            let kept = exp.vetoed_values;
+            assert!(
+                kept.len() == 1 && kept[0] == old_value,
+                "the confirmation keeps the veto"
+            );
+            // Veto the confirmed value: the pin is withdrawn, both vetoes
+            // stand, and neither value is delivered again.
+            w.give_feedback(FeedbackItem::expert(
+                FeedbackTarget::Value {
+                    entity,
+                    attr: price_attr,
+                    value: Some(new_value.clone()),
+                },
+                Verdict::Negative,
+                1.0,
+            ));
+            let out4 = w.rewrangle().unwrap();
+            let last = out4.table.get_named(entity, "price").unwrap();
+            assert!(last != &old_value && last != &new_value, "{last:?}");
+            match w.explain(entity, price_attr) {
+                Some(exp) => {
+                    assert!(!exp.confirmed);
+                    assert_eq!(exp.vetoed_values, [old_value, new_value]);
+                }
+                None => assert!(last.is_null()),
+            }
         }
     }
 
@@ -3289,30 +3320,63 @@ mod tests {
     }
 
     #[test]
-    fn a_union_filtered_after_its_blocks_were_laid_keeps_no_er_memo() {
+    fn a_naive_pass_filters_inside_its_blocks_and_carries_every_pair() {
         let fleet = small_fleet();
         let mut w = session(&fleet, UserContext::balanced("t"))
             .with_row_filter(category_filter())
             .with_opt_mode(OptMode::Naive);
         let first = w.wrangle().unwrap();
-        assert!(w.incr.er.is_none(), "not captured");
-        // Nothing changed, and still nothing to carry: the post-union
-        // filter left a union no block list attests, so ER walks every pair.
+        assert!(
+            first.metrics.counts["union.filtered"] > 0,
+            "fixture: the filter drops rows"
+        );
+        assert!(w.incr.er.is_some(), "the ER memo is captured");
+        // Nothing changed: every block replays past its filter, and the ER
+        // carry covers the whole union.
         w.cache = None;
         let out = assert_incremental_matches_cold(&mut w);
+        assert_no_change_pass_decides_nothing(&out, &first);
         assert_eq!(outcome_fingerprint(&out), outcome_fingerprint(&first));
-        let delta = |key: &str| counter_delta(&out, &first, key);
-        assert_eq!(delta("er.walk.visited"), delta("er.candidates"));
-        assert_eq!(delta("incr.er.pairs_remapped"), 0);
-        assert!(w.incr.er.is_none());
-        // The optimized twin filters inside the blocks and carries every pair.
-        let user = UserContext::balanced("t");
-        let mut opt = session(&fleet, user).with_row_filter(category_filter());
+        // The optimized twin fuses the filter into the poison scan,
+        // delivers the same outcome and carries the same way.
+        let mut opt =
+            session(&fleet, UserContext::balanced("t")).with_row_filter(category_filter());
         let opt_first = opt.wrangle().unwrap();
         assert_eq!(outcome_fingerprint(&opt_first), outcome_fingerprint(&first));
         opt.cache = None;
         let again = assert_incremental_matches_cold(&mut opt);
         assert_no_change_pass_decides_nothing(&again, &opt_first);
+    }
+
+    #[test]
+    fn a_naive_one_source_update_carries_pairs_and_equals_a_fresh_naive_session() {
+        let fleet = small_fleet();
+        let naive = || {
+            session(&fleet, UserContext::completeness_first())
+                .with_row_filter(category_filter())
+                .with_opt_mode(OptMode::Naive)
+        };
+        let mut w = naive();
+        // The comparator never holds a memo: the engine is off from the start.
+        let mut fresh = naive();
+        fresh.set_incr_enabled(false);
+        let first = w.wrangle().unwrap();
+        assert_eq!(
+            outcome_fingerprint(&fresh.wrangle().unwrap()),
+            outcome_fingerprint(&first)
+        );
+        let victim = first.selected_sources[0];
+        let payload = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(w.update_source(victim, payload.clone()).unwrap());
+        assert!(fresh.update_source(victim, payload).unwrap());
+        let out = w.wrangle().unwrap();
+        assert_eq!(
+            outcome_fingerprint(&fresh.wrangle().unwrap()),
+            outcome_fingerprint(&out)
+        );
+        let delta = |key: &str| counter_delta(&out, &first, key);
+        assert!(delta("incr.er.pairs_remapped") > 0, "{:?}", out.metrics);
+        assert!(delta("incr.union.reused") > 0, "{:?}", out.metrics);
     }
 
     #[test]

@@ -78,8 +78,8 @@ pub(super) struct Pass {
     pub(super) union: Union,
     /// Union block layout of this pass, in union order: the union's
     /// identity, and the ER carry's coordinate system. Empty when nothing
-    /// attests the blocks: the engine is off, the union replayed from a
-    /// checkpoint (kept rows, no block keys), or `OptMode::Naive` re-filtered it.
+    /// attests the blocks: the engine is off, or the union replayed from a
+    /// checkpoint (kept rows, no block keys).
     pub(super) union_layout: Vec<crate::incr::Block>,
     pub(super) er: ErOut,
     /// The entity of each union row, derived from `er` at its install.
@@ -231,7 +231,6 @@ impl Wrangler {
             now: self.now,
             access_spent: self.access_spent,
             trust: self.states.iter().map(|s| s.trust.clone()).collect(),
-            relevance: self.states.iter().map(|s| s.relevance).collect(),
             acquisition: self.acquisition.state().clone(),
             work: self.working.work,
             creport: creport.clone(),
@@ -249,11 +248,6 @@ impl Wrangler {
         for (i, b) in st.trust.into_iter().enumerate() {
             if let Some(s) = self.states.get_mut(i) {
                 s.trust = b;
-            }
-        }
-        for (i, r) in st.relevance.into_iter().enumerate() {
-            if let Some(s) = self.states.get_mut(i) {
-                s.relevance = r;
             }
         }
         self.acquisition.restore(st.acquisition);
@@ -298,18 +292,19 @@ impl Wrangler {
     }
 
     /// The value-level feedback in force: the vetoed and the confirmed
-    /// values, each slot by slot in sorted order (the maps are lookup-only),
-    /// in their wire encoding.
+    /// values, each slot by slot in ascending order, in their wire encoding.
     fn feedback_fingerprint(&self) -> u64 {
-        let mut vetoes: Vec<((usize, usize), Vec<Value>)> =
-            self.vetoes.iter().map(|(k, v)| (*k, v.clone())).collect();
-        vetoes.sort_by_key(|(k, _)| *k);
-        let mut confirms: Vec<((usize, usize), Value)> = self
-            .confirmations
+        let vetoes: Vec<((usize, usize), Vec<Value>)> = self
+            .judgements
             .iter()
-            .map(|(k, v)| (*k, v.clone()))
+            .filter(|(_, j)| !j.vetoed.is_empty())
+            .map(|(k, j)| (*k, j.vetoed.clone()))
             .collect();
-        confirms.sort_by_key(|(k, _)| *k);
+        let confirms: Vec<((usize, usize), Value)> = self
+            .judgements
+            .iter()
+            .filter_map(|(k, j)| Some((*k, j.confirmed.clone()?)))
+            .collect();
         wire::hash64(&wire::to_bytes(&(vetoes, confirms)))
     }
 
@@ -329,7 +324,7 @@ impl Wrangler {
             let id = SourceId(i as u32);
             k = k
                 .input(self.registry.payload_hash(id).unwrap_or(0))
-                .input(self.states[i].trust.to_parts().0.to_bits());
+                .input(self.states[i].trust.log_odds().to_bits());
         }
         let engine = wire::to_bytes(self.acquisition.state());
         k.labelled("acq", wire::hash64(&engine)).finish()
@@ -365,7 +360,7 @@ impl Wrangler {
         }
         let decoded = raw.and_then(|raw| {
             let (state, out) = ckpt_io::decode_record(&raw).ok()?;
-            let record = R::decode(&out).ok()?;
+            let record: R = wire::from_bytes(&out).ok()?;
             let mapped = self.states.iter().map(|s| s.mapped.as_ref().map(|m| m.table()));
             let union_rows = pass.union.table().num_rows();
             let fit = Fit { target: &self.target, mapped: mapped.collect(), union_rows };
@@ -402,7 +397,7 @@ impl Wrangler {
             return;
         };
         self.obs.begin("ckpt_save");
-        let rec = ckpt_io::encode_record(&self.snapshot_state(creport), &record.encode());
+        let rec = ckpt_io::encode_record(&self.snapshot_state(creport), &wire::to_bytes(record));
         if store.put(key, &rec).is_ok() {
             self.obs
                 .count(&format!("ckpt.{stage}.bytes_written"), rec.len() as u64);

@@ -16,14 +16,14 @@ use wrangler_fusion::{FuseKernel, MIN_SLOTS_PER_WORKER};
 use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
 use wrangler_match::profile_table;
-use wrangler_plan::{FilterPlacement, OptMode, PlanProgram};
+use wrangler_plan::{Fact, FilterPlacement, PlanProgram, UnionFilter};
 use wrangler_resolve::{cluster_pairs, DirtyRows, ErKernel, UnionBlocks};
 use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
 use wrangler_table::{ops, par, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
 use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_APPLY, MAP_GENERATE, SELECT, UNION};
-use super::{blocking_columns, master_anchors, WrangleCache, Wrangler};
+use super::{blocking_columns, compiled, master_anchors, WrangleCache, Wrangler};
 use crate::acquire::AcquisitionSummary;
 use crate::ckpt_io::{
     AcquireOut, ErOut, FuseOut, FusedSlots, MapApplyOut, MapGenOut, SelectOut, UnionOut,
@@ -257,14 +257,16 @@ impl Wrangler {
                 inputs.push((i, table, chaos_hit));
             }
             // Cross-source CSE: the target-sample column profiles are the
-            // same for every source, so the optimized mode computes them
-            // once here and shares them across workers (the
-            // `share-target-profile` rewrite — recorded with its justifying
-            // fact in the compiled program's ledger below). Naive mode
-            // re-profiles the target per source: the E16 wall-clock
+            // same for every source, so they are computed once here and
+            // shared across workers when the `share-target-profile` rule
+            // holds (the program that records the rewrite, with its
+            // justifying fact, is compiled after this stage). Otherwise the
+            // target is re-profiled per source: the E16 wall-clock
             // baseline. Profiling is deterministic, so the generated
             // mappings are identical either way.
-            let shared_profiles = (self.opt_mode == OptMode::Optimized && inputs.len() >= 2)
+            let shared_profiles = self
+                .opt_mode
+                .shares_target_profile(inputs.len())
                 .then(|| profile_table(sample));
             let shared_profiles = shared_profiles.as_deref();
             type GenItem = (usize, std::result::Result<Mapping, String>);
@@ -416,18 +418,15 @@ impl Wrangler {
     }
 
     /// Stage 3c — pre-flight static analysis: lint every (mapping, source schema)
-    /// pair plus the plan's determinism description *before* any mapping
-    /// executes. Under `Deny`, error-grade findings abort here with a
-    /// structured error instead of surfacing mid-run (or never). The
-    /// whole-plan findings from 3b participate in the same gate decision.
+    /// pair *before* any mapping executes. Under `Deny`, error-grade
+    /// findings abort here with a structured error instead of surfacing
+    /// mid-run (or never). The whole-plan findings from 3b — the
+    /// determinism audit of every IR node's effects among them — take part
+    /// in the same gate decision.
     pub(super) fn preflight(&mut self, pass: &mut Pass) -> Result<()> {
         self.span("preflight", |w| {
             if w.lint_gate == GateMode::Off {
                 return Ok(());
-            }
-            let audit = wrangler_lint::audit_steps(&pass.plan.describe());
-            if !audit.is_empty() {
-                w.last_lint.push(("plan".to_string(), audit));
             }
             for id in &pass.selected {
                 let i = id.0 as usize;
@@ -483,13 +482,13 @@ impl Wrangler {
         let track_scans = self.obs.is_on();
         let mut apply_removed: Vec<usize> = Vec::new();
         let mut scan_map_cells = 0u64;
-        let program = self.last_program.as_ref();
+        let program = compiled(&self.last_program)?;
+        let predicate = program.predicate();
         let policy = &pass.policy;
         let mut guard = StageGuard::new(Stage::MapApply, policy, &mut pass.creport);
         for id in &pass.selected {
             let i = id.0 as usize;
-            let placement = program.map_or(FilterPlacement::Union, |p| p.placement_for(i));
-            let predicate = program.and_then(|p| p.predicate());
+            let placement = program.placement_for(i);
             let shape = Shape {
                 filter: placement,
                 budget: policy.scans_enabled().then_some(policy.max_rows_per_source),
@@ -588,11 +587,14 @@ impl Wrangler {
     /// Stage 4 — union with provenance, and the poison firewall: every row is
     /// scanned here, the last point where damage is still attributable to
     /// one source, before rows from different sources interleave in ER and
-    /// fusion. Sources whose filter placement stayed `Union` have the
-    /// predicate fused into this loop, *after* the poison scan (the
-    /// `fuse-filter-into-union` rewrite) — a poison row is poison whether
-    /// or not it matches the filter, so containment decisions are
-    /// placement-independent.
+    /// fusion. Sources whose filter placement stayed `Union` run the
+    /// program's `Filter` node in their block: inside the poison scan, row
+    /// by row after the poison check, when the program applied
+    /// `fuse-filter-into-union`; otherwise as a second scan over the rows
+    /// the block kept, once the poison threshold let it survive. A poison
+    /// row is poison whether or not it matches the filter, so containment
+    /// decisions are placement-independent, and either way the block —
+    /// memo, key and layout entry — is the rows past the filter.
     pub(super) fn union(&mut self, pass: &mut Pass) -> Result<()> {
         self.seam(
             pass,
@@ -610,7 +612,8 @@ impl Wrangler {
                 w.obs.count("union.rows", union.table().num_rows() as u64);
                 w.obs.count("union.filtered", rec.union_filtered);
                 pass.union = union;
-                // No block list, no identity to carry the ER memo across.
+                // No block list (a union replayed from a checkpoint), no
+                // identity to carry the ER memo across.
                 pass.incr_on &= !pass.union_layout.is_empty();
                 Ok(())
             },
@@ -637,12 +640,16 @@ impl Wrangler {
     }
 
     fn union_live(&mut self, pass: &mut Pass) -> Result<UnionOut> {
-        let inline_filter = match (&self.last_program, self.opt_mode) {
-            (Some(p), OptMode::Optimized) => match p.predicate() {
-                Some(e) => Some(e.bind(&self.target)?),
-                None => None,
-            },
-            _ => None,
+        let program = compiled(&self.last_program)?;
+        // The program's `Filter` node, bound once, for the sources whose
+        // filter runs here.
+        let filter = match program.union_filter() {
+            Some((predicate, how)) => Some((
+                predicate.bind(&self.target)?,
+                how,
+                wrangler_plan::predicate_columns(predicate),
+            )),
+            None => None,
         };
         let track_scans = self.obs.is_on();
         let mut scan_union_cells = 0u64;
@@ -654,7 +661,6 @@ impl Wrangler {
         let mut rows_reused = 0u64;
         let mut cells_skipped = 0u64;
         let mut bytes_skipped = 0u64;
-        let program = self.last_program.as_ref();
         let policy = &pass.policy;
         let mut guard = StageGuard::new(Stage::Union, policy, &mut pass.creport);
         for id in &pass.selected {
@@ -663,19 +669,16 @@ impl Wrangler {
             let mapped = held.table();
             // Early-placed sources arrive pre-filtered; only `Union`-placed
             // ones filter here.
-            let place = program.map_or(FilterPlacement::Union, |p| p.placement_for(i));
-            let filter_here = inline_filter
-                .as_ref()
-                .filter(|_| place == FilterPlacement::Union);
+            let place = program.placement_for(i);
+            let filter_here = filter.as_ref().filter(|_| place == FilterPlacement::Union);
+            let fused = filter_here.filter(|(_, how, _)| *how == UnionFilter::Fused);
             // Proof-carrying reuse: replay this source's memoized block
             // only under a matching content key AND the analyzer's verified
             // fact that the block is isolated to this source.
             let block_key = pass
                 .incr_on
                 .then(|| Self::union_block_key(pass.pass_fp, i, place, held));
-            let partition_isolated = program
-                .map(|p| p.holds(&wrangler_plan::Fact::PartitionIsolated { source: i }))
-                .unwrap_or(false);
+            let partition_isolated = program.holds(&Fact::PartitionIsolated { source: i });
             let memo = self.incr.blocks.get(&i);
             if let Some(memo) = memo.filter(|m| partition_isolated && Some(m.key) == block_key) {
                 union_filtered += memo.filtered;
@@ -712,7 +715,7 @@ impl Wrangler {
                             continue;
                         }
                     }
-                    if let Some(bound) = filter_here {
+                    if let Some((bound, ..)) = fused {
                         if !bound.eval_predicate(&row)? {
                             filtered_out += 1;
                             continue;
@@ -722,16 +725,12 @@ impl Wrangler {
                 }
                 Ok(kept)
             });
-            if track_scans && filter_here.is_some() {
-                let cols = program
-                    .and_then(|p| p.predicate())
-                    .map(|e| wrangler_plan::predicate_columns(e).len() as u64)
-                    .unwrap_or(0);
-                pass.scan_filter_cells += (mapped.num_rows() as u64) * cols;
+            if let (true, Some((_, _, cols))) = (track_scans, fused) {
+                pass.scan_filter_cells += (mapped.num_rows() as u64) * cols.len() as u64;
             }
             union_filtered += filtered_out;
             match kept {
-                Guarded::Ok(kept) => {
+                Guarded::Ok(mut kept) => {
                     if poison > 0 {
                         guard.report_mut().drop_rows(Stage::Union, poison);
                         if poison as usize >= policy.poison_row_threshold {
@@ -747,6 +746,27 @@ impl Wrangler {
                             union_removed.push(i);
                             continue;
                         }
+                    }
+                    // The unfused filter: its own scan, over the kept rows
+                    // of a block that survived.
+                    if let Some((bound, UnionFilter::Separate, cols)) = filter_here {
+                        if track_scans {
+                            let bytes = lower::columns_scan_bytes(mapped, cols, Some(&kept));
+                            pass.scan_filter_cells += (kept.len() as u64) * cols.len() as u64;
+                            pass.scan_bytes += bytes;
+                            this_bytes += bytes;
+                        }
+                        let scanned = kept.len();
+                        let mut rows = Vec::with_capacity(scanned);
+                        for r in kept {
+                            if bound.eval_predicate(&mapped.row(r))? {
+                                rows.push(r);
+                            }
+                        }
+                        kept = rows;
+                        let dropped = (scanned - kept.len()) as u64;
+                        filtered_out += dropped;
+                        union_filtered += dropped;
                     }
                     blocks_recomputed += 1;
                     blocks.push((i, kept.clone()));
@@ -776,9 +796,6 @@ impl Wrangler {
             }
         }
         self.eject(pass, Stage::Union, &union_removed)?;
-        if self.opt_mode == OptMode::Naive {
-            self.naive_union_filter(pass, &mut blocks, &mut union_filtered)?;
-        }
         self.obs.count("scan.union.cells", scan_union_cells);
         self.obs.count("scan.filter.cells", pass.scan_filter_cells);
         self.obs.count("scan.bytes", pass.scan_bytes);
@@ -793,43 +810,6 @@ impl Wrangler {
             blocks: blocks.iter().map(|(i, kept)| (*i, UnionOut::row_runs(kept))).collect(),
             union_filtered,
         })
-    }
-
-    /// Naive execution runs the filter as its own pass over the union's
-    /// kept rows — the extra full scan the optimizer's placements avoid.
-    /// Both modes feed ER the identical filtered union: poison/budget
-    /// decisions happened before either filter site.
-    fn naive_union_filter(
-        &self,
-        pass: &mut Pass,
-        blocks: &mut [(usize, Vec<usize>)],
-        union_filtered: &mut u64,
-    ) -> Result<()> {
-        let Some(pred) = &self.row_filter else {
-            return Ok(());
-        };
-        let bound = pred.bind(&self.target)?;
-        let cols = wrangler_plan::predicate_columns(pred);
-        for (i, kept) in blocks.iter_mut() {
-            let table = self.held(*i)?.table();
-            if self.obs.is_on() {
-                pass.scan_filter_cells += (kept.len() as u64) * cols.len() as u64;
-                pass.scan_bytes += lower::columns_scan_bytes(table, &cols, Some(kept));
-            }
-            let mut rows = Vec::with_capacity(kept.len());
-            for &r in kept.iter() {
-                if bound.eval_predicate(&table.row(r))? {
-                    rows.push(r);
-                } else {
-                    *union_filtered += 1;
-                }
-            }
-            *kept = rows;
-        }
-        // The post-union filter shifts row indices out from under the block
-        // layout: this union has no attested identity any more.
-        pass.union_layout.clear();
-        Ok(())
     }
 
     /// Stage 5 — entity resolution over the union: a stored record, or the
@@ -1096,13 +1076,10 @@ impl Wrangler {
         creport: &mut ContainmentReport,
         stage: &str,
     ) -> Result<usize> {
-        let live_mask = self.last_program.as_ref().and_then(|p| p.live_mask());
+        let live_mask = compiled(&self.last_program)?.live_mask();
         let slots = kernel.claims().index().slots();
         // The slots feedback judged, ascending, to merge with `nos`.
-        let mut judged: Vec<_> = self.confirmations.keys().collect();
-        judged.extend(self.vetoes.keys());
-        judged.sort_unstable();
-        let mut judged = judged.into_iter().peekable();
+        let mut judged = self.judgements.keys().peekable();
         let mut special_slots: Vec<usize> = Vec::new();
         let mut plain_slots: Vec<usize> = Vec::with_capacity(nos.len());
         for &no in nos {

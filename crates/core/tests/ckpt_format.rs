@@ -1,16 +1,17 @@
 //! The checkpoint format, pinned from outside the codec.
 //!
 //! * **Golden bytes.** One session snapshot and one record of each seam
-//!   type, committed as hex. All but three were written by the format-3
-//!   codec and are unchanged in format 5 (the checkpoint store's `VERSION`
-//!   5): the map-apply record was re-pinned in format 4, when a mapped
-//!   table's filter tag became its typed shape, and the union and ER
-//!   records in format 5, when the union record became each block's kept
-//!   rows and the ER record its clusters alone. Each decodes and re-encodes
-//!   to the same bytes: a codec change that moves one byte fails here
-//!   before it strands a store written by the previous build.
-//! * **Older formats are not served.** A record framed by a format-3 or a
-//!   format-4 build is a miss, however intact its checksum.
+//!   type, committed as hex. All but four were written by the format-3
+//!   codec and are unchanged in format 6 (the checkpoint store's `VERSION`
+//!   6): the map-apply record was re-pinned in format 4, when a mapped
+//!   table's filter tag became its typed shape, the union and ER records in
+//!   format 5, when the union record became each block's kept rows and the
+//!   ER record its clusters alone, and the session snapshot in format 6,
+//!   when it stopped holding per-source relevances. Each decodes and
+//!   re-encodes to the same bytes: a codec change that moves one byte fails
+//!   here before it strands a store written by the previous build.
+//! * **Older formats are not served.** A record framed by a format-3, 4 or
+//!   5 build is a miss, however intact its checksum.
 //! * **Canonical decoding.** Seeded mutations of those records — cut,
 //!   bit-flipped, spliced — either fail to decode or decode to a value that
 //!   re-encodes to exactly the mutated bytes. A decoder that accepted two
@@ -33,7 +34,7 @@ use wrangler_table::TableError;
 type Reencode = fn(&[u8]) -> Result<Vec<u8>, TableError>;
 
 fn reencode<R: SeamRecord>(bytes: &[u8]) -> Result<Vec<u8>, TableError> {
-    R::decode(bytes).map(|r| r.encode())
+    wire::from_bytes::<R>(bytes).map(|r| wire::to_bytes(&r))
 }
 
 /// The decode-then-encode of each golden record, by name.
@@ -56,23 +57,22 @@ const GOLDEN: &[(&str, &str)] = &[
         "SessionState",
         concat!(
             "2a000000000000000000000000001d4002000000000000004998bfec23f3d93f4998bfec23f3d93f",
-            "0000000000000000fef5ba4ceab0e9bf4998bfec23f3d93f01000000000000000801000000020000",
-            "0000000000000000000000f03f000000000000e03f630000000000000011000000000000001f0000",
-            "00000000000300000000000000030000001800000000000000020000000000000000000000000300",
-            "0000180000000000000002000000017b000000000000000300000000000000030000001800000000",
-            "00000002000000020000000001000000010000000000000002000000000000000300000000000000",
-            "04000000000000000500000000000000010000000000000003000000030600000000000000706f69",
-            "736f6e00000000000000000000000000000000000000000000000001000000000000000000000000",
+            "0000000000000000fef5ba4ceab0e9bf4998bfec23f3d93f01000000000000000801000000630000",
+            "000000000011000000000000001f0000000000000003000000000000000300000018000000000000",
+            "000200000000000000000000000003000000180000000000000002000000017b0000000000000003",
+            "00000000000000030000001800000000000000020000000200000000010000000100000000000000",
+            "02000000000000000300000000000000040000000000000005000000000000000100000000000000",
+            "03000000030600000000000000706f69736f6e000000000000000000000000000000000000000000",
+            "00000001000000000000000000000000000000000000000000000000000000000000000000000000",
+            "00000000000000000000000000000000000000000000000000000000000000000000000100000000",
+            "0000000c000000000000000000000000000000000000000000000000000000000000000000000000",
             "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
-            "0000000000000000000000000000000000000001000000000000000c000000000000000000000000",
             "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
-            "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
-            "00000000000000000000000000000000000000000000000000000004000000000000000000000001",
-            "000000020000000000000000010000000300000009000000000000000203010000001e0000000000",
-            "00000200000001000000010000000000000001050400000000000000030000000000000000000000",
-            "00000000030100000000000000010000000c0000000000000072617465206c696d69746564010000",
-            "0000000000020000000005000000000000000a0000000000000005000000000000000c0000000000",
-            "0000",
+            "00000004000000000000000000000001000000020000000000000000010000000300000009000000",
+            "000000000203010000001e0000000000000002000000010000000100000000000000010504000000",
+            "0000000003000000000000000000000000000000030100000000000000010000000c000000000000",
+            "0072617465206c696d697465640100000000000000020000000005000000000000000a0000000000",
+            "000005000000000000000c00000000000000",
         ),
     ),
     ("SelectOut", "0300000000000000000000000200000007000000"),
@@ -151,6 +151,29 @@ const UNION_V4: &str = concat!(
     "6e616d65040105000000000000007072696365040103000000000000000401000000000000007801",
     "010003000000000000f87f03000000000000008002fdffffffffffffff0200000000000000000000",
     "0000000000020000000000000004000000000000000100000000000000",
+);
+
+/// The session-snapshot golden as the format-5 codec wrote it: with the
+/// per-source relevances `[1.0, 0.5]` after the trust beliefs.
+const SESSION_STATE_V5: &str = concat!(
+    "2a000000000000000000000000001d4002000000000000004998bfec23f3d93f4998bfec23f3d93f",
+    "0000000000000000fef5ba4ceab0e9bf4998bfec23f3d93f01000000000000000801000000020000",
+    "0000000000000000000000f03f000000000000e03f630000000000000011000000000000001f0000",
+    "00000000000300000000000000030000001800000000000000020000000000000000000000000300",
+    "0000180000000000000002000000017b000000000000000300000000000000030000001800000000",
+    "00000002000000020000000001000000010000000000000002000000000000000300000000000000",
+    "04000000000000000500000000000000010000000000000003000000030600000000000000706f69",
+    "736f6e00000000000000000000000000000000000000000000000001000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000001000000000000000c000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000004000000000000000000000001",
+    "000000020000000000000000010000000300000009000000000000000203010000001e0000000000",
+    "00000200000001000000010000000000000001050400000000000000030000000000000000000000",
+    "00000000030100000000000000010000000c0000000000000072617465206c696d69746564010000",
+    "0000000000020000000005000000000000000a0000000000000005000000000000000c0000000000",
+    "0000",
 );
 
 fn unhex(hex: &str) -> Vec<u8> {
@@ -242,7 +265,7 @@ fn a_mutated_record_fails_to_decode_or_is_its_own_canonical_encoding() {
 fn a_mapped_table_shape_decodes_typed_and_only_from_known_tags() {
     let bytes = unhex(GOLDEN.iter().find(|(n, _)| *n == "MapApplyOut").unwrap().1);
     let shapes = |b: &[u8]| -> Result<Vec<Shape>, TableError> {
-        Ok(MapApplyOut::decode(b)?
+        Ok(wire::from_bytes::<MapApplyOut>(b)?
             .mapped
             .iter()
             .map(|(_, m)| m.shape())
@@ -275,21 +298,23 @@ fn a_mapped_table_shape_decodes_typed_and_only_from_known_tags() {
     );
 }
 
-/// A store written by a format-3 or a format-4 build is a miss for this
-/// one, checksum intact or not: format 3's map-apply records spell a shape
-/// as a filter tag, format 4's union records hold the union's cells. The
-/// same payload framed by this build is served.
+/// A store written by a format-3, 4 or 5 build is a miss for this one,
+/// checksum intact or not: format 3's map-apply records spell a shape as a
+/// filter tag, format 4's union records hold the union's cells, format 5's
+/// session snapshots hold relevances. The same payload framed by this build
+/// is served.
 #[test]
 fn a_record_written_under_an_older_format_is_never_served() {
-    let older: [(u16, &str, Reencode); 2] = [
+    let older: [(u16, &str, Reencode); 3] = [
         (3, MAP_APPLY_V3, reencode::<MapApplyOut>),
         (4, UNION_V4, reencode::<UnionOut>),
+        (5, SESSION_STATE_V5, codec("SessionState")),
     ];
     for (version, hex, reencode) in older {
         let payload = unhex(hex);
         assert!(
             reencode(&payload).is_err(),
-            "format {version} does not decode as format 5"
+            "format {version} does not decode as format 6"
         );
         let store = CheckpointStore::open(scratch_dir(&format!("ckpt-format-v{version}"))).unwrap();
         let mut old = b"WCKP".to_vec();

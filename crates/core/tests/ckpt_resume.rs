@@ -370,8 +370,9 @@ fn resume_misses_a_forged<R: SeamRecord>(
     };
     let store = CheckpointStore::open(&dir).unwrap();
     let (mut state, out) = ckpt_io::decode_record(&store.get(key).unwrap()).unwrap();
-    let forged = forge(R::decode(&out).unwrap()).encode();
-    R::decode(&forged).unwrap_or_else(|e| panic!("{label}: the forged record decodes: {e}"));
+    let forged = wire::to_bytes(&forge(wire::from_bytes(&out).unwrap()));
+    wire::from_bytes::<R>(&forged)
+        .unwrap_or_else(|e| panic!("{label}: the forged record decodes: {e}"));
     state.access_spent = 1e9;
     state
         .creport

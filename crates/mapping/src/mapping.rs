@@ -22,6 +22,14 @@ pub struct Mapping {
     pub belief: Belief,
 }
 
+// Target schema, bindings, per-binding beliefs, then the mapping's belief.
+wrangler_table::wire_struct!(Mapping {
+    target: Schema,
+    bindings: Vec<Option<usize>>,
+    binding_beliefs: Vec<Belief>,
+    belief: Belief,
+});
+
 impl Mapping {
     /// Fraction of target fields that are bound.
     pub fn coverage(&self) -> f64 {

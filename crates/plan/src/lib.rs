@@ -27,8 +27,11 @@
 //! `wrangler-core` lowers its pipeline into this IR (its lowering module is
 //! the only place in core allowed to construct [`OpKind`] — `scripts/lint.sh`
 //! rule 5) and consults the compiled [`PlanProgram`] for every execution
-//! decision the optimizer can influence: filter placement per source, fuse
-//! liveness, profile sharing, and the output projection.
+//! decision the optimizer can influence: filter placement per source, how
+//! the union runs the filter ([`PlanProgram::union_filter`]), fuse liveness
+//! and the output projection. Map generation's profile sharing is decided
+//! before the program exists, by [`OptMode::shares_target_profile`], the
+//! rule the `share-target-profile` rewrite records.
 
 pub mod analysis;
 pub mod corrupt;
@@ -42,7 +45,9 @@ pub use ir::{
     fingerprint_map, predicate_columns, rename_columns, ColType, Effects, FilterPlacement, OpKind,
     OpNode, PlanIr,
 };
-pub use opt::{optimize, verify_rewrites, AppliedRewrite, OptMode, PlanProgram, RewriteKind};
+pub use opt::{
+    optimize, verify_rewrites, AppliedRewrite, OptMode, PlanProgram, RewriteKind, UnionFilter,
+};
 
 #[cfg(test)]
 mod tests {
@@ -75,13 +80,21 @@ mod tests {
         let program = PlanProgram::compile(ir, OptMode::Optimized).expect("clean plan compiles");
         assert!(program.verification.is_clean());
         let kinds: Vec<&str> = program.rewrites.iter().map(|r| r.kind.name()).collect();
-        assert!(kinds.contains(&"share-target-profile"), "{kinds:?}");
-        assert!(kinds.contains(&"pushdown-filter-to-acquire"), "{kinds:?}");
-        assert!(kinds.contains(&"skip-dead-fusion"), "{kinds:?}");
+        // Profiles shared, the filter pushed into both sources'
+        // acquisitions, and the two unprojected columns left unfused.
+        assert_eq!(
+            kinds,
+            [
+                "share-target-profile",
+                "pushdown-filter-to-acquire",
+                "pushdown-filter-to-acquire",
+                "skip-dead-fusion",
+                "skip-dead-fusion",
+            ]
+        );
         assert!(program.rewrites.iter().all(|r| !r.justification.is_empty()));
         // Decision API reflects the rewrites.
         assert_eq!(program.placement_for(0), FilterPlacement::Acquire);
-        assert!(program.share_target_profile());
         let live = program.live_mask().expect("dead columns exist");
         assert!(!live[2], "brand is dead");
         assert!(live[0], "sku is live");
@@ -95,6 +108,37 @@ mod tests {
         assert_eq!(program.ir, program.naive);
         assert_eq!(program.placement_for(0), FilterPlacement::Union);
         assert!(program.live_mask().is_none());
+        // Map generation shares the target profile only when optimized and
+        // only across two or more sources, as the rewrite's rule demands.
+        assert!(!OptMode::Naive.shares_target_profile(2));
+        assert!(!OptMode::Optimized.shares_target_profile(1));
+        assert!(OptMode::Optimized.shares_target_profile(2));
+    }
+
+    #[test]
+    fn the_union_filter_is_separate_when_naive_fused_behind_a_barrier_and_gone_below_it() {
+        let mut barrier_up = fixture::clean_plan();
+        barrier_up.scan_barrier = true;
+        let programs = [
+            (
+                OptMode::Naive,
+                fixture::clean_plan(),
+                Some(UnionFilter::Separate),
+            ),
+            (OptMode::Optimized, barrier_up, Some(UnionFilter::Fused)),
+            (OptMode::Optimized, fixture::clean_plan(), None),
+        ];
+        for (mode, ir, expected) in programs {
+            let program = PlanProgram::compile(ir, mode).expect("compiles");
+            let decision = program.union_filter();
+            assert_eq!(decision.map(|(_, how)| how), expected, "{mode:?}");
+            if let Some((predicate, _)) = decision {
+                assert_eq!(Some(predicate), program.predicate());
+            }
+            // Below the barrier every source filters before the union.
+            let at_union = (0..2).all(|i| program.placement_for(i) == FilterPlacement::Union);
+            assert_eq!(at_union, expected.is_some(), "{mode:?}");
+        }
     }
 
     #[test]

@@ -85,6 +85,27 @@ impl AppliedRewrite {
     }
 }
 
+/// Whether compilation applies the optimizer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum OptMode {
+    /// Execute the lowered plan as-is.
+    Naive,
+    /// Apply every justified rewrite (the default).
+    #[default]
+    Optimized,
+}
+
+impl OptMode {
+    /// Whether map generation profiles the target sample once and shares
+    /// the profiles across `generations` sources: the rule of the
+    /// `share-target-profile` rewrite below (a common map input across at
+    /// least two sources), the one decision map generation takes before
+    /// the program it feeds exists.
+    pub fn shares_target_profile(self, generations: usize) -> bool {
+        self == OptMode::Optimized && generations >= 2
+    }
+}
+
 /// Apply every rewrite the analysis justifies. Returns the optimized IR plus
 /// the applied rewrites with their proofs. A plan whose analysis has
 /// `Error`-severity findings is left untouched: broken plans are not
@@ -97,11 +118,10 @@ pub fn optimize(analysis: &Analysis) -> (PlanIr, Vec<AppliedRewrite>) {
     }
 
     // Cross-source CSE: share the target-side profiling work.
-    if let Some(fact @ Fact::CommonMapInput { sources }) = analysis
-        .facts
-        .iter()
-        .find(|f| matches!(f, Fact::CommonMapInput { sources } if sources.len() >= 2))
-    {
+    if let Some(fact @ Fact::CommonMapInput { sources }) = analysis.facts.iter().find(|f| {
+        matches!(f, Fact::CommonMapInput { sources }
+            if OptMode::Optimized.shares_target_profile(sources.len()))
+    }) {
         rewrites.push(AppliedRewrite {
             kind: RewriteKind::ShareTargetProfile,
             justification: vec![fact.clone()],
@@ -304,14 +324,16 @@ pub fn verify_rewrites(analysis: &Analysis, rewrites: &[AppliedRewrite]) -> Repo
     report
 }
 
-/// Whether compilation applies the optimizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OptMode {
-    /// Execute the lowered plan as-is.
-    Naive,
-    /// Apply every justified rewrite (the default).
-    #[default]
-    Optimized,
+/// How the union stage evaluates the row filter in a source's block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnionFilter {
+    /// Inside the poison scan, row by row after the poison check: the
+    /// `fuse-filter-into-union` rewrite.
+    Fused,
+    /// A second scan over the rows the block kept, after the poison-row
+    /// threshold decided the block survives: the naive program, or one the
+    /// optimizer left unrewritten.
+    Separate,
 }
 
 /// A compiled wrangle plan: the analyzed naive IR, the executed (possibly
@@ -432,6 +454,33 @@ impl PlanProgram {
             .unwrap_or(FilterPlacement::Union)
     }
 
+    /// The row filter the union stage runs, and how: `None` when the plan
+    /// has no filter or every source's runs before the union. A source
+    /// whose [`placement_for`](Self::placement_for) is `Union` has it
+    /// evaluated in its union block either way.
+    pub fn union_filter(&self) -> Option<(&Expr, UnionFilter)> {
+        let OpKind::Filter {
+            predicate,
+            placement,
+        } = &self.ir.filter_node()?.kind
+        else {
+            return None;
+        };
+        if placement.iter().all(|&(_, p)| p != FilterPlacement::Union) {
+            return None;
+        }
+        let fused = self
+            .rewrites
+            .iter()
+            .any(|r| r.kind == RewriteKind::FuseFilterIntoUnion);
+        let how = if fused {
+            UnionFilter::Fused
+        } else {
+            UnionFilter::Separate
+        };
+        Some((predicate, how))
+    }
+
     /// Per-target-attribute fuse liveness; `None` when every column is live.
     pub fn live_mask(&self) -> Option<&[bool]> {
         let live = self.ir.fuse_node().and_then(|n| match &n.kind {
@@ -443,13 +492,6 @@ impl PlanProgram {
         } else {
             Some(live)
         }
-    }
-
-    /// True when target-sample profiling is hoisted out of map generation.
-    pub fn share_target_profile(&self) -> bool {
-        self.rewrites
-            .iter()
-            .any(|r| r.kind == RewriteKind::ShareTargetProfile)
     }
 
     /// The output projection, in target order.

@@ -163,9 +163,8 @@ impl Enc {
     }
 
     /// Append `items` in the layout of `Vec<T>` — the count, then each item
-    /// through `item` — for a run held in a slice, or of a type whose
-    /// [`Wire`] impl sits on a wrapper.
-    pub fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&T, &mut Enc)) -> &mut Self {
+    /// through `item` — for a run held in a slice.
+    fn seq<T>(&mut self, items: &[T], mut item: impl FnMut(&T, &mut Enc)) -> &mut Self {
         self.usize(items.len());
         for x in items {
             item(x, self);
@@ -348,11 +347,6 @@ pub trait Wire: Sized {
     fn dec(d: &mut Dec<'_>) -> Result<Self>;
 }
 
-/// The error for a tag byte no variant of `what` carries.
-pub fn bad_tag(what: &str, tag: u8) -> TableError {
-    TableError::Invalid(format!("wire: unknown {what} tag {tag}"))
-}
-
 /// [`Wire`] for a struct whose layout is its fields in the order listed,
 /// nothing between them: `wire_struct!(Point { x: f64, y: f64 })`. The
 /// order is written once and drives both directions; the listed types must
@@ -402,7 +396,10 @@ macro_rules! wire_enum {
                     $($tag => $ty::$var
                         $(($(<$bty as $crate::wire::Wire>::dec(d)?),*))?
                         $({ $($f: <$fty as $crate::wire::Wire>::dec(d)?),* })?,)*
-                    t => return Err($crate::wire::bad_tag($what, t)),
+                    t => return Err($crate::TableError::Invalid(format!(
+                        concat!("wire: unknown ", $what, " tag {}"),
+                        t
+                    ))),
                 })
             }
         }
@@ -544,7 +541,7 @@ impl<T: Wire> Wire for Option<T> {
         match d.u8()? {
             0 => Ok(None),
             1 => Ok(Some(T::dec(d)?)),
-            t => Err(bad_tag("option", t)),
+            t => Err(TableError::Invalid(format!("wire: unknown option tag {t}"))),
         }
     }
 }

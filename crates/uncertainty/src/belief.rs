@@ -88,29 +88,16 @@ impl Belief {
         self.log_odds = self.prior_log_odds;
         self.ledger.clear();
     }
-
-    /// Decompose into `(log_odds, prior_log_odds, ledger)` for durable
-    /// serialization (the checkpoint store persists beliefs bit-exactly via
-    /// `f64::to_bits` of the two log-odds).
-    pub fn to_parts(&self) -> (f64, f64, &[(EvidenceKind, u32)]) {
-        (self.log_odds, self.prior_log_odds, &self.ledger)
-    }
-
-    /// Rebuild from parts produced by [`to_parts`](Self::to_parts). The
-    /// inverse is exact: no clamping or re-derivation, so a serialized
-    /// belief round-trips to the same bits.
-    pub fn from_parts(
-        log_odds: f64,
-        prior_log_odds: f64,
-        ledger: Vec<(EvidenceKind, u32)>,
-    ) -> Belief {
-        Belief {
-            log_odds,
-            prior_log_odds,
-            ledger,
-        }
-    }
 }
+
+// Log-odds, prior log-odds, then the ledger: a round-trip is bit-exact (no
+// clamping or re-derivation), so a checkpointed belief restores to the same
+// bits.
+wrangler_table::wire_struct!(Belief {
+    log_odds: f64,
+    prior_log_odds: f64,
+    ledger: Vec<(EvidenceKind, u32)>,
+});
 
 impl Default for Belief {
     fn default() -> Self {

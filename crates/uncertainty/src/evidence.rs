@@ -33,39 +33,18 @@ pub enum EvidenceKind {
     Component,
 }
 
-impl EvidenceKind {
-    /// Stable serialization tag. These values are part of the checkpoint
-    /// wire format — never renumber; append only.
-    pub fn tag(self) -> u8 {
-        match self {
-            EvidenceKind::NameSimilarity => 0,
-            EvidenceKind::InstanceSimilarity => 1,
-            EvidenceKind::Ontology => 2,
-            EvidenceKind::MasterData => 3,
-            EvidenceKind::Quality => 4,
-            EvidenceKind::UserFeedback => 5,
-            EvidenceKind::CrowdFeedback => 6,
-            EvidenceKind::Redundancy => 7,
-            EvidenceKind::Component => 8,
-        }
-    }
-
-    /// Inverse of [`tag`](Self::tag).
-    pub fn from_tag(tag: u8) -> Option<EvidenceKind> {
-        Some(match tag {
-            0 => EvidenceKind::NameSimilarity,
-            1 => EvidenceKind::InstanceSimilarity,
-            2 => EvidenceKind::Ontology,
-            3 => EvidenceKind::MasterData,
-            4 => EvidenceKind::Quality,
-            5 => EvidenceKind::UserFeedback,
-            6 => EvidenceKind::CrowdFeedback,
-            7 => EvidenceKind::Redundancy,
-            8 => EvidenceKind::Component,
-            _ => return None,
-        })
-    }
-}
+// Tags are part of the checkpoint wire format: append, never renumber.
+wrangler_table::wire_enum!(EvidenceKind: "evidence kind" {
+    0 => NameSimilarity,
+    1 => InstanceSimilarity,
+    2 => Ontology,
+    3 => MasterData,
+    4 => Quality,
+    5 => UserFeedback,
+    6 => CrowdFeedback,
+    7 => Redundancy,
+    8 => Component,
+});
 
 /// One observation bearing on a binary hypothesis.
 #[derive(Debug, Clone, PartialEq)]

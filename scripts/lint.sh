@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Fourteen rules, all enforced in CI via scripts/verify.sh:
+# analysis). Fifteen rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -104,8 +104,17 @@
 #      generic list decoder (`impl Wire for Vec<T>`), which bounds the
 #      reservation by what the unread input could hold; a second spelling of
 #      "read a count, reserve, loop" is one the next forged-count fix misses.
-#      Decode a list as `Vec<T>` (a foreign element type through a local
-#      wrapper, as `ckpt_io::Stored` does).
+#      Decode a list as `Vec<T>`, its element type's `Wire` impl living in
+#      the element's own crate.
+#
+#  15. `OptMode` does not appear in `crates/core/src/wrangler/stages.rs`
+#      outside test code, comments included. Every stage decision the
+#      optimizer can influence is read from the compiled `PlanProgram`
+#      (filter placement, how the union runs the filter, fuse liveness, the
+#      projection); the one decision taken before the program exists, map
+#      generation's profile sharing, is `OptMode::shares_target_profile`,
+#      called on the session's mode without naming the type. A stage loop
+#      that branches on the mode is a second plan beside the compiled one.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -447,6 +456,19 @@ done)
 if [ -n "$cap_hits" ]; then
   echo "lint: Dec::cap outside crates/table/src/wire.rs (decode lists as Vec<T>: its Wire impl is the one place a count reaches an allocation):"
   echo "$cap_hits"
+  fail=1
+fi
+
+# --- Rule 15: the stages execute the program, not the mode --------------------------
+opt_mode_hits=$(awk -v file="crates/core/src/wrangler/stages.rs" '
+  /#\[cfg\(test\)\]/ { exit }
+  /(^|[^_[:alnum:]])OptMode([^_[:alnum:]]|$)/ {
+    printf "%s:%d: %s\n", file, FNR, $0
+  }
+' crates/core/src/wrangler/stages.rs)
+if [ -n "$opt_mode_hits" ]; then
+  echo "lint: OptMode named in crates/core/src/wrangler/stages.rs (read the decision from the compiled PlanProgram):"
+  echo "$opt_mode_hits"
   fail=1
 fi
 
