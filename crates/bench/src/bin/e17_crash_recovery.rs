@@ -24,7 +24,11 @@
 //! exits 1 unless every (site, seed) resumes byte-identically and every
 //! corrupted record is detected and none is loaded; the timing ratio is
 //! printed, not gated. The store section prints where a checkpointed cold
-//! pass's record bytes go, seam by seam (no gate). `--counts`
+//! pass's record bytes go, seam by seam, and beside them what each seam's
+//! stage costs live on a cold pass against what loading its record costs on
+//! the post-ER resume and on a full replay — the check of the persist rule
+//! (a seam is kept only while its load beats its live stage); no gate.
+//! `--counts`
 //! prints only the deterministic half (resumed-run counters + table hash)
 //! and CI double-runs it to assert byte-identical output. A full run
 //! writes `BENCH_e17.json`.
@@ -49,7 +53,7 @@ const SEEDS: u64 = 8;
 const CRASH_EXIT: i32 = 86;
 const TIMING_REPS: usize = 3;
 /// The checkpoint seams, in pass order.
-const SEAMS: [&str; 7] = ["select", "acquire", "map_generate", "map_apply", "union", "er", "fuse"];
+const SEAMS: [&str; 6] = ["select", "acquire", "map_generate", "union", "er", "fuse"];
 
 fn e17_fleet(trial: u64) -> SyntheticFleet {
     let mut cfg = default_fleet_config();
@@ -115,6 +119,15 @@ fn spawn_crash(site: CrashSite, dir: &Path, trial: u64) -> bool {
         .status()
         .expect("spawn crash child"); // lint-allow: harness fixture
     status.code() == Some(CRASH_EXIT)
+}
+
+/// Lower each seam's entry of `best` to the span `wrangle/{seam}{suffix}` of
+/// `out` (its milliseconds; a span the pass did not open reads 0).
+fn best_spans(best: &mut [f64; SEAMS.len()], out: &WrangleOutcome, suffix: &str) {
+    for (best, seam) in best.iter_mut().zip(SEAMS) {
+        let span = out.metrics.timings.get(&format!("wrangle/{seam}{suffix}"));
+        *best = best.min(span.map_or(0.0, |t| t.nanos as f64 / 1e6));
+    }
 }
 
 /// Resume from `dir` with a fresh session (the "new process" half lives in
@@ -227,13 +240,19 @@ fn main() {
     // --- Resume speed after a post-ER crash ---------------------------------
     // Select through ER are about two thirds of a pass (E13), so a crash
     // after ER's seam should resume in under half the cold wall-clock: that
-    // prefix replays from checkpoints.
+    // prefix replays from checkpoints. Each seam's span is kept too, best of
+    // the runs: its live stage on the cold pass, its record's load on the
+    // resume.
+    let mut live_ms = [f64::INFINITY; SEAMS.len()];
+    let mut load_ms = [f64::INFINITY; SEAMS.len()];
     let cold_secs = (0..TIMING_REPS)
         .map(|_| {
             let mut w = build(&fleets[0]);
             let t = Instant::now();
-            std::hint::black_box(w.wrangle().expect("cold wrangle")); // lint-allow: experiment fixture
-            t.elapsed().as_secs_f64()
+            let out = std::hint::black_box(w.wrangle().expect("cold wrangle")); // lint-allow: experiment fixture
+            let s = t.elapsed().as_secs_f64();
+            best_spans(&mut live_ms, &out, "");
+            s
         })
         .fold(f64::INFINITY, f64::min);
     let resume_secs = (0..TIMING_REPS)
@@ -243,8 +262,9 @@ fn main() {
             let store = CheckpointStore::open(&dir).expect("open store"); // lint-allow: harness fixture
             let mut w = build(&fleets[0]).with_checkpoint_store(store);
             let t = Instant::now();
-            std::hint::black_box(w.resume().expect("resume completes")); // lint-allow: harness fixture
+            let out = std::hint::black_box(w.resume().expect("resume completes")); // lint-allow: harness fixture
             let s = t.elapsed().as_secs_f64();
+            best_spans(&mut load_ms, &out, "/ckpt_load");
             let _ = std::fs::remove_dir_all(&dir); // lint-allow: scratch cleanup
             s
         })
@@ -259,12 +279,17 @@ fn main() {
 
     // --- Where the store's bytes go ------------------------------------------
     // One checkpointed cold pass: each seam's record bytes (snapshot and
-    // stage output) as written, `ckpt.{seam}.bytes_written`.
+    // stage output) as written, `ckpt.{seam}.bytes_written`; then a fresh
+    // session replays that store in full, every seam a hit (the post-ER
+    // resume has no fuse record to load).
+    let mut replay_ms = [f64::INFINITY; SEAMS.len()];
     let store_bytes: Vec<(&str, u64)> = {
         let dir = fresh_dir("e17-store-bytes");
         let store = CheckpointStore::open(&dir).expect("open store"); // lint-allow: harness fixture
         let mut w = build(&fleets[0]).with_checkpoint_store(store);
         let out = w.wrangle().expect("checkpointed cold wrangle"); // lint-allow: experiment fixture
+        let (_, replay, _) = resume_from(&fleets[0], &dir);
+        best_spans(&mut replay_ms, &replay, "/ckpt_load");
         let _ = std::fs::remove_dir_all(&dir); // lint-allow: scratch cleanup
         SEAMS
             .iter()
@@ -275,17 +300,27 @@ fn main() {
             .collect()
     };
     let store_total: u64 = store_bytes.iter().map(|&(_, b)| b).sum();
-    let widths = [14, 10, 7];
+    let widths = [14, 10, 7, 9, 13, 13];
     println!("
-store written by a checkpointed cold pass (seed {SEED}):");
-    println!("{}", header(&["seam", "bytes", "share"], &widths));
-    for &(seam, bytes) in &store_bytes {
+store written by a checkpointed cold pass, and each seam's live stage
+(cold pass) against its record's load (post-ER resume; full replay), ms
+(seed {SEED}, best of {TIMING_REPS} for live and post-ER load, one replay):");
+    let names = ["seam", "bytes", "share", "live", "load post-ER", "load replay"];
+    println!("{}", header(&names, &widths));
+    for (s, &(seam, bytes)) in store_bytes.iter().enumerate() {
         let share = 100.0 * bytes as f64 / store_total.max(1) as f64;
-        let cells = [seam.to_string(), bytes.to_string(), format!("{share:.1}%")];
+        let cells = [
+            seam.to_string(),
+            bytes.to_string(),
+            format!("{share:.1}%"),
+            format!("{:.2}", live_ms[s]),
+            format!("{:.2}", load_ms[s]),
+            format!("{:.2}", replay_ms[s]),
+        ];
         println!("{}", row(&cells, &widths));
     }
     let cells = ["total".to_string(), store_total.to_string(), "100%".to_string()];
-    println!("{}", row(&cells, &widths));
+    println!("{}", row(&cells, &widths[..3]));
 
     // --- Corrupt every record: detected, never loaded -----------------------
     let mut torn_rows = Vec::new();
@@ -352,13 +387,24 @@ store written by a checkpointed cold pass (seed {SEED}):");
         .iter()
         .map(|(seam, bytes)| format!("\"{seam}\":{bytes}"))
         .collect();
+    let spans_json: Vec<String> = SEAMS
+        .iter()
+        .enumerate()
+        .map(|(s, seam)| {
+            format!(
+                "\"{seam}\":{{\"live_ms\":{:.3},\"load_post_er_ms\":{:.3},\"load_replay_ms\":{:.3}}}",
+                live_ms[s], load_ms[s], replay_ms[s]
+            )
+        })
+        .collect();
     let json = format!(
         "{{\"experiment\":\"e17_crash_recovery\",\"seed\":{SEED},\
          \"timing\":{{\"cold_secs\":{cold_secs:.4},\"resume_secs\":{resume_secs:.4},\
          \"ratio\":{ratio:.4}}},\
-         \"sites\":[{}],\"store_bytes\":{{{}}},\"corruption\":[{}]}}\n",
+         \"sites\":[{}],\"store_bytes\":{{{}}},\"seam_spans\":{{{}}},\"corruption\":[{}]}}\n",
         sites_json.join(","),
         bytes_json.join(","),
+        spans_json.join(","),
         torn_json.join(",")
     );
     wrangler_bench::write_artifact("BENCH_e17.json", &json);
@@ -366,10 +412,11 @@ store written by a checkpointed cold pass (seed {SEED}):");
     println!("\nShape expected: every row 8/8 across the board — a crash at any seam,");
     println!("including mid-ER, leaves only whole checksummed records behind, and the");
     println!("chained content keys make the resumed prefix provably the same computation.");
-    println!("Post-ER resume skips ER and everything before it; what it still pays — reading");
-    println!("the store, a live fuse (claims, truth discovery over trust alone, the kernel,");
-    println!("writing the fuse record), assembly — is ~6 ms on these 100-product fleets, where");
-    println!("fuse is small: 0.25-0.35 of a cold pass, under 0.5.");
+    println!("Post-ER resume skips ER and the seams before it; what it still pays — reading");
+    println!("the store, the plan, a live map_apply (cheaper to re-run than to read), a live");
+    println!("fuse (claims, truth discovery over trust alone, the kernel, writing the fuse");
+    println!("record), assembly — is ~6 ms on these 100-product fleets, where fuse is small:");
+    println!("0.25-0.35 of a cold pass, under 0.5.");
 
     // The deterministic verdicts gate the run; the timing one is printed
     // only (it reads the machine as much as the code).

@@ -41,8 +41,9 @@ use wrangler_table::wire::{hash64, Hasher64};
 const MAGIC: [u8; 4] = *b"WCKP";
 /// Format version; bump on any layout change. 4: a mapped table's typed
 /// shape, not a filter tag; 5: union records kept rows, ER records clusters;
-/// 6: the session snapshot holds no per-source relevance.
-const VERSION: u16 = 6;
+/// 6: the session snapshot holds no per-source relevance; 7: no map-apply
+/// record.
+const VERSION: u16 = 7;
 /// Fixed header size: magic(4) + version(2) + pad(2) + len(8) + checksum(8).
 const HEADER: usize = 24;
 
@@ -297,10 +298,12 @@ impl ContentKey {
 }
 
 /// Where an injected crash fires, named after the seam it follows. The
-/// sites mirror the checkpoint seams in `Wrangler::wrangle` plus one
+/// sites mirror the six checkpoint seams in `Wrangler::wrangle` plus one
 /// mid-stage site inside ER (after candidate generation, before scoring) —
 /// the "process died with a checkpoint prefix on disk but the current stage
-/// incomplete" case.
+/// incomplete" case. A stage without a seam (`map_apply` among them) has no
+/// site: it writes no record, so a crash after it leaves the store a crash
+/// after the seam before it leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
     /// After source selection is checkpointed.
@@ -309,8 +312,6 @@ pub enum CrashSite {
     AfterAcquire,
     /// After mapping generation is checkpointed.
     AfterMapGenerate,
-    /// After mapping execution is checkpointed.
-    AfterMapApply,
     /// After the union is checkpointed.
     AfterUnion,
     /// Inside the ER stage, mid-computation.
@@ -328,7 +329,6 @@ impl CrashSite {
             CrashSite::AfterSelect => "after-select",
             CrashSite::AfterAcquire => "after-acquire",
             CrashSite::AfterMapGenerate => "after-map-generate",
-            CrashSite::AfterMapApply => "after-map-apply",
             CrashSite::AfterUnion => "after-union",
             CrashSite::MidEr => "mid-er",
             CrashSite::AfterEr => "after-er",
@@ -337,12 +337,11 @@ impl CrashSite {
     }
 
     /// Every site, in pipeline order (the E17 sweep axis).
-    pub fn all() -> [CrashSite; 8] {
+    pub fn all() -> [CrashSite; 7] {
         [
             CrashSite::AfterSelect,
             CrashSite::AfterAcquire,
             CrashSite::AfterMapGenerate,
-            CrashSite::AfterMapApply,
             CrashSite::AfterUnion,
             CrashSite::MidEr,
             CrashSite::AfterEr,

@@ -15,8 +15,10 @@
 //!   once, never re-derived;
 //! * a stage output — a [`SeamRecord`]: the data the rest of the pipeline
 //!   consumes, each cell stored once (selected ids, degraded payloads,
-//!   mappings, mapped tables, each union block's kept rows, clusters, fused
-//!   slots), checked against the session by [`SeamRecord::fits`].
+//!   mappings, each union block's kept rows, clusters, fused slots),
+//!   checked against the session by [`SeamRecord::fits`]. No mapped table
+//!   is stored: `map_apply` re-derives them from the payloads and mappings
+//!   faster than a record of them reads back.
 //!
 //! There is one codec: every stored type is a [`Wire`] impl composed from
 //! the pieces in [`wrangler_table::wire`] — fixed-width little-endian
@@ -26,8 +28,8 @@
 //! uninterrupted run byte-for-byte. A struct's layout is its fields in the
 //! order one [`wire_struct!`] lists them; an enum's is the tag byte one
 //! [`wire_enum!`] gives its variant, then the variant's fields. Each type
-//! carries its own impl: `CircuitBreaker`, `EngineState` and `Mapped`
-//! beside their private fields, `SourceId`, `Degradation`, `AcquireError`,
+//! carries its own impl: `CircuitBreaker` and `EngineState` beside their
+//! private fields, `SourceId`, `Degradation`, `AcquireError`,
 //! `FusedValue`, `Belief` (with `EvidenceKind`) and `Mapping` in their own
 //! crates, every one of which depends on `wrangler-table`. This module
 //! lists the layouts of the session snapshot, the seam records and the
@@ -52,14 +54,13 @@ use wrangler_mapping::Mapping;
 use wrangler_sources::faults::{AcquireError, Degradation};
 use wrangler_sources::SourceId;
 use wrangler_table::wire::{self, Dec, Enc, Wire};
-use wrangler_table::{wire_enum, wire_struct, Schema, Table, TableError};
+use wrangler_table::{wire_enum, wire_struct, Table, TableError};
 use wrangler_uncertainty::Belief;
 
 use crate::acquire::{
     AcquireOutcome, AcquisitionSummary, BreakerConfig, BreakerState, Disposition, EngineState,
 };
 use crate::contain::{ContainmentReport, QuarantineEvent, Stage, StageTallies};
-use crate::incr::Mapped;
 use crate::working::WorkCounters;
 
 type Result<T> = std::result::Result<T, TableError>;
@@ -231,8 +232,6 @@ pub trait SeamRecord: Wire {
 /// What a replayed record must fit: the parts of the session it is about to
 /// enter that its bytes alone cannot show.
 pub struct Fit<'a> {
-    /// The target schema.
-    pub target: &'a Schema,
     /// Each source's held mapped table, by source index.
     pub mapped: Vec<Option<&'a Table>>,
     /// Rows of the pass's union (0 before the union seam).
@@ -283,30 +282,8 @@ wire_struct!(MapGenOut {
 
 impl SeamRecord for MapGenOut {}
 
-/// Map-apply-seam output: every survivor's mapped table and its shape.
-pub struct MapApplyOut {
-    /// Survivors after apply quarantines.
-    pub selected: Vec<SourceId>,
-    /// `(source index, mapped table with its shape)` for every survivor.
-    pub mapped: Vec<(usize, Mapped)>,
-}
-
-wire_struct!(MapApplyOut {
-    selected: Vec<SourceId>,
-    mapped: Vec<(usize, Mapped)>,
-});
-
-/// Every mapped table has the target's columns (its types are inferred from
-/// its cells): the union appends their rows.
-impl SeamRecord for MapApplyOut {
-    fn fits(&self, fit: &Fit<'_>) -> bool {
-        let target = fit.target.names();
-        self.mapped.iter().all(|(_, m)| m.table().schema().names() == target)
-    }
-}
-
 /// Union-seam output: the union's blocks, no cell; the install appends their
-/// rows of the mapped tables the map-apply seam left in the session.
+/// rows of the mapped tables `map_apply` left in the session.
 pub struct UnionOut {
     /// `(source index, kept rows)` per block, in union order (the survivors
     /// after union quarantines): the ascending rows of the source's mapped
@@ -448,7 +425,7 @@ impl Wire for FusedSlots {
 mod tests {
     use super::*;
     use crate::acquire::CircuitBreaker;
-    use wrangler_table::Value;
+    use wrangler_table::{Schema, Value};
     use wrangler_uncertainty::{Evidence, EvidenceKind};
 
     fn sample_state() -> SessionState {
@@ -563,21 +540,13 @@ mod tests {
     type Decode = fn(&[u8]) -> Result<()>;
 
     /// One valid payload per decoder this module exports: the session
-    /// snapshot, a framed record, and the seven stage records.
+    /// snapshot, a framed record, and the six stage records.
     fn payloads() -> Vec<(&'static str, Vec<u8>, Decode)> {
         fn rec<R: SeamRecord>(bytes: &[u8]) -> Result<()> {
             wire::from_bytes::<R>(bytes).map(drop)
         }
         let select = SelectOut {
             selected: vec![SourceId(0), SourceId(2)],
-        };
-        let post_map = crate::incr::Shape {
-            filter: wrangler_plan::FilterPlacement::PostMap,
-            budget: Some(9),
-        };
-        let map_apply = MapApplyOut {
-            selected: vec![SourceId(1)],
-            mapped: vec![(1, Mapped::new(sample_table(), post_map))],
         };
         vec![
             ("SessionState", wire::to_bytes(&sample_state()), |b| {
@@ -598,11 +567,6 @@ mod tests {
                 "MapGenOut",
                 wire::to_bytes(&sample_map_gen()),
                 rec::<MapGenOut>,
-            ),
-            (
-                "MapApplyOut",
-                wire::to_bytes(&map_apply),
-                rec::<MapApplyOut>,
             ),
             ("UnionOut", wire::to_bytes(&sample_union()), rec::<UnionOut>),
             ("ErOut", wire::to_bytes(&sample_er()), rec::<ErOut>),
@@ -741,35 +705,15 @@ mod tests {
 
     #[test]
     fn records_fit_only_the_session_they_name() {
-        let target = sample_table().schema().clone();
         let three = Table::from_rows(
-            target.clone(),
+            sample_table().schema().clone(),
             (0..3).map(|_| vec![Value::Null, Value::Null]).collect(),
         )
         .unwrap();
         let fit = |union_rows| Fit {
-            target: &target,
             mapped: vec![Some(&three), Some(&three), None],
             union_rows,
         };
-        let post_map = crate::incr::Shape {
-            filter: wrangler_plan::FilterPlacement::PostMap,
-            budget: None,
-        };
-        let narrow = Table::empty(Schema::of_strs(&["name"]));
-        let map_apply = |t: Table| MapApplyOut {
-            selected: vec![SourceId(0)],
-            mapped: vec![(0, Mapped::new(t, post_map))],
-        };
-        assert!(map_apply(sample_table()).fits(&fit(0)));
-        let typed = Schema::new(vec![
-            wrangler_table::Field::new("name", wrangler_table::DataType::Str),
-            wrangler_table::Field::new("price", wrangler_table::DataType::Float),
-        ])
-        .unwrap();
-        assert!(map_apply(Table::empty(typed)).fits(&fit(0)), "types are inferred");
-        assert!(!map_apply(narrow).fits(&fit(0)), "other columns");
-
         assert_eq!(UnionOut::row_runs(&[0, 1, 2, 5, 7, 8]), [(0, 3), (5, 1), (7, 2)]);
         assert_eq!(UnionOut::row_runs(&[]), []);
         let union = |blocks: Vec<(usize, Vec<(usize, usize)>)>| UnionOut {

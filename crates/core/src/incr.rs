@@ -53,8 +53,7 @@ use std::sync::OnceLock;
 
 use wrangler_plan::FilterPlacement;
 use wrangler_resolve::{ErKernel, UnionBlocks};
-use wrangler_table::wire::{self, Dec, Enc, Wire};
-use wrangler_table::{wire_struct, Table, TableError};
+use wrangler_table::{wire, Table};
 
 /// What a mapped table was cut to besides its payload and mapping: where
 /// the row filter already ran on it, and the row budget it was held to.
@@ -72,11 +71,6 @@ pub struct Shape {
     pub budget: Option<usize>,
 }
 
-wire_struct!(Shape {
-    filter: FilterPlacement,
-    budget: Option<usize>,
-});
-
 /// One source's mapped (target-schema) table with what identifies it. The
 /// fields are private so that the three cannot drift apart: a new table is
 /// a new `Mapped`, without a hash.
@@ -90,7 +84,7 @@ pub struct Mapped {
 }
 
 impl Mapped {
-    /// A freshly derived (or decoded) table: not hashed yet.
+    /// A freshly derived table: not hashed yet.
     pub fn new(table: Table, shape: Shape) -> Mapped {
         Mapped {
             table,
@@ -117,18 +111,6 @@ impl Mapped {
     /// Has the hash been taken yet? What a test of "at most once" observes.
     pub fn is_hashed(&self) -> bool {
         self.hash.get().is_some()
-    }
-}
-
-/// The table, then its shape; the hash is not stored.
-impl Wire for Mapped {
-    const MIN: usize = Table::MIN + Shape::MIN;
-    fn enc(&self, e: &mut Enc) {
-        self.table.enc(e);
-        self.shape.enc(e);
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<Mapped, TableError> {
-        Ok(Mapped::new(Table::dec(d)?, Shape::dec(d)?))
     }
 }
 
@@ -313,8 +295,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_is_hashed_on_first_demand_and_a_decoded_one_starts_without() {
-        use crate::ckpt_io::MapApplyOut;
+    fn mapped_is_hashed_on_first_demand() {
         use wrangler_table::{Schema, Value};
         let mut table = Table::empty(Schema::of_strs(&["name", "price"]));
         table
@@ -328,16 +309,7 @@ mod tests {
         assert!(!m.is_hashed());
         assert_eq!(m.hash(), wire::table_hash(&table));
         assert!(m.is_hashed() && m.clone().is_hashed());
-        // The wire format carries the table and the shape, never the hash.
-        let record = MapApplyOut {
-            selected: Vec::new(),
-            mapped: vec![(3, m)],
-        };
-        let back: MapApplyOut = wire::from_bytes(&wire::to_bytes(&record)).unwrap();
-        let (i, decoded) = &back.mapped[0];
-        assert_eq!((*i, decoded.shape()), (3, shape));
-        assert!(!decoded.is_hashed());
-        assert_eq!(decoded.hash(), wire::table_hash(&table));
+        assert_eq!(m.shape(), shape);
     }
 
     /// A memo over `layout` whose matched pairs are `matches` (its blocks

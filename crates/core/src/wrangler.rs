@@ -705,9 +705,9 @@ impl Wrangler {
     // --- Crash-resilient checkpointing -----------------------------------
 
     /// Attach a checkpoint store: every subsequent wrangle persists each
-    /// stage seam (select, acquire, map_generate, map_apply, union, er,
-    /// fuse) under a content key derived from the source payload hashes,
-    /// the compiled plan fingerprint and the chained upstream seam keys.
+    /// stage seam (select, acquire, map_generate, union, er, fuse) under a
+    /// content key derived from the source payload hashes, the compiled
+    /// plan fingerprint and the chained upstream seam keys.
     /// A fresh process pointed at the same store replays the deepest valid
     /// prefix byte-identically instead of recomputing it — including
     /// quarantine, trust and breaker state, which travel inside each seam
@@ -2175,17 +2175,10 @@ mod tests {
         assert!(refuse_items > 0 && refuse_items <= m2.counts["refuse.slots"]);
         // With a store attached, each seam's record I/O has its own spans:
         // a cold pass saves at every seam, a second pass loads every one.
+        // map_apply is no seam: it runs live, and reads or writes nothing.
         let dir = crate::scratch_dir("metrics-seam-io");
         let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
-        let seams = [
-            "select",
-            "acquire",
-            "map_generate",
-            "map_apply",
-            "union",
-            "er",
-            "fuse",
-        ];
+        let seams = ["select", "acquire", "map_generate", "union", "er", "fuse"];
         for warm in [false, true] {
             let store = CheckpointStore::open(&dir).unwrap();
             let mut w = session(&fleet, UserContext::balanced("t")).with_checkpoint_store(store);
@@ -2195,6 +2188,11 @@ mod tests {
                 let save = format!("wrangle/{seam}/ckpt_save");
                 assert!(m.timings.contains_key(&load), "missing span {load}");
                 assert_eq!(m.timings.contains_key(&save), !warm, "span {save}");
+            }
+            assert!(m.timings.contains_key("wrangle/map_apply"));
+            for io in ["ckpt_load", "ckpt_save"] {
+                let path = format!("wrangle/map_apply/{io}");
+                assert!(!m.timings.contains_key(&path), "span {path}");
             }
         }
         let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
@@ -3380,7 +3378,7 @@ mod tests {
     }
 
     #[test]
-    fn a_mapped_table_is_hashed_once_and_keeps_its_hash_through_seam_and_clone() {
+    fn a_mapped_table_is_hashed_once_and_keeps_its_hash_through_clone() {
         let fleet = small_fleet();
         let mut w = session(&fleet, UserContext::completeness_first());
         let first = w.wrangle().unwrap();
@@ -3391,8 +3389,7 @@ mod tests {
             assert_eq!(m.hash(), wire::table_hash(m.table()));
         }
         // A pass with the engine off demands no hash: whatever is hashed
-        // after it was carried — through `Wrangler::clone`, and through the
-        // map-apply seam's move-out/move-in.
+        // after it was carried through `Wrangler::clone`.
         let mut off = w.clone();
         off.set_incr_enabled(false);
         let victim = first.selected_sources[0];

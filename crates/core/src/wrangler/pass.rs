@@ -1,11 +1,14 @@
 //! The seam protocol: what happens at a stage boundary of a wrangle pass.
 //!
 //! A pass is a fixed sequence of stages over one [`Pass`] (the state that
-//! lives exactly as long as the pass). Seven of the stages end in a *seam*:
-//! a boundary whose output is a [`SeamRecord`], persisted under a chained
-//! content key when a checkpoint store is attached and replayed from it on
-//! resume. [`Wrangler::seam`] is the only place that knows what a seam does,
-//! in order:
+//! lives exactly as long as the pass). Six of the stages end in a *seam*
+//! (select, acquire, map_generate, union, er, fuse): a boundary whose output
+//! is a [`SeamRecord`], persisted under a chained content key when a
+//! checkpoint store is attached and replayed from it on resume. The other
+//! stages (plan, preflight, map_apply, assemble) run live on every pass,
+//! resumed or not: a seam is kept only while reading its record back costs
+//! less than running its stage. [`Wrangler::seam`] is the only place that
+//! knows what a seam does, in order:
 //!
 //! 1. open the stage span `<name>`;
 //! 2. derive the key — the select key for the first seam, afterwards
@@ -59,7 +62,10 @@ pub(super) struct Pass {
     /// The master catalog's content hash and key column, hashed once for
     /// the first seam's key (0 without a store, or with no catalog).
     pub(super) master_fp: u64,
-    /// Compiled-program fingerprint for the seam keys (0 without a store).
+    /// Compiled-program fingerprint for the seam keys: 0 without a store,
+    /// and 0 until `compile_plan` sets it, so the three seams before it
+    /// (select, acquire, map_generate) key on 0 — the program is compiled
+    /// from what they produce.
     pub(super) prog_fp: u64,
     /// The value-level feedback in force (vetoes, confirmations), hashed
     /// for the fuse seam's key — fuse is the one stage that reads it (0
@@ -94,18 +100,15 @@ pub(super) struct Pass {
 pub(super) struct Seam {
     name: &'static str,
     site: CrashSite,
-    /// The key also covers the compiled program's fingerprint.
-    keyed_by_program: bool,
     /// The key also covers the value-level feedback ([`Pass::feedback_fp`]).
     keyed_by_feedback: bool,
 }
 
 impl Seam {
-    const fn new(name: &'static str, site: CrashSite, keyed_by_program: bool) -> Seam {
+    const fn new(name: &'static str, site: CrashSite) -> Seam {
         Seam {
             name,
             site,
-            keyed_by_program,
             keyed_by_feedback: false,
         }
     }
@@ -118,13 +121,12 @@ impl Seam {
     }
 }
 
-pub(super) const SELECT: Seam = Seam::new("select", CrashSite::AfterSelect, false);
-pub(super) const ACQUIRE: Seam = Seam::new("acquire", CrashSite::AfterAcquire, false);
-pub(super) const MAP_GENERATE: Seam = Seam::new("map_generate", CrashSite::AfterMapGenerate, false);
-pub(super) const MAP_APPLY: Seam = Seam::new("map_apply", CrashSite::AfterMapApply, true);
-pub(super) const UNION: Seam = Seam::new("union", CrashSite::AfterUnion, true);
-pub(super) const ER: Seam = Seam::new("er", CrashSite::AfterEr, true);
-pub(super) const FUSE: Seam = Seam::new("fuse", CrashSite::AfterFuse, true).keyed_by_feedback();
+pub(super) const SELECT: Seam = Seam::new("select", CrashSite::AfterSelect);
+pub(super) const ACQUIRE: Seam = Seam::new("acquire", CrashSite::AfterAcquire);
+pub(super) const MAP_GENERATE: Seam = Seam::new("map_generate", CrashSite::AfterMapGenerate);
+pub(super) const UNION: Seam = Seam::new("union", CrashSite::AfterUnion);
+pub(super) const ER: Seam = Seam::new("er", CrashSite::AfterEr);
+pub(super) const FUSE: Seam = Seam::new("fuse", CrashSite::AfterFuse).keyed_by_feedback();
 
 impl Wrangler {
     /// The state a pass starts from.
@@ -193,13 +195,8 @@ impl Wrangler {
             (None, _) => 0,
             (Some(_), None) => self.seam_key_select(pass.pass_fp, pass.master_fp),
             (Some(_), Some(chain)) => {
-                let program = if seam.keyed_by_program {
-                    pass.prog_fp
-                } else {
-                    0
-                };
                 let feedback = seam.keyed_by_feedback.then_some(pass.feedback_fp);
-                Self::seam_key(seam.name, pass.pass_fp, chain, program, feedback)
+                Self::seam_key(seam.name, pass.pass_fp, chain, pass.prog_fp, feedback)
             }
         };
         self.span(seam.name, |w| {
@@ -363,7 +360,7 @@ impl Wrangler {
             let record: R = wire::from_bytes(&out).ok()?;
             let mapped = self.states.iter().map(|s| s.mapped.as_ref().map(|m| m.table()));
             let union_rows = pass.union.table().num_rows();
-            let fit = Fit { target: &self.target, mapped: mapped.collect(), union_rows };
+            let fit = Fit { mapped: mapped.collect(), union_rows };
             (state.trust.len() == self.states.len() && record.fits(&fit))
                 .then_some((state, record))
         });

@@ -1,7 +1,7 @@
 //! The stages of a wrangle pass, in execution order: `select → acquire →
 //! map_generate → compile_plan → preflight → map_apply → union → er → fuse`
 //! (assembly lives with the driver in the parent module). Each is a plain
-//! method over the session and the [`Pass`]; the seven that end in a
+//! method over the session and the [`Pass`]; the six that end in a
 //! checkpoint seam hand [`Wrangler::seam`] a live function that computes the
 //! stage's record and an install function that moves a record — computed
 //! or replayed from the store — into the session.
@@ -22,12 +22,10 @@ use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
 use wrangler_table::{ops, par, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
-use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_APPLY, MAP_GENERATE, SELECT, UNION};
+use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_GENERATE, SELECT, UNION};
 use super::{blocking_columns, compiled, master_anchors, WrangleCache, Wrangler};
 use crate::acquire::AcquisitionSummary;
-use crate::ckpt_io::{
-    AcquireOut, ErOut, FuseOut, FusedSlots, MapApplyOut, MapGenOut, SelectOut, UnionOut,
-};
+use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, FusedSlots, MapGenOut, SelectOut, UnionOut};
 use crate::contain::{
     catch_quiet, isolate, poison_reason, ContainMode, ContainmentReport, Guarded, Stage, StageGuard,
 };
@@ -460,25 +458,16 @@ impl Wrangler {
         })
     }
 
-    /// Stage 3d — mapping execution per surviving source.
+    /// Stage 3d — mapping execution per surviving source: each survivor's
+    /// mapped table goes straight into the session. No seam: the stage is a
+    /// function of what the select, acquire and map-generate records and
+    /// the compiled program pin, and running it costs less than reading a
+    /// record of it would, so a resume runs it live too.
     pub(super) fn map_apply(&mut self, pass: &mut Pass) -> Result<()> {
-        self.seam(
-            pass,
-            &MAP_APPLY,
-            Self::map_apply_live,
-            |w, pass, rec: MapApplyOut| {
-                pass.selected = rec.selected;
-                for (i, mapped) in rec.mapped {
-                    if let Some(state) = w.states.get_mut(i) {
-                        state.mapped = Some(mapped);
-                    }
-                }
-                Ok(())
-            },
-        )
+        self.span("map_apply", |w| w.map_apply_live(pass))
     }
 
-    fn map_apply_live(&mut self, pass: &mut Pass) -> Result<MapApplyOut> {
+    fn map_apply_live(&mut self, pass: &mut Pass) -> Result<()> {
         let track_scans = self.obs.is_on();
         let mut apply_removed: Vec<usize> = Vec::new();
         let mut scan_map_cells = 0u64;
@@ -568,20 +557,7 @@ impl Wrangler {
         self.eject(pass, Stage::MapApply, &apply_removed)?;
         self.obs.count("map.applied", pass.selected.len() as u64);
         self.obs.count("scan.map.cells", scan_map_cells);
-        // As in map_generate: the survivors' mapped tables move into the
-        // record — hash and all — and install moves them back.
-        let mapped = pass
-            .selected
-            .iter()
-            .filter_map(|id| {
-                let i = id.0 as usize;
-                self.states[i].mapped.take().map(|m| (i, m))
-            })
-            .collect();
-        Ok(MapApplyOut {
-            selected: std::mem::take(&mut pass.selected),
-            mapped,
-        })
+        Ok(())
     }
 
     /// Stage 4 — union with provenance, and the poison firewall: every row is

@@ -1,17 +1,17 @@
 //! The checkpoint format, pinned from outside the codec.
 //!
 //! * **Golden bytes.** One session snapshot and one record of each seam
-//!   type, committed as hex. All but four were written by the format-3
-//!   codec and are unchanged in format 6 (the checkpoint store's `VERSION`
-//!   6): the map-apply record was re-pinned in format 4, when a mapped
-//!   table's filter tag became its typed shape, the union and ER records in
-//!   format 5, when the union record became each block's kept rows and the
-//!   ER record its clusters alone, and the session snapshot in format 6,
-//!   when it stopped holding per-source relevances. Each decodes and
-//!   re-encodes to the same bytes: a codec change that moves one byte fails
-//!   here before it strands a store written by the previous build.
-//! * **Older formats are not served.** A record framed by a format-3, 4 or
-//!   5 build is a miss, however intact its checksum.
+//!   type, committed as hex. All but three were written by the format-3
+//!   codec and are unchanged in format 7 (the checkpoint store's `VERSION`
+//!   7): the union and ER records were re-pinned in format 5, when the
+//!   union record became each block's kept rows and the ER record its
+//!   clusters alone, and the session snapshot in format 6, when it stopped
+//!   holding per-source relevances. Format 7 dropped the map-apply record
+//!   and moved no other byte. Each decodes and re-encodes to the same
+//!   bytes: a codec change that moves one byte fails here before it strands
+//!   a store written by the previous build.
+//! * **Older formats are not served.** A record framed by a format-3, 4, 5
+//!   or 6 build is a miss, however intact its checksum.
 //! * **Canonical decoding.** Seeded mutations of those records — cut,
 //!   bit-flipped, spliced — either fail to decode or decode to a value that
 //!   re-encodes to exactly the mutated bytes. A decoder that accepted two
@@ -19,15 +19,12 @@
 //!   different payloads stand for one record.
 //!
 //! The samples carry a NaN, a negative zero, every breaker state, a
-//! quarantine, both kinds of mapped-table shape and an unbound mapping
-//! field.
+//! quarantine and an unbound mapping field.
 
 use wrangler_core::ckpt_io::{
-    AcquireOut, ErOut, FuseOut, MapApplyOut, MapGenOut, SeamRecord, SelectOut, UnionOut,
+    AcquireOut, ErOut, FuseOut, MapGenOut, SeamRecord, SelectOut, UnionOut,
 };
-use wrangler_core::incr::Shape;
 use wrangler_core::{scratch_dir, CheckpointStore, SessionState};
-use wrangler_plan::FilterPlacement;
 use wrangler_table::wire::{self, hash64};
 use wrangler_table::TableError;
 
@@ -44,7 +41,6 @@ fn codec(name: &str) -> Reencode {
         "SelectOut" => reencode::<SelectOut>,
         "AcquireOut" => reencode::<AcquireOut>,
         "MapGenOut" => reencode::<MapGenOut>,
-        "MapApplyOut" => reencode::<MapApplyOut>,
         "UnionOut" => reencode::<UnionOut>,
         "ErOut" => reencode::<ErOut>,
         "FuseOut" => reencode::<FuseOut>,
@@ -96,17 +92,6 @@ const GOLDEN: &[(&str, &str)] = &[
         ),
     ),
     (
-        "MapApplyOut",
-        concat!(
-            "02000000000000000100000004000000020000000000000001000000000000000200000000000000",
-            "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
-            "0000000000007800010103000000000000f87f02fdffffffffffffff030000000000000080010004",
-            "00000000000000020000000000000004000000000000006e616d6504010500000000000000707269",
-            "6365040103000000000000000401000000000000007800010103000000000000f87f02fdffffffff",
-            "ffffff0300000000000000800001e803000000000000",
-        ),
-    ),
-    (
         "UnionOut",
         concat!(
             "02000000000000000200000000000000040000000000000002000000000000000000000000000000",
@@ -133,7 +118,19 @@ const GOLDEN: &[(&str, &str)] = &[
     ),
 ];
 
-/// The map-apply golden as the format-3 codec wrote it: the first mapped
+/// The map-apply record as the format-6 codec wrote it — the last format
+/// with one: two mapped tables with their shapes (`PostMap` with no budget,
+/// `Union` with `Some(1000)`). No decoder for it is left.
+const MAP_APPLY_V6: &str = concat!(
+    "02000000000000000100000004000000020000000000000001000000000000000200000000000000",
+    "04000000000000006e616d6504010500000000000000707269636504010300000000000000040100",
+    "0000000000007800010103000000000000f87f02fdffffffffffffff030000000000000080010004",
+    "00000000000000020000000000000004000000000000006e616d6504010500000000000000707269",
+    "6365040103000000000000000401000000000000007800010103000000000000f87f02fdffffffff",
+    "ffffff0300000000000000800001e803000000000000",
+);
+
+/// The map-apply record as the format-3 codec wrote it: the first mapped
 /// table tagged `"post-map|price > 0"`, the second untagged.
 const MAP_APPLY_V3: &str = concat!(
     "02000000000000000100000004000000020000000000000001000000000000000200000000000000",
@@ -258,64 +255,29 @@ fn a_mutated_record_fails_to_decode_or_is_its_own_canonical_encoding() {
     }
 }
 
-/// The map-apply golden holds an early-placed filter with no budget (scans
-/// off) and a budget with the filter left to the union. The second shape is
-/// the record's last ten bytes: a placement tag, then `Some(1000)`.
-#[test]
-fn a_mapped_table_shape_decodes_typed_and_only_from_known_tags() {
-    let bytes = unhex(GOLDEN.iter().find(|(n, _)| *n == "MapApplyOut").unwrap().1);
-    let shapes = |b: &[u8]| -> Result<Vec<Shape>, TableError> {
-        Ok(wire::from_bytes::<MapApplyOut>(b)?
-            .mapped
-            .iter()
-            .map(|(_, m)| m.shape())
-            .collect())
-    };
-    let post_map = Shape {
-        filter: FilterPlacement::PostMap,
-        budget: None,
-    };
-    let budget = Shape {
-        filter: FilterPlacement::Union,
-        budget: Some(1000),
-    };
-    assert_eq!(shapes(&bytes).unwrap(), vec![post_map, budget]);
-    let at = bytes.len() - 10;
-    let with = |i: usize, v: u8| {
-        let mut b = bytes.clone();
-        b[i] = v;
-        b
-    };
-    let acquire = Shape {
-        filter: FilterPlacement::Acquire,
-        ..budget
-    };
-    assert_eq!(shapes(&with(at, 2)).unwrap(), vec![post_map, acquire]);
-    assert!(shapes(&with(at, 3)).is_err(), "no fourth placement");
-    assert!(
-        shapes(&with(at + 1, 2)).is_err(),
-        "an option marker is 0 or 1"
-    );
-}
-
-/// A store written by a format-3, 4 or 5 build is a miss for this one,
+/// A store written by a format-3, 4, 5 or 6 build is a miss for this one,
 /// checksum intact or not: format 3's map-apply records spell a shape as a
 /// filter tag, format 4's union records hold the union's cells, format 5's
-/// session snapshots hold relevances. The same payload framed by this build
-/// is served.
+/// session snapshots hold relevances, and format 6 still wrote map-apply
+/// records, which nothing reads any more. The same payload framed by this
+/// build is served. Where a decoder for the payload's type is left, the
+/// payload does not decode under it either.
 #[test]
 fn a_record_written_under_an_older_format_is_never_served() {
-    let older: [(u16, &str, Reencode); 3] = [
-        (3, MAP_APPLY_V3, reencode::<MapApplyOut>),
-        (4, UNION_V4, reencode::<UnionOut>),
-        (5, SESSION_STATE_V5, codec("SessionState")),
+    let older: [(u16, &str, Option<Reencode>); 4] = [
+        (3, MAP_APPLY_V3, None),
+        (4, UNION_V4, Some(reencode::<UnionOut>)),
+        (5, SESSION_STATE_V5, Some(codec("SessionState"))),
+        (6, MAP_APPLY_V6, None),
     ];
     for (version, hex, reencode) in older {
         let payload = unhex(hex);
-        assert!(
-            reencode(&payload).is_err(),
-            "format {version} does not decode as format 6"
-        );
+        if let Some(reencode) = reencode {
+            assert!(
+                reencode(&payload).is_err(),
+                "format {version} does not decode as format 7"
+            );
+        }
         let store = CheckpointStore::open(scratch_dir(&format!("ckpt-format-v{version}"))).unwrap();
         let mut old = b"WCKP".to_vec();
         old.extend(version.to_le_bytes());

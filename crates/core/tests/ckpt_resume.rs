@@ -9,8 +9,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
 use wrangler_context::{DataContext, Ontology, UserContext};
-use wrangler_core::ckpt_io::{ErOut, MapApplyOut, SeamRecord, UnionOut};
-use wrangler_core::incr::Mapped;
+use wrangler_core::ckpt_io::{ErOut, SeamRecord, UnionOut};
 use wrangler_core::{
     ckpt_io, scratch_dir, CheckpointStore, CrashPolicy, CrashSite, Stage, WrangleOutcome, Wrangler,
 };
@@ -183,7 +182,7 @@ fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite])
             "{site:?}: resumed outcome diverged from the uninterrupted run"
         );
         // The prefix replayed from checkpoints rather than recomputing.
-        let hits: u64 = ["select", "acquire", "map_generate", "map_apply", "union", "er", "fuse"]
+        let hits: u64 = ["select", "acquire", "map_generate", "union", "er", "fuse"]
             .iter()
             .map(|s| {
                 out.metrics
@@ -284,15 +283,7 @@ fn torn_and_bitflipped_checkpoints_are_never_loaded() {
 
 /// Every seam's record was rejected: one counted miss each, no hit.
 fn assert_every_seam_missed(out: &WrangleOutcome) {
-    for stage in [
-        "select",
-        "acquire",
-        "map_generate",
-        "map_apply",
-        "union",
-        "er",
-        "fuse",
-    ] {
+    for stage in ["select", "acquire", "map_generate", "union", "er", "fuse"] {
         assert_eq!(
             out.metrics.counts.get(&format!("ckpt.{stage}.misses")),
             Some(&1),
@@ -330,7 +321,7 @@ fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
         store.put(key, &garbled).unwrap();
         rewritten += 1;
     }
-    assert_eq!(rewritten, 7, "one record per seam");
+    assert_eq!(rewritten, 6, "one record per seam");
 
     let mut resumed = build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
     let out = resumed
@@ -396,7 +387,7 @@ fn resume_misses_a_forged<R: SeamRecord>(
     cleanup(&dir);
 }
 
-const UNION: (CrashSite, CrashSite) = (CrashSite::AfterMapApply, CrashSite::AfterUnion);
+const UNION: (CrashSite, CrashSite) = (CrashSite::AfterMapGenerate, CrashSite::AfterUnion);
 
 #[test]
 fn forged_union_records_are_misses_and_leave_the_session_untouched() {
@@ -404,7 +395,7 @@ fn forged_union_records_are_misses_and_leave_the_session_untouched() {
     resume_misses_a_forged(
         "union-past-end",
         UNION,
-        ("map_apply", "union"),
+        ("map_generate", "union"),
         |mut rec: UnionOut| {
             rec.blocks[0].1.push((1 << 40, 1));
             rec
@@ -414,7 +405,7 @@ fn forged_union_records_are_misses_and_leave_the_session_untouched() {
     resume_misses_a_forged(
         "union-no-table",
         UNION,
-        ("map_apply", "union"),
+        ("map_generate", "union"),
         |mut rec: UnionOut| {
             rec.blocks.push((8, vec![(0, 1)]));
             rec
@@ -424,25 +415,12 @@ fn forged_union_records_are_misses_and_leave_the_session_untouched() {
     resume_misses_a_forged(
         "union-unordered",
         UNION,
-        ("map_apply", "union"),
+        ("map_generate", "union"),
         |mut rec: UnionOut| {
             let long = |(_, r): &&mut (usize, Vec<(usize, usize)>)| r.first().is_some_and(|run| run.1 > 1);
             let runs = &mut rec.blocks.iter_mut().find(long).unwrap().1;
             let (first, n) = runs[0];
             runs.splice(0..1, [(first + 1, n - 1), (first, 1)]);
-            rec
-        },
-    );
-    // The union appends the held tables' rows: a table of another schema
-    // is a miss at the seam that holds it.
-    resume_misses_a_forged(
-        "map-apply-schema",
-        (CrashSite::AfterMapGenerate, CrashSite::AfterMapApply),
-        ("map_generate", "map_apply"),
-        |mut rec: MapApplyOut| {
-            let narrow = Table::from_rows(Schema::of_strs(&["only"]), vec![vec![Value::Int(1)]]);
-            let shape = rec.mapped[0].1.shape();
-            rec.mapped[0].1 = Mapped::new(narrow.unwrap(), shape);
             rec
         },
     );
@@ -563,14 +541,7 @@ fn a_veto_given_before_resume_replays_up_to_er_and_refuses_live() {
     let out = resumed.resume().unwrap();
     assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out));
     let count = |key: String| out.metrics.counts.get(&key).copied().unwrap_or(0);
-    for seam in [
-        "select",
-        "acquire",
-        "map_generate",
-        "map_apply",
-        "union",
-        "er",
-    ] {
+    for seam in ["select", "acquire", "map_generate", "union", "er"] {
         assert_eq!(count(format!("ckpt.{seam}.hits")), 1, "{seam}");
     }
     assert_eq!(count("ckpt.fuse.hits".into()), 0);
@@ -663,7 +634,7 @@ fn records_of_another_format_version_are_misses_never_misdecoded() {
         std::fs::write(&path, raw).unwrap();
         rewritten += 1;
     }
-    assert_eq!(rewritten, 7, "one record per seam");
+    assert_eq!(rewritten, 6, "one record per seam");
 
     let mut resumed =
         build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
@@ -672,7 +643,7 @@ fn records_of_another_format_version_are_misses_never_misdecoded() {
         .expect("a record of another version must fall back to live compute");
     assert_eq!(fingerprint(&resumed, &out), cold_fp);
     assert_every_seam_missed(&out);
-    assert_eq!(resumed.checkpoint_store().unwrap().stats().torn_detected, 7);
+    assert_eq!(resumed.checkpoint_store().unwrap().stats().torn_detected, 6);
     cleanup(&dir);
 }
 
@@ -729,7 +700,7 @@ proptest! {
 
     #[test]
     fn resume_matches_cold_run_for_any_crash_and_fault_mix(
-        site_idx in 0usize..8,
+        site_idx in 0usize..7,
         fleet_seed in 0u64..4,
         fault_rate in 0.0f64..=0.5,
         fault_seed in any::<u64>(),

@@ -132,13 +132,6 @@ pub enum FilterPlacement {
     Acquire,
 }
 
-// A checkpointed mapped table records the placement it was cut under.
-wrangler_table::wire_enum!(FilterPlacement: "filter placement" {
-    0 => Union,
-    1 => PostMap,
-    2 => Acquire,
-});
-
 impl FilterPlacement {
     /// Stable display name.
     pub fn name(self) -> &'static str {
