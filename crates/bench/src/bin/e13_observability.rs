@@ -174,7 +174,7 @@ fn main() {
     wrangler_bench::write_artifact("BENCH_e13.json", &json);
 
     println!("\nShape expected: no stage dominates. er is the largest at about 0.3 of a");
-    println!("40-source pass — it walks the blocks and decides ~99% of the candidates from");
+    println!("40-source pass — it decides each pair of record classes once, ~99% of them from");
     println!("dictionary ids, opening a text field for the rest — with select (~0.25),");
     println!("map_generate (~0.17) and fuse (~0.15) behind it: the next optimisation is no");
     println!("longer ER's by default. er's own split is in the report's wrangle/er/* spans.");

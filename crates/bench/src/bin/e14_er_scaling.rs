@@ -4,9 +4,10 @@
 //! next in line. Claims under test here:
 //!
 //! 1. The [`ErKernel`] — ER config compiled once against the union schema,
-//!    text and key columns dictionary-encoded, the candidate blocks walked
-//!    and every pair decided on the spot across row strips
-//!    (`decide_union`, the entry point the wrangle stage runs) — beats the
+//!    text and key columns dictionary-encoded, the union's rows grouped
+//!    into record classes and every candidate class pair decided once, on
+//!    the spot, across class strips (`decide_union`, the entry point the
+//!    wrangle stage runs) — beats the
 //!    uncompiled serial reference (`match_pairs` over the written-down
 //!    candidate list, re-rendering both rows for every pair) by ≥2× on the
 //!    40-source workload while producing the **same** matched pairs and
@@ -34,7 +35,7 @@
 //!    floor carry a two-workers-regardless column, and the pipeline's own
 //!    fuse loop is timed on the first fleet over the floor: the two
 //!    measurements `MIN_SLOTS_PER_WORKER`'s derivation compares. The ER
-//!    pool's floor (`MIN_PAIRS_PER_WORKER` pairs *walked* per thread) is
+//!    pool's floor (`MIN_PAIRS_PER_WORKER` class pairs *decided* per thread) is
 //!    read the same way off `ER_FLOOR_PRODUCTS`: the decision at one
 //!    worker against two spawned regardless, and the pipeline's own
 //!    `wrangle/er/decide` span on the fleets over it.
@@ -42,7 +43,7 @@
 //! Protocol: per fleet size, wrangle once to materialise the mapped union
 //! and the claim set, rebuild the pipeline's candidate set (name blocking +
 //! exact-sku blocking), then time `REPS` runs of (a) serial `match_pairs`
-//! over that list, (b) blocking + ER kernel compile + walk-and-decide at
+//! over that list, (b) blocking + ER kernel compile + class-and-decide at
 //! each worker count, (c) serial
 //! `fuse_attribute` over all slots and (d) fuse kernel compile+fuse at each
 //! worker count, taking the best of the runs (minimum suppresses scheduler
@@ -67,8 +68,8 @@ use wrangler_fusion::strategies::fuse_attribute;
 use wrangler_fusion::{FuseKernel, FusedValue, MIN_SLOTS_PER_WORKER};
 use wrangler_resolve::kernel::MIN_PAIRS_PER_WORKER;
 use wrangler_resolve::{
-    candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, DirtyRows, ErConfig,
-    ErKernel, ScoredPair, UnionBlocks,
+    candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, ErConfig, ErKernel,
+    ScoredPair, UnionBlocks,
 };
 use wrangler_sources::{FleetConfig, SyntheticFleet};
 use wrangler_table::{par, Table};
@@ -94,11 +95,10 @@ const FUSE_FLEET_SOURCES: usize = 10;
 /// timed at one worker and at four requested.
 const FUSE_PASS_PRODUCTS: usize = FUSE_FLEET_PRODUCTS[1];
 /// ER-floor fleets, by product count (`ER_FLOOR_SOURCES` sources each): the
-/// pairs their walks cover straddle the decision pool's fan-out floor of
-/// 2 × `MIN_PAIRS_PER_WORKER` = 32,768: ~7,700 and ~22,000 pairs decide
-/// serially, ~40,600 are the first the policy fans out, ~120,000 the last
-/// row. The two over the floor are where the pipeline's own
-/// `wrangle/er/decide` span is read at one worker and at two requested.
+/// class pairs their walks decide straddle the decision pool's fan-out
+/// floor of 2 × `MIN_PAIRS_PER_WORKER` = 32,768. The last two are where the
+/// pipeline's own `wrangle/er/decide` span is read at one worker and at two
+/// requested.
 const ER_FLOOR_PRODUCTS: [usize; 4] = [160, 300, 320, 640];
 const ER_FLOOR_SOURCES: usize = 4;
 /// Runs per timing of the sub-millisecond ER-floor rows.
@@ -174,6 +174,10 @@ fn fused_identical(a: &[Option<FusedValue>], b: &[Option<FusedValue>]) -> bool {
 
 struct FleetResult {
     sources: usize,
+    /// Union rows, their record classes and the class pairs a walk decides.
+    rows: usize,
+    classes: usize,
+    decided: u64,
     candidates: usize,
     serial_ms: f64,
     kernel_ms: Vec<(usize, f64)>,
@@ -249,6 +253,7 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
 
     let mut kernel_ms = Vec::new();
     let mut no_idle_worker = true;
+    let (mut classes, mut decided_pairs) = (0, 0);
     for &workers in &WORKERS {
         // Timed end-to-end, as the wrangle stage runs it: block, compile,
         // walk and decide. Blocking and precompilation are part of the
@@ -258,7 +263,7 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
         let decide = || {
             let blocks = UnionBlocks::build(&union, "name", "sku").expect("union has both columns"); // lint-allow: experiment fixture
             let k = ErKernel::compile(&union, &cfg).expect("schema compiles"); // lint-allow: experiment fixture
-            k.decide_union(&blocks, workers, &DirtyRows::all(union.num_rows()))
+            k.decide_union(&blocks, workers, None)
                 .expect("deciding succeeds") // lint-allow: experiment fixture
         };
         let ms = 1e3
@@ -267,18 +272,22 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
             });
         kernel_ms.push((workers, ms));
         let decided = decide();
-        let clusters = cluster_pairs(union.num_rows(), decided.matches.iter().copied());
-        identical &= decided.matches == serial_matches && clusters == serial_clusters;
+        identical &= decided.matches() == serial_matches
+            && decided.clusters() == serial_clusters
+            && decided.candidates == candidates.len() as u64;
         // The sizing policy decides the spawned width; whatever it picks,
-        // the items must cover every candidate with no idle worker.
-        no_idle_worker &= decided.workers.iter().map(|s| s.items).sum::<u64>()
-            == candidates.len() as u64
+        // the items must cover every class pair decided with no idle worker.
+        no_idle_worker &= decided.workers.iter().map(|s| s.items).sum::<u64>() == decided.decided
             && !decided.workers.is_empty()
             && decided.workers.iter().all(|s| s.items > 0);
+        (classes, decided_pairs) = (decided.num_classes(), decided.decided);
     }
 
     let er = FleetResult {
         sources: num_sources,
+        rows: union.num_rows(),
+        classes,
+        decided: decided_pairs,
         candidates: candidates.len(),
         serial_ms,
         kernel_ms,
@@ -290,8 +299,10 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
 
 struct ErFloorResult {
     products: usize,
-    /// Pairs the walk covers — what the pool is sized by.
-    pairs: usize,
+    /// Candidates of the union.
+    candidates: u64,
+    /// Class pairs the walk decides — what the pool is sized by.
+    pairs: u64,
     /// The pool width two requested workers resolve to.
     width_at_2: usize,
     /// The decision alone (blocks built, kernel compiled) at one worker.
@@ -310,10 +321,9 @@ fn measure_er_floor(products: usize) -> ErFloorResult {
     let union = w.union_table().expect("wrangle caches the union"); // lint-allow: experiment fixture
     let blocks = UnionBlocks::build(&union, "name", "sku").expect("union has both columns"); // lint-allow: experiment fixture
     let kernel = ErKernel::compile(&union, w.er_config()).expect("schema compiles"); // lint-allow: experiment fixture
-    let cold = DirtyRows::all(union.num_rows());
     let at = |workers: usize| {
         kernel
-            .decide_union_exact(&blocks, workers, &cold)
+            .decide_union_exact(&blocks, workers, None)
             .expect("deciding succeeds") // lint-allow: experiment fixture
     };
     let time = |workers: usize| {
@@ -322,16 +332,17 @@ fn measure_er_floor(products: usize) -> ErFloorResult {
         })
     };
     let policy = kernel
-        .decide_union(&blocks, 2, &cold)
+        .decide_union(&blocks, 2, None)
         .expect("deciding succeeds"); // lint-allow: experiment fixture
     let serial = at(1);
     ErFloorResult {
         products,
-        pairs: policy.candidates as usize,
+        candidates: policy.candidates,
+        pairs: policy.decided,
         width_at_2: policy.workers.len(),
         decide1_ms: time(1),
         exact2_ms: time(2),
-        identical: serial.matches == at(2).matches && serial.matches == policy.matches,
+        identical: serial.matches() == at(2).matches() && serial.matches() == policy.matches(),
     }
 }
 
@@ -422,19 +433,30 @@ fn main() {
     let cores = par::available_parallelism();
     println!("E14: precompiled kernels (ER + fuse) vs serial references ({PRODUCTS} products)");
     println!("(serial = uncompiled match_pairs over the listed candidates, re-rendering rows per");
-    println!(" pair; k@w = block + compile + walk-and-decide with w requested workers, width");
+    println!(" pair; rows / classes = union rows and their record classes, decided = class pairs");
+    println!(" a walk decides; k@w = block + compile + class-and-decide with w requested workers, width");
     println!(
         " resolved by the sizing policy — this machine has {cores} core(s); best of {REPS} runs;"
     );
     println!(" identical = matched pairs and clusters equal serial at every w, and the kernel's");
     println!(" exact scores equal serial's bit for bit)\n");
 
-    let widths = [7, 10, 9, 9, 9, 9, 9, 9, 10];
+    let widths = [7, 6, 7, 8, 10, 9, 9, 9, 9, 9, 9, 10];
     println!(
         "{}",
         header(
             &[
-                "sources", "cands", "serial", "k@1", "k@2", "k@4", "k@8", "speedup4",
+                "sources",
+                "rows",
+                "classes",
+                "decided",
+                "cands",
+                "serial",
+                "k@1",
+                "k@2",
+                "k@4",
+                "k@8",
+                "speedup4",
                 "identical"
             ],
             &widths
@@ -449,6 +471,9 @@ fn main() {
         let speedup4 = r.serial_ms / ms_at(&r.kernel_ms, 4);
         let cells = vec![
             r.sources.to_string(),
+            r.rows.to_string(),
+            r.classes.to_string(),
+            r.decided.to_string(),
             r.candidates.to_string(),
             format!("{:.1}", r.serial_ms),
             format!("{:.1}", ms_at(&r.kernel_ms, 1)),
@@ -463,17 +488,18 @@ fn main() {
     }
 
     println!("\nER decision either side of its fan-out floor ({ER_FLOOR_SOURCES}-source fleets sized in products;");
-    println!(" pairs = what the walk covers, the pool is sized by it: 2 x {MIN_PAIRS_PER_WORKER} pairs fan out;");
+    println!(" pairs = class pairs the walk decides, the pool is sized by them: 2 x {MIN_PAIRS_PER_WORKER} fan out;");
     println!(" width2 = the pool width two requested workers resolve to; d@1 = the decision alone");
     println!(
         " at one worker, x2 = two workers spawned whatever the policy says; best of {FLOOR_REPS}):"
     );
-    let ewidths = [8, 8, 6, 8, 8, 7, 9];
+    let ewidths = [8, 8, 8, 6, 8, 8, 7, 9];
     println!(
         "{}",
         header(
             &[
                 "products",
+                "cands",
                 "pairs",
                 "width2",
                 "d@1",
@@ -491,6 +517,7 @@ fn main() {
     for r in &er_floor {
         let cells = vec![
             r.products.to_string(),
+            r.candidates.to_string(),
             r.pairs.to_string(),
             r.width_at_2.to_string(),
             format!("{:.3}", r.decide1_ms),
@@ -581,7 +608,7 @@ fn main() {
     println!(
         "\nverdict: kernel@4 {} the 2x floor at {big} sources ({speedup4:.2}x); \
          k@1/k@4 = {scaling4:.2}x ({}); ER outputs {}; fuse outputs {}; \
-         worker items {} candidates",
+         worker items {} the class pairs decided",
         if verdict_speed { "clears" } else { "MISSES" },
         if verdict_scaling {
             "positive scaling"
@@ -613,9 +640,13 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "{{\"sources\":{},\"candidates\":{},\"serial_ms\":{:.4},\
+                "{{\"sources\":{},\"rows\":{},\"classes\":{},\"decided\":{},\
+                 \"candidates\":{},\"serial_ms\":{:.4},\
                  \"kernel_ms\":{{{}}},\"identical\":{}}}",
                 r.sources,
+                r.rows,
+                r.classes,
+                r.decided,
                 r.candidates,
                 r.serial_ms,
                 ms_json(&r.kernel_ms),
@@ -645,10 +676,16 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "{{\"sources\":{ER_FLOOR_SOURCES},\"products\":{},\"pairs\":{},\
-                 \"width_at_2\":{},\"decide_ms\":{:.4},\"decide_exact2_ms\":{:.4},\
-                 \"identical\":{}}}",
-                r.products, r.pairs, r.width_at_2, r.decide1_ms, r.exact2_ms, r.identical,
+                "{{\"sources\":{ER_FLOOR_SOURCES},\"products\":{},\"candidates\":{},\
+                 \"pairs\":{},\"width_at_2\":{},\"decide_ms\":{:.4},\
+                 \"decide_exact2_ms\":{:.4},\"identical\":{}}}",
+                r.products,
+                r.candidates,
+                r.pairs,
+                r.width_at_2,
+                r.decide1_ms,
+                r.exact2_ms,
+                r.identical,
             )
         })
         .collect();
@@ -675,7 +712,8 @@ fn main() {
 
     println!("\nShape expected: the kernels win big even at 1 worker — precompilation (a");
     println!("dictionary per column, per-source weights cached once instead of per item) and,");
-    println!("for ER, deciding ~99% of the candidates from ids without opening a string;");
+    println!("for ER, deciding each pair of record classes once, ~99% of them from ids without");
+    println!("opening a string;");
     println!("extra workers help exactly when cores exist and the work clears the floor — the");
     println!("sizing policy refuses oversubscription — and never change a bit of output.");
 }

@@ -5,10 +5,11 @@
 //! Real source fleets churn one feed at a time: a provider ships a corrected
 //! price file while the other 39 sources are untouched. Claim under test:
 //! the session's per-source-partition memoization recomputes only the dirty
-//! partitions — clean union blocks replay from memos, and a candidate pair
-//! whose rows both sit in clean blocks is carried from the ER memo's matched
-//! pairs instead of being walked and decided (its count comes from the
-//! memo's blocks) — while the delivered table stays
+//! partitions — clean union blocks replay from memos, and ER decides only
+//! the pairs of record classes new to the union: a clean row keeps its class,
+//! a re-delivered row whose record the union held joins that class, and a
+//! class pair of two held records is carried from the ER memo's class pairs
+//! instead of being decided — while the delivered table stays
 //! byte-identical (`f64::to_bits`, canonical table hash) to a cold session
 //! that never memoized anything.
 //!
@@ -28,10 +29,10 @@
 //! counters + outcome fingerprint) for CI double-run diffing. A full run
 //! writes `BENCH_e18.json`; `scripts/check_e18_incremental.py` gates the
 //! k=0, k=1 and k=40 ratios, the k=1 block reuse, the identity column, the
-//! share of k=1 candidate pairs the ER memo carried, the share of them the
-//! k=1 walk visited (`er.walk.visited`: pairs decided plus pairs counted in
-//! the memo's blocks — a cold walk visits every candidate), and that the
-//! k=0 walk visits none while the carry covers every candidate.
+//! share of k=1 candidate pairs the ER memo carried, the class pairs the
+//! k=1 walk decided as a share of those the cold comparator's walk decided
+//! (`er.walk.visited` on both sides), and that the k=0 walk decides none
+//! while the carry covers every candidate.
 //!
 //! `lint-allow:` exemptions follow the experiment-binary convention:
 //! drivers may panic on their own fixtures.
@@ -208,7 +209,14 @@ fn main() {
         let remapped = delta("incr.er.pairs_remapped");
         let candidates = delta("er.candidates");
         let visited = delta("er.walk.visited");
-        let visited_pct = 100.0 * visited as f64 / candidates.max(1) as f64;
+        let cold_visited = cold_out
+            .metrics
+            .counts
+            .get("er.walk.visited")
+            .copied()
+            .unwrap_or(0)
+            - snap.get("er.walk.visited").copied().unwrap_or(0);
+        let visited_pct = 100.0 * visited as f64 / cold_visited.max(1) as f64;
         if k == 1 {
             ratio_at_1 = ratio;
             candidates_at_1 = candidates;
@@ -242,7 +250,8 @@ fn main() {
             "{{\"k\":{k},\"cold_secs\":{cold_secs:.6},\"incr_secs\":{incr_secs:.6},\
              \"ratio\":{ratio:.4},\"blocks_reused\":{blocks_reused},\
              \"pairs_remapped\":{remapped},\"candidates\":{candidates},\
-             \"visited\":{visited},\"bytes_skipped_pct\":{bytes_pct:.2},\
+             \"visited\":{visited},\"cold_visited\":{cold_visited},\
+             \"bytes_skipped_pct\":{bytes_pct:.2},\
              \"identical\":{identical}}}"
         ));
     }
@@ -272,13 +281,16 @@ fn main() {
     );
     wrangler_bench::write_artifact("BENCH_e18.json", &json);
 
-    println!("\nShape expected: ~0.25-0.4 at k=0 (the ER carry maps every row and walks no pair,");
-    println!("visited% 0, while fusion runs live), ~0.35-0.5 at k=1, not 1/40: a clean row takes its");
-    println!("blocking keys and dictionary ids from the ER memo and a pair of two clean rows is");
-    println!("neither walked nor decided (visited% counts what was decided plus what was counted");
-    println!("in the memo's blocks: ~2x the dirty pairs while few rows are dirty, 100% once the");
-    println!("clean pairs are the cheaper side to count), but fusion and assembly run over the");
-    println!("whole union whatever changed. The ratio climbs with k: at k=40, where nothing is");
+    println!(
+        "\nShape expected: ~0.25-0.4 at k=0 (the ER carry maps every row and decides no pair,"
+    );
+    println!(
+        "visited% 0, while fusion runs live), ~0.35-0.5 at k=1, not 1/40: a clean row takes its"
+    );
+    println!("blocking keys, dictionary ids and record class from the ER memo, a re-delivered row");
+    println!("whose record the union held joins its class, and only the pairs of classes new to");
+    println!("the union are decided (visited% = class pairs decided over the cold walk's),");
+    println!("but fusion and assembly run over the whole union whatever changed. The ratio climbs with k: at k=40, where nothing is");
     println!("clean, the pass pays one content hash per re-mapped table and the memo capture on");
     println!("top of a cold pass (~1.02-1.05). The identity column never reads NO: reuse is");
     println!("proof-carrying (PartitionIsolated) and content-keyed, so a memo can only replay");

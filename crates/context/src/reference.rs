@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use wrangler_table::{Table, Value};
+use wrangler_table::{wire, Table, Value};
 
 use crate::ontology::Ontology;
 
@@ -29,6 +29,8 @@ pub struct MasterData {
     /// Each non-null key → the row of its *first* occurrence in the key
     /// column (duplicate keys resolve to the earliest row).
     row_of_key: HashMap<Value, usize>, // hash-ok: lookup-only, never iterated
+    /// Content hash of the table and the key column's name.
+    fingerprint: u64,
 }
 
 impl MasterData {
@@ -41,11 +43,22 @@ impl MasterData {
                 row_of_key.entry(v.clone()).or_insert(idx);
             }
         }
+        let fingerprint = wire::hash64(&wire::to_bytes(&(
+            key_column.to_string(),
+            wire::table_hash(&table),
+        )));
         Ok(MasterData {
             table,
             key_column: key_column.to_string(),
             row_of_key,
+            fingerprint,
         })
+    }
+
+    /// Equal master data (table and key column) ⇔ equal fingerprint: what
+    /// a cache of a function of the master data is keyed by.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// True if the key value occurs in the master data.

@@ -14,25 +14,29 @@
 //!   block is remembered as *which rows of it the block keeps*. A 1-source
 //!   update on an n-source fleet rescans one block; the other n−1 replay.
 //! - **ER** ([`ErMemo`]): the union's identity is its block list, and the
-//!   update's ER costs its dirty rows. The memo remembers the pass's
-//!   *matched pairs* by row index, its candidate count, and what it derived
-//!   per union row — the blocks (blocking keys) and the kernel (dictionary
-//!   ids and cells). The block layout maps rows of unchanged blocks old↔new
-//!   by offset ([`ErMemo::carry`]); a block out of order relative to the
-//!   carried blocks before it counts as changed, so the clean rows keep
-//!   their relative order. The new blocks and kernel are *carried*, not
-//!   rebuilt: a clean row takes its keys and ids from the memo's, only a
-//!   dirty row is rendered and interned. A candidate of two clean rows is
-//!   carried — it matches now iff it matched then — and is not even walked:
-//!   the walk decides the pairs with a dirty row and counts the clean ones
-//!   in the memo's blocks. A pass after no change is the case with no dirty
-//!   row: every row maps, no pair is walked, and the memo's own matches
-//!   cluster into the clustering it recorded. This rests on one invariant,
-//!   pinned by `wrangler-resolve`'s proptest
+//!   update's ER costs the records new to the union. ER decides per *record
+//!   class* — the union rows with one ER record, every compiled field's
+//!   dictionary id and both blocking keys — so the memo remembers the
+//!   pass's classes and the class pairs that matched (with the candidate
+//!   and matched row-pair counts), and what it derived per union row: the
+//!   blocks (blocking keys) and the kernel (dictionary ids and cells). The
+//!   block layout maps rows of unchanged blocks old↔new by offset
+//!   ([`ErMemo::carry`]), wherever the block now sits. The new blocks and
+//!   kernel are *carried*, not rebuilt: a clean row takes its keys and ids
+//!   from the memo's, only a dirty row is rendered and interned. A clean row
+//!   keeps its class; a dirty row that repeats a record the memo's union
+//!   held joins that class by its ids; only a record new to the union mints
+//!   a class, and only the class pairs with a new class are decided —
+//!   a class pair of two held records matches now iff it matched then,
+//!   in each orientation the walk decided; an orientation the new row order
+//!   meets for the first time is decided then. A pass after no change is the
+//!   case with no dirty row: every class is held, no pair is decided, and
+//!   the memo's class pairs cluster into the clustering it recorded. This
+//!   rests on one invariant, pinned by `wrangler-resolve`'s proptest
 //!   `candidates_restricted_to_surviving_rows`: whether `(i, j)` is a
 //!   candidate depends on rows `i` and `j` alone (as do the score, in
-//!   argument order, and the threshold), so replacing or deleting rows
-//!   leaves the candidates among the survivors as they were, re-indexed.
+//!   argument order, and the threshold), so two rows with one record have
+//!   the same candidates and decisions, in any union.
 //!   Without a block list (a union replayed from a checkpoint store, whose
 //!   record keeps each block's rows as a [`BlockMemo`] does but no key) the
 //!   memo is neither carried nor captured. A live union always lays one:
@@ -52,7 +56,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use wrangler_plan::FilterPlacement;
-use wrangler_resolve::{ErKernel, UnionBlocks};
+use wrangler_resolve::{ErKernel, UnionBlocks, UnionMatches};
 use wrangler_table::{wire, Table};
 
 /// What a mapped table was cut to besides its payload and mapping: where
@@ -145,41 +149,32 @@ pub struct ErMemo {
     pub pass_fp: u64,
     /// Union block layout at compute time: the memoized union's identity.
     pub layout: Vec<Block>,
-    /// The pairs that matched (score ≥ threshold) as `(i, j)` row indices
-    /// of the memoized union, `i < j`, sorted — not one entry per candidate.
-    pub matches: Vec<(usize, usize)>,
-    /// The candidate count of the memoized union (`er.candidates`).
-    pub candidates: u64,
     /// The memoized union's blocks: each row's two blocking keys. A carried
-    /// row takes its keys from here, and the clean pairs are counted here;
-    /// their row count is the memoized union's.
+    /// row takes its keys from here; their row count is the memoized
+    /// union's.
     pub blocks: UnionBlocks,
     /// The memoized union's kernel: each row's dictionary ids and cells. A
     /// carried row takes its ids from here.
     pub kernel: ErKernel,
-}
-
-/// What an update carries over from the memoized ER pass.
-#[derive(Debug, PartialEq)]
-pub struct Carry {
-    /// Per current union row, its row in the memoized union; `None` marks a
-    /// dirty row — its block is new, changed, or out of order.
-    pub old_of: Vec<Option<usize>>,
-    /// The memoized matches between clean rows, as current row indices,
-    /// sorted: the clean rows keep their old relative order.
-    pub matches: Vec<(usize, usize)>,
+    /// What the memoized walk decided: the union's record classes, the class
+    /// pairs that matched or left an orientation undecided — not one entry
+    /// per candidate, nor per matching row pair — and the union's candidate
+    /// and matching row-pair counts. A dirty row repeating one of these
+    /// records joins its class by id; only pairs with a class new to the
+    /// union are decided.
+    pub decided: UnionMatches,
 }
 
 impl ErMemo {
     /// Carry this memo across an update to a union of `rows` rows laid out
-    /// as `layout`. A block of the memoized layout (same source, same key,
-    /// same length) is carried row for row, unless its old position is not
-    /// past that of every carried block before it: then it is dirty too, so
-    /// that every clean pair keeps the argument order it was decided in —
-    /// the kernel makes no promise that a score survives swapping them.
-    /// `None` when nothing may be carried: no block in common, another pass
-    /// fingerprint, or a layout that does not cover its union.
-    pub fn carry(&self, pass_fp: u64, layout: &[Block], rows: usize) -> Option<Carry> {
+    /// as `layout`: per current row, its row in the memoized union, or
+    /// `None` for a dirty row — its block is new or changed. A block of the
+    /// memoized layout (same source, same key, same length) is carried row
+    /// for row wherever it now sits: a class pair is decided in the
+    /// orientations the new row order meets, so no clean row needs its old
+    /// place. `None` when nothing may be carried: no block in common,
+    /// another pass fingerprint, or a layout that does not cover its union.
+    pub fn carry(&self, pass_fp: u64, layout: &[Block], rows: usize) -> Option<Vec<Option<usize>>> {
         let covered = |l: &[Block]| l.iter().map(|&(_, _, n)| n).sum::<usize>();
         let old_rows = self.blocks.num_rows();
         if self.pass_fp != pass_fp || covered(layout) != rows || covered(&self.layout) != old_rows {
@@ -192,31 +187,15 @@ impl ErMemo {
             off += len;
         }
         let mut old_of = Vec::with_capacity(rows);
-        let mut last = None;
         for &(src, key, len) in layout {
             match old_blocks.get(&(src, key)) {
-                Some(&(start, old_len)) if old_len == len && last < Some(start) => {
-                    last = Some(start);
+                Some(&(start, old_len)) if old_len == len => {
                     old_of.extend((start..start + len).map(Some));
                 }
                 _ => old_of.extend(std::iter::repeat_n(None, len)),
             }
         }
-        if old_of.iter().all(Option::is_none) {
-            return None;
-        }
-        let mut new_of = vec![None; old_rows];
-        for (r, o) in old_of.iter().enumerate() {
-            if let Some(o) = *o {
-                new_of[o] = Some(r);
-            }
-        }
-        let matches = self
-            .matches
-            .iter()
-            .filter_map(|&(a, b)| Some((new_of[a]?, new_of[b]?)))
-            .collect();
-        Some(Carry { old_of, matches })
+        old_of.iter().any(Option::is_some).then_some(old_of)
     }
 }
 
@@ -312,9 +291,9 @@ mod tests {
         assert_eq!(m.shape(), shape);
     }
 
-    /// A memo over `layout` whose matched pairs are `matches` (its blocks
-    /// and kernel cover that many rows of nothing).
-    fn memo(layout: &[Block], matches: &[(usize, usize)]) -> ErMemo {
+    /// A memo over `layout` (its blocks and kernel cover that many rows of
+    /// nothing).
+    fn memo(layout: &[Block]) -> ErMemo {
         use wrangler_resolve::ErConfig;
         use wrangler_table::Value;
         let rows = layout.iter().map(|&(_, _, n)| n).sum();
@@ -322,10 +301,9 @@ mod tests {
         ErMemo {
             pass_fp: 7,
             layout: layout.to_vec(),
-            matches: matches.to_vec(),
-            candidates: 0,
             blocks: UnionBlocks::build(&table, "name", "name").unwrap(),
             kernel: ErKernel::compile(&table, &ErConfig::text_over(&["name"], 0.5)).unwrap(),
+            decided: UnionMatches::default(),
         }
     }
 
@@ -334,63 +312,50 @@ mod tests {
         // Old union: src0 (key 10, 2 rows), src1 (key 20, 3 rows).
         // New union: src0 changed (key 11, 4 rows), src1 unchanged.
         let old = [(0usize, 10u64, 2usize), (1, 20, 3)];
-        let c = memo(&old, &[(0, 1), (2, 4)])
-            .carry(7, &[(0, 11, 4), (1, 20, 3)], 7)
-            .unwrap();
-        assert!(c.old_of[..4].iter().all(Option::is_none));
+        let old_of = memo(&old).carry(7, &[(0, 11, 4), (1, 20, 3)], 7).unwrap();
+        assert!(old_of[..4].iter().all(Option::is_none));
         // src1's block started at old offset 2, now at 4.
-        assert_eq!(&c.old_of[4..], &[Some(2), Some(3), Some(4)]);
-        assert_eq!(c.matches, vec![(4, 6)]);
+        assert_eq!(&old_of[4..], &[Some(2), Some(3), Some(4)]);
     }
 
     #[test]
-    fn carry_drops_matches_of_a_dropped_or_resized_block() {
+    fn carry_maps_nothing_of_a_dropped_or_resized_block() {
         // Old union: src0 rows 0–1, src1 rows 2–4, src2 rows 5–6.
         let old = [(0usize, 10u64, 2usize), (1, 20, 3), (2, 30, 2)];
-        let m = memo(&old, &[(0, 1), (0, 2), (1, 5), (2, 4), (5, 6)]);
+        let m = memo(&old);
         // src1 dropped: src2 shifts down to rows 2–3.
-        let c = m.carry(7, &[(0, 10, 2), (2, 30, 2)], 4).unwrap();
-        assert_eq!(c.matches, vec![(0, 1), (1, 2), (2, 3)]);
-        assert!(c.old_of.iter().all(Option::is_some), "every row is the memo's");
-        // src1 resized (new key, 1 row): its old matches are gone and every
-        // pair touching its new row is live.
-        let c = m
+        let old_of = m.carry(7, &[(0, 10, 2), (2, 30, 2)], 4).unwrap();
+        assert_eq!(old_of, vec![Some(0), Some(1), Some(5), Some(6)]);
+        // src1 resized (new key, 1 row): its row is dirty.
+        let old_of = m
             .carry(7, &[(0, 10, 2), (1, 21, 1), (2, 30, 2)], 5)
             .unwrap();
-        assert_eq!(c.matches, vec![(0, 1), (1, 3), (3, 4)]);
-        assert_eq!(c.old_of, vec![Some(0), Some(1), None, Some(5), Some(6)]);
-        // One shared block is enough to carry: src0 and src1 re-keyed, src2's
-        // rows 5–6 stay put with their match.
-        let c = m
+        assert_eq!(old_of, vec![Some(0), Some(1), None, Some(5), Some(6)]);
+        // One shared block is enough to carry.
+        let old_of = m
             .carry(7, &[(0, 11, 2), (1, 21, 3), (2, 30, 2)], 7)
             .unwrap();
-        assert_eq!(c.matches, vec![(5, 6)]);
-        assert_eq!(&c.old_of[5..], &[Some(5), Some(6)]);
-        assert!(c.old_of[..5].iter().all(Option::is_none));
+        assert_eq!(&old_of[5..], &[Some(5), Some(6)]);
+        assert!(old_of[..5].iter().all(Option::is_none));
     }
 
     #[test]
-    fn a_block_out_of_order_is_dirty_so_every_clean_pair_keeps_its_order() {
-        // Old rows [a | b0 b1] become [b0 b1 | a]: b comes first and stays
-        // clean; a now sits after a block it used to precede, so it is
-        // dirty — (a, b0) would otherwise be decided as (b0, a).
+    fn a_block_that_moves_is_carried_where_it_now_sits() {
+        // Old rows [a | b0 b1] become [b0 b1 | a]: both blocks are carried —
+        // the walk decides a class pair in whichever orientation the new
+        // row order meets.
         let old = [(0usize, 10u64, 1usize), (1, 20, 2)];
         let new = [(1usize, 20u64, 2usize), (0, 10, 1)];
-        let c = memo(&old, &[(0, 1), (1, 2)]).carry(7, &new, 3).unwrap();
-        assert_eq!(c.old_of, vec![Some(1), Some(2), None]);
-        assert_eq!(c.matches, vec![(0, 1)]);
-        // Three blocks rotated: the first two carried blocks stay in order.
-        let old = [(0usize, 10u64, 1usize), (1, 20, 1), (2, 30, 1)];
-        let new = [(1usize, 20u64, 1usize), (2, 30, 1), (0, 10, 1)];
-        let c = memo(&old, &[(1, 2)]).carry(7, &new, 3).unwrap();
-        assert_eq!(c.old_of, vec![Some(1), Some(2), None]);
-        assert_eq!(c.matches, vec![(0, 1)]);
+        assert_eq!(
+            memo(&old).carry(7, &new, 3).unwrap(),
+            vec![Some(1), Some(2), Some(0)]
+        );
     }
 
     #[test]
     fn stale_or_short_layouts_carry_nothing() {
         let old = [(0usize, 10u64, 2usize), (1, 20, 2)];
-        let m = memo(&old, &[(0, 2), (1, 3)]);
+        let m = memo(&old);
         // Another pass fingerprint; a current layout that does not cover the
         // union (a replayed union has none); a memo layout shorter than the
         // union it was computed over.
@@ -398,7 +363,7 @@ mod tests {
         assert_eq!(m.carry(7, &[], 4), None);
         assert_eq!(m.carry(7, &old, 5), None);
         // Disjoint layouts — every block re-keyed, or other sources: nothing
-        // to carry, so no `Carry` at all (not one that covers nothing).
+        // to carry, so no map at all (not one that covers nothing).
         assert_eq!(m.carry(7, &[(0, 11, 2), (1, 21, 2)], 4), None);
         assert_eq!(m.carry(7, &[(2, 10, 2), (3, 20, 2)], 4), None);
         // A block of the same key that claims another length is not that
@@ -408,8 +373,10 @@ mod tests {
         short.layout.pop();
         assert_eq!(short.carry(7, &old, 4), None);
         // The same layout carries every row, and only the union's rows.
-        let c = m.carry(7, &old, 4).unwrap();
-        assert_eq!(c.old_of, vec![Some(0), Some(1), Some(2), Some(3)]);
+        assert_eq!(
+            m.carry(7, &old, 4).unwrap(),
+            vec![Some(0), Some(1), Some(2), Some(3)]
+        );
     }
 
     #[test]

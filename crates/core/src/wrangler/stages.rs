@@ -17,7 +17,7 @@ use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
 use wrangler_match::profile_table;
 use wrangler_plan::{Fact, FilterPlacement, PlanProgram, UnionFilter};
-use wrangler_resolve::{cluster_pairs, DirtyRows, ErKernel, UnionBlocks};
+use wrangler_resolve::{ErKernel, PriorWalk, UnionBlocks};
 use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
 use wrangler_table::{ops, par, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
@@ -272,8 +272,8 @@ impl Wrangler {
             // each worker on adjacent sources and reassembly in chunk order
             // keeps the per-worker metrics and output deterministic. One
             // mapping generation is milliseconds of work, so the threshold
-            // is 1 item per worker.
-            let workers = par::effective_workers(par::available_parallelism(), inputs.len(), 1);
+            // is 1 item per worker, and the pool as wide as the cores.
+            let workers = par::effective_workers(usize::MAX, inputs.len(), 1);
             let (chunks, worker_stats) = par::run_blocked(&inputs, workers, |_, chunk| {
                 // Each item runs under its own catch: one poisonous source
                 // quarantines itself, not its whole worker's chunk.
@@ -790,8 +790,8 @@ impl Wrangler {
 
     /// Stage 5 — entity resolution over the union: a stored record, or the
     /// live stage, which carries the ER memo across whatever changed. After
-    /// no change that is every row: no pair is walked, and the memo's own
-    /// matches cluster into the clustering it recorded.
+    /// no change that is every row: no class pair is decided, and the memo's
+    /// own class pairs cluster into the clustering it recorded.
     pub(super) fn er(&mut self, pass: &mut Pass) -> Result<()> {
         self.seam(
             pass,
@@ -808,30 +808,30 @@ impl Wrangler {
 
     /// The live ER stage, in five spans: map the ER memo onto the new
     /// layout (`carry`), block the union on name + key (`blocks`), compile
-    /// the rule against it (`compile`), walk the pairs with a dirty row and
-    /// decide each (`decide`), and cluster (`cluster`). Blocks and kernel
-    /// are built from the memo's: a clean row takes its keys and dictionary
-    /// ids from there, and only dirty rows render, fold and intern. No
-    /// candidate is written down and no score kept. The carry runs whenever
-    /// the engine takes part in the pass: the memo's pass fingerprint and
-    /// block keys decide what it covers. The memo is only read here, and
-    /// replaced once the stage completes: a pass that fails or panics in
-    /// between leaves it usable.
+    /// the rule against it (`compile`), class the rows by record and decide
+    /// the class pairs with a record new to the union (`decide`), and
+    /// cluster the classes (`cluster`). Blocks and kernel are built from the
+    /// memo's: a clean row takes its keys and dictionary ids from there, and
+    /// only dirty rows render, fold and intern. No candidate is written
+    /// down and no score kept. The carry runs whenever the engine takes part
+    /// in the pass: the memo's pass fingerprint and block keys decide what it
+    /// covers. The memo is only read here, and replaced once the stage
+    /// completes: a pass that fails or panics in between leaves it usable.
     fn er_live(&mut self, pass: &Pass) -> Result<ErOut> {
         let union_table = pass.union.table();
         let rows = union_table.num_rows();
         // The carry: candidacy, score and threshold read only a pair's two
-        // rows, so a candidate with both rows in unchanged union blocks, in
-        // the same order, matches iff it did in the memoized pass. The rest
-        // are decided (on a cold pass or after a refined rule, all of them).
+        // rows, so a class pair of two records the memoized union held
+        // matches now iff it matched then. The rest are decided (on a cold
+        // pass or after a refined rule, all of them).
         self.obs.begin("carry");
         let memo = self.incr.er.as_ref().filter(|_| pass.incr_on);
-        let carry = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
-        let prior = memo.zip(carry.as_ref());
+        let old_of = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
+        let prior = memo.zip(old_of.as_deref());
         self.obs.end();
         let (name_col, key_col) = blocking_columns(&self.target);
-        let blocks = self.obs.time("blocks", || {
-            let prior = prior.map(|(m, c)| (&m.blocks, &c.old_of[..]));
+        let (blocks, block_ids) = self.obs.time("blocks", || {
+            let prior = prior.map(|(m, old_of)| (&m.blocks, old_of));
             UnionBlocks::carry(union_table, name_col, key_col, prior)
         })?;
         // Mid-stage crash site: after blocking, before any pair is decided.
@@ -840,8 +840,8 @@ impl Wrangler {
         self.crash_fire(CrashSite::MidEr);
         // Compiled against the union schema (an unknown column errors before
         // any pair is decided) into a dictionary per text/key column.
-        let kernel = self.obs.time("compile", || {
-            let prior = prior.map(|(m, c)| (&m.kernel, &c.old_of[..]));
+        let (kernel, kernel_ids) = self.obs.time("compile", || {
+            let prior = prior.map(|(m, old_of)| (&m.kernel, old_of));
             ErKernel::carry(union_table, &self.er_cfg, prior)
         })?;
         for (column, values) in kernel.dict_sizes() {
@@ -849,49 +849,46 @@ impl Wrangler {
                 .count(&format!("er.dict.{column}.values"), values as u64);
         }
         // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER
-        // pairs walked per thread) applies on top of the requested width.
+        // class pairs decided per thread) applies on top of the requested
+        // width.
         let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
         self.obs.begin("decide");
-        let decided = match prior {
-            Some((m, c)) => DirtyRows::carried(&m.blocks, m.candidates, &c.old_of),
-            None => Ok(DirtyRows::all(rows)),
-        }
-        .and_then(|dirty| kernel.decide_union(&blocks, workers, &dirty));
+        let prior = prior.map(|(m, old_of)| PriorWalk {
+            blocks: &m.blocks,
+            kernel: &m.kernel,
+            decided: &m.decided,
+            old_of,
+            block_ids: &block_ids,
+            kernel_ids: &kernel_ids,
+        });
+        let decided = kernel.decide_union(&blocks, workers, prior);
         if let Ok(decided) = &decided {
             self.record_workers("er", &decided.workers);
         }
         self.obs.end();
         let decided = decided?;
         self.working.work.er_pairs += decided.candidates as usize;
-        self.obs.begin("cluster");
-        // Two disjoint lists in (i, j) order; the stable sort merges the
-        // presorted runs in linear time. The result is every candidate at
-        // or above the threshold.
-        let mut matches = carry.map(|c| c.matches).unwrap_or_default();
-        matches.extend(decided.matches);
-        matches.sort();
-        let out = ErOut {
-            clusters: cluster_pairs(rows, matches.iter().copied()),
-        };
-        self.obs.end();
-        // Candidates the ER memo did not decide, decided live. The benchmark
-        // reads the counter under this name.
-        let live = decided.candidates - decided.covered;
-        self.obs.count("er.cache.misses", live);
+        let out = self.obs.time("cluster", || ErOut {
+            clusters: decided.clusters(),
+        });
+        // Candidates under the class pairs decided live. The benchmark reads
+        // the counter under this name.
+        self.obs
+            .count("er.cache.misses", decided.candidates - decided.covered);
         self.obs.count("incr.er.pairs_remapped", decided.covered);
         self.obs.count("er.candidates", decided.candidates);
-        self.obs.count("er.walk.visited", decided.visited);
+        self.obs.count("er.classes", decided.num_classes() as u64);
+        self.obs.count("er.walk.visited", decided.decided);
         self.obs.count("er.decide.from_ids", decided.from_ids);
         self.obs.count("er.decide.text_fields", decided.text_fields);
-        self.obs.count("er.match_pairs", matches.len() as u64);
+        self.obs.count("er.match_pairs", decided.match_pairs);
         if pass.incr_on {
             self.incr.er = Some(ErMemo {
                 pass_fp: pass.pass_fp,
                 layout: pass.union_layout.clone(),
-                matches,
-                candidates: decided.candidates,
                 blocks,
                 kernel,
+                decided,
             });
         }
         Ok(out)

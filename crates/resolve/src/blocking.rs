@@ -5,12 +5,12 @@
 //! records within a sliding window of a sort order. Completeness vs cost is
 //! experiment E7's subject.
 
-use std::collections::BTreeMap;
-use std::ops::Range;
+use std::collections::{BTreeMap, HashMap}; // hash-ok: the class lookups, below
 
 use wrangler_table::{Table, TableError, Value};
 
-use crate::dict::{check_old_of, Dict, NULL_ID};
+use crate::dict::{check_old_of, Dict, PriorIds, NULL_ID};
+use crate::{ErKernel, PriorWalk};
 
 /// All pairs (i, j), i < j. The quadratic baseline.
 pub fn candidates_naive(n: usize) -> Vec<(usize, usize)> {
@@ -93,96 +93,107 @@ pub fn candidates_blocked_exact(
     )))
 }
 
-/// The wrangle stage's candidates, held without writing one down: prefix
-/// blocks of `block_col` ∪ exact blocks of `key_col` — rows whose name is
-/// null or typo-prefixed still meet their duplicates through the key. Each
-/// blocking keeps every row's key as a dictionary id and is flattened once
-/// (`members`: its blocks end to end in key order, rows ascending within a
-/// block) with, per row, the span of its block; row `i`'s candidates are
-/// `(i, j)` for `j` in the merge of its two spans' later halves
-/// ([`Self::partners`]). Rows in order and partners ascending make every
-/// walk `(i, j)`-sorted and duplicate-free with no sort. When the two
-/// columns coincide only the prefix blocks apply.
+/// The wrangle stage's blocking, held as keys: per row, the prefix key of
+/// `block_col` ([`block_key`]) and the full key of `key_col`, each a
+/// dictionary id. Two rows are candidates when they share a key of either
+/// kind — rows whose name is null or typo-prefixed still meet their
+/// duplicates through the key; when the two columns coincide only the prefix
+/// keys apply. Nothing here lists a pair: [`candidates_union`] writes the
+/// candidates down (the reference tests and experiments score), and the ER
+/// walk blocks the union's record classes ([`RecordClasses`]), not its rows.
 ///
 /// **Invariant** (the incremental engine's ER carry rests on it; pinned by
 /// `candidates_restricted_to_surviving_rows` in `tests/proptests.rs`):
 /// whether `(i, j)` is a candidate depends on rows `i` and `j` alone, so
 /// replacing or deleting rows leaves the candidates among the survivors as
-/// they were, re-indexed. Two things stand on it: a carried build
-/// ([`Self::carry`]) takes a clean row's keys from the previous blocks, and
-/// a walk over a dirty set ([`DirtyRows`]) counts the clean rows' pairs in
-/// the previous blocks instead of walking them. A block-size cap or a
-/// window here would break both.
+/// they were, re-indexed, and two rows with the same keys have the same
+/// partners. Two things stand on it: a carried build ([`Self::carry`])
+/// takes a clean row's keys from the previous blocks, and a class pair the
+/// previous walk decided is not decided again. A block-size cap or a window
+/// here would break both.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UnionBlocks {
     /// The columns blocked on: `(name, key)`.
     columns: (String, String),
-    by_name: Blocking,
-    by_key: Blocking,
+    /// Per row, its prefix key.
+    by_name: Dict<String>,
+    /// Per row, its full key (no id: the row has none, or the two columns
+    /// coincide).
+    by_key: Dict<String>,
 }
 
-/// One blocking of the rows, flattened.
-#[derive(Debug, Clone, PartialEq)]
-struct Blocking {
-    /// Per row, its blocking key (no id: the row joins no block).
-    keys: Dict<String>,
-    /// Every block's rows, block after block in key order.
+/// Members grouped by one key, laid out flat: block after block in key-id
+/// order, members ascending within a block, and per member the span of its
+/// block. [`candidates_union`] lays out rows; the walk, record classes.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Layout {
     members: Vec<u32>,
-    /// Per row `(first, later, end)`: its block is `members[first..end]`,
-    /// and the row itself sits at `later - 1`. `(0, 0, 0)` for a row in no
-    /// block. Rows and positions fit `u32` ([`UnionBlocks::carry`] checks):
-    /// the blocks live on in the ER memo, and half the width is half the
-    /// memory.
+    /// Per member `(first, later, end)`: its block is `members[first..end]`,
+    /// and the member itself sits at `later - 1`. `(0, 0, 0)` for a member
+    /// with no key.
     spans: Vec<(u32, u32, u32)>,
 }
 
-impl Blocking {
-    /// Lay the blocks of `keys` out: a counting sort of the rows by key id,
-    /// blocks in key order.
-    fn of(keys: Dict<String>) -> Blocking {
-        let mut size = vec![0u32; keys.values.len()];
-        for &id in keys.ids.iter().filter(|&&id| id != NULL_ID) {
+impl Layout {
+    /// A counting sort of the members by key: `ids[m]` is member `m`'s key
+    /// (`NULL_ID`: none), one of `keys` distinct ones.
+    fn of(ids: &[u32], keys: usize) -> Layout {
+        let mut size = vec![0u32; keys];
+        for &id in ids.iter().filter(|&&id| id != NULL_ID) {
             size[id as usize] += 1;
         }
-        let mut first = vec![0u32; keys.values.len()];
+        let mut first = Vec::with_capacity(keys);
         let mut total = 0;
-        for &id in &keys.sorted {
-            first[id as usize] = total;
-            total += size[id as usize];
+        for &n in &size {
+            first.push(total);
+            total += n;
         }
         let mut members = vec![0; total as usize];
         let mut filled = first.clone();
-        let mut spans = vec![(0, 0, 0); keys.ids.len()];
-        for (row, &id) in keys.ids.iter().enumerate() {
+        let mut spans = vec![(0, 0, 0); ids.len()];
+        for (m, &id) in ids.iter().enumerate() {
             if id == NULL_ID {
                 continue;
             }
             let k = id as usize;
-            members[filled[k] as usize] = row as u32;
+            members[filled[k] as usize] = m as u32;
             filled[k] += 1;
-            spans[row] = (first[k], filled[k], first[k] + size[k]);
+            spans[m] = (first[k], filled[k], first[k] + size[k]);
         }
-        Blocking {
-            keys,
-            members,
-            spans,
-        }
+        Layout { members, spans }
     }
 
-    fn later_mates(&self, row: usize) -> &[u32] {
-        let (_, later, end) = self.spans[row];
+    fn later_mates(&self, m: usize) -> &[u32] {
+        let (_, later, end) = self.spans[m];
         &self.members[later as usize..end as usize]
     }
 
-    fn earlier_mates(&self, row: usize) -> &[u32] {
-        let (first, later, _) = self.spans[row];
+    fn earlier_mates(&self, m: usize) -> &[u32] {
+        let (first, later, _) = self.spans[m];
         &self.members[first as usize..later.saturating_sub(1) as usize]
+    }
+
+    /// Every block's members, block after block.
+    fn blocks(&self) -> impl Iterator<Item = &[u32]> + '_ {
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            let &m = self.members.get(at)?;
+            let block = &self.members[at..self.spans[m as usize].2 as usize];
+            at += block.len();
+            Some(block)
+        })
     }
 }
 
-/// Row `i`'s partners: two ascending lists merged, a row in both kept once.
+/// The pairs among elements in groups of the given sizes: Σ `S·(S − 1)/2`.
+fn pairs_among(sizes: impl Iterator<Item = u64>) -> u64 {
+    sizes.map(|s| s * s.saturating_sub(1) / 2).sum()
+}
+
+/// A member's partners: two ascending lists merged, a member in both kept
+/// once.
 #[derive(Debug, Clone)]
-pub struct Partners<'a> {
+pub(crate) struct Partners<'a> {
     a: &'a [u32],
     b: &'a [u32],
 }
@@ -220,7 +231,7 @@ impl UnionBlocks {
         block_col: &str,
         key_col: &str,
     ) -> wrangler_table::Result<UnionBlocks> {
-        UnionBlocks::carry(table, block_col, key_col, None)
+        Ok(UnionBlocks::carry(table, block_col, key_col, None)?.0)
     }
 
     /// Block `table` as [`Self::build`] does, taking what `prior` already
@@ -228,13 +239,14 @@ impl UnionBlocks {
     /// Some(o)` holds the cells row `o` of the table `blocks` were built
     /// over held, so it takes that row's two keys by id; only the other
     /// rows render and fold a key. The result equals `build(table, …)`
-    /// field for field.
+    /// field for field; beside it, each key's id in `blocks` (empty when
+    /// cold), for a walk carried from them.
     pub fn carry(
         table: &Table,
         block_col: &str,
         key_col: &str,
         prior: Option<(&UnionBlocks, &[Option<usize>])>,
-    ) -> wrangler_table::Result<UnionBlocks> {
+    ) -> wrangler_table::Result<(UnionBlocks, PriorIds)> {
         let names = table.column_named(block_col)?;
         let keys = (key_col != block_col)
             .then(|| table.column_named(key_col))
@@ -254,267 +266,396 @@ impl UnionBlocks {
             }
             check_old_of(old_of, rows, blocks.num_rows())?;
         }
-        let by_name = Dict::encode(
+        let (by_name, name_ids) = Dict::encode(
             names,
             block_key,
             |k| k,
-            prior.map(|(b, old_of)| (&b.by_name.keys, old_of)),
+            prior.map(|(b, old_of)| (&b.by_name, old_of)),
         );
-        let by_key = match keys {
+        let (by_key, key_ids) = match keys {
             Some(column) => Dict::encode(
                 column,
                 exact_key,
                 |k| k,
-                prior.map(|(b, old_of)| (&b.by_key.keys, old_of)),
+                prior.map(|(b, old_of)| (&b.by_key, old_of)),
             ),
-            None => Dict::empty(rows),
+            None => (Dict::empty(rows), Vec::new()),
         };
-        Ok(UnionBlocks {
+        let blocks = UnionBlocks {
             columns: (block_col.to_string(), key_col.to_string()),
-            by_name: Blocking::of(by_name),
-            by_key: Blocking::of(by_key),
-        })
+            by_name,
+            by_key,
+        };
+        Ok((blocks, PriorIds(vec![name_ids, key_ids])))
     }
 
     /// Rows of the blocked table.
     pub fn num_rows(&self) -> usize {
-        self.by_name.spans.len()
+        self.by_name.ids.len()
     }
 
-    /// The later rows `i` is a candidate with, ascending.
-    pub fn partners(&self, i: usize) -> Partners<'_> {
-        Partners {
-            a: self.by_name.later_mates(i),
-            b: self.by_key.later_mates(i),
-        }
+    /// Row `r`'s two keys.
+    fn keys(&self, r: usize) -> (u32, u32) {
+        (self.by_name.ids[r], self.by_key.ids[r])
     }
 
-    /// The earlier rows `i` is a candidate with, ascending.
-    pub(crate) fn earlier_partners(&self, i: usize) -> Partners<'_> {
-        Partners {
-            a: self.by_name.earlier_mates(i),
-            b: self.by_key.earlier_mates(i),
-        }
+    /// Row `r`'s two keys as ids of the blocks these were carried from
+    /// (`ids`, what that carry returned); `None` when one is new to them.
+    fn prior_keys(&self, ids: &PriorIds, r: usize) -> Option<(u32, u32)> {
+        Some((ids.of(0, &self.by_name, r)?, ids.of(1, &self.by_key, r)?))
     }
 
-    /// Every candidate, in `(i, j)` order.
-    pub fn pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.num_rows()).flat_map(|i| self.partners(i).map(move |j| (i, j)))
+    /// Do `ids` fit these blocks?
+    fn fit(&self, ids: &PriorIds) -> bool {
+        let values = [&self.by_name, &self.by_key].map(|d| Some(d.values.len()));
+        ids.fit(values.into_iter())
     }
 
-    /// What walking row `i` over `dirty` costs, to within the overlap of
-    /// the two blockings (a partner in both counts twice) and without
-    /// merging: nothing for a clean row; a dirty row's later mates, and its
-    /// earlier ones when some row is clean (a walk with no clean row meets
-    /// every pair as a later mate).
-    fn weight(&self, i: usize, dirty: &DirtyRows) -> usize {
-        if !dirty.is_dirty(i) {
-            return 0;
-        }
-        let size = |b: &Blocking| {
-            let (first, later, end) = b.spans[i];
-            let earlier = if dirty.any_clean {
-                later.saturating_sub(first + 1)
-            } else {
-                0
-            };
-            (end - later + earlier) as usize
+    /// Lay `ids` out by prefix key and by full key, `ids[m]` being member
+    /// `m`'s two keys.
+    fn layouts(&self, ids: &[(u32, u32)]) -> (Layout, Layout) {
+        let of = |pick: fn(&(u32, u32)) -> u32, keys| {
+            Layout::of(&ids.iter().map(pick).collect::<Vec<_>>(), keys)
         };
-        size(&self.by_name) + size(&self.by_key)
-    }
-
-    /// An upper bound on the number of candidates, and a tight one: a pair in
-    /// both blockings is counted twice, and key blocks are small.
-    pub fn pair_bound(&self) -> usize {
-        self.walk_bound(&DirtyRows::all(self.num_rows()), 0..self.num_rows())
-    }
-
-    /// A bound on the pairs a walk over `dirty` visits at the rows `rows`,
-    /// counted as [`Self::pair_bound`] counts.
-    pub(crate) fn walk_bound(&self, dirty: &DirtyRows, rows: Range<usize>) -> usize {
-        rows.map(|i| self.weight(i, dirty)).sum()
-    }
-
-    /// Split the rows into at most `workers` contiguous strips of about
-    /// equal partner count (counted as [`Self::pair_bound`] counts) — not
-    /// equal row counts: the early rows of a block have the most later
-    /// mates. The strips cover every row once, in order, and each holds a
-    /// pair (a table without candidates is one strip; no rows, none).
-    pub fn strips(&self, workers: usize) -> Vec<Range<usize>> {
-        self.walk_strips(workers, &DirtyRows::all(self.num_rows()))
-    }
-
-    /// [`Self::strips`] of a walk over `dirty`, balanced by what each row
-    /// costs it.
-    pub(crate) fn walk_strips(&self, workers: usize, dirty: &DirtyRows) -> Vec<Range<usize>> {
-        let rows = self.num_rows();
-        let total = self.walk_bound(dirty, 0..rows);
-        let workers = workers.clamp(1, total.max(1));
-        let mut strips = Vec::with_capacity(workers);
-        let (mut start, mut walked, mut cut_at) = (0, 0, 0);
-        for i in 0..rows {
-            walked += self.weight(i, dirty);
-            // Cut after the row that brings the walk to the next worker's
-            // share.
-            let share = (strips.len() + 1) * total / workers;
-            let strip_and_rest_hold_pairs = cut_at < walked && walked < total;
-            if strips.len() + 1 < workers && walked >= share && strip_and_rest_hold_pairs {
-                strips.push(start..i + 1);
-                (start, cut_at) = (i + 1, walked);
-            }
-        }
-        if start < rows {
-            strips.push(start..rows);
-        }
-        strips
-    }
-
-    /// The candidates with a row in `dirty`, counted, not decided: every
-    /// dirty row's later partners and its clean earlier ones.
-    fn count_touching(&self, dirty: &DirtyRows) -> u64 {
-        let clean_earlier = |d| {
-            self.earlier_partners(d)
-                .filter(|&i| !dirty.is_dirty(i))
-                .count()
-        };
-        (0..self.num_rows())
-            .filter(|&d| dirty.is_dirty(d))
-            .map(|d| (self.partners(d).count() + clean_earlier(d)) as u64)
-            .sum()
-    }
-
-    /// What [`Self::count_clean`] steps over, counted as [`Self::pair_bound`]
-    /// counts: the clean rows' later mates.
-    fn clean_bound(&self, dirty: &DirtyRows) -> usize {
-        let later = |b: &Blocking, i: usize| (b.spans[i].2 - b.spans[i].1) as usize;
-        (0..self.num_rows())
-            .filter(|&c| !dirty.is_dirty(c))
-            .map(|c| later(&self.by_name, c) + later(&self.by_key, c))
-            .sum()
-    }
-
-    /// The candidates between two rows not in `dirty`, counted: every clean
-    /// row's clean later partners.
-    fn count_clean(&self, dirty: &DirtyRows) -> u64 {
-        (0..self.num_rows())
-            .filter(|&c| !dirty.is_dirty(c))
-            .map(|c| self.partners(c).filter(|&j| !dirty.is_dirty(j)).count() as u64)
-            .sum()
+        (
+            of(|k| k.0, self.by_name.values.len()),
+            of(|k| k.1, self.by_key.values.len()),
+        )
     }
 }
 
-/// The rows of a union a walk must decide ([`crate::ErKernel::decide_union`])
-/// and what is known of the rest. A pair with a dirty row is walked and
-/// decided; a pair of two clean rows is not walked at all — its decision is
-/// the caller's to carry, and its count comes from the previous pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DirtyRows {
-    /// Per row: must its pairs be decided?
-    dirty: Vec<bool>,
-    /// Is any row clean? Without one, a walk meets every pair as a later
-    /// partner and never looks back.
-    pub(crate) any_clean: bool,
-    /// Candidates between two clean rows.
-    pub(crate) clean_pairs: u64,
-    /// Pairs counted in the previous blocks to learn `clean_pairs`: those
-    /// touching a dirty row, or the clean pairs themselves.
-    pub(crate) counted: u64,
-}
-
-impl DirtyRows {
-    /// Every one of `rows` rows dirty: a cold walk.
-    pub fn all(rows: usize) -> DirtyRows {
-        DirtyRows {
-            dirty: vec![true; rows],
-            any_clean: false,
-            clean_pairs: 0,
-            counted: 0,
-        }
-    }
-
-    /// The rows of an updated union, given the union `prior` blocked and
-    /// walked before (`candidates`: its candidate count) and, per current
-    /// row, the prior row with the same cells (`None`: dirty). The clean
-    /// rows must keep their order — `old_of`'s `Some` entries strictly
-    /// increase — so that every clean pair is the prior pair with the same
-    /// arguments in the same order. Their pairs are counted, not walked:
-    /// by the [`UnionBlocks`] invariant they are the prior candidates
-    /// between rows that stay clean. The count takes whichever side of the
-    /// prior blocks is smaller to step over: the prior pairs touching a row
-    /// that does not stay clean, taken from the prior total (few dirty
-    /// rows), or the clean rows' pairs themselves (many). Either way the
-    /// pairs counted plus the pairs the walk decides stay near one cold
-    /// walk's for any share of dirty rows.
-    pub fn carried(
-        prior: &UnionBlocks,
-        candidates: u64,
-        old_of: &[Option<usize>],
-    ) -> wrangler_table::Result<DirtyRows> {
-        check_old_of(old_of, old_of.len(), prior.num_rows())?;
-        let mut old_dirty = vec![true; prior.num_rows()];
-        let mut last = None;
-        for &o in old_of.iter().flatten() {
-            if last >= Some(o) {
-                return Err(TableError::Invalid(format!(
-                    "a carry maps clean rows out of order (row {o} after {last:?})"
-                )));
-            }
-            old_dirty[o] = false;
-            last = Some(o);
-        }
-        let old = DirtyRows {
-            any_clean: old_dirty.contains(&false),
-            dirty: old_dirty,
-            clean_pairs: 0,
-            counted: 0,
-        };
-        let rows = 0..prior.num_rows();
-        let (clean_pairs, counted) = if prior.walk_bound(&old, rows) < prior.clean_bound(&old) {
-            let touching = prior.count_touching(&old);
-            (candidates.checked_sub(touching), touching)
-        } else {
-            let clean = prior.count_clean(&old);
-            ((clean <= candidates).then_some(clean), clean)
-        };
-        let clean_pairs = clean_pairs.ok_or_else(|| {
-            TableError::Invalid(format!(
-                "{counted} prior pairs counted, of {candidates} prior candidates"
-            ))
-        })?;
-        Ok(DirtyRows {
-            dirty: old_of.iter().map(Option::is_none).collect(),
-            any_clean: old.any_clean,
-            clean_pairs,
-            counted,
-        })
-    }
-
-    /// Rows of the union.
-    pub(crate) fn num_rows(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Must row `i`'s pairs be decided?
-    pub(crate) fn is_dirty(&self, i: usize) -> bool {
-        self.dirty[i]
-    }
-}
-
-/// [`UnionBlocks`] written down: the candidates sorted by `(i, j)` and
-/// deduplicated — [`candidates_blocked`] ∪ [`candidates_blocked_exact`], but
-/// always in `(i, j)` order, not in those functions' block-key order. The
-/// reference list tests and experiments score; the wrangle stage walks the
-/// blocks instead.
+/// [`UnionBlocks`] written down: every candidate, sorted by `(i, j)` —
+/// [`candidates_blocked`] ∪ [`candidates_blocked_exact`], but always in
+/// `(i, j)` order, not in those functions' block-key order. Each row walks
+/// the merge of its two blocks' later rows, so the list comes out sorted and
+/// duplicate-free with no sort. The reference list tests and experiments
+/// score; the wrangle stage decides class pairs instead.
 pub fn candidates_union(
     table: &Table,
     block_col: &str,
     key_col: &str,
 ) -> wrangler_table::Result<Vec<(usize, usize)>> {
     let blocks = UnionBlocks::build(table, block_col, key_col)?;
-    // The bound is tight, so the list never reallocates.
-    let mut out = Vec::with_capacity(blocks.pair_bound());
-    out.extend(blocks.pairs());
+    let keys: Vec<(u32, u32)> = (0..blocks.num_rows()).map(|r| blocks.keys(r)).collect();
+    let (by_name, by_key) = blocks.layouts(&keys);
+    let mut out = Vec::new();
+    for i in 0..blocks.num_rows() {
+        let partners = Partners {
+            a: by_name.later_mates(i),
+            b: by_key.later_mates(i),
+        };
+        out.extend(partners.map(|j| (i, j)));
+    }
     Ok(out)
+}
+
+/// The rows of a union grouped into record classes. A row's record is every
+/// compiled ER field's dictionary id (a numeric field's cell by its bits)
+/// and both blocking keys; rows with one record form a class, and classes
+/// are numbered in order of their first row. Two rows of a class score
+/// alike against every partner and share every candidate, so the walk
+/// decides class pairs ([`crate::ErKernel::decide_union`]): the classes are
+/// blocked by their keys as rows are, and a class pair stands for the row
+/// pairs between its two classes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RecordClasses {
+    /// Per row, its class.
+    of_row: Vec<u32>,
+    /// Class `c`'s rows, ascending: `rows[start[c]..start[c + 1]]`.
+    start: Vec<u32>,
+    rows: Vec<u32>,
+    /// Per class, its two blocking keys.
+    keys: Vec<(u32, u32)>,
+    /// The classes blocked by prefix key and by full key.
+    by_name: Layout,
+    by_key: Layout,
+}
+
+/// How the classes of a union continue those of the walk before it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ClassCarry {
+    /// Per class, the prior class holding the same record, or `NULL_ID`: the
+    /// record is new to the union.
+    pub(crate) prior_of: Vec<u32>,
+    /// Per prior class, the class now holding its record, or `NULL_ID`.
+    pub(crate) now_of: Vec<u32>,
+}
+
+impl ClassCarry {
+    /// The class continuing prior class `pc`, numbered on first sight.
+    fn adopt(&mut self, pc: u32) -> u32 {
+        let now = &mut self.now_of[pc as usize];
+        if *now == NULL_ID {
+            *now = self.prior_of.len() as u32;
+            self.prior_of.push(pc);
+        }
+        *now
+    }
+
+    /// A class for a record new to the union.
+    fn mint(&mut self) -> u32 {
+        self.prior_of.push(NULL_ID);
+        self.prior_of.len() as u32 - 1
+    }
+}
+
+/// Records → class: a lookup table. Class numbers follow row order, never
+/// the table's iteration order.
+type Lookup<'a> = HashMap<&'a [u64], u32>; // hash-ok: lookup only
+
+/// Push row `r`'s record: its kernel words, then its two blocking keys.
+fn push_record(kernel: &ErKernel, blocks: &UnionBlocks, r: usize, out: &mut Vec<u64>) {
+    kernel.push_words(r, out);
+    let (name, key) = blocks.keys(r);
+    out.extend([u64::from(name), u64::from(key)]);
+}
+
+/// Push row `r`'s record in the ids of `prior`'s kernel and blocks; `false`
+/// when a value is new to them (what was pushed is the caller's to drop).
+fn push_prior_record(
+    kernel: &ErKernel,
+    blocks: &UnionBlocks,
+    prior: PriorWalk<'_>,
+    r: usize,
+    out: &mut Vec<u64>,
+) -> bool {
+    let Some((name, key)) = blocks.prior_keys(prior.block_ids, r) else {
+        return false;
+    };
+    let held = kernel.push_prior_words(prior.kernel_ids, r, out);
+    out.extend([u64::from(name), u64::from(key)]);
+    held
+}
+
+impl RecordClasses {
+    /// The classes of the rows `kernel` and `blocks` were built over. With a
+    /// `prior`, a row the carry maps (`old_of[r] = Some(o)`) takes row `o`'s
+    /// class by number, and any other row whose every value the prior's
+    /// dictionaries hold (the prior's `block_ids` and `kernel_ids` say which
+    /// value it was there) looks its record up among the prior classes with
+    /// its two keys — by its ids there, compared word for word; only a
+    /// record new to the union mints a class. The caller has checked that
+    /// the prior kernel was compiled under this one's rule. Either way the
+    /// classes equal those of a derivation with no prior, and the carry says
+    /// which ones continue a prior class.
+    pub(crate) fn derive(
+        kernel: &ErKernel,
+        blocks: &UnionBlocks,
+        prior: Option<PriorWalk<'_>>,
+    ) -> wrangler_table::Result<(RecordClasses, ClassCarry)> {
+        let n = kernel.num_rows();
+        if blocks.num_rows() != n {
+            return Err(TableError::Invalid(format!(
+                "blocks over {} rows classed with a kernel over {n}",
+                blocks.num_rows()
+            )));
+        }
+        if let Some(p) = prior {
+            let old_rows = p.decided.classes.num_rows();
+            if p.kernel.num_rows() != old_rows || p.blocks.num_rows() != old_rows {
+                return Err(TableError::Invalid(
+                    "a prior walk whose kernel, blocks and classes disagree".into(),
+                ));
+            }
+            check_old_of(p.old_of, n, old_rows)?;
+            if !blocks.fit(p.block_ids) || !kernel.fit(p.kernel_ids) {
+                return Err(TableError::Invalid(
+                    "a prior walk whose ids were not carried into these blocks and kernel".into(),
+                ));
+            }
+        }
+        let width = kernel.num_fields() + 2;
+        let old_of = prior.map_or(&[][..], |p| p.old_of);
+        let clean = |r: usize| old_of.get(r).copied().flatten();
+        // The records of the rows no carry maps: in this union's ids, and in
+        // the prior's where it holds every value.
+        let dirty: Vec<usize> = (0..n).filter(|&r| clean(r).is_none()).collect();
+        let mut words = Vec::with_capacity(dirty.len() * width);
+        let mut old_words = Vec::new();
+        let mut translated = Vec::with_capacity(dirty.len());
+        for &r in &dirty {
+            push_record(kernel, blocks, r, &mut words);
+            let at = old_words.len();
+            if prior.is_some_and(|p| push_prior_record(kernel, blocks, p, r, &mut old_words)) {
+                translated.push(Some(at));
+            } else {
+                old_words.truncate(at);
+                translated.push(None);
+            }
+        }
+        // The prior classes a dirty row may repeat, by record: only those
+        // with the two keys of some dirty row (a record's last two words).
+        let keys_at = |at: usize| (old_words[at + width - 2], old_words[at + width - 1]);
+        let mut wanted: Vec<(u32, u32)> = (translated.iter().flatten())
+            .map(|&at| (keys_at(at).0 as u32, keys_at(at).1 as u32))
+            .collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let (mut prior_words, mut prior_ids) = (Vec::new(), Vec::new());
+        if let Some(p) = prior.filter(|_| !wanted.is_empty()) {
+            let classes = &p.decided.classes;
+            let held = |c: &usize| wanted.binary_search(&classes.keys[*c]).is_ok();
+            for c in (0..classes.len()).filter(held) {
+                push_record(p.kernel, p.blocks, classes.first(c), &mut prior_words);
+                prior_ids.push(c as u32);
+            }
+        }
+        let prior_index: Lookup = prior_words.chunks(width).zip(prior_ids).collect();
+        let prior_classes = prior.map_or(0, |p| p.decided.classes.len());
+        let mut carry = ClassCarry {
+            prior_of: Vec::new(),
+            now_of: vec![NULL_ID; prior_classes],
+        };
+        let mut fresh = Lookup::default();
+        let mut of_row = Vec::with_capacity(n);
+        let mut next_dirty = 0;
+        for r in 0..n {
+            let c = match (prior, clean(r)) {
+                (Some(p), Some(o)) => carry.adopt(p.decided.classes.of_row[o]),
+                _ => {
+                    let k = next_dirty;
+                    next_dirty += 1;
+                    let found = translated[k]
+                        .and_then(|at| prior_index.get(&old_words[at..at + width]).copied());
+                    match found {
+                        Some(pc) => carry.adopt(pc),
+                        None => *fresh
+                            .entry(&words[k * width..(k + 1) * width])
+                            .or_insert_with(|| carry.mint()),
+                    }
+                }
+            };
+            of_row.push(c);
+        }
+        let classes = carry.prior_of.len();
+        let mut start = vec![0u32; classes + 1];
+        for &c in &of_row {
+            start[c as usize + 1] += 1;
+        }
+        for c in 0..classes {
+            start[c + 1] += start[c];
+        }
+        let mut filled = start.clone();
+        let mut rows = vec![0u32; n];
+        for (r, &c) in of_row.iter().enumerate() {
+            rows[filled[c as usize] as usize] = r as u32;
+            filled[c as usize] += 1;
+        }
+        let keys: Vec<(u32, u32)> = (0..classes)
+            .map(|c| blocks.keys(rows[start[c] as usize] as usize))
+            .collect();
+        let (by_name, by_key) = blocks.layouts(&keys);
+        let classes = RecordClasses {
+            of_row,
+            start,
+            rows,
+            keys,
+            by_name,
+            by_key,
+        };
+        Ok((classes, carry))
+    }
+
+    /// Number of classes.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Rows of the union.
+    pub(crate) fn num_rows(&self) -> usize {
+        self.of_row.len()
+    }
+
+    /// Class `c`'s rows, ascending.
+    pub(crate) fn rows(&self, c: usize) -> &[u32] {
+        &self.rows[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// Class `c`'s row count.
+    pub(crate) fn size(&self, c: usize) -> u64 {
+        u64::from(self.start[c + 1] - self.start[c])
+    }
+
+    /// Class `c`'s first row: the row its decisions are made with.
+    pub(crate) fn first(&self, c: usize) -> usize {
+        self.rows[self.start[c] as usize] as usize
+    }
+
+    /// Class `c`'s last row.
+    pub(crate) fn last(&self, c: usize) -> usize {
+        self.rows[self.start[c + 1] as usize - 1] as usize
+    }
+
+    /// Does class `c` have a blocking key, i.e. are its rows candidates of
+    /// one another? Rows whose two keys are both null are nobody's
+    /// candidates, not even each other's.
+    pub(crate) fn keyed(&self, c: usize) -> bool {
+        self.keys[c] != (NULL_ID, NULL_ID)
+    }
+
+    /// Must class pair `(lo, hi)`, `lo < hi`, be decided the other way round
+    /// too — does some row of `hi` precede some row of `lo`? Every row pair
+    /// `(i, j)`, `i < j`, is decided as `(class(i), class(j))`, and
+    /// `first(lo) < first(hi)` always gives the pair one such row pair.
+    pub(crate) fn reversed(&self, lo: usize, hi: usize) -> bool {
+        self.first(hi) < self.last(lo)
+    }
+
+    /// The later classes `c` is a candidate with, ascending.
+    pub(crate) fn partners(&self, c: usize) -> Partners<'_> {
+        Partners {
+            a: self.by_name.later_mates(c),
+            b: self.by_key.later_mates(c),
+        }
+    }
+
+    /// The earlier classes `c` is a candidate with, ascending.
+    pub(crate) fn earlier_partners(&self, c: usize) -> Partners<'_> {
+        Partners {
+            a: self.by_name.earlier_mates(c),
+            b: self.by_key.earlier_mates(c),
+        }
+    }
+
+    /// What walking class `c`'s partners costs, to within the overlap of the
+    /// two blockings (a partner in both counts twice) and without merging:
+    /// its later mates, and its earlier ones too with `earlier`.
+    pub(crate) fn mates(&self, c: usize, earlier: bool) -> u64 {
+        let count = |l: &Layout| {
+            let (first, later, end) = l.spans[c];
+            let before = if earlier {
+                later.saturating_sub(first + 1)
+            } else {
+                0
+            };
+            u64::from(end - later + before)
+        };
+        count(&self.by_name) + count(&self.by_key)
+    }
+
+    /// The union's candidates, counted from the class sizes: the row pairs
+    /// sharing a prefix key, plus those sharing a full key, less those
+    /// sharing both — counted inside each full-key block, by prefix key.
+    pub(crate) fn candidates(&self) -> u64 {
+        let block_size = |block: &[u32]| block.iter().map(|&c| self.size(c as usize)).sum();
+        let by_name = pairs_among(self.by_name.blocks().map(block_size));
+        let by_key = pairs_among(self.by_key.blocks().map(block_size));
+        let mut names: Vec<(u32, u64)> = Vec::new();
+        let mut shared = 0;
+        for block in self.by_key.blocks() {
+            names.clear();
+            names.extend(
+                block
+                    .iter()
+                    .map(|&c| (self.keys[c as usize].0, self.size(c as usize))),
+            );
+            names.retain(|&(name, _)| name != NULL_ID);
+            names.sort_unstable();
+            let runs = names.chunk_by(|a, b| a.0 == b.0);
+            shared += pairs_among(runs.map(|run| run.iter().map(|&(_, n)| n).sum()));
+        }
+        by_name + by_key - shared
+    }
 }
 
 /// Sorted neighbourhood: sort rows by the column's rendering, compare each
@@ -621,9 +762,10 @@ mod tests {
     }
 
     #[test]
-    fn walk_merges_both_blockings_per_row_and_is_what_the_list_collects() {
+    fn the_list_merges_both_blockings_per_row() {
         // Rows 0, 1, 3 share the name prefix; 1, 2, 3 the key; row 4 is in
         // no block at all; row 5 only meets row 0 through a case-folded key.
+        // (1, 3) is in both blockings and listed once.
         let t = named_and_keyed(&[
             ("Acme Widget", "k9"),
             ("acme gadget", "K1"),
@@ -632,86 +774,127 @@ mod tests {
             ("", ""),
             ("Bolt", "K9"),
         ]);
-        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
-        assert_eq!(blocks.num_rows(), 6);
-        let partners = |i| blocks.partners(i).collect::<Vec<_>>();
-        assert_eq!(partners(0), vec![1, 3, 5]);
-        assert_eq!(
-            partners(1),
-            vec![2, 3],
-            "(1, 3) is in both blockings, walked once"
-        );
-        assert_eq!(partners(2), vec![3]);
-        assert!(partners(3).is_empty() && partners(4).is_empty() && partners(5).is_empty());
         let listed = candidates_union(&t, "name", "sku").unwrap();
         assert_eq!(listed, vec![(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (2, 3)]);
-        assert_eq!(blocks.pairs().collect::<Vec<_>>(), listed);
-        assert_eq!(blocks.pair_bound(), listed.len() + 1);
+        assert_eq!(UnionBlocks::build(&t, "name", "sku").unwrap().num_rows(), 6);
         // One column in both roles: the prefix blocks alone, in (i, j) order.
         let mut prefix_only = candidates_blocked(&t, "name").unwrap();
         prefix_only.sort_unstable();
         assert_eq!(candidates_union(&t, "name", "name").unwrap(), prefix_only);
-        let by_key = UnionBlocks::build(&t, "sku", "sku").unwrap();
         assert_eq!(
-            by_key.pairs().collect::<Vec<_>>(),
+            candidates_union(&t, "sku", "sku").unwrap(),
             vec![(0, 5), (1, 2), (1, 3), (2, 3)]
         );
         assert!(UnionBlocks::build(&t, "name", "ghost").is_err());
     }
 
     #[test]
-    fn all_null_columns_and_empty_tables_walk_nothing() {
+    fn all_null_columns_and_empty_tables_have_no_candidates() {
         let nulls = named_and_keyed(&[("", ""), ("", ""), ("", "")]);
-        let blocks = UnionBlocks::build(&nulls, "name", "sku").unwrap();
-        assert_eq!(blocks.pairs().count(), 0);
-        assert_eq!(blocks.pair_bound(), 0);
-        // Still every row, once: one strip however many workers ask.
-        assert_eq!(blocks.strips(4), vec![0..3]);
+        assert!(candidates_union(&nulls, "name", "sku").unwrap().is_empty());
         let keyed = named_and_keyed(&[("", "a"), ("", "A"), ("", "")]);
         assert_eq!(
             candidates_union(&keyed, "name", "sku").unwrap(),
             vec![(0, 1)]
         );
         let empty = named_and_keyed(&[]);
-        let blocks = UnionBlocks::build(&empty, "name", "sku").unwrap();
-        assert!(blocks.strips(3).is_empty() && blocks.pairs().next().is_none());
+        assert!(candidates_union(&empty, "name", "sku").unwrap().is_empty());
+    }
+
+    /// Classes of `t` under a kernel over its name alone.
+    fn classes_of(t: &Table, prior: Option<PriorWalk<'_>>) -> (RecordClasses, ClassCarry) {
+        let kernel = ErKernel::compile(t, &crate::ErConfig::text_over(&["name"], 0.5)).unwrap();
+        let blocks = UnionBlocks::build(t, "name", "sku").unwrap();
+        RecordClasses::derive(&kernel, &blocks, prior).unwrap()
     }
 
     #[test]
-    fn strips_balance_pairs_not_rows() {
-        // One block of 40 rows: row r has 39 − r later mates, 780 pairs in
-        // all. Equal row counts would hand the first of two workers 590.
-        let t = names(&["acme"; 40]);
-        let blocks = UnionBlocks::build(&t, "name", "name").unwrap();
-        assert_eq!(blocks.pair_bound(), 780);
-        let walked = |rows: Range<usize>| rows.map(|i| blocks.partners(i).count()).sum::<usize>();
-        for workers in 1..=9 {
-            let strips = blocks.strips(workers);
-            assert_eq!(strips.len(), workers);
-            assert_eq!(strips[0].start, 0);
-            assert_eq!(strips[workers - 1].end, 40);
-            assert!(strips.windows(2).all(|s| s[0].end == s[1].start));
-            // A strip ends with the row that reaches its share, so it
-            // overshoots by less than that row's partners.
-            for s in &strips {
-                let n = walked(s.clone());
-                assert!(
-                    n > 0 && n < 780 / workers + 40,
-                    "{workers} workers: {strips:?}"
-                );
-            }
-        }
+    fn rows_with_one_record_share_a_class_numbered_by_first_row() {
+        // The kernel reads the name only, so rows 0 and 4 (one sku apart)
+        // differ by a blocking key alone: two classes. Rows 2 and 5 have no
+        // key of either kind — one class, nobody's candidate, not even its
+        // own rows'.
+        let t = named_and_keyed(&[
+            ("Acme Widget", "k1"),
+            ("Bolt", "k2"),
+            ("", ""),
+            ("acme widget", "K1"),
+            ("Acme Widget", "k3"),
+            ("", ""),
+            ("Bolt", "k2"),
+        ]);
+        let (classes, carry) = classes_of(&t, None);
+        assert_eq!(classes.of_row, vec![0, 1, 2, 0, 3, 2, 1]);
+        assert_eq!(classes.len(), 4);
+        assert_eq!(carry.prior_of, vec![NULL_ID; 4], "cold: every class is new");
         assert_eq!(
-            blocks.strips(2)[0],
-            0..12,
-            "390 of 780 pairs sit in the first 12 rows"
+            (classes.rows(0), classes.rows(2)),
+            (&[0, 3][..], &[2, 5][..])
         );
-        // More workers than pairs: one strip per pair at most.
-        let two = names(&["acme", "acme"]);
         assert_eq!(
-            UnionBlocks::build(&two, "name", "name").unwrap().strips(8),
-            vec![0..2]
+            (classes.size(1), classes.first(1), classes.last(1)),
+            (2, 1, 6)
         );
+        assert!(classes.keyed(0) && !classes.keyed(2));
+        // Class 1's row 6 follows class 3's row 4: a pair decided as (1, 3)
+        // also meets the union as (3, 1)'s rows (4, 6).
+        assert!(classes.reversed(1, 3) && !classes.reversed(0, 3));
+        assert_eq!(classes.partners(0).collect::<Vec<_>>(), vec![3]);
+        assert_eq!(classes.earlier_partners(3).collect::<Vec<_>>(), vec![0]);
+        let listed = candidates_union(&t, "name", "sku").unwrap();
+        assert_eq!(listed.len(), 4);
+        assert_eq!(classes.candidates(), listed.len() as u64);
+    }
+
+    #[test]
+    fn a_carried_derivation_equals_a_cold_one_and_says_which_classes_are_new() {
+        let old = named_and_keyed(&[("Acme Widget", "k1"), ("Bolt", "k2"), ("Cog", "k4")]);
+        let cfg = crate::ErConfig::text_over(&["name"], 0.5);
+        let (old_kernel, old_blocks) = (
+            ErKernel::compile(&old, &cfg).unwrap(),
+            UnionBlocks::build(&old, "name", "sku").unwrap(),
+        );
+        let decided = old_kernel.decide_union(&old_blocks, 1, None).unwrap();
+        // Row 0 is new, row 1 re-delivers "Cog" (a dirty row the carry does
+        // not map), row 2 keeps "Acme" and row 3 repeats it.
+        let new = named_and_keyed(&[
+            ("Dial", "k5"),
+            ("cog", "K4"),
+            ("Acme Widget", "k1"),
+            ("Acme Widget", "k1"),
+        ]);
+        let old_of = [None, None, Some(0), None];
+        let (kernel, kernel_ids) =
+            ErKernel::carry(&new, &cfg, Some((&old_kernel, &old_of[..]))).unwrap();
+        let (blocks, block_ids) =
+            UnionBlocks::carry(&new, "name", "sku", Some((&old_blocks, &old_of[..]))).unwrap();
+        let prior = PriorWalk {
+            kernel: &old_kernel,
+            blocks: &old_blocks,
+            decided: &decided,
+            old_of: &old_of,
+            block_ids: &block_ids,
+            kernel_ids: &kernel_ids,
+        };
+        let (classes, carry) = RecordClasses::derive(&kernel, &blocks, Some(prior)).unwrap();
+        assert_eq!(classes, classes_of(&new, None).0);
+        assert_eq!(classes.of_row, vec![0, 1, 2, 2]);
+        assert_eq!(carry.prior_of, vec![NULL_ID, 2, 0]);
+        assert_eq!(carry.now_of, vec![2, NULL_ID, 1]);
+        // Ids the carry did not return — a cold compilation's — are refused,
+        // and so is a map past the prior's rows.
+        let cold_ids = ErKernel::carry(&new, &cfg, None).unwrap().1;
+        let misfit = PriorWalk {
+            kernel_ids: &cold_ids,
+            ..prior
+        };
+        assert!(RecordClasses::derive(&kernel, &blocks, Some(misfit)).is_err());
+        let past = [Some(3), None, None, None];
+        let bad = PriorWalk {
+            old_of: &past,
+            ..prior
+        };
+        assert!(RecordClasses::derive(&kernel, &blocks, Some(bad)).is_err());
     }
 
     #[test]

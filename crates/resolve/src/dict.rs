@@ -8,7 +8,9 @@
 //! an update cost its dirty rows: a row the caller maps to a row of the
 //! previous encoding (`old_of`) takes that row's value by id, and only the
 //! other rows render, fold and look their value up. A cold encoding is the
-//! carried one with nothing carried.
+//! carried one with nothing carried. A carried encoding also says, per value,
+//! which value of the previous encoding it is ([`PriorIds`]): handed to the
+//! walk that carries the previous pass's classes, never kept.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 
@@ -26,6 +28,35 @@ pub(crate) trait Folded {
 impl Folded for String {
     fn folded(&self) -> &str {
         self
+    }
+}
+
+/// Per dictionary of a carried build (blocks or kernel), each value's id in
+/// the dictionary it was carried from, or `NULL_ID` for a value new to it;
+/// empty for a dictionary built cold. What the carry learned, handed to the
+/// walk carried from that build ([`crate::PriorWalk`]) so that a dirty row
+/// finds the record it repeats among the prior classes by ids. No build
+/// keeps it.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PriorIds(pub(crate) Vec<Vec<u32>>);
+
+impl PriorIds {
+    /// Row `r`'s value in `dict` — this build's dictionary `k` — as an id of
+    /// the prior's dictionary `k`: [`NULL_ID`] for a row with no value,
+    /// `None` when the value is new to the prior.
+    pub(crate) fn of<V>(&self, k: usize, dict: &Dict<V>, r: usize) -> Option<u32> {
+        match dict.ids[r] {
+            NULL_ID => Some(NULL_ID),
+            id => (self.0[k].get(id as usize).copied()).filter(|&p| p != NULL_ID),
+        }
+    }
+
+    /// Do these ids cover a build whose dictionaries hold `values` values
+    /// each, in order (`None`: a field with no dictionary, as a numeric
+    /// one)?
+    pub(crate) fn fit(&self, values: impl ExactSizeIterator<Item = Option<usize>>) -> bool {
+        self.0.len() == values.len()
+            && (self.0.iter().zip(values)).all(|(ids, n)| ids.len() == n.unwrap_or(0))
     }
 }
 
@@ -58,14 +89,15 @@ impl<V: Folded + Clone> Dict<V> {
     /// value without folding anything — the caller promises the two rows
     /// hold equal cells — and the rest look their rendering up among the
     /// prior values before minting a new one. Either way the result equals
-    /// the cold encoding of `column`, field for field. `old_of` is checked
-    /// by [`check_old_of`] beforehand.
+    /// the cold encoding of `column`, field for field. Beside it, per value,
+    /// its id in the prior encoding ([`NULL_ID`]: new); empty when cold.
+    /// `old_of` is checked by [`check_old_of`] beforehand.
     pub(crate) fn encode(
         column: &[Value],
         fold: impl Fn(&Value) -> Option<String>,
         make: impl Fn(String) -> V,
         prior: Option<(&Dict<V>, &[Option<usize>])>,
-    ) -> Dict<V> {
+    ) -> (Dict<V>, Vec<u32>) {
         let (old, old_of) = match prior {
             Some((old, old_of)) => (Some(old), old_of),
             None => (None, &[][..]),
@@ -128,11 +160,19 @@ impl<V: Folded + Clone> Dict<V> {
             rest = &rest[at..];
         }
         sorted.extend_from_slice(rest);
-        Dict {
+        let mut prior_ids = Vec::new();
+        if old.is_some() {
+            prior_ids = vec![NULL_ID; values.len()];
+            for (a, &id) in remap.iter().enumerate().filter(|&(_, &id)| id != NULL_ID) {
+                prior_ids[id as usize] = a as u32;
+            }
+        }
+        let dict = Dict {
             ids,
             values,
             sorted,
-        }
+        };
+        (dict, prior_ids)
     }
 
     /// The id of the value rendered `key`, if there is one.
@@ -181,7 +221,7 @@ mod tests {
     }
 
     fn cold(column: &[Value]) -> Dict<String> {
-        Dict::encode(column, fold, |s| s, None)
+        Dict::encode(column, fold, |s| s, None).0
     }
 
     #[test]
@@ -203,12 +243,20 @@ mod tests {
         let new_col = col(&[Some("y"), Some("x"), Some("Y"), Some("w"), None]);
         let old_of = [Some(1), Some(0), None, None, None];
         check_old_of(&old_of, 5, 4).unwrap();
-        let carried = Dict::encode(&new_col, fold, |s| s, Some((&old, &old_of[..])));
+        let (carried, prior_ids) = Dict::encode(&new_col, fold, |s| s, Some((&old, &old_of[..])));
         assert_eq!(carried, cold(&new_col));
         assert_eq!(carried.values, vec!["y", "x", "w"]);
         // A carried row takes its id without being folded at all.
-        let blind = Dict::encode(&new_col, |_| None, |s| s, Some((&old, &old_of[..])));
+        let (blind, _) = Dict::encode(&new_col, |_| None, |s| s, Some((&old, &old_of[..])));
         assert_eq!(&blind.ids[..2], &[0, 1]);
+        // Each carried value knows its old id; the new one has none, and a
+        // cold encoding knows nothing.
+        assert_eq!(prior_ids, vec![1, 0, NULL_ID]);
+        let ids = PriorIds(vec![prior_ids]);
+        let in_old: Vec<_> = (0..5).map(|r| ids.of(0, &carried, r)).collect();
+        assert_eq!(in_old, vec![Some(1), Some(0), Some(1), None, Some(NULL_ID)]);
+        assert!(ids.fit([Some(3)].into_iter()) && !ids.fit([Some(2)].into_iter()));
+        assert!(Dict::encode(&new_col, fold, |s| s, None).1.is_empty());
         assert!(check_old_of(&old_of, 4, 4).is_err());
         assert!(check_old_of(&[Some(4)], 1, 4).is_err());
     }

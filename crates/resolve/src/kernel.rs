@@ -29,47 +29,79 @@
 //!
 //! **Which candidates match** — [`ErKernel::decide_union`], what the wrangle
 //! stage runs. Nothing downstream of ER reads a score, only `score ≥
-//! threshold`, so the kernel walks the blocks ([`UnionBlocks`]: no candidate
-//! list) and decides each pair where it meets it (no score vector) — each
-//! pair with a row in the walk's [`DirtyRows`], that is: every pair on a
-//! cold pass, the pairs touching an updated row after an update, whose
-//! clean pairs are counted rather than walked. The
-//! decision brackets the score from the ids: a text field over two different
-//! values contributes something in [0, 1], every other field is known, and
-//! the score loop run with 0.0 and with 1.0 for the unknowns gives `lo ≤
-//! score ≤ hi` — in f64, bit for bit, on three premises: every field
-//! similarity lies in [0, 1] (pinned by a proptest), every weight is finite
-//! and ≥ 0 with a finite sum (checked by `compile`; a config that fails it
-//! is decided through the exact score, every field opened), and IEEE `*`,
-//! `+`, `/` round monotonically. `hi < threshold` rejects, `lo ≥ threshold`
-//! accepts, and otherwise the heaviest unknown field is opened and the
-//! bracket recomputed; with none left both ends *are* the score. Most pairs
-//! of a blocked union have two present, different keys, which alone puts
-//! `hi` under any threshold above `1 − w_key / W`: they are settled without
-//! touching a string. Workers take contiguous strips of *rows*, balanced by
-//! the pairs each row walks, and their matches are returned in `(i, j)`
-//! order.
+//! threshold`, so nothing is listed and nothing is scored more than once:
+//!
+//! - *Record classes.* A row's record is its id in every dictionary field,
+//!   its numeric cells by their bits and its two blocking keys
+//!   ([`UnionBlocks`]); the rows with one record form a class, numbered in
+//!   order of its first row ([`RecordClasses`]). Two rows of a class score
+//!   alike against every row and share every candidate, so the walk decides
+//!   *class* pairs from the classes' first rows: a class of two or more rows
+//!   that has a blocking key against itself (rows with neither key are
+//!   nobody's candidates, not even each other's), and each candidate class
+//!   pair `(a, b)`, `a < b`, once. A class pair stands for the row pairs
+//!   between its classes, which is how candidates and matches are counted
+//!   and how clusters are built ([`UnionMatches::clusters`]) — without a row
+//!   pair written down.
+//! - *Orientation.* A row pair `(i, j)`, `i < j`, is decided as `(class(i),
+//!   class(j))`, so `(b, a)` is met too when some row of `b` precedes some
+//!   row of `a`. A decision settled from ids alone is the same either way
+//!   round — every field it reads is symmetric in its two ids (equal ids,
+//!   id equality, the numeric formula over `|x − y|` and `max`) and the
+//!   bracket sums the fields in config order — so `(b, a)` is decided too
+//!   only when `(a, b)` opened a text field and `(b, a)` is met. That is
+//!   about one decision in a hundred. Whether the text similarity itself is
+//!   symmetric is not known: Jaro's greedy matching is order-dependent in
+//!   principle, and though no asymmetric pair has been found (a probe of
+//!   three million random strings met none), the kernel does not rely on it
+//!   — its memo is keyed by the ordered `(id_a, id_b)`.
+//! - *The carry.* Given the walk over the table an update replaced
+//!   ([`PriorWalk`]), a row the carry maps keeps its class, a dirty row that
+//!   repeats a record the prior union held joins that class by its ids in
+//!   the prior's dictionaries (which the carry of the blocks and kernel
+//!   returns, [`PriorIds`]; the record compared word for word, not by a
+//!   hash), and
+//!   only a record new to the union mints a class. Only the pairs with a new
+//!   class are decided, plus what the prior never had to decide: a held
+//!   class that just reached two rows against itself, and a held pair's
+//!   orientation that the new row order meets first. The rest of the prior's
+//!   class pairs are carried.
+//!
+//! The decision brackets the score from the ids: a text field over two
+//! different values contributes something in [0, 1], every other field is
+//! known, and the score loop run with 0.0 and with 1.0 for the unknowns
+//! gives `lo ≤ score ≤ hi` — in f64, bit for bit, on three premises: every
+//! field similarity lies in [0, 1] (pinned by a proptest), every weight is
+//! finite and ≥ 0 with a finite sum (checked by `compile`; a config that
+//! fails it is decided through the exact score, every field opened), and
+//! IEEE `*`, `+`, `/` round monotonically. `hi < threshold` rejects, `lo ≥
+//! threshold` accepts, and otherwise the heaviest unknown field is opened and
+//! the bracket recomputed; with none left both ends *are* the score. Most
+//! pairs of a blocked union have two present, different keys, which alone
+//! puts `hi` under any threshold above `1 − w_key / W`: they are settled
+//! without touching a string. Workers take contiguous strips of *classes*,
+//! balanced by the class pairs each one decides.
 //!
 //! **What a pair scores** — the `score_pairs*` family and
 //! [`ErKernel::filter_matches`] over a written-down list: the reference the
 //! decision is tested against, and what experiments and the benchmark's
 //! replays time. The arithmetic mirrors the serial path operation for
 //! operation, and a memo only replays a value computed by that arithmetic on
-//! the same two strings in the same order (the key is ordered: Jaro's greedy
-//! matching is not symmetric), so kernel scores are **bit-identical** to
-//! [`record_similarity`] — the `parallel_kernel_equals_serial_match_pairs`
-//! proptest holds for any worker count. Parallel scoring splits the list
-//! into *contiguous blocked chunks* and reassembles them in chunk order.
+//! the same two strings in the same order, so kernel scores are
+//! **bit-identical** to [`record_similarity`] — the
+//! `parallel_kernel_equals_serial_match_pairs` proptest holds for any worker
+//! count. Parallel scoring splits the list into *contiguous blocked chunks*
+//! and reassembles them in chunk order.
 //!
-//! Either way workers share nothing but the compiled kernel and the blocks,
-//! both immutable: a worker's output is a function of its share alone, so
-//! the concatenation is the same for any pool width by construction. What
-//! that costs is one evaluation per worker, not per pass, of a value pair
-//! two shares both hold — and the stage opens a text field for about one
-//! candidate in a hundred. The pool is sized by
+//! Either way workers share nothing but the compiled kernel and the classes
+//! or the list, all immutable: a worker's output is a function of its share
+//! alone, so the concatenation is the same for any pool width by
+//! construction. What that costs is one evaluation per worker, not per pass,
+//! of a value pair two shares both hold — and the stage opens a text field
+//! for about one class pair in a hundred. The pool is sized by
 //! [`wrangler_table::par::effective_workers`]: never wider than the machine's
 //! cores, and never so wide that a worker gets fewer than
-//! [`MIN_PAIRS_PER_WORKER`] pairs — a small union runs serially instead of
+//! [`MIN_PAIRS_PER_WORKER`] items — a small union runs serially instead of
 //! paying thread-spawn latency.
 //!
 //! [`record_similarity`]: crate::sim::record_similarity
@@ -82,32 +114,35 @@ pub use wrangler_table::par::WorkerStat;
 use wrangler_table::par::{self, effective_workers};
 use wrangler_table::{Table, TableError, Value};
 
-use crate::blocking::{DirtyRows, UnionBlocks};
-use crate::dict::{check_old_of, Dict, Folded, NULL_ID};
+use crate::blocking::{RecordClasses, UnionBlocks};
+use crate::dict::{check_old_of, Dict, Folded, PriorIds, NULL_ID};
 use crate::sim::{ErConfig, SimKind};
 use crate::ScoredPair;
 
-/// Minimum candidate pairs *walked* per worker before the pool widens by
-/// one thread.
+/// Minimum items per worker before the pool widens by one thread: *class
+/// pairs decided* for [`ErKernel::decide_union`] (its unit of work, counted
+/// as the walk weighs its classes), pairs scored for the exact-scoring entry
+/// points.
 ///
 /// Measured where the policy earns or loses its keep: the pipeline's own
 /// `wrangle/er/decide` span of whole passes at one ER worker and at two
 /// (2-core VM delivering two cores, checked before and after each sweep;
 /// release build; 4- to 8-source fleets of 60 to 640 products; minimum and
 /// median of 9 passes, each sweep run twice, with this floor still at 512,
-/// where every fleet from 1,024 pairs up fans out). A walked-and-decided
-/// pair costs 35–45 ns there — almost all are settled from ids — and a
-/// fan-out 150–200 µs before the first pair is saved. Two workers over one
-/// read 1.62–1.91 at 2,168 pairs, 1.33–1.66 at 4,754, 1.09–1.61 at
-/// 7,428–8,881, 1.11–1.34 at 11,568, 0.91–1.06 at 15,465, 0.83–1.06 at
-/// 21,458–26,133, 0.73–0.96 at 34,542–44,961 and 0.64–0.74 at 120,487.
-/// 16384 — a fan-out from 32,768 pairs — is the smallest power of two at
-/// which fanning out is a measured win rather than a coin toss. (It was 512
-/// while the stage scored every pair: a first-seen value pair costs a
-/// microsecond.) `e14_er_scaling` prints the decision at one worker against
-/// two spawned regardless either side of the floor, and the pipeline's span
-/// on the fleets over it. The exact-scoring entry points, the reference the
-/// decision is tested against, size their pools by the same constant.
+/// where every fleet from 1,024 pairs up fans out). That was while the walk
+/// decided row pairs; a class pair is decided by the same code from the
+/// classes' first rows, so an item costs what it did. A decided pair cost
+/// 35–45 ns there — almost all are settled from ids — and a fan-out 150–200
+/// µs before the first pair is saved. Two workers over one read 1.62–1.91 at
+/// 2,168 pairs, 1.33–1.66 at 4,754, 1.09–1.61 at 7,428–8,881, 1.11–1.34 at
+/// 11,568, 0.91–1.06 at 15,465, 0.83–1.06 at 21,458–26,133, 0.73–0.96 at
+/// 34,542–44,961 and 0.64–0.74 at 120,487. 16384 — a fan-out from 32,768
+/// items — is the smallest power of two at which fanning out is a measured
+/// win rather than a coin toss. (It was 512 while the stage scored every
+/// pair: a first-seen value pair costs a microsecond.) `e14_er_scaling`
+/// prints the decision at one worker against two spawned regardless either
+/// side of the floor, in class pairs, and the pipeline's span on the fleets
+/// over it.
 pub const MIN_PAIRS_PER_WORKER: usize = 16384;
 
 /// Precomputation for one distinct text value.
@@ -295,37 +330,277 @@ enum FromIds {
     Unknown,
 }
 
-/// What one worker brings back from its strip of rows.
-#[derive(Debug, Default)]
-struct Strip {
-    /// Matched pairs in walk order: `(i, j)` order on a cold walk.
-    matches: Vec<(usize, usize)>,
-    walked: u64,
-    from_ids: u64,
-    text_fields: u64,
+/// A decision of the walk in one orientation of a class pair.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// `score < threshold`.
+    No,
+    /// `score ≥ threshold`.
+    Yes,
+    /// Not decided: no row pair of the union is met in this orientation.
+    Open,
 }
 
-/// [`ErKernel::decide_union`]'s answer and what the walk counted.
+impl Verdict {
+    fn of(matched: bool) -> Verdict {
+        if matched {
+            Verdict::Yes
+        } else {
+            Verdict::No
+        }
+    }
+}
+
+/// A class pair the walk keeps: one that matches in some orientation, or
+/// that opened a text field and left an orientation undecided. `lo ≤ hi`;
+/// `fwd` decides `(lo, hi)` — a row of `lo` as the first argument — and
+/// `rev` decides `(hi, lo)`. A class with itself (`lo == hi`) is kept when
+/// it matches, with `fwd == rev`. A pair not kept is one that matches in
+/// neither orientation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Edge {
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
+    pub(crate) fwd: Verdict,
+    pub(crate) rev: Verdict,
+}
+
+impl Edge {
+    fn kept(&self) -> bool {
+        self.fwd == Verdict::Yes || self.rev != Verdict::No
+    }
+}
+
+/// What one worker brings back from its strip of classes.
+#[derive(Debug, Default)]
+struct Strip {
+    /// The kept pairs, in walk order.
+    edges: Vec<Edge>,
+    decided: u64,
+    from_ids: u64,
+    text_fields: u64,
+    /// Row pairs under the class pairs decided.
+    live: u64,
+}
+
+/// A worker deciding its strip: its scratch, its per-field buffer and what
+/// it has decided so far.
+struct StripWorker<'k> {
+    kernel: &'k ErKernel,
+    scratch: SimScratch,
+    state: Vec<FromIds>,
+    strip: Strip,
+}
+
+impl StripWorker<'_> {
+    /// Decide `(i, j)`; the verdict, and whether a text field was opened.
+    fn decide(&mut self, i: usize, j: usize) -> (Verdict, bool) {
+        let mut opened = 0;
+        let matched =
+            (self.kernel).decide_with(i, j, &mut self.state, &mut self.scratch, &mut opened);
+        self.strip.decided += 1;
+        self.strip.from_ids += u64::from(opened == 0);
+        self.strip.text_fields += opened;
+        (Verdict::of(matched), opened > 0)
+    }
+
+    fn keep(&mut self, e: Edge) {
+        if e.kept() {
+            self.strip.edges.push(e);
+        }
+    }
+
+    /// Decide class pair `(lo, hi)`, `lo < hi`, in the orientations the
+    /// union meets: `(lo, hi)` always, `(hi, lo)` when a text field was
+    /// opened and some row of `hi` precedes some row of `lo`.
+    fn pair(&mut self, classes: &RecordClasses, lo: usize, hi: usize) {
+        let (i, j) = (classes.first(lo), classes.first(hi));
+        let (fwd, opened) = self.decide(i, j);
+        let rev = if !opened {
+            fwd
+        } else if classes.reversed(lo, hi) {
+            self.decide(j, i).0
+        } else {
+            Verdict::Open
+        };
+        self.strip.live += classes.size(lo) * classes.size(hi);
+        self.keep(Edge {
+            lo: lo as u32,
+            hi: hi as u32,
+            fwd,
+            rev,
+        });
+    }
+
+    /// Decide the orientations a carried pair leaves open and the union
+    /// now meets.
+    fn fill(&mut self, classes: &RecordClasses, mut e: Edge) {
+        let (lo, hi) = (e.lo as usize, e.hi as usize);
+        let (i, j) = (classes.first(lo), classes.first(hi));
+        if e.fwd == Verdict::Open {
+            e.fwd = self.decide(i, j).0;
+        }
+        if e.rev == Verdict::Open && classes.reversed(lo, hi) {
+            e.rev = self.decide(j, i).0;
+        }
+        self.strip.live += classes.size(lo) * classes.size(hi);
+        self.keep(e);
+    }
+}
+
+/// [`ErKernel::decide_union`]'s answer: the union's record classes, the
+/// class pairs that match, and what the walk counted. Row pairs are counted
+/// here, and written down only on demand ([`Self::matches`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnionMatches {
-    /// The decided pairs that match (`score ≥ threshold`), sorted by `(i, j)`.
-    pub matches: Vec<(usize, usize)>,
-    /// Candidates of the union: the length of `candidates_union`'s list —
-    /// the pairs decided plus the pairs between two clean rows.
+    pub(crate) classes: RecordClasses,
+    /// Every kept class pair of the union, decided now or carried.
+    edges: Vec<Edge>,
+    /// Candidates of the union: the length of `candidates_union`'s list.
     pub candidates: u64,
-    /// Of those, the pairs between two clean rows: counted, not decided.
+    /// Of those, the row pairs under class pairs this walk did not decide —
+    /// their decisions were carried from the prior walk.
     pub covered: u64,
-    /// Decided pairs settled with no text field opened.
+    /// Candidates that match (`score ≥ threshold`), as row pairs.
+    pub match_pairs: u64,
+    /// Ordered class pairs decided — the walk's unit; a class with itself
+    /// counts once.
+    pub decided: u64,
+    /// Decisions settled with no text field opened.
     pub from_ids: u64,
-    /// Text fields opened over all decided pairs — a function of each pair
-    /// and the config, not of the memos or the schedule.
+    /// Text fields opened over all decisions — a function of each class
+    /// pair and the config, not of the memos or the schedule.
     pub text_fields: u64,
-    /// Pairs stepped over: those decided, plus those counted in the prior
-    /// blocks to learn `covered` ([`DirtyRows::carried`]). A cold walk
-    /// visits every candidate once.
-    pub visited: u64,
-    /// Per worker, the pairs it walked and its busy wall-clock.
+    /// Per worker, the class pairs it decided and its busy wall-clock.
     pub workers: Vec<WorkerStat>,
+}
+
+impl UnionMatches {
+    /// Record classes of the union.
+    pub fn num_classes(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// The matching candidates written down as `(i, j)` row pairs, `i < j`,
+    /// sorted: `filter_matches(candidates_union, score_pairs)`. The
+    /// reference spelling tests and experiments compare against; the stage
+    /// clusters the class pairs directly.
+    pub fn matches(&self) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for e in &self.edges {
+            let (lo, hi) = (
+                self.classes.rows(e.lo as usize),
+                self.classes.rows(e.hi as usize),
+            );
+            if e.lo == e.hi {
+                for (k, &i) in lo.iter().enumerate().filter(|_| e.fwd == Verdict::Yes) {
+                    out.extend(lo[k + 1..].iter().map(|&j| (i as usize, j as usize)));
+                }
+                continue;
+            }
+            for &i in lo {
+                for &j in hi {
+                    let (i, j) = (i as usize, j as usize);
+                    if i < j && e.fwd == Verdict::Yes {
+                        out.push((i, j));
+                    } else if j < i && e.rev == Verdict::Yes {
+                        out.push((j, i));
+                    }
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// The entities: matched rows clustered transitively, every row once,
+    /// clusters ordered by their smallest row, rows ascending —
+    /// [`cluster_pairs`](crate::cluster_pairs) over [`Self::matches`].
+    pub fn clusters(&self) -> Vec<Vec<usize>> {
+        crate::cluster::cluster_classes(&self.classes, &self.edges)
+    }
+}
+
+/// What a walk carries from the walk over the table an update replaced.
+/// The caller promises that the blocks and kernel being walked were carried
+/// ([`UnionBlocks::carry`], [`ErKernel::carry`]) from these two with this
+/// `old_of`, under the same config, and that those carries returned
+/// `block_ids` and `kernel_ids`.
+#[derive(Debug, Clone, Copy)]
+pub struct PriorWalk<'a> {
+    /// The blocks the prior walk ran over.
+    pub blocks: &'a UnionBlocks,
+    /// The kernel it decided with.
+    pub kernel: &'a ErKernel,
+    /// What it decided.
+    pub decided: &'a UnionMatches,
+    /// Per current row, the prior row holding the same cells (`None`: the
+    /// carry does not map it).
+    pub old_of: &'a [Option<usize>],
+    /// Each key of the blocks being walked as an id of `blocks`.
+    pub block_ids: &'a PriorIds,
+    /// Each value of the kernel being walked as an id of `kernel`.
+    pub kernel_ids: &'a PriorIds,
+}
+
+/// A walk ready to run: the union's classes, which of them are new, and
+/// the carried pairs that still need an orientation decided.
+struct Walk {
+    classes: RecordClasses,
+    /// Per class, is its record new to the union (every class, cold)?
+    new: Vec<bool>,
+    /// Per class, must it be decided against itself?
+    selfs: Vec<bool>,
+    /// Does any class continue a prior one?
+    any_old: bool,
+    /// Carried pairs needing no decision.
+    carried: Vec<Edge>,
+    /// Carried pairs with an orientation to decide, sorted by `lo`.
+    fills: Vec<Edge>,
+}
+
+impl Walk {
+    /// What class `c` costs the walk, counted as [`RecordClasses::mates`]
+    /// counts.
+    fn weight(&self, c: usize) -> u64 {
+        let fills = |f: &[Edge]| {
+            f.partition_point(|e| (e.lo as usize) <= c) - f.partition_point(|e| (e.lo as usize) < c)
+        };
+        let partners = if self.new[c] {
+            self.classes.mates(c, self.any_old)
+        } else {
+            0
+        };
+        u64::from(self.selfs[c]) + partners + fills(&self.fills) as u64
+    }
+
+    /// Split the classes into at most `workers` contiguous strips of about
+    /// equal `weights` (per class, [`Self::weight`]) — not equal class counts: the early classes of a block
+    /// have the most later mates. The strips cover every class once, in
+    /// order, and each holds work (a walk with none is one strip; no
+    /// classes, none).
+    fn strips(&self, weights: &[u64], workers: usize) -> Vec<Range<usize>> {
+        let classes = self.classes.len();
+        let total: u64 = weights.iter().sum();
+        let workers = (workers as u64).clamp(1, total.max(1));
+        let mut strips = Vec::with_capacity(workers as usize);
+        let (mut start, mut walked, mut cut_at) = (0, 0, 0);
+        for (c, &w) in weights.iter().enumerate() {
+            walked += w;
+            // Cut after the class that brings the walk to the next worker's
+            // share.
+            let share = (strips.len() as u64 + 1) * total / workers;
+            let strip_and_rest_hold_pairs = cut_at < walked && walked < total;
+            if (strips.len() as u64) + 1 < workers && walked >= share && strip_and_rest_hold_pairs {
+                strips.push(start..c + 1);
+                (start, cut_at) = (c + 1, walked);
+            }
+        }
+        if start < classes {
+            strips.push(start..classes);
+        }
+        strips
+    }
 }
 
 /// An [`ErConfig`] precompiled against one table: column names resolved,
@@ -347,7 +622,7 @@ impl ErKernel {
     /// compilation with nothing carried. An unknown column in the config
     /// surfaces here, before any pair is scored.
     pub fn compile(table: &Table, cfg: &ErConfig) -> wrangler_table::Result<ErKernel> {
-        ErKernel::carry(table, cfg, None)
+        Ok(ErKernel::carry(table, cfg, None)?.0)
     }
 
     /// Compile `cfg` against `table` as [`Self::compile`] does, taking what
@@ -356,12 +631,13 @@ impl ErKernel {
     /// Some(o)` holds the cells row `o` of its table held, so the row takes
     /// that row's dictionary ids and numeric cells; only the other rows
     /// render, fold and intern. Ids stay in first-appearance order: the
-    /// result equals `compile(table, cfg)` field for field.
+    /// result equals `compile(table, cfg)` field for field. Beside it, each
+    /// value's id in `kernel` (empty when cold), for a walk carried from it.
     pub fn carry(
         table: &Table,
         cfg: &ErConfig,
         prior: Option<(&ErKernel, &[Option<usize>])>,
-    ) -> wrangler_table::Result<ErKernel> {
+    ) -> wrangler_table::Result<(ErKernel, PriorIds)> {
         // Resolve every column first: the error must precede all cell work.
         let cols: Vec<usize> = cfg
             .fields
@@ -388,6 +664,7 @@ impl ErKernel {
             check_old_of(old_of, rows, kernel.rows)?;
         }
         let mut fields = Vec::with_capacity(cfg.fields.len());
+        let mut prior_ids = Vec::with_capacity(cfg.fields.len());
         for (k, (f, &col)) in cfg.fields.iter().zip(&cols).enumerate() {
             let column = table.column(col)?;
             let prior_cells = prior.map(|(kernel, old_of)| (&kernel.fields[k].cells, old_of));
@@ -399,7 +676,9 @@ impl ErKernel {
                     });
                     let fold = |v: &Value| (!v.is_null()).then(|| v.render().to_lowercase());
                     let make = |lower| Arc::new(text_cell(lower));
-                    FieldCells::Text(Dict::encode(column, fold, make, prior))
+                    let (dict, ids) = Dict::encode(column, fold, make, prior);
+                    prior_ids.push(ids);
+                    FieldCells::Text(dict)
                 }
                 SimKind::Exact => {
                     let prior = prior_cells.and_then(|(cells, old_of)| match cells {
@@ -407,7 +686,9 @@ impl ErKernel {
                         _ => None,
                     });
                     let fold = |v: &Value| (!v.is_null()).then(|| v.render().to_ascii_lowercase());
-                    FieldCells::Exact(Dict::encode(column, fold, |s| s, prior))
+                    let (dict, ids) = Dict::encode(column, fold, |s| s, prior);
+                    prior_ids.push(ids);
+                    FieldCells::Exact(dict)
                 }
                 SimKind::Numeric { scale } => {
                     let carried = |r: usize| match prior_cells {
@@ -416,6 +697,7 @@ impl ErKernel {
                         }
                         _ => None,
                     };
+                    prior_ids.push(Vec::new());
                     FieldCells::Numeric {
                         cells: (column.iter().enumerate())
                             .map(|(r, v)| carried(r).unwrap_or_else(|| num_cell(v)))
@@ -432,12 +714,13 @@ impl ErKernel {
         }
         let weights = cfg.fields.iter().map(|f| f.weight);
         let bounded = weights.clone().all(|w| w >= 0.0) && weights.sum::<f64>().is_finite();
-        Ok(ErKernel {
+        let kernel = ErKernel {
             threshold: cfg.threshold,
             rows,
             fields,
             bounded,
-        })
+        };
+        Ok((kernel, PriorIds(prior_ids)))
     }
 
     /// Number of rows the kernel was compiled over.
@@ -582,40 +865,87 @@ impl ErKernel {
             .collect()
     }
 
-    /// Which candidates of `blocks` with a row in `dirty` match: walk every
-    /// dirty row's later partners and its clean earlier ones, and decide
-    /// each pair on the spot, as `(i, j)` with `i < j`, across row strips
-    /// sized by [`effective_workers`] over the pairs to walk. A pair of two
-    /// clean rows is neither walked nor decided: its decision is the
-    /// caller's to carry, and it is counted from `dirty`. The matches are
-    /// `filter_matches(candidates_union, score_pairs)` restricted to pairs
-    /// with a dirty row, sorted by `(i, j)`, for any `workers` — no
-    /// candidate list, no score vector. A cold walk
-    /// ([`DirtyRows::all`]) decides every candidate.
+    /// Fields of the compiled config.
+    pub(crate) fn num_fields(&self) -> usize {
+        self.fields.len()
+    }
+
+    /// Push row `r`'s record words: per field, its dictionary id or its
+    /// numeric cell's code. Two rows with equal words score alike against
+    /// every row.
+    pub(crate) fn push_words(&self, r: usize, out: &mut Vec<u64>) {
+        out.extend(self.fields.iter().map(|f| match &f.cells {
+            FieldCells::Text(d) => u64::from(d.ids[r]),
+            FieldCells::Exact(d) => u64::from(d.ids[r]),
+            FieldCells::Numeric { cells, .. } => num_word(cells[r]),
+        }));
+    }
+
+    /// Push row `r`'s record words in the ids of the kernel this one was
+    /// carried from (`ids`, what that carry returned). `false` when a value
+    /// is new to it — then no row of it held this record, and what was
+    /// pushed is the caller's to drop.
+    pub(crate) fn push_prior_words(&self, ids: &PriorIds, r: usize, out: &mut Vec<u64>) -> bool {
+        for (k, f) in self.fields.iter().enumerate() {
+            let word = match &f.cells {
+                FieldCells::Text(d) => ids.of(k, d, r).map(u64::from),
+                FieldCells::Exact(d) => ids.of(k, d, r).map(u64::from),
+                FieldCells::Numeric { cells, .. } => Some(num_word(cells[r])),
+            };
+            match word {
+                Some(w) => out.push(w),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// Do `ids` fit this kernel, field by field?
+    pub(crate) fn fit(&self, ids: &PriorIds) -> bool {
+        ids.fit(self.fields.iter().map(|f| match &f.cells {
+            FieldCells::Text(d) => Some(d.values.len()),
+            FieldCells::Exact(d) => Some(d.values.len()),
+            FieldCells::Numeric { .. } => None,
+        }))
+    }
+
+    /// Was `other` compiled from the same config — the same fields, weights,
+    /// comparators and threshold, bit for bit?
+    fn same_rule(&self, other: &ErKernel) -> bool {
+        let kind = |c: &FieldCells| match c {
+            FieldCells::Text(_) => (0, 0),
+            FieldCells::Exact(_) => (1, 0),
+            FieldCells::Numeric { scale, .. } => (2, scale.to_bits()),
+        };
+        self.threshold.to_bits() == other.threshold.to_bits()
+            && self.fields.len() == other.fields.len()
+            && self.fields.iter().zip(&other.fields).all(|(a, b)| {
+                a.column == b.column
+                    && a.weight.to_bits() == b.weight.to_bits()
+                    && kind(&a.cells) == kind(&b.cells)
+            })
+    }
+
+    /// Which candidates of `blocks` match, decided once per pair of record
+    /// classes ([`RecordClasses`]) across class strips sized by
+    /// [`effective_workers`] over the class pairs to decide. A class of two
+    /// or more rows with a blocking key is decided against itself, and every
+    /// candidate class pair `(a, b)`, `a < b`, as `(a, b)` from the two
+    /// classes' first rows — and as `(b, a)` too only when that decision
+    /// opened a text field and some row of `b` precedes some row of `a`: a
+    /// decision settled from ids alone is the same either way round (module
+    /// docs). With a `prior` walk, only the pairs with a class new to the
+    /// union are decided, with the carried pairs' orientations the new row
+    /// order needs and the prior never decided; the rest are carried. The
+    /// answer equals `filter_matches(candidates_union, score_pairs)` for
+    /// any `workers` and any prior.
     pub fn decide_union(
         &self,
         blocks: &UnionBlocks,
         workers: usize,
-        dirty: &DirtyRows,
+        prior: Option<PriorWalk<'_>>,
     ) -> wrangler_table::Result<UnionMatches> {
-        self.check_walk(blocks, dirty)?;
-        let bound = blocks.walk_bound(dirty, 0..self.rows);
-        let workers = effective_workers(workers, bound, MIN_PAIRS_PER_WORKER);
-        self.decide_union_exact(blocks, workers, dirty)
-    }
-
-    /// Every partner is a row of the blocked table: one check bounds every
-    /// pair of a walk.
-    fn check_walk(&self, blocks: &UnionBlocks, dirty: &DirtyRows) -> wrangler_table::Result<()> {
-        if blocks.num_rows() != self.rows || dirty.num_rows() != self.rows {
-            return Err(TableError::Invalid(format!(
-                "blocks over {} rows and a dirty set over {} walked against a kernel over {}",
-                blocks.num_rows(),
-                dirty.num_rows(),
-                self.rows
-            )));
-        }
-        Ok(())
+        self.run(self.plan(blocks, prior)?, workers, false)
     }
 
     /// [`Self::decide_union`] with an exact pool width: one thread per strip
@@ -624,68 +954,178 @@ impl ErKernel {
         &self,
         blocks: &UnionBlocks,
         workers: usize,
-        dirty: &DirtyRows,
+        prior: Option<PriorWalk<'_>>,
     ) -> wrangler_table::Result<UnionMatches> {
-        self.check_walk(blocks, dirty)?;
-        let strips = blocks.walk_strips(workers, dirty);
+        self.run(self.plan(blocks, prior)?, workers, true)
+    }
+
+    /// Class the rows, and take from `prior` the class pairs it decided:
+    /// those needing no decision, and those with an orientation to decide.
+    fn plan(
+        &self,
+        blocks: &UnionBlocks,
+        prior: Option<PriorWalk<'_>>,
+    ) -> wrangler_table::Result<Walk> {
+        if blocks.num_rows() != self.rows {
+            return Err(TableError::Invalid(format!(
+                "blocks over {} rows walked against a kernel over {}",
+                blocks.num_rows(),
+                self.rows
+            )));
+        }
+        if prior.is_some_and(|p| !self.same_rule(p.kernel)) {
+            return Err(TableError::Invalid(
+                "a walk carried from a walk under another ER config".into(),
+            ));
+        }
+        let (classes, carry) = RecordClasses::derive(self, blocks, prior)?;
+        let new: Vec<bool> = carry.prior_of.iter().map(|&pc| pc == NULL_ID).collect();
+        // A class decided against itself before keeps that decision; one
+        // that just reached two rows is decided now.
+        let decided_alone = |c: usize| {
+            prior
+                .is_some_and(|p| !new[c] && p.decided.classes.size(carry.prior_of[c] as usize) >= 2)
+        };
+        let selfs: Vec<bool> = (0..classes.len())
+            .map(|c| classes.keyed(c) && classes.size(c) >= 2 && !decided_alone(c))
+            .collect();
+        let (mut carried, mut fills) = (Vec::new(), Vec::new());
+        for e in prior.iter().flat_map(|p| &p.decided.edges) {
+            let (lo, hi) = (carry.now_of[e.lo as usize], carry.now_of[e.hi as usize]);
+            if lo == NULL_ID || hi == NULL_ID {
+                continue;
+            }
+            let e = if lo <= hi {
+                Edge { lo, hi, ..*e }
+            } else {
+                Edge {
+                    lo: hi,
+                    hi: lo,
+                    fwd: e.rev,
+                    rev: e.fwd,
+                }
+            };
+            let (l, h) = (e.lo as usize, e.hi as usize);
+            // A class decided against itself now drops the decision it
+            // carries: one that shrank below two rows and grew back.
+            if l == h && selfs[l] {
+                continue;
+            }
+            let open = l != h
+                && (e.fwd == Verdict::Open || (e.rev == Verdict::Open && classes.reversed(l, h)));
+            if open {
+                fills.push(e);
+            } else {
+                carried.push(e);
+            }
+        }
+        fills.sort_unstable_by_key(|e| (e.lo, e.hi));
+        Ok(Walk {
+            any_old: new.contains(&false),
+            classes,
+            new,
+            selfs,
+            carried,
+            fills,
+        })
+    }
+
+    /// Walk the classes in strips on `workers` threads (sized by the policy
+    /// unless `exact`) and gather what they decided with what was carried.
+    fn run(&self, walk: Walk, workers: usize, exact: bool) -> wrangler_table::Result<UnionMatches> {
+        let weights: Vec<u64> = (0..walk.classes.len()).map(|c| walk.weight(c)).collect();
+        let total: u64 = weights.iter().sum();
+        let workers = if exact {
+            workers
+        } else {
+            effective_workers(workers, total as usize, MIN_PAIRS_PER_WORKER)
+        };
+        let strips = walk.strips(&weights, workers);
         let (chunks, stats) = par::run_blocked(&strips, strips.len(), |_, chunk| {
             chunk
                 .iter()
-                .map(|rows| self.decide_strip(blocks, dirty, rows.clone()))
+                .map(|classes| {
+                    let bound = weights[classes.clone()].iter().sum::<u64>();
+                    self.walk_strip(&walk, classes.clone(), bound as usize)
+                })
                 .collect::<Vec<_>>()
         })
         .map_err(|msg| TableError::Unavailable(format!("ER decision worker panicked: {msg}")))?;
         let mut out = UnionMatches {
-            candidates: dirty.clean_pairs,
-            covered: dirty.clean_pairs,
-            visited: dirty.counted,
+            candidates: walk.classes.candidates(),
             ..UnionMatches::default()
         };
+        let mut edges = walk.carried;
+        let mut live = 0;
         for (strip, stat) in chunks.into_iter().flatten().zip(stats) {
-            out.matches.extend(strip.matches);
+            edges.extend(strip.edges);
+            out.decided += strip.decided;
             out.from_ids += strip.from_ids;
             out.text_fields += strip.text_fields;
-            out.candidates += strip.walked;
-            out.visited += strip.walked;
+            live += strip.live;
             out.workers.push(WorkerStat {
-                items: strip.walked,
+                items: strip.decided,
                 busy_nanos: stat.busy_nanos,
             });
         }
-        // A cold walk's strips in order are `(i, j)` order already; one that
-        // looked back from a dirty row is not.
-        if dirty.any_clean {
-            out.matches.sort_unstable();
-        }
+        out.covered = out.candidates.checked_sub(live).ok_or_else(|| {
+            TableError::Invalid(format!(
+                "{live} row pairs decided of {} candidates",
+                out.candidates
+            ))
+        })?;
+        out.match_pairs = (edges.iter())
+            .map(|e| crate::cluster::matched_row_pairs(&walk.classes, e))
+            .sum();
+        out.edges = edges;
+        out.classes = walk.classes;
         Ok(out)
     }
 
-    /// One worker's share: walk the pairs of the dirty rows in `rows` and
-    /// decide them.
-    fn decide_strip(&self, blocks: &UnionBlocks, dirty: &DirtyRows, rows: Range<usize>) -> Strip {
-        let mut strip = Strip::default();
-        let mut scratch = self.scratch(blocks.walk_bound(dirty, rows.clone()));
-        let mut state = vec![FromIds::Skipped; self.fields.len()];
-        let mut decide = |i: usize, j: usize, strip: &mut Strip| {
-            strip.walked += 1;
-            let mut opened = 0;
-            if self.decide_with(i, j, &mut state, &mut scratch, &mut opened) {
-                strip.matches.push((i, j));
-            }
-            strip.from_ids += u64::from(opened == 0);
-            strip.text_fields += opened;
+    /// One worker's share: the classes in `classes` — each one's decision
+    /// against itself, a new one's pairs (its later partners, and its
+    /// earlier ones that are not new), and the carried pairs it heads that
+    /// need an orientation decided.
+    fn walk_strip(&self, walk: &Walk, classes: Range<usize>, bound: usize) -> Strip {
+        let mut w = StripWorker {
+            kernel: self,
+            scratch: self.scratch(bound),
+            state: vec![FromIds::Skipped; self.fields.len()],
+            strip: Strip::default(),
         };
-        for row in rows.filter(|&r| dirty.is_dirty(r)) {
-            if dirty.any_clean {
-                for i in blocks.earlier_partners(row).filter(|&i| !dirty.is_dirty(i)) {
-                    decide(i, row, &mut strip);
+        let all = &walk.classes;
+        let mut fills = &walk.fills[walk
+            .fills
+            .partition_point(|e| (e.lo as usize) < classes.start)..];
+        for a in classes {
+            if walk.selfs[a] {
+                let i = all.first(a);
+                let (fwd, _) = w.decide(i, i);
+                let s = all.size(a);
+                w.strip.live += s * (s - 1) / 2;
+                w.keep(Edge {
+                    lo: a as u32,
+                    hi: a as u32,
+                    fwd,
+                    rev: fwd,
+                });
+            }
+            if walk.new[a] {
+                if walk.any_old {
+                    for b in all.earlier_partners(a).filter(|&b| !walk.new[b]) {
+                        w.pair(all, b, a);
+                    }
+                }
+                for b in all.partners(a) {
+                    w.pair(all, a, b);
                 }
             }
-            for j in blocks.partners(row) {
-                decide(row, j, &mut strip);
+            while let Some(&e) = fills.first().filter(|e| e.lo as usize == a) {
+                w.fill(all, e);
+                fills = &fills[1..];
             }
         }
-        strip
+        w.strip
     }
 
     /// Is `score(i, j) ≥ threshold`? Decided from bounds on the score. The
@@ -819,6 +1259,17 @@ fn num_cell(v: &Value) -> NumCell {
         Some(x) if x.is_finite() => NumCell::Finite(x),
         Some(_) => NumCell::NonFinite,
         None => NumCell::NonNumeric,
+    }
+}
+
+/// A numeric cell as a record word: a finite value by its bits, the other
+/// classes by codes no finite value's bits take (they are NaN patterns).
+fn num_word(c: NumCell) -> u64 {
+    match c {
+        NumCell::Finite(x) => x.to_bits(),
+        NumCell::Null => u64::MAX,
+        NumCell::NonFinite => u64::MAX - 1,
+        NumCell::NonNumeric => u64::MAX - 2,
     }
 }
 
@@ -1119,7 +1570,7 @@ fn token_jaccard_sorted(ta: &[String], tb: &[String]) -> f64 {
 mod tests {
     use super::*;
     use crate::sim::{record_similarity, FieldSim};
-    use crate::{candidates_naive, match_pairs};
+    use crate::{candidates_naive, candidates_union, match_pairs};
     use std::collections::BTreeSet;
 
     fn t() -> Table {
@@ -1215,69 +1666,179 @@ mod tests {
 
     #[test]
     fn decide_union_returns_the_scored_list_filtered_and_counts_what_it_opened() {
-        // Blocks on name ∪ sku: {0, 1, 3} by prefix, {0, 1, 4} by key.
+        // Blocks on name ∪ sku: {0, 1, 3} by prefix, {0, 1, 4} by key. Every
+        // row is a record of its own, so each class pair is one row pair.
         let (t, cfg) = (t(), cfg());
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
-        let listed: Vec<_> = blocks.pairs().collect();
+        let listed = candidates_union(&t, "name", "sku").unwrap();
         assert_eq!(listed, vec![(0, 1), (0, 3), (0, 4), (1, 3), (1, 4)]);
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         assert!(kernel.bounded);
         let serial = match_pairs(&t, &listed, &cfg).unwrap();
         let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
         assert_eq!(want, listed, "fixture: every candidate matches at 0.85");
-        let cold = DirtyRows::all(5);
-        let got = kernel.decide_union(&blocks, 4, &cold).unwrap();
-        assert_eq!(got.matches, want);
+        let got = kernel.decide_union(&blocks, 4, None).unwrap();
+        assert_eq!(got.matches(), want);
+        assert_eq!(got.num_classes(), 5);
+        assert_eq!((got.candidates, got.covered, got.match_pairs), (5, 0, 5));
         // (0, 3) has one name, (0, 4) and (1, 4) a null one: ids settle them.
-        // (0, 1) and (1, 3) bracket 0.85 until the name is opened.
-        assert_eq!((got.candidates, got.covered, got.visited), (5, 0, 5));
-        assert_eq!((got.from_ids, got.text_fields), (3, 2));
+        // (0, 1) and (1, 3) bracket 0.85 until the name is opened; no row of
+        // the later class precedes one of the earlier, so neither is decided
+        // the other way round.
+        assert_eq!((got.decided, got.from_ids, got.text_fields), (5, 3, 2));
         assert_eq!(got.workers.len(), 1, "five pairs never pay a thread");
         assert_eq!(got.workers[0].items, 5);
+        assert_eq!(got.clusters(), vec![vec![0, 1, 3, 4], vec![2]]);
+        // Blocks of another table are refused whole.
+        let other = UnionBlocks::build(&repeated_names(7, 2), "name", "name").unwrap();
+        assert!(kernel.decide_union(&other, 1, None).is_err());
+    }
+
+    #[test]
+    fn a_carried_walk_decides_only_the_pairs_of_classes_new_to_the_union() {
         // Out of reach of every score: rejected without opening anything.
-        // Rows 1, 3 and 4 carried from the same table: their two pairs are
-        // counted, not walked — in the prior blocks, directly, since rows 0
-        // and 2 have more pairs to step over.
         let strict = ErConfig {
             threshold: 1.5,
-            ..cfg.clone()
+            ..cfg()
         };
-        let old_of = [None, Some(1), None, Some(3), Some(4)];
-        let dirty = DirtyRows::carried(&blocks, 5, &old_of).unwrap();
-        let got = ErKernel::compile(&t, &strict)
+        let old = t();
+        let old_blocks = UnionBlocks::build(&old, "name", "sku").unwrap();
+        let old_kernel = ErKernel::compile(&old, &strict).unwrap();
+        let before = old_kernel.decide_union(&old_blocks, 1, None).unwrap();
+        assert_eq!((before.candidates, before.decided), (5, 5));
+        // Row 2 of `old` replaced by `record`; every other row carried.
+        let after = |record: Vec<Value>| {
+            let mut rows: Vec<Vec<Value>> = (0..5).map(|r| old.row(r)).collect();
+            rows[2] = record;
+            let new = Table::from_rows(old.schema().clone(), rows).unwrap();
+            let old_of = [Some(0), Some(1), None, Some(3), Some(4)];
+            let blocks = UnionBlocks::carry(&new, "name", "sku", Some((&old_blocks, &old_of[..])));
+            let (blocks, block_ids) = blocks.unwrap();
+            let carried = ErKernel::carry(&new, &strict, Some((&old_kernel, &old_of[..])));
+            let (kernel, kernel_ids) = carried.unwrap();
+            let prior = PriorWalk {
+                blocks: &old_blocks,
+                kernel: &old_kernel,
+                decided: &before,
+                old_of: &old_of,
+                block_ids: &block_ids,
+                kernel_ids: &kernel_ids,
+            };
+            let got = kernel.decide_union_exact(&blocks, 3, Some(prior)).unwrap();
+            let cold = kernel.decide_union(&blocks, 1, None).unwrap();
+            assert_eq!(
+                (got.matches(), got.candidates),
+                (cold.matches(), cold.candidates)
+            );
+            assert_eq!(got.num_classes(), cold.num_classes());
+            got
+        };
+        // A new record (prefix "acme", key "a1"): its class meets classes 0
+        // and 1 before it and 3 and 4 after — four decisions, none opened.
+        let got = after(vec![
+            "Acme Turbo Gizmo".into(),
+            Value::Float(9.5),
+            "a1".into(),
+        ]);
+        assert_eq!((got.candidates, got.covered, got.decided), (9, 5, 4));
+        assert_eq!((got.from_ids, got.text_fields), (4, 0));
+        assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), 4);
+        // Row 0's record again: the dirty row joins class 0 by its ids, and
+        // the one decision owed is the class against itself, now two rows.
+        let got = after(old.row(0));
+        assert_eq!(got.num_classes(), 4);
+        assert_eq!((got.candidates, got.covered, got.decided), (9, 8, 1));
+        // Row 2's own record: nothing new to the union, nothing decided.
+        let got = after(old.row(2));
+        assert_eq!((got.candidates, got.covered, got.decided), (5, 5, 0));
+        assert!(got.workers.iter().all(|s| s.items == 0));
+        // A prior decided under another rule, or whose map does not fit it,
+        // is refused.
+        let kernel = ErKernel::compile(&old, &cfg()).unwrap();
+        let no_ids = PriorIds::default();
+        let prior = PriorWalk {
+            blocks: &old_blocks,
+            kernel: &old_kernel,
+            decided: &before,
+            old_of: &[None; 5],
+            block_ids: &no_ids,
+            kernel_ids: &no_ids,
+        };
+        assert!(kernel.decide_union(&old_blocks, 1, Some(prior)).is_err());
+        let short = PriorWalk {
+            old_of: &[None; 4],
+            ..prior
+        };
+        assert!(old_kernel
+            .decide_union(&old_blocks, 1, Some(short))
+            .is_err());
+    }
+
+    #[test]
+    fn strips_balance_class_pairs_not_classes() {
+        // One block of 40 classes: class c has 39 − c later mates, 780 pairs
+        // in all. Equal class counts would hand the first of two workers 590.
+        let t = Table::literal(
+            &["name"],
+            (0..40)
+                .map(|k| vec![Value::from(format!("acme {k}"))])
+                .collect(),
+        )
+        .unwrap();
+        let blocks = UnionBlocks::build(&t, "name", "name").unwrap();
+        let kernel = ErKernel::compile(&t, &ErConfig::text_over(&["name"], 0.99)).unwrap();
+        let walk = kernel.plan(&blocks, None).unwrap();
+        let weights: Vec<u64> = (0..40).map(|c| walk.weight(c)).collect();
+        assert_eq!(weights.iter().sum::<u64>(), 780);
+        for workers in 1..=9 {
+            let strips = walk.strips(&weights, workers);
+            assert_eq!(strips.len(), workers);
+            assert_eq!((strips[0].start, strips[workers - 1].end), (0, 40));
+            assert!(strips.windows(2).all(|s| s[0].end == s[1].start));
+            // A strip ends with the class that reaches its share, so it
+            // overshoots by less than that class's partners.
+            for s in &strips {
+                let n: u64 = weights[s.clone()].iter().sum();
+                assert!(
+                    n > 0 && n < 780 / workers as u64 + 40,
+                    "{workers}: {strips:?}"
+                );
+            }
+            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+            assert_eq!(got.workers.len(), workers);
+            assert!(got.workers.iter().all(|s| s.items > 0), "idle worker");
+            assert_eq!(got.decided, 780);
+        }
+        assert_eq!(
+            walk.strips(&weights, 2)[0],
+            0..12,
+            "390 of 780 pairs sit in the first 12 classes"
+        );
+        // More workers than pairs: one strip per pair at most; none, empty.
+        let two = Table::literal(&["name"], vec![vec!["acme".into()]; 2]).unwrap();
+        let blocks = UnionBlocks::build(&two, "name", "name").unwrap();
+        let kernel = ErKernel::compile(&two, &ErConfig::text_over(&["name"], 0.5)).unwrap();
+        let got = kernel.decide_union_exact(&blocks, 8, None).unwrap();
+        assert_eq!(
+            (got.num_classes(), got.decided, got.workers.len()),
+            (1, 1, 1)
+        );
+        assert_eq!((got.candidates, got.match_pairs), (1, 1));
+        let none = Table::literal(&["name"], vec![]).unwrap();
+        let blocks = UnionBlocks::build(&none, "name", "name").unwrap();
+        let kernel = ErKernel::compile(&none, &ErConfig::text_over(&["name"], 0.5)).unwrap();
+        assert!(kernel
+            .decide_union_exact(&blocks, 3, None)
             .unwrap()
-            .decide_union_exact(&blocks, 3, &dirty)
-            .unwrap();
-        assert!(got.matches.is_empty());
-        assert_eq!((got.candidates, got.covered, got.visited), (5, 2, 5));
-        assert_eq!((got.from_ids, got.text_fields), (3, 0));
-        assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), 3);
-        // Only row 2, in no block, dirty: the touching side is the smaller,
-        // and it holds no pair, so nothing is walked or stepped over.
-        let lone = [Some(0), Some(1), None, Some(3), Some(4)];
-        let dirty = DirtyRows::carried(&blocks, 5, &lone).unwrap();
-        let got = kernel.decide_union(&blocks, 2, &dirty).unwrap();
-        assert_eq!((got.candidates, got.covered, got.visited), (5, 5, 0));
-        assert!(got.matches.is_empty());
-        // Blocks of another table are refused whole, and so is a dirty set
-        // of another size.
-        let other = UnionBlocks::build(&repeated_names(7, 2), "name", "name").unwrap();
-        assert!(kernel.decide_union(&other, 1, &DirtyRows::all(7)).is_err());
-        assert!(kernel.decide_union(&blocks, 1, &DirtyRows::all(4)).is_err());
-        // A carry that reorders clean rows, maps past the prior table or
-        // claims fewer prior candidates than it counts is refused.
-        assert!(DirtyRows::carried(&blocks, 5, &[Some(3), Some(1)]).is_err());
-        assert!(DirtyRows::carried(&blocks, 5, &[Some(5)]).is_err());
-        assert!(DirtyRows::carried(&blocks, 1, &old_of).is_err());
-        let touching = [Some(0), Some(1), Some(2), None, Some(4)];
-        assert!(DirtyRows::carried(&blocks, 1, &touching).is_err());
+            .workers
+            .is_empty());
     }
 
     #[test]
     fn weights_outside_the_premise_open_every_field_and_equal_the_serial_path() {
         let t = t();
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
-        let listed: Vec<_> = blocks.pairs().collect();
+        let listed = candidates_union(&t, "name", "sku").unwrap();
         for (price_weight, threshold) in [
             (-1.0, 0.85),
             (-1.0, 1.5),
@@ -1298,10 +1859,8 @@ mod tests {
             assert!(!kernel.bounded, "weight {price_weight}");
             let serial = match_pairs(&t, &listed, &cfg).unwrap();
             let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
-            let got = kernel
-                .decide_union_exact(&blocks, 2, &DirtyRows::all(5))
-                .unwrap();
-            assert_eq!(got.matches, want, "weight {price_weight} at {threshold}");
+            let got = kernel.decide_union_exact(&blocks, 2, None).unwrap();
+            assert_eq!(got.matches(), want, "weight {price_weight} at {threshold}");
             // No bracket is trusted: both pairs with two names open them,
             // even at a threshold no score reaches.
             assert_eq!((got.from_ids, got.text_fields), (3, 2));

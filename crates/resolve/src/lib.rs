@@ -11,18 +11,20 @@
 //! * [`kernel`] — the [`ErKernel`]: a config precompiled against one table
 //!   (columns resolved, text and key columns dictionary-encoded so each
 //!   distinct value pair is compared once). It answers *which candidates
-//!   match* by walking the blocks and deciding each pair from bounds on its
-//!   score ([`ErKernel::decide_union`], what the wrangle stage runs), and
+//!   match* by grouping the rows into record classes and deciding each
+//!   candidate class pair once, from bounds on its score
+//!   ([`ErKernel::decide_union`], what the wrangle stage runs), and
 //!   *what a pair scores* over a written-down list, serially or across a
 //!   deterministic blocked worker pool, bit-identical to the serial path —
 //!   the reference the decision is tested against;
 //! * [`blocking`] — key-based blocking and sorted-neighbourhood candidate
 //!   generation, versus the naive O(n²) baseline (the §4.3 scalability
 //!   experiment E7 measures the crossover), and [`UnionBlocks`], the
-//!   list-free name ∪ key blocks the wrangle stage walks
-//!   ([`candidates_union`] writes them down);
-//! * [`cluster`] — union-find clustering of matched pairs into entities and
-//!   representative selection;
+//!   list-free name ∪ key blocking keys the wrangle stage classes and blocks
+//!   its record classes by ([`candidates_union`] writes the candidates
+//!   down);
+//! * [`cluster`] — union-find clustering of matched pairs, or of matched
+//!   class pairs expanded to rows, into entities;
 //! * [`learn`] — threshold/weight learning from labeled pairs, the
 //!   hands-off rule refinement of \[20\]: crowd labels in, better rules out.
 
@@ -35,10 +37,11 @@ pub mod sim;
 
 pub use blocking::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
-    candidates_union, DirtyRows, UnionBlocks,
+    candidates_union, UnionBlocks,
 };
 pub use cluster::{cluster_pairs, UnionFind};
-pub use kernel::{ErKernel, UnionMatches, WorkerStat};
+pub use dict::PriorIds;
+pub use kernel::{ErKernel, PriorWalk, UnionMatches, WorkerStat};
 pub use sim::{record_similarity, ErConfig, FieldSim, SimKind};
 
 use wrangler_table::Table;

@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use wrangler_resolve::{
     candidates_blocked, candidates_blocked_exact, candidates_naive, candidates_sorted_neighborhood,
-    candidates_union, cluster_pairs, match_pairs, record_similarity, DirtyRows, ErConfig, ErKernel,
-    FieldSim, SimKind, UnionBlocks, UnionFind,
+    candidates_union, cluster_pairs, match_pairs, record_similarity, ErConfig, ErKernel, FieldSim,
+    PriorWalk, SimKind, UnionBlocks, UnionFind, UnionMatches,
 };
 use wrangler_table::{Table, Value};
 
@@ -143,9 +143,8 @@ fn duplicated_cfg() -> ErConfig {
     }
 }
 
-/// Six columns for the decision property: two pooled text columns and a
-/// short one, a key, two messy numerics — nulls everywhere.
-fn arb_wide_table(rows: usize) -> impl Strategy<Value = Table> {
+/// One row of [`arb_wide_table`]'s six columns.
+fn arb_wide_row() -> impl Strategy<Value = Vec<Value>> {
     let brand = (0usize..4).prop_map(|k| ["Acme", "ACME", "Bölt", "bolt"][k]);
     let text = (
         prop::option::of(arb_pooled_name()),
@@ -154,22 +153,51 @@ fn arb_wide_table(rows: usize) -> impl Strategy<Value = Table> {
     );
     let key = (0usize..4).prop_map(|k| ["SKU-1", "sku-1", "SKU-2", "ß4"][k]);
     let rest = (prop::option::of(key), arb_messy_value(), arb_messy_value());
-    prop::collection::vec((text, rest), 1..=rows).prop_map(|rs| {
+    (text, rest).prop_map(|((name, brand, note), (sku, x, y))| {
         let text = |v: Option<&str>| v.map(Value::from).unwrap_or(Value::Null);
-        let rows = rs
-            .into_iter()
-            .map(|((name, brand, note), (sku, x, y))| {
-                vec![
-                    text(name.as_deref()),
-                    text(sku),
-                    x,
-                    text(brand),
-                    text(note.as_deref()),
-                    y,
-                ]
-            })
+        vec![
+            text(name.as_deref()),
+            text(sku),
+            x,
+            text(brand),
+            text(note.as_deref()),
+            y,
+        ]
+    })
+}
+
+const WIDE_COLUMNS: [&str; 6] = ["name", "sku", "x", "brand", "note", "y"];
+
+/// Six columns for the decision property: two pooled text columns and a
+/// short one, a key, two messy numerics — nulls everywhere.
+fn arb_wide_table(rows: usize) -> impl Strategy<Value = Table> {
+    prop::collection::vec(arb_wide_row(), 1..=rows)
+        .prop_map(|rows| Table::literal(&WIDE_COLUMNS, rows).expect("aligned"))
+}
+
+/// Tables of [`arb_wide_table`]'s columns whose rows are drawn from a pool
+/// of at most six records, so classes hold up to twenty rows. Record 1 is
+/// record 0 under another key — told apart by a blocking key alone when the
+/// config leaves `sku` out — and record 2 has neither key.
+fn arb_pooled_table(rows: usize) -> impl Strategy<Value = Table> {
+    let pool = prop::collection::vec(arb_wide_row(), 1..=6);
+    (pool, prop::collection::vec(any::<usize>(), 2..=rows)).prop_map(|(mut pool, picks)| {
+        if pool.len() > 1 {
+            pool[1] = pool[0].clone();
+            pool[1][1] = Value::from(if pool[0][1] == Value::from("ß4") {
+                "SKU-2"
+            } else {
+                "ß4"
+            });
+        }
+        if pool.len() > 2 {
+            (pool[2][0], pool[2][1]) = (Value::Null, Value::Null);
+        }
+        let rows = picks
+            .iter()
+            .map(|&k| pool[k % pool.len()].clone())
             .collect();
-        Table::literal(&["name", "sku", "x", "brand", "note", "y"], rows).expect("aligned")
+        Table::literal(&WIDE_COLUMNS, rows).expect("aligned")
     })
 }
 
@@ -255,9 +283,6 @@ struct Update {
     /// Per row of `new`, the row of the old table it copies (`None`: the
     /// row is new or its block changed).
     old_of: Vec<Option<usize>>,
-    /// The same map under the walk's order rule: a copied block whose old
-    /// position is not past every clean block before it counts as dirty.
-    clean_of: Vec<Option<usize>>,
 }
 
 /// Cut `old` into blocks (a block starts at row `r > 0` where `cuts[r]`),
@@ -275,20 +300,14 @@ fn update(old: &Table, fresh: &Table, cuts: &[bool], fates: &[u8], rotate: bool)
     if rotate && !blocks.is_empty() {
         blocks.rotate_left(1);
     }
-    let (mut rows, mut old_of, mut clean_of) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut rows, mut old_of) = (Vec::new(), Vec::new());
     let mut next_fresh = 0;
-    let mut last_clean = None;
     for (k, block) in blocks.into_iter().enumerate() {
         let replaced = match fates[k % fates.len()] {
             0 => {
-                let clean = last_clean < Some(block.start);
-                if clean {
-                    last_clean = Some(block.start);
-                }
                 for r in block {
                     rows.push(old.row(r));
                     old_of.push(Some(r));
-                    clean_of.push(clean.then_some(r));
                 }
                 continue;
             }
@@ -301,13 +320,11 @@ fn update(old: &Table, fresh: &Table, cuts: &[bool], fates: &[u8], rotate: bool)
             rows.push(fresh.row(next_fresh % fresh.num_rows()));
             next_fresh += 1;
             old_of.push(None);
-            clean_of.push(None);
         }
     }
     Update {
         new: Table::from_rows(old.schema().clone(), rows).unwrap(),
         old_of,
-        clean_of,
     }
 }
 
@@ -328,6 +345,126 @@ fn normalize(mut clusters: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
     }
     clusters.sort_unstable();
     clusters
+}
+
+/// Row `r`'s record under [`wide_cfg`] with every field: what the kernel's
+/// dictionaries see of each column — a text field's lowercased rendering,
+/// the key's ASCII-folded one, a numeric cell's class or bits. Both
+/// blocking keys are functions of the name's and the key's.
+fn record(t: &Table, r: usize) -> Vec<String> {
+    let cell = |k: usize, v: &Value| match k {
+        _ if v.is_null() => "-".to_string(),
+        1 => format!("e{}", v.render().to_ascii_lowercase()),
+        2 | 5 => match v.as_f64() {
+            Some(x) if x.is_finite() => format!("n{:x}", x.to_bits()),
+            Some(_) => "nf".into(),
+            None => "nn".into(),
+        },
+        _ => format!("t{}", v.render().to_lowercase()),
+    };
+    t.row(r)
+        .iter()
+        .enumerate()
+        .map(|(k, v)| cell(k, v))
+        .collect()
+}
+
+/// The walk of `new` carried from a cold walk of `old` (`old_of`: per row
+/// of `new`, the row of `old` with the same cells, or `None`), under `cfg`
+/// — every field of [`wide_cfg`] — against the listed oracle and a cold walk
+/// of `new`: the same matches, counts and clusters. And what was decided is
+/// what touches a class new to the union — all a cold walk decides less
+/// what it decides among the records `old` held, in their new order — plus
+/// each held class that just reached two rows against itself, plus at most
+/// one orientation of each held pair that opened a text field (one the new
+/// row order meets for the first time); exactly the first two when nothing
+/// opens a text field.
+fn check_carried_walk(
+    old: &Table,
+    new: &Table,
+    old_of: &[Option<usize>],
+    cfg: &ErConfig,
+    workers: usize,
+) -> Result<UnionMatches, String> {
+    let old_blocks = UnionBlocks::build(old, "name", "sku").unwrap();
+    let old_kernel = ErKernel::compile(old, cfg).unwrap();
+    let before = old_kernel.decide_union(&old_blocks, 2, None).unwrap();
+    let (blocks, block_ids) =
+        UnionBlocks::carry(new, "name", "sku", Some((&old_blocks, old_of))).unwrap();
+    let (kernel, kernel_ids) = ErKernel::carry(new, cfg, Some((&old_kernel, old_of))).unwrap();
+    let prior = PriorWalk {
+        blocks: &old_blocks,
+        kernel: &old_kernel,
+        decided: &before,
+        old_of,
+        block_ids: &block_ids,
+        kernel_ids: &kernel_ids,
+    };
+    let got = kernel
+        .decide_union_exact(&blocks, workers, Some(prior))
+        .unwrap();
+    let cold = kernel.decide_union_exact(&blocks, 1, None).unwrap();
+    let listed = candidates_union(new, "name", "sku").unwrap();
+    let want = listed_and_scored(&kernel, &listed);
+    prop_assert_eq!(&got.matches(), &want, "workers = {}", workers);
+    prop_assert_eq!(
+        got.clusters(),
+        cluster_pairs(new.num_rows(), want.iter().copied())
+    );
+    prop_assert_eq!(
+        (got.candidates, got.match_pairs, got.num_classes()),
+        (listed.len() as u64, want.len() as u64, cold.num_classes())
+    );
+    prop_assert_eq!(
+        got.workers.iter().map(|s| s.items).sum::<u64>(),
+        got.decided
+    );
+    let old_records: BTreeSet<Vec<String>> = (0..old.num_rows()).map(|r| record(old, r)).collect();
+    let held: Vec<usize> = (0..new.num_rows())
+        .filter(|&r| old_records.contains(&record(new, r)))
+        .collect();
+    let held_table = Table::from_rows(
+        new.schema().clone(),
+        held.iter().map(|&r| new.row(r)).collect(),
+    )
+    .unwrap();
+    let among_held = ErKernel::compile(&held_table, cfg)
+        .unwrap()
+        .decide_union(
+            &UnionBlocks::build(&held_table, "name", "sku").unwrap(),
+            1,
+            None,
+        )
+        .unwrap();
+    let count =
+        |t: &Table, rec: &Vec<String>| (0..t.num_rows()).filter(|&r| &record(t, r) == rec).count();
+    let keyed = |r: usize| {
+        wrangler_resolve::blocking::block_key(&new.row(r)[0]).is_some() || !new.row(r)[1].is_null()
+    };
+    let grown: BTreeSet<Vec<String>> = held
+        .iter()
+        .filter(|&&r| keyed(r))
+        .map(|&r| record(new, r))
+        .filter(|rec| count(old, rec) < 2 && count(new, rec) >= 2)
+        .collect();
+    let least = cold.decided - among_held.decided + grown.len() as u64;
+    let opened_held = among_held.decided - among_held.from_ids;
+    prop_assert!(
+        least <= got.decided && got.decided <= least + opened_held,
+        "decided {} of at least {} (+ {} opened among held records)",
+        got.decided,
+        least,
+        opened_held
+    );
+    if cold.text_fields == 0 {
+        prop_assert_eq!(got.decided, least);
+    }
+    // A pair not decided is carried: with nothing decided, every one.
+    prop_assert!(got.covered <= got.candidates);
+    if got.decided == 0 {
+        prop_assert_eq!(got.covered, got.candidates);
+    }
+    Ok(got)
 }
 
 proptest! {
@@ -438,8 +575,9 @@ proptest! {
     #[test]
     fn interned_kernel_equals_record_similarity_on_duplicated_tables(t in arb_duplicated_table(24)) {
         // Every ordered pair, swaps and self-pairs included: the memo key is
-        // ordered (Jaro's greedy matching is not symmetric), so `(i, j)` and
-        // `(j, i)` must each equal the serial oracle on their own.
+        // ordered (no one has shown the text similarity symmetric, so the
+        // kernel does not assume it), so `(i, j)` and `(j, i)` must each
+        // equal the serial oracle on their own.
         let cfg = duplicated_cfg();
         let n = t.num_rows();
         let pairs: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
@@ -494,40 +632,195 @@ proptest! {
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         let want = listed_and_scored(&kernel, &pairs);
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
-        let cold = DirtyRows::all(t.num_rows());
-        let serial = kernel.decide_union_exact(&blocks, 1, &cold).unwrap();
-        prop_assert_eq!(&serial.matches, &want, "threshold {:?}", cfg.threshold);
+        let serial = kernel.decide_union_exact(&blocks, 1, None).unwrap();
+        prop_assert_eq!(&serial.matches(), &want, "threshold {:?}", cfg.threshold);
         prop_assert_eq!(serial.candidates, pairs.len() as u64);
+        prop_assert_eq!(serial.match_pairs, want.len() as u64);
         prop_assert_eq!(serial.covered, 0);
-        prop_assert!(serial.from_ids <= serial.candidates);
-        // A pair not settled from ids opened a text field.
-        prop_assert!(serial.text_fields >= serial.candidates - serial.from_ids);
+        prop_assert_eq!(serial.clusters(), cluster_pairs(t.num_rows(), want.iter().copied()));
+        prop_assert!(serial.from_ids <= serial.decided);
+        // A decision not settled from ids opened a text field.
+        prop_assert!(serial.text_fields >= serial.decided - serial.from_ids);
         for workers in [2usize, 3, 7] {
-            let wide = kernel.decide_union_exact(&blocks, workers, &cold).unwrap();
-            prop_assert_eq!(&wide.matches, &want, "workers = {}", workers);
-            // What was opened is a function of the pairs, not of the schedule.
+            let wide = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+            prop_assert_eq!(&wide.matches(), &want, "workers = {}", workers);
+            // What was decided and opened is a function of the class pairs,
+            // not of the schedule.
             prop_assert_eq!(
-                (wide.candidates, wide.from_ids, wide.text_fields),
-                (serial.candidates, serial.from_ids, serial.text_fields)
+                (wide.candidates, wide.decided, wide.from_ids, wide.text_fields),
+                (serial.candidates, serial.decided, serial.from_ids, serial.text_fields)
             );
-            prop_assert_eq!(wide.workers.iter().map(|s| s.items).sum::<u64>(), wide.candidates);
+            prop_assert_eq!(wide.workers.iter().map(|s| s.items).sum::<u64>(), wide.decided);
             prop_assert!(wide.workers.len() <= workers);
-            prop_assert!(pairs.is_empty() || wide.workers.iter().all(|s| s.items > 0));
+            prop_assert!(wide.decided == 0 || wide.workers.iter().all(|s| s.items > 0));
         }
-        let policy = kernel.decide_union(&blocks, 4, &cold).unwrap();
-        prop_assert_eq!(&policy.matches, &want);
-        // A covered pair — two rows carried clean, here every third row of
-        // the table itself — is counted, never decided.
+        let policy = kernel.decide_union(&blocks, 4, None).unwrap();
+        prop_assert_eq!(&policy.matches(), &want);
+        // Carried from a walk of the table itself, with every third row
+        // mapped and the rest looked up by their ids: no record is new, so
+        // nothing is decided and every candidate is carried.
         let old_of: Vec<Option<usize>> =
             (0..t.num_rows()).map(|r| r.is_multiple_of(3).then_some(r)).collect();
-        let covered = |i: usize, j: usize| old_of[i].is_some() && old_of[j].is_some();
-        let rest: Vec<(usize, usize)> =
-            pairs.iter().copied().filter(|&(i, j)| !covered(i, j)).collect();
-        let dirty = DirtyRows::carried(&blocks, pairs.len() as u64, &old_of).unwrap();
-        let part = kernel.decide_union_exact(&blocks, 2, &dirty).unwrap();
-        prop_assert_eq!(&part.matches, &listed_and_scored(&kernel, &rest));
-        prop_assert_eq!(part.candidates, pairs.len() as u64);
-        prop_assert_eq!(part.covered, (pairs.len() - rest.len()) as u64);
+        let (carried_blocks, block_ids) =
+            UnionBlocks::carry(&t, "name", "sku", Some((&blocks, &old_of))).unwrap();
+        let (carried_kernel, kernel_ids) = ErKernel::carry(&t, &cfg, Some((&kernel, &old_of))).unwrap();
+        let prior = PriorWalk {
+            blocks: &blocks,
+            kernel: &kernel,
+            decided: &serial,
+            old_of: &old_of,
+            block_ids: &block_ids,
+            kernel_ids: &kernel_ids,
+        };
+        let part = carried_kernel.decide_union_exact(&carried_blocks, 2, Some(prior)).unwrap();
+        prop_assert_eq!(&part.matches(), &want);
+        prop_assert_eq!((part.candidates, part.covered, part.decided), (pairs.len() as u64, pairs.len() as u64, 0));
+    }
+
+    #[test]
+    fn duplicate_heavy_tables_decide_each_class_pair_once_and_equal_the_oracle(
+        t in arb_pooled_table(60),
+        mask in any::<u8>(),
+        weights in prop::collection::vec(arb_weight(), 6),
+        mode in any::<u8>(),
+        pick in any::<usize>(),
+        same_column in any::<bool>(),
+    ) {
+        // Classes of up to twenty rows, one with neither blocking key (its
+        // rows are nobody's candidates, not even each other's), two told
+        // apart by a key alone when the config leaves `sku` out.
+        let key_col = if same_column { "name" } else { "sku" };
+        let pairs = candidates_union(&t, "name", key_col).unwrap();
+        let mut cfg = wide_cfg(mask, &weights, 0.0);
+        let probe = ErKernel::compile(&t, &cfg).unwrap();
+        cfg.threshold = adversarial_threshold(&probe, &cfg, &pairs, mode, pick);
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        let want = listed_and_scored(&kernel, &pairs);
+        let clusters = cluster_pairs(t.num_rows(), want.iter().copied());
+        let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
+        let mut decided = None;
+        for workers in [1usize, 2, 3, 7] {
+            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+            prop_assert_eq!(&got.matches(), &want, "workers = {}", workers);
+            prop_assert_eq!(got.candidates, pairs.len() as u64);
+            prop_assert_eq!(got.match_pairs, want.len() as u64);
+            prop_assert_eq!(&got.clusters(), &clusters);
+            prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), got.decided);
+            prop_assert_eq!(*decided.get_or_insert(got.decided), got.decided);
+            // At most six records: at most 6 classes against themselves and
+            // 15 class pairs, each in two orientations.
+            prop_assert!(got.num_classes() <= 6 && got.decided <= 6 + 2 * 15);
+        }
+    }
+
+    #[test]
+    fn a_carried_walk_equals_a_cold_one_and_decides_only_what_touches_a_new_class(
+        old in arb_pooled_table(30),
+        fresh in prop::collection::vec(arb_wide_row(), 1..6),
+        fates in prop::collection::vec((0u8..3, any::<usize>()), 30),
+        weights in prop::collection::vec(arb_weight(), 6),
+        mode in any::<u8>(),
+        pick in any::<usize>(),
+        workers in 1usize..5,
+    ) {
+        // Replace a random subset of rows: some with a copy of another row
+        // of the old table — a record the union held, on a row the carry
+        // does not map — and some with a record drawn afresh.
+        let n = old.num_rows();
+        let (mut rows, mut old_of) = (Vec::new(), Vec::new());
+        for (r, &(fate, k)) in fates.iter().take(n).enumerate() {
+            let (row, of) = match fate {
+                0 => (old.row(r), Some(r)),
+                1 => (old.row(k % n), None),
+                _ => (fresh[k % fresh.len()].clone(), None),
+            };
+            rows.push(row);
+            old_of.push(of);
+        }
+        let new = Table::from_rows(old.schema().clone(), rows).unwrap();
+        let pairs = candidates_union(&old, "name", "sku").unwrap();
+        let mut cfg = wide_cfg(63, &weights, 0.0);
+        let probe = ErKernel::compile(&old, &cfg).unwrap();
+        cfg.threshold = adversarial_threshold(&probe, &cfg, &pairs, mode, pick);
+        check_carried_walk(&old, &new, &old_of, &cfg, workers)?;
+    }
+
+    #[test]
+    fn a_walk_carried_from_a_carried_walk_equals_the_oracle(
+        old in arb_pooled_table(30),
+        thin in any::<u8>(),
+        grow in prop::collection::vec(any::<bool>(), 1..30),
+        weights in prop::collection::vec(arb_weight(), 6),
+        mode in any::<u8>(),
+        pick in any::<usize>(),
+        workers in 1usize..5,
+    ) {
+        // Two updates. The first keeps only the first row of each record
+        // whose bit of `thin` is set: its class shrinks to one row and stays
+        // held, carrying its decision against itself. The second copies
+        // each row before itself where `grow` says, on a row the carry does
+        // not map: a thinned class grows back to two rows and more.
+        let mut seen: Vec<Vec<String>> = Vec::new();
+        let (mut rows, mut mid_of) = (Vec::new(), Vec::new());
+        for r in 0..old.num_rows() {
+            let rec = record(&old, r);
+            let keep = match seen.iter().position(|s| s == &rec) {
+                None => {
+                    seen.push(rec);
+                    true
+                }
+                Some(k) => thin >> k & 1 == 0,
+            };
+            if keep {
+                rows.push(old.row(r));
+                mid_of.push(Some(r));
+            }
+        }
+        let mid = Table::from_rows(old.schema().clone(), rows).unwrap();
+        let (mut rows, mut new_of) = (Vec::new(), Vec::new());
+        for r in 0..mid.num_rows() {
+            if grow[r % grow.len()] {
+                rows.push(mid.row(r));
+                new_of.push(None);
+            }
+            rows.push(mid.row(r));
+            new_of.push(Some(r));
+        }
+        let new = Table::from_rows(old.schema().clone(), rows).unwrap();
+        let pairs = candidates_union(&old, "name", "sku").unwrap();
+        let mut cfg = wide_cfg(63, &weights, 0.0);
+        let probe = ErKernel::compile(&old, &cfg).unwrap();
+        cfg.threshold = adversarial_threshold(&probe, &cfg, &pairs, mode, pick);
+        let blocks = UnionBlocks::build(&old, "name", "sku").unwrap();
+        let kernel = ErKernel::compile(&old, &cfg).unwrap();
+        let mut walk = kernel.decide_union(&blocks, 2, None).unwrap();
+        let (mut blocks, mut kernel) = (blocks, kernel);
+        for (t, old_of) in [(&mid, &mid_of), (&new, &new_of)] {
+            let (next_blocks, block_ids) =
+                UnionBlocks::carry(t, "name", "sku", Some((&blocks, old_of))).unwrap();
+            let (next_kernel, kernel_ids) = ErKernel::carry(t, &cfg, Some((&kernel, old_of))).unwrap();
+            let prior = PriorWalk {
+                blocks: &blocks,
+                kernel: &kernel,
+                decided: &walk,
+                old_of,
+                block_ids: &block_ids,
+                kernel_ids: &kernel_ids,
+            };
+            let next = next_kernel
+                .decide_union_exact(&next_blocks, workers, Some(prior))
+                .unwrap();
+            let listed = candidates_union(t, "name", "sku").unwrap();
+            let want = listed_and_scored(&next_kernel, &listed);
+            prop_assert_eq!(&next.matches(), &want, "workers = {}", workers);
+            prop_assert_eq!(
+                (next.candidates, next.match_pairs),
+                (listed.len() as u64, want.len() as u64)
+            );
+            prop_assert_eq!(next.clusters(), cluster_pairs(t.num_rows(), want.iter().copied()));
+            prop_assert_eq!(next.workers.iter().map(|s| s.items).sum::<u64>(), next.decided);
+            (blocks, kernel, walk) = (next_blocks, next_kernel, next);
+        }
     }
 
     #[test]
@@ -573,36 +866,33 @@ proptest! {
         let want: Vec<(usize, usize)> = serial.iter().map(|p| (p.i, p.j)).collect();
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
         for workers in [1usize, 3] {
-            let cold = DirtyRows::all(t.num_rows());
-            let got = kernel.decide_union_exact(&blocks, workers, &cold).unwrap();
-            prop_assert_eq!(&got.matches, &want, "weights {:?}", weights);
+            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+            prop_assert_eq!(&got.matches(), &want, "weights {:?}", weights);
         }
     }
 
     #[test]
-    fn the_walk_yields_the_candidate_list_and_strips_partition_the_rows(
+    fn the_walk_covers_the_candidate_list_and_strips_share_the_class_pairs(
         t in arb_duplicated_table(30),
         same_column in any::<bool>(),
         workers in 1usize..9,
     ) {
+        // At threshold 0 every candidate matches: the matches the walk
+        // expands to are the candidate list, whatever the strips.
         let key_col = if same_column { "name" } else { "sku" };
-        let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
         let listed = candidates_union(&t, "name", key_col).unwrap();
-        prop_assert_eq!(blocks.pairs().collect::<Vec<_>>(), listed.clone());
         prop_assert!(listed.windows(2).all(|p| p[0] < p[1]), "sorted, no duplicate");
-        prop_assert!(blocks.pair_bound() >= listed.len());
-        let strips = blocks.strips(workers);
-        prop_assert!(strips.len() <= workers);
-        let mut next = 0;
-        for strip in &strips {
-            prop_assert_eq!(strip.start, next);
-            prop_assert!(!strip.is_empty());
-            // Not empty of work either: with a pair anywhere, each strip has one.
-            let walked = strip.clone().map(|i| blocks.partners(i).count()).sum::<usize>();
-            prop_assert!(listed.is_empty() || walked > 0, "strip {:?} walks nothing", strip);
-            next = strip.end;
-        }
-        prop_assert_eq!(next, t.num_rows());
+        let cfg = ErConfig { threshold: 0.0, ..duplicated_cfg() };
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
+        let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+        prop_assert_eq!(got.matches(), listed.clone());
+        prop_assert_eq!((got.candidates, got.match_pairs), (listed.len() as u64, listed.len() as u64));
+        prop_assert!(got.workers.len() <= workers);
+        prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), got.decided);
+        // Not empty of work either: with a pair anywhere, each strip has one.
+        prop_assert!(listed.is_empty() || got.workers.iter().all(|s| s.items > 0));
+        prop_assert!(got.decided as usize <= listed.len() + got.num_classes());
     }
 
     #[test]
@@ -668,78 +958,32 @@ proptest! {
         for step in [mid, new] {
             let (t, old_of) = (&step.new, &step.old_of[..]);
             let carried_blocks = UnionBlocks::carry(t, "name", key_col, Some((&blocks, old_of)));
-            let carried_blocks = carried_blocks.unwrap();
+            let carried_blocks = carried_blocks.unwrap().0;
             prop_assert_eq!(&carried_blocks, &UnionBlocks::build(t, "name", key_col).unwrap());
-            let carried_kernel = ErKernel::carry(t, &cfg, Some((&kernel, old_of))).unwrap();
+            let carried_kernel = ErKernel::carry(t, &cfg, Some((&kernel, old_of))).unwrap().0;
             prop_assert_eq!(&carried_kernel, &ErKernel::compile(t, &cfg).unwrap());
             (blocks, kernel) = (carried_blocks, carried_kernel);
         }
     }
 
     #[test]
-    fn walking_a_dirty_set_equals_the_full_walk_without_the_clean_pairs(
-        old in arb_duplicated_table(24),
-        fresh in arb_duplicated_table(12),
+    fn walking_a_carried_union_equals_the_full_walk_without_the_carried_pairs(
+        old in arb_wide_table(24),
+        fresh in arb_wide_table(12),
         cuts in prop::collection::vec(any::<bool>(), 24),
         fates in prop::collection::vec(0u8..4, 24),
         mode in 0u8..3,
         rotate in any::<bool>(),
+        weights in prop::collection::vec(arb_weight(), 6),
+        threshold in 0usize..4,
     ) {
-        // What the walk over a dirty set must equal: the full walk, with a
-        // pair of two clean rows counted as covered instead of decided. The
-        // clean pairs' count comes from the old blocks; what was opened comes
-        // from the pairs the walk decides — the full walk's less those of the
-        // clean rows alone, which are the old table's rows.
-        let cfg = duplicated_cfg();
-        let old_blocks = UnionBlocks::build(&old, "name", "sku").unwrap();
-        let old_candidates = candidates_union(&old, "name", "sku").unwrap().len() as u64;
+        // Whole blocks kept, replaced, deleted, resized or moved, as a
+        // union's sources are: the carried walk decides what a full walk
+        // decides less the pairs of records the old union held.
         let up = update(&old, &fresh, &cuts, &fates_for(mode, fates), rotate);
-        let n = up.new.num_rows();
-        let dirty = DirtyRows::carried(&old_blocks, old_candidates, &up.clean_of).unwrap();
-        let clean = |r: usize| up.clean_of[r].is_some();
-        let pairs = candidates_union(&up.new, "name", "sku").unwrap();
-        let rest: Vec<(usize, usize)> =
-            pairs.iter().copied().filter(|&(i, j)| !(clean(i) && clean(j))).collect();
-        let covered = (pairs.len() - rest.len()) as u64;
-        let kernel = ErKernel::compile(&up.new, &cfg).unwrap();
-        let blocks = UnionBlocks::build(&up.new, "name", "sku").unwrap();
-        let full = kernel.decide_union_exact(&blocks, 1, &DirtyRows::all(n)).unwrap();
-        let clean_rows: Vec<_> = (0..n).filter(|&r| clean(r)).map(|r| up.new.row(r)).collect();
-        let clean_table = Table::from_rows(up.new.schema().clone(), clean_rows).unwrap();
-        let clean_walk = ErKernel::compile(&clean_table, &cfg)
-            .unwrap()
-            .decide_union_exact(
-                &UnionBlocks::build(&clean_table, "name", "sku").unwrap(),
-                1,
-                &DirtyRows::all(clean_table.num_rows()),
-            )
-            .unwrap();
-        prop_assert_eq!(clean_walk.candidates, covered, "the clean pairs are the old ones");
+        let cfg = wide_cfg(63, &weights, [0.0, 0.5, 0.85, 1.0][threshold]);
         for workers in 1usize..=4 {
-            let got = kernel.decide_union_exact(&blocks, workers, &dirty).unwrap();
-            let want = listed_and_scored(&kernel, &rest);
-            prop_assert_eq!(&got.matches, &want, "workers = {}", workers);
-            prop_assert_eq!((got.candidates, got.covered), (pairs.len() as u64, covered));
-            prop_assert_eq!(
-                (got.from_ids, got.text_fields),
-                (full.from_ids - clean_walk.from_ids, full.text_fields - clean_walk.text_fields)
-            );
-            prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), rest.len() as u64);
-            // The clean pairs were counted from one side or the other: the
-            // old pairs touching a dirty row, or the clean pairs themselves.
-            let counted = got.visited - rest.len() as u64;
-            prop_assert!(
-                counted == old_candidates - covered || counted == covered,
-                "counted {} of {} old candidates, {} clean", counted, old_candidates, covered
-            );
-        }
-        // With nothing clean the walk is the cold one, strip for strip.
-        if up.clean_of.iter().all(Option::is_none) {
-            let items = |dirty: &DirtyRows| {
-                let got = kernel.decide_union_exact(&blocks, 2, dirty).unwrap();
-                (got.matches, got.workers.iter().map(|s| s.items).collect::<Vec<_>>())
-            };
-            prop_assert_eq!(items(&dirty), items(&DirtyRows::all(n)));
+            check_carried_walk(&old, &up.new, &up.old_of, &cfg, workers)?;
         }
     }
 
@@ -830,44 +1074,37 @@ proptest! {
 
     #[test]
     fn strips_that_grow_their_memos_at_different_pairs_decide_what_one_worker_decides(
-        names in prop::collection::vec(0usize..90, 140),
+        names in prop::collection::vec(0usize..300, 400),
         workers in 2usize..5,
     ) {
-        // One name block of 140 rows over at most 90 names, every pair of
-        // different names opened (a text-only config brackets [0, 1]). Each
-        // strip owns its memo: it meets its own 769th distinct value pair —
-        // the first rehash — at a pair no other strip does, and replays
-        // from a table no other strip filled.
+        // One name block of 400 rows over at most 300 names — a class per
+        // name — every class pair opened (a text-only config brackets
+        // [0, 1]). Each strip owns its memo: it meets its own 769th distinct
+        // value pair — the first rehash — at a pair no other strip does,
+        // and replays from a table no other strip filled.
         let rows = names
             .iter()
             .map(|k| vec![Value::from(format!("widget {} mk{k}", k * 37 % 101))]);
         let t = Table::literal(&["name"], rows.collect()).unwrap();
         let blocks = UnionBlocks::build(&t, "name", "name").unwrap();
         let kernel = ErKernel::compile(&t, &ErConfig::text_over(&["name"], 0.9)).unwrap();
-        // The fixture's premise, per strip: enough pairs for the memo's bound
-        // to allow a rehash, enough distinct value pairs to force one.
-        let strips = blocks.strips(workers);
-        prop_assert_eq!(strips.len(), workers);
-        for rows in strips {
-            let pairs = rows.flat_map(|i| blocks.partners(i).map(move |j| (i, j)));
-            let values: Vec<_> = pairs.map(|(i, j)| (names[i], names[j])).collect();
-            let distinct: BTreeSet<_> = values.iter().filter(|(a, b)| a != b).collect();
-            prop_assert!(
-                values.len() >= 2048 && distinct.len() > 768,
-                "{} pairs, {} distinct",
-                values.len(),
-                distinct.len()
-            );
+        let serial = kernel.decide_union_exact(&blocks, 1, None).unwrap();
+        let wide = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+        // The fixture's premise, per strip: enough decisions — each one of
+        // a distinct ordered pair of names — for the memo's bound to allow a
+        // rehash and to force one.
+        prop_assert_eq!(wide.workers.len(), workers);
+        for w in &wide.workers {
+            prop_assert!(w.items >= 2048, "{} decisions", w.items);
         }
-        let cold = DirtyRows::all(t.num_rows());
-        let serial = kernel.decide_union_exact(&blocks, 1, &cold).unwrap();
-        let wide = kernel.decide_union_exact(&blocks, workers, &cold).unwrap();
-        let matched = serial.matches.len() as u64;
+        // Only a class against itself is settled from ids.
+        prop_assert!(serial.from_ids as usize <= serial.num_classes());
+        let matched = serial.match_pairs;
         prop_assert!(0 < matched && matched < serial.candidates, "{matched} matches");
-        prop_assert_eq!(&wide.matches, &serial.matches);
+        prop_assert_eq!(&wide.matches(), &serial.matches());
         prop_assert_eq!(
-            (wide.candidates, wide.from_ids, wide.text_fields),
-            (serial.candidates, serial.from_ids, serial.text_fields)
+            (wide.candidates, wide.decided, wide.from_ids, wide.text_fields),
+            (serial.candidates, serial.decided, serial.from_ids, serial.text_fields)
         );
     }
 }

@@ -77,14 +77,17 @@ fn blocked_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
 /// overhead, the flat-to-negative half of the old E14 curve), and at least
 /// `min_items_per_worker` items per thread (below that, spawn latency
 /// outweighs the work). Always at least 1. Output of a kernel never depends
-/// on this value — it is a pure wall-clock policy.
+/// on this value — it is a pure wall-clock policy. The cores are asked for
+/// only when the work would fan out: the answer reads the process's cgroup
+/// and affinity (~15 µs), which a pool of one never needs.
 pub fn effective_workers(requested: usize, items: usize, min_items_per_worker: usize) -> usize {
     let by_load = items / min_items_per_worker.max(1);
-    requested
-        .max(1)
-        .min(available_parallelism())
-        .min(by_load.max(1))
-        .min(items.max(1))
+    let wanted = requested.max(1).min(by_load.max(1)).min(items.max(1));
+    if wanted == 1 {
+        1
+    } else {
+        wanted.min(available_parallelism())
+    }
 }
 
 /// Run `chunk_fn` over contiguous blocked chunks of `items` on exactly

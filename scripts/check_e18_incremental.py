@@ -14,13 +14,16 @@ The regressions this guards:
 * **Carried share** — on a 1-source update the ER memo must decide at least
   REMAP_FLOOR of the pass's candidate pairs (`pairs_remapped / candidates`)
   without scoring them; the rest are scored live.
-* **Visited share** — on a 1-source update the ER walk may step over at
-  most VISIT_LIMIT of the pass's candidate pairs (`visited / candidates`,
-  from `er.walk.visited`: the pairs it decided plus those it counted in the
-  memo's blocks to learn how many clean pairs there are). A walk that
-  visits every candidate to ask the carry about it reads 1.0 and fails:
-  this gates the mechanism, not only the time.
-* **No-change pass** — at k=0 the ER walk must visit no pair
+* **Visited share** — on a 1-source update the ER walk may decide at most
+  VISIT_LIMIT of the class pairs the cold comparator's walk decides
+  (`visited / cold_visited`, both from `er.walk.visited`: the class pairs a
+  walk decided — a pair of record classes stands for every row pair
+  between them). Like is divided by like: a walk that decides every class
+  pair again to ask the carry about it reads ~1.0 and fails, whatever share
+  of the row-pair candidates a class pair stands for; this gates the
+  mechanism, not only the time. (Until record classes both sides counted
+  row pairs, and the share was taken of the candidates.)
+* **No-change pass** — at k=0 the ER walk must decide no class pair
   (`visited == 0`) and the carry must cover every candidate
   (`pairs_remapped == candidates`): a pass after no change decides nothing.
   The carry is the only way ER reuses anything within a session, so a
@@ -217,6 +220,13 @@ REPLAY_LIMIT stays 0.50 ("under half a pass"): the highest change run reads
 unchanged. The new k=0 check holds trivially for the parent (the replay
 arm decided nothing and counted no candidate) and reads visited 0 and
 257,266 of 257,266 candidates carried for the change.
+
+Record classes made the walk decide class pairs, not row pairs, so the
+visited share divides the k=1 walk's `er.walk.visited` by the cold
+comparator's (`cold_visited` in BENCH_e18.json) instead of by the row-pair
+candidates. One run read 115 of 53,325 class pairs (0.2%) at k=1 and 100%
+at k=40, where nothing is carried: a dead carry reads 1.0 again, so
+VISIT_LIMIT stays 0.25.
 """
 
 import json
@@ -226,7 +236,7 @@ RATIO_LIMIT = 0.60  # incr/cold ceiling for a 1-source update
 REPLAY_LIMIT = 0.50  # incr/cold ceiling for a pass after no change
 ALL_LIMIT = 1.25  # incr/cold ceiling for a pass that reuses nothing (k = all sources)
 REMAP_FLOOR = 0.90  # share of k=1 candidate pairs the ER memo must decide
-VISIT_LIMIT = 0.25  # share of k=1 candidate pairs the ER walk may step over
+VISIT_LIMIT = 0.25  # share of the cold walk's class pairs the k=1 walk may decide
 
 
 def main() -> int:
@@ -285,14 +295,13 @@ def main() -> int:
 
     if 1 in by_k:
         row = by_k[1]
-        candidates = row.get("candidates", data.get("candidates", 0))
-        # A sweep that does not report the walk walked every candidate.
-        visited = row.get("visited", candidates)
-        share = visited / max(candidates, 1)
+        visited, cold_visited = row.get("visited"), row.get("cold_visited")
+        # A sweep that does not report both walks decided everything.
+        share = 1.0 if visited is None or not cold_visited else visited / cold_visited
         verdict = "ok" if share <= VISIT_LIMIT else "FAIL"
         print(
-            f"e18 visited share [k=1]: the walk stepped over {share:.1%} of "
-            f"{candidates} candidate pairs (limit {VISIT_LIMIT:.0%}) -> {verdict}"
+            f"e18 visited share [k=1]: the walk decided {visited} class pairs, {share:.1%} of "
+            f"the cold walk's {cold_visited} (limit {VISIT_LIMIT:.0%}) -> {verdict}"
         )
         if share > VISIT_LIMIT:
             failures.append("visited-share")

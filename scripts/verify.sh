@@ -73,7 +73,7 @@ echo "==> e18 incremental rewrangle (full run + count-field determinism)"
 ./target/release/e18_incremental --counts > "$tmp_b"
 diff "$tmp_a" "$tmp_b"
 
-echo "==> e18 incremental gate (1-source update <= 0.60x cold, no-change pass <= 0.50x, all-sources update <= 1.25x; exactly 39 of 40 blocks replayed; >= 90% of pairs carried; <= 25% of pairs visited; the no-change pass visits none; identity everywhere)"
+echo "==> e18 incremental gate (1-source update <= 0.60x cold, no-change pass <= 0.50x, all-sources update <= 1.25x; exactly 39 of 40 blocks replayed; >= 90% of k=1 pairs carried; the k=1 walk decides <= 25% of the cold walk's class pairs; the no-change pass decides none; identity everywhere)"
 python3 scripts/check_e18_incremental.py BENCH_e18.json
 
 echo "==> perf_suite builds and passes its own tests (bench/ is its own workspace)"
