@@ -188,7 +188,7 @@ fn main() {
     let ir = pw
         .plan_program()
         .expect("wrangle records its plan program") // lint-allow: experiment fixture
-        .naive
+        .ir
         .clone();
     let plan_baseline = analyze(&ir);
     println!(

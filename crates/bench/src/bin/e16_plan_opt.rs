@@ -121,12 +121,13 @@ fn sweep(num_sources: usize) -> SweepRow {
     }
 }
 
-/// The clean naive IR as the wrangler actually lowered it for this fleet.
+/// The clean naive IR as the wrangler actually lowered it for this fleet: a
+/// naive-mode session executes it unrewritten.
 fn lowered_naive_ir(num_sources: usize) -> wrangler_plan::PlanIr {
     let f = e16_fleet(num_sources);
     let mut w = build(&f, OptMode::Naive);
     w.wrangle().expect("clean wrangle"); // lint-allow: experiment fixture
-    w.plan_program().expect("program recorded").naive.clone() // lint-allow: experiment fixture
+    w.plan_program().expect("program recorded").ir.clone() // lint-allow: experiment fixture
 }
 
 fn main() {

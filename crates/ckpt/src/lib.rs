@@ -14,8 +14,8 @@
 //!   bit-flipped record is *detected and recomputed, never trusted* — a
 //!   corrupt checkpoint is strictly a cache miss.
 //! * [`ContentKey`] — key derivation for stage records: mix the stage id,
-//!   the compiled plan fingerprint and the payload hashes feeding the stage
-//!   into one 64-bit key. Equal inputs ⇒ equal key ⇒ replay; any changed
+//!   the pass fingerprint and the payload hashes feeding the stage into one
+//!   64-bit key. Equal inputs ⇒ equal key ⇒ replay; any changed
 //!   input ⇒ different key ⇒ recompute. This is the foundation the
 //!   ROADMAP's incremental dataflow engine builds on.
 //! * [`CrashPolicy`] — the seeded crash-injection harness. Library-level
@@ -262,7 +262,7 @@ impl CheckpointStore {
     }
 }
 
-/// Builder for stage content keys: stage id + plan fingerprint + input
+/// Builder for stage content keys: stage id + pass fingerprint + input
 /// payload hashes, mixed through the canonical hasher. Key equality is the
 /// replay condition, so every ingredient that can change a stage's output
 /// must be absorbed.
@@ -272,10 +272,10 @@ pub struct ContentKey {
 }
 
 impl ContentKey {
-    /// Start a key for `stage` under `plan_fingerprint`.
-    pub fn stage(stage: &str, plan_fingerprint: u64) -> ContentKey {
+    /// Start a key for `stage` under `pass_fingerprint`.
+    pub fn stage(stage: &str, pass_fingerprint: u64) -> ContentKey {
         let mut h = Hasher64::new();
-        h.write_str(stage).write_u64(plan_fingerprint);
+        h.write_str(stage).write_u64(pass_fingerprint);
         ContentKey { h }
     }
 

@@ -10,7 +10,7 @@
 
 use std::collections::HashMap;
 
-use wrangler_table::DataType;
+use wrangler_table::{wire, DataType};
 
 /// Identifier of a concept within an ontology.
 pub type ConceptId = usize;
@@ -35,6 +35,9 @@ pub struct Ontology {
     concepts: Vec<Concept>,
     /// Lowercased term (name or synonym) → concept.
     term_index: HashMap<String, ConceptId>,
+    /// Content hash of the concepts in insertion order, extended by
+    /// [`Self::add_concept`] (its only mutator); 0 when empty.
+    fingerprint: u64,
 }
 
 impl Ontology {
@@ -63,6 +66,13 @@ impl Ontology {
             self.term_index.insert(s.clone(), id);
             syns.push(s);
         }
+        self.fingerprint = wire::Hasher64::new()
+            .write_u64(self.fingerprint)
+            .write_str(&name)
+            .write(&wire::to_bytes(&parent))
+            .write(&wire::to_bytes(&dtype))
+            .write(&wire::to_bytes(&syns))
+            .finish();
         self.concepts.push(Concept {
             name,
             parent,
@@ -70,6 +80,12 @@ impl Ontology {
             synonyms: syns,
         });
         id
+    }
+
+    /// Equal concepts, added in the same order ⇔ equal fingerprint: what a
+    /// record derived from the ontology is keyed by.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     /// Number of concepts.
@@ -314,6 +330,29 @@ mod tests {
         assert_eq!(o.resolve("unit-price"), Some(price));
         assert_eq!(o.resolve("product_price"), Some(price)); // token fallback
         assert_eq!(o.resolve("frobnicator"), None);
+    }
+
+    #[test]
+    fn the_fingerprint_follows_every_concept_field() {
+        assert_eq!(Ontology::new().fingerprint(), 0);
+        assert_eq!(Ontology::ecommerce().fingerprint(), Ontology::ecommerce().fingerprint());
+        let build = |parent: bool, dtype: Option<DataType>, syns: &[&str]| {
+            let mut o = Ontology::new();
+            let root = o.add_concept("thing", None, None, &[]);
+            o.add_concept("price", parent.then_some(root), dtype, syns);
+            o.fingerprint()
+        };
+        let base = build(true, Some(DataType::Float), &["cost"]);
+        assert_eq!(base, build(true, Some(DataType::Float), &["COST"]), "terms are lowercased");
+        for other in [
+            build(false, Some(DataType::Float), &["cost"]),
+            build(true, Some(DataType::Int), &["cost"]),
+            build(true, None, &["cost"]),
+            build(true, Some(DataType::Float), &[]),
+            build(true, Some(DataType::Float), &["cost", "amount"]),
+        ] {
+            assert_ne!(base, other);
+        }
     }
 
     #[test]

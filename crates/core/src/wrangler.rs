@@ -372,7 +372,7 @@ impl Wrangler {
         self.incr.set_enabled(on);
     }
 
-    /// Number of live incremental memos (union blocks + ER + fuse).
+    /// Number of live incremental memos (union blocks + ER).
     pub fn incr_memo_count(&self) -> usize {
         self.incr.memo_count()
     }
@@ -730,14 +730,13 @@ impl Wrangler {
 
     /// Attach a checkpoint store: every subsequent wrangle persists each
     /// stage seam (select, acquire, map_generate, union, er, fuse) under a
-    /// content key derived from the source payload hashes, the compiled
-    /// plan fingerprint and the chained upstream seam keys.
+    /// content key derived from the pass fingerprint, the source payload
+    /// hashes, the held mappings, the data context and the chained
+    /// upstream seam keys.
     /// A fresh process pointed at the same store replays the deepest valid
     /// prefix byte-identically instead of recomputing it — including
     /// quarantine, trust and breaker state, which travel inside each seam
-    /// record. One caveat: of the data context the keys cover the master
-    /// catalog only, so sessions that change the ontology between runs
-    /// must use a fresh store directory.
+    /// record.
     pub fn with_checkpoint_store(mut self, store: CheckpointStore) -> Wrangler {
         self.ckpt = Some(store);
         self
@@ -3602,8 +3601,9 @@ mod tests {
             .with_row_filter(category_filter())
             .with_output_columns(projection());
         let out = w.wrangle().unwrap();
+        // Only a compile that returned `Ok` (every citation verified) is
+        // recorded.
         let program = w.plan_program().expect("program recorded");
-        assert!(program.verification.is_clean());
         assert!(!program.rewrites.is_empty());
         for rw in &program.rewrites {
             assert!(!rw.justification.is_empty(), "{:?}", rw.kind);

@@ -11,8 +11,12 @@
 //! knows what a seam does, in order:
 //!
 //! 1. open the stage span `<name>`;
-//! 2. derive the key — the select key for the first seam, afterwards
-//!    `seam_key(name, pass_fp, chain, extra)`; 0 without a store;
+//! 2. derive the key — for the first seam the select key (the pass
+//!    fingerprint plus the session's own inputs: tick, data context, and
+//!    per source its payload, trust and held mapping), afterwards
+//!    `seam_key(name, pass_fp, chain, feedback)`; 0 without a store. The
+//!    compiled program is in no key: it is lowered from what the chain
+//!    already covers;
 //! 3. obtain the record: a stored record (decode the stage payload *first*,
 //!    restore the session snapshot only if it decodes, fits this session's
 //!    fleet shape and passes [`SeamRecord::fits`]), else the stage's live
@@ -45,7 +49,9 @@ use crate::union::Union;
 
 type Result<T> = wrangler_table::Result<T>;
 
-/// Everything one wrangle pass carries from stage to stage.
+/// Everything one wrangle pass carries from stage to stage. Of the seam keys
+/// it holds only the inputs taken once per pass (`pass_fp`, `feedback_fp`)
+/// and the chain; the first seam reads the rest off the session.
 pub(super) struct Pass {
     pub(super) plan: Plan,
     pub(super) policy: ContainPolicy,
@@ -59,14 +65,6 @@ pub(super) struct Pass {
     pub(super) incr_on: bool,
     /// Pass fingerprint (0 when neither a store nor the engine needs it).
     pub(super) pass_fp: u64,
-    /// The master catalog's content hash and key column, hashed once for
-    /// the first seam's key (0 without a store, or with no catalog).
-    pub(super) master_fp: u64,
-    /// Compiled-program fingerprint for the seam keys: 0 without a store,
-    /// and 0 until `compile_plan` sets it, so the three seams before it
-    /// (select, acquire, map_generate) key on 0 — the program is compiled
-    /// from what they produce.
-    pub(super) prog_fp: u64,
     /// The value-level feedback in force (vetoes, confirmations), hashed
     /// for the fuse seam's key — fuse is the one stage that reads it (0
     /// without a store).
@@ -139,13 +137,6 @@ impl Wrangler {
         } else {
             0
         };
-        let master_fp = match self.data_ctx.master("product") {
-            Some(m) if stored => wire::Hasher64::new()
-                .write_u64(wire::table_hash(&m.table))
-                .write_str(&m.key_column)
-                .finish(),
-            _ => 0,
-        };
         let feedback_fp = if stored { self.feedback_fingerprint() } else { 0 };
         Pass {
             plan,
@@ -153,8 +144,6 @@ impl Wrangler {
             creport: ContainmentReport::default(),
             incr_on,
             pass_fp,
-            master_fp,
-            prog_fp: 0,
             feedback_fp,
             chain: None,
             selected: Vec::new(),
@@ -193,10 +182,10 @@ impl Wrangler {
     ) -> Result<()> {
         let key = match (&self.ckpt, pass.chain) {
             (None, _) => 0,
-            (Some(_), None) => self.seam_key_select(pass.pass_fp, pass.master_fp),
+            (Some(_), None) => self.seam_key_select(pass.pass_fp),
             (Some(_), Some(chain)) => {
                 let feedback = seam.keyed_by_feedback.then_some(pass.feedback_fp);
-                Self::seam_key(seam.name, pass.pass_fp, chain, pass.prog_fp, feedback)
+                Self::seam_key(seam.name, pass.pass_fp, chain, feedback)
             }
         };
         self.span(seam.name, |w| {
@@ -259,9 +248,9 @@ impl Wrangler {
     /// and projection. Worker-count knobs are excluded: outputs are
     /// byte-identical for any pool width. So is value-level feedback: only
     /// fuse reads it, so it keys fuse alone ([`Pass::feedback_fp`]) and a
-    /// veto leaves every upstream memo and seam valid. Of the data context
-    /// only the master catalog is keyed, and beside this fingerprint
-    /// ([`Pass::master_fp`]; see [`Self::with_checkpoint_store`]).
+    /// veto leaves every upstream memo and seam valid. The data context and
+    /// the held mappings are keyed beside it, by the first seam's key
+    /// ([`Self::seam_key_select`]).
     fn pass_fingerprint(&self, plan: &Plan) -> u64 {
         let mut h = wire::Hasher64::new();
         h.write(&wire::to_bytes(&self.target));
@@ -305,23 +294,42 @@ impl Wrangler {
         wire::hash64(&wire::to_bytes(&(vetoes, confirms)))
     }
 
-    /// The first seam's key: the pass fingerprint plus everything the
-    /// select stage reads — the session tick, every source's payload hash
-    /// and pre-pass trust, and the acquisition engine's state (clock,
-    /// lifetime totals, breaker fleet, in the encoding the session snapshot
-    /// stores; mode, retry policy and breaker config are in the pass
-    /// fingerprint) — and the master catalog, which the chain carries to the
-    /// fuse seam that reads it. Two passes with any divergent history key
+    /// The first seam's key: the pass fingerprint plus every input of the
+    /// pass that no configuration covers, for the chain to carry to the
+    /// seams that read it:
+    /// - the session tick;
+    /// - the master catalog ([`MasterData::fingerprint`]), which select and
+    ///   fuse read, and the ontology ([`Ontology::fingerprint`]), which
+    ///   map_generate reads;
+    /// - per source, its payload hash, its pre-pass trust and the mapping it
+    ///   holds (the hash of its wire encoding; 0 when it holds none), which
+    ///   map_generate keeps instead of generating one;
+    /// - the acquisition engine's state (clock, lifetime totals, breaker
+    ///   fleet, in the encoding the session snapshot stores; mode, retry
+    ///   policy and breaker config are in the pass fingerprint).
+    ///
+    /// The compiled program is not keyed: it is lowered from these inputs,
+    /// the upstream seams' records and the pass fingerprint's
+    /// configuration. Two passes with any divergent history key
     /// differently, so a checkpoint can never replay across histories.
-    fn seam_key_select(&self, pass_fp: u64, master_fp: u64) -> u64 {
+    ///
+    /// [`MasterData::fingerprint`]: wrangler_context::reference::MasterData::fingerprint
+    /// [`Ontology::fingerprint`]: wrangler_context::Ontology::fingerprint
+    fn seam_key_select(&self, pass_fp: u64) -> u64 {
+        let master = self.data_ctx.master("product").map_or(0, |m| m.fingerprint());
         let mut k = ContentKey::stage(SELECT.name, pass_fp)
             .labelled("now", self.now)
-            .labelled("master", master_fp);
-        for i in 0..self.registry.len() {
-            let id = SourceId(i as u32);
+            .labelled("master", master)
+            .labelled("ontology", self.data_ctx.ontology.fingerprint());
+        for (i, state) in self.states.iter().enumerate() {
+            let mapping = state
+                .mapping
+                .as_ref()
+                .map_or(0, |m| wire::hash64(&wire::to_bytes(m)));
             k = k
-                .input(self.registry.payload_hash(id).unwrap_or(0))
-                .input(self.states[i].trust.log_odds().to_bits());
+                .input(self.registry.payload_hash(SourceId(i as u32)).unwrap_or(0))
+                .input(state.trust.log_odds().to_bits())
+                .input(mapping);
         }
         let engine = wire::to_bytes(self.acquisition.state());
         k.labelled("acq", wire::hash64(&engine)).finish()
@@ -330,10 +338,8 @@ impl Wrangler {
     /// A downstream seam's key: chained through the previous seam's key, so
     /// a valid record implies every upstream seam matched — replaying the
     /// deepest valid prefix falls out of re-running the same sequence.
-    fn seam_key(stage: &str, pass_fp: u64, chain: u64, program: u64, feedback: Option<u64>) -> u64 {
-        let key = ContentKey::stage(stage, pass_fp)
-            .labelled("chain", chain)
-            .input(program);
+    fn seam_key(stage: &str, pass_fp: u64, chain: u64, feedback: Option<u64>) -> u64 {
+        let key = ContentKey::stage(stage, pass_fp).labelled("chain", chain);
         match feedback {
             Some(fp) => key.labelled("feedback", fp).finish(),
             None => key.finish(),

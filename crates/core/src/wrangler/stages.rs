@@ -407,9 +407,6 @@ impl Wrangler {
                 w.last_lint
                     .push(("plan-ir".to_string(), program.report.clone()));
             }
-            if w.ckpt.is_some() {
-                pass.prog_fp = program.fingerprint();
-            }
             w.last_program = Some(program);
             Ok(())
         })

@@ -17,6 +17,7 @@ use wrangler_feedback::{FeedbackItem, FeedbackTarget, Verdict};
 use wrangler_sources::faults::FaultConfig;
 use wrangler_sources::{FleetConfig, SourceId, SyntheticFleet};
 use wrangler_table::{par, wire, DataType, Schema, Table, Value};
+use wrangler_uncertainty::Belief;
 
 fn make_fleet(seed: u64) -> SyntheticFleet {
     fleet_of(60, seed)
@@ -496,6 +497,85 @@ fn a_store_written_under_another_master_catalog_replays_nothing_stale() {
     let mut resumed = build_over(&fleet, revised, None).with_checkpoint_store(store);
     let out = resumed.resume().unwrap();
     assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out));
+    assert_every_seam_missed(&out);
+    cleanup(&dir);
+}
+
+/// A mapping the session holds is an input of the pass (map_generate keeps
+/// it instead of generating one), so a store a completed pass left under the
+/// generated mappings is no record of a pass over an overridden one: the
+/// rebuilt session delivers what a store-less session given the same
+/// override does, and its first seam already misses.
+#[test]
+fn an_override_given_before_resume_is_not_replaced_by_the_stored_mapping() {
+    let fleet = make_fleet(42);
+    let dir = scratch_dir("resume-after-override");
+    cleanup(&dir);
+    let store = CheckpointStore::open(&dir).unwrap();
+    let mut stored = build(&fleet, None).with_checkpoint_store(store);
+    let stored_out = stored.wrangle().unwrap();
+    // src0's generated mapping, cut down to its key binding.
+    let src0 = SourceId(0);
+    let key = stored.target().index_of("sku").unwrap();
+    let mut key_only = stored.mapping_of(src0).expect("src0 was mapped").clone();
+    for (f, binding) in key_only.bindings.iter_mut().enumerate() {
+        if f != key {
+            *binding = None;
+            key_only.binding_beliefs[f] = Belief::uninformed();
+        }
+    }
+    assert!(key_only.bindings[key].is_some(), "fixture: src0 binds the key");
+
+    let mut cold = build(&fleet, None);
+    assert!(cold.override_mapping(src0, key_only.clone()));
+    let cold_out = cold.wrangle().unwrap();
+    assert_ne!(
+        wire::table_hash(&cold_out.table),
+        wire::table_hash(&stored_out.table),
+        "fixture: the override reaches the delivered table"
+    );
+
+    let store = CheckpointStore::open(&dir).unwrap();
+    let mut resumed = build(&fleet, None).with_checkpoint_store(store);
+    assert!(resumed.override_mapping(src0, key_only.clone()));
+    let out = resumed.wrangle().unwrap();
+    assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out));
+    assert_eq!(
+        resumed.mapping_of(src0).map(|m| &m.bindings),
+        Some(&key_only.bindings),
+        "the override is the mapping the pass ran"
+    );
+    assert_every_seam_missed(&out);
+    cleanup(&dir);
+}
+
+/// The ontology is an input of map_generate (semantic evidence), so a store
+/// a completed pass left under one ontology is no record of a pass under
+/// another: every seam misses and the session delivers what a store-less
+/// session under the other ontology does.
+#[test]
+fn a_store_written_under_another_ontology_replays_nothing_stale() {
+    let fleet = make_fleet(42);
+    let dir = scratch_dir("resume-other-ontology");
+    cleanup(&dir);
+    let store = CheckpointStore::open(&dir).unwrap();
+    let stored_out = build(&fleet, None).with_checkpoint_store(store).wrangle().unwrap();
+
+    let mut cold = build(&fleet, None);
+    cold.data_ctx.ontology = Ontology::new();
+    let cold_out = cold.wrangle().unwrap();
+    let cold_fp = fingerprint(&cold, &cold_out);
+    assert_ne!(
+        (wire::table_hash(&stored_out.table), stored_out.entities),
+        (cold_fp.0, cold_out.entities),
+        "fixture: the ontology reaches the delivered outcome"
+    );
+
+    let store = CheckpointStore::open(&dir).unwrap();
+    let mut resumed = build(&fleet, None).with_checkpoint_store(store);
+    resumed.data_ctx.ontology = Ontology::new();
+    let out = resumed.resume().unwrap();
+    assert_eq!(fingerprint(&resumed, &out), cold_fp);
     assert_every_seam_missed(&out);
     cleanup(&dir);
 }

@@ -336,13 +336,11 @@ pub enum UnionFilter {
     Separate,
 }
 
-/// A compiled wrangle plan: the analyzed naive IR, the executed (possibly
-/// optimized) IR, and the verified rewrite ledger. The session consults this
-/// — never the raw IR — for every decision the optimizer can influence.
+/// A compiled wrangle plan: the executed (possibly optimized) IR and its
+/// verified rewrite ledger. The session consults this — never the raw IR —
+/// for every decision the optimizer can influence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanProgram {
-    /// The analyzed, unoptimized IR.
-    pub naive: PlanIr,
     /// The IR that executes.
     pub ir: PlanIr,
     /// Facts established by analysis.
@@ -351,8 +349,6 @@ pub struct PlanProgram {
     pub report: Report,
     /// Applied rewrites with their proofs.
     pub rewrites: Vec<AppliedRewrite>,
-    /// The (clean) verification report of the rewrite citations.
-    pub verification: Report,
 }
 
 impl PlanProgram {
@@ -391,36 +387,11 @@ impl PlanProgram {
             return Err(verification);
         }
         Ok(PlanProgram {
-            naive: analysis.ir.clone(),
             ir: opt_ir,
             facts: analysis.facts,
             report: analysis.report,
             rewrites,
-            verification,
         })
-    }
-
-    /// Stable fingerprint of the compiled program: a content hash over the
-    /// executing IR (nodes, kinds, typed schemas, filter placements, effect
-    /// annotations) and the applied-rewrite ledger, via the canonical wire
-    /// hasher. Two compilations that would execute identically fingerprint
-    /// identically across processes; any structural change — a different
-    /// source set, binding, placement, threshold or rewrite — changes it.
-    /// The checkpoint store mixes this into every stage content key, so a
-    /// plan change invalidates all stage records at once.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = wrangler_table::wire::Hasher64::new();
-        // The IR types are plain data with derived `Debug`; the rendering is
-        // a deterministic, total serialization of the structure, and the
-        // hasher collapses it to a key. (f64 fields like thresholds render
-        // with full precision under `{:?}`.)
-        h.write_str("plan-ir").write_str(&format!("{:?}", self.ir));
-        h.write_str("scan-barrier").write_u64(u64::from(self.ir.scan_barrier));
-        h.write_str("rewrites");
-        for rw in &self.rewrites {
-            h.write_str(&format!("{rw:?}"));
-        }
-        h.finish()
     }
 
     /// True if analysis established `fact` for this program (the facts are

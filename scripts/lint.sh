@@ -70,16 +70,17 @@
 #
 #  11. `hash64(format!(` appears nowhere in `crates/core/src`, and no
 #      `Debug` formatting (`:?}`) appears in
-#      `crates/core/src/wrangler/stages.rs` outside test code. A key — or a
-#      reuse test — that renders a value with `Debug` pays for the rendering
-#      on every pass and rests a reuse decision on text that is no stability
-#      contract. Keys hash typed fields, the `wire::Wire` encoding of the
-#      state they guard (the select seam's engine state, the fuse seam's
+#      `crates/core/src/wrangler/stages.rs` or in any file of
+#      `crates/plan/src`, outside test code. A key — or a reuse test — that
+#      renders a value with `Debug` pays for the rendering on every pass and
+#      rests a reuse decision on text that is no stability contract. Keys
+#      hash typed fields, the `wire::Wire` encoding of the state they guard
+#      (the select seam's engine state and held mappings, the fuse seam's
 #      feedback), or hashes taken where the data was derived
-#      (`incr::Mapped`); a held mapped table is reused by comparing its typed
-#      `incr::Shape`, not a rendered filter tag. `pass_fingerprint`'s
-#      `write_str(&format!(` sites in `wrangler/pass.rs` (once per pass) wait
-#      for the typed-keys item.
+#      (`incr::Mapped`, `MasterData`, `Ontology`); a held mapped table is
+#      reused by comparing its typed `incr::Shape`, not a rendered filter
+#      tag. `pass_fingerprint`'s `write_str(&format!(` sites in
+#      `wrangler/pass.rs` (once per pass) wait for the typed-keys item.
 #
 #  12. No call of `score_pairs*(`, `match_pairs*(`, `filter_matches(` or
 #      `candidates_union(` in `crates/core/src` outside test code. The ER
@@ -393,17 +394,17 @@ if [ -n "$fuse_attribute_hits" ]; then
 fi
 
 # --- Rule 11: no Debug-printed keys ------------------------------------------------
-debug_key_hits=$(for f in $(find crates/core/src -name '*.rs' | sort); do
+debug_key_hits=$(for f in $(find crates/core/src crates/plan/src -name '*.rs' | sort); do
   awk -v file="$f" -v stages="crates/core/src/wrangler/stages.rs" '
     /#\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }  # comment / doc lines
-    /hash64\(format!\(/ || (file == stages && /:\?\}/) {
+    (file ~ /^crates\/core\// && /hash64\(format!\(/) || ((file == stages || file ~ /^crates\/plan\//) && /:\?\}/) {
       printf "%s:%d: %s\n", file, FNR, $0
     }
   ' "$f"
 done)
 if [ -n "$debug_key_hits" ]; then
-  echo "lint: Debug-printed key (hash64(format!( in crates/core/src, or any {:?} formatting in the stage loops; key and compare by typed fields or the wire encoding of the state guarded):"
+  echo "lint: Debug-printed key (hash64(format!( in crates/core/src, or any {:?} formatting in the stage loops or the plan crate; key and compare by typed fields or the wire encoding of the state guarded):"
   echo "$debug_key_hits"
   fail=1
 fi
