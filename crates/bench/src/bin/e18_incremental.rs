@@ -291,8 +291,8 @@ fn main() {
     println!("whose record the union held joins its class, and only the pairs of classes new to");
     println!("the union are decided (visited% = class pairs decided over the cold walk's),");
     println!("but fusion and assembly run over the whole union whatever changed. The ratio climbs with k: at k=40, where nothing is");
-    println!("clean, the pass pays one content hash per re-mapped table and the memo capture on");
-    println!("top of a cold pass (~1.02-1.05). The identity column never reads NO: reuse is");
-    println!("proof-carrying (PartitionIsolated) and content-keyed, so a memo can only replay");
-    println!("bytes the cold path would recompute.");
+    println!("clean, the pass pays the memo capture on top of a cold pass (~1.0). The identity");
+    println!("column never reads NO: reuse is proof-carrying (PartitionIsolated), and a union");
+    println!("block is kept on the mapped table it was cut from, under the pass fingerprint, so");
+    println!("a memo can only replay bytes the cold path would recompute.");
 }

@@ -2,31 +2,36 @@
 //! memoization inside the live session.
 //!
 //! PR 8's checkpoint chaining proved whole-stage replay across process
-//! restarts; this module generalizes the same content-keyed idea *within*
-//! the session and below stage grain. Two memo levels:
+//! restarts; this module carries reuse *within* the session and below
+//! stage grain. Two memo levels:
 //!
 //! - **Union blocks** ([`BlockMemo`]): each source's contribution to the
 //!   union (its contiguous row block, post poison scan and post filter,
-//!   fused or separate) is keyed on the pass fingerprint, the source, its filter
-//!   placement and the content hash of its mapped table — the block's one
-//!   data input, hashed once per table ([`Mapped`]), not once per pass. The
-//!   memo holds no cells: the session already holds the mapped table, so a
-//!   block is remembered as *which rows of it the block keeps*. A 1-source
-//!   update on an n-source fleet rescans one block; the other n−1 replay.
-//! - **ER** ([`ErMemo`]): the union's identity is its block list, and the
-//!   update's ER costs the records new to the union. ER decides per *record
-//!   class* — the union rows with one ER record, every compiled field's
-//!   dictionary id and both blocking keys — so the memo remembers the
-//!   pass's classes and the class pairs that matched (with the candidate
-//!   and matched row-pair counts), and what it derived per union row: the
-//!   blocks (blocking keys) and the kernel (dictionary ids and cells). The
-//!   block layout maps rows of unchanged blocks old↔new by offset
-//!   ([`ErMemo::carry`]), wherever the block now sits. The new blocks and
-//!   kernel are *carried*, not rebuilt: a clean row takes its keys and ids
-//!   from the memo's, only a dirty row is rendered and interned. A clean row
-//!   keeps its class; a dirty row that repeats a record the memo's union
-//!   held joins that class by its ids; only a record new to the union mints
-//!   a class, and only the class pairs with a new class are decided —
+//!   fused or separate) belongs to the held mapped table it was cut from
+//!   ([`Mapped::block`]). A block is a pure function of its table, the
+//!   table's filter placement (its [`Shape`]) and the pass fingerprint, so
+//!   it replays when it was kept under the pass's fingerprint: whatever
+//!   re-derives or drops the table drops the block with it. The memo holds
+//!   no cells: a block is remembered as *which rows of its table it keeps*.
+//!   A 1-source update on an n-source fleet rescans one block; the other
+//!   n−1 replay.
+//! - **ER** ([`ErMemo`]): the union's identity is its block list — each
+//!   block named by its source, its table's [`Mapped::id`] and its length —
+//!   and the update's ER costs the records new to the union. ER decides per
+//!   *record class* — the union rows with one ER record, every compiled
+//!   field's dictionary id and both blocking keys — so the memo remembers
+//!   the pass's classes and the class pairs that matched (with the
+//!   candidate and matched row-pair counts), and what it derived per union
+//!   row: the blocks (blocking keys) and the kernel (dictionary ids and
+//!   cells). The block layout maps rows of unchanged blocks old↔new by
+//!   offset ([`ErMemo::carry`]), wherever the block now sits. The new blocks
+//!   and kernel are *carried*, not rebuilt: a clean row takes its keys and
+//!   ids from the memo's, only a dirty row is rendered and interned. A clean
+//!   row keeps its class; a dirty row that repeats a record the memo's union
+//!   held joins that class by its ids — so a table re-derived with the same
+//!   cells costs a rescan of its block and no decision; only a record new
+//!   to the union mints a class, and only the class pairs with a new class
+//!   are decided —
 //!   a class pair of two held records matches now iff it matched then,
 //!   in each orientation the walk decided; an orientation the new row order
 //!   meets for the first time is decided then. A pass after no change is the
@@ -38,9 +43,10 @@
 //!   argument order, and the threshold), so two rows with one record have
 //!   the same candidates and decisions, in any union.
 //!   Without a block list (a union replayed from a checkpoint store, whose
-//!   record keeps each block's rows as a [`BlockMemo`] does but no key) the
-//!   memo is neither carried nor captured. A live union always lays one:
-//!   whichever way the program runs the filter, it runs inside the blocks.
+//!   record keeps each block's rows as a [`BlockMemo`] does but names no
+//!   table) the memo is neither carried nor captured. A live union always
+//!   lays one: whichever way the program runs the filter, it runs inside the
+//!   blocks.
 //!
 //! Fusion keeps no memo: it runs live, or replays from a checkpoint store.
 //!
@@ -53,11 +59,11 @@
 //! it surfaces as explicit `incr.*` counters instead.
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use wrangler_plan::FilterPlacement;
 use wrangler_resolve::{ErKernel, UnionBlocks, UnionMatches};
-use wrangler_table::{wire, Table};
+use wrangler_table::Table;
 
 /// What a mapped table was cut to besides its payload and mapping: where
 /// the row filter already ran on it, and the row budget it was held to.
@@ -75,25 +81,35 @@ pub struct Shape {
     pub budget: Option<usize>,
 }
 
-/// One source's mapped (target-schema) table with what identifies it. The
-/// fields are private so that the three cannot drift apart: a new table is
-/// a new `Mapped`, without a hash.
+/// The next [`Mapped::id`]. `Relaxed` suffices: an id publishes no other
+/// data, and `fetch_add` alone keeps ids unique.
+static NEXT_MAPPED_ID: AtomicU64 = AtomicU64::new(0);
+
+/// One source's mapped (target-schema) table with what identifies it, and
+/// the union block last cut from it. The table, its shape and its id are
+/// private so that they cannot drift apart: a new table is a new `Mapped`,
+/// with a new id and no block.
 #[derive(Debug, Clone)]
 pub struct Mapped {
     table: Table,
     /// The shape the table was cut to.
     shape: Shape,
-    /// [`wire::table_hash`] of `table`; moves and clones keep it.
-    hash: OnceLock<u64>,
+    /// Unique in the process: taken in [`Mapped::new`], kept by clones,
+    /// never hashed or persisted.
+    id: u64,
+    /// The union block last cut from `table`, if the union kept it (a clean
+    /// block of an isolated source, cut while reuse was on).
+    pub(crate) block: Option<BlockMemo>,
 }
 
 impl Mapped {
-    /// A freshly derived table: not hashed yet.
+    /// A freshly derived table: a new id, no block.
     pub fn new(table: Table, shape: Shape) -> Mapped {
         Mapped {
             table,
             shape,
-            hash: OnceLock::new(),
+            id: NEXT_MAPPED_ID.fetch_add(1, Ordering::Relaxed),
+            block: None,
         }
     }
 
@@ -107,23 +123,20 @@ impl Mapped {
         self.shape
     }
 
-    /// Content hash of the table; computed at most once.
-    pub fn hash(&self) -> u64 {
-        *self.hash.get_or_init(|| wire::table_hash(&self.table))
-    }
-
-    /// Has the hash been taken yet? What a test of "at most once" observes.
-    pub fn is_hashed(&self) -> bool {
-        self.hash.get().is_some()
+    /// The derivation's id: two `Mapped` share one only as clones.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 }
 
-/// One source's memoized union contribution.
+/// One source's memoized union contribution: which rows of its mapped
+/// table the union kept, and what cutting them cost.
 #[derive(Debug, Clone)]
 pub struct BlockMemo {
-    /// Content key (see [`module docs`](self)): equal keys mean the live
-    /// union loop would keep exactly these rows of an equal mapped table.
-    pub key: u64,
+    /// Pass fingerprint the block was cut under (it covers the predicate,
+    /// how the union runs it, and the containment policy); the block
+    /// replays only under the same one.
+    pub pass_fp: u64,
     /// Row indices of the source's mapped table that the block keeps (past
     /// the poison scan and the union's filter), ascending.
     pub kept: Vec<usize>,
@@ -138,7 +151,7 @@ pub struct BlockMemo {
     pub scan_bytes: u64,
 }
 
-/// One contiguous block of the union: `(source, block key, rows)`.
+/// One contiguous block of the union: `(source, mapped table id, rows)`.
 pub type Block = (usize, u64, usize);
 
 /// The memoized ER stage: what the carry across the next pass reads.
@@ -169,7 +182,7 @@ impl ErMemo {
     /// Carry this memo across an update to a union of `rows` rows laid out
     /// as `layout`: per current row, its row in the memoized union, or
     /// `None` for a dirty row — its block is new or changed. A block of the
-    /// memoized layout (same source, same key, same length) is carried row
+    /// memoized layout (same source, same table, same length) is carried row
     /// for row wherever it now sits: a class pair is decided in the
     /// orientations the new row order meets, so no clean row needs its old
     /// place. `None` when nothing may be carried: no block in common,
@@ -182,13 +195,13 @@ impl ErMemo {
         }
         let mut old_blocks: BTreeMap<(usize, u64), (usize, usize)> = BTreeMap::new();
         let mut off = 0usize;
-        for &(src, key, len) in &self.layout {
-            old_blocks.entry((src, key)).or_insert((off, len));
+        for &(src, id, len) in &self.layout {
+            old_blocks.entry((src, id)).or_insert((off, len));
             off += len;
         }
         let mut old_of = Vec::with_capacity(rows);
-        for &(src, key, len) in layout {
-            match old_blocks.get(&(src, key)) {
+        for &(src, id, len) in layout {
+            match old_blocks.get(&(src, id)) {
                 Some(&(start, old_len)) if old_len == len => {
                     old_of.extend((start..start + len).map(Some));
                 }
@@ -208,60 +221,6 @@ pub fn pack_pair(i: usize, j: usize) -> u64 {
     ((lo as u64) << 32) | (hi as u64 & 0xFFFF_FFFF)
 }
 
-/// The session's incremental-reuse state. On by default; chaos-mode passes
-/// and explicit [`set_enabled(false)`](IncrEngine::set_enabled) bypass it.
-#[derive(Debug, Clone)]
-pub struct IncrEngine {
-    enabled: bool,
-    /// Per-source union block memos.
-    pub blocks: BTreeMap<usize, BlockMemo>,
-    /// The ER memo (one per session — ER has no per-source partition).
-    pub er: Option<ErMemo>,
-}
-
-impl Default for IncrEngine {
-    fn default() -> Self {
-        IncrEngine::new()
-    }
-}
-
-impl IncrEngine {
-    /// Fresh, enabled engine with nothing memoized.
-    pub fn new() -> IncrEngine {
-        IncrEngine {
-            enabled: true,
-            blocks: BTreeMap::new(),
-            er: None,
-        }
-    }
-
-    /// Is incremental reuse on?
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Turn the engine on/off. Turning it off drops every memo, so a
-    /// disabled session is indistinguishable from one that never memoized
-    /// (the cold comparator the identity tests clone).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-        if !on {
-            self.clear();
-        }
-    }
-
-    /// Drop every memo (plan shape changed, ER rule refined, …).
-    pub fn clear(&mut self) {
-        self.blocks.clear();
-        self.er = None;
-    }
-
-    /// Number of live memos, for tests and stats.
-    pub fn memo_count(&self) -> usize {
-        self.blocks.len() + usize::from(self.er.is_some())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn mapped_is_hashed_on_first_demand() {
+    fn a_new_table_gets_a_new_id_and_no_block_and_a_clone_keeps_all_three() {
         use wrangler_table::{Schema, Value};
         let mut table = Table::empty(Schema::of_strs(&["name", "price"]));
         table
@@ -284,11 +243,25 @@ mod tests {
             filter: FilterPlacement::PostMap,
             budget: Some(7),
         };
-        let m = Mapped::new(table.clone(), shape);
-        assert!(!m.is_hashed());
-        assert_eq!(m.hash(), wire::table_hash(&table));
-        assert!(m.is_hashed() && m.clone().is_hashed());
-        assert_eq!(m.shape(), shape);
+        let mut m = Mapped::new(table.clone(), shape);
+        assert!(m.block.is_none());
+        // The same cells, derived again, are another table.
+        let again = Mapped::new(table, shape);
+        assert_ne!(again.id(), m.id());
+        assert!(again.block.is_none());
+        m.block = Some(BlockMemo {
+            pass_fp: 7,
+            kept: vec![0],
+            filtered: 0,
+            scan_cells: 2,
+            scan_bytes: 9,
+        });
+        let c = m.clone();
+        assert_eq!((c.id(), c.shape()), (m.id(), shape));
+        assert_eq!(
+            c.block.as_ref().map(|b| (b.pass_fp, &b.kept)),
+            Some((7, &vec![0]))
+        );
     }
 
     /// A memo over `layout` (its blocks and kernel cover that many rows of
@@ -309,8 +282,8 @@ mod tests {
 
     #[test]
     fn carry_maps_clean_blocks_by_offset() {
-        // Old union: src0 (key 10, 2 rows), src1 (key 20, 3 rows).
-        // New union: src0 changed (key 11, 4 rows), src1 unchanged.
+        // Old union: src0 (table 10, 2 rows), src1 (table 20, 3 rows).
+        // New union: src0 re-derived (table 11, 4 rows), src1 unchanged.
         let old = [(0usize, 10u64, 2usize), (1, 20, 3)];
         let old_of = memo(&old).carry(7, &[(0, 11, 4), (1, 20, 3)], 7).unwrap();
         assert!(old_of[..4].iter().all(Option::is_none));
@@ -326,7 +299,7 @@ mod tests {
         // src1 dropped: src2 shifts down to rows 2–3.
         let old_of = m.carry(7, &[(0, 10, 2), (2, 30, 2)], 4).unwrap();
         assert_eq!(old_of, vec![Some(0), Some(1), Some(5), Some(6)]);
-        // src1 resized (new key, 1 row): its row is dirty.
+        // src1 re-derived (new table, 1 row): its row is dirty.
         let old_of = m
             .carry(7, &[(0, 10, 2), (1, 21, 1), (2, 30, 2)], 5)
             .unwrap();
@@ -362,11 +335,11 @@ mod tests {
         assert_eq!(m.carry(8, &old, 4), None);
         assert_eq!(m.carry(7, &[], 4), None);
         assert_eq!(m.carry(7, &old, 5), None);
-        // Disjoint layouts — every block re-keyed, or other sources: nothing
+        // Disjoint layouts — every table re-derived, or other sources: nothing
         // to carry, so no map at all (not one that covers nothing).
         assert_eq!(m.carry(7, &[(0, 11, 2), (1, 21, 2)], 4), None);
         assert_eq!(m.carry(7, &[(2, 10, 2), (3, 20, 2)], 4), None);
-        // A block of the same key that claims another length is not that
+        // A block of the same table that claims another length is not that
         // block.
         assert_eq!(m.carry(7, &[(0, 10, 3), (1, 20, 1)], 4), None);
         let mut short = m.clone();
@@ -377,25 +350,5 @@ mod tests {
             m.carry(7, &old, 4).unwrap(),
             vec![Some(0), Some(1), Some(2), Some(3)]
         );
-    }
-
-    #[test]
-    fn disabling_drops_memos() {
-        let mut e = IncrEngine::new();
-        assert!(e.enabled());
-        e.blocks.insert(
-            0,
-            BlockMemo {
-                key: 1,
-                kept: Vec::new(),
-                filtered: 0,
-                scan_cells: 0,
-                scan_bytes: 0,
-            },
-        );
-        assert_eq!(e.memo_count(), 1);
-        e.set_enabled(false);
-        assert_eq!(e.memo_count(), 0);
-        assert!(!e.enabled());
     }
 }

@@ -29,7 +29,7 @@ use wrangler_table::wire;
 
 use crate::acquire::{Acquisition, AcquisitionSummary};
 use crate::contain::{ContainPolicy, ContainmentReport, Stage};
-use crate::incr::{IncrEngine, Mapped};
+use crate::incr::{ErMemo, Mapped};
 use crate::planner::Plan;
 use crate::union::Union;
 use crate::working::WorkingData;
@@ -221,10 +221,13 @@ pub struct Wrangler {
     /// Optional crash-injection policy (test/bench harness): deterministic
     /// panic or process exit at one stage seam.
     crash: Option<CrashPolicy>,
-    /// The incremental dataflow engine: per-source union block memos plus
-    /// the ER memo an update carries, both keyed off the pass fingerprint
-    /// (see [`crate::incr`]). On by default.
-    incr: IncrEngine,
+    /// Incremental reuse is on (the default): each held mapped table keeps
+    /// the union block last cut from it, and `er_memo` is carried across
+    /// the next pass (see [`crate::incr`]). Chaos-mode passes bypass it.
+    incr_enabled: bool,
+    /// The ER memo the next pass carries (one per session — ER has no
+    /// per-source partition).
+    er_memo: Option<ErMemo>,
 }
 
 /// The compiled program of the current pass. Every stage decision the
@@ -312,7 +315,8 @@ impl Wrangler {
             last_program: None,
             ckpt: None,
             crash: None,
-            incr: IncrEngine::new(),
+            incr_enabled: true,
+            er_memo: None,
         }
     }
 
@@ -353,37 +357,40 @@ impl Wrangler {
 
     /// A plan-shape knob changed (filter, projection, opt mode): held
     /// mapped tables may embed a stale early-placed filter, and the cached
-    /// result was computed under the old shape. Both are dropped.
+    /// result was computed under the old shape. Both are dropped, each
+    /// table with its union block.
     fn invalidate_plan_shape(&mut self) {
         for state in &mut self.states {
             state.mapped = None;
         }
         self.cache = None;
-        // Shape-keyed memos would miss anyway (the pass fingerprint covers
-        // every shape knob); dropping them bounds memory to live content.
-        self.incr.clear();
+        // The ER memo would miss anyway (the pass fingerprint covers every
+        // shape knob); dropping it bounds memory to live content.
+        self.er_memo = None;
     }
 
-    /// Enable/disable the incremental dataflow engine (default: on).
-    /// Disabling drops every stage memo: the resulting session recomputes
-    /// everything from scratch, making it the genuinely cold comparator the
-    /// identity tests and the E18 timing baseline wrangle against.
+    /// Enable/disable incremental reuse (default: on). Disabling drops
+    /// every memo — each held table's union block and the ER memo — so the
+    /// resulting session recomputes the union and ER from scratch, making it
+    /// the genuinely cold comparator the identity tests and the E18 timing
+    /// baseline wrangle against.
     pub fn set_incr_enabled(&mut self, on: bool) {
-        self.incr.set_enabled(on);
-    }
-
-    /// Number of live incremental memos (union blocks + ER).
-    pub fn incr_memo_count(&self) -> usize {
-        self.incr.memo_count()
+        self.incr_enabled = on;
+        if !on {
+            self.er_memo = None;
+            for mapped in self.states.iter_mut().filter_map(|s| s.mapped.as_mut()) {
+                mapped.block = None;
+            }
+        }
     }
 
     /// Deliver a fresh extraction of one source's payload — the
     /// pay-as-you-go update path. Diffs the content hash first: an
     /// identical payload is a no-op (nothing dropped, every memo intact).
     /// A real change bumps the source's `last_updated` to the current tick
-    /// and drops exactly that source's mapping and mapped table — the next
-    /// wrangle re-derives them, the new content hash misses that one union
-    /// block, and the rest is reused.
+    /// and drops exactly that source's mapping and mapped table, and with
+    /// the table its union block — the next wrangle re-derives them and
+    /// rescans that one block, and the rest is reused.
     /// Returns true if the payload actually changed; errors on an unknown
     /// id or a schema that no longer matches the registered payload's.
     pub fn update_source(&mut self, id: SourceId, table: Table) -> wrangler_table::Result<bool> {
@@ -407,9 +414,9 @@ impl Wrangler {
         if let Some(src) = self.registry.get_mut(id) {
             src.meta.last_updated = self.now;
         }
-        // Drop exactly this source's derivations. What ER and fusion redo is
-        // decided by the content keys (one union block changes), which is
-        // what lets the other n−1 partitions replay.
+        // Drop exactly this source's derivations. What ER and fusion redo
+        // follows from the one union block that goes with its table, which
+        // is what lets the other n−1 partitions replay.
         self.drop_derived(i);
         self.working.work.extractions += 1;
         self.cache = None;
@@ -1241,8 +1248,9 @@ impl Wrangler {
         }
         self.er_cfg = cfg;
         // The rule changed: the ER memo's matched pairs were decided under
-        // the old one, and every memo keyed downstream of it goes with them.
-        self.incr.clear();
+        // the old one. (The union blocks were cut under the old pass
+        // fingerprint, which covers the rule, so none replays.)
+        self.er_memo = None;
         Some(f1.f1)
     }
 
@@ -2329,7 +2337,7 @@ mod tests {
         let listed = wrangler_resolve::candidates_union(union, name_col, key_col).unwrap();
         let scored = wrangler_resolve::match_pairs(union, &listed, w.er_config()).unwrap();
         let want: Vec<(usize, usize)> = scored.iter().map(|p| (p.i, p.j)).collect();
-        assert_eq!(w.incr.er.as_ref().unwrap().decided.matches(), want);
+        assert_eq!(w.er_memo.as_ref().unwrap().decided.matches(), want);
         let clusters = cluster_pairs(union.num_rows(), want);
         for (e, cluster) in clusters.iter().enumerate() {
             assert!(cluster.iter().all(|&r| cache.row_entity[r] == e));
@@ -2712,6 +2720,16 @@ mod tests {
         )
     }
 
+    /// Number of live incremental memos: the held tables' union blocks plus
+    /// the ER memo.
+    fn incr_memo_count(w: &Wrangler) -> usize {
+        let blocks = w
+            .states
+            .iter()
+            .filter_map(|s| s.mapped.as_ref()?.block.as_ref());
+        blocks.count() + usize::from(w.er_memo.is_some())
+    }
+
     /// Run the warm (incremental) session and a cold comparator cloned from
     /// the *same* state with the engine disabled; both must deliver
     /// byte-identical outcomes. Returns the warm outcome for further
@@ -2719,7 +2737,7 @@ mod tests {
     fn assert_incremental_matches_cold(w: &mut Wrangler) -> WrangleOutcome {
         let mut cold = w.clone();
         cold.set_incr_enabled(false);
-        assert_eq!(cold.incr_memo_count(), 0, "cold comparator starts bare");
+        assert_eq!(incr_memo_count(&cold), 0, "cold comparator starts bare");
         let warm_out = w.wrangle().unwrap();
         let cold_out = cold.wrangle().unwrap();
         assert_eq!(
@@ -2771,12 +2789,12 @@ mod tests {
         let fleet = small_fleet();
         let mut w = session(&fleet, UserContext::balanced("t"));
         let first = w.wrangle().unwrap();
-        let memos = w.incr_memo_count();
+        let memos = incr_memo_count(&w);
         assert!(memos > 0);
         let victim = first.selected_sources[0];
         let same = fleet.registry.get(victim).unwrap().table.clone();
         assert!(!w.update_source(victim, same).unwrap());
-        assert_eq!(w.incr_memo_count(), memos, "no-op update must not evict");
+        assert_eq!(incr_memo_count(&w), memos, "no-op update must not evict");
         // Unknown source and schema drift are structured errors.
         assert!(w.update_source(SourceId(999), first.table.clone()).is_err());
         // Dropping a column from the source's own schema is a schema drift.
@@ -2934,21 +2952,26 @@ mod tests {
         let fleet = seed23_fleet();
         let mut w = session(&fleet, UserContext::completeness_first());
         let first = w.wrangle().unwrap();
-        assert_eq!(w.incr.blocks.len(), first.selected_sources.len());
+        let held: Vec<&Mapped> = w.states.iter().filter_map(|s| s.mapped.as_ref()).collect();
+        let blocks: Vec<(&Mapped, &BlockMemo)> = held
+            .iter()
+            .filter_map(|m| Some((*m, m.block.as_ref()?)))
+            .collect();
+        assert_eq!(blocks.len(), first.selected_sources.len());
         let mut kept_rows = 0;
-        for (i, memo) in &w.incr.blocks {
+        for (held, memo) in blocks {
             // Exhaustive on purpose: a new field has to be named here, and
             // none of these types can hold a `Value`.
             let BlockMemo {
-                key,
+                pass_fp,
                 kept,
                 filtered,
                 scan_cells,
                 scan_bytes,
             } = memo;
             let _: (&u64, &Vec<usize>, &u64, &u64, &u64) =
-                (key, kept, filtered, scan_cells, scan_bytes);
-            let mapped = w.states[*i].mapped.as_ref().unwrap().table();
+                (pass_fp, kept, filtered, scan_cells, scan_bytes);
+            let mapped = held.table();
             assert!(kept.windows(2).all(|p| p[0] < p[1]), "ascending");
             assert!(kept.last().is_none_or(|&r| r < mapped.num_rows()));
             kept_rows += kept.len();
@@ -2986,7 +3009,7 @@ mod tests {
         assert!(2 * touching < candidates);
         // Size guard: the memo holds the pass's record classes and the class
         // pairs that match, nothing that grows with the candidate count.
-        let memo = w.incr.er.as_ref().unwrap();
+        let memo = w.er_memo.as_ref().unwrap();
         assert_eq!(memo.decided.match_pairs, delta("er.match_pairs"));
         assert_eq!(memo.decided.matches().len() as u64, delta("er.match_pairs"));
         assert_eq!(memo.decided.num_classes() as u64, delta("er.classes"));
@@ -3114,7 +3137,8 @@ mod tests {
     }
 
     /// The fingerprint audit, input by input: every knob that changes a
-    /// stage's output must flow into the content keys, so a warm session
+    /// stage's output must flow into the pass fingerprint or re-derive the
+    /// held tables it reaches, so a warm session
     /// that mutates the knob mid-flight must land byte-identical to a cold
     /// session that never memoized anything. A stale reuse would diverge.
     #[test]
@@ -3179,7 +3203,7 @@ mod tests {
         for (name, mutate) in mutations {
             let mut w = session(&fleet, UserContext::balanced("t"));
             let first = w.wrangle().unwrap();
-            assert!(w.incr_memo_count() > 0, "{name}: warm session memoized");
+            assert!(incr_memo_count(&w) > 0, "{name}: warm session memoized");
             mutate(&mut w, &fleet, &first);
             let mut cold = w.clone();
             cold.set_incr_enabled(false);
@@ -3206,13 +3230,13 @@ mod tests {
         // call invalidate_plan_shape.
         let mut w = session(&fleet, UserContext::balanced("t"));
         w.wrangle().unwrap();
-        assert!(w.incr_memo_count() > 0);
+        assert!(incr_memo_count(&w) > 0);
         let mut w = w.with_row_filter(category_filter());
-        assert_eq!(w.incr_memo_count(), 0, "plan shape change drops memos");
+        assert_eq!(incr_memo_count(&w), 0, "plan shape change drops memos");
         w.wrangle().unwrap();
-        assert!(w.incr_memo_count() > 0);
+        assert!(incr_memo_count(&w) > 0);
         let w = w.with_output_columns(projection());
-        assert_eq!(w.incr_memo_count(), 0, "projection change drops memos");
+        assert_eq!(incr_memo_count(&w), 0, "projection change drops memos");
         // ER refinement: when the refined rule is adopted, memos and pair
         // scores are dropped outright; when it is rejected the config is
         // unchanged. Either way the next warm pass must match cold (the ER
@@ -3391,11 +3415,12 @@ mod tests {
         assert!(delta("er.walk.visited") < delta("er.candidates"));
     }
 
-    /// The converse of the audit above: a block's key covers its one data
-    /// input, the mapped table, and nothing that merely describes how the
-    /// table was derived. Re-deriving an equal table keeps the block.
+    /// A union block belongs to the table it was cut from, not to the
+    /// table's cells: re-deriving an equal table rescans its one block. Its
+    /// rows repeat records the ER memo holds, so they rejoin their classes
+    /// by dictionary id and the walk decides nothing.
     #[test]
-    fn rederiving_an_identical_mapped_table_keeps_its_block() {
+    fn rederiving_an_identical_mapped_table_rescans_one_block_and_decides_nothing() {
         let fleet = small_fleet();
         let mut w = session(&fleet, UserContext::completeness_first());
         let first = w.wrangle().unwrap();
@@ -3410,11 +3435,59 @@ mod tests {
         let out = assert_incremental_matches_cold(&mut w);
         assert_eq!(w.working.work.tables_mapped, mapped_before + 1);
         let delta = |key: &str| counter_delta(&out, &first, key);
-        assert_eq!(
-            delta("incr.union.reused"),
-            first.selected_sources.len() as u64
+        let n = first.selected_sources.len() as u64;
+        assert_eq!(delta("incr.union.recomputed"), 1);
+        assert_eq!(delta("incr.union.reused"), n - 1);
+        assert_eq!(delta("er.walk.visited"), 0, "{:?}", out.metrics);
+    }
+
+    /// A block replays only under the pass fingerprint it was cut under:
+    /// a tighter cell limit makes 28-byte names poison, and the held tables
+    /// (same shape, so kept) must be scanned again, not replayed clean.
+    #[test]
+    fn a_block_kept_under_one_containment_policy_is_not_replayed_under_another() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t"));
+        let first = w.wrangle().unwrap();
+        w.contain.max_cell_bytes = 24;
+        let out = assert_incremental_matches_cold(&mut w);
+        assert_eq!(counter_delta(&out, &first, "incr.union.reused"), 0);
+        assert_ne!(
+            out.containment.totals(),
+            crate::contain::StageTallies::default(),
+            "fixture: the tighter limit bites"
         );
-        assert_eq!(delta("incr.union.recomputed"), 0);
+    }
+
+    /// A union replayed from a checkpoint store names no table: that pass
+    /// captures no ER memo and leaves no block. A union cut live after the
+    /// store replayed its upstream leaves every memo a storeless pass does.
+    #[test]
+    fn a_union_replayed_from_a_store_leaves_no_memo() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use wrangler_ckpt::{CrashPolicy, CrashSite};
+        let fleet = small_fleet();
+        let build = || session(&fleet, UserContext::balanced("t"));
+        let mut plain = build();
+        let cold = plain.wrangle().unwrap();
+        assert_eq!(incr_memo_count(&plain), cold.selected_sources.len() + 1);
+        let dir = crate::scratch_dir("memos-after-resume");
+        let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
+        let store = || CheckpointStore::open(&dir).unwrap();
+        let mut crashed = build()
+            .with_checkpoint_store(store())
+            .with_crash_policy(CrashPolicy::panic_at(CrashSite::AfterMapGenerate));
+        assert!(catch_unwind(AssertUnwindSafe(|| crashed.wrangle())).is_err());
+        let mut live = build().with_checkpoint_store(store());
+        let out = live.resume().unwrap();
+        assert!(out.metrics.counts.contains_key("ckpt.map_generate.hits"));
+        assert!(!out.metrics.counts.contains_key("ckpt.union.hits"));
+        assert_eq!(incr_memo_count(&live), incr_memo_count(&plain));
+        let mut replayed = build().with_checkpoint_store(store());
+        let out = replayed.resume().unwrap();
+        assert!(out.metrics.counts.contains_key("ckpt.union.hits"));
+        assert_eq!(incr_memo_count(&replayed), 0);
+        let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
     }
 
     #[test]
@@ -3450,7 +3523,7 @@ mod tests {
             first.metrics.counts["union.filtered"] > 0,
             "fixture: the filter drops rows"
         );
-        assert!(w.incr.er.is_some(), "the ER memo is captured");
+        assert!(w.er_memo.is_some(), "the ER memo is captured");
         // Nothing changed: every block replays past its filter, and the ER
         // carry covers the whole union.
         w.cache = None;
@@ -3497,30 +3570,6 @@ mod tests {
         let delta = |key: &str| counter_delta(&out, &first, key);
         assert!(delta("incr.er.pairs_remapped") > 0, "{:?}", out.metrics);
         assert!(delta("incr.union.reused") > 0, "{:?}", out.metrics);
-    }
-
-    #[test]
-    fn a_mapped_table_is_hashed_once_and_keeps_its_hash_through_clone() {
-        let fleet = small_fleet();
-        let mut w = session(&fleet, UserContext::completeness_first());
-        let first = w.wrangle().unwrap();
-        let held = |w: &Wrangler, id: &SourceId| w.states[id.0 as usize].mapped.clone().unwrap();
-        for id in &first.selected_sources {
-            let m = held(&w, id);
-            assert!(m.is_hashed(), "the block key demanded it");
-            assert_eq!(m.hash(), wire::table_hash(m.table()));
-        }
-        // A pass with the engine off demands no hash: whatever is hashed
-        // after it was carried through `Wrangler::clone`.
-        let mut off = w.clone();
-        off.set_incr_enabled(false);
-        let victim = first.selected_sources[0];
-        let t = perturbed(&fleet.registry.get(victim).unwrap().table);
-        assert!(off.update_source(victim, t).unwrap());
-        off.wrangle().unwrap();
-        for id in &first.selected_sources {
-            assert_eq!(held(&off, id).is_hashed(), *id != victim, "{id}");
-        }
     }
 
     /// Sixteen refuted prices under `Shared` routing move the trust of most
@@ -3586,7 +3635,7 @@ mod tests {
         let mut w = session(&fleet, UserContext::balanced("t"))
             .with_contain_policy(ContainPolicy::contain().with_chaos(chaos));
         let out = w.wrangle().unwrap();
-        assert_eq!(w.incr_memo_count(), 0, "chaos passes must not memoize");
+        assert_eq!(incr_memo_count(&w), 0, "chaos passes must not memoize");
         assert!(!out
             .metrics
             .counts

@@ -82,8 +82,8 @@ pub(super) struct Pass {
     pub(super) union: Union,
     /// Union block layout of this pass, in union order: the union's
     /// identity, and the ER carry's coordinate system. Empty when nothing
-    /// attests the blocks: the engine is off, or the union replayed from a
-    /// checkpoint (kept rows, no block keys).
+    /// attests the blocks: reuse is off, or the union replayed from a
+    /// checkpoint (kept rows, no held table named).
     pub(super) union_layout: Vec<crate::incr::Block>,
     pub(super) er: ErOut,
     /// The entity of each union row, derived from `er` at its install.
@@ -130,7 +130,7 @@ impl Wrangler {
     /// The state a pass starts from.
     pub(super) fn begin_pass(&self) -> Pass {
         let plan = self.plan();
-        let incr_on = self.incr.enabled() && self.contain.chaos.is_none();
+        let incr_on = self.incr_enabled && self.contain.chaos.is_none();
         let stored = self.ckpt.is_some();
         let pass_fp = if stored || incr_on {
             self.pass_fingerprint(&plan)

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use wrangler_ckpt::{ContentKey, CrashSite};
+use wrangler_ckpt::CrashSite;
 use wrangler_context::UserContext;
 use wrangler_fusion::strategies::{FusedValue, SourceContext};
 use wrangler_fusion::truthfinder::{truthfinder, TruthFinderConfig};
@@ -567,7 +567,9 @@ impl Wrangler {
     /// the block kept, once the poison threshold let it survive. A poison
     /// row is poison whether or not it matches the filter, so containment
     /// decisions are placement-independent, and either way the block —
-    /// memo, key and layout entry — is the rows past the filter.
+    /// memo and layout entry — is the rows past the filter. A clean block
+    /// is kept on the held mapped table it was cut from, with the pass
+    /// fingerprint it was cut under; it replays while both stand.
     pub(super) fn union(&mut self, pass: &mut Pass) -> Result<()> {
         self.seam(
             pass,
@@ -591,19 +593,6 @@ impl Wrangler {
                 Ok(())
             },
         )
-    }
-
-    /// Content key of source `i`'s union block: the pass fingerprint (it
-    /// covers the predicate and the containment policy), the source, where
-    /// its filter runs, and its mapped table by content hash — payload,
-    /// mapping and shape reach the block only through that table.
-    /// Equal key ⇒ the live loop would reproduce the block byte-for-byte.
-    fn union_block_key(pass_fp: u64, i: usize, place: FilterPlacement, mapped: &Mapped) -> u64 {
-        ContentKey::stage("union-block", pass_fp)
-            .labelled("place", place as u64)
-            .labelled("src", i as u64)
-            .input(mapped.hash())
-            .finish()
     }
 
     /// Source `i`'s held mapped table; a structured error if none is held.
@@ -639,27 +628,27 @@ impl Wrangler {
         for id in &pass.selected {
             let i = id.0 as usize;
             let held = self.held(i)?;
-            let mapped = held.table();
+            let (mapped, table_id) = (held.table(), held.id());
             // Early-placed sources arrive pre-filtered; only `Union`-placed
             // ones filter here.
             let place = program.placement_for(i);
             let filter_here = filter.as_ref().filter(|_| place == FilterPlacement::Union);
             let fused = filter_here.filter(|(_, how, _)| *how == UnionFilter::Fused);
-            // Proof-carrying reuse: replay this source's memoized block
-            // only under a matching content key AND the analyzer's verified
-            // fact that the block is isolated to this source.
-            let block_key = pass
-                .incr_on
-                .then(|| Self::union_block_key(pass.pass_fp, i, place, held));
+            // Proof-carrying reuse: replay the block the held table keeps
+            // only when it was cut under this pass's fingerprint AND the
+            // analyzer verified that the block is isolated to this source.
+            // The table is the block's one data input, and its shape fixes
+            // where the filter runs: a re-derived table has no block.
             let partition_isolated = program.holds(&Fact::PartitionIsolated { source: i });
-            let memo = self.incr.blocks.get(&i);
-            if let Some(memo) = memo.filter(|m| partition_isolated && Some(m.key) == block_key) {
+            let replay =
+                |m: &&BlockMemo| pass.incr_on && partition_isolated && m.pass_fp == pass.pass_fp;
+            if let Some(memo) = held.block.as_ref().filter(replay) {
                 union_filtered += memo.filtered;
                 blocks_reused += 1;
                 rows_reused += memo.kept.len() as u64;
                 cells_skipped += memo.scan_cells;
                 bytes_skipped += memo.scan_bytes;
-                pass.union_layout.push((i, memo.key, memo.kept.len()));
+                pass.union_layout.push((i, table_id, memo.kept.len()));
                 blocks.push((i, memo.kept.clone()));
                 continue;
             }
@@ -743,24 +732,24 @@ impl Wrangler {
                     }
                     blocks_recomputed += 1;
                     blocks.push((i, kept.clone()));
-                    if let Some(key) = block_key {
-                        pass.union_layout.push((i, key, kept.len()));
+                    if pass.incr_on {
+                        pass.union_layout.push((i, table_id, kept.len()));
                         // Memoize only clean blocks: a poisoned one must
                         // recompute live so its row-drop side effects land
                         // in every pass's containment report. Store only
                         // under the isolation fact — an unprovable block
                         // would never be eligible for replay anyway.
                         if partition_isolated && poison == 0 {
-                            self.incr.blocks.insert(
-                                i,
-                                BlockMemo {
-                                    key,
-                                    kept,
-                                    filtered: filtered_out,
-                                    scan_cells: this_cells,
-                                    scan_bytes: this_bytes,
-                                },
-                            );
+                            let block = BlockMemo {
+                                pass_fp: pass.pass_fp,
+                                kept,
+                                filtered: filtered_out,
+                                scan_cells: this_cells,
+                                scan_bytes: this_bytes,
+                            };
+                            if let Some(held) = self.states[i].mapped.as_mut() {
+                                held.block = Some(block);
+                            }
                         }
                     }
                 }
@@ -810,10 +799,12 @@ impl Wrangler {
     /// cluster the classes (`cluster`). Blocks and kernel are built from the
     /// memo's: a clean row takes its keys and dictionary ids from there, and
     /// only dirty rows render, fold and intern. No candidate is written
-    /// down and no score kept. The carry runs whenever the engine takes part
-    /// in the pass: the memo's pass fingerprint and block keys decide what it
-    /// covers. The memo is only read here, and replaced once the stage
-    /// completes: a pass that fails or panics in between leaves it usable.
+    /// down and no score kept. The carry runs whenever incremental reuse
+    /// takes part in the pass: the memo's pass fingerprint and its layout's
+    /// blocks — each a source, the id of the held table it was cut from and
+    /// a length — decide what it covers. The memo is only read here, and
+    /// replaced once the stage completes: a pass that fails or panics in
+    /// between leaves it usable.
     fn er_live(&mut self, pass: &Pass) -> Result<ErOut> {
         let union_table = pass.union.table();
         let rows = union_table.num_rows();
@@ -822,7 +813,7 @@ impl Wrangler {
         // matches now iff it matched then. The rest are decided (on a cold
         // pass or after a refined rule, all of them).
         self.obs.begin("carry");
-        let memo = self.incr.er.as_ref().filter(|_| pass.incr_on);
+        let memo = self.er_memo.as_ref().filter(|_| pass.incr_on);
         let old_of = memo.and_then(|m| m.carry(pass.pass_fp, &pass.union_layout, rows));
         let prior = memo.zip(old_of.as_deref());
         self.obs.end();
@@ -880,7 +871,7 @@ impl Wrangler {
         self.obs.count("er.decide.text_fields", decided.text_fields);
         self.obs.count("er.match_pairs", decided.match_pairs);
         if pass.incr_on {
-            self.incr.er = Some(ErMemo {
+            self.er_memo = Some(ErMemo {
                 pass_fp: pass.pass_fp,
                 layout: pass.union_layout.clone(),
                 blocks,

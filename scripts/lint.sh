@@ -43,8 +43,12 @@
 #      defines `Wrangler::seam`. A stage that loads, saves, keys or fires a
 #      seam by hand is a second spelling of the protocol that the next
 #      change to it will miss. (`crash_fire(CrashSite::MidEr)` inside the ER
-#      stage is not a seam and is allowed.) Justify a true exception with a
-#      `lint-allow: <reason>` comment.
+#      stage is not a seam and is allowed.) Nor does `ContentKey` appear in
+#      `crates/core/src` outside that module: a content key belongs to a
+#      seam's record, and an in-memory memo keyed by a 64-bit hash is reuse
+#      that rests on no collision going unnoticed — a memo belongs to the
+#      derivation it was cut from (a union block to its held mapped table).
+#      Justify a true exception with a `lint-allow: <reason>` comment.
 #
 #   8. `pack_pair`, `PairScoreCache` and `content_keys` have no caller under
 #      `crates/`, `src/` or `examples/` — tests, benches and experiment
@@ -77,7 +81,7 @@
 #      hash typed fields, the `wire::Wire` encoding of the state they guard
 #      (the select seam's engine state and held mappings, the fuse seam's
 #      feedback), or hashes taken where the data was derived
-#      (`incr::Mapped`, `MasterData`, `Ontology`); a held mapped table is
+#      (`MasterData`, `Ontology`); a held mapped table is
 #      reused by comparing its typed `incr::Shape`, not a rendered filter
 #      tag. `pass_fingerprint`'s `write_str(&format!(` sites in
 #      `wrangler/pass.rs` (once per pass) wait for the typed-keys item.
@@ -301,11 +305,12 @@ fi
 # blocks must not be callable-by-copy from anywhere else.
 SEAM_MODULE=crates/core/src/wrangler/pass.rs
 scan_seam_primitives() {
-  local f="$1"
-  awk -v file="$f" '
+  local f="$1" core=0
+  case "$f" in crates/core/src/*) core=1 ;; esac
+  awk -v file="$f" -v core="$core" '
     /#\[cfg\(test\)\]/ { exit }
     /^[[:space:]]*\/\// { next }  # comment / doc-example lines
-    /ckpt_load\(|ckpt_save\(|crash_fire\(CrashSite::After|seam_key\(/ {
+    /ckpt_load\(|ckpt_save\(|crash_fire\(CrashSite::After|seam_key\(/ || (core && /ContentKey/) {
       if ($0 !~ /lint-allow:/) {
         printf "%s:%d: %s\n", file, FNR, $0
       }
