@@ -91,7 +91,14 @@ struct WrangleCache {
     er_cfg: ErConfig,
     /// Registered sources when the pass ran.
     sources: usize,
+    /// What the claim set was built under, when incremental reuse took part
+    /// ([`Pass::claims_key`]); the next pass under the same takes it.
+    claims_key: Option<ClaimsKey>,
 }
+
+/// A claim set's pass fingerprint, union layout and sources quarantined at
+/// fuse: the same three make the same union, clustering and claims.
+type ClaimsKey = (u64, Vec<crate::incr::Block>, Vec<usize>);
 
 impl WrangleCache {
     /// The fused value of slot `(entity, attr)`, if it has one.
@@ -2836,6 +2843,40 @@ mod tests {
             assert_eq!(m.timings[stage].calls, 2 * first.metrics.timings[stage].calls);
         }
         assert!(!m.timings.keys().any(|k| k.ends_with("_replay")), "{m:?}");
+    }
+
+    #[test]
+    fn a_no_change_pass_takes_the_claim_set_it_holds_and_delivers_what_cold_does() {
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t"));
+        let first = w.wrangle().unwrap();
+        // Each no-change pass takes the claims the pass before it built or
+        // took; the incr-off comparator builds its own, to the same bits.
+        let mut before = first.clone();
+        for _ in 0..2 {
+            let mut cold = w.clone();
+            cold.set_incr_enabled(false);
+            let warm_out = w.wrangle().unwrap();
+            let cold_out = cold.wrangle().unwrap();
+            let warm_bits = outcome_fingerprint(&warm_out);
+            assert_eq!(warm_bits, outcome_fingerprint(&cold_out));
+            assert_eq!(counter_delta(&warm_out, &before, "incr.claims.reused"), 1);
+            assert_eq!(counter_delta(&cold_out, &before, "incr.claims.reused"), 0);
+            let (warm, cold_cache) = (w.cache.as_ref().unwrap(), cold.cache.as_ref().unwrap());
+            assert_eq!(warm.claims.claims(), cold_cache.claims.claims());
+            assert!(cold_cache.claims_key.is_none());
+            // Feedback re-fuses over the claims taken as over those built.
+            let (warm_re, cold_re) = (w.rewrangle().unwrap(), cold.rewrangle().unwrap());
+            assert_eq!(outcome_fingerprint(&warm_re), outcome_fingerprint(&cold_re));
+            before = warm_re;
+        }
+        // After an update the cache is gone and the claims are built again.
+        let victim = first.selected_sources[0];
+        let before = w.wrangle().unwrap();
+        let payload = perturbed(&fleet.registry.get(victim).unwrap().table);
+        assert!(w.update_source(victim, payload).unwrap());
+        let out = assert_incremental_matches_cold(&mut w);
+        assert_eq!(counter_delta(&out, &before, "incr.claims.reused"), 0);
     }
 
     #[test]

@@ -126,6 +126,17 @@ pub(super) const UNION: Seam = Seam::new("union", CrashSite::AfterUnion);
 pub(super) const ER: Seam = Seam::new("er", CrashSite::AfterEr);
 pub(super) const FUSE: Seam = Seam::new("fuse", CrashSite::AfterFuse).keyed_by_feedback();
 
+impl Pass {
+    /// What a claim set built in this pass, without the sources in
+    /// `fuse_removed`, is kept under for the next pass to take: `None`
+    /// unless incremental reuse takes part and a layout attests the union.
+    pub(super) fn claims_key(&self, fuse_removed: &[usize]) -> Option<super::ClaimsKey> {
+        let layout = self.union_layout.clone();
+        let key = (self.pass_fp, layout, fuse_removed.to_vec());
+        (self.incr_on && !self.union_layout.is_empty()).then_some(key)
+    }
+}
+
 impl Wrangler {
     /// The state a pass starts from.
     pub(super) fn begin_pass(&self) -> Pass {
@@ -464,6 +475,21 @@ impl Wrangler {
         }
         self.acquisition.record_pipeline_failure(i);
         self.drop_derived(i);
+    }
+
+    /// The claim set the session cache holds, when it was built under this
+    /// pass's key ([`Pass::claims_key`]), with all slot dirtiness cleared.
+    /// The rest of the cache goes with it: a pass that fails after this
+    /// leaves none, as an update does.
+    pub(super) fn held_claims(&mut self, pass: &Pass, excluded: &[usize]) -> Option<ClaimSet> {
+        let key = pass.claims_key(excluded)?;
+        if self.cache.as_ref()?.claims_key.as_ref() != Some(&key) {
+            return None;
+        }
+        let cache = self.cache.take()?;
+        self.working.clean_slots();
+        self.obs.inc("incr.claims.reused");
+        Some(cache.claims)
     }
 
     /// The claim set of this pass's union and clustering, minus the sources

@@ -867,6 +867,7 @@ impl Wrangler {
         self.obs.count("er.candidates", decided.candidates);
         self.obs.count("er.classes", decided.num_classes() as u64);
         self.obs.count("er.walk.visited", decided.decided);
+        self.obs.count("er.walk.pruned", decided.pruned);
         self.obs.count("er.decide.from_ids", decided.from_ids);
         self.obs.count("er.decide.text_fields", decided.text_fields);
         self.obs.count("er.match_pairs", decided.match_pairs);
@@ -941,6 +942,7 @@ impl Wrangler {
             selected: pass.selected.clone(),
             er_cfg: self.er_cfg.clone(),
             sources: self.registry.len(),
+            claims_key: pass.claims_key(&rec.fuse_removed),
         });
         Ok(())
     }
@@ -962,7 +964,10 @@ impl Wrangler {
         }
         self.eject(pass, Stage::Fuse, &fuse_removed)?;
         self.obs.begin("claims");
-        let claims = self.claim_set(pass, &fuse_removed);
+        let claims = match self.held_claims(pass, &fuse_removed) {
+            Some(claims) => claims,
+            None => self.claim_set(pass, &fuse_removed),
+        };
         claims.index(); // grouped here, so that this span keeps covering it
         self.obs.end();
         // Master-data anchors for the attributes the catalog knows.

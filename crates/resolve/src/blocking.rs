@@ -123,24 +123,34 @@ pub struct UnionBlocks {
 }
 
 /// Members grouped by one key, laid out flat: block after block in key-id
-/// order, members ascending within a block, and per member the span of its
+/// order, members ascending within a block, and per element the span of its
 /// block. [`candidates_union`] lays out rows; the walk, record classes.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct Layout {
     members: Vec<u32>,
-    /// Per member `(first, later, end)`: its block is `members[first..end]`,
-    /// and the member itself sits at `later - 1`. `(0, 0, 0)` for a member
-    /// with no key.
+    /// Per element `(first, at, end)`: its block is `members[first..end]`,
+    /// the members before it are `members[first..at]`, and a member sits at
+    /// `at` itself. `(0, 0, 0)` for an element with no key.
     spans: Vec<(u32, u32, u32)>,
 }
 
 impl Layout {
-    /// A counting sort of the members by key: `ids[m]` is member `m`'s key
-    /// (`NULL_ID`: none), one of `keys` distinct ones.
+    /// A counting sort of the elements by key: `ids[m]` is element `m`'s key
+    /// (`NULL_ID`: none), one of `keys` distinct ones. Every element with a
+    /// key is a member.
     fn of(ids: &[u32], keys: usize) -> Layout {
+        Layout::among(ids, keys, |_| true)
+    }
+
+    /// [`Self::of`] with only the elements `member` keeps as members; any
+    /// other element with a key gets the span of its block too, with the
+    /// members before it.
+    fn among(ids: &[u32], keys: usize, member: impl Fn(usize) -> bool) -> Layout {
         let mut size = vec![0u32; keys];
-        for &id in ids.iter().filter(|&&id| id != NULL_ID) {
-            size[id as usize] += 1;
+        for (m, &id) in ids.iter().enumerate() {
+            if id != NULL_ID && member(m) {
+                size[id as usize] += 1;
+            }
         }
         let mut first = Vec::with_capacity(keys);
         let mut total = 0;
@@ -156,21 +166,27 @@ impl Layout {
                 continue;
             }
             let k = id as usize;
-            members[filled[k] as usize] = m as u32;
-            filled[k] += 1;
             spans[m] = (first[k], filled[k], first[k] + size[k]);
+            if member(m) {
+                members[filled[k] as usize] = m as u32;
+                filled[k] += 1;
+            }
         }
         Layout { members, spans }
     }
 
     fn later_mates(&self, m: usize) -> &[u32] {
-        let (_, later, end) = self.spans[m];
-        &self.members[later as usize..end as usize]
+        let (_, at, end) = self.spans[m];
+        let later = &self.members[at as usize..end as usize];
+        match later.split_first() {
+            Some((&own, rest)) if own as usize == m => rest,
+            _ => later,
+        }
     }
 
     fn earlier_mates(&self, m: usize) -> &[u32] {
-        let (first, later, _) = self.spans[m];
-        &self.members[first as usize..later.saturating_sub(1) as usize]
+        let (first, at, _) = self.spans[m];
+        &self.members[first as usize..at as usize]
     }
 
     /// Every block's members, block after block.
@@ -185,9 +201,16 @@ impl Layout {
     }
 }
 
-/// The pairs among elements in groups of the given sizes: Σ `S·(S − 1)/2`.
-fn pairs_among(sizes: impl Iterator<Item = u64>) -> u64 {
-    sizes.map(|s| s * s.saturating_sub(1) / 2).sum()
+/// The pairs among elements in groups of the given sizes: Σ `S·(S − 1)/2`,
+/// for `N` kinds of element at once.
+fn pairs_among<const N: usize>(sizes: impl Iterator<Item = [u64; N]>) -> [u64; N] {
+    sizes.fold([0; N], |sum, s| {
+        add(sum, s.map(|s| s * s.saturating_sub(1) / 2))
+    })
+}
+
+fn add<const N: usize>(a: [u64; N], b: [u64; N]) -> [u64; N] {
+    std::array::from_fn(|k| a[k] + b[k])
 }
 
 /// A member's partners: two ascending lists merged, a member in both kept
@@ -294,6 +317,12 @@ impl UnionBlocks {
         self.by_name.ids.len()
     }
 
+    /// The full-key column, unless it is the prefix column too (then only
+    /// prefix keys apply).
+    fn key_column(&self) -> Option<&str> {
+        (self.columns.0 != self.columns.1).then_some(&self.columns.1)
+    }
+
     /// Row `r`'s two keys.
     fn keys(&self, r: usize) -> (u32, u32) {
         (self.by_name.ids[r], self.by_key.ids[r])
@@ -357,6 +386,16 @@ pub fn candidates_union(
 /// decides class pairs ([`crate::ErKernel::decide_union`]): the classes are
 /// blocked by their keys as rows are, and a class pair stands for the row
 /// pairs between its two classes.
+///
+/// **The veto.** When the kernel's exact field on the full-key column
+/// rejects, by its difference alone, every pair whose two values it holds
+/// (the kernel proves it once per compilation), a class pair whose classes
+/// both hold a full key and differ in that field's id is rejected before it
+/// is met. The walk meets only the other candidates: a class with a full key
+/// meets the classes sharing its field id — one folded value renders one
+/// full key, so they sit in its full-key block — and the classes without a
+/// full key in its prefix block; a class without one meets its whole prefix
+/// block.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RecordClasses {
     /// Per row, its class.
@@ -369,6 +408,9 @@ pub(crate) struct RecordClasses {
     /// The classes blocked by prefix key and by full key.
     by_name: Layout,
     by_key: Layout,
+    /// Under a veto: the classes by the vetoing field's id, and the classes
+    /// without a full key by prefix key.
+    veto: Option<(Layout, Layout)>,
 }
 
 /// How the classes of a union continue those of the walk before it.
@@ -541,10 +583,23 @@ impl RecordClasses {
             rows[filled[c as usize] as usize] = r as u32;
             filled[c as usize] += 1;
         }
-        let keys: Vec<(u32, u32)> = (0..classes)
-            .map(|c| blocks.keys(rows[start[c] as usize] as usize))
-            .collect();
+        let first = |c: usize| rows[start[c] as usize] as usize;
+        let keys: Vec<(u32, u32)> = (0..classes).map(|c| blocks.keys(first(c))).collect();
         let (by_name, by_key) = blocks.layouts(&keys);
+        let vetoing = blocks
+            .key_column()
+            .and_then(|column| kernel.vetoing(column));
+        let veto = vetoing.map(|dict| {
+            let ids: Vec<u32> = (0..classes).map(|c| dict.ids[first(c)]).collect();
+            debug_assert!((0..classes).all(|c| (ids[c] == NULL_ID) == (keys[c].1 == NULL_ID)));
+            let names: Vec<u32> = keys.iter().map(|k| k.0).collect();
+            (
+                Layout::of(&ids, dict.values.len()),
+                Layout::among(&names, blocks.by_name.values.len(), |c| {
+                    keys[c].1 == NULL_ID
+                }),
+            )
+        });
         let classes = RecordClasses {
             of_row,
             start,
@@ -552,6 +607,7 @@ impl RecordClasses {
             keys,
             by_name,
             by_key,
+            veto,
         };
         Ok((classes, carry))
     }
@@ -601,19 +657,33 @@ impl RecordClasses {
         self.first(hi) < self.last(lo)
     }
 
-    /// The later classes `c` is a candidate with, ascending.
-    pub(crate) fn partners(&self, c: usize) -> Partners<'_> {
-        Partners {
-            a: self.by_name.later_mates(c),
-            b: self.by_key.later_mates(c),
+    /// The two layouts class `c` meets its partners through: its prefix
+    /// and full-key blocks, or under the veto, for a class with a full key,
+    /// the classes sharing its vetoing id and the keyless ones of its prefix
+    /// block (a class without a full key has no full-key block).
+    fn met_through(&self, c: usize) -> [&Layout; 2] {
+        match &self.veto {
+            Some((by_id, keyless)) if self.keys[c].1 != NULL_ID => [by_id, keyless],
+            _ => [&self.by_name, &self.by_key],
         }
     }
 
-    /// The earlier classes `c` is a candidate with, ascending.
-    pub(crate) fn earlier_partners(&self, c: usize) -> Partners<'_> {
+    /// The later classes `c` is met with, ascending: its candidates, less
+    /// those the veto rejects.
+    pub(crate) fn partners(&self, c: usize) -> Partners<'_> {
+        let [a, b] = self.met_through(c);
         Partners {
-            a: self.by_name.earlier_mates(c),
-            b: self.by_key.earlier_mates(c),
+            a: a.later_mates(c),
+            b: b.later_mates(c),
+        }
+    }
+
+    /// The earlier classes `c` is met with, ascending.
+    pub(crate) fn earlier_partners(&self, c: usize) -> Partners<'_> {
+        let [a, b] = self.met_through(c);
+        Partners {
+            a: a.earlier_mates(c),
+            b: b.earlier_mates(c),
         }
     }
 
@@ -622,39 +692,38 @@ impl RecordClasses {
     /// its later mates, and its earlier ones too with `earlier`.
     pub(crate) fn mates(&self, c: usize, earlier: bool) -> u64 {
         let count = |l: &Layout| {
-            let (first, later, end) = l.spans[c];
-            let before = if earlier {
-                later.saturating_sub(first + 1)
-            } else {
-                0
-            };
-            u64::from(end - later + before)
+            let before = if earlier { l.earlier_mates(c).len() } else { 0 };
+            (l.later_mates(c).len() + before) as u64
         };
-        count(&self.by_name) + count(&self.by_key)
+        self.met_through(c).map(count).iter().sum()
     }
 
-    /// The union's candidates, counted from the class sizes: the row pairs
-    /// sharing a prefix key, plus those sharing a full key, less those
-    /// sharing both — counted inside each full-key block, by prefix key.
-    pub(crate) fn candidates(&self) -> u64 {
-        let block_size = |block: &[u32]| block.iter().map(|&c| self.size(c as usize)).sum();
+    /// The candidate pairs among elements of the classes, of `N` kinds at
+    /// once, `weight(c)[k]` elements of kind `k` in class `c` (its rows:
+    /// the candidates; one: the candidate class pairs): those sharing a
+    /// prefix key, plus those sharing a full key, less those sharing both —
+    /// counted inside each full-key block, by prefix key.
+    pub(crate) fn pairs<const N: usize>(&self, weight: impl Fn(usize) -> [u64; N]) -> [u64; N] {
+        let block_size =
+            |block: &[u32]| (block.iter()).fold([0; N], |n, &c| add(n, weight(c as usize)));
         let by_name = pairs_among(self.by_name.blocks().map(block_size));
         let by_key = pairs_among(self.by_key.blocks().map(block_size));
-        let mut names: Vec<(u32, u64)> = Vec::new();
-        let mut shared = 0;
+        let mut names: Vec<(u32, [u64; N])> = Vec::new();
+        let mut shared = [0; N];
         for block in self.by_key.blocks() {
             names.clear();
             names.extend(
                 block
                     .iter()
-                    .map(|&c| (self.keys[c as usize].0, self.size(c as usize))),
+                    .map(|&c| (self.keys[c as usize].0, weight(c as usize))),
             );
             names.retain(|&(name, _)| name != NULL_ID);
-            names.sort_unstable();
+            names.sort_unstable_by_key(|&(name, _)| name);
             let runs = names.chunk_by(|a, b| a.0 == b.0);
-            shared += pairs_among(runs.map(|run| run.iter().map(|&(_, n)| n).sum()));
+            let sizes = runs.map(|run| run.iter().fold([0; N], |n, &(_, w)| add(n, w)));
+            shared = add(shared, pairs_among(sizes));
         }
-        by_name + by_key - shared
+        std::array::from_fn(|k| by_name[k] + by_key[k] - shared[k])
     }
 }
 
@@ -843,7 +912,66 @@ mod tests {
         assert_eq!(classes.earlier_partners(3).collect::<Vec<_>>(), vec![0]);
         let listed = candidates_union(&t, "name", "sku").unwrap();
         assert_eq!(listed.len(), 4);
-        assert_eq!(classes.candidates(), listed.len() as u64);
+        assert_eq!(classes.pairs(|c| [classes.size(c)]), [listed.len() as u64]);
+    }
+
+    #[test]
+    fn under_a_veto_a_keyed_class_meets_its_key_and_the_keyless_of_its_prefix() {
+        // Rows 0 and 4 are one record. Class 3's key folds apart from class
+        // 0's ("k1 " against "k1") in one full-key block; class 2 has none.
+        let t = named_and_keyed(&[
+            ("Acme Widget", "k1"),
+            ("Acme Gadget", "k2"),
+            ("Acme Thing", ""),
+            ("Bolt", "k1 "),
+            ("acme widget", "K1"),
+        ]);
+        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
+        let field = |column: &str, weight, kind| crate::FieldSim {
+            column: column.into(),
+            weight,
+            kind,
+        };
+        let cfg = |threshold| crate::ErConfig {
+            fields: vec![
+                field("sku", 2.0, crate::SimKind::Exact),
+                field("name", 1.0, crate::SimKind::Text),
+            ],
+            threshold,
+        };
+        let classes = |threshold| {
+            let kernel = ErKernel::compile(&t, &cfg(threshold)).unwrap();
+            RecordClasses::derive(&kernel, &blocks, None).unwrap().0
+        };
+        let met = |c: &RecordClasses, k: usize| {
+            let later: Vec<usize> = c.partners(k).collect();
+            (c.earlier_partners(k).collect::<Vec<_>>(), later)
+        };
+        // At 1/3 a differing key still matches on the name: every candidate.
+        let open = classes(1.0 / 3.0);
+        assert_eq!(open.of_row, vec![0, 1, 2, 3, 0]);
+        assert!(open.veto.is_none());
+        assert_eq!(met(&open, 0), (vec![], vec![1, 2, 3]));
+        assert_eq!(open.pairs(|c| [1, open.size(c)]), [4, 8]);
+        // Over it the key vetoes: (0, 1) and (0, 3) are never met.
+        let vetoed = classes(0.34);
+        assert!(vetoed.veto.is_some());
+        assert_eq!(met(&vetoed, 0), (vec![], vec![2]));
+        assert_eq!(met(&vetoed, 1), (vec![], vec![2]));
+        assert_eq!(met(&vetoed, 2), (vec![0, 1], vec![]));
+        assert_eq!(met(&vetoed, 3), (vec![], vec![]));
+        assert_eq!(
+            (0..4).map(|c| vetoed.mates(c, true)).collect::<Vec<_>>(),
+            [1, 1, 2, 0]
+        );
+        // One column in both roles: no full key, nothing vetoed.
+        let kernel = ErKernel::compile(&t, &cfg(0.34)).unwrap();
+        let same = UnionBlocks::build(&t, "sku", "sku").unwrap();
+        assert!(RecordClasses::derive(&kernel, &same, None)
+            .unwrap()
+            .0
+            .veto
+            .is_none());
     }
 
     #[test]

@@ -78,9 +78,12 @@
 //! threshold` accepts, and otherwise the heaviest unknown field is opened and
 //! the bracket recomputed; with none left both ends *are* the score. Most
 //! pairs of a blocked union have two present, different keys, which alone
-//! puts `hi` under any threshold above `1 − w_key / W`: they are settled
-//! without touching a string. Workers take contiguous strips of *classes*,
-//! balanced by the class pairs each one decides.
+//! puts `hi` under any threshold above `1 − w_key / W`: compiling proves
+//! that once per exact field, over every set of fields a pair can have
+//! present (`rejects_alone`), and when it holds for the field on the
+//! full-key column such pairs are never visited (the veto of the record
+//! classes). Workers take contiguous strips of *classes*, balanced by the
+//! class pairs each one meets.
 //!
 //! **What a pair scores** — the `score_pairs*` family and
 //! [`ErKernel::filter_matches`] over a written-down list: the reference the
@@ -120,28 +123,36 @@ use crate::sim::{ErConfig, SimKind};
 use crate::ScoredPair;
 
 /// Minimum items per worker before the pool widens by one thread: *class
-/// pairs decided* for [`ErKernel::decide_union`] (its unit of work, counted
-/// as the walk weighs its classes), pairs scored for the exact-scoring entry
-/// points.
+/// pairs met* for [`ErKernel::decide_union`] (its unit of work, counted as
+/// the walk weighs its classes; a pair a differing key rejects unmet is no
+/// work), pairs scored for the exact-scoring entry points.
 ///
-/// Measured where the policy earns or loses its keep: the pipeline's own
-/// `wrangle/er/decide` span of whole passes at one ER worker and at two
-/// (2-core VM delivering two cores, checked before and after each sweep;
-/// release build; 4- to 8-source fleets of 60 to 640 products; minimum and
-/// median of 9 passes, each sweep run twice, with this floor still at 512,
-/// where every fleet from 1,024 pairs up fans out). That was while the walk
-/// decided row pairs; a class pair is decided by the same code from the
-/// classes' first rows, so an item costs what it did. A decided pair cost
-/// 35–45 ns there — almost all are settled from ids — and a fan-out 150–200
-/// µs before the first pair is saved. Two workers over one read 1.62–1.91 at
-/// 2,168 pairs, 1.33–1.66 at 4,754, 1.09–1.61 at 7,428–8,881, 1.11–1.34 at
-/// 11,568, 0.91–1.06 at 15,465, 0.83–1.06 at 21,458–26,133, 0.73–0.96 at
-/// 34,542–44,961 and 0.64–0.74 at 120,487. 16384 — a fan-out from 32,768
-/// items — is the smallest power of two at which fanning out is a measured
-/// win rather than a coin toss. (It was 512 while the stage scored every
-/// pair: a first-seen value pair costs a microsecond.) `e14_er_scaling`
-/// prints the decision at one worker against two spawned regardless either
-/// side of the floor, in class pairs, and the pipeline's span on the fleets
+/// First measured where the policy earns or loses its keep, while the walk
+/// stepped over every candidate and settled almost all from ids at 35–45 ns:
+/// the pipeline's own `wrangle/er/decide` span of whole passes at one ER
+/// worker and at two (2-core VM; 4- to 8-source fleets of 60 to 640
+/// products; minimum and median of 9 passes, each sweep run twice). A
+/// fan-out cost 150–200 µs before the first pair was saved; two workers
+/// over one read 1.62–1.91 at 2,168 pairs, 1.09–1.61 at 7,428–8,881,
+/// 0.91–1.06 at 15,465, 0.83–1.06 at 21,458–26,133, 0.73–0.96 at
+/// 34,542–44,961 and 0.64–0.74 at 120,487: 16384 — a fan-out from 32,768
+/// items — was the smallest power of two at which fanning out was a
+/// measured win rather than a coin toss. (It was 512 while the stage scored
+/// every pair: a first-seen value pair costs a microsecond.)
+///
+/// Now the walk meets only the pairs a key does not veto, so every item is
+/// a real decision, and the pairs met grow far slower than the candidates:
+/// `e14_er_scaling`'s floor fleets take forty sources and 1,000–8,000
+/// products to meet 4,132 / 12,439 / 24,104 / 80,489 pairs. The whole
+/// decision costs 330–560 ns a pair met there, most of it deriving the
+/// classes, which one thread does whatever the width. Two workers spawned
+/// over one (the decision alone, best of 10, two runs) read 0.88–1.12,
+/// 0.91–0.96, 0.76–0.86 and 0.66–1.08, and the pipeline's span 0.87–0.99 at
+/// 24,104 and 0.79–0.90 at 80,489: no size is a consistent win or a
+/// consistent loss, so the floor stays. No benchmark workload meets more
+/// than 10,907 pairs; each decides on one thread. `e14_er_scaling` prints
+/// the decision at one worker against two spawned regardless either side
+/// of the floor, in class pairs met, and the pipeline's span on the fleets
 /// over it.
 pub const MIN_PAIRS_PER_WORKER: usize = 16384;
 
@@ -204,6 +215,9 @@ struct CompiledField {
     column: String,
     weight: f64,
     cells: FieldCells,
+    /// An exact field whose two present, different values alone reject a
+    /// pair ([`rejects_alone`]).
+    vetoes: bool,
 }
 
 /// What one worker owns while it works through its share: the buffers of
@@ -379,8 +393,11 @@ struct Strip {
     decided: u64,
     from_ids: u64,
     text_fields: u64,
-    /// Row pairs under the class pairs decided.
-    live: u64,
+    /// Class pairs with a class new to the union met, each once.
+    met: u64,
+    /// Row pairs under the decisions among held classes: a carried pair's
+    /// orientation, a held class against itself.
+    redecided: u64,
 }
 
 /// A worker deciding its strip: its scratch, its per-field buffer and what
@@ -423,7 +440,7 @@ impl StripWorker<'_> {
         } else {
             Verdict::Open
         };
-        self.strip.live += classes.size(lo) * classes.size(hi);
+        self.strip.met += 1;
         self.keep(Edge {
             lo: lo as u32,
             hi: hi as u32,
@@ -443,7 +460,7 @@ impl StripWorker<'_> {
         if e.rev == Verdict::Open && classes.reversed(lo, hi) {
             e.rev = self.decide(j, i).0;
         }
-        self.strip.live += classes.size(lo) * classes.size(hi);
+        self.strip.redecided += classes.size(lo) * classes.size(hi);
         self.keep(e);
     }
 }
@@ -466,6 +483,10 @@ pub struct UnionMatches {
     /// Ordered class pairs decided — the walk's unit; a class with itself
     /// counts once.
     pub decided: u64,
+    /// Candidate class pairs with a class new to the union that the walk
+    /// never met: both classes hold the vetoing key and differ there, which
+    /// alone rejects them (module docs).
+    pub pruned: u64,
     /// Decisions settled with no text field opened.
     pub from_ids: u64,
     /// Text fields opened over all decisions — a function of each class
@@ -710,10 +731,16 @@ impl ErKernel {
                 column: f.column.clone(),
                 weight: f.weight,
                 cells,
+                vetoes: false,
             });
         }
-        let weights = cfg.fields.iter().map(|f| f.weight);
-        let bounded = weights.clone().all(|w| w >= 0.0) && weights.sum::<f64>().is_finite();
+        let weights: Vec<f64> = cfg.fields.iter().map(|f| f.weight).collect();
+        let bounded = weights.iter().all(|&w| w >= 0.0) && weights.iter().sum::<f64>().is_finite();
+        for (k, f) in fields.iter_mut().enumerate() {
+            f.vetoes = bounded
+                && matches!(f.cells, FieldCells::Exact(_))
+                && rejects_alone(&weights, k, cfg.threshold);
+        }
         let kernel = ErKernel {
             threshold: cfg.threshold,
             rows,
@@ -909,6 +936,15 @@ impl ErKernel {
         }))
     }
 
+    /// The dictionary of the exact field on `column` whose two present,
+    /// different values alone reject a pair, if the compiled config has one.
+    pub(crate) fn vetoing(&self, column: &str) -> Option<&Dict<String>> {
+        self.fields.iter().find_map(|f| match &f.cells {
+            FieldCells::Exact(dict) if f.vetoes && f.column == column => Some(dict),
+            _ => None,
+        })
+    }
+
     /// Was `other` compiled from the same config — the same fields, weights,
     /// comparators and threshold, bit for bit?
     fn same_rule(&self, other: &ErKernel) -> bool {
@@ -934,11 +970,13 @@ impl ErKernel {
     /// classes' first rows — and as `(b, a)` too only when that decision
     /// opened a text field and some row of `b` precedes some row of `a`: a
     /// decision settled from ids alone is the same either way round (module
-    /// docs). With a `prior` walk, only the pairs with a class new to the
-    /// union are decided, with the carried pairs' orientations the new row
-    /// order needs and the prior never decided; the rest are carried. The
-    /// answer equals `filter_matches(candidates_union, score_pairs)` for
-    /// any `workers` and any prior.
+    /// docs). A pair the compiled config's vetoing key rejects is never met
+    /// ([`UnionMatches::pruned`]). With a `prior` walk, only the pairs with a
+    /// class new to the union are decided, with the carried pairs'
+    /// orientations the new row order needs and the prior never decided; the
+    /// rest are carried. The answer equals
+    /// `filter_matches(candidates_union, score_pairs)` for any `workers` and
+    /// any prior.
     pub fn decide_union(
         &self,
         blocks: &UnionBlocks,
@@ -1051,29 +1089,42 @@ impl ErKernel {
                 .collect::<Vec<_>>()
         })
         .map_err(|msg| TableError::Unavailable(format!("ER decision worker panicked: {msg}")))?;
+        // The candidates, and the candidate class pairs; of each, those among
+        // held classes.
+        let classes = &walk.classes;
+        let held = |c: usize| u64::from(!walk.new[c]);
+        let [candidates, class_pairs, held_rows, held_pairs] = classes.pairs(|c| {
+            let rows = classes.size(c);
+            [rows, 1, rows * held(c), held(c)]
+        });
         let mut out = UnionMatches {
-            candidates: walk.classes.candidates(),
+            candidates,
             ..UnionMatches::default()
         };
         let mut edges = walk.carried;
-        let mut live = 0;
+        let (mut met, mut redecided) = (0, 0);
         for (strip, stat) in chunks.into_iter().flatten().zip(stats) {
             edges.extend(strip.edges);
             out.decided += strip.decided;
             out.from_ids += strip.from_ids;
             out.text_fields += strip.text_fields;
-            live += strip.live;
+            met += strip.met;
+            redecided += strip.redecided;
             out.workers.push(WorkerStat {
                 items: strip.decided,
                 busy_nanos: stat.busy_nanos,
             });
         }
-        out.covered = out.candidates.checked_sub(live).ok_or_else(|| {
-            TableError::Invalid(format!(
-                "{live} row pairs decided of {} candidates",
-                out.candidates
-            ))
-        })?;
+        // Among held classes, what was not decided again was carried; of the
+        // class pairs with a new class, what was not met was vetoed.
+        let new_pairs = class_pairs - held_pairs;
+        let (covered, pruned) = (held_rows.checked_sub(redecided), new_pairs.checked_sub(met));
+        let (Some(covered), Some(pruned)) = (covered, pruned) else {
+            return Err(TableError::Invalid(format!(
+                "{met} class pairs met of {new_pairs}, {redecided} held row pairs decided of {held_rows}"
+            )));
+        };
+        (out.covered, out.pruned) = (covered, pruned);
         out.match_pairs = (edges.iter())
             .map(|e| crate::cluster::matched_row_pairs(&walk.classes, e))
             .sum();
@@ -1101,8 +1152,10 @@ impl ErKernel {
             if walk.selfs[a] {
                 let i = all.first(a);
                 let (fwd, _) = w.decide(i, i);
-                let s = all.size(a);
-                w.strip.live += s * (s - 1) / 2;
+                if !walk.new[a] {
+                    let s = all.size(a);
+                    w.strip.redecided += s * (s - 1) / 2;
+                }
                 w.keep(Edge {
                     lo: a as u32,
                     hi: a as u32,
@@ -1237,6 +1290,34 @@ impl ErKernel {
             })
             .collect()
     }
+}
+
+/// Fields past which [`rejects_alone`] proves nothing: its subsets double
+/// with each field (4,096 of them at this bound).
+const MAX_VETO_FIELDS: usize = 13;
+
+/// Does field `k` scoring 0.0 alone reject every pair, whatever the other
+/// fields score? [`ErKernel::decide_with`]'s upper-bound loop, run with
+/// field `k` at 0.0 and every other field at 1.0, over every set of other
+/// fields a pair can have present (a null side skips a field, so `den`
+/// varies with the set). A pair whose field `k` is present and scores 0.0
+/// scores at most that bound in f64 — each weight is finite and ≥ 0 (the
+/// caller checks `bounded`), every similarity lies in [0, 1], and IEEE `*`,
+/// `+`, `/` round monotonically — so a bound under `threshold` in every set
+/// rejects it. A NaN threshold proves nothing.
+fn rejects_alone(weights: &[f64], k: usize, threshold: f64) -> bool {
+    if weights.len() > MAX_VETO_FIELDS {
+        return false;
+    }
+    let sets = (0..1u32 << weights.len()).filter(|set| set >> k & 1 == 1);
+    sets.into_iter().all(|set| {
+        let (mut hi, mut den) = (0.0, 0.0);
+        for (f, &w) in weights.iter().enumerate().filter(|&(f, _)| set >> f & 1 == 1) {
+            hi += w * if f == k { 0.0 } else { 1.0 };
+            den += w;
+        }
+        (if den == 0.0 { 0.0 } else { hi / den }) < threshold
+    })
 }
 
 /// Build the text cell of one distinct lowercased rendering.
@@ -1864,6 +1945,108 @@ mod tests {
             // No bracket is trusted: both pairs with two names open them,
             // even at a threshold no score reaches.
             assert_eq!((got.from_ids, got.text_fields), (3, 2));
+        }
+    }
+
+    #[test]
+    fn the_veto_proof_checks_every_set_of_present_fields() {
+        // With all three present a differing key scores at most
+        // 2^53 / (2^53 + 2) < 1.0; with the middle one null, `1 + 2^53`
+        // rounds to 2^53 and the bound is 1.0 itself. Only the subsets see it.
+        let big = 2f64.powi(53);
+        let all = (0.0 + 1.0 + big) / (1.0 + 1.0 + big);
+        assert!(all < 1.0 && (0.0 + big) / (1.0 + big) == 1.0);
+        assert!(!rejects_alone(&[1.0, 1.0, big], 0, 1.0));
+        assert!(rejects_alone(&[1.0, 1.0, big], 0, 1.0f64.next_up()));
+        // And such a pair matches: the walk must meet it.
+        let t = Table::literal(
+            &["sku", "name", "brand"],
+            vec![
+                vec!["a".into(), "x".into(), "Acme".into()],
+                vec!["b".into(), Value::Null, "Acme".into()],
+            ],
+        )
+        .unwrap();
+        let field = |column: &str, weight, kind| FieldSim {
+            column: column.into(),
+            weight,
+            kind,
+        };
+        let cfg = ErConfig {
+            fields: vec![
+                field("sku", 1.0, SimKind::Exact),
+                field("name", 1.0, SimKind::Text),
+                field("brand", big, SimKind::Text),
+            ],
+            threshold: 1.0,
+        };
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        assert!(kernel.bounded && kernel.vetoing("sku").is_none());
+        let got = kernel
+            .decide_union(&UnionBlocks::build(&t, "brand", "sku").unwrap(), 1, None)
+            .unwrap();
+        assert_eq!((got.matches(), got.pruned), (vec![(0, 1)], 0));
+        // Zero weights leave `den` at 0 for some sets: the score is 0.0 there.
+        assert!(rejects_alone(&[0.0, 0.0], 0, f64::MIN_POSITIVE));
+        assert!(!rejects_alone(&[0.0, 0.0], 0, 0.0));
+        assert!(!rejects_alone(&[2.0, 5.0], 0, f64::NAN));
+        assert!(!rejects_alone(&[1.0; MAX_VETO_FIELDS + 1], 0, 1.5));
+    }
+
+    #[test]
+    fn a_key_over_its_line_vetoes_class_pairs_unmet() {
+        // The wrangler's config shape: key 2, name 3, two texts 1 — a
+        // differing key leaves at most 5/7. Rows 0 and 1 differ in the key
+        // alone (trailing space: one full-key block, two exact ids), row 2
+        // has another key, row 3 none, row 4 another prefix and row 0's key
+        // in another case (one exact id).
+        let t = Table::literal(
+            &["sku", "name", "brand", "category"],
+            vec![
+                vec!["K1".into(), "Acme Widget".into(), "acme".into(), "x".into()],
+                vec!["k1 ".into(), "Acme Widget".into(), "acme".into(), "x".into()],
+                vec!["K2".into(), "Acme Widgets".into(), "acme".into(), "x".into()],
+                vec![Value::Null, "Acme Widget".into(), "acme".into(), "x".into()],
+                vec!["k1".into(), "Bolt Gadget".into(), "bolt".into(), "x".into()],
+            ],
+        )
+        .unwrap();
+        let field = |column: &str, weight, kind| FieldSim {
+            column: column.into(),
+            weight,
+            kind,
+        };
+        let mut cfg = ErConfig {
+            fields: vec![
+                field("sku", 2.0, SimKind::Exact),
+                field("name", 3.0, SimKind::Text),
+                field("brand", 1.0, SimKind::Text),
+                field("category", 1.0, SimKind::Text),
+            ],
+            threshold: 0.0,
+        };
+        let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
+        let listed = candidates_union(&t, "name", "sku").unwrap();
+        assert_eq!(listed.len(), 8);
+        let line: f64 = (0.0 + 3.0 + 1.0 + 1.0) / 7.0;
+        for (threshold, vetoed) in [(line.next_down(), 0), (line, 0), (line.next_up(), 4)] {
+            cfg.threshold = threshold;
+            let kernel = ErKernel::compile(&t, &cfg).unwrap();
+            assert_eq!(kernel.vetoing("sku").is_some(), vetoed > 0);
+            assert!(kernel.vetoing("name").is_none());
+            let scores = kernel.score_pairs(&listed).unwrap();
+            let want: Vec<_> = (kernel.filter_matches(&listed, &scores).iter())
+                .map(|p| (p.i, p.j))
+                .collect();
+            for workers in [1, 2, 3] {
+                let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+                assert_eq!(got.matches(), want, "{threshold}");
+                // (0, 1), (0, 2), (1, 2) share a prefix with two keys, (1, 4)
+                // a full key with two exact ids: met only up to the line.
+                let counts = (got.pruned, got.decided);
+                assert_eq!(counts, (vetoed, 8 - vetoed), "{threshold}");
+                assert_eq!((got.candidates, got.covered), (8, 0));
+            }
         }
     }
 

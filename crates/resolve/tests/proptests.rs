@@ -277,6 +277,41 @@ fn listed_and_scored(kernel: &ErKernel, pairs: &[(usize, usize)]) -> Vec<(usize,
     matched.iter().map(|p| (p.i, p.j)).collect()
 }
 
+/// Tables of [`arb_wide_table`]'s columns whose keys fold apart under the
+/// exact comparator yet share a full-key block (`trim().to_lowercase()`):
+/// a leading or trailing space, non-ASCII case — beside a second key and
+/// nulls.
+fn arb_vetoed_table(rows: usize) -> impl Strategy<Value = Table> {
+    let key =
+        (0usize..7).prop_map(|k| ["SKU-1", "sku-1", "SKU-1 ", " sku-1", "Ü7", "ü7", "SKU-2"][k]);
+    prop::collection::vec((arb_wide_row(), prop::option::of(key)), 1..=rows).prop_map(|rows| {
+        let rows = rows
+            .into_iter()
+            .map(|(mut row, key)| {
+                row[1] = key.map(Value::from).unwrap_or(Value::Null);
+                row
+            })
+            .collect();
+        Table::literal(&WIDE_COLUMNS, rows).expect("aligned")
+    })
+}
+
+/// What a pair whose `sku` differs scores at most with every field of `cfg`
+/// present: the bracket's upper-bound loop with `sku` at 0.0 and every other
+/// field at 1.0. Only a threshold above it can let the key veto.
+fn veto_line(cfg: &ErConfig) -> f64 {
+    let (mut hi, mut den) = (0.0, 0.0);
+    for f in &cfg.fields {
+        hi += f.weight * if f.column == "sku" { 0.0 } else { 1.0 };
+        den += f.weight;
+    }
+    if den == 0.0 {
+        0.0
+    } else {
+        hi / den
+    }
+}
+
 /// An update of a table laid out in blocks, as a union is by source.
 struct Update {
     new: Table,
@@ -459,9 +494,11 @@ fn check_carried_walk(
     if cold.text_fields == 0 {
         prop_assert_eq!(got.decided, least);
     }
-    // A pair not decided is carried: with nothing decided, every one.
+    // A vetoed pair the carried walk skips has a class new to the union.
+    prop_assert!(got.pruned <= cold.pruned);
+    // A pair not decided is carried or vetoed: with neither, every one.
     prop_assert!(got.covered <= got.candidates);
-    if got.decided == 0 {
+    if got.decided == 0 && got.pruned == 0 {
         prop_assert_eq!(got.covered, got.candidates);
     }
     Ok(got)
@@ -821,6 +858,74 @@ proptest! {
             prop_assert_eq!(next.workers.iter().map(|s| s.items).sum::<u64>(), next.decided);
             (blocks, kernel, walk) = (next_blocks, next_kernel, next);
         }
+    }
+
+    #[test]
+    fn a_vetoing_key_leaves_the_walk_equal_to_the_oracle(
+        t in arb_vetoed_table(40),
+        mask in any::<u8>(),
+        weights in prop::collection::vec(arb_weight(), 6),
+        bad in 0usize..6,
+        at in 0usize..6,
+        side in 0usize..3,
+        key_col in 0usize..3,
+    ) {
+        // `sku` always in the config, at a threshold one ulp under the line,
+        // on it, or one over; in a third of the cases one weight negative or
+        // infinite, which proves nothing. Blocked on the key, on a text
+        // column (the exact field is off the full-key column), or on the
+        // name alone (no full key).
+        let mut weights = weights;
+        if bad < 2 {
+            weights[at] = [-1.0, f64::INFINITY][bad];
+        }
+        let mut cfg = wide_cfg(mask | 2, &weights, 0.0);
+        let line = veto_line(&cfg);
+        cfg.threshold = [line.next_down(), line, line.next_up()][side];
+        let key_col = ["sku", "brand", "name"][key_col];
+        let pairs = candidates_union(&t, "name", key_col).unwrap();
+        let kernel = ErKernel::compile(&t, &cfg).unwrap();
+        let want = listed_and_scored(&kernel, &pairs);
+        let clusters = cluster_pairs(t.num_rows(), want.iter().copied());
+        let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
+        let serial = kernel.decide_union_exact(&blocks, 1, None).unwrap();
+        for workers in [1usize, 2, 3, 7] {
+            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+            prop_assert_eq!(&got.matches(), &want, "workers = {}, threshold {:?}", workers, cfg.threshold);
+            prop_assert_eq!(&got.clusters(), &clusters);
+            prop_assert_eq!(
+                (got.candidates, got.match_pairs, got.covered),
+                (pairs.len() as u64, want.len() as u64, 0)
+            );
+            prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), got.decided);
+            prop_assert_eq!((got.decided, got.pruned), (serial.decided, serial.pruned));
+        }
+        // Nothing is vetoed on or under the line, outside the premise, or
+        // without the exact field on the full-key column.
+        if side < 2 || bad < 2 || key_col != "sku" {
+            prop_assert_eq!(serial.pruned, 0);
+        }
+    }
+
+    #[test]
+    fn a_carried_walk_under_a_vetoing_key_equals_the_oracle(
+        old in arb_vetoed_table(30),
+        fresh in arb_vetoed_table(8),
+        cuts in prop::collection::vec(any::<bool>(), 30),
+        fates in prop::collection::vec(0u8..4, 30),
+        mode in 0u8..3,
+        rotate in any::<bool>(),
+        weights in prop::collection::vec(arb_weight(), 6),
+        side in 0usize..3,
+        workers in 1usize..5,
+    ) {
+        // The carried walk skips the vetoed pairs of its new classes, before
+        // and after them, around the line as above.
+        let up = update(&old, &fresh, &cuts, &fates_for(mode, fates), rotate);
+        let mut cfg = wide_cfg(63, &weights, 0.0);
+        let line = veto_line(&cfg);
+        cfg.threshold = [line.next_down(), line, line.next_up()][side];
+        check_carried_walk(&old, &up.new, &up.old_of, &cfg, workers)?;
     }
 
     #[test]

@@ -18,7 +18,8 @@ The regressions this guards:
   VISIT_LIMIT of the class pairs the cold comparator's walk decides
   (`visited / cold_visited`, both from `er.walk.visited`: the class pairs a
   walk decided — a pair of record classes stands for every row pair
-  between them). Like is divided by like: a walk that decides every class
+  between them; a pair a differing key rejects unmet, `er.walk.pruned`, is
+  counted on neither side). Like is divided by like: a walk that decides every class
   pair again to ask the carry about it reads ~1.0 and fails, whatever share
   of the row-pair candidates a class pair stands for; this gates the
   mechanism, not only the time. (Until record classes both sides counted
