@@ -55,9 +55,7 @@ fn e15_fleet() -> SyntheticFleet {
 }
 
 fn build(f: &SyntheticFleet, policy: ContainPolicy) -> Wrangler {
-    session(f, UserContext::completeness_first())
-        .with_er_workers(4)
-        .with_contain_policy(policy)
+    session(f, UserContext::completeness_first()).with_contain_policy(policy)
 }
 
 struct Trial {

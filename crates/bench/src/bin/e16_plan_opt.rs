@@ -58,7 +58,6 @@ fn workload_filter() -> Expr {
 
 fn build(f: &SyntheticFleet, mode: OptMode) -> Wrangler {
     session(f, UserContext::balanced("e16"))
-        .with_er_workers(4)
         .with_contain_policy(ContainPolicy::off())
         .with_opt_mode(mode)
         .with_row_filter(workload_filter())

@@ -63,7 +63,7 @@ fn e17_fleet(trial: u64) -> SyntheticFleet {
 }
 
 fn build(f: &SyntheticFleet) -> Wrangler {
-    session(f, UserContext::completeness_first()).with_er_workers(4)
+    session(f, UserContext::completeness_first())
 }
 
 /// Everything "byte-identical" covers: the delivered table plus the

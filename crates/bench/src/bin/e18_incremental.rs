@@ -60,7 +60,7 @@ fn e18_fleet() -> SyntheticFleet {
 }
 
 fn build(f: &SyntheticFleet) -> Wrangler {
-    session(f, UserContext::completeness_first()).with_er_workers(4)
+    session(f, UserContext::completeness_first())
 }
 
 /// Deterministic provider update: the first numeric/string cell nudged,

@@ -87,10 +87,10 @@ struct WrangleCache {
     fused: Vec<Option<FusedValue>>,
     /// Selected sources.
     selected: Vec<SourceId>,
-    /// The ER rule the clustering was decided under.
-    er_cfg: ErConfig,
-    /// Registered sources when the pass ran.
-    sources: usize,
+    /// The pass fingerprint the cache was built under: it covers the user
+    /// context and plan, the ER rule and every registered source, so a
+    /// [`Wrangler::rewrangle`] under another one falls back to a wrangle.
+    pass_fp: u64,
     /// What the claim set was built under, when incremental reuse took part
     /// ([`Pass::claims_key`]); the next pass under the same takes it.
     claims_key: Option<ClaimsKey>,
@@ -184,9 +184,6 @@ pub struct Wrangler {
     registry: SourceRegistry,
     states: Vec<SourceState>,
     er_cfg: ErConfig,
-    /// Worker-count override for the ER decision pool (`None` = hardware
-    /// parallelism). Output is identical for any value; experiments pin it.
-    er_workers: Option<usize>,
     /// Worker-count override for the fuse-slot pool (`None` = hardware
     /// parallelism). Output is identical for any value; experiments pin it.
     fuse_workers: Option<usize>,
@@ -304,7 +301,6 @@ impl Wrangler {
             registry: SourceRegistry::new(),
             states: Vec::new(),
             er_cfg,
-            er_workers: None,
             fuse_workers: None,
             match_cfg: MatchConfig::default(),
             now: 0,
@@ -458,14 +454,6 @@ impl Wrangler {
         self
     }
 
-    /// Pin the ER decision pool to `workers` threads (default: hardware
-    /// parallelism). Matches and clusters are byte-identical for any worker
-    /// count — this knob trades wall-clock only (E14's sweep axis).
-    pub fn with_er_workers(mut self, workers: usize) -> Wrangler {
-        self.er_workers = Some(workers.max(1));
-        self
-    }
-
     /// Pin the fuse-slot pool to `workers` threads (default: hardware
     /// parallelism). Fused values are byte-identical for any worker count —
     /// this knob trades wall-clock only (E14's fuse sweep axis).
@@ -565,10 +553,11 @@ impl Wrangler {
 
     /// Switch the user context mid-session (§2.1: "a single application may
     /// have different user contexts"). The plan is re-derived on the next
-    /// wrangle; cached claims and clusters survive, so switching contexts is
-    /// a re-selection + re-fusion, not a from-scratch run — unless the new
-    /// plan needs a different ER threshold: a new rule, which the cached
-    /// clustering and the ER memo were not decided under.
+    /// pass, and a plan that needs another ER threshold installs a new rule.
+    /// The pass fingerprint covers the context, so the next pass — a
+    /// `rewrangle` too, which falls back to a wrangle — re-selects and
+    /// re-runs every stage under it; no memo or cache of the old context
+    /// is reused.
     pub fn set_user_context(&mut self, user: UserContext) {
         let old_plan = self.plan();
         self.user = user;
@@ -786,22 +775,22 @@ impl Wrangler {
 
     /// Incrementally re-wrangle after feedback: re-fuse only marked slots
     /// with the updated trust. Falls back to a full wrangle when there is no
-    /// cache, when the cache was built under another ER rule or source
-    /// count, or when a selected source's mapping or mapped table was
-    /// dropped.
+    /// cache, when the cache was built under another pass fingerprint
+    /// (user context, plan, ER rule, sources, configuration), or when a
+    /// selected source's mapping or mapped table was dropped.
     pub fn rewrangle(&mut self) -> wrangler_table::Result<WrangleOutcome> {
-        let structural_dirty = self.cache.as_ref().is_none_or(|c| {
-            c.er_cfg != self.er_cfg
-                || c.sources != self.registry.len()
+        let plan = self.plan();
+        let pass_fp = self.pass_fingerprint(&plan);
+        let stale = self.cache.as_ref().is_none_or(|c| {
+            c.pass_fp != pass_fp
                 || c.selected.iter().any(|id| {
                     let s = &self.states[id.0 as usize];
                     s.mapping.is_none() || s.mapped.is_none()
                 })
         });
-        if structural_dirty {
+        if stale {
             return self.wrangle();
         }
-        let plan = self.plan();
         self.obs.start_pass();
         self.obs.begin("rewrangle");
         self.obs.inc("pass.rewrangle");
@@ -1244,7 +1233,7 @@ impl Wrangler {
         let blocks = UnionBlocks::build(union_table, name_col, key_col).ok()?;
         let new_entities = ErKernel::compile(union_table, &cfg)
             .ok()?
-            .decide_union(&blocks, 1, None)
+            .decide_union(&blocks, None)
             .ok()?
             .clusters()
             .len();
@@ -2279,30 +2268,18 @@ mod tests {
     }
 
     #[test]
-    fn er_worker_counters_cover_candidates_and_a_forced_structural_pass_rescores_them() {
+    fn er_walk_counts_its_decisions_and_a_forced_structural_pass_rescores_them() {
         let fleet = small_fleet();
-        let mut w = session(&fleet, UserContext::balanced("t")).with_er_workers(3);
+        let mut w = session(&fleet, UserContext::balanced("t"));
         let out = w.wrangle().unwrap();
         let m = &out.metrics;
-        // Per-worker ER items sum to the class pairs decided: a first pass
-        // has no memo, so every candidate is decided live — once per pair of
-        // record classes — and no worker sits idle.
-        let worker_items: Vec<u64> = m
-            .counts
-            .iter()
-            .filter(|(k, _)| k.starts_with("er.worker") && k.ends_with(".items"))
-            .map(|(_, v)| *v)
-            .collect();
-        assert!(!worker_items.is_empty());
-        assert_eq!(
-            worker_items.iter().sum::<u64>(),
-            m.counts["er.walk.visited"]
-        );
+        // The walk counts the class pairs it decided: a first pass has no
+        // memo, so every candidate is decided live, once per pair of record
+        // classes.
+        let decided = &w.er_memo.as_ref().unwrap().decided;
+        assert!(decided.decided > 0);
+        assert_eq!(m.counts["er.walk.visited"], decided.decided);
         assert!(m.counts["er.walk.visited"] < m.counts["er.candidates"]);
-        assert!(
-            worker_items.iter().all(|&n| n > 0),
-            "no worker may be idle: {worker_items:?}"
-        );
         assert_eq!(m.counts["er.cache.misses"], m.counts["er.candidates"]);
         // Force a cold ER with unchanged rows: with the engine off there is
         // no ER memo to carry, so every candidate is scored again, and the
@@ -2317,21 +2294,6 @@ mod tests {
         assert!(!m2.counts.contains_key("er.cache.hits"));
         assert_eq!(out2.entities, out.entities);
         assert_eq!(out2.table, out.table);
-    }
-
-    #[test]
-    fn er_output_is_identical_for_any_worker_count() {
-        let fleet = small_fleet();
-        let mut one = session(&fleet, UserContext::balanced("t")).with_er_workers(1);
-        let mut five = session(&fleet, UserContext::balanced("t")).with_er_workers(5);
-        let a = one.wrangle().unwrap();
-        let b = five.wrangle().unwrap();
-        assert_eq!(a.entities, b.entities);
-        assert_eq!(a.table, b.table);
-        assert_eq!(
-            a.metrics.counts["er.match_pairs"],
-            b.metrics.counts["er.match_pairs"]
-        );
     }
 
     /// The last pass's ER record against the reference spelling of the
@@ -2371,7 +2333,7 @@ mod tests {
             (fleet_of(500), "wide"),
             (null_heavy, "null-heavy"),
         ] {
-            let mut w = session(&fleet, UserContext::completeness_first()).with_er_workers(3);
+            let mut w = session(&fleet, UserContext::completeness_first());
             let out = w.wrangle().unwrap();
             let listed = assert_er_equals_listed_scored_and_clustered(&w);
             let m = &out.metrics.counts;
@@ -3657,10 +3619,12 @@ mod tests {
         );
         assert_eq!(w.working.dirty_count(), 0);
         // A full pass fuses every slot: it clears the marks, and a later
-        // judgement re-fuses only what it dirties itself.
+        // judgement re-fuses only what it dirties itself. Routing is pass
+        // configuration, so it is switched before that pass: the re-fuse
+        // runs under the fingerprint the cache was built under.
+        twin.routing = RoutingMode::Siloed;
         twin.wrangle().unwrap();
         assert_eq!(twin.working.dirty_count(), 0);
-        twin.routing = RoutingMode::Siloed;
         refute(&mut twin);
         let before = twin.working.work;
         twin.rewrangle().unwrap();
@@ -3760,5 +3724,116 @@ mod tests {
         assert_no_change_pass_decides_nothing(&again, &out);
         assert_eq!(counter_delta(&again, &out, "incr.union.reused"), n);
         assert_ne!(outcome_fingerprint(&again), outcome_fingerprint(&out));
+    }
+
+    /// A session under `completeness_first` and `routing` that wrangled,
+    /// then took `mutate`; its `rewrangle` must deliver what a fresh session
+    /// brought to the same state by `prepare` delivers from `wrangle`, bit
+    /// for bit. The fleet's coverage leaves every source relevant, so the
+    /// context switches move the selection and the fusion.
+    fn rewrangle_equals_a_fresh_wrangle(
+        label: &str,
+        routing: RoutingMode,
+        mutate: impl Fn(&mut Wrangler, &WrangleOutcome),
+        prepare: impl Fn(&mut Wrangler, &WrangleOutcome),
+    ) -> WrangleOutcome {
+        let fleet = wrangler_sources::synthetic::generate_fleet(
+            &FleetConfig {
+                num_products: 60,
+                num_sources: 12,
+                now: 10,
+                coverage: (0.55, 0.55),
+                staleness: (0, 8),
+                ..FleetConfig::default()
+            },
+            11,
+        );
+        let mut w = session(&fleet, UserContext::completeness_first());
+        w.routing = routing;
+        let first = w.wrangle().unwrap();
+        mutate(&mut w, &first);
+        let out = w.rewrangle().unwrap();
+        let mut fresh = session(&fleet, UserContext::completeness_first());
+        fresh.routing = routing;
+        prepare(&mut fresh, &first);
+        let want = fresh.wrangle().unwrap();
+        assert_eq!(
+            outcome_fingerprint(&out),
+            outcome_fingerprint(&want),
+            "{label}"
+        );
+        assert_eq!(out.utility.to_bits(), want.utility.to_bits(), "{label}");
+        out
+    }
+
+    #[test]
+    fn rewrangle_after_a_context_switch_equals_a_fresh_session() {
+        // Both contexts keep `completeness_first`'s ER threshold: the rule
+        // stays, and only the pass fingerprint tells the cache is stale.
+        for (label, user) in [
+            (
+                "max sources",
+                UserContext::completeness_first().with_max_sources(4),
+            ),
+            (
+                "freshness",
+                UserContext::completeness_first().with_freshness_horizon(3),
+            ),
+        ] {
+            let switch = |w: &mut Wrangler, _: &WrangleOutcome| w.set_user_context(user.clone());
+            let out = rewrangle_equals_a_fresh_wrangle(label, RoutingMode::Shared, switch, switch);
+            assert_eq!(out.metrics.counts.get("pass.rewrangle"), None, "{label}");
+            let most = user.max_sources.unwrap_or(usize::MAX);
+            assert!(out.selected_sources.len() <= most, "{label}");
+        }
+    }
+
+    #[test]
+    fn rewrangle_after_a_clock_mapping_or_source_change_equals_a_fresh_session() {
+        let tick = |w: &mut Wrangler, _: &WrangleOutcome| w.set_now(15);
+        rewrangle_equals_a_fresh_wrangle("set_now", RoutingMode::Shared, tick, tick);
+        // The mapping the first pass generated for source 0, handed back as
+        // an override: the mapped table is dropped, so the pass re-runs.
+        let keep_mapping = |w: &mut Wrangler, first: &WrangleOutcome| {
+            let id = first.selected_sources[0];
+            let mapping = w.mapping_of(id).unwrap().clone();
+            assert!(w.override_mapping(id, mapping));
+        };
+        let fresh_mapping = |w: &mut Wrangler, first: &WrangleOutcome| {
+            w.wrangle().unwrap();
+            keep_mapping(w, first);
+        };
+        rewrangle_equals_a_fresh_wrangle(
+            "override_mapping",
+            RoutingMode::Shared,
+            keep_mapping,
+            fresh_mapping,
+        );
+        let update = |w: &mut Wrangler, first: &WrangleOutcome| {
+            let id = first.selected_sources[0];
+            let t = perturbed(&w.registry.get(id).unwrap().table);
+            assert!(w.update_source(id, t).unwrap());
+        };
+        rewrangle_equals_a_fresh_wrangle("update_source", RoutingMode::Shared, update, update);
+        let confirm = |w: &mut Wrangler, first: &WrangleOutcome| {
+            let mut item = price_veto(w, first);
+            item.verdict = Verdict::Positive;
+            w.give_feedback(item);
+        };
+        let fresh_confirm = |w: &mut Wrangler, first: &WrangleOutcome| {
+            w.wrangle().unwrap();
+            confirm(w, first);
+        };
+        // A confirmation under siloed routing pins its slot and moves no
+        // trust: the fingerprint holds, and the re-fuse is what a full pass
+        // delivers.
+        let out = rewrangle_equals_a_fresh_wrangle(
+            "give_feedback",
+            RoutingMode::Siloed,
+            confirm,
+            fresh_confirm,
+        );
+        assert_eq!(out.metrics.counts.get("pass.rewrangle"), Some(&1));
+        assert!(out.metrics.counts["refuse.slots"] >= 1);
     }
 }

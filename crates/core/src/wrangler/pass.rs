@@ -63,7 +63,8 @@ pub(super) struct Pass {
     /// advances the chaos RNG), so skipping a memoized region would change
     /// which sources later rolls hit. Cleared by a union without a layout.
     pub(super) incr_on: bool,
-    /// Pass fingerprint (0 when neither a store nor the engine needs it).
+    /// Pass fingerprint: keys the seams, the incremental memos and the
+    /// cache `rewrangle` re-fuses.
     pub(super) pass_fp: u64,
     /// The value-level feedback in force (vetoes, confirmations), hashed
     /// for the fuse seam's key — fuse is the one stage that reads it (0
@@ -143,11 +144,7 @@ impl Wrangler {
         let plan = self.plan();
         let incr_on = self.incr_enabled && self.contain.chaos.is_none();
         let stored = self.ckpt.is_some();
-        let pass_fp = if stored || incr_on {
-            self.pass_fingerprint(&plan)
-        } else {
-            0
-        };
+        let pass_fp = self.pass_fingerprint(&plan);
         let feedback_fp = if stored { self.feedback_fingerprint() } else { 0 };
         Pass {
             plan,
@@ -262,7 +259,7 @@ impl Wrangler {
     /// veto leaves every upstream memo and seam valid. The data context and
     /// the held mappings are keyed beside it, by the first seam's key
     /// ([`Self::seam_key_select`]).
-    fn pass_fingerprint(&self, plan: &Plan) -> u64 {
+    pub(super) fn pass_fingerprint(&self, plan: &Plan) -> u64 {
         let mut h = wire::Hasher64::new();
         h.write(&wire::to_bytes(&self.target));
         h.write_u64(self.target_sample_hash);

@@ -836,10 +836,6 @@ impl Wrangler {
             self.obs
                 .count(&format!("er.dict.{column}.values"), values as u64);
         }
-        // The kernel's pool-sizing policy (cores cap + MIN_PAIRS_PER_WORKER
-        // class pairs decided per thread) applies on top of the requested
-        // width.
-        let workers = self.er_workers.unwrap_or_else(par::available_parallelism);
         self.obs.begin("decide");
         let prior = prior.map(|(m, old_of)| PriorWalk {
             blocks: &m.blocks,
@@ -849,10 +845,7 @@ impl Wrangler {
             block_ids: &block_ids,
             kernel_ids: &kernel_ids,
         });
-        let decided = kernel.decide_union(&blocks, workers, prior);
-        if let Ok(decided) = &decided {
-            self.record_workers("er", &decided.workers);
-        }
+        let decided = kernel.decide_union(&blocks, prior);
         self.obs.end();
         let decided = decided?;
         self.working.work.er_pairs += decided.candidates as usize;
@@ -940,8 +933,7 @@ impl Wrangler {
             },
             fused,
             selected: pass.selected.clone(),
-            er_cfg: self.er_cfg.clone(),
-            sources: self.registry.len(),
+            pass_fp: pass.pass_fp,
             claims_key: pass.claims_key(&rec.fuse_removed),
         });
         Ok(())
@@ -1095,7 +1087,8 @@ impl Wrangler {
             // pathological slot cannot take down its chunk; a panic escaping
             // the pool itself is the structured-error backstop, as in the ER
             // kernel.
-            let requested = w.fuse_workers.unwrap_or_else(par::available_parallelism);
+            // The cores are read only when the slots would fan out.
+            let requested = w.fuse_workers.unwrap_or(usize::MAX);
             let workers =
                 par::effective_workers(requested, plain_slots.len(), MIN_SLOTS_PER_WORKER);
             let (chunks, worker_stats) = par::run_blocked(&plain_slots, workers, |_, chunk| {

@@ -70,7 +70,7 @@ fn build_over(fleet: &SyntheticFleet, catalog: Table, faults: Option<&FaultConfi
     for s in fleet.registry.iter() {
         w.add_source(s.meta.clone(), s.table.clone());
     }
-    w = w.with_er_workers(2).with_fuse_workers(2);
+    w = w.with_fuse_workers(2);
     if let Some(cfg) = faults {
         w.inject_faults(cfg);
     }

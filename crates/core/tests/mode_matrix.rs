@@ -1,7 +1,7 @@
 //! The mode-matrix oracle: one enumerated sweep over every execution mode
 //! the session has, asserting that they all deliver the same bytes.
 //!
-//! {er+fuse workers 1, 3} × {`OptMode::Naive`, `Optimized`} × {incr on, off}
+//! {fuse workers 1, 3} × {`OptMode::Naive`, `Optimized`} × {incr on, off}
 //! × {no store, empty store, resumed from a store left by a crash at each
 //! `CrashSite`} × {`ObsMode::On`, `Off`} × {`ContainPolicy::contain()`,
 //! `off()`} = 288 cells, each running `wrangle → update_source(one source,
@@ -89,7 +89,6 @@ impl Cell {
             w.add_source(s.meta.clone(), s.table.clone());
         }
         let mut w = w
-            .with_er_workers(self.workers)
             .with_fuse_workers(self.workers)
             .with_opt_mode(self.opt)
             .with_obs_mode(self.obs)

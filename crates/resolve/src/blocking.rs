@@ -687,17 +687,6 @@ impl RecordClasses {
         }
     }
 
-    /// What walking class `c`'s partners costs, to within the overlap of the
-    /// two blockings (a partner in both counts twice) and without merging:
-    /// its later mates, and its earlier ones too with `earlier`.
-    pub(crate) fn mates(&self, c: usize, earlier: bool) -> u64 {
-        let count = |l: &Layout| {
-            let before = if earlier { l.earlier_mates(c).len() } else { 0 };
-            (l.later_mates(c).len() + before) as u64
-        };
-        self.met_through(c).map(count).iter().sum()
-    }
-
     /// The candidate pairs among elements of the classes, of `N` kinds at
     /// once, `weight(c)[k]` elements of kind `k` in class `c` (its rows:
     /// the candidates; one: the candidate class pairs): those sharing a
@@ -960,10 +949,6 @@ mod tests {
         assert_eq!(met(&vetoed, 1), (vec![], vec![2]));
         assert_eq!(met(&vetoed, 2), (vec![0, 1], vec![]));
         assert_eq!(met(&vetoed, 3), (vec![], vec![]));
-        assert_eq!(
-            (0..4).map(|c| vetoed.mates(c, true)).collect::<Vec<_>>(),
-            [1, 1, 2, 0]
-        );
         // One column in both roles: no full key, nothing vetoed.
         let kernel = ErKernel::compile(&t, &cfg(0.34)).unwrap();
         let same = UnionBlocks::build(&t, "sku", "sku").unwrap();
@@ -982,7 +967,7 @@ mod tests {
             ErKernel::compile(&old, &cfg).unwrap(),
             UnionBlocks::build(&old, "name", "sku").unwrap(),
         );
-        let decided = old_kernel.decide_union(&old_blocks, 1, None).unwrap();
+        let decided = old_kernel.decide_union(&old_blocks, None).unwrap();
         // Row 0 is new, row 1 re-delivers "Cog" (a dirty row the carry does
         // not map), row 2 keeps "Acme" and row 3 repeats it.
         let new = named_and_keyed(&[

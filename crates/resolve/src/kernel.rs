@@ -20,10 +20,10 @@
 //! are rendered and interned — into the kernel a cold compilation of the
 //! new table yields. A pair is then a comparison of ids: equal ids
 //! are `1.0`, an exact field is id equality, and only a text field over two
-//! *different* values needs its strings — a similarity a worker computes
-//! once per *ordered* `(id_a, id_b)` of its share and answers from an
-//! integer-keyed memo (`PairMemo`) afterwards, one memo per field, private
-//! to the worker.
+//! *different* values needs its strings — a similarity computed once per
+//! *ordered* `(id_a, id_b)` a walk (or a scoring worker's share) meets and
+//! answered from an integer-keyed memo (`PairMemo`) afterwards, one memo
+//! per field.
 //!
 //! Two things are asked of a compiled kernel.
 //!
@@ -82,8 +82,7 @@
 //! that once per exact field, over every set of fields a pair can have
 //! present (`rejects_alone`), and when it holds for the field on the
 //! full-key column such pairs are never visited (the veto of the record
-//! classes). Workers take contiguous strips of *classes*, balanced by the
-//! class pairs each one meets.
+//! classes). The walk runs on one thread.
 //!
 //! **What a pair scores** — the `score_pairs*` family and
 //! [`ErKernel::filter_matches`] over a written-down list: the reference the
@@ -96,21 +95,19 @@
 //! count. Parallel scoring splits the list into *contiguous blocked chunks*
 //! and reassembles them in chunk order.
 //!
-//! Either way workers share nothing but the compiled kernel and the classes
-//! or the list, all immutable: a worker's output is a function of its share
-//! alone, so the concatenation is the same for any pool width by
-//! construction. What that costs is one evaluation per worker, not per pass,
-//! of a value pair two shares both hold — and the stage opens a text field
-//! for about one class pair in a hundred. The pool is sized by
+//! Scoring workers share nothing but the compiled kernel and the list, both
+//! immutable: a worker's output is a function of its chunk alone, so the
+//! concatenation is the same for any pool width by construction. What that
+//! costs is one evaluation per worker, not per call, of a value pair two
+//! chunks both hold. The pool is sized by
 //! [`wrangler_table::par::effective_workers`]: never wider than the machine's
 //! cores, and never so wide that a worker gets fewer than
-//! [`MIN_PAIRS_PER_WORKER`] items — a small union runs serially instead of
-//! paying thread-spawn latency.
+//! [`MIN_PAIRS_PER_WORKER`] pairs — a short list is scored serially instead
+//! of paying thread-spawn latency.
 //!
 //! [`record_similarity`]: crate::sim::record_similarity
 
 use std::borrow::Cow;
-use std::ops::Range;
 use std::sync::Arc;
 
 pub use wrangler_table::par::WorkerStat;
@@ -122,15 +119,12 @@ use crate::dict::{check_old_of, Dict, Folded, PriorIds, NULL_ID};
 use crate::sim::{ErConfig, SimKind};
 use crate::ScoredPair;
 
-/// Minimum items per worker before the pool widens by one thread: *class
-/// pairs met* for [`ErKernel::decide_union`] (its unit of work, counted as
-/// the walk weighs its classes; a pair a differing key rejects unmet is no
-/// work), pairs scored for the exact-scoring entry points.
+/// Minimum pairs per worker before [`ErKernel::score_pairs_parallel`]'s
+/// pool widens by one thread.
 ///
-/// First measured where the policy earns or loses its keep, while the walk
-/// stepped over every candidate and settled almost all from ids at 35–45 ns:
-/// the pipeline's own `wrangle/er/decide` span of whole passes at one ER
-/// worker and at two (2-core VM; 4- to 8-source fleets of 60 to 640
+/// Measured while the wrangle stage still scored or walked every candidate
+/// on a pool: the pipeline's own `wrangle/er/decide` span of whole passes at
+/// one worker and at two (2-core VM; 4- to 8-source fleets of 60 to 640
 /// products; minimum and median of 9 passes, each sweep run twice). A
 /// fan-out cost 150–200 µs before the first pair was saved; two workers
 /// over one read 1.62–1.91 at 2,168 pairs, 1.09–1.61 at 7,428–8,881,
@@ -139,21 +133,6 @@ use crate::ScoredPair;
 /// items — was the smallest power of two at which fanning out was a
 /// measured win rather than a coin toss. (It was 512 while the stage scored
 /// every pair: a first-seen value pair costs a microsecond.)
-///
-/// Now the walk meets only the pairs a key does not veto, so every item is
-/// a real decision, and the pairs met grow far slower than the candidates:
-/// `e14_er_scaling`'s floor fleets take forty sources and 1,000–8,000
-/// products to meet 4,132 / 12,439 / 24,104 / 80,489 pairs. The whole
-/// decision costs 330–560 ns a pair met there, most of it deriving the
-/// classes, which one thread does whatever the width. Two workers spawned
-/// over one (the decision alone, best of 10, two runs) read 0.88–1.12,
-/// 0.91–0.96, 0.76–0.86 and 0.66–1.08, and the pipeline's span 0.87–0.99 at
-/// 24,104 and 0.79–0.90 at 80,489: no size is a consistent win or a
-/// consistent loss, so the floor stays. No benchmark workload meets more
-/// than 10,907 pairs; each decides on one thread. `e14_er_scaling` prints
-/// the decision at one worker against two spawned regardless either side
-/// of the floor, in class pairs met, and the pipeline's span on the fleets
-/// over it.
 pub const MIN_PAIRS_PER_WORKER: usize = 16384;
 
 /// Precomputation for one distinct text value.
@@ -220,14 +199,14 @@ struct CompiledField {
     vetoes: bool,
 }
 
-/// What one worker owns while it works through its share: the buffers of
+/// What the walk, or one scoring worker, owns while it works: the buffers of
 /// the char-level similarity kernels and the text-similarity memos. A fresh
 /// default is indistinguishable from a reused one — every routine clears and
 /// re-initialises the buffers it reads, and a memo only replays what the
 /// same arithmetic computed for the same two cells — so reuse cannot change
 /// a single bit of output; it only removes the 4–5 heap allocations the
 /// uncompiled path pays per evaluation, and the evaluation itself for a
-/// value pair the worker has met.
+/// value pair it has met.
 #[derive(Debug, Default)]
 struct SimScratch {
     /// One memo per compiled field ([`ErKernel::scratch`]); none for the
@@ -248,12 +227,12 @@ struct SimScratch {
     peq: Vec<u64>,
 }
 
-/// One worker's memo of one text field: ordered `(id_a, id_b)` → the
+/// One memo of one text field: ordered `(id_a, id_b)` → the
 /// similarity [`text_similarity`] computed for those two cells, as `(key,
 /// value bits)` slots under linear probing. The first stored pair allocates
 /// [`Self::FIRST_SLOTS`] slots; at load 3/4 the table is rehashed into one
-/// twice the size, up to one slot per pair the worker was handed — a table
-/// as large as the share it serves means the share barely repeats a value
+/// twice the size, up to one slot per pair its owner can meet — a table
+/// as large as the pairs it serves means they barely repeat a value
 /// pair, so past that bound new pairs are computed without being stored. The
 /// only walk over the slots is the rehash, so slot order never reaches an
 /// output.
@@ -273,7 +252,7 @@ impl PairMemo {
     /// Slots of the first allocation (16 KiB).
     const FIRST_SLOTS: usize = 1 << 10;
 
-    /// A memo for a worker handed `pairs` pairs; a one-off score's
+    /// A memo for an owner that meets up to `pairs` pairs; a one-off score's
     /// (`for_pairs(0)`) stores nothing.
     fn for_pairs(pairs: usize) -> PairMemo {
         PairMemo {
@@ -385,10 +364,14 @@ impl Edge {
     }
 }
 
-/// What one worker brings back from its strip of classes.
-#[derive(Debug, Default)]
-struct Strip {
-    /// The kept pairs, in walk order.
+/// The walk: one thread deciding every class pair owed, with its scratch,
+/// its per-field buffer, the pairs it keeps and what it counted.
+struct Walker<'k> {
+    kernel: &'k ErKernel,
+    scratch: SimScratch,
+    state: Vec<FromIds>,
+    /// The kept pairs: the carried ones, then the decided ones in walk
+    /// order.
     edges: Vec<Edge>,
     decided: u64,
     from_ids: u64,
@@ -400,30 +383,21 @@ struct Strip {
     redecided: u64,
 }
 
-/// A worker deciding its strip: its scratch, its per-field buffer and what
-/// it has decided so far.
-struct StripWorker<'k> {
-    kernel: &'k ErKernel,
-    scratch: SimScratch,
-    state: Vec<FromIds>,
-    strip: Strip,
-}
-
-impl StripWorker<'_> {
+impl Walker<'_> {
     /// Decide `(i, j)`; the verdict, and whether a text field was opened.
     fn decide(&mut self, i: usize, j: usize) -> (Verdict, bool) {
         let mut opened = 0;
         let matched =
             (self.kernel).decide_with(i, j, &mut self.state, &mut self.scratch, &mut opened);
-        self.strip.decided += 1;
-        self.strip.from_ids += u64::from(opened == 0);
-        self.strip.text_fields += opened;
+        self.decided += 1;
+        self.from_ids += u64::from(opened == 0);
+        self.text_fields += opened;
         (Verdict::of(matched), opened > 0)
     }
 
     fn keep(&mut self, e: Edge) {
         if e.kept() {
-            self.strip.edges.push(e);
+            self.edges.push(e);
         }
     }
 
@@ -440,7 +414,7 @@ impl StripWorker<'_> {
         } else {
             Verdict::Open
         };
-        self.strip.met += 1;
+        self.met += 1;
         self.keep(Edge {
             lo: lo as u32,
             hi: hi as u32,
@@ -460,7 +434,7 @@ impl StripWorker<'_> {
         if e.rev == Verdict::Open && classes.reversed(lo, hi) {
             e.rev = self.decide(j, i).0;
         }
-        self.strip.redecided += classes.size(lo) * classes.size(hi);
+        self.redecided += classes.size(lo) * classes.size(hi);
         self.keep(e);
     }
 }
@@ -492,8 +466,6 @@ pub struct UnionMatches {
     /// Text fields opened over all decisions — a function of each class
     /// pair and the config, not of the memos or the schedule.
     pub text_fields: u64,
-    /// Per worker, the class pairs it decided and its busy wall-clock.
-    pub workers: Vec<WorkerStat>,
 }
 
 impl UnionMatches {
@@ -578,50 +550,6 @@ struct Walk {
     carried: Vec<Edge>,
     /// Carried pairs with an orientation to decide, sorted by `lo`.
     fills: Vec<Edge>,
-}
-
-impl Walk {
-    /// What class `c` costs the walk, counted as [`RecordClasses::mates`]
-    /// counts.
-    fn weight(&self, c: usize) -> u64 {
-        let fills = |f: &[Edge]| {
-            f.partition_point(|e| (e.lo as usize) <= c) - f.partition_point(|e| (e.lo as usize) < c)
-        };
-        let partners = if self.new[c] {
-            self.classes.mates(c, self.any_old)
-        } else {
-            0
-        };
-        u64::from(self.selfs[c]) + partners + fills(&self.fills) as u64
-    }
-
-    /// Split the classes into at most `workers` contiguous strips of about
-    /// equal `weights` (per class, [`Self::weight`]) — not equal class counts: the early classes of a block
-    /// have the most later mates. The strips cover every class once, in
-    /// order, and each holds work (a walk with none is one strip; no
-    /// classes, none).
-    fn strips(&self, weights: &[u64], workers: usize) -> Vec<Range<usize>> {
-        let classes = self.classes.len();
-        let total: u64 = weights.iter().sum();
-        let workers = (workers as u64).clamp(1, total.max(1));
-        let mut strips = Vec::with_capacity(workers as usize);
-        let (mut start, mut walked, mut cut_at) = (0, 0, 0);
-        for (c, &w) in weights.iter().enumerate() {
-            walked += w;
-            // Cut after the class that brings the walk to the next worker's
-            // share.
-            let share = (strips.len() as u64 + 1) * total / workers;
-            let strip_and_rest_hold_pairs = cut_at < walked && walked < total;
-            if (strips.len() as u64) + 1 < workers && walked >= share && strip_and_rest_hold_pairs {
-                strips.push(start..c + 1);
-                (start, cut_at) = (c + 1, walked);
-            }
-        }
-        if start < classes {
-            strips.push(start..classes);
-        }
-        strips
-    }
 }
 
 /// An [`ErConfig`] precompiled against one table: column names resolved,
@@ -775,7 +703,7 @@ impl ErKernel {
             .collect()
     }
 
-    /// The scratch of a worker handed `pairs` pairs: a memo per field (only
+    /// The scratch of a walk or worker meeting up to `pairs` pairs: a memo per field (only
     /// a text field ever stores into its own).
     fn scratch(&self, pairs: usize) -> SimScratch {
         let memos = self.fields.iter().map(|_| PairMemo::for_pairs(pairs));
@@ -963,10 +891,9 @@ impl ErKernel {
     }
 
     /// Which candidates of `blocks` match, decided once per pair of record
-    /// classes ([`RecordClasses`]) across class strips sized by
-    /// [`effective_workers`] over the class pairs to decide. A class of two
-    /// or more rows with a blocking key is decided against itself, and every
-    /// candidate class pair `(a, b)`, `a < b`, as `(a, b)` from the two
+    /// classes ([`RecordClasses`]) in one walk over the classes. A class of
+    /// two or more rows with a blocking key is decided against itself, and
+    /// every candidate class pair `(a, b)`, `a < b`, as `(a, b)` from the two
     /// classes' first rows — and as `(b, a)` too only when that decision
     /// opened a text field and some row of `b` precedes some row of `a`: a
     /// decision settled from ids alone is the same either way round (module
@@ -975,26 +902,13 @@ impl ErKernel {
     /// class new to the union are decided, with the carried pairs'
     /// orientations the new row order needs and the prior never decided; the
     /// rest are carried. The answer equals
-    /// `filter_matches(candidates_union, score_pairs)` for any `workers` and
-    /// any prior.
+    /// `filter_matches(candidates_union, score_pairs)` for any prior.
     pub fn decide_union(
         &self,
         blocks: &UnionBlocks,
-        workers: usize,
         prior: Option<PriorWalk<'_>>,
     ) -> wrangler_table::Result<UnionMatches> {
-        self.run(self.plan(blocks, prior)?, workers, false)
-    }
-
-    /// [`Self::decide_union`] with an exact pool width: one thread per strip
-    /// of the walk, bypassing the sizing policy.
-    pub fn decide_union_exact(
-        &self,
-        blocks: &UnionBlocks,
-        workers: usize,
-        prior: Option<PriorWalk<'_>>,
-    ) -> wrangler_table::Result<UnionMatches> {
-        self.run(self.plan(blocks, prior)?, workers, true)
+        self.run(self.plan(blocks, prior)?)
     }
 
     /// Class the rows, and take from `prior` the class pairs it decided:
@@ -1068,93 +982,48 @@ impl ErKernel {
         })
     }
 
-    /// Walk the classes in strips on `workers` threads (sized by the policy
-    /// unless `exact`) and gather what they decided with what was carried.
-    fn run(&self, walk: Walk, workers: usize, exact: bool) -> wrangler_table::Result<UnionMatches> {
-        let weights: Vec<u64> = (0..walk.classes.len()).map(|c| walk.weight(c)).collect();
-        let total: u64 = weights.iter().sum();
-        let workers = if exact {
-            workers
-        } else {
-            effective_workers(workers, total as usize, MIN_PAIRS_PER_WORKER)
-        };
-        let strips = walk.strips(&weights, workers);
-        let (chunks, stats) = par::run_blocked(&strips, strips.len(), |_, chunk| {
-            chunk
-                .iter()
-                .map(|classes| {
-                    let bound = weights[classes.clone()].iter().sum::<u64>();
-                    self.walk_strip(&walk, classes.clone(), bound as usize)
-                })
-                .collect::<Vec<_>>()
-        })
-        .map_err(|msg| TableError::Unavailable(format!("ER decision worker panicked: {msg}")))?;
+    /// Walk the classes — each one's decision against itself, a new one's
+    /// pairs (its later partners, and its earlier ones that are not new),
+    /// and the carried pairs it heads that need an orientation decided —
+    /// and gather what was decided with what was carried.
+    ///
+    /// The walk runs on one thread. Split into strips of classes on two
+    /// workers it was no consistent win at any size measured: on
+    /// `e14_er_scaling`'s 40-source floor fleets two workers over one read
+    /// 0.66–1.12 of the decision from 4k to 80k class pairs met, and no
+    /// benchmark workload meets a third of the 32k where the pool widened
+    /// (EXPERIMENTS E14).
+    fn run(&self, walk: Walk) -> wrangler_table::Result<UnionMatches> {
         // The candidates, and the candidate class pairs; of each, those among
         // held classes.
-        let classes = &walk.classes;
+        let all = &walk.classes;
         let held = |c: usize| u64::from(!walk.new[c]);
-        let [candidates, class_pairs, held_rows, held_pairs] = classes.pairs(|c| {
-            let rows = classes.size(c);
+        let [candidates, class_pairs, held_rows, held_pairs] = all.pairs(|c| {
+            let rows = all.size(c);
             [rows, 1, rows * held(c), held(c)]
         });
-        let mut out = UnionMatches {
-            candidates,
-            ..UnionMatches::default()
-        };
-        let mut edges = walk.carried;
-        let (mut met, mut redecided) = (0, 0);
-        for (strip, stat) in chunks.into_iter().flatten().zip(stats) {
-            edges.extend(strip.edges);
-            out.decided += strip.decided;
-            out.from_ids += strip.from_ids;
-            out.text_fields += strip.text_fields;
-            met += strip.met;
-            redecided += strip.redecided;
-            out.workers.push(WorkerStat {
-                items: strip.decided,
-                busy_nanos: stat.busy_nanos,
-            });
-        }
-        // Among held classes, what was not decided again was carried; of the
-        // class pairs with a new class, what was not met was vetoed.
         let new_pairs = class_pairs - held_pairs;
-        let (covered, pruned) = (held_rows.checked_sub(redecided), new_pairs.checked_sub(met));
-        let (Some(covered), Some(pruned)) = (covered, pruned) else {
-            return Err(TableError::Invalid(format!(
-                "{met} class pairs met of {new_pairs}, {redecided} held row pairs decided of {held_rows}"
-            )));
-        };
-        (out.covered, out.pruned) = (covered, pruned);
-        out.match_pairs = (edges.iter())
-            .map(|e| crate::cluster::matched_row_pairs(&walk.classes, e))
-            .sum();
-        out.edges = edges;
-        out.classes = walk.classes;
-        Ok(out)
-    }
-
-    /// One worker's share: the classes in `classes` — each one's decision
-    /// against itself, a new one's pairs (its later partners, and its
-    /// earlier ones that are not new), and the carried pairs it heads that
-    /// need an orientation decided.
-    fn walk_strip(&self, walk: &Walk, classes: Range<usize>, bound: usize) -> Strip {
-        let mut w = StripWorker {
+        let mut w = Walker {
             kernel: self,
-            scratch: self.scratch(bound),
+            // A memo never needs a slot for more pairs than the walk can
+            // meet or fill.
+            scratch: self.scratch(new_pairs as usize + walk.fills.len()),
             state: vec![FromIds::Skipped; self.fields.len()],
-            strip: Strip::default(),
+            edges: walk.carried,
+            decided: 0,
+            from_ids: 0,
+            text_fields: 0,
+            met: 0,
+            redecided: 0,
         };
-        let all = &walk.classes;
-        let mut fills = &walk.fills[walk
-            .fills
-            .partition_point(|e| (e.lo as usize) < classes.start)..];
-        for a in classes {
+        let mut fills = &walk.fills[..];
+        for a in 0..all.len() {
             if walk.selfs[a] {
                 let i = all.first(a);
                 let (fwd, _) = w.decide(i, i);
                 if !walk.new[a] {
                     let s = all.size(a);
-                    w.strip.redecided += s * (s - 1) / 2;
+                    w.redecided += s * (s - 1) / 2;
                 }
                 w.keep(Edge {
                     lo: a as u32,
@@ -1178,7 +1047,32 @@ impl ErKernel {
                 fills = &fills[1..];
             }
         }
-        w.strip
+        // Among held classes, what was not decided again was carried; of the
+        // class pairs with a new class, what was not met was vetoed.
+        let (covered, pruned) = (
+            held_rows.checked_sub(w.redecided),
+            new_pairs.checked_sub(w.met),
+        );
+        let (Some(covered), Some(pruned)) = (covered, pruned) else {
+            return Err(TableError::Invalid(format!(
+                "{} class pairs met of {new_pairs}, {} held row pairs decided of {held_rows}",
+                w.met, w.redecided
+            )));
+        };
+        let match_pairs = (w.edges.iter())
+            .map(|e| crate::cluster::matched_row_pairs(all, e))
+            .sum();
+        Ok(UnionMatches {
+            candidates,
+            covered,
+            match_pairs,
+            decided: w.decided,
+            pruned,
+            from_ids: w.from_ids,
+            text_fields: w.text_fields,
+            edges: w.edges,
+            classes: walk.classes,
+        })
     }
 
     /// Is `score(i, j) ≥ threshold`? Decided from bounds on the score. The
@@ -1190,7 +1084,7 @@ impl ErKernel {
     /// there. One inside it opens the heaviest such field and brackets
     /// again; with none left both ends are `score_with`'s `num / den`.
     /// Weights that break the premise (`!self.bounded`) open every field
-    /// first. `state` is the worker's per-field buffer; `opened` counts the
+    /// first. `state` is the walk's per-field buffer; `opened` counts the
     /// text fields opened.
     fn decide_with(
         &self,
@@ -1371,7 +1265,7 @@ fn tokens_of(s: &str) -> Vec<String> {
 }
 
 /// What field `field` (these `cells`) contributes to a pair — the compiled
-/// mirror of the serial `value_similarity`, answered from the worker's memo
+/// mirror of the serial `value_similarity`, answered from the scratch's memo
 /// of the field where it can be.
 fn field_similarity(
     cells: &FieldCells,
@@ -1758,7 +1652,7 @@ mod tests {
         let serial = match_pairs(&t, &listed, &cfg).unwrap();
         let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
         assert_eq!(want, listed, "fixture: every candidate matches at 0.85");
-        let got = kernel.decide_union(&blocks, 4, None).unwrap();
+        let got = kernel.decide_union(&blocks, None).unwrap();
         assert_eq!(got.matches(), want);
         assert_eq!(got.num_classes(), 5);
         assert_eq!((got.candidates, got.covered, got.match_pairs), (5, 0, 5));
@@ -1767,12 +1661,10 @@ mod tests {
         // the later class precedes one of the earlier, so neither is decided
         // the other way round.
         assert_eq!((got.decided, got.from_ids, got.text_fields), (5, 3, 2));
-        assert_eq!(got.workers.len(), 1, "five pairs never pay a thread");
-        assert_eq!(got.workers[0].items, 5);
         assert_eq!(got.clusters(), vec![vec![0, 1, 3, 4], vec![2]]);
         // Blocks of another table are refused whole.
         let other = UnionBlocks::build(&repeated_names(7, 2), "name", "name").unwrap();
-        assert!(kernel.decide_union(&other, 1, None).is_err());
+        assert!(kernel.decide_union(&other, None).is_err());
     }
 
     #[test]
@@ -1785,7 +1677,7 @@ mod tests {
         let old = t();
         let old_blocks = UnionBlocks::build(&old, "name", "sku").unwrap();
         let old_kernel = ErKernel::compile(&old, &strict).unwrap();
-        let before = old_kernel.decide_union(&old_blocks, 1, None).unwrap();
+        let before = old_kernel.decide_union(&old_blocks, None).unwrap();
         assert_eq!((before.candidates, before.decided), (5, 5));
         // Row 2 of `old` replaced by `record`; every other row carried.
         let after = |record: Vec<Value>| {
@@ -1805,8 +1697,8 @@ mod tests {
                 block_ids: &block_ids,
                 kernel_ids: &kernel_ids,
             };
-            let got = kernel.decide_union_exact(&blocks, 3, Some(prior)).unwrap();
-            let cold = kernel.decide_union(&blocks, 1, None).unwrap();
+            let got = kernel.decide_union(&blocks, Some(prior)).unwrap();
+            let cold = kernel.decide_union(&blocks, None).unwrap();
             assert_eq!(
                 (got.matches(), got.candidates),
                 (cold.matches(), cold.candidates)
@@ -1823,7 +1715,6 @@ mod tests {
         ]);
         assert_eq!((got.candidates, got.covered, got.decided), (9, 5, 4));
         assert_eq!((got.from_ids, got.text_fields), (4, 0));
-        assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), 4);
         // Row 0's record again: the dirty row joins class 0 by its ids, and
         // the one decision owed is the class against itself, now two rows.
         let got = after(old.row(0));
@@ -1832,7 +1723,6 @@ mod tests {
         // Row 2's own record: nothing new to the union, nothing decided.
         let got = after(old.row(2));
         assert_eq!((got.candidates, got.covered, got.decided), (5, 5, 0));
-        assert!(got.workers.iter().all(|s| s.items == 0));
         // A prior decided under another rule, or whose map does not fit it,
         // is refused.
         let kernel = ErKernel::compile(&old, &cfg()).unwrap();
@@ -1845,20 +1735,18 @@ mod tests {
             block_ids: &no_ids,
             kernel_ids: &no_ids,
         };
-        assert!(kernel.decide_union(&old_blocks, 1, Some(prior)).is_err());
+        assert!(kernel.decide_union(&old_blocks, Some(prior)).is_err());
         let short = PriorWalk {
             old_of: &[None; 4],
             ..prior
         };
-        assert!(old_kernel
-            .decide_union(&old_blocks, 1, Some(short))
-            .is_err());
+        assert!(old_kernel.decide_union(&old_blocks, Some(short)).is_err());
     }
 
     #[test]
-    fn strips_balance_class_pairs_not_classes() {
+    fn a_walk_decides_every_class_pair_once() {
         // One block of 40 classes: class c has 39 − c later mates, 780 pairs
-        // in all. Equal class counts would hand the first of two workers 590.
+        // in all.
         let t = Table::literal(
             &["name"],
             (0..40)
@@ -1868,51 +1756,24 @@ mod tests {
         .unwrap();
         let blocks = UnionBlocks::build(&t, "name", "name").unwrap();
         let kernel = ErKernel::compile(&t, &ErConfig::text_over(&["name"], 0.99)).unwrap();
-        let walk = kernel.plan(&blocks, None).unwrap();
-        let weights: Vec<u64> = (0..40).map(|c| walk.weight(c)).collect();
-        assert_eq!(weights.iter().sum::<u64>(), 780);
-        for workers in 1..=9 {
-            let strips = walk.strips(&weights, workers);
-            assert_eq!(strips.len(), workers);
-            assert_eq!((strips[0].start, strips[workers - 1].end), (0, 40));
-            assert!(strips.windows(2).all(|s| s[0].end == s[1].start));
-            // A strip ends with the class that reaches its share, so it
-            // overshoots by less than that class's partners.
-            for s in &strips {
-                let n: u64 = weights[s.clone()].iter().sum();
-                assert!(
-                    n > 0 && n < 780 / workers as u64 + 40,
-                    "{workers}: {strips:?}"
-                );
-            }
-            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
-            assert_eq!(got.workers.len(), workers);
-            assert!(got.workers.iter().all(|s| s.items > 0), "idle worker");
-            assert_eq!(got.decided, 780);
-        }
+        let got = kernel.decide_union(&blocks, None).unwrap();
         assert_eq!(
-            walk.strips(&weights, 2)[0],
-            0..12,
-            "390 of 780 pairs sit in the first 12 classes"
+            (got.num_classes(), got.decided, got.candidates),
+            (40, 780, 780)
         );
-        // More workers than pairs: one strip per pair at most; none, empty.
+        // Two rows of one record: one class, decided once against itself.
         let two = Table::literal(&["name"], vec![vec!["acme".into()]; 2]).unwrap();
         let blocks = UnionBlocks::build(&two, "name", "name").unwrap();
         let kernel = ErKernel::compile(&two, &ErConfig::text_over(&["name"], 0.5)).unwrap();
-        let got = kernel.decide_union_exact(&blocks, 8, None).unwrap();
-        assert_eq!(
-            (got.num_classes(), got.decided, got.workers.len()),
-            (1, 1, 1)
-        );
+        let got = kernel.decide_union(&blocks, None).unwrap();
+        assert_eq!((got.num_classes(), got.decided), (1, 1));
         assert_eq!((got.candidates, got.match_pairs), (1, 1));
+        // No rows: no class, nothing decided.
         let none = Table::literal(&["name"], vec![]).unwrap();
         let blocks = UnionBlocks::build(&none, "name", "name").unwrap();
         let kernel = ErKernel::compile(&none, &ErConfig::text_over(&["name"], 0.5)).unwrap();
-        assert!(kernel
-            .decide_union_exact(&blocks, 3, None)
-            .unwrap()
-            .workers
-            .is_empty());
+        let got = kernel.decide_union(&blocks, None).unwrap();
+        assert_eq!((got.num_classes(), got.decided, got.candidates), (0, 0, 0));
     }
 
     #[test]
@@ -1940,7 +1801,7 @@ mod tests {
             assert!(!kernel.bounded, "weight {price_weight}");
             let serial = match_pairs(&t, &listed, &cfg).unwrap();
             let want: Vec<_> = serial.iter().map(|p| (p.i, p.j)).collect();
-            let got = kernel.decide_union_exact(&blocks, 2, None).unwrap();
+            let got = kernel.decide_union(&blocks, None).unwrap();
             assert_eq!(got.matches(), want, "weight {price_weight} at {threshold}");
             // No bracket is trusted: both pairs with two names open them,
             // even at a threshold no score reaches.
@@ -1983,7 +1844,7 @@ mod tests {
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         assert!(kernel.bounded && kernel.vetoing("sku").is_none());
         let got = kernel
-            .decide_union(&UnionBlocks::build(&t, "brand", "sku").unwrap(), 1, None)
+            .decide_union(&UnionBlocks::build(&t, "brand", "sku").unwrap(), None)
             .unwrap();
         assert_eq!((got.matches(), got.pruned), (vec![(0, 1)], 0));
         // Zero weights leave `den` at 0 for some sets: the score is 0.0 there.
@@ -2038,15 +1899,13 @@ mod tests {
             let want: Vec<_> = (kernel.filter_matches(&listed, &scores).iter())
                 .map(|p| (p.i, p.j))
                 .collect();
-            for workers in [1, 2, 3] {
-                let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
-                assert_eq!(got.matches(), want, "{threshold}");
-                // (0, 1), (0, 2), (1, 2) share a prefix with two keys, (1, 4)
-                // a full key with two exact ids: met only up to the line.
-                let counts = (got.pruned, got.decided);
-                assert_eq!(counts, (vetoed, 8 - vetoed), "{threshold}");
-                assert_eq!((got.candidates, got.covered), (8, 0));
-            }
+            let got = kernel.decide_union(&blocks, None).unwrap();
+            assert_eq!(got.matches(), want, "{threshold}");
+            // (0, 1), (0, 2), (1, 2) share a prefix with two keys, (1, 4)
+            // a full key with two exact ids: met only up to the line.
+            let counts = (got.pruned, got.decided);
+            assert_eq!(counts, (vetoed, 8 - vetoed), "{threshold}");
+            assert_eq!((got.candidates, got.covered), (8, 0));
         }
     }
 

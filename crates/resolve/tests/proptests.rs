@@ -419,11 +419,10 @@ fn check_carried_walk(
     new: &Table,
     old_of: &[Option<usize>],
     cfg: &ErConfig,
-    workers: usize,
 ) -> Result<UnionMatches, String> {
     let old_blocks = UnionBlocks::build(old, "name", "sku").unwrap();
     let old_kernel = ErKernel::compile(old, cfg).unwrap();
-    let before = old_kernel.decide_union(&old_blocks, 2, None).unwrap();
+    let before = old_kernel.decide_union(&old_blocks, None).unwrap();
     let (blocks, block_ids) =
         UnionBlocks::carry(new, "name", "sku", Some((&old_blocks, old_of))).unwrap();
     let (kernel, kernel_ids) = ErKernel::carry(new, cfg, Some((&old_kernel, old_of))).unwrap();
@@ -435,13 +434,11 @@ fn check_carried_walk(
         block_ids: &block_ids,
         kernel_ids: &kernel_ids,
     };
-    let got = kernel
-        .decide_union_exact(&blocks, workers, Some(prior))
-        .unwrap();
-    let cold = kernel.decide_union_exact(&blocks, 1, None).unwrap();
+    let got = kernel.decide_union(&blocks, Some(prior)).unwrap();
+    let cold = kernel.decide_union(&blocks, None).unwrap();
     let listed = candidates_union(new, "name", "sku").unwrap();
     let want = listed_and_scored(&kernel, &listed);
-    prop_assert_eq!(&got.matches(), &want, "workers = {}", workers);
+    prop_assert_eq!(&got.matches(), &want);
     prop_assert_eq!(
         got.clusters(),
         cluster_pairs(new.num_rows(), want.iter().copied())
@@ -449,10 +446,6 @@ fn check_carried_walk(
     prop_assert_eq!(
         (got.candidates, got.match_pairs, got.num_classes()),
         (listed.len() as u64, want.len() as u64, cold.num_classes())
-    );
-    prop_assert_eq!(
-        got.workers.iter().map(|s| s.items).sum::<u64>(),
-        got.decided
     );
     let old_records: BTreeSet<Vec<String>> = (0..old.num_rows()).map(|r| record(old, r)).collect();
     let held: Vec<usize> = (0..new.num_rows())
@@ -467,7 +460,6 @@ fn check_carried_walk(
         .unwrap()
         .decide_union(
             &UnionBlocks::build(&held_table, "name", "sku").unwrap(),
-            1,
             None,
         )
         .unwrap();
@@ -669,7 +661,7 @@ proptest! {
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         let want = listed_and_scored(&kernel, &pairs);
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
-        let serial = kernel.decide_union_exact(&blocks, 1, None).unwrap();
+        let serial = kernel.decide_union(&blocks, None).unwrap();
         prop_assert_eq!(&serial.matches(), &want, "threshold {:?}", cfg.threshold);
         prop_assert_eq!(serial.candidates, pairs.len() as u64);
         prop_assert_eq!(serial.match_pairs, want.len() as u64);
@@ -678,21 +670,6 @@ proptest! {
         prop_assert!(serial.from_ids <= serial.decided);
         // A decision not settled from ids opened a text field.
         prop_assert!(serial.text_fields >= serial.decided - serial.from_ids);
-        for workers in [2usize, 3, 7] {
-            let wide = kernel.decide_union_exact(&blocks, workers, None).unwrap();
-            prop_assert_eq!(&wide.matches(), &want, "workers = {}", workers);
-            // What was decided and opened is a function of the class pairs,
-            // not of the schedule.
-            prop_assert_eq!(
-                (wide.candidates, wide.decided, wide.from_ids, wide.text_fields),
-                (serial.candidates, serial.decided, serial.from_ids, serial.text_fields)
-            );
-            prop_assert_eq!(wide.workers.iter().map(|s| s.items).sum::<u64>(), wide.decided);
-            prop_assert!(wide.workers.len() <= workers);
-            prop_assert!(wide.decided == 0 || wide.workers.iter().all(|s| s.items > 0));
-        }
-        let policy = kernel.decide_union(&blocks, 4, None).unwrap();
-        prop_assert_eq!(&policy.matches(), &want);
         // Carried from a walk of the table itself, with every third row
         // mapped and the rest looked up by their ids: no record is new, so
         // nothing is decided and every candidate is carried.
@@ -709,7 +686,7 @@ proptest! {
             block_ids: &block_ids,
             kernel_ids: &kernel_ids,
         };
-        let part = carried_kernel.decide_union_exact(&carried_blocks, 2, Some(prior)).unwrap();
+        let part = carried_kernel.decide_union(&carried_blocks, Some(prior)).unwrap();
         prop_assert_eq!(&part.matches(), &want);
         prop_assert_eq!((part.candidates, part.covered, part.decided), (pairs.len() as u64, pairs.len() as u64, 0));
     }
@@ -735,19 +712,14 @@ proptest! {
         let want = listed_and_scored(&kernel, &pairs);
         let clusters = cluster_pairs(t.num_rows(), want.iter().copied());
         let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
-        let mut decided = None;
-        for workers in [1usize, 2, 3, 7] {
-            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
-            prop_assert_eq!(&got.matches(), &want, "workers = {}", workers);
-            prop_assert_eq!(got.candidates, pairs.len() as u64);
-            prop_assert_eq!(got.match_pairs, want.len() as u64);
-            prop_assert_eq!(&got.clusters(), &clusters);
-            prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), got.decided);
-            prop_assert_eq!(*decided.get_or_insert(got.decided), got.decided);
-            // At most six records: at most 6 classes against themselves and
-            // 15 class pairs, each in two orientations.
-            prop_assert!(got.num_classes() <= 6 && got.decided <= 6 + 2 * 15);
-        }
+        let got = kernel.decide_union(&blocks, None).unwrap();
+        prop_assert_eq!(&got.matches(), &want);
+        prop_assert_eq!(got.candidates, pairs.len() as u64);
+        prop_assert_eq!(got.match_pairs, want.len() as u64);
+        prop_assert_eq!(&got.clusters(), &clusters);
+        // At most six records: at most 6 classes against themselves and
+        // 15 class pairs, each in two orientations.
+        prop_assert!(got.num_classes() <= 6 && got.decided <= 6 + 2 * 15);
     }
 
     #[test]
@@ -758,7 +730,6 @@ proptest! {
         weights in prop::collection::vec(arb_weight(), 6),
         mode in any::<u8>(),
         pick in any::<usize>(),
-        workers in 1usize..5,
     ) {
         // Replace a random subset of rows: some with a copy of another row
         // of the old table — a record the union held, on a row the carry
@@ -779,7 +750,7 @@ proptest! {
         let mut cfg = wide_cfg(63, &weights, 0.0);
         let probe = ErKernel::compile(&old, &cfg).unwrap();
         cfg.threshold = adversarial_threshold(&probe, &cfg, &pairs, mode, pick);
-        check_carried_walk(&old, &new, &old_of, &cfg, workers)?;
+        check_carried_walk(&old, &new, &old_of, &cfg)?;
     }
 
     #[test]
@@ -790,7 +761,6 @@ proptest! {
         weights in prop::collection::vec(arb_weight(), 6),
         mode in any::<u8>(),
         pick in any::<usize>(),
-        workers in 1usize..5,
     ) {
         // Two updates. The first keeps only the first row of each record
         // whose bit of `thin` is set: its class shrinks to one row and stays
@@ -830,7 +800,7 @@ proptest! {
         cfg.threshold = adversarial_threshold(&probe, &cfg, &pairs, mode, pick);
         let blocks = UnionBlocks::build(&old, "name", "sku").unwrap();
         let kernel = ErKernel::compile(&old, &cfg).unwrap();
-        let mut walk = kernel.decide_union(&blocks, 2, None).unwrap();
+        let mut walk = kernel.decide_union(&blocks, None).unwrap();
         let (mut blocks, mut kernel) = (blocks, kernel);
         for (t, old_of) in [(&mid, &mid_of), (&new, &new_of)] {
             let (next_blocks, block_ids) =
@@ -844,18 +814,15 @@ proptest! {
                 block_ids: &block_ids,
                 kernel_ids: &kernel_ids,
             };
-            let next = next_kernel
-                .decide_union_exact(&next_blocks, workers, Some(prior))
-                .unwrap();
+            let next = next_kernel.decide_union(&next_blocks, Some(prior)).unwrap();
             let listed = candidates_union(t, "name", "sku").unwrap();
             let want = listed_and_scored(&next_kernel, &listed);
-            prop_assert_eq!(&next.matches(), &want, "workers = {}", workers);
+            prop_assert_eq!(&next.matches(), &want);
             prop_assert_eq!(
                 (next.candidates, next.match_pairs),
                 (listed.len() as u64, want.len() as u64)
             );
             prop_assert_eq!(next.clusters(), cluster_pairs(t.num_rows(), want.iter().copied()));
-            prop_assert_eq!(next.workers.iter().map(|s| s.items).sum::<u64>(), next.decided);
             (blocks, kernel, walk) = (next_blocks, next_kernel, next);
         }
     }
@@ -888,22 +855,17 @@ proptest! {
         let want = listed_and_scored(&kernel, &pairs);
         let clusters = cluster_pairs(t.num_rows(), want.iter().copied());
         let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
-        let serial = kernel.decide_union_exact(&blocks, 1, None).unwrap();
-        for workers in [1usize, 2, 3, 7] {
-            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
-            prop_assert_eq!(&got.matches(), &want, "workers = {}, threshold {:?}", workers, cfg.threshold);
-            prop_assert_eq!(&got.clusters(), &clusters);
-            prop_assert_eq!(
-                (got.candidates, got.match_pairs, got.covered),
-                (pairs.len() as u64, want.len() as u64, 0)
-            );
-            prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), got.decided);
-            prop_assert_eq!((got.decided, got.pruned), (serial.decided, serial.pruned));
-        }
+        let got = kernel.decide_union(&blocks, None).unwrap();
+        prop_assert_eq!(&got.matches(), &want, "threshold {:?}", cfg.threshold);
+        prop_assert_eq!(&got.clusters(), &clusters);
+        prop_assert_eq!(
+            (got.candidates, got.match_pairs, got.covered),
+            (pairs.len() as u64, want.len() as u64, 0)
+        );
         // Nothing is vetoed on or under the line, outside the premise, or
         // without the exact field on the full-key column.
         if side < 2 || bad < 2 || key_col != "sku" {
-            prop_assert_eq!(serial.pruned, 0);
+            prop_assert_eq!(got.pruned, 0);
         }
     }
 
@@ -917,7 +879,6 @@ proptest! {
         rotate in any::<bool>(),
         weights in prop::collection::vec(arb_weight(), 6),
         side in 0usize..3,
-        workers in 1usize..5,
     ) {
         // The carried walk skips the vetoed pairs of its new classes, before
         // and after them, around the line as above.
@@ -925,7 +886,7 @@ proptest! {
         let mut cfg = wide_cfg(63, &weights, 0.0);
         let line = veto_line(&cfg);
         cfg.threshold = [line.next_down(), line, line.next_up()][side];
-        check_carried_walk(&old, &up.new, &up.old_of, &cfg, workers)?;
+        check_carried_walk(&old, &up.new, &up.old_of, &cfg)?;
     }
 
     #[test]
@@ -970,33 +931,26 @@ proptest! {
         let serial = match_pairs(&t, &pairs, &cfg).unwrap();
         let want: Vec<(usize, usize)> = serial.iter().map(|p| (p.i, p.j)).collect();
         let blocks = UnionBlocks::build(&t, "name", "sku").unwrap();
-        for workers in [1usize, 3] {
-            let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
-            prop_assert_eq!(&got.matches(), &want, "weights {:?}", weights);
-        }
+        let got = kernel.decide_union(&blocks, None).unwrap();
+        prop_assert_eq!(&got.matches(), &want, "weights {:?}", weights);
     }
 
     #[test]
-    fn the_walk_covers_the_candidate_list_and_strips_share_the_class_pairs(
+    fn the_walk_covers_the_candidate_list(
         t in arb_duplicated_table(30),
         same_column in any::<bool>(),
-        workers in 1usize..9,
     ) {
         // At threshold 0 every candidate matches: the matches the walk
-        // expands to are the candidate list, whatever the strips.
+        // expands to are the candidate list.
         let key_col = if same_column { "name" } else { "sku" };
         let listed = candidates_union(&t, "name", key_col).unwrap();
         prop_assert!(listed.windows(2).all(|p| p[0] < p[1]), "sorted, no duplicate");
         let cfg = ErConfig { threshold: 0.0, ..duplicated_cfg() };
         let kernel = ErKernel::compile(&t, &cfg).unwrap();
         let blocks = UnionBlocks::build(&t, "name", key_col).unwrap();
-        let got = kernel.decide_union_exact(&blocks, workers, None).unwrap();
+        let got = kernel.decide_union(&blocks, None).unwrap();
         prop_assert_eq!(got.matches(), listed.clone());
         prop_assert_eq!((got.candidates, got.match_pairs), (listed.len() as u64, listed.len() as u64));
-        prop_assert!(got.workers.len() <= workers);
-        prop_assert_eq!(got.workers.iter().map(|s| s.items).sum::<u64>(), got.decided);
-        // Not empty of work either: with a pair anywhere, each strip has one.
-        prop_assert!(listed.is_empty() || got.workers.iter().all(|s| s.items > 0));
         prop_assert!(got.decided as usize <= listed.len() + got.num_classes());
     }
 
@@ -1087,9 +1041,7 @@ proptest! {
         // decides less the pairs of records the old union held.
         let up = update(&old, &fresh, &cuts, &fates_for(mode, fates), rotate);
         let cfg = wide_cfg(63, &weights, [0.0, 0.5, 0.85, 1.0][threshold]);
-        for workers in 1usize..=4 {
-            check_carried_walk(&old, &up.new, &up.old_of, &cfg, workers)?;
-        }
+        check_carried_walk(&old, &up.new, &up.old_of, &cfg)?;
     }
 
     #[test]
@@ -1178,38 +1130,29 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn strips_that_grow_their_memos_at_different_pairs_decide_what_one_worker_decides(
+    fn a_walk_whose_memo_rehashes_decides_what_the_oracle_decides(
         names in prop::collection::vec(0usize..300, 400),
-        workers in 2usize..5,
     ) {
         // One name block of 400 rows over at most 300 names — a class per
         // name — every class pair opened (a text-only config brackets
-        // [0, 1]). Each strip owns its memo: it meets its own 769th distinct
-        // value pair — the first rehash — at a pair no other strip does,
-        // and replays from a table no other strip filled.
+        // [0, 1]). The walk's memo meets its 769th distinct value pair — the
+        // first rehash — and goes on replaying from the grown table.
         let rows = names
             .iter()
             .map(|k| vec![Value::from(format!("widget {} mk{k}", k * 37 % 101))]);
         let t = Table::literal(&["name"], rows.collect()).unwrap();
         let blocks = UnionBlocks::build(&t, "name", "name").unwrap();
         let kernel = ErKernel::compile(&t, &ErConfig::text_over(&["name"], 0.9)).unwrap();
-        let serial = kernel.decide_union_exact(&blocks, 1, None).unwrap();
-        let wide = kernel.decide_union_exact(&blocks, workers, None).unwrap();
-        // The fixture's premise, per strip: enough decisions — each one of
-        // a distinct ordered pair of names — for the memo's bound to allow a
-        // rehash and to force one.
-        prop_assert_eq!(wide.workers.len(), workers);
-        for w in &wide.workers {
-            prop_assert!(w.items >= 2048, "{} decisions", w.items);
-        }
+        let got = kernel.decide_union(&blocks, None).unwrap();
+        // The fixture's premise: enough decisions — each one of a distinct
+        // ordered pair of names — for the memo's bound to allow a rehash and
+        // to force one.
+        prop_assert!(got.decided >= 2048, "{} decisions", got.decided);
         // Only a class against itself is settled from ids.
-        prop_assert!(serial.from_ids as usize <= serial.num_classes());
-        let matched = serial.match_pairs;
-        prop_assert!(0 < matched && matched < serial.candidates, "{matched} matches");
-        prop_assert_eq!(&wide.matches(), &serial.matches());
-        prop_assert_eq!(
-            (wide.candidates, wide.decided, wide.from_ids, wide.text_fields),
-            (serial.candidates, serial.decided, serial.from_ids, serial.text_fields)
-        );
+        prop_assert!(got.from_ids as usize <= got.num_classes());
+        let matched = got.match_pairs;
+        prop_assert!(0 < matched && matched < got.candidates, "{matched} matches");
+        let listed = candidates_union(&t, "name", "name").unwrap();
+        prop_assert_eq!(&got.matches(), &listed_and_scored(&kernel, &listed));
     }
 }

@@ -40,13 +40,13 @@ echo "==> e13 observability (full run + count-field determinism)"
 ./target/release/e13_observability --counts > "$tmp_b"
 diff "$tmp_a" "$tmp_b"
 
-echo "==> e14 kernel scaling, ER + fuse (full run + count-field determinism)"
+echo "==> e14 kernels, ER + fuse (full run + count-field determinism)"
 ./target/release/e14_er_scaling
 ./target/release/e14_er_scaling --counts > "$tmp_a"
 ./target/release/e14_er_scaling --counts > "$tmp_b"
 diff "$tmp_a" "$tmp_b"
 
-echo "==> e14 scaling gate (kernel_ms@4 must not regress vs @1 on the large fleet)"
+echo "==> e14 gate (fuse kernel_ms@4 must not regress vs @1 on the largest fuse fleet; ER and fuse identity)"
 python3 scripts/check_e14_scaling.py BENCH_e14.json
 
 echo "==> e15 containment (full run + count/report determinism)"
