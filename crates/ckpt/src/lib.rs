@@ -298,12 +298,12 @@ impl ContentKey {
 }
 
 /// Where an injected crash fires, named after the seam it follows. The
-/// sites mirror the six checkpoint seams in `Wrangler::wrangle` plus one
-/// mid-stage site inside ER (after candidate generation, before scoring) —
+/// sites mirror the five checkpoint seams in `Wrangler::wrangle` plus one
+/// mid-stage site inside ER (after blocking, before any pair is decided) —
 /// the "process died with a checkpoint prefix on disk but the current stage
-/// incomplete" case. A stage without a seam (`map_apply` among them) has no
-/// site: it writes no record, so a crash after it leaves the store a crash
-/// after the seam before it leaves.
+/// incomplete" case. A stage without a seam (`map_apply` and fuse among
+/// them) has no site: it writes no record, so a crash after it leaves the
+/// store a crash after the seam before it leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashSite {
     /// After source selection is checkpointed.
@@ -318,8 +318,6 @@ pub enum CrashSite {
     MidEr,
     /// After ER is checkpointed.
     AfterEr,
-    /// After fusion is checkpointed.
-    AfterFuse,
 }
 
 impl CrashSite {
@@ -332,12 +330,11 @@ impl CrashSite {
             CrashSite::AfterUnion => "after-union",
             CrashSite::MidEr => "mid-er",
             CrashSite::AfterEr => "after-er",
-            CrashSite::AfterFuse => "after-fuse",
         }
     }
 
     /// Every site, in pipeline order (the E17 sweep axis).
-    pub fn all() -> [CrashSite; 7] {
+    pub fn all() -> [CrashSite; 6] {
         [
             CrashSite::AfterSelect,
             CrashSite::AfterAcquire,
@@ -345,7 +342,6 @@ impl CrashSite {
             CrashSite::AfterUnion,
             CrashSite::MidEr,
             CrashSite::AfterEr,
-            CrashSite::AfterFuse,
         ]
     }
 

@@ -15,10 +15,9 @@
 //!   once, never re-derived;
 //! * a stage output — a [`SeamRecord`]: the data the rest of the pipeline
 //!   consumes, each cell stored once (selected ids, degraded payloads,
-//!   mappings, each union block's kept rows, clusters, fused slots),
-//!   checked against the session by [`SeamRecord::fits`]. No mapped table
-//!   is stored: `map_apply` re-derives them from the payloads and mappings
-//!   faster than a record of them reads back.
+//!   mappings, each union block's kept rows, clusters), checked against the
+//!   session by [`SeamRecord::fits`]. No mapped table and no fused value is
+//!   stored: `map_apply` and fuse run live on every pass, resumed or not.
 //!
 //! There is one codec: every stored type is a [`Wire`] impl composed from
 //! the pieces in [`wrangler_table::wire`] — fixed-width little-endian
@@ -29,9 +28,9 @@
 //! order one [`wire_struct!`] lists them; an enum's is the tag byte one
 //! [`wire_enum!`] gives its variant, then the variant's fields. Each type
 //! carries its own impl: `CircuitBreaker` and `EngineState` beside their
-//! private fields, `SourceId`, `Degradation`, `AcquireError`,
-//! `FusedValue`, `Belief` (with `EvidenceKind`) and `Mapping` in their own
-//! crates, every one of which depends on `wrangler-table`. This module
+//! private fields, `SourceId`, `Degradation`, `AcquireError`, `Belief`
+//! (with `EvidenceKind`) and `Mapping` in their own crates, every one of
+//! which depends on `wrangler-table`. This module
 //! lists the layouts of the session snapshot, the seam records and the
 //! core types inside them; the seam writes a record with
 //! [`wire::to_bytes`] and reads it with [`wire::from_bytes`].
@@ -49,7 +48,6 @@
 //! Enum tags in this module are part of the durable format: append variants,
 //! never renumber.
 
-use wrangler_fusion::strategies::FusedValue;
 use wrangler_mapping::Mapping;
 use wrangler_sources::faults::{AcquireError, Degradation};
 use wrangler_sources::SourceId;
@@ -353,74 +351,6 @@ impl SeamRecord for ErOut {
     }
 }
 
-/// Fuse-seam output: the fused slots and the fusion-time source context.
-/// Claims are *not* serialized — a hit rebuilds the claim set from the
-/// (already restored) union, row→entity map and the removed-source list,
-/// which is cheap and keeps the heavy `ClaimSet` out of the wire format.
-#[derive(Debug, Clone)]
-pub struct FuseOut {
-    /// Survivors after fuse-stage quarantines.
-    pub selected: Vec<SourceId>,
-    /// Source indices quarantined at the fuse seam (their claims are
-    /// excluded from the rebuilt claim set).
-    pub fuse_removed: Vec<usize>,
-    /// Fusion-time per-source trust (truthfinder blend).
-    pub trust: Vec<f64>,
-    /// Fusion-time per-source age.
-    pub age: Vec<u64>,
-    /// The fused slots.
-    pub fused: FusedSlots,
-}
-
-wire_struct!(FuseOut {
-    selected: Vec<SourceId>,
-    fuse_removed: Vec<usize>,
-    trust: Vec<f64>,
-    age: Vec<u64>,
-    fused: FusedSlots,
-});
-
-impl SeamRecord for FuseOut {}
-
-/// Fused values by slot: `values[i]` is slot `slots[i]`'s, `None` where
-/// nothing was fused. The live stage lists every slot of its claim index,
-/// so installing it moves the values over as they are. On the wire it is
-/// the `(entity, attr, value)` list of the slots that have a value, so a
-/// decoded record lists only those.
-#[derive(Debug, Clone, Default)]
-pub struct FusedSlots {
-    /// Slots, ascending.
-    pub slots: Vec<(usize, usize)>,
-    /// One per slot.
-    pub values: Vec<Option<FusedValue>>,
-}
-
-impl From<Vec<(usize, usize, FusedValue)>> for FusedSlots {
-    fn from(listed: Vec<(usize, usize, FusedValue)>) -> FusedSlots {
-        let (slots, values) = listed
-            .into_iter()
-            .map(|(e, a, f)| ((e, a), Some(f)))
-            .unzip();
-        FusedSlots { slots, values }
-    }
-}
-
-impl Wire for FusedSlots {
-    const MIN: usize = 8;
-    fn enc(&self, e: &mut Enc) {
-        e.usize(self.values.iter().flatten().count());
-        for (&(entity, attr), value) in self.slots.iter().zip(&self.values) {
-            if let Some(f) = value {
-                (entity, attr).enc(e);
-                f.enc(e);
-            }
-        }
-    }
-    fn dec(d: &mut Dec<'_>) -> Result<FusedSlots> {
-        Ok(Vec::<(usize, usize, FusedValue)>::dec(d)?.into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,7 +470,7 @@ mod tests {
     type Decode = fn(&[u8]) -> Result<()>;
 
     /// One valid payload per decoder this module exports: the session
-    /// snapshot, a framed record, and the six stage records.
+    /// snapshot, a framed record, and the five stage records.
     fn payloads() -> Vec<(&'static str, Vec<u8>, Decode)> {
         fn rec<R: SeamRecord>(bytes: &[u8]) -> Result<()> {
             wire::from_bytes::<R>(bytes).map(drop)
@@ -570,7 +500,6 @@ mod tests {
             ),
             ("UnionOut", wire::to_bytes(&sample_union()), rec::<UnionOut>),
             ("ErOut", wire::to_bytes(&sample_er()), rec::<ErOut>),
-            ("FuseOut", wire::to_bytes(&sample_fuse()), rec::<FuseOut>),
         ]
     }
 
@@ -598,27 +527,6 @@ mod tests {
     fn sample_er() -> ErOut {
         ErOut {
             clusters: vec![vec![0, 2], vec![1]],
-        }
-    }
-
-    fn sample_fuse() -> FuseOut {
-        FuseOut {
-            selected: vec![SourceId(0), SourceId(1)],
-            fuse_removed: vec![2],
-            trust: vec![0.75, 0.5],
-            age: vec![0, 9],
-            fused: vec![(
-                0,
-                1,
-                FusedValue {
-                    value: Value::Float(1.5),
-                    weight: 0.9,
-                    total_weight: 1.2,
-                    supporters: vec![0, 1],
-                    freshness: 0.8,
-                },
-            )]
-            .into(),
         }
     }
 
@@ -681,26 +589,6 @@ mod tests {
         let back = wire::from_bytes::<ErOut>(&wire::to_bytes(&er)).unwrap();
         assert_eq!(back.clusters, er.clusters);
         assert_eq!(back.row_entity(3), vec![0, 1, 0]);
-
-        let fuse = sample_fuse();
-        let back = wire::from_bytes::<FuseOut>(&wire::to_bytes(&fuse)).unwrap();
-        assert_eq!(back.fuse_removed, fuse.fuse_removed);
-        assert_eq!(back.fused.slots, [(0, 1)]);
-        assert_eq!(back.fused.values[0].as_ref().unwrap().supporters, vec![0, 1]);
-    }
-
-    #[test]
-    fn fused_slots_encode_as_the_list_of_fused_values() {
-        let f = sample_fuse().fused.values[0].clone().unwrap();
-        let all = FusedSlots {
-            slots: vec![(0, 0), (0, 1), (2, 3)],
-            values: vec![None, Some(f.clone()), None],
-        };
-        let listed = vec![(0usize, 1usize, f)];
-        assert_eq!(wire::to_bytes(&all), wire::to_bytes(&listed));
-        let back: FusedSlots = wire::from_bytes(&wire::to_bytes(&all)).unwrap();
-        assert_eq!(back.slots, [(0, 1)]);
-        assert_eq!(back.values, [Some(listed[0].2.clone())]);
     }
 
     #[test]

@@ -80,6 +80,9 @@ struct WrangleCache {
     entities: usize,
     /// The claim set.
     claims: ClaimSet,
+    /// Truth discovery's per-source trust, before the blend with belief:
+    /// what `rewrangle` blends again with the beliefs feedback moved.
+    discovered_trust: Vec<f64>,
     /// Source trust/age context used at fusion time.
     source_ctx: SourceContext,
     /// Fused values indexed like the claim index's `slots()`; `None` where
@@ -732,14 +735,15 @@ impl Wrangler {
     // --- Crash-resilient checkpointing -----------------------------------
 
     /// Attach a checkpoint store: every subsequent wrangle persists each
-    /// stage seam (select, acquire, map_generate, union, er, fuse) under a
+    /// stage seam (select, acquire, map_generate, union, er) under a
     /// content key derived from the pass fingerprint, the source payload
     /// hashes, the held mappings, the data context and the chained
     /// upstream seam keys.
     /// A fresh process pointed at the same store replays the deepest valid
     /// prefix byte-identically instead of recomputing it — including
     /// quarantine, trust and breaker state, which travel inside each seam
-    /// record.
+    /// record — and runs the stages after it live: `map_apply` behind a
+    /// map-generate hit, fuse and assembly always.
     pub fn with_checkpoint_store(mut self, store: CheckpointStore) -> Wrangler {
         self.ckpt = Some(store);
         self
@@ -778,6 +782,15 @@ impl Wrangler {
     /// cache, when the cache was built under another pass fingerprint
     /// (user context, plan, ER rule, sources, configuration), or when a
     /// selected source's mapping or mapped table was dropped.
+    ///
+    /// The contract: the marked slots are re-fused under the last full
+    /// pass's selection, clustering and truth discovery. Only the belief
+    /// half of each source's fusion-time trust moves — it is blended again,
+    /// as the fuse stage blends it, with the trust that pass's truth
+    /// discovery found — so a source whose belief did not move keeps its
+    /// trust bit for bit, however many re-fuses follow. A fresh `wrangle`
+    /// may deliver otherwise: it selects, clusters and runs truth discovery
+    /// again under the feedback.
     pub fn rewrangle(&mut self) -> wrangler_table::Result<WrangleOutcome> {
         let plan = self.plan();
         let pass_fp = self.pass_fingerprint(&plan);
@@ -794,13 +807,10 @@ impl Wrangler {
         self.obs.start_pass();
         self.obs.begin("rewrangle");
         self.obs.inc("pass.rewrangle");
-        // Refresh the trust vector from beliefs (feedback may have moved it).
+        // Blend the pass's discovered trust with the beliefs again
+        // (feedback may have moved them).
         let mut cache = self.cache.take().expect("checked above"); // lint-allow: presence checked by the guard above
-        for i in 0..self.registry.len() {
-            let blended =
-                0.5 * cache.source_ctx.trust[i].min(1.0) + 0.5 * self.states[i].trust.probability();
-            cache.source_ctx.trust[i] = blended;
-        }
+        cache.source_ctx.trust = self.blended_trust(&cache.discovered_trust);
         self.obs.begin("refuse");
         let kernel = FuseKernel::compile(&cache.claims, plan.fusion, &cache.source_ctx);
         // Where per-source dirtiness becomes slots: one pass over the index.
@@ -2244,10 +2254,11 @@ mod tests {
         assert!(refuse_items > 0 && refuse_items <= m2.counts["refuse.slots"]);
         // With a store attached, each seam's record I/O has its own spans:
         // a cold pass saves at every seam, a second pass loads every one.
-        // map_apply is no seam: it runs live, and reads or writes nothing.
+        // map_apply and fuse are no seams: they run live, and read or write
+        // nothing.
         let dir = crate::scratch_dir("metrics-seam-io");
         let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
-        let seams = ["select", "acquire", "map_generate", "union", "er", "fuse"];
+        let seams = ["select", "acquire", "map_generate", "union", "er"];
         for warm in [false, true] {
             let store = CheckpointStore::open(&dir).unwrap();
             let mut w = session(&fleet, UserContext::balanced("t")).with_checkpoint_store(store);
@@ -2258,10 +2269,12 @@ mod tests {
                 assert!(m.timings.contains_key(&load), "missing span {load}");
                 assert_eq!(m.timings.contains_key(&save), !warm, "span {save}");
             }
-            assert!(m.timings.contains_key("wrangle/map_apply"));
-            for io in ["ckpt_load", "ckpt_save"] {
-                let path = format!("wrangle/map_apply/{io}");
-                assert!(!m.timings.contains_key(&path), "span {path}");
+            for stage in ["map_apply", "fuse"] {
+                assert!(m.timings.contains_key(&format!("wrangle/{stage}")));
+                for io in ["ckpt_load", "ckpt_save"] {
+                    let path = format!("wrangle/{stage}/{io}");
+                    assert!(!m.timings.contains_key(&path), "span {path}");
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&dir); // lint-allow: test scratch cleanup
@@ -2594,46 +2607,6 @@ mod tests {
             .filter(|&&(_, a)| a != brand && a != w.target().index_of("category").unwrap())
             .count() as u64;
         assert!(out.metrics.counts["refuse.slots"] <= live);
-    }
-
-    #[test]
-    fn a_fuse_record_that_does_not_fit_the_claim_index_is_a_structured_error() {
-        let fleet = small_fleet();
-        let mut w = session(&fleet, UserContext::balanced("t"));
-        w.wrangle().unwrap();
-        let cache = w.cache.as_ref().unwrap();
-        let slots = cache.claims.index().slots().to_vec();
-        let genuine: Vec<(usize, usize, FusedValue)> = slots
-            .iter()
-            .zip(&cache.fused)
-            .filter_map(|(&(e, a), f)| f.clone().map(|f| (e, a, f)))
-            .collect();
-        let v = genuine[0].2.clone();
-        let install = |w: &mut Wrangler, fused| {
-            let mut pass = w.begin_pass();
-            pass.claims = Some(w.cache.as_ref().unwrap().claims.clone());
-            let rec = crate::ckpt_io::FuseOut {
-                selected: Vec::new(),
-                fuse_removed: Vec::new(),
-                trust: Vec::new(),
-                age: Vec::new(),
-                fused: crate::ckpt_io::FusedSlots::from(fused),
-            };
-            w.fuse_install(&mut pass, rec)
-        };
-        let ((e0, a0), (e1, a1)) = (slots[0], slots[1]);
-        for forged in [
-            vec![(usize::MAX, 0, v.clone())],
-            vec![(e1, a1, v.clone()), (e0, a0, v.clone())],
-            vec![(e0, a0, v.clone()), (e0, a0, v.clone())],
-        ] {
-            let err = install(&mut w, forged).unwrap_err();
-            assert!(err.to_string().contains("fuse seam"), "{err}");
-        }
-        install(&mut w, genuine).unwrap();
-        let cache = w.cache.as_ref().unwrap();
-        assert_eq!(cache.fused.len(), slots.len());
-        assert!(cache.fused_at(e0, a0).is_some());
     }
 
     // -----------------------------------------------------------------
@@ -3578,7 +3551,9 @@ mod tests {
     /// Sixteen refuted prices under `Shared` routing move the trust of most
     /// selected sources; the slots to re-fuse are recorded as one mark per
     /// source and expanded by `rewrangle`. Golden: what the eager per-claim
-    /// expansion this replaced dirtied, and delivered, on this fixture.
+    /// expansion this replaced dirtied on this fixture, and what the re-fuse
+    /// delivers (re-pinned when `rewrangle` stopped blending trust from its
+    /// own previous blend; the dirtied slots did not move).
     #[test]
     fn source_marks_refuse_exactly_the_slots_the_eager_expansion_dirtied() {
         let fleet = small_fleet();
@@ -3615,7 +3590,7 @@ mod tests {
         assert_eq!((w.working.work - before).slots_fused, 199);
         assert_eq!(
             wire::hash64(outcome_fingerprint(&out).as_bytes()),
-            272181886091841057
+            12447043635745971694
         );
         assert_eq!(w.working.dirty_count(), 0);
         // A full pass fuses every slot: it clears the marks, and a later

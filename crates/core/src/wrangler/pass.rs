@@ -1,20 +1,21 @@
 //! The seam protocol: what happens at a stage boundary of a wrangle pass.
 //!
 //! A pass is a fixed sequence of stages over one [`Pass`] (the state that
-//! lives exactly as long as the pass). Six of the stages end in a *seam*
-//! (select, acquire, map_generate, union, er, fuse): a boundary whose output
-//! is a [`SeamRecord`], persisted under a chained content key when a
-//! checkpoint store is attached and replayed from it on resume. The other
-//! stages (plan, preflight, map_apply, assemble) run live on every pass,
-//! resumed or not: a seam is kept only while reading its record back costs
-//! less than running its stage. [`Wrangler::seam`] is the only place that
-//! knows what a seam does, in order:
+//! lives exactly as long as the pass). Five of the stages end in a *seam*
+//! (select, acquire, map_generate, union, er): a boundary whose output is a
+//! [`SeamRecord`], persisted under a chained content key when a checkpoint
+//! store is attached and replayed from it on resume. The other stages
+//! (plan, preflight, map_apply, fuse, assemble) run live on every pass,
+//! resumed or not: a seam is kept only while what the resumes that read
+//! its record save outweighs what writing it costs every checkpointed pass
+//! (DESIGN §15). [`Wrangler::seam`] is the only place that knows what a
+//! seam does, in order:
 //!
 //! 1. open the stage span `<name>`;
 //! 2. derive the key — for the first seam the select key (the pass
 //!    fingerprint plus the session's own inputs: tick, data context, and
 //!    per source its payload, trust and held mapping), afterwards
-//!    `seam_key(name, pass_fp, chain, feedback)`; 0 without a store. The
+//!    `seam_key(name, pass_fp, chain)`; 0 without a store. The
 //!    compiled program is in no key: it is lowered from what the chain
 //!    already covers;
 //! 3. obtain the record: a stored record (decode the stage payload *first*,
@@ -50,8 +51,8 @@ use crate::union::Union;
 type Result<T> = wrangler_table::Result<T>;
 
 /// Everything one wrangle pass carries from stage to stage. Of the seam keys
-/// it holds only the inputs taken once per pass (`pass_fp`, `feedback_fp`)
-/// and the chain; the first seam reads the rest off the session.
+/// it holds only the input taken once per pass (`pass_fp`) and the chain;
+/// the first seam reads the rest off the session.
 pub(super) struct Pass {
     pub(super) plan: Plan,
     pub(super) policy: ContainPolicy,
@@ -66,10 +67,6 @@ pub(super) struct Pass {
     /// Pass fingerprint: keys the seams, the incremental memos and the
     /// cache `rewrangle` re-fuses.
     pub(super) pass_fp: u64,
-    /// The value-level feedback in force (vetoes, confirmations), hashed
-    /// for the fuse seam's key — fuse is the one stage that reads it (0
-    /// without a store).
-    pub(super) feedback_fp: u64,
     /// Key of the last seam passed; `None` before the first.
     chain: Option<u64>,
     pub(super) selected: Vec<SourceId>,
@@ -79,7 +76,7 @@ pub(super) struct Pass {
     pub(super) scan_filter_cells: u64,
     pub(super) scan_bytes: u64,
     /// The union: the table ER reads plus its source runs. Installed by the
-    /// union seam, moved into the session cache by the fuse seam.
+    /// union seam, moved into the session cache by the fuse stage.
     pub(super) union: Union,
     /// Union block layout of this pass, in union order: the union's
     /// identity, and the ER carry's coordinate system. Empty when nothing
@@ -89,9 +86,6 @@ pub(super) struct Pass {
     pub(super) er: ErOut,
     /// The entity of each union row, derived from `er` at its install.
     pub(super) row_entity: Vec<usize>,
-    /// The claim set, when the live fuse stage already built it (a replayed
-    /// fuse rebuilds it at install).
-    pub(super) claims: Option<ClaimSet>,
 }
 
 /// One checkpoint seam: its name (span, counter prefix and key label) and
@@ -99,24 +93,11 @@ pub(super) struct Pass {
 pub(super) struct Seam {
     name: &'static str,
     site: CrashSite,
-    /// The key also covers the value-level feedback ([`Pass::feedback_fp`]).
-    keyed_by_feedback: bool,
 }
 
 impl Seam {
     const fn new(name: &'static str, site: CrashSite) -> Seam {
-        Seam {
-            name,
-            site,
-            keyed_by_feedback: false,
-        }
-    }
-
-    const fn keyed_by_feedback(self) -> Seam {
-        Seam {
-            keyed_by_feedback: true,
-            ..self
-        }
+        Seam { name, site }
     }
 }
 
@@ -125,7 +106,6 @@ pub(super) const ACQUIRE: Seam = Seam::new("acquire", CrashSite::AfterAcquire);
 pub(super) const MAP_GENERATE: Seam = Seam::new("map_generate", CrashSite::AfterMapGenerate);
 pub(super) const UNION: Seam = Seam::new("union", CrashSite::AfterUnion);
 pub(super) const ER: Seam = Seam::new("er", CrashSite::AfterEr);
-pub(super) const FUSE: Seam = Seam::new("fuse", CrashSite::AfterFuse).keyed_by_feedback();
 
 impl Pass {
     /// What a claim set built in this pass, without the sources in
@@ -143,16 +123,13 @@ impl Wrangler {
     pub(super) fn begin_pass(&self) -> Pass {
         let plan = self.plan();
         let incr_on = self.incr_enabled && self.contain.chaos.is_none();
-        let stored = self.ckpt.is_some();
         let pass_fp = self.pass_fingerprint(&plan);
-        let feedback_fp = if stored { self.feedback_fingerprint() } else { 0 };
         Pass {
             plan,
             policy: self.contain.clone(),
             creport: ContainmentReport::default(),
             incr_on,
             pass_fp,
-            feedback_fp,
             chain: None,
             selected: Vec::new(),
             degraded_tables: BTreeMap::new(),
@@ -162,7 +139,6 @@ impl Wrangler {
             union_layout: Vec::new(),
             er: ErOut::default(),
             row_entity: Vec::new(),
-            claims: None,
         }
     }
 
@@ -191,10 +167,7 @@ impl Wrangler {
         let key = match (&self.ckpt, pass.chain) {
             (None, _) => 0,
             (Some(_), None) => self.seam_key_select(pass.pass_fp),
-            (Some(_), Some(chain)) => {
-                let feedback = seam.keyed_by_feedback.then_some(pass.feedback_fp);
-                Self::seam_key(seam.name, pass.pass_fp, chain, feedback)
-            }
+            (Some(_), Some(chain)) => Self::seam_key(seam.name, pass.pass_fp, chain),
         };
         self.span(seam.name, |w| {
             let record = match w.ckpt_load(seam.name, key, pass) {
@@ -255,8 +228,8 @@ impl Wrangler {
     /// derived plan, ER/match/containment/acquisition configuration, filter
     /// and projection. Worker-count knobs are excluded: outputs are
     /// byte-identical for any pool width. So is value-level feedback: only
-    /// fuse reads it, so it keys fuse alone ([`Pass::feedback_fp`]) and a
-    /// veto leaves every upstream memo and seam valid. The data context and
+    /// fuse reads it, and fuse keeps no record and no memo, so a veto leaves
+    /// every memo and seam valid. The data context and
     /// the held mappings are keyed beside it, by the first seam's key
     /// ([`Self::seam_key_select`]).
     pub(super) fn pass_fingerprint(&self, plan: &Plan) -> u64 {
@@ -283,23 +256,6 @@ impl Wrangler {
             ));
         }
         h.finish()
-    }
-
-    /// The value-level feedback in force: the vetoed and the confirmed
-    /// values, each slot by slot in ascending order, in their wire encoding.
-    fn feedback_fingerprint(&self) -> u64 {
-        let vetoes: Vec<((usize, usize), Vec<Value>)> = self
-            .judgements
-            .iter()
-            .filter(|(_, j)| !j.vetoed.is_empty())
-            .map(|(k, j)| (*k, j.vetoed.clone()))
-            .collect();
-        let confirms: Vec<((usize, usize), Value)> = self
-            .judgements
-            .iter()
-            .filter_map(|(k, j)| Some((*k, j.confirmed.clone()?)))
-            .collect();
-        wire::hash64(&wire::to_bytes(&(vetoes, confirms)))
     }
 
     /// The first seam's key: the pass fingerprint plus every input of the
@@ -346,12 +302,8 @@ impl Wrangler {
     /// A downstream seam's key: chained through the previous seam's key, so
     /// a valid record implies every upstream seam matched — replaying the
     /// deepest valid prefix falls out of re-running the same sequence.
-    fn seam_key(stage: &str, pass_fp: u64, chain: u64, feedback: Option<u64>) -> u64 {
-        let key = ContentKey::stage(stage, pass_fp).labelled("chain", chain);
-        match feedback {
-            Some(fp) => key.labelled("feedback", fp).finish(),
-            None => key.finish(),
-        }
+    fn seam_key(stage: &str, pass_fp: u64, chain: u64) -> u64 {
+        ContentKey::stage(stage, pass_fp).labelled("chain", chain).finish()
     }
 
     /// Try to replay a seam. The stage payload is decoded *before* anything

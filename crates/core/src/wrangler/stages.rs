@@ -1,7 +1,7 @@
 //! The stages of a wrangle pass, in execution order: `select → acquire →
 //! map_generate → compile_plan → preflight → map_apply → union → er → fuse`
 //! (assembly lives with the driver in the parent module). Each is a plain
-//! method over the session and the [`Pass`]; the six that end in a
+//! method over the session and the [`Pass`]; the five that end in a
 //! checkpoint seam hand [`Wrangler::seam`] a live function that computes the
 //! stage's record and an install function that moves a record — computed
 //! or replayed from the store — into the session.
@@ -22,10 +22,10 @@ use wrangler_sources::{select_greedy_utility, select_marginal_gain, SourceId};
 use wrangler_table::{ops, par, Table, TableError};
 use wrangler_uncertainty::{Evidence, EvidenceKind};
 
-use super::pass::{Pass, ACQUIRE, ER, FUSE, MAP_GENERATE, SELECT, UNION};
+use super::pass::{Pass, ACQUIRE, ER, MAP_GENERATE, SELECT, UNION};
 use super::{blocking_columns, compiled, master_anchors, WrangleCache, Wrangler};
 use crate::acquire::AcquisitionSummary;
-use crate::ckpt_io::{AcquireOut, ErOut, FuseOut, FusedSlots, MapGenOut, SelectOut, UnionOut};
+use crate::ckpt_io::{AcquireOut, ErOut, MapGenOut, SelectOut, UnionOut};
 use crate::contain::{
     catch_quiet, isolate, poison_reason, ContainMode, ContainmentReport, Guarded, Stage, StageGuard,
 };
@@ -876,70 +876,17 @@ impl Wrangler {
         Ok(out)
     }
 
-    /// Stages 6–7 — claims, trust and fusion: a stored record, or the live
-    /// stage.
+    /// Stages 6–7 — claims, trust and fusion, live on every pass: the pass's
+    /// union, clustering and claims become the session cache, beside the
+    /// fused value of every slot. No seam: every checkpointed pass would
+    /// write its record, and only a resume after a crash inside assembly, or
+    /// a fresh process re-running a finished pass, would read it (DESIGN
+    /// §15).
     pub(super) fn fuse(&mut self, pass: &mut Pass) -> Result<()> {
-        self.seam(pass, &FUSE, Self::fuse_live, Self::fuse_install)
+        self.span("fuse", |w| w.fuse_live(pass))
     }
 
-    /// The fuse seam's install: the pass's union, clustering and claims
-    /// become the session cache, and the record's fused slots its
-    /// slot-ordered vector.
-    pub(super) fn fuse_install(&mut self, pass: &mut Pass, rec: FuseOut) -> Result<()> {
-        pass.selected = rec.selected;
-        // A replayed stage rebuilds the claims from the (already restored)
-        // union and clustering — cheap, and it keeps the heavy claim set
-        // out of the wire format. Sources quarantined at fuse are excluded
-        // exactly as the live run excluded them; their trust/breaker
-        // discounts replayed from the snapshot.
-        let claims = match pass.claims.take() {
-            Some(claims) => claims,
-            None => self.claim_set(pass, &rec.fuse_removed),
-        };
-        let slots = claims.index().slots();
-        let FusedSlots {
-            slots: listed,
-            values,
-        } = rec.fused;
-        // A live record lists every slot of the index as it is; a replayed
-        // one the fused slots, in the index's order: one merge walk.
-        let fused = if listed == slots {
-            values
-        } else {
-            let mut fused: Vec<Option<FusedValue>> = vec![None; slots.len()];
-            let mut no = 0;
-            for ((e, a), f) in listed.into_iter().zip(values) {
-                while slots.get(no).is_some_and(|&slot| slot < (e, a)) {
-                    no += 1;
-                }
-                if slots.get(no) != Some(&(e, a)) {
-                    return Err(TableError::Invalid(format!(
-                        "fuse seam: the record's slot ({e},{a}) is not in the claim index's order"
-                    )));
-                }
-                fused[no] = f;
-                no += 1;
-            }
-            fused
-        };
-        self.cache = Some(WrangleCache {
-            union: std::mem::replace(&mut pass.union, Union::empty(self.target.clone())),
-            row_entity: std::mem::take(&mut pass.row_entity),
-            entities: pass.er.clusters.len(),
-            claims,
-            source_ctx: SourceContext {
-                trust: rec.trust,
-                age: rec.age,
-            },
-            fused,
-            selected: pass.selected.clone(),
-            pass_fp: pass.pass_fp,
-            claims_key: pass.claims_key(&rec.fuse_removed),
-        });
-        Ok(())
-    }
-
-    fn fuse_live(&mut self, pass: &mut Pass) -> Result<FuseOut> {
+    fn fuse_live(&mut self, pass: &mut Pass) -> Result<()> {
         // Fuse-stage chaos rolls first: a source whose partition "panics"
         // here is quarantined before its claims enter the claim set, so its
         // values cannot influence fusion.
@@ -978,41 +925,50 @@ impl Wrangler {
             .count("fuse.truthfinder.iterations", tf.iterations as u64);
         self.obs
             .count("fuse.classes", claims.index().num_classes() as u64);
-        // Blend data-driven trust with feedback-driven belief trust.
-        let trust: Vec<f64> = (0..self.registry.len())
-            .map(|i| 0.5 * tf.trust[i] + 0.5 * self.states[i].trust.probability())
-            .collect();
         let age: Vec<u64> = self
             .registry
             .iter()
             .map(|s| self.now.saturating_sub(s.meta.last_updated))
             .collect();
-        let source_ctx = SourceContext { trust, age };
+        let source_ctx = SourceContext {
+            trust: self.blended_trust(&tf.trust),
+            age,
+        };
         self.obs.count("fuse.claims", claims.claims().len() as u64);
         self.obs.count("fuse.anchors", anchors.len() as u64);
 
         // Fuse every slot. Per-source weights/decays are compiled once per
         // pass and serve every kind of slot.
         let fuse_kernel = FuseKernel::compile(&claims, pass.plan.fusion, &source_ctx);
-        let slots = claims.index().slots();
-        let all: Vec<usize> = (0..slots.len()).collect();
-        let mut values = vec![None; slots.len()];
+        let slots = claims.index().slots().len();
+        let all: Vec<usize> = (0..slots).collect();
+        let mut fused = vec![None; slots];
         let done =
-            self.fuse_slot_loop(&fuse_kernel, &all, &mut values, &mut pass.creport, "fuse")?;
+            self.fuse_slot_loop(&fuse_kernel, &all, &mut fused, &mut pass.creport, "fuse")?;
         self.working.work.slots_fused += done;
         self.obs.count("fuse.slots", done as u64);
-        let fused = FusedSlots {
-            slots: slots.to_vec(),
-            values,
-        };
-        pass.claims = Some(claims);
-        Ok(FuseOut {
-            selected: std::mem::take(&mut pass.selected),
-            fuse_removed,
-            trust: source_ctx.trust,
-            age: source_ctx.age,
+        self.cache = Some(WrangleCache {
+            union: std::mem::replace(&mut pass.union, Union::empty(self.target.clone())),
+            row_entity: std::mem::take(&mut pass.row_entity),
+            entities: pass.er.clusters.len(),
+            claims,
+            discovered_trust: tf.trust,
+            source_ctx,
             fused,
-        })
+            selected: pass.selected.clone(),
+            pass_fp: pass.pass_fp,
+            claims_key: pass.claims_key(&fuse_removed),
+        });
+        Ok(())
+    }
+
+    /// Fusion-time trust: truth discovery's per-source trust (`discovered`)
+    /// blended half and half with the feedback-driven belief in the source.
+    /// The fuse stage and `rewrangle`'s re-fuse both blend through here.
+    pub(super) fn blended_trust(&self, discovered: &[f64]) -> Vec<f64> {
+        (0..self.registry.len())
+            .map(|i| 0.5 * discovered[i] + 0.5 * self.states[i].trust.probability())
+            .collect()
     }
 
     /// The slot loop of a pass's fuse stage and of `rewrangle`'s re-fuse:

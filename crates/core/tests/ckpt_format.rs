@@ -7,9 +7,11 @@
 //!   union record became each block's kept rows and the ER record its
 //!   clusters alone, and the session snapshot in format 6, when it stopped
 //!   holding per-source relevances. Format 7 dropped the map-apply record
-//!   and moved no other byte. Each decodes and re-encodes to the same
-//!   bytes: a codec change that moves one byte fails here before it strands
-//!   a store written by the previous build.
+//!   and moved no other byte. The fuse record went later without a format
+//!   change — it was the last link of the key chain, so no surviving
+//!   record's bytes or key moved — and its golden with it. Each decodes
+//!   and re-encodes to the same bytes: a codec change that moves one byte
+//!   fails here before it strands a store written by the previous build.
 //! * **Older formats are not served.** A record framed by a format-3, 4, 5
 //!   or 6 build is a miss, however intact its checksum.
 //! * **Canonical decoding.** Seeded mutations of those records — cut,
@@ -21,9 +23,7 @@
 //! The samples carry a NaN, a negative zero, every breaker state, a
 //! quarantine and an unbound mapping field.
 
-use wrangler_core::ckpt_io::{
-    AcquireOut, ErOut, FuseOut, MapGenOut, SeamRecord, SelectOut, UnionOut,
-};
+use wrangler_core::ckpt_io::{AcquireOut, ErOut, MapGenOut, SeamRecord, SelectOut, UnionOut};
 use wrangler_core::{scratch_dir, CheckpointStore, SessionState};
 use wrangler_table::wire::{self, hash64};
 use wrangler_table::TableError;
@@ -43,7 +43,6 @@ fn codec(name: &str) -> Reencode {
         "MapGenOut" => reencode::<MapGenOut>,
         "UnionOut" => reencode::<UnionOut>,
         "ErOut" => reencode::<ErOut>,
-        "FuseOut" => reencode::<FuseOut>,
         _ => panic!("no codec for {name}"),
     }
 }
@@ -103,17 +102,6 @@ const GOLDEN: &[(&str, &str)] = &[
         concat!(
             "02000000000000000200000000000000000000000000000002000000000000000100000000000000",
             "0100000000000000",
-        ),
-    ),
-    (
-        "FuseOut",
-        concat!(
-            "02000000000000000000000004000000010000000000000002000000000000000200000000000000",
-            "000000000000e83f000000000000e03f020000000000000000000000000000000900000000000000",
-            "02000000000000000000000000000000010000000000000003000000000000f83fcdccccccccccec",
-            "3f333333333333f33f0200000000000000000000000000000004000000000000009a9999999999e9",
-            "3f0100000000000000000000000000000004010000000000000078000000000000f03f0000000000",
-            "00f03f01000000000000000000000000000000000000000000f03f",
         ),
     ),
 ];

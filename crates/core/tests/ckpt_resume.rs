@@ -19,6 +19,9 @@ use wrangler_sources::{FleetConfig, SourceId, SyntheticFleet};
 use wrangler_table::{par, wire, DataType, Schema, Table, Value};
 use wrangler_uncertainty::Belief;
 
+/// The checkpoint seams, in pass order.
+const SEAMS: [&str; 5] = ["select", "acquire", "map_generate", "union", "er"];
+
 fn make_fleet(seed: u64) -> SyntheticFleet {
     fleet_of(60, seed)
 }
@@ -183,7 +186,7 @@ fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite])
             "{site:?}: resumed outcome diverged from the uninterrupted run"
         );
         // The prefix replayed from checkpoints rather than recomputing.
-        let hits: u64 = ["select", "acquire", "map_generate", "union", "er", "fuse"]
+        let hits: u64 = SEAMS
             .iter()
             .map(|s| {
                 out.metrics
@@ -211,7 +214,7 @@ fn resume_preserves_quarantine_and_breaker_state_under_faults() {
         "fixture should actually exercise faults"
     );
 
-    for site in [CrashSite::AfterAcquire, CrashSite::MidEr, CrashSite::AfterFuse] {
+    for site in [CrashSite::AfterAcquire, CrashSite::MidEr, CrashSite::AfterEr] {
         let dir = scratch_dir(&format!("resume-faults-{}", site.name()));
         cleanup(&dir);
         let interrupted = crash_at(&fleet, Some(&faults), &dir, site);
@@ -269,7 +272,7 @@ fn torn_and_bitflipped_checkpoints_are_never_loaded() {
 
 /// Every seam's record was rejected: one counted miss each, no hit.
 fn assert_every_seam_missed(out: &WrangleOutcome) {
-    for stage in ["select", "acquire", "map_generate", "union", "er", "fuse"] {
+    for stage in SEAMS {
         assert_eq!(
             out.metrics.counts.get(&format!("ckpt.{stage}.misses")),
             Some(&1),
@@ -307,7 +310,7 @@ fn undecodable_stage_payload_is_a_miss_and_leaves_the_session_untouched() {
         store.put(key, &garbled).unwrap();
         rewritten += 1;
     }
-    assert_eq!(rewritten, 6, "one record per seam");
+    assert_eq!(rewritten, 5, "one record per seam");
 
     let mut resumed = build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
     let out = resumed
@@ -453,7 +456,7 @@ fn perturbed(table: &Table) -> Table {
 /// so a record written under one catalog is no record of a pass over
 /// another: a session rebuilt over a revised catalog and pointed at the
 /// crashed run's store delivers what a store-less session over the revised
-/// catalog does, not the old run's fused values.
+/// catalog does, not what the old run's records hold.
 #[test]
 fn a_store_written_under_another_master_catalog_replays_nothing_stale() {
     let fleet = make_fleet(42);
@@ -466,7 +469,7 @@ fn a_store_written_under_another_master_catalog_replays_nothing_stale() {
     }
     let dir = scratch_dir("resume-revised-master");
     cleanup(&dir);
-    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterFuse));
+    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterEr));
 
     let mut cold = build_over(&fleet, revised.clone(), None);
     let cold_out = cold.wrangle().unwrap();
@@ -565,15 +568,15 @@ fn a_store_written_under_another_ontology_replays_nothing_stale() {
     cleanup(&dir);
 }
 
-/// Value-level feedback is an input of fuse alone: a veto given to the
-/// session that resumes a crashed run replays every seam up to ER and fuses
-/// live — the fused record written without the veto is never replayed.
+/// Value-level feedback is an input of fuse alone, and fuse keeps no
+/// record: a veto given to the session that resumes a crashed run replays
+/// every seam up to ER, and fuses live under the veto.
 #[test]
 fn a_veto_given_before_resume_replays_up_to_er_and_refuses_live() {
     let fleet = make_fleet(42);
     let dir = scratch_dir("resume-after-veto");
     cleanup(&dir);
-    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterFuse));
+    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterEr));
     let mut plain = build(&fleet, None);
     let plain_out = plain.wrangle().unwrap();
     let (entity, vetoed) = (0..plain_out.table.num_rows())
@@ -606,11 +609,14 @@ fn a_veto_given_before_resume_replays_up_to_er_and_refuses_live() {
     let out = resumed.resume().unwrap();
     assert_eq!(fingerprint(&resumed, &out), fingerprint(&cold, &cold_out));
     let count = |key: String| out.metrics.counts.get(&key).copied().unwrap_or(0);
-    for seam in ["select", "acquire", "map_generate", "union", "er"] {
+    for seam in SEAMS {
         assert_eq!(count(format!("ckpt.{seam}.hits")), 1, "{seam}");
     }
-    assert_eq!(count("ckpt.fuse.hits".into()), 0);
-    assert_eq!(count("ckpt.fuse.misses".into()), 1);
+    assert!(!out
+        .metrics
+        .counts
+        .keys()
+        .any(|k| k.starts_with("ckpt.fuse.")));
     cleanup(&dir);
 }
 
@@ -661,16 +667,23 @@ fn full_replay_restores_counters_without_rescoring() {
     let out1 = first.wrangle().unwrap();
     let work = first.working.work;
 
-    // Fresh process, same store: every seam hits; the work counters come
-    // back from the checkpoint, not from recomputation, and ER scores
-    // nothing.
+    // Fresh process, same store: every seam hits; the work counters up to
+    // ER come back from the checkpoint, not from recomputation, ER scores
+    // nothing, and fuse — no seam — adds the slots it fuses live, as the
+    // first pass did.
     let dir = first.checkpoint_store().unwrap().dir().to_path_buf();
     let store = CheckpointStore::open(&dir).unwrap();
     let mut second = build(&fleet, None).with_checkpoint_store(store);
     let out2 = second.resume().unwrap();
     assert_eq!(wire::table_hash(&out1.table), wire::table_hash(&out2.table));
     assert_eq!(second.working.work, work);
-    assert_eq!(out2.metrics.counts.get("ckpt.fuse.hits"), Some(&1));
+    for seam in SEAMS {
+        assert_eq!(
+            out2.metrics.counts.get(&format!("ckpt.{seam}.hits")),
+            Some(&1),
+            "{seam}"
+        );
+    }
     assert_eq!(out2.metrics.counts.get("er.cache.misses"), None);
     cleanup(&dir);
 }
@@ -699,7 +712,7 @@ fn records_of_another_format_version_are_misses_never_misdecoded() {
         std::fs::write(&path, raw).unwrap();
         rewritten += 1;
     }
-    assert_eq!(rewritten, 6, "one record per seam");
+    assert_eq!(rewritten, 5, "one record per seam");
 
     let mut resumed =
         build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
@@ -708,7 +721,48 @@ fn records_of_another_format_version_are_misses_never_misdecoded() {
         .expect("a record of another version must fall back to live compute");
     assert_eq!(fingerprint(&resumed, &out), cold_fp);
     assert_every_seam_missed(&out);
-    assert_eq!(resumed.checkpoint_store().unwrap().stats().torn_detected, 6);
+    assert_eq!(resumed.checkpoint_store().unwrap().stats().torn_detected, 5);
+    cleanup(&dir);
+}
+
+/// A checkpointed cold pass leaves one record per seam, and a resume after
+/// a crash past the last seam writes nothing: the stages after ER run live
+/// and keep no record.
+#[test]
+fn a_checkpointed_pass_writes_one_record_per_seam_and_a_post_er_resume_none() {
+    let fleet = make_fleet(23);
+    let dir = scratch_dir("one-record-per-seam");
+    cleanup(&dir);
+    let out = build(&fleet, None)
+        .with_checkpoint_store(CheckpointStore::open(&dir).unwrap())
+        .wrangle()
+        .unwrap();
+    assert_eq!(record_keys(&dir).len(), SEAMS.len(), "one record per seam");
+    let written: Vec<&str> = out
+        .metrics
+        .counts
+        .keys()
+        .filter_map(|k| k.strip_prefix("ckpt.")?.strip_suffix(".bytes_written"))
+        .collect();
+    assert_eq!(
+        written,
+        ["acquire", "er", "map_generate", "select", "union"]
+    );
+    cleanup(&dir);
+
+    assert!(crash_at(&fleet, None, &dir, CrashSite::AfterEr));
+    let stored = record_keys(&dir);
+    assert_eq!(stored.len(), SEAMS.len(), "the crash left every record");
+    let mut resumed =
+        build(&fleet, None).with_checkpoint_store(CheckpointStore::open(&dir).unwrap());
+    let out = resumed.resume().unwrap();
+    assert_eq!(resumed.checkpoint_store().unwrap().stats().bytes_written, 0);
+    assert!(!out
+        .metrics
+        .counts
+        .keys()
+        .any(|k| k.ends_with(".bytes_written")));
+    assert_eq!(record_keys(&dir), stored);
     cleanup(&dir);
 }
 
@@ -765,7 +819,7 @@ proptest! {
 
     #[test]
     fn resume_matches_cold_run_for_any_crash_and_fault_mix(
-        site_idx in 0usize..7,
+        site_idx in 0usize..6,
         fleet_seed in 0u64..4,
         fault_rate in 0.0f64..=0.5,
         fault_seed in any::<u64>(),

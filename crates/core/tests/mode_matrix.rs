@@ -4,7 +4,7 @@
 //! {fuse workers 1, 3} × {`OptMode::Naive`, `Optimized`} × {incr on, off}
 //! × {no store, empty store, resumed from a store left by a crash at each
 //! `CrashSite`} × {`ObsMode::On`, `Off`} × {`ContainPolicy::contain()`,
-//! `off()`} = 288 cells, each running `wrangle → update_source(one source,
+//! `off()`} = 256 cells, each running `wrangle → update_source(one source,
 //! nudged payload) → wrangle` on one small fleet with a row filter and an
 //! output projection set, then an expert's veto of one delivered price and
 //! `rewrangle`. All three outcomes of every cell must fingerprint
@@ -265,7 +265,7 @@ fn every_mode_combination_delivers_the_reference_bytes() {
             }
         }
     }
-    assert_eq!(cells, 288);
+    assert_eq!(cells, 256);
     let [first, second, third] = reference.unwrap();
     assert_ne!(first.0, second.0, "the update must change the outcome");
     assert_ne!(second.0, third.0, "the veto must change the outcome");

@@ -70,15 +70,6 @@ impl FusedValue {
     }
 }
 
-// The checkpoint's fuse record stores fused slots field by field.
-wrangler_table::wire_struct!(FusedValue {
-    value: Value,
-    weight: f64,
-    total_weight: f64,
-    supporters: Vec<usize>,
-    freshness: f64,
-});
-
 /// Resolve one slot's claims. Returns `None` when there are no claims.
 pub fn fuse_attribute(
     claims: &ClaimSet,

@@ -40,7 +40,8 @@
 #   7. The seam protocol's primitives — `ckpt_load(`, `ckpt_save(`,
 #      `crash_fire(CrashSite::After` and `seam_key(` — appear in library
 #      `src/` only in `crates/core/src/wrangler/pass.rs`, the module that
-#      defines `Wrangler::seam`. A stage that loads, saves, keys or fires a
+#      defines `Wrangler::seam` and its five seams (select, acquire,
+#      map_generate, union, er). A stage that loads, saves, keys or fires a
 #      seam by hand is a second spelling of the protocol that the next
 #      change to it will miss. (`crash_fire(CrashSite::MidEr)` inside the ER
 #      stage is not a seam and is allowed.) Nor does `ContentKey` appear in
@@ -79,11 +80,10 @@
 #      renders a value with `Debug` pays for the rendering on every pass and
 #      rests a reuse decision on text that is no stability contract. Keys
 #      hash typed fields, the `wire::Wire` encoding of the state they guard
-#      (the select seam's engine state and held mappings, the fuse seam's
-#      feedback), or hashes taken where the data was derived
-#      (`MasterData`, `Ontology`); a held mapped table is
-#      reused by comparing its typed `incr::Shape`, not a rendered filter
-#      tag. `pass_fingerprint`'s `write_str(&format!(` sites in
+#      (the select seam's engine state and held mappings), or hashes taken
+#      where the data was derived (`MasterData`, `Ontology`); a held mapped
+#      table is reused by comparing its typed `incr::Shape`, not a rendered
+#      filter tag. `pass_fingerprint`'s `write_str(&format!(` sites in
 #      `wrangler/pass.rs` (once per pass) wait for the typed-keys item.
 #
 #  12. No call of `score_pairs*(`, `match_pairs*(`, `filter_matches(` or
