@@ -48,15 +48,15 @@ fn wide_claims() -> (ClaimSet, Vec<(usize, usize, Value)>) {
                 let v = match (a, roll) {
                     (4, 0..10) => Value::Float(e as f64 * 1.5 + 40.0),
                     (4, _) => Value::Float(e as f64 * 1.5 + 1.0 + roll as f64 * 1e-5),
-                    (_, 0..10) => Value::Str(format!("other-{a}-{}", e % 7)),
-                    (_, 10..20) => Value::Str(format!(" Value-{a}-{e} ")),
-                    _ => Value::Str(format!("value-{a}-{e}")),
+                    (_, 0..10) => Value::from(format!("other-{a}-{}", e % 7)),
+                    (_, 10..20) => Value::from(format!(" Value-{a}-{e} ")),
+                    _ => Value::from(format!("value-{a}-{e}")),
                 };
                 cs.add(e, a, v, s);
             }
         }
         for a in 1..4 {
-            anchors.push((e, a, Value::Str(format!("value-{a}-{e}"))));
+            anchors.push((e, a, Value::from(format!("value-{a}-{e}"))));
         }
     }
     (cs, anchors)

@@ -697,7 +697,7 @@ mod tests {
             let mut t = Table::empty(Schema::of_strs(&["sku", "price"]));
             for r in 0..6 {
                 t.push_row(vec![
-                    Value::Str(format!("sku{r}")),
+                    Value::from(format!("sku{r}")),
                     Value::Float(10.0 + s as f64),
                 ])
                 .unwrap();

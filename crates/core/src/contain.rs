@@ -628,7 +628,7 @@ mod tests {
             poison_reason(&[Value::Float(f64::INFINITY)], &policy),
             Some("non-finite numeric cell")
         );
-        let big = Value::Str("x".repeat(policy.max_cell_bytes + 1));
+        let big = Value::from("x".repeat(policy.max_cell_bytes + 1));
         assert_eq!(poison_reason(&[big], &policy), Some("oversized cell"));
         let ctl = Value::Str("ok\u{1}bad".into());
         assert_eq!(

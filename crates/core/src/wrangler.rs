@@ -1432,6 +1432,44 @@ mod tests {
     }
 
     #[test]
+    fn a_string_cell_is_one_allocation_from_mapped_table_to_claims() {
+        use wrangler_table::Text;
+        let fleet = small_fleet();
+        let mut w = session(&fleet, UserContext::balanced("t"));
+        w.wrangle().unwrap();
+        let cache = w.cache.as_ref().unwrap();
+        let union = cache.union.table();
+        let (r, a, cell) = (0..union.num_rows())
+            .flat_map(|r| (0..union.num_columns()).map(move |a| (r, a)))
+            .find_map(|(r, a)| match union.get(r, a).unwrap() {
+                Value::Str(t) => Some((r, a, t)),
+                _ => None,
+            })
+            .expect("the union holds a string cell");
+        let src = cache.union.sources().nth(r).unwrap();
+        let mapped = w.states[src].mapped.as_ref().unwrap().table();
+        let shares = |v: &Value| matches!(v, Value::Str(t) if Text::ptr_eq(t, cell));
+        assert!(
+            mapped.column(a).unwrap().iter().any(shares),
+            "the union's cell is the mapped table's"
+        );
+        let (claims, _, _) = w.fusion_inputs().unwrap();
+        assert!(
+            claims.claims().iter().any(|c| c.source == src
+                && c.entity == cache.row_entity[r]
+                && c.attr == a
+                && shares(&c.value)),
+            "the claim's value is the union's cell"
+        );
+        let copy = w.clone();
+        let copied = copy.cache.as_ref().unwrap().union.table();
+        assert!(
+            shares(copied.get(r, a).unwrap()),
+            "a cloned session shares the cell"
+        );
+    }
+
+    #[test]
     fn end_to_end_wrangle_produces_entities_with_prices() {
         let fleet = small_fleet();
         let mut w = session(
@@ -2864,8 +2902,8 @@ mod tests {
                 let v = cell(&f.column);
                 match f.kind {
                     _ if v.is_null() => "-".to_string(),
-                    SimKind::Text => format!("t{}", v.render().to_lowercase()),
-                    SimKind::Exact => format!("e{}", v.render().to_ascii_lowercase()),
+                    SimKind::Text => format!("t{}", v.text().to_lowercase()),
+                    SimKind::Exact => format!("e{}", v.text().to_ascii_lowercase()),
                     SimKind::Numeric { .. } => match v.as_f64() {
                         Some(x) if x.is_finite() => format!("n{:x}", x.to_bits()),
                         Some(_) => "nf".into(),
@@ -2881,7 +2919,7 @@ mod tests {
         ));
         let key = cell(key_col);
         if key_col != name_col && !key.is_null() {
-            out.push(key.render().trim().to_lowercase());
+            out.push(key.text().trim().to_lowercase());
         }
         out
     }

@@ -12,7 +12,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         (-1000i64..1000).prop_map(Value::Int),
         (-100.0f64..100.0).prop_map(Value::Float),
-        "[a-c]{1,4}".prop_map(Value::Str),
+        "[a-c]{1,4}".prop_map(Value::from),
     ]
 }
 

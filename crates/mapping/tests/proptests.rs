@@ -14,7 +14,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         Just(Value::Null),
         (-10_000i64..10_000).prop_map(Value::Int),
         (-1e4f64..1e4).prop_map(Value::Float),
-        "[ -~]{0,10}".prop_map(Value::Str),
+        "[ -~]{0,10}".prop_map(Value::from),
     ]
 }
 

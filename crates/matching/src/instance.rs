@@ -34,7 +34,7 @@ pub fn profile(values: &[Value]) -> InstanceProfile {
             None => counts.push((dt, 1)),
         }
         if sample.len() < SAMPLE {
-            sample.insert(v.render().to_lowercase());
+            sample.insert(v.text().to_lowercase());
         }
     }
     let dtype = counts

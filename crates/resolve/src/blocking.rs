@@ -29,7 +29,7 @@ pub fn block_key(v: &Value) -> Option<String> {
     if v.is_null() {
         return None;
     }
-    let r = v.render().to_lowercase();
+    let r = v.text().to_lowercase();
     let tok = r.split_whitespace().next()?;
     Some(tok.chars().take(4).collect())
 }
@@ -53,7 +53,7 @@ fn blocks_by(
 /// [`candidates_blocked_exact`]'s key: the full (trimmed, lowercased)
 /// rendering; nulls join no block.
 fn exact_key(v: &Value) -> Option<String> {
-    (!v.is_null()).then(|| v.render().trim().to_lowercase())
+    (!v.is_null()).then(|| v.text().trim().to_lowercase())
 }
 
 /// All within-block pairs, block by block in key order.
@@ -738,7 +738,7 @@ pub fn candidates_sorted_neighborhood(
         .iter()
         .enumerate()
         .filter(|(_, v)| !v.is_null())
-        .map(|(i, v)| (v.render().to_lowercase(), i))
+        .map(|(i, v)| (v.text().to_lowercase(), i))
         .collect();
     keyed.sort_unstable();
     let mut out = Vec::new();

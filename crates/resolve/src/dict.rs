@@ -211,7 +211,7 @@ mod tests {
     use super::*;
 
     fn fold(v: &Value) -> Option<String> {
-        (!v.is_null()).then(|| v.render().to_lowercase())
+        (!v.is_null()).then(|| v.text().to_lowercase())
     }
 
     fn col(xs: &[Option<&str>]) -> Vec<Value> {

@@ -623,7 +623,7 @@ impl ErKernel {
                         FieldCells::Text(dict) => Some((dict, old_of)),
                         _ => None,
                     });
-                    let fold = |v: &Value| (!v.is_null()).then(|| v.render().to_lowercase());
+                    let fold = |v: &Value| (!v.is_null()).then(|| v.text().to_lowercase());
                     let make = |lower| Arc::new(text_cell(lower));
                     let (dict, ids) = Dict::encode(column, fold, make, prior);
                     prior_ids.push(ids);
@@ -634,7 +634,7 @@ impl ErKernel {
                         FieldCells::Exact(dict) => Some((dict, old_of)),
                         _ => None,
                     });
-                    let fold = |v: &Value| (!v.is_null()).then(|| v.render().to_ascii_lowercase());
+                    let fold = |v: &Value| (!v.is_null()).then(|| v.text().to_ascii_lowercase());
                     let (dict, ids) = Dict::encode(column, fold, |s| s, prior);
                     prior_ids.push(ids);
                     FieldCells::Exact(dict)

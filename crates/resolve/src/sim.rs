@@ -65,15 +65,15 @@ fn value_similarity(a: &Value, b: &Value, kind: SimKind) -> Option<f64> {
     }
     Some(match kind {
         SimKind::Exact => {
-            if a.render().eq_ignore_ascii_case(&b.render()) {
+            if a.text().eq_ignore_ascii_case(&b.text()) {
                 1.0
             } else {
                 0.0
             }
         }
         SimKind::Text => {
-            let sa = a.render().to_lowercase();
-            let sb = b.render().to_lowercase();
+            let sa = a.text().to_lowercase();
+            let sb = b.text().to_lowercase();
             if sa == sb {
                 1.0
             } else {

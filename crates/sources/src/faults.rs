@@ -609,7 +609,7 @@ impl FaultLayer {
                                 // Control-byte-framed garbage: exactly the
                                 // payload shape the union poison scan exists
                                 // to catch.
-                                Value::Str(format!("\u{1}x{:08x}\u{2}", rng.gen::<u32>()))
+                                Value::from(format!("\u{1}x{:08x}\u{2}", rng.gen::<u32>()))
                             } else {
                                 v
                             }
@@ -634,8 +634,8 @@ impl FaultLayer {
                         .map(|v| match v {
                             Value::Str(s) if rng.gen_bool(cell_rate.clamp(0.0, 1.0)) => {
                                 cells += 1;
-                                let unit = if s.is_empty() { "x" } else { s.as_str() };
-                                Value::Str(unit.repeat(len / unit.len().max(1) + 1))
+                                let unit = if s.is_empty() { "x" } else { &s };
+                                Value::from(unit.repeat(len / unit.len().max(1) + 1))
                             }
                             other => other,
                         })
@@ -718,7 +718,7 @@ mod tests {
         let mut t = Table::empty(Schema::of_strs(&["sku", "price"]));
         for i in 0..rows {
             t.push_row(vec![
-                Value::Str(format!("sku{i}")),
+                Value::from(format!("sku{i}")),
                 Value::Float(10.0 + i as f64),
             ])
             .unwrap();

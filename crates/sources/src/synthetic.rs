@@ -75,10 +75,10 @@ impl GroundTruth {
             .iter()
             .map(|p| {
                 vec![
-                    Value::from(p.sku.clone()),
-                    p.name.clone().into(),
-                    p.brand.clone().into(),
-                    p.category.clone().into(),
+                    Value::from(p.sku.as_str()),
+                    Value::from(p.name.as_str()),
+                    Value::from(p.brand.as_str()),
+                    Value::from(p.category.as_str()),
                 ]
             })
             .collect();
@@ -329,10 +329,10 @@ fn derive_source_table(
         let mut row = Vec::with_capacity(cols.len());
         for c in &cols {
             let clean: Value = match *c {
-                "sku" => prod.sku.clone().into(),
-                "name" => prod.name.clone().into(),
-                "brand" => prod.brand.clone().into(),
-                "category" => prod.category.clone().into(),
+                "sku" => Value::from(prod.sku.as_str()),
+                "name" => Value::from(prod.name.as_str()),
+                "brand" => Value::from(prod.brand.as_str()),
+                "category" => Value::from(prod.category.as_str()),
                 "price" => Value::Float(world.price_at(pi, tick)),
                 "stock" => Value::Int(prod.stock),
                 // `cols` is built from the fixed list above; any future
@@ -368,10 +368,10 @@ pub(crate) fn corrupt(v: &Value, rng: &mut StdRng) -> Value {
                 Value::Float(((f * factor) * 100.0).round() / 100.0)
             }
             // Stringified with currency junk (type noise).
-            _ => Value::Str(format!("${f:.2}")),
+            _ => Value::from(format!("${f:.2}")),
         },
         Value::Int(i) => Value::Int(i + rng.gen_range(1..50)),
-        Value::Str(s) => Value::Str(typo(s, rng)),
+        Value::Str(s) => Value::from(typo(s, rng)),
         other => other.clone(),
     }
 }

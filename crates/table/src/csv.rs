@@ -152,7 +152,7 @@ pub fn write_csv(table: &Table) -> String {
             }
             let v = table.get(r, c).expect("in bounds"); // lint-allow: r, c iterate this table's own dimensions
             if !v.is_null() {
-                out.push_str(&escape(&v.render()));
+                out.push_str(&escape(&v.text()));
             }
         }
         out.push('\n');

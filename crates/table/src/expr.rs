@@ -245,15 +245,15 @@ impl BoundExpr {
             BoundExpr::IsNull(a) => Value::Bool(a.eval(row)?.is_null()),
             BoundExpr::Lower(a) => match a.eval(row)? {
                 Value::Null => Value::Null,
-                v => Value::Str(v.render().to_lowercase()),
+                v => Value::from(v.text().to_lowercase()),
             },
             BoundExpr::Trim(a) => match a.eval(row)? {
                 Value::Null => Value::Null,
-                v => Value::Str(v.render().trim().to_string()),
+                v => Value::from(v.text().trim()),
             },
             BoundExpr::Len(a) => match a.eval(row)? {
                 Value::Null => Value::Null,
-                v => Value::Int(v.render().chars().count() as i64),
+                v => Value::Int(v.text().chars().count() as i64),
             },
             BoundExpr::Coalesce(xs) => {
                 let mut out = Value::Null;
@@ -270,9 +270,9 @@ impl BoundExpr {
             BoundExpr::Concat(xs) => {
                 let mut s = String::new();
                 for x in xs {
-                    s.push_str(&x.eval(row)?.render());
+                    s.push_str(&x.eval(row)?.text());
                 }
-                Value::Str(s)
+                Value::from(s)
             }
         })
     }

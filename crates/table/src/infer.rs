@@ -37,7 +37,7 @@ pub fn parse_cell(raw: &str) -> Value {
         "false" | "False" | "FALSE" => return Value::Bool(false),
         _ => {}
     }
-    Value::Str(raw.to_string())
+    Value::from(raw)
 }
 
 fn looks_like_float(t: &str) -> bool {
@@ -75,9 +75,7 @@ pub fn parse_column(raw: &[String], target: DataType) -> Vec<Value> {
             match (&v, target) {
                 (Value::Null, _) => Value::Null,
                 // A Str target keeps the trimmed original text verbatim.
-                (_, DataType::Str) if v.dtype() != DataType::Str => {
-                    Value::Str(cell.trim().to_string())
-                }
+                (_, DataType::Str) if v.dtype() != DataType::Str => Value::from(cell.trim()),
                 // Numeric/bool cells keep their most specific parse: coercing
                 // a large Int to a Float column would lose precision, and the
                 // Value model compares Int/Float numerically anyway.

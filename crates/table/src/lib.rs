@@ -6,7 +6,8 @@
 //!
 //! * a dynamically typed [`Value`] model with a total order and canonical
 //!   hashing, so values can be compared, grouped and deduplicated across
-//!   heterogeneous sources;
+//!   heterogeneous sources; a string cell is a shared [`Text`], so copying
+//!   a cell never copies its bytes;
 //! * [`Schema`] / [`Field`] metadata with type unification, used by schema
 //!   matching and mapping;
 //! * [`Table`], a columnar table with relational operators (filter, project,
@@ -33,6 +34,7 @@ pub mod par;
 pub mod schema;
 pub mod stats;
 pub mod table;
+pub mod text;
 pub mod value;
 pub mod wire;
 
@@ -40,6 +42,7 @@ pub use error::TableError;
 pub use expr::Expr;
 pub use schema::{CastSafety, DataType, Field, Schema};
 pub use table::Table;
+pub use text::Text;
 pub use value::Value;
 
 /// Crate-wide result alias.

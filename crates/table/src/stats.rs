@@ -82,7 +82,7 @@ pub fn column_stats(values: &[Value]) -> ColumnStats {
             num_sq += x * x;
             num_n += 1;
         }
-        len_sum += v.render().chars().count();
+        len_sum += v.text().chars().count();
     }
     let non_null = count - null_count;
     let mean = if num_n > 0 {

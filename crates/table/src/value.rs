@@ -5,11 +5,13 @@
 //! representation but defines cross-type numeric comparison, so grouping,
 //! joining and fusing values from heterogeneous sources behaves sensibly.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::schema::DataType;
+use crate::text::Text;
 
 /// A single cell value.
 ///
@@ -26,8 +28,8 @@ pub enum Value {
     Int(i64),
     /// 64-bit float.
     Float(f64),
-    /// UTF-8 string.
-    Str(String),
+    /// UTF-8 string, shared: cloning the cell bumps a count.
+    Str(Text),
 }
 
 impl Value {
@@ -81,7 +83,17 @@ impl Value {
             Value::Bool(b) => b.to_string(),
             Value::Int(i) => i.to_string(),
             Value::Float(f) => format_float(*f),
-            Value::Str(s) => s.clone(),
+            Value::Str(s) => String::from(&**s),
+        }
+    }
+
+    /// The cell as text to read: a string borrowed, anything else rendered
+    /// as [`Value::render`] does. Reads that only look at the text (lower,
+    /// trim, tokenize, compare) take this and allocate nothing for a string.
+    pub fn text(&self) -> Cow<'_, str> {
+        match self {
+            Value::Str(s) => Cow::Borrowed(s),
+            other => Cow::Owned(other.render()),
         }
     }
 
@@ -111,7 +123,7 @@ impl Value {
                 .or_else(|| self.as_str().and_then(|s| s.trim().parse().ok()))
                 .map(Value::Int)
                 .ok_or_else(|| TypeError(format!("cannot coerce {self:?} to Int"))),
-            DataType::Str => Ok(Value::Str(self.render())),
+            DataType::Str => Ok(Value::from(self.render())),
             DataType::Bool => match self {
                 Value::Str(s) => match s.trim().to_ascii_lowercase().as_str() {
                     "true" | "t" | "yes" | "1" => Ok(Value::Bool(true)),
@@ -229,7 +241,7 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => write!(f, "NULL"),
-            other => write!(f, "{}", other.render()),
+            other => f.write_str(&other.text()),
         }
     }
 }
@@ -256,11 +268,16 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(v.into())
+    }
+}
+impl From<Text> for Value {
+    fn from(v: Text) -> Self {
         Value::Str(v)
     }
 }
@@ -311,7 +328,7 @@ mod tests {
         assert_eq!(nan, nan.clone());
         assert_eq!(h(&nan), h(&Value::Float(f64::NAN)));
         assert!(nan > Value::Float(f64::INFINITY));
-        assert!(nan < Value::Str(String::new()));
+        assert!(nan < Value::Str("".into()));
     }
 
     #[test]
@@ -355,6 +372,21 @@ mod tests {
     fn option_from_impl() {
         assert_eq!(Value::from(None::<i64>), Value::Null);
         assert_eq!(Value::from(Some(3i64)), Value::Int(3));
+    }
+
+    #[test]
+    fn a_cell_is_three_words() {
+        // A string cell is a fat pointer to a shared string (two words) and
+        // a tag: every table column holds rows × 24 bytes of cells.
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+    }
+
+    #[test]
+    fn text_borrows_a_string_and_renders_the_rest() {
+        let s = Value::from("Acme");
+        assert!(matches!(s.text(), Cow::Borrowed("Acme")));
+        assert_eq!(Value::Float(42.0).text(), "42");
+        assert_eq!(Value::Null.text(), "");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! keys hash the same encoding, so a key and the record it guards cannot
 //! describe the state two ways.
 
-use crate::{DataType, Field, Result, Schema, Table, TableError, Value};
+use crate::{DataType, Field, Result, Schema, Table, TableError, Text, Value};
 
 /// Seed/offset of the FNV-1a 64-bit hash.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -281,9 +281,12 @@ impl<'a> Dec<'a> {
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String> {
         let b = self.bytes()?;
-        String::from_utf8(b.to_vec())
-            .map_err(|e| TableError::Invalid(format!("wire: invalid UTF-8: {e}")))
+        String::from_utf8(b.to_vec()).map_err(invalid_utf8)
     }
+}
+
+fn invalid_utf8(e: impl std::fmt::Display) -> TableError {
+    TableError::Invalid(format!("wire: invalid UTF-8: {e}"))
 }
 
 /// Encode a table columnar: schema, row count, then each column's values.
@@ -453,12 +456,25 @@ impl Wire for String {
     }
 }
 
+/// The bytes of a `String`; decoding validates the borrowed slice and
+/// builds the shared string from it, one allocation.
+impl Wire for Text {
+    const MIN: usize = 8;
+    fn enc(&self, e: &mut Enc) {
+        e.str(self);
+    }
+    fn dec(d: &mut Dec<'_>) -> Result<Text> {
+        let b = d.bytes()?;
+        std::str::from_utf8(b).map(Text::from).map_err(invalid_utf8)
+    }
+}
+
 wire_enum!(Value: "value" {
     0 => Null,
     1 => Bool(b: bool),
     2 => Int(i: i64),
     3 => Float(f: f64),
-    4 => Str(s: String),
+    4 => Str(s: Text),
 });
 
 wire_enum!(DataType: "dtype" {
@@ -662,6 +678,17 @@ mod tests {
             // a value-payload flip decodes to different content.
             let _ = decode_table(&mut Dec::new(&mutated));
         }
+    }
+
+    #[test]
+    fn a_string_cell_with_invalid_utf8_is_the_same_error_as_a_string() {
+        let mut e = Enc::new();
+        e.bytes(&[b'o', 0xff, b'k']);
+        let bytes = e.into_bytes();
+        let as_string = from_bytes::<String>(&bytes).unwrap_err().to_string();
+        let as_text = from_bytes::<Text>(&bytes).unwrap_err().to_string();
+        assert!(as_text.contains("wire: invalid UTF-8: "), "{as_text}");
+        assert_eq!(as_text, as_string);
     }
 
     #[test]

@@ -5,7 +5,8 @@ use proptest::prelude::*;
 use wrangler_table::csv::{read_csv, write_csv};
 use wrangler_table::expr::Expr;
 use wrangler_table::ops;
-use wrangler_table::{Table, Value};
+use wrangler_table::wire;
+use wrangler_table::{Table, Text, Value};
 
 /// Arbitrary scalar values, weighted towards the interesting edge cases.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -14,7 +15,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
         2 => any::<bool>().prop_map(Value::Bool),
         4 => any::<i64>().prop_map(Value::Int),
         4 => (-1e12f64..1e12f64).prop_map(Value::Float),
-        4 => "[ -~]{0,12}".prop_map(Value::Str), // printable ASCII incl. space/quote/comma
+        4 => "[ -~]{0,12}".prop_map(Value::from), // printable ASCII incl. space/quote/comma
     ]
 }
 
@@ -56,6 +57,37 @@ proptest! {
     }
 
     #[test]
+    fn text_reads_exactly_as_the_string_it_holds(
+        a in "[\u{1}-~é-ü€😀]{0,10}",
+        b in "[\u{1}-~é-ü€😀]{0,10}",
+        tail in "[ -~é]{0,4}",
+    ) {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        fn h<T: Hash + ?Sized>(v: &T) -> u64 {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        }
+        let (ta, tb) = (Text::from(a.as_str()), Text::from(b.clone()));
+        prop_assert_eq!(format!("{ta:?}"), format!("{a:?}"));
+        prop_assert_eq!(format!("{ta}"), a.clone());
+        prop_assert_eq!(h(&ta), h(&a));
+        prop_assert_eq!(ta.cmp(&tb), a.cmp(&b));
+        prop_assert_eq!(ta == tb, a == b);
+        prop_assert_eq!(wire::to_bytes(&ta), wire::to_bytes(&a));
+        prop_assert_eq!(wire::from_bytes::<Text>(&wire::to_bytes(&a)).expect("valid UTF-8"), ta.clone());
+        // A cell's Debug text feeds the pass fingerprint and the goldens.
+        prop_assert_eq!(format!("{:?}", Value::Str(ta.clone())), format!("Str({a:?})"));
+        let shared = ta.clone();
+        let mut grown = ta.clone();
+        grown.push_str(&tail);
+        prop_assert_eq!(grown.to_string(), format!("{a}{tail}"));
+        prop_assert_eq!(&*shared, a.as_str());
+        prop_assert!(Text::ptr_eq(&shared, &ta));
+    }
+
+    #[test]
     fn csv_roundtrip_preserves_shape_and_strings(t in arb_table(12)) {
         let text = write_csv(&t);
         let back = read_csv(&text).unwrap();
@@ -73,7 +105,7 @@ proptest! {
                 // text. Column-level typing may instead keep the trimmed
                 // text verbatim when the column unified to Str.
                 let parsed = wrangler_table::infer::parse_cell(&orig.render());
-                let as_str = Value::Str(orig.render().trim().to_string());
+                let as_str = Value::from(orig.render().trim());
                 prop_assert!(
                     got == &parsed || got == &as_str,
                     "got {got:?}, expected {parsed:?} or {as_str:?} (orig {orig:?})"

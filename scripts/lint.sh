@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Fifteen rules, all enforced in CI via scripts/verify.sh:
+# analysis). Sixteen rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -120,6 +120,13 @@
 #      generation's profile sharing, is `OptMode::shares_target_profile`,
 #      called on the session's mode without naming the type. A stage loop
 #      that branches on the mode is a second plan beside the compiled one.
+#
+#  16. Library `src/` does not chain `.render()` into `.to_lowercase()`,
+#      `.to_ascii_lowercase()`, `.trim()`, `.chars()` or
+#      `.eq_ignore_ascii_case(`. `render()` returns an owned `String`, so a
+#      read that only looks at the text copies every string cell it reads
+#      first; `Value::text()` borrows a string cell and renders only the
+#      other types. Justify a true exception with a `lint-allow: <reason>`.
 #
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
@@ -475,6 +482,24 @@ opt_mode_hits=$(awk -v file="crates/core/src/wrangler/stages.rs" '
 if [ -n "$opt_mode_hits" ]; then
   echo "lint: OptMode named in crates/core/src/wrangler/stages.rs (read the decision from the compiled PlanProgram):"
   echo "$opt_mode_hits"
+  fail=1
+fi
+
+# --- Rule 16: read a cell's text by reference ----------------------------------------
+render_read_hits=$(for f in $(lib_sources); do
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { next }  # comment / doc lines
+    /\.render\(\)\.(to_lowercase\(|to_ascii_lowercase\(|trim\(|chars\(|eq_ignore_ascii_case\()/ {
+      if ($0 !~ /lint-allow:/) {
+        printf "%s:%d: %s\n", file, FNR, $0
+      }
+    }
+  ' "$f"
+done)
+if [ -n "$render_read_hits" ]; then
+  echo "lint: .render() chained into a read of the text in library code (read through Value::text(), which borrows a string cell, or add \`// lint-allow: <reason>\`):"
+  echo "$render_read_hits"
   fail=1
 fi
 
