@@ -17,35 +17,23 @@
 //!    worker pool were no consistent win at any size this experiment
 //!    measured (EXPERIMENTS E14), so the ER rows time the decision alone.
 //! 2. The [`FuseKernel`] — per-source weights/decays compiled once per pass,
-//!    slots fused over the blocked pool — is bit-identical to the
-//!    uncompiled per-slot `fuse_attribute` reference at every worker count.
-//! 3. Fuse scaling is non-negative: with the pool sized by
-//!    `effective_workers` (never wider than the machine's cores, never
-//!    fewer than `MIN_SLOTS_PER_WORKER` slots per thread),
-//!    `fuse_kernel_ms@4 < fuse_kernel_ms@1` on multi-core machines, and on
-//!    narrower machines the clamp makes the widths coincide instead of
-//!    oversubscribing. The JSON records `cores` so the CI gate
-//!    (`scripts/check_e14_scaling.py`) knows which regime it is reading.
-//!    The fuse kernel's work is slots, which the source sweep never moves
-//!    past ~1,050 — one serial plan at every width — so the gate reads a
-//!    fleet sized in products instead (`FUSE_FLEET_PRODUCTS`, the largest
-//!    ~17,000 slots). The rows either side of the fan-out floor carry a
-//!    two-workers-regardless column, and the pipeline's own fuse loop is
-//!    timed on the first fleet over the floor: the two measurements
-//!    `MIN_SLOTS_PER_WORKER`'s derivation compares. The ER decision is read
-//!    at scale off `ER_FLOOR_PRODUCTS`: 4k to 80k class pairs met.
+//!    slots fused one after another on one thread — is bit-identical to the
+//!    uncompiled per-slot `fuse_attribute` reference, and each side is
+//!    timed once per fleet of the source sweep.
+//!
+//! The ER decision is read at scale off `ER_FLOOR_PRODUCTS`: 4k to 80k
+//! class pairs met. The CI gate (`scripts/check_e14_scaling.py`) reads the
+//! identity columns.
 //!
 //! Protocol: per fleet size, wrangle once to materialise the mapped union
 //! and the claim set, rebuild the pipeline's candidate set (name blocking +
 //! exact-sku blocking), then time `REPS` runs of (a) serial `match_pairs`
 //! over that list, (b) blocking + ER kernel compile + class-and-decide, (c) serial
-//! `fuse_attribute` over all slots and (d) fuse kernel compile+fuse at each
-//! worker count, taking the best of the runs (minimum suppresses scheduler
-//! noise on a shared box; a sub-millisecond fuse sweep still reads 5–10%
-//! apart from itself, which is why nothing is gated on one). The fuse-only
-//! fleets run (c) and (d) alone; the pipeline's loop is read off whole
-//! passes' `wrangle/fuse/kernel` span. Every kernel output is compared
-//! bit-for-bit against its serial reference. Timings are wall-clock; the count half
+//! `fuse_attribute` over all slots and (d) fuse kernel compile + fuse,
+//! taking the best of the runs (minimum suppresses scheduler noise on a
+//! shared box; a sub-millisecond fuse time still reads 5–10% apart from
+//! itself, which is why nothing is gated on one). Every kernel output is
+//! compared bit-for-bit against its serial reference. Timings are wall-clock; the count half
 //! of the metrics report is seeded-deterministic — `--counts` prints only
 //! that half and CI double-runs it to assert byte-identical output. A full
 //! run writes `BENCH_e14.json`.
@@ -59,7 +47,7 @@ use wrangler_bench::{default_fleet_config, fleet, header, row, session};
 use wrangler_context::UserContext;
 use wrangler_core::Wrangler;
 use wrangler_fusion::strategies::fuse_attribute;
-use wrangler_fusion::{FuseKernel, FusedValue, MIN_SLOTS_PER_WORKER};
+use wrangler_fusion::{FuseKernel, FusedValue};
 use wrangler_resolve::{
     candidates_blocked, candidates_blocked_exact, cluster_pairs, match_pairs, ErConfig, ErKernel,
     PriorWalk, ScoredPair, UnionBlocks,
@@ -70,22 +58,9 @@ use wrangler_table::{par, Table};
 const SEED: u64 = 1401;
 /// 10, 20, 40 sources, then 400 = 10 × the old largest.
 const FLEET_SIZES: [usize; 4] = [10, 20, 40, 400];
-const WORKERS: [usize; 4] = [1, 2, 4, 8];
 const REPS: usize = 5;
 /// Products in every fleet of the source sweep.
 const PRODUCTS: usize = 200;
-/// Fuse-only fleets, by product count (`FUSE_FLEET_SOURCES` sources each).
-/// The fuse kernel's work is slots — entities × attributes — and the source
-/// sweep above never leaves ~1,050 of them, far under the fan-out floor of
-/// 2 × `MIN_SLOTS_PER_WORKER` = 8192 where every width is one serial plan.
-/// These straddle the floor: ~5,600 slots still fuse serially, ~10,700 are
-/// the first the policy fans out (two workers) and ~17,000 — the fleet the
-/// scaling gate reads — the first it gives four.
-const FUSE_FLEET_PRODUCTS: [usize; 3] = [1000, 2000, 3200];
-const FUSE_FLEET_SOURCES: usize = 10;
-/// The first of them over the floor: where the pipeline's own fuse loop is
-/// timed at one worker and at four requested.
-const FUSE_PASS_PRODUCTS: usize = FUSE_FLEET_PRODUCTS[1];
 /// ER-floor fleets, by product count (`ER_FLOOR_SOURCES` sources each): the
 /// class pairs their walks decide — ~4,100, ~12,400, ~24,100 and ~80,500;
 /// a pair a differing key rejects is never met, so it takes forty sources
@@ -180,36 +155,10 @@ struct FleetResult {
 
 struct FuseResult {
     sources: usize,
-    products: usize,
     slots: usize,
     serial_ms: f64,
-    /// Requested width → best ms, width resolved by the sizing policy.
-    kernel_ms: Vec<(usize, f64)>,
-    /// The pool width the policy resolved four requested workers to.
-    width_at_4: usize,
-    /// Two workers spawned whatever the policy says: against `kernel_ms@1`
-    /// on fleets either side of the floor, the measurement the floor rests on.
-    exact2_ms: f64,
+    kernel_ms: f64,
     identical: bool,
-}
-
-/// A stage's own span (ms) in a whole pass over `fleet`, best of `REPS`
-/// passes, the session prepared by `with_workers`: what the pipeline pays —
-/// per-item panic isolation, stitching the pieces back, and a fan-out that
-/// happens once per pass, onto cores the rest of the pass left idle — where
-/// the sweeps above re-run a warm kernel. Read for `wrangle/fuse/kernel`.
-fn pass_span_ms(
-    fleet: &SyntheticFleet,
-    span: &str,
-    with_workers: impl Fn(Wrangler) -> Wrangler,
-) -> f64 {
-    (0..REPS)
-        .map(|_| {
-            let mut w = with_workers(session(fleet, UserContext::balanced("e14")));
-            let out = w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
-            out.metrics.timings[span].nanos as f64 / 1e6
-        })
-        .fold(f64::INFINITY, f64::min)
 }
 
 fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
@@ -271,7 +220,7 @@ fn measure_fleet(num_sources: usize) -> (FleetResult, FuseResult) {
         kernel_ms,
         identical,
     };
-    (er, measure_fuse(&w, num_sources, PRODUCTS))
+    (er, measure_fuse(&w, num_sources))
 }
 
 struct ErFloorResult {
@@ -336,84 +285,41 @@ fn measure_er_floor(products: usize) -> ErFloorResult {
     }
 }
 
-/// Fuse: serial `fuse_attribute` vs `FuseKernel` at each worker count, over
-/// the claim set a finished wrangle left behind.
-fn measure_fuse(w: &Wrangler, sources: usize, products: usize) -> FuseResult {
+/// Fuse: serial `fuse_attribute` vs `FuseKernel`, over the claim set a
+/// finished wrangle left behind.
+fn measure_fuse(w: &Wrangler, sources: usize) -> FuseResult {
     let (claims, ctx, strategy) = w.fusion_inputs().expect("wrangle caches the claim set"); // lint-allow: experiment fixture
     let slots = claims.slots();
-    let fuse_serial: Vec<Option<FusedValue>> = slots
-        .iter()
-        .map(|&(e, a)| fuse_attribute(claims, e, a, strategy, ctx))
-        .collect();
+    let reference = || -> Vec<Option<FusedValue>> {
+        slots
+            .iter()
+            .map(|&(e, a)| fuse_attribute(claims, e, a, strategy, ctx))
+            .collect()
+    };
+    let kernel = || FuseKernel::compile(claims, strategy, ctx).fuse_slots(&slots);
     let serial_ms = 1e3
         * best_secs(|| {
-            std::hint::black_box(
-                slots
-                    .iter()
-                    .map(|&(e, a)| fuse_attribute(claims, e, a, strategy, ctx))
-                    .collect::<Vec<Option<FusedValue>>>(),
-            );
+            std::hint::black_box(reference());
         });
-    let mut kernel_ms = Vec::new();
-    let mut identical = true;
-    let mut width_at_4 = 0;
-    for &workers in &WORKERS {
-        let ms = 1e3
-            * best_secs(|| {
-                let k = FuseKernel::compile(claims, strategy, ctx);
-                std::hint::black_box(
-                    k.fuse_slots_parallel(&slots, workers)
-                        .expect("parallel fusion succeeds"), // lint-allow: experiment fixture
-                );
-            });
-        kernel_ms.push((workers, ms));
-        let k = FuseKernel::compile(claims, strategy, ctx);
-        let (fused, stats) = k
-            .fuse_slots_parallel(&slots, workers)
-            .expect("parallel fusion succeeds"); // lint-allow: experiment fixture
-        identical &= fused_identical(&fuse_serial, &fused)
-            && stats.iter().map(|s| s.items).sum::<u64>() == slots.len() as u64;
-        if workers == 4 {
-            width_at_4 = stats.len();
-        }
-    }
-    let exact2_ms = 1e3
+    let kernel_ms = 1e3
         * best_secs(|| {
-            let k = FuseKernel::compile(claims, strategy, ctx);
-            std::hint::black_box(
-                k.fuse_slots_parallel_exact(&slots, 2)
-                    .expect("parallel fusion succeeds"), // lint-allow: experiment fixture
-            );
+            std::hint::black_box(kernel());
         });
     FuseResult {
         sources,
-        products,
         slots: slots.len(),
         serial_ms,
         kernel_ms,
-        width_at_4,
-        exact2_ms,
-        identical,
+        identical: fused_identical(&reference(), &kernel()),
     }
-}
-
-fn ms_at(kernel_ms: &[(usize, f64)], w: usize) -> f64 {
-    kernel_ms
-        .iter()
-        .find(|&&(k, _)| k == w)
-        .map_or(f64::NAN, |&(_, ms)| ms)
 }
 
 fn main() {
     let counts_only = std::env::args().any(|a| a == "--counts");
     if counts_only {
-        // Deterministic half only: counts and gauges of the largest workload
-        // with a fixed fuse width, byte-identical across runs. A pinned width
-        // matters: per-worker counters depend on the requested pool size
-        // (the sizing policy then resolves it identically every run on a
-        // given machine).
-        let mut w = build(*FLEET_SIZES.last().expect("const non-empty"), PRODUCTS) // lint-allow: const fixture
-            .with_fuse_workers(4);
+        // Deterministic half only: counts and gauges of the largest
+        // workload, byte-identical across runs.
+        let mut w = build(*FLEET_SIZES.last().expect("const non-empty"), PRODUCTS); // lint-allow: const fixture
         w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
         print!("{}", w.metrics().render_counts());
         return;
@@ -496,85 +402,51 @@ fn main() {
         println!("{}", row(&cells, &ewidths));
     }
 
-    println!("\nfuse kernel (serial = per-slot fuse_attribute; the source sweep's fleets, then");
-    println!(" {FUSE_FLEET_SOURCES}-source fleets sized in products so the slots straddle the fan-out floor of");
-    println!(" 2 x {MIN_SLOTS_PER_WORKER}; width4 = the pool width four requested workers resolve to;");
-    println!(" x2 = two workers spawned whatever the policy says):");
-    let fwidths = [7, 8, 7, 8, 8, 8, 8, 8, 6, 8, 9];
+    println!("\nfuse kernel (serial = per-slot fuse_attribute; kernel = compile + fuse");
+    println!(" every slot on one thread; best of {REPS} runs; identical = bit for bit):");
+    let fwidths = [7, 7, 8, 8, 8, 9];
     println!(
         "{}",
         header(
             &[
-                "sources", "products", "slots", "serial", "f@1", "f@2", "f@4", "f@8", "width4",
-                "x2", "identical"
+                "sources",
+                "slots",
+                "serial",
+                "kernel",
+                "speedup",
+                "identical"
             ],
             &fwidths
         )
     );
-    for &products in &FUSE_FLEET_PRODUCTS {
-        let mut w = build(FUSE_FLEET_SOURCES, products);
-        w.wrangle().expect("seeded workload wrangles"); // lint-allow: experiment fixture
-        fuse_results.push(measure_fuse(&w, FUSE_FLEET_SOURCES, products));
-    }
     for r in &fuse_results {
         let cells = vec![
             r.sources.to_string(),
-            r.products.to_string(),
             r.slots.to_string(),
-            format!("{:.2}", r.serial_ms),
-            format!("{:.2}", ms_at(&r.kernel_ms, 1)),
-            format!("{:.2}", ms_at(&r.kernel_ms, 2)),
-            format!("{:.2}", ms_at(&r.kernel_ms, 4)),
-            format!("{:.2}", ms_at(&r.kernel_ms, 8)),
-            r.width_at_4.to_string(),
-            format!("{:.2}", r.exact2_ms),
+            format!("{:.3}", r.serial_ms),
+            format!("{:.3}", r.kernel_ms),
+            format!("{:.2}x", r.serial_ms / r.kernel_ms),
             if r.identical { "yes" } else { "NO" }.to_string(),
         ];
         println!("{}", row(&cells, &fwidths));
     }
-
-    let pass_fleet = fleet_of(FUSE_FLEET_SOURCES, FUSE_PASS_PRODUCTS);
-    let fuse_pass = |n| pass_span_ms(&pass_fleet, "wrangle/fuse/kernel", |w| w.with_fuse_workers(n));
-    let (pass1, pass4) = (fuse_pass(1), fuse_pass(4));
-    println!("\nthe pipeline's own fuse loop on the first fleet over the floor ({FUSE_PASS_PRODUCTS} products;");
-    println!(" the `wrangle/fuse/kernel` span of a whole pass, best of {REPS} passes):");
-    println!(
-        " 1 worker {pass1:.2} ms, 4 requested {pass4:.2} ms ({:.2}x)",
-        pass4 / pass1
-    );
 
     // --- Verdicts ------------------------------------------------------------
     let big = *FLEET_SIZES.last().expect("const non-empty"); // lint-allow: const fixture
     let last = results.last().expect("const non-empty fleet list"); // lint-allow: const fixture
     let speedup = last.serial_ms / last.kernel_ms;
     let verdict_speed = speedup >= 2.0;
-    // On a machine with ≥4 cores the blocked pool must actually win at 4
-    // workers; on narrower machines the sizing policy clamps the widths
-    // together and the comparison is two measurements of the same
-    // configuration (the gate script applies a noise tolerance there).
-    let large_fuse = fuse_results
-        .iter()
-        .max_by_key(|r| r.slots)
-        .expect("const non-empty fleet list"); // lint-allow: const fixture
-    let fuse_scaling = ms_at(&large_fuse.kernel_ms, 1) / ms_at(&large_fuse.kernel_ms, 4);
-    let verdict_scaling = fuse_scaling > 1.0;
     let verdict_identical =
         results.iter().all(|r| r.identical) && er_floor.iter().all(|r| r.identical);
     let verdict_fuse_identical = fuse_results.iter().all(|r| r.identical);
     println!(
         "\nverdict: the ER kernel {} the 2x floor at {big} sources ({speedup:.2}x); ER outputs {}; \
-         fuse f@1/f@4 = {fuse_scaling:.2}x at {} slots ({}); fuse outputs {}",
+         fuse outputs {}",
         if verdict_speed { "clears" } else { "MISSES" },
         if verdict_identical {
             "byte-identical to serial"
         } else {
             "DIVERGE"
-        },
-        large_fuse.slots,
-        if verdict_scaling {
-            "positive scaling"
-        } else {
-            "NOT positive"
         },
         if verdict_fuse_identical {
             "byte-identical"
@@ -584,13 +456,6 @@ fn main() {
     );
 
     // --- Machine-readable results -------------------------------------------
-    let ms_json = |kernel_ms: &[(usize, f64)]| {
-        kernel_ms
-            .iter()
-            .map(|(w, ms)| format!("\"{w}\":{:.4}", ms))
-            .collect::<Vec<_>>()
-            .join(",")
-    };
     let fleets_json: Vec<String> = results
         .iter()
         .map(|r| {
@@ -614,17 +479,9 @@ fn main() {
         .iter()
         .map(|r| {
             format!(
-                "{{\"sources\":{},\"products\":{},\"fuse_slots\":{},\
-                 \"fuse_serial_ms\":{:.4},\"fuse_kernel_ms\":{{{}}},\
-                 \"fuse_width_at_4\":{},\"fuse_exact2_ms\":{:.4},\"fuse_identical\":{}}}",
-                r.sources,
-                r.products,
-                r.slots,
-                r.serial_ms,
-                ms_json(&r.kernel_ms),
-                r.width_at_4,
-                r.exact2_ms,
-                r.identical,
+                "{{\"sources\":{},\"fuse_slots\":{},\"fuse_serial_ms\":{:.4},\
+                 \"fuse_kernel_ms\":{:.4},\"fuse_identical\":{}}}",
+                r.sources, r.slots, r.serial_ms, r.kernel_ms, r.identical,
             )
         })
         .collect();
@@ -641,9 +498,7 @@ fn main() {
     let json = format!(
         "{{\"experiment\":\"e14_er_scaling\",\"seed\":{SEED},\"cores\":{cores},\
          \"speedup\":{speedup:.4},\
-         \"fleets\":[{}],\"er_floor_fleets\":[{}],\"fuse_fleets\":[{}],\
-         \"fuse_pass\":{{\"products\":{FUSE_PASS_PRODUCTS},\
-         \"kernel_span_ms\":{{\"1\":{pass1:.4},\"4\":{pass4:.4}}}}}}}\n",
+         \"fleets\":[{}],\"er_floor_fleets\":[{}],\"fuse_fleets\":[{}]}}\n",
         fleets_json.join(","),
         er_floor_json.join(","),
         fuse_fleets_json.join(",")
@@ -653,7 +508,5 @@ fn main() {
     println!("\nShape expected: the kernels win big on one thread — precompilation (a dictionary");
     println!("per column, per-source weights cached once instead of per item) and, for ER,");
     println!("deciding each pair of record classes once, and never meeting the ~95% a differing");
-    println!("key rejects; extra fuse workers help exactly when cores exist and the slots clear");
-    println!("the floor — the sizing policy refuses oversubscription — and never change a bit of");
-    println!("output.");
+    println!("key rejects — and never change a bit of output.");
 }

@@ -64,8 +64,26 @@ struct SourceState {
 struct Judgement {
     /// The value the user confirmed: pinned at full confidence.
     confirmed: Option<Value>,
-    /// The values the user refuted: never delivered again.
+    /// The values the user refuted, each once: never delivered again.
     vetoed: Vec<Value>,
+}
+
+impl Judgement {
+    /// Fuse slot number `no` of `kernel`'s claim index under this
+    /// feedback: a confirmed value is pinned at full confidence; a vetoed
+    /// value can never win again (its supporting claims are excluded).
+    fn fuse(&self, kernel: &FuseKernel, no: usize) -> Option<FusedValue> {
+        match &self.confirmed {
+            Some(v) => Some(FusedValue {
+                value: v.clone(),
+                weight: 1.0,
+                total_weight: 1.0,
+                supporters: Vec::new(),
+                freshness: 1.0,
+            }),
+            None => kernel.fuse_slot_no_without(no, &self.vetoed),
+        }
+    }
 }
 
 /// Caches from the last full wrangle, the substrate of incremental
@@ -187,9 +205,6 @@ pub struct Wrangler {
     registry: SourceRegistry,
     states: Vec<SourceState>,
     er_cfg: ErConfig,
-    /// Worker-count override for the fuse-slot pool (`None` = hardware
-    /// parallelism). Output is identical for any value; experiments pin it.
-    fuse_workers: Option<usize>,
     match_cfg: MatchConfig,
     now: u64,
     cache: Option<WrangleCache>,
@@ -304,7 +319,6 @@ impl Wrangler {
             registry: SourceRegistry::new(),
             states: Vec::new(),
             er_cfg,
-            fuse_workers: None,
             match_cfg: MatchConfig::default(),
             now: 0,
             cache: None,
@@ -454,14 +468,6 @@ impl Wrangler {
     /// Replace the matcher configuration (e.g. the names-only baseline).
     pub fn with_match_config(mut self, cfg: MatchConfig) -> Wrangler {
         self.match_cfg = cfg;
-        self
-    }
-
-    /// Pin the fuse-slot pool to `workers` threads (default: hardware
-    /// parallelism). Fused values are byte-identical for any worker count —
-    /// this knob trades wall-clock only (E14's fuse sweep axis).
-    pub fn with_fuse_workers(mut self, workers: usize) -> Wrangler {
-        self.fuse_workers = Some(workers.max(1));
         self
     }
 
@@ -840,25 +846,6 @@ impl Wrangler {
         Ok(outcome)
     }
 
-    /// Fuse one slot, honouring confirmed and vetoed values from direct
-    /// feedback: a confirmed value is pinned at full confidence; a vetoed
-    /// value can never win again (its supporting claims are excluded).
-    fn fuse_slot(&self, kernel: &FuseKernel, e: usize, a: usize) -> Option<FusedValue> {
-        let Some(judgement) = self.judgements.get(&(e, a)) else {
-            return kernel.fuse_slot(e, a);
-        };
-        match &judgement.confirmed {
-            Some(v) => Some(FusedValue {
-                value: v.clone(),
-                weight: 1.0,
-                total_weight: 1.0,
-                supporters: Vec::new(),
-                freshness: 1.0,
-            }),
-            None => kernel.fuse_slot_without(e, a, &judgement.vetoed),
-        }
-    }
-
     /// Assemble the wrangled table and its quality report from the cache
     /// (callers wrap it in the `assemble` span).
     fn assemble(&mut self, plan: &Plan) -> wrangler_table::Result<WrangleOutcome> {
@@ -1076,7 +1063,9 @@ impl Wrangler {
                         judgement.confirmed = Some(v);
                     } else {
                         judgement.confirmed = None;
-                        judgement.vetoed.push(v);
+                        if !judgement.vetoed.contains(&v) {
+                            judgement.vetoed.push(v);
+                        }
                     }
                 }
             }
@@ -1362,15 +1351,6 @@ mod tests {
 
     fn small_fleet() -> SyntheticFleet {
         fleet_of(40)
-    }
-
-    /// Enough entities that the live slots (one per entity and target
-    /// attribute) clear the fuse pool's fan-out floor of
-    /// 2 × `MIN_SLOTS_PER_WORKER`, even with a third of the sources
-    /// quarantined: on two cores or more, a multi-worker request really
-    /// fans out.
-    fn wide_fleet() -> SyntheticFleet {
-        fleet_of(1800)
     }
 
     fn fleet_of(num_products: usize) -> SyntheticFleet {
@@ -1699,6 +1679,47 @@ mod tests {
                 None => assert!(last.is_null()),
             }
         }
+    }
+
+    #[test]
+    fn a_repeated_veto_is_one_veto() {
+        let fleet = small_fleet();
+        // Siloed routing: a veto moves no source's trust, so repeating one
+        // could change nothing but the slot's veto list.
+        let mut once = session(&fleet, UserContext::balanced("t"));
+        let mut twice = session(&fleet, UserContext::balanced("t"));
+        once.routing = RoutingMode::Siloed;
+        twice.routing = RoutingMode::Siloed;
+        let out = once.wrangle().unwrap();
+        twice.wrangle().unwrap();
+        let price_attr = once.target().index_of("price").unwrap();
+        // A delivered price some source disputes, so a value survives its veto.
+        let entity = (0..out.table.num_rows())
+            .find(|&e| {
+                once.explain(e, price_attr)
+                    .is_some_and(|x| !x.dissenters.is_empty())
+            })
+            .expect("some disputed price");
+        let value = out.table.get_named(entity, "price").unwrap().clone();
+        let veto = || {
+            FeedbackItem::expert(
+                FeedbackTarget::Value {
+                    entity,
+                    attr: price_attr,
+                    value: Some(value.clone()),
+                },
+                Verdict::Negative,
+                1.0,
+            )
+        };
+        once.give_feedback(veto());
+        twice.give_feedback(veto());
+        twice.give_feedback(veto());
+        let a = once.rewrangle().unwrap();
+        let b = twice.rewrangle().unwrap();
+        let exp = twice.explain(entity, price_attr).unwrap();
+        assert_eq!(exp.vetoed_values, [value]);
+        assert_eq!(a.table, b.table);
     }
 
     #[test]
@@ -2282,14 +2303,6 @@ mod tests {
             let path = format!("rewrangle/{span}");
             assert!(m2.timings.contains_key(&path), "missing span {path}");
         }
-        // The re-fuse's pool reports its workers like the fuse stage's.
-        let refuse_items: u64 = m2
-            .counts
-            .iter()
-            .filter(|(k, _)| k.starts_with("refuse.worker") && k.ends_with(".items"))
-            .map(|(_, v)| *v)
-            .sum();
-        assert!(refuse_items > 0 && refuse_items <= m2.counts["refuse.slots"]);
         // With a store attached, each seam's record I/O has its own spans:
         // a cold pass saves at every seam, a second pass loads every one.
         // map_apply and fuse are no seams: they run live, and read or write
@@ -2400,101 +2413,38 @@ mod tests {
         }
     }
 
-    /// The `fuse.workerN.items` counters of one pass, in worker order.
-    fn fuse_worker_items(m: &MetricsReport) -> Vec<u64> {
-        m.counts
-            .iter()
-            .filter(|(k, _)| k.starts_with("fuse.worker") && k.ends_with(".items"))
-            .map(|(_, v)| *v)
-            .collect()
-    }
-
-    /// Whether a pass asked for several fuse workers really ran them: it
-    /// must have, wherever there is a second core, exactly when its slots
-    /// clear the fan-out floor.
-    fn fuse_fanned_out(m: &MetricsReport) -> bool {
-        let fanned_out = m.counts.contains_key("fuse.worker1.items");
-        let over_floor =
-            m.counts["fuse.slots"] >= 2 * wrangler_fusion::MIN_SLOTS_PER_WORKER as u64;
-        assert_eq!(
-            fanned_out,
-            over_floor && wrangler_table::par::available_parallelism() >= 2,
-            "{} slots",
-            m.counts["fuse.slots"]
-        );
-        over_floor
-    }
-
+    /// PR 5 semantics: a fuse-stage chaos panic quarantines the rolled
+    /// source *by name* before its claims enter the claim set, and the pass
+    /// completes on survivors.
     #[test]
-    fn fuse_output_is_identical_for_any_worker_count() {
-        // The small fleet stays under the slot pool's fan-out floor: the
-        // serial case, whatever is asked for. The wide one clears it, so the
-        // comparison is serial against a real fan-out wherever there is a
-        // second core.
-        for (fleet, fans_out) in [(small_fleet(), false), (wide_fleet(), true)] {
-            let mut one = session(&fleet, UserContext::balanced("t")).with_fuse_workers(1);
-            let mut five = session(&fleet, UserContext::balanced("t")).with_fuse_workers(5);
-            let a = one.wrangle().unwrap();
-            let b = five.wrangle().unwrap();
-            assert_eq!(a.entities, b.entities);
-            assert_eq!(a.table, b.table);
-            assert_eq!(a.metrics.counts["fuse.slots"], b.metrics.counts["fuse.slots"]);
-            // Per-worker fuse counters sum to the slots the kernel fused (no
-            // confirmations/vetoes here, so every live slot is a kernel slot).
-            for m in [&a.metrics, &b.metrics] {
-                let worker_items = fuse_worker_items(m);
-                assert!(!worker_items.is_empty());
-                assert_eq!(worker_items.iter().sum::<u64>(), m.counts["fuse.slots"]);
-                assert!(
-                    worker_items.iter().all(|&n| n > 0),
-                    "no worker may be idle: {worker_items:?}"
-                );
-            }
-            assert_eq!(fuse_worker_items(&a.metrics).len(), 1);
-            assert_eq!(fuse_fanned_out(&b.metrics), fans_out);
-        }
-    }
-
-    /// PR 5 semantics survive the parallel fuse kernel: a fuse-stage chaos
-    /// panic quarantines the rolled source *by name* before its claims enter
-    /// the claim set, and the pass completes on survivors — serially on the
-    /// small fleet, with the slot pool really running multi-worker on the
-    /// wide one.
-    #[test]
-    fn fuse_chaos_panic_is_contained_and_names_the_source_with_parallel_kernel() {
+    fn fuse_chaos_panic_is_contained_and_names_the_source() {
         use crate::contain::ChaosPolicy;
-        for (fleet, fans_out) in [(small_fleet(), false), (wide_fleet(), true)] {
-            let chaos = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
-            let mut w = session(&fleet, UserContext::balanced("t"))
-                .with_fuse_workers(5)
-                .with_contain_policy(ContainPolicy::contain().with_chaos(chaos));
-            let out = w.wrangle().unwrap();
-            let quarantined = out.containment.quarantined_sources();
-            assert!(!quarantined.is_empty(), "chaos must hit at this seed/rate");
-            for e in &out.containment.quarantines {
-                assert_eq!(e.stage, Stage::Fuse);
-                assert!(e.reason.contains("panicked"), "{}", e.reason);
-            }
-            assert!(out.containment.tallies(Stage::Fuse).panics_caught > 0);
-            // Survivors complete the pass; the quarantined sources are named
-            // and excluded.
-            assert!(!out.selected_sources.is_empty());
-            for id in &quarantined {
-                assert!(!out.selected_sources.contains(id), "{id:?} still selected");
-            }
-            assert!(out.entities > 0);
-            assert_eq!(fuse_fanned_out(&out.metrics), fans_out);
-            // A clean run with the same worker count delivers identical
-            // output minus the quarantined sources' claims — and a chaos-free
-            // session is byte-deterministic.
-            let chaos2 = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
-            let mut w2 = session(&fleet, UserContext::balanced("t"))
-                .with_fuse_workers(5)
-                .with_contain_policy(ContainPolicy::contain().with_chaos(chaos2));
-            let out2 = w2.wrangle().unwrap();
-            assert_eq!(out.containment.render(), out2.containment.render());
-            assert_eq!(out.table, out2.table);
+        let fleet = small_fleet();
+        let chaos = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
+        let mut w = session(&fleet, UserContext::balanced("t"))
+            .with_contain_policy(ContainPolicy::contain().with_chaos(chaos));
+        let out = w.wrangle().unwrap();
+        let quarantined = out.containment.quarantined_sources();
+        assert!(!quarantined.is_empty(), "chaos must hit at this seed/rate");
+        for e in &out.containment.quarantines {
+            assert_eq!(e.stage, Stage::Fuse);
+            assert!(e.reason.contains("panicked"), "{}", e.reason);
         }
+        assert!(out.containment.tallies(Stage::Fuse).panics_caught > 0);
+        // Survivors complete the pass; the quarantined sources are named
+        // and excluded.
+        assert!(!out.selected_sources.is_empty());
+        for id in &quarantined {
+            assert!(!out.selected_sources.contains(id), "{id:?} still selected");
+        }
+        assert!(out.entities > 0);
+        // The same chaos in a second session delivers the same bytes.
+        let chaos2 = ChaosPolicy::new(0.3, 2).at_stage(Stage::Fuse);
+        let mut w2 = session(&fleet, UserContext::balanced("t"))
+            .with_contain_policy(ContainPolicy::contain().with_chaos(chaos2));
+        let out2 = w2.wrangle().unwrap();
+        assert_eq!(out.containment.render(), out2.containment.render());
+        assert_eq!(out.table, out2.table);
     }
 
     #[test]

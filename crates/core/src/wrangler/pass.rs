@@ -226,10 +226,9 @@ impl Wrangler {
     /// Fingerprint of everything that shapes this pass besides the source
     /// payloads and runtime state: target schema + sample, user context,
     /// derived plan, ER/match/containment/acquisition configuration, filter
-    /// and projection. Worker-count knobs are excluded: outputs are
-    /// byte-identical for any pool width. So is value-level feedback: only
-    /// fuse reads it, and fuse keeps no record and no memo, so a veto leaves
-    /// every memo and seam valid. The data context and
+    /// and projection. Value-level feedback is excluded: only fuse reads
+    /// it, and fuse keeps no record and no memo, so a veto leaves every
+    /// memo and seam valid. The data context and
     /// the held mappings are keyed beside it, by the first seam's key
     /// ([`Self::seam_key_select`]).
     pub(super) fn pass_fingerprint(&self, plan: &Plan) -> u64 {

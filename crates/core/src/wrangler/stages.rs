@@ -12,7 +12,7 @@ use wrangler_ckpt::CrashSite;
 use wrangler_context::UserContext;
 use wrangler_fusion::strategies::{FusedValue, SourceContext};
 use wrangler_fusion::truthfinder::{truthfinder, TruthFinderConfig};
-use wrangler_fusion::{FuseKernel, MIN_SLOTS_PER_WORKER};
+use wrangler_fusion::FuseKernel;
 use wrangler_lint::{GateMode, Report as LintReport};
 use wrangler_mapping::{generate_mapping, generate_mapping_with_profiles, Mapping};
 use wrangler_match::profile_table;
@@ -274,6 +274,7 @@ impl Wrangler {
             // mapping generation is milliseconds of work, so the threshold
             // is 1 item per worker, and the pool as wide as the cores.
             let workers = par::effective_workers(usize::MAX, inputs.len(), 1);
+            // pool-ok: both workers are busy on every benchmark workload (map.worker0/1.items 20/20, 3/3, 200/200)
             let (chunks, worker_stats) = par::run_blocked(&inputs, workers, |_, chunk| {
                 // Each item runs under its own catch: one poisonous source
                 // quarantines itself, not its whole worker's chunk.
@@ -978,10 +979,9 @@ impl Wrangler {
     /// `skip-dead-fusion` rewrites, each citing its `DeadAtFuse` fact) and
     /// skipped, their entries left as they are; their claims stay in the
     /// claim set, so trust — and every live fused value — is unchanged. A
-    /// confirmed or vetoed slot takes the feedback-aware serial path, the
-    /// plain majority the blocked pool. A slot that panics under a policy
-    /// that makes that fatal ends the loop with the values before it
-    /// written.
+    /// confirmed or vetoed slot takes the feedback-aware path, a plain one
+    /// the kernel's majority. A slot that panics under a policy that makes
+    /// that fatal ends the loop with the values before it written.
     pub(super) fn fuse_slot_loop(
         &mut self,
         kernel: &FuseKernel,
@@ -990,39 +990,36 @@ impl Wrangler {
         creport: &mut ContainmentReport,
         stage: &str,
     ) -> Result<usize> {
-        let live_mask = compiled(&self.last_program)?.live_mask();
-        let slots = kernel.claims().index().slots();
-        // The slots feedback judged, ascending, to merge with `nos`.
-        let mut judged = self.judgements.keys().peekable();
-        let mut special_slots: Vec<usize> = Vec::new();
-        let mut plain_slots: Vec<usize> = Vec::with_capacity(nos.len());
-        for &no in nos {
-            let slot = slots[no];
-            while judged.next_if(|&&j| j < slot).is_some() {}
-            if live_mask.is_some_and(|m| !m[slot.1]) {
-                continue;
-            } else if judged.peek() == Some(&&slot) {
-                special_slots.push(no);
-            } else {
-                plain_slots.push(no);
-            }
-        }
-        let skipped = nos.len() - special_slots.len() - plain_slots.len();
-        self.obs
-            .count(&format!("{stage}.slots_skipped"), skipped as u64);
-        // Per-slot isolation: a fusion strategy that panics on one
-        // pathological slot costs that slot (delivered as Null), not the
-        // pass — unless the policy says a caught panic is fatal.
-        let contained = !self.contain.is_off();
-        let fatal = self.contain.mode != ContainMode::Contain;
-        let mut slot_done =
-            |no: usize, res: std::result::Result<Option<FusedValue>, String>| -> Result<()> {
+        let (done, skipped) = self.span("kernel", |w| {
+            let live_mask = compiled(&w.last_program)?.live_mask();
+            let slots = kernel.claims().index().slots();
+            // Per-slot isolation: a fusion strategy that panics on one
+            // pathological slot costs that slot (delivered as Null), not the
+            // pass — unless the policy says a caught panic is fatal.
+            let contained = !w.contain.is_off();
+            let fatal = w.contain.mode != ContainMode::Contain;
+            // The slots feedback judged, ascending, to merge with `nos`.
+            let mut judged = w.judgements.iter().peekable();
+            let (mut done, mut skipped) = (0, 0);
+            for &no in nos {
+                let slot = slots[no];
+                while judged.next_if(|&(&j, _)| j < slot).is_some() {}
+                if live_mask.is_some_and(|m| !m[slot.1]) {
+                    skipped += 1;
+                    continue;
+                }
+                let res = match judged.peek() {
+                    Some(&(&j, judgement)) if j == slot => {
+                        isolate(contained, || judgement.fuse(kernel, no))
+                    }
+                    _ => isolate(contained, || kernel.fuse_slot_no(no)),
+                };
                 fused[no] = match res {
                     Ok(f) => f,
                     Err(msg) => {
                         creport.caught_panic(Stage::Fuse);
                         if fatal {
-                            let (e, a) = slots[no];
+                            let (e, a) = slot;
                             return Err(TableError::Unavailable(format!(
                                 "fuse slot ({e},{a}) panicked: {msg}"
                             )));
@@ -1030,36 +1027,12 @@ impl Wrangler {
                         None
                     }
                 };
-                Ok(())
-            };
-        let worker_stats = self.span("kernel", |w| {
-            for &no in &special_slots {
-                let (e, a) = slots[no];
-                slot_done(no, isolate(contained, || w.fuse_slot(kernel, e, a)))?;
+                done += 1;
             }
-            // Plain slots fuse in contiguous blocked chunks — bit-identical
-            // to the serial fuse_attribute path for any worker count. Worker
-            // panics surface per slot (catch inside the chunk) so one
-            // pathological slot cannot take down its chunk; a panic escaping
-            // the pool itself is the structured-error backstop, as in the ER
-            // kernel.
-            // The cores are read only when the slots would fan out.
-            let requested = w.fuse_workers.unwrap_or(usize::MAX);
-            let workers =
-                par::effective_workers(requested, plain_slots.len(), MIN_SLOTS_PER_WORKER);
-            let (chunks, worker_stats) = par::run_blocked(&plain_slots, workers, |_, chunk| {
-                chunk
-                    .iter()
-                    .map(|&no| isolate(contained, || kernel.fuse_slot_no(no)))
-                    .collect::<Vec<_>>()
-            })
-            .map_err(|msg| TableError::Unavailable(format!("fuse worker panicked: {msg}")))?;
-            for (&no, res) in plain_slots.iter().zip(chunks.into_iter().flatten()) {
-                slot_done(no, res)?;
-            }
-            Ok(worker_stats)
+            Ok((done, skipped))
         })?;
-        self.record_workers(stage, &worker_stats);
-        Ok(special_slots.len() + plain_slots.len())
+        self.obs
+            .count(&format!("{stage}.slots_skipped"), skipped as u64);
+        Ok(done)
     }
 }

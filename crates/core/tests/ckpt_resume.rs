@@ -16,19 +16,15 @@ use wrangler_core::{
 use wrangler_feedback::{FeedbackItem, FeedbackTarget, Verdict};
 use wrangler_sources::faults::FaultConfig;
 use wrangler_sources::{FleetConfig, SourceId, SyntheticFleet};
-use wrangler_table::{par, wire, DataType, Schema, Table, Value};
+use wrangler_table::{wire, DataType, Schema, Table, Value};
 use wrangler_uncertainty::Belief;
 
 /// The checkpoint seams, in pass order.
 const SEAMS: [&str; 5] = ["select", "acquire", "map_generate", "union", "er"];
 
 fn make_fleet(seed: u64) -> SyntheticFleet {
-    fleet_of(60, seed)
-}
-
-fn fleet_of(num_products: usize, seed: u64) -> SyntheticFleet {
     let cfg = FleetConfig {
-        num_products,
+        num_products: 60,
         num_sources: 8,
         now: 20,
         coverage: (0.3, 0.8),
@@ -73,7 +69,6 @@ fn build_over(fleet: &SyntheticFleet, catalog: Table, faults: Option<&FaultConfi
     for s in fleet.registry.iter() {
         w.add_source(s.meta.clone(), s.table.clone());
     }
-    w = w.with_fuse_workers(2);
     if let Some(cfg) = faults {
         w.inject_faults(cfg);
     }
@@ -139,36 +134,14 @@ fn crash_at(fleet: &SyntheticFleet, faults: Option<&FaultConfig>, dir: &Path, si
 
 #[test]
 fn resume_is_byte_identical_at_every_crash_site() {
-    resume_matches_cold("resume", &make_fleet(42), &CrashSite::all());
-}
-
-/// The resume the fuse stage pays for in full — ER replayed, fusion live —
-/// on a fleet whose slots clear the fuse pool's fan-out floor
-/// (2 × `MIN_SLOTS_PER_WORKER`): wherever there is a second core, the cold
-/// pass and the resumed one fuse on two workers.
-#[test]
-fn resume_after_er_is_byte_identical_with_a_fanned_out_fuse() {
-    let fleet = fleet_of(1800, 42);
-    let cold_out = resume_matches_cold("resume-wide", &fleet, &[CrashSite::AfterEr]);
-    assert_eq!(
-        cold_out.metrics.counts.contains_key("fuse.worker1.items"),
-        par::available_parallelism() >= 2,
-        "{} slots",
-        cold_out.metrics.counts["fuse.slots"]
-    );
-}
-
-/// Crash at each of `sites`, resume, and demand the cold pass's fingerprint;
-/// returns the cold outcome. `label` names the scratch stores, which
-/// concurrent tests must not share.
-fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite]) -> WrangleOutcome {
+    let fleet = &make_fleet(42);
     // Cold reference: no store, no crash.
     let mut cold = build(fleet, None);
     let cold_out = cold.wrangle().unwrap();
     let cold_fp = fingerprint(&cold, &cold_out);
 
-    for &site in sites {
-        let dir = scratch_dir(&format!("{label}-{}", site.name()));
+    for site in CrashSite::all() {
+        let dir = scratch_dir(&format!("resume-{}", site.name()));
         cleanup(&dir);
         let interrupted = crash_at(fleet, None, &dir, site);
         assert!(interrupted, "{site:?}: crash policy did not fire");
@@ -199,7 +172,6 @@ fn resume_matches_cold(label: &str, fleet: &SyntheticFleet, sites: &[CrashSite])
         assert!(hits > 0, "{site:?}: resume replayed nothing");
         cleanup(&dir);
     }
-    cold_out
 }
 
 #[test]

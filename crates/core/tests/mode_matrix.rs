@@ -1,10 +1,10 @@
 //! The mode-matrix oracle: one enumerated sweep over every execution mode
 //! the session has, asserting that they all deliver the same bytes.
 //!
-//! {fuse workers 1, 3} × {`OptMode::Naive`, `Optimized`} × {incr on, off}
-//! × {no store, empty store, resumed from a store left by a crash at each
-//! `CrashSite`} × {`ObsMode::On`, `Off`} × {`ContainPolicy::contain()`,
-//! `off()`} = 256 cells, each running `wrangle → update_source(one source,
+//! {`OptMode::Naive`, `Optimized`} × {incr on, off} × {no store, empty
+//! store, resumed from a store left by a crash at each `CrashSite`} ×
+//! {`ObsMode::On`, `Off`} × {`ContainPolicy::contain()`, `off()`} = 128
+//! cells, each running `wrangle → update_source(one source,
 //! nudged payload) → wrangle` on one small fleet with a row filter and an
 //! output projection set, then an expert's veto of one delivered price and
 //! `rewrangle`. All three outcomes of every cell must fingerprint
@@ -58,7 +58,6 @@ enum StoreAxis {
 
 #[derive(Debug, Clone)]
 struct Cell {
-    workers: usize,
     opt: OptMode,
     incr: bool,
     store: StoreAxis,
@@ -69,8 +68,8 @@ struct Cell {
 impl Cell {
     fn label(&self) -> String {
         format!(
-            "w{}-{:?}-incr{}-{:?}-{:?}-{:?}",
-            self.workers, self.opt, self.incr, self.store, self.obs, self.policy.mode
+            "{:?}-incr{}-{:?}-{:?}-{:?}",
+            self.opt, self.incr, self.store, self.obs, self.policy.mode
         )
     }
 
@@ -89,7 +88,6 @@ impl Cell {
             w.add_source(s.meta.clone(), s.table.clone());
         }
         let mut w = w
-            .with_fuse_workers(self.workers)
             .with_opt_mode(self.opt)
             .with_obs_mode(self.obs)
             .with_contain_policy(self.policy.clone())
@@ -196,7 +194,7 @@ fn run_cell(fleet: &SyntheticFleet, cell: &Cell) -> CellPrint {
     let second = w.wrangle().unwrap();
     let fp2 = fingerprint(&w, &second);
     // The veto moves its supporters' trust, so the re-fuse covers every
-    // slot they claim: with three workers, the shared slot loop's pool.
+    // slot they claim.
     let prices = second.table.column_named("price").unwrap();
     let entity = (0..prices.len())
         .find(|&e| !prices[e].is_null())
@@ -226,46 +224,43 @@ fn every_mode_combination_delivers_the_reference_bytes() {
     for policy in [ContainPolicy::contain(), ContainPolicy::off()] {
         // Containment renders are compared within one policy only.
         let mut policy_reference: Option<[String; 3]> = None;
-        for workers in [1, 3] {
-            for opt in [OptMode::Optimized, OptMode::Naive] {
-                for incr in [true, false] {
-                    for &store in &stores {
-                        for obs in [ObsMode::On, ObsMode::Off] {
-                            let cell = Cell {
-                                workers,
-                                opt,
-                                incr,
-                                store,
-                                obs,
-                                policy: policy.clone(),
-                            };
-                            let got = run_cell(&fleet, &cell);
-                            let want = reference.get_or_insert_with(|| got.clone());
-                            let want_render = policy_reference.get_or_insert_with(|| {
-                                [got[0].1.clone(), got[1].1.clone(), got[2].1.clone()]
-                            });
-                            for pass in 0..3 {
-                                assert_eq!(
-                                    got[pass].0,
-                                    want[pass].0,
-                                    "{}: outcome {pass} diverged from the reference cell",
-                                    cell.label()
-                                );
-                                assert_eq!(
-                                    got[pass].1,
-                                    want_render[pass],
-                                    "{}: containment render {pass} diverged",
-                                    cell.label()
-                                );
-                            }
-                            cells += 1;
+        for opt in [OptMode::Optimized, OptMode::Naive] {
+            for incr in [true, false] {
+                for &store in &stores {
+                    for obs in [ObsMode::On, ObsMode::Off] {
+                        let cell = Cell {
+                            opt,
+                            incr,
+                            store,
+                            obs,
+                            policy: policy.clone(),
+                        };
+                        let got = run_cell(&fleet, &cell);
+                        let want = reference.get_or_insert_with(|| got.clone());
+                        let want_render = policy_reference.get_or_insert_with(|| {
+                            [got[0].1.clone(), got[1].1.clone(), got[2].1.clone()]
+                        });
+                        for pass in 0..3 {
+                            assert_eq!(
+                                got[pass].0,
+                                want[pass].0,
+                                "{}: outcome {pass} diverged from the reference cell",
+                                cell.label()
+                            );
+                            assert_eq!(
+                                got[pass].1,
+                                want_render[pass],
+                                "{}: containment render {pass} diverged",
+                                cell.label()
+                            );
                         }
+                        cells += 1;
                     }
                 }
             }
         }
     }
-    assert_eq!(cells, 256);
+    assert_eq!(cells, 128);
     let [first, second, third] = reference.unwrap();
     assert_ne!(first.0, second.0, "the update must change the outcome");
     assert_ne!(second.0, third.0, "the veto must change the outcome");

@@ -20,50 +20,16 @@
 //! Because the arithmetic is identical operation-for-operation, kernel
 //! output is **bit-identical** to `fuse_attribute` (property-tested via
 //! `f64::to_bits`).
-//!
-//! Parallelism uses the shared blocked worker pool
-//! ([`wrangler_table::par`]): contiguous slot chunks, reassembled in chunk
-//! order, so [`FuseKernel::fuse_slots_parallel`] returns byte-identical
-//! output for any worker count. Pool width goes through
-//! [`effective_workers`] with [`MIN_SLOTS_PER_WORKER`], so small claim sets
-//! never pay thread-spawn overhead; `_exact` variants bypass the sizing
-//! policy for tests and benchmarks that need a specific width.
 
-use wrangler_table::par::{self, effective_workers};
-use wrangler_table::{TableError, Value};
-
-pub use wrangler_table::par::WorkerStat;
+use wrangler_table::Value;
 
 use crate::claims::{values_agree, ClaimIndex, ClaimSet};
 use crate::strategies::{FusedValue, SourceContext, Strategy};
 
-/// Below this many slots per worker, fan-out costs more than it saves.
-///
-/// Measured where the policy earns or loses its keep: the pipeline's own
-/// fuse loop (the `wrangle/fuse/kernel` span of whole passes at one fuse
-/// worker and at two; 2-core VM, release build, 10-source fleets of 500 to
-/// 3,200 products; minimum and median of 9 passes, the sweep run twice, with
-/// this floor still at 1024, where every one of those fleets fans out). A
-/// plain slot costs 120–150 ns there, and a fan-out some 250 µs before the
-/// first slot is saved: two spawns onto cores the rest of the pass left
-/// idle, two joins, every result crossing threads.
-/// Two workers over one read 1.22–1.32 at 1,343 slots each, 1.06–1.20 at
-/// 2,004, 0.91–1.05 at 2,784, 0.86–0.95 at 4,192, 0.81–0.85 at 5,368 and
-/// 0.74–0.83 at 8,550. 4096 is the smallest power of two at which fanning
-/// out is a measured win rather than a coin toss.
-///
-/// The kernel alone, re-run warm in a loop, flatters fan-out — its threads
-/// land on cores that were busy a moment ago — and breaks even at about a
-/// third of that: `e14_er_scaling` prints both, a two-workers-regardless
-/// column either side of the floor and the pipeline's span on the first
-/// fleet over it.
-pub const MIN_SLOTS_PER_WORKER: usize = 4096;
-
 /// A fusion pass compiled against one `(strategy, SourceContext)` pair.
 ///
 /// Borrows the claim set; the context is copied into flat per-source
-/// arrays at compile time, so the kernel is `Sync` and workers share it
-/// read-only.
+/// arrays at compile time.
 #[derive(Debug)]
 pub struct FuseKernel<'a> {
     claims: &'a ClaimSet,
@@ -136,18 +102,13 @@ impl<'a> FuseKernel<'a> {
         self.fuse_indexed(self.index, slot)
     }
 
-    /// [`Self::fuse_slot`] as if the claims agreeing with any of `vetoed`
+    /// [`Self::fuse_slot_no`] as if the claims agreeing with any of `vetoed`
     /// had never been made: bit-identical to `fuse_attribute` over the claim
     /// set without them. The surviving claims are classed afresh — dropping
     /// whole classes instead would differ whenever a vetoed claim was the
-    /// representative that held a tolerance class together.
-    pub fn fuse_slot_without(
-        &self,
-        entity: usize,
-        attr: usize,
-        vetoed: &[Value],
-    ) -> Option<FusedValue> {
-        let slot = self.index.slot_no(entity, attr)?;
+    /// representative that held a tolerance class together. Panics when
+    /// there is no such slot.
+    pub fn fuse_slot_no_without(&self, slot: usize, vetoed: &[Value]) -> Option<FusedValue> {
         let claims = self.claims.claims();
         let kept: Vec<u32> = self
             .index
@@ -228,42 +189,17 @@ impl<'a> FuseKernel<'a> {
         slots.iter().map(|&(e, a)| self.fuse_slot(e, a)).collect()
     }
 
-    /// Parallel [`Self::fuse_slots`] over contiguous blocked chunks:
-    /// identical output for any worker count, plus per-worker stats. The
-    /// requested width goes through the pool-sizing policy
-    /// ([`effective_workers`] with [`MIN_SLOTS_PER_WORKER`]).
+    /// [`Self::fuse_slots`], always `Ok`; `_workers` is ignored. No code in
+    /// this workspace calls it: fuse runs on one thread, slot by slot
+    /// through [`Self::fuse_slot_no`], and `bench/` still times its layer
+    /// through this name (`fusion.fuse_ms`). It goes away with the
+    /// benchmark change that moves that call to `fuse_slots`.
     pub fn fuse_slots_parallel(
         &self,
         slots: &[(usize, usize)],
-        workers: usize,
-    ) -> wrangler_table::Result<(Vec<Option<FusedValue>>, Vec<WorkerStat>)> {
-        self.fuse_slots_parallel_exact(
-            slots,
-            effective_workers(workers, slots.len(), MIN_SLOTS_PER_WORKER),
-        )
-    }
-
-    /// [`Self::fuse_slots_parallel`] with an exact pool width (no sizing
-    /// policy): spawns `min(workers, slots.len())` threads. For tests and
-    /// benchmarks that must drive real multi-thread reassembly regardless
-    /// of batch size or machine width.
-    pub fn fuse_slots_parallel_exact(
-        &self,
-        slots: &[(usize, usize)],
-        workers: usize,
-    ) -> wrangler_table::Result<(Vec<Option<FusedValue>>, Vec<WorkerStat>)> {
-        let (chunks, stats) = par::run_blocked(slots, workers, |_, chunk| {
-            chunk
-                .iter()
-                .map(|&(e, a)| self.fuse_slot(e, a))
-                .collect::<Vec<Option<FusedValue>>>()
-        })
-        .map_err(|msg| TableError::Unavailable(format!("fuse worker panicked: {msg}")))?;
-        let mut fused = Vec::with_capacity(slots.len());
-        for chunk in chunks {
-            fused.extend(chunk);
-        }
-        Ok((fused, stats))
+        _workers: usize,
+    ) -> wrangler_table::Result<Vec<Option<FusedValue>>> {
+        Ok(self.fuse_slots(slots))
     }
 }
 
@@ -322,49 +258,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_serial_for_any_worker_count() {
-        let (cs, ctx) = scenario();
-        let kernel =
-            FuseKernel::compile(&cs, Strategy::TrustAndFreshness { half_life: 3.0 }, &ctx);
-        let slots = cs.slots();
-        let serial = kernel.fuse_slots(&slots);
-        for workers in 1..=slots.len() + 2 {
-            let (par, stats) = kernel.fuse_slots_parallel_exact(&slots, workers).unwrap();
-            assert_eq!(par, serial, "workers = {workers}");
-            assert_eq!(
-                stats.iter().map(|s| s.items).sum::<u64>(),
-                slots.len() as u64
-            );
-            assert_eq!(stats.len(), workers.min(slots.len()));
-            assert!(stats.iter().all(|s| s.items > 0), "idle worker");
-        }
-    }
-
-    #[test]
-    fn pool_sizing_keeps_tiny_batches_serial() {
-        // One slot short of two workers' worth stays serial however many
-        // workers are asked for; the full two workers' worth fans out
-        // wherever there is a second core.
-        let mut cs = ClaimSet::new(2);
-        for e in 0..2 * MIN_SLOTS_PER_WORKER {
-            cs.add(e, 0, Value::Int(e as i64), e % 2);
-        }
-        let kernel = FuseKernel::compile(&cs, Strategy::MajorityVote, &SourceContext::default());
-        let slots = cs.slots();
-        let (short, full) = (&slots[..slots.len() - 1], &slots[..]);
-        let (fused, stats) = kernel.fuse_slots_parallel(short, 8).unwrap();
-        assert_eq!(fused, kernel.fuse_slots(short));
-        assert_eq!(stats.len(), 1, "a batch this small must stay serial");
-        let (fused, stats) = kernel.fuse_slots_parallel(full, 8).unwrap();
-        assert_eq!(fused, kernel.fuse_slots(full));
-        assert_eq!(stats.len(), par::available_parallelism().min(2));
-    }
-
-    #[test]
     fn empty_slot_list_is_fine() {
         let (cs, ctx) = scenario();
         let kernel = FuseKernel::compile(&cs, Strategy::MajorityVote, &ctx);
-        let (fused, stats) = kernel.fuse_slots_parallel(&[], 4).unwrap();
-        assert!(fused.is_empty() && stats.is_empty());
+        assert!(kernel.fuse_slots(&[]).is_empty());
     }
 }

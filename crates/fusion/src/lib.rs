@@ -16,8 +16,8 @@
 //!   fusion (what transient data actually needs — experiment E9);
 //! * [`kernel`] — the precompiled [`FuseKernel`], the one fuse production
 //!   runs: per-source weights/decays hoisted out of the slot loop once per
-//!   pass, blocked-chunk parallel fusion bit-identical to [`fuse_attribute`]
-//!   (the reference the tests keep) for any worker count;
+//!   pass, each slot's fusion bit-identical to [`fuse_attribute`] (the
+//!   reference the tests keep);
 //! * [`truthfinder`](crate::truthfinder::truthfinder) — iterative joint estimation of source trust and value
 //!   confidence (Yin, Han & Yu \[36\]), optionally seeded with master-data
 //!   priors from the data context (§2.3: the ontology/master data "as a
@@ -30,6 +30,6 @@ pub mod strategies;
 pub mod truthfinder;
 
 pub use claims::{values_agree, Claim, ClaimIndex, ClaimSet};
-pub use kernel::{FuseKernel, WorkerStat, MIN_SLOTS_PER_WORKER};
+pub use kernel::FuseKernel;
 pub use strategies::{fuse_attribute, FusedValue, Strategy};
 pub use truthfinder::{truthfinder, TruthFinderConfig, TruthFinderResult};

@@ -373,10 +373,9 @@ proptest! {
             survivors.add(c.entity, c.attr, c.value.clone(), c.source);
         }
         let kernel = FuseKernel::compile(&cs, strategy, &ctx);
-        // Every claimed slot, and one nobody claims.
-        for (e, a) in cs.slots().into_iter().chain([(9, 9)]) {
+        for (no, &(e, a)) in cs.index().slots().iter().enumerate() {
             prop_assert_eq!(
-                bits(kernel.fuse_slot_without(e, a, &vetoed)),
+                bits(kernel.fuse_slot_no_without(no, &vetoed)),
                 bits(fuse_attribute(&survivors, e, a, strategy, &ctx)),
                 "slot ({}, {})", e, a
             );

@@ -112,51 +112,6 @@ proptest! {
     }
 
     #[test]
-    fn blocked_parallel_fusion_equals_serial(
-        values in prop::collection::vec(prop::collection::vec(arb_value(), 0..4), 1..14),
-        strat in arb_strategy(),
-        workers in 1usize..9,
-    ) {
-        let sources = values.iter().map(Vec::len).max().unwrap_or(1).max(1);
-        let mut cs = ClaimSet::new(sources);
-        for (e, vs) in values.iter().enumerate() {
-            for (s, v) in vs.iter().enumerate() {
-                cs.add(e, 0, v.clone(), s);
-                cs.add(e, 1, v.clone(), s);
-            }
-        }
-        let ctx = SourceContext {
-            trust: (0..sources).map(|i| 0.9 - 0.04 * i as f64).collect(),
-            age: (0..sources as u64).rev().collect(),
-        };
-        let kernel = FuseKernel::compile(&cs, strat, &ctx);
-        let slots = cs.slots();
-        let serial = kernel.fuse_slots(&slots);
-        // `_exact` bypasses the pool-sizing policy so worker counts 1–8
-        // (including counts exceeding the slot count) drive real threads.
-        let (par, stats) = kernel.fuse_slots_parallel_exact(&slots, workers).unwrap();
-        prop_assert_eq!(par.len(), serial.len());
-        for (a, b) in serial.iter().zip(&par) {
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    prop_assert_eq!(&x.value, &y.value);
-                    prop_assert_eq!(&x.supporters, &y.supporters);
-                    prop_assert_eq!(x.weight.to_bits(), y.weight.to_bits());
-                    prop_assert_eq!(x.total_weight.to_bits(), y.total_weight.to_bits());
-                    prop_assert_eq!(x.freshness.to_bits(), y.freshness.to_bits());
-                }
-                _ => prop_assert!(false, "serial/parallel slot divergence"),
-            }
-        }
-        prop_assert_eq!(stats.iter().map(|s| s.items).sum::<u64>(), slots.len() as u64);
-        prop_assert!(stats.iter().all(|s| s.items > 0), "idle worker");
-        // The policy entry point fuses identically after sizing.
-        let (policy, _) = kernel.fuse_slots_parallel(&slots, workers).unwrap();
-        prop_assert_eq!(&policy, &par);
-    }
-
-    #[test]
     fn truthfinder_trust_stays_bounded(
         values in prop::collection::vec(prop::collection::vec(arb_value(), 1..5), 1..10),
     ) {

@@ -796,11 +796,11 @@ impl ErKernel {
         // order, and each worker walks adjacent pairs so its id columns
         // stay hot.
         let mut scores = vec![0.0; pairs.len()];
-        let (chunks, stats) =
-            par::run_blocked_into(pairs, &mut scores, workers, |_, chunk, out| {
-                self.score_pairs_into(chunk, out)
-            })
-            .map_err(|msg| TableError::Unavailable(format!("ER scoring worker panicked: {msg}")))?;
+        // pool-ok: bench/ reads these workers' stats (resolve.worker_skew); production ER never calls it
+        let (chunks, stats) = par::run_blocked_into(pairs, &mut scores, workers, |_, ps, out| {
+            self.score_pairs_into(ps, out)
+        })
+        .map_err(|msg| TableError::Unavailable(format!("ER scoring worker panicked: {msg}")))?;
         chunks.into_iter().collect::<wrangler_table::Result<()>>()?;
         Ok((scores, stats))
     }

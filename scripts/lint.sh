@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Source-level lint gate (the repo-side twin of `wrangler-lint`'s artifact
-# analysis). Sixteen rules, all enforced in CI via scripts/verify.sh:
+# analysis). Seventeen rules, all enforced in CI via scripts/verify.sh:
 #
 #   1. No `.unwrap()` / `.expect(` in library crate `src/` outside test code.
 #      Library code must propagate errors; a deliberate invariant may stay if
@@ -51,7 +51,8 @@
 #      derivation it was cut from (a union block to its held mapped table).
 #      Justify a true exception with a `lint-allow: <reason>` comment.
 #
-#   8. `pack_pair`, `PairScoreCache` and `content_keys` have no caller under
+#   8. `pack_pair`, `PairScoreCache`, `content_keys` and
+#      `fuse_slots_parallel` have no caller under
 #      `crates/`, `src/` or `examples/` — tests, benches and experiment
 #      binaries included. They are stubs the session stopped using, kept
 #      only because `bench/` (frozen outside `[benchmark]` PRs) still builds
@@ -128,6 +129,14 @@
 #      first; `Value::text()` borrows a string cell and renders only the
 #      other types. Justify a true exception with a `lint-allow: <reason>`.
 #
+#  17. A thread pool says why it exists. In library `src/` outside
+#      `crates/table/src/par.rs` (which defines the pool), a line calling
+#      `run_blocked(`, `run_blocked_into(`, `thread::scope` or
+#      `thread::spawn` carries — on it or on the line before — a
+#      `pool-ok: <reason>` comment naming the measurement that keeps it. A
+#      pool is a second code path beside the serial one, and the fuse
+#      stage's ran one worker on every benchmark workload before it went.
+
 # Scanning stops at the first `#[cfg(test)]` in a file: this repo keeps test
 # modules at the end of each source file.
 set -euo pipefail
@@ -344,6 +353,7 @@ stub_hits=$(find crates src examples -name '*.rs' | sort | xargs awk '
     home["pack_pair"] = "crates/core/src/incr.rs"
     home["PairScoreCache"] = "crates/core/src/working.rs"
     home["content_keys"] = "crates/resolve/src/kernel.rs"
+    home["fuse_slots_parallel"] = "crates/fusion/src/kernel.rs"
   }
   FNR == 1 { in_tests = 0 }
   /#\[cfg\(test\)\]/ { in_tests = 1 }
@@ -357,7 +367,7 @@ stub_hits=$(find crates src examples -name '*.rs' | sort | xargs awk '
   }
 ')
 if [ -n "$stub_hits" ]; then
-  echo "lint: bench-only stub used in the workspace (pack_pair, PairScoreCache and content_keys exist for bench/ alone until the [benchmark] PR deletes them):"
+  echo "lint: bench-only stub used in the workspace (pack_pair, PairScoreCache, content_keys and fuse_slots_parallel exist for bench/ alone until the [benchmark] PR deletes them):"
   echo "$stub_hits"
   fail=1
 fi
@@ -500,6 +510,26 @@ done)
 if [ -n "$render_read_hits" ]; then
   echo "lint: .render() chained into a read of the text in library code (read through Value::text(), which borrows a string cell, or add \`// lint-allow: <reason>\`):"
   echo "$render_read_hits"
+  fail=1
+fi
+
+# --- Rule 17: a thread pool says why it exists ---------------------------------------
+pool_hits=$(for f in $(lib_sources); do
+  [ "$f" = "crates/table/src/par.rs" ] && continue
+  awk -v file="$f" '
+    /#\[cfg\(test\)\]/ { exit }
+    /^[[:space:]]*\/\// { prev = $0; next }  # comment / doc lines
+    /(^|[^_[:alnum:]])(run_blocked|run_blocked_into)\(|thread::(scope|spawn)/ {
+      if ($0 !~ /pool-ok:/ && prev !~ /pool-ok:/) {
+        printf "%s:%d: %s\n", file, FNR, $0
+      }
+    }
+    { prev = $0 }
+  ' "$f"
+done)
+if [ -n "$pool_hits" ]; then
+  echo "lint: thread pool without a reason in library code (add \`// pool-ok: <reason>\` naming the measurement that keeps it, or run serially):"
+  echo "$pool_hits"
   fail=1
 fi
 

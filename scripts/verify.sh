@@ -46,7 +46,7 @@ echo "==> e14 kernels, ER + fuse (full run + count-field determinism)"
 ./target/release/e14_er_scaling --counts > "$tmp_b"
 diff "$tmp_a" "$tmp_b"
 
-echo "==> e14 gate (fuse kernel_ms@4 must not regress vs @1 on the largest fuse fleet; ER and fuse identity)"
+echo "==> e14 gate (ER, ER-floor and fuse outputs identical to their serial references)"
 python3 scripts/check_e14_scaling.py BENCH_e14.json
 
 echo "==> e15 containment (full run + count/report determinism)"
